@@ -1,4 +1,4 @@
-//! E12 — registry query cache + coalescing + frame batching (see
+//! E12 — registry query cache + coalescing (see
 //! `lc_bench::e12` for the workload and variant matrix).
 //!
 //! Usage: `e12_cache_perf [JSON_PATH]` — writes the machine-readable

@@ -9,12 +9,10 @@
 //!   point exceeds `T` bytes of state per node — the memory regression
 //!   gate.
 //!
-//! Every stdout line and JSON key carrying wall-clock throughput is
-//! marked `wall`; ci.sh filters those before diffing, so everything
-//! else is byte-identical across runs.
+//! Stdout and the JSON are byte-identical across runs; ci.sh diffs a
+//! double run and the committed artefact.
 
 use lc_bench::e13;
-use std::time::Instant; // lc-lint: allow(D1) -- explicit wall-clock throughput column
 
 fn main() {
     let mut max_nodes: u32 = 1_000_000;
@@ -36,29 +34,21 @@ fn main() {
     }
 
     let seed = 13;
-    let mut points = Vec::new();
-    for (n, variant) in e13::grid(max_nodes) {
-        let t0 = Instant::now(); // lc-lint: allow(D1) -- wall column only
-        let report = e13::run_point(n, variant, seed);
-        let wall_s = t0.elapsed().as_secs_f64(); // lc-lint: allow(D1) -- wall column only
-        points.push(e13::SweepPoint { report, wall_s });
-    }
+    let points = e13::run(seed, max_nodes);
     let out = e13::render(&points, seed);
     print!("{}", out.report);
     if let Err(e) = std::fs::write(&path, &out.json) {
         eprintln!("e13: failed to write {path}: {e}");
         std::process::exit(1);
     }
-    // The JSON length varies with the width of the wall_ values, so the
-    // summary counts points, not bytes (stdout must diff clean).
     println!("\nsummary: {} sweep points written to JSON", points.len());
 
     if let Some(t) = gate {
         let worst = points
             .iter()
-            .filter(|p| p.report.variant == "hier")
-            .max_by_key(|p| p.report.n)
-            .map(|p| p.report.bytes_per_node)
+            .filter(|r| r.variant == "hier")
+            .max_by_key(|r| r.n)
+            .map(|r| r.bytes_per_node)
             .unwrap_or(0.0);
         if worst > t {
             eprintln!("e13: memory gate FAILED: {worst:.2} bytes/node > {t:.2}");

@@ -9,13 +9,10 @@
 //!   1k campus reduces the former leader's recv bytes by less than `R`x
 //!   or regresses p99 over the single-leader row — the hotspot gate.
 //!
-//! Every stdout line and JSON key carrying wall-clock cost is marked
-//! `wall`; ci.sh filters those before diffing, so everything else is
-//! byte-identical across runs.
+//! Stdout and the JSON are byte-identical across runs; ci.sh diffs a
+//! double run and the committed artefact.
 
 use lc_bench::e14;
-use lc_net::HostId;
-use std::time::Instant; // lc-lint: allow(D1) -- explicit wall-clock column
 
 fn main() {
     let mut max_nodes: u32 = 8192;
@@ -37,18 +34,7 @@ fn main() {
     }
 
     let seed = 14;
-    let mut points: Vec<e14::SweepPoint> = Vec::new();
-    let mut leaders: Vec<(u32, HostId)> = Vec::new();
-    for p in e14::grid(max_nodes) {
-        let leader = leaders.iter().find(|(n, _)| *n == p.nodes).map(|&(_, h)| h);
-        let t0 = Instant::now(); // lc-lint: allow(D1) -- wall column only
-        let result = e14::run_point(p, seed, leader);
-        let wall_s = t0.elapsed().as_secs_f64(); // lc-lint: allow(D1) -- wall column only
-        if p.shards == 0 {
-            leaders.push((p.nodes, result.hotspot));
-        }
-        points.push(e14::SweepPoint { result, wall_s });
-    }
+    let points = e14::run(seed, max_nodes);
     let out = e14::render(&points, seed);
     print!("{}", out.report);
     if let Err(e) = std::fs::write(&path, &out.json) {
@@ -60,28 +46,28 @@ fn main() {
     if let Some(r) = gate {
         let single_p99 = points
             .iter()
-            .find(|p| p.result.point.nodes == 1024 && p.result.point.shards == 0)
-            .map(|p| p.result.p99_ms)
+            .find(|p| p.point.nodes == 1024 && p.point.shards == 0)
+            .map(|p| p.p99_ms)
             .unwrap_or(f64::INFINITY);
         let single_leader_recv = points
             .iter()
-            .find(|p| p.result.point.nodes == 1024 && p.result.point.shards == 0)
-            .map(|p| p.result.leader_recv)
+            .find(|p| p.point.nodes == 1024 && p.point.shards == 0)
+            .map(|p| p.leader_recv)
             .unwrap_or(0);
-        for p in points.iter().filter(|p| p.result.point.nodes == 1024 && p.result.point.shards >= 4)
+        for p in points.iter().filter(|p| p.point.nodes == 1024 && p.point.shards >= 4)
         {
-            let red = single_leader_recv as f64 / p.result.leader_recv.max(1) as f64;
+            let red = single_leader_recv as f64 / p.leader_recv.max(1) as f64;
             if red < r {
                 eprintln!(
                     "e14: hotspot gate FAILED at {} shards: reduction {red:.2} < {r:.2}",
-                    p.result.point.shards
+                    p.point.shards
                 );
                 std::process::exit(1);
             }
-            if p.result.p99_ms > single_p99 {
+            if p.p99_ms > single_p99 {
                 eprintln!(
                     "e14: latency gate FAILED at {} shards: p99 {:.2}ms > single-leader {:.2}ms",
-                    p.result.point.shards, p.result.p99_ms, single_p99
+                    p.point.shards, p.p99_ms, single_p99
                 );
                 std::process::exit(1);
             }

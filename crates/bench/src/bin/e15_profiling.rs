@@ -1,26 +1,19 @@
 //! E15 — profiling driver (see `lc_bench::e15` for the model).
 //!
-//! Usage: `e15_profiling [--max-nodes N] [--gate-overhead-pct T] [JSON_PATH]`
+//! Usage: `e15_profiling [--max-nodes N] [JSON_PATH]`
 //!
 //! * `--max-nodes N` caps the part-A profiler sweep (ci.sh smoke runs
 //!   use 10⁴; the committed `BENCH_e15.json` is the full 10⁵ sweep).
-//! * `--gate-overhead-pct T` exits non-zero if the profiler-on run of
-//!   the largest sweep point costs more than `T` % wall time over the
-//!   profiler-off run — the "zero cost when disabled, bounded cost when
-//!   enabled" gate.
 //!
 //! Besides the JSON, two deterministic artefacts land next to it: the
 //! collapsed-stack flamegraph (`<json>.flame.txt`) and the per-node
-//! virtual-time timeline (`<json>.timeline.txt`); ci.sh diffs both
-//! across a double run. Every volatile stdout line is marked `wall`
-//! and every volatile JSON key is prefixed `wall_`.
+//! virtual-time timeline (`<json>.timeline.txt`); ci.sh diffs all
+//! three, and stdout, across a double run.
 
 use lc_bench::e15;
-use std::time::Instant; // lc-lint: allow(D1) -- explicit wall-clock overhead column
 
 fn main() {
     let mut max_nodes: u32 = 100_000;
-    let mut gate: Option<f64> = None;
     let mut path = "target/BENCH_e15.json".to_string();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -29,29 +22,12 @@ fn main() {
                 let v = args.next().unwrap_or_default();
                 max_nodes = v.parse().unwrap_or_else(|_| die(&format!("bad --max-nodes {v}")));
             }
-            "--gate-overhead-pct" => {
-                let v = args.next().unwrap_or_default();
-                gate = Some(v.parse().unwrap_or_else(|_| die(&format!("bad gate {v}"))));
-            }
             p => path = p.to_string(),
         }
     }
 
     let seed = 15;
-    let mut points = Vec::new();
-    for n in e15::prof_grid(max_nodes) {
-        // Off first, then on, timed separately; one warm-up off-run per
-        // point so allocator state doesn't bill the first measurement.
-        let _ = e15::run_off(n, seed);
-        let t0 = Instant::now(); // lc-lint: allow(D1) -- wall column only
-        let off = e15::run_off(n, seed);
-        let wall_off_s = t0.elapsed().as_secs_f64(); // lc-lint: allow(D1) -- wall column only
-        let t1 = Instant::now(); // lc-lint: allow(D1) -- wall column only
-        let (on, profile) = e15::run_on(n, seed);
-        let wall_on_s = t1.elapsed().as_secs_f64(); // lc-lint: allow(D1) -- wall column only
-        let identical = off == on;
-        points.push(e15::ProfPoint { n, report: off, profile, identical, wall_off_s, wall_on_s });
-    }
+    let points = e15::run_profiled(seed, max_nodes);
     let runs: Vec<e15::TracedRun> = e15::RATES
         .iter()
         .map(|&(label, one_in)| e15::run_traced(seed, label, one_in))
@@ -82,15 +58,6 @@ fn main() {
             eprintln!("e15: profiler perturbed the {}-node simulation", p.n);
             std::process::exit(1);
         }
-    }
-    if let Some(t) = gate {
-        let Some(p) = points.last() else { die("gate needs at least one sweep point") };
-        let pct = e15::overhead_pct(p);
-        if pct > t {
-            eprintln!("e15: overhead gate FAILED: {pct:.2}% > {t:.2}% at {} nodes", p.n);
-            std::process::exit(1);
-        }
-        println!("overhead gate ok: {pct:.2}% <= {t:.2}% at {} nodes (wall)", p.n);
     }
 }
 

@@ -9,15 +9,16 @@
 //!   pays in CPU),
 //! * the same under 4 concurrent caller threads.
 //!
-//! (Criterion versions of these series live in `benches/orb_invocation.rs`;
-//! this binary prints the one-page summary table.)
+//! E1 is a wall-clock experiment: every figure is timed through
+//! `lc_bench::micro::measure` (calibrated, median of N), never by the
+//! simulated code. The tracked per-layer versions of these series are
+//! the `orb.*` rows of `.perf`.
 
+use lc_bench::micro::measure;
 use lc_bench::{f2, print_table};
 use lc_idl::compile;
 use lc_orb::{Invocation, LocalOrb, ObjectRef, Orb, OrbError, Servant, SimOrbClient, Value};
 use std::sync::Arc;
-// lc-lint: allow(D1) -- E1 measures wall-clock dispatch cost; its columns are excluded from determinism diffs
-use std::time::Instant;
 
 const IDL: &str = r#"
     interface Bench {
@@ -50,28 +51,23 @@ impl Servant for BenchImpl {
     }
 }
 
-fn ops_per_sec(iters: u64, f: impl FnMut()) -> f64 {
-    let mut f = f;
-    // lc-lint: allow(D1) -- wall-clock throughput measurement (E1 column)
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    iters as f64 / t0.elapsed().as_secs_f64()
+/// Calls per second of `f`, which makes `calls` calls per run.
+fn ops_per_sec(calls: u64, f: impl FnMut()) -> f64 {
+    calls as f64 * 1e9 / measure(f).median_ns
 }
 
 /// The common series, generic over any [`Orb`] flavour: plain typed
 /// invoke, marshalled invoke, and a 64-byte string echo. Returns
 /// `(via_orb, marshalled, echo)` in ops/s.
-fn bench_orb(orb: &dyn Orb, obj: &ObjectRef, iters: u64) -> (f64, f64, f64) {
-    let via_orb = ops_per_sec(iters, || {
+fn bench_orb(orb: &dyn Orb, obj: &ObjectRef) -> (f64, f64, f64) {
+    let via_orb = ops_per_sec(1, || {
         orb.invoke(obj, "bump", &[Value::Long(1)]).unwrap();
     });
-    let marshalled = ops_per_sec(iters, || {
+    let marshalled = ops_per_sec(1, || {
         orb.invoke_marshalled(obj, "bump", &[Value::Long(1)]).unwrap();
     });
     let s64 = "x".repeat(64);
-    let echo = ops_per_sec(iters / 3, || {
+    let echo = ops_per_sec(1, || {
         orb.invoke(obj, "echo", &[Value::string(&s64)]).unwrap();
     });
     (via_orb, marshalled, echo)
@@ -80,11 +76,10 @@ fn bench_orb(orb: &dyn Orb, obj: &ObjectRef, iters: u64) -> (f64, f64, f64) {
 fn main() {
     println!("E1: invocation overhead of the lightweight ORB (single host, in-process)");
     let repo = Arc::new(compile(IDL).unwrap());
-    const ITERS: u64 = 300_000;
 
     // direct struct call
     let mut raw = BenchImpl { total: 0 };
-    let direct = ops_per_sec(ITERS, || {
+    let direct = ops_per_sec(1, || {
         let args = [Value::Long(1)];
         let mut inv = Invocation::new("bump", &args);
         raw.dispatch(&mut inv).unwrap();
@@ -94,26 +89,22 @@ fn main() {
     // series runs below over the simulated-network flavour).
     let orb = LocalOrb::new(repo.clone());
     let obj = orb.activate(Box::new(BenchImpl { total: 0 }));
-    let (via_orb, marshalled, echo) = bench_orb(&orb, &obj, ITERS);
+    let (via_orb, marshalled, echo) = bench_orb(&orb, &obj);
 
-    // concurrent callers
-    // lc-lint: allow(D1) -- wall-clock throughput measurement (E1 column)
-    let t0 = Instant::now();
-    let threads: Vec<_> = (0..4)
-        .map(|_| {
-            let orb = orb.clone();
-            let obj = obj.clone();
-            std::thread::spawn(move || {
-                for _ in 0..ITERS / 4 {
-                    orb.invoke(&obj, "bump", &[Value::Long(1)]).unwrap();
-                }
-            })
-        })
-        .collect();
-    for t in threads {
-        t.join().unwrap();
-    }
-    let concurrent = ITERS as f64 / t0.elapsed().as_secs_f64();
+    // concurrent callers: one measured run = 4 threads x 5 000 calls
+    // (long enough that thread start-up is noise).
+    const PER_THREAD: u64 = 5_000;
+    let concurrent = ops_per_sec(4 * PER_THREAD, || {
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..PER_THREAD {
+                        orb.invoke(&obj, "bump", &[Value::Long(1)]).unwrap();
+                    }
+                });
+            }
+        });
+    });
 
     let rows = vec![
         vec!["direct struct call".into(), f2(direct / 1e6), f2(1.0)],
@@ -129,15 +120,14 @@ fn main() {
     );
 
     // The adapter's own dispatch accounting: how many calls went through
-    // the typed vs the raw path, and the mean in-adapter latency.
+    // the typed vs the raw path (the count follows `measure`'s calibration).
     let stats = orb.dispatch_stats();
     println!(
-        "\nadapter dispatch stats: {} typed + {} raw = {} dispatches, {} errors, mean {:.0} ns",
+        "\nadapter dispatch stats: {} typed + {} raw = {} dispatches, {} errors",
         stats.typed,
         stats.raw,
         stats.total(),
         stats.errors,
-        stats.mean_ns()
     );
     // The same series through the simulated-network flavour of the
     // `Orb` trait: each call is a real GIOP-style request/reply through
@@ -146,7 +136,7 @@ fn main() {
     // free), and show both flavours behind one API.
     let sim_orb = SimOrbClient::new(repo);
     let sobj = sim_orb.activate(Box::new(BenchImpl { total: 0 }));
-    let (s_via, s_marsh, s_echo) = bench_orb(&sim_orb, &sobj, ITERS / 100);
+    let (s_via, s_marsh, s_echo) = bench_orb(&sim_orb, &sobj);
     let sim_rows = vec![
         vec!["SimOrb (DES request/reply)".into(), f2(s_via / 1e6), f2(direct / s_via)],
         vec!["SimOrb + CDR round-trip".into(), f2(s_marsh / 1e6), f2(direct / s_marsh)],

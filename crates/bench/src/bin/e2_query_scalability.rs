@@ -11,12 +11,12 @@
 //! network load and exploits locality", §2.4.3).
 
 use lc_baselines::flat_config;
-use lc_bench::{f2, human_bytes, print_table};
+use lc_bench::{f2, human_bytes, per_service_rows, print_table, PER_SERVICE_HEADERS};
 use lc_core::cohesion::CohesionConfig;
 use lc_core::demo;
 use lc_core::node::{NodeCmd, QueryResult};
 use lc_core::testkit::{build_world, World};
-use lc_core::{ComponentQuery, NodeConfig, ServiceKind, ServiceMetrics};
+use lc_core::{ComponentQuery, NodeConfig};
 use lc_des::SimTime;
 use lc_net::{HostId, Topology};
 use std::cell::RefCell;
@@ -28,8 +28,8 @@ struct Outcome {
     first_offer_ms: f64,
     hotspot_recv: u64,
     hit_rate: f64,
-    /// Per-service counters summed over every node in the world.
-    per_service: [ServiceMetrics; 5],
+    /// Per-service breakdown rows, summed over every node in the world.
+    per_service: Vec<Vec<String>>,
 }
 
 fn run(n: usize, cohesion: CohesionConfig, seed: u64) -> Outcome {
@@ -100,23 +100,12 @@ fn run(n: usize, cohesion: CohesionConfig, seed: u64) -> Outcome {
         .map(|h| world.net.host_traffic(HostId(h)).1)
         .max()
         .unwrap_or(0);
-    let mut per_service = [ServiceMetrics::default(); 5];
-    for h in 0..n as u32 {
-        let Some(node) = world.node(HostId(h)) else { continue };
-        for (acc, kind) in per_service.iter_mut().zip(ServiceKind::ALL) {
-            let m = node.node_metrics().service(kind);
-            acc.msgs_in += m.msgs_in;
-            acc.msgs_out += m.msgs_out;
-            acc.dispatches += m.dispatches;
-            acc.dispatch_ns += m.dispatch_ns;
-        }
-    }
     Outcome {
         msgs_per_query: msgs as f64 / sinks.len() as f64,
         first_offer_ms: first_ms.iter().sum::<f64>() / first_ms.len().max(1) as f64,
         hotspot_recv: hotspot,
         hit_rate: hits as f64 / sinks.len() as f64,
-        per_service,
+        per_service: per_service_rows(&world, (0..n as u32).map(HostId)),
     }
 }
 
@@ -182,29 +171,16 @@ fn main() {
         &rows,
     );
 
-    // Where a node's work goes: per-service message and dispatch-latency
+    // Where a node's work goes: per-service message and dispatch
     // breakdown (NodeMetrics summed over all 64 nodes, hier f=8).
     let o = run(
         64,
         CohesionConfig { fanout: 8, replicas: 2, report_period: period, timeout_intervals: 3 },
         42 + 64,
     );
-    let rows: Vec<Vec<String>> = ServiceKind::ALL
-        .iter()
-        .zip(o.per_service.iter())
-        .map(|(kind, m)| {
-            vec![
-                kind.name().to_string(),
-                m.msgs_in.to_string(),
-                m.msgs_out.to_string(),
-                m.dispatches.to_string(),
-                f2(m.mean_dispatch_ns() / 1e3),
-            ]
-        })
-        .collect();
     print_table(
         "per-service breakdown, N=64 hier f=8 (all nodes)",
-        &["service", "msgs in", "msgs out", "dispatches", "mean us"],
-        &rows,
+        &PER_SERVICE_HEADERS,
+        &o.per_service,
     );
 }

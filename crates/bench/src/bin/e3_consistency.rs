@@ -10,10 +10,10 @@
 //! second) and the membership-change work each protocol performs.
 
 use lc_baselines::strong::{StrongConfig, StrongMember};
-use lc_bench::{f2, print_table};
+use lc_bench::{f2, per_service_rows, print_table, PER_SERVICE_HEADERS};
 use lc_core::demo;
 use lc_core::testkit::build_world;
-use lc_core::{CohesionConfig, NodeConfig, ServiceKind, ServiceMetrics};
+use lc_core::{CohesionConfig, NodeConfig};
 use lc_net::HostId;
 use lc_des::{Sim, SimTime};
 use lc_net::{ChurnConfig, ChurnDriver, ChurnHooks, Net, Topology};
@@ -239,33 +239,9 @@ fn main() {
         |_| Vec::new(),
     );
     world.sim.run_until(SimTime::from_secs(60));
-    let mut per_service = [ServiceMetrics::default(); 5];
-    for h in 0..N as u32 {
-        let Some(node) = world.node(HostId(h)) else { continue };
-        for (acc, kind) in per_service.iter_mut().zip(ServiceKind::ALL) {
-            let m = node.node_metrics().service(kind);
-            acc.msgs_in += m.msgs_in;
-            acc.msgs_out += m.msgs_out;
-            acc.dispatches += m.dispatches;
-            acc.dispatch_ns += m.dispatch_ns;
-        }
-    }
-    let rows: Vec<Vec<String>> = ServiceKind::ALL
-        .iter()
-        .zip(per_service.iter())
-        .map(|(kind, m)| {
-            vec![
-                kind.name().to_string(),
-                m.msgs_in.to_string(),
-                m.msgs_out.to_string(),
-                m.dispatches.to_string(),
-                f2(m.mean_dispatch_ns() / 1e3),
-            ]
-        })
-        .collect();
     print_table(
         "per-service control-plane breakdown (soft, stable, 60s, all nodes)",
-        &["service", "msgs in", "msgs out", "dispatches", "mean us"],
-        &rows,
+        &PER_SERVICE_HEADERS,
+        &per_service_rows(&world, (0..N as u32).map(HostId)),
     );
 }

@@ -13,10 +13,10 @@
 //! placement, every instance computes one work chunk; the makespan (last
 //! reply) and the load distribution tell the story.
 
-use lc_bench::{f2, print_table};
+use lc_bench::{f2, per_service_rows, print_table, PER_SERVICE_HEADERS};
 use lc_core::node::NodeCmd;
 use lc_core::testkit::{build_world, fast_cohesion, World};
-use lc_core::{AssemblyDescriptor, NodeConfig, PlacementStrategy, ServiceKind, ServiceMetrics};
+use lc_core::{AssemblyDescriptor, NodeConfig, PlacementStrategy};
 use lc_des::SimTime;
 use lc_grid::PiWorkerServant;
 use lc_net::{HostCfg, HostId, Topology};
@@ -45,7 +45,7 @@ struct Run {
     peak_busy_ms: f64,
     push_bytes: u64,
     /// Per-service counters summed over every node.
-    per_service: [ServiceMetrics; 5],
+    per_service: Vec<Vec<String>>,
 }
 
 fn run(strategy: PlacementStrategy, lb: bool, seed: u64) -> Run {
@@ -137,17 +137,7 @@ fn run(strategy: PlacementStrategy, lb: bool, seed: u64) -> Run {
         }
     }
 
-    let mut per_service = [ServiceMetrics::default(); 5];
-    for h in 0..16u32 {
-        let Some(node) = world.node(HostId(h)) else { continue };
-        for (acc, kind) in per_service.iter_mut().zip(ServiceKind::ALL) {
-            let m = node.node_metrics().service(kind);
-            acc.msgs_in += m.msgs_in;
-            acc.msgs_out += m.msgs_out;
-            acc.dispatches += m.dispatches;
-            acc.dispatch_ns += m.dispatch_ns;
-        }
-    }
+    let per_service = per_service_rows(&world, (0..16).map(HostId));
 
     Run { placed, makespan_ms: makespan, peak_busy_ms, push_bytes, per_service }
 }
@@ -185,22 +175,9 @@ fn main() {
     // Where the deployment work lands inside the nodes (run-time
     // placement run, per-service counters summed over all 16 hosts).
     let per_service = runtime_breakdown.expect("at least one run");
-    let rows: Vec<Vec<String>> = ServiceKind::ALL
-        .iter()
-        .zip(per_service.iter())
-        .map(|(kind, m)| {
-            vec![
-                kind.name().to_string(),
-                m.msgs_in.to_string(),
-                m.msgs_out.to_string(),
-                m.dispatches.to_string(),
-                f2(m.mean_dispatch_ns() / 1e3),
-            ]
-        })
-        .collect();
     print_table(
         "per-service breakdown, CORBA-LC run-time placement (all nodes)",
-        &["service", "msgs in", "msgs out", "dispatches", "mean us"],
-        &rows,
+        &PER_SERVICE_HEADERS,
+        &per_service,
     );
 }

@@ -5,11 +5,14 @@
 //! levels, and the PDA partial-extraction saving ("extracting only a set
 //! of binaries from the whole component … to be installed in devices
 //! with a tiny memory").
+//!
+//! The two time columns are wall clock, taken through
+//! `lc_bench::micro::measure`; their tracked versions are the
+//! `pkg.pack_mib_s` / `pkg.parse_verify_mib_s` rows of `.perf`.
 
+use lc_bench::micro::measure;
 use lc_bench::{f2, human_bytes, print_table};
 use lc_pkg::{ComponentDescriptor, Package, Platform, SigningKey, TrustStore, Version};
-// lc-lint: allow(D1) -- E9 measures wall-clock pack/verify cost; its columns are excluded from determinism diffs
-use std::time::Instant;
 
 fn payload(kind: &str, size: usize) -> Vec<u8> {
     match kind {
@@ -56,17 +59,19 @@ fn main() {
             .with_idl("x.idl", "interface X { void f(); };")
             .with_binary(Platform::reference(), "x", &payload(kind, size))
             .with_binary(Platform::pda(), "x_pda", &payload(kind, size / 8));
-        // lc-lint: allow(D1) -- wall-clock packaging measurement (E9 column)
-        let t0 = Instant::now();
-        pkg.seal(&key);
-        let bytes = pkg.to_bytes();
-        let pack_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-        // lc-lint: allow(D1) -- wall-clock verification measurement (E9 column)
-        let t1 = Instant::now();
-        let back = Package::from_bytes(&bytes).unwrap();
-        assert_eq!(back.verify(&trust), lc_pkg::sign::Verification::Trusted);
-        let verify_ms = t1.elapsed().as_secs_f64() * 1e3;
+        let mut bytes = Vec::new();
+        let pack_ms = measure(|| {
+            pkg.seal(&key);
+            bytes = pkg.to_bytes();
+        })
+        .median_ns
+            / 1e6;
+        let verify_ms = measure(|| {
+            let back = Package::from_bytes(&bytes).unwrap();
+            assert_eq!(back.verify(&trust), lc_pkg::sign::Verification::Trusted);
+        })
+        .median_ns
+            / 1e6;
 
         let raw = pkg.raw_size() as f64;
         rows.push(vec![

@@ -43,7 +43,7 @@ fn main() {
     let deadline = world.sim.now() + SimTime::from_millis(50);
     world.sim.run_until(deadline);
 
-    // Instantiate and connect: GuiPart --display--> Display.
+    // Create instances and connect: GuiPart --display--> Display.
     let gspawn: lc_core::SpawnSink = Rc::default();
     world.cmd(
         HostId(0),
@@ -105,21 +105,20 @@ fn main() {
 
     // Per-service instrumentation from the node's own NodeMetrics layer.
     println!("\nPer-service instrumentation (host0):");
-    println!("{:<10}  {:>8}  {:>8}  {:>10}  {:>12}", "service", "msgs in", "msgs out", "dispatches", "mean ns");
+    println!("{:<10}  {:>8}  {:>8}  {:>10}", "service", "msgs in", "msgs out", "dispatches");
     let node = world.node(HostId(0)).unwrap();
     let metrics = node.node_metrics();
     for kind in lc_core::ServiceKind::ALL {
         let m = metrics.service(kind);
         println!(
-            "{:<10}  {:>8}  {:>8}  {:>10}  {:>12.0}",
+            "{:<10}  {:>8}  {:>8}  {:>10}",
             kind.name(),
             m.msgs_in,
             m.msgs_out,
-            m.dispatches,
-            m.mean_dispatch_ns()
+            m.dispatches
         );
     }
-    let cmds: Vec<String> = metrics.cmd_counts().into_iter().map(|(n, c)| format!("{n}={c}")).collect();
+    let cmds: Vec<String> = metrics.cmd_counts().map(|(n, c)| format!("{n}={c}")).collect();
     println!("commands: {}", cmds.join(" "));
     println!(
         "continuations pending: {} (peak {})",

@@ -19,12 +19,12 @@
 //! the fabric/query/orb counters of both runs are identical, i.e. the
 //! instrumentation is observationally free when off.
 
-use crate::{f2, format_table};
+use crate::{f2, format_table, per_service_rows, PER_SERVICE_HEADERS};
 use lc_core::cohesion::CohesionConfig;
 use lc_core::demo;
 use lc_core::node::{InvokePolicy, NodeCmd, QueryResult};
 use lc_core::testkit::{build_world_on, World};
-use lc_core::{ComponentQuery, InvokeSink, NodeConfig, ServiceKind};
+use lc_core::{ComponentQuery, InvokeSink, NodeConfig};
 use lc_des::SimTime;
 use lc_net::{HostId, Net, Topology};
 use lc_orb::{ObjectRef, Value};
@@ -354,34 +354,14 @@ pub fn run(seed: u64) -> E11Output {
     let Some(observer) = w.node(HostId(18)) else {
         unreachable!("client node 18 is never crashed")
     };
-    let metrics = observer.node_metrics();
-    let rows: Vec<Vec<String>> = ServiceKind::ALL
-        .iter()
-        .map(|&kind| {
-            let m = metrics.service(kind);
-            vec![
-                kind.name().into(),
-                m.msgs_in.to_string(),
-                m.msgs_out.to_string(),
-                m.dispatches.to_string(),
-            ]
-        })
-        .collect();
     report.push_str(&format_table(
-        "metrics registry of client node 18 (wall-clock histograms elided)",
-        &["service", "msgs in", "msgs out", "dispatches"],
-        &rows,
+        "metrics registry of client node 18",
+        &PER_SERVICE_HEADERS,
+        &per_service_rows(&w, [HostId(18)]),
     ));
     let cmds: Vec<String> =
-        metrics.cmd_counts().into_iter().map(|(n, c)| format!("{n}={c}")).collect();
+        observer.node_metrics().cmd_counts().map(|(n, c)| format!("{n}={c}")).collect();
     let _ = writeln!(report, "driver commands: {}", cmds.join(" "));
-    let wall_samples = metrics
-        .registry()
-        .histograms()
-        .map(|(k, h)| format!("{k}: {} samples", h.count()))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let _ = writeln!(report, "wall-ns histograms: {wall_samples}");
 
     // -- overhead: disabled tracer must not perturb the run -----------
     let (_, untraced) = workload(seed, Tracer::disabled());

@@ -1,20 +1,18 @@
-//! E12 — registry query cache, request coalescing and frame batching
-//! (§2.4.2: component metadata is mostly immutable, so "caching can be
-//! performed safely").
+//! E12 — registry query cache and request coalescing (§2.4.2:
+//! component metadata is mostly immutable, so "caching can be performed
+//! safely").
 //!
 //! The workload stresses exactly the traffic the cache is built for:
 //! a 64-node campus where a handful of front-end hosts re-issue the
 //! same component lookup in rounds, with same-tick bursts (think a
-//! fan-in of clients hitting one facade). Four variants run the same
+//! fan-in of clients hitting one facade). Three variants run the same
 //! workload and seed:
 //!
 //! * `baseline`   — no cache (`NodeConfig.cache = None`), the pre-cache
 //!   runtime byte-for-byte;
 //! * `cache`      — per-node result cache only;
 //! * `cache+coal` — cache plus singleflight coalescing of identical
-//!   in-flight queries;
-//! * `full`       — cache + coalescing + per-destination frame batching
-//!   in lc-net.
+//!   in-flight queries.
 //!
 //! Mid-run, a component owner spawns a new Counter instance: the
 //! coherence broadcast invalidates every peer's cached entries, so the
@@ -22,9 +20,9 @@
 //!
 //! Everything reported derives from virtual time and counters, so the
 //! report and the JSON summary are byte-identical across runs (ci.sh
-//! runs the binary twice and diffs both). The non-batching variants
-//! must also return the *same normalized offer sets* as the baseline —
-//! the report asserts it; `cache_equiv.rs` pins it as a test.
+//! runs the binary twice and diffs both). The cached variants must also
+//! return the *same normalized offer sets* as the baseline — the report
+//! asserts it; `cache_equiv.rs` pins it as a test.
 
 use crate::{f2, format_table, human_bytes};
 use lc_core::cohesion::CohesionConfig;
@@ -68,9 +66,6 @@ pub struct VariantResult {
     pub coalesced: u64,
     /// Entries dropped by coherence broadcasts, summed over nodes.
     pub invalidated: u64,
-    /// lc-net frames assembled / header bytes saved by batching.
-    pub batch_frames: u64,
-    pub batch_saved: u64,
     /// Bytes received by the busiest host.
     pub hotspot_recv: u64,
     /// Normalized result sets, one per query, for equivalence checks:
@@ -205,8 +200,6 @@ pub fn run_variant(name: &'static str, cache: Option<CacheConfig>, seed: u64) ->
         cache_misses: m.counter("cache.misses"),
         coalesced: m.counter("cache.coalesced"),
         invalidated,
-        batch_frames: m.counter("net.batch.frames"),
-        batch_saved: m.counter("net.batch.saved_bytes"),
         hotspot_recv: hotspot,
         result_sets,
     }
@@ -227,8 +220,6 @@ fn render_json(variants: &[VariantResult], reduction: f64, equivalent: bool) -> 
     for (i, v) in variants.iter().enumerate() {
         let comma = if i + 1 < variants.len() { "," } else { "" };
         let _ = writeln!(j, "    {{");
-        let _ = writeln!(j, "      \"batch_frames\": {},", v.batch_frames);
-        let _ = writeln!(j, "      \"batch_saved_bytes\": {},", v.batch_saved);
         let _ = writeln!(j, "      \"cache_hits\": {},", v.cache_hits);
         let _ = writeln!(j, "      \"cache_misses\": {},", v.cache_misses);
         let _ = writeln!(j, "      \"coalesced\": {},", v.coalesced);
@@ -245,7 +236,7 @@ fn render_json(variants: &[VariantResult], reduction: f64, equivalent: bool) -> 
     j
 }
 
-/// Run all four variants and render both artefacts.
+/// Run all three variants and render both artefacts.
 pub fn run(seed: u64) -> E12Output {
     let variants = [
         run_variant("baseline", None, seed),
@@ -255,13 +246,10 @@ pub fn run(seed: u64) -> E12Output {
             seed,
         ),
         run_variant("cache+coal", Some(CacheConfig::default()), seed),
-        run_variant("full", Some(CacheConfig::full()), seed),
     ];
 
     // Equivalence: caching and coalescing change *cost*, not *answers*.
-    // (Batching legitimately reshuffles first-wins timing, so `full` is
-    // excluded from the set comparison.)
-    let equivalent = variants[1..3]
+    let equivalent = variants[1..]
         .iter()
         .all(|v| v.result_sets == variants[0].result_sets);
     let reduction = variants[0].msgs_per_query
@@ -270,7 +258,7 @@ pub fn run(seed: u64) -> E12Output {
     let mut report = String::new();
     let _ = writeln!(
         report,
-        "E12: registry query cache + coalescing + frame batching (seed {seed})"
+        "E12: registry query cache + coalescing (seed {seed})"
     );
     let _ = writeln!(
         report,
@@ -292,14 +280,12 @@ pub fn run(seed: u64) -> E12Output {
                 v.cache_misses.to_string(),
                 v.coalesced.to_string(),
                 v.invalidated.to_string(),
-                v.batch_frames.to_string(),
-                human_bytes(v.batch_saved),
                 human_bytes(v.hotspot_recv),
             ]
         })
         .collect();
     report.push_str(&format_table(
-        "cache / coalescing / batching sweep",
+        "cache / coalescing sweep",
         &[
             "variant",
             "msgs/query",
@@ -309,8 +295,6 @@ pub fn run(seed: u64) -> E12Output {
             "misses",
             "coalesced",
             "invalidated",
-            "frames",
-            "hdr saved",
             "hotspot recv",
         ],
         &rows,

@@ -15,11 +15,11 @@
 //!
 //! Each point reports messages per query, messages per churn event,
 //! nodes materialized (the lazy-SoA footprint), and bytes per node
-//! (campus columns + event-calendar arena). Every column except the
-//! `wall`-marked throughput ones derives from virtual time and
-//! counters, so two runs render byte-identical reports; ci.sh diffs a
-//! double run (wall lines filtered) and the committed `BENCH_e13.json`
-//! (`wall_` keys filtered).
+//! (campus columns + event-calendar arena). Every column derives from
+//! virtual time and counters, so two runs render byte-identical
+//! reports; ci.sh diffs a double run and the committed
+//! `BENCH_e13.json`. Host throughput of the same model is the
+//! benchmark's `scale_hier` workload and `scale.event_ns` row (`.perf`).
 
 use crate::{f2, format_table, human_bytes};
 use lc_core::scale::{run_scale, ScaleConfig, ScaleReport, Variant};
@@ -33,16 +33,6 @@ pub const SIZES: [u32; 4] = [1_000, 10_000, 100_000, 1_000_000];
 
 /// Registry designs compared at every size.
 pub const VARIANTS: [Variant; 3] = [Variant::Hier, Variant::Flat, Variant::Strong];
-
-/// One sweep point plus its (caller-measured) wall-clock cost. The
-/// library never reads a clock — the binary times each point and passes
-/// the seconds in; tests pass `0.0`.
-pub struct SweepPoint {
-    /// Deterministic simulation results.
-    pub report: ScaleReport,
-    /// Wall-clock seconds the point took (0 = untimed).
-    pub wall_s: f64,
-}
 
 /// Run a single sweep point (pure simulation, deterministic).
 pub fn run_point(n: u32, variant: Variant, seed: u64) -> ScaleReport {
@@ -63,23 +53,22 @@ pub fn grid(max_nodes: u32) -> Vec<(u32, Variant)> {
 
 /// Both artefacts of one E13 run.
 pub struct E13Output {
-    /// Human-readable report (wall columns marked `wall`).
+    /// Human-readable report.
     pub report: String,
-    /// Machine-readable summary; volatile values only on `wall_` keys.
+    /// Machine-readable summary.
     pub json: String,
 }
 
 /// Render the machine-readable summary: one JSON object, keys sorted,
-/// floats at fixed precision. Deterministic except `wall_` keys.
-fn render_json(points: &[SweepPoint], seed: u64) -> String {
+/// floats at fixed precision.
+fn render_json(points: &[ScaleReport], seed: u64) -> String {
     let mut j = String::new();
     let _ = writeln!(j, "{{");
     let _ = writeln!(j, "  \"experiment\": \"e13_scale_sweep\",");
-    let max_n = points.iter().map(|p| p.report.n).max().unwrap_or(0);
+    let max_n = points.iter().map(|r| r.n).max().unwrap_or(0);
     let _ = writeln!(j, "  \"max_nodes\": {max_n},");
     let _ = writeln!(j, "  \"points\": [");
-    for (i, p) in points.iter().enumerate() {
-        let r = &p.report;
+    for (i, r) in points.iter().enumerate() {
         let comma = if i + 1 < points.len() { "," } else { "" };
         let _ = writeln!(j, "    {{");
         let _ = writeln!(j, "      \"bytes_per_node\": {},", f2(r.bytes_per_node));
@@ -96,10 +85,7 @@ fn render_json(points: &[SweepPoint], seed: u64) -> String {
         let _ = writeln!(j, "      \"nodes_materialized\": {},", r.nodes_materialized);
         let _ = writeln!(j, "      \"queries_completed\": {},", r.queries_completed);
         let _ = writeln!(j, "      \"queue_bytes\": {},", r.queue_bytes);
-        let _ = writeln!(j, "      \"variant\": \"{}\",", r.variant);
-        let eps = if p.wall_s > 0.0 { r.events as f64 / p.wall_s } else { 0.0 };
-        let _ = writeln!(j, "      \"wall_events_per_sec\": {},", f2(eps));
-        let _ = writeln!(j, "      \"wall_ms\": {}", f2(p.wall_s * 1e3));
+        let _ = writeln!(j, "      \"variant\": \"{}\"", r.variant);
         let _ = writeln!(j, "    }}{comma}");
     }
     let _ = writeln!(j, "  ],");
@@ -110,11 +96,10 @@ fn render_json(points: &[SweepPoint], seed: u64) -> String {
 }
 
 /// Render both artefacts from completed sweep points.
-pub fn render(points: &[SweepPoint], seed: u64) -> E13Output {
+pub fn render(points: &[ScaleReport], seed: u64) -> E13Output {
     let rows: Vec<Vec<String>> = points
         .iter()
-        .map(|p| {
-            let r = &p.report;
+        .map(|r| {
             vec![
                 r.n.to_string(),
                 r.variant.to_string(),
@@ -126,12 +111,6 @@ pub fn render(points: &[SweepPoint], seed: u64) -> E13Output {
                 human_bytes(r.campus_bytes as u64),
                 human_bytes(r.queue_bytes as u64),
                 f2(r.bytes_per_node),
-                // wall column: volatile, filtered by the CI diff.
-                if p.wall_s > 0.0 {
-                    format!("{} wall", human_events_per_sec(r.events as f64 / p.wall_s))
-                } else {
-                    "- wall".to_string()
-                },
             ]
         })
         .collect();
@@ -154,17 +133,14 @@ pub fn render(points: &[SweepPoint], seed: u64) -> E13Output {
             "campus mem",
             "queue mem",
             "B/node",
-            "events/s",
         ],
         &rows,
     ));
 
     // Headline: the asymptotic claim, stated from the largest size that
     // has all three variants.
-    if let Some(n) = points.iter().map(|p| p.report.n).max() {
-        let at = |v: &str| {
-            points.iter().find(|p| p.report.n == n && p.report.variant == v).map(|p| &p.report)
-        };
+    if let Some(n) = points.iter().map(|r| r.n).max() {
+        let at = |v: &str| points.iter().find(|r| r.n == n && r.variant == v);
         if let (Some(h), Some(f), Some(s)) = (at("hier"), at("flat"), at("strong")) {
             let _ = writeln!(
                 report,
@@ -188,25 +164,9 @@ pub fn render(points: &[SweepPoint], seed: u64) -> E13Output {
     E13Output { report, json: render_json(points, seed) }
 }
 
-/// Human-readable events/sec (volatile — only used on wall columns).
-fn human_events_per_sec(eps: f64) -> String {
-    if eps >= 1e6 {
-        format!("{}M/s", f2(eps / 1e6))
-    } else if eps >= 1e3 {
-        format!("{}k/s", f2(eps / 1e3))
-    } else {
-        format!("{}/s", f2(eps))
-    }
-}
-
-/// Run the whole (capped) sweep untimed — the deterministic core the
-/// tests and the double-run CI gate exercise.
-pub fn run_untimed(seed: u64, max_nodes: u32) -> E13Output {
-    let points: Vec<SweepPoint> = grid(max_nodes)
-        .into_iter()
-        .map(|(n, v)| SweepPoint { report: run_point(n, v, seed), wall_s: 0.0 })
-        .collect();
-    render(&points, seed)
+/// Run the whole (capped) sweep.
+pub fn run(seed: u64, max_nodes: u32) -> Vec<ScaleReport> {
+    grid(max_nodes).into_iter().map(|(n, v)| run_point(n, v, seed)).collect()
 }
 
 #[cfg(test)]
@@ -215,8 +175,8 @@ mod tests {
 
     #[test]
     fn e13_small_sweep_is_deterministic() {
-        let a = run_untimed(13, 10_000);
-        let b = run_untimed(13, 10_000);
+        let a = render(&run(13, 10_000), 13);
+        let b = render(&run(13, 10_000), 13);
         assert_eq!(a.report, b.report);
         assert_eq!(a.json, b.json);
         assert!(a.json.contains("\"schema_version\": 1"));

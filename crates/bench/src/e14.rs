@@ -23,9 +23,10 @@
 //! by the *former leader* (the busiest host of the single-leader run)
 //! under each shard count. The committed `BENCH_e14.json` pins the
 //! acceptance floor: ≥ 3x former-leader reduction and p99 no worse at
-//! 4+ shards. Everything except the `wall` column derives from virtual
-//! time, so two runs render byte-identical reports (ci.sh diffs a
-//! double run with wall columns masked).
+//! 4+ shards. Everything derives from virtual time, so two runs render
+//! byte-identical reports (ci.sh diffs a double run). What the sharded
+//! backend costs the host is the benchmark's `registry_mixed` workload
+//! (`.perf`).
 
 use crate::{f2, format_table, human_bytes};
 use lc_core::cohesion::CohesionConfig;
@@ -300,36 +301,27 @@ pub fn run_point(point: Point, seed: u64, leader: Option<HostId>) -> VariantResu
     }
 }
 
-/// One sweep point plus its (caller-measured) wall-clock cost; the
-/// library never reads a clock — tests pass `0.0`.
-pub struct SweepPoint {
-    /// Deterministic simulation result.
-    pub result: VariantResult,
-    /// Wall-clock seconds the point took (0 = untimed).
-    pub wall_s: f64,
-}
-
 /// Both artefacts of one E14 run.
 pub struct E14Output {
-    /// Human-readable report (wall column marked `wall`).
+    /// Human-readable report.
     pub report: String,
-    /// Machine-readable summary; volatile values only on `wall_` keys.
+    /// Machine-readable summary.
     pub json: String,
 }
 
 /// The former-leader reduction of a sharded point against its
 /// size-matched single-leader row.
-fn reduction(points: &[SweepPoint], p: &VariantResult) -> f64 {
+fn reduction(points: &[VariantResult], p: &VariantResult) -> f64 {
     let single = points
         .iter()
-        .find(|s| s.result.point.nodes == p.point.nodes && s.result.point.shards == 0)
-        .map_or(0, |s| s.result.leader_recv);
+        .find(|s| s.point.nodes == p.point.nodes && s.point.shards == 0)
+        .map_or(0, |s| s.leader_recv);
     single as f64 / (p.leader_recv.max(1)) as f64
 }
 
 /// Render the machine-readable summary: one JSON object, keys sorted,
-/// floats at fixed precision. Deterministic except `wall_` keys.
-fn render_json(points: &[SweepPoint], seed: u64) -> String {
+/// floats at fixed precision.
+fn render_json(points: &[VariantResult], seed: u64) -> String {
     let mut j = String::new();
     let _ = writeln!(j, "{{");
     let _ = writeln!(j, "  \"experiment\": \"e14_sharded_registry\",");
@@ -337,8 +329,7 @@ fn render_json(points: &[SweepPoint], seed: u64) -> String {
     let _ = writeln!(j, "  \"schema_version\": {SCHEMA_VERSION},");
     let _ = writeln!(j, "  \"seed\": {seed},");
     let _ = writeln!(j, "  \"variants\": [");
-    for (i, p) in points.iter().enumerate() {
-        let r = &p.result;
+    for (i, r) in points.iter().enumerate() {
         let comma = if i + 1 < points.len() { "," } else { "" };
         let _ = writeln!(j, "    {{");
         let _ = writeln!(j, "      \"answered\": {},", f2(r.answered));
@@ -354,8 +345,7 @@ fn render_json(points: &[SweepPoint], seed: u64) -> String {
         let _ = writeln!(j, "      \"p50_ms\": {},", f2(r.p50_ms));
         let _ = writeln!(j, "      \"p99_ms\": {},", f2(r.p99_ms));
         let _ = writeln!(j, "      \"shard_hops\": {},", r.shard_hops);
-        let _ = writeln!(j, "      \"shards\": {},", r.point.shards);
-        let _ = writeln!(j, "      \"wall_ms\": {}", f2(p.wall_s * 1e3));
+        let _ = writeln!(j, "      \"shards\": {}", r.point.shards);
         let _ = writeln!(j, "    }}{comma}");
     }
     let _ = writeln!(j, "  ]");
@@ -364,11 +354,10 @@ fn render_json(points: &[SweepPoint], seed: u64) -> String {
 }
 
 /// Render both artefacts from completed sweep points.
-pub fn render(points: &[SweepPoint], seed: u64) -> E14Output {
+pub fn render(points: &[VariantResult], seed: u64) -> E14Output {
     let rows: Vec<Vec<String>> = points
         .iter()
-        .map(|p| {
-            let r = &p.result;
+        .map(|r| {
             vec![
                 r.point.nodes.to_string(),
                 backend_label(&r.point),
@@ -381,11 +370,6 @@ pub fn render(points: &[SweepPoint], seed: u64) -> E14Output {
                 human_bytes(r.hotspot_recv),
                 human_bytes(r.leader_recv),
                 f2(reduction(points, r)),
-                if p.wall_s > 0.0 {
-                    format!("{} wall", f2(p.wall_s))
-                } else {
-                    "- wall".to_string()
-                },
             ]
         })
         .collect();
@@ -410,35 +394,33 @@ pub fn render(points: &[SweepPoint], seed: u64) -> E14Output {
             "hotspot recv",
             "ex-leader recv",
             "reduction",
-            "s",
         ],
         &rows,
     ));
     if let (Some(single), Some(s4)) = (
-        points.iter().find(|p| p.result.point.nodes == 1024 && p.result.point.shards == 0),
-        points.iter().find(|p| p.result.point.nodes == 1024 && p.result.point.shards == 4),
+        points.iter().find(|p| p.point.nodes == 1024 && p.point.shards == 0),
+        points.iter().find(|p| p.point.nodes == 1024 && p.point.shards == 4),
     ) {
         let _ = writeln!(
             report,
             "\nformer leader (host {}) at 4 shards: {} -> {} recv bytes ({}x less); \
              p99 {} -> {} ms",
-            single.result.hotspot.0,
-            single.result.leader_recv,
-            s4.result.leader_recv,
-            f2(reduction(points, &s4.result)),
-            f2(single.result.p99_ms),
-            f2(s4.result.p99_ms),
+            single.hotspot.0,
+            single.leader_recv,
+            s4.leader_recv,
+            f2(reduction(points, s4)),
+            f2(single.p99_ms),
+            f2(s4.p99_ms),
         );
     }
     E14Output { report, json: render_json(points, seed) }
 }
 
-/// Run the whole (capped) sweep untimed — the deterministic core the
-/// tests and the double-run CI gate exercise. The single-leader row of
-/// each size runs first so its hotspot (the former leader) can be
-/// re-measured under every shard count.
-pub fn run_untimed(seed: u64, max_nodes: u32) -> E14Output {
-    let mut points: Vec<SweepPoint> = Vec::new();
+/// Run the whole (capped) sweep. The single-leader row of each size
+/// runs first so its hotspot (the former leader) can be re-measured
+/// under every shard count.
+pub fn run(seed: u64, max_nodes: u32) -> Vec<VariantResult> {
+    let mut points: Vec<VariantResult> = Vec::new();
     let mut leaders: Vec<(u32, HostId)> = Vec::new();
     for p in grid(max_nodes) {
         let leader = leaders.iter().find(|(n, _)| *n == p.nodes).map(|&(_, h)| h);
@@ -446,9 +428,9 @@ pub fn run_untimed(seed: u64, max_nodes: u32) -> E14Output {
         if p.shards == 0 {
             leaders.push((p.nodes, result.hotspot));
         }
-        points.push(SweepPoint { result, wall_s: 0.0 });
+        points.push(result);
     }
-    render(&points, seed)
+    points
 }
 
 #[cfg(test)]
@@ -457,8 +439,8 @@ mod tests {
 
     #[test]
     fn e14_is_deterministic_and_meets_acceptance_floor() {
-        let a = run_untimed(14, 1024);
-        let b = run_untimed(14, 1024);
+        let a = render(&run(14, 1024), 14);
+        let b = render(&run(14, 1024), 14);
         assert_eq!(a.report, b.report);
         assert_eq!(a.json, b.json);
         assert!(a.json.contains("\"schema_version\": 1"));

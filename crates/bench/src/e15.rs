@@ -8,9 +8,9 @@
 //!    10³–10⁵ nodes) runs twice per point, profiler off and on. The
 //!    profiler is pure observation, so both runs must produce the
 //!    *same* [`ScaleReport`] (asserted per point, reported in the
-//!    `identical` column); the wall-clock cost of the per-event hook is
-//!    the `overhead` column (volatile, `wall`-marked, gated ≤ 10 % on
-//!    the committed artefact).
+//!    `identical` column). The host cost of the per-event hook is the
+//!    benchmark's `trace.overhead_pct` / `des.profiled_event_ns` rows
+//!    (`.perf`), measured from outside.
 //! 2. **Sampling determinism** — the E14 sharded-registry campus (1024
 //!    nodes, 4 shards, E10-style churn) runs at three head-sampling
 //!    rates: full, 1/8 and 1/64. The simulation outcome fingerprint
@@ -26,11 +26,10 @@
 //! Artefacts: a collapsed-stack flamegraph (span trees of the full run
 //! merged with the DES kernel profile) and a per-node virtual-time
 //! timeline — both derived from virtual time only, so the ci.sh double
-//! run diffs them byte-for-byte. Everything except `wall` columns and
-//! `wall_` JSON keys is deterministic.
+//! run diffs them byte-for-byte, like the report and the JSON.
 
 use crate::e14;
-use crate::{f2, format_table, human_bytes};
+use crate::{format_table, human_bytes};
 use lc_core::node::{NodeCmd, QueryResult, RegistryConfig, TraceConfig};
 use lc_core::scale::{run_scale_profiled, ScaleConfig, ScaleReport, Variant};
 use lc_core::testkit::{build_world_on, World};
@@ -71,19 +70,14 @@ pub fn prof_grid(max_nodes: u32) -> Vec<u32> {
 }
 
 /// One profiled sweep point: the same campus run twice, profiler off
-/// then on, with caller-measured wall times (0 = untimed).
+/// then on.
 pub struct ProfPoint {
     /// Campus size.
     pub n: u32,
-    /// The (profiler-off) simulation result.
-    pub report: ScaleReport,
     /// The kernel profile of the profiler-on run.
     pub profile: ProfileReport,
     /// Did the profiler-on run produce the identical report?
     pub identical: bool,
-    /// Wall seconds, profiler off / on (0 = untimed).
-    pub wall_off_s: f64,
-    pub wall_on_s: f64,
 }
 
 /// Run one sweep point with the profiler off (pure simulation).
@@ -318,9 +312,9 @@ pub fn timeline_artefact(full_spans: &[Span]) -> String {
 
 /// Both artefacts of one E15 run.
 pub struct E15Output {
-    /// Human-readable report (wall columns marked `wall`).
+    /// Human-readable report.
     pub report: String,
-    /// Machine-readable summary; volatile values only on `wall_` keys.
+    /// Machine-readable summary.
     pub json: String,
     /// Collapsed-stack flamegraph (deterministic).
     pub flame: String,
@@ -328,17 +322,8 @@ pub struct E15Output {
     pub timeline: String,
 }
 
-/// Wall overhead of the profiler-on run, percent (0 while untimed).
-pub fn overhead_pct(p: &ProfPoint) -> f64 {
-    if p.wall_off_s > 0.0 {
-        (p.wall_on_s / p.wall_off_s - 1.0) * 100.0
-    } else {
-        0.0
-    }
-}
-
 /// Render the machine-readable summary: one JSON object, keys sorted,
-/// floats at fixed precision. Deterministic except `wall_` keys.
+/// floats at fixed precision.
 fn render_json(points: &[ProfPoint], runs: &[TracedRun], seed: u64) -> String {
     let full = &runs[0];
     let mut j = String::new();
@@ -355,10 +340,7 @@ fn render_json(points: &[ProfPoint], runs: &[TracedRun], seed: u64) -> String {
         let _ = writeln!(j, "      \"identical\": {},", p.identical);
         let _ = writeln!(j, "      \"n\": {},", p.n);
         let _ = writeln!(j, "      \"queue_samples\": {},", pr.samples.len());
-        let _ = writeln!(j, "      \"samples_dropped\": {},", pr.samples_dropped);
-        let _ = writeln!(j, "      \"wall_off_ms\": {},", f2(p.wall_off_s * 1e3));
-        let _ = writeln!(j, "      \"wall_on_ms\": {},", f2(p.wall_on_s * 1e3));
-        let _ = writeln!(j, "      \"wall_overhead_pct\": {}", f2(overhead_pct(p)));
+        let _ = writeln!(j, "      \"samples_dropped\": {}", pr.samples_dropped);
         let _ = writeln!(j, "    }}{comma}");
     }
     let _ = writeln!(j, "  ],");
@@ -411,20 +393,12 @@ pub fn render(points: &[ProfPoint], runs: &[TracedRun], seed: u64) -> E15Output 
                 pr.depth_max.to_string(),
                 human_bytes(pr.arena_bytes_max as u64),
                 p.identical.to_string(),
-                // Fixed-width cell so table alignment (and therefore
-                // the masked double-run diff) never varies with the
-                // wall value.
-                if p.wall_off_s > 0.0 {
-                    format!("{:>7} wall", f2(overhead_pct(p)))
-                } else {
-                    format!("{:>7} wall", "-")
-                },
             ]
         })
         .collect();
     report.push_str(&format_table(
         "A: virtual-time profiler over the scale sweep (hier)",
-        &["nodes", "events", "packed", "samples", "qdepth max", "arena max", "identical", "overhead %"],
+        &["nodes", "events", "packed", "samples", "qdepth max", "arena max", "identical"],
         &rows_a,
     ));
 
@@ -475,21 +449,16 @@ pub fn render(points: &[ProfPoint], runs: &[TracedRun], seed: u64) -> E15Output 
     }
 }
 
-/// Run the whole (capped) experiment untimed — the deterministic core
-/// the tests and the double-run CI gate exercise.
-pub fn run_untimed(seed: u64, max_nodes: u32) -> E15Output {
-    let points: Vec<ProfPoint> = prof_grid(max_nodes)
+/// Run part A: every (capped) sweep point, profiler off then on.
+pub fn run_profiled(seed: u64, max_nodes: u32) -> Vec<ProfPoint> {
+    prof_grid(max_nodes)
         .into_iter()
         .map(|n| {
             let off = run_off(n, seed);
             let (on, profile) = run_on(n, seed);
-            let identical = off == on;
-            ProfPoint { n, report: off, profile, identical, wall_off_s: 0.0, wall_on_s: 0.0 }
+            ProfPoint { n, profile, identical: off == on }
         })
-        .collect();
-    let runs: Vec<TracedRun> =
-        RATES.iter().map(|&(label, one_in)| run_traced(seed, label, one_in)).collect();
-    render(&points, &runs, seed)
+        .collect()
 }
 
 #[cfg(test)]

@@ -32,10 +32,10 @@ use lc_core::demo;
 use lc_core::node::{AdmissionConfig, InvokePolicy, NodeCmd, ReplicateConfig};
 use lc_core::testkit::{build_world, World};
 use lc_core::{NodeConfig, SpawnSink};
-use lc_des::SimTime;
+use lc_des::{nearest_rank, SimTime};
 use lc_load::{
-    percentile, ArrivalShape, ArrivalStream, DriverArrival, DriverConfig, DriverStats,
-    LoadDriver, QueryTick, StreamConfig, ZipfKeys,
+    ArrivalShape, ArrivalStream, DriverArrival, DriverConfig, DriverStats, LoadDriver, QueryTick,
+    StreamConfig, ZipfKeys,
 };
 use lc_net::{HostId, Topology};
 use lc_orb::Value;
@@ -219,6 +219,9 @@ fn run_scenario(
         agg.first_offer_ms.extend(s.first_offer_ms);
     }
     let horizon_s = HORIZON.as_secs_f64();
+    agg.ok_latency_ms.sort_by(f64::total_cmp);
+    agg.first_offer_ms.sort_by(f64::total_cmp);
+    let quantile = |sorted: &[f64], q: f64| nearest_rank(sorted, q).unwrap_or(0.0);
     RunStats {
         offered_per_sec: agg.sent as f64 / horizon_s,
         goodput_per_sec: agg.ok as f64 / horizon_s,
@@ -226,10 +229,10 @@ fn run_scenario(
         ok: agg.ok,
         overload: agg.overload,
         timeout: agg.timeout,
-        p50_ms: percentile(&agg.ok_latency_ms, 50.0),
-        p99_ms: percentile(&agg.ok_latency_ms, 99.0),
-        p999_ms: percentile(&agg.ok_latency_ms, 99.9),
-        first_offer_p50_ms: percentile(&agg.first_offer_ms, 50.0),
+        p50_ms: quantile(&agg.ok_latency_ms, 0.5),
+        p99_ms: quantile(&agg.ok_latency_ms, 0.99),
+        p999_ms: quantile(&agg.ok_latency_ms, 0.999),
+        first_offer_p50_ms: quantile(&agg.first_offer_ms, 0.5),
         replicas: w.sim.metrics_ref().counter("admission.replicas"),
     }
 }

@@ -1,11 +1,15 @@
 //! # lc-bench — the experiment harness
 //!
 //! One binary per figure/experiment of DESIGN.md §4 (`cargo run -p
-//! lc-bench --release --bin <id>`), plus Criterion micro-benchmarks for
-//! the hot paths (`cargo bench`). Every binary prints the table (or
+//! lc-bench --release --bin <id>`). Every binary prints the table (or
 //! figure facsimile) it regenerates; EXPERIMENTS.md records the outputs
-//! and compares them against the paper's qualitative claims.
+//! and compares them against the paper's qualitative claims. What the
+//! hot paths cost the host is measured from outside the simulation by
+//! the repo's benchmark — see `.perf/README.md`.
 
+use lc_core::testkit::World;
+use lc_core::{ServiceKind, ServiceMetrics};
+use lc_net::HostId;
 use std::fmt::Write as _;
 
 pub mod e11;
@@ -48,6 +52,34 @@ pub fn format_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> Stri
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     print!("{}", format_table(title, headers, rows));
 }
+
+/// Rows of the per-service breakdown table (`service`, `msgs in`,
+/// `msgs out`, `dispatches`): each node's `NodeMetrics` summed over
+/// `hosts` (hosts without a live node are skipped).
+pub fn per_service_rows(world: &World, hosts: impl IntoIterator<Item = HostId>) -> Vec<Vec<String>> {
+    let mut sum = [ServiceMetrics::default(); 5];
+    for host in hosts {
+        let Some(node) = world.node(host) else { continue };
+        for (acc, kind) in sum.iter_mut().zip(ServiceKind::ALL) {
+            *acc += node.node_metrics().service(kind);
+        }
+    }
+    ServiceKind::ALL
+        .iter()
+        .zip(sum)
+        .map(|(kind, m)| {
+            vec![
+                kind.name().to_string(),
+                m.msgs_in.to_string(),
+                m.msgs_out.to_string(),
+                m.dispatches.to_string(),
+            ]
+        })
+        .collect()
+}
+
+/// Column headers matching [`per_service_rows`].
+pub const PER_SERVICE_HEADERS: [&str; 4] = ["service", "msgs in", "msgs out", "dispatches"];
 
 /// Format a float with 2 decimals.
 pub fn f2(v: f64) -> String {

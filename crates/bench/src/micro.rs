@@ -1,10 +1,9 @@
-//! Wall-clock micro-benchmark runner for the `benches/` entry points.
-//!
-//! The container has no crates.io access, so the Criterion benches were
-//! rewritten on this small `std::time::Instant` harness: calibrate an
-//! iteration count to a target sample duration, take several samples,
-//! report the median (robust against scheduler noise). Invoke through
-//! `cargo bench` as before — each bench is a `harness = false` binary.
+//! The one place in the workspace that reads a wall clock (lint rule D1
+//! exempts this module and nothing else): E1 and E9, the two wall-clock
+//! experiments, time through [`measure`] — calibrate an iteration count
+//! to a target sample duration, take several samples, report the median
+//! (robust against scheduler noise). Tracked per-layer host costs live
+//! in the repo's benchmark, `.perf/README.md`.
 
 use std::time::{Duration, Instant};
 
@@ -58,37 +57,6 @@ pub fn measure(mut f: impl FnMut()) -> Measurement {
     }
 }
 
-/// Format a nanosecond figure with an adaptive unit.
-pub fn fmt_ns(ns: f64) -> String {
-    if ns >= 1e9 {
-        format!("{:.2} s", ns / 1e9)
-    } else if ns >= 1e6 {
-        format!("{:.2} ms", ns / 1e6)
-    } else if ns >= 1e3 {
-        format!("{:.2} µs", ns / 1e3)
-    } else {
-        format!("{ns:.0} ns")
-    }
-}
-
-/// Measure and print one line: `name  median  (min … max, N iters/sample)`.
-pub fn bench(name: &str, f: impl FnMut()) -> Measurement {
-    let m = measure(f);
-    println!(
-        "{name:<32} {:>10}  ({} … {}, {} iters/sample)",
-        fmt_ns(m.median_ns),
-        fmt_ns(m.min_ns),
-        fmt_ns(m.max_ns),
-        m.iters
-    );
-    m
-}
-
-/// Throughput in MiB/s for `bytes` processed per iteration.
-pub fn mib_per_s(bytes: u64, ns_per_iter: f64) -> f64 {
-    bytes as f64 / (1u64 << 20) as f64 / (ns_per_iter / 1e9)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,13 +69,5 @@ mod tests {
         assert!(m.iters >= 1);
         assert!(m.median_ns >= 0.0);
         assert!(m.min_ns <= m.median_ns && m.median_ns <= m.max_ns);
-    }
-
-    #[test]
-    fn formats_units() {
-        assert_eq!(fmt_ns(12.0), "12 ns");
-        assert_eq!(fmt_ns(1_500.0), "1.50 µs");
-        assert_eq!(fmt_ns(2_000_000.0), "2.00 ms");
-        assert_eq!(fmt_ns(3e9), "3.00 s");
     }
 }

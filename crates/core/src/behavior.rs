@@ -46,7 +46,7 @@ impl BehaviorRegistry {
         self.inner.borrow().contains_key(behavior_id)
     }
 
-    /// Instantiate a behaviour, if registered.
+    /// Create an instance of a behaviour, if registered.
     pub fn instantiate(&self, behavior_id: &str) -> Option<Box<dyn Servant>> {
         let f = self.inner.borrow().get(behavior_id).cloned();
         f.map(|f| f())

@@ -3,22 +3,13 @@
 //! The router in [`super::Node`] stamps every routed message, timer and
 //! deferred effect with the service that handled it, so experiments can
 //! break a node's work down by the four Figure-1 services plus the
-//! container. Latency figures are **wall clock** (they never feed back
-//! into virtual time), so the simulation stays deterministic while the
-//! instrumentation reflects real CPU cost.
-//!
-//! The numbers themselves live in a [`MetricsRegistry`] (lc-trace) under
-//! a flat naming scheme — `{service}.msgs_in`, `{service}.dispatches`,
-//! `cmd.{Name}`, plus a `{service}.dispatch_wall_ns` histogram — and the
-//! legacy [`ServiceMetrics`] snapshot is rebuilt from registry reads, so
-//! node counters are enumerable alongside every other registry metric.
+//! container. Everything here is a plain counter bumped by index: no
+//! clock is read and no key is built on the routing path, so two
+//! same-seed runs leave `==` metrics on every node. (What a dispatch
+//! costs the host is measured from outside, by `.perf`.)
 
 use lc_trace::MetricsRegistry;
-
-/// Wall-clock handler-latency bucket edges, in nanoseconds (250 ns up
-/// to ~1 ms by powers of four).
-pub const DISPATCH_WALL_NS_BUCKETS: [u64; 7] =
-    [250, 1_000, 4_000, 16_000, 64_000, 256_000, 1_024_000];
+use std::collections::BTreeMap;
 
 /// The four Figure-1 services plus the container runtime.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -58,7 +49,7 @@ impl ServiceKind {
 }
 
 /// Counters for one service.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServiceMetrics {
     /// Messages routed *to* this service (commands, control traffic,
     /// ORB wire messages — timers and internal effects excluded).
@@ -67,71 +58,49 @@ pub struct ServiceMetrics {
     pub msgs_out: u64,
     /// Handler activations (messages + timers + effects).
     pub dispatches: u64,
-    /// Total wall-clock nanoseconds spent in this service's handlers.
-    pub dispatch_ns: u64,
 }
 
-impl ServiceMetrics {
-    /// Mean wall-clock nanoseconds per handler activation.
-    pub fn mean_dispatch_ns(&self) -> f64 {
-        if self.dispatches == 0 {
-            0.0
-        } else {
-            self.dispatch_ns as f64 / self.dispatches as f64
-        }
+impl std::ops::AddAssign for ServiceMetrics {
+    fn add_assign(&mut self, rhs: ServiceMetrics) {
+        self.msgs_in += rhs.msgs_in;
+        self.msgs_out += rhs.msgs_out;
+        self.dispatches += rhs.dispatches;
     }
 }
 
-/// The node-level instrumentation the refactor threads through the
-/// service seam: per-service message/latency counters plus per-command
-/// counts, all kept in a [`MetricsRegistry`]. Continuation-table depth
-/// lives with the table itself ([`super::Continuations`]) and is joined
-/// in at reflection time.
-#[derive(Clone, Debug, Default)]
+/// The node-level instrumentation threaded through the service seam:
+/// per-service message/dispatch counters, per-command counts, and a
+/// [`MetricsRegistry`] for the named node-level entries the SLO monitor
+/// windows (`slo.*`, `cache.*`, `admission.*`). Continuation-table
+/// depth lives with the table itself ([`super::Continuations`]) and is
+/// joined in at reflection time.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct NodeMetrics {
+    services: [ServiceMetrics; 5],
+    cmds: BTreeMap<&'static str, u64>,
     registry: MetricsRegistry,
     current: Option<ServiceKind>,
 }
 
 impl NodeMetrics {
-    /// Snapshot of one service's counters, rebuilt from the registry.
+    /// One service's counters.
     pub fn service(&self, kind: ServiceKind) -> ServiceMetrics {
-        let n = kind.name();
-        ServiceMetrics {
-            msgs_in: self.registry.counter(&format!("{n}.msgs_in")),
-            msgs_out: self.registry.counter(&format!("{n}.msgs_out")),
-            dispatches: self.registry.counter(&format!("{n}.dispatches")),
-            dispatch_ns: self.registry.counter(&format!("{n}.dispatch_ns")),
-        }
+        self.services[kind as usize]
     }
 
-    /// The backing registry (counters, gauges, histograms), for
-    /// reflection dumps and the observability experiment.
+    /// The named node-level metrics (`slo.*`, `cache.*`, `admission.*`).
     pub fn registry(&self) -> &MetricsRegistry {
         &self.registry
     }
 
     /// `(command name, count)` for every [`super::NodeCmd`] seen,
     /// in name order.
-    pub fn cmd_counts(&self) -> Vec<(String, u64)> {
-        self.registry
-            .counters()
-            .filter_map(|(k, v)| k.strip_prefix("cmd.").map(|n| (n.to_owned(), v)))
-            .collect()
+    pub fn cmd_counts(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        self.cmds.iter().map(|(name, n)| (*name, *n))
     }
 
-    /// Total messages in across all services.
-    pub fn total_msgs_in(&self) -> u64 {
-        ServiceKind::ALL.iter().map(|k| self.service(*k).msgs_in).sum()
-    }
-
-    /// Total messages out across all services.
-    pub fn total_msgs_out(&self) -> u64 {
-        ServiceKind::ALL.iter().map(|k| self.service(*k).msgs_out).sum()
-    }
-
-    pub(crate) fn note_cmd(&mut self, name: &str) {
-        self.registry.incr(&format!("cmd.{name}"));
+    pub(crate) fn note_cmd(&mut self, name: &'static str) {
+        *self.cmds.entry(name).or_insert(0) += 1;
     }
 
     /// Count one node-level event under `name` (e.g. `cache.hits`).
@@ -147,22 +116,15 @@ impl NodeMetrics {
     /// Begin a handler activation: attribute subsequent sends to `kind`.
     pub(crate) fn begin(&mut self, kind: ServiceKind, counts_as_msg: bool) {
         self.current = Some(kind);
-        let n = kind.name();
-        self.registry.incr(&format!("{n}.dispatches"));
+        let m = &mut self.services[kind as usize];
+        m.dispatches += 1;
         if counts_as_msg {
-            self.registry.incr(&format!("{n}.msgs_in"));
+            m.msgs_in += 1;
         }
     }
 
-    /// End a handler activation started with [`Self::begin`].
-    pub(crate) fn finish(&mut self, kind: ServiceKind, elapsed_ns: u64) {
-        let n = kind.name();
-        self.registry.add(&format!("{n}.dispatch_ns"), elapsed_ns);
-        self.registry.observe(
-            &format!("{n}.dispatch_wall_ns"),
-            &DISPATCH_WALL_NS_BUCKETS,
-            elapsed_ns,
-        );
+    /// End the handler activation started with [`Self::begin`].
+    pub(crate) fn finish(&mut self) {
         self.current = None;
     }
 
@@ -170,7 +132,7 @@ impl NodeMetrics {
     /// the container when sent from outside a handler, e.g. public API).
     pub(crate) fn msg_out(&mut self) {
         let kind = self.current.unwrap_or(ServiceKind::Container);
-        self.registry.incr(&format!("{}.msgs_out", kind.name()));
+        self.services[kind as usize].msgs_out += 1;
     }
 }
 
@@ -184,33 +146,28 @@ mod tests {
         m.begin(ServiceKind::Registry, true);
         m.msg_out();
         m.msg_out();
-        m.finish(ServiceKind::Registry, 1000);
+        m.finish();
         m.begin(ServiceKind::Cohesion, false);
-        m.finish(ServiceKind::Cohesion, 500);
-        assert_eq!(m.service(ServiceKind::Registry).msgs_in, 1);
-        assert_eq!(m.service(ServiceKind::Registry).msgs_out, 2);
-        assert_eq!(m.service(ServiceKind::Registry).dispatch_ns, 1000);
-        assert_eq!(m.service(ServiceKind::Cohesion).msgs_in, 0);
-        assert_eq!(m.service(ServiceKind::Cohesion).dispatches, 1);
-        assert_eq!(m.total_msgs_out(), 2);
+        m.finish();
+        m.msg_out();
+        assert_eq!(
+            m.service(ServiceKind::Registry),
+            ServiceMetrics { msgs_in: 1, msgs_out: 2, dispatches: 1 }
+        );
+        assert_eq!(
+            m.service(ServiceKind::Cohesion),
+            ServiceMetrics { msgs_in: 0, msgs_out: 0, dispatches: 1 }
+        );
+        // A send outside any handler is the container's.
+        assert_eq!(m.service(ServiceKind::Container).msgs_out, 1);
     }
 
     #[test]
     fn cmd_counters_accumulate() {
         let mut m = NodeMetrics::default();
-        m.note_cmd("Install");
-        m.note_cmd("Install");
         m.note_cmd("Query");
-        let counts = m.cmd_counts();
-        assert_eq!(counts, vec![("Install".to_owned(), 2), ("Query".to_owned(), 1)]);
-    }
-
-    #[test]
-    fn registry_exposes_wall_histogram() {
-        let mut m = NodeMetrics::default();
-        m.begin(ServiceKind::Container, true);
-        m.finish(ServiceKind::Container, 500);
-        let h = m.registry().histogram("container.dispatch_wall_ns");
-        assert_eq!(h.map(|h| h.count()), Some(1));
+        m.note_cmd("Install");
+        m.note_cmd("Install");
+        assert_eq!(m.cmd_counts().collect::<Vec<_>>(), vec![("Install", 2), ("Query", 1)]);
     }
 }

@@ -21,7 +21,7 @@
 //! The router in this module assigns every input — [`NodeCmd`] driver
 //! messages, internal timer ticks, and network traffic ([`lc_net::NetMsg`]
 //! carrying [`crate::proto::CtrlMsg`] or [`lc_orb::OrbWire`]) — to
-//! exactly one service and times the handler into [`NodeMetrics`].
+//! exactly one service and counts the activation in [`NodeMetrics`].
 //! Pending distributed work lives in one unified continuation table
 //! ([`Continuations`]) instead of per-concern maps.
 
@@ -219,9 +219,9 @@ impl Default for ReplicateConfig {
     }
 }
 
-/// Registry query-result caching, request coalescing and control-frame
-/// batching (§2.4.2: component metadata is mostly immutable, so
-/// "caching can be performed safely"). Off by default — a node without
+/// Registry query-result caching and request coalescing (§2.4.2:
+/// component metadata is mostly immutable, so "caching can be
+/// performed safely"). Off by default — a node without
 /// a [`CacheConfig`] behaves byte-identically to the pre-cache runtime.
 ///
 /// The TTL is expressed in *virtual* time, so cached runs stay
@@ -237,10 +237,6 @@ pub struct CacheConfig {
     /// Merge identical in-flight queries onto one network search
     /// (singleflight): followers share the leader's offer set.
     pub coalesce: bool,
-    /// Batch this node's outgoing traffic per handler activation into
-    /// per-destination frames (lc-net frame batching), amortizing
-    /// header cost across coalesced bursts.
-    pub batching: bool,
 }
 
 impl Default for CacheConfig {
@@ -249,15 +245,7 @@ impl Default for CacheConfig {
             ttl: SimTime::from_secs(2),
             cache_results: true,
             coalesce: true,
-            batching: false,
         }
-    }
-}
-
-impl CacheConfig {
-    /// The full optimization stack: cache + coalescing + batching.
-    pub fn full() -> Self {
-        CacheConfig { batching: true, ..CacheConfig::default() }
     }
 }
 
@@ -326,7 +314,7 @@ pub struct NodeConfig {
     /// re-issued before being finalized empty (graceful degradation
     /// under loss; 0 = finalize on first timeout).
     pub query_retries: u32,
-    /// Registry query cache / coalescing / batching (off by default).
+    /// Registry query cache / coalescing (off by default).
     pub cache: Option<CacheConfig>,
     /// Registry backend selection (single-leader by default).
     pub registry: RegistryConfig,
@@ -416,7 +404,7 @@ impl NodeConfigBuilder {
         self
     }
 
-    /// Enable the registry cache / coalescing / batching stack.
+    /// Enable the registry cache / coalescing stack.
     pub fn cache(mut self, cache: CacheConfig) -> Self {
         self.cfg.cache = Some(cache);
         self
@@ -744,10 +732,10 @@ impl Node {
         self.services().iter().map(|s| s.reflect(&self.state)).collect()
     }
 
-    /// Route a message to one service, timing the handler. When the
-    /// frame carried a [`TraceContext`], a handler span opens under it
-    /// and becomes the tracer's *current* context for the duration, so
-    /// everything the handler sends parents under this hop.
+    /// Route a message to one service. When the frame carried a
+    /// [`TraceContext`], a handler span opens under it and becomes the
+    /// tracer's *current* context for the duration, so everything the
+    /// handler sends parents under this hop.
     fn route(&mut self, ctx: &mut Ctx<'_>, kind: ServiceKind, msg: SvcMsg, parent: Option<TraceContext>) {
         let Node { state, acceptor, registry_svc, resource_svc, cohesion_svc, container } = self;
         let svc: &mut dyn NodeService = match kind {
@@ -763,13 +751,11 @@ impl Node {
             tracer.child_of(state.host.0, &format!("node.{}", kind.name()), p, ctx.now())
         });
         let prev = span.map(|s| tracer.set_current(Some(s)));
-        // lc-lint: allow(D1) -- wall-clock handler-latency metric (F1 column); never feeds simulated behaviour
-        let t0 = std::time::Instant::now();
         {
             let mut nctx = NodeCtx { state: &mut *state, sim: &mut *ctx };
             svc.handle(&mut nctx, msg);
         }
-        state.metrics.finish(kind, t0.elapsed().as_nanos() as u64);
+        state.metrics.finish();
         if let Some(s) = span {
             tracer.end(s, ctx.now());
         }
@@ -778,9 +764,8 @@ impl Node {
         }
     }
 
-    /// Route a timer tick to one service, timing the handler. Ticks are
-    /// internal work, not messages: they count as a dispatch but not as
-    /// a message in.
+    /// Route a timer tick to one service. Ticks are internal work, not
+    /// messages: they count as a dispatch but not as a message in.
     fn route_tick(&mut self, ctx: &mut Ctx<'_>, tick: Tick) {
         let kind = tick_service(&tick);
         let Node { state, acceptor, registry_svc, resource_svc, cohesion_svc, container } = self;
@@ -792,18 +777,16 @@ impl Node {
             ServiceKind::Container => container,
         };
         state.metrics.begin(kind, false);
-        // lc-lint: allow(D1) -- wall-clock handler-latency metric (F1 column); never feeds simulated behaviour
-        let t0 = std::time::Instant::now();
         {
             let mut nctx = NodeCtx { state: &mut *state, sim: &mut *ctx };
             svc.on_timer(&mut nctx, tick);
         }
-        state.metrics.finish(kind, t0.elapsed().as_nanos() as u64);
+        state.metrics.finish();
     }
 }
 
-impl Node {
-    fn dispatch(&mut self, ctx: &mut Ctx<'_>, msg: AnyMsg) {
+impl Actor for Node {
+    fn handle(&mut self, ctx: &mut Ctx<'_>, msg: AnyMsg) {
         // Expose virtual time to servants dispatched during this event.
         self.state.adapter.set_clock(ctx.now());
         // Driver commands and timers arrive directly; network traffic
@@ -833,22 +816,6 @@ impl Node {
         };
         if let Ok(wire) = payload.downcast_msg::<OrbWire>() {
             self.route(ctx, ServiceKind::Container, SvcMsg::Orb(wire), trace);
-        }
-    }
-}
-
-impl Actor for Node {
-    fn handle(&mut self, ctx: &mut Ctx<'_>, msg: AnyMsg) {
-        // With frame batching enabled, every send this event makes is
-        // queued and shipped as one frame per destination when the
-        // handler returns — coalesced bursts amortize header cost.
-        let batching = self.state.cfg.cache.as_ref().is_some_and(|c| c.batching);
-        if batching {
-            self.state.net.batch_begin(self.state.host);
-        }
-        self.dispatch(ctx, msg);
-        if batching {
-            self.state.net.batch_flush(ctx, self.state.host);
         }
     }
 }

@@ -174,7 +174,7 @@ pub fn render(s: &NodeSnapshot) -> String {
         s.continuation_depth, s.continuation_peak
     ));
     let cmds: Vec<String> =
-        s.metrics.cmd_counts().into_iter().map(|(name, n)| format!("{name}={n}")).collect();
+        s.metrics.cmd_counts().map(|(name, n)| format!("{name}={n}")).collect();
     if !cmds.is_empty() {
         out.push_str(&format!("  Commands handled: {}\n", cmds.join(" ")));
     }

@@ -117,8 +117,8 @@ fn disabled_cache_leaves_no_trace_and_stays_deterministic() {
     assert_eq!(a.0, b.0);
     assert_eq!(a.1, b.1);
     assert!(
-        a.1.iter().all(|(k, _)| !k.starts_with("cache.") && !k.starts_with("net.batch.")),
-        "cache/batch counters must not exist when disabled"
+        a.1.iter().all(|(k, _)| !k.starts_with("cache.")),
+        "cache counters must not exist when disabled"
     );
 }
 

@@ -685,12 +685,19 @@ fn cpu_cost_delays_replies_by_host_power() {
 
 #[test]
 fn world_is_deterministic_per_seed() {
-    fn run(seed: u64) -> (u64, u64) {
+    // Per-node metrics are plain counters (no wall clock), so they are
+    // part of the reproducible state, node by node.
+    fn run(seed: u64) -> (u64, u64, Vec<lc_core::NodeMetrics>) {
         let mut world = demo_world(Topology::lan(8), seed);
         settle(&mut world, 2000);
-        (world.sim.events_fired(), world.sim.metrics_ref().counter("net.bytes"))
+        let metrics = (0..8)
+            .map(|h| world.node(HostId(h)).unwrap().node_metrics().clone())
+            .collect();
+        (world.sim.events_fired(), world.sim.metrics_ref().counter("net.bytes"), metrics)
     }
-    assert_eq!(run(42), run(42));
+    let (a, b) = (run(42), run(42));
+    assert_eq!(a, b);
+    assert!(a.2.iter().all(|m| m.service(lc_core::ServiceKind::Resource).dispatches > 0));
 }
 
 #[test]

@@ -49,7 +49,7 @@ pub mod queue;
 pub mod rng;
 pub mod time;
 
-pub use metrics::{Histogram, Metrics};
+pub use metrics::{nearest_rank, Histogram, Metrics};
 pub use profile::{Lane, ProfileReport, Profiler, ProfilerConfig, QueueSample, Tally};
 pub use queue::{IndexedQueue, LegacyQueue};
 pub use rng::SimRng;

@@ -7,6 +7,17 @@
 
 use std::collections::BTreeMap;
 
+/// Nearest-rank quantile of an ascending `sorted` slice: the element at
+/// rank `⌈q·n⌉` (1-based, clamped into the slice), `None` when empty.
+/// `q` in `[0, 1]`. The one quantile routine behind [`Histogram`],
+/// `lc_trace::ReservoirHistogram` and the capacity reports.
+pub fn nearest_rank<T: Copy>(sorted: &[T], q: f64) -> Option<T> {
+    assert!((0.0..=1.0).contains(&q), "quantile out of range");
+    let n = sorted.len();
+    let rank = ((q * n as f64).ceil() as usize).clamp(1, n.max(1));
+    sorted.get(rank - 1).copied()
+}
+
 /// A set of recorded samples with streaming summary statistics.
 ///
 /// Samples are kept in full (experiments are bounded, the largest records
@@ -78,16 +89,11 @@ impl Histogram {
 
     /// Exact percentile by nearest-rank (q in [0, 1]), or 0.0 when empty.
     pub fn percentile(&mut self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "percentile out of range");
-        if self.samples.is_empty() {
-            return 0.0;
-        }
         if !self.sorted {
             self.samples.sort_by(|a, b| a.total_cmp(b));
             self.sorted = true;
         }
-        let rank = ((q * self.samples.len() as f64).ceil() as usize).clamp(1, self.samples.len());
-        self.samples[rank - 1]
+        nearest_rank(&self.samples, q).unwrap_or(0.0)
     }
 
     /// Median (50th percentile).
@@ -218,6 +224,16 @@ mod tests {
         assert_eq!(h.percentile(1.0), 5.0);
         assert_eq!(h.percentile(0.0), 1.0);
         assert!((h.stddev() - 2.0f64.sqrt()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn nearest_rank_picks_ceil_rank() {
+        let v = [1.0, 2.0, 3.0, 4.0];
+        assert_eq!(nearest_rank(&v, 0.5), Some(2.0));
+        assert_eq!(nearest_rank(&v, 0.51), Some(3.0));
+        assert_eq!(nearest_rank(&v, 1.0), Some(4.0));
+        assert_eq!(nearest_rank(&v, 0.0), Some(1.0));
+        assert_eq!(nearest_rank::<u64>(&[], 0.5), None);
     }
 
     #[test]

@@ -57,7 +57,7 @@ const DES_CRATES: [&str; 10] =
     ["des", "net", "orb", "core", "baselines", "cscw", "grid", "trace", "cache", "load"];
 
 /// The one module allowed to touch the wall clock: the bench harness that
-/// produces the explicitly-wall-clock columns of E1/E9/F1.
+/// produces the explicitly-wall-clock columns of E1/E9.
 const WALLCLOCK_ALLOWLIST: [&str; 1] = ["crates/bench/src/micro.rs"];
 
 /// Arena/SoA modules held to the flat-memory rule (D6 scope): per-item

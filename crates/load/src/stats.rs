@@ -1,18 +1,4 @@
-//! Small numeric helpers for capacity reports.
-
-/// Nearest-rank percentile of an *unsorted* sample set (the slice is
-/// copied and sorted internally). `p` in `[0, 100]`. Returns 0.0 for an
-/// empty sample.
-pub fn percentile(samples: &[f64], p: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    let mut v: Vec<f64> = samples.to_vec();
-    v.sort_by(f64::total_cmp);
-    let p = p.clamp(0.0, 100.0);
-    let rank = ((p / 100.0) * v.len() as f64).ceil() as usize;
-    v[rank.saturating_sub(1).min(v.len() - 1)]
-}
+//! Small numeric helper for capacity reports.
 
 /// The capacity knee of a goodput-vs-offered-load curve: the point of
 /// maximum goodput (first such point on ties, so the answer is
@@ -31,15 +17,6 @@ pub fn knee(curve: &[(f64, f64)]) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn percentile_nearest_rank() {
-        let v = [4.0, 1.0, 3.0, 2.0];
-        assert_eq!(percentile(&v, 50.0), 2.0);
-        assert_eq!(percentile(&v, 100.0), 4.0);
-        assert_eq!(percentile(&v, 0.0), 1.0);
-        assert_eq!(percentile(&[], 50.0), 0.0);
-    }
 
     #[test]
     fn knee_picks_first_max() {

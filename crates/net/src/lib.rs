@@ -35,7 +35,6 @@ use fault::Verdict;
 use lc_des::{ActorId, AnyMsg, Ctx, Sim, SimTime};
 use lc_trace::{TraceContext, Tracer};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// A message as delivered by the fabric to a host's actor.
@@ -95,30 +94,9 @@ struct NetInner {
     /// Span sink shared by everything on this fabric (disabled by
     /// default: every tracing operation is then a no-op).
     tracer: Tracer,
-    /// Open per-sender batch windows ([`Net::batch_begin`]): destination
-    /// → queued messages, flushed as one frame per link by
-    /// [`Net::batch_flush`]. Deterministic: BTreeMap iteration order.
-    batches: BTreeMap<HostId, BTreeMap<HostId, Vec<QueuedMsg>>>,
 }
 
-/// One message parked in an open batch window.
-struct QueuedMsg {
-    /// Wire size the message would have paid unbatched (own header).
-    size: u64,
-    /// Trace context current at enqueue time (the send site's span).
-    parent: Option<TraceContext>,
-    /// Payload factory: each call mints a fresh boxed copy, so frame
-    /// duplication by the fault fabric can re-deliver every message.
-    make: Box<dyn Fn() -> AnyMsg>,
-}
-
-/// Bytes each non-first message of a batched frame saves: it rides
-/// behind the frame header with a short length prefix instead of its
-/// own full transport header.
-pub const BATCH_SAVED_PER_MSG: u64 = 20;
-
-/// A fully planned point-to-point transmission (shared by [`Net::send`]
-/// and the batched-frame path).
+/// A fully planned point-to-point transmission ([`Net::send`]).
 enum Planned {
     Deliver {
         target: ActorId,
@@ -202,7 +180,6 @@ impl NetBuilder {
                 fault: self.fault,
                 churn: self.churn,
                 tracer: self.tracer.unwrap_or_default(),
-                batches: BTreeMap::new(),
             })),
         }
     }
@@ -365,9 +342,6 @@ impl Net {
         size: u64,
         payload: M,
     ) -> Result<SimTime, DropReason> {
-        if from != to && self.batch_open(from) {
-            return self.enqueue_batched(ctx, from, to, size, payload);
-        }
         let now = ctx.now();
         let planned = self.plan(ctx, from, to, size)?;
 
@@ -527,163 +501,13 @@ impl Net {
         }
     }
 
-    /// Per-link-class traffic accounting, shared by the immediate and
-    /// batched send paths.
+    /// Per-link-class traffic accounting.
     fn count_class_bytes(ctx: &mut Ctx<'_>, class: LinkClass, size: u64) {
         match class {
             LinkClass::Loopback => ctx.metrics().add("net.bytes.loopback", size),
             LinkClass::IntraSite => ctx.metrics().add("net.bytes.intra", size),
             LinkClass::InterSite => ctx.metrics().add("net.bytes.inter", size),
         }
-    }
-
-    fn batch_open(&self, from: HostId) -> bool {
-        self.inner.borrow().batches.contains_key(&from)
-    }
-
-    /// Open a batching window for `from`: until [`Net::batch_flush`],
-    /// non-loopback sends from this host are queued instead of
-    /// transmitted, then shipped as one frame per destination.
-    pub fn batch_begin(&self, from: HostId) {
-        self.inner.borrow_mut().batches.entry(from).or_default();
-    }
-
-    /// Queue one message inside an open batch window. Fail-fast checks
-    /// still apply immediately (a real ORB notices a dead peer at
-    /// connect time, batched or not); the FIFO/fault work is deferred
-    /// to the flush. Returns an optimistic delivery estimate.
-    fn enqueue_batched<M: std::any::Any + Clone>(
-        &self,
-        ctx: &mut Ctx<'_>,
-        from: HostId,
-        to: HostId,
-        size: u64,
-        payload: M,
-    ) -> Result<SimTime, DropReason> {
-        let now = ctx.now();
-        let mut inner = self.inner.borrow_mut();
-        if !inner.hosts[from.0 as usize].up {
-            drop(inner);
-            ctx.metrics().incr("net.drop.sender_down");
-            return Err(DropReason::SenderDown);
-        }
-        if !inner.hosts[to.0 as usize].up {
-            drop(inner);
-            ctx.metrics().incr("net.drop.receiver_down");
-            return Err(DropReason::ReceiverDown);
-        }
-        if inner.hosts[from.0 as usize].group != inner.hosts[to.0 as usize].group {
-            drop(inner);
-            ctx.metrics().incr("net.drop.partitioned");
-            return Err(DropReason::Partitioned);
-        }
-        if inner.hosts[to.0 as usize].bound.is_none() {
-            drop(inner);
-            ctx.metrics().incr("net.drop.unbound");
-            return Err(DropReason::Unbound);
-        }
-        let from_site = inner.hosts[from.0 as usize].cfg.site;
-        let to_site = inner.hosts[to.0 as usize].cfg.site;
-        let latency = inner.topo.latency(from_site, to_site);
-        let parent = inner.tracer.current();
-        let queue = inner
-            .batches
-            .entry(from)
-            .or_default()
-            .entry(to)
-            .or_default();
-        queue.push(QueuedMsg {
-            size,
-            parent,
-            make: Box::new(move || Box::new(payload.clone()) as AnyMsg),
-        });
-        ctx.metrics().incr("net.batch.msgs");
-        Ok(now + latency)
-    }
-
-    /// Close the batch window for `from` and transmit every queued
-    /// message, one frame per destination (destinations in `HostId`
-    /// order). A frame of `k` messages pays a single header: its wire
-    /// size is the payload sum minus `(k-1) *` [`BATCH_SAVED_PER_MSG`],
-    /// and the fault plan issues ONE verdict for the whole frame.
-    /// Returns the number of frames transmitted.
-    pub fn batch_flush(&self, ctx: &mut Ctx<'_>, from: HostId) -> usize {
-        let Some(dests) = self.inner.borrow_mut().batches.remove(&from) else {
-            return 0;
-        };
-        let now = ctx.now();
-        let tracer = self.inner.borrow().tracer.clone();
-        let mut frames = 0;
-        for (to, msgs) in dests {
-            if msgs.is_empty() {
-                continue;
-            }
-            let k = msgs.len() as u64;
-            let payload_bytes: u64 = msgs.iter().map(|m| m.size).sum();
-            let saved = (k - 1) * BATCH_SAVED_PER_MSG;
-            let frame_size = payload_bytes.saturating_sub(saved).max(1);
-            let Ok(planned) = self.plan(ctx, from, to, frame_size) else {
-                // The link died between enqueue and flush: the whole
-                // frame is undeliverable, counted once per message.
-                ctx.metrics().add("net.batch.flush_failed", k);
-                continue;
-            };
-            frames += 1;
-            ctx.metrics().incr("net.msgs");
-            ctx.metrics().incr("net.batch.frames");
-            ctx.metrics().add("net.bytes", frame_size);
-            ctx.metrics().add("net.batch.saved_bytes", saved);
-            let span_for = |m: &QueuedMsg, end: SimTime| -> Option<TraceContext> {
-                let parent = m.parent?;
-                let sp = tracer.complete(from.0, "net.msg", Some(parent), now, end)?;
-                tracer.set_attr(sp, "to", &to.0.to_string());
-                tracer.set_attr(sp, "bytes", &m.size.to_string());
-                tracer.set_attr(sp, "batched", "true");
-                Some(sp)
-            };
-            match planned {
-                Planned::Lost { would_arrive, class, severed } => {
-                    Self::count_class_bytes(ctx, class, frame_size);
-                    ctx.metrics().incr("net.fault.dropped");
-                    if severed {
-                        ctx.metrics().incr("net.fault.severed");
-                    }
-                    for m in &msgs {
-                        if let Some(sp) = span_for(m, would_arrive) {
-                            tracer.set_attr(sp, "lost", if severed { "severed" } else { "dropped" });
-                        }
-                    }
-                }
-                Planned::Deliver { target, deliver_at, class, delayed, dup_at } => {
-                    Self::count_class_bytes(ctx, class, frame_size);
-                    if delayed {
-                        ctx.metrics().incr("net.fault.delayed");
-                    }
-                    if dup_at.is_some() {
-                        ctx.metrics().incr("net.fault.duplicated");
-                    }
-                    for m in &msgs {
-                        let sp = span_for(m, deliver_at);
-                        if let Some(dup_at) = dup_at {
-                            if let Some(sp) = sp {
-                                tracer.set_attr(sp, "duplicated", "true");
-                            }
-                            ctx.send_in(
-                                dup_at.saturating_sub(now),
-                                target,
-                                NetMsg { from, to, size: m.size, trace: sp, payload: (m.make)() },
-                            );
-                        }
-                        ctx.send_in(
-                            deliver_at.saturating_sub(now),
-                            target,
-                            NetMsg { from, to, size: m.size, trace: sp, payload: (m.make)() },
-                        );
-                    }
-                }
-            }
-        }
-        frames
     }
 
     /// Multicast: each receiver gets its own copy, but the per-copy cost is
@@ -1100,159 +924,6 @@ mod tests {
         assert!(net.is_up(HostId(1)));
         assert_eq!(sim.metrics_ref().counter("net.fault.crashes"), 1);
         assert_eq!(sim.metrics_ref().counter("net.fault.restarts"), 1);
-    }
-
-    /// Opens a batch window, sends `size` bytes to each listed
-    /// destination, flushes, and records how many frames went out.
-    struct Batcher {
-        net: Net,
-        from: HostId,
-        tos: Vec<HostId>,
-        size: u64,
-        frames: usize,
-        errs: usize,
-    }
-    impl Actor for Batcher {
-        fn handle(&mut self, ctx: &mut Ctx<'_>, _msg: AnyMsg) {
-            self.net.batch_begin(self.from);
-            for &to in &self.tos {
-                if self.net.send(ctx, self.from, to, self.size, ()).is_err() {
-                    self.errs += 1;
-                }
-            }
-            self.frames += self.net.batch_flush(ctx, self.from);
-        }
-    }
-
-    #[test]
-    fn batched_sends_share_one_frame() {
-        // Three 100-byte messages to one destination: a single frame of
-        // 300 - 2*BATCH_SAVED_PER_MSG bytes, all copies arriving together.
-        let (net, h0, h1) = two_host_net(1e6, 1e6, 10);
-        let mut sim = Sim::new(1);
-        let sink = sim.spawn(Sink { arrivals: vec![] });
-        net.bind(h1, sink);
-        let b = sim.spawn(Batcher {
-            net: net.clone(),
-            from: h0,
-            tos: vec![h1, h1, h1],
-            size: 100,
-            frames: 0,
-            errs: 0,
-        });
-        net.bind(h0, b);
-        sim.send_in(SimTime::ZERO, b, Go);
-        sim.run();
-        let arr = &sim.actor_as::<Sink>(sink).unwrap().arrivals;
-        assert_eq!(arr.len(), 3);
-        assert!(arr.iter().all(|a| a.0 == arr[0].0), "frame arrives as one unit");
-        assert_eq!(sim.actor_as::<Batcher>(b).unwrap().frames, 1);
-        assert_eq!(sim.metrics_ref().counter("net.msgs"), 1);
-        assert_eq!(sim.metrics_ref().counter("net.bytes"), 300 - 2 * BATCH_SAVED_PER_MSG);
-        assert_eq!(sim.metrics_ref().counter("net.batch.msgs"), 3);
-        assert_eq!(sim.metrics_ref().counter("net.batch.frames"), 1);
-        assert_eq!(
-            sim.metrics_ref().counter("net.batch.saved_bytes"),
-            2 * BATCH_SAVED_PER_MSG
-        );
-    }
-
-    #[test]
-    fn batch_emits_one_frame_per_destination() {
-        let mut topo = Topology::new();
-        let s = topo.add_site("lan");
-        let sender = topo.add_host(HostCfg::new(s));
-        let r1 = topo.add_host(HostCfg::new(s));
-        let r2 = topo.add_host(HostCfg::new(s));
-        let net = Net::builder(topo).build();
-        let mut sim = Sim::new(1);
-        for &h in &[r1, r2] {
-            let a = sim.spawn(Sink { arrivals: vec![] });
-            net.bind(h, a);
-        }
-        let b = sim.spawn(Batcher {
-            net: net.clone(),
-            from: sender,
-            tos: vec![r1, r2, r1],
-            size: 100,
-            frames: 0,
-            errs: 0,
-        });
-        net.bind(sender, b);
-        sim.send_in(SimTime::ZERO, b, Go);
-        sim.run();
-        assert_eq!(sim.actor_as::<Batcher>(b).unwrap().frames, 2);
-        assert_eq!(sim.metrics_ref().counter("net.batch.frames"), 2);
-        // r1's frame saved one header, r2's saved none.
-        assert_eq!(
-            sim.metrics_ref().counter("net.batch.saved_bytes"),
-            BATCH_SAVED_PER_MSG
-        );
-    }
-
-    #[test]
-    fn batched_sends_still_fail_fast() {
-        // A dead receiver is detected at enqueue time, not at flush.
-        let (net, h0, h1) = two_host_net(1e6, 1e6, 1);
-        net.set_host_up(h1, false);
-        let mut sim = Sim::new(1);
-        let b = sim.spawn(Batcher {
-            net: net.clone(),
-            from: h0,
-            tos: vec![h1, h1],
-            size: 10,
-            frames: 0,
-            errs: 0,
-        });
-        net.bind(h0, b);
-        sim.send_in(SimTime::ZERO, b, Go);
-        sim.run();
-        assert_eq!(sim.actor_as::<Batcher>(b).unwrap().errs, 2);
-        assert_eq!(sim.actor_as::<Batcher>(b).unwrap().frames, 0);
-        assert_eq!(sim.metrics_ref().counter("net.drop.receiver_down"), 2);
-    }
-
-    #[test]
-    fn fault_verdict_applies_to_whole_frame() {
-        // drop_p = 1: one lost frame, one net.fault.dropped — not three.
-        let plan = FaultPlan::seeded(5).default_link(LinkFaults::none().drop_p(1.0));
-        let (net, h0, h1) = two_host_net_with(plan, 1e6, 1e6, 1);
-        let mut sim = Sim::new(1);
-        let sink = sim.spawn(Sink { arrivals: vec![] });
-        net.bind(h1, sink);
-        let b = sim.spawn(Batcher {
-            net: net.clone(),
-            from: h0,
-            tos: vec![h1, h1, h1],
-            size: 100,
-            frames: 0,
-            errs: 0,
-        });
-        net.bind(h0, b);
-        sim.send_in(SimTime::ZERO, b, Go);
-        sim.run();
-        assert!(sim.actor_as::<Sink>(sink).unwrap().arrivals.is_empty());
-        assert_eq!(sim.metrics_ref().counter("net.fault.dropped"), 1);
-    }
-
-    #[test]
-    fn flush_without_window_is_noop() {
-        let (net, h0, _h1) = two_host_net(1e6, 1e6, 1);
-        struct Flusher {
-            net: Net,
-            h: HostId,
-        }
-        impl Actor for Flusher {
-            fn handle(&mut self, ctx: &mut Ctx<'_>, _msg: AnyMsg) {
-                assert_eq!(self.net.batch_flush(ctx, self.h), 0);
-            }
-        }
-        let mut sim = Sim::new(1);
-        let f = sim.spawn(Flusher { net: net.clone(), h: h0 });
-        net.bind(h0, f);
-        sim.send_in(SimTime::ZERO, f, Go);
-        sim.run();
-        assert_eq!(sim.metrics_ref().counter("net.msgs"), 0);
     }
 
     #[test]

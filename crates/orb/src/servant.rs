@@ -16,7 +16,7 @@ use crate::value::{check_value, Value};
 use lc_idl::ast::ParamMode;
 use lc_idl::Repository;
 use lc_net::HostId;
-use lc_trace::{MetricsRegistry, Tracer};
+use lc_trace::Tracer;
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -197,11 +197,7 @@ pub struct DispatchResult {
     pub cpu_cost: lc_des::SimTime,
 }
 
-/// Snapshot of an adapter's dispatch counters, for the node's
-/// per-service instrumentation and the E1 overhead report. The numbers
-/// live in the adapter's [`MetricsRegistry`] under `dispatch.*`; this
-/// struct is rebuilt from registry reads on demand. Wall-clock time
-/// never feeds back into simulated behaviour.
+/// An adapter's dispatch counters, for the E1 report and `.perf`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DispatchStats {
     /// Type-checked IDL dispatches.
@@ -210,8 +206,6 @@ pub struct DispatchStats {
     pub raw: u64,
     /// Dispatches that produced an error outcome.
     pub errors: u64,
-    /// Total wall-clock nanoseconds spent inside servant dispatch.
-    pub total_ns: u64,
 }
 
 impl DispatchStats {
@@ -219,22 +213,7 @@ impl DispatchStats {
     pub fn total(&self) -> u64 {
         self.typed + self.raw
     }
-
-    /// Mean wall-clock nanoseconds per dispatch.
-    pub fn mean_ns(&self) -> f64 {
-        let n = self.total();
-        if n == 0 {
-            0.0
-        } else {
-            self.total_ns as f64 / n as f64
-        }
-    }
 }
-
-/// Wall-clock dispatch-latency bucket edges (ns): 250ns … ~1ms by
-/// powers of 4, fixed so two runs bucket identically.
-const DISPATCH_NS_BUCKETS: [u64; 7] =
-    [250, 1_000, 4_000, 16_000, 64_000, 256_000, 1_024_000];
 
 /// The per-host servant table.
 pub struct ObjectAdapter {
@@ -243,7 +222,7 @@ pub struct ObjectAdapter {
     next_oid: u64,
     servants: BTreeMap<u64, Box<dyn Servant>>,
     clock: lc_des::SimTime,
-    registry: MetricsRegistry,
+    stats: DispatchStats,
     tracer: Tracer,
 }
 
@@ -256,7 +235,7 @@ impl ObjectAdapter {
             next_oid: 1,
             servants: BTreeMap::new(),
             clock: lc_des::SimTime::ZERO,
-            registry: MetricsRegistry::new(),
+            stats: DispatchStats::default(),
             tracer: Tracer::disabled(),
         }
     }
@@ -267,27 +246,14 @@ impl ObjectAdapter {
         self.tracer = tracer;
     }
 
-    /// Dispatch counters since creation (or the last reset), rebuilt
-    /// from the `dispatch.*` entries of the metrics registry.
+    /// Dispatch counters since creation (or the last reset).
     pub fn dispatch_stats(&self) -> DispatchStats {
-        DispatchStats {
-            typed: self.registry.counter("dispatch.typed"),
-            raw: self.registry.counter("dispatch.raw"),
-            errors: self.registry.counter("dispatch.errors"),
-            total_ns: self.registry.counter("dispatch.total_ns"),
-        }
-    }
-
-    /// The adapter's metrics registry (counters under `dispatch.*`, a
-    /// fixed-bucket wall-clock latency histogram under
-    /// `dispatch.wall_ns`).
-    pub fn metrics_registry(&self) -> &MetricsRegistry {
-        &self.registry
+        self.stats
     }
 
     /// Zero the dispatch counters (e.g. between benchmark phases).
     pub fn reset_dispatch_stats(&mut self) {
-        self.registry.clear();
+        self.stats = DispatchStats::default();
     }
 
     /// Set the virtual time exposed to servants during dispatch.
@@ -372,20 +338,16 @@ impl ObjectAdapter {
         args: &[Value],
         opts: DispatchOpts,
     ) -> DispatchResult {
-        // lc-lint: allow(D1) -- DispatchStats wall-clock columns only; never feeds simulated behaviour
-        let t0 = std::time::Instant::now();
         let res = if opts.type_check {
+            self.stats.typed += 1;
             self.dispatch_inner(key, op, args)
         } else {
+            self.stats.raw += 1;
             self.dispatch_raw_inner(key, op, args)
         };
-        self.registry.incr(if opts.type_check { "dispatch.typed" } else { "dispatch.raw" });
         if res.outcome.is_err() {
-            self.registry.incr("dispatch.errors");
+            self.stats.errors += 1;
         }
-        let elapsed = t0.elapsed().as_nanos() as u64;
-        self.registry.add("dispatch.total_ns", elapsed);
-        self.registry.observe("dispatch.wall_ns", &DISPATCH_NS_BUCKETS, elapsed);
         // Dispatch span: virtual interval [clock, clock + declared CPU
         // cost], under whatever operation is being traced right now.
         if let Some(parent) = self.tracer.current() {
@@ -688,15 +650,12 @@ mod tests {
     }
 
     #[test]
-    fn stats_ride_the_metrics_registry() {
+    fn stats_count_errors_and_reset() {
         let (mut oa, r) = adapter();
         let _ = oa.invoke(r.key, "add", &[Value::Long(2)], DispatchOpts::typed());
         let _ = oa.invoke(r.key, "nope", &[], DispatchOpts::typed());
-        let reg = oa.metrics_registry();
-        assert_eq!(reg.counter("dispatch.typed"), 2);
-        assert_eq!(reg.counter("dispatch.errors"), 1);
-        assert_eq!(reg.histogram("dispatch.wall_ns").map(|h| h.count()), Some(2));
-        assert_eq!(oa.dispatch_stats().typed, 2);
+        assert_eq!(oa.dispatch_stats(), DispatchStats { typed: 2, raw: 0, errors: 1 });
+        assert_eq!(oa.dispatch_stats().total(), 2);
         oa.reset_dispatch_stats();
         assert_eq!(oa.dispatch_stats(), DispatchStats::default());
     }

@@ -13,7 +13,7 @@
 //! |---|---|
 //! | [`span`] | [`TraceContext`], [`Span`], [`validate`] (tree well-formedness) |
 //! | [`tracer`] | [`Tracer`] (allocation, current-context register, end-propagation), flight recorder |
-//! | [`metrics`] | [`MetricsRegistry`] (counters/gauges/fixed-bucket histograms) |
+//! | [`metrics`] | [`MetricsRegistry`] (counters/fixed-bucket histograms) |
 //! | [`streaming`] | constant-memory primitives for 10⁶-node runs: [`DenseCounters`], [`ShardedCounter`], [`ReservoirHistogram`] |
 //! | [`export`] | sorted JSONL, chrome://tracing JSON, critical path |
 //! | [`sampler`] | seeded head-based trace sampling ([`SampleConfig`]) for bounded-memory tracing at scale |

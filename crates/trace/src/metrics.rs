@@ -1,15 +1,9 @@
-//! The metrics registry: named counters, gauges and fixed-bucket
-//! histograms with deterministic boundaries.
-//!
-//! This supersedes the ad-hoc counter structs that grew inside the node
-//! (`NodeMetrics`) and the object adapter (`DispatchStats`): both now
-//! keep their numbers here and rebuild their public snapshot types from
-//! registry reads, so every node-local quantity is enumerable under one
-//! naming scheme (`registry.msgs_in`, `dispatch.typed`, …) — the
-//! self-describing-node story of the paper's reflection architecture
-//! extended to instrumentation.
+//! The metrics registry: named counters and fixed-bucket histograms
+//! with deterministic boundaries, read in windows by the SLO monitor
+//! ([`crate::slo`]). A node keeps its named node-level entries here
+//! (`slo.*`, `cache.*`, `admission.*`); the per-message routing
+//! counters are plain fields elsewhere and never build a key.
 
-use crate::streaming::ReservoirHistogram;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -200,16 +194,14 @@ pub struct MetricsSnapshot {
     histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
-/// Named counters, gauges and fixed-bucket histograms.
+/// Named counters and fixed-bucket histograms.
 ///
 /// All maps are `BTreeMap`s, so iteration (and therefore any rendered
 /// report) is deterministically ordered.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, i64>,
     histograms: BTreeMap<String, BucketHistogram>,
-    reservoirs: BTreeMap<String, ReservoirHistogram>,
 }
 
 impl MetricsRegistry {
@@ -242,21 +234,6 @@ impl MetricsRegistry {
         self.counters.iter().map(|(k, v)| (k.as_str(), *v))
     }
 
-    /// Set gauge `key`.
-    pub fn set_gauge(&mut self, key: &str, v: i64) {
-        self.gauges.insert(key.to_owned(), v);
-    }
-
-    /// Current gauge value (0 if never set).
-    pub fn gauge(&self, key: &str) -> i64 {
-        self.gauges.get(key).copied().unwrap_or(0)
-    }
-
-    /// Iterate gauges in key order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, i64)> {
-        self.gauges.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
     /// Record a sample into histogram `key`, creating it with `bounds`
     /// on first use (later calls keep the original bounds).
     pub fn observe(&mut self, key: &str, bounds: &[u64], v: u64) {
@@ -267,31 +244,6 @@ impl MetricsRegistry {
         let mut h = BucketHistogram::new(bounds);
         h.observe(v);
         self.histograms.insert(key.to_owned(), h);
-    }
-
-    /// Record a sample into reservoir histogram `key`, creating it with
-    /// `capacity` slots on first use (later calls keep the original
-    /// capacity). Unlike [`MetricsRegistry::observe`], memory stays
-    /// O(capacity) no matter how many samples arrive — the variant the
-    /// million-node scale path uses.
-    pub fn observe_reservoir(&mut self, key: &str, capacity: usize, v: u64) {
-        if let Some(r) = self.reservoirs.get_mut(key) {
-            r.observe(v);
-            return;
-        }
-        let mut r = ReservoirHistogram::new(capacity);
-        r.observe(v);
-        self.reservoirs.insert(key.to_owned(), r);
-    }
-
-    /// Borrow a reservoir mutably (quantile queries sort in place).
-    pub fn reservoir_mut(&mut self, key: &str) -> Option<&mut ReservoirHistogram> {
-        self.reservoirs.get_mut(key)
-    }
-
-    /// Iterate reservoirs in key order.
-    pub fn reservoirs(&self) -> impl Iterator<Item = (&str, &ReservoirHistogram)> {
-        self.reservoirs.iter().map(|(k, v)| (k.as_str(), v))
     }
 
     /// Borrow a histogram, if anything was observed under `key`.
@@ -333,9 +285,7 @@ impl MetricsRegistry {
     /// Reset everything.
     pub fn clear(&mut self) {
         self.counters.clear();
-        self.gauges.clear();
         self.histograms.clear();
-        self.reservoirs.clear();
     }
 }
 
@@ -344,15 +294,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_and_gauges() {
+    fn counters_accumulate() {
         let mut r = MetricsRegistry::new();
         r.incr("a");
         r.add("a", 4);
-        r.set_gauge("depth", 7);
-        r.set_gauge("depth", 3);
         assert_eq!(r.counter("a"), 5);
         assert_eq!(r.counter("missing"), 0);
-        assert_eq!(r.gauge("depth"), 3);
         assert_eq!(r.counters().collect::<Vec<_>>(), vec![("a", 5)]);
     }
 
@@ -374,22 +321,6 @@ mod tests {
         let h = BucketHistogram::exponential(1_000, 4, 5);
         let edges: Vec<u64> = h.buckets().map(|(e, _)| e).collect();
         assert_eq!(edges, vec![1_000, 4_000, 16_000, 64_000, 256_000, u64::MAX]);
-    }
-
-    #[test]
-    fn registry_reservoirs_stay_bounded() {
-        let mut r = MetricsRegistry::new();
-        for v in 0..10_000u64 {
-            r.observe_reservoir("queue.depth", 16, v);
-        }
-        let res = r.reservoir_mut("queue.depth").unwrap();
-        assert_eq!(res.count(), 10_000);
-        assert_eq!(res.reservoir_len(), 16);
-        assert_eq!(res.max(), 9_999);
-        let keys: Vec<_> = r.reservoirs().map(|(k, _)| k.to_owned()).collect();
-        assert_eq!(keys, ["queue.depth"]);
-        r.clear();
-        assert!(r.reservoir_mut("queue.depth").is_none());
     }
 
     #[test]

@@ -239,16 +239,11 @@ impl ReservoirHistogram {
     /// Estimated quantile (`q` in `[0, 1]`) from the reservoir by
     /// nearest rank; exact while `count ≤ capacity`.
     pub fn quantile(&mut self, q: f64) -> u64 {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range");
-        if self.samples.is_empty() {
-            return 0;
-        }
         if !self.sorted {
             self.samples.sort_unstable();
             self.sorted = true;
         }
-        let rank = ((q * self.samples.len() as f64).ceil() as usize).clamp(1, self.samples.len());
-        self.samples[rank - 1]
+        lc_des::nearest_rank(&self.samples, q).unwrap_or(0)
     }
 
     /// Samples currently held (≤ capacity).
