@@ -20,6 +20,9 @@ rm -f target/lint_stats.json
 cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
+# Doc links are checked too: a deleted or renamed item must take its
+# [`intra-doc`] references with it.
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --offline -q
 
 # Fault-injection determinism gate: the same seeds must reproduce the
 # same faults, retries and recoveries byte-for-byte (E10 prints only

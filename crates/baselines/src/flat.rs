@@ -13,8 +13,8 @@
 //! with N while the tree bounds both.
 //!
 //! The baseline needs no code of its own because the node is decomposed
-//! into services behind [`lc_core::NodeService`]: the Component Registry
-//! service routes queries over whatever hierarchy the Network Cohesion
+//! into per-service modules over one shared runtime ([`lc_core::node`]):
+//! the Component Registry service routes queries over whatever hierarchy the Network Cohesion
 //! service maintains, so collapsing the hierarchy via configuration
 //! re-targets *all* registry traffic at host 0 without touching either
 //! service. Host 0's concentration shows up directly in its per-service

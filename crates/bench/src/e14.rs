@@ -3,7 +3,7 @@
 //! E12 showed that even with the result cache and singleflight the
 //! remaining hotspot is the campus leader: every miss still ascends the
 //! MRM hierarchy and funnels through its root. This experiment puts the
-//! [`Sharded`](lc_core::Sharded) backend against that wall: the same
+//! sharded registry ([`lc_core::ShardStore`]) against that wall: the same
 //! 1k-node campus, the same query workload, with the component
 //! inventory consistent-hashed over 2/4/8 shards (2 replicas each) and
 //! lookups routed Chord-style through the finger overlay instead of up

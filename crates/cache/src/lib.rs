@@ -2,11 +2,11 @@
 //!
 //! The paper argues the distributed registry's metadata "caching can be
 //! performed safely" because component metadata is mostly immutable
-//! (§2.4.2). This crate supplies the three mechanisms the node threads
+//! (§2.4.2). This crate supplies the mechanisms the node threads
 //! through its registry service, all expressed against **virtual time**
 //! so a cached run stays byte-deterministic:
 //!
-//! * [`QueryCache`] — generation-stamped query→result entries with a TTL
+//! * [`QueryCache`] — query→result entries with a TTL
 //!   in [`SimTime`] and explicit invalidation (register / deregister /
 //!   migrate broadcasts). The TTL is the staleness backstop for
 //!   invalidations lost on a faulty fabric.
@@ -14,10 +14,8 @@
 //!   for a key becomes the *leader*; identical queries issued while it
 //!   is pending join it as followers instead of spawning their own
 //!   network search.
-//! * [`Singleflight`] — the same leader/follower merge as a standalone
-//!   continuation table, for callers outside the node's unified
-//!   continuation machinery. The leader's completion (success *or*
-//!   failure) fans out to every follower.
+//! * [`GenVector`] — per-publisher generations, the digest a sharded
+//!   registry replica folds a peer's anti-entropy summary into.
 //!
 //! Determinism: no wall clock, no RNG, no `HashMap` — every structure
 //! iterates in key order, and expiry compares [`SimTime`] stamps the
@@ -44,18 +42,15 @@ pub struct CacheStats {
 struct CachedEntry<V> {
     value: V,
     stored_at: SimTime,
-    generation: u64,
 }
 
-/// A query-result cache with per-entry generation stamps and a TTL
-/// expressed in virtual time.
+/// A query-result cache with a TTL expressed in virtual time.
 ///
 /// An entry is *fresh* while `now - stored_at < ttl`; at `age == ttl`
 /// it is stale (the same closed/open convention as the continuation
 /// sweep's `deadline <= now`). Invalidation bumps a monotone per-cache
-/// generation and removes matching entries — surviving entries keep
-/// their stamp, so an observer can tell which coherence epoch a result
-/// came from.
+/// generation — the count of coherence events this cache has seen — and
+/// removes matching entries.
 pub struct QueryCache<K: Ord + Clone, V> {
     ttl: SimTime,
     generation: u64,
@@ -94,11 +89,10 @@ impl<K: Ord + Clone, V> QueryCache<K, V> {
         self.entries.is_empty()
     }
 
-    /// Store a result under `key`, stamped with the current time and
-    /// generation. Overwrites any previous entry.
+    /// Store a result under `key`, stamped with the current time.
+    /// Overwrites any previous entry.
     pub fn insert(&mut self, key: K, value: V, now: SimTime) {
-        self.entries
-            .insert(key, CachedEntry { value, stored_at: now, generation: self.generation });
+        self.entries.insert(key, CachedEntry { value, stored_at: now });
     }
 
     /// Look up `key`. A fresh entry is a hit and returns the value with
@@ -123,12 +117,6 @@ impl<K: Ord + Clone, V> QueryCache<K, V> {
         Some((&e.value, now.saturating_sub(e.stored_at)))
     }
 
-    /// The generation a live entry was stored under, if present
-    /// (fresh or not — freshness is [`Self::get`]'s concern).
-    pub fn entry_generation(&self, key: &K) -> Option<u64> {
-        self.entries.get(key).map(|e| e.generation)
-    }
-
     /// Apply one invalidation round: bump the generation and remove
     /// every entry `pred` matches. Returns how many entries fell.
     /// The generation advances even when nothing matched — observers
@@ -148,11 +136,6 @@ impl<K: Ord + Clone, V> QueryCache<K, V> {
         self.stats.invalidated_entries += victims.len() as u64;
         victims.len()
     }
-
-    /// Invalidate everything (one generation bump).
-    pub fn invalidate_all(&mut self) -> usize {
-        self.invalidate_matching(|_, _| true)
-    }
 }
 
 /// A per-publisher generation vector: the anti-entropy summary one
@@ -160,10 +143,10 @@ impl<K: Ord + Clone, V> QueryCache<K, V> {
 /// opaque `u64`, in practice the host id) advances its own generation
 /// when its inventory for a component actually changes; a replica
 /// holding `{p → g}` knows everything publisher `p` said up to
-/// generation `g`. Two vectors reconcile by element-wise max — a digest
-/// round sends the vector, the peer answers with entries it holds at a
-/// strictly newer generation (or that the digest lacks entirely), and
-/// both sides converge without re-shipping the full inventory.
+/// generation `g`. A digest round sends the vector, the peer answers
+/// with entries it holds at a strictly newer generation (or that the
+/// digest lacks entirely), and both sides converge without re-shipping
+/// the full inventory.
 ///
 /// This generalises [`QueryCache::generation`] (one monotone counter
 /// per node) to one counter per publisher per shard, which is what a
@@ -197,22 +180,6 @@ impl GenVector {
         }
     }
 
-    /// Element-wise max merge. Returns how many entries advanced.
-    pub fn merge(&mut self, other: &GenVector) -> usize {
-        other.iter().filter(|&(p, g)| self.observe(p, g)).count()
-    }
-
-    /// Publishers where *we* are strictly ahead of `other` — the
-    /// entries an anti-entropy responder must ship back.
-    pub fn ahead_of<'a>(&'a self, other: &'a GenVector) -> impl Iterator<Item = (u64, u64)> + 'a {
-        self.iter().filter(move |&(p, g)| g > other.get(p))
-    }
-
-    /// `(publisher, generation)` pairs in publisher order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.gens.iter().map(|(&p, &g)| (p, g))
-    }
-
     /// Number of publishers known.
     pub fn len(&self) -> usize {
         self.gens.len()
@@ -221,11 +188,6 @@ impl GenVector {
     /// Knows nothing?
     pub fn is_empty(&self) -> bool {
         self.gens.is_empty()
-    }
-
-    /// Forget a publisher (its entries expired away).
-    pub fn forget(&mut self, publisher: u64) {
-        self.gens.remove(&publisher);
     }
 }
 
@@ -283,68 +245,9 @@ impl<K: Ord + Clone> Coalescer<K> {
     }
 }
 
-/// Whether a [`Singleflight::join`] caller leads or follows.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Flight {
-    /// First caller for the key: perform the work, then
-    /// [`Singleflight::complete`].
-    Leader,
-    /// Merged onto an in-flight leader; the callback fires at
-    /// completion.
-    Follower,
-}
-
-type Callback<R> = Box<dyn FnMut(&R)>;
-
-/// Standalone leader/follower request merging: the first `join` for a
-/// key leads, later joins follow, and `complete` fans the leader's
-/// result — success or failure alike — to every caller's callback in
-/// join order.
-#[derive(Default)]
-pub struct Singleflight<K: Ord + Clone, R> {
-    flights: BTreeMap<K, Vec<Callback<R>>>,
-}
-
-impl<K: Ord + Clone, R> Singleflight<K, R> {
-    /// An empty table.
-    pub fn new() -> Self {
-        Singleflight { flights: BTreeMap::new() }
-    }
-
-    /// Join the flight for `key`; `on_done` fires (for leader and
-    /// followers alike) when the leader completes the flight.
-    pub fn join(&mut self, key: K, on_done: impl FnMut(&R) + 'static) -> Flight {
-        let entry = self.flights.entry(key);
-        let role = match &entry {
-            std::collections::btree_map::Entry::Vacant(_) => Flight::Leader,
-            std::collections::btree_map::Entry::Occupied(_) => Flight::Follower,
-        };
-        entry.or_default().push(Box::new(on_done));
-        role
-    }
-
-    /// Complete the flight for `key`: every joined callback observes the
-    /// same `result`, leader first, then followers in join order.
-    /// Returns how many callbacks fired (0 if no flight was pending).
-    pub fn complete(&mut self, key: &K, result: &R) -> usize {
-        let Some(mut callbacks) = self.flights.remove(key) else { return 0 };
-        for cb in callbacks.iter_mut() {
-            cb(result);
-        }
-        callbacks.len()
-    }
-
-    /// Flights currently in progress.
-    pub fn inflight(&self) -> usize {
-        self.flights.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
-    use std::rc::Rc;
 
     const MS: fn(u64) -> SimTime = SimTime::from_millis;
 
@@ -363,20 +266,17 @@ mod tests {
     }
 
     #[test]
-    fn generations_are_monotone_and_stamp_entries() {
+    fn generations_are_monotone() {
         let mut c: QueryCache<&str, u32> = QueryCache::new(MS(1000));
         c.insert("a", 1, MS(0));
-        assert_eq!(c.entry_generation(&"a"), Some(0));
         let mut last = c.generation();
         for round in 0..5 {
             c.invalidate_matching(|_, _| false); // even a no-op round advances
             assert!(c.generation() > last, "round {round}: generation must grow");
             last = c.generation();
         }
-        c.insert("b", 2, MS(1));
-        assert_eq!(c.entry_generation(&"b"), Some(last));
-        // "a" survived the no-op rounds under its original stamp
-        assert_eq!(c.entry_generation(&"a"), Some(0));
+        // "a" survived the no-op rounds
+        assert_eq!(c.get(&"a", MS(1)), Some((&1, MS(1))));
     }
 
     #[test]
@@ -389,7 +289,7 @@ mod tests {
         assert_eq!(c.get(&"q1".into(), MS(1)), None);
         assert!(c.get(&"q2".into(), MS(1)).is_some());
         assert_eq!(c.stats().invalidated_entries, 1);
-        assert_eq!(c.invalidate_all(), 1);
+        assert_eq!(c.invalidate_matching(|_, _| true), 1);
         assert!(c.is_empty());
     }
 
@@ -403,27 +303,7 @@ mod tests {
         assert!(v.observe(3, 5));
         assert_eq!(v.get(3), 5);
         assert_eq!(v.len(), 1);
-        v.forget(3);
-        assert!(v.is_empty());
-    }
-
-    #[test]
-    fn gen_vector_merge_and_ahead_converge() {
-        let mut a = GenVector::new();
-        let mut b = GenVector::new();
-        a.observe(1, 4);
-        a.observe(2, 1);
-        b.observe(2, 3);
-        b.observe(9, 7);
-        // b answers a's digest with what it holds strictly newer
-        let reply: Vec<_> = b.ahead_of(&a).collect();
-        assert_eq!(reply, vec![(2, 3), (9, 7)]);
-        assert_eq!(a.merge(&b), 2);
-        assert_eq!(b.merge(&a), 1); // picks up publisher 1
-        assert_eq!(a, b, "element-wise max merge converges both replicas");
-        assert_eq!(a.ahead_of(&b).count(), 0);
-        let all: Vec<_> = a.iter().collect();
-        assert_eq!(all, vec![(1, 4), (2, 3), (9, 7)]);
+        assert!(!v.is_empty());
     }
 
     #[test]
@@ -439,47 +319,5 @@ mod tests {
         assert_eq!(co.leader_of(&"q".into()), None);
         assert_eq!(co.finish(&"q".into()), None);
         assert_eq!(co.inflight(), 0);
-    }
-
-    #[test]
-    fn singleflight_fans_out_one_result() {
-        let mut sf: Singleflight<&str, Result<u32, String>> = Singleflight::new();
-        type Seen = Rc<RefCell<Vec<(u8, Result<u32, String>)>>>;
-        let seen: Seen = Rc::default();
-        for who in 0..3u8 {
-            let seen = seen.clone();
-            let role = sf.join("k", move |r: &Result<u32, String>| {
-                seen.borrow_mut().push((who, r.clone()));
-            });
-            assert_eq!(role, if who == 0 { Flight::Leader } else { Flight::Follower });
-        }
-        assert_eq!(sf.inflight(), 1);
-        assert_eq!(sf.complete(&"k", &Ok(42)), 3);
-        assert_eq!(sf.inflight(), 0);
-        let seen = seen.borrow();
-        assert_eq!(seen.len(), 3);
-        // leader first, followers in join order, all with the same value
-        assert_eq!(
-            *seen,
-            vec![(0, Ok(42)), (1, Ok(42)), (2, Ok(42))]
-        );
-        // completing a finished flight is a no-op
-        assert_eq!(sf.complete(&"k", &Ok(1)), 0);
-    }
-
-    #[test]
-    fn singleflight_leader_failure_fans_same_error() {
-        let mut sf: Singleflight<&str, Result<u32, String>> = Singleflight::new();
-        let errs: Rc<RefCell<Vec<String>>> = Rc::default();
-        for _ in 0..4 {
-            let errs = errs.clone();
-            sf.join("k", move |r: &Result<u32, String>| {
-                if let Err(e) = r {
-                    errs.borrow_mut().push(e.clone());
-                }
-            });
-        }
-        sf.complete(&"k", &Err("timeout".into()));
-        assert_eq!(*errs.borrow(), vec!["timeout"; 4]);
     }
 }

@@ -47,14 +47,13 @@ pub use node::{
     AdmissionConfig, AssemblySink, CacheConfig, CacheStats, Continuations, InvokePolicy,
     InvokeSink,
     LoadBalanceConfig, MigrateSink, Node, NodeCmd, NodeConfig, NodeConfigBuilder, NodeCtx,
-    NodeMetrics, NodeSeed, NodeService, NodeState, QueryResult, QuerySink, RegistryConfig,
-    ReplicateConfig, ServiceKind, ServiceMetrics, ServiceReflect, SpawnSink, SvcMsg, Tick,
-    TraceConfig,
+    NodeMetrics, NodeSeed, NodeState, QueryResult, QuerySink, RegistryConfig, ReplicateConfig,
+    ServiceKind, ServiceMetrics, ServiceReflect, SpawnSink, Tick, TraceConfig,
 };
 pub use proto::{CtrlMsg, DeltaEntry, GroupSummary, QueryId};
 pub use registry::backend::{
-    BackendStats, CoherenceRoute, RegistryBackend, ResolveStep, SearchRoute, ShardConfig,
-    ShardDigest, Sharded, SingleLeader,
+    BackendStats, CoherenceRoute, Registry, ResolveStep, SearchRoute, ShardConfig, ShardDigest,
+    ShardStore,
 };
 pub use registry::shard::{ShardRing, ShardRingConfig};
 pub use registry::{ComponentQuery, ComponentRegistry, InstanceId, InstanceInfo, Offer};
@@ -70,7 +69,8 @@ pub use scale::{
 pub mod testkit {
     use crate::behavior::BehaviorRegistry;
     use crate::cohesion::{CohesionConfig, Hierarchy};
-    use crate::node::{NodeConfig, NodeSeed};
+    use crate::node::{NodeConfig, NodeSeed, RegistryConfig};
+    use crate::registry::shard::ShardRing;
     use lc_des::{ActorId, Sim};
     use lc_net::{Net, Topology};
     use lc_orb::SimOrb;
@@ -126,17 +126,25 @@ pub mod testkit {
         preinstalled: impl Fn(lc_net::HostId) -> Vec<Rc<Vec<u8>>>,
     ) -> World {
         let orb = SimOrb::new(net.clone());
-        let hierarchy = Rc::new(Hierarchy::build(&net.host_ids(), config.cohesion.clone()));
+        let hosts = net.host_ids();
+        let hierarchy = Rc::new(Hierarchy::build(&hosts, config.cohesion.clone()));
+        // One ring per world, not per node: it depends only on the host
+        // list and the ring shape.
+        let ring = match &config.registry {
+            RegistryConfig::SingleLeader => None,
+            RegistryConfig::Sharded(sc) => Some(Rc::new(ShardRing::build(&hosts, &sc.ring()))),
+        };
         let mut sim = Sim::new(seed);
         let mut seeds = Vec::new();
         let mut actors = Vec::new();
-        for host in net.host_ids() {
+        for host in hosts {
             let node_seed = NodeSeed {
                 host,
                 config: config.clone(),
                 net: net.clone(),
                 orb: orb.clone(),
                 hierarchy: hierarchy.clone(),
+                ring: ring.clone(),
                 behaviors: behaviors.clone(),
                 trust: trust.clone(),
                 idl: idl.clone(),

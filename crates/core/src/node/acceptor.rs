@@ -11,7 +11,7 @@ use std::sync::Arc;
 use super::continuations::FetchCont;
 use super::ctx::{NodeCtx, NodeState};
 use super::metrics::ServiceKind;
-use super::service::{item, NodeService, ServiceReflect, SvcMsg, Tick};
+use super::service::{item, ServiceReflect};
 use super::NodeCmd;
 
 impl NodeState {
@@ -173,32 +173,13 @@ pub(crate) fn handle_cmd(ctx: &mut NodeCtx<'_, '_>, cmd: NodeCmd) {
     }
 }
 
-/// The Component Acceptor service.
-#[derive(Default)]
-pub struct Acceptor;
-
-impl NodeService for Acceptor {
-    fn kind(&self) -> ServiceKind {
-        ServiceKind::Acceptor
-    }
-
-    fn handle(&mut self, ctx: &mut NodeCtx<'_, '_>, msg: SvcMsg) {
-        match msg {
-            SvcMsg::Cmd(cmd) => handle_cmd(ctx, cmd),
-            SvcMsg::Ctrl { from, msg } => handle_ctrl(ctx, from, msg),
-            SvcMsg::Orb(_) => {}
-        }
-    }
-
-    fn on_timer(&mut self, _ctx: &mut NodeCtx<'_, '_>, _tick: Tick) {}
-
-    fn reflect(&self, state: &NodeState) -> ServiceReflect {
-        ServiceReflect {
-            kind: ServiceKind::Acceptor,
-            items: vec![
-                item("installed packages", state.repository.iter().count()),
-                item("pending fetches", state.conts.fetches.len()),
-            ],
-        }
+/// Reflect the Component Acceptor service's current state.
+pub(crate) fn reflect(state: &NodeState) -> ServiceReflect {
+    ServiceReflect {
+        kind: ServiceKind::Acceptor,
+        items: vec![
+            item("installed packages", state.repository.iter().count()),
+            item("pending fetches", state.conts.fetches.len()),
+        ],
     }
 }

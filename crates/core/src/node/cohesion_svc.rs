@@ -13,7 +13,7 @@ use lc_net::HostId;
 
 use super::ctx::{NodeCtx, NodeState};
 use super::metrics::ServiceKind;
-use super::service::{item, NodeService, ServiceReflect, SvcMsg, Tick};
+use super::service::{item, ServiceReflect, Tick};
 
 impl NodeState {
     /// Record a member report into every level-0 duty containing it.
@@ -118,44 +118,30 @@ pub(crate) fn handle_ctrl(ctx: &mut NodeCtx<'_, '_>, _from: HostId, msg: CtrlMsg
     }
 }
 
-/// The Network Cohesion service.
-#[derive(Default)]
-pub struct CohesionSvc;
-
-impl NodeService for CohesionSvc {
-    fn kind(&self) -> ServiceKind {
-        ServiceKind::Cohesion
+/// Cohesion-owned timer ticks: `MrmSweep`.
+pub(crate) fn on_timer(ctx: &mut NodeCtx<'_, '_>, tick: Tick) {
+    if let Tick::MrmSweep = tick {
+        ctx.mrm_sweep();
+        let period = ctx.state.cfg.cohesion.report_period;
+        ctx.timer_in(period, Tick::MrmSweep);
     }
+}
 
-    fn handle(&mut self, ctx: &mut NodeCtx<'_, '_>, msg: SvcMsg) {
-        if let SvcMsg::Ctrl { from, msg } = msg {
-            handle_ctrl(ctx, from, msg);
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut NodeCtx<'_, '_>, tick: Tick) {
-        if let Tick::MrmSweep = tick {
-            ctx.mrm_sweep();
-            let period = ctx.state.cfg.cohesion.report_period;
-            ctx.timer_in(period, Tick::MrmSweep);
-        }
-    }
-
-    fn reflect(&self, state: &NodeState) -> ServiceReflect {
-        let level0_members: usize = state
-            .duties
-            .iter()
-            .zip(state.duty_state.iter())
-            .filter(|(d, _)| d.level == 0)
-            .map(|(_, s)| s.records.len())
-            .sum();
-        ServiceReflect {
-            kind: ServiceKind::Cohesion,
-            items: vec![
-                item("mrm duties", state.duties.len()),
-                item("level-0 records", level0_members),
-                item("report targets", state.report_targets.len()),
-            ],
-        }
+/// Reflect the Network Cohesion service's current state.
+pub(crate) fn reflect(state: &NodeState) -> ServiceReflect {
+    let level0_members: usize = state
+        .duties
+        .iter()
+        .zip(state.duty_state.iter())
+        .filter(|(d, _)| d.level == 0)
+        .map(|(_, s)| s.records.len())
+        .sum();
+    ServiceReflect {
+        kind: ServiceKind::Cohesion,
+        items: vec![
+            item("mrm duties", state.duties.len()),
+            item("level-0 records", level0_members),
+            item("report targets", state.report_targets.len()),
+        ],
     }
 }

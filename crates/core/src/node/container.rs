@@ -15,7 +15,7 @@ use lc_pkg::Version;
 use super::continuations::{CallCont, FetchCont, PendingCall, PendingMigration, RetryState, SpawnCont};
 use super::ctx::{InstanceRuntime, NodeCtx, NodeState};
 use super::metrics::ServiceKind;
-use super::service::{item, NodeService, ServiceReflect, SvcMsg, Tick};
+use super::service::{item, ServiceReflect, Tick};
 use super::{MigrateSink, NodeCmd};
 
 impl NodeState {
@@ -766,56 +766,41 @@ pub(crate) fn handle_orb(ctx: &mut NodeCtx<'_, '_>, wire: OrbWire) {
     }
 }
 
-/// The container runtime service.
-#[derive(Default)]
-pub struct ContainerSvc;
-
-impl NodeService for ContainerSvc {
-    fn kind(&self) -> ServiceKind {
-        ServiceKind::Container
-    }
-
-    fn handle(&mut self, ctx: &mut NodeCtx<'_, '_>, msg: SvcMsg) {
-        match msg {
-            SvcMsg::Cmd(cmd) => handle_cmd(ctx, cmd),
-            SvcMsg::Ctrl { from, msg } => handle_ctrl(ctx, from, msg),
-            SvcMsg::Orb(wire) => handle_orb(ctx, wire),
+/// Container-owned timer ticks: `SendReply`, `CallSweep`, `CallRetry`,
+/// `DedupSweep`.
+pub(crate) fn on_timer(ctx: &mut NodeCtx<'_, '_>, tick: Tick) {
+    match tick {
+        Tick::SendReply { to, id, result } => {
+            let _ = ctx.orb_reply(to, id, result);
         }
-    }
-
-    fn on_timer(&mut self, ctx: &mut NodeCtx<'_, '_>, tick: Tick) {
-        match tick {
-            Tick::SendReply { to, id, result } => {
-                let _ = ctx.orb_reply(to, id, result);
-            }
-            Tick::CallSweep => ctx.sweep_calls(),
-            Tick::CallRetry(rid) => ctx.retry_call(rid),
-            Tick::DedupSweep => {
-                let now = ctx.now();
-                ctx.state.conts.replies.take_expired(now);
-            }
-            _ => {}
+        Tick::CallSweep => ctx.sweep_calls(),
+        Tick::CallRetry(rid) => ctx.retry_call(rid),
+        Tick::DedupSweep => {
+            let now = ctx.now();
+            ctx.state.conts.replies.take_expired(now);
         }
+        _ => {}
     }
+}
 
-    fn reflect(&self, state: &NodeState) -> ServiceReflect {
-        ServiceReflect {
-            kind: ServiceKind::Container,
-            items: vec![
-                item("running instances", state.registry.instance_count()),
-                item("event channels", state.event_channel_count()),
-                item("subscriptions", state.subscription_count()),
-                item("forwarding entries", state.forward_count()),
-                item(
-                    "pending spawns/calls/migrations",
-                    format!(
-                        "{}/{}/{}",
-                        state.conts.spawns.len(),
-                        state.conts.calls.len(),
-                        state.conts.migrations.len()
-                    ),
+/// Reflect the container runtime's current state.
+pub(crate) fn reflect(state: &NodeState) -> ServiceReflect {
+    ServiceReflect {
+        kind: ServiceKind::Container,
+        items: vec![
+            item("running instances", state.registry.instance_count()),
+            item("event channels", state.event_channel_count()),
+            item("subscriptions", state.subscription_count()),
+            item("forwarding entries", state.forward_count()),
+            item(
+                "pending spawns/calls/migrations",
+                format!(
+                    "{}/{}/{}",
+                    state.conts.spawns.len(),
+                    state.conts.calls.len(),
+                    state.conts.migrations.len()
                 ),
-            ],
-        }
+            ),
+        ],
     }
 }

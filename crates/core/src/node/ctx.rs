@@ -12,7 +12,8 @@
 use crate::behavior::BehaviorRegistry;
 use crate::cohesion::{DutyState, Hierarchy, MrmDuty};
 use crate::proto::CtrlMsg;
-use crate::registry::backend::{make_backend, CoherenceRoute, RegistryBackend};
+use crate::registry::backend::{CoherenceRoute, Registry, ShardStore};
+use crate::registry::shard::ShardRing;
 use crate::registry::{ComponentQuery, ComponentRegistry, InstanceId};
 use crate::repository::ComponentRepository;
 use crate::resource::ResourceManager;
@@ -29,7 +30,7 @@ use std::sync::Arc;
 use super::continuations::ContTable;
 use super::metrics::NodeMetrics;
 use super::service::{Tick, TickMsg};
-use super::{NodeConfig, NodeSeed};
+use super::{NodeConfig, NodeSeed, RegistryConfig};
 
 /// One open push event channel: the event type plus its subscribers
 /// (consumer servant, delivery operation).
@@ -95,10 +96,9 @@ pub struct NodeState {
     /// [`super::ReplicateConfig::max_replicas`]).
     pub(crate) replicas_started: u32,
     /// The resolution substrate behind the Component Registry service:
-    /// result cache, singleflight and (when configured) the shard ring,
-    /// all behind the [`RegistryBackend`] trait selected by
-    /// [`NodeConfig::registry`].
-    pub(crate) backend: Box<dyn RegistryBackend>,
+    /// result cache, singleflight and (when [`NodeConfig::registry`] is
+    /// sharded) this host's shard store over the world's ring.
+    pub(crate) backend: Registry,
 }
 
 impl NodeState {
@@ -106,7 +106,18 @@ impl NodeState {
     pub(crate) fn new(seed: NodeSeed) -> Self {
         let cfg = seed.config;
         let host = seed.host;
-        let backend = make_backend(&cfg, host, &seed.net.host_ids());
+        let shard = match &cfg.registry {
+            RegistryConfig::SingleLeader => None,
+            RegistryConfig::Sharded(sc) => {
+                // The ring is a pure function of (hosts, shape): a seed
+                // made without the world's shared one derives its own.
+                let ring = seed.ring.unwrap_or_else(|| {
+                    Rc::new(ShardRing::build(&seed.net.host_ids(), &sc.ring()))
+                });
+                Some(ShardStore::new(sc, host, ring))
+            }
+        };
+        let backend = Registry::new(cfg.cache.as_ref(), shard);
         let duties = seed.hierarchy.duties_of(host);
         let duty_state = duties.iter().map(|_| DutyState::default()).collect();
         let report_targets = seed.hierarchy.report_targets(host);
@@ -197,9 +208,10 @@ impl NodeState {
         self.backend.stats().coalesced
     }
 
-    /// The registry backend's counters (cache, coalescing, shard store).
-    pub fn backend_stats(&self) -> crate::registry::backend::BackendStats {
-        self.backend.stats()
+    /// The resolution substrate behind the Component Registry service
+    /// (its `stats()` carry the cache, coalescing and shard counters).
+    pub fn backend(&self) -> &Registry {
+        &self.backend
     }
 
     /// Current pending-work depth across the unified continuation table.
@@ -331,9 +343,9 @@ impl NodeCtx<'_, '_> {
 
     /// A register/deregister/migrate event changed this node's component
     /// inventory: drop matching local cache entries and run the
-    /// backend's coherence route — a best-effort `CacheInvalidate`
-    /// broadcast for the single-leader backend, or a targeted publish +
-    /// invalidate to the owning shard's replica set for the sharded one.
+    /// registry's coherence route — a best-effort `CacheInvalidate`
+    /// broadcast when unsharded, or a targeted publish + invalidate to
+    /// the owning shard's replica set when sharded.
     /// No-op (and no traffic) when coherence is disabled, so
     /// cache-disabled runs stay byte-identical.
     pub(crate) fn note_registry_change(&mut self, component: &str) {
@@ -375,20 +387,15 @@ impl NodeCtx<'_, '_> {
     pub(crate) fn publish_component(&mut self, component: &str, bump: bool, replicas: &[HostId]) {
         let now = self.sim.now();
         let from = self.state.host;
-        let gen = self.state.backend.publish_gen(component, bump);
         let query = ComponentQuery { name: Some(component.to_owned()), ..Default::default() };
         let offers = self.state.local_offers_for(&query);
+        let Some(store) = self.state.backend.shard_mut() else { return };
+        let gen = store.publish_gen(component, bump);
+        if replicas.contains(&from) {
+            store.on_publish(component, from, gen, now, offers.clone());
+        }
         for &to in replicas {
-            if to == from {
-                self.state.backend.on_shard_publish(
-                    component,
-                    from,
-                    gen,
-                    now,
-                    offers.clone(),
-                    now,
-                );
-            } else if self.state.net.reachable(from, to) {
+            if to != from && self.state.net.reachable(from, to) {
                 let msg = CtrlMsg::ShardPublish {
                     from,
                     component: component.to_owned(),

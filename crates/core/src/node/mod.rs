@@ -2,8 +2,8 @@
 //! implementing the Node service" (§2.4.1, Fig. 1).
 //!
 //! One [`Node`] actor per simulated host *composes* the four services of
-//! the paper's Figure 1 — each a separate module implementing the
-//! [`NodeService`] trait over the shared [`NodeCtx`] runtime context:
+//! the paper's Figure 1 — each a separate module of plain handler
+//! functions over the shared [`NodeCtx`] runtime context:
 //!
 //! * [`resource_svc`] — **Resource Manager**: periodic resource reports
 //!   (doubling as the cohesion keep-alive), CPU FIFO accounting,
@@ -36,20 +36,16 @@ pub mod registry_svc;
 pub mod resource_svc;
 pub mod service;
 
-pub use acceptor::Acceptor;
-pub use cohesion_svc::CohesionSvc;
-pub use container::ContainerSvc;
 pub use continuations::Continuations;
 pub use ctx::{NodeCtx, NodeState};
 pub use metrics::{NodeMetrics, ServiceKind, ServiceMetrics};
-pub use registry_svc::RegistrySvc;
-pub use resource_svc::ResourceSvc;
-pub use service::{NodeService, ServiceReflect, SvcMsg, Tick};
+pub use service::{ServiceReflect, Tick};
 
 use crate::assembly::AssemblyDescriptor;
 use crate::behavior::BehaviorRegistry;
 use crate::cohesion::{CohesionConfig, Hierarchy};
 use crate::registry::backend::ShardConfig;
+use crate::registry::shard::ShardRing;
 use crate::deploy::{PlacementStrategy, ResolvePolicy};
 use crate::proto::CtrlMsg;
 use crate::registry::{ComponentQuery, InstanceId, Offer};
@@ -64,7 +60,9 @@ use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
 use std::sync::Arc;
 
-use service::{cmd_service, ctrl_service, tick_service, TickMsg};
+use service::{
+    cmd_service, ctrl_service, dispatch_cmd, dispatch_ctrl, dispatch_tick, tick_service, TickMsg,
+};
 
 pub use lc_cache::CacheStats;
 
@@ -232,8 +230,6 @@ pub struct CacheConfig {
     /// How long a cached offer set stays fresh (virtual time). Also the
     /// staleness backstop when an invalidation broadcast is lost.
     pub ttl: SimTime,
-    /// Serve repeated queries from the per-node result cache.
-    pub cache_results: bool,
     /// Merge identical in-flight queries onto one network search
     /// (singleflight): followers share the leader's offer set.
     pub coalesce: bool,
@@ -243,14 +239,13 @@ impl Default for CacheConfig {
     fn default() -> Self {
         CacheConfig {
             ttl: SimTime::from_secs(2),
-            cache_results: true,
             coalesce: true,
         }
     }
 }
 
-/// Which [`crate::registry::backend::RegistryBackend`] a node runs its
-/// Component Registry queries through.
+/// Where a node's Component Registry searches go on a cache miss (the
+/// shape of its [`crate::registry::backend::Registry`]).
 #[derive(Clone, Debug, Default)]
 pub enum RegistryConfig {
     /// The hierarchy path: every cache miss funnels through the MRM
@@ -621,6 +616,10 @@ pub struct NodeSeed {
     pub orb: SimOrb,
     /// Shared MRM hierarchy.
     pub hierarchy: Rc<Hierarchy>,
+    /// The world's shard ring — a pure function of the host list and
+    /// the ring shape, built once and shared like `hierarchy` (`None`
+    /// when `config.registry` is not [`RegistryConfig::Sharded`]).
+    pub ring: Option<Rc<ShardRing>>,
     /// Behaviour registry (the loadable code).
     pub behaviors: BehaviorRegistry,
     /// Trust store for package verification.
@@ -668,20 +667,10 @@ impl NodeSeed {
     }
 }
 
-/// The node actor: the shared runtime state plus the five services the
-/// router dispatches into.
+/// The node actor: the shared runtime state the router dispatches the
+/// five services' handlers over.
 pub struct Node {
     state: NodeState,
-    /// The Component Acceptor service.
-    pub acceptor: Acceptor,
-    /// The Component Registry service (distributed queries).
-    pub registry_svc: RegistrySvc,
-    /// The Resource Manager service.
-    pub resource_svc: ResourceSvc,
-    /// The Network Cohesion service.
-    pub cohesion_svc: CohesionSvc,
-    /// The container runtime.
-    pub container: ContainerSvc,
 }
 
 impl Deref for Node {
@@ -700,14 +689,7 @@ impl DerefMut for Node {
 impl Node {
     /// Build a node from a seed (no packages installed yet).
     pub fn new(seed: NodeSeed) -> Self {
-        Node {
-            state: NodeState::new(seed),
-            acceptor: Acceptor,
-            registry_svc: RegistrySvc,
-            resource_svc: ResourceSvc,
-            cohesion_svc: CohesionSvc,
-            container: ContainerSvc,
-        }
+        Node { state: NodeState::new(seed) }
     }
 
     /// Read access to the shared node state (post-run inspection:
@@ -716,45 +698,31 @@ impl Node {
         &self.state
     }
 
-    /// The five services in display order.
-    pub fn services(&self) -> [&dyn NodeService; 5] {
-        [
-            &self.acceptor,
-            &self.registry_svc,
-            &self.resource_svc,
-            &self.cohesion_svc,
-            &self.container,
-        ]
-    }
-
-    /// Reflect every service's current state (§2.4.2 reflection).
+    /// Reflect every service's current state, in display order (§2.4.2
+    /// reflection).
     pub fn service_reflections(&self) -> Vec<ServiceReflect> {
-        self.services().iter().map(|s| s.reflect(&self.state)).collect()
+        ServiceKind::ALL.iter().map(|&k| service::reflect(k, &self.state)).collect()
     }
 
-    /// Route a message to one service. When the frame carried a
-    /// [`TraceContext`], a handler span opens under it and becomes the
-    /// tracer's *current* context for the duration, so everything the
-    /// handler sends parents under this hop.
-    fn route(&mut self, ctx: &mut Ctx<'_>, kind: ServiceKind, msg: SvcMsg, parent: Option<TraceContext>) {
-        let Node { state, acceptor, registry_svc, resource_svc, cohesion_svc, container } = self;
-        let svc: &mut dyn NodeService = match kind {
-            ServiceKind::Acceptor => acceptor,
-            ServiceKind::Registry => registry_svc,
-            ServiceKind::Resource => resource_svc,
-            ServiceKind::Cohesion => cohesion_svc,
-            ServiceKind::Container => container,
-        };
+    /// Run one routed message's handler as service `kind`. When the
+    /// frame carried a [`TraceContext`], a handler span opens under it
+    /// and becomes the tracer's *current* context for the duration, so
+    /// everything the handler sends parents under this hop.
+    fn route(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        kind: ServiceKind,
+        parent: Option<TraceContext>,
+        handler: impl FnOnce(&mut NodeCtx<'_, '_>),
+    ) {
+        let state = &mut self.state;
         state.metrics.begin(kind, true);
         let tracer = state.tracer.clone();
         let span = parent.and_then(|p| {
             tracer.child_of(state.host.0, &format!("node.{}", kind.name()), p, ctx.now())
         });
         let prev = span.map(|s| tracer.set_current(Some(s)));
-        {
-            let mut nctx = NodeCtx { state: &mut *state, sim: &mut *ctx };
-            svc.handle(&mut nctx, msg);
-        }
+        handler(&mut NodeCtx { state: &mut *state, sim: &mut *ctx });
         state.metrics.finish();
         if let Some(s) = span {
             tracer.end(s, ctx.now());
@@ -768,19 +736,9 @@ impl Node {
     /// messages: they count as a dispatch but not as a message in.
     fn route_tick(&mut self, ctx: &mut Ctx<'_>, tick: Tick) {
         let kind = tick_service(&tick);
-        let Node { state, acceptor, registry_svc, resource_svc, cohesion_svc, container } = self;
-        let svc: &mut dyn NodeService = match kind {
-            ServiceKind::Acceptor => acceptor,
-            ServiceKind::Registry => registry_svc,
-            ServiceKind::Resource => resource_svc,
-            ServiceKind::Cohesion => cohesion_svc,
-            ServiceKind::Container => container,
-        };
+        let state = &mut self.state;
         state.metrics.begin(kind, false);
-        {
-            let mut nctx = NodeCtx { state: &mut *state, sim: &mut *ctx };
-            svc.on_timer(&mut nctx, tick);
-        }
+        dispatch_tick(&mut NodeCtx { state: &mut *state, sim: &mut *ctx }, kind, tick);
         state.metrics.finish();
     }
 }
@@ -798,7 +756,8 @@ impl Actor for Node {
         let msg = match msg.downcast_msg::<NodeCmd>() {
             Ok(cmd) => {
                 self.state.metrics.note_cmd(cmd.name());
-                return self.route(ctx, cmd_service(&cmd), SvcMsg::Cmd(cmd), None);
+                let kind = cmd_service(&cmd);
+                return self.route(ctx, kind, None, |n| dispatch_cmd(n, kind, cmd));
             }
             Err(m) => m,
         };
@@ -810,12 +769,13 @@ impl Actor for Node {
         let trace = net_msg.trace;
         let payload = match net_msg.payload.downcast_msg::<CtrlMsg>() {
             Ok(ctrl) => {
-                return self.route(ctx, ctrl_service(&ctrl), SvcMsg::Ctrl { from, msg: ctrl }, trace);
+                let kind = ctrl_service(&ctrl);
+                return self.route(ctx, kind, trace, |n| dispatch_ctrl(n, kind, from, ctrl));
             }
             Err(p) => p,
         };
         if let Ok(wire) = payload.downcast_msg::<OrbWire>() {
-            self.route(ctx, ServiceKind::Container, SvcMsg::Orb(wire), trace);
+            self.route(ctx, ServiceKind::Container, trace, |n| container::handle_orb(n, wire));
         }
     }
 }

@@ -6,7 +6,7 @@
 
 use crate::deploy::{choose, ResolveAction};
 use crate::proto::{CtrlMsg, QueryId};
-use crate::registry::backend::{CoherenceRoute, ResolveStep, SearchRoute};
+use crate::registry::backend::{CoherenceRoute, ResolveStep, SearchRoute, ShardStore};
 use crate::registry::{ComponentQuery, InstanceId, Offer};
 use lc_net::HostId;
 use lc_pkg::Version;
@@ -14,7 +14,7 @@ use lc_pkg::Version;
 use super::continuations::{FetchCont, PendingQuery, QueryFollower, QueryPurpose, SpawnCont};
 use super::ctx::{NodeCtx, NodeState};
 use super::metrics::ServiceKind;
-use super::service::{item, NodeService, ServiceReflect, SvcMsg, Tick};
+use super::service::{item, ServiceReflect, Tick};
 use super::{NodeCmd, SpawnSink};
 
 /// Cache-staleness histogram bucket edges, in microseconds of virtual
@@ -42,11 +42,11 @@ impl NodeCtx<'_, '_> {
             sink.borrow_mut().started = started;
         }
         let timeout = self.state.cfg.query_timeout;
-        // Triage through the backend: cache hit, coalesce onto an
-        // in-flight identical query, or run a network search.
+        // Triage: cache hit, coalesce onto an in-flight identical
+        // query, or run a network search.
         let step = {
             let NodeState { backend, conts, .. } = &mut *self.state;
-            backend.resolve(&query, started, &|seq| conts.queries.contains_key(&seq))
+            backend.resolve(&query, started, |seq| conts.queries.contains_key(&seq))
         };
 
         match step {
@@ -184,7 +184,7 @@ impl NodeCtx<'_, '_> {
         }
     }
 
-    /// Run the network search for a pending query along the backend's
+    /// Run the network search for a pending query along the registry's
     /// route: up the MRM cohesion hierarchy, from the local shard store,
     /// or into the shard finger overlay.
     pub(crate) fn issue_search(&mut self, qid: QueryId, query: ComponentQuery) {
@@ -198,11 +198,9 @@ impl NodeCtx<'_, '_> {
                 self.send_query_to_first_reachable(&targets, qid, query, 0, false);
             }
             SearchRoute::ShardLocal { shard } => {
-                let now = self.sim.now();
-                if let Some(offers) = self.state.backend.shard_lookup(shard, &query, now) {
-                    if !offers.is_empty() {
-                        self.on_offers(qid, offers);
-                    }
+                let served = self.state.backend.shard().and_then(|s| s.lookup(shard, &query));
+                if let Some(offers) = served.filter(|o| !o.is_empty()) {
+                    self.on_offers(qid, offers);
                 }
                 // The shard store is authoritative for this key — the
                 // search is exhausted either way, synchronously.
@@ -229,8 +227,8 @@ impl NodeCtx<'_, '_> {
         shard: u32,
         hops: u32,
     ) {
-        let replicas = self.state.backend.shard_replicas(shard);
-        for &r in &replicas {
+        let Some(ring) = self.state.backend.shard().map(|s| s.ring().clone()) else { return };
+        for &r in ring.replicas(shard) {
             if r == self.state.host {
                 self.shard_dispatch(qid, query, target, shard, hops);
                 return;
@@ -263,8 +261,10 @@ impl NodeCtx<'_, '_> {
         hops: u32,
     ) {
         let now = self.sim.now();
+        let Some(store) = self.state.backend.shard() else { return };
+        let (max_hops, next) = (store.max_hops(), store.next_hop(at, target));
         if at == target {
-            if let Some(offers) = self.state.backend.shard_lookup(target, &query, now) {
+            if let Some(offers) = store.lookup(target, &query) {
                 let tracer = self.state.tracer.clone();
                 if let Some(sp) = tracer.complete(
                     self.state.host.0,
@@ -290,12 +290,11 @@ impl NodeCtx<'_, '_> {
             // Stale addressing: this host no longer replicates the
             // shard — re-route to the current replica set below.
         }
-        if hops >= self.state.backend.max_hops() {
+        if hops >= max_hops {
             self.sim.metrics().incr("registry.shard_giveup");
             self.send_ctrl(qid.origin, CtrlMsg::QueryDone { qid });
             return;
         }
-        let next = self.state.backend.shard_next_hop(at, target);
         let tracer = self.state.tracer.clone();
         if let Some(sp) = tracer.complete(
             self.state.host.0,
@@ -318,7 +317,9 @@ impl NodeCtx<'_, '_> {
     /// had no runtime to publish through) and exchange gossip digests
     /// with peer replicas, then re-arm the cadence.
     pub(crate) fn shard_maintain(&mut self) {
-        let Some(period) = self.state.backend.maintain_period() else { return };
+        let Some(period) = self.state.backend.shard().map(ShardStore::gossip_period) else {
+            return;
+        };
         let components: std::collections::BTreeSet<String> = self
             .state
             .repository
@@ -331,7 +332,8 @@ impl NodeCtx<'_, '_> {
             }
         }
         let now = self.sim.now();
-        let digests = self.state.backend.gossip_digests(now);
+        let Some(store) = self.state.backend.shard_mut() else { return };
+        let digests = store.gossip_digests(now);
         let from = self.state.host;
         for (to, shard, gens) in digests {
             if self.state.net.reachable(from, to) {
@@ -777,14 +779,16 @@ pub(crate) fn handle_ctrl(ctx: &mut NodeCtx<'_, '_>, _from: HostId, msg: CtrlMsg
         // A publisher pushed its offers for one component to this shard
         // replica.
         CtrlMsg::ShardPublish { from, component, gen, at, offers } => {
-            let now = ctx.sim.now();
-            ctx.state.backend.on_shard_publish(&component, from, gen, at, offers, now);
+            if let Some(store) = ctx.state.backend.shard_mut() {
+                store.on_publish(&component, from, gen, at, offers);
+            }
         }
         // Anti-entropy: answer a peer replica's digest with whatever it
         // is missing or holds at an older generation.
         CtrlMsg::GossipDigest { from, shard, gens } => {
             let now = ctx.sim.now();
-            let entries = ctx.state.backend.on_gossip_digest(shard, &gens, now);
+            let Some(store) = ctx.state.backend.shard_mut() else { return };
+            let entries = store.on_gossip_digest(shard, &gens, now);
             if !entries.is_empty() {
                 let msg = CtrlMsg::GossipDelta { shard, entries };
                 let size = msg.wire_size();
@@ -795,8 +799,8 @@ pub(crate) fn handle_ctrl(ctx: &mut NodeCtx<'_, '_>, _from: HostId, msg: CtrlMsg
         }
         // Anti-entropy repair delta from a peer replica.
         CtrlMsg::GossipDelta { shard, entries } => {
-            let now = ctx.sim.now();
-            let repaired = ctx.state.backend.on_gossip_delta(shard, entries, now);
+            let Some(store) = ctx.state.backend.shard_mut() else { return };
+            let repaired = store.on_gossip_delta(shard, entries);
             if repaired > 0 {
                 ctx.sim.metrics().add("registry.gossip_repaired", repaired as u64);
             }
@@ -822,105 +826,89 @@ pub(crate) fn handle_cmd(ctx: &mut NodeCtx<'_, '_>, cmd: NodeCmd) {
     }
 }
 
-/// The Component Registry service (distributed query side).
-#[derive(Default)]
-pub struct RegistrySvc;
-
-impl NodeService for RegistrySvc {
-    fn kind(&self) -> ServiceKind {
-        ServiceKind::Registry
+/// Registry-owned timer ticks: `ShardMaintain`, `QueryDeadline`.
+pub(crate) fn on_timer(ctx: &mut NodeCtx<'_, '_>, tick: Tick) {
+    if let Tick::ShardMaintain = tick {
+        ctx.shard_maintain();
+        return;
     }
-
-    fn handle(&mut self, ctx: &mut NodeCtx<'_, '_>, msg: SvcMsg) {
-        match msg {
-            SvcMsg::Cmd(cmd) => handle_cmd(ctx, cmd),
-            SvcMsg::Ctrl { from, msg } => handle_ctrl(ctx, from, msg),
-            SvcMsg::Orb(_) => {}
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut NodeCtx<'_, '_>, tick: Tick) {
-        if let Tick::ShardMaintain = tick {
-            ctx.shard_maintain();
-            return;
-        }
-        if let Tick::QueryDeadline(_) = tick {
-            // One sweep finalizes every query whose deadline has passed
-            // (count- and order-identical to the old per-seq checks:
-            // deadline timers fire in chronological order, and a query
-            // resumed early is no longer in the table).
-            let now = ctx.sim.now();
-            // Followers carry their *own* deadlines: a query coalesced
-            // onto a long-lived leader must not wait past its caller's
-            // timeout. Drain expired followers from live entries first —
-            // each gets the leader's current partial offer set.
-            let mut expired_followers = Vec::new();
-            for (_, pq) in ctx.state.conts.queries.iter_mut() {
-                if pq.followers.iter().any(|f| f.deadline <= now) {
-                    let mut i = 0;
-                    while i < pq.followers.len() {
-                        if pq.followers[i].deadline <= now {
-                            let f = pq.followers.remove(i);
-                            expired_followers.push((f, pq.offers.clone(), pq.query.clone()));
-                        } else {
-                            i += 1;
-                        }
+    if let Tick::QueryDeadline(_) = tick {
+        // One sweep finalizes every query whose deadline has passed
+        // (count- and order-identical to the old per-seq checks:
+        // deadline timers fire in chronological order, and a query
+        // resumed early is no longer in the table).
+        let now = ctx.sim.now();
+        // Followers carry their *own* deadlines: a query coalesced
+        // onto a long-lived leader must not wait past its caller's
+        // timeout. Drain expired followers from live entries first —
+        // each gets the leader's current partial offer set.
+        let mut expired_followers = Vec::new();
+        for (_, pq) in ctx.state.conts.queries.iter_mut() {
+            if pq.followers.iter().any(|f| f.deadline <= now) {
+                let mut i = 0;
+                while i < pq.followers.len() {
+                    if pq.followers[i].deadline <= now {
+                        let f = pq.followers.remove(i);
+                        expired_followers.push((f, pq.offers.clone(), pq.query.clone()));
+                    } else {
+                        i += 1;
                     }
                 }
             }
-            for (f, offers, query) in expired_followers {
-                ctx.sim.metrics().incr("query.timeouts");
-                ctx.resolve_follower(f, offers, &query, true, None);
-            }
-            let expired = ctx.state.conts.queries.take_expired(now);
-            for (seq, mut pq) in expired {
-                // A query expiring with *zero* offers may be re-issued:
-                // under loss the first round's messages may simply have
-                // been dropped.
-                if pq.offers.is_empty() && pq.retries_left > 0 {
-                    pq.retries_left -= 1;
-                    let timeout = ctx.state.cfg.query_timeout;
-                    let query = pq.query.clone();
-                    let original = pq.span;
-                    ctx.state.conts.queries.insert_with_deadline(seq, pq, now + timeout);
-                    ctx.sim.metrics().incr("query.retries");
-                    let qid = QueryId { origin: ctx.state.host, seq };
-                    // The re-issue runs under a fresh span that *links*
-                    // to the query root (retry, not a parent edge).
-                    let tracer = ctx.state.tracer.clone();
-                    let retry = original.and_then(|o| {
-                        tracer.child_of(ctx.state.host.0, "registry.query.retry", o, now)
-                    });
-                    if let (Some(r), Some(o)) = (retry, original) {
-                        tracer.link(r, o.span);
-                    }
-                    let prev = retry.map(|r| tracer.set_current(Some(r)));
-                    ctx.issue_search(qid, query);
-                    if let Some(r) = retry {
-                        tracer.end(r, now);
-                    }
-                    if let Some(prev) = prev {
-                        tracer.set_current(prev);
-                    }
-                    ctx.timer_in(timeout, Tick::QueryDeadline(seq));
-                    continue;
+        }
+        for (f, offers, query) in expired_followers {
+            ctx.sim.metrics().incr("query.timeouts");
+            ctx.resolve_follower(f, offers, &query, true, None);
+        }
+        let expired = ctx.state.conts.queries.take_expired(now);
+        for (seq, mut pq) in expired {
+            // A query expiring with *zero* offers may be re-issued:
+            // under loss the first round's messages may simply have
+            // been dropped.
+            if pq.offers.is_empty() && pq.retries_left > 0 {
+                pq.retries_left -= 1;
+                let timeout = ctx.state.cfg.query_timeout;
+                let query = pq.query.clone();
+                let original = pq.span;
+                ctx.state.conts.queries.insert_with_deadline(seq, pq, now + timeout);
+                ctx.sim.metrics().incr("query.retries");
+                let qid = QueryId { origin: ctx.state.host, seq };
+                // The re-issue runs under a fresh span that *links*
+                // to the query root (retry, not a parent edge).
+                let tracer = ctx.state.tracer.clone();
+                let retry = original.and_then(|o| {
+                    tracer.child_of(ctx.state.host.0, "registry.query.retry", o, now)
+                });
+                if let (Some(r), Some(o)) = (retry, original) {
+                    tracer.link(r, o.span);
                 }
-                ctx.sim.metrics().incr("query.timeouts");
-                ctx.finalize_query(pq, true);
+                let prev = retry.map(|r| tracer.set_current(Some(r)));
+                ctx.issue_search(qid, query);
+                if let Some(r) = retry {
+                    tracer.end(r, now);
+                }
+                if let Some(prev) = prev {
+                    tracer.set_current(prev);
+                }
+                ctx.timer_in(timeout, Tick::QueryDeadline(seq));
+                continue;
             }
+            ctx.sim.metrics().incr("query.timeouts");
+            ctx.finalize_query(pq, true);
         }
     }
+}
 
-    fn reflect(&self, state: &NodeState) -> ServiceReflect {
-        let mut items = vec![
-            item("running instances", state.registry.instance_count()),
-            item("pending queries", state.conts.queries.len()),
-        ];
-        // Only a sharded backend has a shard store to report — the
-        // single-leader reflection stays unchanged.
-        if state.backend.maintain_period().is_some() {
-            items.push(item("shard entries", state.backend.stats().shard_entries));
-        }
-        ServiceReflect { kind: ServiceKind::Registry, items }
+/// Reflect the Component Registry service's current state.
+pub(crate) fn reflect(state: &NodeState) -> ServiceReflect {
+    let mut items = vec![
+        item("running instances", state.registry.instance_count()),
+        item("pending queries", state.conts.queries.len()),
+    ];
+    // Only a sharded registry has a shard store to report — the
+    // unsharded reflection stays unchanged.
+    if let Some(store) = state.backend.shard() {
+        items.push(item("shard entries", store.entries()));
     }
+    ServiceReflect { kind: ServiceKind::Registry, items }
 }

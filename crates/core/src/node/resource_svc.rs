@@ -11,7 +11,7 @@ use crate::registry::InstanceId;
 
 use super::ctx::{NodeCtx, NodeState};
 use super::metrics::ServiceKind;
-use super::service::{item, ms, NodeService, ServiceReflect, SvcMsg, Tick};
+use super::service::{item, ms, ServiceReflect, Tick};
 
 impl NodeState {
     /// Occupy the CPU FIFO with `cost` of work starting no earlier than
@@ -222,50 +222,36 @@ pub(crate) fn handle_ctrl(ctx: &mut NodeCtx<'_, '_>, _from: HostId, msg: CtrlMsg
     }
 }
 
-/// The Resource Manager service.
-#[derive(Default)]
-pub struct ResourceSvc;
-
-impl NodeService for ResourceSvc {
-    fn kind(&self) -> ServiceKind {
-        ServiceKind::Resource
-    }
-
-    fn handle(&mut self, ctx: &mut NodeCtx<'_, '_>, msg: SvcMsg) {
-        if let SvcMsg::Ctrl { from, msg } = msg {
-            handle_ctrl(ctx, from, msg);
+/// Resource-owned timer ticks: `KeepAlive`, `LoadBalance`, `SloCheck`.
+pub(crate) fn on_timer(ctx: &mut NodeCtx<'_, '_>, tick: Tick) {
+    match tick {
+        Tick::KeepAlive => {
+            ctx.send_report();
+            let period = ctx.state.cfg.cohesion.report_period;
+            ctx.timer_in(period, Tick::KeepAlive);
         }
-    }
-
-    fn on_timer(&mut self, ctx: &mut NodeCtx<'_, '_>, tick: Tick) {
-        match tick {
-            Tick::KeepAlive => {
-                ctx.send_report();
-                let period = ctx.state.cfg.cohesion.report_period;
-                ctx.timer_in(period, Tick::KeepAlive);
+        Tick::LoadBalance => {
+            ctx.load_balance_check();
+            if let Some(lb) = &ctx.state.cfg.load_balance {
+                let period = lb.check_period;
+                ctx.timer_in(period, Tick::LoadBalance);
             }
-            Tick::LoadBalance => {
-                ctx.load_balance_check();
-                if let Some(lb) = &ctx.state.cfg.load_balance {
-                    let period = lb.check_period;
-                    ctx.timer_in(period, Tick::LoadBalance);
-                }
-            }
-            Tick::SloCheck => {
-                ctx.slo_check();
-            }
-            _ => {}
         }
-    }
-
-    fn reflect(&self, state: &NodeState) -> ServiceReflect {
-        ServiceReflect {
-            kind: ServiceKind::Resource,
-            items: vec![
-                item("cpu utilisation", format!("{:.2}", state.resources.cpu_utilisation())),
-                item("cpu busy until", ms(state.cpu_free_at)),
-                item("mem free", state.resources.mem_free()),
-            ],
+        Tick::SloCheck => {
+            ctx.slo_check();
         }
+        _ => {}
+    }
+}
+
+/// Reflect the Resource Manager service's current state.
+pub(crate) fn reflect(state: &NodeState) -> ServiceReflect {
+    ServiceReflect {
+        kind: ServiceKind::Resource,
+        items: vec![
+            item("cpu utilisation", format!("{:.2}", state.resources.cpu_utilisation())),
+            item("cpu busy until", ms(state.cpu_free_at)),
+            item("mem free", state.resources.mem_free()),
+        ],
     }
 }

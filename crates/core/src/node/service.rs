@@ -1,22 +1,23 @@
-//! The `NodeService` seam: one trait, one message enum, one timer enum,
-//! and the routing tables that assign every input to exactly one of the
-//! Figure-1 services (plus the container runtime).
+//! Routing for the Figure-1 services (plus the container runtime): the
+//! timer enum, the tables that assign every driver command, control
+//! message and timer tick to exactly one service, and the dispatchers
+//! that call the owning module's `handle_cmd` / `handle_ctrl` /
+//! `on_timer` / `reflect` function.
 //!
-//! The [`super::Node`] router owns five service values and forwards each
-//! driver command, control message, ORB wire message and timer tick to
-//! the owning service through `&mut dyn NodeService`, timing the handler
-//! into [`super::NodeMetrics`]. A service that needs a sibling's
-//! behaviour *within the same event* (e.g. the registry finishing a
-//! query and wiring a port through the container) calls the shared
-//! [`NodeCtx`] plumbing directly — local control delivery
-//! ([`NodeCtx::deliver_ctrl_local`]) routes by the same tables, without
-//! network hops or extra message accounting, exactly like the
-//! pre-split synchronous code.
+//! The [`super::Node`] router looks an input's service up in a table,
+//! counts the activation in [`super::NodeMetrics`] and dispatches by
+//! [`ServiceKind`]. A service that needs a sibling's behaviour *within
+//! the same event* (e.g. the registry finishing a query and wiring a
+//! port through the container) calls the shared [`NodeCtx`] plumbing
+//! directly — local control delivery ([`NodeCtx::deliver_ctrl_local`])
+//! routes by the same table and dispatcher, without network hops or
+//! extra message accounting, exactly like the pre-split synchronous
+//! code.
 
 use crate::proto::CtrlMsg;
 use lc_des::SimTime;
 use lc_net::HostId;
-use lc_orb::{OrbError, OrbWire, Outcome, RequestId};
+use lc_orb::{OrbError, Outcome, RequestId};
 
 use super::ctx::{NodeCtx, NodeState};
 use super::metrics::ServiceKind;
@@ -60,21 +61,6 @@ pub enum Tick {
 /// Newtype so ticks route through the actor mailbox unambiguously.
 pub(crate) struct TickMsg(pub(crate) Tick);
 
-/// Any message a node service can receive from the router.
-pub enum SvcMsg {
-    /// A driver command (local API).
-    Cmd(NodeCmd),
-    /// A control message from a peer node (or delivered locally).
-    Ctrl {
-        /// Sending host.
-        from: HostId,
-        /// The message.
-        msg: CtrlMsg,
-    },
-    /// GIOP-style ORB traffic (requests, replies, events).
-    Orb(OrbWire),
-}
-
 /// One reflected fact sheet per service, rendered by `reflect.rs`.
 #[derive(Clone, Debug)]
 pub struct ServiceReflect {
@@ -82,18 +68,6 @@ pub struct ServiceReflect {
     pub kind: ServiceKind,
     /// Ordered `(label, value)` facts.
     pub items: Vec<(String, String)>,
-}
-
-/// The common contract of the four Figure-1 services and the container.
-pub trait NodeService {
-    /// Which service this is (for routing and metrics attribution).
-    fn kind(&self) -> ServiceKind;
-    /// Handle a routed message.
-    fn handle(&mut self, ctx: &mut NodeCtx<'_, '_>, msg: SvcMsg);
-    /// Handle a routed timer tick.
-    fn on_timer(&mut self, ctx: &mut NodeCtx<'_, '_>, tick: Tick);
-    /// Reflect this service's current state (§2.4.2 reflection).
-    fn reflect(&self, state: &NodeState) -> ServiceReflect;
 }
 
 /// Which service owns a driver command.
@@ -152,6 +126,56 @@ pub(crate) fn tick_service(tick: &Tick) -> ServiceKind {
     }
 }
 
+/// Hand a driver command to the service [`cmd_service`] named (the
+/// Resource Manager and Network Cohesion own no commands).
+pub(crate) fn dispatch_cmd(ctx: &mut NodeCtx<'_, '_>, kind: ServiceKind, cmd: NodeCmd) {
+    match kind {
+        ServiceKind::Acceptor => acceptor::handle_cmd(ctx, cmd),
+        ServiceKind::Registry => registry_svc::handle_cmd(ctx, cmd),
+        ServiceKind::Container => container::handle_cmd(ctx, cmd),
+        ServiceKind::Resource | ServiceKind::Cohesion => {}
+    }
+}
+
+/// Hand a control message to the service [`ctrl_service`] named.
+pub(crate) fn dispatch_ctrl(
+    ctx: &mut NodeCtx<'_, '_>,
+    kind: ServiceKind,
+    from: HostId,
+    msg: CtrlMsg,
+) {
+    match kind {
+        ServiceKind::Acceptor => acceptor::handle_ctrl(ctx, from, msg),
+        ServiceKind::Registry => registry_svc::handle_ctrl(ctx, from, msg),
+        ServiceKind::Resource => resource_svc::handle_ctrl(ctx, from, msg),
+        ServiceKind::Cohesion => cohesion_svc::handle_ctrl(ctx, from, msg),
+        ServiceKind::Container => container::handle_ctrl(ctx, from, msg),
+    }
+}
+
+/// Hand a timer tick to the service [`tick_service`] named (the
+/// Component Acceptor arms no timers).
+pub(crate) fn dispatch_tick(ctx: &mut NodeCtx<'_, '_>, kind: ServiceKind, tick: Tick) {
+    match kind {
+        ServiceKind::Registry => registry_svc::on_timer(ctx, tick),
+        ServiceKind::Resource => resource_svc::on_timer(ctx, tick),
+        ServiceKind::Cohesion => cohesion_svc::on_timer(ctx, tick),
+        ServiceKind::Container => container::on_timer(ctx, tick),
+        ServiceKind::Acceptor => {}
+    }
+}
+
+/// Reflect one service's current state (§2.4.2 reflection).
+pub(crate) fn reflect(kind: ServiceKind, state: &NodeState) -> ServiceReflect {
+    match kind {
+        ServiceKind::Acceptor => acceptor::reflect(state),
+        ServiceKind::Registry => registry_svc::reflect(state),
+        ServiceKind::Resource => resource_svc::reflect(state),
+        ServiceKind::Cohesion => cohesion_svc::reflect(state),
+        ServiceKind::Container => container::reflect(state),
+    }
+}
+
 impl NodeCtx<'_, '_> {
     /// Deliver a control message addressed to this host, synchronously,
     /// within the current event — the in-process analogue of a network
@@ -160,13 +184,7 @@ impl NodeCtx<'_, '_> {
     /// local short-circuit; handler time stays attributed to the
     /// outermost routed service.
     pub(crate) fn deliver_ctrl_local(&mut self, from: HostId, msg: CtrlMsg) {
-        match ctrl_service(&msg) {
-            ServiceKind::Acceptor => acceptor::handle_ctrl(self, from, msg),
-            ServiceKind::Registry => registry_svc::handle_ctrl(self, from, msg),
-            ServiceKind::Resource => resource_svc::handle_ctrl(self, from, msg),
-            ServiceKind::Cohesion => cohesion_svc::handle_ctrl(self, from, msg),
-            ServiceKind::Container => container::handle_ctrl(self, from, msg),
-        }
+        dispatch_ctrl(self, ctrl_service(&msg), from, msg);
     }
 }
 

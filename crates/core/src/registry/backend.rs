@@ -1,22 +1,25 @@
-//! The `RegistryBackend` seam: everything the Component Registry
-//! service needs from "the place query results come from", behind one
-//! trait so the single-leader hierarchy path and the sharded DHT path
-//! are *configurations*, not inline branches.
+//! The Component Registry service's resolution substrate: one concrete
+//! [`Registry`] answering "where do this query's results come from?".
 //!
-//! * [`SingleLeader`] — the PR-5 behaviour: a per-node result cache and
-//!   singleflight coalescer in front of the MRM hierarchy search, with
-//!   best-effort `CacheInvalidate` broadcasts for coherence. Selected
-//!   by default; byte-identical to the pre-trait runtime.
-//! * [`Sharded`] — the component inventory consistent-hashed over a
-//!   [`ShardRing`](super::shard::ShardRing): publishers push their
-//!   offers to the owning shard's replica set, lookups route
-//!   Chord-style through the finger overlay in O(log S) hops, and
-//!   replicas reconcile with gossip anti-entropy (per-publisher
-//!   generation vectors on a virtual-time cadence), so a lost publish
-//!   or invalidate has a convergence path beyond the TTL backstop.
+//! * Every query first passes the per-node result cache and singleflight
+//!   coalescer ([`Registry::resolve`]); a miss becomes a network search
+//!   along [`Registry::search_route`].
+//! * Without a shard store the search ascends the MRM hierarchy and
+//!   coherence is a best-effort `CacheInvalidate` broadcast — the
+//!   [`RegistryConfig::SingleLeader`](crate::node::RegistryConfig)
+//!   default, byte-identical to the pre-sharding runtime.
+//! * With a [`ShardStore`] the component inventory is consistent-hashed
+//!   over the world's one [`ShardRing`]: publishers push their offers to
+//!   the owning shard's replica set, lookups route Chord-style through
+//!   the finger overlay in O(log S) hops, and replicas reconcile with
+//!   gossip anti-entropy (per-publisher generation vectors on a
+//!   virtual-time cadence), so a lost publish or invalidate has a
+//!   convergence path beyond the TTL backstop.
 //!
-//! The registry service calls only this trait; the cache/coalescing
-//! layers live behind it.
+//! The route enums ([`ResolveStep`], [`SearchRoute`], [`CoherenceRoute`])
+//! are data the registry service branches on; the shard-only operations
+//! live on [`ShardStore`] and are reached from the arms that name a
+//! shard.
 
 use crate::proto::DeltaEntry;
 use crate::registry::shard::{ShardRing, ShardRingConfig};
@@ -26,6 +29,7 @@ use lc_des::SimTime;
 use lc_net::HostId;
 use lc_pkg::Mobility;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// Deterministic cache/coalescing key for a query. The `name:` prefix is
 /// parseable so invalidation can match by component name; `*` marks a
@@ -42,7 +46,7 @@ pub fn cache_key(q: &ComponentQuery) -> String {
     )
 }
 
-/// Parameters of the sharded backend: the ring shape plus the two
+/// Parameters of the sharded registry: the ring shape plus the two
 /// virtual-time cadences that bound staleness.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardConfig {
@@ -79,7 +83,7 @@ impl ShardConfig {
     }
 }
 
-/// What [`RegistryBackend::resolve`] decided about a fresh query.
+/// What [`Registry::resolve`] decided about a fresh query.
 pub enum ResolveStep {
     /// Serve synchronously from the result cache.
     Hit {
@@ -98,7 +102,7 @@ pub enum ResolveStep {
     /// No shortcut: run a network search. `key` is what the pending
     /// query carries for singleflight/cache-fill at finalization.
     Search {
-        /// The singleflight/cache key, when the backend wants one.
+        /// The singleflight/cache key, when the registry wants one.
         key: Option<String>,
         /// A result-cache lookup ran and missed (metrics attribution).
         cache_missed: bool,
@@ -106,9 +110,10 @@ pub enum ResolveStep {
 }
 
 /// Where a network search for a query goes.
+#[derive(Debug, PartialEq, Eq)]
 pub enum SearchRoute {
     /// Ascend the MRM cohesion hierarchy (the paper's §2.4.3 path; also
-    /// the sharded backend's fallback for queries the shard store
+    /// the sharded registry's fallback for queries the shard store
     /// cannot answer, e.g. interface queries).
     Hierarchy,
     /// This host replicates the owning shard: answer from the local
@@ -132,7 +137,7 @@ pub enum CoherenceRoute {
     /// Nowhere: coherence machinery is off (no cache configured).
     Disabled,
     /// Best-effort `CacheInvalidate` to every reachable peer (the
-    /// single-leader behaviour).
+    /// unsharded behaviour).
     Broadcast,
     /// Publish + invalidate only the owning shard's replica set.
     Shard {
@@ -141,7 +146,7 @@ pub enum CoherenceRoute {
     },
 }
 
-/// Counters the node surfaces from its backend.
+/// Counters the node surfaces from its [`Registry`].
 #[derive(Clone, Debug, Default)]
 pub struct BackendStats {
     /// Result-cache counters, when result caching is enabled.
@@ -160,257 +165,11 @@ pub struct BackendStats {
 /// triples for every entry a replica holds.
 pub type ShardDigest = Vec<(String, HostId, u64)>;
 
-/// The registry service's view of its resolution substrate.
-pub trait RegistryBackend {
-    /// Triage a fresh query: cache hit, coalesce onto a live leader
-    /// (`leader_live` says whether a sequence is still pending), or
-    /// search.
-    fn resolve(
-        &mut self,
-        query: &ComponentQuery,
-        now: SimTime,
-        leader_live: &dyn Fn(u64) -> bool,
-    ) -> ResolveStep;
-
-    /// Register `seq` as the singleflight leader for `key` (no-op when
-    /// coalescing is off).
-    fn lead(&mut self, key: &str, seq: u64);
-
-    /// A search finished: close the coalescing window and, when
-    /// `cacheable` (not timed out) and non-empty, fill the result cache.
-    fn complete(&mut self, key: &str, offers: &[Offer], now: SimTime, cacheable: bool);
-
-    /// Drop cached results that could name `component`. Returns how many
-    /// entries fell, or `None` when there is no cache layer at all (the
-    /// caller then skips coherence metrics, matching the cache-disabled
-    /// runtime byte-for-byte).
-    fn invalidate(&mut self, component: &str) -> Option<usize>;
-
-    /// Where a network search for this query goes.
-    fn search_route(&self, query: &ComponentQuery) -> SearchRoute;
-
-    /// Where an inventory-change event for `component` travels.
-    fn coherence_route(&self, component: &str) -> CoherenceRoute;
-
-    // ---- sharded surface (single-leader: inert defaults) -------------
-
-    /// Answer a query from the local store of `shard`. `None` when this
-    /// host does not replicate the shard (stale addressing).
-    fn shard_lookup(&mut self, _shard: u32, _query: &ComponentQuery, _now: SimTime) -> Option<Vec<Offer>> {
-        None
-    }
-
-    /// The replica set of a shard (empty when not sharded).
-    fn shard_replicas(&self, _shard: u32) -> Vec<HostId> {
-        Vec::new()
-    }
-
-    /// One finger hop from `at` toward `target`.
-    fn shard_next_hop(&self, _at: u32, target: u32) -> u32 {
-        target
-    }
-
-    /// Hop budget for overlay routing.
-    fn max_hops(&self) -> u32 {
-        0
-    }
-
-    /// This host's publication generation for `component`; `bump`
-    /// advances it (a real inventory change), a refresh reuses it.
-    fn publish_gen(&mut self, _component: &str, _bump: bool) -> u64 {
-        0
-    }
-
-    /// Absorb a publisher's offers for `component` (direct publish).
-    /// `at` is the publisher's freshness stamp. Returns whether the
-    /// store changed.
-    fn on_shard_publish(
-        &mut self,
-        _component: &str,
-        _publisher: HostId,
-        _gen: u64,
-        _at: SimTime,
-        _offers: Vec<Offer>,
-        _now: SimTime,
-    ) -> bool {
-        false
-    }
-
-    /// Expiry-sweep the local shard stores and produce one digest per
-    /// (peer replica, shard) pair: `(to, shard, (component, publisher,
-    /// generation) triples)`. Digests go out even when empty, so an
-    /// empty (respawned) replica still solicits repair deltas.
-    fn gossip_digests(&mut self, _now: SimTime) -> Vec<(HostId, u32, ShardDigest)> {
-        Vec::new()
-    }
-
-    /// Answer a peer's digest for `shard` with every entry this replica
-    /// holds at a strictly newer generation (or that the digest lacks).
-    fn on_gossip_digest(
-        &mut self,
-        _shard: u32,
-        _gens: &[(String, HostId, u64)],
-        _now: SimTime,
-    ) -> Vec<DeltaEntry> {
-        Vec::new()
-    }
-
-    /// Apply a peer's repair delta. Returns how many entries advanced.
-    fn on_gossip_delta(&mut self, _shard: u32, _entries: Vec<DeltaEntry>, _now: SimTime) -> usize {
-        0
-    }
-
-    /// The anti-entropy cadence, when this backend runs one.
-    fn maintain_period(&self) -> Option<SimTime> {
-        None
-    }
-
-    /// Counters for reflection and experiments.
-    fn stats(&self) -> BackendStats;
-}
-
-/// The result cache + singleflight front shared by both backends.
+/// The result cache + singleflight table in front of every search.
 struct CacheFront {
     cache: Option<QueryCache<String, Vec<Offer>>>,
     coalescer: Coalescer<String>,
     coalesce: bool,
-}
-
-impl CacheFront {
-    fn new(cache_ttl: Option<SimTime>, coalesce: bool) -> Self {
-        CacheFront {
-            cache: cache_ttl.map(QueryCache::new),
-            coalescer: Coalescer::new(),
-            coalesce,
-        }
-    }
-
-    /// The shared resolve triage. `want_key_always` forces a key even
-    /// without a cache/coalescer (the sharded backend routes by it).
-    fn resolve(
-        &mut self,
-        want_key_always: bool,
-        query: &ComponentQuery,
-        now: SimTime,
-        leader_live: &dyn Fn(u64) -> bool,
-    ) -> ResolveStep {
-        let key = (want_key_always || self.coalesce || self.cache.is_some())
-            .then(|| cache_key(query));
-        let mut cache_missed = false;
-        if let (Some(k), Some(cache)) = (key.as_ref(), self.cache.as_mut()) {
-            if let Some((offers, age)) = cache.get(k, now) {
-                return ResolveStep::Hit { offers: offers.clone(), age };
-            }
-            cache_missed = true;
-        }
-        if self.coalesce {
-            if let Some(k) = key.as_deref() {
-                if let Some(leader) = self.coalescer.leader_of(&k.to_owned()) {
-                    if leader_live(leader) {
-                        self.coalescer.note_coalesced();
-                        return ResolveStep::Coalesce { leader, cache_missed };
-                    }
-                    // Stale entry (leader finalized outside the normal
-                    // path): clear and lead afresh.
-                    self.coalescer.finish(&k.to_owned());
-                }
-            }
-        }
-        ResolveStep::Search { key, cache_missed }
-    }
-
-    fn lead(&mut self, key: &str, seq: u64) {
-        if self.coalesce {
-            self.coalescer.lead(key.to_owned(), seq);
-        }
-    }
-
-    fn complete(&mut self, key: &str, offers: &[Offer], now: SimTime, cacheable: bool) {
-        self.coalescer.finish(&key.to_owned());
-        if cacheable && !offers.is_empty() {
-            if let Some(cache) = self.cache.as_mut() {
-                cache.insert(key.to_owned(), offers.to_vec(), now);
-            }
-        }
-    }
-
-    fn invalidate(&mut self, component: &str) -> Option<usize> {
-        let cache = self.cache.as_mut()?;
-        let name_key = format!("name:{component}|");
-        Some(cache.invalidate_matching(|key, offers| {
-            key.starts_with(&name_key)
-                || key.starts_with("name:*|")
-                || offers.iter().any(|o| o.component == component)
-        }))
-    }
-
-    fn stats(&self) -> BackendStats {
-        BackendStats {
-            cache: self.cache.as_ref().map(|c| c.stats()),
-            cache_generation: self.cache.as_ref().map(|c| c.generation()),
-            coalesced: self.coalescer.coalesced(),
-            shard_entries: 0,
-            gossip_rounds: 0,
-        }
-    }
-}
-
-/// The PR-5 runtime as a backend: cache + coalescer in front of the MRM
-/// hierarchy, coherence by best-effort broadcast.
-pub struct SingleLeader {
-    front: CacheFront,
-    /// Coherence events travel iff a `CacheConfig` exists at all (even
-    /// one with result caching off still broadcasts, matching the
-    /// pre-trait runtime).
-    coherence: bool,
-}
-
-impl SingleLeader {
-    /// Build from the node's cache configuration.
-    pub fn new(cache: Option<&crate::node::CacheConfig>) -> Self {
-        let ttl = cache.filter(|c| c.cache_results).map(|c| c.ttl);
-        let coalesce = cache.is_some_and(|c| c.coalesce);
-        SingleLeader { front: CacheFront::new(ttl, coalesce), coherence: cache.is_some() }
-    }
-}
-
-impl RegistryBackend for SingleLeader {
-    fn resolve(
-        &mut self,
-        query: &ComponentQuery,
-        now: SimTime,
-        leader_live: &dyn Fn(u64) -> bool,
-    ) -> ResolveStep {
-        self.front.resolve(false, query, now, leader_live)
-    }
-
-    fn lead(&mut self, key: &str, seq: u64) {
-        self.front.lead(key, seq);
-    }
-
-    fn complete(&mut self, key: &str, offers: &[Offer], now: SimTime, cacheable: bool) {
-        self.front.complete(key, offers, now, cacheable);
-    }
-
-    fn invalidate(&mut self, component: &str) -> Option<usize> {
-        self.front.invalidate(component)
-    }
-
-    fn search_route(&self, _query: &ComponentQuery) -> SearchRoute {
-        SearchRoute::Hierarchy
-    }
-
-    fn coherence_route(&self, _component: &str) -> CoherenceRoute {
-        if self.coherence {
-            CoherenceRoute::Broadcast
-        } else {
-            CoherenceRoute::Disabled
-        }
-    }
-
-    fn stats(&self) -> BackendStats {
-        self.front.stats()
-    }
 }
 
 /// One publisher's inventory for one component at one replica.
@@ -447,13 +206,16 @@ fn offer_matches(o: &Offer, q: &ComponentQuery) -> bool {
     true
 }
 
-/// The sharded backend: the same cache/coalescer front, with the
-/// component inventory consistent-hashed over the ring and reconciled
-/// by gossip.
-pub struct Sharded {
-    front: CacheFront,
+/// This host's slice of the sharded inventory: the world's shared ring,
+/// the publisher entries of the shards this host replicates, and this
+/// host's own publication generations. Reached only from the
+/// [`SearchRoute`]/[`CoherenceRoute`] arms and control messages that
+/// name a shard.
+pub struct ShardStore {
     host: HostId,
-    ring: ShardRing,
+    /// Built once per world (a pure function of the host list and the
+    /// ring shape) and shared by every node, respawns included.
+    ring: Rc<ShardRing>,
     cfg: ShardConfig,
     /// Shards this host replicates.
     my_shards: Vec<u32>,
@@ -468,27 +230,15 @@ pub struct Sharded {
     gossip_rounds: u64,
 }
 
-impl Sharded {
-    /// Build from the node's cache configuration, the shard parameters
-    /// and the fabric's (full, shared) host list.
-    pub fn new(
-        cache: Option<&crate::node::CacheConfig>,
-        cfg: &ShardConfig,
-        host: HostId,
-        hosts: &[HostId],
-    ) -> Self {
-        let ttl = cache.filter(|c| c.cache_results).map(|c| c.ttl);
-        let coalesce = cache.is_some_and(|c| c.coalesce);
-        let ring = ShardRing::build(hosts, &cfg.ring());
-        let my_shards = ring.shards_of(host);
-        let home = ring.home_shard(host);
-        Sharded {
-            front: CacheFront::new(ttl, coalesce),
+impl ShardStore {
+    /// An empty store for `host` over the world's ring.
+    pub fn new(cfg: &ShardConfig, host: HostId, ring: Rc<ShardRing>) -> Self {
+        ShardStore {
             host,
+            my_shards: ring.shards_of(host),
+            home: ring.home_shard(host),
             ring,
             cfg: cfg.clone(),
-            my_shards,
-            home,
             store: BTreeMap::new(),
             next_gen: 0,
             my_gens: BTreeMap::new(),
@@ -496,8 +246,8 @@ impl Sharded {
         }
     }
 
-    /// The ring (for tests and experiments).
-    pub fn ring(&self) -> &ShardRing {
+    /// The shared ring.
+    pub fn ring(&self) -> &Rc<ShardRing> {
         &self.ring
     }
 
@@ -545,57 +295,20 @@ impl Sharded {
             by_comp.retain(|_, by_pub| !by_pub.is_empty());
         }
     }
-}
 
-impl RegistryBackend for Sharded {
-    fn resolve(
-        &mut self,
-        query: &ComponentQuery,
-        now: SimTime,
-        leader_live: &dyn Fn(u64) -> bool,
-    ) -> ResolveStep {
-        // Always key: the pending query's key doubles as the shard
-        // routing input at retry time.
-        self.front.resolve(true, query, now, leader_live)
-    }
-
-    fn lead(&mut self, key: &str, seq: u64) {
-        self.front.lead(key, seq);
-    }
-
-    fn complete(&mut self, key: &str, offers: &[Offer], now: SimTime, cacheable: bool) {
-        self.front.complete(key, offers, now, cacheable);
-    }
-
-    fn invalidate(&mut self, component: &str) -> Option<usize> {
-        self.front.invalidate(component)
-    }
-
-    fn search_route(&self, query: &ComponentQuery) -> SearchRoute {
-        // The shard store indexes by component name and cannot evaluate
-        // interface-subtyping predicates — those stay on the hierarchy.
-        let Some(name) = query.name.as_deref().filter(|_| query.provides.is_none()) else {
-            return SearchRoute::Hierarchy;
-        };
+    /// Where a name query for `name` goes from this host.
+    fn route(&self, name: &str) -> SearchRoute {
         let target = self.ring.shard_of_component(name);
         if self.ring.is_replica(target, self.host) {
             SearchRoute::ShardLocal { shard: target }
         } else {
-            let via = if self.home == target {
-                target
-            } else {
-                self.ring.next_hop(self.home, target)
-            };
-            SearchRoute::ShardHop { target, via }
+            SearchRoute::ShardHop { target, via: self.next_hop(self.home, target) }
         }
     }
 
-    fn coherence_route(&self, component: &str) -> CoherenceRoute {
-        let shard = self.ring.shard_of_component(component);
-        CoherenceRoute::Shard { replicas: self.ring.replicas(shard).to_vec() }
-    }
-
-    fn shard_lookup(&mut self, shard: u32, query: &ComponentQuery, _now: SimTime) -> Option<Vec<Offer>> {
+    /// Answer a query from the local store of `shard`. `None` when this
+    /// host does not replicate the shard (stale addressing).
+    pub fn lookup(&self, shard: u32, query: &ComponentQuery) -> Option<Vec<Offer>> {
         if !self.ring.is_replica(shard, self.host) {
             return None;
         }
@@ -625,11 +338,13 @@ impl RegistryBackend for Sharded {
         Some(out)
     }
 
-    fn shard_replicas(&self, shard: u32) -> Vec<HostId> {
-        self.ring.replicas(shard).to_vec()
+    /// The replica set of a shard (primary first).
+    pub fn replicas(&self, shard: u32) -> &[HostId] {
+        self.ring.replicas(shard)
     }
 
-    fn shard_next_hop(&self, at: u32, target: u32) -> u32 {
+    /// One finger hop from `at` toward `target`.
+    pub fn next_hop(&self, at: u32, target: u32) -> u32 {
         if at == target {
             target
         } else {
@@ -637,11 +352,14 @@ impl RegistryBackend for Sharded {
         }
     }
 
-    fn max_hops(&self) -> u32 {
+    /// Hop budget for overlay routing.
+    pub fn max_hops(&self) -> u32 {
         self.ring.max_hops()
     }
 
-    fn publish_gen(&mut self, component: &str, bump: bool) -> u64 {
+    /// This host's publication generation for `component`; `bump`
+    /// advances it (a real inventory change), a refresh reuses it.
+    pub fn publish_gen(&mut self, component: &str, bump: bool) -> u64 {
         if bump || !self.my_gens.contains_key(component) {
             self.next_gen += 1;
             self.my_gens.insert(component.to_owned(), self.next_gen);
@@ -649,14 +367,16 @@ impl RegistryBackend for Sharded {
         self.my_gens.get(component).copied().unwrap_or(0)
     }
 
-    fn on_shard_publish(
+    /// Absorb a publisher's offers for `component` (direct publish).
+    /// `at` is the publisher's freshness stamp. Returns whether the
+    /// store changed.
+    pub fn on_publish(
         &mut self,
         component: &str,
         publisher: HostId,
         gen: u64,
         at: SimTime,
         offers: Vec<Offer>,
-        _now: SimTime,
     ) -> bool {
         let shard = self.ring.shard_of_component(component);
         if !self.ring.is_replica(shard, self.host) {
@@ -665,7 +385,11 @@ impl RegistryBackend for Sharded {
         self.apply(shard, component, publisher, gen, at, offers)
     }
 
-    fn gossip_digests(&mut self, now: SimTime) -> Vec<(HostId, u32, ShardDigest)> {
+    /// Expiry-sweep the local shard stores and produce one digest per
+    /// (peer replica, shard) pair: `(to, shard, (component, publisher,
+    /// generation) triples)`. Digests go out even when empty, so an
+    /// empty (respawned) replica still solicits repair deltas.
+    pub fn gossip_digests(&mut self, now: SimTime) -> Vec<(HostId, u32, ShardDigest)> {
         self.expire(now);
         self.gossip_rounds += 1;
         let mut out = Vec::new();
@@ -691,7 +415,9 @@ impl RegistryBackend for Sharded {
         out
     }
 
-    fn on_gossip_digest(
+    /// Answer a peer's digest for `shard` with every entry this replica
+    /// holds at a strictly newer generation (or that the digest lacks).
+    pub fn on_gossip_digest(
         &mut self,
         shard: u32,
         gens: &[(String, HostId, u64)],
@@ -727,7 +453,8 @@ impl RegistryBackend for Sharded {
         out
     }
 
-    fn on_gossip_delta(&mut self, shard: u32, entries: Vec<DeltaEntry>, _now: SimTime) -> usize {
+    /// Apply a peer's repair delta. Returns how many entries advanced.
+    pub fn on_gossip_delta(&mut self, shard: u32, entries: Vec<DeltaEntry>) -> usize {
         if !self.ring.is_replica(shard, self.host) {
             return 0;
         }
@@ -743,35 +470,147 @@ impl RegistryBackend for Sharded {
         advanced
     }
 
-    fn maintain_period(&self) -> Option<SimTime> {
-        Some(self.cfg.gossip_period)
+    /// The anti-entropy cadence.
+    pub fn gossip_period(&self) -> SimTime {
+        self.cfg.gossip_period
     }
 
-    fn stats(&self) -> BackendStats {
-        let mut s = self.front.stats();
-        s.shard_entries = self
-            .store
-            .values()
-            .flat_map(|by_comp| by_comp.values())
-            .map(|by_pub| by_pub.len())
-            .sum();
-        s.gossip_rounds = self.gossip_rounds;
-        s
+    /// Publisher entries held across this host's shard stores.
+    pub fn entries(&self) -> usize {
+        self.store.values().flat_map(|by_comp| by_comp.values()).map(|by_pub| by_pub.len()).sum()
     }
 }
 
-/// Construct the backend a node's configuration selects.
-pub fn make_backend(
-    cfg: &crate::node::NodeConfig,
-    host: HostId,
-    hosts: &[HostId],
-) -> Box<dyn RegistryBackend> {
-    match &cfg.registry {
-        crate::node::RegistryConfig::SingleLeader => {
-            Box::new(SingleLeader::new(cfg.cache.as_ref()))
+/// The Component Registry service's resolution substrate: the result
+/// cache and singleflight table every query passes first, plus — when
+/// [`RegistryConfig::Sharded`](crate::node::RegistryConfig) selects it
+/// — this host's [`ShardStore`].
+pub struct Registry {
+    front: CacheFront,
+    shard: Option<ShardStore>,
+}
+
+impl Registry {
+    /// Build from the node's cache configuration and, for a sharded
+    /// registry, this host's store over the world's ring.
+    pub fn new(cache: Option<&crate::node::CacheConfig>, shard: Option<ShardStore>) -> Self {
+        let front = CacheFront {
+            cache: cache.map(|c| QueryCache::new(c.ttl)),
+            coalescer: Coalescer::new(),
+            coalesce: cache.is_some_and(|c| c.coalesce),
+        };
+        Registry { front, shard }
+    }
+
+    /// The shard store, when the registry is sharded.
+    pub fn shard(&self) -> Option<&ShardStore> {
+        self.shard.as_ref()
+    }
+
+    /// Mutable access to the shard store, when the registry is sharded.
+    pub fn shard_mut(&mut self) -> Option<&mut ShardStore> {
+        self.shard.as_mut()
+    }
+
+    /// Triage a fresh query: cache hit, coalesce onto a live leader
+    /// (`leader_live` says whether a sequence is still pending), or
+    /// search.
+    pub fn resolve(
+        &mut self,
+        query: &ComponentQuery,
+        now: SimTime,
+        leader_live: impl Fn(u64) -> bool,
+    ) -> ResolveStep {
+        let front = &mut self.front;
+        // A sharded registry always keys: the pending query's key
+        // doubles as the shard routing input at retry time.
+        let key = (self.shard.is_some() || front.cache.is_some()).then(|| cache_key(query));
+        let mut cache_missed = false;
+        if let (Some(k), Some(cache)) = (key.as_ref(), front.cache.as_mut()) {
+            if let Some((offers, age)) = cache.get(k, now) {
+                return ResolveStep::Hit { offers: offers.clone(), age };
+            }
+            cache_missed = true;
         }
-        crate::node::RegistryConfig::Sharded(sc) => {
-            Box::new(Sharded::new(cfg.cache.as_ref(), sc, host, hosts))
+        if front.coalesce {
+            if let Some(k) = key.as_ref() {
+                if let Some(leader) = front.coalescer.leader_of(k) {
+                    if leader_live(leader) {
+                        front.coalescer.note_coalesced();
+                        return ResolveStep::Coalesce { leader, cache_missed };
+                    }
+                    // Stale entry (leader finalized outside the normal
+                    // path): clear and lead afresh.
+                    front.coalescer.finish(k);
+                }
+            }
+        }
+        ResolveStep::Search { key, cache_missed }
+    }
+
+    /// Register `seq` as the singleflight leader for `key` (no-op when
+    /// coalescing is off).
+    pub fn lead(&mut self, key: &str, seq: u64) {
+        if self.front.coalesce {
+            self.front.coalescer.lead(key.to_owned(), seq);
+        }
+    }
+
+    /// A search finished: close the coalescing window and, when
+    /// `cacheable` (not timed out) and non-empty, fill the result cache.
+    pub fn complete(&mut self, key: &str, offers: &[Offer], now: SimTime, cacheable: bool) {
+        self.front.coalescer.finish(&key.to_owned());
+        if cacheable && !offers.is_empty() {
+            if let Some(cache) = self.front.cache.as_mut() {
+                cache.insert(key.to_owned(), offers.to_vec(), now);
+            }
+        }
+    }
+
+    /// Drop cached results that could name `component`. Returns how many
+    /// entries fell, or `None` when there is no cache layer at all (the
+    /// caller then skips coherence metrics, matching the cache-disabled
+    /// runtime byte-for-byte).
+    pub fn invalidate(&mut self, component: &str) -> Option<usize> {
+        let cache = self.front.cache.as_mut()?;
+        let name_key = format!("name:{component}|");
+        Some(cache.invalidate_matching(|key, offers| {
+            key.starts_with(&name_key)
+                || key.starts_with("name:*|")
+                || offers.iter().any(|o| o.component == component)
+        }))
+    }
+
+    /// Where a network search for this query goes.
+    pub fn search_route(&self, query: &ComponentQuery) -> SearchRoute {
+        // The shard store indexes by component name and cannot evaluate
+        // interface-subtyping predicates — those stay on the hierarchy.
+        match (&self.shard, query.name.as_deref()) {
+            (Some(store), Some(name)) if query.provides.is_none() => store.route(name),
+            _ => SearchRoute::Hierarchy,
+        }
+    }
+
+    /// Where an inventory-change event for `component` travels.
+    pub fn coherence_route(&self, component: &str) -> CoherenceRoute {
+        match &self.shard {
+            Some(store) => {
+                let shard = store.ring.shard_of_component(component);
+                CoherenceRoute::Shard { replicas: store.ring.replicas(shard).to_vec() }
+            }
+            None if self.front.cache.is_some() => CoherenceRoute::Broadcast,
+            None => CoherenceRoute::Disabled,
+        }
+    }
+
+    /// Counters for reflection and experiments.
+    pub fn stats(&self) -> BackendStats {
+        BackendStats {
+            cache: self.front.cache.as_ref().map(|c| c.stats()),
+            cache_generation: self.front.cache.as_ref().map(|c| c.generation()),
+            coalesced: self.front.coalescer.coalesced(),
+            shard_entries: self.shard.as_ref().map_or(0, ShardStore::entries),
+            gossip_rounds: self.shard.as_ref().map_or(0, |s| s.gossip_rounds),
         }
     }
 }
@@ -800,30 +639,31 @@ mod tests {
         }
     }
 
+    /// `host`'s shard store over a ring of `n` hosts.
+    fn store(cfg: &ShardConfig, host: u32, n: u32) -> ShardStore {
+        ShardStore::new(cfg, HostId(host), Rc::new(ShardRing::build(&hosts(n), &cfg.ring())))
+    }
+
     /// Two replicas of a two-host ring (replicas=2 → every shard lives
-    /// on both hosts), as sharded backends.
-    fn replica_pair() -> (Sharded, Sharded) {
+    /// on both hosts).
+    fn replica_pair() -> (ShardStore, ShardStore) {
         let cfg = ShardConfig { shards: 4, replicas: 2, vnodes: 4, ..Default::default() };
-        let hs = hosts(2);
-        (
-            Sharded::new(None, &cfg, HostId(0), &hs),
-            Sharded::new(None, &cfg, HostId(1), &hs),
-        )
+        (store(&cfg, 0, 2), store(&cfg, 1, 2))
     }
 
     /// One full anti-entropy exchange: `a` digests to `b`, `b` replies
     /// with its delta, and vice versa. Returns entries applied.
-    fn gossip_round(a: &mut Sharded, b: &mut Sharded, now: SimTime) -> usize {
+    fn gossip_round(a: &mut ShardStore, b: &mut ShardStore, now: SimTime) -> usize {
         let mut applied = 0;
         for (to, shard, gens) in a.gossip_digests(now) {
             assert_eq!(to, HostId(1));
             let delta = b.on_gossip_digest(shard, &gens, now);
-            applied += a.on_gossip_delta(shard, delta, now);
+            applied += a.on_gossip_delta(shard, delta);
         }
         for (to, shard, gens) in b.gossip_digests(now) {
             assert_eq!(to, HostId(0));
             let delta = a.on_gossip_digest(shard, &gens, now);
-            applied += b.on_gossip_delta(shard, delta, now);
+            applied += b.on_gossip_delta(shard, delta);
         }
         applied
     }
@@ -835,12 +675,12 @@ mod tests {
         let shard = a.ring().shard_of_component("X");
         // The publish reached replica A but the fabric lost B's copy
         // (the missed-broadcast case): only A can answer.
-        assert!(a.on_shard_publish("X", HostId(0), 1, MS(10), vec![offer(0, "X")], MS(10)));
-        assert_eq!(a.shard_lookup(shard, &q, MS(20)).map(|o| o.len()), Some(1));
-        assert_eq!(b.shard_lookup(shard, &q, MS(20)).map(|o| o.len()), Some(0));
+        assert!(a.on_publish("X", HostId(0), 1, MS(10), vec![offer(0, "X")]));
+        assert_eq!(a.lookup(shard, &q).map(|o| o.len()), Some(1));
+        assert_eq!(b.lookup(shard, &q).map(|o| o.len()), Some(0));
         // One gossip round repairs B; a second round is quiescent.
         assert_eq!(gossip_round(&mut a, &mut b, MS(30)), 1);
-        assert_eq!(b.shard_lookup(shard, &q, MS(40)).map(|o| o.len()), Some(1));
+        assert_eq!(b.lookup(shard, &q).map(|o| o.len()), Some(1));
         assert_eq!(gossip_round(&mut a, &mut b, MS(50)), 0, "converged replicas stay quiet");
     }
 
@@ -850,15 +690,15 @@ mod tests {
         let q = ComponentQuery::by_name("X", Version::new(1, 0));
         let shard = a.ring().shard_of_component("X");
         // Both replicas hold generation 1 …
-        a.on_shard_publish("X", HostId(0), 1, MS(10), vec![offer(0, "X")], MS(10));
-        b.on_shard_publish("X", HostId(0), 1, MS(10), vec![offer(0, "X")], MS(10));
+        a.on_publish("X", HostId(0), 1, MS(10), vec![offer(0, "X")]);
+        b.on_publish("X", HostId(0), 1, MS(10), vec![offer(0, "X")]);
         // … then the publisher's inventory empties (deregister) and only
         // A hears about it — the lost-CacheInvalidate analogue.
-        a.on_shard_publish("X", HostId(0), 2, MS(20), Vec::new(), MS(20));
-        assert_eq!(a.shard_lookup(shard, &q, MS(25)).map(|o| o.len()), Some(0));
-        assert_eq!(b.shard_lookup(shard, &q, MS(25)).map(|o| o.len()), Some(1), "B is stale");
+        a.on_publish("X", HostId(0), 2, MS(20), Vec::new());
+        assert_eq!(a.lookup(shard, &q).map(|o| o.len()), Some(0));
+        assert_eq!(b.lookup(shard, &q).map(|o| o.len()), Some(1), "B is stale");
         assert_eq!(gossip_round(&mut a, &mut b, MS(30)), 1);
-        assert_eq!(b.shard_lookup(shard, &q, MS(35)).map(|o| o.len()), Some(0), "B converged");
+        assert_eq!(b.lookup(shard, &q).map(|o| o.len()), Some(0), "B converged");
     }
 
     #[test]
@@ -866,10 +706,10 @@ mod tests {
         let (mut a, _) = replica_pair();
         let q = ComponentQuery::by_name("X", Version::new(1, 0));
         let shard = a.ring().shard_of_component("X");
-        a.on_shard_publish("X", HostId(0), 3, MS(30), Vec::new(), MS(30));
+        a.on_publish("X", HostId(0), 3, MS(30), Vec::new());
         // A reordered older publish must not resurrect the offers.
-        assert!(!a.on_shard_publish("X", HostId(0), 2, MS(10), vec![offer(0, "X")], MS(31)));
-        assert_eq!(a.shard_lookup(shard, &q, MS(32)).map(|o| o.len()), Some(0));
+        assert!(!a.on_publish("X", HostId(0), 2, MS(10), vec![offer(0, "X")]));
+        assert_eq!(a.lookup(shard, &q).map(|o| o.len()), Some(0));
     }
 
     #[test]
@@ -881,19 +721,18 @@ mod tests {
             publish_ttl: MS(100),
             ..Default::default()
         };
-        let hs = hosts(2);
-        let mut a = Sharded::new(None, &cfg, HostId(0), &hs);
+        let mut a = store(&cfg, 0, 2);
         let q = ComponentQuery::by_name("X", Version::new(1, 0));
         let shard = a.ring().shard_of_component("X");
-        a.on_shard_publish("X", HostId(1), 1, MS(0), vec![offer(1, "X")], MS(0));
+        a.on_publish("X", HostId(1), 1, MS(0), vec![offer(1, "X")]);
         // Refresh (same generation, newer stamp) keeps it alive …
-        a.on_shard_publish("X", HostId(1), 1, MS(80), vec![offer(1, "X")], MS(80));
+        a.on_publish("X", HostId(1), 1, MS(80), vec![offer(1, "X")]);
         a.gossip_digests(MS(150)); // sweep at 150: age 70 < ttl
-        assert_eq!(a.shard_lookup(shard, &q, MS(150)).map(|o| o.len()), Some(1));
+        assert_eq!(a.lookup(shard, &q).map(|o| o.len()), Some(1));
         // … but a crashed publisher's entry ages out.
         a.gossip_digests(MS(200)); // age 120 >= ttl
-        assert_eq!(a.shard_lookup(shard, &q, MS(200)).map(|o| o.len()), Some(0));
-        assert_eq!(a.stats().shard_entries, 0);
+        assert_eq!(a.lookup(shard, &q).map(|o| o.len()), Some(0));
+        assert_eq!(a.entries(), 0);
     }
 
     #[test]
@@ -904,17 +743,17 @@ mod tests {
         pay.cost_per_hour = 100;
         pay.version = Version::new(1, 5);
         pay.mobility = Mobility::Fixed;
-        a.on_shard_publish("X", HostId(0), 1, MS(0), vec![offer(1, "X"), pay], MS(0));
+        a.on_publish("X", HostId(0), 1, MS(0), vec![offer(1, "X"), pay]);
         let all = ComponentQuery::by_name("X", Version::new(1, 0));
-        assert_eq!(a.shard_lookup(shard, &all, MS(1)).map(|o| o.len()), Some(2));
+        assert_eq!(a.lookup(shard, &all).map(|o| o.len()), Some(2));
         let newer = ComponentQuery::by_name("X", Version::new(1, 5));
-        assert_eq!(a.shard_lookup(shard, &newer, MS(1)).map(|o| o.len()), Some(1));
+        assert_eq!(a.lookup(shard, &newer).map(|o| o.len()), Some(1));
         let mut cheap = ComponentQuery::by_name("X", Version::new(1, 0));
         cheap.max_cost = Some(50);
-        assert_eq!(a.shard_lookup(shard, &cheap, MS(1)).map(|o| o.len()), Some(1));
+        assert_eq!(a.lookup(shard, &cheap).map(|o| o.len()), Some(1));
         let mut mobile = ComponentQuery::by_name("X", Version::new(1, 0));
         mobile.require_mobile = true;
-        assert_eq!(a.shard_lookup(shard, &mobile, MS(1)).map(|o| o.len()), Some(1));
+        assert_eq!(a.lookup(shard, &mobile).map(|o| o.len()), Some(1));
         // not a replica of some other shard → None, not empty
         let other = (0..4).find(|s| !a.ring().is_replica(*s, HostId(0)));
         assert_eq!(other, None, "2 hosts, 2 replicas: replica of everything");
@@ -923,8 +762,8 @@ mod tests {
     #[test]
     fn routes_pick_shard_paths_only_for_name_queries() {
         let cfg = ShardConfig { shards: 8, replicas: 2, vnodes: 8, ..Default::default() };
-        let hs = hosts(16);
-        let s = Sharded::new(None, &cfg, HostId(3), &hs);
+        let s = Registry::new(None, Some(store(&cfg, 3, 16)));
+        let ring = s.shard().expect("sharded").ring().clone();
         // interface query → hierarchy
         let iq = ComponentQuery::by_interface("IDL:Display:1.0");
         assert!(matches!(s.search_route(&iq), SearchRoute::Hierarchy));
@@ -935,12 +774,13 @@ mod tests {
             let q = ComponentQuery::by_name(&format!("C{i}"), Version::new(1, 0));
             match s.search_route(&q) {
                 SearchRoute::ShardLocal { shard } => {
-                    assert!(s.ring().is_replica(shard, HostId(3)));
+                    assert!(ring.is_replica(shard, HostId(3)));
                     local += 1;
                 }
                 SearchRoute::ShardHop { target, via } => {
-                    assert!(!s.ring().is_replica(target, HostId(3)));
-                    assert!(via == target || s.ring().fingers(s.ring().home_shard(HostId(3))).contains(&via));
+                    assert!(!ring.is_replica(target, HostId(3)));
+                    let home = ring.home_shard(HostId(3));
+                    assert!(via == target || ring.fingers(home).contains(&via));
                     hop += 1;
                 }
                 SearchRoute::Hierarchy => panic!("name query must route through shards"),
@@ -951,26 +791,26 @@ mod tests {
     }
 
     #[test]
-    fn single_leader_front_matches_cache_semantics() {
+    fn unsharded_front_matches_cache_semantics() {
         let cache = crate::node::CacheConfig::default();
-        let mut b = SingleLeader::new(Some(&cache));
+        let mut b = Registry::new(Some(&cache), None);
         let q = ComponentQuery::by_name("X", Version::new(1, 0));
         let live = |_: u64| true;
         // miss → search with a key
-        let step = b.resolve(&q, MS(0), &live);
+        let step = b.resolve(&q, MS(0), live);
         let key = match step {
             ResolveStep::Search { key: Some(k), cache_missed: true } => k,
             _ => panic!("expected keyed search with a cache miss"),
         };
         b.lead(&key, 7);
         // identical query coalesces onto the live leader
-        match b.resolve(&q, MS(1), &live) {
+        match b.resolve(&q, MS(1), live) {
             ResolveStep::Coalesce { leader: 7, cache_missed: true } => {}
             _ => panic!("expected coalesce onto seq 7"),
         }
         // completion fills the cache; next query hits
         b.complete(&key, &[offer(2, "X")], MS(2), true);
-        match b.resolve(&q, MS(3), &live) {
+        match b.resolve(&q, MS(3), live) {
             ResolveStep::Hit { offers, age } => {
                 assert_eq!(offers.len(), 1);
                 assert_eq!(age, MS(1));
@@ -979,12 +819,12 @@ mod tests {
         }
         // invalidation drops it again
         assert_eq!(b.invalidate("X"), Some(1));
-        assert!(matches!(b.resolve(&q, MS(4), &live), ResolveStep::Search { .. }));
+        assert!(matches!(b.resolve(&q, MS(4), live), ResolveStep::Search { .. }));
         assert!(matches!(b.coherence_route("X"), CoherenceRoute::Broadcast));
         // no cache config at all: no key, no coherence, invalidate = None
-        let mut none = SingleLeader::new(None);
+        let mut none = Registry::new(None, None);
         assert!(matches!(
-            none.resolve(&q, MS(0), &live),
+            none.resolve(&q, MS(0), live),
             ResolveStep::Search { key: None, cache_missed: false }
         ));
         assert_eq!(none.invalidate("X"), None);

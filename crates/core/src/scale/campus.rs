@@ -18,9 +18,9 @@
 //!   [`registry_svc`](crate::node::Node) routes them, over the
 //!   [`HierShape`] tree proven identical to
 //!   [`Hierarchy::build`](crate::cohesion::Hierarchy).
-//! * **flat** — one central registry on node 0
-//!   ([`lc_baselines`-style]): every query fans out to *all* matching
-//!   owners, so messages per query grow linearly with campus size.
+//! * **flat** — one central registry on node 0 (`lc_baselines`-style):
+//!   every query fans out to *all* matching owners, so messages per
+//!   query grow linearly with campus size.
 //! * **strong** — a strongly-consistent coordinator: queries are 3
 //!   messages (the coordinator knows the exact owner set), but every
 //!   membership change pays a 2·N view-change broadcast.
@@ -33,7 +33,7 @@ use super::shape::HierShape;
 use super::soa::{CampusSoa, FLAG_OWNER_C0, FLAG_OWNER_C1};
 use super::NodeIdx;
 use lc_des::{Actor, AnyMsg, Ctx, Sim, SimTime};
-use lc_trace::{CounterId, DenseCounters, ReservoirHistogram, ShardedCounter};
+use lc_trace::{ReservoirHistogram, ShardedCounter};
 
 /// Components the sweep queries for; node `i` owns component `c` iff
 /// `i % 256 == OWNER_RESIDUE[c]` (≈ one owner per 128 nodes overall).
@@ -189,14 +189,15 @@ pub struct QueryOutcome {
     pub first_offer_ns: u64,
 }
 
-/// Registered counter ids (dense — the hot path never hashes a name).
-struct Cids {
-    report_msgs: CounterId,
-    summary_msgs: CounterId,
-    query_msgs: CounterId,
-    churn_msgs: CounterId,
-    queries_completed: CounterId,
-    escalations: CounterId,
+/// Campus-wide message and query totals.
+#[derive(Default)]
+struct Counts {
+    report_msgs: u64,
+    summary_msgs: u64,
+    query_msgs: u64,
+    churn_msgs: u64,
+    queries_completed: u64,
+    escalations: u64,
 }
 
 /// The campus actor. See the module docs for the event model.
@@ -210,8 +211,7 @@ pub struct ScaleCampus {
     /// Owner node lists per component (flat/strong central's view).
     owners: [Vec<u32>; COMPONENTS.len()],
     queries: Vec<QueryState>,
-    counters: DenseCounters,
-    ids: Cids,
+    counts: Counts,
     /// Per-destination traffic, folded into 64 shards.
     traffic: ShardedCounter,
     /// First-offer latency (virtual ns), bounded reservoir.
@@ -244,15 +244,6 @@ impl ScaleCampus {
             Variant::Flat | Variant::Strong => (vec![GroupState::default()], vec![0]),
         };
         let owners = [owner_list(cfg.n, 0), owner_list(cfg.n, 1)];
-        let mut counters = DenseCounters::new();
-        let ids = Cids {
-            report_msgs: counters.register("scale.report_msgs"),
-            summary_msgs: counters.register("scale.summary_msgs"),
-            query_msgs: counters.register("scale.query_msgs"),
-            churn_msgs: counters.register("scale.churn_msgs"),
-            queries_completed: counters.register("scale.queries_completed"),
-            escalations: counters.register("scale.escalations"),
-        };
         let t_end = cfg.report_period * u64::from(cfg.rounds);
         ScaleCampus {
             queries: Vec::with_capacity(cfg.queries as usize),
@@ -261,8 +252,7 @@ impl ScaleCampus {
             groups,
             level_base,
             owners,
-            counters,
-            ids,
+            counts: Counts::default(),
             traffic: ShardedCounter::new(),
             latency: ReservoirHistogram::new(512),
             t_end,
@@ -289,14 +279,14 @@ impl ScaleCampus {
                     }
                 }
                 let replicas = self.shape.mrms(0, g).count() as u64;
-                self.counters.add(self.ids.report_msgs, replicas);
+                self.counts.report_msgs += replicas;
                 for m in self.shape.mrms(0, g).collect::<Vec<_>>() {
                     self.traffic.add(m as usize, 1);
                 }
             }
             Variant::Flat | Variant::Strong => {
                 // Reports/heartbeats all land on the central node.
-                self.counters.add(self.ids.report_msgs, 1);
+                self.counts.report_msgs += 1;
                 self.traffic.add(0, 1);
             }
         }
@@ -321,7 +311,7 @@ impl ScaleCampus {
                     }
                 }
                 let parent_replicas = self.shape.mrms(pl, pg).count() as u64;
-                self.counters.add(self.ids.summary_msgs, parent_replicas);
+                self.counts.summary_msgs += parent_replicas;
                 self.traffic.add(self.shape.primary(pl, pg) as usize, 1);
             }
             let me = ctx.me();
@@ -360,7 +350,7 @@ impl ScaleCampus {
 
     fn count_query_msg(&mut self, qid: u32, dest: usize) {
         self.queries[qid as usize].msgs += 1;
-        self.counters.incr(self.ids.query_msgs);
+        self.counts.query_msgs += 1;
         self.traffic.add(dest, 1);
     }
 
@@ -396,7 +386,7 @@ impl ScaleCampus {
                 } else if !descending {
                     if let Some((pl, pg)) = self.shape.parent(level, u64::from(g)) {
                         self.queries[qid as usize].escalations += 1;
-                        self.counters.incr(self.ids.escalations);
+                        self.counts.escalations += 1;
                         self.count_query_msg(qid, self.shape.primary(pl, pg) as usize);
                         ctx.send_packed(HOP, me, pack(K_QUERY_UP, pg as u32, query_aux(qid, pl)));
                     } else {
@@ -456,7 +446,7 @@ impl ScaleCampus {
         if q.first_offer_at.is_none() {
             q.first_offer_at = Some(now);
             let lat = now.saturating_sub(q.issued_at).as_nanos();
-            self.counters.incr(self.ids.queries_completed);
+            self.counts.queries_completed += 1;
             self.latency.observe(lat);
         }
     }
@@ -474,17 +464,17 @@ impl ScaleCampus {
                     st.has[c] &= !(1 << slot);
                 }
                 let replicas = self.shape.mrms(0, g).count() as u64;
-                self.counters.add(self.ids.churn_msgs, replicas);
+                self.counts.churn_msgs += replicas;
             }
             Variant::Flat => {
                 // One deregister message to the central registry.
-                self.counters.add(self.ids.churn_msgs, 1);
+                self.counts.churn_msgs += 1;
             }
             Variant::Strong => {
                 // Strong consistency: the coordinator must install a
                 // new view on every member and collect acks — 2·N
                 // messages, delivered as one view event per node.
-                self.counters.add(self.ids.churn_msgs, 1);
+                self.counts.churn_msgs += 1;
                 let me = ctx.me();
                 for v in 0..self.cfg.n {
                     ctx.send_packed(HOP, me, pack(K_VIEW, v, 0));
@@ -495,7 +485,7 @@ impl ScaleCampus {
 
     fn on_view(&mut self, node: u32) {
         // View install + ack back to the coordinator.
-        self.counters.add(self.ids.churn_msgs, 2);
+        self.counts.churn_msgs += 2;
         self.traffic.add(node as usize, 1);
         self.traffic.add(0, 1);
     }
@@ -519,11 +509,6 @@ impl ScaleCampus {
     /// The SoA storage (inspection).
     pub fn soa(&self) -> &CampusSoa {
         &self.soa
-    }
-
-    /// Named counter totals, in registration order.
-    pub fn counter_values(&self) -> Vec<(&'static str, u64)> {
-        self.counters.iter().collect()
     }
 
     /// Bytes of campus state (len-based: columns, rows, seats, lists).
@@ -707,20 +692,7 @@ pub fn run_scale_profiled(
         Some(c) => c,
         None => unreachable!("campus actor never dies"),
     };
-    let counter = |name: &str| {
-        campus
-            .counter_values()
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
-    };
-    let report_msgs = counter("scale.report_msgs");
-    let summary_msgs = counter("scale.summary_msgs");
-    let query_msgs = counter("scale.query_msgs");
-    let churn_msgs = counter("scale.churn_msgs");
-    let queries_completed = counter("scale.queries_completed");
-    let escalations = counter("scale.escalations");
+    let counts = &campus.counts;
     let campus_bytes = campus.campus_bytes();
     let outcomes = campus.outcomes();
     let mut latency = campus.latency.clone();
@@ -730,16 +702,16 @@ pub fn run_scale_profiled(
         depth: if cfg.variant == Variant::Hier { depth } else { 1 },
         groups: campus.groups.len(),
         events,
-        report_msgs,
-        summary_msgs,
-        query_msgs,
+        report_msgs: counts.report_msgs,
+        summary_msgs: counts.summary_msgs,
+        query_msgs: counts.query_msgs,
         queries: cfg.queries,
-        queries_completed,
-        msgs_per_query: query_msgs as f64 / f64::from(cfg.queries.max(1)),
+        queries_completed: counts.queries_completed,
+        msgs_per_query: counts.query_msgs as f64 / f64::from(cfg.queries.max(1)),
         churn_events: cfg.churn,
-        churn_msgs,
-        churn_msgs_per_event: churn_msgs as f64 / f64::from(cfg.churn.max(1)),
-        escalations,
+        churn_msgs: counts.churn_msgs,
+        churn_msgs_per_event: counts.churn_msgs as f64 / f64::from(cfg.churn.max(1)),
+        escalations: counts.escalations,
         nodes_materialized: campus.soa.nodes_materialized(),
         distinct_sites: campus.soa.distinct_sites(),
         campus_bytes,

@@ -7,8 +7,8 @@
 use lc_core::node::{NodeCmd, NodeConfig, QueryResult, RegistryConfig};
 use lc_core::testkit::{build_world_on, fast_cohesion};
 use lc_core::{
-    BehaviorRegistry, CacheConfig, ComponentQuery, RegistryBackend, ShardConfig, ShardRing,
-    ShardRingConfig, Sharded, SpawnSink,
+    BehaviorRegistry, CacheConfig, ComponentQuery, Registry, ShardConfig, ShardRing,
+    ShardRingConfig, ShardStore, SpawnSink,
 };
 use lc_des::SimTime;
 use lc_net::{FaultPlan, HostId, LinkFaults, Net, Topology};
@@ -292,8 +292,8 @@ fn ring_rebalance_moves_only_departed_hosts_shards() {
         let gone = HostId(g.gen_range(0..hosts_n as u64) as u32);
         let mut rest = full_hosts.clone();
         rest.retain(|&h| h != gone);
-        let before = ShardRing::build(&full_hosts, &cfg);
-        let after = ShardRing::build(&rest, &cfg);
+        let before = Rc::new(ShardRing::build(&full_hosts, &cfg));
+        let after = Rc::new(ShardRing::build(&rest, &cfg));
 
         let keys: Vec<String> = (0..256).map(|i| format!("Component{i}")).collect();
         let mut moved = 0usize;
@@ -351,12 +351,17 @@ fn ring_rebalance_moves_only_departed_hosts_shards() {
             };
             let q = ComponentQuery::by_name(component, lc_pkg::Version::new(1, 0));
             let now = SimTime::from_millis(5);
-            let mut b = Sharded::new(None, &shard_cfg, replica, &full_hosts);
-            let mut a = Sharded::new(None, &shard_cfg, replica, &rest);
-            b.on_shard_publish(component, replica, 1, now, vec![offer.clone()], now);
-            a.on_shard_publish(component, replica, 1, now, vec![offer], now);
-            let before_offers = b.shard_lookup(s, &q, now).map(|o| o.len());
-            let after_offers = a.shard_lookup(s, &q, now).map(|o| o.len());
+            let registry = |ring: &Rc<ShardRing>| {
+                Registry::new(None, Some(ShardStore::new(&shard_cfg, replica, ring.clone())))
+            };
+            let (mut b, mut a) = (registry(&before), registry(&after));
+            let served = |r: &mut Registry, offers| {
+                let store = r.shard_mut().expect("built with a shard store");
+                store.on_publish(component, replica, 1, now, offers);
+                store.lookup(s, &q).map(|o| o.len())
+            };
+            let before_offers = served(&mut b, vec![offer.clone()]);
+            let after_offers = served(&mut a, vec![offer]);
             assert_eq!(before_offers, Some(1));
             assert_eq!(
                 before_offers, after_offers,

@@ -1,16 +1,14 @@
 //! Singleflight coalescing of identical in-flight registry queries:
 //! one network round-trip serves every same-tick caller, followers keep
 //! their *own* deadlines (the leader's retry horizon must not drag them
-//! past their caller's timeout), and the raw [`lc_cache::Singleflight`]
-//! helper fans a leader's error out to every follower unchanged.
+//! past their caller's timeout), and a shed leader fans its overload
+//! refusal out to every follower.
 
-use lc_cache::{Flight, Singleflight};
 use lc_core::node::{NodeCmd, NodeConfig, QueryResult};
 use lc_core::testkit::{build_world, fast_cohesion, World};
 use lc_core::{BehaviorRegistry, CacheConfig, ComponentQuery};
 use lc_des::SimTime;
 use lc_net::{HostId, Topology};
-use lc_orb::{OrbError, Value};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -199,32 +197,4 @@ fn shed_leader_fans_overload_to_coalesced_followers() {
     w.sim.run_until(w.sim.now() + SimTime::from_secs(4));
     let n = newcomer.borrow();
     assert!(n.done && !n.shed, "newcomer must keep its admitted search");
-}
-
-/// The raw singleflight primitive: a leader completing with an error
-/// hands *the same* [`OrbError`] to every follower callback.
-#[test]
-fn leader_error_fans_out_to_all_followers_unchanged() {
-    let mut sf: Singleflight<String, Result<Value, OrbError>> = Singleflight::new();
-    assert!(matches!(sf.join("k".into(), |_| {}), Flight::Leader));
-
-    let seen: Rc<RefCell<Vec<Result<Value, OrbError>>>> = Rc::default();
-    for _ in 0..3 {
-        let seen = seen.clone();
-        let flight = sf.join("k".into(), move |r| seen.borrow_mut().push(r.clone()));
-        assert!(matches!(flight, Flight::Follower));
-    }
-    assert_eq!(sf.inflight(), 1);
-
-    // Leader's own callback fires too: 1 + 3 followers.
-    let resolved = sf.complete(&"k".to_owned(), &Err(OrbError::Timeout));
-    assert_eq!(resolved, 4);
-    assert_eq!(sf.inflight(), 0);
-    assert_eq!(&*seen.borrow(), &vec![
-        Err(OrbError::Timeout),
-        Err(OrbError::Timeout),
-        Err(OrbError::Timeout)
-    ]);
-    // A fresh join after completion starts a new flight.
-    assert!(matches!(sf.join("k".into(), |_| {}), Flight::Leader));
 }

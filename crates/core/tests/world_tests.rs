@@ -3,14 +3,14 @@
 //! events, migration, assembly deployment, crashes and MRM failover.
 
 use lc_core::demo;
-use lc_core::node::{NodeCmd, QueryResult};
-use lc_core::testkit::{build_world, fast_cohesion, World};
+use lc_core::node::{AdmissionConfig, NodeCmd, QueryResult, RegistryConfig};
+use lc_core::testkit::{build_world, build_world_on, fast_cohesion, World};
 use lc_core::{
-    AssemblyDescriptor, BehaviorRegistry, ComponentQuery, NodeConfig, PlacementStrategy,
-    ResolvePolicy,
+    AssemblyDescriptor, BehaviorRegistry, CacheConfig, ComponentQuery, NodeConfig,
+    PlacementStrategy, Registry, ResolvePolicy, ShardConfig, ShardRing, ShardStore,
 };
 use lc_des::SimTime;
-use lc_net::{HostCfg, HostId, Topology};
+use lc_net::{FaultPlan, HostCfg, HostId, LinkFaults, Net, Topology};
 use lc_orb::Value;
 use lc_pkg::Version;
 use std::cell::RefCell;
@@ -995,4 +995,168 @@ fn event_channels_close_when_producer_instance_dies() {
     );
     settle(&mut world, 100);
     assert_eq!(world.sim.metrics_ref().counter("events.published"), 1);
+}
+
+/// A sharded world over `net`: `Counter` installed on `owners`, fast
+/// gossip so the first maintenance round publishes it early.
+fn sharded_world(
+    net: Net,
+    seed: u64,
+    shard: ShardConfig,
+    config: NodeConfig,
+    owners: &[HostId],
+) -> World {
+    let behaviors = BehaviorRegistry::new();
+    demo::register_demo_behaviors(&behaviors);
+    let owners = owners.to_vec();
+    build_world_on(
+        net,
+        seed,
+        NodeConfig {
+            cohesion: fast_cohesion(),
+            query_timeout: SimTime::from_millis(400),
+            registry: RegistryConfig::Sharded(shard),
+            ..config
+        },
+        behaviors,
+        demo::demo_trust(),
+        Arc::new(demo::demo_idl()),
+        move |h| if owners.contains(&h) { vec![demo::counter_package()] } else { Vec::new() },
+    )
+}
+
+fn query_counter(
+    world: &mut World,
+    origin: HostId,
+    max_cost: Option<u32>,
+) -> Rc<RefCell<QueryResult>> {
+    let sink: Rc<RefCell<QueryResult>> = Rc::default();
+    let by_name = ComponentQuery::by_name("Counter", Version::new(1, 0));
+    let query = ComponentQuery { max_cost, ..by_name };
+    world.cmd(origin, NodeCmd::Query { query, sink: sink.clone(), first_wins: false });
+    sink
+}
+
+/// The shard ring is built once per world: every node — a crash→recover
+/// respawn included — holds the *same* `Rc<ShardRing>`, the respawn
+/// still serves lookups for the shard it replicates, and a registry
+/// over the shared ring routes exactly like one over a private build.
+#[test]
+fn sharded_world_shares_one_ring_across_nodes_and_respawns() {
+    // One replica per shard, so a served lookup names its server.
+    let shard = ShardConfig {
+        shards: 8,
+        replicas: 1,
+        vnodes: 4,
+        gossip_period: SimTime::from_millis(200),
+        ..Default::default()
+    };
+    let hosts: Vec<HostId> = (0..16).map(HostId).collect();
+    let private = Rc::new(ShardRing::build(&hosts, &shard.ring()));
+    let server = private.replicas(private.shard_of_component("Counter"))[0];
+    let mut bystanders = hosts.iter().copied().filter(|&h| h != server);
+    let owner = bystanders.next().expect("16 hosts");
+    let origin = bystanders.next().expect("16 hosts");
+
+    let net = Net::builder(Topology::lan(16)).build();
+    let mut world = sharded_world(net, 21, shard.clone(), NodeConfig::default(), &[owner]);
+    let shared = world.seeds[0].ring.clone().expect("a sharded world carries its ring");
+    let holds_shared_ring = |world: &World, h: HostId| {
+        let node = world.node(h).expect("node is up");
+        let store = node.state().backend().shard().expect("sharded registry");
+        Rc::ptr_eq(store.ring(), &shared)
+    };
+    for &h in &hosts {
+        assert!(holds_shared_ring(&world, h), "{h:?} built a private ring");
+    }
+
+    settle(&mut world, 600);
+    let before = query_counter(&mut world, origin, None);
+    settle(&mut world, 600);
+    assert_eq!(before.borrow().offers.len(), 1, "the shard's only replica serves the offer");
+
+    // The respawn starts with an empty store over the same ring; the
+    // owner's next refresh-publish refills it and lookups resume.
+    world.crash(server);
+    settle(&mut world, 300);
+    world.recover(server);
+    assert!(holds_shared_ring(&world, server), "the respawn built a private ring");
+    settle(&mut world, 800);
+    let after = query_counter(&mut world, origin, None);
+    settle(&mut world, 600);
+    assert!(after.borrow().done);
+    assert_eq!(after.borrow().offers.len(), 1, "the respawned replica serves ShardLookups again");
+
+    // Shared vs private ring: same routes, same replica sets.
+    for &h in &hosts {
+        let over = |ring: &Rc<ShardRing>| {
+            Registry::new(None, Some(ShardStore::new(&shard, h, ring.clone())))
+        };
+        let (a, b) = (over(&shared), over(&private));
+        for i in 0..32 {
+            let q = ComponentQuery::by_name(&format!("C{i}"), Version::new(1, 0));
+            assert_eq!(a.search_route(&q), b.search_route(&q), "{h:?} routes C{i} differently");
+        }
+    }
+    for s in 0..shard.shards {
+        assert_eq!(shared.replicas(s), private.replicas(s), "shard {s} replica sets differ");
+    }
+}
+
+/// Cache, sharded registry and a tight admission queue all on, on a
+/// lossy 64-node campus (ROADMAP 5(d)): every query finalizes, shed
+/// sinks balance the world's `admission.query_shed` counter, and a shed
+/// leader leaves no singleflight window behind.
+#[test]
+fn cache_sharding_and_admission_compose_on_a_lossy_campus() {
+    let plan = FaultPlan::seeded(31).default_link(LinkFaults::none().drop_p(0.05));
+    let net = Net::builder(Topology::campus(8, 8)).fault_plan(plan).build();
+    let config = NodeConfig {
+        cache: Some(CacheConfig::default()),
+        admission: Some(AdmissionConfig { query_queue_cap: 2, ..AdmissionConfig::default() }),
+        ..Default::default()
+    };
+    let shard = ShardConfig { gossip_period: SimTime::from_millis(200), ..Default::default() };
+    let owners: Vec<HostId> = (0..64).step_by(8).map(HostId).collect();
+    let mut world = sharded_world(net, 31, shard, config, &owners);
+    let shared = world.seeds[0].ring.clone().expect("a sharded world carries its ring");
+    settle(&mut world, 800);
+
+    // Same-tick bursts of *distinct* keys (so none coalesce) from hosts
+    // that must hop to the owning shard: each burst overflows the
+    // two-slot queue and sheds its oldest searches.
+    let target = shared.shard_of_component("Counter");
+    let origins: Vec<HostId> =
+        (0..64).map(HostId).filter(|&h| !shared.is_replica(target, h)).take(6).collect();
+    let mut sinks = Vec::new();
+    for round in 0..3u32 {
+        for &origin in &origins {
+            for k in 0..6u32 {
+                let cost = 1000 + round * 6 + k;
+                sinks.push((origin, cost, query_counter(&mut world, origin, Some(cost))));
+            }
+        }
+        settle(&mut world, 1000);
+    }
+    for (origin, _, sink) in &sinks {
+        assert!(sink.borrow().done, "a query from {origin:?} never finalized");
+    }
+    let shed = sinks.iter().filter(|(_, _, s)| s.borrow().shed).count() as u64;
+    assert!(shed > 0, "bursts of 6 over a 2-slot queue must shed");
+    assert_eq!(world.sim.metrics_ref().counter("admission.query_shed"), shed);
+    assert!(
+        sinks.iter().any(|(_, _, s)| !s.borrow().shed && !s.borrow().offers.is_empty()),
+        "no admitted query found an owner — the run is vacuous"
+    );
+
+    // Re-issue one shed query: the shed closed its singleflight window,
+    // so it leads a fresh search instead of riding the dead leader.
+    let &(origin, cost, _) = sinks.iter().find(|(_, _, s)| s.borrow().shed).expect("shed > 0");
+    let coalesced = world.sim.metrics_ref().counter("cache.coalesced");
+    let started = world.sim.metrics_ref().counter("query.started");
+    let retry = query_counter(&mut world, origin, Some(cost));
+    settle(&mut world, 1000);
+    assert_eq!(world.sim.metrics_ref().counter("cache.coalesced"), coalesced);
+    assert_eq!(world.sim.metrics_ref().counter("query.started"), started + 1);
+    assert!(retry.borrow().done && !retry.borrow().shed, "a lone query fits the queue");
 }

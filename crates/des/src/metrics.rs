@@ -122,23 +122,24 @@ impl PipeFinite for f64 {
 
 /// Named counters and histograms for one simulation run.
 ///
-/// Keys are `&'static str` or owned strings; a `BTreeMap` keeps report
-/// output deterministically ordered.
+/// Keys are string literals — a bump is one tree walk and never
+/// allocates a key; a `BTreeMap` keeps report output deterministically
+/// ordered.
 #[derive(Clone, Debug, Default)]
 pub struct Metrics {
-    counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, Histogram>,
+    counters: BTreeMap<&'static str, u64>,
+    histograms: BTreeMap<&'static str, Histogram>,
 }
 
 impl Metrics {
     /// Increment `key` by 1.
-    pub fn incr(&mut self, key: &str) {
+    pub fn incr(&mut self, key: &'static str) {
         self.add(key, 1);
     }
 
     /// Increment `key` by `n`.
-    pub fn add(&mut self, key: &str, n: u64) {
-        *self.counters.entry_ref_or_insert(key) += n;
+    pub fn add(&mut self, key: &'static str, n: u64) {
+        *self.counters.entry(key).or_default() += n;
     }
 
     /// Current value of a counter (0 if never touched).
@@ -147,8 +148,8 @@ impl Metrics {
     }
 
     /// Record a sample into histogram `key`.
-    pub fn record(&mut self, key: &str, v: f64) {
-        self.histograms.entry_ref_or_insert(key).record(v);
+    pub fn record(&mut self, key: &'static str, v: f64) {
+        self.histograms.entry(key).or_default().record(v);
     }
 
     /// Borrow a histogram (`None` if nothing recorded under `key`).
@@ -157,38 +158,24 @@ impl Metrics {
     }
 
     /// Mutable borrow of a histogram, creating it when absent.
-    pub fn histogram_mut(&mut self, key: &str) -> &mut Histogram {
-        self.histograms.entry_ref_or_insert(key)
+    pub fn histogram_mut(&mut self, key: &'static str) -> &mut Histogram {
+        self.histograms.entry(key).or_default()
     }
 
     /// Iterate counters in key order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), *v))
+        self.counters.iter().map(|(k, v)| (*k, *v))
     }
 
     /// Iterate histograms in key order.
     pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
+        self.histograms.iter().map(|(k, v)| (*k, v))
     }
 
     /// Reset everything (between experiment repetitions).
     pub fn clear(&mut self) {
         self.counters.clear();
         self.histograms.clear();
-    }
-}
-
-/// `BTreeMap<String, V>` lookup that only allocates the key on first insert.
-trait EntryRef<V: Default> {
-    fn entry_ref_or_insert(&mut self, key: &str) -> &mut V;
-}
-
-impl<V: Default> EntryRef<V> for BTreeMap<String, V> {
-    fn entry_ref_or_insert(&mut self, key: &str) -> &mut V {
-        if !self.contains_key(key) {
-            self.insert(key.to_owned(), V::default());
-        }
-        self.get_mut(key).unwrap_or_else(|| unreachable!("key ensured present above"))
     }
 }
 

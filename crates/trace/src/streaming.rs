@@ -6,9 +6,6 @@
 //! observation) dominates the heap. This module provides the streaming
 //! replacements the scale path uses:
 //!
-//! * [`DenseCounters`] — counters pre-registered once into dense `u32`
-//!   ids; the hot path is a bounds-checked array add, no string hashing
-//!   or tree walk, and memory is O(distinct names), not O(nodes).
 //! * [`ShardedCounter`] — one logical counter split over a fixed power-
 //!   of-two shard array; per-node traffic tallies collapse into 64
 //!   cells instead of a million map entries, while still exposing which
@@ -23,72 +20,6 @@
 //! Everything here is deterministic and hermetic (lint rule D5): no
 //! wall clock, no ambient entropy — the reservoir's replacement stream
 //! is a fixed-constant LCG, reproducible by construction.
-
-/// Dense handle returned by [`DenseCounters::register`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct CounterId(u32);
-
-/// Counters addressed by pre-registered dense id.
-///
-/// Registration order fixes iteration order, so reports rendered from a
-/// deterministic program are deterministic without any sorting.
-#[derive(Clone, Debug, Default)]
-pub struct DenseCounters {
-    names: Vec<&'static str>,
-    values: Vec<u64>,
-}
-
-impl DenseCounters {
-    /// An empty set.
-    pub fn new() -> DenseCounters {
-        DenseCounters::default()
-    }
-
-    /// Register `name`, returning its dense id. Registering the same
-    /// name twice returns the existing id (names stay unique).
-    pub fn register(&mut self, name: &'static str) -> CounterId {
-        if let Some(i) = self.names.iter().position(|n| *n == name) {
-            return CounterId(i as u32);
-        }
-        assert!(self.names.len() < u32::MAX as usize, "more than u32::MAX counters");
-        let id = self.names.len() as u32;
-        self.names.push(name);
-        self.values.push(0);
-        CounterId(id)
-    }
-
-    /// Increment by 1. O(1), no hashing.
-    #[inline]
-    pub fn incr(&mut self, id: CounterId) {
-        self.values[id.0 as usize] += 1;
-    }
-
-    /// Increment by `n`. O(1), no hashing.
-    #[inline]
-    pub fn add(&mut self, id: CounterId, n: u64) {
-        self.values[id.0 as usize] += n;
-    }
-
-    /// Current value.
-    pub fn get(&self, id: CounterId) -> u64 {
-        self.values[id.0 as usize]
-    }
-
-    /// `(name, value)` pairs in registration order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.names.iter().copied().zip(self.values.iter().copied())
-    }
-
-    /// Number of registered counters.
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    /// Any counters registered?
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
-}
 
 /// One logical counter split across a fixed power-of-two number of
 /// shards keyed by a caller-supplied hint (node index, host id, …).
@@ -260,24 +191,6 @@ impl ReservoirHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dense_counters_register_once_and_add_fast() {
-        let mut c = DenseCounters::new();
-        let a = c.register("query.msgs");
-        let b = c.register("query.hops");
-        assert_eq!(c.register("query.msgs"), a);
-        c.incr(a);
-        c.add(b, 41);
-        c.incr(b);
-        assert_eq!(c.get(a), 1);
-        assert_eq!(c.get(b), 42);
-        assert_eq!(
-            c.iter().collect::<Vec<_>>(),
-            vec![("query.msgs", 1), ("query.hops", 42)]
-        );
-        assert_eq!(c.len(), 2);
-    }
 
     #[test]
     fn sharded_counter_folds_hints_and_totals() {
