@@ -133,4 +133,12 @@ rm -f /tmp/e16_run1.txt /tmp/e16_run2.txt target/e16_run?.json
 # API change that breaks .perf fails here and not in the benchmark run.
 cargo run --release --offline --quiet --manifest-path .perf/Cargo.toml -- selftest
 
+# Cross-commit behaviour gate: the benchmark's exact columns at a fixed
+# seed and size must equal the committed PERF_EXACT.txt. A speed-only
+# change leaves the fingerprint and sim_* columns as its parent had
+# them; an allocation change is a reviewed diff of the two alloc columns.
+./perf_exact.sh > target/perf_exact.txt
+diff target/perf_exact.txt PERF_EXACT.txt
+rm -f target/perf_exact.txt
+
 echo "ci: all green"

@@ -26,6 +26,7 @@ use crate::resource::ResourceReport;
 use lc_des::SimTime;
 use lc_net::HostId;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// Parameters of the cohesion protocol.
 #[derive(Clone, Debug)]
@@ -159,7 +160,7 @@ impl Hierarchy {
     pub fn duties_of(&self, host: HostId) -> Vec<MrmDuty> {
         let mut duties = Vec::new();
         for (li, groups) in self.levels.iter().enumerate() {
-            for (gi, g) in groups.iter().enumerate() {
+            for g in groups {
                 if g.mrms.contains(&host) {
                     let parent_replicas = if li + 1 < self.levels.len() {
                         // parent group = the group at level li+1 containing
@@ -178,7 +179,6 @@ impl Hierarchy {
                         members: g.members.clone(),
                         parent_replicas,
                     });
-                    let _ = gi;
                 }
             }
         }
@@ -203,8 +203,9 @@ pub enum MemberRecord {
     },
     /// A level-≥1 member: the last subtree summary from a child primary.
     Subtree {
-        /// Last summary received.
-        summary: GroupSummary,
+        /// Last summary received — the very value the child primary built,
+        /// shared with its other parent replicas.
+        summary: Rc<GroupSummary>,
         /// When it arrived.
         at: SimTime,
     },
@@ -233,7 +234,7 @@ impl DutyState {
     }
 
     /// Absorb a child-subtree summary.
-    pub fn on_summary(&mut self, from: HostId, summary: GroupSummary, now: SimTime) {
+    pub fn on_summary(&mut self, from: HostId, summary: Rc<GroupSummary>, now: SimTime) {
         self.records.insert(from, MemberRecord::Subtree { summary, at: now });
     }
 
@@ -303,14 +304,14 @@ mod tests {
 
     fn report(installed: &[&str]) -> ResourceReport {
         ResourceReport {
-            static_info: StaticInfo {
+            static_info: Rc::new(StaticInfo {
                 platform: Platform::reference(),
                 device: DeviceClass::Workstation,
                 cpu_power: 1.0,
                 memory: 1 << 30,
                 up_bw: 1e7,
                 down_bw: 1e7,
-            },
+            }),
             dynamic: DynamicInfo { cpu_used: 0.25, mem_used: 1 << 20, instances: 1 },
             installed: installed.iter().map(|s| (*s).to_owned()).collect(),
         }
@@ -392,7 +393,7 @@ mod tests {
         child.components.insert("Decoder".into());
         child.node_count = 4;
         child.cpu_free = 3.0;
-        ds.on_summary(HostId(8), child, SimTime::ZERO);
+        ds.on_summary(HostId(8), Rc::new(child), SimTime::ZERO);
 
         let sum = ds.summarize();
         assert_eq!(sum.node_count, 6);

@@ -293,16 +293,16 @@ mod tests {
         NodeView {
             host: HostId(host),
             report: ResourceReport {
-                static_info: StaticInfo {
+                static_info: std::rc::Rc::new(StaticInfo {
                     platform: Platform::reference(),
                     device: DeviceClass::Workstation,
                     cpu_power,
                     memory: 1 << 30,
                     up_bw: 1e7,
                     down_bw: 1e7,
-                },
+                }),
                 dynamic: DynamicInfo { cpu_used, mem_used: 0, instances: 0 },
-                installed: vec![],
+                installed: [].into(),
             },
         }
     }

@@ -5,28 +5,30 @@
 //! the soft-state rejoin path: a member that went silent is dropped and
 //! reappears with its next report, with no membership protocol.
 
-use crate::cohesion::effective_primary;
+use crate::cohesion::{effective_primary, MrmDuty};
 use crate::deploy::NodeView;
 use crate::proto::CtrlMsg;
 use lc_des::SimTime;
 use lc_net::HostId;
+use std::rc::Rc;
 
 use super::ctx::{NodeCtx, NodeState};
 use super::metrics::ServiceKind;
 use super::service::{item, ServiceReflect, Tick};
 
 impl NodeState {
-    /// Record a member report into every level-0 duty containing it.
+    /// Record a member report into the level-0 duty containing it (a
+    /// host serves at most one group per level, so the report is moved
+    /// into that one table).
     pub(crate) fn absorb_report(
         &mut self,
         from: HostId,
         report: crate::resource::ResourceReport,
         now: SimTime,
     ) {
-        for (duty, state) in self.duties.iter().zip(self.duty_state.iter_mut()) {
-            if duty.level == 0 && duty.members.contains(&from) {
-                state.on_report(from, report.clone(), now);
-            }
+        let serves = |d: &MrmDuty| d.level == 0 && d.members.contains(&from);
+        if let Some(i) = self.duties.iter().position(serves) {
+            self.duty_state[i].on_report(from, report, now);
         }
     }
 
@@ -37,13 +39,11 @@ impl NodeState {
         &mut self,
         from: HostId,
         sender_level: u8,
-        summary: crate::proto::GroupSummary,
+        summary: Rc<crate::proto::GroupSummary>,
         now: SimTime,
     ) {
-        for (duty, state) in self.duties.iter().zip(self.duty_state.iter_mut()) {
-            if duty.level == sender_level + 1 {
-                state.on_summary(from, summary.clone(), now);
-            }
+        if let Some(i) = self.duties.iter().position(|d| d.level == sender_level + 1) {
+            self.duty_state[i].on_summary(from, summary, now);
         }
     }
 
@@ -56,6 +56,7 @@ impl NodeState {
             }
             for (host, rec) in &state.records {
                 if let crate::cohesion::MemberRecord::Node { report, .. } = rec {
+                    // Rc clone: the view shares the record's snapshot.
                     out.push(NodeView { host: *host, report: report.clone() });
                 }
             }
@@ -68,7 +69,7 @@ impl NodeCtx<'_, '_> {
     fn mrm_sweep(&mut self) {
         let timeout = self.state.cfg.cohesion.eviction_timeout();
         let now = self.sim.now();
-        let duties = self.state.duties.clone();
+        let duties = Rc::clone(&self.state.duties);
         for (i, duty) in duties.iter().enumerate() {
             let evicted = self.state.duty_state[i].sweep(now, timeout);
             if evicted > 0 {
@@ -82,18 +83,18 @@ impl NodeCtx<'_, '_> {
             if acting != self.state.host {
                 continue;
             }
-            let summary = self.state.duty_state[i].summarize();
+            // One aggregate per sweep, shared by every parent replica.
+            let summary = Rc::new(self.state.duty_state[i].summarize());
             for &parent in &duty.parent_replicas {
                 if parent == self.state.host {
-                    let s = summary.clone();
                     let host = self.state.host;
-                    self.state.absorb_summary(host, duty.level, s, now);
+                    self.state.absorb_summary(host, duty.level, Rc::clone(&summary), now);
                     continue;
                 }
                 let msg = CtrlMsg::Summary {
                     from: self.state.host,
                     level: duty.level,
-                    summary: summary.clone(),
+                    summary: Rc::clone(&summary),
                 };
                 let size = msg.wire_size();
                 let _ = self.net_send(parent, size, msg);

@@ -14,7 +14,7 @@ use crate::cohesion::{DutyState, Hierarchy, MrmDuty};
 use crate::proto::CtrlMsg;
 use crate::registry::backend::{CoherenceRoute, Registry, ShardStore};
 use crate::registry::shard::ShardRing;
-use crate::registry::{ComponentQuery, ComponentRegistry, InstanceId};
+use crate::registry::{ComponentQuery, ComponentRegistry, InstanceId, Offer};
 use crate::repository::ComponentRepository;
 use crate::resource::ResourceManager;
 use lc_cache::CacheStats;
@@ -61,9 +61,13 @@ pub struct NodeState {
     pub(crate) behaviors: BehaviorRegistry,
     pub(crate) trust: TrustStore,
     pub(crate) hierarchy: Rc<Hierarchy>,
-    pub(crate) duties: Vec<MrmDuty>,
+    /// This host's MRM duties and report targets: fixed at boot, so a
+    /// handler that must hold them across `&mut self` calls takes a
+    /// reference-counted handle, never a copy.
+    pub(crate) duties: Rc<[MrmDuty]>,
+    pub(crate) report_targets: Rc<[HostId]>,
+    /// One soft-state table per duty, index-aligned with `duties`.
     pub(crate) duty_state: Vec<DutyState>,
-    pub(crate) report_targets: Vec<HostId>,
     /// Unified pending-work table (queries, spawns, calls, fetches,
     /// migrations) behind one sequence counter.
     pub(crate) conts: ContTable,
@@ -118,9 +122,9 @@ impl NodeState {
             }
         };
         let backend = Registry::new(cfg.cache.as_ref(), shard);
-        let duties = seed.hierarchy.duties_of(host);
+        let duties: Rc<[MrmDuty]> = seed.hierarchy.duties_of(host).into();
         let duty_state = duties.iter().map(|_| DutyState::default()).collect();
-        let report_targets = seed.hierarchy.report_targets(host);
+        let report_targets: Rc<[HostId]> = seed.hierarchy.report_targets(host).into();
         let host_cfg = seed.net.host_cfg(host);
         let tracer = seed.net.tracer();
         // Apply the node's tracing knobs to the shared tracer. Defaults
@@ -173,6 +177,12 @@ impl NodeState {
     /// The shared MRM hierarchy this node participates in.
     pub fn hierarchy(&self) -> &Hierarchy {
         &self.hierarchy
+    }
+
+    /// The MRM duties this host serves, each with its soft-state table
+    /// (inspection: what does this MRM currently believe?).
+    pub fn duties(&self) -> impl Iterator<Item = (&MrmDuty, &DutyState)> {
+        self.duties.iter().zip(&self.duty_state)
     }
 
     /// The per-service instrumentation collected by the router.
@@ -353,34 +363,37 @@ impl NodeCtx<'_, '_> {
             CoherenceRoute::Disabled => {}
             CoherenceRoute::Broadcast => {
                 self.invalidate_cached(component);
-                let from = self.state.host;
-                let msg = CtrlMsg::CacheInvalidate { from, component: component.to_owned() };
-                let size = msg.wire_size();
-                for to in self.state.net.host_ids() {
-                    if to != from && self.state.net.reachable(from, to) {
-                        let _ = self.net_send(to, size, msg.clone());
-                    }
-                }
+                let hosts = (0..self.state.net.host_count() as u32).map(HostId);
+                self.send_invalidate(component, hosts);
                 self.sim.metrics().incr("cache.invalidate_bcasts");
             }
             CoherenceRoute::Shard { replicas } => {
                 self.invalidate_cached(component);
                 self.publish_component(component, true, &replicas);
-                let from = self.state.host;
-                let msg = CtrlMsg::CacheInvalidate { from, component: component.to_owned() };
-                let size = msg.wire_size();
-                for &to in &replicas {
-                    if to != from && self.state.net.reachable(from, to) {
-                        let _ = self.net_send(to, size, msg.clone());
-                    }
-                }
+                self.send_invalidate(component, replicas.iter().copied());
                 self.sim.metrics().incr("cache.invalidate_targeted");
+            }
+        }
+    }
+
+    /// Best-effort `CacheInvalidate` for `component` to each reachable
+    /// peer in `to`, in order. One message is built; every receiver's
+    /// copy shares its name.
+    fn send_invalidate(&mut self, component: &str, to: impl Iterator<Item = HostId>) {
+        let from = self.state.host;
+        let msg = CtrlMsg::CacheInvalidate { from, component: component.into() };
+        let size = msg.wire_size();
+        for to in to {
+            if to != from && self.state.net.reachable(from, to) {
+                let _ = self.net_send(to, size, msg.clone());
             }
         }
     }
 
     /// Push this node's current offers for `component` to the owning
     /// shard's replica set (self applies locally, no wire traffic).
+    /// The offer set is computed once; the local store, every message
+    /// and every receiving replica's entry share it.
     /// `bump` advances the publication generation — a real inventory
     /// change; refreshes reuse the current generation so reordered
     /// publishes cannot resurrect stale offers.
@@ -388,11 +401,11 @@ impl NodeCtx<'_, '_> {
         let now = self.sim.now();
         let from = self.state.host;
         let query = ComponentQuery { name: Some(component.to_owned()), ..Default::default() };
-        let offers = self.state.local_offers_for(&query);
+        let offers: Rc<[Offer]> = self.state.local_offers_for(&query).into();
         let Some(store) = self.state.backend.shard_mut() else { return };
         let gen = store.publish_gen(component, bump);
         if replicas.contains(&from) {
-            store.on_publish(component, from, gen, now, offers.clone());
+            store.on_publish(component, from, gen, now, Rc::clone(&offers));
         }
         for &to in replicas {
             if to != from && self.state.net.reachable(from, to) {
@@ -401,7 +414,7 @@ impl NodeCtx<'_, '_> {
                     component: component.to_owned(),
                     gen,
                     at: now,
-                    offers: offers.clone(),
+                    offers: Rc::clone(&offers),
                 };
                 let size = msg.wire_size();
                 if self.net_send(to, size, msg).is_ok() {

@@ -10,6 +10,7 @@ use crate::registry::backend::{CoherenceRoute, ResolveStep, SearchRoute, ShardSt
 use crate::registry::{ComponentQuery, InstanceId, Offer};
 use lc_net::HostId;
 use lc_pkg::Version;
+use std::rc::Rc;
 
 use super::continuations::{FetchCont, PendingQuery, QueryFollower, QueryPurpose, SpawnCont};
 use super::ctx::{NodeCtx, NodeState};
@@ -194,7 +195,7 @@ impl NodeCtx<'_, '_> {
                 // The hop is *ascending*: a miss at the group escalates
                 // to the parent ("request higher hierarchy level
                 // requests").
-                let targets = self.state.report_targets.clone();
+                let targets = Rc::clone(&self.state.report_targets);
                 self.send_query_to_first_reachable(&targets, qid, query, 0, false);
             }
             SearchRoute::ShardLocal { shard } => {
@@ -228,7 +229,7 @@ impl NodeCtx<'_, '_> {
         hops: u32,
     ) {
         let Some(ring) = self.state.backend.shard().map(|s| s.ring().clone()) else { return };
-        for &r in ring.replicas(shard) {
+        for &r in ring.replicas(shard).iter() {
             if r == self.state.host {
                 self.shard_dispatch(qid, query, target, shard, hops);
                 return;
@@ -320,15 +321,12 @@ impl NodeCtx<'_, '_> {
         let Some(period) = self.state.backend.shard().map(ShardStore::gossip_period) else {
             return;
         };
-        let components: std::collections::BTreeSet<String> = self
-            .state
-            .repository
-            .iter()
-            .map(|p| p.descriptor.name.clone())
-            .collect();
-        for c in components {
-            if let CoherenceRoute::Shard { replicas } = self.state.backend.coherence_route(&c) {
-                self.publish_component(&c, false, &replicas);
+        // The repository's name snapshot is sorted, one entry per
+        // installed version: a component is the head of each equal run.
+        let names = Rc::clone(self.state.repository.names());
+        for c in names.chunk_by(|a, b| a == b).map(|same| &same[0]) {
+            if let CoherenceRoute::Shard { replicas } = self.state.backend.coherence_route(c) {
+                self.publish_component(c, false, &replicas);
             }
         }
         let now = self.sim.now();
@@ -383,13 +381,8 @@ impl NodeCtx<'_, '_> {
         level: u8,
         descending: bool,
     ) {
-        let Some((duty_idx, duty)) = self
-            .state
-            .duties
-            .iter()
-            .enumerate()
-            .find(|(_, d)| d.level == level)
-            .map(|(i, d)| (i, d.clone()))
+        let duties = Rc::clone(&self.state.duties);
+        let Some((duty_idx, duty)) = duties.iter().enumerate().find(|(_, d)| d.level == level)
         else {
             // Not an MRM at this level (stale addressing) — drop.
             self.sim.metrics().incr("query.misrouted");
@@ -453,9 +446,9 @@ impl NodeCtx<'_, '_> {
             // Nothing here; escalate if we can ("request higher
             // hierarchy level requests").
             if !duty.parent_replicas.is_empty() {
-                let reps = duty.parent_replicas.clone();
                 self.sim.metrics().incr("query.escalations");
-                self.send_query_to_first_reachable(&reps, qid, query, level + 1, false);
+                let parents = &duty.parent_replicas;
+                self.send_query_to_first_reachable(parents, qid, query, level + 1, false);
             } else {
                 self.send_ctrl(qid.origin, CtrlMsg::QueryDone { qid });
             }

@@ -8,6 +8,7 @@ use crate::proto::CtrlMsg;
 use lc_des::SimTime;
 use lc_net::HostId;
 use crate::registry::InstanceId;
+use std::rc::Rc;
 
 use super::ctx::{NodeCtx, NodeState};
 use super::metrics::ServiceKind;
@@ -63,17 +64,18 @@ impl NodeCtx<'_, '_> {
     /// report *is* the keep-alive: the Network Cohesion layer's
     /// liveness view is refreshed purely by absorbing these reports.
     pub(crate) fn send_report(&mut self) {
+        // One report per tick; each target's copy is two `Rc` bumps.
         let report = self.state.resources.report(self.state.repository.names());
-        for &mrm in &self.state.report_targets.clone() {
-            if mrm == self.state.host {
+        let host = self.state.host;
+        let targets = Rc::clone(&self.state.report_targets);
+        for &mrm in targets.iter() {
+            if mrm == host {
                 // An MRM absorbs its own report locally (no network hop).
                 let now = self.sim.now();
-                let fresh = self.state.resources.report(self.state.repository.names());
-                let host = self.state.host;
-                self.state.absorb_report(host, fresh, now);
+                self.state.absorb_report(host, report.clone(), now);
                 continue;
             }
-            let msg = CtrlMsg::Report { from: self.state.host, report: report.clone() };
+            let msg = CtrlMsg::Report { from: host, report: report.clone() };
             let size = msg.wire_size();
             let _ = self.net_send(mrm, size, msg);
             self.sim.metrics().incr("cohesion.reports");
@@ -89,8 +91,8 @@ impl NodeCtx<'_, '_> {
         }
         // Pick the heaviest mobile instance as the migration candidate.
         let Some((_, cpu_needed)) = self.state.heaviest_mobile_instance() else { return };
-        let targets = self.state.report_targets.clone();
-        for mrm in targets {
+        let targets = Rc::clone(&self.state.report_targets);
+        for &mrm in targets.iter() {
             if mrm == self.state.host {
                 // We are the MRM: answer ourselves.
                 let target = self.state.pick_offload_target(self.state.host, cpu_needed);
@@ -149,8 +151,8 @@ impl NodeCtx<'_, '_> {
         let cpu_needed = self.state.instance_meta.get(&iid).map_or(0.1, |m| m.qos.cpu_min);
         self.state.last_replicate = Some(now);
         self.sim.metrics().incr("admission.replica_queries");
-        let targets = self.state.report_targets.clone();
-        for mrm in targets {
+        let targets = Rc::clone(&self.state.report_targets);
+        for &mrm in targets.iter() {
             if mrm == self.state.host {
                 // We are the MRM: answer ourselves.
                 let target = self.state.pick_offload_target(self.state.host, cpu_needed);

@@ -75,8 +75,9 @@ pub enum CtrlMsg {
         /// summary into its level+1 duty only, so deep hierarchies route
         /// correctly).
         level: u8,
-        /// Aggregate.
-        summary: GroupSummary,
+        /// Aggregate: one `summarize()` result, shared by every parent
+        /// replica it is sent to and every duty that absorbs it.
+        summary: Rc<GroupSummary>,
     },
 
     // ---- distributed queries ------------------------------------------
@@ -220,8 +221,8 @@ pub enum CtrlMsg {
     CacheInvalidate {
         /// The node whose inventory changed.
         from: lc_net::HostId,
-        /// The component affected.
-        component: String,
+        /// The component affected (one name shared by the whole fan-out).
+        component: Rc<str>,
     },
 
     // ---- sharded registry (DHT overlay + anti-entropy) ------------------
@@ -263,8 +264,9 @@ pub enum CtrlMsg {
         /// Publisher's freshness stamp (virtual time of the refresh).
         at: lc_des::SimTime,
         /// The publisher's complete current offers for the component
-        /// (empty = deregistered).
-        offers: Vec<Offer>,
+        /// (empty = deregistered): computed once per publish and shared
+        /// by the whole replica set and the stores that keep it.
+        offers: Rc<[Offer]>,
     },
     /// Anti-entropy digest: one replica's `(component, publisher,
     /// generation)` view of a shard, sent to a peer replica on the
@@ -275,8 +277,9 @@ pub enum CtrlMsg {
         from: lc_net::HostId,
         /// Shard the digest describes.
         shard: u32,
-        /// Generation triples.
-        gens: Vec<(String, lc_net::HostId, u64)>,
+        /// Generation triples: built once per shard per round and shared
+        /// by every peer replica's digest.
+        gens: Rc<[(String, lc_net::HostId, u64)]>,
     },
     /// Anti-entropy repair: the entries the digest sender was missing or
     /// held at an older generation.
@@ -393,8 +396,9 @@ pub struct DeltaEntry {
     pub gen: u64,
     /// Freshness stamp as stored at the sender.
     pub at: lc_des::SimTime,
-    /// The publisher's offers for the component.
-    pub offers: Vec<Offer>,
+    /// The publisher's offers for the component (the sender's stored
+    /// offer set, shared).
+    pub offers: Rc<[Offer]>,
 }
 
 impl DeltaEntry {
@@ -463,7 +467,7 @@ mod tests {
         };
         assert!(lookup.wire_size() < 128);
 
-        let empty = CtrlMsg::GossipDigest { from: HostId(0), shard: 0, gens: Vec::new() };
+        let empty = CtrlMsg::GossipDigest { from: HostId(0), shard: 0, gens: [].into() };
         let full = CtrlMsg::GossipDigest {
             from: HostId(0),
             shard: 0,
@@ -478,7 +482,7 @@ mod tests {
                 publisher: HostId(2),
                 gen: 4,
                 at: lc_des::SimTime::from_millis(10),
-                offers: Vec::new(),
+                offers: [].into(),
             }],
         };
         assert!(delta.wire_size() > empty.wire_size());
@@ -487,7 +491,7 @@ mod tests {
             component: "Counter".into(),
             gen: 4,
             at: lc_des::SimTime::from_millis(10),
-            offers: Vec::new(),
+            offers: [].into(),
         };
         assert!(publish.wire_size() < delta.wire_size() + 16);
     }

@@ -141,8 +141,9 @@ pub enum CoherenceRoute {
     Broadcast,
     /// Publish + invalidate only the owning shard's replica set.
     Shard {
-        /// The replica set of the component's owning shard.
-        replicas: Vec<HostId>,
+        /// The replica set of the component's owning shard: the ring's
+        /// own list, shared.
+        replicas: Rc<[HostId]>,
     },
 }
 
@@ -162,8 +163,9 @@ pub struct BackendStats {
 }
 
 /// A shard's anti-entropy summary: `(component, publisher, generation)`
-/// triples for every entry a replica holds.
-pub type ShardDigest = Vec<(String, HostId, u64)>;
+/// triples for every entry a replica holds. Built once per gossip round
+/// and shared by the digests to every peer replica.
+pub type ShardDigest = Rc<[(String, HostId, u64)]>;
 
 /// The result cache + singleflight table in front of every search.
 struct CacheFront {
@@ -178,7 +180,9 @@ struct PubEntry {
     /// Freshness stamp (virtual time of the publisher's last refresh as
     /// observed along the publish/gossip path).
     at: SimTime,
-    offers: Vec<Offer>,
+    /// The publisher's offer set as published: shared with the other
+    /// replicas' entries and with any repair delta that carries it on.
+    offers: Rc<[Offer]>,
 }
 
 /// Does an offer satisfy a (name-routed) query? Interface (`provides`)
@@ -261,14 +265,15 @@ impl ShardStore {
         publisher: HostId,
         gen: u64,
         at: SimTime,
-        offers: Vec<Offer>,
+        offers: Rc<[Offer]>,
     ) -> bool {
-        let by_pub = self
-            .store
-            .entry(shard)
-            .or_default()
-            .entry(component.to_owned())
-            .or_default();
+        let by_comp = self.store.entry(shard).or_default();
+        // A refresh finds its component already there: borrow the name
+        // and only build the key for a first publish.
+        if !by_comp.contains_key(component) {
+            by_comp.insert(component.to_owned(), BTreeMap::new());
+        }
+        let Some(by_pub) = by_comp.get_mut(component) else { return false };
         match by_pub.get_mut(&publisher) {
             Some(e) if gen < e.gen || (gen == e.gen && at < e.at) => false,
             Some(e) => {
@@ -321,7 +326,7 @@ impl ShardStore {
                 };
             for by_pub in comps {
                 for e in by_pub.values() {
-                    for o in &e.offers {
+                    for o in e.offers.iter() {
                         if offer_matches(o, query)
                             && !out.iter().any(|x| {
                                 x.node == o.node
@@ -376,7 +381,7 @@ impl ShardStore {
         publisher: HostId,
         gen: u64,
         at: SimTime,
-        offers: Vec<Offer>,
+        offers: Rc<[Offer]>,
     ) -> bool {
         let shard = self.ring.shard_of_component(component);
         if !self.ring.is_replica(shard, self.host) {
@@ -394,7 +399,7 @@ impl ShardStore {
         self.gossip_rounds += 1;
         let mut out = Vec::new();
         for &shard in &self.my_shards {
-            let gens: Vec<(String, HostId, u64)> = self
+            let gens: ShardDigest = self
                 .store
                 .get(&shard)
                 .map(|by_comp| {
@@ -406,9 +411,9 @@ impl ShardStore {
                         .collect()
                 })
                 .unwrap_or_default();
-            for &peer in self.ring.replicas(shard) {
+            for &peer in self.ring.replicas(shard).iter() {
                 if peer != self.host {
-                    out.push((peer, shard, gens.clone()));
+                    out.push((peer, shard, Rc::clone(&gens)));
                 }
             }
         }
@@ -445,7 +450,7 @@ impl ShardStore {
                         publisher: p,
                         gen: e.gen,
                         at: e.at,
-                        offers: e.offers.clone(),
+                        offers: Rc::clone(&e.offers),
                     });
                 }
             }
@@ -596,7 +601,7 @@ impl Registry {
         match &self.shard {
             Some(store) => {
                 let shard = store.ring.shard_of_component(component);
-                CoherenceRoute::Shard { replicas: store.ring.replicas(shard).to_vec() }
+                CoherenceRoute::Shard { replicas: Rc::clone(store.ring.replicas(shard)) }
             }
             None if self.front.cache.is_some() => CoherenceRoute::Broadcast,
             None => CoherenceRoute::Disabled,
@@ -675,7 +680,7 @@ mod tests {
         let shard = a.ring().shard_of_component("X");
         // The publish reached replica A but the fabric lost B's copy
         // (the missed-broadcast case): only A can answer.
-        assert!(a.on_publish("X", HostId(0), 1, MS(10), vec![offer(0, "X")]));
+        assert!(a.on_publish("X", HostId(0), 1, MS(10), [offer(0, "X")].into()));
         assert_eq!(a.lookup(shard, &q).map(|o| o.len()), Some(1));
         assert_eq!(b.lookup(shard, &q).map(|o| o.len()), Some(0));
         // One gossip round repairs B; a second round is quiescent.
@@ -690,11 +695,11 @@ mod tests {
         let q = ComponentQuery::by_name("X", Version::new(1, 0));
         let shard = a.ring().shard_of_component("X");
         // Both replicas hold generation 1 …
-        a.on_publish("X", HostId(0), 1, MS(10), vec![offer(0, "X")]);
-        b.on_publish("X", HostId(0), 1, MS(10), vec![offer(0, "X")]);
+        a.on_publish("X", HostId(0), 1, MS(10), [offer(0, "X")].into());
+        b.on_publish("X", HostId(0), 1, MS(10), [offer(0, "X")].into());
         // … then the publisher's inventory empties (deregister) and only
         // A hears about it — the lost-CacheInvalidate analogue.
-        a.on_publish("X", HostId(0), 2, MS(20), Vec::new());
+        a.on_publish("X", HostId(0), 2, MS(20), [].into());
         assert_eq!(a.lookup(shard, &q).map(|o| o.len()), Some(0));
         assert_eq!(b.lookup(shard, &q).map(|o| o.len()), Some(1), "B is stale");
         assert_eq!(gossip_round(&mut a, &mut b, MS(30)), 1);
@@ -706,9 +711,9 @@ mod tests {
         let (mut a, _) = replica_pair();
         let q = ComponentQuery::by_name("X", Version::new(1, 0));
         let shard = a.ring().shard_of_component("X");
-        a.on_publish("X", HostId(0), 3, MS(30), Vec::new());
+        a.on_publish("X", HostId(0), 3, MS(30), [].into());
         // A reordered older publish must not resurrect the offers.
-        assert!(!a.on_publish("X", HostId(0), 2, MS(10), vec![offer(0, "X")]));
+        assert!(!a.on_publish("X", HostId(0), 2, MS(10), [offer(0, "X")].into()));
         assert_eq!(a.lookup(shard, &q).map(|o| o.len()), Some(0));
     }
 
@@ -724,9 +729,9 @@ mod tests {
         let mut a = store(&cfg, 0, 2);
         let q = ComponentQuery::by_name("X", Version::new(1, 0));
         let shard = a.ring().shard_of_component("X");
-        a.on_publish("X", HostId(1), 1, MS(0), vec![offer(1, "X")]);
+        a.on_publish("X", HostId(1), 1, MS(0), [offer(1, "X")].into());
         // Refresh (same generation, newer stamp) keeps it alive …
-        a.on_publish("X", HostId(1), 1, MS(80), vec![offer(1, "X")]);
+        a.on_publish("X", HostId(1), 1, MS(80), [offer(1, "X")].into());
         a.gossip_digests(MS(150)); // sweep at 150: age 70 < ttl
         assert_eq!(a.lookup(shard, &q).map(|o| o.len()), Some(1));
         // … but a crashed publisher's entry ages out.
@@ -743,7 +748,7 @@ mod tests {
         pay.cost_per_hour = 100;
         pay.version = Version::new(1, 5);
         pay.mobility = Mobility::Fixed;
-        a.on_publish("X", HostId(0), 1, MS(0), vec![offer(1, "X"), pay]);
+        a.on_publish("X", HostId(0), 1, MS(0), [offer(1, "X"), pay].into());
         let all = ComponentQuery::by_name("X", Version::new(1, 0));
         assert_eq!(a.lookup(shard, &all).map(|o| o.len()), Some(2));
         let newer = ComponentQuery::by_name("X", Version::new(1, 5));

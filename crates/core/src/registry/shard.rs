@@ -24,11 +24,16 @@
 //! wall-clock or ambient RNG is involved.
 
 use lc_net::HostId;
+use std::rc::Rc;
 
 /// Deterministic 64-bit FNV-1a hash (no `std::hash` — `RandomState`
 /// would break run-to-run reproducibility).
 pub fn stable_hash64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// FNV-1a continued from state `h`: hashing a concatenation piecewise.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -58,8 +63,9 @@ impl Default for ShardRingConfig {
 pub struct ShardRing {
     shards: u32,
     /// Per shard: the `replicas` distinct hosts serving it, in ring order
-    /// (index 0 is the primary).
-    replica_sets: Vec<Vec<HostId>>,
+    /// (index 0 is the primary). Shared, so a coherence route names a
+    /// replica set without copying it.
+    replica_sets: Vec<Rc<[HostId]>>,
     /// Per shard: finger targets `(s + 2^i) mod S`, deduplicated.
     fingers: Vec<Vec<u32>>,
 }
@@ -107,7 +113,7 @@ impl ShardRing {
                         }
                     }
                 }
-                set
+                set.into()
             })
             .collect();
 
@@ -144,7 +150,8 @@ impl ShardRing {
 
     /// The shard owning a component name.
     pub fn shard_of_component(&self, component: &str) -> u32 {
-        (stable_hash64(format!("name:{component}").as_bytes()) % self.shards as u64) as u32
+        // The hash of `name:<component>`, without building that string.
+        (fnv1a(stable_hash64(b"name:"), component.as_bytes()) % self.shards as u64) as u32
     }
 
     /// A host's home shard: where its outbound lookups enter the finger
@@ -153,8 +160,9 @@ impl ShardRing {
         (stable_hash64(&host.0.to_le_bytes()) % self.shards as u64) as u32
     }
 
-    /// The replica set of a shard (primary first).
-    pub fn replicas(&self, shard: u32) -> &[HostId] {
+    /// The replica set of a shard (primary first). A route that must
+    /// outlive the borrow of the ring clones the handle, not the list.
+    pub fn replicas(&self, shard: u32) -> &Rc<[HostId]> {
         &self.replica_sets[shard as usize]
     }
 

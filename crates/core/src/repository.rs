@@ -12,6 +12,7 @@ use crate::behavior::BehaviorRegistry;
 use lc_pkg::sign::Verification;
 use lc_pkg::{ComponentDescriptor, Package, Platform, TrustStore, Version};
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// Why an installation was refused.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -58,8 +59,12 @@ pub struct Installed {
 /// The per-node Component Repository.
 #[derive(Clone, Default)]
 pub struct ComponentRepository {
-    /// (name, version) → installed component.
-    items: BTreeMap<(String, Version), Installed>,
+    /// name → version → installed component (lookups borrow the name).
+    items: BTreeMap<String, BTreeMap<Version, Installed>>,
+    /// The installed-name snapshot every keep-alive report shares.
+    /// Rebuilt by `install` of a new (name, version) and by `remove` —
+    /// the only two ways `items` changes.
+    names: Rc<[String]>,
 }
 
 impl ComponentRepository {
@@ -100,12 +105,11 @@ impl ComponentRepository {
         if !behaviors.contains(&section.behavior_id) {
             return Err(InstallError::UnknownBehavior(section.behavior_id.clone()));
         }
-        let key = (pkg.descriptor.name.clone(), pkg.descriptor.version);
-        if let Some(existing) = self.items.get(&key) {
+        let (name, version) = (&pkg.descriptor.name, pkg.descriptor.version);
+        if let Some(existing) = self.get(name, version) {
             if existing.descriptor != pkg.descriptor {
                 return Err(InstallError::Conflict(format!(
-                    "{} {} already installed with a different descriptor",
-                    key.0, key.1
+                    "{name} {version} already installed with a different descriptor"
                 )));
             }
             // idempotent re-install
@@ -118,43 +122,62 @@ impl ComponentRepository {
             package: pkg,
         };
         let desc = installed.descriptor.clone();
-        self.items.insert(key, installed);
+        self.items.entry(desc.name.clone()).or_default().insert(desc.version, installed);
+        self.rebuild_names();
         Ok(desc)
     }
 
     /// Remove a component version. Returns whether it was present.
     pub fn remove(&mut self, name: &str, version: Version) -> bool {
-        self.items.remove(&(name.to_owned(), version)).is_some()
+        let Some(versions) = self.items.get_mut(name) else { return false };
+        if versions.remove(&version).is_none() {
+            return false;
+        }
+        if versions.is_empty() {
+            self.items.remove(name);
+        }
+        self.rebuild_names();
+        true
+    }
+
+    fn rebuild_names(&mut self) {
+        self.names = self
+            .items
+            .iter()
+            .flat_map(|(name, versions)| versions.keys().map(move |_| name.clone()))
+            .collect();
     }
 
     /// Exact lookup.
     pub fn get(&self, name: &str, version: Version) -> Option<&Installed> {
-        self.items.get(&(name.to_owned(), version))
+        self.items.get(name)?.get(&version)
     }
 
     /// Best installed version satisfying `required` (§2.1:
     /// substitutability — highest compatible minor wins).
     pub fn best_match(&self, name: &str, required: Version) -> Option<&Installed> {
         self.items
+            .get(name)?
             .iter()
-            .filter(|((n, v), _)| n == name && v.satisfies(required))
-            .max_by_key(|((_, v), _)| *v)
+            .filter(|(v, _)| v.satisfies(required))
+            .max_by_key(|(v, _)| **v)
             .map(|(_, inst)| inst)
     }
 
-    /// All installed components.
+    /// All installed components, in (name, version) order.
     pub fn iter(&self) -> impl Iterator<Item = &Installed> {
-        self.items.values()
+        self.items.values().flat_map(BTreeMap::values)
     }
 
-    /// Installed component names (with duplicates for multiple versions).
-    pub fn names(&self) -> Vec<String> {
-        self.items.keys().map(|(n, _)| n.clone()).collect()
+    /// Installed component names in [`iter`](Self::iter) order (with
+    /// duplicates for multiple versions): the shared snapshot, not a copy.
+    pub fn names(&self) -> &Rc<[String]> {
+        &self.names
     }
 
     /// Number of installed (name, version) pairs.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.names.len()
     }
 
     /// Is the repository empty?
@@ -285,6 +308,40 @@ mod tests {
             repo.install(&pkg2.to_bytes(), &Platform::reference(), &trust, &behaviors, true),
             Err(InstallError::Conflict(_))
         ));
+    }
+
+    #[test]
+    fn name_snapshot_follows_install_and_remove() {
+        let (behaviors, trust, key) = setup();
+        let mut repo = ComponentRepository::new();
+        let install = |repo: &mut ComponentRepository, name: &str, v: Version| {
+            let bytes = make_pkg(name, v, "nop", Some(&key));
+            repo.install(&bytes, &Platform::reference(), &trust, &behaviors, true).unwrap();
+        };
+        assert!(repo.names().is_empty());
+        install(&mut repo, "B", Version::new(1, 0));
+        let one = repo.names().clone();
+        assert_eq!(&*one, ["B"]);
+        // An idempotent re-install leaves the very same snapshot in place.
+        install(&mut repo, "B", Version::new(1, 0));
+        assert!(Rc::ptr_eq(&one, repo.names()));
+        // A new version and a new name both rebuild it, in (name, version)
+        // order with one entry per installed version.
+        install(&mut repo, "B", Version::new(1, 2));
+        install(&mut repo, "A", Version::new(2, 0));
+        assert_eq!(&**repo.names(), ["A", "B", "B"]);
+        assert_eq!(repo.len(), 3);
+        assert_eq!(&*one, ["B"], "a snapshot already shipped never changes");
+        // Removing a version that is not there changes nothing …
+        let three = repo.names().clone();
+        assert!(!repo.remove("B", Version::new(3, 0)));
+        assert!(Rc::ptr_eq(&three, repo.names()));
+        // … removing one that is rebuilds the list.
+        assert!(repo.remove("B", Version::new(1, 0)));
+        assert_eq!(&**repo.names(), ["A", "B"]);
+        assert!(repo.remove("A", Version::new(2, 0)));
+        assert!(repo.best_match("A", Version::new(2, 0)).is_none());
+        assert_eq!(&**repo.names(), ["B"]);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 
 use lc_net::{DeviceClass, HostCfg};
 use lc_pkg::{Platform, QosSpec};
+use std::rc::Rc;
 
 /// Static hardware/OS/ORB characteristics, reflected from the host.
 #[derive(Clone, Debug)]
@@ -40,14 +41,20 @@ pub struct DynamicInfo {
 }
 
 /// One node's resource snapshot, as shipped in keep-alive reports.
+///
+/// The two parts that almost never change are shared, not copied: every
+/// report a node sends, and every record an MRM keeps of it, points at
+/// the same `StaticInfo` and the same installed-name list until the
+/// node's repository changes. Cloning a report is two reference bumps.
 #[derive(Clone, Debug)]
 pub struct ResourceReport {
-    /// Static characteristics.
-    pub static_info: StaticInfo,
+    /// Static characteristics (fixed for the node's lifetime).
+    pub static_info: Rc<StaticInfo>,
     /// Current allocation.
     pub dynamic: DynamicInfo,
-    /// Names of components installed locally (for query summaries).
-    pub installed: Vec<String>,
+    /// Names of components installed locally (for query summaries): the
+    /// Component Repository's current snapshot.
+    pub installed: Rc<[String]>,
 }
 
 impl ResourceReport {
@@ -64,7 +71,7 @@ impl ResourceReport {
 /// The Resource Manager service state.
 #[derive(Clone, Debug)]
 pub struct ResourceManager {
-    static_info: StaticInfo,
+    static_info: Rc<StaticInfo>,
     dynamic: DynamicInfo,
 }
 
@@ -77,14 +84,14 @@ impl ResourceManager {
             _ => Platform::reference(),
         };
         ResourceManager {
-            static_info: StaticInfo {
+            static_info: Rc::new(StaticInfo {
                 platform,
                 device: cfg.device,
                 cpu_power: cfg.cpu_power,
                 memory: cfg.memory,
                 up_bw: cfg.up_bw,
                 down_bw: cfg.down_bw,
-            },
+            }),
             dynamic: DynamicInfo::default(),
         }
     }
@@ -140,13 +147,13 @@ impl ResourceManager {
         self.dynamic.instances = self.dynamic.instances.saturating_sub(1);
     }
 
-    /// Build the keep-alive report (installed list supplied by the
-    /// Component Repository).
-    pub fn report(&self, installed: Vec<String>) -> ResourceReport {
+    /// Build the keep-alive report (installed-name snapshot supplied by
+    /// the Component Repository). Allocation-free.
+    pub fn report(&self, installed: &Rc<[String]>) -> ResourceReport {
         ResourceReport {
-            static_info: self.static_info.clone(),
+            static_info: Rc::clone(&self.static_info),
             dynamic: self.dynamic,
-            installed,
+            installed: Rc::clone(installed),
         }
     }
 
@@ -211,7 +218,7 @@ mod tests {
         let mut rm = ResourceManager::from_host_cfg(&cfg());
         let qos = QosSpec::default();
         rm.reserve(&qos);
-        let rep = rm.report(vec!["A".into(), "B".into()]);
+        let rep = rm.report(&Rc::from(["A".to_owned(), "B".to_owned()]));
         assert_eq!(rep.dynamic.instances, 1);
         assert_eq!(rep.installed.len(), 2);
         assert!(rep.wire_size() > 64);

@@ -355,13 +355,13 @@ fn ring_rebalance_moves_only_departed_hosts_shards() {
                 Registry::new(None, Some(ShardStore::new(&shard_cfg, replica, ring.clone())))
             };
             let (mut b, mut a) = (registry(&before), registry(&after));
-            let served = |r: &mut Registry, offers| {
+            let served = |r: &mut Registry, offers: Rc<[lc_core::Offer]>| {
                 let store = r.shard_mut().expect("built with a shard store");
                 store.on_publish(component, replica, 1, now, offers);
                 store.lookup(s, &q).map(|o| o.len())
             };
-            let before_offers = served(&mut b, vec![offer.clone()]);
-            let after_offers = served(&mut a, vec![offer]);
+            let before_offers = served(&mut b, [offer.clone()].into());
+            let after_offers = served(&mut a, [offer].into());
             assert_eq!(before_offers, Some(1));
             assert_eq!(
                 before_offers, after_offers,

@@ -105,7 +105,7 @@ fn duty_state_sweep_correct() {
             let mut summary = GroupSummary::default();
             summary.components.insert(format!("C{host}"));
             summary.node_count = 1;
-            ds.on_summary(HostId(host), summary, SimTime::from_secs(now_s));
+            ds.on_summary(HostId(host), summary.into(), SimTime::from_secs(now_s));
             last.insert(host, now_s);
         }
         now_s += timeout_s + 1;

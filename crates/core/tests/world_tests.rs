@@ -997,6 +997,55 @@ fn event_channels_close_when_producer_instance_dies() {
     assert_eq!(world.sim.metrics_ref().counter("events.published"), 1);
 }
 
+/// Shared soft state never serves yesterday's inventory: a package
+/// installed at run time on a plain member reaches its leaf MRMs with the
+/// member's next keep-alive and the parent level with the leaf primary's
+/// next summary — the snapshots those messages share are rebuilt, not
+/// reused — and a query from another site then finds it.
+#[test]
+fn runtime_install_reaches_mrm_and_parent_summaries() {
+    let period = fast_cohesion().report_period.as_nanos() / 1_000_000;
+    let mut world = demo_world(Topology::campus(8, 8), 17);
+    settle(&mut world, 4 * period);
+    // Host 13 is a plain member of leaf group 1 (hosts 8..16, MRMs 8 and
+    // 9); the root group's MRMs are hosts 0 and 8.
+    let member = HostId(13);
+    let believers = |world: &World, mrm: u32, level: u8| {
+        let node = world.node(HostId(mrm)).expect("node is up");
+        let (_, table) = node.duties().find(|(d, _)| d.level == level).expect("serves the level");
+        table.may_have_component("Counter")
+    };
+    assert_eq!(believers(&world, 8, 0), []);
+    assert_eq!(believers(&world, 0, 1), [HostId(0)], "only host 0's group holds Counter so far");
+
+    world.cmd(member, NodeCmd::Install(demo::counter_package()));
+    settle(&mut world, 2 * period);
+    for mrm in [8, 9] {
+        assert_eq!(believers(&world, mrm, 0), [member], "leaf MRM {mrm} missed the install");
+    }
+    // One sweep (plus the inter-site hop) later the parents know too.
+    settle(&mut world, period + 50);
+    for mrm in [0, 8] {
+        assert_eq!(
+            believers(&world, mrm, 1),
+            [HostId(0), HostId(8)],
+            "root MRM {mrm} still summarises group 1 without Counter"
+        );
+    }
+
+    // With host 0 (the only other holder) crashed and evicted, a query
+    // from a third site can only be answered by the new install.
+    world.crash(HostId(0));
+    settle(&mut world, 5 * period);
+    let sink: Rc<RefCell<QueryResult>> = Rc::default();
+    let query = ComponentQuery::by_name("Counter", Version::new(1, 0));
+    world.cmd(HostId(42), NodeCmd::Query { query, sink: sink.clone(), first_wins: false });
+    settle(&mut world, 1000);
+    let res = sink.borrow();
+    assert!(res.done);
+    assert_eq!(res.offers.iter().map(|o| o.node).collect::<Vec<_>>(), [member]);
+}
+
 /// A sharded world over `net`: `Counter` installed on `owners`, fast
 /// gossip so the first maintenance round publishes it early.
 fn sharded_world(
