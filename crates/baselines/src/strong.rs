@@ -253,10 +253,8 @@ impl Actor for StrongMember {
             Ok(t) => return self.on_tick(ctx, t),
             Err(m) => m,
         };
-        if let Ok(net_msg) = msg.downcast_msg::<NetMsg>() {
-            if let Ok(m) = net_msg.payload.downcast_msg::<Msg>() {
-                self.on_msg(ctx, m);
-            }
+        if let Ok(net_msg) = msg.downcast_msg::<NetMsg<Msg>>() {
+            self.on_msg(ctx, net_msg.payload);
         }
     }
 }

@@ -12,7 +12,7 @@ use lc_des::SimTime;
 use lc_net::HostId;
 use std::rc::Rc;
 
-use super::ctx::{NodeCtx, NodeState};
+use super::ctx::{Hot, NodeCtx, NodeState};
 use super::metrics::ServiceKind;
 use super::service::{item, ServiceReflect, Tick};
 
@@ -98,7 +98,7 @@ impl NodeCtx<'_, '_> {
                 };
                 let size = msg.wire_size();
                 let _ = self.net_send(parent, size, msg);
-                self.sim.metrics().incr("cohesion.summaries");
+                self.bump(Hot::Summaries);
             }
         }
     }

@@ -435,8 +435,13 @@ impl NodeCtx<'_, '_> {
             let (scaled, done) = self.state.occupy_cpu(self.sim.now(), cpu_cost);
             self.sim.metrics().record("node.task_ms", scaled.as_secs_f64() * 1e3);
             if let Some(back) = reply_to {
+                // The CPU is FIFO, so `done` never decreases from one
+                // parked reply to the next and same-instant timers fire
+                // in arming order: each `SendReply` tick finds its own
+                // reply at the front.
                 let delay = done.saturating_sub(self.sim.now());
-                self.timer_in(delay, Tick::SendReply { to: back, id, result: outcome });
+                self.state.due_replies.push_back((back, id, outcome));
+                self.timer_in(delay, Tick::SendReply);
             }
         } else if let Some(back) = reply_to {
             let _ = self.orb_reply(back, id, outcome);
@@ -770,8 +775,10 @@ pub(crate) fn handle_orb(ctx: &mut NodeCtx<'_, '_>, wire: OrbWire) {
 /// `DedupSweep`.
 pub(crate) fn on_timer(ctx: &mut NodeCtx<'_, '_>, tick: Tick) {
     match tick {
-        Tick::SendReply { to, id, result } => {
-            let _ = ctx.orb_reply(to, id, result);
+        Tick::SendReply => {
+            if let Some((to, id, result)) = ctx.state.due_replies.pop_front() {
+                let _ = ctx.orb_reply(to, id, result);
+            }
         }
         Tick::CallSweep => ctx.sweep_calls(),
         Tick::CallRetry(rid) => ctx.retry_call(rid),

@@ -18,18 +18,18 @@ use crate::registry::{ComponentQuery, ComponentRegistry, InstanceId, Offer};
 use crate::repository::ComponentRepository;
 use crate::resource::ResourceManager;
 use lc_cache::CacheStats;
-use lc_des::{Ctx, SimTime};
+use lc_des::{CounterId, Ctx, SimTime};
 use lc_net::{DropReason, HostId, Net};
 use lc_trace::{SloMonitor, Tracer};
 use lc_orb::{ObjectAdapter, ObjectKey, ObjectRef, OrbError, Outcome, RequestId, SimOrb, Value};
 use lc_pkg::{Platform, TrustStore};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
 
 use super::continuations::ContTable;
 use super::metrics::NodeMetrics;
-use super::service::{Tick, TickMsg};
+use super::service::Tick;
 use super::{NodeConfig, NodeSeed, RegistryConfig};
 
 /// One open push event channel: the event type plus its subscribers
@@ -90,6 +90,9 @@ pub struct NodeState {
     /// CPU FIFO: when the processor frees up (owned by the Resource
     /// Manager's accounting, see `resource_svc::occupy_cpu`).
     pub(crate) cpu_free_at: SimTime,
+    /// Replies computed but still occupying the CPU, in the order their
+    /// `Tick::SendReply` timers fire; lost with the node on a crash.
+    pub(crate) due_replies: VecDeque<(HostId, RequestId, Result<Outcome, OrbError>)>,
     /// Admitted requests per local oid since boot — which instance is
     /// hot, for replication placement. Maintained only while
     /// [`NodeConfig::admission`] configures `replicate_hot`.
@@ -103,6 +106,9 @@ pub struct NodeState {
     /// result cache, singleflight and (when [`NodeConfig::registry`] is
     /// sharded) this host's shard store over the world's ring.
     pub(crate) backend: Registry,
+    /// [`Hot`] counter ids in the simulation's metrics sink, resolved by
+    /// this node's first hot bump.
+    pub(crate) hot_ids: Option<[CounterId; HOT_NAMES.len()]>,
 }
 
 impl NodeState {
@@ -162,10 +168,12 @@ impl NodeState {
             subs: BTreeMap::new(),
             forwards: BTreeMap::new(),
             cpu_free_at: SimTime::ZERO,
+            due_replies: VecDeque::new(),
             instance_load: BTreeMap::new(),
             last_replicate: None,
             replicas_started: 0,
             backend,
+            hot_ids: None,
         }
     }
 
@@ -253,6 +261,26 @@ impl NodeState {
     }
 }
 
+/// The counters a node bumps per message or per tick, resolved to ids
+/// once per node ([`NodeCtx::bump`]) instead of by name per bump.
+#[derive(Clone, Copy)]
+pub(crate) enum Hot {
+    QueryMsgs,
+    Reports,
+    Summaries,
+    PublishMsgs,
+    GossipMsgs,
+}
+
+/// Counter names, indexed by [`Hot`].
+const HOT_NAMES: [&str; 5] = [
+    "query.msgs",
+    "cohesion.reports",
+    "cohesion.summaries",
+    "registry.publish_msgs",
+    "registry.gossip_msgs",
+];
+
 /// A service's view of one simulation event: the shared node state plus
 /// the DES context. All cross-cutting plumbing (control sends with local
 /// short-circuit, metric-counted ORB traffic, timers) hangs off this.
@@ -269,9 +297,17 @@ impl NodeCtx<'_, '_> {
         self.sim.now()
     }
 
-    /// Arm a node-internal timer.
+    /// Count one `counter` event in the simulation-wide metrics.
+    pub(crate) fn bump(&mut self, counter: Hot) {
+        let m = self.sim.metrics();
+        let ids = self.state.hot_ids.get_or_insert_with(|| HOT_NAMES.map(|name| m.id(name)));
+        m.bump(ids[counter as usize], 1);
+    }
+
+    /// Arm a node-internal timer (packed lane: no allocation).
     pub(crate) fn timer_in(&mut self, delay: SimTime, tick: Tick) {
-        self.sim.timer_in(delay, TickMsg(tick));
+        let me = self.sim.me();
+        self.sim.send_packed(delay, me, tick.pack());
     }
 
     /// Send a control message, delivering locally (no network, no
@@ -294,7 +330,7 @@ impl NodeCtx<'_, '_> {
                 | CtrlMsg::ShardLookup { .. }
                 | CtrlMsg::ShardServe { .. }
         ) {
-            self.sim.metrics().incr("query.msgs");
+            self.bump(Hot::QueryMsgs);
         }
         let _ = self.net_send(to, size, msg);
     }
@@ -418,7 +454,7 @@ impl NodeCtx<'_, '_> {
                 };
                 let size = msg.wire_size();
                 if self.net_send(to, size, msg).is_ok() {
-                    self.sim.metrics().incr("registry.publish_msgs");
+                    self.bump(Hot::PublishMsgs);
                 }
             }
         }

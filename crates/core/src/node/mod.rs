@@ -61,7 +61,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use service::{
-    cmd_service, ctrl_service, dispatch_cmd, dispatch_ctrl, dispatch_tick, tick_service, TickMsg,
+    cmd_service, ctrl_service, dispatch_cmd, dispatch_ctrl, dispatch_tick, tick_service,
 };
 
 pub use lc_cache::CacheStats;
@@ -644,24 +644,21 @@ impl NodeSeed {
         // Deterministic de-synchronization: stagger the first keep-alive
         // by host id so report storms do not align.
         let jitter = SimTime::from_micros(137 * (self.host.0 as u64 + 1));
-        sim.send_in(jitter, actor, TickMsg(Tick::KeepAlive));
-        sim.send_in(
-            jitter + self.config.cohesion.report_period / 2,
-            actor,
-            TickMsg(Tick::MrmSweep),
-        );
+        let mut arm = |delay: SimTime, tick: Tick| sim.send_packed(delay, actor, tick.pack());
+        arm(jitter, Tick::KeepAlive);
+        arm(jitter + self.config.cohesion.report_period / 2, Tick::MrmSweep);
         if let Some(lb) = &self.config.load_balance {
-            sim.send_in(jitter + lb.check_period, actor, TickMsg(Tick::LoadBalance));
+            arm(jitter + lb.check_period, Tick::LoadBalance);
         }
         if let RegistryConfig::Sharded(sc) = &self.config.registry {
             // First maintenance tick publishes the pre-installed
             // inventory (installed before the actor existed, so no
             // runtime was there to publish through) and starts the
             // gossip cadence.
-            sim.send_in(jitter + sc.gossip_period, actor, TickMsg(Tick::ShardMaintain));
+            arm(jitter + sc.gossip_period, Tick::ShardMaintain);
         }
         if let Some(slo) = &self.config.tracing.slo {
-            sim.send_in(jitter + slo.window, actor, TickMsg(Tick::SloCheck));
+            arm(jitter + slo.window, Tick::SloCheck);
         }
         actor
     }
@@ -717,17 +714,18 @@ impl Node {
     ) {
         let state = &mut self.state;
         state.metrics.begin(kind, true);
-        let tracer = state.tracer.clone();
+        // Untraced frames (every frame while tracing is off) open no
+        // span, so only a traced one takes a handle on the tracer.
         let span = parent.and_then(|p| {
-            tracer.child_of(state.host.0, &format!("node.{}", kind.name()), p, ctx.now())
+            let tracer = state.tracer.clone();
+            let span =
+                tracer.child_of(state.host.0, &format!("node.{}", kind.name()), p, ctx.now())?;
+            Some((tracer.set_current(Some(span)), span, tracer))
         });
-        let prev = span.map(|s| tracer.set_current(Some(s)));
         handler(&mut NodeCtx { state: &mut *state, sim: &mut *ctx });
         state.metrics.finish();
-        if let Some(s) = span {
-            tracer.end(s, ctx.now());
-        }
-        if let Some(prev) = prev {
+        if let Some((prev, span, tracer)) = span {
+            tracer.end(span, ctx.now());
             tracer.set_current(prev);
         }
     }
@@ -735,7 +733,7 @@ impl Node {
     /// Route a timer tick to one service. Ticks are internal work, not
     /// messages: they count as a dispatch but not as a message in.
     fn route_tick(&mut self, ctx: &mut Ctx<'_>, tick: Tick) {
-        let kind = tick_service(&tick);
+        let kind = tick_service(tick);
         let state = &mut self.state;
         state.metrics.begin(kind, false);
         dispatch_tick(&mut NodeCtx { state: &mut *state, sim: &mut *ctx }, kind, tick);
@@ -744,15 +742,11 @@ impl Node {
 }
 
 impl Actor for Node {
+    /// Driver commands arrive directly; network traffic arrives as a
+    /// frame around its protocol payload.
     fn handle(&mut self, ctx: &mut Ctx<'_>, msg: AnyMsg) {
         // Expose virtual time to servants dispatched during this event.
         self.state.adapter.set_clock(ctx.now());
-        // Driver commands and timers arrive directly; network traffic
-        // arrives wrapped in NetMsg.
-        let msg = match msg.downcast_msg::<TickMsg>() {
-            Ok(TickMsg(tick)) => return self.route_tick(ctx, tick),
-            Err(m) => m,
-        };
         let msg = match msg.downcast_msg::<NodeCmd>() {
             Ok(cmd) => {
                 self.state.metrics.note_cmd(cmd.name());
@@ -761,21 +755,24 @@ impl Actor for Node {
             }
             Err(m) => m,
         };
-        let net_msg = match msg.downcast_msg::<NetMsg>() {
-            Ok(nm) => nm,
-            Err(_) => return, // unknown message type: drop
-        };
-        let from = net_msg.from;
-        let trace = net_msg.trace;
-        let payload = match net_msg.payload.downcast_msg::<CtrlMsg>() {
-            Ok(ctrl) => {
+        let msg = match msg.downcast_msg::<NetMsg<CtrlMsg>>() {
+            Ok(NetMsg { from, trace, payload: ctrl, .. }) => {
                 let kind = ctrl_service(&ctrl);
                 return self.route(ctx, kind, trace, |n| dispatch_ctrl(n, kind, from, ctrl));
             }
-            Err(p) => p,
+            Err(m) => m,
         };
-        if let Ok(wire) = payload.downcast_msg::<OrbWire>() {
+        // Anything else is an unknown message type: drop.
+        if let Ok(NetMsg { trace, payload: wire, .. }) = msg.downcast_msg::<NetMsg<OrbWire>>() {
             self.route(ctx, ServiceKind::Container, trace, |n| container::handle_orb(n, wire));
+        }
+    }
+
+    /// Timer ticks arrive on the packed lane, as `Tick::pack` words.
+    fn handle_packed(&mut self, ctx: &mut Ctx<'_>, data: u64) {
+        self.state.adapter.set_clock(ctx.now());
+        if let Some(tick) = Tick::unpack(data) {
+            self.route_tick(ctx, tick);
         }
     }
 }

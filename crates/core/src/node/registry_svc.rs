@@ -13,7 +13,7 @@ use lc_pkg::Version;
 use std::rc::Rc;
 
 use super::continuations::{FetchCont, PendingQuery, QueryFollower, QueryPurpose, SpawnCont};
-use super::ctx::{NodeCtx, NodeState};
+use super::ctx::{Hot, NodeCtx, NodeState};
 use super::metrics::ServiceKind;
 use super::service::{item, ServiceReflect, Tick};
 use super::{NodeCmd, SpawnSink};
@@ -100,7 +100,7 @@ impl NodeCtx<'_, '_> {
                 }
                 // The follower's own deadline needs a sweep tick even if
                 // the leader never expires.
-                self.timer_in(timeout, Tick::QueryDeadline(leader));
+                self.timer_in(timeout, Tick::QueryDeadline);
             }
             ResolveStep::Search { key, cache_missed } => {
                 if cache_missed {
@@ -176,7 +176,7 @@ impl NodeCtx<'_, '_> {
                 }
                 if !done {
                     self.issue_search(qid, query);
-                    self.timer_in(timeout, Tick::QueryDeadline(seq));
+                    self.timer_in(timeout, Tick::QueryDeadline);
                 }
                 if let Some(prev) = prev {
                     tracer.set_current(prev);
@@ -239,7 +239,7 @@ impl NodeCtx<'_, '_> {
                     CtrlMsg::ShardLookup { qid, query: query.clone(), target, at: shard, hops };
                 let size = msg.wire_size();
                 if self.net_send(r, size, msg).is_ok() {
-                    self.sim.metrics().incr("query.msgs");
+                    self.bump(Hot::QueryMsgs);
                     return;
                 }
                 break; // send failed despite reachable — give up hop
@@ -338,7 +338,7 @@ impl NodeCtx<'_, '_> {
                 let msg = CtrlMsg::GossipDigest { from, shard, gens };
                 let size = msg.wire_size();
                 if self.net_send(to, size, msg).is_ok() {
-                    self.sim.metrics().incr("registry.gossip_msgs");
+                    self.bump(Hot::GossipMsgs);
                 }
             }
         }
@@ -363,7 +363,7 @@ impl NodeCtx<'_, '_> {
                 let msg = CtrlMsg::Query { qid, query, level, descending };
                 let size = msg.wire_size();
                 if self.net_send(mrm, size, msg).is_ok() {
-                    self.sim.metrics().incr("query.msgs");
+                    self.bump(Hot::QueryMsgs);
                     return true;
                 }
                 return false; // send failed despite reachable — give up hop
@@ -415,7 +415,7 @@ impl NodeCtx<'_, '_> {
                     CtrlMsg::Query { qid, query: query.clone(), level: u8::MAX, descending: true };
                 let size = msg.wire_size();
                 if self.net_send(member, size, msg).is_ok() {
-                    self.sim.metrics().incr("query.msgs");
+                    self.bump(Hot::QueryMsgs);
                     forwarded += 1;
                 }
             }
@@ -436,7 +436,7 @@ impl NodeCtx<'_, '_> {
                 };
                 let size = msg.wire_size();
                 if self.net_send(child, size, msg).is_ok() {
-                    self.sim.metrics().incr("query.msgs");
+                    self.bump(Hot::QueryMsgs);
                     forwarded += 1;
                 }
             }
@@ -786,7 +786,7 @@ pub(crate) fn handle_ctrl(ctx: &mut NodeCtx<'_, '_>, _from: HostId, msg: CtrlMsg
                 let msg = CtrlMsg::GossipDelta { shard, entries };
                 let size = msg.wire_size();
                 if ctx.net_send(from, size, msg).is_ok() {
-                    ctx.sim.metrics().incr("registry.gossip_msgs");
+                    ctx.bump(Hot::GossipMsgs);
                 }
             }
         }
@@ -825,7 +825,7 @@ pub(crate) fn on_timer(ctx: &mut NodeCtx<'_, '_>, tick: Tick) {
         ctx.shard_maintain();
         return;
     }
-    if let Tick::QueryDeadline(_) = tick {
+    if let Tick::QueryDeadline = tick {
         // One sweep finalizes every query whose deadline has passed
         // (count- and order-identical to the old per-seq checks:
         // deadline timers fire in chronological order, and a query
@@ -883,7 +883,7 @@ pub(crate) fn on_timer(ctx: &mut NodeCtx<'_, '_>, tick: Tick) {
                 if let Some(prev) = prev {
                     tracer.set_current(prev);
                 }
-                ctx.timer_in(timeout, Tick::QueryDeadline(seq));
+                ctx.timer_in(timeout, Tick::QueryDeadline);
                 continue;
             }
             ctx.sim.metrics().incr("query.timeouts");

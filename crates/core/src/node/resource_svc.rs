@@ -10,7 +10,7 @@ use lc_net::HostId;
 use crate::registry::InstanceId;
 use std::rc::Rc;
 
-use super::ctx::{NodeCtx, NodeState};
+use super::ctx::{Hot, NodeCtx, NodeState};
 use super::metrics::ServiceKind;
 use super::service::{item, ms, ServiceReflect, Tick};
 
@@ -78,7 +78,7 @@ impl NodeCtx<'_, '_> {
             let msg = CtrlMsg::Report { from: host, report: report.clone() };
             let size = msg.wire_size();
             let _ = self.net_send(mrm, size, msg);
-            self.sim.metrics().incr("cohesion.reports");
+            self.bump(Hot::Reports);
         }
     }
 

@@ -17,7 +17,7 @@
 use crate::proto::CtrlMsg;
 use lc_des::SimTime;
 use lc_net::HostId;
-use lc_orb::{OrbError, Outcome, RequestId};
+use lc_orb::RequestId;
 
 use super::ctx::{NodeCtx, NodeState};
 use super::metrics::ServiceKind;
@@ -25,22 +25,21 @@ use super::NodeCmd;
 use super::{acceptor, cohesion_svc, container, registry_svc, resource_svc};
 
 /// Node-internal timer ticks, routed to services like messages.
+///
+/// A tick travels on the kernel's packed `u64` lane (`Tick::pack`):
+/// arming one allocates nothing. Whatever a tick needs beyond its kind
+/// and one id stays parked in node state until it fires.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Tick {
     /// Send the periodic resource report (doubles as the keep-alive).
     KeepAlive,
     /// Sweep MRM soft state and push summaries.
     MrmSweep,
     /// A query deadline elapsed: finalize every expired pending query.
-    QueryDeadline(u64),
-    /// A CPU-delayed reply is due.
-    SendReply {
-        /// Caller host awaiting the reply.
-        to: HostId,
-        /// Request being answered.
-        id: RequestId,
-        /// The (pre-computed) dispatch outcome.
-        result: Result<Outcome, OrbError>,
-    },
+    QueryDeadline,
+    /// A CPU-delayed reply is due: the front of the node's parked
+    /// replies (CPU occupancy is FIFO, so they fall due in park order).
+    SendReply,
     /// Periodic load-balance self-check.
     LoadBalance,
     /// An outgoing-call deadline elapsed: sweep expired calls, retrying
@@ -58,8 +57,63 @@ pub enum Tick {
     SloCheck,
 }
 
-/// Newtype so ticks route through the actor mailbox unambiguously.
-pub(crate) struct TickMsg(pub(crate) Tick);
+/// Bits of a packed tick below the tag byte.
+const TICK_ID_MASK: u64 = (1 << 56) - 1;
+
+impl Tick {
+    /// Names of the tag bytes `Tick::pack` writes, for rendering a
+    /// profiled node world ([`lc_trace::profile::render`]).
+    pub const KIND_NAMES: [(u8, &'static str); 10] = [
+        (1, "tick.keepalive"),
+        (2, "tick.mrm_sweep"),
+        (3, "tick.query_deadline"),
+        (4, "tick.send_reply"),
+        (5, "tick.load_balance"),
+        (6, "tick.call_sweep"),
+        (7, "tick.call_retry"),
+        (8, "tick.dedup_sweep"),
+        (9, "tick.shard_maintain"),
+        (10, "tick.slo_check"),
+    ];
+
+    /// The packed-lane word: tag in the top byte (the kind
+    /// [`lc_des::profile`] tallies), `CallRetry`'s request id in the 56
+    /// bits below.
+    pub(crate) fn pack(self) -> u64 {
+        let (tag, id) = match self {
+            Tick::KeepAlive => (1, 0),
+            Tick::MrmSweep => (2, 0),
+            Tick::QueryDeadline => (3, 0),
+            Tick::SendReply => (4, 0),
+            Tick::LoadBalance => (5, 0),
+            Tick::CallSweep => (6, 0),
+            Tick::CallRetry(RequestId(id)) => (7, id),
+            Tick::DedupSweep => (8, 0),
+            Tick::ShardMaintain => (9, 0),
+            Tick::SloCheck => (10, 0),
+        };
+        debug_assert!(id <= TICK_ID_MASK, "request id overflows the packed tick");
+        tag << 56 | (id & TICK_ID_MASK)
+    }
+
+    /// Inverse of [`Tick::pack`]; `None` for a word no tick packs to.
+    pub(crate) fn unpack(data: u64) -> Option<Tick> {
+        let id = data & TICK_ID_MASK;
+        Some(match data >> 56 {
+            1 => Tick::KeepAlive,
+            2 => Tick::MrmSweep,
+            3 => Tick::QueryDeadline,
+            4 => Tick::SendReply,
+            5 => Tick::LoadBalance,
+            6 => Tick::CallSweep,
+            7 => Tick::CallRetry(RequestId(id)),
+            8 => Tick::DedupSweep,
+            9 => Tick::ShardMaintain,
+            10 => Tick::SloCheck,
+            _ => return None,
+        })
+    }
+}
 
 /// One reflected fact sheet per service, rendered by `reflect.rs`.
 #[derive(Clone, Debug)]
@@ -115,12 +169,12 @@ pub(crate) fn ctrl_service(msg: &CtrlMsg) -> ServiceKind {
 }
 
 /// Which service owns a timer tick.
-pub(crate) fn tick_service(tick: &Tick) -> ServiceKind {
+pub(crate) fn tick_service(tick: Tick) -> ServiceKind {
     match tick {
         Tick::KeepAlive | Tick::LoadBalance | Tick::SloCheck => ServiceKind::Resource,
         Tick::MrmSweep => ServiceKind::Cohesion,
-        Tick::QueryDeadline(_) | Tick::ShardMaintain => ServiceKind::Registry,
-        Tick::SendReply { .. } | Tick::CallSweep | Tick::CallRetry(_) | Tick::DedupSweep => {
+        Tick::QueryDeadline | Tick::ShardMaintain => ServiceKind::Registry,
+        Tick::SendReply | Tick::CallSweep | Tick::CallRetry(_) | Tick::DedupSweep => {
             ServiceKind::Container
         }
     }
@@ -196,4 +250,47 @@ pub(crate) fn item(label: &str, value: impl std::fmt::Display) -> (String, Strin
 /// Helper for elapsed virtual-time durations (ms) in reflect output.
 pub(crate) fn ms(t: SimTime) -> String {
     format!("{:.2} ms", t.as_secs_f64() * 1e3)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const ALL: [Tick; 10] = [
+        Tick::KeepAlive,
+        Tick::MrmSweep,
+        Tick::QueryDeadline,
+        Tick::SendReply,
+        Tick::LoadBalance,
+        Tick::CallSweep,
+        Tick::CallRetry(RequestId(0x00AB_CDEF_0123_4567)),
+        Tick::DedupSweep,
+        Tick::ShardMaintain,
+        Tick::SloCheck,
+    ];
+
+    #[test]
+    fn every_tick_round_trips_under_its_own_named_tag() {
+        let mut tags = std::collections::BTreeSet::new();
+        for tick in ALL {
+            let word = tick.pack();
+            assert_eq!(Tick::unpack(word), Some(tick));
+            let tag = (word >> 56) as u8;
+            assert!(tags.insert(tag), "{tick:?} shares tag {tag}");
+            assert!(Tick::KIND_NAMES.iter().any(|(t, _)| *t == tag), "{tick:?} has no name");
+        }
+        assert_eq!(tags.len(), Tick::KIND_NAMES.len());
+        // The id rides below the tag and does not leak into it.
+        let one = Tick::CallRetry(RequestId(1)).pack();
+        let two = Tick::CallRetry(RequestId(2)).pack();
+        assert_eq!(one >> 56, two >> 56);
+        assert_ne!(one, two);
+    }
+
+    #[test]
+    fn words_no_tick_packs_to_are_rejected() {
+        assert_eq!(Tick::unpack(0), None);
+        assert_eq!(Tick::unpack(11 << 56), None);
+        assert_eq!(Tick::unpack(u64::MAX), None);
+    }
 }

@@ -16,7 +16,7 @@ use lc_core::demo;
 use lc_core::node::RegistryConfig;
 use lc_core::testkit::{build_world, World};
 use lc_core::{BehaviorRegistry, CacheConfig, CohesionConfig, NodeConfig, ShardConfig};
-use lc_des::SimTime;
+use lc_des::{Lane, ProfilerConfig, SimTime};
 use lc_net::{HostId, Topology};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -58,12 +58,18 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations per node per report period: the measured 4 040 / 640 and
-/// 13 080 / 640 (the same in debug and release builds), rounded up to
-/// two decimals. Before soft state was shared the same runs measured
-/// 25.50 and 47.25 (EXPERIMENTS.md, "Background soft state").
-const SINGLE_LEADER_BUDGET: f64 = 6.32;
-const SHARDED_BUDGET: f64 = 20.44;
+/// Allocations per node per report period: the measured 1 500 / 640 and
+/// 6 740 / 640 (the same in debug and release builds), rounded up to
+/// two decimals. With every frame boxed twice and every timer boxed
+/// once the same runs measured 6.32 and 20.44; before soft state was
+/// shared, 25.50 and 47.25 (EXPERIMENTS.md, "Background soft state").
+const SINGLE_LEADER_BUDGET: f64 = 2.35;
+const SHARDED_BUDGET: f64 = 10.54;
+
+/// What rebuilding one subtree summary allocates: the component name,
+/// the set node holding it and the `Rc` around the summary. The only
+/// allocations of the idle single-leader plane that are not a frame.
+const SUMMARY_BUILD_ALLOCS: u64 = 3;
 
 const NODES: u64 = 64;
 const PERIODS: u64 = 10;
@@ -126,4 +132,52 @@ fn sharded_idle_allocation_budget() {
     let registry = RegistryConfig::Sharded(ShardConfig::default());
     let total = idle_allocs(campus(registry, Some(CacheConfig::default())));
     assert_budget("sharded idle campus", total, SHARDED_BUDGET);
+}
+
+
+/// The message path itself, event by event on the idle single-leader
+/// campus: an event allocates one frame per message it sends and
+/// nothing else — so a timer tick that sends nothing, and every
+/// delivery, allocates zero. (A sweep that rebuilds a subtree summary
+/// additionally pays [`SUMMARY_BUILD_ALLOCS`].)
+#[test]
+fn one_allocation_per_message_and_none_per_timer() {
+    let mut world = campus(RegistryConfig::SingleLeader, None);
+    // Observation only, to tell timer ticks (packed lane) from
+    // deliveries. On before convergence so its per-actor table is fully
+    // grown, and without queue sampling, it allocates nothing inside a
+    // measured event.
+    world.sim.enable_profiler(ProfilerConfig { sample_every: SimTime::ZERO, max_samples: 0 });
+    world.sim.run_until(SimTime::from_secs(7));
+    let counter = |world: &World, key: &str| world.sim.metrics_ref().counter(key);
+    let ticks = |world: &World| {
+        world.sim.profile_report().map_or(0, |r| r.lane(Lane::Packed).events)
+    };
+
+    let end = SimTime::from_secs(7) + REPORT_PERIOD * PERIODS;
+    let (mut msgs, mut frames, mut silent_ticks) = (0, 0, 0);
+    while world.sim.now() < end {
+        let sent_before = counter(&world, "net.msgs");
+        let built_before = counter(&world, "cohesion.summaries");
+        let ticks_before = ticks(&world);
+        let before = ALLOCS.with(Cell::get);
+        assert!(world.sim.step(), "the idle plane never drains");
+        let allocs = ALLOCS.with(Cell::get) - before;
+        let sent = counter(&world, "net.msgs") - sent_before;
+        let built = counter(&world, "cohesion.summaries") > built_before;
+        let frame_allocs = allocs.saturating_sub(if built { SUMMARY_BUILD_ALLOCS } else { 0 });
+        assert!(
+            frame_allocs <= sent,
+            "an event that sent {sent} message(s) allocated {allocs} times at {}",
+            world.sim.now()
+        );
+        msgs += sent;
+        frames += frame_allocs;
+        if sent == 0 && ticks(&world) > ticks_before {
+            silent_ticks += 1;
+        }
+    }
+    println!("{frames} frame allocations for {msgs} messages, {silent_ticks} silent ticks");
+    assert!(msgs > 0 && frames <= msgs, "at most one allocation per delivered message");
+    assert!(silent_ticks > 0, "the window must contain timer ticks that send nothing");
 }

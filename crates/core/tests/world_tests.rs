@@ -683,6 +683,120 @@ fn cpu_cost_delays_replies_by_host_power() {
     assert!(latencies[0] - latencies[1] >= SimTime::from_micros(300));
 }
 
+/// CPU-delayed replies wait in node state, not in their timer: each is
+/// sent exactly once, in the order the CPU finishes them, and a crash
+/// takes the parked ones with it.
+#[test]
+fn parked_replies_go_out_once_in_order_and_die_with_the_node() {
+    let mut topo = Topology::new();
+    let s = topo.add_site("lan");
+    let server = topo.add_host(HostCfg::new(s).cpu(0.1));
+    let caller = topo.add_host(HostCfg::new(s));
+    let behaviors = BehaviorRegistry::new();
+    demo::register_demo_behaviors(&behaviors);
+    let mut world = build_world(
+        topo,
+        14,
+        NodeConfig { cohesion: fast_cohesion(), ..Default::default() },
+        behaviors,
+        demo::demo_trust(),
+        Arc::new(demo::demo_idl()),
+        |_| vec![demo::display_package()],
+    );
+    settle(&mut world, 10);
+    let spawn_display = |world: &mut World| {
+        let sink: lc_core::SpawnSink = Rc::default();
+        world.cmd(
+            server,
+            NodeCmd::SpawnLocal {
+                component: "Display".into(),
+                min_version: Version::new(2, 0),
+                instance_name: None,
+                sink: sink.clone(),
+            },
+        );
+        settle(world, 10);
+        let spawned = sink.borrow().clone();
+        spawned.unwrap().unwrap()
+    };
+    // A burst of draws: 200us of reference CPU each, 2ms on this host,
+    // so the replies queue up behind one another on the CPU.
+    let burst = |world: &mut World, target: &lc_orb::ObjectRef| -> Vec<lc_core::InvokeSink> {
+        (0..3)
+            .map(|_| {
+                let sink: lc_core::InvokeSink = Rc::default();
+                world.cmd(
+                    caller,
+                    NodeCmd::Invoke {
+                        target: target.clone(),
+                        op: "draw".into(),
+                        args: vec![Value::string("x")],
+                        oneway: false,
+                        sink: Some(sink.clone()),
+                    },
+                );
+                sink
+            })
+            .collect()
+    };
+
+    let display = spawn_display(&mut world);
+    let sinks = burst(&mut world, &display);
+    settle(&mut world, 100);
+    let replies_before = world.sim.metrics_ref().counter("orb.replies");
+    assert_eq!(replies_before, 3, "one reply per request");
+    let at: Vec<SimTime> = sinks
+        .iter()
+        .map(|sink| {
+            let got = sink.borrow();
+            assert_eq!(got.len(), 1, "each caller hears exactly once");
+            assert!(got[0].1.is_ok());
+            got[0].0
+        })
+        .collect();
+    // Issue order is CPU order is reply order, one task apart.
+    assert_eq!(at[1] - at[0], SimTime::from_millis(2));
+    assert_eq!(at[2] - at[1], SimTime::from_millis(2));
+
+    // Crash with all three replies parked: none is ever sent, and the
+    // respawned node starts with nothing parked.
+    let doomed = burst(&mut world, &display);
+    settle(&mut world, 1); // requests delivered and executed, no reply due yet
+    let executed = world.sim.metrics_ref().histogram("node.task_ms").map(|h| h.count());
+    assert_eq!(executed, Some(6), "the doomed draws ran before the crash");
+    world.crash(server);
+    world.recover(server);
+    settle(&mut world, 100);
+    assert!(doomed.iter().all(|sink| sink.borrow().is_empty()));
+    assert_eq!(world.sim.metrics_ref().counter("orb.replies"), replies_before);
+    let display = spawn_display(&mut world);
+    let again = burst(&mut world, &display);
+    settle(&mut world, 100);
+    assert!(again.iter().all(|sink| sink.borrow().len() == 1));
+    assert_eq!(world.sim.metrics_ref().counter("orb.replies"), replies_before + 3);
+}
+
+/// Node timers ride the packed lane under named tags, so a profiled
+/// full-stack world reads as `tick.keepalive`, not as kind bytes.
+#[test]
+fn profiled_node_world_names_its_ticks() {
+    let mut world = World::lan(4, 3);
+    world.sim.enable_profiler(lc_des::ProfilerConfig::default());
+    world.sim.run_until(SimTime::from_secs(10));
+    let report = world.sim.profile_report().unwrap();
+    assert!(report.lane(lc_des::Lane::Packed).events > 0);
+    let rendered = lc_trace::profile::render(&report, &lc_core::Tick::KIND_NAMES, 2);
+    assert!(rendered.contains("tick.keepalive"), "{rendered}");
+    assert!(rendered.contains("tick.mrm_sweep"), "{rendered}");
+    // Every packed kind the node world fired has a name (`k<N>` is the
+    // renderer's fallback for an unnamed byte).
+    let unnamed = |line: &str| {
+        let kind = line.split_whitespace().next().and_then(|word| word.strip_prefix('k'));
+        kind.is_some_and(|n| n.parse::<u8>().is_ok())
+    };
+    assert!(!rendered.lines().any(unnamed), "{rendered}");
+}
+
 #[test]
 fn world_is_deterministic_per_seed() {
     // Per-node metrics are plain counters (no wall clock), so they are

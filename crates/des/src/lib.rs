@@ -49,7 +49,7 @@ pub mod queue;
 pub mod rng;
 pub mod time;
 
-pub use metrics::{nearest_rank, Histogram, Metrics};
+pub use metrics::{nearest_rank, CounterId, Histogram, Metrics};
 pub use profile::{Lane, ProfileReport, Profiler, ProfilerConfig, QueueSample, Tally};
 pub use queue::{IndexedQueue, LegacyQueue};
 pub use rng::SimRng;
@@ -105,10 +105,11 @@ pub trait Actor: Any {
     fn handle(&mut self, ctx: &mut Ctx<'_>, msg: AnyMsg);
 
     /// React to a packed event — a bare `u64` scheduled through
-    /// [`Ctx::send_packed`], carrying no heap allocation at all. The
-    /// scale-path actors (`lc-core`'s campus model) override this; the
-    /// default forwards a boxed [`PackedEvent`] to [`Actor::handle`] so
-    /// ordinary actors never notice which lane a sender used.
+    /// [`Ctx::send_packed`], carrying no heap allocation at all.
+    /// `lc-core` overrides this twice: the scale model's campus actor
+    /// takes all its events here, the full-stack node its timer ticks.
+    /// The default forwards a boxed [`PackedEvent`] to [`Actor::handle`]
+    /// so ordinary actors never notice which lane a sender used.
     fn handle_packed(&mut self, ctx: &mut Ctx<'_>, data: u64) {
         self.handle(ctx, Box::new(PackedEvent(data)));
     }

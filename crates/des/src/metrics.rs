@@ -120,18 +120,51 @@ impl PipeFinite for f64 {
     }
 }
 
+/// Handle to one counter of a [`Metrics`], from [`Metrics::id`].
+///
+/// Valid only for the `Metrics` that issued it (and its clones), for
+/// that sink's whole life — [`Metrics::clear`] keeps ids.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct CounterId(u32);
+
 /// Named counters and histograms for one simulation run.
 ///
-/// Keys are string literals — a bump is one tree walk and never
-/// allocates a key; a `BTreeMap` keeps report output deterministically
-/// ordered.
+/// Counters live in one dense store. A name resolves to a
+/// [`CounterId`] by one tree walk ([`Metrics::id`]); a bump by id is an
+/// indexed add. Sites that fire per message or per tick resolve their
+/// ids once and keep them; everything else calls [`Metrics::incr`] /
+/// [`Metrics::add`], which resolve on every call. Keys are string
+/// literals, so nothing here allocates per bump, and reports iterate in
+/// name order whatever the registration order was.
 #[derive(Clone, Debug, Default)]
 pub struct Metrics {
-    counters: BTreeMap<&'static str, u64>,
+    ids: BTreeMap<&'static str, CounterId>,
+    /// Indexed by [`CounterId`]: `None` until the first bump, so a key
+    /// that was only registered never shows up in [`Metrics::counters`].
+    cells: Vec<Option<u64>>,
     histograms: BTreeMap<&'static str, Histogram>,
 }
 
 impl Metrics {
+    /// The id of counter `key`, registering it on first sight.
+    /// Registering alone does not list the key.
+    pub fn id(&mut self, key: &'static str) -> CounterId {
+        let next = CounterId(self.cells.len() as u32);
+        let id = *self.ids.entry(key).or_insert(next);
+        if id == next {
+            self.cells.push(None);
+        }
+        id
+    }
+
+    /// Increment the counter behind `id` by `n` (`n == 0` still lists
+    /// the key).
+    #[inline]
+    pub fn bump(&mut self, id: CounterId, n: u64) {
+        let cell = &mut self.cells[id.0 as usize];
+        *cell = Some(cell.unwrap_or(0) + n);
+    }
+
     /// Increment `key` by 1.
     pub fn incr(&mut self, key: &'static str) {
         self.add(key, 1);
@@ -139,12 +172,13 @@ impl Metrics {
 
     /// Increment `key` by `n`.
     pub fn add(&mut self, key: &'static str, n: u64) {
-        *self.counters.entry(key).or_default() += n;
+        let id = self.id(key);
+        self.bump(id, n);
     }
 
     /// Current value of a counter (0 if never touched).
     pub fn counter(&self, key: &str) -> u64 {
-        self.counters.get(key).copied().unwrap_or(0)
+        self.ids.get(key).and_then(|id| self.cells[id.0 as usize]).unwrap_or(0)
     }
 
     /// Record a sample into histogram `key`.
@@ -162,9 +196,10 @@ impl Metrics {
         self.histograms.entry(key).or_default()
     }
 
-    /// Iterate counters in key order.
+    /// Iterate the counters bumped since the last [`Metrics::clear`], in
+    /// key order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (*k, *v))
+        self.ids.iter().filter_map(|(k, id)| Some((*k, self.cells[id.0 as usize]?)))
     }
 
     /// Iterate histograms in key order.
@@ -172,9 +207,10 @@ impl Metrics {
         self.histograms.iter().map(|(k, v)| (*k, v))
     }
 
-    /// Reset everything (between experiment repetitions).
+    /// Reset everything (between experiment repetitions). Issued
+    /// [`CounterId`]s stay valid.
     pub fn clear(&mut self) {
-        self.counters.clear();
+        self.cells.fill(None);
         self.histograms.clear();
     }
 }
@@ -194,6 +230,32 @@ mod tests {
         assert_eq!(m.counter("missing"), 0);
         let keys: Vec<_> = m.counters().map(|(k, _)| k.to_owned()).collect();
         assert_eq!(keys, ["a", "b"]);
+    }
+
+    #[test]
+    fn ids_and_names_share_one_store() {
+        let mut m = Metrics::default();
+        // Registered out of name order, and `idle` never bumped.
+        let z = m.id("z.hot");
+        let idle = m.id("idle");
+        let a = m.id("a.hot");
+        assert_eq!(m.id("z.hot"), z, "a name keeps its id");
+        m.bump(z, 2);
+        m.incr("z.hot");
+        m.add("a.hot", 0);
+        m.incr("cold");
+        assert_eq!(m.counter("z.hot"), 3);
+        let listed: Vec<_> = m.counters().collect();
+        // Name-sorted; a zero bump lists the key, a bare registration does not.
+        assert_eq!(listed, [("a.hot", 0), ("cold", 1), ("z.hot", 3)]);
+        assert_eq!(m.counter("idle"), 0);
+
+        m.clear();
+        assert_eq!(m.counters().count(), 0);
+        m.bump(idle, 5);
+        m.bump(a, 1);
+        assert_eq!(m.counters().collect::<Vec<_>>(), [("a.hot", 1), ("idle", 5)]);
+        assert_eq!(m.id("a.hot"), a, "ids survive clear()");
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //!   each [`crate::ActorId`] (the time an event "costs" is the calendar
 //!   gap it closes: `at - now` when it fires);
 //! * **per lane** — boxed message / packed / control;
-//! * **per packed kind** — the top byte of the packed `u64`, which the
-//!   scale path (`lc_core::scale`) uses as its event-kind tag.
+//! * **per packed kind** — the top byte of the packed `u64`, which both
+//!   packed-lane users (`lc_core::scale` events, `lc_core::node` timer
+//!   ticks) use as their event-kind tag.
 //!
 //! Queue-depth and arena-size telemetry is sampled on a configurable
 //! virtual-time cadence with a hard cap on retained samples, so profiling

@@ -18,8 +18,9 @@ use crate::rules::Violation;
 use std::collections::BTreeSet;
 
 /// The protocol enums the flow rules reason about. `NetMsg` is listed
-/// for fixture workspaces and future refactors; in the real tree it is
-/// a struct (the envelope), so only its payload enums carry variants.
+/// for fixture workspaces; in the real tree it is the generic frame
+/// struct `NetMsg<P>` around an inline payload, so only the payload
+/// enums it is instantiated with (`CtrlMsg`, `OrbWire`) carry variants.
 pub const PROTOCOL_ENUMS: [&str; 4] = ["CtrlMsg", "NetMsg", "Payload", "OrbWire"];
 
 /// Request-shaped variants and the reply variants that discharge them.

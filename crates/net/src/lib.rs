@@ -32,17 +32,21 @@ pub use fault::{CrashWindow, FaultPlan, LinkFaults, PartitionWindow};
 pub use topology::{DeviceClass, HostCfg, HostId, LinkClass, SiteId, Topology};
 
 use fault::Verdict;
-use lc_des::{ActorId, AnyMsg, Ctx, Sim, SimTime};
+use lc_des::{ActorId, AnyMsg, CounterId, Ctx, Metrics, Sim, SimTime};
 use lc_trace::{TraceContext, Tracer};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// A message as delivered by the fabric to a host's actor.
+/// A frame as delivered by the fabric to a host's actor: the header
+/// plus the sender's payload, inline.
 ///
-/// Host actors downcast the [`AnyMsg`] they receive in
-/// [`lc_des::Actor::handle`] to `NetMsg` and then downcast
-/// [`NetMsg::payload`] to their own protocol type.
-pub struct NetMsg {
+/// [`Net::send`] schedules a `NetMsg<M>` for the payload type `M` it was
+/// given, so a host actor downcasts the [`AnyMsg`] it receives in
+/// [`lc_des::Actor::handle`] straight to `NetMsg<ItsProtocol>` — one
+/// box, one downcast per frame. Always name the payload type; the
+/// default argument exists only because the frozen benchmark crate
+/// spells the bare name.
+pub struct NetMsg<P = AnyMsg> {
     /// Sending host.
     pub from: HostId,
     /// Receiving host.
@@ -54,7 +58,7 @@ pub struct NetMsg {
     /// `None` when tracing is off or the send was outside any trace.
     pub trace: Option<TraceContext>,
     /// The protocol payload.
-    pub payload: AnyMsg,
+    pub payload: P,
 }
 
 /// Why a send was dropped instead of delivered.
@@ -84,9 +88,42 @@ struct HostState {
     bytes_recv: u64,
 }
 
+/// Ids of the counters [`Net::send`] bumps per message.
+#[derive(Clone, Copy)]
+struct SendCounters {
+    msgs: CounterId,
+    bytes: CounterId,
+    bytes_loopback: CounterId,
+    bytes_intra: CounterId,
+    bytes_inter: CounterId,
+    dropped: CounterId,
+    severed: CounterId,
+    delayed: CounterId,
+    duplicated: CounterId,
+}
+
+impl SendCounters {
+    fn resolve(m: &mut Metrics) -> Self {
+        SendCounters {
+            msgs: m.id("net.msgs"),
+            bytes: m.id("net.bytes"),
+            bytes_loopback: m.id("net.bytes.loopback"),
+            bytes_intra: m.id("net.bytes.intra"),
+            bytes_inter: m.id("net.bytes.inter"),
+            dropped: m.id("net.fault.dropped"),
+            severed: m.id("net.fault.severed"),
+            delayed: m.id("net.fault.delayed"),
+            duplicated: m.id("net.fault.duplicated"),
+        }
+    }
+}
+
 struct NetInner {
     topo: Topology,
     hosts: Vec<HostState>,
+    /// Resolved by the first [`Net::send`] against the metrics sink of
+    /// the simulation this fabric serves (a fabric serves exactly one).
+    counters: Option<SendCounters>,
     /// Message-level fault schedule; `None` draws zero fault randomness.
     fault: Option<FaultPlan>,
     /// Churn process armed by [`Net::install_drivers`].
@@ -177,6 +214,7 @@ impl NetBuilder {
             inner: Rc::new(RefCell::new(NetInner {
                 topo: self.topo,
                 hosts,
+                counters: None,
                 fault: self.fault,
                 churn: self.churn,
                 tracer: self.tracer.unwrap_or_default(),
@@ -325,8 +363,9 @@ impl Net {
 
     /// Send `size` bytes of `payload` from host `from` to host `to`.
     ///
-    /// On success schedules a [`NetMsg`] for the destination's bound actor
-    /// and returns the delivery time. Records metrics under `net.*`.
+    /// On success schedules a [`NetMsg<M>`] — header and payload in one
+    /// box — for the destination's bound actor and returns the delivery
+    /// time. Records metrics under `net.*`.
     ///
     /// Fail-fast `Err(DropReason)` covers conditions a real ORB detects
     /// at connect time (host down, unbound, explicit partition group).
@@ -344,55 +383,70 @@ impl Net {
     ) -> Result<SimTime, DropReason> {
         let now = ctx.now();
         let planned = self.plan(ctx, from, to, size)?;
+        let mut inner = self.inner.borrow_mut();
+        let c = *inner.counters.get_or_insert_with(|| SendCounters::resolve(ctx.metrics()));
+        // Only a send inside a traced operation gets a message span, so
+        // the shared handle is cloned out only when tracing is on.
+        let tracer = inner.tracer.is_enabled().then(|| inner.tracer.clone());
+        drop(inner);
 
-        ctx.metrics().incr("net.msgs");
-        ctx.metrics().add("net.bytes", size);
+        let m = ctx.metrics();
+        m.bump(c.msgs, 1);
+        m.bump(c.bytes, size);
+        let (class, end) = match planned {
+            Planned::Lost { would_arrive, class, .. } => (class, would_arrive),
+            Planned::Deliver { deliver_at, class, .. } => (class, deliver_at),
+        };
+        m.bump(
+            match class {
+                LinkClass::Loopback => c.bytes_loopback,
+                LinkClass::IntraSite => c.bytes_intra,
+                LinkClass::InterSite => c.bytes_inter,
+            },
+            size,
+        );
         // Message span: the hop is fully planned, so its interval
-        // [send, delivery] is known right now. Only sends that happen
-        // inside a traced operation get one — the span parents under
-        // the tracer's current context and its id rides in the frame.
-        let tracer = self.inner.borrow().tracer.clone();
-        let span = |end: SimTime| -> Option<TraceContext> {
+        // [send, delivery] is known right now. It parents under the
+        // tracer's current context and its id rides in the frame.
+        let span = tracer.as_ref().and_then(|tracer| {
             let parent = tracer.current()?;
             let sp = tracer.complete(from.0, "net.msg", Some(parent), now, end)?;
             tracer.set_attr(sp, "to", &to.0.to_string());
             tracer.set_attr(sp, "bytes", &size.to_string());
-            Some(sp)
-        };
+            Some((tracer, sp))
+        });
         match planned {
-            Planned::Lost { would_arrive, class, severed } => {
+            Planned::Lost { would_arrive, severed, .. } => {
                 // The sender transmitted: traffic counts, delivery doesn't.
-                Self::count_class_bytes(ctx, class, size);
-                ctx.metrics().incr("net.fault.dropped");
+                m.bump(c.dropped, 1);
                 if severed {
-                    ctx.metrics().incr("net.fault.severed");
+                    m.bump(c.severed, 1);
                 }
-                if let Some(sp) = span(would_arrive) {
+                if let Some((tracer, sp)) = span {
                     tracer.set_attr(sp, "lost", if severed { "severed" } else { "dropped" });
                 }
                 Ok(would_arrive)
             }
-            Planned::Deliver { target, deliver_at, class, delayed, dup_at } => {
-                Self::count_class_bytes(ctx, class, size);
+            Planned::Deliver { target, deliver_at, delayed, dup_at, .. } => {
                 if delayed {
-                    ctx.metrics().incr("net.fault.delayed");
+                    m.bump(c.delayed, 1);
                 }
-                let sp = span(deliver_at);
+                let trace = span.map(|(_, sp)| sp);
                 if let Some(dup_at) = dup_at {
-                    ctx.metrics().incr("net.fault.duplicated");
-                    if let Some(sp) = sp {
+                    m.bump(c.duplicated, 1);
+                    if let Some((tracer, sp)) = span {
                         tracer.set_attr(sp, "duplicated", "true");
                     }
                     ctx.send_in(
                         dup_at.saturating_sub(now),
                         target,
-                        NetMsg { from, to, size, trace: sp, payload: Box::new(payload.clone()) },
+                        NetMsg { from, to, size, trace, payload: payload.clone() },
                     );
                 }
                 ctx.send_in(
                     deliver_at.saturating_sub(now),
                     target,
-                    NetMsg { from, to, size, trace: sp, payload: Box::new(payload) },
+                    NetMsg { from, to, size, trace, payload },
                 );
                 Ok(deliver_at)
             }
@@ -501,15 +555,6 @@ impl Net {
         }
     }
 
-    /// Per-link-class traffic accounting.
-    fn count_class_bytes(ctx: &mut Ctx<'_>, class: LinkClass, size: u64) {
-        match class {
-            LinkClass::Loopback => ctx.metrics().add("net.bytes.loopback", size),
-            LinkClass::IntraSite => ctx.metrics().add("net.bytes.intra", size),
-            LinkClass::InterSite => ctx.metrics().add("net.bytes.inter", size),
-        }
-    }
-
     /// Multicast: each receiver gets its own copy, but the per-copy cost is
     /// the shared uplink FIFO (models the paper's interest in
     /// multicast-based cohesion protocols). Returns how many copies were
@@ -553,7 +598,7 @@ mod tests {
     }
     impl Actor for Sink {
         fn handle(&mut self, ctx: &mut Ctx<'_>, msg: AnyMsg) {
-            let m = msg.downcast_msg::<NetMsg>().expect("NetMsg");
+            let m = msg.downcast_msg::<NetMsg<()>>().expect("NetMsg");
             self.arrivals.push((ctx.now(), m.size));
         }
     }
@@ -748,7 +793,7 @@ mod tests {
         }
         impl Actor for Mc {
             fn handle(&mut self, ctx: &mut Ctx<'_>, _msg: AnyMsg) {
-                let n = self.net.multicast(ctx, self.from, &self.tos, 100, 7u32);
+                let n = self.net.multicast(ctx, self.from, &self.tos, 100, ());
                 assert_eq!(n, 4);
             }
         }
@@ -772,7 +817,7 @@ mod tests {
         }
         impl Actor for TracedSink {
             fn handle(&mut self, _ctx: &mut Ctx<'_>, msg: AnyMsg) {
-                let m = msg.downcast_msg::<NetMsg>().expect("NetMsg");
+                let m = msg.downcast_msg::<NetMsg<()>>().expect("NetMsg");
                 self.got = Some(m.trace);
             }
         }
@@ -866,6 +911,98 @@ mod tests {
         sim.run();
         assert_eq!(sim.actor_as::<Sink>(sink).unwrap().arrivals.len(), 6);
         assert_eq!(sim.metrics_ref().counter("net.fault.duplicated"), 3);
+    }
+
+    /// Sends one frame whose payload is a shared snapshot, the way the
+    /// node stack ships soft state.
+    struct SnapshotPusher {
+        net: Net,
+        from: HostId,
+        to: HostId,
+        snapshot: Rc<[u8]>,
+    }
+    impl Actor for SnapshotPusher {
+        fn handle(&mut self, ctx: &mut Ctx<'_>, _msg: AnyMsg) {
+            let _ = self.net.send(ctx, self.from, self.to, 100, self.snapshot.clone());
+        }
+    }
+
+    /// Keeps every payload it is handed.
+    struct SnapshotSink {
+        got: Vec<Rc<[u8]>>,
+    }
+    impl Actor for SnapshotSink {
+        fn handle(&mut self, _ctx: &mut Ctx<'_>, msg: AnyMsg) {
+            let m = msg.downcast_msg::<NetMsg<Rc<[u8]>>>().expect("frame with inline payload");
+            self.got.push(m.payload);
+        }
+    }
+
+    /// One snapshot send over a fabric with `faults`; returns the
+    /// snapshot, the finished simulation and the receiving actor.
+    fn send_snapshot(faults: LinkFaults, kill_receiver: bool) -> (Rc<[u8]>, Sim, ActorId) {
+        let plan = FaultPlan::seeded(5).default_link(faults);
+        let (net, h0, h1) = two_host_net_with(plan, 1e6, 1e6, 1);
+        let mut sim = Sim::new(1);
+        let sink = sim.spawn(SnapshotSink { got: Vec::new() });
+        net.bind(h1, sink);
+        let snapshot: Rc<[u8]> = Rc::from(&b"soft state"[..]);
+        let pusher = sim.spawn(SnapshotPusher {
+            net: net.clone(),
+            from: h0,
+            to: h1,
+            snapshot: snapshot.clone(),
+        });
+        net.bind(h0, pusher);
+        sim.send_in(SimTime::ZERO, pusher, Go);
+        if kill_receiver {
+            // The frame is in flight when its receiver dies.
+            sim.control_in(SimTime::from_micros(10), move |sim| sim.kill(sink));
+        }
+        sim.run();
+        sim.kill(pusher);
+        (snapshot, sim, sink)
+    }
+
+    #[test]
+    fn duplicated_frame_delivers_two_equal_inline_payloads() {
+        let (snapshot, sim, sink) = send_snapshot(LinkFaults::none().dup_p(1.0), false);
+        let got = &sim.actor_as::<SnapshotSink>(sink).unwrap().got;
+        assert_eq!(got.len(), 2);
+        assert!(got.iter().all(|p| Rc::ptr_eq(p, &snapshot)));
+        // ours + the two delivered copies: nothing else holds one.
+        assert_eq!(Rc::strong_count(&snapshot), 3);
+    }
+
+    #[test]
+    fn lost_frame_drops_its_payload() {
+        let (snapshot, sim, sink) = send_snapshot(LinkFaults::none().drop_p(1.0), false);
+        assert!(sim.actor_as::<SnapshotSink>(sink).unwrap().got.is_empty());
+        assert_eq!(sim.metrics_ref().counter("net.fault.dropped"), 1);
+        assert_eq!(Rc::strong_count(&snapshot), 1, "a lost frame must not leak its snapshot");
+    }
+
+    #[test]
+    fn frame_to_dead_actor_drops_its_payload() {
+        let (snapshot, sim, _) = send_snapshot(LinkFaults::none(), true);
+        assert_eq!(sim.metrics_ref().counter("des.dropped_to_dead"), 1);
+        assert_eq!(Rc::strong_count(&snapshot), 1, "an undeliverable frame must not leak");
+    }
+
+    #[test]
+    fn send_counters_are_listed_only_once_bumped() {
+        // Every id is resolved by the first send; only what that send
+        // bumped may show up in a report's key list.
+        let (net, h0, h1) = two_host_net(1e6, 1e6, 1);
+        let mut sim = Sim::new(1);
+        let sink = sim.spawn(Sink { arrivals: vec![] });
+        net.bind(h1, sink);
+        let pusher = sim.spawn(Pusher { net: net.clone(), from: h0, to: h1, size: 10, copies: 2 });
+        net.bind(h0, pusher);
+        sim.send_in(SimTime::ZERO, pusher, Go);
+        sim.run();
+        let keys: Vec<_> = sim.metrics_ref().counters().collect();
+        assert_eq!(keys, [("net.bytes", 20), ("net.bytes.inter", 20), ("net.msgs", 2)]);
     }
 
     #[test]

@@ -131,12 +131,10 @@ struct ServerActor {
 
 impl Actor for ServerActor {
     fn handle(&mut self, ctx: &mut Ctx<'_>, msg: AnyMsg) {
-        let Ok(m) = msg.downcast_msg::<NetMsg>() else {
-            return; // not ours: the fabric only delivers frames
+        let Ok(m) = msg.downcast_msg::<NetMsg<OrbWire>>() else {
+            return; // not ours: the fabric only delivers ORB frames here
         };
-        if let Ok(OrbWire::Request { id, reply_to, target, op, args }) =
-            m.payload.downcast_msg::<OrbWire>()
-        {
+        if let OrbWire::Request { id, reply_to, target, op, args } = m.payload {
             self.adapter.set_clock(ctx.now());
             let res = self.adapter.invoke(target, &op, &args, DispatchOpts::typed());
             if let Some(back) = reply_to {
@@ -171,10 +169,10 @@ impl Actor for ClientActor {
                 }
             }
             Err(other) => {
-                let Ok(m) = other.downcast_msg::<NetMsg>() else {
+                let Ok(m) = other.downcast_msg::<NetMsg<OrbWire>>() else {
                     return;
                 };
-                if let Ok(OrbWire::Reply { result, .. }) = m.payload.downcast_msg::<OrbWire>() {
+                if let OrbWire::Reply { result, .. } = m.payload {
                     *self.slot.borrow_mut() = Some(result);
                 }
             }

@@ -1,5 +1,5 @@
 //! ORB plumbing for the simulated network: GIOP-style request/reply
-//! messages carried as [`lc_net::NetMsg`] payloads.
+//! messages carried as [`lc_net::NetMsg`] payloads (`NetMsg<OrbWire>`).
 //!
 //! Host actors in `lc-core` own an [`crate::servant::ObjectAdapter`]; this
 //! module provides the wire-message types ([`OrbWire`]), request id
@@ -239,8 +239,8 @@ mod tests {
 
     impl Actor for HostActor {
         fn handle(&mut self, ctx: &mut Ctx<'_>, msg: AnyMsg) {
-            let net_msg = msg.downcast_msg::<NetMsg>().expect("NetMsg");
-            match net_msg.payload.downcast_msg::<OrbWire>().expect("OrbWire") {
+            let net_msg = msg.downcast_msg::<NetMsg<OrbWire>>().expect("ORB frame");
+            match net_msg.payload {
                 OrbWire::Request { id, reply_to, target, op, args } => {
                     let res = self.adapter.invoke(target, &op, &args, DispatchOpts::typed());
                     if let Some(back) = reply_to {
@@ -282,10 +282,8 @@ mod tests {
                         .unwrap();
                 }
                 Err(other) => {
-                    let net_msg = other.downcast_msg::<NetMsg>().expect("NetMsg");
-                    if let Ok(OrbWire::Reply { result, .. }) =
-                        net_msg.payload.downcast_msg::<OrbWire>()
-                    {
+                    let net_msg = other.downcast_msg::<NetMsg<OrbWire>>().expect("ORB frame");
+                    if let OrbWire::Reply { result, .. } = net_msg.payload {
                         self.got_reply = Some(result);
                     }
                 }
