@@ -28,7 +28,7 @@ use lc_core::demo;
 use lc_core::node::{InvokePolicy, NodeCmd, QueryResult};
 use lc_core::testkit::{build_world_on, World};
 use lc_core::{ComponentQuery, InvokeSink, NodeConfig};
-use lc_des::SimTime;
+use lc_des::{nearest_rank, SimTime};
 use lc_net::{ChurnHooks, FaultPlan, HostId, LinkFaults, Net, Topology};
 use lc_orb::{ObjectRef, Value};
 use std::cell::RefCell;
@@ -88,14 +88,6 @@ fn hier_cfg(invoke: InvokePolicy, query_retries: u32) -> NodeConfig {
         query_retries,
         ..Default::default()
     }
-}
-
-fn pctl(sorted_ms: &[f64], p: f64) -> Option<f64> {
-    if sorted_ms.is_empty() {
-        return None;
-    }
-    let idx = ((sorted_ms.len() as f64 - 1.0) * p).round() as usize;
-    Some(sorted_ms[idx])
 }
 
 fn fmt_ms(v: Option<f64>) -> String {
@@ -194,8 +186,8 @@ fn invoke_run(loss: f64, policy: InvokePolicy) -> InvokeStats {
 
     InvokeStats {
         success,
-        p50: pctl(&latencies, 0.50),
-        p99: pctl(&latencies, 0.99),
+        p50: nearest_rank(&latencies, 0.50),
+        p99: nearest_rank(&latencies, 0.99),
         amplification: (K as u64 + retries) as f64 / K as f64,
         dedup_hits,
         servant_execs,

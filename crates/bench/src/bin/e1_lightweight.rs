@@ -1,23 +1,28 @@
 //! E1 — requirement R1: the model "must be lightweight".
 //!
-//! Measures what the ORB and the container machinery add to a method
-//! call in one address space:
+//! Counts what the ORB and the container machinery put between a caller
+//! and a servant method in one address space:
 //!
 //! * direct Rust call on the servant struct,
 //! * ORB-mediated call (object adapter + full IDL type checking),
 //! * ORB call with a CDR marshalling round-trip (what a remote call
 //!   pays in CPU),
-//! * the same under 4 concurrent caller threads.
+//! * the same under 4 concurrent caller threads,
+//! * the same series as real request/reply frames over the simulated
+//!   network.
 //!
-//! E1 is a wall-clock experiment: every figure is timed through
-//! `lc_bench::micro::measure` (calibrated, median of N), never by the
-//! simulated code. The tracked per-layer versions of these series are
-//! the `orb.*` rows of `.perf`.
+//! Every column is an exact count — adapter dispatches, CDR bytes,
+//! kernel events, wire messages — so the report is byte-identical run
+//! to run. What each step costs in nanoseconds is the `orb.*` ledger of
+//! `.perf` (`orb.direct_dispatch_ns` → `orb.local_typed_ns` →
+//! `orb.local_marshalled_ns` → `orb.sim_roundtrip_ns`).
 
-use lc_bench::micro::measure;
-use lc_bench::{f2, print_table};
+use lc_bench::print_table;
 use lc_idl::compile;
-use lc_orb::{Invocation, LocalOrb, ObjectRef, Orb, OrbError, Servant, SimOrbClient, Value};
+use lc_orb::cdr::encoded_len;
+use lc_orb::{
+    Invocation, LocalOrb, ObjectRef, Orb, OrbError, Outcome, Servant, SimOrb, SimOrbClient, Value,
+};
 use std::sync::Arc;
 
 const IDL: &str = r#"
@@ -26,6 +31,12 @@ const IDL: &str = r#"
       string echo(in string s);
     };
 "#;
+
+/// Calls per single-caller row.
+const CALLS: u64 = 1_000;
+/// The concurrent row: 4 threads × 5 000 bumps.
+const THREADS: u64 = 4;
+const PER_THREAD: u64 = 5_000;
 
 struct BenchImpl {
     total: i64,
@@ -51,114 +62,144 @@ impl Servant for BenchImpl {
     }
 }
 
-/// Calls per second of `f`, which makes `calls` calls per run.
-fn ops_per_sec(calls: u64, f: impl FnMut()) -> f64 {
-    calls as f64 * 1e9 / measure(f).median_ns
+/// One entry of the series both flavours run: `(marshalled, op, args)`.
+type Entry = (bool, &'static str, Vec<Value>);
+
+/// Typed invoke, marshalled invoke, 64-byte string echo.
+fn series() -> [Entry; 3] {
+    [
+        (false, "bump", vec![Value::Long(1)]),
+        (true, "bump", vec![Value::Long(1)]),
+        (false, "echo", vec![Value::string(&"x".repeat(64))]),
+    ]
 }
 
-/// The common series, generic over any [`Orb`] flavour: plain typed
-/// invoke, marshalled invoke, and a 64-byte string echo. Returns
-/// `(via_orb, marshalled, echo)` in ops/s.
-fn bench_orb(orb: &dyn Orb, obj: &ObjectRef) -> (f64, f64, f64) {
-    let via_orb = ops_per_sec(1, || {
-        orb.invoke(obj, "bump", &[Value::Long(1)]).unwrap();
-    });
-    let marshalled = ops_per_sec(1, || {
-        orb.invoke_marshalled(obj, "bump", &[Value::Long(1)]).unwrap();
-    });
-    let s64 = "x".repeat(64);
-    let echo = ops_per_sec(1, || {
-        orb.invoke(obj, "echo", &[Value::string(&s64)]).unwrap();
-    });
-    (via_orb, marshalled, echo)
+/// A table row: the path, then its counts.
+fn row(path: &str, counts: &[u64]) -> Vec<String> {
+    std::iter::once(path.to_string()).chain(counts.iter().map(u64::to_string)).collect()
+}
+
+/// `CALLS` calls of `entry` through `orb`, generic over the [`Orb`]
+/// flavour. Returns the row's leading counts — calls, typed and raw
+/// adapter dispatches — and the last outcome.
+fn drive(orb: &dyn Orb, obj: &ObjectRef, entry: &Entry) -> ([u64; 3], Outcome) {
+    let (marshalled, op, args) = entry;
+    let before = orb.dispatch_stats();
+    let mut last = None;
+    for _ in 0..CALLS {
+        last = Some(if *marshalled {
+            orb.invoke_marshalled(obj, op, args).unwrap()
+        } else {
+            orb.invoke(obj, op, args).unwrap()
+        });
+    }
+    let after = orb.dispatch_stats();
+    assert_eq!(after.errors, before.errors);
+    ([CALLS, after.typed - before.typed, after.raw - before.raw], last.unwrap())
 }
 
 fn main() {
-    println!("E1: invocation overhead of the lightweight ORB (single host, in-process)");
+    println!("E1: what one invocation passes through in the lightweight ORB (in-process)");
     let repo = Arc::new(compile(IDL).unwrap());
 
-    // direct struct call
-    let mut raw = BenchImpl { total: 0 };
-    let direct = ops_per_sec(1, || {
+    // direct struct call: no adapter, no type check, nothing encoded.
+    let mut direct = BenchImpl { total: 0 };
+    for _ in 0..CALLS {
         let args = [Value::Long(1)];
         let mut inv = Invocation::new("bump", &args);
-        raw.dispatch(&mut inv).unwrap();
-    });
+        direct.dispatch(&mut inv).unwrap();
+    }
+    assert_eq!(direct.total, CALLS as i64);
+    let mut rows = vec![row("direct struct call", &[CALLS, 0, 0, 0, 0])];
 
-    // ORB-mediated, measured through the unified `Orb` trait (the same
-    // series runs below over the simulated-network flavour).
+    // ORB-mediated, through the unified `Orb` trait (the same series
+    // runs below over the simulated-network flavour). Request bytes are
+    // what the ORB itself tallied, reply bytes the CDR size of the
+    // outcome.
     let orb = LocalOrb::new(repo.clone());
     let obj = orb.activate(Box::new(BenchImpl { total: 0 }));
-    let (via_orb, marshalled, echo) = bench_orb(&orb, &obj);
+    let labels = ["ORB (adapter + type check)", "ORB + CDR round-trip", "ORB echo(string64)"];
+    for (label, entry) in labels.into_iter().zip(series()) {
+        let bytes_before = orb.stats().request_bytes;
+        let ([calls, typed, raw], out) = drive(&orb, &obj, &entry);
+        let request = (orb.stats().request_bytes - bytes_before) / CALLS;
+        assert_eq!(request, encoded_len(&entry.2));
+        rows.push(row(label, &[calls, typed, raw, request, encoded_len(&[out.ret])]));
+    }
 
-    // concurrent callers: one measured run = 4 threads x 5 000 calls
-    // (long enough that thread start-up is noise).
-    const PER_THREAD: u64 = 5_000;
-    let concurrent = ops_per_sec(4 * PER_THREAD, || {
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..PER_THREAD {
-                        orb.invoke(&obj, "bump", &[Value::Long(1)]).unwrap();
-                    }
-                });
-            }
-        });
+    // concurrent callers on a fresh servant: every bump must land.
+    let shared = orb.activate(Box::new(BenchImpl { total: 0 }));
+    let before = orb.dispatch_stats();
+    std::thread::scope(|s| {
+        for _ in 0..THREADS {
+            s.spawn(|| {
+                for _ in 0..PER_THREAD {
+                    orb.invoke(&shared, "bump", &[Value::Long(1)]).unwrap();
+                }
+            });
+        }
     });
-
-    let rows = vec![
-        vec!["direct struct call".into(), f2(direct / 1e6), f2(1.0)],
-        vec!["ORB (adapter + type check)".into(), f2(via_orb / 1e6), f2(direct / via_orb)],
-        vec!["ORB + CDR round-trip".into(), f2(marshalled / 1e6), f2(direct / marshalled)],
-        vec!["ORB echo(string64)".into(), f2(echo / 1e6), f2(direct / echo)],
-        vec!["ORB, 4 threads".into(), f2(concurrent / 1e6), f2(direct / concurrent)],
-    ];
+    let after = orb.dispatch_stats();
+    let total = orb.invoke(&shared, "bump", &[Value::Long(0)]).unwrap().ret;
+    assert_eq!(after.typed - before.typed, THREADS * PER_THREAD);
+    assert_eq!(total, Value::Long((THREADS * PER_THREAD) as i32));
+    rows.push(row(
+        "ORB, 4 threads",
+        &[
+            THREADS * PER_THREAD,
+            after.typed - before.typed,
+            after.raw - before.raw,
+            encoded_len(&[Value::Long(1)]),
+            encoded_len(&[total]),
+        ],
+    ));
     print_table(
-        "invocation throughput",
-        &["path", "Mops/s", "slowdown vs direct"],
+        "per path: calls made, adapter dispatches, CDR bytes per call",
+        &["path", "calls", "typed", "raw", "request B", "reply B"],
         &rows,
     );
-
-    // The adapter's own dispatch accounting: how many calls went through
-    // the typed vs the raw path (the count follows `measure`'s calibration).
-    let stats = orb.dispatch_stats();
     println!(
-        "\nadapter dispatch stats: {} typed + {} raw = {} dispatches, {} errors",
-        stats.typed,
-        stats.raw,
-        stats.total(),
-        stats.errors,
+        "\n4 threads x {PER_THREAD} bumps: servant total {} (asserted), no dispatch lost \
+         under the ORB lock",
+        THREADS * PER_THREAD
     );
+
     // The same series through the simulated-network flavour of the
     // `Orb` trait: each call is a real GIOP-style request/reply through
-    // the DES fabric (two-host LAN), so the numbers fold in the event
-    // loop — they measure the harness, not the wire (virtual time is
-    // free), and show both flavours behind one API.
+    // the DES fabric (two-host LAN). Wire sizes are the ORB's own
+    // (header + op name + CDR body) and must equal what the fabric
+    // carried.
     let sim_orb = SimOrbClient::new(repo);
     let sobj = sim_orb.activate(Box::new(BenchImpl { total: 0 }));
-    let (s_via, s_marsh, s_echo) = bench_orb(&sim_orb, &sobj);
-    let sim_rows = vec![
-        vec!["SimOrb (DES request/reply)".into(), f2(s_via / 1e6), f2(direct / s_via)],
-        vec!["SimOrb + CDR round-trip".into(), f2(s_marsh / 1e6), f2(direct / s_marsh)],
-        vec!["SimOrb echo(string64)".into(), f2(s_echo / 1e6), f2(direct / s_echo)],
-    ];
+    let counters = || {
+        let sim = sim_orb.sim();
+        let m = sim.metrics_ref();
+        (sim.events_fired(), m.counter("net.msgs"), m.counter("net.bytes"))
+    };
+    let mut sim_rows = Vec::new();
+    let labels = ["SimOrb (DES request/reply)", "SimOrb + CDR round-trip", "SimOrb echo(string64)"];
+    for (label, entry) in labels.into_iter().zip(series()) {
+        let (ev0, msgs0, bytes0) = counters();
+        let ([calls, typed, raw], out) = drive(&sim_orb, &sobj, &entry);
+        let (ev1, msgs1, bytes1) = counters();
+        let request = SimOrb::request_size(entry.1, &entry.2);
+        let reply = SimOrb::reply_size(&Ok(out));
+        assert_eq!(bytes1 - bytes0, CALLS * (request + reply));
+        assert_eq!(((ev1 - ev0) % CALLS, (msgs1 - msgs0) % CALLS), (0, 0));
+        let per_call = [(ev1 - ev0) / CALLS, (msgs1 - msgs0) / CALLS];
+        sim_rows.push(row(label, &[calls, typed, raw, request, reply, per_call[0], per_call[1]]));
+    }
     print_table(
-        "same workload, simulated-network Orb flavour",
-        &["path", "Mops/s", "slowdown vs direct"],
+        "same workload, simulated-network Orb flavour (per call: wire bytes, kernel events, wire messages)",
+        &["path", "calls", "typed", "raw", "request B", "reply B", "events", "msgs"],
         &sim_rows,
-    );
-    let sstats = sim_orb.dispatch_stats();
-    println!(
-        "\nsim adapter dispatch stats: {} typed + {} raw = {} dispatches, {} errors",
-        sstats.typed,
-        sstats.raw,
-        sstats.total(),
-        sstats.errors,
     );
 
     println!(
-        "\nR1 check: the full ORB path stays within a small constant factor of a raw\n\
-         call and needs no generated stubs — no transactions/persistence machinery\n\
-         is in the way (the paper's 'lightweight' contrast with CCM/EJB)."
+        "\nR1 check: a call passes through one adapter dispatch and one type check, no\n\
+         generated stubs and no transaction/persistence machinery (the paper's\n\
+         'lightweight' contrast with CCM/EJB); a remote call adds two frames and three\n\
+         kernel events. Host nanoseconds per step: .perf rows orb.direct_dispatch_ns ->\n\
+         orb.local_typed_ns -> orb.local_marshalled_ns -> orb.sim_roundtrip_ns."
     );
 }

@@ -12,7 +12,7 @@ use lc_core::node::NodeCmd;
 use lc_core::testkit::{build_world, fast_cohesion, World};
 use lc_core::NodeConfig;
 use lc_cscw::{DisplayServant, GuiPartServant};
-use lc_des::SimTime;
+use lc_des::{nearest_rank, SimTime};
 use lc_net::{HostCfg, HostId, Topology};
 use lc_orb::Value;
 use std::rc::Rc;
@@ -141,10 +141,7 @@ fn run(participants: usize, strokes: u32, seed: u64) -> SessionResult {
     }
     latencies.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let mean = latencies.iter().sum::<f64>() / latencies.len().max(1) as f64;
-    let p95 = latencies
-        .get(((latencies.len() as f64 * 0.95) as usize).min(latencies.len().saturating_sub(1)))
-        .copied()
-        .unwrap_or(0.0);
+    let p95 = nearest_rank(&latencies, 0.95).unwrap_or(0.0);
 
     // PDA screen painted remotely?
     let pda_host = *hosts.last().unwrap();

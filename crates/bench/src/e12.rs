@@ -24,7 +24,7 @@
 //! return the *same normalized offer sets* as the baseline — the report
 //! asserts it; `cache_equiv.rs` pins it as a test.
 
-use crate::{f2, format_table, human_bytes};
+use crate::{f2, format_table, human_bytes, Json};
 use lc_core::cohesion::CohesionConfig;
 use lc_core::demo;
 use lc_core::node::{NodeCmd, QueryResult};
@@ -208,32 +208,29 @@ pub fn run_variant(name: &'static str, cache: Option<CacheConfig>, seed: u64) ->
 /// Render the machine-readable summary: one JSON object, keys sorted,
 /// floats at fixed precision — byte-stable across runs.
 fn render_json(variants: &[VariantResult], reduction: f64, equivalent: bool) -> String {
-    let mut j = String::new();
-    let _ = writeln!(j, "{{");
-    let _ = writeln!(j, "  \"equivalent_result_sets\": {equivalent},");
-    let _ = writeln!(j, "  \"experiment\": \"e12_cache_perf\",");
-    let _ = writeln!(j, "  \"msgs_per_query_reduction\": {},", f2(reduction));
-    let _ = writeln!(j, "  \"nodes\": {N},");
-    let _ = writeln!(j, "  \"queries\": {},", variants[0].queries);
-    let _ = writeln!(j, "  \"schema_version\": 1,");
-    let _ = writeln!(j, "  \"variants\": [");
-    for (i, v) in variants.iter().enumerate() {
-        let comma = if i + 1 < variants.len() { "," } else { "" };
-        let _ = writeln!(j, "    {{");
-        let _ = writeln!(j, "      \"cache_hits\": {},", v.cache_hits);
-        let _ = writeln!(j, "      \"cache_misses\": {},", v.cache_misses);
-        let _ = writeln!(j, "      \"coalesced\": {},", v.coalesced);
-        let _ = writeln!(j, "      \"first_offer_ms\": {},", f2(v.first_offer_ms));
-        let _ = writeln!(j, "      \"hit_rate\": {},", f2(v.hit_rate));
-        let _ = writeln!(j, "      \"hotspot_recv_bytes\": {},", v.hotspot_recv);
-        let _ = writeln!(j, "      \"invalidated_entries\": {},", v.invalidated);
-        let _ = writeln!(j, "      \"msgs_per_query\": {},", f2(v.msgs_per_query));
-        let _ = writeln!(j, "      \"name\": \"{}\"", v.name);
-        let _ = writeln!(j, "    }}{comma}");
-    }
-    let _ = writeln!(j, "  ]");
-    let _ = writeln!(j, "}}");
-    j
+    let variant = |v: &VariantResult| {
+        Json::obj([
+            ("cache_hits", v.cache_hits.into()),
+            ("cache_misses", v.cache_misses.into()),
+            ("coalesced", v.coalesced.into()),
+            ("first_offer_ms", v.first_offer_ms.into()),
+            ("hit_rate", v.hit_rate.into()),
+            ("hotspot_recv_bytes", v.hotspot_recv.into()),
+            ("invalidated_entries", v.invalidated.into()),
+            ("msgs_per_query", v.msgs_per_query.into()),
+            ("name", v.name.into()),
+        ])
+    };
+    Json::obj([
+        ("equivalent_result_sets", equivalent.into()),
+        ("experiment", "e12_cache_perf".into()),
+        ("msgs_per_query_reduction", reduction.into()),
+        ("nodes", N.into()),
+        ("queries", variants[0].queries.into()),
+        ("schema_version", 1u64.into()),
+        ("variants", Json::arr(variants.iter().map(variant))),
+    ])
+    .render()
 }
 
 /// Run all three variants and render both artefacts.

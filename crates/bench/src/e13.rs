@@ -21,7 +21,7 @@
 //! `BENCH_e13.json`. Host throughput of the same model is the
 //! benchmark's `scale_hier` workload and `scale.event_ns` row (`.perf`).
 
-use crate::{f2, format_table, human_bytes};
+use crate::{f2, format_table, human_bytes, Json};
 use lc_core::scale::{run_scale, ScaleConfig, ScaleReport, Variant};
 use std::fmt::Write as _;
 
@@ -62,37 +62,33 @@ pub struct E13Output {
 /// Render the machine-readable summary: one JSON object, keys sorted,
 /// floats at fixed precision.
 fn render_json(points: &[ScaleReport], seed: u64) -> String {
-    let mut j = String::new();
-    let _ = writeln!(j, "{{");
-    let _ = writeln!(j, "  \"experiment\": \"e13_scale_sweep\",");
-    let max_n = points.iter().map(|r| r.n).max().unwrap_or(0);
-    let _ = writeln!(j, "  \"max_nodes\": {max_n},");
-    let _ = writeln!(j, "  \"points\": [");
-    for (i, r) in points.iter().enumerate() {
-        let comma = if i + 1 < points.len() { "," } else { "" };
-        let _ = writeln!(j, "    {{");
-        let _ = writeln!(j, "      \"bytes_per_node\": {},", f2(r.bytes_per_node));
-        let _ = writeln!(j, "      \"campus_bytes\": {},", r.campus_bytes);
-        let _ = writeln!(j, "      \"churn_msgs_per_event\": {},", f2(r.churn_msgs_per_event));
-        let _ = writeln!(j, "      \"depth\": {},", r.depth);
-        let _ = writeln!(j, "      \"escalations\": {},", r.escalations);
-        let _ = writeln!(j, "      \"events\": {},", r.events);
-        let _ = writeln!(j, "      \"groups\": {},", r.groups);
-        let _ = writeln!(j, "      \"latency_p50_ns\": {},", r.latency_p50_ns);
-        let _ = writeln!(j, "      \"latency_p99_ns\": {},", r.latency_p99_ns);
-        let _ = writeln!(j, "      \"msgs_per_query\": {},", f2(r.msgs_per_query));
-        let _ = writeln!(j, "      \"n\": {},", r.n);
-        let _ = writeln!(j, "      \"nodes_materialized\": {},", r.nodes_materialized);
-        let _ = writeln!(j, "      \"queries_completed\": {},", r.queries_completed);
-        let _ = writeln!(j, "      \"queue_bytes\": {},", r.queue_bytes);
-        let _ = writeln!(j, "      \"variant\": \"{}\"", r.variant);
-        let _ = writeln!(j, "    }}{comma}");
-    }
-    let _ = writeln!(j, "  ],");
-    let _ = writeln!(j, "  \"schema_version\": {SCHEMA_VERSION},");
-    let _ = writeln!(j, "  \"seed\": {seed}");
-    let _ = writeln!(j, "}}");
-    j
+    let point = |r: &ScaleReport| {
+        Json::obj([
+            ("bytes_per_node", r.bytes_per_node.into()),
+            ("campus_bytes", r.campus_bytes.into()),
+            ("churn_msgs_per_event", r.churn_msgs_per_event.into()),
+            ("depth", r.depth.into()),
+            ("escalations", r.escalations.into()),
+            ("events", r.events.into()),
+            ("groups", r.groups.into()),
+            ("latency_p50_ns", r.latency_p50_ns.into()),
+            ("latency_p99_ns", r.latency_p99_ns.into()),
+            ("msgs_per_query", r.msgs_per_query.into()),
+            ("n", r.n.into()),
+            ("nodes_materialized", r.nodes_materialized.into()),
+            ("queries_completed", r.queries_completed.into()),
+            ("queue_bytes", r.queue_bytes.into()),
+            ("variant", r.variant.into()),
+        ])
+    };
+    Json::obj([
+        ("experiment", "e13_scale_sweep".into()),
+        ("max_nodes", points.iter().map(|r| r.n).max().unwrap_or(0).into()),
+        ("points", Json::arr(points.iter().map(point))),
+        ("schema_version", SCHEMA_VERSION.into()),
+        ("seed", seed.into()),
+    ])
+    .render()
 }
 
 /// Render both artefacts from completed sweep points.

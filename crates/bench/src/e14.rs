@@ -28,13 +28,13 @@
 //! backend costs the host is the benchmark's `registry_mixed` workload
 //! (`.perf`).
 
-use crate::{f2, format_table, human_bytes};
+use crate::{f2, format_table, human_bytes, Json};
 use lc_core::cohesion::CohesionConfig;
 use lc_core::demo;
 use lc_core::node::{NodeCmd, QueryResult, RegistryConfig};
 use lc_core::testkit::{build_world_on, World};
 use lc_core::{CacheConfig, ComponentQuery, NodeConfig, ShardConfig};
-use lc_des::{ActorId, Sim, SimTime};
+use lc_des::{nearest_rank, ActorId, Sim, SimTime};
 use lc_net::{ChurnHooks, FaultPlan, HostId, LinkFaults, Net, Topology};
 use lc_pkg::{ComponentDescriptor, Package, Platform, QosSpec, Version};
 use std::cell::RefCell;
@@ -279,12 +279,7 @@ pub fn run_point(point: Point, seed: u64, leader: Option<HostId>) -> VariantResu
         })
         .collect();
     lat_ms.sort_by(f64::total_cmp);
-    let pctl = |p: f64| {
-        if lat_ms.is_empty() {
-            return 0.0;
-        }
-        lat_ms[((lat_ms.len() as f64 - 1.0) * p).round() as usize]
-    };
+    let pctl = |p: f64| nearest_rank(&lat_ms, p).unwrap_or(0.0);
     let m = sim.metrics_ref();
     VariantResult {
         point,
@@ -322,35 +317,32 @@ fn reduction(points: &[VariantResult], p: &VariantResult) -> f64 {
 /// Render the machine-readable summary: one JSON object, keys sorted,
 /// floats at fixed precision.
 fn render_json(points: &[VariantResult], seed: u64) -> String {
-    let mut j = String::new();
-    let _ = writeln!(j, "{{");
-    let _ = writeln!(j, "  \"experiment\": \"e14_sharded_registry\",");
-    let _ = writeln!(j, "  \"queries_per_variant\": {QUERIES},");
-    let _ = writeln!(j, "  \"schema_version\": {SCHEMA_VERSION},");
-    let _ = writeln!(j, "  \"seed\": {seed},");
-    let _ = writeln!(j, "  \"variants\": [");
-    for (i, r) in points.iter().enumerate() {
-        let comma = if i + 1 < points.len() { "," } else { "" };
-        let _ = writeln!(j, "    {{");
-        let _ = writeln!(j, "      \"answered\": {},", f2(r.answered));
-        let _ = writeln!(j, "      \"backend\": \"{}\",", backend_label(&r.point));
-        let _ = writeln!(j, "      \"crashes\": {},", r.crashes);
-        let _ = writeln!(j, "      \"former_leader_recv_bytes\": {},", r.leader_recv);
-        let _ = writeln!(j, "      \"former_leader_reduction\": {},", f2(reduction(points, r)));
-        let _ = writeln!(j, "      \"gossip_msgs\": {},", r.gossip_msgs);
-        let _ = writeln!(j, "      \"hotspot_host\": {},", r.hotspot.0);
-        let _ = writeln!(j, "      \"hotspot_recv_bytes\": {},", r.hotspot_recv);
-        let _ = writeln!(j, "      \"msgs_per_query\": {},", f2(r.msgs_per_query));
-        let _ = writeln!(j, "      \"nodes\": {},", r.point.nodes);
-        let _ = writeln!(j, "      \"p50_ms\": {},", f2(r.p50_ms));
-        let _ = writeln!(j, "      \"p99_ms\": {},", f2(r.p99_ms));
-        let _ = writeln!(j, "      \"shard_hops\": {},", r.shard_hops);
-        let _ = writeln!(j, "      \"shards\": {}", r.point.shards);
-        let _ = writeln!(j, "    }}{comma}");
-    }
-    let _ = writeln!(j, "  ]");
-    let _ = writeln!(j, "}}");
-    j
+    let variant = |r: &VariantResult| {
+        Json::obj([
+            ("answered", r.answered.into()),
+            ("backend", backend_label(&r.point).into()),
+            ("crashes", r.crashes.into()),
+            ("former_leader_recv_bytes", r.leader_recv.into()),
+            ("former_leader_reduction", reduction(points, r).into()),
+            ("gossip_msgs", r.gossip_msgs.into()),
+            ("hotspot_host", r.hotspot.0.into()),
+            ("hotspot_recv_bytes", r.hotspot_recv.into()),
+            ("msgs_per_query", r.msgs_per_query.into()),
+            ("nodes", r.point.nodes.into()),
+            ("p50_ms", r.p50_ms.into()),
+            ("p99_ms", r.p99_ms.into()),
+            ("shard_hops", r.shard_hops.into()),
+            ("shards", r.point.shards.into()),
+        ])
+    };
+    Json::obj([
+        ("experiment", "e14_sharded_registry".into()),
+        ("queries_per_variant", QUERIES.into()),
+        ("schema_version", SCHEMA_VERSION.into()),
+        ("seed", seed.into()),
+        ("variants", Json::arr(points.iter().map(variant))),
+    ])
+    .render()
 }
 
 /// Render both artefacts from completed sweep points.

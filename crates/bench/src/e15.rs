@@ -29,7 +29,7 @@
 //! run diffs them byte-for-byte, like the report and the JSON.
 
 use crate::e14;
-use crate::{format_table, human_bytes};
+use crate::{format_table, human_bytes, Json};
 use lc_core::node::{NodeCmd, QueryResult, RegistryConfig, TraceConfig};
 use lc_core::scale::{run_scale_profiled, ScaleConfig, ScaleReport, Variant};
 use lc_core::testkit::{build_world_on, World};
@@ -326,47 +326,37 @@ pub struct E15Output {
 /// floats at fixed precision.
 fn render_json(points: &[ProfPoint], runs: &[TracedRun], seed: u64) -> String {
     let full = &runs[0];
-    let mut j = String::new();
-    let _ = writeln!(j, "{{");
-    let _ = writeln!(j, "  \"experiment\": \"e15_profiling\",");
-    let _ = writeln!(j, "  \"profiler_points\": [");
-    for (i, p) in points.iter().enumerate() {
-        let comma = if i + 1 < points.len() { "," } else { "" };
-        let pr = &p.profile;
-        let _ = writeln!(j, "    {{");
-        let _ = writeln!(j, "      \"arena_bytes_max\": {},", pr.arena_bytes_max);
-        let _ = writeln!(j, "      \"depth_max\": {},", pr.depth_max);
-        let _ = writeln!(j, "      \"events\": {},", pr.events);
-        let _ = writeln!(j, "      \"identical\": {},", p.identical);
-        let _ = writeln!(j, "      \"n\": {},", p.n);
-        let _ = writeln!(j, "      \"queue_samples\": {},", pr.samples.len());
-        let _ = writeln!(j, "      \"samples_dropped\": {}", pr.samples_dropped);
-        let _ = writeln!(j, "    }}{comma}");
-    }
-    let _ = writeln!(j, "  ],");
-    let _ = writeln!(j, "  \"schema_version\": {SCHEMA_VERSION},");
-    let _ = writeln!(j, "  \"seed\": {seed},");
-    let _ = writeln!(j, "  \"traced\": [");
-    for (i, r) in runs.iter().enumerate() {
-        let comma = if i + 1 < runs.len() { "," } else { "" };
-        let _ = writeln!(j, "    {{");
-        let _ = writeln!(j, "      \"answered\": {},", r.answered);
-        let _ = writeln!(j, "      \"breaches\": {},", r.breaches);
-        let _ = writeln!(j, "      \"flight_events\": {},", r.flight_events);
-        let _ = writeln!(j, "      \"identical\": {},", r.fingerprint == full.fingerprint);
-        let _ = writeln!(
-            j,
-            "      \"prefix_closed_subset\": {},",
-            prefix_closed_subset(&r.spans, &full.spans)
-        );
-        let _ = writeln!(j, "      \"rate\": \"{}\",", r.label);
-        let _ = writeln!(j, "      \"spans\": {},", r.spans.len());
-        let _ = writeln!(j, "      \"traces\": {}", r.traces);
-        let _ = writeln!(j, "    }}{comma}");
-    }
-    let _ = writeln!(j, "  ]");
-    let _ = writeln!(j, "}}");
-    j
+    let point = |p: &ProfPoint| {
+        Json::obj([
+            ("arena_bytes_max", p.profile.arena_bytes_max.into()),
+            ("depth_max", p.profile.depth_max.into()),
+            ("events", p.profile.events.into()),
+            ("identical", p.identical.into()),
+            ("n", p.n.into()),
+            ("queue_samples", p.profile.samples.len().into()),
+            ("samples_dropped", p.profile.samples_dropped.into()),
+        ])
+    };
+    let traced = |r: &TracedRun| {
+        Json::obj([
+            ("answered", r.answered.into()),
+            ("breaches", r.breaches.into()),
+            ("flight_events", r.flight_events.into()),
+            ("identical", (r.fingerprint == full.fingerprint).into()),
+            ("prefix_closed_subset", prefix_closed_subset(&r.spans, &full.spans).into()),
+            ("rate", r.label.into()),
+            ("spans", r.spans.len().into()),
+            ("traces", r.traces.into()),
+        ])
+    };
+    Json::obj([
+        ("experiment", "e15_profiling".into()),
+        ("profiler_points", Json::arr(points.iter().map(point))),
+        ("schema_version", SCHEMA_VERSION.into()),
+        ("seed", seed.into()),
+        ("traced", Json::arr(runs.iter().map(traced))),
+    ])
+    .render()
 }
 
 /// Render every artefact from completed parts A and B. `runs[0]` must

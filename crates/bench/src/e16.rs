@@ -26,7 +26,7 @@
 //! Everything reported derives from virtual time, so report and JSON
 //! are byte-identical across runs (ci.sh double-runs and diffs).
 
-use crate::{f2, format_table};
+use crate::{f2, format_table, Json};
 use lc_core::cohesion::CohesionConfig;
 use lc_core::demo;
 use lc_core::node::{AdmissionConfig, InvokePolicy, NodeCmd, ReplicateConfig};
@@ -286,9 +286,9 @@ pub struct E16Output {
     pub gates_ok: bool,
 }
 
-fn sweep_shape(shape: &ArrivalShape, rates: &[f64], seed: u64) -> ShapeCurve {
+fn sweep_shape(shape: &ArrivalShape, seed: u64) -> ShapeCurve {
     let mut points = Vec::new();
-    for &rate in rates {
+    for rate in RATES {
         points.push(CurvePoint {
             rate,
             shed: run_scenario(shape, rate, Some(shed_config()), seed, 1),
@@ -346,62 +346,55 @@ fn run_replication(seed: u64) -> ReplicationResult {
 }
 
 fn render_json(curves: &[ShapeCurve], rep: &ReplicationResult, gates_ok: bool) -> String {
-    let mut j = String::new();
     let headline = &curves[0];
-    let _ = writeln!(j, "{{");
-    let _ = writeln!(j, "  \"experiment\": \"e16_capacity\",");
-    let _ = writeln!(j, "  \"gates_ok\": {gates_ok},");
-    let _ = writeln!(j, "  \"headline_knee_goodput_per_sec\": {},", f2(headline.knee_goodput));
-    let _ = writeln!(j, "  \"headline_knee_offered_per_sec\": {},", f2(headline.knee_offered));
-    let _ = writeln!(j, "  \"nodes\": {N},");
-    let _ = writeln!(j, "  \"replication\": {{");
-    let _ = writeln!(j, "    \"gain\": {},", f2(rep.gain));
-    let _ = writeln!(j, "    \"goodput_off_per_sec\": {},", f2(rep.goodput_off));
-    let _ = writeln!(j, "    \"goodput_on_per_sec\": {},", f2(rep.goodput_on));
-    let _ = writeln!(j, "    \"replicas_spawned\": {}", rep.replicas);
-    let _ = writeln!(j, "  }},");
-    let _ = writeln!(j, "  \"schema_version\": 1,");
-    let _ = writeln!(j, "  \"shapes\": [");
-    for (i, c) in curves.iter().enumerate() {
-        let comma = if i + 1 < curves.len() { "," } else { "" };
-        let _ = writeln!(j, "    {{");
-        let _ = writeln!(j, "      \"curve\": [");
-        for (k, p) in c.points.iter().enumerate() {
-            let pc = if k + 1 < c.points.len() { "," } else { "" };
-            let _ = writeln!(j, "        {{");
-            let _ = writeln!(j, "          \"first_offer_p50_ms\": {},", f2(p.shed.first_offer_p50_ms));
-            let _ = writeln!(j, "          \"goodput_noshed_per_sec\": {},", f2(p.noshed.goodput_per_sec));
-            let _ = writeln!(j, "          \"goodput_shed_per_sec\": {},", f2(p.shed.goodput_per_sec));
-            let _ = writeln!(j, "          \"offered_per_sec\": {},", f2(p.shed.offered_per_sec));
-            let _ = writeln!(j, "          \"overload_replies\": {},", p.shed.overload);
-            let _ = writeln!(j, "          \"p50_ms\": {},", f2(p.shed.p50_ms));
-            let _ = writeln!(j, "          \"p999_ms\": {},", f2(p.shed.p999_ms));
-            let _ = writeln!(j, "          \"p99_ms\": {},", f2(p.shed.p99_ms));
-            let _ = writeln!(j, "          \"timeouts_noshed\": {}", p.noshed.timeout);
-            let _ = writeln!(j, "        }}{pc}");
-        }
-        let _ = writeln!(j, "      ],");
-        let _ = writeln!(j, "      \"knee_goodput_per_sec\": {},", f2(c.knee_goodput));
-        let _ = writeln!(j, "      \"knee_offered_per_sec\": {},", f2(c.knee_offered));
-        let _ = writeln!(j, "      \"name\": \"{}\",", c.name);
-        let _ = writeln!(j, "      \"post_knee_noshed_retention\": {},", f2(c.noshed_retention));
-        let _ = writeln!(j, "      \"post_knee_shed_retention\": {}", f2(c.shed_retention));
-        let _ = writeln!(j, "    }}{comma}");
-    }
-    let _ = writeln!(j, "  ]");
-    let _ = writeln!(j, "}}");
-    j
+    let point = |p: &CurvePoint| {
+        Json::obj([
+            ("first_offer_p50_ms", p.shed.first_offer_p50_ms.into()),
+            ("goodput_noshed_per_sec", p.noshed.goodput_per_sec.into()),
+            ("goodput_shed_per_sec", p.shed.goodput_per_sec.into()),
+            ("offered_per_sec", p.shed.offered_per_sec.into()),
+            ("overload_replies", p.shed.overload.into()),
+            ("p50_ms", p.shed.p50_ms.into()),
+            ("p999_ms", p.shed.p999_ms.into()),
+            ("p99_ms", p.shed.p99_ms.into()),
+            ("timeouts_noshed", p.noshed.timeout.into()),
+        ])
+    };
+    let shape = |c: &ShapeCurve| {
+        Json::obj([
+            ("curve", Json::arr(c.points.iter().map(point))),
+            ("knee_goodput_per_sec", c.knee_goodput.into()),
+            ("knee_offered_per_sec", c.knee_offered.into()),
+            ("name", c.name.into()),
+            ("post_knee_noshed_retention", c.noshed_retention.into()),
+            ("post_knee_shed_retention", c.shed_retention.into()),
+        ])
+    };
+    Json::obj([
+        ("experiment", "e16_capacity".into()),
+        ("gates_ok", gates_ok.into()),
+        ("headline_knee_goodput_per_sec", headline.knee_goodput.into()),
+        ("headline_knee_offered_per_sec", headline.knee_offered.into()),
+        ("nodes", N.into()),
+        (
+            "replication",
+            Json::obj([
+                ("gain", rep.gain.into()),
+                ("goodput_off_per_sec", rep.goodput_off.into()),
+                ("goodput_on_per_sec", rep.goodput_on.into()),
+                ("replicas_spawned", rep.replicas.into()),
+            ]),
+        ),
+        ("schema_version", 1u64.into()),
+        ("shapes", Json::arr(curves.iter().map(shape))),
+    ])
+    .render()
 }
 
-/// Run the sweep with a rate cap (smoke mode); `None` = full matrix.
-pub fn run_limited(seed: u64, max_rate: Option<f64>) -> E16Output {
-    let rates: Vec<f64> = RATES
-        .iter()
-        .copied()
-        .filter(|r| max_rate.is_none_or(|m| *r <= m))
-        .collect();
+/// Run the full sweep (the committed-artefact configuration).
+pub fn run(seed: u64) -> E16Output {
     let curves: Vec<ShapeCurve> =
-        shapes().iter().map(|s| sweep_shape(s, &rates, seed)).collect();
+        shapes().iter().map(|s| sweep_shape(s, seed)).collect();
     let rep = run_replication(seed);
 
     // Overload-control gates. Retention gates need a post-knee point,
@@ -481,11 +474,6 @@ pub fn run_limited(seed: u64, max_rate: Option<f64>) -> E16Output {
     let _ = writeln!(report, "gates: {}", if gates_ok { "ok" } else { "FAILED" });
 
     E16Output { report, json: render_json(&curves, &rep, gates_ok), gates_ok }
-}
-
-/// Full sweep (the committed-artefact configuration).
-pub fn run(seed: u64) -> E16Output {
-    run_limited(seed, None)
 }
 
 #[cfg(test)]

@@ -3,8 +3,13 @@
 //! One binary per figure/experiment of DESIGN.md §4 (`cargo run -p
 //! lc-bench --release --bin <id>`). Every binary prints the table (or
 //! figure facsimile) it regenerates; EXPERIMENTS.md records the outputs
-//! and compares them against the paper's qualitative claims. What the
-//! hot paths cost the host is measured from outside the simulation by
+//! and compares them against the paper's qualitative claims.
+//!
+//! The crate is pure virtual time: nothing in it reads a clock, every
+//! column is simulated time or an exact count, and every binary is
+//! byte-identical run to run (ci.sh double-runs them all). E12–E16 write
+//! their `BENCH_e*.json` summary through [`Json`], the one writer. What
+//! the hot paths cost the host is measured from outside the workspace by
 //! the repo's benchmark — see `.perf/README.md`.
 
 use lc_core::testkit::World;
@@ -18,7 +23,9 @@ pub mod e13;
 pub mod e14;
 pub mod e15;
 pub mod e16;
-pub mod micro;
+pub mod json;
+
+pub use json::Json;
 
 /// Render a titled ASCII table with aligned columns.
 pub fn format_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {

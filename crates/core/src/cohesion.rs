@@ -184,11 +184,6 @@ impl Hierarchy {
         }
         duties
     }
-
-    /// Total number of MRM seats (duty instances) in the hierarchy.
-    pub fn mrm_seat_count(&self) -> usize {
-        self.levels.iter().flat_map(|gs| gs.iter()).map(|g| g.mrms.len()).sum()
-    }
 }
 
 /// What an MRM remembers about one member (soft state).

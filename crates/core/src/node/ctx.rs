@@ -237,12 +237,6 @@ impl NodeState {
         self.conts.depth()
     }
 
-    /// Pending distributed queries right now (the bounded admission
-    /// queue of the Component Registry service).
-    pub fn query_queue_depth(&self) -> usize {
-        self.conts.queries.len()
-    }
-
     /// Most distributed queries ever pending at once on this node. With
     /// [`super::AdmissionConfig::query_queue_cap`] configured this never
     /// exceeds the cap — the overload property tests pin that bound.

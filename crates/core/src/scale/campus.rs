@@ -33,7 +33,6 @@ use super::shape::HierShape;
 use super::soa::{CampusSoa, FLAG_OWNER_C0, FLAG_OWNER_C1};
 use super::NodeIdx;
 use lc_des::{Actor, AnyMsg, Ctx, Sim, SimTime};
-use lc_trace::{ReservoirHistogram, ShardedCounter};
 
 /// Components the sweep queries for; node `i` owns component `c` iff
 /// `i % 256 == OWNER_RESIDUE[c]` (≈ one owner per 128 nodes overall).
@@ -175,6 +174,13 @@ struct QueryState {
     first_offer_at: Option<SimTime>,
 }
 
+impl QueryState {
+    /// Virtual ns from issue to first offer (`None` = unresolved).
+    fn first_offer_ns(&self) -> Option<u64> {
+        Some(self.first_offer_at?.saturating_sub(self.issued_at).as_nanos())
+    }
+}
+
 /// Deterministic per-query result — what the lazy/eager equivalence
 /// test compares.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -198,6 +204,8 @@ struct Counts {
     churn_msgs: u64,
     queries_completed: u64,
     escalations: u64,
+    /// Message deliveries tallied ([`ScaleReport::traffic_total`]).
+    traffic: u64,
 }
 
 /// The campus actor. See the module docs for the event model.
@@ -212,10 +220,6 @@ pub struct ScaleCampus {
     owners: [Vec<u32>; COMPONENTS.len()],
     queries: Vec<QueryState>,
     counts: Counts,
-    /// Per-destination traffic, folded into 64 shards.
-    traffic: ShardedCounter,
-    /// First-offer latency (virtual ns), bounded reservoir.
-    latency: ReservoirHistogram,
     /// Reports stop rescheduling at this time.
     t_end: SimTime,
 }
@@ -253,8 +257,6 @@ impl ScaleCampus {
             level_base,
             owners,
             counts: Counts::default(),
-            traffic: ShardedCounter::new(),
-            latency: ReservoirHistogram::new(512),
             t_end,
             cfg,
         }
@@ -280,14 +282,12 @@ impl ScaleCampus {
                 }
                 let replicas = self.shape.mrms(0, g).count() as u64;
                 self.counts.report_msgs += replicas;
-                for m in self.shape.mrms(0, g).collect::<Vec<_>>() {
-                    self.traffic.add(m as usize, 1);
-                }
+                self.counts.traffic += replicas;
             }
             Variant::Flat | Variant::Strong => {
                 // Reports/heartbeats all land on the central node.
                 self.counts.report_msgs += 1;
-                self.traffic.add(0, 1);
+                self.counts.traffic += 1;
             }
         }
         let me = ctx.me();
@@ -312,7 +312,7 @@ impl ScaleCampus {
                 }
                 let parent_replicas = self.shape.mrms(pl, pg).count() as u64;
                 self.counts.summary_msgs += parent_replicas;
-                self.traffic.add(self.shape.primary(pl, pg) as usize, 1);
+                self.counts.traffic += 1;
             }
             let me = ctx.me();
             if ctx.now() + self.cfg.report_period < self.t_end {
@@ -338,20 +338,20 @@ impl ScaleCampus {
         match self.cfg.variant {
             Variant::Hier => {
                 let g = self.shape.leaf_group_of(u64::from(origin)) as u32;
-                self.count_query_msg(qid, self.shape.primary(0, u64::from(g)) as usize);
+                self.count_query_msg(qid);
                 ctx.send_packed(HOP, me, pack(K_QUERY_UP, g, query_aux(qid, 0)));
             }
             Variant::Flat | Variant::Strong => {
-                self.count_query_msg(qid, 0);
+                self.count_query_msg(qid);
                 ctx.send_packed(HOP, me, pack(K_QUERY_UP, 0, query_aux(qid, 0)));
             }
         }
     }
 
-    fn count_query_msg(&mut self, qid: u32, dest: usize) {
+    fn count_query_msg(&mut self, qid: u32) {
         self.queries[qid as usize].msgs += 1;
         self.counts.query_msgs += 1;
-        self.traffic.add(dest, 1);
+        self.counts.traffic += 1;
     }
 
     /// Query routing at an MRM seat — `descending=false` is the ascend
@@ -370,12 +370,11 @@ impl ScaleCampus {
                         }
                         if level == 0 {
                             let member = self.shape.member(0, u64::from(g), j) as u32;
-                            self.count_query_msg(qid, member as usize);
+                            self.count_query_msg(qid);
                             ctx.send_packed(HOP, me, pack(K_QUERY_MEMBER, member, qid));
                         } else {
                             let child = (u64::from(g) * self.shape.fanout() + j) as u32;
-                            let child_primary = self.shape.primary(level - 1, u64::from(child));
-                            self.count_query_msg(qid, child_primary as usize);
+                            self.count_query_msg(qid);
                             ctx.send_packed(
                                 HOP,
                                 me,
@@ -387,7 +386,7 @@ impl ScaleCampus {
                     if let Some((pl, pg)) = self.shape.parent(level, u64::from(g)) {
                         self.queries[qid as usize].escalations += 1;
                         self.counts.escalations += 1;
-                        self.count_query_msg(qid, self.shape.primary(pl, pg) as usize);
+                        self.count_query_msg(qid);
                         ctx.send_packed(HOP, me, pack(K_QUERY_UP, pg as u32, query_aux(qid, pl)));
                     } else {
                         self.send_query_done(ctx, qid);
@@ -403,7 +402,7 @@ impl ScaleCampus {
                     self.send_query_done(ctx, qid);
                 } else {
                     for member in owners {
-                        self.count_query_msg(qid, member as usize);
+                        self.count_query_msg(qid);
                         ctx.send_packed(HOP, me, pack(K_QUERY_MEMBER, member, qid));
                     }
                 }
@@ -412,7 +411,7 @@ impl ScaleCampus {
                 // Exact view: route to the single best owner.
                 match self.owners[comp].first().copied() {
                     Some(member) => {
-                        self.count_query_msg(qid, member as usize);
+                        self.count_query_msg(qid);
                         ctx.send_packed(HOP, me, pack(K_QUERY_MEMBER, member, qid));
                     }
                     None => self.send_query_done(ctx, qid),
@@ -423,7 +422,7 @@ impl ScaleCampus {
 
     fn send_query_done(&mut self, ctx: &mut Ctx<'_>, qid: u32) {
         let origin = self.queries[qid as usize].origin;
-        self.count_query_msg(qid, origin as usize);
+        self.count_query_msg(qid);
         let me = ctx.me();
         ctx.send_packed(HOP, me, pack(K_QUERY_DONE, origin, qid));
     }
@@ -433,7 +432,7 @@ impl ScaleCampus {
         // and answers the origin with an offer.
         self.soa.materialize(NodeIdx(member)).offers_served += 1;
         let origin = self.queries[qid as usize].origin;
-        self.count_query_msg(qid, origin as usize);
+        self.count_query_msg(qid);
         let me = ctx.me();
         ctx.send_packed(HOP, me, pack(K_OFFER, origin, qid));
     }
@@ -445,9 +444,7 @@ impl ScaleCampus {
         q.offers += 1;
         if q.first_offer_at.is_none() {
             q.first_offer_at = Some(now);
-            let lat = now.saturating_sub(q.issued_at).as_nanos();
             self.counts.queries_completed += 1;
-            self.latency.observe(lat);
         }
     }
 
@@ -483,11 +480,10 @@ impl ScaleCampus {
         }
     }
 
-    fn on_view(&mut self, node: u32) {
+    fn on_view(&mut self) {
         // View install + ack back to the coordinator.
         self.counts.churn_msgs += 2;
-        self.traffic.add(node as usize, 1);
-        self.traffic.add(0, 1);
+        self.counts.traffic += 2;
     }
 
     /// Per-query outcomes, in query order (the lazy/eager oracle).
@@ -498,10 +494,7 @@ impl ScaleCampus {
                 msgs: q.msgs,
                 escalations: q.escalations,
                 offers: q.offers,
-                first_offer_ns: q
-                    .first_offer_at
-                    .map(|t| t.saturating_sub(q.issued_at).as_nanos())
-                    .unwrap_or(0),
+                first_offer_ns: q.first_offer_ns().unwrap_or(0),
             })
             .collect()
     }
@@ -558,7 +551,7 @@ impl Actor for ScaleCampus {
             K_OFFER => self.on_offer(ctx, idx, aux),
             K_QUERY_DONE => { /* unresolved query returns to origin */ }
             K_CHURN => self.on_churn(ctx, idx),
-            K_VIEW => self.on_view(idx),
+            K_VIEW => self.on_view(),
             _ => debug_assert!(false, "unknown packed kind {kind}"),
         }
     }
@@ -607,8 +600,6 @@ pub struct ScaleReport {
     pub queue_bytes: usize,
     /// `(campus_bytes + queue_bytes) / n`.
     pub bytes_per_node: f64,
-    /// Busiest traffic shard (load concentration).
-    pub traffic_max_shard: u64,
     /// Total message deliveries tallied.
     pub traffic_total: u64,
     /// Median first-offer latency (virtual ns).
@@ -695,7 +686,10 @@ pub fn run_scale_profiled(
     let counts = &campus.counts;
     let campus_bytes = campus.campus_bytes();
     let outcomes = campus.outcomes();
-    let mut latency = campus.latency.clone();
+    let mut latency_ns: Vec<u64> =
+        campus.queries.iter().filter_map(QueryState::first_offer_ns).collect();
+    latency_ns.sort_unstable();
+    let latency = |q| lc_des::nearest_rank(&latency_ns, q).unwrap_or(0);
     let report = ScaleReport {
         n: cfg.n,
         variant: cfg.variant.name(),
@@ -717,10 +711,9 @@ pub fn run_scale_profiled(
         campus_bytes,
         queue_bytes,
         bytes_per_node: (campus_bytes + queue_bytes) as f64 / f64::from(cfg.n),
-        traffic_max_shard: campus.traffic.max_shard(),
-        traffic_total: campus.traffic.total(),
-        latency_p50_ns: latency.quantile(0.5),
-        latency_p99_ns: latency.quantile(0.99),
+        traffic_total: counts.traffic,
+        latency_p50_ns: latency(0.5),
+        latency_p99_ns: latency(0.99),
         outcomes,
     };
     (report, profile)

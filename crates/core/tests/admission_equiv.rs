@@ -19,13 +19,13 @@ const OWNER: HostId = HostId(5);
 
 /// Everything observable about one run: normalized query results,
 /// per-invoke reply transcripts, and the full simulation counter and
-/// histogram dumps.
+/// summary dumps.
 #[derive(Debug, PartialEq)]
 struct Fingerprint {
     queries: Vec<Vec<(u32, String)>>,
     replies: Vec<Vec<(u64, String)>>,
     counters: Vec<(String, u64)>,
-    histograms: Vec<(String, usize, String)>,
+    summaries: Vec<(String, u64, String)>,
 }
 
 impl Fingerprint {
@@ -33,13 +33,13 @@ impl Fingerprint {
     /// config is allowed to leave.
     fn without_admission_keys(mut self) -> Fingerprint {
         self.counters.retain(|(k, _)| !k.starts_with("admission."));
-        self.histograms.retain(|(k, _, _)| !k.starts_with("admission."));
+        self.summaries.retain(|(k, _, _)| !k.starts_with("admission."));
         self
     }
 
     fn has_admission_keys(&self) -> bool {
         self.counters.iter().any(|(k, _)| k.starts_with("admission."))
-            || self.histograms.iter().any(|(k, _, _)| k.starts_with("admission."))
+            || self.summaries.iter().any(|(k, _, _)| k.starts_with("admission."))
     }
 }
 
@@ -144,10 +144,10 @@ fn workload(admission: Option<AdmissionConfig>, seed: u64) -> Fingerprint {
             })
             .collect(),
         counters: w.sim.metrics_ref().counters().map(|(k, v)| (k.to_owned(), v)).collect(),
-        histograms: w
+        summaries: w
             .sim
             .metrics_ref()
-            .histograms()
+            .summaries()
             .map(|(k, h)| (k.to_owned(), h.count(), format!("{:.6}", h.sum())))
             .collect(),
     }
@@ -173,7 +173,7 @@ fn disabled_admission_leaves_no_trace_and_stays_deterministic() {
 /// The unbounded admission config is observationally identical to no
 /// admission config at all, except for the `admission.*` bookkeeping:
 /// same query results, same reply transcripts (values *and* timing),
-/// same counters and histograms otherwise.
+/// same counters and summaries otherwise.
 #[test]
 fn unbounded_admission_differs_only_in_admission_counters() {
     let off = workload(None, 42);

@@ -308,7 +308,7 @@ fn admitted_queue_delay_never_exceeds_deadline() {
         let hist = w
             .sim
             .metrics_ref()
-            .histogram("admission.queue_delay_ms")
+            .summary("admission.queue_delay_ms")
             .expect("admitted requests recorded their queue delay");
         assert!(hist.count() > 0);
         let max = hist.max();

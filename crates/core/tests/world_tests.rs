@@ -762,7 +762,7 @@ fn parked_replies_go_out_once_in_order_and_die_with_the_node() {
     // respawned node starts with nothing parked.
     let doomed = burst(&mut world, &display);
     settle(&mut world, 1); // requests delivered and executed, no reply due yet
-    let executed = world.sim.metrics_ref().histogram("node.task_ms").map(|h| h.count());
+    let executed = world.sim.metrics_ref().summary("node.task_ms").map(|h| h.count());
     assert_eq!(executed, Some(6), "the doomed draws ran before the crash");
     world.crash(server);
     world.recover(server);

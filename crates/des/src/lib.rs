@@ -49,9 +49,9 @@ pub mod queue;
 pub mod rng;
 pub mod time;
 
-pub use metrics::{nearest_rank, CounterId, Histogram, Metrics};
+pub use metrics::{nearest_rank, CounterId, Metrics, Summary};
 pub use profile::{Lane, ProfileReport, Profiler, ProfilerConfig, QueueSample, Tally};
-pub use queue::{IndexedQueue, LegacyQueue};
+pub use queue::IndexedQueue;
 pub use rng::SimRng;
 pub use time::SimTime;
 
@@ -409,18 +409,6 @@ impl Sim {
         self.core.profiler = Some(Profiler::new(cfg, self.core.now));
     }
 
-    /// Disable the profiler, returning the final snapshot if it was on.
-    pub fn disable_profiler(&mut self) -> Option<ProfileReport> {
-        let report = self.profile_report();
-        self.core.profiler = None;
-        report
-    }
-
-    /// Is the profiler currently enabled?
-    pub fn profiler_enabled(&self) -> bool {
-        self.core.profiler.is_some()
-    }
-
     /// Snapshot the accumulated profile (`None` while disabled).
     pub fn profile_report(&self) -> Option<ProfileReport> {
         self.core
@@ -481,15 +469,6 @@ impl Sim {
         }
     }
 
-    /// Run at most `n` further events.
-    pub fn run_steps(&mut self, n: u64) {
-        for _ in 0..n {
-            if self.core.stopped || !self.step() {
-                break;
-            }
-        }
-    }
-
     /// Queue length (pending events).
     pub fn pending_events(&self) -> usize {
         self.core.queue.len()
@@ -498,6 +477,7 @@ impl Sim {
 
 #[cfg(test)]
 mod tests {
+    use super::queue::legacy::LegacyQueue;
     use super::*;
 
     struct Counter {

@@ -1,4 +1,4 @@
-//! Simulation-wide measurement: named counters and sample histograms.
+//! Simulation-wide measurement: named counters and sample summaries.
 //!
 //! Every experiment in `lc-bench` reads its reported quantities (messages
 //! per query, control bandwidth, failover latency, …) from a [`Metrics`]
@@ -9,8 +9,8 @@ use std::collections::BTreeMap;
 
 /// Nearest-rank quantile of an ascending `sorted` slice: the element at
 /// rank `⌈q·n⌉` (1-based, clamped into the slice), `None` when empty.
-/// `q` in `[0, 1]`. The one quantile routine behind [`Histogram`],
-/// `lc_trace::ReservoirHistogram` and the capacity reports.
+/// `q` in `[0, 1]`. The workspace's one quantile definition: the scale
+/// campus and every experiment that prints a percentile call it.
 pub fn nearest_rank<T: Copy>(sorted: &[T], q: f64) -> Option<T> {
     assert!((0.0..=1.0).contains(&q), "quantile out of range");
     let n = sorted.len();
@@ -18,105 +18,50 @@ pub fn nearest_rank<T: Copy>(sorted: &[T], q: f64) -> Option<T> {
     sorted.get(rank - 1).copied()
 }
 
-/// A set of recorded samples with streaming summary statistics.
-///
-/// Samples are kept in full (experiments are bounded, the largest records
-/// tens of thousands of samples) so exact percentiles are available.
-#[derive(Clone, Debug, Default)]
-pub struct Histogram {
-    samples: Vec<f64>,
-    sorted: bool,
+/// Running totals of a stream of samples: four scalars, no sample kept.
+/// For a windowed or quantile view use `lc_trace::BucketHistogram`,
+/// whose fixed buckets subtract.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct Summary {
+    count: u64,
+    sum: f64,
+    min: f64,
+    max: f64,
 }
 
-impl Histogram {
+impl Summary {
     /// Record one sample.
     pub fn record(&mut self, v: f64) {
         debug_assert!(v.is_finite(), "non-finite sample");
-        self.samples.push(v);
-        self.sorted = false;
+        if self.count == 0 {
+            self.min = v;
+            self.max = v;
+        } else {
+            self.min = self.min.min(v);
+            self.max = self.max.max(v);
+        }
+        self.count += 1;
+        self.sum += v;
     }
 
     /// Number of samples.
-    pub fn count(&self) -> usize {
-        self.samples.len()
+    pub fn count(&self) -> u64 {
+        self.count
     }
 
-    /// Sum of samples.
+    /// Sum of samples, accumulated in record order.
     pub fn sum(&self) -> f64 {
-        self.samples.iter().sum()
-    }
-
-    /// Arithmetic mean, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            0.0
-        } else {
-            self.sum() / self.samples.len() as f64
-        }
+        self.sum
     }
 
     /// Minimum sample, or 0.0 when empty.
     pub fn min(&self) -> f64 {
-        self.samples.iter().copied().fold(f64::INFINITY, f64::min).min(f64::INFINITY)
-            .pipe_finite()
+        self.min
     }
 
     /// Maximum sample, or 0.0 when empty.
     pub fn max(&self) -> f64 {
-        self.samples.iter().copied().fold(f64::NEG_INFINITY, f64::max).pipe_finite()
-    }
-
-    /// Population standard deviation, or 0.0 when fewer than 2 samples.
-    pub fn stddev(&self) -> f64 {
-        if self.samples.len() < 2 {
-            return 0.0;
-        }
-        let m = self.mean();
-        let var =
-            self.samples.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / self.samples.len() as f64;
-        var.sqrt()
-    }
-
-    /// Coefficient of variation (stddev / mean), or 0.0 when mean is 0.
-    pub fn cv(&self) -> f64 {
-        let m = self.mean();
-        if m == 0.0 {
-            0.0
-        } else {
-            self.stddev() / m
-        }
-    }
-
-    /// Exact percentile by nearest-rank (q in [0, 1]), or 0.0 when empty.
-    pub fn percentile(&mut self, q: f64) -> f64 {
-        if !self.sorted {
-            self.samples.sort_by(|a, b| a.total_cmp(b));
-            self.sorted = true;
-        }
-        nearest_rank(&self.samples, q).unwrap_or(0.0)
-    }
-
-    /// Median (50th percentile).
-    pub fn median(&mut self) -> f64 {
-        self.percentile(0.5)
-    }
-
-    /// All samples, in insertion order unless a percentile call sorted them.
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
-    }
-}
-
-trait PipeFinite {
-    fn pipe_finite(self) -> f64;
-}
-impl PipeFinite for f64 {
-    fn pipe_finite(self) -> f64 {
-        if self.is_finite() {
-            self
-        } else {
-            0.0
-        }
+        self.max
     }
 }
 
@@ -127,7 +72,7 @@ impl PipeFinite for f64 {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct CounterId(u32);
 
-/// Named counters and histograms for one simulation run.
+/// Named counters and sample summaries for one simulation run.
 ///
 /// Counters live in one dense store. A name resolves to a
 /// [`CounterId`] by one tree walk ([`Metrics::id`]); a bump by id is an
@@ -142,7 +87,7 @@ pub struct Metrics {
     /// Indexed by [`CounterId`]: `None` until the first bump, so a key
     /// that was only registered never shows up in [`Metrics::counters`].
     cells: Vec<Option<u64>>,
-    histograms: BTreeMap<&'static str, Histogram>,
+    summaries: BTreeMap<&'static str, Summary>,
 }
 
 impl Metrics {
@@ -181,19 +126,14 @@ impl Metrics {
         self.ids.get(key).and_then(|id| self.cells[id.0 as usize]).unwrap_or(0)
     }
 
-    /// Record a sample into histogram `key`.
+    /// Record a sample into summary `key`.
     pub fn record(&mut self, key: &'static str, v: f64) {
-        self.histograms.entry(key).or_default().record(v);
+        self.summaries.entry(key).or_default().record(v);
     }
 
-    /// Borrow a histogram (`None` if nothing recorded under `key`).
-    pub fn histogram(&self, key: &str) -> Option<&Histogram> {
-        self.histograms.get(key)
-    }
-
-    /// Mutable borrow of a histogram, creating it when absent.
-    pub fn histogram_mut(&mut self, key: &'static str) -> &mut Histogram {
-        self.histograms.entry(key).or_default()
+    /// The summary under `key` (`None` if nothing was recorded).
+    pub fn summary(&self, key: &str) -> Option<&Summary> {
+        self.summaries.get(key)
     }
 
     /// Iterate the counters bumped since the last [`Metrics::clear`], in
@@ -202,16 +142,16 @@ impl Metrics {
         self.ids.iter().filter_map(|(k, id)| Some((*k, self.cells[id.0 as usize]?)))
     }
 
-    /// Iterate histograms in key order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, v)| (*k, v))
+    /// Iterate summaries in key order.
+    pub fn summaries(&self) -> impl Iterator<Item = (&str, &Summary)> {
+        self.summaries.iter().map(|(k, v)| (*k, v))
     }
 
     /// Reset everything (between experiment repetitions). Issued
     /// [`CounterId`]s stay valid.
     pub fn clear(&mut self) {
         self.cells.fill(None);
-        self.histograms.clear();
+        self.summaries.clear();
     }
 }
 
@@ -260,19 +200,15 @@ mod tests {
 
     #[test]
     fn histogram_stats() {
-        let mut h = Histogram::default();
+        let mut h = Summary::default();
         for v in [4.0, 1.0, 3.0, 2.0, 5.0] {
             h.record(v);
         }
         assert_eq!(h.count(), 5);
         assert_eq!(h.sum(), 15.0);
-        assert_eq!(h.mean(), 3.0);
         assert_eq!(h.min(), 1.0);
         assert_eq!(h.max(), 5.0);
-        assert_eq!(h.median(), 3.0);
-        assert_eq!(h.percentile(1.0), 5.0);
-        assert_eq!(h.percentile(0.0), 1.0);
-        assert!((h.stddev() - 2.0f64.sqrt()).abs() < 1e-12);
+        assert_eq!(std::mem::size_of::<Summary>(), 32, "four scalars, no per-sample storage");
     }
 
     #[test]
@@ -283,31 +219,30 @@ mod tests {
         assert_eq!(nearest_rank(&v, 1.0), Some(4.0));
         assert_eq!(nearest_rank(&v, 0.0), Some(1.0));
         assert_eq!(nearest_rank::<u64>(&[], 0.5), None);
+        // One sample is every quantile.
+        for q in [0.0, 0.5, 0.99, 1.0] {
+            assert_eq!(nearest_rank(&[7u64], q), Some(7));
+        }
+        // The call shapes of E7 (p95), E10 and E14 (p50/p99) over the
+        // values 1..=n: rank ⌈q·n⌉. Each comment gives the value the
+        // experiment's former private index picked.
+        let to = |n: u64| (1..=n).collect::<Vec<u64>>();
+        assert_eq!(nearest_rank(&to(20), 0.95), Some(19)); // E7 index ⌊0.95·20⌋: 20
+        assert_eq!(nearest_rank(&to(200), 0.50), Some(100)); // index round(199·0.50): 101
+        assert_eq!(nearest_rank(&to(200), 0.99), Some(198)); // index round(199·0.99): 198
+        assert_eq!(nearest_rank(&to(96), 0.99), Some(96)); // index round(95·0.99): 95
     }
 
     #[test]
     fn empty_histogram_is_zeroes() {
-        let mut h = Histogram::default();
+        let h = Summary::default();
         assert_eq!(h.count(), 0);
-        assert_eq!(h.mean(), 0.0);
+        assert_eq!(h.sum(), 0.0);
         assert_eq!(h.min(), 0.0);
         assert_eq!(h.max(), 0.0);
-        assert_eq!(h.median(), 0.0);
-        assert_eq!(h.cv(), 0.0);
-    }
-
-    #[test]
-    fn cv_measures_imbalance() {
-        let mut balanced = Histogram::default();
-        let mut skewed = Histogram::default();
-        for _ in 0..10 {
-            balanced.record(10.0);
-        }
-        for i in 0..10 {
-            skewed.record(if i == 0 { 100.0 } else { 0.0 });
-        }
-        assert_eq!(balanced.cv(), 0.0);
-        assert!(skewed.cv() > 1.0);
+        let mut neg = Summary::default();
+        neg.record(-2.0);
+        assert_eq!((neg.min(), neg.max()), (-2.0, -2.0), "the first sample seeds both bounds");
     }
 
     #[test]
@@ -315,9 +250,9 @@ mod tests {
         let mut m = Metrics::default();
         m.record("lat", 1.0);
         m.record("lat", 3.0);
-        assert_eq!(m.histogram("lat").unwrap().mean(), 2.0);
-        assert!(m.histogram("nope").is_none());
+        assert_eq!(m.summary("lat").unwrap().sum(), 4.0);
+        assert!(m.summary("nope").is_none());
         m.clear();
-        assert!(m.histogram("lat").is_none());
+        assert!(m.summary("lat").is_none());
     }
 }

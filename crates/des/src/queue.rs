@@ -17,13 +17,11 @@
 //! `(SimTime, seq)` where `seq` is the global schedule sequence number.
 //! Keys are therefore unique, every correct priority queue pops them in
 //! the same order, and all existing experiment outputs stay
-//! byte-identical. [`LegacyQueue`] preserves the original binary-heap
-//! implementation as the reference oracle for the equivalence tests in
-//! this crate and `lc-prop` property tests.
+//! byte-identical. The original binary heap survives under `cfg(test)`
+//! as this crate's oracle: the equivalence and property tests replay
+//! random schedules through both and compare pop order.
 
 use crate::time::SimTime;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 const NIL: u32 = u32::MAX;
 
@@ -196,73 +194,70 @@ impl<P> IndexedQueue<P> {
 /// entries. Kept as the reference implementation — the kernel
 /// equivalence tests replay random schedules through both queues and
 /// assert identical pop sequences.
-pub struct LegacyQueue<P> {
-    heap: BinaryHeap<Reverse<LegacyEntry<P>>>,
-}
+#[cfg(test)]
+pub(crate) mod legacy {
+    use crate::time::SimTime;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
-struct LegacyEntry<P> {
-    at: SimTime,
-    seq: u64,
-    payload: P,
-}
-
-impl<P> PartialEq for LegacyEntry<P> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<P> Eq for LegacyEntry<P> {}
-impl<P> PartialOrd for LegacyEntry<P> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<P> Ord for LegacyEntry<P> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-impl<P> Default for LegacyQueue<P> {
-    fn default() -> Self {
-        LegacyQueue::new()
-    }
-}
-
-impl<P> LegacyQueue<P> {
-    /// An empty queue.
-    pub fn new() -> Self {
-        LegacyQueue { heap: BinaryHeap::new() }
+    pub(crate) struct LegacyQueue<P> {
+        heap: BinaryHeap<Reverse<LegacyEntry<P>>>,
     }
 
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
+    struct LegacyEntry<P> {
+        at: SimTime,
+        seq: u64,
+        payload: P,
     }
 
-    /// Is the queue empty?
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+    impl<P> PartialEq for LegacyEntry<P> {
+        fn eq(&self, other: &Self) -> bool {
+            self.at == other.at && self.seq == other.seq
+        }
+    }
+    impl<P> Eq for LegacyEntry<P> {}
+    impl<P> PartialOrd for LegacyEntry<P> {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl<P> Ord for LegacyEntry<P> {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            (self.at, self.seq).cmp(&(other.at, other.seq))
+        }
     }
 
-    /// Schedule `payload` at `(at, seq)`.
-    pub fn push(&mut self, at: SimTime, seq: u64, payload: P) {
-        self.heap.push(Reverse(LegacyEntry { at, seq, payload }));
-    }
+    impl<P> LegacyQueue<P> {
+        /// An empty queue.
+        pub(crate) fn new() -> Self {
+            LegacyQueue { heap: BinaryHeap::new() }
+        }
 
-    /// Key of the minimum event, without removing it.
-    pub fn peek(&self) -> Option<(SimTime, u64)> {
-        self.heap.peek().map(|Reverse(e)| (e.at, e.seq))
-    }
+        /// Is the queue empty?
+        pub(crate) fn is_empty(&self) -> bool {
+            self.heap.is_empty()
+        }
 
-    /// Remove and return the minimum event.
-    pub fn pop(&mut self) -> Option<(SimTime, u64, P)> {
-        self.heap.pop().map(|Reverse(e)| (e.at, e.seq, e.payload))
+        /// Schedule `payload` at `(at, seq)`.
+        pub(crate) fn push(&mut self, at: SimTime, seq: u64, payload: P) {
+            self.heap.push(Reverse(LegacyEntry { at, seq, payload }));
+        }
+
+        /// Key of the minimum event, without removing it.
+        pub(crate) fn peek(&self) -> Option<(SimTime, u64)> {
+            self.heap.peek().map(|Reverse(e)| (e.at, e.seq))
+        }
+
+        /// Remove and return the minimum event.
+        pub(crate) fn pop(&mut self) -> Option<(SimTime, u64, P)> {
+            self.heap.pop().map(|Reverse(e)| (e.at, e.seq, e.payload))
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::legacy::LegacyQueue;
     use super::*;
 
     fn t(ns: u64) -> SimTime {

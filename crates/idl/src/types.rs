@@ -314,11 +314,6 @@ impl Repository {
         self.exceptions.get(id)
     }
 
-    /// All interface ids, sorted.
-    pub fn interface_ids(&self) -> impl Iterator<Item = &str> {
-        self.interfaces.keys().map(String::as_str)
-    }
-
     /// Does `derived` equal or transitively inherit from `base`?
     pub fn is_a(&self, derived: &str, base: &str) -> bool {
         if derived == base {

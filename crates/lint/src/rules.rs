@@ -4,9 +4,9 @@
 //! (see DESIGN.md §8 for the rule ↔ invariant map):
 //!
 //! * **D1** — no wall-clock reads (`std::time::Instant` / `SystemTime`)
-//!   outside the allowlisted wall-clock metrics module. Virtual time is
-//!   `lc_des::SimTime`; a stray clock read silently breaks the E1–E10
-//!   byte-determinism diffs.
+//!   anywhere in the workspace. Virtual time is `lc_des::SimTime`; wall
+//!   time is measured from outside, by `.perf`. A stray clock read
+//!   silently breaks the E1–E16 byte-determinism diffs.
 //! * **D2** — no `HashMap`/`HashSet` in crates whose state reaches wire
 //!   messages or experiment output (`orb`, `core`, `net`, `baselines`,
 //!   `bench`): hash iteration order is randomized-per-process in spirit
@@ -55,10 +55,6 @@ const ORDERED_OUTPUT_CRATES: [&str; 8] =
 /// Crates executed under the discrete-event simulator (D3 scope).
 const DES_CRATES: [&str; 10] =
     ["des", "net", "orb", "core", "baselines", "cscw", "grid", "trace", "cache", "load"];
-
-/// The one module allowed to touch the wall clock: the bench harness that
-/// produces the explicitly-wall-clock columns of E1/E9.
-const WALLCLOCK_ALLOWLIST: [&str; 1] = ["crates/bench/src/micro.rs"];
 
 /// Arena/SoA modules held to the flat-memory rule (D6 scope): per-item
 /// state lives in dense rows behind `u32` handles, so shared mutable
@@ -178,7 +174,6 @@ pub fn check_lexed(lexed: &Lexed, ctx: &FileCtx) -> FileReport {
 
     let d2_scope = ORDERED_OUTPUT_CRATES.contains(&ctx.krate.as_str());
     let d3_scope = DES_CRATES.contains(&ctx.krate.as_str());
-    let d1_allowed = WALLCLOCK_ALLOWLIST.contains(&ctx.rel.as_str());
     let d4_allowed = RNG_ALLOWLIST.contains(&ctx.rel.as_str());
     // The tracing crate is held to the hermetic rule (D5): wall-clock
     // and entropy are banned outright, in every target kind. The DES
@@ -214,12 +209,11 @@ pub fn check_lexed(lexed: &Lexed, ctx: &FileCtx) -> FileReport {
                     "`{name}` in the hermetic trace/profiler scope: ambient entropy is banned"
                 ),
             )),
-            "Instant" | "SystemTime" if !d1_allowed => Some((
+            "Instant" | "SystemTime" => Some((
                 "D1",
                 format!(
-                    "wall-clock type `{name}`: virtual time is lc_des::SimTime; wall-clock \
-                     metrics belong in {}",
-                    WALLCLOCK_ALLOWLIST[0]
+                    "wall-clock type `{name}`: virtual time is lc_des::SimTime; wall time \
+                     is measured from outside the workspace, by .perf"
                 ),
             )),
             "HashMap" | "HashSet" if d2_scope && libish && !in_test[i] => Some((
@@ -518,9 +512,10 @@ mod tests {
 
     #[test]
     fn d1_fires_outside_allowlist_only() {
+        // There is no allowlist any more: the bench crate fires too.
         let src = "use std::time::Instant;";
         assert_eq!(hits(src, "crates/des/src/lib.rs"), vec![("D1", 1, false)]);
-        assert!(hits(src, "crates/bench/src/micro.rs").is_empty());
+        assert_eq!(hits(src, "crates/bench/src/bin/e1_lightweight.rs"), vec![("D1", 1, false)]);
     }
 
     #[test]

@@ -1,17 +1,15 @@
 //! D7: intra-procedural wall-clock taint.
 //!
-//! D1 bans the wall-clock *types* syntactically; its allowlist and
-//! suppressions exist because a handful of sites legitimately measure
-//! host time (bench throughput columns, handler-latency metrics). D7
-//! closes the hole those escapes open: a value *derived* from
+//! D1 bans the wall-clock *types* syntactically and allowlists no
+//! path, but a line can still carry a justified `allow(D1)`. D7
+//! closes the hole that escape opens: a value *derived* from
 //! `Instant`/`SystemTime` — however many `let` bindings deep — must
 //! never reach the simulation's outputs, where it would break
 //! byte-determinism. Sinks are protocol message payloads (construction
 //! of a [`crate::protocol::PROTOCOL_ENUMS`] variant), the send-family
 //! calls that put messages on the fabric, and `SimTime` construction.
 //! Wall-clock metrics calls and explicitly wall-marked report columns
-//! are *not* sinks — that is exactly the legitimate use the D1
-//! escapes exist for.
+//! are *not* sinks — that is the only use a D1 escape could have.
 //!
 //! The pass is a single forward walk per function over `;`/brace
 //! separated segments: no branches, no joins, no field-sensitivity —

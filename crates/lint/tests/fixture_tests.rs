@@ -207,9 +207,8 @@ fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
 
 #[test]
 fn no_wall_clock_exemptions_outside_the_lint_crate() {
-    // Wall time is measured only from outside the simulation (`.perf`)
-    // and by `crates/bench/src/micro.rs`, which D1 allowlists by path:
-    // no file may carry a D1 suppression.
+    // Wall time is measured only from outside the workspace (`.perf`);
+    // D1 allowlists no path, and no file may carry a D1 suppression.
     //
     // Simulated-metric accessors must never need suppressions of any
     // kind: `Net::max_recv` / traffic counters and the registry

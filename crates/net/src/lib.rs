@@ -281,11 +281,6 @@ impl Net {
         (0..self.host_count() as u32).map(HostId).collect()
     }
 
-    /// The site a host belongs to.
-    pub fn site_of(&self, h: HostId) -> SiteId {
-        self.inner.borrow().hosts[h.0 as usize].cfg.site
-    }
-
     /// The host's static configuration.
     pub fn host_cfg(&self, h: HostId) -> HostCfg {
         self.inner.borrow().hosts[h.0 as usize].cfg.clone()
@@ -294,11 +289,6 @@ impl Net {
     /// Bind the DES actor that receives this host's traffic.
     pub fn bind(&self, h: HostId, actor: ActorId) {
         self.inner.borrow_mut().hosts[h.0 as usize].bound = Some(actor);
-    }
-
-    /// The actor currently bound to a host, if any.
-    pub fn bound_actor(&self, h: HostId) -> Option<ActorId> {
-        self.inner.borrow().hosts[h.0 as usize].bound
     }
 
     /// Mark a host up or down. Going down clears nothing else: the layer
@@ -351,14 +341,6 @@ impl Net {
         let inner = self.inner.borrow();
         let (ha, hb) = (&inner.hosts[a.0 as usize], &inner.hosts[b.0 as usize]);
         ha.up && hb.up && ha.group == hb.group
-    }
-
-    /// One-way latency between two hosts' sites (no load, no serialization).
-    pub fn base_latency(&self, a: HostId, b: HostId) -> SimTime {
-        let inner = self.inner.borrow();
-        inner
-            .topo
-            .latency(inner.hosts[a.0 as usize].cfg.site, inner.hosts[b.0 as usize].cfg.site)
     }
 
     /// Send `size` bytes of `payload` from host `from` to host `to`.

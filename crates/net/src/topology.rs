@@ -176,11 +176,6 @@ impl Topology {
         &self.hosts
     }
 
-    /// Set the default intra-site (LAN) latency.
-    pub fn set_intra_site_latency(&mut self, l: SimTime) {
-        self.intra_latency = l;
-    }
-
     /// Set the default inter-site (WAN) latency.
     pub fn set_inter_site_latency(&mut self, l: SimTime) {
         self.inter_latency = l;

@@ -187,7 +187,6 @@ impl Actor for ClientActor {
 pub struct SimOrbClient {
     sim: RefCell<Sim>,
     repo: Arc<Repository>,
-    client_host: lc_net::HostId,
     server: ActorId,
     client: ActorId,
     slot: ReplySlot,
@@ -214,19 +213,21 @@ impl SimOrbClient {
         let client =
             sim.spawn(ClientActor { host: client_host, orb, slot: slot.clone() });
         net.bind(client_host, client);
-        SimOrbClient { sim: RefCell::new(sim), repo, client_host, server, client, slot }
+        SimOrbClient { sim: RefCell::new(sim), repo, server, client, slot }
     }
 
     /// Activate a servant on the server host.
     pub fn activate(&self, servant: Box<dyn Servant>) -> ObjectRef {
-        let mut sim = self.sim.borrow_mut();
-        let server = sim.actor_as_mut::<ServerActor>(self.server).expect("server actor");
-        server.adapter.activate(servant)
+        match self.sim.borrow_mut().actor_as_mut::<ServerActor>(self.server) {
+            Some(server) => server.adapter.activate(servant),
+            None => unreachable!("the server actor lives as long as the harness"),
+        }
     }
 
-    /// The client-side host (for tests that inspect traffic).
-    pub fn client_host(&self) -> lc_net::HostId {
-        self.client_host
+    /// The harness's simulation, for reading kernel and fabric counters
+    /// (`events_fired`, `net.msgs`, `net.bytes`) around a call.
+    pub fn sim(&self) -> std::cell::Ref<'_, Sim> {
+        self.sim.borrow()
     }
 }
 

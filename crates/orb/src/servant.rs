@@ -319,14 +319,6 @@ impl ObjectAdapter {
         self.servants.get(&oid).map(|b| b.as_ref())
     }
 
-    /// Mutably borrow a servant's state.
-    pub fn servant_mut(&mut self, oid: u64) -> Option<&mut (dyn Servant + 'static)> {
-        match self.servants.get_mut(&oid) {
-            Some(b) => Some(b.as_mut()),
-            None => None,
-        }
-    }
-
     /// The single dispatch entrypoint: run `op` on the servant at `key`
     /// according to `opts` — type-checked against the IDL repository
     /// ([`DispatchOpts::typed`]) or unchecked for runtime-internal

@@ -117,14 +117,6 @@ impl Value {
         }
     }
 
-    /// Extract a `double`.
-    pub fn as_double(&self) -> Option<f64> {
-        match self {
-            Value::Double(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// Extract a `boolean`.
     pub fn as_bool(&self) -> Option<bool> {
         match self {

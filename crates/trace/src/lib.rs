@@ -14,7 +14,6 @@
 //! | [`span`] | [`TraceContext`], [`Span`], [`validate`] (tree well-formedness) |
 //! | [`tracer`] | [`Tracer`] (allocation, current-context register, end-propagation), flight recorder |
 //! | [`metrics`] | [`MetricsRegistry`] (counters/fixed-bucket histograms) |
-//! | [`streaming`] | constant-memory primitives for 10⁶-node runs: [`ShardedCounter`], [`ReservoirHistogram`] |
 //! | [`export`] | sorted JSONL, chrome://tracing JSON, critical path |
 //! | [`sampler`] | seeded head-based trace sampling ([`SampleConfig`]) for bounded-memory tracing at scale |
 //! | [`slo`] | windowed latency/burn-rate SLO rules over [`MetricsRegistry`] deltas, breach records with flight dumps |
@@ -42,7 +41,6 @@ pub mod profile;
 pub mod sampler;
 pub mod slo;
 pub mod span;
-pub mod streaming;
 pub mod tracer;
 
 pub use export::{critical_path, to_chrome, to_jsonl, CritSegment};
@@ -50,6 +48,5 @@ pub use flame::{to_collapsed, to_timeline};
 pub use metrics::{BucketHistogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use sampler::SampleConfig;
 pub use slo::{SloBreach, SloConfig, SloKind, SloMonitor, SloRule};
-pub use streaming::{ReservoirHistogram, ShardedCounter};
 pub use span::{validate, Span, SpanId, TraceContext, TraceId};
 pub use tracer::{SpanEvent, Tracer, FLIGHT_RECORDER_CAP};

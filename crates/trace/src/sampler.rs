@@ -39,8 +39,8 @@ impl SampleConfig {
     }
 }
 
-/// Fixed-constant splitmix64 finalizer — the same generator family the
-/// streaming reservoir uses; deterministic and seedable, no entropy.
+/// Fixed-constant splitmix64 finalizer: deterministic and seedable, no
+/// entropy.
 fn mix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

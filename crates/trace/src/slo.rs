@@ -52,29 +52,6 @@ pub struct SloConfig {
     pub rules: Vec<SloRule>,
 }
 
-impl SloConfig {
-    /// Preset: admission-control shed burn rate. Breaches when more
-    /// than `budget_ppm` parts-per-million of admitted traffic is shed
-    /// per window (burn multiple fixed at 1×), evaluated over the
-    /// node-local `admission.shed` / `admission.total` counters that
-    /// the container's admission gate maintains.
-    pub fn shed_burn(window: SimTime, budget_ppm: u32) -> SloConfig {
-        SloConfig {
-            window,
-            rules: vec![SloRule {
-                name: "admission-shed-burn".into(),
-                kind: SloKind::BurnRate {
-                    bad: "admission.shed".into(),
-                    total: "admission.total".into(),
-                    budget_ppm,
-                    max_burn_centi: 100,
-                    min_total: 16,
-                },
-            }],
-        }
-    }
-}
-
 /// One deterministic breach event.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SloBreach {

@@ -77,7 +77,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect(&mut self, c: u8) -> Result<(), ParseError> {
+    fn eat(&mut self, c: u8) -> Result<(), ParseError> {
         if self.peek() == Some(c) {
             self.pos += 1;
             Ok(())
@@ -144,7 +144,8 @@ impl<'a> Parser<'a> {
         if !(first.is_ascii_alphabetic() || first == b'_' || first == b':') {
             return Err(self.err("names must start with a letter, '_' or ':'"));
         }
-        Ok(std::str::from_utf8(&self.b[start..self.pos]).expect("ascii").to_owned())
+        // Every byte passed the ASCII check above, so nothing is replaced.
+        Ok(String::from_utf8_lossy(&self.b[start..self.pos]).into_owned())
     }
 
     fn attr_value(&mut self) -> Result<String, ParseError> {
@@ -208,7 +209,7 @@ impl<'a> Parser<'a> {
     }
 
     fn element(&mut self) -> Result<Element, ParseError> {
-        self.expect(b'<')?;
+        self.eat(b'<')?;
         let name = self.name()?;
         let mut elem = Element::new(&name);
 
@@ -221,13 +222,13 @@ impl<'a> Parser<'a> {
                 }
                 Some(b'/') => {
                     self.pos += 1;
-                    self.expect(b'>')?;
+                    self.eat(b'>')?;
                     return Ok(elem); // self-closing
                 }
                 Some(_) => {
                     let key = self.name()?;
                     self.skip_ws();
-                    self.expect(b'=')?;
+                    self.eat(b'=')?;
                     self.skip_ws();
                     let value = self.attr_value()?;
                     if elem.attr(&key).is_some() {
@@ -255,7 +256,7 @@ impl<'a> Parser<'a> {
                             );
                         }
                         self.skip_ws();
-                        self.expect(b'>')?;
+                        self.eat(b'>')?;
                         return Ok(elem);
                     } else if self.starts_with("<!--") {
                         self.skip_until("-->")?;
@@ -368,6 +369,12 @@ mod tests {
         assert!(parse("<a></a><b></b>").is_err());
         assert!(parse("<a x='1' x='2'/>").is_err());
         assert!(parse("<1bad/>").is_err());
+        // Malformed names: a non-ASCII first byte, a non-ASCII byte
+        // inside a tag name and in an attribute name, a bare '-' start.
+        assert_eq!(parse("<é/>").unwrap_err().msg, "expected a name");
+        assert!(parse("<aé/>").is_err());
+        assert!(parse("<a é='1'/>").is_err());
+        assert!(parse("<-a/>").unwrap_err().msg.contains("must start with"));
         assert!(parse("<a>&nope;</a>").is_err());
         assert!(parse("<a b=c/>").is_err());
         assert!(parse("<a b='<'/>").is_err());
