@@ -28,30 +28,21 @@
 
 use crate::{f2, format_table, Json};
 use lc_core::cohesion::CohesionConfig;
-use lc_core::demo;
-use lc_core::node::{AdmissionConfig, InvokePolicy, NodeCmd, ReplicateConfig};
-use lc_core::testkit::{build_world, World};
-use lc_core::{NodeConfig, SpawnSink};
+use lc_core::node::{AdmissionConfig, InvokePolicy, ReplicateConfig};
+use lc_core::testkit::{display_campus, DISPLAY_FRONTS as FRONTS, DISPLAY_WORKER as WORKER};
+use lc_core::NodeConfig;
 use lc_des::{nearest_rank, SimTime};
 use lc_load::{
     ArrivalShape, ArrivalStream, DriverArrival, DriverConfig, DriverStats, LoadDriver, QueryTick,
     StreamConfig, ZipfKeys,
 };
-use lc_net::{HostId, Topology};
 use lc_orb::Value;
-use std::cell::RefCell;
 use std::fmt::Write as _;
-use std::rc::Rc;
-use std::sync::Arc;
 
 /// Campus: 2 sites x 4 hosts; hosts 0 and 4 are servers (4x CPU).
 const N: usize = 8;
-/// The worker hosting the Display instance (workstation: ~5000 draws/s
-/// at 200 us/draw).
-const WORKER: HostId = HostId(1);
-/// Front-end ingress hosts, one load driver each (two per site).
-const FRONTS: [HostId; 4] = [HostId(2), HostId(3), HostId(5), HostId(6)];
-/// Soft-state convergence before traffic starts.
+/// Soft-state convergence before traffic starts (`display_campus` runs
+/// it).
 const WARMUP: SimTime = SimTime::from_secs(1);
 /// Open-loop offered-traffic window.
 const HORIZON: SimTime = SimTime::from_secs(2);
@@ -140,42 +131,7 @@ fn run_scenario(
     seed: u64,
     key_count: usize,
 ) -> RunStats {
-    let behaviors = lc_core::BehaviorRegistry::new();
-    demo::register_demo_behaviors(&behaviors);
-    let mut w: World = build_world(
-        Topology::campus(2, 4),
-        seed,
-        config(admission),
-        behaviors,
-        demo::demo_trust(),
-        Arc::new(demo::demo_idl()),
-        // Only non-front hosts carry the package: front ends must
-        // discover over the network (so first-offer latency is real),
-        // and the replica-placement targets (the servers and the spare
-        // workstation) can still satisfy a Spawn.
-        |h| {
-            if FRONTS.contains(&h) {
-                Vec::new()
-            } else {
-                vec![demo::display_package_sized(8 * 1024)]
-            }
-        },
-    );
-    let spawn: SpawnSink = Rc::new(RefCell::new(None));
-    w.cmd(
-        WORKER,
-        NodeCmd::SpawnLocal {
-            component: "Display".into(),
-            min_version: lc_pkg::Version::new(2, 0),
-            instance_name: None,
-            sink: spawn.clone(),
-        },
-    );
-    w.sim.run_until(WARMUP);
-    let target = match spawn.borrow().clone() {
-        Some(Ok(r)) => r,
-        other => panic!("e16: worker spawn failed: {other:?}"),
-    };
+    let (mut w, target) = display_campus(seed, config(admission));
 
     let mut drivers = Vec::new();
     for (i, front) in FRONTS.iter().enumerate() {

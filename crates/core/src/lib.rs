@@ -198,6 +198,58 @@ pub mod testkit {
         }
     }
 
+    /// The worker hosting [`display_campus`]'s `Display` instance (a
+    /// workstation: ≈ 5 000 draws/s at 200 µs/draw).
+    pub const DISPLAY_WORKER: lc_net::HostId = lc_net::HostId(1);
+    /// [`display_campus`]'s front-end ingress hosts, two per site.
+    pub const DISPLAY_FRONTS: [lc_net::HostId; 4] =
+        [lc_net::HostId(2), lc_net::HostId(3), lc_net::HostId(5), lc_net::HostId(6)];
+
+    /// E16's capacity campus, converged: 2 sites × 4 hosts (hosts 0 and
+    /// 4 are servers), the demo behaviours, and the 8 KiB `Display`
+    /// package on every host but the [`DISPLAY_FRONTS`] — front ends
+    /// must discover it over the network (so first-offer latency is
+    /// real) while the replica-placement targets can still satisfy a
+    /// `Spawn`. One `Display` instance is spawned on [`DISPLAY_WORKER`]
+    /// and the world runs for one virtual second. Returns it with the
+    /// instance's reference.
+    pub fn display_campus(seed: u64, config: NodeConfig) -> (World, lc_orb::ObjectRef) {
+        use crate::demo;
+        let behaviors = BehaviorRegistry::new();
+        demo::register_demo_behaviors(&behaviors);
+        let mut world = build_world(
+            Topology::campus(2, 4),
+            seed,
+            config,
+            behaviors,
+            demo::demo_trust(),
+            Arc::new(demo::demo_idl()),
+            |h| {
+                if DISPLAY_FRONTS.contains(&h) {
+                    Vec::new()
+                } else {
+                    vec![demo::display_package_sized(8 * 1024)]
+                }
+            },
+        );
+        let spawn: crate::SpawnSink = Rc::default();
+        world.cmd(
+            DISPLAY_WORKER,
+            crate::node::NodeCmd::SpawnLocal {
+                component: "Display".into(),
+                min_version: lc_pkg::Version::new(2, 0),
+                instance_name: None,
+                sink: spawn.clone(),
+            },
+        );
+        world.sim.run_until(lc_des::SimTime::from_secs(1));
+        let target = match spawn.borrow().clone() {
+            Some(Ok(target)) => target,
+            other => panic!("display_campus: worker spawn failed: {other:?}"),
+        };
+        (world, target)
+    }
+
     /// The standard cohesion config used by most tests: fast timers so
     /// tests converge in little virtual time.
     pub fn fast_cohesion() -> CohesionConfig {

@@ -13,10 +13,10 @@ use lc_orb::{
 use lc_pkg::Version;
 
 use super::continuations::{CallCont, FetchCont, PendingCall, PendingMigration, RetryState, SpawnCont};
-use super::ctx::{InstanceRuntime, NodeCtx, NodeState};
+use super::ctx::{Hot, InstanceRuntime, NodeCtx, NodeState};
 use super::metrics::ServiceKind;
 use super::service::{item, ServiceReflect, Tick};
-use super::{MigrateSink, NodeCmd};
+use super::{InvokeSink, MigrateSink, NodeCmd};
 
 impl NodeState {
     /// Create a local instance of an installed component.
@@ -149,19 +149,23 @@ impl NodeCtx<'_, '_> {
     ) {
         // One span covers the whole logical call, across every attempt;
         // it ends when the reply lands or the call fails permanently.
-        let tracer = self.state.tracer.clone();
-        let span = tracer.span(self.state.host.0, &format!("container.call {op}"), self.now());
-        if let Some(s) = span {
+        // Untraced calls (every call while tracing is off) build no span
+        // name and take no handle on the tracer.
+        let tracer = self.state.tracer.is_enabled().then(|| self.state.tracer.clone());
+        let span = tracer.as_ref().and_then(|tracer| {
+            let s = tracer.span(self.state.host.0, &format!("container.call {op}"), self.now())?;
             tracer.set_attr(s, "target", &target.host.0.to_string());
-        }
-        let prev = span.map(|s| tracer.set_current(Some(s)));
-        match self.state.cfg.invoke.deadline {
-            None => match self.orb_request(target, &op, args, false) {
+            Some(s)
+        });
+        let prev = tracer.as_ref().zip(span).map(|(tracer, s)| tracer.set_current(Some(s)));
+        let policy = &self.state.cfg.invoke;
+        match policy.deadline {
+            None => match self.orb_request(target, op, args, false) {
                 Ok(rid) => {
                     self.state.conts.calls.insert(rid, PendingCall { cont, retry: None, span });
                 }
                 Err(e) => {
-                    if let Some(s) = span {
+                    if let Some((tracer, s)) = tracer.as_ref().zip(span) {
                         tracer.set_attr(s, "error", "send");
                         tracer.end(s, self.now());
                     }
@@ -170,8 +174,16 @@ impl NodeCtx<'_, '_> {
             },
             Some(deadline) => {
                 let rid = self.state.orb.fresh_id();
-                let _ = self.orb_request_with_id(rid, target, &op, args.clone());
-                let retry = Some(RetryState { target, op, args, attempts: 1 });
+                // The request moves into its frame. Only a policy that
+                // can re-send keeps a copy: without a retry budget the
+                // sweep's one verdict on this call is `Timeout`.
+                let retry = (policy.retries > 0).then(|| RetryState {
+                    target,
+                    op: op.clone(),
+                    args: args.clone(),
+                    attempts: 1,
+                });
+                let _ = self.orb_request_with_id(rid, target, op, args);
                 self.state.conts.calls.insert_with_deadline(
                     rid,
                     PendingCall { cont, retry, span },
@@ -180,7 +192,7 @@ impl NodeCtx<'_, '_> {
                 self.timer_in(deadline, Tick::CallSweep);
             }
         }
-        if let Some(prev) = prev {
+        if let Some((tracer, prev)) = tracer.zip(prev) {
             tracer.set_current(prev);
         }
     }
@@ -188,9 +200,7 @@ impl NodeCtx<'_, '_> {
     /// Complete a call continuation with a failure.
     pub(crate) fn fail_call(&mut self, cont: CallCont, err: OrbError) {
         match cont {
-            CallCont::Sink(sink) => {
-                sink.borrow_mut().push((self.sim.now(), Err(err)));
-            }
+            CallCont::Sink(sink) => push_reply(&sink, self.sim.now(), Err(err)),
             CallCont::ToInstance { oid, token } => {
                 let res = self.state.adapter.invoke(
                     ObjectKey { host: self.state.host, oid },
@@ -260,7 +270,7 @@ impl NodeCtx<'_, '_> {
             tracer.set_attr(r, "attempt", &attempts.to_string());
         }
         let prev = rspan.map(|r| tracer.set_current(Some(r)));
-        let _ = self.orb_request_with_id(rid, target, &op, args);
+        let _ = self.orb_request_with_id(rid, target, op, args);
         if let Some(r) = rspan {
             tracer.end(r, now);
         }
@@ -275,10 +285,21 @@ impl NodeCtx<'_, '_> {
         producer_oid: u64,
         res: lc_orb::DispatchResult,
     ) {
-        for call in res.outbox {
+        self.send_effects(producer_oid, res.outbox, res.events);
+    }
+
+    /// [`Self::process_dispatch_effects`] for a result already taken
+    /// apart (the request path moves the outcome into its reply).
+    fn send_effects(
+        &mut self,
+        producer_oid: u64,
+        outbox: Vec<lc_orb::OutCall>,
+        events: Vec<(String, Value)>,
+    ) {
+        for call in outbox {
             match call.kind {
                 lc_orb::OutCallKind::OneWay => {
-                    let _ = self.orb_request(call.target.key, &call.op, call.args, true);
+                    let _ = self.orb_request(call.target.key, call.op, call.args, true);
                 }
                 lc_orb::OutCallKind::Request { token } => {
                     self.send_call(
@@ -290,7 +311,7 @@ impl NodeCtx<'_, '_> {
                 }
             }
         }
-        for (port, payload) in res.events {
+        for (port, payload) in events {
             self.publish_event(producer_oid, &port, payload);
         }
     }
@@ -366,7 +387,7 @@ impl NodeCtx<'_, '_> {
             let backlog = self.state.cpu_free_at.saturating_sub(now);
             let over_deadline = adm.deadline_aware
                 && self.state.cfg.invoke.deadline.is_some_and(|d| backlog > d);
-            self.sim.metrics().incr("admission.total");
+            self.bump(Hot::AdmissionTotal);
             self.state.metrics.note("admission.total");
             if backlog > adm.cpu_backlog_cap || over_deadline {
                 self.sim.metrics().incr("admission.shed");
@@ -401,24 +422,11 @@ impl NodeCtx<'_, '_> {
 
         // System ops (`_connect_*`, `_reply`, `_get_state`…) are raw;
         // IDL ops are type-checked. Attribute accessors (`_get_x`) exist
-        // in the interface metadata, so try typed dispatch first.
-        let typed = self
-            .state
-            .adapter
-            .servant(target.oid)
-            .map(|s| s.interface_id().to_owned())
-            .and_then(|tid| self.state.idl.interface(&tid).map(|i| i.op(&op).is_some()))
-            .unwrap_or(false);
-        let opts = if typed || !op.starts_with('_') {
-            DispatchOpts::typed()
-        } else {
-            DispatchOpts::raw()
-        };
-        let res = self.state.adapter.invoke(target, &op, &args, opts);
-
-        let cpu_cost = res.cpu_cost;
-        let outcome = res.outcome.clone();
-        self.process_dispatch_effects(target.oid, res);
+        // in the interface metadata, so the adapter settles which from
+        // the operation lookup its check needs anyway.
+        let lc_orb::DispatchResult { outcome, outbox, events, cpu_cost } =
+            self.state.adapter.invoke(target, &op, &args, DispatchOpts::wire());
+        self.send_effects(target.oid, outbox, events);
 
         if dedup > SimTime::ZERO && reply_to.is_some() {
             self.state.conts.replies.insert_with_deadline(
@@ -457,7 +465,7 @@ impl NodeCtx<'_, '_> {
             }
             Some(PendingCall { cont: CallCont::Sink(sink), span, .. }) => {
                 self.end_call_span(span, result.is_err());
-                sink.borrow_mut().push((self.sim.now(), result));
+                push_reply(&sink, self.sim.now(), result);
             }
             Some(PendingCall { cont: CallCont::ToInstance { oid, token }, span, .. }) => {
                 self.end_call_span(span, result.is_err());
@@ -568,6 +576,14 @@ impl NodeCtx<'_, '_> {
             tracer.set_current(prev);
         }
     }
+}
+
+/// Hand a driver its reply. A call's sink gets exactly this one push,
+/// so room is made for one entry, not for `Vec`'s first-growth four.
+fn push_reply(sink: &InvokeSink, at: SimTime, result: Result<Outcome, OrbError>) {
+    let mut replies = sink.borrow_mut();
+    replies.reserve_exact(1);
+    replies.push((at, result));
 }
 
 /// Container-owned control traffic: `Spawn`, `SpawnDone`, `Subscribe`,
@@ -734,7 +750,7 @@ pub(crate) fn handle_cmd(ctx: &mut NodeCtx<'_, '_>, cmd: NodeCmd) {
                 ctx.send_call(target.key, op, args, CallCont::Sink(sink));
             }
             _ => {
-                let _ = ctx.orb_request(target.key, &op, args, oneway);
+                let _ = ctx.orb_request(target.key, op, args, oneway);
             }
         },
         NodeCmd::Migrate { instance, to, sink } => ctx.cmd_migrate(instance, to, sink),

@@ -33,11 +33,15 @@ struct Entry<V> {
 pub struct Continuations<K, V> {
     entries: BTreeMap<K, Entry<V>>,
     high_water: usize,
+    /// No live entry expires before this (`MAX`: none has a deadline).
+    /// A lower bound, not the minimum: inserts lower it, removals leave
+    /// it, and the sweep that reaches it recomputes it.
+    next_due: SimTime,
 }
 
 impl<K: Ord, V> Default for Continuations<K, V> {
     fn default() -> Self {
-        Continuations { entries: BTreeMap::new(), high_water: 0 }
+        Continuations { entries: BTreeMap::new(), high_water: 0, next_due: SimTime::MAX }
     }
 }
 
@@ -52,6 +56,7 @@ impl<K: Ord + Clone, V> Continuations<K, V> {
     pub fn insert_with_deadline(&mut self, key: K, value: V, deadline: SimTime) {
         self.entries.insert(key, Entry { value, deadline: Some(deadline) });
         self.high_water = self.high_water.max(self.entries.len());
+        self.next_due = self.next_due.min(deadline);
     }
 
     /// Resume: take the continuation for `key`, if still pending.
@@ -86,14 +91,23 @@ impl<K: Ord + Clone, V> Continuations<K, V> {
 
     /// Remove and return every entry whose deadline is at or before
     /// `now`, in key order. One sweep serves all due entries, so a
-    /// deadline tick only needs the clock, not the key that armed it.
+    /// deadline tick only needs the clock, not the key that armed it —
+    /// and a tick whose entry was resumed long ago (the common case:
+    /// every call arms one, almost every reply beats it) finds `now`
+    /// short of the earliest deadline and looks at nothing.
     pub fn take_expired(&mut self, now: SimTime) -> Vec<(K, V)> {
-        let due: Vec<K> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| e.deadline.is_some_and(|d| d <= now))
-            .map(|(k, _)| k.clone())
-            .collect();
+        if now < self.next_due {
+            return Vec::new();
+        }
+        let mut due = Vec::new();
+        self.next_due = SimTime::MAX;
+        for (k, e) in &self.entries {
+            match e.deadline {
+                Some(d) if d <= now => due.push(k.clone()),
+                Some(d) => self.next_due = self.next_due.min(d),
+                None => {}
+            }
+        }
         due.into_iter()
             .filter_map(|k| self.entries.remove(&k).map(|e| (k, e.value)))
             .collect()
@@ -327,6 +341,71 @@ mod tests {
         assert!(c.contains_key(&3));
         assert_eq!(c.high_water(), 3);
         assert_eq!(c.len(), 1);
+    }
+
+    /// The table before it kept a bound on the earliest deadline: every
+    /// sweep scans every entry.
+    #[derive(Default)]
+    struct FullScan(BTreeMap<u64, (u32, Option<SimTime>)>);
+
+    impl FullScan {
+        fn take_expired(&mut self, now: SimTime) -> Vec<(u64, u32)> {
+            let due: Vec<u64> = self
+                .0
+                .iter()
+                .filter(|(_, (_, d))| d.is_some_and(|d| d <= now))
+                .map(|(k, _)| *k)
+                .collect();
+            due.into_iter().filter_map(|k| self.0.remove(&k).map(|(v, _)| (k, v))).collect()
+        }
+    }
+
+    /// Same calls, same answers as the full scan: mixed deadlines and
+    /// deadline-less entries, removals that leave the bound stale,
+    /// re-insertion under a later deadline (`sweep_calls`' retry path),
+    /// sweeps before, at and after every deadline, out of time order.
+    #[test]
+    fn sweeps_agree_with_a_full_scan() {
+        lc_prop::check("sweeps_agree_with_a_full_scan", |g| {
+            let mut table: Continuations<u64, u32> = Continuations::default();
+            let mut reference = FullScan::default();
+            let ms = SimTime::from_millis;
+            for step in 0..g.gen_range(1..200u32) {
+                let key = g.gen_range(0..24u64);
+                match g.gen_range(0..6u32) {
+                    0 => {
+                        table.insert(key, step);
+                        reference.0.insert(key, (step, None));
+                    }
+                    1 | 2 => {
+                        let deadline = ms(g.gen_range(0..400u64));
+                        table.insert_with_deadline(key, step, deadline);
+                        reference.0.insert(key, (step, Some(deadline)));
+                    }
+                    3 => {
+                        assert_eq!(table.remove(&key), reference.0.remove(&key).map(|(v, _)| v));
+                    }
+                    _ => {
+                        let now = ms(g.gen_range(0..450u64));
+                        let expired = table.take_expired(now);
+                        assert_eq!(expired, reference.take_expired(now), "sweep at {now}");
+                        // The retry path parks an expired call again,
+                        // under a later deadline.
+                        if let Some(&(k, v)) = expired.first() {
+                            let later = now + ms(g.gen_range(1..100u64));
+                            table.insert_with_deadline(k, v, later);
+                            reference.0.insert(k, (v, Some(later)));
+                        }
+                    }
+                }
+                assert_eq!(table.len(), reference.0.len());
+            }
+            // Before every deadline nothing is due; after the last one
+            // only the deadline-less entries stay.
+            assert_eq!(table.take_expired(SimTime::ZERO), reference.take_expired(SimTime::ZERO));
+            assert_eq!(table.take_expired(SimTime::MAX), reference.take_expired(SimTime::MAX));
+            assert_eq!(table.len(), reference.0.len());
+        });
     }
 
     #[test]

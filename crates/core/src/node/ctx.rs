@@ -237,6 +237,18 @@ impl NodeState {
         self.conts.depth()
     }
 
+    /// Outgoing two-way calls still awaiting their reply or deadline.
+    /// Zero on every node once a run has drained.
+    pub fn pending_calls(&self) -> usize {
+        self.conts.calls.len()
+    }
+
+    /// Replies computed but still occupying the CPU, not yet sent. Zero
+    /// once a run has drained.
+    pub fn parked_replies(&self) -> usize {
+        self.due_replies.len()
+    }
+
     /// Most distributed queries ever pending at once on this node. With
     /// [`super::AdmissionConfig::query_queue_cap`] configured this never
     /// exceeds the cap — the overload property tests pin that bound.
@@ -264,15 +276,17 @@ pub(crate) enum Hot {
     Summaries,
     PublishMsgs,
     GossipMsgs,
+    AdmissionTotal,
 }
 
 /// Counter names, indexed by [`Hot`].
-const HOT_NAMES: [&str; 5] = [
+const HOT_NAMES: [&str; 6] = [
     "query.msgs",
     "cohesion.reports",
     "cohesion.summaries",
     "registry.publish_msgs",
     "registry.gossip_msgs",
+    "admission.total",
 ];
 
 /// A service's view of one simulation event: the shared node state plus
@@ -473,7 +487,7 @@ impl NodeCtx<'_, '_> {
     pub(crate) fn orb_request(
         &mut self,
         target: ObjectKey,
-        op: &str,
+        op: String,
         args: Vec<Value>,
         oneway: bool,
     ) -> Result<RequestId, DropReason> {
@@ -490,7 +504,7 @@ impl NodeCtx<'_, '_> {
         &mut self,
         id: RequestId,
         target: ObjectKey,
-        op: &str,
+        op: String,
         args: Vec<Value>,
     ) -> Result<SimTime, DropReason> {
         let r = self

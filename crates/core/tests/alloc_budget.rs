@@ -8,52 +8,24 @@
 //! so it is pinned here. A change that makes it cheaper lowers the
 //! constant in the same commit; a change that makes it dearer fails.
 //!
-//! Its own test binary because it installs a counting global allocator.
-//! The counter is thread-local, so the libtest harness thread and the
-//! other test's thread cannot leak into a measurement.
+//! Its own test binary because it installs a counting global allocator
+//! (`lc_prop::alloc`, thread-local counters).
 
 use lc_core::demo;
-use lc_core::node::RegistryConfig;
-use lc_core::testkit::{build_world, World};
+use lc_core::node::{AdmissionConfig, InvokePolicy, RegistryConfig};
+use lc_core::testkit::{
+    build_world, display_campus, fast_cohesion, World, DISPLAY_FRONTS as FRONTS,
+};
 use lc_core::{BehaviorRegistry, CacheConfig, CohesionConfig, NodeConfig, ShardConfig};
 use lc_des::{Lane, ProfilerConfig, SimTime};
+use lc_load::{
+    ArrivalShape, ArrivalStream, DriverArrival, DriverConfig, LoadDriver, QueryTick, StreamConfig,
+    ZipfKeys,
+};
 use lc_net::{HostId, Topology};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use lc_orb::Value;
+use lc_prop::alloc::{allocs, Counting};
 use std::sync::Arc;
-
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn note() {
-    // `try_with`: the allocator also runs while a thread is torn down.
-    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-}
-
-struct Counting;
-
-// SAFETY: every method forwards to `System` with the caller's arguments
-// unchanged; the counter is a const-initialised thread-local `Cell` with
-// no destructor, so touching it never allocates or re-enters.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
-        System.alloc(layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // A grow still asked the allocator for memory (lcperf counts alike).
-        note();
-        System.realloc(ptr, layout, new_size)
-    }
-}
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
@@ -107,9 +79,9 @@ fn campus(registry: RegistryConfig, cache: Option<CacheConfig>) -> World {
 /// `budget × NODES × PERIODS` bounds.
 fn idle_allocs(mut world: World) -> u64 {
     world.sim.run_until(SimTime::from_secs(7));
-    let before = ALLOCS.with(Cell::get);
+    let before = allocs();
     world.sim.run_until(SimTime::from_secs(7) + REPORT_PERIOD * PERIODS);
-    ALLOCS.with(Cell::get) - before
+    allocs() - before
 }
 
 fn assert_budget(what: &str, total: u64, per_node_period: f64) {
@@ -160,9 +132,9 @@ fn one_allocation_per_message_and_none_per_timer() {
         let sent_before = counter(&world, "net.msgs");
         let built_before = counter(&world, "cohesion.summaries");
         let ticks_before = ticks(&world);
-        let before = ALLOCS.with(Cell::get);
+        let before = allocs();
         assert!(world.sim.step(), "the idle plane never drains");
-        let allocs = ALLOCS.with(Cell::get) - before;
+        let allocs = allocs() - before;
         let sent = counter(&world, "net.msgs") - sent_before;
         let built = counter(&world, "cohesion.summaries") > built_before;
         let frame_allocs = allocs.saturating_sub(if built { SUMMARY_BUILD_ALLOCS } else { 0 });
@@ -180,4 +152,107 @@ fn one_allocation_per_message_and_none_per_timer() {
     println!("{frames} frame allocations for {msgs} messages, {silent_ticks} silent ticks");
     assert!(msgs > 0 && frames <= msgs, "at most one allocation per delivered message");
     assert!(silent_ticks > 0, "the window must contain timer ticks that send nothing");
+}
+
+/// Allocations per completed remote invoke, end to end — driver, front
+/// node, fabric, worker's container and adapter, reply — on the
+/// benchmark's `invoke_open` world: E16's 2 × 4 campus, four
+/// `LoadDriver` fronts at 4 000 invokes/s, admission on, 250 ms deadline.
+/// The measured 19 856 / 2 000 (the campus's own reports and the
+/// drivers' discovery queries included; the same in debug and release
+/// builds), rounded up. With sizes marshalled to be measured, the
+/// operation resolved twice by name and every request copied for a
+/// re-send that could not happen it was 39 856 / 2 000 = 19.93
+/// (EXPERIMENTS.md, "An invoke pays for what it carries"). What is left
+/// is the driver's `ObjectRef`/`op`/`args`, a command box and two frame
+/// boxes, and the sink with its one reply slot.
+const REMOTE_INVOKE_BUDGET: f64 = 9.93;
+/// The same under [`InvokePolicy::standard`] (26 187 / 2 000): three
+/// retries make every call keep a copy of its request — operation name,
+/// argument vector, the string in it — and a 5 s dedup window makes the
+/// worker keep every reply under a map node. (Before, 20.09: a call
+/// without a retry budget paid for the copy too.)
+const REMOTE_INVOKE_RECOVERABLE_BUDGET: f64 = 13.10;
+
+const INVOKES: u64 = 2_000;
+
+fn remote_invoke_allocs(invoke: InvokePolicy) -> f64 {
+    let config = NodeConfig {
+        cohesion: fast_cohesion(),
+        invoke,
+        admission: Some(AdmissionConfig::default()),
+        ..Default::default()
+    };
+    let (mut world, target) = display_campus(7, config);
+    let start = world.sim.now();
+    let drivers: Vec<_> = FRONTS
+        .iter()
+        .enumerate()
+        .map(|(i, front)| {
+            let driver = world.sim.spawn(LoadDriver::new(DriverConfig {
+                node: world.actors[front.0 as usize],
+                component: "Display".into(),
+                op: "draw".into(),
+                args: vec![Value::string("frame")],
+                initial_target: target.clone(),
+                requery: Some(SimTime::from_millis(100)),
+            }));
+            world.sim.send_in(SimTime::from_millis(13 + 7 * i as u64), driver, QueryTick);
+            driver
+        })
+        .collect();
+    let mut arrivals = ArrivalStream::new(StreamConfig {
+        shape: ArrivalShape::Steady,
+        rate_per_sec: 4000.0,
+        seed: 7 ^ 0xE16,
+        horizon: SimTime::MAX,
+        users: 1_000_000,
+        keys: ZipfKeys::new(1, 1.0),
+    });
+    // A warm-up batch grows every table the steady state needs; the
+    // measured batch is scheduled before the count starts, so the
+    // harness's own arrival boxes stay out of it.
+    let drain = SimTime::from_millis(300);
+    let mut end = start;
+    let mut before = 0;
+    for (batch, measured) in [(0, false), (1, true)] {
+        for a in arrivals.by_ref().take(INVOKES as usize) {
+            let driver = drivers[(a.index % FRONTS.len() as u64) as usize];
+            end = start + a.at + drain * batch;
+            world.sim.send_in(end.saturating_sub(world.sim.now()), driver, DriverArrival(a));
+        }
+        if measured {
+            before = allocs();
+        }
+        // Past the deadline, so every call of the batch has resolved.
+        world.sim.run_until(end + drain);
+    }
+    let total = allocs() - before;
+    let ok: u64 = drivers
+        .iter()
+        .map(|&d| world.sim.actor_as_mut::<LoadDriver>(d).expect("driver").stats().ok)
+        .sum();
+    assert_eq!(ok, 2 * INVOKES, "at 0.8 × the knee every call is answered");
+    println!("{total} allocations for {INVOKES} remote invokes");
+    total as f64 / INVOKES as f64
+}
+
+#[test]
+fn remote_invoke_allocations_are_pinned() {
+    let plain = InvokePolicy {
+        deadline: Some(SimTime::from_millis(250)),
+        retries: 0,
+        ..InvokePolicy::default()
+    };
+    let measured = remote_invoke_allocs(plain);
+    assert!(
+        measured <= REMOTE_INVOKE_BUDGET,
+        "{measured:.3} allocations per remote invoke exceed the budget of {REMOTE_INVOKE_BUDGET}"
+    );
+    let measured = remote_invoke_allocs(InvokePolicy::standard());
+    assert!(
+        measured <= REMOTE_INVOKE_RECOVERABLE_BUDGET,
+        "{measured:.3} allocations per recoverable remote invoke exceed the budget of \
+         {REMOTE_INVOKE_RECOVERABLE_BUDGET}"
+    );
 }

@@ -13,6 +13,7 @@ use lc_core::{ComponentQuery, NodeCmd, QueryResult};
 use lc_des::{Actor, ActorId, AnyMsg, AnyMsgExt, Ctx, SimTime};
 use lc_orb::{ObjectRef, OrbError, Value};
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use crate::arrival::Arrival;
@@ -50,15 +51,19 @@ pub struct LoadDriver {
     cfg: DriverConfig,
     replicas: Vec<ObjectRef>,
     pending_query: Option<(SimTime, lc_core::QuerySink)>,
-    calls: Vec<Call>,
-    first_offer_ms: Vec<f64>,
-    queries_shed: u64,
+    /// Calls not yet counted in `settled`, in send order. The front one
+    /// is still in flight (as of the last arrival); the driver holds a
+    /// sink only for these.
+    open: VecDeque<Call>,
+    /// Running statistics: every call sent before `open`'s front, in
+    /// send order, and every harvested discovery query.
+    settled: DriverStats,
     queries_done: u64,
 }
 
 /// Everything a capacity experiment needs from one driver, harvested
 /// after the run.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct DriverStats {
     /// Invocations sent.
     pub sent: u64,
@@ -82,6 +87,22 @@ pub struct DriverStats {
     pub replicas: usize,
 }
 
+impl DriverStats {
+    /// Count one sent call by the first (only) reply in its sink.
+    fn count_call(&mut self, sent_at: SimTime, sink: &lc_core::InvokeSink) {
+        match sink.borrow().first() {
+            None => self.unresolved += 1,
+            Some((at, Ok(_))) => {
+                self.ok += 1;
+                self.ok_latency_ms.push(at.saturating_sub(sent_at).as_secs_f64() * 1e3);
+            }
+            Some((_, Err(OrbError::Overload))) => self.overload += 1,
+            Some((_, Err(OrbError::Timeout))) => self.timeout += 1,
+            Some((_, Err(_))) => self.other_err += 1,
+        }
+    }
+}
+
 impl LoadDriver {
     /// A driver with no traffic sent yet.
     pub fn new(cfg: DriverConfig) -> LoadDriver {
@@ -89,21 +110,35 @@ impl LoadDriver {
             cfg,
             replicas: Vec::new(),
             pending_query: None,
-            calls: Vec::new(),
-            first_offer_ms: Vec::new(),
-            queries_shed: 0,
+            open: VecDeque::new(),
+            settled: DriverStats::default(),
             queries_done: 0,
         }
     }
 
+    /// Count the leading run of answered calls and let go of their
+    /// sinks. Stops at the first call still in flight, so latencies
+    /// reach `ok_latency_ms` in send order whatever order replies land.
+    fn settle(&mut self) {
+        while let Some((sent_at, sink)) = self.open.front() {
+            if sink.borrow().is_empty() {
+                break;
+            }
+            self.settled.count_call(*sent_at, sink);
+            self.open.pop_front();
+        }
+    }
+
     fn on_arrival(&mut self, ctx: &mut Ctx<'_>, a: Arrival) {
+        self.settle();
         let target = if self.replicas.is_empty() {
             self.cfg.initial_target.clone()
         } else {
             self.replicas[(a.key % self.replicas.len() as u64) as usize].clone()
         };
         let sink: lc_core::InvokeSink = Rc::new(RefCell::new(Vec::new()));
-        self.calls.push((ctx.now(), sink.clone()));
+        self.settled.sent += 1;
+        self.open.push_back((ctx.now(), sink.clone()));
         ctx.send_in(
             SimTime::ZERO,
             self.cfg.node,
@@ -124,14 +159,14 @@ impl LoadDriver {
         let Some((issued, sink)) = self.pending_query.take() else { return };
         let r: &QueryResult = &sink.borrow();
         if r.shed {
-            self.queries_shed += 1;
+            self.settled.queries_shed += 1;
             return;
         }
         if r.done {
             self.queries_done += 1;
         }
         if let Some(t) = r.first_offer_at {
-            self.first_offer_ms.push(t.saturating_sub(issued).as_secs_f64() * 1e3);
+            self.settled.first_offer_ms.push(t.saturating_sub(issued).as_secs_f64() * 1e3);
         }
         let mut replicas: Vec<ObjectRef> = r
             .offers
@@ -163,30 +198,24 @@ impl LoadDriver {
         }
     }
 
-    /// Harvest the end-of-run statistics.
+    /// Harvest the statistics so far: the settled calls plus whatever
+    /// the open ones (in flight, or answered behind one that is) show
+    /// right now.
     pub fn stats(&mut self) -> DriverStats {
         self.harvest_query();
-        let mut s = DriverStats {
-            sent: self.calls.len() as u64,
-            first_offer_ms: self.first_offer_ms.clone(),
-            queries_shed: self.queries_shed,
-            replicas: self.replicas.len(),
-            ..DriverStats::default()
-        };
-        for (sent_at, sink) in &self.calls {
-            let replies = sink.borrow();
-            match replies.first() {
-                None => s.unresolved += 1,
-                Some((at, Ok(_))) => {
-                    s.ok += 1;
-                    s.ok_latency_ms.push(at.saturating_sub(*sent_at).as_secs_f64() * 1e3);
-                }
-                Some((_, Err(OrbError::Overload))) => s.overload += 1,
-                Some((_, Err(OrbError::Timeout))) => s.timeout += 1,
-                Some((_, Err(_))) => s.other_err += 1,
-            }
+        self.settle();
+        let mut s = self.settled.clone();
+        s.replicas = self.replicas.len();
+        for (sent_at, sink) in &self.open {
+            s.count_call(*sent_at, sink);
         }
         s
+    }
+
+    /// Calls whose sink the driver still holds (inspection): bounded by
+    /// the calls sent since the oldest unanswered one, not by the run.
+    pub fn open_calls(&self) -> usize {
+        self.open.len()
     }
 
     /// Replica targets currently routed to (inspection).

@@ -163,7 +163,7 @@ impl Actor for ClientActor {
         match msg.downcast_msg::<DoCall>() {
             Ok(call) => {
                 if let Err(e) =
-                    self.orb.send_request(ctx, self.host, call.target, &call.op, call.args, false)
+                    self.orb.send_request(ctx, self.host, call.target, call.op, call.args, false)
                 {
                     *self.slot.borrow_mut() = Some(Err(OrbError::from(e)));
                 }

@@ -27,6 +27,129 @@ impl std::fmt::Display for CdrError {
 }
 impl std::error::Error for CdrError {}
 
+/// Where encoded bytes go. The layout ([`write_value`]) is written once
+/// against this: into a buffer it marshals, into [`Count`] it only
+/// advances the offset.
+trait Sink {
+    /// Bytes written so far (the offset alignment is computed from).
+    fn pos(&self) -> usize;
+    /// Append `b`.
+    fn put(&mut self, b: &[u8]);
+    /// Append `n` padding bytes.
+    fn pad(&mut self, n: usize);
+}
+
+impl Sink for Vec<u8> {
+    fn pos(&self) -> usize {
+        self.len()
+    }
+    fn put(&mut self, b: &[u8]) {
+        self.extend_from_slice(b);
+    }
+    fn pad(&mut self, n: usize) {
+        self.resize(self.len() + n, 0);
+    }
+}
+
+/// The sink that keeps no bytes, only how many there would be.
+struct Count(usize);
+
+impl Sink for Count {
+    fn pos(&self) -> usize {
+        self.0
+    }
+    fn put(&mut self, b: &[u8]) {
+        self.0 += b.len();
+    }
+    fn pad(&mut self, n: usize) {
+        self.0 += n;
+    }
+}
+
+fn align(out: &mut impl Sink, n: usize) {
+    out.pad(out.pos().next_multiple_of(n) - out.pos());
+}
+
+fn write_str(out: &mut impl Sink, s: &str) {
+    align(out, 4);
+    out.put(&(s.len() as u32 + 1).to_le_bytes());
+    out.put(s.as_bytes());
+    out.put(&[0]); // CDR strings are NUL-terminated
+}
+
+/// The CDR layout of one value, appended to `out`.
+fn write_value(out: &mut impl Sink, v: &Value) {
+    match v {
+        Value::Void => {}
+        Value::Boolean(b) => out.put(&[*b as u8]),
+        Value::Octet(b) => out.put(&[*b]),
+        Value::Char(c) => {
+            // ULong code point (wchar-style, fixed width).
+            align(out, 4);
+            out.put(&(*c as u32).to_le_bytes());
+        }
+        Value::Short(x) => {
+            align(out, 2);
+            out.put(&x.to_le_bytes());
+        }
+        Value::UShort(x) => {
+            align(out, 2);
+            out.put(&x.to_le_bytes());
+        }
+        Value::Long(x) => {
+            align(out, 4);
+            out.put(&x.to_le_bytes());
+        }
+        Value::ULong(x) => {
+            align(out, 4);
+            out.put(&x.to_le_bytes());
+        }
+        Value::LongLong(x) => {
+            align(out, 8);
+            out.put(&x.to_le_bytes());
+        }
+        Value::ULongLong(x) => {
+            align(out, 8);
+            out.put(&x.to_le_bytes());
+        }
+        Value::Float(x) => {
+            align(out, 4);
+            out.put(&x.to_le_bytes());
+        }
+        Value::Double(x) => {
+            align(out, 8);
+            out.put(&x.to_le_bytes());
+        }
+        Value::Str(s) => write_str(out, s),
+        Value::Sequence(items) => {
+            align(out, 4);
+            out.put(&(items.len() as u32).to_le_bytes());
+            for item in items {
+                write_value(out, item);
+            }
+        }
+        Value::Struct { fields, .. } => {
+            for f in fields {
+                write_value(out, f);
+            }
+        }
+        Value::Enum { ordinal, .. } => {
+            align(out, 4);
+            out.put(&ordinal.to_le_bytes());
+        }
+        Value::ObjRef(r) => {
+            // flag 1, host, oid, type_id string
+            out.put(&[1]);
+            align(out, 4);
+            out.put(&r.key.host.0.to_le_bytes());
+            align(out, 8);
+            out.put(&r.key.oid.to_le_bytes());
+            write_str(out, &r.type_id);
+        }
+        Value::Nil => out.put(&[0]),
+    }
+}
+
 /// CDR encoder.
 #[derive(Default)]
 pub struct Encoder {
@@ -54,104 +177,25 @@ impl Encoder {
         self.buf.is_empty()
     }
 
-    fn align(&mut self, n: usize) {
-        while !self.buf.len().is_multiple_of(n) {
-            self.buf.push(0);
-        }
-    }
-
-    fn raw(&mut self, b: &[u8]) {
-        self.buf.extend_from_slice(b);
-    }
-
     /// Encode one value.
     pub fn value(&mut self, v: &Value) {
-        match v {
-            Value::Void => {}
-            Value::Boolean(b) => self.raw(&[*b as u8]),
-            Value::Octet(b) => self.raw(&[*b]),
-            Value::Char(c) => {
-                // ULong code point (wchar-style, fixed width).
-                self.align(4);
-                self.raw(&(*c as u32).to_le_bytes());
-            }
-            Value::Short(x) => {
-                self.align(2);
-                self.raw(&x.to_le_bytes());
-            }
-            Value::UShort(x) => {
-                self.align(2);
-                self.raw(&x.to_le_bytes());
-            }
-            Value::Long(x) => {
-                self.align(4);
-                self.raw(&x.to_le_bytes());
-            }
-            Value::ULong(x) => {
-                self.align(4);
-                self.raw(&x.to_le_bytes());
-            }
-            Value::LongLong(x) => {
-                self.align(8);
-                self.raw(&x.to_le_bytes());
-            }
-            Value::ULongLong(x) => {
-                self.align(8);
-                self.raw(&x.to_le_bytes());
-            }
-            Value::Float(x) => {
-                self.align(4);
-                self.raw(&x.to_le_bytes());
-            }
-            Value::Double(x) => {
-                self.align(8);
-                self.raw(&x.to_le_bytes());
-            }
-            Value::Str(s) => {
-                self.align(4);
-                self.raw(&(s.len() as u32 + 1).to_le_bytes());
-                self.raw(s.as_bytes());
-                self.raw(&[0]); // CDR strings are NUL-terminated
-            }
-            Value::Sequence(items) => {
-                self.align(4);
-                self.raw(&(items.len() as u32).to_le_bytes());
-                for item in items {
-                    self.value(item);
-                }
-            }
-            Value::Struct { fields, .. } => {
-                for f in fields {
-                    self.value(f);
-                }
-            }
-            Value::Enum { ordinal, .. } => {
-                self.align(4);
-                self.raw(&ordinal.to_le_bytes());
-            }
-            Value::ObjRef(r) => {
-                // flag 1, host, oid, type_id string
-                self.raw(&[1]);
-                self.align(4);
-                self.raw(&r.key.host.0.to_le_bytes());
-                self.align(8);
-                self.raw(&r.key.oid.to_le_bytes());
-                self.value(&Value::Str(r.type_id.clone()));
-            }
-            Value::Nil => self.raw(&[0]),
-        }
+        write_value(&mut self.buf, v);
     }
 }
 
 /// Encoded size of a value sequence, including per-value alignment,
-/// starting at offset 0. This is the number the network model charges.
-pub fn encoded_len(values: &[Value]) -> u64 {
-    let mut e = Encoder::new();
+/// starting at offset 0. This is the number the network model charges;
+/// it is counted, not marshalled — no byte is written, nothing allocated.
+pub fn encoded_len<'a>(values: impl IntoIterator<Item = &'a Value>) -> u64 {
+    let mut n = Count(0);
     for v in values {
-        e.value(v);
+        write_value(&mut n, v);
     }
-    e.len() as u64
+    n.0 as u64
 }
+
+/// Longest sequence of zero-width elements the decoder materialises.
+const MAX_EMPTY_ELEMENTS: usize = 4096;
 
 /// CDR decoder. Type-directed: callers supply the expected
 /// [`ResolvedType`] for each value.
@@ -250,18 +294,28 @@ impl<'a> Decoder<'a> {
             ResolvedType::String => Value::Str(self.string()?),
             ResolvedType::Sequence(inner) => {
                 let n = self.u32()? as usize;
-                let mut items = Vec::with_capacity(n.min(4096));
+                // A length read off the wire reserves no more than the
+                // stream can back (one byte per element at the least).
+                let left = self.buf.len().saturating_sub(self.pos);
+                let mut items = Vec::with_capacity(n.min(left));
                 for _ in 0..n {
+                    let at = self.pos;
                     items.push(self.value(inner)?);
+                    // Elements that occupy no bytes (void, an empty
+                    // struct) are not bounded by the stream running out.
+                    if self.pos == at && n > MAX_EMPTY_ELEMENTS {
+                        return Err(CdrError(format!("sequence of {n} empty elements")));
+                    }
                 }
                 Value::Sequence(items)
             }
             ResolvedType::Struct(id) => {
-                let meta = self
-                    .repo
+                // Borrowed from the repository, not from `self`, so the
+                // recursive field decodes below can take `&mut self`.
+                let repo: &'a Repository = self.repo;
+                let meta = repo
                     .struct_(id)
-                    .ok_or_else(|| CdrError(format!("unknown struct '{id}'")))?
-                    .clone();
+                    .ok_or_else(|| CdrError(format!("unknown struct '{id}'")))?;
                 let mut fields = Vec::with_capacity(meta.fields.len());
                 for f in &meta.fields {
                     fields.push(self.value(&f.ty)?);

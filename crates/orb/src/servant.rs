@@ -162,8 +162,9 @@ pub struct DispatchOpts {
     /// Verify the operation against the IDL repository (argument arity
     /// and types on the way in, return/out types on the way out). Off
     /// for runtime-internal system operations (`_reply`, `_push_*`, …)
-    /// that are not part of any IDL interface.
-    pub type_check: bool,
+    /// that are not part of any IDL interface; `None` leaves the choice
+    /// to the adapter, per operation ([`DispatchOpts::wire`]).
+    pub type_check: Option<bool>,
 }
 
 impl Default for DispatchOpts {
@@ -175,12 +176,21 @@ impl Default for DispatchOpts {
 impl DispatchOpts {
     /// Full IDL-checked dispatch (the default).
     pub fn typed() -> Self {
-        DispatchOpts { type_check: true }
+        DispatchOpts { type_check: Some(true) }
     }
 
     /// Unchecked dispatch for runtime-internal system operations.
     pub fn raw() -> Self {
-        DispatchOpts { type_check: false }
+        DispatchOpts { type_check: Some(false) }
+    }
+
+    /// A request off the wire, which may name either kind: checked if
+    /// the servant's interface declares the operation (attribute
+    /// accessors `_get_x` are declared) or its name does not start with
+    /// `_`, unchecked otherwise (`_connect_*`, `_reply`, `_get_state`, …).
+    /// The adapter decides with the lookup the check itself needs.
+    pub fn wire() -> Self {
+        DispatchOpts { type_check: None }
     }
 }
 
@@ -321,8 +331,9 @@ impl ObjectAdapter {
 
     /// The single dispatch entrypoint: run `op` on the servant at `key`
     /// according to `opts` — type-checked against the IDL repository
-    /// ([`DispatchOpts::typed`]) or unchecked for runtime-internal
-    /// system operations ([`DispatchOpts::raw`]).
+    /// ([`DispatchOpts::typed`]), unchecked for runtime-internal system
+    /// operations ([`DispatchOpts::raw`]), or whichever of the two the
+    /// operation calls for ([`DispatchOpts::wire`]).
     pub fn invoke(
         &mut self,
         key: ObjectKey,
@@ -330,13 +341,12 @@ impl ObjectAdapter {
         args: &[Value],
         opts: DispatchOpts,
     ) -> DispatchResult {
-        let res = if opts.type_check {
+        let (typed, res) = self.resolve_and_run(key, op, args, opts);
+        if typed {
             self.stats.typed += 1;
-            self.dispatch_inner(key, op, args)
         } else {
             self.stats.raw += 1;
-            self.dispatch_raw_inner(key, op, args)
-        };
+        }
         if res.outcome.is_err() {
             self.stats.errors += 1;
         }
@@ -351,7 +361,7 @@ impl ObjectAdapter {
                 self.clock + res.cpu_cost,
             );
             if let Some(sp) = sp {
-                self.tracer.set_attr(sp, "kind", if opts.type_check { "typed" } else { "raw" });
+                self.tracer.set_attr(sp, "kind", if typed { "typed" } else { "raw" });
                 if res.outcome.is_err() {
                     self.tracer.set_attr(sp, "error", "true");
                 }
@@ -360,119 +370,95 @@ impl ObjectAdapter {
         res
     }
 
-    fn dispatch_inner(&mut self, key: ObjectKey, op: &str, args: &[Value]) -> DispatchResult {
-        let fail = |e: OrbError| DispatchResult {
-            outcome: Err(e),
-            outbox: Vec::new(),
-            events: Vec::new(),
-            cpu_cost: lc_des::SimTime::ZERO,
+    /// Resolve servant → interface → operation once, settle typed or raw
+    /// from it, and run the servant. Returns whether the dispatch was
+    /// type-checked.
+    fn resolve_and_run(
+        &mut self,
+        key: ObjectKey,
+        op: &str,
+        args: &[Value],
+        opts: DispatchOpts,
+    ) -> (bool, DispatchResult) {
+        let repo: &Repository = &self.repo;
+        let servant = self.servants.get_mut(&key.oid);
+        // A raw dispatch needs no metadata; the other two kinds share
+        // this one lookup between the decision and the checks.
+        let iface = servant
+            .as_deref()
+            .filter(|_| opts.type_check != Some(false))
+            .and_then(|s| repo.interface(s.interface_id()));
+        let opmeta = iface.and_then(|i| i.op(op));
+        let typed = opts.type_check.unwrap_or(opmeta.is_some() || !op.starts_with('_'));
+        let fail = |e: OrbError| {
+            let res = DispatchResult {
+                outcome: Err(e),
+                outbox: Vec::new(),
+                events: Vec::new(),
+                cpu_cost: lc_des::SimTime::ZERO,
+            };
+            (typed, res)
         };
-        if key.host != self.host {
+        let Some(servant) = servant.filter(|_| key.host == self.host) else {
             return fail(OrbError::ObjectNotExist);
+        };
+        let mut inv = Invocation::new(op, args);
+        inv.now = self.clock;
+        if !typed {
+            let run = servant.dispatch(&mut inv);
+            let (outcome, outbox, events, cpu_cost) = inv.into_parts();
+            let outcome = run.map(|()| outcome);
+            return (typed, DispatchResult { outcome, outbox, events, cpu_cost });
         }
-        let Some(servant) = self.servants.get_mut(&key.oid) else {
-            return fail(OrbError::ObjectNotExist);
-        };
-        let type_id = servant.interface_id().to_owned();
-        let Some(iface) = self.repo.interface(&type_id) else {
-            return fail(OrbError::Internal(format!("unknown interface {type_id}")));
-        };
-        let Some(opmeta) = iface.op(op) else {
-            return fail(OrbError::BadOperation(format!("{type_id} has no operation '{op}'")));
+        let Some(opmeta) = opmeta else {
+            let type_id = servant.interface_id();
+            return fail(match iface {
+                None => OrbError::Internal(format!("unknown interface {type_id}")),
+                Some(_) => OrbError::BadOperation(format!("{type_id} has no operation '{op}'")),
+            });
         };
 
         // Check in/inout argument values.
-        let in_params: Vec<_> = opmeta
-            .params
-            .iter()
-            .filter(|p| matches!(p.mode, ParamMode::In | ParamMode::InOut))
-            .collect();
-        if args.len() != in_params.len() {
+        let ins = || {
+            opmeta.params.iter().filter(|p| matches!(p.mode, ParamMode::In | ParamMode::InOut))
+        };
+        if args.len() != ins().count() {
             return fail(OrbError::BadParam(format!(
                 "{op}: expected {} in/inout args, got {}",
-                in_params.len(),
+                ins().count(),
                 args.len()
             )));
         }
-        for (a, p) in args.iter().zip(&in_params) {
-            if let Err(e) = check_value(a, &p.ty, &self.repo) {
+        for (a, p) in args.iter().zip(ins()) {
+            if let Err(e) = check_value(a, &p.ty, repo) {
                 return fail(OrbError::BadParam(format!("{op}({}): {e}", p.name)));
             }
         }
 
-        let mut inv = Invocation::new(op, args);
-        inv.now = self.clock;
         let run = servant.dispatch(&mut inv);
         let (outcome, outbox, events, cpu_cost) = inv.into_parts();
-        match run {
-            Err(e) => DispatchResult { outcome: Err(e), outbox, events, cpu_cost },
-            Ok(()) => {
-                // Check results.
-                if let Err(e) = check_value(&outcome.ret, &opmeta.ret, &self.repo) {
-                    return DispatchResult {
-                        outcome: Err(OrbError::Internal(format!("{op} return: {e}"))),
-                        outbox,
-                        events,
-                        cpu_cost,
-                    };
-                }
-                let out_params: Vec<_> = opmeta
-                    .params
-                    .iter()
-                    .filter(|p| matches!(p.mode, ParamMode::Out | ParamMode::InOut))
-                    .collect();
-                if outcome.outs.len() != out_params.len() {
-                    return DispatchResult {
-                        outcome: Err(OrbError::Internal(format!(
-                            "{op}: servant produced {} out values, expected {}",
-                            outcome.outs.len(),
-                            out_params.len()
-                        ))),
-                        outbox,
-                        events,
-                        cpu_cost,
-                    };
-                }
-                for (v, p) in outcome.outs.iter().zip(&out_params) {
-                    if let Err(e) = check_value(v, &p.ty, &self.repo) {
-                        return DispatchResult {
-                            outcome: Err(OrbError::Internal(format!("{op} out {}: {e}", p.name))),
-                            outbox,
-                            events,
-                            cpu_cost,
-                        };
-                    }
-                }
-                DispatchResult { outcome: Ok(outcome), outbox, events, cpu_cost }
-            }
-        }
-    }
-
-    /// Unchecked dispatch, used by the runtime itself for internal
-    /// operations that are not part of any IDL interface: event delivery
-    /// (`_push_*` on consumer ports) and reply routing (`_reply`).
-    fn dispatch_raw_inner(&mut self, key: ObjectKey, op: &str, args: &[Value]) -> DispatchResult {
-        if key.host != self.host {
-            return DispatchResult {
-                outcome: Err(OrbError::ObjectNotExist),
-                outbox: Vec::new(),
-                events: Vec::new(),
-                cpu_cost: lc_des::SimTime::ZERO,
-            };
-        }
-        let Some(servant) = self.servants.get_mut(&key.oid) else {
-            return DispatchResult {
-                outcome: Err(OrbError::ObjectNotExist),
-                outbox: Vec::new(),
-                events: Vec::new(),
-                cpu_cost: lc_des::SimTime::ZERO,
-            };
+        // Check results.
+        let outs = || {
+            opmeta.params.iter().filter(|p| matches!(p.mode, ParamMode::Out | ParamMode::InOut))
         };
-        let mut inv = Invocation::new(op, args);
-        inv.now = self.clock;
-        let run = servant.dispatch(&mut inv);
-        let (outcome, outbox, events, cpu_cost) = inv.into_parts();
-        DispatchResult { outcome: run.map(|()| outcome), outbox, events, cpu_cost }
+        let checked = run.and_then(|()| {
+            check_value(&outcome.ret, &opmeta.ret, repo)
+                .map_err(|e| OrbError::Internal(format!("{op} return: {e}")))?;
+            if outcome.outs.len() != outs().count() {
+                return Err(OrbError::Internal(format!(
+                    "{op}: servant produced {} out values, expected {}",
+                    outcome.outs.len(),
+                    outs().count()
+                )));
+            }
+            for (v, p) in outcome.outs.iter().zip(outs()) {
+                check_value(v, &p.ty, repo)
+                    .map_err(|e| OrbError::Internal(format!("{op} out {}: {e}", p.name)))?;
+            }
+            Ok(())
+        });
+        let outcome = checked.map(|()| outcome);
+        (typed, DispatchResult { outcome, outbox, events, cpu_cost })
     }
 }
 
@@ -639,6 +625,29 @@ mod tests {
         let _ = oa.invoke(r.key, "_get_value", &[], DispatchOpts::raw());
         let s = oa.dispatch_stats();
         assert_eq!((s.typed, s.raw), (1, 1));
+    }
+
+    #[test]
+    fn wire_dispatch_settles_typed_or_raw_per_operation() {
+        let (mut oa, r) = adapter();
+        let typed_raw = |oa: &ObjectAdapter| (oa.dispatch_stats().typed, oa.dispatch_stats().raw);
+        // Declared operations, attribute accessors included, are checked…
+        let bad = oa.invoke(r.key, "add", &[Value::string("five")], DispatchOpts::wire());
+        assert!(matches!(bad.outcome, Err(OrbError::BadParam(_))));
+        let got = oa.invoke(r.key, "_get_value", &[], DispatchOpts::wire());
+        assert_eq!(got.outcome.unwrap().ret, Value::Long(0));
+        // …and so is anything that does not look like a system op.
+        let nope = oa.invoke(r.key, "nope", &[], DispatchOpts::wire());
+        assert!(matches!(nope.outcome, Err(OrbError::BadOperation(m)) if m.contains("Counter")));
+        assert_eq!(typed_raw(&oa), (3, 0));
+        // An undeclared `_` name goes to the servant unchecked (its own
+        // `BadOperation` carries the bare name), object or no object.
+        let sys = oa.invoke(r.key, "_reply", &[Value::Long(1)], DispatchOpts::wire());
+        assert_eq!(sys.outcome, Err(OrbError::BadOperation("_reply".into())));
+        let ghost = ObjectKey { host: HostId(0), oid: 999 };
+        let gone = oa.invoke(ghost, "_reply", &[], DispatchOpts::wire());
+        assert_eq!(gone.outcome, Err(OrbError::ObjectNotExist));
+        assert_eq!(typed_raw(&oa), (3, 2));
     }
 
     #[test]

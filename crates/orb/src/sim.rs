@@ -15,7 +15,7 @@ use crate::cdr::encoded_len;
 use crate::object::{ObjectKey, OrbError};
 use crate::servant::Outcome;
 use crate::value::Value;
-use lc_des::{Ctx, SimTime};
+use lc_des::{CounterId, Ctx, SimTime};
 use lc_net::{DropReason, HostId, Net};
 use std::cell::Cell;
 use std::rc::Rc;
@@ -67,17 +67,42 @@ pub enum OrbWire {
     },
 }
 
+/// Ids of the counters bumped per request/reply.
+#[derive(Clone, Copy)]
+struct SendCounters {
+    requests: CounterId,
+    replies: CounterId,
+}
+
+/// What every clone of a [`SimOrb`] shares.
+struct Shared {
+    next_id: Cell<u64>,
+    /// Resolved by the first send against the metrics sink of the
+    /// simulation this ORB serves (like its fabric, exactly one).
+    counters: Cell<Option<SendCounters>>,
+}
+
 /// Shared request-id allocator + senders for one simulation.
 #[derive(Clone)]
 pub struct SimOrb {
     net: Net,
-    next_id: Rc<Cell<u64>>,
+    shared: Rc<Shared>,
 }
 
 impl SimOrb {
     /// New ORB plumbing over `net`.
     pub fn new(net: Net) -> Self {
-        SimOrb { net, next_id: Rc::new(Cell::new(1)) }
+        let shared = Shared { next_id: Cell::new(1), counters: Cell::new(None) };
+        SimOrb { net, shared: Rc::new(shared) }
+    }
+
+    fn counters(&self, ctx: &mut Ctx<'_>) -> SendCounters {
+        self.shared.counters.get().unwrap_or_else(|| {
+            let m = ctx.metrics();
+            let c = SendCounters { requests: m.id("orb.requests"), replies: m.id("orb.replies") };
+            self.shared.counters.set(Some(c));
+            c
+        })
     }
 
     /// The network fabric.
@@ -87,8 +112,8 @@ impl SimOrb {
 
     /// Allocate a fresh request id.
     pub fn fresh_id(&self) -> RequestId {
-        let id = self.next_id.get();
-        self.next_id.set(id + 1);
+        let id = self.shared.next_id.get();
+        self.shared.next_id.set(id + 1);
         RequestId(id)
     }
 
@@ -100,12 +125,7 @@ impl SimOrb {
     /// Wire size of a reply.
     pub fn reply_size(result: &Result<Outcome, OrbError>) -> u64 {
         match result {
-            Ok(out) => {
-                let mut vals = Vec::with_capacity(1 + out.outs.len());
-                vals.push(out.ret.clone());
-                vals.extend(out.outs.iter().cloned());
-                HEADER_BYTES + encoded_len(&vals)
-            }
+            Ok(out) => HEADER_BYTES + encoded_len(std::iter::once(&out.ret).chain(&out.outs)),
             Err(_) => HEADER_BYTES + 16,
         }
     }
@@ -121,7 +141,7 @@ impl SimOrb {
         ctx: &mut Ctx<'_>,
         from: HostId,
         target: ObjectKey,
-        op: &str,
+        op: String,
         args: Vec<Value>,
         oneway: bool,
     ) -> Result<RequestId, DropReason> {
@@ -132,7 +152,8 @@ impl SimOrb {
 
     /// Send (or re-send) a request under an explicit id. Retries MUST
     /// reuse the first attempt's id — that is what lets the servant side
-    /// recognise and suppress duplicates.
+    /// recognise and suppress duplicates. `op` and `args` move into the
+    /// frame; a caller that may re-send keeps its own copy.
     #[allow(clippy::too_many_arguments)]
     pub fn send_request_with_id(
         &self,
@@ -140,19 +161,15 @@ impl SimOrb {
         from: HostId,
         id: RequestId,
         target: ObjectKey,
-        op: &str,
+        op: String,
         args: Vec<Value>,
         oneway: bool,
     ) -> Result<SimTime, DropReason> {
-        let size = Self::request_size(op, &args);
-        let wire = OrbWire::Request {
-            id,
-            reply_to: if oneway { None } else { Some(from) },
-            target,
-            op: op.to_owned(),
-            args,
-        };
-        ctx.metrics().incr("orb.requests");
+        let size = Self::request_size(&op, &args);
+        let reply_to = if oneway { None } else { Some(from) };
+        let wire = OrbWire::Request { id, reply_to, target, op, args };
+        let requests = self.counters(ctx).requests;
+        ctx.metrics().bump(requests, 1);
         self.net.send(ctx, from, target.host, size, wire)
     }
 
@@ -166,7 +183,8 @@ impl SimOrb {
         result: Result<Outcome, OrbError>,
     ) -> Result<SimTime, DropReason> {
         let size = Self::reply_size(&result);
-        ctx.metrics().incr("orb.replies");
+        let replies = self.counters(ctx).replies;
+        ctx.metrics().bump(replies, 1);
         self.net.send(ctx, from, to, size, OrbWire::Reply { id, result })
     }
 
@@ -275,7 +293,7 @@ mod tests {
                             ctx,
                             self.host,
                             kick.target.key,
-                            "echo",
+                            "echo".into(),
                             vec![Value::string("hi")],
                             false,
                         )
@@ -351,7 +369,7 @@ mod tests {
                     ctx,
                     self.host,
                     ObjectKey { host: HostId(1), oid: 1 },
-                    "echo",
+                    "echo".into(),
                     vec![],
                     false,
                 );

@@ -20,6 +20,8 @@
 //! * `LC_PROP_SEED` — base seed; with `LC_PROP_CASES=1` this replays a
 //!   single failing case exactly as reported.
 
+pub mod alloc;
+
 use lc_des::SimRng;
 use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

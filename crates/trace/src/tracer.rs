@@ -76,7 +76,6 @@ impl FlightRecorder {
 }
 
 struct Inner {
-    enabled: bool,
     /// Per-node span sequence counters (deterministic id source).
     next_seq: BTreeMap<u32, u64>,
     /// Every span, open or closed, by id.
@@ -95,6 +94,9 @@ struct Inner {
 /// configuration is byte-identical to a build without tracing.
 #[derive(Clone)]
 pub struct Tracer {
+    /// Fixed at construction and kept beside the shared state, so a
+    /// disabled tracer answers every call without taking the lock.
+    enabled: bool,
     inner: Arc<Mutex<Inner>>,
 }
 
@@ -107,8 +109,8 @@ impl Default for Tracer {
 impl Tracer {
     fn with_enabled(enabled: bool) -> Tracer {
         Tracer {
+            enabled,
             inner: Arc::new(Mutex::new(Inner {
-                enabled,
                 next_seq: BTreeMap::new(),
                 spans: BTreeMap::new(),
                 current: None,
@@ -131,7 +133,7 @@ impl Tracer {
 
     /// Is span collection on?
     pub fn is_enabled(&self) -> bool {
-        self.locked().enabled
+        self.enabled
     }
 
     /// Install (or clear) head-based trace sampling. With a config set,
@@ -168,12 +170,18 @@ impl Tracer {
 
     /// The context spans and messages currently parent under.
     pub fn current(&self) -> Option<TraceContext> {
+        if !self.enabled {
+            return None;
+        }
         self.locked().current
     }
 
     /// Install `ctx` as the current context, returning the previous one
     /// so callers can restore it (handler enter/exit discipline).
     pub fn set_current(&self, ctx: Option<TraceContext>) -> Option<TraceContext> {
+        if !self.enabled {
+            return None;
+        }
         let mut inner = self.locked();
         std::mem::replace(&mut inner.current, ctx)
     }
@@ -191,10 +199,10 @@ impl Tracer {
 
     /// Start a new trace root on `node`.
     pub fn root(&self, node: u32, name: &str, now: SimTime) -> Option<TraceContext> {
-        let mut inner = self.locked();
-        if !inner.enabled {
+        if !self.enabled {
             return None;
         }
+        let mut inner = self.locked();
         let id = inner.alloc(node);
         let sampled = inner.sample_decision(id);
         let ctx = TraceContext { trace: TraceId(id.0), span: id, sampled };
@@ -213,10 +221,10 @@ impl Tracer {
         parent: TraceContext,
         now: SimTime,
     ) -> Option<TraceContext> {
-        let mut inner = self.locked();
-        if !inner.enabled {
+        if !self.enabled {
             return None;
         }
+        let mut inner = self.locked();
         let id = inner.alloc(node);
         let ctx = TraceContext { trace: parent.trace, span: id, sampled: parent.sampled };
         if parent.sampled {
@@ -237,10 +245,10 @@ impl Tracer {
         start: SimTime,
         end: SimTime,
     ) -> Option<TraceContext> {
-        let mut inner = self.locked();
-        if !inner.enabled {
+        if !self.enabled {
             return None;
         }
+        let mut inner = self.locked();
         let id = inner.alloc(node);
         let (trace, parent_span, sampled) = match parent {
             Some(p) => (p.trace, Some(p.span), p.sampled),
@@ -257,25 +265,19 @@ impl Tracer {
     /// Close a span; its recorded end becomes the max of `now` and its
     /// children's ends, then propagates upward (see module docs).
     pub fn end(&self, ctx: TraceContext, now: SimTime) {
-        if !ctx.sampled {
+        if !self.enabled || !ctx.sampled {
             return;
         }
         let mut inner = self.locked();
-        if !inner.enabled {
-            return;
-        }
         inner.close_span(ctx.span, now);
     }
 
     /// Append an attribute to an open or closed span.
     pub fn set_attr(&self, ctx: TraceContext, key: &str, value: &str) {
-        if !ctx.sampled {
+        if !self.enabled || !ctx.sampled {
             return;
         }
         let mut inner = self.locked();
-        if !inner.enabled {
-            return;
-        }
         if let Some(s) = inner.spans.get_mut(&ctx.span) {
             s.attrs.push((key.to_owned(), value.to_owned()));
         }
@@ -283,13 +285,10 @@ impl Tracer {
 
     /// Record a non-parent causal link (retry → original attempt).
     pub fn link(&self, ctx: TraceContext, to: SpanId) {
-        if !ctx.sampled {
+        if !self.enabled || !ctx.sampled {
             return;
         }
         let mut inner = self.locked();
-        if !inner.enabled {
-            return;
-        }
         if let Some(s) = inner.spans.get_mut(&ctx.span) {
             s.links.push(to);
         }
@@ -436,6 +435,24 @@ mod tests {
         assert!(tr.span(1, "s", t(5)).is_none());
         assert_eq!(tr.span_count(), 0);
         assert_eq!(tr.flight_record(0).0.len(), 0);
+    }
+
+    #[test]
+    fn disabled_tracer_never_takes_the_lock() {
+        let tr = Tracer::disabled();
+        // Held for the whole test: any call below that locked would
+        // not return.
+        let _held = tr.inner.lock().unwrap();
+        assert!(!tr.is_enabled());
+        assert_eq!(tr.current(), None);
+        assert_eq!(tr.set_current(None), None);
+        assert!(tr.span(0, "s", t(0)).is_none());
+        assert!(tr.complete(0, "m", None, t(0), t(1)).is_none());
+        let ctx = Tracer::new().root(0, "elsewhere", t(0)).unwrap();
+        assert!(tr.child_of(0, "c", ctx, t(0)).is_none());
+        tr.set_attr(ctx, "k", "v");
+        tr.link(ctx, ctx.span);
+        tr.end(ctx, t(1));
     }
 
     #[test]
