@@ -43,14 +43,13 @@ mod tests {
 
     #[test]
     fn flat_config_yields_single_group() {
-        let hosts: Vec<HostId> = (0..64).map(HostId).collect();
-        let h = Hierarchy::build(&hosts, flat_config(64, 1, SimTime::from_secs(2)));
+        let h = Hierarchy::build(64, flat_config(64, 1, SimTime::from_secs(2)));
         assert_eq!(h.depth(), 1);
-        assert_eq!(h.levels[0].len(), 1);
-        assert_eq!(h.levels[0][0].mrms, vec![HostId(0)]);
+        assert_eq!(h.shape.group_count(0), 1);
+        assert_eq!(h.shape.mrms(0, 0).collect::<Vec<_>>(), [0]);
         // every node reports to the central server
-        for host in &hosts {
-            assert_eq!(h.report_targets(*host), vec![HostId(0)]);
+        for host in (0..64).map(HostId) {
+            assert_eq!(h.report_targets(host), vec![HostId(0)]);
         }
     }
 }

@@ -3,11 +3,13 @@
 //!
 //! The paper's three protocol guidelines map one-to-one onto this module:
 //!
-//! * **Hierarchical protocol** — [`Hierarchy::build`] arranges nodes into
+//! * **Hierarchical protocol** — [`HierShape`] arranges nodes into
 //!   groups of at most `fanout` members; each group elects `replicas`
 //!   MRMs from its membership; group primaries are themselves grouped at
 //!   the next level, recursively, up to a single root group. Queries do
-//!   "incremental resource lookup": group first, escalate on miss.
+//!   "incremental resource lookup": group first, escalate on miss —
+//!   [`route_at_seat`] is that rule, written once for the node stack and
+//!   the million-node campus alike.
 //! * **Soft consistency** — members send periodic [`ResourceReport`]s
 //!   that "also serve as a keep-alive mechanism"; an MRM "can suppose a
 //!   node of the group has been down after some time-out" and tolerates
@@ -59,22 +61,145 @@ impl CohesionConfig {
     }
 }
 
-/// One group at some level of the hierarchy.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Group {
-    /// Level (0 = groups of plain nodes).
-    pub level: u8,
-    /// Members: hosts at level 0; child-group primaries at level ≥ 1.
-    pub members: Vec<HostId>,
-    /// The group's MRM replicas (a prefix of `members`).
-    pub mrms: Vec<HostId>,
+/// The MRM hierarchy over hosts `0..n`, as arithmetic.
+///
+/// Groups are chunks of `fanout` consecutive members, the first
+/// `replicas` of each chunk are its MRMs, and the chunk primaries are
+/// the members one level up. Over the contiguous id range every group
+/// is therefore an arithmetic progression — the `j`-th member of group
+/// `g` at level `l` is host `(g·f + j)·fˡ` — so membership, replica
+/// sets, parents and subtree spans are computed on demand from
+/// `(n, fanout, replicas)` with no member `Vec`s at all. This is the
+/// tree every node reads its duties from ([`Hierarchy`]) and the one a
+/// 10⁶-node [`ScaleCampus`](crate::scale::ScaleCampus) routes over, in a
+/// few dozen bytes.
+#[derive(Clone, Debug)]
+pub struct HierShape {
+    n: u64,
+    fanout: u64,
+    replicas: u64,
+    /// Groups per level; `group_counts[0]` are leaf groups, last is 1.
+    group_counts: Vec<u64>,
 }
 
-impl Group {
-    /// The configured primary (first replica). Failover is dynamic: the
-    /// *effective* primary is the first replica believed alive.
-    pub fn primary(&self) -> HostId {
-        self.mrms[0]
+impl HierShape {
+    /// Shape of the hierarchy over `n` hosts.
+    pub fn build(n: u64, fanout: u64, replicas: u64) -> HierShape {
+        assert!(fanout >= 2, "fanout must be at least 2");
+        assert!(replicas >= 1, "at least one MRM per group");
+        assert!(n >= 1, "hierarchy over zero hosts");
+        let mut group_counts = Vec::new();
+        let mut members = n;
+        loop {
+            let groups = members.div_ceil(fanout);
+            group_counts.push(groups);
+            if groups == 1 {
+                break;
+            }
+            members = groups;
+        }
+        HierShape { n, fanout, replicas, group_counts }
+    }
+
+    /// Number of hosts.
+    pub fn n(&self) -> u64 {
+        self.n
+    }
+
+    /// The fanout.
+    pub fn fanout(&self) -> u64 {
+        self.fanout
+    }
+
+    /// Number of levels (1 = a single root group of plain nodes).
+    pub fn depth(&self) -> usize {
+        self.group_counts.len()
+    }
+
+    /// Number of groups at `level`.
+    pub fn group_count(&self, level: usize) -> u64 {
+        self.group_counts[level]
+    }
+
+    /// Total groups across all levels (≈ n/(fanout−1)).
+    pub fn groups_total(&self) -> u64 {
+        self.group_counts.iter().sum()
+    }
+
+    /// Members at `level` (hosts at level 0, child primaries above).
+    fn members_at(&self, level: usize) -> u64 {
+        if level == 0 {
+            self.n
+        } else {
+            self.group_counts[level - 1]
+        }
+    }
+
+    /// Host-id stride between adjacent members at `level` (`fanoutˡ`).
+    fn stride(&self, level: usize) -> u64 {
+        debug_assert!(level < self.group_counts.len());
+        self.fanout.pow(level as u32)
+    }
+
+    /// Number of members in group `g` at `level`.
+    pub fn group_size(&self, level: usize, g: u64) -> u64 {
+        (self.members_at(level) - g * self.fanout).min(self.fanout)
+    }
+
+    /// Host id of member `j` of group `g` at `level`.
+    pub fn member(&self, level: usize, g: u64, j: u64) -> u64 {
+        debug_assert!(j < self.group_size(level, g));
+        (g * self.fanout + j) * self.stride(level)
+    }
+
+    /// All members of group `g` at `level`, in id order.
+    pub fn members(&self, level: usize, g: u64) -> impl Iterator<Item = u64> + '_ {
+        (0..self.group_size(level, g)).map(move |j| self.member(level, g, j))
+    }
+
+    /// The group's primary (first member, first replica). Failover is
+    /// dynamic: the *effective* primary is the first replica believed
+    /// alive ([`effective_primary`]).
+    pub fn primary(&self, level: usize, g: u64) -> u64 {
+        self.member(level, g, 0)
+    }
+
+    /// MRM seats in group `g` at `level`: `replicas`, or every member of
+    /// a smaller group.
+    fn seats(&self, level: usize, g: u64) -> u64 {
+        self.group_size(level, g).min(self.replicas)
+    }
+
+    /// The group's MRM replicas (its first `replicas` members).
+    pub fn mrms(&self, level: usize, g: u64) -> impl Iterator<Item = u64> + '_ {
+        (0..self.seats(level, g)).map(move |j| self.member(level, g, j))
+    }
+
+    /// The leaf group a host belongs to.
+    pub fn leaf_group_of(&self, host: u64) -> u64 {
+        debug_assert!(host < self.n);
+        host / self.fanout
+    }
+
+    /// Parent group of group `g` at `level` (`None` at the root level).
+    pub fn parent(&self, level: usize, g: u64) -> Option<(usize, u64)> {
+        if level + 1 < self.depth() {
+            Some((level + 1, g / self.fanout))
+        } else {
+            None
+        }
+    }
+
+    /// The member slot (bit position) of group `g`'s primary inside its
+    /// parent group.
+    pub fn slot_in_parent(&self, g: u64) -> u64 {
+        g % self.fanout
+    }
+
+    /// Host-id span covered by the subtree under group `g` at `level`.
+    pub fn subtree(&self, level: usize, g: u64) -> std::ops::Range<u64> {
+        let width = self.stride(level) * self.fanout;
+        (g * width)..((g + 1) * width).min(self.n)
     }
 }
 
@@ -91,98 +216,129 @@ pub struct MrmDuty {
     pub parent_replicas: Vec<HostId>,
 }
 
-/// The static MRM hierarchy (group formation).
+/// The static MRM hierarchy (group formation) of one world: the
+/// [`HierShape`] over its hosts, read per host as report targets and
+/// MRM duties.
 ///
 /// The paper says "the protocol must also carry group formation deciding
 /// the nodes that are going to implement the Meta-Resource Manager
 /// interface"; in this reproduction formation is deterministic from the
-/// member list (lowest ids become replicas), which is the fixed-point a
+/// host ids (lowest ids become replicas), which is the fixed-point a
 /// dynamic election would reach and keeps experiments reproducible.
 #[derive(Clone, Debug)]
 pub struct Hierarchy {
-    /// Groups per level; `levels[0]` are the leaf groups.
-    pub levels: Vec<Vec<Group>>,
+    /// The tree.
+    pub shape: HierShape,
     /// The cohesion parameters used.
     pub config: CohesionConfig,
 }
 
+fn host_ids(ids: impl Iterator<Item = u64>) -> Vec<HostId> {
+    ids.map(|i| HostId(i as u32)).collect()
+}
+
 impl Hierarchy {
-    /// Build the hierarchy over `hosts` (typically all hosts of the
-    /// fabric, in id order — contiguous runs become groups, so arranging
+    /// Build the hierarchy over hosts `HostId(0)..HostId(hosts)` (all
+    /// hosts of the fabric — contiguous runs become groups, so arranging
     /// hosts by site yields site-aligned groups, "exploiting locality").
-    pub fn build(hosts: &[HostId], config: CohesionConfig) -> Self {
-        assert!(config.fanout >= 2, "fanout must be at least 2");
-        assert!(config.replicas >= 1, "at least one MRM per group");
-        assert!(!hosts.is_empty(), "hierarchy over zero hosts");
-        let mut levels: Vec<Vec<Group>> = Vec::new();
-        let mut current: Vec<HostId> = hosts.to_vec();
-        let mut level: u8 = 0;
-        loop {
-            let groups: Vec<Group> = current
-                .chunks(config.fanout)
-                .map(|members| {
-                    let mrms =
-                        members.iter().take(config.replicas).copied().collect::<Vec<_>>();
-                    Group { level, members: members.to_vec(), mrms }
-                })
-                .collect();
-            let primaries: Vec<HostId> = groups.iter().map(Group::primary).collect();
-            let done = groups.len() == 1;
-            levels.push(groups);
-            if done {
-                break;
-            }
-            current = primaries;
-            level += 1;
-        }
-        Hierarchy { levels, config }
+    pub fn build(hosts: usize, config: CohesionConfig) -> Self {
+        assert!(u32::try_from(hosts).is_ok(), "host ids are u32");
+        let shape = HierShape::build(hosts as u64, config.fanout as u64, config.replicas as u64);
+        Hierarchy { shape, config }
     }
 
     /// Number of levels.
     pub fn depth(&self) -> usize {
-        self.levels.len()
+        self.shape.depth()
     }
 
-    /// The leaf group a host belongs to.
-    pub fn leaf_group_of(&self, host: HostId) -> &Group {
-        match self.levels[0].iter().find(|g| g.members.contains(&host)) {
-            Some(g) => g,
-            None => panic!("host {host:?} not in hierarchy"),
-        }
+    fn index_of(&self, host: HostId) -> u64 {
+        assert!(
+            u64::from(host.0) < self.shape.n(),
+            "host {host:?} not in a hierarchy of {} hosts",
+            self.shape.n()
+        );
+        u64::from(host.0)
     }
 
     /// The MRM replicas a plain node reports to.
     pub fn report_targets(&self, host: HostId) -> Vec<HostId> {
-        self.leaf_group_of(host).mrms.clone()
+        let leaf = self.shape.leaf_group_of(self.index_of(host));
+        host_ids(self.shape.mrms(0, leaf))
     }
 
-    /// All MRM duties of a host across levels.
+    /// All MRM duties of a host across levels, leaf level first: walk up
+    /// from the host's leaf group while it is the group's primary (only
+    /// primaries are members one level up), taking a duty wherever its
+    /// member slot is an MRM seat.
     pub fn duties_of(&self, host: HostId) -> Vec<MrmDuty> {
+        let s = &self.shape;
         let mut duties = Vec::new();
-        for (li, groups) in self.levels.iter().enumerate() {
-            for g in groups {
-                if g.mrms.contains(&host) {
-                    let parent_replicas = if li + 1 < self.levels.len() {
-                        // parent group = the group at level li+1 containing
-                        // this group's primary.
-                        self.levels[li + 1]
-                            .iter()
-                            .find(|pg| pg.members.contains(&g.primary()))
-                            .map(|pg| pg.mrms.clone())
-                            .unwrap_or_default()
-                    } else {
-                        Vec::new()
-                    };
-                    duties.push(MrmDuty {
-                        level: g.level,
-                        replicas: g.mrms.clone(),
-                        members: g.members.clone(),
-                        parent_replicas,
-                    });
-                }
+        // Index of `host` among the members of the current level.
+        let mut m = self.index_of(host);
+        for level in 0..s.depth() {
+            let (g, slot) = (m / s.fanout, m % s.fanout);
+            if slot < s.seats(level, g) {
+                duties.push(MrmDuty {
+                    level: level as u8,
+                    replicas: host_ids(s.mrms(level, g)),
+                    members: host_ids(s.members(level, g)),
+                    parent_replicas: match s.parent(level, g) {
+                        Some((pl, pg)) => host_ids(s.mrms(pl, pg)),
+                        None => Vec::new(),
+                    },
+                });
             }
+            if slot != 0 {
+                break;
+            }
+            m = g;
         }
         duties
+    }
+}
+
+/// What an MRM seat does with a query none of its candidates took.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Miss {
+    /// Ascending with a parent group: ask one level up ("request higher
+    /// hierarchy level requests").
+    Escalate,
+    /// Descending, or at the root: tell the origin this branch is
+    /// exhausted so it can stop early when every branch misses (best
+    /// effort — the origin's timeout is the backstop).
+    DeadEnd,
+}
+
+/// Query routing at one MRM seat (§2.4.3: incremental resource lookup) —
+/// the one rule both drivers run, [`registry_svc`](crate::node::Node)
+/// over real soft state and wire messages and
+/// [`ScaleCampus`](crate::scale::ScaleCampus) over presence masks and
+/// packed events.
+///
+/// The seat offers the query to every candidate, in order: a plain
+/// member at level 0 (`offer(c, None)`), the child seat one level down
+/// above it (`offer(c, Some(level - 1))`); `offer` says whether the
+/// candidate took it. When none did, the seat escalates or dead-ends
+/// ([`Miss`]). Escalation happens only on a miss: an ascending query
+/// stops at the first level with a taker even when the origin wants
+/// *all* offers; the origin's timeout bounds latency.
+pub fn route_at_seat<C>(
+    level: u8,
+    descending: bool,
+    has_parent: bool,
+    candidates: impl IntoIterator<Item = C>,
+    mut offer: impl FnMut(C, Option<u8>) -> bool,
+) -> Option<Miss> {
+    let child_level = level.checked_sub(1);
+    let mut taken = false;
+    for c in candidates {
+        taken |= offer(c, child_level);
+    }
+    match (taken, !descending && has_parent) {
+        (true, _) => None,
+        (false, true) => Some(Miss::Escalate),
+        (false, false) => Some(Miss::DeadEnd),
     }
 }
 
@@ -293,10 +449,6 @@ mod tests {
     use lc_net::DeviceClass;
     use lc_pkg::Platform;
 
-    fn hosts(n: u32) -> Vec<HostId> {
-        (0..n).map(HostId).collect()
-    }
-
     fn report(installed: &[&str]) -> ResourceReport {
         ResourceReport {
             static_info: Rc::new(StaticInfo {
@@ -312,33 +464,34 @@ mod tests {
         }
     }
 
+    fn ids(ids: impl Iterator<Item = u64>) -> Vec<u64> {
+        ids.collect()
+    }
+
     #[test]
     fn hierarchy_shape_64_nodes_fanout_8() {
-        let h = Hierarchy::build(&hosts(64), CohesionConfig { fanout: 8, ..Default::default() });
+        let h = Hierarchy::build(64, CohesionConfig { fanout: 8, ..Default::default() });
         // 64 → 8 leaf groups → 1 group of 8 primaries → root
         assert_eq!(h.depth(), 2);
-        assert_eq!(h.levels[0].len(), 8);
-        assert_eq!(h.levels[1].len(), 1);
-        assert_eq!(h.levels[1][0].members.len(), 8);
+        assert_eq!(h.shape.group_count(0), 8);
+        assert_eq!(h.shape.group_count(1), 1);
         // primaries of leaf groups are hosts 0, 8, 16, ...
-        assert_eq!(h.levels[1][0].members[1], HostId(8));
+        assert_eq!(ids(h.shape.members(1, 0)), [0, 8, 16, 24, 32, 40, 48, 56]);
     }
 
     #[test]
     fn hierarchy_depth_grows_logarithmically() {
         let cfg = CohesionConfig { fanout: 4, ..Default::default() };
-        assert_eq!(Hierarchy::build(&hosts(4), cfg.clone()).depth(), 1);
-        assert_eq!(Hierarchy::build(&hosts(16), cfg.clone()).depth(), 2);
-        assert_eq!(Hierarchy::build(&hosts(64), cfg.clone()).depth(), 3);
-        assert_eq!(Hierarchy::build(&hosts(256), cfg).depth(), 4);
+        assert_eq!(Hierarchy::build(4, cfg.clone()).depth(), 1);
+        assert_eq!(Hierarchy::build(16, cfg.clone()).depth(), 2);
+        assert_eq!(Hierarchy::build(64, cfg.clone()).depth(), 3);
+        assert_eq!(Hierarchy::build(256, cfg).depth(), 4);
     }
 
     #[test]
     fn duties_and_report_targets() {
-        let h = Hierarchy::build(
-            &hosts(64),
-            CohesionConfig { fanout: 8, replicas: 2, ..Default::default() },
-        );
+        let h =
+            Hierarchy::build(64, CohesionConfig { fanout: 8, replicas: 2, ..Default::default() });
         // host 5 is a plain member of group 0
         assert!(h.duties_of(HostId(5)).is_empty());
         assert_eq!(h.report_targets(HostId(5)), vec![HostId(0), HostId(1)]);
@@ -355,14 +508,107 @@ mod tests {
         // host 8 is primary of group 1 and member+replica of root group
         let d8 = h.duties_of(HostId(8));
         assert_eq!(d8.len(), 2);
+        // host 16 leads group 2 but is only a plain member of the root group
+        let d16 = h.duties_of(HostId(16));
+        assert_eq!(d16.len(), 1);
+        assert_eq!(d16[0].members, (16..24).map(HostId).collect::<Vec<_>>());
     }
 
     #[test]
     fn single_group_when_few_hosts() {
-        let h = Hierarchy::build(&hosts(5), CohesionConfig { fanout: 8, ..Default::default() });
+        let h = Hierarchy::build(5, CohesionConfig { fanout: 8, ..Default::default() });
         assert_eq!(h.depth(), 1);
-        assert_eq!(h.levels[0].len(), 1);
+        assert_eq!(h.shape.group_count(0), 1);
         assert!(h.duties_of(HostId(0)).len() == 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "host HostId(64) not in a hierarchy of 64 hosts")]
+    fn a_host_outside_the_tree_is_named() {
+        Hierarchy::build(64, CohesionConfig::default()).report_targets(HostId(64));
+    }
+
+    /// What `build_world` pays: every host's report targets and duties.
+    /// O(n · depth) arithmetic; the scan-every-group version this
+    /// replaced took 7.7 s here.
+    #[test]
+    fn every_hosts_duties_at_100k_are_a_walk_not_a_scan() {
+        let n = 100_000u32;
+        let h = Hierarchy::build(n as usize, CohesionConfig::default());
+        let (mut duties, mut targets) = (0u64, 0usize);
+        for host in (0..n).map(HostId) {
+            duties += h.duties_of(host).len() as u64;
+            targets += h.report_targets(host).len();
+        }
+        // Two seats per group, but 100 000 → 12 500 → 1 563 → 196 → 25
+        // → 4 → 1 leaves the 25th level-3 primary alone in its group.
+        assert_eq!(duties, 2 * h.shape.groups_total() - 1);
+        assert_eq!(targets, 2 * n as usize);
+    }
+
+    #[test]
+    fn leaf_groups_and_subtrees() {
+        let s = HierShape::build(1000, 8, 2);
+        assert_eq!(s.leaf_group_of(0), 0);
+        assert_eq!(s.leaf_group_of(7), 0);
+        assert_eq!(s.leaf_group_of(8), 1);
+        assert_eq!(s.leaf_group_of(999), 124);
+        // Level-1 group 0 spans hosts 0..64; the last one is ragged.
+        assert_eq!(s.subtree(1, 0), 0..64);
+        assert_eq!(s.subtree(0, 124), 992..1000);
+        assert_eq!(s.group_size(0, 124), 8);
+        // Depth: 1000 → 125 → 16 → 2 → 1.
+        assert_eq!(s.depth(), 4);
+        assert_eq!(s.group_count(3), 1);
+        assert_eq!(s.slot_in_parent(9), 1);
+        // 125 leaf primaries fill 15 level-1 groups and leave 5 over.
+        assert_eq!(s.group_size(1, 15), 5);
+        assert_eq!(ids(s.mrms(1, 15)), [960, 968]);
+    }
+
+    #[test]
+    fn shape_is_constant_memory() {
+        let s = HierShape::build(1_000_000, 8, 2);
+        assert_eq!(s.depth(), 7);
+        // The whole routing structure: three u64s and one tiny Vec.
+        assert!(s.group_counts.len() <= 8);
+        assert_eq!(s.groups_total(), 125_000 + 15_625 + 1_954 + 245 + 31 + 4 + 1);
+    }
+
+    /// The seat rule's truth table: a taker anywhere ends the routing
+    /// here; with none, only an ascending query with a parent escalates.
+    #[test]
+    fn seat_rule_truth_table() {
+        for descending in [false, true] {
+            for has_parent in [false, true] {
+                let route = |takers: [bool; 3]| {
+                    route_at_seat(2, descending, has_parent, takers, |took, _| took)
+                };
+                assert_eq!(route([false, true, false]), None);
+                assert_eq!(route([true, true, true]), None);
+                let miss = if !descending && has_parent { Miss::Escalate } else { Miss::DeadEnd };
+                assert_eq!(route([false, false, false]), Some(miss));
+                // A seat with no candidates at all misses the same way.
+                let nobody = route_at_seat(2, descending, has_parent, [(); 0], |(), _| true);
+                assert_eq!(nobody, Some(miss));
+            }
+        }
+    }
+
+    /// Every candidate is offered the query, in order, whether or not an
+    /// earlier one took it: plain members at level 0, the child seat one
+    /// level down above it.
+    #[test]
+    fn seat_offers_every_candidate_in_order() {
+        for (level, child) in [(0u8, None), (1, Some(0u8)), (3, Some(2))] {
+            let mut seen = Vec::new();
+            let miss = route_at_seat(level, false, true, [7u32, 3, 9], |c, l| {
+                seen.push((c, l));
+                c == 7
+            });
+            assert_eq!(miss, None);
+            assert_eq!(seen, [(7, child), (3, child), (9, child)]);
+        }
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod scale;
 
 pub use assembly::{AssemblyConnection, AssemblyDescriptor, AssemblyInstance, ConnectionKind};
 pub use behavior::BehaviorRegistry;
-pub use cohesion::{CohesionConfig, Hierarchy};
+pub use cohesion::{CohesionConfig, HierShape, Hierarchy};
 pub use deploy::{NodeView, PlacementStrategy, ResolveAction, ResolvePolicy};
 pub use node::{
     AdmissionConfig, AssemblySink, CacheConfig, CacheStats, Continuations, InvokePolicy,
@@ -60,8 +60,8 @@ pub use registry::{ComponentQuery, ComponentRegistry, InstanceId, InstanceInfo, 
 pub use repository::{ComponentRepository, InstallError};
 pub use resource::{ResourceManager, ResourceReport};
 pub use scale::{
-    run_scale, run_scale_profiled, CampusSoa, HierShape, NodeIdx, QueryOutcome, ScaleCampus,
-    ScaleConfig, ScaleReport, Variant, KIND_NAMES,
+    run_scale, run_scale_profiled, CampusSoa, NodeIdx, QueryOutcome, ScaleCampus, ScaleConfig,
+    ScaleReport, Variant, KIND_NAMES,
 };
 
 /// Convenience test-kit for building simulated CORBA-LC networks; used by
@@ -127,7 +127,7 @@ pub mod testkit {
     ) -> World {
         let orb = SimOrb::new(net.clone());
         let hosts = net.host_ids();
-        let hierarchy = Rc::new(Hierarchy::build(&hosts, config.cohesion.clone()));
+        let hierarchy = Rc::new(Hierarchy::build(hosts.len(), config.cohesion.clone()));
         // One ring per world, not per node: it depends only on the host
         // list and the ring shape.
         let ring = match &config.registry {

@@ -10,7 +10,7 @@
 //! traffic, local delivery) lives here exactly once.
 
 use crate::behavior::BehaviorRegistry;
-use crate::cohesion::{DutyState, Hierarchy, MrmDuty};
+use crate::cohesion::{DutyState, MrmDuty};
 use crate::proto::CtrlMsg;
 use crate::registry::backend::{CoherenceRoute, Registry, ShardStore};
 use crate::registry::shard::ShardRing;
@@ -60,7 +60,6 @@ pub struct NodeState {
     pub registry: ComponentRegistry,
     pub(crate) behaviors: BehaviorRegistry,
     pub(crate) trust: TrustStore,
-    pub(crate) hierarchy: Rc<Hierarchy>,
     /// This host's MRM duties and report targets: fixed at boot, so a
     /// handler that must hold them across `&mut self` calls takes a
     /// reference-counted handle, never a copy.
@@ -155,7 +154,6 @@ impl NodeState {
             registry: ComponentRegistry::new(),
             behaviors: seed.behaviors,
             trust: seed.trust,
-            hierarchy: seed.hierarchy,
             duties,
             duty_state,
             report_targets,
@@ -180,11 +178,6 @@ impl NodeState {
     /// This node's platform.
     pub fn platform(&self) -> Platform {
         self.resources.static_info().platform.clone()
-    }
-
-    /// The shared MRM hierarchy this node participates in.
-    pub fn hierarchy(&self) -> &Hierarchy {
-        &self.hierarchy
     }
 
     /// The MRM duties this host serves, each with its soft-state table

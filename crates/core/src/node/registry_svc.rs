@@ -4,6 +4,7 @@
 //! finalization into the driver- or resolve-continuations parked in the
 //! unified continuation table.
 
+use crate::cohesion::{route_at_seat, Miss};
 use crate::deploy::{choose, ResolveAction};
 use crate::proto::{CtrlMsg, QueryId};
 use crate::registry::backend::{CoherenceRoute, ResolveStep, SearchRoute, ShardStore};
@@ -22,6 +23,21 @@ use super::{NodeCmd, SpawnSink};
 /// time (1 ms up to 5 s).
 const CACHE_AGE_US_BUCKETS: [u64; 6] =
     [1_000, 10_000, 50_000, 250_000, 1_000_000, 5_000_000];
+
+/// How one query continuation ends.
+#[derive(Clone, Copy)]
+enum Ending {
+    /// With what the search found since the caller `started` waiting;
+    /// `timed_out` marks a deadline cut (the offer set is then partial).
+    Served {
+        started: lc_des::SimTime,
+        timed_out: bool,
+        first_offer_at: Option<lc_des::SimTime>,
+        staleness: Option<lc_des::SimTime>,
+    },
+    /// Refused under admission control.
+    Shed,
+}
 
 impl NodeState {
     /// Offers this node's own registry/repository can make for a query.
@@ -373,7 +389,9 @@ impl NodeCtx<'_, '_> {
         false
     }
 
-    /// MRM query routing (§2.4.3: incremental resource lookup).
+    /// MRM query routing (§2.4.3: incremental resource lookup): the rule
+    /// is [`route_at_seat`]; this is its driver over real soft state and
+    /// wire messages.
     pub(crate) fn mrm_route_query(
         &mut self,
         qid: QueryId,
@@ -396,72 +414,58 @@ impl NodeCtx<'_, '_> {
             None => self.state.duty_state[duty_idx].alive().collect(),
         };
 
-        let mut forwarded = 0usize;
-        if level == 0 {
-            for member in candidates {
-                if member == qid.origin {
-                    continue; // origin already answered locally
-                }
-                if member == self.state.host {
-                    // We are also a plain member: answer directly.
+        let has_parent = !duty.parent_replicas.is_empty();
+        let miss = route_at_seat(level, descending, has_parent, candidates, |to, child_level| {
+            match child_level {
+                // A plain member — unless it is the origin, which
+                // already answered locally …
+                None if to == qid.origin => false,
+                // … or this host, which answers directly.
+                None if to == self.state.host => {
                     let offers = self.state.local_offers_for(&query);
-                    if !offers.is_empty() {
+                    let any = !offers.is_empty();
+                    if any {
                         self.send_offers(qid, offers);
-                        forwarded += 1;
                     }
-                    continue;
+                    any
                 }
-                let msg =
-                    CtrlMsg::Query { qid, query: query.clone(), level: u8::MAX, descending: true };
-                let size = msg.wire_size();
-                if self.net_send(member, size, msg).is_ok() {
-                    self.bump(Hot::QueryMsgs);
-                    forwarded += 1;
+                // A child group this host also leads: descend in place.
+                Some(child) if to == self.state.host => {
+                    self.mrm_route_query(qid, query.clone(), child, true);
+                    true
                 }
-            }
-        } else {
-            // Descend into matching child groups (members are child
-            // primaries; query them at level-1 duty).
-            for child in candidates {
-                if child == self.state.host {
-                    self.mrm_route_query(qid, query.clone(), level - 1, true);
-                    forwarded += 1;
-                    continue;
-                }
-                let msg = CtrlMsg::Query {
-                    qid,
-                    query: query.clone(),
-                    level: level - 1,
-                    descending: true,
-                };
-                let size = msg.wire_size();
-                if self.net_send(child, size, msg).is_ok() {
-                    self.bump(Hot::QueryMsgs);
-                    forwarded += 1;
+                // Anyone else hears it on the wire: a member as a direct
+                // node query, a child primary at its `level - 1` duty.
+                _ => {
+                    let msg = CtrlMsg::Query {
+                        qid,
+                        query: query.clone(),
+                        level: child_level.unwrap_or(u8::MAX),
+                        descending: true,
+                    };
+                    let size = msg.wire_size();
+                    let sent = self.net_send(to, size, msg).is_ok();
+                    if sent {
+                        self.bump(Hot::QueryMsgs);
+                    }
+                    sent
                 }
             }
-        }
-
-        if forwarded == 0 && !descending {
-            // Nothing here; escalate if we can ("request higher
-            // hierarchy level requests").
-            if !duty.parent_replicas.is_empty() {
+        });
+        match miss {
+            None => {}
+            Some(Miss::Escalate) => {
                 self.sim.metrics().incr("query.escalations");
-                let parents = &duty.parent_replicas;
-                self.send_query_to_first_reachable(parents, qid, query, level + 1, false);
-            } else {
-                self.send_ctrl(qid.origin, CtrlMsg::QueryDone { qid });
+                self.send_query_to_first_reachable(
+                    &duty.parent_replicas,
+                    qid,
+                    query,
+                    level + 1,
+                    false,
+                );
             }
-        } else if forwarded == 0 {
-            // Descending dead-end: report the miss so the origin can
-            // stop early when every branch misses (best effort — the
-            // origin's timeout is the backstop).
-            self.send_ctrl(qid.origin, CtrlMsg::QueryDone { qid });
+            Some(Miss::DeadEnd) => self.send_ctrl(qid.origin, CtrlMsg::QueryDone { qid }),
         }
-
-        // An ascending query also continues upward when this level had
-        // candidates but the origin wants *all* offers. Simplification:
-        // escalation only on miss; the origin's timeout bounds latency.
     }
 
     pub(crate) fn send_offers(&mut self, qid: QueryId, offers: Vec<Offer>) {
@@ -533,46 +537,14 @@ impl NodeCtx<'_, '_> {
         }
         // Follow-up work (resolve actions) still parents under the query.
         let prev = span.map(|s| tracer.set_current(Some(s)));
-        self.sim
-            .metrics()
-            .record("query.duration_ms", (now - pq.started).as_secs_f64() * 1e3);
-        if pq.offers.is_empty() {
-            self.sim.metrics().incr("query.misses");
-        } else {
-            self.sim.metrics().incr("query.hits");
-        }
         let partial = timed_out && !pq.offers.is_empty();
-        if partial {
-            self.sim.metrics().incr("query.partial");
-        }
-        self.note_slo_query(now - pq.started, pq.offers.is_empty());
-        match pq.purpose {
-            QueryPurpose::Collect { sink, .. } => {
-                let mut s = sink.borrow_mut();
-                s.offers = pq.offers;
-                s.first_offer_at = pq.first_offer_at;
-                s.done = true;
-                s.done_at = Some(now);
-                s.partial = partial;
-                s.staleness = if partial {
-                    pq.first_offer_at.map(|t| now.saturating_sub(t))
-                } else {
-                    None
-                };
-            }
-            QueryPurpose::Resolve { instance, port, policy, sink } => {
-                match choose(&pq.offers, &policy) {
-                    None => {
-                        if let Some(s) = sink {
-                            *s.borrow_mut() = Some(Err(format!("no offers for port '{port}'")));
-                        }
-                    }
-                    Some((_, action)) => {
-                        self.apply_resolve_action(instance, port, action, sink, &pq.query)
-                    }
-                }
-            }
-        }
+        let served = Ending::Served {
+            started: pq.started,
+            timed_out,
+            first_offer_at: pq.first_offer_at,
+            staleness: pq.first_offer_at.filter(|_| partial).map(|t| now.saturating_sub(t)),
+        };
+        self.complete(pq.purpose, pq.offers, &pq.query, served);
         // Followers see the same offer set, in join order, still inside
         // the leader's span context.
         if let Some((offers, query)) = fan {
@@ -601,43 +573,13 @@ impl NodeCtx<'_, '_> {
         timed_out: bool,
         cached_age: Option<lc_des::SimTime>,
     ) {
-        let now = self.sim.now();
-        self.sim
-            .metrics()
-            .record("query.duration_ms", (now - f.started).as_secs_f64() * 1e3);
-        if offers.is_empty() {
-            self.sim.metrics().incr("query.misses");
-        } else {
-            self.sim.metrics().incr("query.hits");
-        }
-        let partial = timed_out && !offers.is_empty();
-        if partial {
-            self.sim.metrics().incr("query.partial");
-        }
-        self.note_slo_query(now - f.started, offers.is_empty());
-        match f.purpose {
-            QueryPurpose::Collect { sink, .. } => {
-                let mut s = sink.borrow_mut();
-                s.first_offer_at = (!offers.is_empty()).then_some(now);
-                s.offers = offers;
-                s.done = true;
-                s.done_at = Some(now);
-                s.partial = partial;
-                s.staleness = cached_age;
-            }
-            QueryPurpose::Resolve { instance, port, policy, sink } => {
-                match choose(&offers, &policy) {
-                    None => {
-                        if let Some(s) = sink {
-                            *s.borrow_mut() = Some(Err(format!("no offers for port '{port}'")));
-                        }
-                    }
-                    Some((_, action)) => {
-                        self.apply_resolve_action(instance, port, action, sink, query)
-                    }
-                }
-            }
-        }
+        let served = Ending::Served {
+            started: f.started,
+            timed_out,
+            first_offer_at: (!offers.is_empty()).then(|| self.sim.now()),
+            staleness: cached_age,
+        };
+        self.complete(f.purpose, offers, query, served);
     }
 
     /// Shed one pending query under admission control: the leader *and*
@@ -662,27 +604,68 @@ impl NodeCtx<'_, '_> {
         }
         let followers = std::mem::take(&mut pq.followers);
         let offers = pq.offers.clone();
-        self.shed_complete(pq.purpose, offers.clone());
+        self.complete(pq.purpose, offers.clone(), &pq.query, Ending::Shed);
         for f in followers {
-            self.shed_complete(f.purpose, offers.clone());
+            self.complete(f.purpose, offers.clone(), &pq.query, Ending::Shed);
         }
     }
 
-    /// Complete one shed query continuation (leader or follower).
-    fn shed_complete(&mut self, purpose: QueryPurpose, offers: Vec<Offer>) {
+    /// Complete one query continuation — a leader, a coalesced follower
+    /// or a cache-served caller — with `offers`: account for it (a served
+    /// query only), then fill a `Collect` sink or act on a `Resolve`.
+    fn complete(
+        &mut self,
+        purpose: QueryPurpose,
+        offers: Vec<Offer>,
+        query: &ComponentQuery,
+        ending: Ending,
+    ) {
         let now = self.sim.now();
+        let mut partial = false;
+        if let Ending::Served { started, timed_out, .. } = ending {
+            self.sim.metrics().record("query.duration_ms", (now - started).as_secs_f64() * 1e3);
+            if offers.is_empty() {
+                self.sim.metrics().incr("query.misses");
+            } else {
+                self.sim.metrics().incr("query.hits");
+            }
+            partial = timed_out && !offers.is_empty();
+            if partial {
+                self.sim.metrics().incr("query.partial");
+            }
+            self.note_slo_query(now - started, offers.is_empty());
+        }
         match purpose {
             QueryPurpose::Collect { sink, .. } => {
                 let mut s = sink.borrow_mut();
+                match ending {
+                    Ending::Served { first_offer_at, staleness, .. } => {
+                        s.first_offer_at = first_offer_at;
+                        s.partial = partial;
+                        s.staleness = staleness;
+                    }
+                    Ending::Shed => s.shed = true,
+                }
                 s.offers = offers;
                 s.done = true;
                 s.done_at = Some(now);
-                s.shed = true;
             }
-            QueryPurpose::Resolve { port, sink, .. } => {
-                if let Some(s) = sink {
-                    *s.borrow_mut() =
-                        Some(Err(format!("overload: query for port '{port}' was shed")));
+            QueryPurpose::Resolve { instance, port, policy, sink } => {
+                let served = matches!(ending, Ending::Served { .. });
+                let chosen = if served { choose(&offers, &policy) } else { None };
+                match chosen {
+                    Some((_, action)) => {
+                        self.apply_resolve_action(instance, port, action, sink, query)
+                    }
+                    None => {
+                        if let Some(s) = sink {
+                            *s.borrow_mut() = Some(Err(if served {
+                                format!("no offers for port '{port}'")
+                            } else {
+                                format!("overload: query for port '{port}' was shed")
+                            }));
+                        }
+                    }
                 }
             }
         }

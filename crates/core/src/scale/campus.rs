@@ -14,24 +14,26 @@
 //!   leaf-group replicas; per-level summaries (staggered inside the
 //!   report period so the whole tree converges in one round) push
 //!   component presence upward; queries ascend on miss and descend
-//!   into matching subtrees exactly as
-//!   [`registry_svc`](crate::node::Node) routes them, over the
-//!   [`HierShape`] tree proven identical to
-//!   [`Hierarchy::build`](crate::cohesion::Hierarchy).
-//! * **flat** — one central registry on node 0 (`lc_baselines`-style):
-//!   every query fans out to *all* matching owners, so messages per
-//!   query grow linearly with campus size.
+//!   into matching subtrees by [`route_at_seat`], the rule
+//!   [`registry_svc`](crate::node::Node) routes them by, over the
+//!   [`HierShape`] every node reads its duties from.
+//! * **flat** — one central registry on node 0: the hierarchy collapsed
+//!   into a single group, as `lc_baselines::flat_config` collapses the
+//!   node stack's. Every query fans out to *all* matching owners, so
+//!   messages per query grow linearly with campus size.
 //! * **strong** — a strongly-consistent coordinator: queries are 3
 //!   messages (the coordinator knows the exact owner set), but every
-//!   membership change pays a 2·N view-change broadcast.
+//!   membership change pays a 2·N view-change broadcast. A cost model
+//!   with no counterpart on the node stack (`lc_baselines::strong` is a
+//!   membership protocol without queries).
 //!
 //! Group soft state is per *seat*, not per node: a `u64` member mask
 //! plus one presence mask per component — constant bytes per group,
 //! ≈ n/(fanout−1) groups.
 
-use super::shape::HierShape;
 use super::soa::{CampusSoa, FLAG_OWNER_C0, FLAG_OWNER_C1};
 use super::NodeIdx;
+use crate::cohesion::{route_at_seat, HierShape, Miss};
 use lc_des::{Actor, AnyMsg, Ctx, Sim, SimTime};
 
 /// Components the sweep queries for; node `i` owns component `c` iff
@@ -229,24 +231,24 @@ impl ScaleCampus {
     pub fn build(cfg: ScaleConfig) -> ScaleCampus {
         assert!(cfg.fanout >= 2 && cfg.fanout <= 64, "fanout must fit a u64 mask");
         assert!(cfg.queries <= 1 << 16, "query ids are 16-bit");
-        let shape = HierShape::build(u64::from(cfg.n), u64::from(cfg.fanout), u64::from(cfg.replicas));
+        // The central variants are the hierarchy collapsed into one group
+        // with one seat: the coordinator's table.
+        let (fanout, replicas) = match cfg.variant {
+            Variant::Hier => (cfg.fanout, cfg.replicas),
+            Variant::Flat | Variant::Strong => (cfg.n.max(2), 1),
+        };
+        let shape = HierShape::build(u64::from(cfg.n), u64::from(fanout), u64::from(replicas));
         let mut soa = CampusSoa::build(cfg.n, owner_flags);
         if cfg.eager {
             soa.materialize_all();
         }
-        let (groups, level_base) = match cfg.variant {
-            Variant::Hier => {
-                let mut base = Vec::with_capacity(shape.depth());
-                let mut total = 0usize;
-                for level in 0..shape.depth() {
-                    base.push(total);
-                    total += shape.group_count(level) as usize;
-                }
-                (vec![GroupState::default(); total], base)
-            }
-            // Central variants keep one seat (the coordinator's table).
-            Variant::Flat | Variant::Strong => (vec![GroupState::default()], vec![0]),
-        };
+        let mut level_base = Vec::with_capacity(shape.depth());
+        let mut total = 0usize;
+        for level in 0..shape.depth() {
+            level_base.push(total);
+            total += shape.group_count(level) as usize;
+        }
+        let groups = vec![GroupState::default(); total];
         let owners = [owner_list(cfg.n, 0), owner_list(cfg.n, 1)];
         let t_end = cfg.report_period * u64::from(cfg.rounds);
         ScaleCampus {
@@ -334,95 +336,67 @@ impl ScaleCampus {
             first_offer_at: None,
         });
         self.soa.materialize(NodeIdx(origin)).queries_issued += 1;
-        let me = ctx.me();
-        match self.cfg.variant {
-            Variant::Hier => {
-                let g = self.shape.leaf_group_of(u64::from(origin)) as u32;
-                self.count_query_msg(qid);
-                ctx.send_packed(HOP, me, pack(K_QUERY_UP, g, query_aux(qid, 0)));
-            }
-            Variant::Flat | Variant::Strong => {
-                self.count_query_msg(qid);
-                ctx.send_packed(HOP, me, pack(K_QUERY_UP, 0, query_aux(qid, 0)));
-            }
-        }
+        let g = self.shape.leaf_group_of(u64::from(origin)) as u32;
+        self.count_query_msgs(qid, 1);
+        ctx.send_packed(HOP, ctx.me(), pack(K_QUERY_UP, g, query_aux(qid, 0)));
     }
 
-    fn count_query_msg(&mut self, qid: u32) {
-        self.queries[qid as usize].msgs += 1;
-        self.counts.query_msgs += 1;
-        self.counts.traffic += 1;
+    fn count_query_msgs(&mut self, qid: u32, n: u32) {
+        self.queries[qid as usize].msgs += n;
+        self.counts.query_msgs += u64::from(n);
+        self.counts.traffic += u64::from(n);
     }
 
     /// Query routing at an MRM seat — `descending=false` is the ascend
-    /// path (escalate on miss), `true` the descend path (dead-end on
-    /// miss), mirroring `registry_svc::mrm_route_query`.
+    /// path, `true` the descend path. The rule is [`route_at_seat`]; the
+    /// campus supplies who the seat believes may hold the component —
+    /// the only thing the three variants differ in — and makes each
+    /// offer one counted packed event.
     fn route_query(&mut self, ctx: &mut Ctx<'_>, g: u32, qid: u32, level: usize, descending: bool) {
         let me = ctx.me();
         let comp = self.queries[qid as usize].comp;
-        match self.cfg.variant {
-            Variant::Hier => {
-                let cand = self.gs(level, u64::from(g)).has[comp];
-                if cand != 0 {
-                    for j in 0..self.shape.fanout() {
-                        if cand & (1 << j) == 0 {
-                            continue;
-                        }
-                        if level == 0 {
-                            let member = self.shape.member(0, u64::from(g), j) as u32;
-                            self.count_query_msg(qid);
-                            ctx.send_packed(HOP, me, pack(K_QUERY_MEMBER, member, qid));
-                        } else {
-                            let child = (u64::from(g) * self.shape.fanout() + j) as u32;
-                            self.count_query_msg(qid);
-                            ctx.send_packed(
-                                HOP,
-                                me,
-                                pack(K_QUERY_DOWN, child, query_aux(qid, level - 1)),
-                            );
-                        }
-                    }
-                } else if !descending {
-                    if let Some((pl, pg)) = self.shape.parent(level, u64::from(g)) {
-                        self.queries[qid as usize].escalations += 1;
-                        self.counts.escalations += 1;
-                        self.count_query_msg(qid);
-                        ctx.send_packed(HOP, me, pack(K_QUERY_UP, pg as u32, query_aux(qid, pl)));
-                    } else {
-                        self.send_query_done(ctx, qid);
-                    }
-                } else {
-                    self.send_query_done(ctx, qid);
-                }
+        let parent = self.shape.parent(level, u64::from(g));
+        let (slots, listed): (u64, &[u32]) = match self.cfg.variant {
+            // The member slots whose report or summary named it.
+            Variant::Hier => (self.groups[self.level_base[level] + g as usize].has[comp], &[]),
+            // Every owner the central registry knows.
+            Variant::Flat => (0, &self.owners[comp]),
+            // Exact view: the single best owner.
+            Variant::Strong => (0, self.owners[comp].get(..1).unwrap_or_default()),
+        };
+        // Slot `j` of seat `g` is host `g·f + j` at level 0 and child
+        // seat `g·f + j` above it.
+        let first = g * self.cfg.fanout;
+        let candidates = (0..u64::BITS)
+            .filter(|j| slots >> j & 1 == 1)
+            .map(|j| first + j)
+            .chain(listed.iter().copied());
+        let mut sent = 0;
+        let miss = route_at_seat(level as u8, descending, parent.is_some(), candidates, |c, child| {
+            let event = match child {
+                None => pack(K_QUERY_MEMBER, c, qid),
+                Some(l) => pack(K_QUERY_DOWN, c, query_aux(qid, usize::from(l))),
+            };
+            ctx.send_packed(HOP, me, event);
+            sent += 1;
+            true
+        });
+        self.count_query_msgs(qid, sent);
+        match (miss, parent) {
+            (None, _) => {}
+            (Some(Miss::Escalate), Some((pl, pg))) => {
+                self.queries[qid as usize].escalations += 1;
+                self.counts.escalations += 1;
+                self.count_query_msgs(qid, 1);
+                ctx.send_packed(HOP, me, pack(K_QUERY_UP, pg as u32, query_aux(qid, pl)));
             }
-            Variant::Flat => {
-                // The central registry forwards to every owner it knows.
-                let owners: Vec<u32> = self.owners[comp].clone();
-                if owners.is_empty() {
-                    self.send_query_done(ctx, qid);
-                } else {
-                    for member in owners {
-                        self.count_query_msg(qid);
-                        ctx.send_packed(HOP, me, pack(K_QUERY_MEMBER, member, qid));
-                    }
-                }
-            }
-            Variant::Strong => {
-                // Exact view: route to the single best owner.
-                match self.owners[comp].first().copied() {
-                    Some(member) => {
-                        self.count_query_msg(qid);
-                        ctx.send_packed(HOP, me, pack(K_QUERY_MEMBER, member, qid));
-                    }
-                    None => self.send_query_done(ctx, qid),
-                }
-            }
+            (Some(_), _) => self.send_query_done(ctx, qid),
         }
     }
 
     fn send_query_done(&mut self, ctx: &mut Ctx<'_>, qid: u32) {
         let origin = self.queries[qid as usize].origin;
-        self.count_query_msg(qid);
+        self.count_query_msgs(qid, 1);
         let me = ctx.me();
         ctx.send_packed(HOP, me, pack(K_QUERY_DONE, origin, qid));
     }
@@ -432,7 +406,7 @@ impl ScaleCampus {
         // and answers the origin with an offer.
         self.soa.materialize(NodeIdx(member)).offers_served += 1;
         let origin = self.queries[qid as usize].origin;
-        self.count_query_msg(qid);
+        self.count_query_msgs(qid, 1);
         let me = ctx.me();
         ctx.send_packed(HOP, me, pack(K_OFFER, origin, qid));
     }
@@ -564,7 +538,7 @@ pub struct ScaleReport {
     pub n: u32,
     /// Variant name (`hier`/`flat`/`strong`).
     pub variant: &'static str,
-    /// Hierarchy depth (1 for flat/strong).
+    /// Hierarchy depth (1 for flat/strong: one group).
     pub depth: usize,
     /// Group seats held.
     pub groups: usize,
@@ -651,6 +625,10 @@ pub fn run_scale_profiled(
     // Summaries (hier only): level l pushes at (8+l)/16 of each period,
     // so presence reaches the root within the same round.
     if cfg.variant == Variant::Hier {
+        // The campus actor owns its tree; this is a second copy. Reading
+        // the actor's instead saves two allocations per run — a reviewed
+        // `PERF_EXACT.txt` diff of its own (ROADMAP item 1), not a
+        // by-product of a change that claims to move nothing.
         let shape = HierShape::build(u64::from(cfg.n), u64::from(cfg.fanout), u64::from(cfg.replicas));
         for level in 0..shape.depth() {
             let at = period * (8 + level as u64) / 16;
@@ -693,7 +671,7 @@ pub fn run_scale_profiled(
     let report = ScaleReport {
         n: cfg.n,
         variant: cfg.variant.name(),
-        depth: if cfg.variant == Variant::Hier { depth } else { 1 },
+        depth,
         groups: campus.groups.len(),
         events,
         report_msgs: counts.report_msgs,

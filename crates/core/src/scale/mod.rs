@@ -13,10 +13,7 @@
 //!
 //! | module | provides |
 //! |---|---|
-//! | [`arena`] | [`Arena`]: index-addressed typed storage, `u32` handles |
-//! | [`intern`] | [`Interner`]/[`Sym`]: shared descriptor strings |
-//! | [`shape`] | [`HierShape`]: the MRM hierarchy as arithmetic, no member `Vec`s |
-//! | [`soa`] | [`CampusSoa`]: cold per-node columns + lazy service-state arena |
+//! | [`soa`] | [`CampusSoa`]: cold per-node columns, lazily materialized service rows, shared site names |
 //! | [`campus`] | [`ScaleCampus`]: one DES actor driving the whole campus on the packed event lane |
 //!
 //! Design rules (enforced by lint rule D6 on this directory):
@@ -27,25 +24,21 @@
 //! * **Lazy materialization** — a node's mutable service state
 //!   ([`soa::SvcState`]) is allocated on *first message to that node*;
 //!   a campus where 1 % of nodes are ever addressed allocates 1 % of
-//!   the service arena (`nodes_materialized` reports the count).
-//! * **Equivalence over reinvention** — [`HierShape`] computes exactly
-//!   the groups that [`Hierarchy::build`](crate::cohesion::Hierarchy)
-//!   materializes (proven by test), so the scale model routes queries
-//!   through the same tree the full node stack would.
+//!   the service rows (`nodes_materialized` reports the count).
+//! * **One protocol, two drivers** — the tree is
+//!   [`HierShape`](crate::cohesion::HierShape), the one every node reads
+//!   its duties from, and a query at a seat is routed by
+//!   [`route_at_seat`](crate::cohesion::route_at_seat), the function
+//!   `registry_svc` calls; only the soft-state *representation* (presence
+//!   masks instead of full reports) is the campus's own.
 
-pub mod arena;
 pub mod campus;
-pub mod intern;
-pub mod shape;
 pub mod soa;
 
-pub use arena::Arena;
 pub use campus::{
     run_scale, run_scale_profiled, QueryOutcome, ScaleCampus, ScaleConfig, ScaleReport, Variant,
     KIND_NAMES,
 };
-pub use intern::{Interner, Sym};
-pub use shape::HierShape;
 pub use soa::{CampusSoa, SvcState};
 
 /// Dense index of a node in the scale campus: row `i` of every column.

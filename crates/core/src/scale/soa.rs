@@ -7,16 +7,15 @@
 //!
 //! * **cold columns** — always allocated, a few bytes per node: site
 //!   id, capability flags, one service-state handle.
-//! * **hot rows** — [`SvcState`], allocated from an [`Arena`] on the
-//!   *first message addressed to the node*. A campus where queries only
-//!   ever touch 1 % of nodes allocates 1 % of the rows
-//!   (`nodes_materialized` reports the count).
-//! * **shared strings** — site names are interned once per site, not
-//!   once per node ([`Interner`]).
+//! * **hot rows** — [`SvcState`], appended to one `Vec` on the *first
+//!   message addressed to the node* and reached through a 4-byte row
+//!   number. A campus where queries only ever touch 1 % of nodes
+//!   allocates 1 % of the rows (`nodes_materialized` reports the count).
+//! * **shared strings** — site names are stored once per site, not once
+//!   per node; a row holds the 4-byte index of its site's name.
 
-use super::arena::{Arena, Idx};
-use super::intern::{Interner, Sym};
 use super::NodeIdx;
+use std::collections::BTreeMap;
 
 /// Sentinel in the `svc` column: service state not yet materialized.
 const UNMATERIALIZED: u32 = u32::MAX;
@@ -41,8 +40,8 @@ pub struct SvcState {
     pub offers_served: u32,
     /// Offers received back on queries it originated.
     pub offers_received: u32,
-    /// Interned name of the node's site.
-    pub site_name: Option<Sym>,
+    /// Index of the node's site name ([`CampusSoa::site_name`]).
+    pub site_name: Option<u32>,
 }
 
 /// The campus as parallel columns.
@@ -52,12 +51,14 @@ pub struct CampusSoa {
     site: Vec<u16>,
     /// Capability flags per node (cold).
     flags: Vec<u8>,
-    /// Service-state handle per node; `UNMATERIALIZED` until first use.
+    /// Row of `rows` per node; `UNMATERIALIZED` until first use.
     svc: Vec<u32>,
-    /// Lazily-populated service rows.
-    rows: Arena<SvcState>,
-    /// Shared descriptor strings.
-    strings: Interner,
+    /// Lazily-populated service rows, in materialization order. Rows are
+    /// never removed (the scale model's lifetimes are whole-run).
+    rows: Vec<SvcState>,
+    /// Distinct site names in first-use order, and their index by name.
+    site_names: Vec<String>,
+    site_index: BTreeMap<String, u32>,
 }
 
 impl CampusSoa {
@@ -71,8 +72,9 @@ impl CampusSoa {
             site,
             flags,
             svc: vec![UNMATERIALIZED; n as usize],
-            rows: Arena::new(),
-            strings: Interner::new(),
+            rows: Vec::new(),
+            site_names: Vec::new(),
+            site_index: BTreeMap::new(),
         }
     }
 
@@ -109,34 +111,41 @@ impl CampusSoa {
         self.rows.len()
     }
 
-    /// Distinct site names interned so far.
+    /// Distinct site names stored so far.
     pub fn distinct_sites(&self) -> usize {
-        self.strings.len()
+        self.site_names.len()
     }
 
     /// Service state of `node`, allocating it on first call. The
-    /// node's site name is interned here — shared with every other
-    /// node of the site.
+    /// node's site name is stored here — shared with every other node
+    /// of the site.
     pub fn materialize(&mut self, node: NodeIdx) -> &mut SvcState {
-        let slot = self.svc[node.row()];
-        if slot != UNMATERIALIZED {
-            return self.rows.get_mut(Idx::from_raw(slot));
+        let mut slot = self.svc[node.row()];
+        if slot == UNMATERIALIZED {
+            let name = format!("site-{}", self.site[node.row()]);
+            let site_name = match self.site_index.get(&name) {
+                Some(&i) => i,
+                None => {
+                    // The list and the index each own a fresh exact-size
+                    // copy — what `bytes()` counts, and the allocations
+                    // `PERF_EXACT.txt` pins for `scale_hier`.
+                    let i = self.site_names.len() as u32;
+                    self.site_index.insert(name.clone(), i);
+                    self.site_names.push(name.clone());
+                    i
+                }
+            };
+            slot = self.rows.len() as u32;
+            self.rows.push(SvcState { site_name: Some(site_name), ..SvcState::default() });
+            self.svc[node.row()] = slot;
         }
-        let site = self.site[node.row()];
-        let sym = self.strings.intern(&format!("site-{site}"));
-        let idx = self.rows.alloc(SvcState { site_name: Some(sym), ..SvcState::default() });
-        self.svc[node.row()] = idx.raw();
-        self.rows.get_mut(idx)
+        &mut self.rows[slot as usize]
     }
 
-    /// Service state of `node` if already materialized.
+    /// Service state of `node` if already materialized
+    /// (`UNMATERIALIZED` is past the end of any row list).
     pub fn svc(&self, node: NodeIdx) -> Option<&SvcState> {
-        let slot = self.svc[node.row()];
-        if slot == UNMATERIALIZED {
-            None
-        } else {
-            Some(self.rows.get(Idx::from_raw(slot)))
-        }
+        self.rows.get(self.svc[node.row()] as usize)
     }
 
     /// Materialize every node up front (the eager baseline the lazy
@@ -147,19 +156,20 @@ impl CampusSoa {
         }
     }
 
-    /// Resolve an interned string.
-    pub fn resolve(&self, sym: Sym) -> &str {
-        self.strings.resolve(sym)
+    /// The site name a row's [`SvcState::site_name`] indexes.
+    pub fn site_name(&self, index: u32) -> &str {
+        &self.site_names[index as usize]
     }
 
-    /// Bytes held, len-based: cold columns + materialized rows +
-    /// interned strings. Deterministic across identical runs.
+    /// Bytes held, len-based: cold columns + materialized rows + site
+    /// names (payload twice — list entry and index key — plus the index
+    /// value). Deterministic across identical runs.
     pub fn bytes(&self) -> usize {
         self.site.len() * std::mem::size_of::<u16>()
             + self.flags.len() * std::mem::size_of::<u8>()
             + self.svc.len() * std::mem::size_of::<u32>()
-            + self.rows.bytes()
-            + self.strings.bytes()
+            + self.rows.len() * std::mem::size_of::<SvcState>()
+            + self.site_names.iter().map(|n| 2 * n.len() + 4).sum::<usize>()
     }
 }
 
@@ -214,9 +224,13 @@ mod tests {
         let c = soa.materialize(NodeIdx(700)).site_name.unwrap();
         assert_eq!(a, b);
         assert_ne!(a, c);
-        assert_eq!(soa.resolve(a), "site-1");
-        assert_eq!(soa.resolve(c), "site-2");
+        assert_eq!(soa.site_name(a), "site-1");
+        assert_eq!(soa.site_name(c), "site-2");
         assert_eq!(soa.distinct_sites(), 2);
+        // The byte accounting BENCH_e13.json's columns rest on: 7 cold
+        // bytes per node, 20 per materialized row, 2·len + 4 per name.
+        assert_eq!(std::mem::size_of::<SvcState>(), 20);
+        assert_eq!(soa.bytes(), 1_000 * 7 + 3 * 20 + 2 * (2 * "site-1".len() + 4));
     }
 
     #[test]

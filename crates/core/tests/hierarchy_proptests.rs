@@ -1,8 +1,9 @@
 //! Property-based tests on the MRM hierarchy and cohesion soft state:
 //! structural invariants for any population size, fanout and replica
-//! count (§2.4.3 group formation).
+//! count (§2.4.3 group formation), and the arithmetic tree against the
+//! materialized construction it replaced.
 
-use lc_core::cohesion::{CohesionConfig, DutyState, Hierarchy};
+use lc_core::cohesion::{CohesionConfig, DutyState, Hierarchy, MrmDuty};
 use lc_core::GroupSummary;
 use lc_des::SimTime;
 use lc_net::HostId;
@@ -18,6 +19,133 @@ fn cfg(fanout: usize, replicas: usize) -> CohesionConfig {
     }
 }
 
+fn hosts(ids: impl Iterator<Item = u64>) -> Vec<HostId> {
+    ids.map(|i| HostId(u32::try_from(i).expect("host fits u32"))).collect()
+}
+
+/// The reference construction: chunk the member list into groups of
+/// `fanout`, elect the first `replicas` of each chunk, recurse over the
+/// chunk primaries, and answer per-host questions by scanning every
+/// group. This is what `Hierarchy` was before it became arithmetic over
+/// `HierShape`; it lives on only as the oracle below.
+struct OracleGroup {
+    members: Vec<HostId>,
+    mrms: Vec<HostId>,
+}
+
+struct Oracle {
+    levels: Vec<Vec<OracleGroup>>,
+}
+
+impl Oracle {
+    fn build(n: u32, fanout: usize, replicas: usize) -> Oracle {
+        let mut levels: Vec<Vec<OracleGroup>> = Vec::new();
+        let mut current: Vec<HostId> = (0..n).map(HostId).collect();
+        loop {
+            let groups: Vec<OracleGroup> = current
+                .chunks(fanout)
+                .map(|members| OracleGroup {
+                    members: members.to_vec(),
+                    mrms: members.iter().take(replicas).copied().collect(),
+                })
+                .collect();
+            current = groups.iter().map(|g| g.mrms[0]).collect();
+            levels.push(groups);
+            if current.len() == 1 {
+                return Oracle { levels };
+            }
+        }
+    }
+
+    fn report_targets(&self, host: HostId) -> Vec<HostId> {
+        let leaf = self.levels[0].iter().find(|g| g.members.contains(&host));
+        leaf.expect("host in a leaf group").mrms.clone()
+    }
+
+    fn duties_of(&self, host: HostId) -> Vec<MrmDuty> {
+        let mut duties = Vec::new();
+        for (level, groups) in self.levels.iter().enumerate() {
+            for g in groups.iter().filter(|g| g.mrms.contains(&host)) {
+                // Parent group = the one a level up containing this
+                // group's primary.
+                let parent = self.levels.get(level + 1).map(|above| {
+                    above.iter().find(|pg| pg.members.contains(&g.mrms[0])).expect("parent group")
+                });
+                duties.push(MrmDuty {
+                    level: level as u8,
+                    replicas: g.mrms.clone(),
+                    members: g.members.clone(),
+                    parent_replicas: parent.map(|pg| pg.mrms.clone()).unwrap_or_default(),
+                });
+            }
+        }
+        duties
+    }
+}
+
+/// The arithmetic tree is the materialized one: same depth, same groups,
+/// members, MRMs and parents, and for every host the same report targets
+/// and duties.
+fn assert_matches_oracle(n: u32, fanout: usize, replicas: usize) {
+    let ctx = format!("n={n} fanout={fanout} replicas={replicas}");
+    let oracle = Oracle::build(n, fanout, replicas);
+    let h = Hierarchy::build(n as usize, cfg(fanout, replicas));
+    let shape = &h.shape;
+    assert_eq!(shape.depth(), oracle.levels.len(), "depth, {ctx}");
+    let mut groups_total = 0;
+    for (level, groups) in oracle.levels.iter().enumerate() {
+        assert_eq!(shape.group_count(level), groups.len() as u64, "groups at {level}, {ctx}");
+        groups_total += groups.len() as u64;
+        for (g, group) in groups.iter().enumerate() {
+            let g = g as u64;
+            assert_eq!(hosts(shape.members(level, g)), group.members, "members {level}/{g}, {ctx}");
+            assert_eq!(hosts(shape.mrms(level, g)), group.mrms, "mrms {level}/{g}, {ctx}");
+            assert_eq!(shape.group_size(level, g), group.members.len() as u64);
+            // A subtree spans from the group's primary to the next group's.
+            let next = groups.get(g as usize + 1).map_or(n, |ng| ng.members[0].0);
+            assert_eq!(shape.subtree(level, g), u64::from(group.members[0].0)..u64::from(next));
+            match shape.parent(level, g) {
+                Some((pl, pg)) => {
+                    assert_eq!(pl, level + 1);
+                    let parent = &oracle.levels[pl][pg as usize];
+                    let slot = shape.slot_in_parent(g) as usize;
+                    assert_eq!(parent.members[slot], group.mrms[0], "parent of {level}/{g}, {ctx}");
+                }
+                None => assert_eq!(level + 1, oracle.levels.len(), "root level, {ctx}"),
+            }
+        }
+    }
+    assert_eq!(shape.groups_total(), groups_total);
+    for host in (0..n).map(HostId) {
+        assert_eq!(h.report_targets(host), oracle.report_targets(host), "{host:?}, {ctx}");
+        assert_eq!(h.duties_of(host), oracle.duties_of(host), "{host:?}, {ctx}");
+    }
+}
+
+/// Powers, non-powers, ragged last groups at every level, a one-host
+/// tree, fanout ≥ n (one group) and more replicas than a group has
+/// members.
+#[test]
+fn matches_materialized_hierarchy() {
+    for n in [1, 2, 5, 8, 9, 37, 64, 65, 100, 257, 512, 1_000, 1_016] {
+        for fanout in [2, 3, 4, 8, 16, 64, 1_000] {
+            for replicas in [1, 2, 3, 5] {
+                assert_matches_oracle(n, fanout, replicas);
+            }
+        }
+    }
+}
+
+#[test]
+fn generated_trees_match_the_oracle() {
+    check("generated_trees_match_the_oracle", |g| {
+        let n = g.gen_range(1..400u32);
+        let fanout = g.gen_range(2..24usize);
+        let replicas = g.gen_range(1..6usize);
+        assert_matches_oracle(n, fanout, replicas);
+    });
+}
+
 /// Structural invariants of group formation.
 #[test]
 fn hierarchy_invariants() {
@@ -26,31 +154,31 @@ fn hierarchy_invariants() {
         let fanout = g.gen_range(2..20usize);
         let replicas = g.gen_range(1..5usize);
 
-        let hosts: Vec<HostId> = (0..n).map(HostId).collect();
-        let h = Hierarchy::build(&hosts, cfg(fanout, replicas));
+        let h = Hierarchy::build(n as usize, cfg(fanout, replicas));
+        let s = &h.shape;
+        let groups = |level| (0..s.group_count(level)).map(move |g| (level, g));
 
         // 1. Leaf groups partition the hosts exactly.
         let mut seen = BTreeSet::new();
-        for gr in &h.levels[0] {
-            assert!(gr.members.len() <= fanout);
-            for m in &gr.members {
-                assert!(seen.insert(*m), "host {m} in two leaf groups");
+        for (level, g) in groups(0) {
+            assert!(s.group_size(level, g) <= fanout as u64);
+            for m in s.members(level, g) {
+                assert!(seen.insert(m), "host {m} in two leaf groups");
             }
         }
-        assert_eq!(seen.len(), n as usize);
+        assert_eq!(seen, (0..u64::from(n)).collect());
 
         // 2. Every group's MRM seats are a prefix of its members, at most
         //    `replicas` of them, never empty.
-        for groups in &h.levels {
-            for gr in groups {
-                assert!(!gr.mrms.is_empty());
-                assert!(gr.mrms.len() <= replicas.min(gr.members.len()));
-                assert_eq!(&gr.members[..gr.mrms.len()], &gr.mrms[..]);
-            }
+        for (level, g) in (0..h.depth()).flat_map(groups) {
+            let (members, mrms) = (hosts(s.members(level, g)), hosts(s.mrms(level, g)));
+            assert!(!mrms.is_empty());
+            assert!(mrms.len() <= replicas.min(members.len()));
+            assert_eq!(&members[..mrms.len()], &mrms[..]);
         }
 
         // 3. The top level has exactly one group; depth is logarithmic.
-        assert_eq!(h.levels.last().unwrap().len(), 1);
+        assert_eq!(s.group_count(h.depth() - 1), 1);
         let mut expect_depth = 1usize;
         let mut count = n as usize;
         while count > fanout {
@@ -61,25 +189,23 @@ fn hierarchy_invariants() {
 
         // 4. Level k+1 members are exactly the level-k primaries.
         for k in 0..h.depth() - 1 {
-            let primaries: BTreeSet<HostId> =
-                h.levels[k].iter().map(|gr| gr.primary()).collect();
-            let members: BTreeSet<HostId> = h.levels[k + 1]
-                .iter()
-                .flat_map(|gr| gr.members.iter().copied())
-                .collect();
+            let primaries: BTreeSet<u64> = groups(k).map(|(l, g)| s.primary(l, g)).collect();
+            let members: BTreeSet<u64> =
+                groups(k + 1).flat_map(|(l, g)| s.members(l, g)).collect();
             assert_eq!(primaries, members);
         }
 
         // 5. Every plain host has report targets = its leaf group's MRMs,
         //    and duties are consistent with the group tables.
-        for &host in hosts.iter().take(50) {
-            let targets = h.report_targets(host);
-            assert!(!targets.is_empty());
+        for host in (0..n.min(50)).map(HostId) {
+            let leaf = s.leaf_group_of(u64::from(host.0));
+            assert_eq!(h.report_targets(host), hosts(s.mrms(0, leaf)));
             let duties = h.duties_of(host);
             for d in &duties {
                 assert!(d.replicas.contains(&host));
-                // a duty's level is unique per host
+                assert!(d.members.contains(&host));
             }
+            // a duty's level is unique per host
             let mut levels: Vec<u8> = duties.iter().map(|d| d.level).collect();
             levels.sort_unstable();
             levels.dedup();

@@ -47,16 +47,16 @@ struct Observed {
     offers: usize,
 }
 
-/// The campus on the full node stack: `n / 8` sites of 8 hosts, fanout
-/// 8, 2 MRM replicas, single-leader registry, no cache, no faults. The
-/// queries run one at a time so the global `query.*` counters can be
-/// attributed per query.
-fn through_nodes(n: u32) -> Vec<Observed> {
+/// The campus on the full node stack: `n / 8` sites of 8 hosts, groups
+/// of `fanout` with `replicas` MRMs, single-leader registry, no cache,
+/// no faults. The queries run one at a time so the global `query.*`
+/// counters can be attributed per query.
+fn through_nodes(n: u32, fanout: usize, replicas: usize) -> Vec<Observed> {
     let packages: Vec<Rc<Vec<u8>>> = COMPONENTS.iter().map(|c| package(c)).collect();
     let config = NodeConfig::builder()
         .cohesion(CohesionConfig {
-            fanout: 8,
-            replicas: 2,
+            fanout,
+            replicas,
             report_period: SimTime::from_secs(2),
             timeout_intervals: 3,
         })
@@ -103,8 +103,8 @@ fn through_nodes(n: u32) -> Vec<Observed> {
         .collect()
 }
 
-fn through_model(n: u32) -> Vec<Observed> {
-    let report = run_scale(ScaleConfig::new(n, Variant::Hier), 42);
+fn through_model(n: u32, variant: Variant) -> Vec<Observed> {
+    let report = run_scale(ScaleConfig::new(n, variant), 42);
     assert_eq!(report.outcomes.len(), QUERIES as usize);
     report
         .outcomes
@@ -148,27 +148,44 @@ fn local_hops(shape: &HierShape, origin: u32, comp: usize) -> u64 {
     local
 }
 
+fn owns(origin: u32, comp: usize) -> bool {
+    origin % 256 == OWNER_RESIDUE[comp]
+}
+
+/// Powers of the fanout (512, 4 096) and ragged trees (1 000 and 1 016:
+/// 125 and 127 leaf groups → 16 → 2 → 1, short last groups above the
+/// leaves).
 #[test]
 fn node_stack_and_scale_model_agree_query_by_query() {
-    for n in [512u32, 4_096] {
+    let mut self_owned = 0;
+    for n in [512u32, 1_000, 1_016, 4_096] {
         let shape = HierShape::build(u64::from(n), 8, 2);
-        let nodes = through_nodes(n);
-        let model = through_model(n);
-        let mut self_owned = 0;
+        let nodes = through_nodes(n, 8, 2);
+        let model = through_model(n, Variant::Hier);
         for i in 0..QUERIES {
             let (origin, comp) = (origin_of(i, n), i as usize % COMPONENTS.len());
             let (a, b) = (nodes[i as usize], model[i as usize]);
             let ctx = format!("n={n} query {i} from {origin}: nodes {a:?}, model {b:?}");
-            if origin % 256 == OWNER_RESIDUE[comp] {
+            if owns(origin, comp) {
                 // Difference 2: the origin holds the component itself.
-                // The node answers from its own repository, its leaf MRM
-                // skips it as a candidate, finds no other, escalates once
-                // and dead-ends (query + QueryDone on the wire; the
-                // escalation and the descent back stay on one host). The
-                // model asks the origin like any member: query, member
-                // query, offer, no escalation.
+                // The node answers from its own repository; its leaf MRM
+                // does not offer the query back to it (the one `false`
+                // in `mrm_route_query`'s offer), finds no other taker,
+                // escalates once for nothing, and the parent's descent
+                // back dead-ends at the same leaf: query, escalation,
+                // descent, QueryDone. The escalation and the descent stay
+                // on one host when the leaf primary also leads the parent
+                // group; the other two always cross the wire, an owner
+                // being no leaf primary (7, 19 ≢ 0 mod 8). The model asks
+                // the origin like any member: query, member query, offer,
+                // no escalation.
                 self_owned += 1;
-                assert_eq!(a, Observed { msgs: 2, escalations: 1, offers: 1 }, "{ctx}");
+                let leaf = shape.leaf_group_of(u64::from(origin));
+                assert_ne!(shape.primary(0, leaf), u64::from(origin), "{ctx}");
+                let (pl, pg) = shape.parent(0, leaf).expect("a leaf group has a parent");
+                let leads_parent = shape.primary(pl, pg) == shape.primary(0, leaf);
+                let msgs = 4 - 2 * u64::from(leads_parent);
+                assert_eq!(a, Observed { msgs, escalations: 1, offers: 1 }, "{ctx}");
                 assert_eq!(b, Observed { msgs: 3, escalations: 0, offers: 1 }, "{ctx}");
                 continue;
             }
@@ -177,6 +194,30 @@ fn node_stack_and_scale_model_agree_query_by_query() {
             // Difference 1: same-host hops cost the model a message each.
             assert_eq!(a.msgs + local_hops(&shape, origin, comp), b.msgs, "{ctx}");
         }
-        assert_eq!(self_owned, 1, "n={n}: exactly one origin owns what it asks for");
+    }
+    assert!(self_owned >= 3, "difference 2 went unexercised: {self_owned} self-owned origins");
+}
+
+/// The campus's `Flat` variant against the real stack collapsed into one
+/// group (`fanout = n`, one MRM: what `lc_baselines::flat_config`
+/// returns). Neither side has a same-host hop — host 0, the central
+/// registry, neither asks nor owns — so only difference 2 remains.
+#[test]
+fn flat_variant_is_the_stack_under_a_one_group_config() {
+    for n in [512u32, 2_048] {
+        let owners = u64::from(n / 256);
+        let nodes = through_nodes(n, n as usize, 1);
+        let model = through_model(n, Variant::Flat);
+        for i in 0..QUERIES {
+            let (origin, comp) = (origin_of(i, n), i as usize % COMPONENTS.len());
+            let (a, b) = (nodes[i as usize], model[i as usize]);
+            let ctx = format!("flat n={n} query {i} from {origin}: nodes {a:?}, model {b:?}");
+            // Query to the centre, then a member query and an offer per owner.
+            let expect = Observed { msgs: 2 * owners + 1, escalations: 0, offers: owners as usize };
+            assert_eq!(b, expect, "{ctx}");
+            assert_eq!((a.offers, a.escalations), (b.offers, b.escalations), "{ctx}");
+            // Difference 2: the centre leaves a self-owning origin out.
+            assert_eq!(a.msgs + 2 * u64::from(owns(origin, comp)), b.msgs, "{ctx}");
+        }
     }
 }

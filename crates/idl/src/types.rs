@@ -417,7 +417,11 @@ impl<'a> Resolver<'a> {
             TypeRef::Double => ResolvedType::Double,
             TypeRef::String => ResolvedType::String,
             TypeRef::Sequence(inner) => {
-                ResolvedType::Sequence(Box::new(self.resolve(inner, scope, what)?))
+                let element = self.resolve(inner, scope, what)?;
+                if element == ResolvedType::Void {
+                    return sem(format!("{what}: sequence element cannot be void"));
+                }
+                ResolvedType::Sequence(Box::new(element))
             }
             TypeRef::Named(n) => {
                 let Some((found_scope, entry)) = self.lookup(n, scope) else {
@@ -749,6 +753,20 @@ mod tests {
         assert!(compile("struct S { long x; }; interface I { void f() raises (S); };").is_err());
         assert!(compile("interface I : NotThere {};").is_err());
         assert!(compile("struct S {}; interface I : S {};").is_err());
+        // `void` is a return type only — not an element type either,
+        // spelled out or behind an alias, at any nesting depth.
+        for src in [
+            "interface I { void f(in sequence<void> x); };",
+            "interface I { sequence<sequence<void> > f(); };",
+            "struct S { sequence<void> xs; };",
+            "typedef void V; struct S { sequence<V> xs; };",
+            "typedef sequence<void> Vs; interface I { void f(in Vs x); };",
+            "typedef void V; eventtype Ev { sequence<V> xs; };",
+        ] {
+            let e = compile(src).unwrap_err();
+            assert!(e.to_string().contains("sequence element cannot be void"), "{src}: {e}");
+        }
+        assert!(compile("typedef long L; struct S { sequence<L> xs; };").is_ok());
     }
 
     #[test]

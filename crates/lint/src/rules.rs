@@ -26,7 +26,8 @@
 //!   export byte-identical span files and tallies), so this scope gets
 //!   a stricter rule than the D1/D4 defaults — no allowlist, no test
 //!   exemption.
-//! * **D6** — arena/SoA modules (`crates/core/src/scale/`, the indexed
+//! * **D6** — arena/SoA modules (`crates/core/src/scale/`, the
+//!   arithmetic MRM tree in `crates/core/src/cohesion.rs`, the indexed
 //!   event queue) must stay flat: no `Rc<RefCell<…>>`, no `Box<dyn …>`.
 //!   The million-node refactor's whole premise is dense rows addressed
 //!   by `u32` handles; one shared-ownership cell or per-item vtable
@@ -61,7 +62,8 @@ const DES_CRATES: [&str; 10] =
 /// ownership (`Rc<RefCell<…>>`) and per-item virtual dispatch
 /// (`Box<dyn …>`) are banned — either would silently reintroduce the
 /// pointer-chasing layout the scale refactor removed.
-const ARENA_SOA_SCOPE: [&str; 2] = ["crates/core/src/scale/", "crates/des/src/queue.rs"];
+const ARENA_SOA_SCOPE: [&str; 3] =
+    ["crates/core/src/scale/", "crates/core/src/cohesion.rs", "crates/des/src/queue.rs"];
 
 /// Files outside `crates/trace` held to the same hermetic bar (D5):
 /// the DES virtual-time profiler, whose tallies must reproduce
@@ -585,6 +587,8 @@ mod tests {
         let dy = "let a: Box<dyn Actor> = Box::new(x);";
         assert_eq!(hits(rc, "crates/core/src/scale/soa.rs"), vec![("D6", 1, false)]);
         assert_eq!(hits(dy, "crates/des/src/queue.rs"), vec![("D6", 1, false)]);
+        // `HierShape`, the tree the campus routes over, lives beside the protocol.
+        assert_eq!(hits(dy, "crates/core/src/cohesion.rs"), vec![("D6", 1, false)]);
         // Outside the scoped modules the layouts are legitimate.
         assert!(hits(rc, "crates/core/src/node.rs").is_empty());
         assert!(hits(dy, "crates/des/src/lib.rs").is_empty());
