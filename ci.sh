@@ -31,8 +31,10 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-dep
 #   OUT     "-" for a binary that writes no file, else the suffix of the
 #           output path passed as its last argument, target/BIN.run<i>OUT
 #           (e11 and e15 derive their other file names from it).
-#   GOLDEN  "-" or the stem of the committed artefacts: run 1's file
-#           target/BIN.run1<ext> must also equal GOLDEN<ext>.
+#   GOLDEN  "-" or the stem of the committed artefacts: every committed
+#           GOLDEN.<ext> must equal run 1's target/BIN.run1.<ext>
+#           (.out is stdout), so what a binary prints or writes changes
+#           across commits only as a reviewed diff.
 identical() {
   out=$1 golden=$2 bin=$3
   shift 3
@@ -44,31 +46,30 @@ identical() {
     esac
   done
   for f in "$stem"1*; do
-    ext=${f#"$stem"1}
-    diff "$f" "${stem}2$ext"
-    case $golden$ext in
-      -* | *.out) ;;
-      *) diff "$f" "$golden$ext" ;;
-    esac
+    diff "$f" "${stem}2${f#"$stem"1}"
   done
+  case $golden in
+    -) ;;
+    *) for g in "$golden".*; do diff "${stem}1${g#"$golden"}" "$g"; done ;;
+  esac
   rm -f "$stem"[12]*
 }
 
 # Stdout-only experiments and figures: with the observability stack at
 # its defaults (profiler disabled, no sampling, no SLO monitors) every
-# one of them is byte-identical run to run. E10 is the fault-injection
-# determinism gate: the same seeds must reproduce the same faults,
-# retries and recoveries.
+# one of them is byte-identical run to run and to its committed
+# golden/<bin>.out. E10 is the fault-injection determinism gate: the
+# same seeds must reproduce the same faults, retries and recoveries.
 for e in e1_lightweight e2_query_scalability e3_consistency e4_fault_tolerance \
   e5_deployment e6_video_migration e7_cscw_fanout e8_grid_speedup e9_packaging \
   e10_fault_tolerance f1_node_structure f2_cscw_model; do
-  identical - - $e
+  identical - golden/$e $e
 done
 
-# Observability (E11): the report and both trace exports (span ids come
-# from per-node counters, timestamps from virtual time -- no wall clock,
-# no RNG in the tracer).
-identical "" - e11_observability
+# Observability (E11): the report (also against its golden) and both
+# trace exports (span ids come from per-node counters, timestamps from
+# virtual time -- no wall clock, no RNG in the tracer).
+identical "" golden/e11_observability e11_observability
 
 # Cache/coalescing (E12): the JSON summary must match the committed
 # BENCH_e12.json (the claimed msgs/query reduction is a checked

@@ -29,7 +29,7 @@ use lc_core::node::{InvokePolicy, NodeCmd, QueryResult};
 use lc_core::testkit::{build_world_on, World};
 use lc_core::{ComponentQuery, InvokeSink, NodeConfig};
 use lc_des::{nearest_rank, SimTime};
-use lc_net::{ChurnHooks, FaultPlan, HostId, LinkFaults, Net, Topology};
+use lc_net::{FaultPlan, HostId, LinkFaults, Net, Topology};
 use lc_orb::{ObjectRef, Value};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -298,31 +298,15 @@ fn crash_run() -> (f64, u64, u64) {
         SimTime::from_secs(8),
         Some(SimTime::from_secs(16)),
     );
-    let w = world(5000, Some(plan), hier_cfg(InvokePolicy::default(), 1));
-    let mut sim = w.sim;
-    let seeds = w.seeds.clone();
-    let actors = Rc::new(RefCell::new(w.actors.clone()));
-    let (a1, a2) = (actors.clone(), actors.clone());
-    w.net.install_drivers(
-        &mut sim,
-        ChurnHooks {
-            on_crash: Box::new(move |sim, h| sim.kill(a1.borrow()[h.0 as usize])),
-            on_recover: Box::new(move |sim, h| {
-                let a = seeds[h.0 as usize].spawn(sim);
-                a2.borrow_mut()[h.0 as usize] = a;
-            }),
-        },
-    );
-    sim.run_until(SimTime::from_secs(3));
+    let mut w = world(5000, Some(plan), hier_cfg(InvokePolicy::default(), 1));
+    w.sim.run_until(SimTime::from_secs(3));
 
     let mut outage_probes = Vec::new();
-    while sim.now() < SimTime::from_secs(20) {
+    while w.sim.now() < SimTime::from_secs(20) {
         let sink: Rc<RefCell<QueryResult>> = Rc::default();
-        let during = sim.now() >= SimTime::from_secs(8) && sim.now() < SimTime::from_secs(16);
-        let actor = actors.borrow()[12];
-        sim.send_in(
-            SimTime::ZERO,
-            actor,
+        let during = w.sim.now() >= SimTime::from_secs(8) && w.sim.now() < SimTime::from_secs(16);
+        w.cmd(
+            HostId(12),
             NodeCmd::Query {
                 query: ComponentQuery::by_name("Counter", lc_pkg::Version::new(1, 0)),
                 sink: sink.clone(),
@@ -332,15 +316,15 @@ fn crash_run() -> (f64, u64, u64) {
         if during {
             outage_probes.push(sink);
         }
-        let next = sim.now() + SimTime::from_millis(250);
-        sim.run_until(next);
+        let next = w.sim.now() + SimTime::from_millis(250);
+        w.sim.run_until(next);
     }
-    sim.run_until(SimTime::from_secs(22));
+    w.sim.run_until(SimTime::from_secs(22));
     let hits = outage_probes.iter().filter(|s| !s.borrow().offers.is_empty()).count();
     (
         hits as f64 / outage_probes.len().max(1) as f64,
-        sim.metrics_ref().counter("net.fault.crashes"),
-        sim.metrics_ref().counter("net.fault.restarts"),
+        w.sim.metrics_ref().counter("net.fault.crashes"),
+        w.sim.metrics_ref().counter("net.fault.restarts"),
     )
 }
 

@@ -12,7 +12,7 @@
 use lc_baselines::strong::{StrongConfig, StrongMember};
 use lc_bench::{f2, per_service_rows, print_table, PER_SERVICE_HEADERS};
 use lc_core::demo;
-use lc_core::testkit::build_world;
+use lc_core::testkit::{build_world, build_world_on};
 use lc_core::{CohesionConfig, NodeConfig};
 use lc_net::HostId;
 use lc_des::{Sim, SimTime};
@@ -35,8 +35,19 @@ struct Row {
 fn run_soft(mean_uptime: Option<SimTime>, seed: u64) -> Row {
     let behaviors = lc_core::BehaviorRegistry::new();
     demo::register_demo_behaviors(&behaviors);
-    let world = build_world(
-        Topology::campus(8, 8),
+    let mut net = Net::builder(Topology::campus(8, 8));
+    if let Some(up) = mean_uptime {
+        // Crash/recover the non-MRM hosts (MRM failover is E4's topic):
+        // spare the 2 MRM replicas per group.
+        net = net.churn(ChurnConfig {
+            mean_uptime: up,
+            mean_downtime: SimTime::from_secs(10),
+            victims: (0..N as u32).map(HostId).filter(|h| h.0 % 8 >= 2).collect(),
+            until: SimTime::from_secs(RUN_SECS),
+        });
+    }
+    let mut world = build_world_on(
+        net.build(),
         seed,
         NodeConfig {
             cohesion: CohesionConfig {
@@ -52,43 +63,9 @@ fn run_soft(mean_uptime: Option<SimTime>, seed: u64) -> Row {
         Arc::new(demo::demo_idl()),
         |_| Vec::new(),
     );
-    let mut sim = world.sim;
-    let net = world.net.clone();
-    let seeds = world.seeds.clone();
-    let actors = Rc::new(RefCell::new(world.actors.clone()));
 
-    if let Some(up) = mean_uptime {
-        // Crash/recover the non-MRM hosts (MRM failover is E4's topic).
-        let victims: Vec<_> = net
-            .host_ids()
-            .into_iter()
-            .filter(|h| h.0 % 8 >= 2) // spare the 2 MRM replicas per group
-            .collect();
-        let a1 = actors.clone();
-        let a2 = actors.clone();
-        ChurnDriver::new(
-            net.clone(),
-            ChurnConfig {
-                mean_uptime: up,
-                mean_downtime: SimTime::from_secs(10),
-                victims,
-                until: SimTime::from_secs(RUN_SECS),
-            },
-            ChurnHooks {
-                on_crash: Box::new(move |sim, h| {
-                    sim.kill(a1.borrow()[h.0 as usize]);
-                }),
-                on_recover: Box::new(move |sim, h| {
-                    let a = seeds[h.0 as usize].spawn(sim);
-                    a2.borrow_mut()[h.0 as usize] = a;
-                }),
-            },
-        )
-        .install(&mut sim);
-    }
-
-    sim.run_until(SimTime::from_secs(RUN_SECS));
-    let m = sim.metrics_ref();
+    world.sim.run_until(SimTime::from_secs(RUN_SECS));
+    let m = world.sim.metrics_ref();
     let msgs = m.counter("cohesion.reports") + m.counter("cohesion.summaries");
     Row {
         msgs_per_node_s: msgs as f64 / N as f64 / RUN_SECS as f64,
@@ -184,7 +161,7 @@ fn main() {
     for period_ms in [500u64, 1000, 2000, 5000] {
         let behaviors = lc_core::BehaviorRegistry::new();
         demo::register_demo_behaviors(&behaviors);
-        let world = build_world(
+        let mut world = build_world(
             Topology::campus(8, 8),
             55,
             NodeConfig {
@@ -201,9 +178,8 @@ fn main() {
             Arc::new(demo::demo_idl()),
             |_| Vec::new(),
         );
-        let mut sim = world.sim;
-        sim.run_until(SimTime::from_secs(60));
-        let bytes = sim.metrics_ref().counter("net.bytes") as f64 / N as f64 / 60.0;
+        world.sim.run_until(SimTime::from_secs(60));
+        let bytes = world.sim.metrics_ref().counter("net.bytes") as f64 / N as f64 / 60.0;
         // staleness bound = eviction timeout
         rows.push(vec![
             period_ms.to_string(),

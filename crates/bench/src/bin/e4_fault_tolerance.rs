@@ -15,21 +15,25 @@ use lc_bench::{f2, print_table};
 use lc_core::cohesion::CohesionConfig;
 use lc_core::demo;
 use lc_core::node::{NodeCmd, QueryResult};
-use lc_core::testkit::build_world;
+use lc_core::testkit::build_world_on;
 use lc_core::{ComponentQuery, NodeConfig};
 use lc_des::SimTime;
-use lc_net::{ChurnConfig, ChurnDriver, ChurnHooks, HostId, Topology};
+use lc_net::{ChurnConfig, HostId, Net, Topology};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
 const N: usize = 64;
 
-fn world_with_replicas(k: usize, seed: u64) -> lc_core::testkit::World {
+fn world_with_replicas(k: usize, seed: u64, churn: Option<ChurnConfig>) -> lc_core::testkit::World {
     let behaviors = lc_core::BehaviorRegistry::new();
     demo::register_demo_behaviors(&behaviors);
-    build_world(
-        Topology::campus(8, 8),
+    let mut net = Net::builder(Topology::campus(8, 8));
+    if let Some(churn) = churn {
+        net = net.churn(churn);
+    }
+    build_world_on(
+        net.build(),
         seed,
         NodeConfig {
             cohesion: CohesionConfig {
@@ -52,46 +56,24 @@ fn world_with_replicas(k: usize, seed: u64) -> lc_core::testkit::World {
 
 /// Availability under continuous MRM churn.
 fn churn_run(k: usize) -> (f64, u64) {
-    let world = world_with_replicas(k, 200 + k as u64);
-    let mut sim = world.sim;
-    let net = world.net.clone();
-    let seeds = world.seeds.clone();
-    let actors = Rc::new(RefCell::new(world.actors.clone()));
-
     // Churn targets every MRM seat holder (hosts 0..k of each group).
-    let victims: Vec<HostId> =
-        net.host_ids().into_iter().filter(|h| (h.0 % 8) < k as u32).collect();
-    let a1 = actors.clone();
-    let a2 = actors.clone();
-    ChurnDriver::new(
-        net.clone(),
-        ChurnConfig {
-            mean_uptime: SimTime::from_secs(20),
-            mean_downtime: SimTime::from_secs(8),
-            victims,
-            until: SimTime::from_secs(60),
-        },
-        ChurnHooks {
-            on_crash: Box::new(move |sim, h| sim.kill(a1.borrow()[h.0 as usize])),
-            on_recover: Box::new(move |sim, h| {
-                let a = seeds[h.0 as usize].spawn(sim);
-                a2.borrow_mut()[h.0 as usize] = a;
-            }),
-        },
-    )
-    .install(&mut sim);
+    let churn = ChurnConfig {
+        mean_uptime: SimTime::from_secs(20),
+        mean_downtime: SimTime::from_secs(8),
+        victims: (0..N as u32).map(HostId).filter(|h| (h.0 % 8) < k as u32).collect(),
+        until: SimTime::from_secs(60),
+    };
+    let mut world = world_with_replicas(k, 200 + k as u64, Some(churn));
 
-    sim.run_until(SimTime::from_secs(3)); // converge first
+    world.sim.run_until(SimTime::from_secs(3)); // converge first
 
     let mut sinks = Vec::new();
     let mut k_query = 0u32;
-    while sim.now() < SimTime::from_secs(60) {
+    while world.sim.now() < SimTime::from_secs(60) {
         let origin = HostId(((k_query * 13 + 4) % N as u32) | 4); // never an MRM seat
         let sink: Rc<RefCell<QueryResult>> = Rc::default();
-        let actor = actors.borrow()[origin.0 as usize];
-        sim.send_in(
-            SimTime::ZERO,
-            actor,
+        world.cmd(
+            origin,
             NodeCmd::Query {
                 query: ComponentQuery::by_name("Counter", lc_pkg::Version::new(1, 0)),
                 sink: sink.clone(),
@@ -99,20 +81,20 @@ fn churn_run(k: usize) -> (f64, u64) {
             },
         );
         sinks.push(sink);
-        let deadline = sim.now() + SimTime::from_millis(250);
-        sim.run_until(deadline);
+        let deadline = world.sim.now() + SimTime::from_millis(250);
+        world.sim.run_until(deadline);
         k_query += 1;
     }
-    sim.run_until(SimTime::from_secs(62));
+    world.sim.run_until(SimTime::from_secs(62));
     let hits = sinks.iter().filter(|s| !s.borrow().offers.is_empty()).count();
     let availability = hits as f64 / sinks.len() as f64;
-    (availability, sim.metrics_ref().counter("query.failover"))
+    (availability, world.sim.metrics_ref().counter("query.failover"))
 }
 
 /// Scripted outage: crash the configured primaries of every group at
 /// t=5s, measure time until a query from each group succeeds again.
 fn failover_run(k: usize) -> Option<SimTime> {
-    let mut world = world_with_replicas(k, 300 + k as u64);
+    let mut world = world_with_replicas(k, 300 + k as u64, None);
     world.sim.run_until(SimTime::from_secs(3));
     // Crash every group's configured primary (host ≡ 0 mod 8).
     for g in 0..8u32 {

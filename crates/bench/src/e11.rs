@@ -1,6 +1,6 @@
-//! E11 — observability: deterministic distributed tracing, the node
-//! metrics registry and the per-node flight recorder, exercised end to
-//! end on a 24-node campus.
+//! E11 — observability: deterministic distributed tracing, the
+//! per-service node metrics and the per-node flight recorder, exercised
+//! end to end on a 24-node campus.
 //!
 //! The workload is a condensed E2 + E10: first-wins component queries
 //! from every site, cross-site invocations against a spawned Counter,

@@ -34,8 +34,8 @@ use lc_core::demo;
 use lc_core::node::{NodeCmd, QueryResult, RegistryConfig};
 use lc_core::testkit::{build_world_on, World};
 use lc_core::{CacheConfig, ComponentQuery, NodeConfig, ShardConfig};
-use lc_des::{nearest_rank, ActorId, Sim, SimTime};
-use lc_net::{ChurnHooks, FaultPlan, HostId, LinkFaults, Net, Topology};
+use lc_des::{nearest_rank, SimTime};
+use lc_net::{FaultPlan, HostId, LinkFaults, Net, Topology};
 use lc_pkg::{ComponentDescriptor, Package, Platform, QosSpec, Version};
 use std::cell::RefCell;
 use std::fmt::Write as _;
@@ -195,7 +195,7 @@ pub fn run_point(point: Point, seed: u64, leader: Option<HostId>) -> VariantResu
     let packages: Vec<(HostId, Rc<Vec<u8>>)> = (0..COMPONENTS)
         .map(|i| (owner(i, sites), component_package(&component_name(i))))
         .collect();
-    let w: World = build_world_on(
+    let mut w: World = build_world_on(
         Net::builder(Topology::campus(sites as usize, 8))
             .fault_plan(churn_plan(seed, sites))
             .build(),
@@ -213,41 +213,21 @@ pub fn run_point(point: Point, seed: u64, leader: Option<HostId>) -> VariantResu
         },
     );
 
-    // The crash schedule must also kill/respawn the node actors, not
-    // just flip fabric reachability (E10's churn driver pattern).
-    let net = w.net.clone();
-    let mut sim: Sim = w.sim;
-    let seeds = w.seeds.clone();
-    let actors: Rc<RefCell<Vec<ActorId>>> = Rc::new(RefCell::new(w.actors.clone()));
-    let (a1, a2) = (actors.clone(), actors.clone());
-    net.install_drivers(
-        &mut sim,
-        ChurnHooks {
-            on_crash: Box::new(move |sim, h| sim.kill(a1.borrow()[h.0 as usize])),
-            on_recover: Box::new(move |sim, h| {
-                let a = seeds[h.0 as usize].spawn(sim);
-                a2.borrow_mut()[h.0 as usize] = a;
-            }),
-        },
-    );
-
     // Soft-state convergence (cohesion summaries, shard publishes),
     // then baseline traffic so setup is excluded from the deltas. Two
     // full report rounds (2s cadence) must land before the snapshot;
     // the crash schedule starts at 8s, inside the query phase.
-    sim.run_until(SimTime::from_secs(7));
+    w.sim.run_until(SimTime::from_secs(7));
     let recv_before: Vec<u64> =
-        (0..point.nodes).map(|h| net.host_traffic(HostId(h)).1).collect();
-    let msgs_before = sim.metrics_ref().counter("query.msgs");
+        (0..point.nodes).map(|h| w.net.host_traffic(HostId(h)).1).collect();
+    let msgs_before = w.sim.metrics_ref().counter("query.msgs");
 
     let mut sinks: Vec<Rc<RefCell<QueryResult>>> = Vec::new();
     for q in 0..QUERIES {
         let sink: Rc<RefCell<QueryResult>> = Rc::default();
         sinks.push(sink.clone());
-        let actor = actors.borrow()[origin(q, sites).0 as usize];
-        sim.send_in(
-            SimTime::ZERO,
-            actor,
+        w.cmd(
+            origin(q, sites),
             NodeCmd::Query {
                 query: ComponentQuery::by_name(
                     &component_name(q % COMPONENTS),
@@ -257,14 +237,14 @@ pub fn run_point(point: Point, seed: u64, leader: Option<HostId>) -> VariantResu
                 first_wins: true,
             },
         );
-        let next = sim.now() + QUERY_GAP;
-        sim.run_until(next);
+        let next = w.sim.now() + QUERY_GAP;
+        w.sim.run_until(next);
     }
-    let drain = sim.now() + SimTime::from_secs(2);
-    sim.run_until(drain);
+    let drain = w.sim.now() + SimTime::from_secs(2);
+    w.sim.run_until(drain);
 
     let recv_delta =
-        |h: HostId| net.host_traffic(h).1.saturating_sub(recv_before[h.0 as usize]);
+        |h: HostId| w.net.host_traffic(h).1.saturating_sub(recv_before[h.0 as usize]);
     let (hotspot, hotspot_recv) = (0..point.nodes)
         .map(|h| (HostId(h), recv_delta(HostId(h))))
         .max_by_key(|&(h, d)| (d, std::cmp::Reverse(h.0)))
@@ -280,7 +260,7 @@ pub fn run_point(point: Point, seed: u64, leader: Option<HostId>) -> VariantResu
         .collect();
     lat_ms.sort_by(f64::total_cmp);
     let pctl = |p: f64| nearest_rank(&lat_ms, p).unwrap_or(0.0);
-    let m = sim.metrics_ref();
+    let m = w.sim.metrics_ref();
     VariantResult {
         point,
         answered: lat_ms.len() as f64 / QUERIES as f64,

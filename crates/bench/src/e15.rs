@@ -30,12 +30,12 @@
 
 use crate::e14;
 use crate::{format_table, human_bytes, Json};
-use lc_core::node::{NodeCmd, QueryResult, RegistryConfig, TraceConfig};
+use lc_core::node::{NodeCmd, QueryResult, RegistryConfig};
 use lc_core::scale::{run_scale_profiled, ScaleConfig, ScaleReport, Variant};
 use lc_core::testkit::{build_world_on, World};
-use lc_core::{demo, ComponentQuery, Node, ShardConfig, KIND_NAMES};
-use lc_des::{ActorId, ProfileReport, ProfilerConfig, Sim, SimTime};
-use lc_net::{ChurnHooks, HostId, Net, Topology};
+use lc_core::{demo, ComponentQuery, ShardConfig, KIND_NAMES};
+use lc_des::{ProfileReport, ProfilerConfig, SimTime};
+use lc_net::{HostId, Net, Topology};
 use lc_pkg::Version;
 use lc_trace::{SampleConfig, SloConfig, SloKind, SloRule, Span, SpanId, Tracer};
 use std::cell::RefCell;
@@ -162,6 +162,7 @@ pub struct TracedRun {
 pub fn run_traced(seed: u64, label: &'static str, one_in: Option<u32>) -> TracedRun {
     let sites = NODES / 8;
     let tracer = Tracer::new();
+    tracer.set_sampling(one_in.map(|n| SampleConfig::one_in(n, seed)));
     let registry = RegistryConfig::Sharded(ShardConfig {
         shards: SHARDS,
         replicas: 2,
@@ -170,18 +171,13 @@ pub fn run_traced(seed: u64, label: &'static str, one_in: Option<u32>) -> Traced
         publish_ttl: SimTime::from_secs(2),
     });
     let mut cfg = e14::config(registry);
-    cfg.tracing = TraceConfig {
-        query_spans: true,
-        recorder_cap: 64,
-        sample: one_in.map(|n| SampleConfig::one_in(n, seed)),
-        slo: Some(slo_config()),
-    };
+    cfg.slo = Some(slo_config());
     let behaviors = lc_core::BehaviorRegistry::new();
     demo::register_demo_behaviors(&behaviors);
     let packages: Vec<(HostId, Rc<Vec<u8>>)> = (0..COMPONENTS)
         .map(|i| (e14::owner(i, sites), e14::component_package(&e14::component_name(i))))
         .collect();
-    let w: World = build_world_on(
+    let mut w: World = build_world_on(
         Net::builder(Topology::campus(sites as usize, 8))
             .tracer(tracer.clone())
             .fault_plan(e14::churn_plan(seed, sites))
@@ -200,26 +196,8 @@ pub fn run_traced(seed: u64, label: &'static str, one_in: Option<u32>) -> Traced
         },
     );
 
-    // E14's churn driver: the crash schedule kills/respawns the node
-    // actors, not just fabric reachability.
-    let net = w.net.clone();
-    let mut sim: Sim = w.sim;
-    let seeds = w.seeds.clone();
-    let actors: Rc<RefCell<Vec<ActorId>>> = Rc::new(RefCell::new(w.actors.clone()));
-    let (a1, a2) = (actors.clone(), actors.clone());
-    net.install_drivers(
-        &mut sim,
-        ChurnHooks {
-            on_crash: Box::new(move |sim, h| sim.kill(a1.borrow()[h.0 as usize])),
-            on_recover: Box::new(move |sim, h| {
-                let a = seeds[h.0 as usize].spawn(sim);
-                a2.borrow_mut()[h.0 as usize] = a;
-            }),
-        },
-    );
-
-    sim.run_until(SimTime::from_secs(7));
-    let msgs_before = sim.metrics_ref().counter("query.msgs");
+    w.sim.run_until(SimTime::from_secs(7));
+    let msgs_before = w.sim.metrics_ref().counter("query.msgs");
 
     let mut sinks: Vec<Rc<RefCell<QueryResult>>> = Vec::new();
     for q in 0..QUERIES {
@@ -230,23 +208,22 @@ pub fn run_traced(seed: u64, label: &'static str, one_in: Option<u32>) -> Traced
         };
         let sink: Rc<RefCell<QueryResult>> = Rc::default();
         sinks.push(sink.clone());
-        let actor = actors.borrow()[origin(q).0 as usize];
-        sim.send_in(
-            SimTime::ZERO,
-            actor,
+        w.cmd(
+            origin(q),
             NodeCmd::Query {
                 query: ComponentQuery::by_name(&name, Version::new(1, 0)),
                 sink,
                 first_wins: true,
             },
         );
-        let next = sim.now() + QUERY_GAP;
-        sim.run_until(next);
+        let next = w.sim.now() + QUERY_GAP;
+        w.sim.run_until(next);
     }
-    sim.run_until(sim.now() + SimTime::from_secs(2));
+    let drain = w.sim.now() + SimTime::from_secs(2);
+    w.sim.run_until(drain);
 
     let answered = sinks.iter().filter(|s| s.borrow().first_offer_at.is_some()).count() as u64;
-    let m = sim.metrics_ref();
+    let m = w.sim.metrics_ref();
     let fingerprint = format!(
         "answered={} query.msgs={} breaches={} crashes={} hops={} gossip={}",
         answered,
@@ -262,14 +239,14 @@ pub fn run_traced(seed: u64, label: &'static str, one_in: Option<u32>) -> Traced
     // dump sizes and the first few breach lines, in (time, node) order.
     let mut flight_events = 0u64;
     let mut lines: Vec<(u64, u32, String)> = Vec::new();
-    for (host, &actor) in actors.borrow().iter().enumerate() {
-        let Some(node) = sim.actor_as::<Node>(actor) else { continue };
+    for host in 0..NODES {
+        let Some(node) = w.node(HostId(host)) else { continue };
         let Some(mon) = node.state().slo_monitor() else { continue };
         for rec in mon.breaches() {
             flight_events += rec.flight.len() as u64;
             lines.push((
                 rec.breach.at.as_nanos(),
-                host as u32,
+                host,
                 format!("node {:>4}  {} ({} flight events)", host, rec.breach.render(), rec.flight.len()),
             ));
         }

@@ -136,7 +136,7 @@ fn run_scenario(
     let mut drivers = Vec::new();
     for (i, front) in FRONTS.iter().enumerate() {
         let driver = LoadDriver::new(DriverConfig {
-            node: w.actors[front.0 as usize],
+            node: w.net.actor_of(*front),
             component: "Display".into(),
             op: "draw".into(),
             args: vec![Value::string("frame")],

@@ -48,7 +48,7 @@ pub use node::{
     InvokeSink,
     LoadBalanceConfig, MigrateSink, Node, NodeCmd, NodeConfig, NodeConfigBuilder, NodeCtx,
     NodeMetrics, NodeSeed, NodeState, QueryResult, QuerySink, RegistryConfig, ReplicateConfig,
-    ServiceKind, ServiceMetrics, ServiceReflect, SpawnSink, Tick, TraceConfig,
+    ServiceKind, ServiceMetrics, ServiceReflect, SpawnSink, Tick,
 };
 pub use proto::{CtrlMsg, DeltaEntry, GroupSummary, QueryId};
 pub use registry::backend::{
@@ -72,7 +72,7 @@ pub mod testkit {
     use crate::node::{NodeConfig, NodeSeed, RegistryConfig};
     use crate::registry::shard::ShardRing;
     use lc_des::{ActorId, Sim};
-    use lc_net::{Net, Topology};
+    use lc_net::{ChurnHooks, Net, Topology};
     use lc_orb::SimOrb;
     use lc_pkg::TrustStore;
     use std::rc::Rc;
@@ -88,7 +88,10 @@ pub mod testkit {
         pub orb: SimOrb,
         /// One seed per host (respawn material).
         pub seeds: Vec<NodeSeed>,
-        /// One node actor per host.
+        /// The node actor each host *booted* with. A respawn does not
+        /// update it — [`Net::actor_of`] is the live host → actor map,
+        /// and everything on `World` goes through that. Kept because the
+        /// frozen benchmark crate indexes it (its worlds never crash).
         pub actors: Vec<ActorId>,
     }
 
@@ -115,7 +118,10 @@ pub mod testkit {
 
     /// Build a world over an already-configured fabric — used by the
     /// fault-tolerance experiments to attach a
-    /// [`lc_net::FaultPlan`]/churn via [`Net::builder`] first.
+    /// [`lc_net::FaultPlan`]/churn via [`Net::builder`] first. Its crash
+    /// windows and churn process are armed here: a crash kills the
+    /// host's node actor (soft state lost), a recovery spawns a fresh
+    /// one from the host's seed.
     pub fn build_world_on(
         net: Net,
         seed: u64,
@@ -154,6 +160,17 @@ pub mod testkit {
             seeds.push(node_seed);
             actors.push(actor);
         }
+        // Armed after the last spawn, so the nodes' boot timers keep
+        // their event sequence numbers whether or not anything crashes.
+        net.install_drivers(&mut sim, || {
+            let (net, seeds) = (net.clone(), seeds.clone());
+            ChurnHooks {
+                on_crash: Box::new(move |sim, host| sim.kill(net.actor_of(host))),
+                on_recover: Box::new(move |sim, host| {
+                    seeds[host.0 as usize].spawn(sim);
+                }),
+            }
+        });
         World { sim, net, orb, seeds, actors }
     }
 
@@ -171,30 +188,28 @@ pub mod testkit {
             )
         }
 
-        /// Crash a host: fabric down + node actor killed (soft state lost).
+        /// Crash a host now: fabric down + node actor killed (soft state
+        /// lost) — what a scheduled crash window does at its `down_at`.
         pub fn crash(&mut self, host: lc_net::HostId) {
             self.net.set_host_up(host, false);
-            let actor = self.actors[host.0 as usize];
-            self.sim.kill(actor);
+            self.sim.kill(self.net.actor_of(host));
         }
 
-        /// Recover a host: fabric up + fresh node from its seed
+        /// Recover a host now: fabric up + fresh node from its seed
         /// (installed packages persist, dynamic state starts empty).
         pub fn recover(&mut self, host: lc_net::HostId) {
             self.net.set_host_up(host, true);
-            let actor = self.seeds[host.0 as usize].spawn(&mut self.sim);
-            self.actors[host.0 as usize] = actor;
+            self.seeds[host.0 as usize].spawn(&mut self.sim);
         }
 
         /// Send a [`crate::node::NodeCmd`] to a host's node, now.
         pub fn cmd(&mut self, host: lc_net::HostId, cmd: crate::node::NodeCmd) {
-            let actor = self.actors[host.0 as usize];
-            self.sim.send_in(lc_des::SimTime::ZERO, actor, cmd);
+            self.sim.send_in(lc_des::SimTime::ZERO, self.net.actor_of(host), cmd);
         }
 
-        /// Borrow a node's state for inspection.
+        /// Borrow a host's node for inspection (`None` while it is down).
         pub fn node(&self, host: lc_net::HostId) -> Option<&crate::node::Node> {
-            self.sim.actor_as::<crate::node::Node>(self.actors[host.0 as usize])
+            self.sim.actor_as::<crate::node::Node>(self.net.actor_of(host))
         }
     }
 

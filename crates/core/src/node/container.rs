@@ -388,10 +388,8 @@ impl NodeCtx<'_, '_> {
             let over_deadline = adm.deadline_aware
                 && self.state.cfg.invoke.deadline.is_some_and(|d| backlog > d);
             self.bump(Hot::AdmissionTotal);
-            self.state.metrics.note("admission.total");
             if backlog > adm.cpu_backlog_cap || over_deadline {
                 self.sim.metrics().incr("admission.shed");
-                self.state.metrics.note("admission.shed");
                 if dedup > SimTime::ZERO && reply_to.is_some() {
                     // Remember the refusal for the dedup window: the
                     // shed request stays shed even if retried after the

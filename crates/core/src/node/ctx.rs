@@ -75,9 +75,8 @@ pub struct NodeState {
     /// Distributed-tracing handle, shared with the fabric (disabled
     /// unless the fabric was built with one — all no-ops then).
     pub(crate) tracer: Tracer,
-    /// SLO monitor, present only when [`super::TraceConfig::slo`] is set:
-    /// windowed rules over this node's metrics registry, evaluated on
-    /// the `Tick::SloCheck` cadence.
+    /// SLO monitor, present only when [`NodeConfig::slo`] is set: fed by
+    /// every finished query, evaluated on the `Tick::SloCheck` cadence.
     pub(crate) slo: Option<SloMonitor>,
     // container runtime state
     pub(crate) instance_meta: BTreeMap<InstanceId, InstanceRuntime>,
@@ -132,14 +131,7 @@ impl NodeState {
         let report_targets: Rc<[HostId]> = seed.hierarchy.report_targets(host).into();
         let host_cfg = seed.net.host_cfg(host);
         let tracer = seed.net.tracer();
-        // Apply the node's tracing knobs to the shared tracer. Defaults
-        // are idempotent (cap 64, no sampling), so configs that leave
-        // them alone stay byte-identical to the pre-knob runtime.
-        tracer.set_recorder_cap(cfg.tracing.recorder_cap);
-        if let Some(sample) = cfg.tracing.sample {
-            tracer.set_sampling(Some(sample));
-        }
-        let slo = cfg.tracing.slo.clone().map(SloMonitor::new);
+        let slo = cfg.slo.clone().map(SloMonitor::new);
         let mut adapter = ObjectAdapter::new(host, seed.idl.clone());
         adapter.set_tracer(tracer.clone());
         NodeState {
@@ -197,7 +189,7 @@ impl NodeState {
         &self.tracer
     }
 
-    /// The SLO monitor, when [`super::TraceConfig::slo`] configured one
+    /// The SLO monitor, when [`NodeConfig::slo`] configured one
     /// — breach history (with flight-recorder dumps) lives here.
     pub fn slo_monitor(&self) -> Option<&SloMonitor> {
         self.slo.as_ref()
@@ -336,44 +328,33 @@ impl NodeCtx<'_, '_> {
         let _ = self.net_send(to, size, msg);
     }
 
-    /// Record one finished registry query into the SLO feed: a virtual-
-    /// latency histogram sample plus total/empty counters, under `slo.*`
-    /// keys. Gated on an SLO monitor being configured so that default
-    /// configurations add no registry keys (E1–E14 print key lists and
-    /// must stay byte-identical).
+    /// Feed one finished registry query to the SLO monitor, if there is
+    /// one: a virtual-latency sample plus total/empty counts, under the
+    /// `slo.*` keys rules name.
     pub(crate) fn note_slo_query(&mut self, latency: SimTime, empty: bool) {
-        if self.state.cfg.tracing.slo.is_none() {
-            return;
-        }
+        let Some(mon) = &mut self.state.slo else { return };
         const QUERY_LATENCY_BUCKETS_US: [u64; 8] =
             [100, 500, 1_000, 5_000, 20_000, 100_000, 400_000, 1_600_000];
-        self.state.metrics.note_observe(
-            "slo.query_us",
-            &QUERY_LATENCY_BUCKETS_US,
-            latency.as_nanos() / 1_000,
-        );
-        self.state.metrics.note("slo.query.total");
+        mon.observe("slo.query_us", &QUERY_LATENCY_BUCKETS_US, latency.as_nanos() / 1_000);
+        mon.incr("slo.query.total");
         if empty {
-            self.state.metrics.note("slo.query.empty");
+            mon.incr("slo.query.empty");
         }
     }
 
-    /// One `Tick::SloCheck` evaluation: diff the node's metrics registry
-    /// against the previous window, fire deterministic breaches, and —
-    /// the crash-dump path generalized — capture this node's flight
-    /// recorder into each breach record. Re-arms its own timer.
+    /// One `Tick::SloCheck` evaluation: the monitor reads the window it
+    /// was fed since the last one, fires deterministic breaches, and —
+    /// the crash-dump path generalized — this node's flight recorder is
+    /// captured into each breach record. Re-arms its own timer.
     pub(crate) fn slo_check(&mut self) {
         let now = self.sim.now();
-        let Some(mut mon) = self.state.slo.take() else { return };
-        let fired = mon.evaluate(now, self.state.metrics.registry());
-        for breach in fired {
+        let Some(mon) = &mut self.state.slo else { return };
+        for breach in mon.evaluate(now) {
             self.sim.metrics().incr("slo.breaches");
-            self.state.metrics.note("slo.breaches");
             let (flight, dropped) = self.state.tracer.flight_record(self.state.host.0);
             mon.record_breach(breach, flight, dropped);
         }
         let window = mon.window();
-        self.state.slo = Some(mon);
         self.timer_in(window, Tick::SloCheck);
     }
 
@@ -385,7 +366,6 @@ impl NodeCtx<'_, '_> {
         let Some(dropped) = self.state.backend.invalidate(component) else { return };
         self.sim.metrics().incr("cache.invalidations");
         self.sim.metrics().add("cache.invalidated_entries", dropped as u64);
-        self.state.metrics.note("cache.invalidations");
     }
 
     /// A register/deregister/migrate event changed this node's component

@@ -8,7 +8,6 @@
 //! same-seed runs leave `==` metrics on every node. (What a dispatch
 //! costs the host is measured from outside, by `.perf`.)
 
-use lc_trace::MetricsRegistry;
 use std::collections::BTreeMap;
 
 /// The four Figure-1 services plus the container runtime.
@@ -69,16 +68,15 @@ impl std::ops::AddAssign for ServiceMetrics {
 }
 
 /// The node-level instrumentation threaded through the service seam:
-/// per-service message/dispatch counters, per-command counts, and a
-/// [`MetricsRegistry`] for the named node-level entries the SLO monitor
-/// windows (`slo.*`, `cache.*`, `admission.*`). Continuation-table
-/// depth lives with the table itself ([`super::Continuations`]) and is
-/// joined in at reflection time.
+/// per-service message/dispatch counters and per-command counts.
+/// Continuation-table depth lives with the table itself
+/// ([`super::Continuations`]) and is joined in at reflection time; named
+/// run counters (`cache.*`, `admission.*`, …) are the simulation's
+/// `lc_des::Metrics`.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct NodeMetrics {
     services: [ServiceMetrics; 5],
     cmds: BTreeMap<&'static str, u64>,
-    registry: MetricsRegistry,
     current: Option<ServiceKind>,
 }
 
@@ -86,11 +84,6 @@ impl NodeMetrics {
     /// One service's counters.
     pub fn service(&self, kind: ServiceKind) -> ServiceMetrics {
         self.services[kind as usize]
-    }
-
-    /// The named node-level metrics (`slo.*`, `cache.*`, `admission.*`).
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
     }
 
     /// `(command name, count)` for every [`super::NodeCmd`] seen,
@@ -101,16 +94,6 @@ impl NodeMetrics {
 
     pub(crate) fn note_cmd(&mut self, name: &'static str) {
         *self.cmds.entry(name).or_insert(0) += 1;
-    }
-
-    /// Count one node-level event under `name` (e.g. `cache.hits`).
-    pub(crate) fn note(&mut self, name: &str) {
-        self.registry.incr(name);
-    }
-
-    /// Observe one node-level histogram sample (e.g. cache staleness).
-    pub(crate) fn note_observe(&mut self, name: &str, buckets: &[u64], value: u64) {
-        self.registry.observe(name, buckets, value);
     }
 
     /// Begin a handler activation: attribute subsequent sends to `kind`.

@@ -258,38 +258,6 @@ pub enum RegistryConfig {
     Sharded(ShardConfig),
 }
 
-/// Tracing knobs of the node runtime.
-#[derive(Clone, Debug)]
-pub struct TraceConfig {
-    /// Root a `registry.query` span per searching query (on by default;
-    /// experiments that only care about message counts can switch the
-    /// per-query roots off while keeping fabric spans).
-    pub query_spans: bool,
-    /// Per-node flight-recorder ring capacity (span events kept for
-    /// post-mortem dumps). Default [`lc_trace::FLIGHT_RECORDER_CAP`].
-    pub recorder_cap: usize,
-    /// Head-based trace sampling ([`lc_trace::SampleConfig`]): decided
-    /// once per trace at root creation and propagated in the
-    /// [`TraceContext`], so tracing 100k+-node campuses stays at
-    /// bounded memory. `None` (default) records every trace.
-    pub sample: Option<lc_trace::SampleConfig>,
-    /// SLO monitoring: windowed latency/burn-rate rules evaluated on a
-    /// virtual-time cadence; breaches dump the flight recorder. `None`
-    /// (default) disables the monitor, its timer and its metrics.
-    pub slo: Option<lc_trace::SloConfig>,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig {
-            query_spans: true,
-            recorder_cap: lc_trace::FLIGHT_RECORDER_CAP,
-            sample: None,
-            slo: None,
-        }
-    }
-}
-
 /// Node-level configuration. Construct via [`NodeConfig::builder`] (the
 /// typed path) or a struct literal over [`Default`].
 #[derive(Clone, Debug)]
@@ -313,8 +281,10 @@ pub struct NodeConfig {
     pub cache: Option<CacheConfig>,
     /// Registry backend selection (single-leader by default).
     pub registry: RegistryConfig,
-    /// Tracing knobs.
-    pub tracing: TraceConfig,
+    /// SLO monitoring: windowed latency/burn-rate rules evaluated on a
+    /// virtual-time cadence; breaches dump the flight recorder. `None`
+    /// (default) means no monitor, no timer and no samples kept.
+    pub slo: Option<lc_trace::SloConfig>,
     /// Server-side overload control: bounded admission queues, deadline-
     /// aware load shedding and hot-component replication (off by
     /// default).
@@ -332,7 +302,7 @@ impl Default for NodeConfig {
             query_retries: 0,
             cache: None,
             registry: RegistryConfig::default(),
-            tracing: TraceConfig::default(),
+            slo: None,
             admission: None,
         }
     }
@@ -411,9 +381,9 @@ impl NodeConfigBuilder {
         self
     }
 
-    /// Tracing knobs.
-    pub fn tracing(mut self, tracing: TraceConfig) -> Self {
-        self.cfg.tracing = tracing;
+    /// Enable SLO monitoring.
+    pub fn slo(mut self, slo: lc_trace::SloConfig) -> Self {
+        self.cfg.slo = Some(slo);
         self
     }
 
@@ -657,7 +627,7 @@ impl NodeSeed {
             // gossip cadence.
             arm(jitter + sc.gossip_period, Tick::ShardMaintain);
         }
-        if let Some(slo) = &self.config.tracing.slo {
+        if let Some(slo) = &self.config.slo {
             arm(jitter + slo.window, Tick::SloCheck);
         }
         actor

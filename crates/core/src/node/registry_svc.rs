@@ -19,11 +19,6 @@ use super::metrics::ServiceKind;
 use super::service::{item, ServiceReflect, Tick};
 use super::{NodeCmd, SpawnSink};
 
-/// Cache-staleness histogram bucket edges, in microseconds of virtual
-/// time (1 ms up to 5 s).
-const CACHE_AGE_US_BUCKETS: [u64; 6] =
-    [1_000, 10_000, 50_000, 250_000, 1_000_000, 5_000_000];
-
 /// How one query continuation ends.
 #[derive(Clone, Copy)]
 enum Ending {
@@ -72,9 +67,6 @@ impl NodeCtx<'_, '_> {
             ResolveStep::Hit { offers, age } => {
                 self.sim.metrics().incr("query.started");
                 self.sim.metrics().incr("cache.hits");
-                self.state.metrics.note("cache.hits");
-                let age_us = (age.as_secs_f64() * 1e6) as u64;
-                self.state.metrics.note_observe("cache.age_us", &CACHE_AGE_US_BUCKETS, age_us);
                 let tracer = self.state.tracer.clone();
                 if let Some(sp) = tracer.complete(
                     self.state.host.0,
@@ -83,6 +75,7 @@ impl NodeCtx<'_, '_> {
                     started,
                     started,
                 ) {
+                    let age_us = (age.as_secs_f64() * 1e6) as u64;
                     tracer.set_attr(sp, "hit", "true");
                     tracer.set_attr(sp, "age_us", &age_us.to_string());
                 }
@@ -94,11 +87,9 @@ impl NodeCtx<'_, '_> {
             ResolveStep::Coalesce { leader, cache_missed } => {
                 if cache_missed {
                     self.sim.metrics().incr("cache.misses");
-                    self.state.metrics.note("cache.misses");
                 }
                 self.sim.metrics().incr("query.started");
                 self.sim.metrics().incr("cache.coalesced");
-                self.state.metrics.note("cache.coalesced");
                 let tracer = self.state.tracer.clone();
                 if let Some(sp) = tracer.complete(
                     self.state.host.0,
@@ -121,7 +112,6 @@ impl NodeCtx<'_, '_> {
             ResolveStep::Search { key, cache_missed } => {
                 if cache_missed {
                     self.sim.metrics().incr("cache.misses");
-                    self.state.metrics.note("cache.misses");
                 }
                 // Bounded admission queue: starting a search beyond the
                 // cap sheds the *oldest* pending query first (adaptive
@@ -148,13 +138,7 @@ impl NodeCtx<'_, '_> {
                 // offer replies — parents under this span until
                 // finalization ends it.
                 let tracer = self.state.tracer.clone();
-                let span = self
-                    .state
-                    .cfg
-                    .tracing
-                    .query_spans
-                    .then(|| tracer.span(self.state.host.0, "registry.query", started))
-                    .flatten();
+                let span = tracer.span(self.state.host.0, "registry.query", started);
                 if let Some(s) = span {
                     if let Some(name) = &query.name {
                         tracer.set_attr(s, "component", name);
@@ -593,7 +577,6 @@ impl NodeCtx<'_, '_> {
         let Some(mut pq) = self.state.conts.queries.remove(&seq) else { return };
         let now = self.sim.now();
         self.sim.metrics().incr("admission.query_shed");
-        self.state.metrics.note("admission.query_shed");
         if let Some(k) = pq.cache_key.take() {
             self.state.backend.complete(&k, &pq.offers, now, false);
         }

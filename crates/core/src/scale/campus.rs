@@ -610,6 +610,10 @@ pub fn run_scale_profiled(
     let campus = ScaleCampus::build(cfg.clone());
     let depth = campus.shape.depth();
     assert!(depth <= 8, "summary stagger supports 8 levels");
+    // Read off the campus's own tree before the actor moves into the
+    // kernel: how many groups push a summary at each level.
+    let groups_at: [u64; 8] =
+        std::array::from_fn(|l| if l < depth { campus.shape.group_count(l) } else { 0 });
     let mut sim = Sim::new(seed);
     if let Some(p) = prof {
         sim.enable_profiler(p);
@@ -625,14 +629,9 @@ pub fn run_scale_profiled(
     // Summaries (hier only): level l pushes at (8+l)/16 of each period,
     // so presence reaches the root within the same round.
     if cfg.variant == Variant::Hier {
-        // The campus actor owns its tree; this is a second copy. Reading
-        // the actor's instead saves two allocations per run — a reviewed
-        // `PERF_EXACT.txt` diff of its own (ROADMAP item 1), not a
-        // by-product of a change that claims to move nothing.
-        let shape = HierShape::build(u64::from(cfg.n), u64::from(cfg.fanout), u64::from(cfg.replicas));
-        for level in 0..shape.depth() {
+        for (level, &groups) in groups_at[..depth].iter().enumerate() {
             let at = period * (8 + level as u64) / 16;
-            for g in 0..shape.group_count(level) {
+            for g in 0..groups {
                 sim.send_packed(at, me, pack(K_SUMMARY, g as u32, level as u32));
             }
         }

@@ -97,7 +97,7 @@ fn workload(admission: Option<AdmissionConfig>, seed: u64) -> Fingerprint {
                 isinks.push(sink.clone());
                 w.sim.send_in(
                     SimTime::from_micros(500 * i),
-                    w.actors[origin.0 as usize],
+                    w.net.actor_of(origin),
                     NodeCmd::Invoke {
                         target: target.clone(),
                         op: if (round + i) % 5 == 0 { "drawn".into() } else { "draw".into() },

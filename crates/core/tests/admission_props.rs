@@ -187,7 +187,7 @@ fn shed_requests_never_execute_under_retries_and_loss() {
                 let t = target.clone();
                 w.sim.send_in(
                     gap.mul_f64(i as f64),
-                    w.actors[0],
+                    w.net.actor_of(HostId(0)),
                     NodeCmd::Invoke {
                         target: t,
                         op: "draw".into(),
@@ -290,7 +290,7 @@ fn admitted_queue_delay_never_exceeds_deadline() {
             let t = target.clone();
             w.sim.send_in(
                 gap.mul_f64(i as f64),
-                w.actors[0],
+                w.net.actor_of(HostId(0)),
                 NodeCmd::Invoke {
                     target: t,
                     op: "draw".into(),

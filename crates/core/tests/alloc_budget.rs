@@ -190,7 +190,7 @@ fn remote_invoke_allocs(invoke: InvokePolicy) -> f64 {
         .enumerate()
         .map(|(i, front)| {
             let driver = world.sim.spawn(LoadDriver::new(DriverConfig {
-                node: world.actors[front.0 as usize],
+                node: world.net.actor_of(*front),
                 component: "Display".into(),
                 op: "draw".into(),
                 args: vec![Value::string("frame")],

@@ -7,7 +7,7 @@
 //! full-run counterpart. Sampling decides *retention*, never
 //! behaviour.
 
-use lc_core::node::{NodeCmd, NodeConfig, QueryResult, TraceConfig};
+use lc_core::node::{NodeCmd, NodeConfig, QueryResult};
 use lc_core::testkit::{build_world_on, fast_cohesion};
 use lc_core::{BehaviorRegistry, ComponentQuery};
 use lc_des::SimTime;
@@ -34,6 +34,7 @@ fn traced_run(
     let behaviors = BehaviorRegistry::new();
     lc_core::demo::register_demo_behaviors(&behaviors);
     let tracer = Tracer::new();
+    tracer.set_sampling(sample);
     let mut w = build_world_on(
         Net::builder(Topology::campus(2, 4)).fault_plan(plan).tracer(tracer.clone()).build(),
         seed ^ 0x5a9,
@@ -41,7 +42,6 @@ fn traced_run(
             cohesion: fast_cohesion(),
             query_timeout: SimTime::from_millis(300),
             query_retries: 1,
-            tracing: TraceConfig { sample, ..Default::default() },
             ..Default::default()
         },
         behaviors,

@@ -21,18 +21,23 @@ use std::sync::Arc;
 /// A world where node 0 has Counter+Display+Gui+Watcher installed and
 /// everyone else is empty.
 fn demo_world(topo: Topology, seed: u64) -> World {
+    let config = NodeConfig { require_signature: true, ..Default::default() };
+    demo_world_on(Net::builder(topo).build(), seed, config)
+}
+
+/// [`demo_world`] over an already-configured fabric, with `config` on
+/// top of the fast test timers.
+fn demo_world_on(net: Net, seed: u64, config: NodeConfig) -> World {
     let behaviors = BehaviorRegistry::new();
     demo::register_demo_behaviors(&behaviors);
-    let config = NodeConfig {
-        cohesion: fast_cohesion(),
-        query_timeout: SimTime::from_millis(400),
-        require_signature: true,
-        ..Default::default()
-    };
-    build_world(
-        topo,
+    build_world_on(
+        net,
         seed,
-        config,
+        NodeConfig {
+            cohesion: fast_cohesion(),
+            query_timeout: SimTime::from_millis(400),
+            ..config
+        },
         behaviors,
         demo::demo_trust(),
         Arc::new(demo::demo_idl()),
@@ -1089,7 +1094,7 @@ fn event_channels_close_when_producer_instance_dies() {
 
     // Kill the producer instance; the channel and its subscriber go too.
     let gui_instance = world.node(HostId(0)).unwrap().registry.named("gui").unwrap().id;
-    let actor = world.actors[0];
+    let actor = world.net.actor_of(HostId(0));
     assert!(world.sim.actor_as_mut::<lc_core::Node>(actor).unwrap().destroy_instance(gui_instance));
     let node = world.node(HostId(0)).unwrap();
     assert_eq!(node.event_channel_count(), 0, "channels rooted at the dead instance are dropped");
@@ -1322,4 +1327,108 @@ fn cache_sharding_and_admission_compose_on_a_lossy_campus() {
     assert_eq!(world.sim.metrics_ref().counter("cache.coalesced"), coalesced);
     assert_eq!(world.sim.metrics_ref().counter("query.started"), started + 1);
     assert!(retry.borrow().done && !retry.borrow().shed, "a lone query fits the queue");
+}
+
+/// An SLO monitor running inside a node: every query from one front
+/// end misses, so a burn-rate rule over the `slo.query.*` feed fires in
+/// each 500 ms window that saw a query finish — at the front end's own
+/// staggered `SloCheck` instants, nowhere else, with the front end's
+/// flight recorder attached, and identically in a same-seed world.
+#[test]
+fn slo_monitor_inside_a_node_breaches_at_pinned_instants() {
+    use lc_trace::{SloConfig, SloKind, SloRule, Tracer};
+    const FRONT: HostId = HostId(5);
+
+    fn run() -> (Vec<(u64, u64, u64)>, Vec<usize>, u64) {
+        let slo = SloConfig {
+            window: SimTime::from_millis(500),
+            rules: vec![SloRule {
+                name: "empty-burn".into(),
+                kind: SloKind::BurnRate {
+                    bad: "slo.query.empty".into(),
+                    total: "slo.query.total".into(),
+                    budget_ppm: 100_000,
+                    max_burn_centi: 200,
+                    min_total: 2,
+                },
+            }],
+        };
+        let net = Net::builder(Topology::campus(2, 4)).tracer(Tracer::new()).build();
+        let config = NodeConfig::builder().slo(slo).build();
+        let mut world = demo_world_on(net, 77, config);
+        settle(&mut world, 600);
+        for _ in 0..12 {
+            let query = ComponentQuery::by_name("DoesNotExist", Version::new(1, 0));
+            world.cmd(FRONT, NodeCmd::Query { query, sink: Rc::default(), first_wins: true });
+            settle(&mut world, 100);
+        }
+        settle(&mut world, 1000);
+
+        for h in (0..8).map(HostId).filter(|&h| h != FRONT) {
+            let mon = world.node(h).unwrap().slo_monitor().expect("every node runs a monitor");
+            assert!(mon.evals() >= 5 && mon.breaches().is_empty(), "{h:?} saw no query finish");
+        }
+        let mon = world.node(FRONT).unwrap().slo_monitor().unwrap();
+        let breaches = mon
+            .breaches()
+            .iter()
+            .map(|r| (r.breach.at.as_nanos(), r.breach.observed, r.breach.window_events))
+            .collect();
+        let flights = mon.breaches().iter().map(|r| r.flight.len()).collect();
+        (breaches, flights, world.sim.metrics_ref().counter("slo.breaches"))
+    }
+
+    let (breaches, flights, counted) = run();
+    // Windows close at 137 µs × 6 + k × 500 ms. The misses issued at
+    // 600 … 1 700 ms each dead-end a few ms later, so they fall 4 / 5 / 3,
+    // and every one burns the 10 % budget ten times over (1000 centi).
+    assert_eq!(
+        breaches,
+        [(1_000_822_000, 1000, 4), (1_500_822_000, 1000, 5), (2_000_822_000, 1000, 3)]
+    );
+    assert_eq!(counted, 3);
+    assert!(flights.iter().all(|&n| n > 0), "a breach dumps the flight recorder: {flights:?}");
+    assert_eq!(run(), (breaches, flights, counted));
+}
+
+/// A `FaultPlan` crash window on a plain `build_world_on` world is the
+/// whole crash: the node actor dies with the host, a fresh incarnation
+/// boots from the seed when the window closes, and `World` reaches it.
+#[test]
+fn scheduled_crash_window_kills_and_respawns_the_node() {
+    const VICTIM: HostId = HostId(5);
+    let (down, up) = (SimTime::from_secs(1), SimTime::from_secs(2));
+    let plan = FaultPlan::seeded(9).crash(VICTIM, down, Some(up));
+    let net = Net::builder(Topology::lan(8)).fault_plan(plan).build();
+    let mut world = demo_world_on(net, 14, NodeConfig::default());
+
+    let display = || NodeCmd::Query {
+        query: ComponentQuery::by_name("Display", Version::new(2, 0)),
+        sink: Rc::default(),
+        first_wins: false,
+    };
+    settle(&mut world, 600);
+    world.cmd(VICTIM, display());
+    settle(&mut world, 300);
+    let cmds = |world: &World| world.node(VICTIM).map(|n| n.node_metrics().cmd_counts().count());
+    assert_eq!(cmds(&world), Some(1), "the first incarnation took the command");
+
+    settle(&mut world, 600); // 1.5 s: inside the window
+    assert!(!world.net.is_up(VICTIM));
+    assert!(world.node(VICTIM).is_none(), "the crash window killed the node actor");
+    assert_eq!(world.net.actor_of(VICTIM), world.actors[VICTIM.0 as usize]);
+
+    settle(&mut world, 1200); // 2.7 s: the respawn has reported twice
+    assert!(world.net.is_up(VICTIM));
+    assert_ne!(world.net.actor_of(VICTIM), world.actors[VICTIM.0 as usize]);
+    assert_eq!(cmds(&world), Some(0), "a fresh incarnation, not the old node revived");
+    assert_eq!(world.sim.metrics_ref().counter("net.fault.crashes"), 1);
+    assert_eq!(world.sim.metrics_ref().counter("net.fault.restarts"), 1);
+
+    let sink: Rc<RefCell<QueryResult>> = Rc::default();
+    let query = ComponentQuery::by_name("Display", Version::new(2, 0));
+    world.cmd(VICTIM, NodeCmd::Query { query, sink: sink.clone(), first_wins: false });
+    settle(&mut world, 1000);
+    assert!(sink.borrow().done);
+    assert_eq!(sink.borrow().offers.len(), 1, "the respawn issues and completes a search");
 }

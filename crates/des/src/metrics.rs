@@ -19,8 +19,8 @@ pub fn nearest_rank<T: Copy>(sorted: &[T], q: f64) -> Option<T> {
 }
 
 /// Running totals of a stream of samples: four scalars, no sample kept.
-/// For a windowed or quantile view use `lc_trace::BucketHistogram`,
-/// whose fixed buckets subtract.
+/// For a quantile over a window use `lc_trace::BucketHistogram`
+/// (fixed buckets, reset per window).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Summary {
     count: u64,

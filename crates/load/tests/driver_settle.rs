@@ -143,7 +143,7 @@ impl Run {
 
         let mut fronts = Vec::new();
         for (i, front) in FRONTS.iter().enumerate() {
-            let node = world.actors[front.0 as usize];
+            let node = world.net.actor_of(*front);
             let tap = world.sim.spawn(Tap { node, kept: Kept::default() });
             let driver = world.sim.spawn(LoadDriver::new(DriverConfig {
                 node: tap,

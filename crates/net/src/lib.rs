@@ -239,16 +239,19 @@ impl Net {
     /// the fault plan's crash windows and, if configured, the churn
     /// process. Both report node state changes through the same
     /// `hooks`, so the layer above handles scheduled and random
-    /// crashes identically. Call once, before `sim.run*`.
-    pub fn install_drivers(&self, sim: &mut Sim, hooks: ChurnHooks) {
-        let hooks = Rc::new(RefCell::new(hooks));
-        let crashes: Vec<CrashWindow> = self
-            .inner
-            .borrow()
-            .fault
-            .as_ref()
-            .map(|p| p.crashes().to_vec())
-            .unwrap_or_default();
+    /// crashes identically. Call once, before `sim.run*`. A fabric with
+    /// neither builds no hooks and schedules nothing.
+    pub fn install_drivers(&self, sim: &mut Sim, hooks: impl FnOnce() -> ChurnHooks) {
+        let (crashes, churn) = {
+            let inner = self.inner.borrow();
+            let crashes: Vec<CrashWindow> =
+                inner.fault.as_ref().map(|p| p.crashes().to_vec()).unwrap_or_default();
+            (crashes, inner.churn.clone())
+        };
+        if crashes.is_empty() && churn.is_none() {
+            return;
+        }
+        let hooks = Rc::new(RefCell::new(hooks()));
         for cw in crashes {
             let (net, h) = (self.clone(), hooks.clone());
             sim.control_in(cw.down_at.saturating_sub(sim.now()), move |sim| {
@@ -265,7 +268,6 @@ impl Net {
                 });
             }
         }
-        let churn = self.inner.borrow().churn.clone();
         if let Some(cfg) = churn {
             ChurnDriver::with_shared_hooks(self.clone(), cfg, hooks).install(sim);
         }
@@ -289,6 +291,16 @@ impl Net {
     /// Bind the DES actor that receives this host's traffic.
     pub fn bind(&self, h: HostId, actor: ActorId) {
         self.inner.borrow_mut().hosts[h.0 as usize].bound = Some(actor);
+    }
+
+    /// The actor bound to `h` — its latest incarnation, dead or alive: a
+    /// crash leaves the binding, a respawn replaces it. This is the one
+    /// host → actor map. Panics if nothing was ever bound.
+    pub fn actor_of(&self, h: HostId) -> ActorId {
+        match self.inner.borrow().hosts[h.0 as usize].bound {
+            Some(actor) => actor,
+            None => panic!("host {} has no bound actor", h.0),
+        }
     }
 
     /// Mark a host up or down. Going down clears nothing else: the layer
@@ -1036,13 +1048,36 @@ mod tests {
         let topo = Topology::lan(3);
         let net = Net::builder(topo).fault_plan(plan).build();
         let mut sim = Sim::new(1);
-        net.install_drivers(&mut sim, ChurnHooks::default());
+        net.install_drivers(&mut sim, ChurnHooks::default);
         sim.run_until(SimTime::from_millis(1500));
         assert!(!net.is_up(HostId(1)));
         sim.run_until(SimTime::from_secs(3));
         assert!(net.is_up(HostId(1)));
         assert_eq!(sim.metrics_ref().counter("net.fault.crashes"), 1);
         assert_eq!(sim.metrics_ref().counter("net.fault.restarts"), 1);
+    }
+
+    #[test]
+    fn fabric_with_nothing_scheduled_builds_no_hooks() {
+        let plan = FaultPlan::seeded(5).default_link(LinkFaults::none().drop_p(0.5));
+        let net = Net::builder(Topology::lan(2)).fault_plan(plan).build();
+        let mut sim = Sim::new(1);
+        net.install_drivers(&mut sim, || panic!("no driver to hand hooks to"));
+        sim.run();
+        assert_eq!(sim.events_fired(), 0);
+    }
+
+    #[test]
+    fn actor_of_follows_rebinding() {
+        let net = Net::builder(Topology::lan(2)).build();
+        let mut sim = Sim::new(1);
+        let first = sim.spawn(Sink { arrivals: vec![] });
+        net.bind(HostId(1), first);
+        sim.kill(first);
+        assert_eq!(net.actor_of(HostId(1)), first, "a crash leaves the binding");
+        let second = sim.spawn(Sink { arrivals: vec![] });
+        net.bind(HostId(1), second);
+        assert_eq!(net.actor_of(HostId(1)), second);
     }
 
     #[test]
@@ -1056,7 +1091,7 @@ mod tests {
             })
             .build();
         let mut sim = Sim::new(7);
-        net.install_drivers(&mut sim, ChurnHooks::default());
+        net.install_drivers(&mut sim, ChurnHooks::default);
         sim.run_until(SimTime::from_secs(60));
         assert!(sim.metrics_ref().counter("churn.crashes") > 0);
     }

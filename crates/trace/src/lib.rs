@@ -13,10 +13,10 @@
 //! |---|---|
 //! | [`span`] | [`TraceContext`], [`Span`], [`validate`] (tree well-formedness) |
 //! | [`tracer`] | [`Tracer`] (allocation, current-context register, end-propagation), flight recorder |
-//! | [`metrics`] | [`MetricsRegistry`] (counters/fixed-bucket histograms) |
+//! | [`metrics`] | [`BucketHistogram`] (fixed buckets, integer quantiles) |
 //! | [`export`] | sorted JSONL, chrome://tracing JSON, critical path |
 //! | [`sampler`] | seeded head-based trace sampling ([`SampleConfig`]) for bounded-memory tracing at scale |
-//! | [`slo`] | windowed latency/burn-rate SLO rules over [`MetricsRegistry`] deltas, breach records with flight dumps |
+//! | [`slo`] | [`SloMonitor`]: windowed latency/burn-rate rules over the counts and samples it is fed, breach records with flight dumps |
 //! | [`flame`] | collapsed-stack flamegraph + per-node virtual-time timeline from span trees |
 //! | [`profile`] | deterministic rendering of the DES kernel's [`lc_des::ProfileReport`] |
 //!
@@ -45,7 +45,7 @@ pub mod tracer;
 
 pub use export::{critical_path, to_chrome, to_jsonl, CritSegment};
 pub use flame::{to_collapsed, to_timeline};
-pub use metrics::{BucketHistogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
+pub use metrics::BucketHistogram;
 pub use sampler::SampleConfig;
 pub use slo::{SloBreach, SloConfig, SloKind, SloMonitor, SloRule};
 pub use span::{validate, Span, SpanId, TraceContext, TraceId};

@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Default flight-recorder capacity (span events kept per node).
+/// Flight-recorder capacity (span events kept per node).
 pub const FLIGHT_RECORDER_CAP: usize = 64;
 
 /// One flight-recorder entry: a span start or end, as it happened.
@@ -57,9 +57,8 @@ impl SpanEvent {
 /// Bounded ring of the most recent span events on one node. Survives the
 /// node actor (it lives in the tracer), so it is exactly the post-mortem
 /// record available after an injected crash.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct FlightRecorder {
-    cap: usize,
     /// Events dropped because the ring was full.
     dropped: u64,
     buf: VecDeque<SpanEvent>,
@@ -67,7 +66,7 @@ struct FlightRecorder {
 
 impl FlightRecorder {
     fn push(&mut self, ev: SpanEvent) {
-        if self.buf.len() == self.cap {
+        if self.buf.len() == FLIGHT_RECORDER_CAP {
             self.buf.pop_front();
             self.dropped += 1;
         }
@@ -84,7 +83,6 @@ struct Inner {
     current: Option<TraceContext>,
     /// Per-node flight recorders.
     recorders: BTreeMap<u32, FlightRecorder>,
-    recorder_cap: usize,
     /// Head-sampling configuration; `None` keeps every trace.
     sampling: Option<SampleConfig>,
 }
@@ -115,7 +113,6 @@ impl Tracer {
                 spans: BTreeMap::new(),
                 current: None,
                 recorders: BTreeMap::new(),
-                recorder_cap: FLIGHT_RECORDER_CAP,
                 sampling: None,
             })),
         }
@@ -136,30 +133,14 @@ impl Tracer {
         self.enabled
     }
 
-    /// Install (or clear) head-based trace sampling. With a config set,
-    /// the keep/drop decision is made once per trace at root creation
+    /// Install (or clear) head-based trace sampling — once, by whoever
+    /// builds the tracer, before the first span. With a config set, the
+    /// keep/drop decision is made once per trace at root creation
     /// (see [`crate::sampler`]); span ids are still allocated for
     /// dropped traces, so the recorded spans of a sampled run are
     /// byte-identical to the same spans of an unsampled run.
     pub fn set_sampling(&self, cfg: Option<SampleConfig>) {
         self.locked().sampling = cfg;
-    }
-
-    /// The active head-sampling configuration, if any.
-    pub fn sampling(&self) -> Option<SampleConfig> {
-        self.locked().sampling
-    }
-
-    /// Resize the per-node flight-recorder rings. Applies to recorders
-    /// created after the call, so configure it before the first span —
-    /// node construction does, via `NodeConfig::builder().tracing(..)`.
-    pub fn set_recorder_cap(&self, cap: usize) {
-        self.locked().recorder_cap = cap.max(1);
-    }
-
-    /// The configured flight-recorder ring capacity.
-    pub fn recorder_cap(&self) -> usize {
-        self.locked().recorder_cap
     }
 
     fn locked(&self) -> MutexGuard<'_, Inner> {
@@ -319,8 +300,7 @@ impl Tracer {
         }
     }
 
-    /// Drop all recorded spans and flight records (counters are kept in
-    /// [`crate::MetricsRegistry`], not here).
+    /// Drop all recorded spans and flight records.
     pub fn clear(&self) {
         let mut inner = self.locked();
         inner.spans.clear();
@@ -346,11 +326,7 @@ impl Inner {
     }
 
     fn record_event(&mut self, node: u32, ev: SpanEvent) {
-        let cap = self.recorder_cap;
-        self.recorders
-            .entry(node)
-            .or_insert_with(|| FlightRecorder { cap, dropped: 0, buf: VecDeque::new() })
-            .push(ev);
+        self.recorders.entry(node).or_default().push(ev);
     }
 
     fn open_span(
@@ -523,13 +499,13 @@ mod tests {
         sampled.set_sampling(Some(SampleConfig::one_in(2, 11)));
         let mut kept = 0usize;
         for i in 0..64u64 {
-            for tr in [&full, &sampled] {
+            for (tr, sampling) in [(&full, false), (&sampled, true)] {
                 let root = tr.root(0, "req", t(i * 10)).unwrap();
                 let child = tr.child_of(1, "work", root, t(i * 10 + 1)).unwrap();
                 tr.set_attr(child, "i", &i.to_string());
                 tr.end(child, t(i * 10 + 2));
                 tr.end(root, t(i * 10 + 3));
-                if tr.sampling().is_some() && root.sampled {
+                if sampling && root.sampled {
                     kept += 1;
                 }
             }
@@ -544,21 +520,6 @@ mod tests {
             assert_eq!(format!("{:?}", twin), format!("{:?}", s));
         }
         validate(&sampled.spans()).unwrap();
-    }
-
-    #[test]
-    fn recorder_cap_is_configurable() {
-        let tr = Tracer::new();
-        tr.set_recorder_cap(8);
-        assert_eq!(tr.recorder_cap(), 8);
-        for i in 0..20u64 {
-            if let Some(c) = tr.root(0, "s", t(i)) {
-                tr.end(c, t(i));
-            }
-        }
-        let (events, dropped) = tr.flight_record(0);
-        assert_eq!(events.len(), 8);
-        assert_eq!(dropped, 40 - 8);
     }
 
     #[test]
