@@ -5,7 +5,7 @@ set -eu
 cd "$(dirname "$0")"
 
 # Determinism & API-hygiene gate runs FIRST: the protocol-flow rules
-# (P1-P3, D7) plus the per-file rules must pass with zero open
+# (P1-P3) plus the per-file rules must pass with zero open
 # violations against the checked-in baseline (which may only shrink --
 # a stale entry fails too) before anything else is built or run.
 # --stats keeps the unwrap budget trajectory visible across PRs, and
@@ -24,26 +24,20 @@ cargo clippy --workspace --all-targets -- -D warnings
 # [`intra-doc`] references with it.
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --offline -q
 
-# identical OUT GOLDEN BIN [FLAG...] -- the one determinism gate.
-#   Run target/release/BIN twice; the runs must agree byte for byte on
-#   stdout and on every file they write (every column is virtual time or
-#   a count -- no binary in crates/bench reads a clock).
-#   OUT     "-" for a binary that writes no file, else the suffix of the
-#           output path passed as its last argument, target/BIN.run<i>OUT
-#           (e11 and e15 derive their other file names from it).
+# identical GOLDEN ID [FLAG...] -- the one determinism gate.
+#   Run `lcx ID FLAG... STEM` twice; the runs must agree byte for byte on
+#   stdout and on every file they write under their stem (every column
+#   is virtual time or a count -- nothing in crates/bench reads a clock).
 #   GOLDEN  "-" or the stem of the committed artefacts: every committed
-#           GOLDEN.<ext> must equal run 1's target/BIN.run1.<ext>
-#           (.out is stdout), so what a binary prints or writes changes
-#           across commits only as a reviewed diff.
+#           GOLDEN.<ext> must equal run 1's STEM.<ext> (.out is stdout),
+#           so what an experiment prints or writes changes across commits
+#           only as a reviewed diff.
 identical() {
-  out=$1 golden=$2 bin=$3
-  shift 3
-  stem=target/$bin.run
+  golden=$1 id=$2
+  shift 2
+  stem=target/$id.run
   for i in 1 2; do
-    case $out in
-      -) "./target/release/$bin" "$@" > "$stem$i.out" ;;
-      *) "./target/release/$bin" "$@" "$stem$i$out" > "$stem$i.out" ;;
-    esac
+    ./target/release/lcx "$id" "$@" "$stem$i" > "$stem$i.out"
   done
   for f in "$stem"1*; do
     diff "$f" "${stem}2${f#"$stem"1}"
@@ -55,56 +49,52 @@ identical() {
   rm -f "$stem"[12]*
 }
 
-# Stdout-only experiments and figures: with the observability stack at
+# Stdout-gated experiments and figures: with the observability stack at
 # its defaults (profiler disabled, no sampling, no SLO monitors) every
 # one of them is byte-identical run to run and to its committed
-# golden/<bin>.out. E10 is the fault-injection determinism gate: the
-# same seeds must reproduce the same faults, retries and recoveries.
-for e in e1_lightweight e2_query_scalability e3_consistency e4_fault_tolerance \
-  e5_deployment e6_video_migration e7_cscw_fanout e8_grid_speedup e9_packaging \
-  e10_fault_tolerance f1_node_structure f2_cscw_model; do
-  identical - golden/$e $e
+# golden/<id>.out. E10 is the fault-injection determinism gate: the same
+# seeds must reproduce the same faults, retries and recoveries. E11's
+# two trace exports are double-run too (span ids come from per-node
+# counters, timestamps from virtual time -- no wall clock, no RNG in the
+# tracer).
+for id in f1 f2 e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 e11; do
+  identical golden/$id $id
 done
-
-# Observability (E11): the report (also against its golden) and both
-# trace exports (span ids come from per-node counters, timestamps from
-# virtual time -- no wall clock, no RNG in the tracer).
-identical "" golden/e11_observability e11_observability
 
 # Cache/coalescing (E12): the JSON summary must match the committed
 # BENCH_e12.json (the claimed msgs/query reduction is a checked
 # artefact, not prose).
-identical .json BENCH_e12 e12_cache_perf
+identical BENCH_e12 e12
 
 # Scale sweep (E13): the smoke sweep, then the full one (the 10^6-node
-# point must complete) with the memory gate -- the largest hier point
-# may not exceed 160 bytes of state per node -- against BENCH_e13.json.
-identical .json - e13_scale_sweep --max-nodes 10000
-identical .json BENCH_e13 e13_scale_sweep --gate-bytes-per-node 160
+# point must complete) against BENCH_e13.json. Every run exits non-zero
+# if its largest hier point exceeds 160 bytes of state per node.
+identical - e13 --max-nodes 10000
+identical BENCH_e13 e13
 
-# Sharded registry (E14): the 1k campus with the hotspot gate (the
-# former leader's recv bytes drop >= 3x at 4+ shards with p99 no worse),
-# then the full sweep (the 8k points must complete) against
-# BENCH_e14.json.
-identical .json - e14_sharded_registry --max-nodes 1024 --gate-reduction 3
-identical .json BENCH_e14 e14_sharded_registry --gate-reduction 3
+# Sharded registry (E14): the 1k campus, then the full sweep (the 8k
+# points must complete) against BENCH_e14.json. Every run exits non-zero
+# unless the former leader's recv bytes drop >= 3x at 4+ shards with p99
+# no worse.
+identical - e14 --max-nodes 1024
+identical BENCH_e14 e14
 
 # Profiling/observability (E15): report, JSON, flamegraph and timeline
-# carry only virtual-time weights. The binary itself exits non-zero if
-# the profiler or the sampler ever perturbs a simulation (the
-# `identical` columns). Smoke (part-A sweep capped at 10^4), then the
-# full sweep (the 10^5-node point must complete) against the three
-# committed BENCH_e15 files. What the profiler hook costs the host is
-# .perf's trace.overhead_pct row.
-identical .json - e15_profiling --max-nodes 10000
-identical .json BENCH_e15 e15_profiling
+# carry only virtual-time weights. The run itself exits non-zero if the
+# profiler or the sampler ever perturbs a simulation (the `identical`
+# columns). Smoke (part-A sweep capped at 10^4), then the full sweep
+# (the 10^5-node point must complete) against the three committed
+# BENCH_e15 files. What the profiler hook costs the host is .perf's
+# trace.overhead_pct row.
+identical - e15 --max-nodes 10000
+identical BENCH_e15 e15
 
 # Open-loop capacity (E16) against BENCH_e16.json (headline knee
-# included). The binary itself exits non-zero when the overload gates
+# included). The run itself exits non-zero when the overload gates
 # fail: post-knee goodput with shedding >= 80% of the knee while the
 # no-shedding baseline collapses below 50%, and hot-replication lifts
 # capacity >= 1.3x with at least one replica spawned.
-identical .json BENCH_e16 e16_capacity
+identical BENCH_e16 e16
 # Knee-regression gate on the committed artefact: the headline capacity
 # may not drift below 5000 op/s (the worker's theoretical draw rate).
 awk '/"headline_knee_goodput_per_sec"/{g=$2+0; exit} END{if (g < 5000) {print "e16: committed knee goodput " g " < 5000 op/s"; exit 1}}' BENCH_e16.json

@@ -17,12 +17,13 @@
 //! `.perf` (`orb.direct_dispatch_ns` → `orb.local_typed_ns` →
 //! `orb.local_marshalled_ns` → `orb.sim_roundtrip_ns`).
 
-use lc_bench::print_table;
+use crate::{format_table, Output};
 use lc_idl::compile;
 use lc_orb::cdr::encoded_len;
 use lc_orb::{
     Invocation, LocalOrb, ObjectRef, Orb, OrbError, Outcome, Servant, SimOrb, SimOrbClient, Value,
 };
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 const IDL: &str = r#"
@@ -49,7 +50,10 @@ impl Servant for BenchImpl {
     fn dispatch(&mut self, inv: &mut Invocation<'_>) -> Result<(), OrbError> {
         match inv.op {
             "bump" => {
-                self.total += inv.args[0].as_long().expect("typed") as i64;
+                let delta = inv.args[0]
+                    .as_long()
+                    .ok_or_else(|| OrbError::BadParam("bump: long expected".into()))?;
+                self.total += delta as i64;
                 inv.set_ret(Value::Long(self.total as i32));
                 Ok(())
             }
@@ -82,32 +86,44 @@ fn row(path: &str, counts: &[u64]) -> Vec<String> {
 /// `CALLS` calls of `entry` through `orb`, generic over the [`Orb`]
 /// flavour. Returns the row's leading counts — calls, typed and raw
 /// adapter dispatches — and the last outcome.
-fn drive(orb: &dyn Orb, obj: &ObjectRef, entry: &Entry) -> ([u64; 3], Outcome) {
+fn drive(orb: &dyn Orb, obj: &ObjectRef, entry: &Entry) -> Result<([u64; 3], Outcome), OrbError> {
     let (marshalled, op, args) = entry;
     let before = orb.dispatch_stats();
-    let mut last = None;
+    let mut last = Outcome::default();
     for _ in 0..CALLS {
-        last = Some(if *marshalled {
-            orb.invoke_marshalled(obj, op, args).unwrap()
+        last = if *marshalled {
+            orb.invoke_marshalled(obj, op, args)?
         } else {
-            orb.invoke(obj, op, args).unwrap()
-        });
+            orb.invoke(obj, op, args)?
+        };
     }
     let after = orb.dispatch_stats();
     assert_eq!(after.errors, before.errors);
-    ([CALLS, after.typed - before.typed, after.raw - before.raw], last.unwrap())
+    Ok(([CALLS, after.typed - before.typed, after.raw - before.raw], last))
 }
 
-fn main() {
-    println!("E1: what one invocation passes through in the lightweight ORB (in-process)");
-    let repo = Arc::new(compile(IDL).unwrap());
+/// Run E1 and render the report.
+pub fn run() -> Output {
+    match report() {
+        Ok(report) => Output { report, ..Output::default() },
+        Err(e) => Output::failed(format!("e1: {e}")),
+    }
+}
+
+fn report() -> Result<String, OrbError> {
+    let mut report = String::new();
+    let _ = writeln!(
+        report,
+        "E1: what one invocation passes through in the lightweight ORB (in-process)"
+    );
+    let repo = Arc::new(compile(IDL).map_err(|e| OrbError::Internal(e.to_string()))?);
 
     // direct struct call: no adapter, no type check, nothing encoded.
     let mut direct = BenchImpl { total: 0 };
     for _ in 0..CALLS {
         let args = [Value::Long(1)];
         let mut inv = Invocation::new("bump", &args);
-        direct.dispatch(&mut inv).unwrap();
+        direct.dispatch(&mut inv)?;
     }
     assert_eq!(direct.total, CALLS as i64);
     let mut rows = vec![row("direct struct call", &[CALLS, 0, 0, 0, 0])];
@@ -121,27 +137,29 @@ fn main() {
     let labels = ["ORB (adapter + type check)", "ORB + CDR round-trip", "ORB echo(string64)"];
     for (label, entry) in labels.into_iter().zip(series()) {
         let bytes_before = orb.stats().request_bytes;
-        let ([calls, typed, raw], out) = drive(&orb, &obj, &entry);
+        let ([calls, typed, raw], out) = drive(&orb, &obj, &entry)?;
         let request = (orb.stats().request_bytes - bytes_before) / CALLS;
         assert_eq!(request, encoded_len(&entry.2));
         rows.push(row(label, &[calls, typed, raw, request, encoded_len(&[out.ret])]));
     }
 
-    // concurrent callers on a fresh servant: every bump must land.
+    // concurrent callers on a fresh servant: every bump must land (a
+    // failed one leaves the servant total and the dispatch count short).
     let shared = orb.activate(Box::new(BenchImpl { total: 0 }));
     let before = orb.dispatch_stats();
     std::thread::scope(|s| {
         for _ in 0..THREADS {
             s.spawn(|| {
                 for _ in 0..PER_THREAD {
-                    orb.invoke(&shared, "bump", &[Value::Long(1)]).unwrap();
+                    let _ = orb.invoke(&shared, "bump", &[Value::Long(1)]);
                 }
             });
         }
     });
     let after = orb.dispatch_stats();
-    let total = orb.invoke(&shared, "bump", &[Value::Long(0)]).unwrap().ret;
+    let total = orb.invoke(&shared, "bump", &[Value::Long(0)])?.ret;
     assert_eq!(after.typed - before.typed, THREADS * PER_THREAD);
+    assert_eq!(after.errors, before.errors);
     assert_eq!(total, Value::Long((THREADS * PER_THREAD) as i32));
     rows.push(row(
         "ORB, 4 threads",
@@ -153,12 +171,13 @@ fn main() {
             encoded_len(&[total]),
         ],
     ));
-    print_table(
+    report.push_str(&format_table(
         "per path: calls made, adapter dispatches, CDR bytes per call",
         &["path", "calls", "typed", "raw", "request B", "reply B"],
         &rows,
-    );
-    println!(
+    ));
+    let _ = writeln!(
+        report,
         "\n4 threads x {PER_THREAD} bumps: servant total {} (asserted), no dispatch lost \
          under the ORB lock",
         THREADS * PER_THREAD
@@ -180,7 +199,7 @@ fn main() {
     let labels = ["SimOrb (DES request/reply)", "SimOrb + CDR round-trip", "SimOrb echo(string64)"];
     for (label, entry) in labels.into_iter().zip(series()) {
         let (ev0, msgs0, bytes0) = counters();
-        let ([calls, typed, raw], out) = drive(&sim_orb, &sobj, &entry);
+        let ([calls, typed, raw], out) = drive(&sim_orb, &sobj, &entry)?;
         let (ev1, msgs1, bytes1) = counters();
         let request = SimOrb::request_size(entry.1, &entry.2);
         let reply = SimOrb::reply_size(&Ok(out));
@@ -189,17 +208,19 @@ fn main() {
         let per_call = [(ev1 - ev0) / CALLS, (msgs1 - msgs0) / CALLS];
         sim_rows.push(row(label, &[calls, typed, raw, request, reply, per_call[0], per_call[1]]));
     }
-    print_table(
+    report.push_str(&format_table(
         "same workload, simulated-network Orb flavour (per call: wire bytes, kernel events, wire messages)",
         &["path", "calls", "typed", "raw", "request B", "reply B", "events", "msgs"],
         &sim_rows,
-    );
+    ));
 
-    println!(
+    let _ = writeln!(
+        report,
         "\nR1 check: a call passes through one adapter dispatch and one type check, no\n\
          generated stubs and no transaction/persistence machinery (the paper's\n\
          'lightweight' contrast with CCM/EJB); a remote call adds two frames and three\n\
          kernel events. Host nanoseconds per step: .perf rows orb.direct_dispatch_ns ->\n\
          orb.local_typed_ns -> orb.local_marshalled_ns -> orb.sim_roundtrip_ns."
     );
+    Ok(report)
 }

@@ -19,21 +19,18 @@
 //! 4. a scripted MRM crash/restart window driven by the fault plan's
 //!    crash schedule, absorbed by MRM replication.
 //!
-//! Everything runs in virtual time on seeded RNGs: two runs of this
-//! binary produce byte-identical output (checked by ci.sh).
+//! Everything runs in virtual time on seeded RNGs: two runs produce
+//! byte-identical output (checked by ci.sh).
 
-use lc_bench::{f2, print_table};
+use crate::{f2, format_table, Output};
 use lc_core::cohesion::CohesionConfig;
 use lc_core::demo;
-use lc_core::node::{InvokePolicy, NodeCmd, QueryResult};
-use lc_core::testkit::{build_world_on, World};
-use lc_core::{ComponentQuery, InvokeSink, NodeConfig};
+use lc_core::node::InvokePolicy;
+use lc_core::testkit::World;
+use lc_core::{ComponentQuery, InvokeSink, NodeConfig, QuerySink};
 use lc_des::{nearest_rank, SimTime};
 use lc_net::{FaultPlan, HostId, LinkFaults, Net, Topology};
-use lc_orb::{ObjectRef, Value};
-use std::cell::RefCell;
-use std::rc::Rc;
-use std::sync::Arc;
+use lc_orb::Value;
 
 const N: u32 = 64;
 const LOSS_RATES: [f64; 4] = [0.0, 0.01, 0.05, 0.10];
@@ -62,22 +59,18 @@ fn loss_plan(seed: u64, loss: f64) -> Option<FaultPlan> {
 
 /// 64 nodes, campus topology, every group's host ≡ 7 (mod 8) owns the
 /// Counter component.
-fn world(seed: u64, plan: Option<FaultPlan>, cfg: NodeConfig) -> World {
-    let behaviors = lc_core::BehaviorRegistry::new();
-    demo::register_demo_behaviors(&behaviors);
-    let mut b = Net::builder(Topology::campus(8, 8));
-    if let Some(p) = plan {
-        b = b.fault_plan(p);
-    }
-    build_world_on(
-        b.build(),
+fn campus(seed: u64, plan: Option<FaultPlan>, cfg: NodeConfig) -> World {
+    World::on(
+        Net::builder(Topology::campus(8, 8)).fault_plan(plan).build(),
         seed,
         cfg,
-        behaviors,
-        demo::demo_trust(),
-        Arc::new(demo::demo_idl()),
+        demo::catalog(),
         |host| if host.0 % 8 == 7 { vec![demo::counter_package()] } else { Vec::new() },
     )
+}
+
+fn counter_query() -> ComponentQuery {
+    ComponentQuery::by_name("Counter", lc_pkg::Version::new(1, 0))
 }
 
 fn hier_cfg(invoke: InvokePolicy, query_retries: u32) -> NodeConfig {
@@ -110,44 +103,20 @@ struct InvokeStats {
 fn invoke_run(loss: f64, policy: InvokePolicy) -> InvokeStats {
     const K: usize = 200;
     let seed = 1000 + (loss * 100.0) as u64;
-    let mut w = world(seed, loss_plan(seed, loss), hier_cfg(policy, 0));
+    let mut w = campus(seed, loss_plan(seed, loss), hier_cfg(policy, 0));
     w.sim.run_until(SimTime::from_secs(2));
 
     let owner = HostId(7);
     let client = HostId(12);
-    let spawn: Rc<RefCell<Option<Result<ObjectRef, String>>>> = Rc::default();
-    w.cmd(
-        owner,
-        NodeCmd::SpawnLocal {
-            component: "Counter".into(),
-            min_version: lc_pkg::Version::new(1, 0),
-            instance_name: None,
-            sink: spawn.clone(),
-        },
-    );
-    w.sim.run_until(SimTime::from_secs(3));
-    let target = spawn.borrow().clone().expect("spawn ran").expect("spawn ok");
+    let target = w.spawn(owner, "Counter", None, SimTime::from_secs(1));
 
     let mut calls: Vec<(SimTime, InvokeSink)> = Vec::new();
     for _ in 0..K {
-        let sink: InvokeSink = Rc::default();
-        calls.push((w.sim.now(), sink.clone()));
-        w.cmd(
-            client,
-            NodeCmd::Invoke {
-                target: target.clone(),
-                op: "inc".into(),
-                args: vec![Value::Long(1)],
-                oneway: false,
-                sink: Some(sink),
-            },
-        );
-        let next = w.sim.now() + SimTime::from_millis(100);
-        w.sim.run_until(next);
+        calls.push((w.sim.now(), w.invoke(client, &target, "inc", vec![Value::Long(1)])));
+        w.run_for(SimTime::from_millis(100));
     }
     // Drain outstanding retries and late replies.
-    let drain = w.sim.now() + SimTime::from_secs(10);
-    w.sim.run_until(drain);
+    w.run_for(SimTime::from_secs(10));
 
     let mut latencies: Vec<f64> = calls
         .iter()
@@ -158,26 +127,15 @@ fn invoke_run(loss: f64, policy: InvokePolicy) -> InvokeStats {
                 .map(|(t, _)| (*t - *t0).as_secs_f64() * 1e3)
         })
         .collect();
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    latencies.sort_by(f64::total_cmp);
     let success = latencies.len() as f64 / K as f64;
     let retries = w.sim.metrics_ref().counter("orb.retries");
     let dedup_hits = w.sim.metrics_ref().counter("orb.dedup_hits");
 
     // Exactly-once check: read the counter back over the loopback path
     // (same-host sends bypass fault injection, so this read is reliable).
-    let vsink: InvokeSink = Rc::default();
-    w.cmd(
-        owner,
-        NodeCmd::Invoke {
-            target,
-            op: "value".into(),
-            args: vec![],
-            oneway: false,
-            sink: Some(vsink.clone()),
-        },
-    );
-    let fin = w.sim.now() + SimTime::from_secs(1);
-    w.sim.run_until(fin);
+    let vsink = w.invoke(owner, &target, "value", vec![]);
+    w.run_for(SimTime::from_secs(1));
     let servant_execs = vsink
         .borrow()
         .first()
@@ -202,7 +160,7 @@ fn invoke_run(loss: f64, policy: InvokePolicy) -> InvokeStats {
 fn query_run(loss: f64, cfg: NodeConfig, seed_salt: u64) -> (f64, f64, u64, u64) {
     const Q: u32 = 100;
     let seed = 2000 + (loss * 100.0) as u64 + seed_salt;
-    let mut w = world(seed, loss_plan(seed, loss), cfg);
+    let mut w = campus(seed, loss_plan(seed, loss), cfg);
     w.sim.run_until(SimTime::from_secs(3));
 
     let mut sinks = Vec::new();
@@ -210,21 +168,10 @@ fn query_run(loss: f64, cfg: NodeConfig, seed_salt: u64) -> (f64, f64, u64, u64)
         // Rotate over hosts 2..=6 of each group: never an MRM seat
         // (group offsets 0/1) and never the component owner (offset 7).
         let origin = HostId((q % 8) * 8 + 2 + (q * 5) % 5);
-        let sink: Rc<RefCell<QueryResult>> = Rc::default();
-        w.cmd(
-            origin,
-            NodeCmd::Query {
-                query: ComponentQuery::by_name("Counter", lc_pkg::Version::new(1, 0)),
-                sink: sink.clone(),
-                first_wins: true,
-            },
-        );
-        sinks.push(sink);
-        let next = w.sim.now() + SimTime::from_millis(250);
-        w.sim.run_until(next);
+        sinks.push(w.query(origin, counter_query(), true));
+        w.run_for(SimTime::from_millis(250));
     }
-    let drain = w.sim.now() + SimTime::from_secs(5);
-    w.sim.run_until(drain);
+    w.run_for(SimTime::from_secs(5));
 
     let hits = sinks.iter().filter(|s| !s.borrow().offers.is_empty()).count();
     let complete = sinks
@@ -254,26 +201,15 @@ fn partition_run(cfg: NodeConfig, seed_salt: u64) -> (f64, f64, f64) {
         SimTime::from_secs(20),
         &site2,
     );
-    let mut w = world(4000 + seed_salt, Some(plan), cfg);
+    let mut w = campus(4000 + seed_salt, Some(plan), cfg);
     w.sim.run_until(SimTime::from_secs(3));
 
-    let mut probes: Vec<(SimTime, Rc<RefCell<QueryResult>>)> = Vec::new();
+    let mut probes: Vec<(SimTime, QuerySink)> = Vec::new();
     while w.sim.now() < SimTime::from_secs(30) {
-        let sink: Rc<RefCell<QueryResult>> = Rc::default();
-        probes.push((w.sim.now(), sink.clone()));
-        w.cmd(
-            HostId(20),
-            NodeCmd::Query {
-                query: ComponentQuery::by_name("Counter", lc_pkg::Version::new(1, 0)),
-                sink,
-                first_wins: true,
-            },
-        );
-        let next = w.sim.now() + SimTime::from_millis(250);
-        w.sim.run_until(next);
+        probes.push((w.sim.now(), w.query(HostId(20), counter_query(), true)));
+        w.run_for(SimTime::from_millis(250));
     }
-    let drain = w.sim.now() + SimTime::from_secs(3);
-    w.sim.run_until(drain);
+    w.run_for(SimTime::from_secs(3));
 
     let rate = |lo: u64, hi: u64| {
         let in_window: Vec<_> = probes
@@ -298,26 +234,17 @@ fn crash_run() -> (f64, u64, u64) {
         SimTime::from_secs(8),
         Some(SimTime::from_secs(16)),
     );
-    let mut w = world(5000, Some(plan), hier_cfg(InvokePolicy::default(), 1));
+    let mut w = campus(5000, Some(plan), hier_cfg(InvokePolicy::default(), 1));
     w.sim.run_until(SimTime::from_secs(3));
 
     let mut outage_probes = Vec::new();
     while w.sim.now() < SimTime::from_secs(20) {
-        let sink: Rc<RefCell<QueryResult>> = Rc::default();
         let during = w.sim.now() >= SimTime::from_secs(8) && w.sim.now() < SimTime::from_secs(16);
-        w.cmd(
-            HostId(12),
-            NodeCmd::Query {
-                query: ComponentQuery::by_name("Counter", lc_pkg::Version::new(1, 0)),
-                sink: sink.clone(),
-                first_wins: true,
-            },
-        );
+        let sink = w.query(HostId(12), counter_query(), true);
         if during {
             outage_probes.push(sink);
         }
-        let next = w.sim.now() + SimTime::from_millis(250);
-        w.sim.run_until(next);
+        w.run_for(SimTime::from_millis(250));
     }
     w.sim.run_until(SimTime::from_secs(22));
     let hits = outage_probes.iter().filter(|s| !s.borrow().offers.is_empty()).count();
@@ -328,8 +255,11 @@ fn crash_run() -> (f64, u64, u64) {
     )
 }
 
-fn main() {
-    println!("E10: fault injection — invocation retry/backoff, query degradation, partitions");
+/// Run E10 and render the report.
+pub fn run() -> Output {
+    let mut report =
+        "E10: fault injection — invocation retry/backoff, query degradation, partitions\n"
+            .to_owned();
 
     // T1: invocation reliability sweep.
     let mut rows = Vec::new();
@@ -350,11 +280,11 @@ fn main() {
             ]);
         }
     }
-    print_table(
+    report.push_str(&format_table(
         "invocation reliability vs loss (200 cross-site calls, deadline 250ms)",
         &["loss", "recovery", "success %", "p50 ms", "p99 ms", "retry amp", "dedup hits", "servant execs"],
         &rows,
-    );
+    ));
 
     // T2: query success, CORBA-LC vs flat vs strong semantics.
     let mut rows = Vec::new();
@@ -380,7 +310,7 @@ fn main() {
             lc_partial.to_string(),
         ]);
     }
-    print_table(
+    report.push_str(&format_table(
         "query success vs loss (100 first-wins queries)",
         &[
             "loss",
@@ -391,7 +321,7 @@ fn main() {
             "LC partial",
         ],
         &rows,
-    );
+    ));
 
     // T3: timed partition of site 2 during [10s, 20s).
     let (hb, hd, ha) = partition_run(hier_cfg(InvokePolicy::default(), 1), 0);
@@ -403,24 +333,24 @@ fn main() {
         },
         1,
     );
-    print_table(
+    report.push_str(&format_table(
         "site-2 partition [10s,20s): query success from inside the partition",
         &["registry", "before %", "during %", "after %"],
         &[
             vec!["CORBA-LC hierarchy".into(), f2(hb * 100.0), f2(hd * 100.0), f2(ha * 100.0)],
             vec!["flat".into(), f2(fb * 100.0), f2(fd * 100.0), f2(fa * 100.0)],
         ],
-    );
+    ));
 
     // T4: crash/restart schedule absorbed by MRM replication.
     let (avail, crashes, restarts) = crash_run();
-    print_table(
+    report.push_str(&format_table(
         "scheduled MRM crash [8s,16s) (replicas=2)",
         &["query success during outage %", "crashes", "restarts"],
         &[vec![f2(avail * 100.0), crashes.to_string(), restarts.to_string()]],
-    );
+    ));
 
-    println!(
+    report.push_str(
         "\nReading: without recovery, invocation success tracks (1-loss)^2 per\n\
          request/reply pair and lost calls hang; the deadline+backoff budget\n\
          recovers nearly all of it at bounded retry amplification, and the\n\
@@ -429,6 +359,7 @@ fn main() {
          degrades gracefully: re-issued queries restore success under loss,\n\
          partial results are tagged instead of hanging, and a partitioned\n\
          site keeps resolving local components while the flat registry goes\n\
-         dark for the whole window."
+         dark for the whole window.\n",
     );
+    Output { report, ..Output::default() }
 }

@@ -12,45 +12,35 @@
 //! counters — span ids come from per-node counters, timestamps from the
 //! simulation clock — so two runs with the same seed produce
 //! byte-identical reports *and* byte-identical JSONL/chrome exports
-//! (ci.sh runs the binary twice and diffs all three).
+//! (`<stem>.trace.jsonl`, `<stem>.trace.json` for chrome://tracing;
+//! ci.sh runs the experiment twice and diffs all three).
 //!
 //! The same workload also runs with tracing compiled in but *disabled*
 //! (the default for every other experiment): the report asserts that
 //! the fabric/query/orb counters of both runs are identical, i.e. the
 //! instrumentation is observationally free when off.
 
-use crate::{f2, format_table, per_service_rows, PER_SERVICE_HEADERS};
+use crate::{f2, format_table, per_service_rows, Output, PER_SERVICE_HEADERS};
 use lc_core::cohesion::CohesionConfig;
 use lc_core::demo;
-use lc_core::node::{InvokePolicy, NodeCmd, QueryResult};
-use lc_core::testkit::{build_world_on, World};
-use lc_core::{ComponentQuery, InvokeSink, NodeConfig};
+use lc_core::node::InvokePolicy;
+use lc_core::testkit::World;
+use lc_core::{ComponentQuery, NodeConfig, QuerySink};
 use lc_des::SimTime;
 use lc_net::{HostId, Net, Topology};
-use lc_orb::{ObjectRef, Value};
+use lc_orb::Value;
 use lc_trace::{critical_path, to_chrome, to_jsonl, Span, TraceId, Tracer};
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::rc::Rc;
-use std::sync::Arc;
 
+/// The committed run's seed.
+const SEED: u64 = 11;
 /// Queries issued before the crash window.
 const QUERIES: u32 = 9;
 /// Cross-site invocations against the Counter instance.
 const CALLS: u32 = 4;
 /// The component owner that gets crashed and recovered.
 const VICTIM: HostId = HostId(7);
-
-/// Everything one run of the experiment produces.
-pub struct E11Output {
-    /// The human-readable report (tables + flight-recorder dump).
-    pub report: String,
-    /// Sorted span-per-line JSONL export.
-    pub jsonl: String,
-    /// chrome://tracing JSON document.
-    pub chrome: String,
-}
 
 /// What the workload alone observed — compared between the traced and
 /// the tracing-disabled run for the overhead check.
@@ -77,36 +67,23 @@ fn config() -> NodeConfig {
 
 /// Run the E2+E10-style workload on a fabric carrying `tracer`.
 fn workload(seed: u64, tracer: Tracer) -> (World, Observed) {
-    let behaviors = lc_core::BehaviorRegistry::new();
-    demo::register_demo_behaviors(&behaviors);
-    let mut w = build_world_on(
+    let mut w = World::on(
         Net::builder(Topology::campus(3, 8)).tracer(tracer).build(),
         seed,
         config(),
-        behaviors,
-        demo::demo_trust(),
-        Arc::new(demo::demo_idl()),
+        demo::catalog(),
         |host| if host.0 % 8 == 7 { vec![demo::counter_package()] } else { Vec::new() },
     );
     w.sim.run_until(SimTime::from_secs(3));
 
     // Traced first-wins queries from rotating non-owner, non-MRM origins
     // across all three sites.
-    let mut sinks: Vec<Rc<RefCell<QueryResult>>> = Vec::new();
-    let query = |w: &mut World, q: u32, sinks: &mut Vec<Rc<RefCell<QueryResult>>>| {
+    let mut sinks: Vec<QuerySink> = Vec::new();
+    let query = |w: &mut World, q: u32, sinks: &mut Vec<QuerySink>| {
         let origin = HostId((q % 3) * 8 + 2 + (q % 4));
-        let sink: Rc<RefCell<QueryResult>> = Rc::default();
-        sinks.push(sink.clone());
-        w.cmd(
-            origin,
-            NodeCmd::Query {
-                query: ComponentQuery::by_name("Counter", lc_pkg::Version::new(1, 0)),
-                sink,
-                first_wins: true,
-            },
-        );
-        let next = w.sim.now() + SimTime::from_millis(250);
-        w.sim.run_until(next);
+        let counter = ComponentQuery::by_name("Counter", lc_pkg::Version::new(1, 0));
+        sinks.push(w.query(origin, counter, true));
+        w.run_for(SimTime::from_millis(250));
     };
     for q in 0..QUERIES {
         query(&mut w, q, &mut sinks);
@@ -114,50 +91,14 @@ fn workload(seed: u64, tracer: Tracer) -> (World, Observed) {
 
     // Traced cross-site invocations: Counter on the victim, client two
     // sites away.
-    let spawn: Rc<RefCell<Option<Result<ObjectRef, String>>>> = Rc::default();
-    w.cmd(
-        VICTIM,
-        NodeCmd::SpawnLocal {
-            component: "Counter".into(),
-            min_version: lc_pkg::Version::new(1, 0),
-            instance_name: None,
-            sink: spawn.clone(),
-        },
-    );
-    let settle = w.sim.now() + SimTime::from_millis(500);
-    w.sim.run_until(settle);
-    let Some(Ok(target)) = spawn.borrow().clone() else {
-        unreachable!("Counter spawn on its own repository host cannot fail")
-    };
+    let target = w.spawn(VICTIM, "Counter", None, SimTime::from_millis(500));
     let client = HostId(18);
     for _ in 0..CALLS {
-        let sink: InvokeSink = Rc::default();
-        w.cmd(
-            client,
-            NodeCmd::Invoke {
-                target: target.clone(),
-                op: "inc".into(),
-                args: vec![Value::Long(1)],
-                oneway: false,
-                sink: Some(sink),
-            },
-        );
-        let next = w.sim.now() + SimTime::from_millis(100);
-        w.sim.run_until(next);
+        w.invoke(client, &target, "inc", vec![Value::Long(1)]);
+        w.run_for(SimTime::from_millis(100));
     }
-    let vsink: InvokeSink = Rc::default();
-    w.cmd(
-        client,
-        NodeCmd::Invoke {
-            target: target.clone(),
-            op: "value".into(),
-            args: vec![],
-            oneway: false,
-            sink: Some(vsink.clone()),
-        },
-    );
-    let settle = w.sim.now() + SimTime::from_millis(500);
-    w.sim.run_until(settle);
+    let vsink = w.invoke(client, &target, "value", vec![]);
+    w.run_for(SimTime::from_millis(500));
     let counter_value = vsink
         .borrow()
         .iter()
@@ -168,33 +109,20 @@ fn workload(seed: u64, tracer: Tracer) -> (World, Observed) {
     // owners; one invocation into the outage exhausts its retry budget,
     // leaving a chain of linked retry spans in the trace.
     w.crash(VICTIM);
-    let dead: InvokeSink = Rc::default();
-    w.cmd(
-        client,
-        NodeCmd::Invoke {
-            target,
-            op: "inc".into(),
-            args: vec![Value::Long(1)],
-            oneway: false,
-            sink: Some(dead.clone()),
-        },
-    );
+    w.invoke(client, &target, "inc", vec![Value::Long(1)]);
     for q in 0..3 {
         query(&mut w, q, &mut sinks);
     }
-    let drain = w.sim.now() + SimTime::from_secs(3);
-    w.sim.run_until(drain);
+    w.run_for(SimTime::from_secs(3));
 
     // Recover and confirm the registry serves the respawned node's site
     // again.
     w.recover(VICTIM);
-    let settle = w.sim.now() + SimTime::from_secs(2);
-    w.sim.run_until(settle);
+    w.run_for(SimTime::from_secs(2));
     for q in 0..3 {
         query(&mut w, q, &mut sinks);
     }
-    let drain = w.sim.now() + SimTime::from_secs(2);
-    w.sim.run_until(drain);
+    w.run_for(SimTime::from_secs(2));
 
     let query_hits = sinks.iter().filter(|s| !s.borrow().offers.is_empty()).count();
     let sim_counters =
@@ -256,7 +184,8 @@ fn ms(ns: u64) -> String {
 }
 
 /// Run E11 and render the report plus both exports.
-pub fn run(seed: u64) -> E11Output {
+pub fn run() -> Output {
+    let seed = SEED;
     let tracer = Tracer::new();
     let (w, traced) = workload(seed, tracer.clone());
     let spans = tracer.spans();
@@ -388,7 +317,15 @@ pub fn run(seed: u64) -> E11Output {
         traced.counter_value,
     );
 
-    E11Output { report, jsonl: to_jsonl(&spans), chrome: to_chrome(&spans) }
+
+    let jsonl = to_jsonl(&spans);
+    let _ = writeln!(
+        report,
+        "\nexports: {} spans -> trace JSONL + chrome://tracing JSON",
+        jsonl.lines().count()
+    );
+    let files = vec![(".trace.jsonl", jsonl), (".trace.json", to_chrome(&spans))];
+    Output { report, files, failed: None }
 }
 
 #[cfg(test)]
@@ -399,19 +336,18 @@ mod tests {
 
     #[test]
     fn e11_traces_are_valid_cross_node_and_deterministic() {
-        let a = run(11);
-        let b = run(11);
+        let a = run();
+        let b = run();
         // Two identical runs are byte-identical in every artefact.
-        assert_eq!(a.jsonl, b.jsonl);
-        assert_eq!(a.chrome, b.chrome);
+        assert_eq!(a.files, b.files);
         assert_eq!(a.report, b.report);
-        assert!(!a.jsonl.is_empty());
+        assert!(a.files.iter().all(|(_, body)| !body.is_empty()));
 
         // Rebuild enough structure from the export to check the
         // acceptance shape: the traced world records at least one query
         // trace spanning three or more nodes, and all trees validate.
         let tracer = Tracer::new();
-        let (_, _) = workload(11, tracer.clone());
+        let (_, _) = workload(SEED, tracer.clone());
         let spans = tracer.spans();
         validate(&spans).expect("trace trees well-formed");
         let trace = representative_query(&spans).expect("a query trace exists");
@@ -425,7 +361,7 @@ mod tests {
     #[test]
     fn disabled_tracer_records_nothing() {
         let tracer = Tracer::disabled();
-        let (_, obs) = workload(11, tracer.clone());
+        let (_, obs) = workload(SEED, tracer.clone());
         assert_eq!(tracer.span_count(), 0);
         assert!(obs.query_hits > 0);
     }

@@ -24,19 +24,17 @@
 //! return the *same normalized offer sets* as the baseline — the report
 //! asserts it; `cache_equiv.rs` pins it as a test.
 
-use crate::{f2, format_table, human_bytes, Json};
+use crate::{f2, format_table, human_bytes, Json, Output};
 use lc_core::cohesion::CohesionConfig;
 use lc_core::demo;
-use lc_core::node::{NodeCmd, QueryResult};
-use lc_core::testkit::{build_world, World};
-use lc_core::{CacheConfig, ComponentQuery, NodeConfig, SpawnSink};
+use lc_core::testkit::World;
+use lc_core::{CacheConfig, ComponentQuery, NodeConfig, QuerySink};
 use lc_des::SimTime;
 use lc_net::{HostId, Topology};
-use std::cell::RefCell;
 use std::fmt::Write as _;
-use std::rc::Rc;
-use std::sync::Arc;
 
+/// The committed run's seed.
+const SEED: u64 = 12;
 /// Network size: 8 sites x 8 hosts.
 const N: usize = 64;
 /// Query rounds before the invalidation event.
@@ -73,14 +71,6 @@ pub struct VariantResult {
     pub result_sets: Vec<Vec<(u32, String, String)>>,
 }
 
-/// Both artefacts of one E12 run.
-pub struct E12Output {
-    /// Human-readable report.
-    pub report: String,
-    /// Machine-readable summary (sorted keys, stable formatting).
-    pub json: String,
-}
-
 fn config(cache: Option<CacheConfig>) -> NodeConfig {
     NodeConfig {
         cohesion: CohesionConfig {
@@ -98,47 +88,28 @@ fn config(cache: Option<CacheConfig>) -> NodeConfig {
 
 /// Run the workload under one cache configuration.
 pub fn run_variant(name: &'static str, cache: Option<CacheConfig>, seed: u64) -> VariantResult {
-    let behaviors = lc_core::BehaviorRegistry::new();
-    demo::register_demo_behaviors(&behaviors);
-    let mut w: World = build_world(
+    let mut w = World::on(
         Topology::campus(N / 8, 8),
         seed,
         config(cache),
-        behaviors,
-        demo::demo_trust(),
-        Arc::new(demo::demo_idl()),
-        |host| {
-            if host.0 % 16 == 7 {
-                vec![demo::counter_package()]
-            } else {
-                Vec::new()
-            }
-        },
+        demo::catalog(),
+        |host| if host.0 % 16 == 7 { vec![demo::counter_package()] } else { Vec::new() },
     );
     // Soft-state convergence (reports + summaries), then baseline the
     // query-message counter so setup traffic is excluded.
     w.sim.run_until(SimTime::from_secs(2));
     let msgs_before = w.sim.metrics_ref().counter("query.msgs");
 
-    let mut sinks: Vec<Rc<RefCell<QueryResult>>> = Vec::new();
-    let round = |w: &mut World, sinks: &mut Vec<Rc<RefCell<QueryResult>>>| {
+    let mut sinks: Vec<QuerySink> = Vec::new();
+    let round = |w: &mut World, sinks: &mut Vec<QuerySink>| {
         for origin in ORIGINS {
-            // Same-tick burst of identical queries: the singleflight
-            // window this PR adds exists for exactly this shape.
+            // Same-tick burst of identical queries: the shape the
+            // singleflight window exists for.
             for _ in 0..BURST {
-                let sink: Rc<RefCell<QueryResult>> = Rc::default();
-                sinks.push(sink.clone());
-                w.cmd(
-                    origin,
-                    NodeCmd::Query {
-                        query: ComponentQuery::by_name("Counter", lc_pkg::Version::new(1, 0)),
-                        sink,
-                        first_wins: true,
-                    },
-                );
+                let counter = ComponentQuery::by_name("Counter", lc_pkg::Version::new(1, 0));
+                sinks.push(w.query(origin, counter, true));
             }
-            let next = w.sim.now() + SimTime::from_millis(150);
-            w.sim.run_until(next);
+            w.run_for(SimTime::from_millis(150));
         }
     };
     for _ in 0..ROUNDS {
@@ -147,22 +118,10 @@ pub fn run_variant(name: &'static str, cache: Option<CacheConfig>, seed: u64) ->
 
     // Coherence event: an owner spawns a new instance; with caching on,
     // the broadcast empties every peer's matching entries.
-    let spawn: SpawnSink = Rc::default();
-    w.cmd(
-        SPAWN_OWNER,
-        NodeCmd::SpawnLocal {
-            component: "Counter".into(),
-            min_version: lc_pkg::Version::new(1, 0),
-            instance_name: None,
-            sink: spawn,
-        },
-    );
-    let settle = w.sim.now() + SimTime::from_millis(300);
-    w.sim.run_until(settle);
+    w.spawn(SPAWN_OWNER, "Counter", None, SimTime::from_millis(300));
     // The post-invalidation round must re-query the network.
     round(&mut w, &mut sinks);
-    let drain = w.sim.now() + SimTime::from_secs(2);
-    w.sim.run_until(drain);
+    w.run_for(SimTime::from_secs(2));
 
     let msgs = w.sim.metrics_ref().counter("query.msgs") - msgs_before;
     let mut first_ms = Vec::new();
@@ -234,7 +193,8 @@ fn render_json(variants: &[VariantResult], reduction: f64, equivalent: bool) -> 
 }
 
 /// Run all three variants and render both artefacts.
-pub fn run(seed: u64) -> E12Output {
+pub fn run() -> Output {
+    let seed = SEED;
     let variants = [
         run_variant("baseline", None, seed),
         run_variant(
@@ -307,7 +267,9 @@ pub fn run(seed: u64) -> E12Output {
         if equivalent { "yes" } else { "NO" },
     );
 
-    E12Output { report, json: render_json(&variants, reduction, equivalent) }
+    let json = render_json(&variants, reduction, equivalent);
+    let _ = writeln!(report, "\nsummary: {} bytes of JSON written", json.len());
+    Output { report, files: vec![(".json", json)], failed: None }
 }
 
 #[cfg(test)]
@@ -316,13 +278,13 @@ mod tests {
 
     #[test]
     fn e12_is_deterministic_and_meets_reduction_floor() {
-        let a = run(12);
-        let b = run(12);
+        let a = run();
+        let b = run();
         assert_eq!(a.report, b.report);
-        assert_eq!(a.json, b.json);
+        assert_eq!(a.files, b.files);
         // The committed BENCH_e12.json claims >= 2x; pin it here too.
-        let line = a
-            .json
+        let json = &a.files[0].1;
+        let line = json
             .lines()
             .find(|l| l.contains("msgs_per_query_reduction"))
             .expect("reduction line present");
@@ -333,6 +295,6 @@ mod tests {
             .parse()
             .expect("reduction parses");
         assert!(v >= 2.0, "msgs/query reduction {v} < 2.0");
-        assert!(a.json.contains("\"equivalent_result_sets\": true"));
+        assert!(json.contains("\"equivalent_result_sets\": true"));
     }
 }

@@ -21,12 +21,19 @@
 //! `BENCH_e13.json`. Host throughput of the same model is the
 //! benchmark's `scale_hier` workload and `scale.event_ns` row (`.perf`).
 
-use crate::{f2, format_table, human_bytes, Json};
+use crate::{f2, format_table, human_bytes, Json, Output};
 use lc_core::scale::{run_scale, ScaleConfig, ScaleReport, Variant};
 use std::fmt::Write as _;
 
 /// JSON schema version (bump when keys change; ci.sh pins the diff).
 pub const SCHEMA_VERSION: u32 = 1;
+
+/// The committed run's seed.
+const SEED: u64 = 13;
+
+/// The memory gate: bytes of state per node the largest `hier` point of
+/// any sweep may reach (every point of the committed sweep is ≤ 111.2).
+const GATE_BYTES_PER_NODE: f64 = 160.0;
 
 /// Campus sizes swept (nodes).
 pub const SIZES: [u32; 4] = [1_000, 10_000, 100_000, 1_000_000];
@@ -39,8 +46,7 @@ pub fn run_point(n: u32, variant: Variant, seed: u64) -> ScaleReport {
     run_scale(ScaleConfig::new(n, variant), seed)
 }
 
-/// The sweep grid, capped at `max_nodes` (the ci.sh smoke run caps at
-/// 10⁴; the committed artefact is the full 10⁶ sweep).
+/// The sweep grid, capped at `max_nodes`.
 pub fn grid(max_nodes: u32) -> Vec<(u32, Variant)> {
     let mut g = Vec::new();
     for &n in SIZES.iter().filter(|&&n| n <= max_nodes) {
@@ -49,14 +55,6 @@ pub fn grid(max_nodes: u32) -> Vec<(u32, Variant)> {
         }
     }
     g
-}
-
-/// Both artefacts of one E13 run.
-pub struct E13Output {
-    /// Human-readable report.
-    pub report: String,
-    /// Machine-readable summary.
-    pub json: String,
 }
 
 /// Render the machine-readable summary: one JSON object, keys sorted,
@@ -91,8 +89,9 @@ fn render_json(points: &[ScaleReport], seed: u64) -> String {
     .render()
 }
 
-/// Render both artefacts from completed sweep points.
-pub fn render(points: &[ScaleReport], seed: u64) -> E13Output {
+/// Render both artefacts from completed sweep points and apply the
+/// memory gate.
+fn render(points: &[ScaleReport], seed: u64) -> Output {
     let rows: Vec<Vec<String>> = points
         .iter()
         .map(|r| {
@@ -157,12 +156,31 @@ pub fn render(points: &[ScaleReport], seed: u64) -> E13Output {
             );
         }
     }
-    E13Output { report, json: render_json(points, seed) }
+    let _ = writeln!(report, "\nsummary: {} sweep points written to JSON", points.len());
+
+    let worst = points
+        .iter()
+        .filter(|r| r.variant == "hier")
+        .max_by_key(|r| r.n)
+        .map_or(0.0, |r| r.bytes_per_node);
+    let failed = (worst > GATE_BYTES_PER_NODE).then(|| {
+        format!("e13: memory gate FAILED: {worst:.2} bytes/node > {GATE_BYTES_PER_NODE:.2}")
+    });
+    if failed.is_none() {
+        let _ = writeln!(
+            report,
+            "memory gate ok: {worst:.2} bytes/node <= {GATE_BYTES_PER_NODE:.2}"
+        );
+    }
+    Output { report, files: vec![(".json", render_json(points, seed))], failed }
 }
 
-/// Run the whole (capped) sweep.
-pub fn run(seed: u64, max_nodes: u32) -> Vec<ScaleReport> {
-    grid(max_nodes).into_iter().map(|(n, v)| run_point(n, v, seed)).collect()
+/// Run the sweep up to `max_nodes` (the ci.sh smoke run caps at 10⁴;
+/// the committed artefact is the full 10⁶ sweep).
+pub fn run(max_nodes: u32) -> Output {
+    let points: Vec<ScaleReport> =
+        grid(max_nodes).into_iter().map(|(n, v)| run_point(n, v, SEED)).collect();
+    render(&points, SEED)
 }
 
 #[cfg(test)]
@@ -171,13 +189,15 @@ mod tests {
 
     #[test]
     fn e13_small_sweep_is_deterministic() {
-        let a = render(&run(13, 10_000), 13);
-        let b = render(&run(13, 10_000), 13);
+        let a = run(10_000);
+        let b = run(10_000);
         assert_eq!(a.report, b.report);
-        assert_eq!(a.json, b.json);
-        assert!(a.json.contains("\"schema_version\": 1"));
+        assert_eq!(a.files, b.files);
+        assert_eq!(a.failed, None);
+        let json = &a.files[0].1;
+        assert!(json.contains("\"schema_version\": 1"));
         // 2 sizes x 3 variants.
-        assert_eq!(a.json.matches("\"variant\"").count(), 6);
+        assert_eq!(json.matches("\"variant\"").count(), 6);
     }
 
     #[test]
@@ -191,6 +211,6 @@ mod tests {
         assert!(h2.msgs_per_query < h1.msgs_per_query * 2.0);
         assert!(f2_.msgs_per_query > f1.msgs_per_query * 5.0);
         // The lazy SoA keeps footprint near-constant per node.
-        assert!(h2.bytes_per_node < 160.0, "bytes/node {}", h2.bytes_per_node);
+        assert!(h2.bytes_per_node < GATE_BYTES_PER_NODE, "bytes/node {}", h2.bytes_per_node);
     }
 }

@@ -29,23 +29,23 @@
 //! run diffs them byte-for-byte, like the report and the JSON.
 
 use crate::e14;
-use crate::{format_table, human_bytes, Json};
-use lc_core::node::{NodeCmd, QueryResult, RegistryConfig};
+use crate::{format_table, human_bytes, Json, Output};
+use lc_core::node::RegistryConfig;
 use lc_core::scale::{run_scale_profiled, ScaleConfig, ScaleReport, Variant};
-use lc_core::testkit::{build_world_on, World};
-use lc_core::{demo, ComponentQuery, ShardConfig, KIND_NAMES};
+use lc_core::testkit::World;
+use lc_core::{demo, ComponentQuery, QuerySink, ShardConfig, KIND_NAMES};
 use lc_des::{ProfileReport, ProfilerConfig, SimTime};
 use lc_net::{HostId, Net, Topology};
 use lc_pkg::Version;
 use lc_trace::{SampleConfig, SloConfig, SloKind, SloRule, Span, SpanId, Tracer};
-use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
-use std::rc::Rc;
-use std::sync::Arc;
 
 /// JSON schema version (bump when keys change; ci.sh pins the diff).
 pub const SCHEMA_VERSION: u32 = 1;
+
+/// The committed run's seed.
+const SEED: u64 = 15;
 
 /// Campus sizes profiled in part A (the `hier` scale-sweep points).
 pub const PROF_SIZES: [u32; 3] = [1_000, 10_000, 100_000];
@@ -172,55 +172,31 @@ pub fn run_traced(seed: u64, label: &'static str, one_in: Option<u32>) -> Traced
     });
     let mut cfg = e14::config(registry);
     cfg.slo = Some(slo_config());
-    let behaviors = lc_core::BehaviorRegistry::new();
-    demo::register_demo_behaviors(&behaviors);
-    let packages: Vec<(HostId, Rc<Vec<u8>>)> = (0..COMPONENTS)
-        .map(|i| (e14::owner(i, sites), e14::component_package(&e14::component_name(i))))
-        .collect();
-    let mut w: World = build_world_on(
+    let mut w = World::on(
         Net::builder(Topology::campus(sites as usize, 8))
             .tracer(tracer.clone())
             .fault_plan(e14::churn_plan(seed, sites))
             .build(),
         seed,
         cfg,
-        behaviors,
-        demo::demo_trust(),
-        Arc::new(demo::demo_idl()),
-        |host| {
-            packages
-                .iter()
-                .filter(|(o, _)| *o == host)
-                .map(|(_, p)| p.clone())
-                .collect()
-        },
+        demo::catalog(),
+        e14::preinstalled(COMPONENTS, sites),
     );
 
     w.sim.run_until(SimTime::from_secs(7));
     let msgs_before = w.sim.metrics_ref().counter("query.msgs");
 
-    let mut sinks: Vec<Rc<RefCell<QueryResult>>> = Vec::new();
+    let mut sinks: Vec<QuerySink> = Vec::new();
     for q in 0..QUERIES {
         let name = if q % MISS_EVERY == 0 {
             "SvcMissing".to_owned()
         } else {
             e14::component_name(q % COMPONENTS)
         };
-        let sink: Rc<RefCell<QueryResult>> = Rc::default();
-        sinks.push(sink.clone());
-        w.cmd(
-            origin(q),
-            NodeCmd::Query {
-                query: ComponentQuery::by_name(&name, Version::new(1, 0)),
-                sink,
-                first_wins: true,
-            },
-        );
-        let next = w.sim.now() + QUERY_GAP;
-        w.sim.run_until(next);
+        sinks.push(w.query(origin(q), ComponentQuery::by_name(&name, Version::new(1, 0)), true));
+        w.run_for(QUERY_GAP);
     }
-    let drain = w.sim.now() + SimTime::from_secs(2);
-    w.sim.run_until(drain);
+    w.run_for(SimTime::from_secs(2));
 
     let answered = sinks.iter().filter(|s| s.borrow().first_offer_at.is_some()).count() as u64;
     let m = w.sim.metrics_ref();
@@ -287,18 +263,6 @@ pub fn timeline_artefact(full_spans: &[Span]) -> String {
     lc_trace::flame::to_timeline(full_spans, &[origin(0).0, origin(1).0])
 }
 
-/// Both artefacts of one E15 run.
-pub struct E15Output {
-    /// Human-readable report.
-    pub report: String,
-    /// Machine-readable summary.
-    pub json: String,
-    /// Collapsed-stack flamegraph (deterministic).
-    pub flame: String,
-    /// Per-node virtual-time timeline (deterministic).
-    pub timeline: String,
-}
-
 /// Render the machine-readable summary: one JSON object, keys sorted,
 /// floats at fixed precision.
 fn render_json(points: &[ProfPoint], runs: &[TracedRun], seed: u64) -> String {
@@ -336,9 +300,14 @@ fn render_json(points: &[ProfPoint], runs: &[TracedRun], seed: u64) -> String {
     .render()
 }
 
-/// Render every artefact from completed parts A and B. `runs[0]` must
-/// be the full (unsampled) traced run.
-pub fn render(points: &[ProfPoint], runs: &[TracedRun], seed: u64) -> E15Output {
+/// Render every artefact from completed parts A and B: the report,
+/// the JSON summary, the collapsed-stack flamegraph (`.flame.txt`) and
+/// the per-node virtual-time timeline (`.timeline.txt`). `points` ends
+/// with the largest profiled campus and `runs[0]` is the full
+/// (unsampled) traced run. Fails if the profiler ever perturbed a
+/// simulation.
+fn render(points: &[ProfPoint], runs: &[TracedRun], seed: u64) -> Output {
+    let largest = &points[points.len() - 1];
     let full = &runs[0];
     let mut report = String::new();
     let _ = writeln!(report, "E15: profiling, sampling and SLO monitors at scale (seed {seed})");
@@ -369,10 +338,8 @@ pub fn render(points: &[ProfPoint], runs: &[TracedRun], seed: u64) -> E15Output 
         &rows_a,
     ));
 
-    if let Some(p) = points.last() {
-        let _ = writeln!(report);
-        report.push_str(&lc_trace::profile::render(&p.profile, &KIND_NAMES, 5));
-    }
+    let _ = writeln!(report);
+    report.push_str(&lc_trace::profile::render(&largest.profile, &KIND_NAMES, 5));
 
     let rows_b: Vec<Vec<String>> = runs
         .iter()
@@ -408,16 +375,46 @@ pub fn render(points: &[ProfPoint], runs: &[TracedRun], seed: u64) -> E15Output 
         retained.join(", ")
     );
 
-    E15Output {
+    let flame = flame_artefact(&full.spans, &largest.profile);
+    let timeline = timeline_artefact(&full.spans);
+    let _ = writeln!(
         report,
-        json: render_json(points, runs, seed),
-        flame: flame_artefact(&full.spans, &points[points.len() - 1].profile),
-        timeline: timeline_artefact(&full.spans),
+        "\nsummary: {} profiler points + {} traced runs written to JSON; \
+         flamegraph {} lines, timeline {} lines",
+        points.len(),
+        runs.len(),
+        flame.lines().count(),
+        timeline.lines().count(),
+    );
+    Output {
+        report,
+        files: vec![
+            (".json", render_json(points, runs, seed)),
+            (".flame.txt", flame),
+            (".timeline.txt", timeline),
+        ],
+        failed: points
+            .iter()
+            .find(|p| !p.identical)
+            .map(|p| format!("e15: profiler perturbed the {}-node simulation", p.n)),
     }
 }
 
+/// Run part A up to `max_nodes` (ci.sh smoke caps at 10⁴; the committed
+/// artefacts are the full 10⁵ sweep), part B at every sampling rate,
+/// and render.
+pub fn run(max_nodes: u32) -> Output {
+    let points = run_profiled(SEED, max_nodes);
+    if points.is_empty() {
+        return Output::failed("e15: --max-nodes is below the smallest profiled campus");
+    }
+    let runs: Vec<TracedRun> =
+        RATES.iter().map(|&(label, one_in)| run_traced(SEED, label, one_in)).collect();
+    render(&points, &runs, SEED)
+}
+
 /// Run part A: every (capped) sweep point, profiler off then on.
-pub fn run_profiled(seed: u64, max_nodes: u32) -> Vec<ProfPoint> {
+fn run_profiled(seed: u64, max_nodes: u32) -> Vec<ProfPoint> {
     prof_grid(max_nodes)
         .into_iter()
         .map(|n| {

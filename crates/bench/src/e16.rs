@@ -26,7 +26,7 @@
 //! Everything reported derives from virtual time, so report and JSON
 //! are byte-identical across runs (ci.sh double-runs and diffs).
 
-use crate::{f2, format_table, Json};
+use crate::{f2, format_table, Json, Output};
 use lc_core::cohesion::CohesionConfig;
 use lc_core::node::{AdmissionConfig, InvokePolicy, ReplicateConfig};
 use lc_core::testkit::{display_campus, DISPLAY_FRONTS as FRONTS, DISPLAY_WORKER as WORKER};
@@ -39,6 +39,8 @@ use lc_load::{
 use lc_orb::Value;
 use std::fmt::Write as _;
 
+/// The committed run's seed.
+const SEED: u64 = 16;
 /// Campus: 2 sites x 4 hosts; hosts 0 and 4 are servers (4x CPU).
 const N: usize = 8;
 /// Soft-state convergence before traffic starts (`display_campus` runs
@@ -232,16 +234,6 @@ pub struct ReplicationResult {
     pub replicas: u64,
 }
 
-/// Both artefacts of one E16 run.
-pub struct E16Output {
-    /// Human-readable report.
-    pub report: String,
-    /// Machine-readable summary (sorted keys, stable formatting).
-    pub json: String,
-    /// All overload-control gates (retention + replication) passed.
-    pub gates_ok: bool,
-}
-
 fn sweep_shape(shape: &ArrivalShape, seed: u64) -> ShapeCurve {
     let mut points = Vec::new();
     for rate in RATES {
@@ -347,8 +339,10 @@ fn render_json(curves: &[ShapeCurve], rep: &ReplicationResult, gates_ok: bool) -
     .render()
 }
 
-/// Run the full sweep (the committed-artefact configuration).
-pub fn run(seed: u64) -> E16Output {
+/// Run the full sweep (the committed-artefact configuration). Fails
+/// when an overload-control gate (retention, replication) does not hold.
+pub fn run() -> Output {
+    let seed = SEED;
     let curves: Vec<ShapeCurve> =
         shapes().iter().map(|s| sweep_shape(s, seed)).collect();
     let rep = run_replication(seed);
@@ -429,7 +423,13 @@ pub fn run(seed: u64) -> E16Output {
     );
     let _ = writeln!(report, "gates: {}", if gates_ok { "ok" } else { "FAILED" });
 
-    E16Output { report, json: render_json(&curves, &rep, gates_ok), gates_ok }
+    let json = render_json(&curves, &rep, gates_ok);
+    let _ = writeln!(report, "\nsummary: {} bytes of JSON written", json.len());
+    Output {
+        report,
+        files: vec![(".json", json)],
+        failed: (!gates_ok).then(|| "e16: overload-control gates FAILED".to_owned()),
+    }
 }
 
 #[cfg(test)]
@@ -438,10 +438,10 @@ mod tests {
 
     #[test]
     fn e16_is_deterministic_and_gates_pass() {
-        let a = run(16);
-        let b = run(16);
+        let a = run();
+        let b = run();
         assert_eq!(a.report, b.report);
-        assert_eq!(a.json, b.json);
-        assert!(a.gates_ok, "overload gates failed:\n{}", a.report);
+        assert_eq!(a.files, b.files);
+        assert_eq!(a.failed, None, "overload gates failed:\n{}", a.report);
     }
 }

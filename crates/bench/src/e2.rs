@@ -10,18 +10,15 @@
 //! logical grouping and incremental resource lookup. … This reduces
 //! network load and exploits locality", §2.4.3).
 
+use crate::{f2, format_table, human_bytes, per_service_rows, Output, PER_SERVICE_HEADERS};
 use lc_baselines::flat_config;
-use lc_bench::{f2, human_bytes, per_service_rows, print_table, PER_SERVICE_HEADERS};
 use lc_core::cohesion::CohesionConfig;
 use lc_core::demo;
-use lc_core::node::{NodeCmd, QueryResult};
-use lc_core::testkit::{build_world, World};
-use lc_core::{ComponentQuery, NodeConfig};
+use lc_core::testkit::World;
+use lc_core::{ComponentQuery, NodeConfig, QuerySink};
 use lc_des::SimTime;
 use lc_net::{HostId, Topology};
-use std::cell::RefCell;
-use std::rc::Rc;
-use std::sync::Arc;
+use std::fmt::Write as _;
 
 struct Outcome {
     msgs_per_query: f64,
@@ -32,15 +29,9 @@ struct Outcome {
     per_service: Vec<Vec<String>>,
 }
 
-fn run(n: usize, cohesion: CohesionConfig, seed: u64) -> Outcome {
-    let behaviors = lc_core::BehaviorRegistry::new();
-    demo::register_demo_behaviors(&behaviors);
+fn run_one(n: usize, cohesion: CohesionConfig, seed: u64) -> Outcome {
     let report_period = cohesion.report_period;
-    // Component owners: one per 16 nodes, spread out, never group MRMs.
-    let owners: Vec<HostId> =
-        (0..n).filter(|i| i % 16 == 7).map(|i| HostId(i as u32)).collect();
-    let owners_for_closure = owners.clone();
-    let mut world: World = build_world(
+    let mut world = World::on(
         Topology::campus(n / 8, 8),
         seed,
         NodeConfig {
@@ -49,42 +40,26 @@ fn run(n: usize, cohesion: CohesionConfig, seed: u64) -> Outcome {
             require_signature: false,
             ..Default::default()
         },
-        behaviors,
-        demo::demo_trust(),
-        Arc::new(demo::demo_idl()),
-        move |host| {
-            if owners_for_closure.contains(&host) {
-                vec![demo::counter_package()]
-            } else {
-                Vec::new()
-            }
-        },
+        demo::catalog(),
+        // Component owners: one per 16 nodes, spread out, never group MRMs.
+        |host| if host.0 % 16 == 7 { vec![demo::counter_package()] } else { Vec::new() },
     );
     // Let the soft state converge (reports + summaries).
     world.sim.run_until(report_period * 4);
     let msgs_before = world.sim.metrics_ref().counter("query.msgs");
 
     // 20 queries from scattered origins.
-    let sinks: Vec<Rc<RefCell<QueryResult>>> = (0..20)
+    let sinks: Vec<QuerySink> = (0..20)
         .map(|k| {
             let origin = HostId(((k * 13 + 3) % n) as u32);
-            let sink: Rc<RefCell<QueryResult>> = Rc::default();
-            world.cmd(
-                origin,
-                NodeCmd::Query {
-                    query: ComponentQuery::by_name("Counter", lc_pkg::Version::new(1, 0)),
-                    sink: sink.clone(),
-                    first_wins: true,
-                },
-            );
+            let query = ComponentQuery::by_name("Counter", lc_pkg::Version::new(1, 0));
+            let sink = world.query(origin, query, true);
             // space queries out so latencies are independent
-            let deadline = world.sim.now() + SimTime::from_millis(150);
-            world.sim.run_until(deadline);
+            world.run_for(SimTime::from_millis(150));
             sink
         })
         .collect();
-    let deadline = world.sim.now() + SimTime::from_secs(2);
-    world.sim.run_until(deadline);
+    world.run_for(SimTime::from_secs(2));
 
     let msgs = world.sim.metrics_ref().counter("query.msgs") - msgs_before;
     let mut first_ms = Vec::new();
@@ -109,25 +84,25 @@ fn run(n: usize, cohesion: CohesionConfig, seed: u64) -> Outcome {
     }
 }
 
-fn main() {
+/// Run E2 and render the report.
+pub fn run() -> Output {
     let period = SimTime::from_millis(500);
-    println!("E2: distributed query scalability — hierarchical MRMs vs flat registry");
+    let hier = |fanout| CohesionConfig {
+        fanout,
+        replicas: 2,
+        report_period: period,
+        timeout_intervals: 3,
+    };
+    let mut report = String::new();
+    let _ = writeln!(
+        report,
+        "E2: distributed query scalability — hierarchical MRMs vs flat registry"
+    );
 
     let mut rows = Vec::new();
     for &n in &[16usize, 64, 256, 1024] {
-        for (label, cfg) in [
-            (
-                "hier f=8",
-                CohesionConfig {
-                    fanout: 8,
-                    replicas: 2,
-                    report_period: period,
-                    timeout_intervals: 3,
-                },
-            ),
-            ("flat", flat_config(n, 2, period)),
-        ] {
-            let o = run(n, cfg, 42 + n as u64);
+        for (label, cfg) in [("hier f=8", hier(8)), ("flat", flat_config(n, 2, period))] {
+            let o = run_one(n, cfg, 42 + n as u64);
             rows.push(vec![
                 n.to_string(),
                 label.to_string(),
@@ -138,25 +113,16 @@ fn main() {
             ]);
         }
     }
-    print_table(
+    report.push_str(&format_table(
         "query cost vs network size",
         &["nodes", "protocol", "msgs/query", "first-offer ms", "hotspot recv", "hit %"],
         &rows,
-    );
+    ));
 
     // Ablation: fanout sweep at N=256.
     let mut rows = Vec::new();
     for &fanout in &[4usize, 8, 16, 32] {
-        let o = run(
-            256,
-            CohesionConfig {
-                fanout,
-                replicas: 2,
-                report_period: period,
-                timeout_intervals: 3,
-            },
-            7,
-        );
+        let o = run_one(256, hier(fanout), 7);
         rows.push(vec![
             fanout.to_string(),
             f2(o.msgs_per_query),
@@ -165,22 +131,19 @@ fn main() {
             f2(o.hit_rate * 100.0),
         ]);
     }
-    print_table(
+    report.push_str(&format_table(
         "ablation: hierarchy fanout at N=256",
         &["fanout", "msgs/query", "first-offer ms", "hotspot recv", "hit %"],
         &rows,
-    );
+    ));
 
     // Where a node's work goes: per-service message and dispatch
     // breakdown (NodeMetrics summed over all 64 nodes, hier f=8).
-    let o = run(
-        64,
-        CohesionConfig { fanout: 8, replicas: 2, report_period: period, timeout_intervals: 3 },
-        42 + 64,
-    );
-    print_table(
+    let o = run_one(64, hier(8), 42 + 64);
+    report.push_str(&format_table(
         "per-service breakdown, N=64 hier f=8 (all nodes)",
         &PER_SERVICE_HEADERS,
         &o.per_service,
-    );
+    ));
+    Output { report, ..Output::default() }
 }

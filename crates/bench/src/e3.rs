@@ -9,17 +9,16 @@
 //! the table reports control traffic (messages and bytes per node per
 //! second) and the membership-change work each protocol performs.
 
+use crate::{f2, format_table, per_service_rows, Output, PER_SERVICE_HEADERS};
 use lc_baselines::strong::{StrongConfig, StrongMember};
-use lc_bench::{f2, per_service_rows, print_table, PER_SERVICE_HEADERS};
 use lc_core::demo;
-use lc_core::testkit::{build_world, build_world_on};
+use lc_core::testkit::World;
 use lc_core::{CohesionConfig, NodeConfig};
-use lc_net::HostId;
 use lc_des::{Sim, SimTime};
-use lc_net::{ChurnConfig, ChurnDriver, ChurnHooks, Net, Topology};
+use lc_net::{ChurnConfig, ChurnDriver, ChurnHooks, HostId, Net, Topology};
 use std::cell::RefCell;
+use std::fmt::Write as _;
 use std::rc::Rc;
-use std::sync::Arc;
 
 const N: usize = 64;
 const RUN_SECS: u64 = 120;
@@ -31,38 +30,38 @@ struct Row {
     changes: u64,
 }
 
-/// Soft consistency: the CORBA-LC cohesion protocol under churn.
-fn run_soft(mean_uptime: Option<SimTime>, seed: u64) -> Row {
-    let behaviors = lc_core::BehaviorRegistry::new();
-    demo::register_demo_behaviors(&behaviors);
-    let mut net = Net::builder(Topology::campus(8, 8));
-    if let Some(up) = mean_uptime {
-        // Crash/recover the non-MRM hosts (MRM failover is E4's topic):
-        // spare the 2 MRM replicas per group.
-        net = net.churn(ChurnConfig {
-            mean_uptime: up,
-            mean_downtime: SimTime::from_secs(10),
-            victims: (0..N as u32).map(HostId).filter(|h| h.0 % 8 >= 2).collect(),
-            until: SimTime::from_secs(RUN_SECS),
-        });
-    }
-    let mut world = build_world_on(
-        net.build(),
+/// The 64-host soft-consistency campus: no components, reports every
+/// `period_ms`.
+fn soft_world(net: impl Into<Net>, seed: u64, period_ms: u64) -> World {
+    World::on(
+        net,
         seed,
         NodeConfig {
             cohesion: CohesionConfig {
                 fanout: 8,
                 replicas: 2,
-                report_period: SimTime::from_millis(PERIOD_MS),
+                report_period: SimTime::from_millis(period_ms),
                 timeout_intervals: 3,
             },
             ..Default::default()
         },
-        behaviors,
-        demo::demo_trust(),
-        Arc::new(demo::demo_idl()),
+        demo::catalog(),
         |_| Vec::new(),
-    );
+    )
+}
+
+/// Soft consistency: the CORBA-LC cohesion protocol under churn.
+fn run_soft(mean_uptime: Option<SimTime>, seed: u64) -> Row {
+    // Crash/recover the non-MRM hosts (MRM failover is E4's topic):
+    // spare the 2 MRM replicas per group.
+    let churn = mean_uptime.map(|up| ChurnConfig {
+        mean_uptime: up,
+        mean_downtime: SimTime::from_secs(10),
+        victims: (0..N as u32).map(HostId).filter(|h| h.0 % 8 >= 2).collect(),
+        until: SimTime::from_secs(RUN_SECS),
+    });
+    let net = Net::builder(Topology::campus(8, 8)).churn(churn).build();
+    let mut world = soft_world(net, seed, PERIOD_MS);
 
     world.sim.run_until(SimTime::from_secs(RUN_SECS));
     let m = world.sim.metrics_ref();
@@ -76,7 +75,7 @@ fn run_soft(mean_uptime: Option<SimTime>, seed: u64) -> Row {
 
 /// Strong consistency baseline under identical churn.
 fn run_strong(mean_uptime: Option<SimTime>, seed: u64) -> Row {
-    let net = Net::builder(Topology::campus(8, 8)).build();
+    let net = Net::from(Topology::campus(8, 8));
     let mut sim = Sim::new(seed);
     let cfg = StrongConfig {
         period: SimTime::from_millis(PERIOD_MS),
@@ -121,8 +120,11 @@ fn run_strong(mean_uptime: Option<SimTime>, seed: u64) -> Row {
     }
 }
 
-fn main() {
-    println!(
+/// Run E3 and render the report.
+pub fn run() -> Output {
+    let mut report = String::new();
+    let _ = writeln!(
+        report,
         "E3: control-plane cost, soft vs strong consistency ({N} hosts, {RUN_SECS}s, \
          report/heartbeat period {PERIOD_MS}ms)"
     );
@@ -133,51 +135,27 @@ fn main() {
         ("churn 1/60s", Some(SimTime::from_secs(60))),
         ("churn 1/20s", Some(SimTime::from_secs(20))),
     ] {
-        let soft = run_soft(uptime, 101);
-        let strong = run_strong(uptime, 101);
-        rows.push(vec![
-            label.to_string(),
-            "soft".into(),
-            f2(soft.msgs_per_node_s),
-            f2(soft.bytes_per_node_s),
-            soft.changes.to_string(),
-        ]);
-        rows.push(vec![
-            label.to_string(),
-            "strong".into(),
-            f2(strong.msgs_per_node_s),
-            f2(strong.bytes_per_node_s),
-            strong.changes.to_string(),
-        ]);
+        let both = [("soft", run_soft(uptime, 101)), ("strong", run_strong(uptime, 101))];
+        for (protocol, row) in both {
+            rows.push(vec![
+                label.to_string(),
+                protocol.into(),
+                f2(row.msgs_per_node_s),
+                f2(row.bytes_per_node_s),
+                row.changes.to_string(),
+            ]);
+        }
     }
-    print_table(
+    report.push_str(&format_table(
         "control traffic under churn",
         &["churn", "protocol", "msgs/node/s", "bytes/node/s", "membership changes"],
         &rows,
-    );
+    ));
 
     // Ablation: keep-alive period vs bandwidth (soft only, stable).
     let mut rows = Vec::new();
     for period_ms in [500u64, 1000, 2000, 5000] {
-        let behaviors = lc_core::BehaviorRegistry::new();
-        demo::register_demo_behaviors(&behaviors);
-        let mut world = build_world(
-            Topology::campus(8, 8),
-            55,
-            NodeConfig {
-                cohesion: CohesionConfig {
-                    fanout: 8,
-                    replicas: 2,
-                    report_period: SimTime::from_millis(period_ms),
-                    timeout_intervals: 3,
-                },
-                ..Default::default()
-            },
-            behaviors,
-            demo::demo_trust(),
-            Arc::new(demo::demo_idl()),
-            |_| Vec::new(),
-        );
+        let mut world = soft_world(Topology::campus(8, 8), 55, period_ms);
         world.sim.run_until(SimTime::from_secs(60));
         let bytes = world.sim.metrics_ref().counter("net.bytes") as f64 / N as f64 / 60.0;
         // staleness bound = eviction timeout
@@ -187,37 +165,20 @@ fn main() {
             format!("{}", 3 * period_ms),
         ]);
     }
-    print_table(
+    report.push_str(&format_table(
         "ablation: report period vs bandwidth and staleness bound",
         &["period ms", "bytes/node/s", "staleness bound ms"],
         &rows,
-    );
+    ));
 
     // Which services carry the control plane: per-service counters summed
     // over all nodes (soft protocol, stable fabric, 60s).
-    let behaviors = lc_core::BehaviorRegistry::new();
-    demo::register_demo_behaviors(&behaviors);
-    let mut world = build_world(
-        Topology::campus(8, 8),
-        55,
-        NodeConfig {
-            cohesion: CohesionConfig {
-                fanout: 8,
-                replicas: 2,
-                report_period: SimTime::from_millis(PERIOD_MS),
-                timeout_intervals: 3,
-            },
-            ..Default::default()
-        },
-        behaviors,
-        demo::demo_trust(),
-        Arc::new(demo::demo_idl()),
-        |_| Vec::new(),
-    );
+    let mut world = soft_world(Topology::campus(8, 8), 55, PERIOD_MS);
     world.sim.run_until(SimTime::from_secs(60));
-    print_table(
+    report.push_str(&format_table(
         "per-service control-plane breakdown (soft, stable, 60s, all nodes)",
         &PER_SERVICE_HEADERS,
         &per_service_rows(&world, (0..N as u32).map(HostId)),
-    );
+    ));
+    Output { report, ..Output::default() }
 }

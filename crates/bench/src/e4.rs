@@ -11,29 +11,19 @@
 //! recovery time: crash *all* configured primaries at once and measure
 //! how long until queries succeed again.
 
-use lc_bench::{f2, print_table};
+use crate::{f2, format_table, Output};
 use lc_core::cohesion::CohesionConfig;
 use lc_core::demo;
-use lc_core::node::{NodeCmd, QueryResult};
-use lc_core::testkit::build_world_on;
+use lc_core::testkit::World;
 use lc_core::{ComponentQuery, NodeConfig};
 use lc_des::SimTime;
 use lc_net::{ChurnConfig, HostId, Net, Topology};
-use std::cell::RefCell;
-use std::rc::Rc;
-use std::sync::Arc;
 
 const N: usize = 64;
 
-fn world_with_replicas(k: usize, seed: u64, churn: Option<ChurnConfig>) -> lc_core::testkit::World {
-    let behaviors = lc_core::BehaviorRegistry::new();
-    demo::register_demo_behaviors(&behaviors);
-    let mut net = Net::builder(Topology::campus(8, 8));
-    if let Some(churn) = churn {
-        net = net.churn(churn);
-    }
-    build_world_on(
-        net.build(),
+fn world_with_replicas(k: usize, seed: u64, churn: Option<ChurnConfig>) -> World {
+    World::on(
+        Net::builder(Topology::campus(8, 8)).churn(churn).build(),
         seed,
         NodeConfig {
             cohesion: CohesionConfig {
@@ -46,12 +36,14 @@ fn world_with_replicas(k: usize, seed: u64, churn: Option<ChurnConfig>) -> lc_co
             require_signature: false,
             ..Default::default()
         },
-        behaviors,
-        demo::demo_trust(),
-        Arc::new(demo::demo_idl()),
+        demo::catalog(),
         // every group's host ≡ 7 (mod 8) owns the component
         |host| if host.0 % 8 == 7 { vec![demo::counter_package()] } else { Vec::new() },
     )
+}
+
+fn counter_query() -> ComponentQuery {
+    ComponentQuery::by_name("Counter", lc_pkg::Version::new(1, 0))
 }
 
 /// Availability under continuous MRM churn.
@@ -71,18 +63,8 @@ fn churn_run(k: usize) -> (f64, u64) {
     let mut k_query = 0u32;
     while world.sim.now() < SimTime::from_secs(60) {
         let origin = HostId(((k_query * 13 + 4) % N as u32) | 4); // never an MRM seat
-        let sink: Rc<RefCell<QueryResult>> = Rc::default();
-        world.cmd(
-            origin,
-            NodeCmd::Query {
-                query: ComponentQuery::by_name("Counter", lc_pkg::Version::new(1, 0)),
-                sink: sink.clone(),
-                first_wins: true,
-            },
-        );
-        sinks.push(sink);
-        let deadline = world.sim.now() + SimTime::from_millis(250);
-        world.sim.run_until(deadline);
+        sinks.push(world.query(origin, counter_query(), true));
+        world.run_for(SimTime::from_millis(250));
         k_query += 1;
     }
     world.sim.run_until(SimTime::from_secs(62));
@@ -102,29 +84,20 @@ fn failover_run(k: usize) -> Option<SimTime> {
     }
     let outage_at = world.sim.now();
     // Probe every 100ms until a query succeeds.
-    for probe in 0..100 {
-        let sink: Rc<RefCell<QueryResult>> = Rc::default();
-        let origin = HostId(12); // group 1 member
-        world.cmd(
-            origin,
-            NodeCmd::Query {
-                query: ComponentQuery::by_name("Counter", lc_pkg::Version::new(1, 0)),
-                sink: sink.clone(),
-                first_wins: true,
-            },
-        );
-        let deadline = world.sim.now() + SimTime::from_millis(100);
-        world.sim.run_until(deadline);
+    for _ in 0..100 {
+        let sink = world.query(HostId(12), counter_query(), true); // group 1 member
+        world.run_for(SimTime::from_millis(100));
         if !sink.borrow().offers.is_empty() {
             return Some(world.sim.now() - outage_at);
         }
-        let _ = probe;
     }
     None
 }
 
-fn main() {
-    println!("E4: MRM replication — availability under churn and failover time");
+/// Run E4 and render the report.
+pub fn run() -> Output {
+    let mut report =
+        "E4: MRM replication — availability under churn and failover time\n".to_owned();
     let mut rows = Vec::new();
     for k in 1..=4usize {
         let (avail, failovers) = churn_run(k);
@@ -139,9 +112,10 @@ fn main() {
             },
         ]);
     }
-    print_table(
+    report.push_str(&format_table(
         "availability vs replica count (MRM-seat churn, 60s)",
         &["replicas k", "query availability %", "failovers", "all-primaries-crash recovery"],
         &rows,
-    );
+    ));
+    Output { report, ..Output::default() }
 }

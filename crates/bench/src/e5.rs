@@ -13,16 +13,16 @@
 //! placement, every instance computes one work chunk; the makespan (last
 //! reply) and the load distribution tell the story.
 
-use lc_bench::{f2, per_service_rows, print_table, PER_SERVICE_HEADERS};
+use crate::{f2, format_table, human_bytes, per_service_rows, Output, PER_SERVICE_HEADERS};
 use lc_core::node::NodeCmd;
-use lc_core::testkit::{build_world, fast_cohesion, World};
-use lc_core::{AssemblyDescriptor, NodeConfig, PlacementStrategy};
+use lc_core::testkit::{fast_cohesion, World};
+use lc_core::{AssemblyDescriptor, InvokeSink, NodeConfig, PlacementStrategy};
 use lc_des::SimTime;
 use lc_grid::PiWorkerServant;
 use lc_net::{HostCfg, HostId, Topology};
 use lc_orb::Value;
+use std::fmt::Write as _;
 use std::rc::Rc;
-use std::sync::Arc;
 
 const INSTANCES: usize = 24;
 
@@ -48,23 +48,19 @@ struct Run {
     per_service: Vec<Vec<String>>,
 }
 
-fn run(strategy: PlacementStrategy, lb: bool, seed: u64) -> Run {
-    let behaviors = lc_core::BehaviorRegistry::new();
-    lc_grid::register_grid_behaviors(&behaviors);
-    let mut world: World = build_world(
+fn run_one(strategy: PlacementStrategy, lb: bool, seed: u64) -> Run {
+    let mut world = World::on(
         topo(),
         seed,
         NodeConfig {
             cohesion: lc_baselines::flat_config(16, 1, fast_cohesion().report_period),
             load_balance: lb.then(|| lc_core::LoadBalanceConfig {
-                check_period: lc_des::SimTime::from_millis(500),
+                check_period: SimTime::from_millis(500),
                 overload_threshold: 0.25,
             }),
             ..Default::default()
         },
-        behaviors,
-        lc_grid::grid_trust(),
-        Arc::new(lc_grid::grid_idl()),
+        lc_grid::catalog(),
         // Only the orchestrator (host 0) has the package: run-time
         // deployment pushes binaries where they are needed.
         |host| if host == HostId(0) { vec![lc_grid::worker_package()] } else { Vec::new() },
@@ -78,12 +74,12 @@ fn run(strategy: PlacementStrategy, lb: bool, seed: u64) -> Run {
     }
     let sink: lc_core::AssemblySink = Rc::default();
     world.cmd(HostId(0), NodeCmd::StartAssembly { assembly, strategy, sink: sink.clone() });
-    world.sim.run_until(world.sim.now() + SimTime::from_secs(5));
+    world.run_for(SimTime::from_secs(5));
     if lb {
         // Give the load balancer time to shuffle instances off the
         // overloaded workstations ("this decision may change to reflect
         // changes in the load", §2.4.4).
-        world.sim.run_until(world.sim.now() + SimTime::from_secs(20));
+        world.run_for(SimTime::from_secs(20));
     }
 
     // Re-resolve references after possible LB migrations: named
@@ -98,25 +94,18 @@ fn run(strategy: PlacementStrategy, lb: bool, seed: u64) -> Run {
     let push_bytes = world.sim.metrics_ref().counter("assembly.push_bytes");
 
     // One compute wave: every instance crunches 2M units.
-    let invoke: lc_core::InvokeSink = Rc::default();
     let wave_start = world.sim.now();
-    for r in &refs {
-        world.cmd(
-            HostId(0),
-            NodeCmd::Invoke {
-                target: r.clone(),
-                op: "compute".into(),
-                args: vec![Value::ULongLong(7), Value::ULongLong(2_000_000)],
-                oneway: false,
-                sink: Some(invoke.clone()),
-            },
-        );
-    }
-    world.sim.run_until(world.sim.now() + SimTime::from_secs(120));
-    let makespan = invoke
-        .borrow()
+    let wave: Vec<InvokeSink> = refs
         .iter()
-        .map(|(at, _)| *at)
+        .map(|r| {
+            let args = vec![Value::ULongLong(7), Value::ULongLong(2_000_000)];
+            world.invoke(HostId(0), r, "compute", args)
+        })
+        .collect();
+    world.run_for(SimTime::from_secs(120));
+    let makespan = wave
+        .iter()
+        .filter_map(|replies| replies.borrow().iter().map(|(at, _)| *at).max())
         .max()
         .map(|t| (t - wave_start).as_secs_f64() * 1e3)
         .unwrap_or(f64::NAN);
@@ -142,42 +131,44 @@ fn run(strategy: PlacementStrategy, lb: bool, seed: u64) -> Run {
     Run { placed, makespan_ms: makespan, peak_busy_ms, push_bytes, per_service }
 }
 
-fn main() {
-    println!(
+/// Run E5 and render the report.
+pub fn run() -> Output {
+    let mut report = String::new();
+    let _ = writeln!(
+        report,
         "E5: deployment — CORBA-LC run-time placement vs CCM static assembly \
          (16 hosts: 4 idle servers + 12 slow workstations; {INSTANCES} instances)"
     );
-    let mut rows = Vec::new();
-    let mut runtime_breakdown = None;
-    for (label, strategy, lb) in [
+    let runs = [
         ("CORBA-LC run-time", PlacementStrategy::RuntimeLoadAware, false),
         ("CCM static RR", PlacementStrategy::StaticRoundRobin, false),
         ("static RR + auto-LB", PlacementStrategy::StaticRoundRobin, true),
-    ] {
-        let r = run(strategy, lb, 77);
-        if runtime_breakdown.is_none() {
-            runtime_breakdown = Some(r.per_service);
-        }
-        rows.push(vec![
-            label.to_string(),
-            format!("{}/{INSTANCES}", r.placed),
-            f2(r.makespan_ms),
-            f2(r.peak_busy_ms),
-            lc_bench::human_bytes(r.push_bytes),
-        ]);
-    }
-    print_table(
+    ]
+    .map(|(label, strategy, lb)| (label, run_one(strategy, lb, 77)));
+    let rows: Vec<Vec<String>> = runs
+        .iter()
+        .map(|(label, r)| {
+            vec![
+                label.to_string(),
+                format!("{}/{INSTANCES}", r.placed),
+                f2(r.makespan_ms),
+                f2(r.peak_busy_ms),
+                human_bytes(r.push_bytes),
+            ]
+        })
+        .collect();
+    report.push_str(&format_table(
         "placement quality",
         &["strategy", "placed", "wave makespan ms", "bottleneck host busy ms", "binaries pushed"],
         &rows,
-    );
+    ));
 
     // Where the deployment work lands inside the nodes (run-time
     // placement run, per-service counters summed over all 16 hosts).
-    let per_service = runtime_breakdown.expect("at least one run");
-    print_table(
+    report.push_str(&format_table(
         "per-service breakdown, CORBA-LC run-time placement (all nodes)",
         &PER_SERVICE_HEADERS,
-        &per_service,
-    );
+        &runs[0].1.per_service,
+    ));
+    Output { report, ..Output::default() }
 }

@@ -22,18 +22,18 @@
 //! The table sweeps stream length and reports WAN bytes per strategy —
 //! the crossover DESIGN.md §5 calls out.
 
-use lc_bench::{human_bytes, print_table};
+use crate::{format_table, human_bytes, Output};
 use lc_core::node::NodeCmd;
-use lc_core::testkit::{build_world, fast_cohesion, World};
-use lc_core::NodeConfig;
+use lc_core::testkit::{fast_config, World};
 use lc_cscw::{DisplayServant, VideoDecoderServant};
 use lc_des::SimTime;
 use lc_net::{HostCfg, HostId, Topology};
-use lc_orb::Value;
+use lc_orb::{ObjectRef, Value};
 use std::rc::Rc;
-use std::sync::Arc;
 
 const CHUNK: usize = 4 * 1024;
+const SERVER: HostId = HostId(0);
+const VIEWER: HostId = HostId(1);
 
 #[derive(Clone, Copy, PartialEq)]
 enum Strategy {
@@ -49,18 +49,14 @@ fn build() -> World {
     topo.set_site_pair_latency(server_site, viewer_site, SimTime::from_millis(30));
     topo.add_host(HostCfg::new(server_site).server()); // 0: video server
     topo.add_host(HostCfg::new(viewer_site)); // 1: viewer
-    let behaviors = lc_core::BehaviorRegistry::new();
-    lc_cscw::register_cscw_behaviors(&behaviors);
-    build_world(
-        Topology::clone(&topo),
+    World::on(
+        topo,
         66,
-        NodeConfig { cohesion: fast_cohesion(), ..Default::default() },
-        behaviors,
-        lc_cscw::cscw_trust(),
-        Arc::new(lc_cscw::cscw_idl()),
+        fast_config(),
+        lc_cscw::catalog(),
         |host| {
             let mut pkgs = vec![lc_cscw::display_package()];
-            if host == HostId(0) {
+            if host == SERVER {
                 pkgs.push(lc_cscw::video_decoder_package()); // 512 KiB binary
             }
             pkgs
@@ -68,61 +64,38 @@ fn build() -> World {
     )
 }
 
-fn spawn(world: &mut World, host: HostId, component: &str, name: &str) -> lc_orb::ObjectRef {
-    let sink: lc_core::SpawnSink = Rc::default();
-    world.cmd(
-        host,
-        NodeCmd::SpawnLocal {
-            component: component.into(),
-            min_version: lc_pkg::Version::new(1, 0),
-            instance_name: Some(name.into()),
-            sink: sink.clone(),
-        },
-    );
-    world.sim.run_until(world.sim.now() + SimTime::from_millis(20));
-    let result = sink.borrow().clone();
-    result.unwrap().unwrap()
-}
-
-fn connect_display(world: &mut World, decoder: &lc_orb::ObjectRef, display: &lc_orb::ObjectRef) {
-    world.cmd(
-        decoder.key.host,
-        NodeCmd::Invoke {
-            target: decoder.clone(),
-            op: "_connect_display".into(),
-            args: vec![Value::ObjRef(display.clone())],
-            oneway: true,
-            sink: None,
-        },
-    );
-    world.sim.run_until(world.sim.now() + SimTime::from_millis(20));
+fn connect_display(world: &mut World, decoder: &ObjectRef, display: &ObjectRef) {
+    let args = vec![Value::ObjRef(display.clone())];
+    world.oneway(decoder.key.host, decoder, "_connect_display", args);
+    world.run_for(SimTime::from_millis(20));
 }
 
 /// Stream `frames` chunks; returns (WAN bytes, frames decoded at viewer).
-fn run(strategy: Strategy, frames: u32) -> (u64, u64) {
+fn stream(strategy: Strategy, frames: u32) -> Result<(u64, u64), String> {
     let mut world = build();
-    let server = HostId(0);
-    let viewer = HostId(1);
+    let spawn_wait = SimTime::from_millis(20);
     world.sim.run_until(SimTime::from_millis(50));
-    let viewer_display = spawn(&mut world, viewer, "CscwDisplay", "screen");
+    let viewer_display = world.spawn(VIEWER, "CscwDisplay", Some("screen"), spawn_wait);
 
     // Where does the decoder start?
     let mut decoder = match strategy {
         Strategy::RemoteDecode | Strategy::MigrateQuarter => {
-            spawn(&mut world, server, "VideoDecoder", "dec")
+            world.spawn(SERVER, "VideoDecoder", Some("dec"), spawn_wait)
         }
         Strategy::FetchLocal => {
             // The real dependency-resolution path: the viewer's screen
             // needs a video source; with a long expected stream the
             // planner picks FetchAndRunLocal, pulling the package over
             // the WAN from the server (§2.4.3's MPEG decision).
-            let screen_inst =
-                world.node(viewer).unwrap().registry.named("screen").unwrap().id;
+            let Some(screen) = world.node(VIEWER).and_then(|n| n.registry.named("screen")) else {
+                return Err("the viewer lost its screen".into());
+            };
+            let instance = screen.id;
             let provider: lc_core::SpawnSink = Rc::default();
             world.cmd(
-                viewer,
+                VIEWER,
                 NodeCmd::Resolve {
-                    instance: screen_inst,
+                    instance,
                     port: "video_in".into(),
                     query: lc_core::ComponentQuery::by_name(
                         "VideoDecoder",
@@ -135,9 +108,12 @@ fn run(strategy: Strategy, frames: u32) -> (u64, u64) {
                     sink: Some(provider.clone()),
                 },
             );
-            world.sim.run_until(world.sim.now() + SimTime::from_secs(30));
-            let r = provider.borrow().clone().expect("resolved").expect("fetch-local decoder");
-            assert_eq!(r.key.host, viewer, "planner must choose local install");
+            world.run_for(SimTime::from_secs(30));
+            let resolved = provider.borrow().clone();
+            let Some(Ok(r)) = resolved else {
+                return Err(format!("fetch-local decoder did not resolve: {resolved:?}"));
+            };
+            assert_eq!(r.key.host, VIEWER, "planner must choose local install");
             r
         }
     };
@@ -149,38 +125,37 @@ fn run(strategy: Strategy, frames: u32) -> (u64, u64) {
     for f in 0..frames {
         if strategy == Strategy::MigrateQuarter && f == migrate_at {
             // Mid-stream migration, state and all (§2.2).
-            let inst = world.node(server).unwrap().registry.named("dec").unwrap().id;
+            let Some(dec) = world.node(SERVER).and_then(|n| n.registry.named("dec")) else {
+                return Err("the server lost its decoder".into());
+            };
+            let instance = dec.id;
             let msink: lc_core::MigrateSink = Rc::default();
-            world.cmd(server, NodeCmd::Migrate { instance: inst, to: viewer, sink: Some(msink.clone()) });
-            world.sim.run_until(world.sim.now() + SimTime::from_secs(30));
-            decoder = msink.borrow().clone().unwrap().expect("migration done");
+            world.cmd(SERVER, NodeCmd::Migrate { instance, to: VIEWER, sink: Some(msink.clone()) });
+            world.run_for(SimTime::from_secs(30));
+            let migrated = msink.borrow().clone();
+            let Some(Ok(moved)) = migrated else {
+                return Err(format!("migration did not finish: {migrated:?}"));
+            };
+            decoder = moved;
             connect_display(&mut world, &decoder, &viewer_display);
         }
         // The camera/file source lives at the server site.
-        world.cmd(
-            server,
-            NodeCmd::Invoke {
-                target: decoder.clone(),
-                op: "push_chunk".into(),
-                args: vec![Value::blob(&vec![0x5A; CHUNK])],
-                oneway: true,
-                sink: None,
-            },
-        );
-        world.sim.run_until(world.sim.now() + SimTime::from_millis(40)); // 25 fps
+        world.oneway(SERVER, &decoder, "push_chunk", vec![Value::blob(&vec![0x5A; CHUNK])]);
+        world.run_for(SimTime::from_millis(40)); // 25 fps
     }
-    world.sim.run_until(world.sim.now() + SimTime::from_secs(5));
+    world.run_for(SimTime::from_secs(5));
 
     let wan = world.sim.metrics_ref().counter("net.bytes.inter") - wan_before;
-    let node = world.node(viewer).unwrap();
-    let frames_drawn = node
-        .registry
-        .named("screen")
-        .and_then(|i| node.servant_of::<DisplayServant>(i.id))
+    let frames_drawn = world
+        .node(VIEWER)
+        .and_then(|node| {
+            let screen = node.registry.named("screen")?;
+            node.servant_of::<DisplayServant>(screen.id)
+        })
         .map(|d| d.draws)
         .unwrap_or(0);
     // sanity: decoder processed all frames wherever it lives
-    let total_decoded: u64 = [server, viewer]
+    let total_decoded: u64 = [SERVER, VIEWER]
         .iter()
         .filter_map(|h| {
             let node = world.node(*h)?;
@@ -192,17 +167,16 @@ fn run(strategy: Strategy, frames: u32) -> (u64, u64) {
         })
         .sum();
     assert!(total_decoded >= frames as u64, "decoded {total_decoded}/{frames}");
-    (wan, frames_drawn)
+    Ok((wan, frames_drawn))
 }
 
-fn main() {
-    println!("E6: video decoder placement — WAN bytes by strategy and stream length");
-    println!("(4 KiB encoded chunks -> 16 KiB painted frames; 512 KiB decoder binary)");
+/// One row per stream length: WAN bytes per strategy.
+fn sweep() -> Result<Vec<Vec<String>>, String> {
     let mut rows = Vec::new();
     for &frames in &[50u32, 200, 800, 2000] {
-        let (remote, _) = run(Strategy::RemoteDecode, frames);
-        let (fetch, _) = run(Strategy::FetchLocal, frames);
-        let (migrate, drawn) = run(Strategy::MigrateQuarter, frames);
+        let (remote, _) = stream(Strategy::RemoteDecode, frames)?;
+        let (fetch, _) = stream(Strategy::FetchLocal, frames)?;
+        let (migrate, drawn) = stream(Strategy::MigrateQuarter, frames)?;
         rows.push(vec![
             frames.to_string(),
             human_bytes(remote),
@@ -211,14 +185,27 @@ fn main() {
             drawn.to_string(),
         ]);
     }
-    print_table(
+    Ok(rows)
+}
+
+/// Run E6 and render the report.
+pub fn run() -> Output {
+    let rows = match sweep() {
+        Ok(rows) => rows,
+        Err(e) => return Output::failed(format!("e6: {e}")),
+    };
+    let mut report = "E6: video decoder placement — WAN bytes by strategy and stream length\n\
+                      (4 KiB encoded chunks -> 16 KiB painted frames; 512 KiB decoder binary)\n"
+        .to_owned();
+    report.push_str(&format_table(
         "WAN traffic per strategy",
         &["frames", "remote-decode", "fetch-local", "migrate@25%", "frames on screen (migrate)"],
         &rows,
-    );
-    println!(
+    ));
+    report.push_str(
         "\nShape check: fetch-local pays ~the package size up front and wins once the\n\
          stream is long; remote-decode ships every decoded frame over the WAN;\n\
-         migration lands in between, approaching fetch-local for long streams."
+         migration lands in between, approaching fetch-local for long streams.\n",
     );
+    Output { report, ..Output::default() }
 }

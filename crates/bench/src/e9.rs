@@ -10,7 +10,7 @@
 //! Sizes and ratios only: pack and verify throughput are the
 //! `pkg.pack_mib_s` / `pkg.parse_verify_mib_s` rows of `.perf`.
 
-use lc_bench::{f2, human_bytes, print_table};
+use crate::{f2, format_table, human_bytes, Output};
 use lc_pkg::{ComponentDescriptor, Package, Platform, SigningKey, TrustStore, Version};
 
 fn payload(kind: &str, size: usize) -> Vec<u8> {
@@ -38,8 +38,10 @@ fn payload(kind: &str, size: usize) -> Vec<u8> {
     }
 }
 
-fn main() {
-    println!("E9: CLCP packaging — compression, signing, partial extraction");
+/// Run E9 and render the report.
+pub fn run() -> Output {
+    let mut report =
+        "E9: CLCP packaging — compression, signing, partial extraction\n".to_owned();
     let key = SigningKey::new("vendor", b"secret");
     let mut trust = TrustStore::new();
     trust.trust("vendor", b"secret");
@@ -60,8 +62,12 @@ fn main() {
             .with_binary(Platform::pda(), "x_pda", &payload(kind, size / 8));
         pkg.seal(&key);
         let bytes = pkg.to_bytes();
-        let back = Package::from_bytes(&bytes).unwrap();
-        assert_eq!(back.verify(&trust), lc_pkg::sign::Verification::Trusted);
+        let verified = Package::from_bytes(&bytes).map(|back| back.verify(&trust));
+        if !matches!(verified, Ok(lc_pkg::sign::Verification::Trusted)) {
+            return Output::failed(format!(
+                "e9: {kind} package of {size} bytes did not verify after the round trip"
+            ));
+        }
 
         let raw = pkg.raw_size() as f64;
         rows.push(vec![
@@ -72,11 +78,11 @@ fn main() {
             f2(raw / bytes.len() as f64),
         ]);
     }
-    print_table(
+    report.push_str(&format_table(
         "pack/verify across binary sizes",
         &["payload", "main binary", "raw total", "wire total", "ratio"],
         &rows,
-    );
+    ));
 
     // Partial extraction for PDAs.
     let mut rows = Vec::new();
@@ -100,9 +106,10 @@ fn main() {
             f2(full as f64 / sub as f64),
         ]);
     }
-    print_table(
+    report.push_str(&format_table(
         "PDA partial extraction (3-platform package, PDA binary = size/16)",
         &["per-platform binary", "full package", "PDA subset", "saving x"],
         &rows,
-    );
+    ));
+    Output { report, ..Output::default() }
 }

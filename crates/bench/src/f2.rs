@@ -8,43 +8,49 @@
 //! host, one on a remote workstation, and the PDA participant's GUI part
 //! runs remotely while painting on the PDA's display.
 
+use crate::Output;
 use lc_core::node::NodeCmd;
-use lc_core::testkit::{build_world, fast_cohesion};
-use lc_core::NodeConfig;
+use lc_core::testkit::{fast_config, World};
 use lc_des::SimTime;
 use lc_net::{HostCfg, Topology};
 use lc_orb::Value;
-use std::rc::Rc;
-use std::sync::Arc;
+use std::fmt::Write as _;
 
-fn main() {
-    println!("F2: Figure 2 — CSCW application model");
-    println!("-------------------------------------");
+/// Run F2 and render the report.
+pub fn run() -> Output {
+    let mut report = String::new();
+    let _ = writeln!(report, "F2: Figure 2 — CSCW application model");
+    let _ = writeln!(report, "-------------------------------------");
 
     // The assembly, type-checked against the IDL like a visual builder
     // would before letting the user hit 'run'.
     let assembly = lc_cscw::whiteboard_assembly(3);
-    let idl = lc_cscw::cscw_idl();
     let mut descs = std::collections::BTreeMap::new();
     for bytes in [
         lc_cscw::gui_package(),
         lc_cscw::whiteboard_package(),
         lc_cscw::display_package(),
     ] {
-        let pkg = lc_pkg::Package::from_bytes(&bytes).unwrap();
+        let pkg = match lc_pkg::Package::from_bytes(&bytes) {
+            Ok(pkg) => pkg,
+            Err(e) => return Output::failed(format!("f2: package does not parse: {e:?}")),
+        };
         descs.insert(pkg.descriptor.name.clone(), pkg.descriptor);
     }
-    assembly.typecheck(&descs, &idl).expect("assembly typechecks");
-    println!("\nassembly '{}' (typechecked):", assembly.name);
+    if let Err(e) = assembly.typecheck(&descs, &lc_cscw::cscw_idl()) {
+        return Output::failed(format!("f2: assembly does not typecheck: {e:?}"));
+    }
+    let _ = writeln!(report, "\nassembly '{}' (typechecked):", assembly.name);
     for i in &assembly.instances {
-        println!("  instance {:<6} : {} >= {}", i.name, i.component, i.min_version);
+        let _ =
+            writeln!(report, "  instance {:<6} : {} >= {}", i.name, i.component, i.min_version);
     }
     for c in &assembly.connections {
         let arrow = match c.kind {
             lc_core::ConnectionKind::Interface => "--uses-->",
             lc_core::ConnectionKind::Event => "~~consumes~~>",
         };
-        println!("  {}.{} {arrow} {}.{}", c.from, c.from_port, c.to, c.to_port);
+        let _ = writeln!(report, "  {}.{} {arrow} {}.{}", c.from, c.from_port, c.to, c.to_port);
     }
 
     // Deploy: app host + workstation + PDA.
@@ -53,67 +59,33 @@ fn main() {
     let app_host = topo.add_host(HostCfg::new(office).server());
     let workstation = topo.add_host(HostCfg::new(office));
     let pda = topo.add_host(HostCfg::new(office).pda());
-    let behaviors = lc_core::BehaviorRegistry::new();
-    lc_cscw::register_cscw_behaviors(&behaviors);
-    let mut world = build_world(
+    let mut world = World::on(
         topo,
         2,
-        NodeConfig { cohesion: fast_cohesion(), ..Default::default() },
-        behaviors,
-        lc_cscw::cscw_trust(),
-        Arc::new(lc_cscw::cscw_idl()),
-        |_| {
-            vec![
-                lc_cscw::display_package(),
-                lc_cscw::gui_package(),
-                lc_cscw::whiteboard_package(),
-            ]
-        },
+        fast_config(),
+        lc_cscw::catalog(),
+        |_| lc_cscw::session_packages(),
     );
     world.sim.run_until(SimTime::from_millis(50));
 
-    let spawn = |world: &mut lc_core::testkit::World, host, component: &str, name: &str| {
-        let sink: lc_core::SpawnSink = Rc::default();
-        world.cmd(
-            host,
-            NodeCmd::SpawnLocal {
-                component: component.into(),
-                min_version: lc_pkg::Version::new(1, 0),
-                instance_name: Some(name.into()),
-                sink: sink.clone(),
-            },
-        );
-        world.sim.run_until(world.sim.now() + SimTime::from_millis(20));
-        let r = sink.borrow().clone();
-        r.unwrap().unwrap()
-    };
-
-    let board = spawn(&mut world, app_host, "Whiteboard", "application");
+    let wait = SimTime::from_millis(20);
+    let board = world.spawn(app_host, "Whiteboard", Some("application"), wait);
     // local GUI part (same host as the application)
-    let gui_local = spawn(&mut world, app_host, "CscwGuiPart", "gui-part-1");
-    let disp_local = spawn(&mut world, app_host, "CscwDisplay", "display-app");
+    let gui_local = world.spawn(app_host, "CscwGuiPart", Some("gui-part-1"), wait);
+    let disp_local = world.spawn(app_host, "CscwDisplay", Some("display-app"), wait);
     // remote GUI part on the workstation
-    let gui_remote = spawn(&mut world, workstation, "CscwGuiPart", "gui-part-2");
-    let disp_remote = spawn(&mut world, workstation, "CscwDisplay", "display-ws");
+    let gui_remote = world.spawn(workstation, "CscwGuiPart", Some("gui-part-2"), wait);
+    let disp_remote = world.spawn(workstation, "CscwDisplay", Some("display-ws"), wait);
     // PDA: display local (firmware), GUI part hosted on the server
-    let disp_pda = spawn(&mut world, pda, "CscwDisplay", "display-pda");
-    let gui_pda = spawn(&mut world, app_host, "CscwGuiPart", "gui-part-pda");
+    let disp_pda = world.spawn(pda, "CscwDisplay", Some("display-pda"), wait);
+    let gui_pda = world.spawn(app_host, "CscwGuiPart", Some("gui-part-pda"), wait);
 
     for (host, gui, disp) in [
         (app_host, &gui_local, &disp_local),
         (workstation, &gui_remote, &disp_remote),
         (app_host, &gui_pda, &disp_pda),
     ] {
-        world.cmd(
-            host,
-            NodeCmd::Invoke {
-                target: gui.clone(),
-                op: "_connect_display".into(),
-                args: vec![Value::ObjRef(disp.clone())],
-                oneway: true,
-                sink: None,
-            },
-        );
+        world.oneway(host, gui, "_connect_display", vec![Value::ObjRef(disp.clone())]);
         world.cmd(
             host,
             NodeCmd::Subscribe {
@@ -124,28 +96,22 @@ fn main() {
             },
         );
     }
-    world.sim.run_until(world.sim.now() + SimTime::from_millis(200));
+    world.run_for(SimTime::from_millis(200));
 
     // One stroke to light the wires up.
-    world.cmd(
-        app_host,
-        NodeCmd::Invoke {
-            target: board,
-            op: "user_stroke".into(),
-            args: vec![Value::Long(1), Value::Long(2), Value::Long(3), Value::Long(4)],
-            oneway: true,
-            sink: None,
-        },
-    );
-    world.sim.run_until(world.sim.now() + SimTime::from_secs(1));
+    let stroke = vec![Value::Long(1), Value::Long(2), Value::Long(3), Value::Long(4)];
+    world.oneway(app_host, &board, "user_stroke", stroke);
+    world.run_for(SimTime::from_secs(1));
 
-    println!("\ndeployed model (cf. Fig. 2):\n");
-    println!("  Application Window           Node                    Network");
+    let _ = writeln!(report, "\ndeployed model (cf. Fig. 2):\n");
+    let _ = writeln!(report, "  Application Window           Node                    Network");
     for (label, host) in
         [("application host", app_host), ("workstation", workstation), ("PDA", pda)]
     {
-        let node = world.node(host).unwrap();
-        println!("  [{label} = {}]", host);
+        let Some(node) = world.node(host) else {
+            return Output::failed(format!("f2: {label} is down"));
+        };
+        let _ = writeln!(report, "  [{label} = {}]", host);
         for inst in node.registry.instances() {
             let ports: Vec<String> = inst
                 .provides
@@ -155,7 +121,8 @@ fn main() {
                 .chain(inst.emits.iter().map(|p| format!("emits {}", p.name)))
                 .chain(inst.consumes.iter().map(|p| format!("consumes {}", p.name)))
                 .collect();
-            println!(
+            let _ = writeln!(
+                report,
                 "    {} '{}' ({})",
                 inst.component,
                 inst.name.clone().unwrap_or_default(),
@@ -163,12 +130,14 @@ fn main() {
             );
         }
         for c in node.registry.connections() {
-            println!("      wire: {}.{} -> {}", c.from, c.from_port, c.to);
+            let _ = writeln!(report, "      wire: {}.{} -> {}", c.from, c.from_port, c.to);
         }
     }
-    println!(
+    let _ = writeln!(
+        report,
         "\n  stroke delivered to 3 GUI parts (1 local, 1 remote, 1 serving the PDA);\n\
          events published: {}",
         world.sim.metrics_ref().counter("events.published")
     );
+    Output { report, ..Output::default() }
 }

@@ -8,9 +8,11 @@
 //! port, and an event-producing ticker.
 
 use crate::behavior::BehaviorRegistry;
+use crate::testkit::Catalog;
 use lc_orb::{Invocation, ObjectRef, OrbError, Servant, Value};
 use lc_pkg::{ComponentDescriptor, Package, Platform, QosSpec, SigningKey, Version};
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// IDL for the demo components.
 pub const DEMO_IDL: &str = r#"
@@ -214,6 +216,13 @@ pub fn register_demo_behaviors(reg: &BehaviorRegistry) {
     });
     reg.register("demo_gui", || Box::new(GuiPartImpl { display: None, renders: 0 }));
     reg.register("demo_watcher", || Box::<RenderWatcherImpl>::default());
+}
+
+/// The demo domain: its behaviours, vendor trust and IDL.
+pub fn catalog() -> Catalog {
+    let behaviors = BehaviorRegistry::new();
+    register_demo_behaviors(&behaviors);
+    Catalog { behaviors, trust: demo_trust(), idl: Arc::new(demo_idl()) }
 }
 
 /// The demo vendor's signing key.

@@ -64,19 +64,40 @@ pub use scale::{
     ScaleReport, Variant, KIND_NAMES,
 };
 
-/// Convenience test-kit for building simulated CORBA-LC networks; used by
-/// unit tests, integration tests, examples and every experiment binary.
+/// The scenario vocabulary: a [`testkit::World`] is a simulated
+/// CORBA-LC network, a [`testkit::Catalog`] the component domain its
+/// nodes know, and `World`'s verbs (`run_for`, `spawn`, `query`,
+/// `invoke`, `oneway`) are what tests, examples and experiments script
+/// it with.
 pub mod testkit {
     use crate::behavior::BehaviorRegistry;
     use crate::cohesion::{CohesionConfig, Hierarchy};
-    use crate::node::{NodeConfig, NodeSeed, RegistryConfig};
+    use crate::node::{
+        InvokeSink, NodeCmd, NodeConfig, NodeSeed, QuerySink, RegistryConfig, SpawnSink,
+    };
     use crate::registry::shard::ShardRing;
-    use lc_des::{ActorId, Sim};
-    use lc_net::{ChurnHooks, Net, Topology};
-    use lc_orb::SimOrb;
+    use crate::registry::ComponentQuery;
+    use lc_des::{ActorId, Sim, SimTime};
+    use lc_net::{ChurnHooks, HostId, Net, Topology};
+    use lc_orb::{ObjectRef, SimOrb, Value};
     use lc_pkg::TrustStore;
     use std::rc::Rc;
     use std::sync::Arc;
+
+    /// What a node must know of a component domain before it can
+    /// install and run the domain's packages: the behaviours their
+    /// binaries name, the vendors whose signatures it accepts and the
+    /// IDL their ports speak. `demo::catalog()`, `lc_cscw::catalog()`
+    /// and `lc_grid::catalog()` are the three domains.
+    #[derive(Clone)]
+    pub struct Catalog {
+        /// Loadable behaviours (the DLL substitute).
+        pub behaviors: BehaviorRegistry,
+        /// Trusted vendors.
+        pub trust: TrustStore,
+        /// Interface repository.
+        pub idl: Arc<lc_idl::Repository>,
+    }
 
     /// A fully wired simulated CORBA-LC network.
     pub struct World {
@@ -103,7 +124,7 @@ pub mod testkit {
         behaviors: BehaviorRegistry,
         trust: TrustStore,
         idl: Arc<lc_idl::Repository>,
-        preinstalled: impl Fn(lc_net::HostId) -> Vec<Rc<Vec<u8>>>,
+        preinstalled: impl Fn(HostId) -> Vec<Rc<Vec<u8>>>,
     ) -> World {
         build_world_on(
             Net::builder(topo).build(),
@@ -129,7 +150,7 @@ pub mod testkit {
         behaviors: BehaviorRegistry,
         trust: TrustStore,
         idl: Arc<lc_idl::Repository>,
-        preinstalled: impl Fn(lc_net::HostId) -> Vec<Rc<Vec<u8>>>,
+        preinstalled: impl Fn(HostId) -> Vec<Rc<Vec<u8>>>,
     ) -> World {
         let orb = SimOrb::new(net.clone());
         let hosts = net.host_ids();
@@ -175,50 +196,152 @@ pub mod testkit {
     }
 
     impl World {
+        /// One node per host of `net` (a [`Topology`] stands for the
+        /// plain fabric over it), each knowing `catalog` and booting
+        /// with the packages `preinstalled` names for its host.
+        pub fn on(
+            net: impl Into<Net>,
+            seed: u64,
+            config: NodeConfig,
+            catalog: Catalog,
+            preinstalled: impl Fn(HostId) -> Vec<Rc<Vec<u8>>>,
+        ) -> World {
+            build_world_on(
+                net.into(),
+                seed,
+                config,
+                catalog.behaviors,
+                catalog.trust,
+                catalog.idl,
+                preinstalled,
+            )
+        }
+
         /// Shorthand: a LAN world with default config and no components.
         pub fn lan(n: usize, seed: u64) -> World {
-            build_world(
-                Topology::lan(n),
-                seed,
-                NodeConfig::default(),
-                BehaviorRegistry::new(),
-                TrustStore::new(),
-                Arc::new(lc_idl::Repository::default()),
-                |_| Vec::new(),
-            )
+            let empty = Catalog {
+                behaviors: BehaviorRegistry::new(),
+                trust: TrustStore::new(),
+                idl: Arc::new(lc_idl::Repository::default()),
+            };
+            World::on(Topology::lan(n), seed, NodeConfig::default(), empty, |_| Vec::new())
+        }
+
+        /// Advance virtual time by `d`.
+        pub fn run_for(&mut self, d: SimTime) {
+            let deadline = self.sim.now() + d;
+            self.sim.run_until(deadline);
+        }
+
+        /// Create an instance of `component` on `host` — at whatever
+        /// version the host has installed — run for `wait`, and return
+        /// its reference. Panics unless the spawn succeeded within
+        /// `wait`; a scenario that expects a refusal sends
+        /// [`NodeCmd::SpawnLocal`] itself.
+        pub fn spawn(
+            &mut self,
+            host: HostId,
+            component: &str,
+            name: Option<&str>,
+            wait: SimTime,
+        ) -> ObjectRef {
+            let installed = self.node(host).and_then(|node| {
+                let versions = node.repository.iter().map(|i| &i.descriptor);
+                versions.filter(|d| d.name == component).map(|d| d.version).max()
+            });
+            let Some(min_version) = installed else {
+                panic!("spawn {component} on {host}: not installed")
+            };
+            let sink: SpawnSink = Rc::default();
+            self.cmd(
+                host,
+                NodeCmd::SpawnLocal {
+                    component: component.into(),
+                    min_version,
+                    instance_name: name.map(str::to_owned),
+                    sink: sink.clone(),
+                },
+            );
+            self.run_for(wait);
+            let result = sink.borrow().clone();
+            match result {
+                Some(Ok(target)) => target,
+                other => panic!("spawn {component} on {host}: {other:?}"),
+            }
+        }
+
+        /// Start a distributed query at `origin`; the sink fills as
+        /// the world runs.
+        pub fn query(
+            &mut self,
+            origin: HostId,
+            query: ComponentQuery,
+            first_wins: bool,
+        ) -> QuerySink {
+            let sink: QuerySink = Rc::default();
+            self.cmd(origin, NodeCmd::Query { query, sink: sink.clone(), first_wins });
+            sink
+        }
+
+        /// Two-way invocation of `target.op(args)` issued by `from`'s
+        /// node; the sink receives the reply as the world runs.
+        pub fn invoke(
+            &mut self,
+            from: HostId,
+            target: &ObjectRef,
+            op: &str,
+            args: Vec<Value>,
+        ) -> InvokeSink {
+            let sink: InvokeSink = Rc::default();
+            self.cmd(
+                from,
+                NodeCmd::Invoke {
+                    target: target.clone(),
+                    op: op.into(),
+                    args,
+                    oneway: false,
+                    sink: Some(sink.clone()),
+                },
+            );
+            sink
+        }
+
+        /// Oneway invocation of `target.op(args)` issued by `from`'s node.
+        pub fn oneway(&mut self, from: HostId, target: &ObjectRef, op: &str, args: Vec<Value>) {
+            let target = target.clone();
+            self.cmd(from, NodeCmd::Invoke { target, op: op.into(), args, oneway: true, sink: None });
         }
 
         /// Crash a host now: fabric down + node actor killed (soft state
         /// lost) — what a scheduled crash window does at its `down_at`.
-        pub fn crash(&mut self, host: lc_net::HostId) {
+        pub fn crash(&mut self, host: HostId) {
             self.net.set_host_up(host, false);
             self.sim.kill(self.net.actor_of(host));
         }
 
         /// Recover a host now: fabric up + fresh node from its seed
         /// (installed packages persist, dynamic state starts empty).
-        pub fn recover(&mut self, host: lc_net::HostId) {
+        pub fn recover(&mut self, host: HostId) {
             self.net.set_host_up(host, true);
             self.seeds[host.0 as usize].spawn(&mut self.sim);
         }
 
-        /// Send a [`crate::node::NodeCmd`] to a host's node, now.
-        pub fn cmd(&mut self, host: lc_net::HostId, cmd: crate::node::NodeCmd) {
-            self.sim.send_in(lc_des::SimTime::ZERO, self.net.actor_of(host), cmd);
+        /// Send a [`NodeCmd`] to a host's node, now.
+        pub fn cmd(&mut self, host: HostId, cmd: NodeCmd) {
+            self.sim.send_in(SimTime::ZERO, self.net.actor_of(host), cmd);
         }
 
         /// Borrow a host's node for inspection (`None` while it is down).
-        pub fn node(&self, host: lc_net::HostId) -> Option<&crate::node::Node> {
+        pub fn node(&self, host: HostId) -> Option<&crate::node::Node> {
             self.sim.actor_as::<crate::node::Node>(self.net.actor_of(host))
         }
     }
 
     /// The worker hosting [`display_campus`]'s `Display` instance (a
     /// workstation: ≈ 5 000 draws/s at 200 µs/draw).
-    pub const DISPLAY_WORKER: lc_net::HostId = lc_net::HostId(1);
+    pub const DISPLAY_WORKER: HostId = HostId(1);
     /// [`display_campus`]'s front-end ingress hosts, two per site.
-    pub const DISPLAY_FRONTS: [lc_net::HostId; 4] =
-        [lc_net::HostId(2), lc_net::HostId(3), lc_net::HostId(5), lc_net::HostId(6)];
+    pub const DISPLAY_FRONTS: [HostId; 4] = [HostId(2), HostId(3), HostId(5), HostId(6)];
 
     /// E16's capacity campus, converged: 2 sites × 4 hosts (hosts 0 and
     /// 4 are servers), the demo behaviours, and the 8 KiB `Display`
@@ -228,41 +351,23 @@ pub mod testkit {
     /// `Spawn`. One `Display` instance is spawned on [`DISPLAY_WORKER`]
     /// and the world runs for one virtual second. Returns it with the
     /// instance's reference.
-    pub fn display_campus(seed: u64, config: NodeConfig) -> (World, lc_orb::ObjectRef) {
+    pub fn display_campus(seed: u64, config: NodeConfig) -> (World, ObjectRef) {
         use crate::demo;
-        let behaviors = BehaviorRegistry::new();
-        demo::register_demo_behaviors(&behaviors);
-        let mut world = build_world(
-            Topology::campus(2, 4),
-            seed,
-            config,
-            behaviors,
-            demo::demo_trust(),
-            Arc::new(demo::demo_idl()),
-            |h| {
+        let mut world =
+            World::on(Topology::campus(2, 4), seed, config, demo::catalog(), |h| {
                 if DISPLAY_FRONTS.contains(&h) {
                     Vec::new()
                 } else {
                     vec![demo::display_package_sized(8 * 1024)]
                 }
-            },
-        );
-        let spawn: crate::SpawnSink = Rc::default();
-        world.cmd(
-            DISPLAY_WORKER,
-            crate::node::NodeCmd::SpawnLocal {
-                component: "Display".into(),
-                min_version: lc_pkg::Version::new(2, 0),
-                instance_name: None,
-                sink: spawn.clone(),
-            },
-        );
-        world.sim.run_until(lc_des::SimTime::from_secs(1));
-        let target = match spawn.borrow().clone() {
-            Some(Ok(target)) => target,
-            other => panic!("display_campus: worker spawn failed: {other:?}"),
-        };
+            });
+        let target = world.spawn(DISPLAY_WORKER, "Display", None, SimTime::from_secs(1));
         (world, target)
+    }
+
+    /// The default node config on [`fast_cohesion`] timers.
+    pub fn fast_config() -> NodeConfig {
+        NodeConfig { cohesion: fast_cohesion(), ..Default::default() }
     }
 
     /// The standard cohesion config used by most tests: fast timers so
@@ -271,7 +376,7 @@ pub mod testkit {
         CohesionConfig {
             fanout: 8,
             replicas: 2,
-            report_period: lc_des::SimTime::from_millis(200),
+            report_period: SimTime::from_millis(200),
             timeout_intervals: 3,
         }
     }

@@ -5,15 +5,13 @@
 //! — same results, same replies, same counters otherwise. This is the
 //! testable form of "E1–E15 goldens are untouched by this feature".
 
-use lc_core::node::{AdmissionConfig, InvokePolicy, NodeCmd, NodeConfig, QueryResult};
-use lc_core::testkit::{build_world, fast_cohesion, World};
-use lc_core::{BehaviorRegistry, ComponentQuery, InvokeSink, SpawnSink};
+use lc_core::node::{AdmissionConfig, InvokePolicy, NodeCmd, NodeConfig, QuerySink};
+use lc_core::testkit::{fast_cohesion, World};
+use lc_core::{ComponentQuery, InvokeSink};
 use lc_des::SimTime;
 use lc_net::{HostId, Topology};
 use lc_orb::Value;
-use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::Arc;
 
 const OWNER: HostId = HostId(5);
 
@@ -48,50 +46,27 @@ impl Fingerprint {
 /// draws — enough traffic to exercise query, invoke, reply and
 /// keep-alive paths without ever approaching a queue bound.
 fn workload(admission: Option<AdmissionConfig>, seed: u64) -> Fingerprint {
-    let behaviors = BehaviorRegistry::new();
-    lc_core::demo::register_demo_behaviors(&behaviors);
     let config = NodeConfig {
         cohesion: fast_cohesion(),
         invoke: InvokePolicy::standard(),
         admission,
         ..Default::default()
     };
-    let mut w: World = build_world(
+    let mut w: World = World::on(
         Topology::campus(2, 4),
         seed,
         config,
-        behaviors,
-        lc_core::demo::demo_trust(),
-        Arc::new(lc_core::demo::demo_idl()),
+        lc_core::demo::catalog(),
         |h| if h == OWNER { vec![lc_core::demo::display_package()] } else { Vec::new() },
     );
-    let spawn: SpawnSink = Rc::default();
-    w.cmd(
-        OWNER,
-        NodeCmd::SpawnLocal {
-            component: "Display".into(),
-            min_version: lc_pkg::Version::new(2, 0),
-            instance_name: None,
-            sink: spawn.clone(),
-        },
-    );
-    w.sim.run_until(SimTime::from_secs(1));
-    let target = spawn.borrow().clone().expect("spawned").expect("Display on owner");
+    let target = w.spawn(OWNER, "Display", None, SimTime::from_secs(1));
 
-    let mut qsinks: Vec<Rc<RefCell<QueryResult>>> = Vec::new();
+    let mut qsinks: Vec<QuerySink> = Vec::new();
     let mut isinks: Vec<InvokeSink> = Vec::new();
     for round in 0..6u64 {
         for origin in [HostId(2), HostId(6)] {
-            let sink: Rc<RefCell<QueryResult>> = Rc::default();
-            qsinks.push(sink.clone());
-            w.cmd(
-                origin,
-                NodeCmd::Query {
-                    query: ComponentQuery::by_name("Display", lc_pkg::Version::new(2, 0)),
-                    sink,
-                    first_wins: false,
-                },
-            );
+            let display = ComponentQuery::by_name("Display", lc_pkg::Version::new(2, 0));
+            qsinks.push(w.query(origin, display, false));
             for i in 0..8u64 {
                 let sink: InvokeSink = Rc::default();
                 isinks.push(sink.clone());
@@ -112,11 +87,9 @@ fn workload(admission: Option<AdmissionConfig>, seed: u64) -> Fingerprint {
                 );
             }
         }
-        let next = w.sim.now() + SimTime::from_millis(120);
-        w.sim.run_until(next);
+        w.run_for(SimTime::from_millis(120));
     }
-    let drain = w.sim.now() + SimTime::from_secs(3);
-    w.sim.run_until(drain);
+    w.run_for(SimTime::from_secs(3));
 
     Fingerprint {
         queries: qsinks

@@ -13,15 +13,14 @@
 use lc_core::cohesion::CohesionConfig;
 use lc_core::demo;
 use lc_core::node::{AdmissionConfig, InvokePolicy, NodeCmd, QueryResult};
-use lc_core::testkit::{build_world_on, fast_cohesion, World};
-use lc_core::{BehaviorRegistry, ComponentQuery, InvokeSink, NodeConfig, SpawnSink};
+use lc_core::testkit::{fast_cohesion, World};
+use lc_core::{ComponentQuery, InvokeSink, NodeConfig};
 use lc_des::SimTime;
 use lc_net::{FaultPlan, HostId, LinkFaults, Net, Topology};
 use lc_orb::{ObjectRef, OrbError, Value};
 use lc_prop::check;
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// Fast cohesion plus the demo component world: `Display` installed on
 /// `owner` only, spawned there, its object reference returned.
@@ -34,43 +33,20 @@ fn display_world(
     admission: AdmissionConfig,
     plan: Option<FaultPlan>,
 ) -> (World, ObjectRef) {
-    let behaviors = BehaviorRegistry::new();
-    demo::register_demo_behaviors(&behaviors);
     let config = NodeConfig {
         cohesion,
         invoke,
         admission: Some(admission),
         ..Default::default()
     };
-    let mut net = Net::builder(topo);
-    if let Some(plan) = plan {
-        net = net.fault_plan(plan);
-    }
-    let mut w = build_world_on(
-        net.build(),
+    let mut w = World::on(
+        Net::builder(topo).fault_plan(plan).build(),
         seed,
         config,
-        behaviors,
-        demo::demo_trust(),
-        Arc::new(demo::demo_idl()),
+        demo::catalog(),
         move |h| if h == owner { vec![demo::display_package()] } else { Vec::new() },
     );
-    let spawn: SpawnSink = Rc::default();
-    w.cmd(
-        owner,
-        NodeCmd::SpawnLocal {
-            component: "Display".into(),
-            min_version: lc_pkg::Version::new(2, 0),
-            instance_name: None,
-            sink: spawn.clone(),
-        },
-    );
-    w.sim.run_until(SimTime::from_secs(1));
-    let target = spawn
-        .borrow()
-        .clone()
-        .expect("spawn completed")
-        .expect("Display spawned on the owner");
+    let target = w.spawn(owner, "Display", None, SimTime::from_secs(1));
     (w, target)
 }
 
@@ -104,20 +80,14 @@ fn query_queue_bounded_and_shed_queries_complete() {
         // past the cap sheds the oldest pending one.
         let sinks: Vec<Rc<RefCell<QueryResult>>> = (0..k)
             .map(|_| {
-                let sink: Rc<RefCell<QueryResult>> = Rc::default();
-                w.cmd(
+                w.query(
                     origin,
-                    NodeCmd::Query {
-                        query: ComponentQuery::by_name("Display", lc_pkg::Version::new(2, 0)),
-                        sink: sink.clone(),
-                        first_wins: false,
-                    },
-                );
-                sink
+                    ComponentQuery::by_name("Display", lc_pkg::Version::new(2, 0)),
+                    false,
+                )
             })
             .collect();
-        let drain = w.sim.now() + SimTime::from_secs(5);
-        w.sim.run_until(drain);
+        w.run_for(SimTime::from_secs(5));
 
         // Bounded: the pending table never grew past the cap.
         let hw = w.node(origin).expect("origin alive").query_queue_high_water();
@@ -199,8 +169,7 @@ fn shed_requests_never_execute_under_retries_and_loss() {
                 sink
             })
             .collect();
-        let drain = w.sim.now() + SimTime::from_secs(8);
-        w.sim.run_until(drain);
+        w.run_for(SimTime::from_secs(8));
 
         // Client side: exactly one terminal outcome per request.
         let (mut ok, mut overload, mut timeout, mut other) = (0u64, 0u64, 0u64, 0u64);
@@ -224,19 +193,8 @@ fn shed_requests_never_execute_under_retries_and_loss() {
         let total = w.sim.metrics_ref().counter("admission.total");
         let shed = w.sim.metrics_ref().counter("admission.shed");
         assert!(shed > 0, "flood never triggered shedding — property is vacuous");
-        let probe: InvokeSink = Rc::default();
-        w.cmd(
-            HostId(0),
-            NodeCmd::Invoke {
-                target,
-                op: "drawn".into(),
-                args: Vec::new(),
-                oneway: false,
-                sink: Some(probe.clone()),
-            },
-        );
-        let settle = w.sim.now() + SimTime::from_secs(5);
-        w.sim.run_until(settle);
+        let probe = w.invoke(HostId(0), &target, "drawn", Vec::new());
+        w.run_for(SimTime::from_secs(5));
         let drawn = match &probe.borrow().first().expect("probe replied").1 {
             Ok(out) => match out.ret {
                 Value::Long(v) => v as u64,
@@ -300,8 +258,7 @@ fn admitted_queue_delay_never_exceeds_deadline() {
                 },
             );
         }
-        let drain = w.sim.now() + SimTime::from_secs(8);
-        w.sim.run_until(drain);
+        w.run_for(SimTime::from_secs(8));
 
         let shed = w.sim.metrics_ref().counter("admission.shed");
         assert!(shed > 0, "deadline bound never binding — property is vacuous");

@@ -13,10 +13,8 @@
 
 use lc_core::demo;
 use lc_core::node::{AdmissionConfig, InvokePolicy, RegistryConfig};
-use lc_core::testkit::{
-    build_world, display_campus, fast_cohesion, World, DISPLAY_FRONTS as FRONTS,
-};
-use lc_core::{BehaviorRegistry, CacheConfig, CohesionConfig, NodeConfig, ShardConfig};
+use lc_core::testkit::{display_campus, fast_cohesion, DISPLAY_FRONTS as FRONTS, World};
+use lc_core::{CacheConfig, CohesionConfig, NodeConfig, ShardConfig};
 use lc_des::{Lane, ProfilerConfig, SimTime};
 use lc_load::{
     ArrivalShape, ArrivalStream, DriverArrival, DriverConfig, LoadDriver, QueryTick, StreamConfig,
@@ -25,7 +23,6 @@ use lc_load::{
 use lc_net::{HostId, Topology};
 use lc_orb::Value;
 use lc_prop::alloc::{allocs, Counting};
-use std::sync::Arc;
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
@@ -50,8 +47,6 @@ const REPORT_PERIOD: SimTime = SimTime::from_secs(2);
 /// The benchmark's campus at 1/16 size: 8 sites of 8 hosts, 2 s report
 /// period, `Counter` installed on the first host of every site.
 fn campus(registry: RegistryConfig, cache: Option<CacheConfig>) -> World {
-    let behaviors = BehaviorRegistry::new();
-    demo::register_demo_behaviors(&behaviors);
     let config = NodeConfig {
         cohesion: CohesionConfig {
             fanout: 8,
@@ -63,13 +58,11 @@ fn campus(registry: RegistryConfig, cache: Option<CacheConfig>) -> World {
         cache,
         ..Default::default()
     };
-    build_world(
+    World::on(
         Topology::campus(8, 8),
         7,
         config,
-        behaviors,
-        demo::demo_trust(),
-        Arc::new(demo::demo_idl()),
+        demo::catalog(),
         |HostId(h)| if h % 8 == 0 { vec![demo::counter_package()] } else { Vec::new() },
     )
 }

@@ -3,14 +3,13 @@
 //! and a node configured without a [`CacheConfig`] is byte-identical to
 //! the pre-cache runtime (same counters, same results, run after run).
 
-use lc_core::node::{NodeCmd, NodeConfig, QueryResult};
-use lc_core::testkit::{build_world, build_world_on, World};
-use lc_core::{BehaviorRegistry, CacheConfig, ComponentQuery};
+use lc_core::node::{NodeConfig, QueryResult};
+use lc_core::testkit::World;
+use lc_core::{CacheConfig, ComponentQuery};
 use lc_des::SimTime;
 use lc_net::{FaultPlan, HostId, LinkFaults, Net, Topology};
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::Arc;
 
 fn config(cache: Option<CacheConfig>, retries: u32) -> NodeConfig {
     NodeConfig {
@@ -50,15 +49,11 @@ fn normalize(r: &QueryResult) -> ResultSet {
 fn e2_workload(net: Net, cache: Option<CacheConfig>, retries: u32, seed: u64)
     -> (Vec<ResultSet>, Vec<(String, u64)>)
 {
-    let behaviors = BehaviorRegistry::new();
-    lc_core::demo::register_demo_behaviors(&behaviors);
-    let mut w: World = build_world_on(
+    let mut w: World = World::on(
         net,
         seed,
         config(cache, retries),
-        behaviors,
-        lc_core::demo::demo_trust(),
-        Arc::new(lc_core::demo::demo_idl()),
+        lc_core::demo::catalog(),
         |h| if h.0 % 16 == 7 { vec![lc_core::demo::counter_package()] } else { Vec::new() },
     );
     w.sim.run_until(SimTime::from_secs(2));
@@ -67,23 +62,13 @@ fn e2_workload(net: Net, cache: Option<CacheConfig>, retries: u32, seed: u64)
     for _round in 0..4 {
         for origin in [HostId(2), HostId(12), HostId(26)] {
             for _burst in 0..2 {
-                let sink: Rc<RefCell<QueryResult>> = Rc::default();
-                sinks.push(sink.clone());
-                w.cmd(
-                    origin,
-                    NodeCmd::Query {
-                        query: ComponentQuery::by_name("Counter", lc_pkg::Version::new(1, 0)),
-                        sink,
-                        first_wins: true,
-                    },
-                );
+                let query = ComponentQuery::by_name("Counter", lc_pkg::Version::new(1, 0));
+                sinks.push(w.query(origin, query, true));
             }
-            let next = w.sim.now() + SimTime::from_millis(150);
-            w.sim.run_until(next);
+            w.run_for(SimTime::from_millis(150));
         }
     }
-    let drain = w.sim.now() + SimTime::from_secs(3);
-    w.sim.run_until(drain);
+    w.run_for(SimTime::from_secs(3));
 
     let sets = sinks.iter().map(|s| normalize(&s.borrow())).collect();
     let counters =
@@ -153,43 +138,30 @@ fn e10_success_sets_match_under_loss() {
     }
 }
 
-/// Same workload issued on a world built with [`build_world`] (plain
-/// fabric) as a cross-check that cache-on runs are themselves
+/// Same workload on a plain fabric (no fault plan), as a cross-check
+/// that cache-on runs are themselves
 /// deterministic: two identical cache-enabled runs agree on results
 /// *and* on every cache counter.
 #[test]
 fn cache_enabled_runs_are_deterministic() {
     let mk = || {
-        let behaviors = BehaviorRegistry::new();
-        lc_core::demo::register_demo_behaviors(&behaviors);
-        let mut w = build_world(
+        let mut w = World::on(
             Topology::campus(2, 8),
             3,
             config(Some(CacheConfig::default()), 0),
-            behaviors,
-            lc_core::demo::demo_trust(),
-            Arc::new(lc_core::demo::demo_idl()),
+            lc_core::demo::catalog(),
             |h| if h.0 % 16 == 7 { vec![lc_core::demo::counter_package()] } else { Vec::new() },
         );
         w.sim.run_until(SimTime::from_secs(2));
         let mut sinks = Vec::new();
         for _ in 0..3 {
             for _ in 0..2 {
-                let sink: Rc<RefCell<QueryResult>> = Rc::default();
-                sinks.push(sink.clone());
-                w.cmd(
-                    HostId(2),
-                    NodeCmd::Query {
-                        query: ComponentQuery::by_name("Counter", lc_pkg::Version::new(1, 0)),
-                        sink,
-                        first_wins: true,
-                    },
-                );
+                let query = ComponentQuery::by_name("Counter", lc_pkg::Version::new(1, 0));
+                sinks.push(w.query(HostId(2), query, true));
             }
-            let next = w.sim.now() + SimTime::from_millis(200);
-            w.sim.run_until(next);
+            w.run_for(SimTime::from_millis(200));
         }
-        w.sim.run_until(w.sim.now() + SimTime::from_secs(2));
+        w.run_for(SimTime::from_secs(2));
         let sets: Vec<ResultSet> = sinks.iter().map(|s| normalize(&s.borrow())).collect();
         let counters: Vec<(String, u64)> =
             w.sim.metrics_ref().counters().map(|(k, v)| (k.to_owned(), v)).collect();

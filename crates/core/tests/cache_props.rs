@@ -5,9 +5,9 @@
 //! (its coherence epoch) only ever moves forward.
 
 use lc_core::node::{NodeCmd, NodeConfig, QueryResult, RegistryConfig};
-use lc_core::testkit::{build_world_on, fast_cohesion};
+use lc_core::testkit::{fast_cohesion, World};
 use lc_core::{
-    BehaviorRegistry, CacheConfig, ComponentQuery, Registry, ShardConfig, ShardRing,
+    CacheConfig, ComponentQuery, Registry, ShardConfig, ShardRing,
     ShardRingConfig, ShardStore, SpawnSink,
 };
 use lc_des::SimTime;
@@ -15,7 +15,6 @@ use lc_net::{FaultPlan, HostId, LinkFaults, Net, Topology};
 use lc_prop::check;
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::Arc;
 
 const OWNER: HostId = HostId(3);
 const N: usize = 6;
@@ -33,9 +32,7 @@ fn staleness_bounded_and_generations_monotone_under_churn_and_faults() {
         let plan = FaultPlan::seeded(seed).default_link(
             LinkFaults::none().drop_p(drop_p).jitter(SimTime::from_millis(jitter_ms)),
         );
-        let behaviors = BehaviorRegistry::new();
-        lc_core::demo::register_demo_behaviors(&behaviors);
-        let mut w = build_world_on(
+        let mut w = World::on(
             Net::builder(Topology::lan(N)).fault_plan(plan).build(),
             seed ^ 0xcac4e,
             NodeConfig {
@@ -46,9 +43,7 @@ fn staleness_bounded_and_generations_monotone_under_churn_and_faults() {
                 cache: Some(CacheConfig { ttl, ..CacheConfig::default() }),
                 ..Default::default()
             },
-            behaviors,
-            lc_core::demo::demo_trust(),
-            Arc::new(lc_core::demo::demo_idl()),
+            lc_core::demo::catalog(),
             |h| if h == OWNER { vec![lc_core::demo::counter_package()] } else { Vec::new() },
         );
         w.sim.run_until(SimTime::from_secs(1));
@@ -73,16 +68,7 @@ fn staleness_bounded_and_generations_monotone_under_churn_and_faults() {
         let mut sinks: Vec<Rc<RefCell<QueryResult>>> = Vec::new();
         let query = |w: &mut lc_core::testkit::World, i: u32| {
             let origin = HostId([1u32, 2, 4, 5][(i % 4) as usize]);
-            let sink: Rc<RefCell<QueryResult>> = Rc::default();
-            w.cmd(
-                origin,
-                NodeCmd::Query {
-                    query: ComponentQuery::by_name("Counter", lc_pkg::Version::new(1, 0)),
-                    sink: sink.clone(),
-                    first_wins: true,
-                },
-            );
-            sink
+            w.query(origin, ComponentQuery::by_name("Counter", lc_pkg::Version::new(1, 0)), true)
         };
 
         // Phase A: cache-warming queries interleaved with spawns on the
@@ -102,8 +88,7 @@ fn staleness_bounded_and_generations_monotone_under_churn_and_faults() {
                     },
                 );
             }
-            let next = w.sim.now() + period;
-            w.sim.run_until(next);
+            w.run_for(period);
             check_gens(&w, &mut gens);
         }
 
@@ -115,12 +100,10 @@ fn staleness_bounded_and_generations_monotone_under_churn_and_faults() {
         // Phase B: keep querying well past the staleness horizon.
         for i in 0..14u32 {
             sinks.push(query(&mut w, i));
-            let next = w.sim.now() + period;
-            w.sim.run_until(next);
+            w.run_for(period);
             check_gens(&w, &mut gens);
         }
-        let drain = w.sim.now() + SimTime::from_secs(3);
-        w.sim.run_until(drain);
+        w.run_for(SimTime::from_secs(3));
 
         // Staleness bound: any resolution still naming the dead owner
         // happened within ttl (cache horizon) + timeout (a search that
@@ -157,8 +140,6 @@ fn sharded_staleness_bounded_by_publish_ttl_and_gossip() {
         let period = SimTime::from_millis(g.gen_range(50..150u64));
 
         let plan = FaultPlan::seeded(seed).default_link(LinkFaults::none().drop_p(drop_p));
-        let behaviors = BehaviorRegistry::new();
-        lc_core::demo::register_demo_behaviors(&behaviors);
         let config = NodeConfig::builder()
             .cohesion(fast_cohesion())
             .query_timeout(timeout)
@@ -173,13 +154,11 @@ fn sharded_staleness_bounded_by_publish_ttl_and_gossip() {
                 publish_ttl,
             }))
             .build();
-        let mut w = build_world_on(
+        let mut w = World::on(
             Net::builder(Topology::lan(N)).fault_plan(plan).build(),
             seed ^ 0x54a2d,
             config,
-            behaviors,
-            lc_core::demo::demo_trust(),
-            Arc::new(lc_core::demo::demo_idl()),
+            lc_core::demo::catalog(),
             |h| if h == OWNER { vec![lc_core::demo::counter_package()] } else { Vec::new() },
         );
         w.sim.run_until(SimTime::from_secs(1));
@@ -203,16 +182,7 @@ fn sharded_staleness_bounded_by_publish_ttl_and_gossip() {
         let mut sinks: Vec<Rc<RefCell<QueryResult>>> = Vec::new();
         let query = |w: &mut lc_core::testkit::World, i: u32| {
             let origin = HostId([1u32, 2, 4, 5][(i % 4) as usize]);
-            let sink: Rc<RefCell<QueryResult>> = Rc::default();
-            w.cmd(
-                origin,
-                NodeCmd::Query {
-                    query: ComponentQuery::by_name("Counter", lc_pkg::Version::new(1, 0)),
-                    sink: sink.clone(),
-                    first_wins: true,
-                },
-            );
-            sink
+            w.query(origin, ComponentQuery::by_name("Counter", lc_pkg::Version::new(1, 0)), true)
         };
 
         // Phase A: warm the shard stores and caches; spawns on the owner
@@ -231,8 +201,7 @@ fn sharded_staleness_bounded_by_publish_ttl_and_gossip() {
                     },
                 );
             }
-            let next = w.sim.now() + period;
-            w.sim.run_until(next);
+            w.run_for(period);
             check_gens(&w, &mut gens);
         }
 
@@ -244,12 +213,10 @@ fn sharded_staleness_bounded_by_publish_ttl_and_gossip() {
         // Phase B: query well past the staleness horizon.
         for i in 0..14u32 {
             sinks.push(query(&mut w, i));
-            let next = w.sim.now() + period;
-            w.sim.run_until(next);
+            w.run_for(period);
             check_gens(&w, &mut gens);
         }
-        let drain = w.sim.now() + SimTime::from_secs(3);
-        w.sim.run_until(drain);
+        w.run_for(SimTime::from_secs(3));
 
         // Staleness bound: publish_ttl until the entry is sweepable, one
         // gossip period until the sweep runs, ttl for a result cached at

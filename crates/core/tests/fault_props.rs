@@ -3,15 +3,13 @@
 //! deadline-sweep contract of [`Continuations`] that the retry and
 //! dedup machinery is built on.
 
-use lc_core::node::{InvokePolicy, NodeCmd, NodeConfig};
-use lc_core::testkit::{build_world_on, fast_cohesion};
-use lc_core::{BehaviorRegistry, Continuations, InvokeSink};
+use lc_core::node::{InvokePolicy, NodeConfig};
+use lc_core::testkit::{fast_cohesion, World};
+use lc_core::{Continuations, InvokeSink};
 use lc_des::SimTime;
 use lc_net::{FaultPlan, HostId, LinkFaults, Net, Topology};
-use lc_orb::{ObjectRef, Value};
+use lc_orb::Value;
 use lc_prop::check;
-use std::rc::Rc;
-use std::sync::Arc;
 
 /// Retried + duplicated + reordered requests still execute the servant
 /// exactly once per logical call: the request-id reply cache answers
@@ -34,9 +32,7 @@ fn dup_reorder_fabric_keeps_servant_effects_exactly_once() {
                 .reorder(reorder_p, SimTime::from_millis(5))
                 .jitter(SimTime::from_millis(jitter_ms)),
         );
-        let behaviors = BehaviorRegistry::new();
-        lc_core::demo::register_demo_behaviors(&behaviors);
-        let mut w = build_world_on(
+        let mut w = World::on(
             Net::builder(Topology::lan(4)).fault_plan(plan).build(),
             seed ^ 0x5eed,
             NodeConfig {
@@ -44,45 +40,19 @@ fn dup_reorder_fabric_keeps_servant_effects_exactly_once() {
                 invoke: InvokePolicy::standard(),
                 ..Default::default()
             },
-            behaviors,
-            lc_core::demo::demo_trust(),
-            Arc::new(lc_core::demo::demo_idl()),
+            lc_core::demo::catalog(),
             |h| if h == HostId(3) { vec![lc_core::demo::counter_package()] } else { Vec::new() },
         );
         w.sim.run_until(SimTime::from_millis(800));
 
-        let spawn: Rc<std::cell::RefCell<Option<Result<ObjectRef, String>>>> = Rc::default();
-        w.cmd(
-            HostId(3),
-            NodeCmd::SpawnLocal {
-                component: "Counter".into(),
-                min_version: lc_pkg::Version::new(1, 0),
-                instance_name: None,
-                sink: spawn.clone(),
-            },
-        );
-        w.sim.run_until(SimTime::from_secs(1));
-        let target = spawn.borrow().clone().expect("spawned").expect("spawn ok");
+        let target = w.spawn(HostId(3), "Counter", None, SimTime::from_millis(200));
 
         let mut sinks: Vec<InvokeSink> = Vec::new();
         for _ in 0..k {
-            let sink: InvokeSink = Rc::default();
-            sinks.push(sink.clone());
-            w.cmd(
-                HostId(1),
-                NodeCmd::Invoke {
-                    target: target.clone(),
-                    op: "inc".into(),
-                    args: vec![Value::Long(1)],
-                    oneway: false,
-                    sink: Some(sink),
-                },
-            );
-            let next = w.sim.now() + SimTime::from_millis(80);
-            w.sim.run_until(next);
+            sinks.push(w.invoke(HostId(1), &target, "inc", vec![Value::Long(1)]));
+            w.run_for(SimTime::from_millis(80));
         }
-        let drain = w.sim.now() + SimTime::from_secs(5);
-        w.sim.run_until(drain);
+        w.run_for(SimTime::from_secs(5));
 
         // Every call resolved, exactly once, successfully.
         for (i, sink) in sinks.iter().enumerate() {
@@ -93,19 +63,8 @@ fn dup_reorder_fabric_keeps_servant_effects_exactly_once() {
 
         // Exactly-once effects: read the counter over the loopback path
         // (same-host traffic bypasses fault injection).
-        let vsink: InvokeSink = Rc::default();
-        w.cmd(
-            HostId(3),
-            NodeCmd::Invoke {
-                target,
-                op: "value".into(),
-                args: vec![],
-                oneway: false,
-                sink: Some(vsink.clone()),
-            },
-        );
-        let fin = w.sim.now() + SimTime::from_secs(1);
-        w.sim.run_until(fin);
+        let vsink = w.invoke(HostId(3), &target, "value", vec![]);
+        w.run_for(SimTime::from_secs(1));
         let value = vsink.borrow()[0]
             .1
             .as_ref()

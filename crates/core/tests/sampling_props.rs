@@ -7,17 +7,14 @@
 //! full-run counterpart. Sampling decides *retention*, never
 //! behaviour.
 
-use lc_core::node::{NodeCmd, NodeConfig, QueryResult};
-use lc_core::testkit::{build_world_on, fast_cohesion};
-use lc_core::{BehaviorRegistry, ComponentQuery};
+use lc_core::node::NodeConfig;
+use lc_core::testkit::{fast_cohesion, World};
+use lc_core::ComponentQuery;
 use lc_des::SimTime;
 use lc_net::{FaultPlan, HostId, LinkFaults, Net, Topology};
 use lc_prop::check;
 use lc_trace::{SampleConfig, Span, SpanId, Tracer};
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::rc::Rc;
-use std::sync::Arc;
 
 /// Drive queries over a lossy fabric with the given sampling config and
 /// return the retained spans plus a byte-exact simulation fingerprint.
@@ -31,11 +28,9 @@ fn traced_run(
     let plan = FaultPlan::seeded(seed).default_link(
         LinkFaults::none().drop_p(drop_p).dup_p(0.1).jitter(SimTime::from_millis(jitter_ms)),
     );
-    let behaviors = BehaviorRegistry::new();
-    lc_core::demo::register_demo_behaviors(&behaviors);
     let tracer = Tracer::new();
     tracer.set_sampling(sample);
-    let mut w = build_world_on(
+    let mut w = World::on(
         Net::builder(Topology::campus(2, 4)).fault_plan(plan).tracer(tracer.clone()).build(),
         seed ^ 0x5a9,
         NodeConfig {
@@ -44,29 +39,18 @@ fn traced_run(
             query_retries: 1,
             ..Default::default()
         },
-        behaviors,
-        lc_core::demo::demo_trust(),
-        Arc::new(lc_core::demo::demo_idl()),
+        lc_core::demo::catalog(),
         |h| if h.0 % 4 == 3 { vec![lc_core::demo::counter_package()] } else { Vec::new() },
     );
     w.sim.run_until(SimTime::from_secs(1));
     for i in 0..q {
         let origin = HostId((i % 2) * 4 + 1 + (i % 2));
-        let sink: Rc<RefCell<QueryResult>> = Rc::default();
-        w.cmd(
-            origin,
-            NodeCmd::Query {
-                query: ComponentQuery::by_name("Counter", lc_pkg::Version::new(1, 0)),
-                sink,
-                first_wins: i % 2 == 0,
-            },
-        );
-        let next = w.sim.now() + SimTime::from_millis(120);
-        w.sim.run_until(next);
+        let query = ComponentQuery::by_name("Counter", lc_pkg::Version::new(1, 0));
+        w.query(origin, query, i % 2 == 0);
+        w.run_for(SimTime::from_millis(120));
     }
     // Drain retries, re-issues and late duplicates.
-    let drain = w.sim.now() + SimTime::from_secs(3);
-    w.sim.run_until(drain);
+    w.run_for(SimTime::from_secs(3));
 
     let counters: Vec<String> =
         w.sim.metrics_ref().counters().map(|(k, v)| format!("{k}={v}")).collect();

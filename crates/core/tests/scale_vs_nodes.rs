@@ -7,18 +7,15 @@
 
 use lc_core::cohesion::CohesionConfig;
 use lc_core::demo;
-use lc_core::node::{NodeCmd, QueryResult};
 use lc_core::scale::campus::COMPONENTS;
-use lc_core::testkit::{build_world, World};
+use lc_core::testkit::World;
 use lc_core::{
-    run_scale, BehaviorRegistry, ComponentQuery, HierShape, NodeConfig, ScaleConfig, Variant,
+    run_scale, ComponentQuery, HierShape, NodeConfig, ScaleConfig, Variant,
 };
 use lc_des::SimTime;
 use lc_net::{HostId, Topology};
 use lc_pkg::{ComponentDescriptor, Package, Platform, Version};
-use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// `run_scale`'s owner rule: node `i` holds component `c` iff
 /// `i % 256 == OWNER_RESIDUE[c]`.
@@ -62,15 +59,11 @@ fn through_nodes(n: u32, fanout: usize, replicas: usize) -> Vec<Observed> {
         })
         .build();
     let timeout = config.query_timeout;
-    let behaviors = BehaviorRegistry::new();
-    demo::register_demo_behaviors(&behaviors);
-    let mut world: World = build_world(
+    let mut world: World = World::on(
         Topology::campus(n as usize / 8, 8),
         42,
         config,
-        behaviors,
-        demo::demo_trust(),
-        Arc::new(demo::demo_idl()),
+        demo::catalog(),
         |host| {
             (0..COMPONENTS.len())
                 .filter(|&c| host.0 % 256 == OWNER_RESIDUE[c])
@@ -90,11 +83,9 @@ fn through_nodes(n: u32, fanout: usize, replicas: usize) -> Vec<Observed> {
             let origin = HostId(origin_of(i, n));
             let component = COMPONENTS[i as usize % COMPONENTS.len()];
             let (msgs0, esc0) = counters(&world);
-            let sink: Rc<RefCell<QueryResult>> = Rc::default();
             let query = ComponentQuery::by_name(component, Version::new(1, 0));
-            world.cmd(origin, NodeCmd::Query { query, sink: sink.clone(), first_wins: false });
-            let until = world.sim.now() + timeout + SimTime::from_millis(100);
-            world.sim.run_until(until);
+            let sink = world.query(origin, query, false);
+            world.run_for(timeout + SimTime::from_millis(100));
             let (msgs1, esc1) = counters(&world);
             let r = sink.borrow();
             assert!(r.done, "query {i} from {origin:?} never finalized");

@@ -4,14 +4,11 @@
 //! past their caller's timeout), and a shed leader fans its overload
 //! refusal out to every follower.
 
-use lc_core::node::{NodeCmd, NodeConfig, QueryResult};
-use lc_core::testkit::{build_world, fast_cohesion, World};
-use lc_core::{BehaviorRegistry, CacheConfig, ComponentQuery};
+use lc_core::node::NodeConfig;
+use lc_core::testkit::{fast_cohesion, World};
+use lc_core::{CacheConfig, ComponentQuery};
 use lc_des::SimTime;
 use lc_net::{HostId, Topology};
-use std::cell::RefCell;
-use std::rc::Rc;
-use std::sync::Arc;
 
 fn config(cache: Option<CacheConfig>) -> NodeConfig {
     NodeConfig {
@@ -24,30 +21,17 @@ fn config(cache: Option<CacheConfig>) -> NodeConfig {
 }
 
 fn world(cache: Option<CacheConfig>, seed: u64) -> World {
-    let behaviors = BehaviorRegistry::new();
-    lc_core::demo::register_demo_behaviors(&behaviors);
-    build_world(
+    World::on(
         Topology::lan(8),
         seed,
         config(cache),
-        behaviors,
-        lc_core::demo::demo_trust(),
-        Arc::new(lc_core::demo::demo_idl()),
+        lc_core::demo::catalog(),
         |h| if h == HostId(7) { vec![lc_core::demo::counter_package()] } else { Vec::new() },
     )
 }
 
 fn query(name: &str) -> ComponentQuery {
     ComponentQuery::by_name(name, lc_pkg::Version::new(1, 0))
-}
-
-fn issue(w: &mut World, origin: HostId, name: &str) -> Rc<RefCell<QueryResult>> {
-    let sink: Rc<RefCell<QueryResult>> = Rc::default();
-    w.cmd(
-        origin,
-        NodeCmd::Query { query: query(name), sink: sink.clone(), first_wins: true },
-    );
-    sink
 }
 
 /// N identical same-tick queries cost exactly one network search: the
@@ -61,7 +45,7 @@ fn burst_of_identical_queries_is_one_round_trip() {
     let mut solo = world(Some(CacheConfig::default()), 9);
     solo.sim.run_until(SimTime::from_secs(1));
     let before = solo.sim.metrics_ref().counter("query.msgs");
-    let s = issue(&mut solo, HostId(1), "Counter");
+    let s = solo.query(HostId(1), query("Counter"), true);
     solo.sim.run_until(SimTime::from_secs(3));
     let solo_msgs = solo.sim.metrics_ref().counter("query.msgs") - before;
     assert!(s.borrow().done && !s.borrow().offers.is_empty());
@@ -70,7 +54,7 @@ fn burst_of_identical_queries_is_one_round_trip() {
     let mut w = world(Some(CacheConfig::default()), 9);
     w.sim.run_until(SimTime::from_secs(1));
     let before = w.sim.metrics_ref().counter("query.msgs");
-    let sinks: Vec<_> = (0..N).map(|_| issue(&mut w, HostId(1), "Counter")).collect();
+    let sinks: Vec<_> = (0..N).map(|_| w.query(HostId(1), query("Counter"), true)).collect();
     w.sim.run_until(SimTime::from_secs(3));
     let burst_msgs = w.sim.metrics_ref().counter("query.msgs") - before;
 
@@ -95,25 +79,21 @@ fn burst_of_identical_queries_is_one_round_trip() {
 /// gives up.
 #[test]
 fn follower_times_out_on_its_own_deadline_at_the_boundary_tick() {
-    let behaviors = BehaviorRegistry::new();
-    lc_core::demo::register_demo_behaviors(&behaviors);
     let plan = lc_net::FaultPlan::seeded(11)
         .default_link(lc_net::LinkFaults::none().drop_p(1.0));
-    let mut w = lc_core::testkit::build_world_on(
+    let mut w = World::on(
         lc_net::Net::builder(Topology::lan(8)).fault_plan(plan).build(),
         11,
         NodeConfig { query_retries: 2, ..config(Some(CacheConfig::default())) },
-        behaviors,
-        lc_core::demo::demo_trust(),
-        Arc::new(lc_core::demo::demo_idl()),
+        lc_core::demo::catalog(),
         |_| Vec::new(), // nothing installed: every query misses
     );
     w.sim.run_until(SimTime::from_secs(1));
 
     // Leader at t0, follower joins one tick later.
-    let leader = issue(&mut w, HostId(5), "Ghost");
-    w.sim.run_until(w.sim.now() + SimTime::from_millis(1));
-    let follower = issue(&mut w, HostId(5), "Ghost");
+    let leader = w.query(HostId(5), query("Ghost"), true);
+    w.run_for(SimTime::from_millis(1));
+    let follower = w.query(HostId(5), query("Ghost"), true);
     let joined = w.sim.now();
 
     w.sim.run_until(joined + SimTime::from_secs(4));
@@ -143,11 +123,9 @@ fn follower_times_out_on_its_own_deadline_at_the_boundary_tick() {
 /// its own timeout.
 #[test]
 fn shed_leader_fans_overload_to_coalesced_followers() {
-    let behaviors = BehaviorRegistry::new();
-    lc_core::demo::register_demo_behaviors(&behaviors);
     let plan = lc_net::FaultPlan::seeded(13)
         .default_link(lc_net::LinkFaults::none().drop_p(1.0));
-    let mut w = lc_core::testkit::build_world_on(
+    let mut w = World::on(
         lc_net::Net::builder(Topology::lan(8)).fault_plan(plan).build(),
         13,
         NodeConfig {
@@ -161,25 +139,23 @@ fn shed_leader_fans_overload_to_coalesced_followers() {
             }),
             ..config(Some(CacheConfig::default()))
         },
-        behaviors,
-        lc_core::demo::demo_trust(),
-        Arc::new(lc_core::demo::demo_idl()),
+        lc_core::demo::catalog(),
         |_| Vec::new(), // nothing installed + total loss: searches hang
     );
     w.sim.run_until(SimTime::from_secs(1));
 
     // Leader plus two coalesced followers on one hanging search.
-    let leader = issue(&mut w, HostId(5), "Ghost");
-    w.sim.run_until(w.sim.now() + SimTime::from_millis(1));
-    let followers: Vec<_> = (0..2).map(|_| issue(&mut w, HostId(5), "Ghost")).collect();
-    w.sim.run_until(w.sim.now() + SimTime::from_millis(1));
+    let leader = w.query(HostId(5), query("Ghost"), true);
+    w.run_for(SimTime::from_millis(1));
+    let followers: Vec<_> = (0..2).map(|_| w.query(HostId(5), query("Ghost"), true)).collect();
+    w.run_for(SimTime::from_millis(1));
     assert_eq!(w.sim.metrics_ref().counter("cache.coalesced"), 2);
     assert!(!leader.borrow().done, "leader resolved before the shed — test is vacuous");
 
     // A *distinct* query (different key, so it cannot coalesce) needs
     // the only queue slot: the pending leader is shed.
-    let newcomer = issue(&mut w, HostId(5), "Phantom");
-    w.sim.run_until(w.sim.now() + SimTime::from_millis(1));
+    let newcomer = w.query(HostId(5), query("Phantom"), true);
+    w.run_for(SimTime::from_millis(1));
     let shed_by = w.sim.now();
 
     assert_eq!(w.sim.metrics_ref().counter("admission.query_shed"), 1);
@@ -194,7 +170,7 @@ fn shed_leader_fans_overload_to_coalesced_followers() {
         );
     }
     // The newcomer owns the slot now and rides to its own timeout.
-    w.sim.run_until(w.sim.now() + SimTime::from_secs(4));
+    w.run_for(SimTime::from_secs(4));
     let n = newcomer.borrow();
     assert!(n.done && !n.shed, "newcomer must keep its admitted search");
 }

@@ -4,17 +4,14 @@
 //! reachable from its root, children nested inside parents, link
 //! targets recorded — and the id allocator must stay deterministic.
 
-use lc_core::node::{InvokePolicy, NodeCmd, NodeConfig, QueryResult};
-use lc_core::testkit::{build_world_on, fast_cohesion};
-use lc_core::{BehaviorRegistry, ComponentQuery, InvokeSink};
+use lc_core::node::{InvokePolicy, NodeConfig};
+use lc_core::testkit::{fast_cohesion, World};
+use lc_core::ComponentQuery;
 use lc_des::SimTime;
 use lc_net::{FaultPlan, HostId, LinkFaults, Net, Topology};
-use lc_orb::{ObjectRef, Value};
+use lc_orb::Value;
 use lc_prop::check;
 use lc_trace::{validate, Tracer};
-use std::cell::RefCell;
-use std::rc::Rc;
-use std::sync::Arc;
 
 /// Drive queries and retried invocations over a lossy fabric and return
 /// the tracer that watched it all.
@@ -25,10 +22,8 @@ fn lossy_traced_run(seed: u64, drop_p: f64, dup_p: f64, jitter_ms: u64, q: u32) 
             .dup_p(dup_p)
             .jitter(SimTime::from_millis(jitter_ms)),
     );
-    let behaviors = BehaviorRegistry::new();
-    lc_core::demo::register_demo_behaviors(&behaviors);
     let tracer = Tracer::new();
-    let mut w = build_world_on(
+    let mut w = World::on(
         Net::builder(Topology::campus(2, 4)).fault_plan(plan).tracer(tracer.clone()).build(),
         seed ^ 0x7ace,
         NodeConfig {
@@ -38,59 +33,25 @@ fn lossy_traced_run(seed: u64, drop_p: f64, dup_p: f64, jitter_ms: u64, q: u32) 
             query_retries: 2,
             ..Default::default()
         },
-        behaviors,
-        lc_core::demo::demo_trust(),
-        Arc::new(lc_core::demo::demo_idl()),
+        lc_core::demo::catalog(),
         |h| if h.0 % 4 == 3 { vec![lc_core::demo::counter_package()] } else { Vec::new() },
     );
     w.sim.run_until(SimTime::from_secs(1));
 
     for i in 0..q {
         let origin = HostId((i % 2) * 4 + 1 + (i % 2));
-        let sink: Rc<RefCell<QueryResult>> = Rc::default();
-        w.cmd(
-            origin,
-            NodeCmd::Query {
-                query: ComponentQuery::by_name("Counter", lc_pkg::Version::new(1, 0)),
-                sink,
-                first_wins: i % 2 == 0,
-            },
-        );
-        let next = w.sim.now() + SimTime::from_millis(150);
-        w.sim.run_until(next);
+        let query = ComponentQuery::by_name("Counter", lc_pkg::Version::new(1, 0));
+        w.query(origin, query, i % 2 == 0);
+        w.run_for(SimTime::from_millis(150));
     }
 
-    let spawn: Rc<RefCell<Option<Result<ObjectRef, String>>>> = Rc::default();
-    w.cmd(
-        HostId(3),
-        NodeCmd::SpawnLocal {
-            component: "Counter".into(),
-            min_version: lc_pkg::Version::new(1, 0),
-            instance_name: None,
-            sink: spawn.clone(),
-        },
-    );
-    w.sim.run_until(w.sim.now() + SimTime::from_millis(400));
-    if let Some(Ok(target)) = spawn.borrow().clone() {
-        for _ in 0..q.min(6) {
-            let sink: InvokeSink = Rc::default();
-            w.cmd(
-                HostId(5),
-                NodeCmd::Invoke {
-                    target: target.clone(),
-                    op: "inc".into(),
-                    args: vec![Value::Long(1)],
-                    oneway: false,
-                    sink: Some(sink),
-                },
-            );
-            let next = w.sim.now() + SimTime::from_millis(80);
-            w.sim.run_until(next);
-        }
+    let target = w.spawn(HostId(3), "Counter", None, SimTime::from_millis(400));
+    for _ in 0..q.min(6) {
+        w.invoke(HostId(5), &target, "inc", vec![Value::Long(1)]);
+        w.run_for(SimTime::from_millis(80));
     }
     // Drain retries, re-issues and late duplicates.
-    let drain = w.sim.now() + SimTime::from_secs(8);
-    w.sim.run_until(drain);
+    w.run_for(SimTime::from_secs(8));
     tracer
 }
 

@@ -3,34 +3,23 @@
 //! events, migration, assembly deployment, crashes and MRM failover.
 
 use lc_core::demo;
-use lc_core::node::{AdmissionConfig, NodeCmd, QueryResult, RegistryConfig};
-use lc_core::testkit::{build_world, build_world_on, fast_cohesion, World};
+use lc_core::node::{AdmissionConfig, NodeCmd, QuerySink, RegistryConfig};
+use lc_core::testkit::{fast_cohesion, fast_config, World};
 use lc_core::{
-    AssemblyDescriptor, BehaviorRegistry, CacheConfig, ComponentQuery, NodeConfig,
+    AssemblyDescriptor, CacheConfig, ComponentQuery, NodeConfig,
     PlacementStrategy, Registry, ResolvePolicy, ShardConfig, ShardRing, ShardStore,
 };
 use lc_des::SimTime;
 use lc_net::{FaultPlan, HostCfg, HostId, LinkFaults, Net, Topology};
 use lc_orb::Value;
 use lc_pkg::Version;
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
-use std::sync::Arc;
 
-/// A world where node 0 has Counter+Display+Gui+Watcher installed and
-/// everyone else is empty.
-fn demo_world(topo: Topology, seed: u64) -> World {
-    let config = NodeConfig { require_signature: true, ..Default::default() };
-    demo_world_on(Net::builder(topo).build(), seed, config)
-}
-
-/// [`demo_world`] over an already-configured fabric, with `config` on
-/// top of the fast test timers.
-fn demo_world_on(net: Net, seed: u64, config: NodeConfig) -> World {
-    let behaviors = BehaviorRegistry::new();
-    demo::register_demo_behaviors(&behaviors);
-    build_world_on(
+/// Host 0 has Counter+Display+Gui+Watcher installed and everyone else
+/// is empty; `config` sits on top of the fast test timers.
+fn host0_world(net: impl Into<Net>, seed: u64, config: NodeConfig) -> World {
+    World::on(
         net,
         seed,
         NodeConfig {
@@ -38,9 +27,7 @@ fn demo_world_on(net: Net, seed: u64, config: NodeConfig) -> World {
             query_timeout: SimTime::from_millis(400),
             ..config
         },
-        behaviors,
-        demo::demo_trust(),
-        Arc::new(demo::demo_idl()),
+        demo::catalog(),
         |host| {
             if host == HostId(0) {
                 vec![
@@ -56,15 +43,15 @@ fn demo_world_on(net: Net, seed: u64, config: NodeConfig) -> World {
     )
 }
 
-fn settle(world: &mut World, ms: u64) {
-    let deadline = world.sim.now() + SimTime::from_millis(ms);
-    world.sim.run_until(deadline);
+/// The config most tests run [`host0_world`] under: signatures required.
+fn signed() -> NodeConfig {
+    NodeConfig { require_signature: true, ..Default::default() }
 }
 
 #[test]
 fn installation_reflected_in_repository() {
-    let mut world = demo_world(Topology::lan(4), 1);
-    settle(&mut world, 10);
+    let mut world = host0_world(Topology::lan(4), 1, signed());
+    world.run_for(SimTime::from_millis(10));
     let node0 = world.node(HostId(0)).unwrap();
     assert_eq!(node0.repository.len(), 4);
     let node1 = world.node(HostId(1)).unwrap();
@@ -73,7 +60,7 @@ fn installation_reflected_in_repository() {
 
 #[test]
 fn unsigned_package_rejected_by_acceptor() {
-    let mut world = demo_world(Topology::lan(2), 1);
+    let mut world = host0_world(Topology::lan(2), 1, signed());
     // Hand-roll an unsigned package.
     let desc = lc_pkg::ComponentDescriptor::new("Rogue", Version::new(1, 0), "nobody");
     let pkg = lc_pkg::Package::new(desc).with_binary(
@@ -82,26 +69,22 @@ fn unsigned_package_rejected_by_acceptor() {
         b"x",
     );
     world.cmd(HostId(1), NodeCmd::Install(Rc::new(pkg.to_bytes())));
-    settle(&mut world, 10);
+    world.run_for(SimTime::from_millis(10));
     assert!(world.node(HostId(1)).unwrap().repository.is_empty());
     assert_eq!(world.sim.metrics_ref().counter("acceptor.rejected"), 1);
 }
 
 #[test]
 fn distributed_query_finds_remote_component() {
-    let mut world = demo_world(Topology::lan(8), 2);
+    let mut world = host0_world(Topology::lan(8), 2, signed());
     // Let two keep-alive rounds run so the MRM learns node 0's inventory.
-    settle(&mut world, 600);
-    let sink: Rc<RefCell<QueryResult>> = Rc::default();
-    world.cmd(
+    world.run_for(SimTime::from_millis(600));
+    let sink = world.query(
         HostId(5),
-        NodeCmd::Query {
-            query: ComponentQuery::by_name("Display", Version::new(2, 0)),
-            sink: sink.clone(),
-            first_wins: false,
-        },
+        ComponentQuery::by_name("Display", Version::new(2, 0)),
+        false,
     );
-    settle(&mut world, 1000);
+    world.run_for(SimTime::from_millis(1000));
     let res = sink.borrow();
     assert!(res.done);
     assert_eq!(res.offers.len(), 1);
@@ -112,18 +95,10 @@ fn distributed_query_finds_remote_component() {
 
 #[test]
 fn query_by_interface_floods_and_finds() {
-    let mut world = demo_world(Topology::lan(8), 3);
-    settle(&mut world, 600);
-    let sink: Rc<RefCell<QueryResult>> = Rc::default();
-    world.cmd(
-        HostId(3),
-        NodeCmd::Query {
-            query: ComponentQuery::by_interface("IDL:demo/Display:1.0"),
-            sink: sink.clone(),
-            first_wins: false,
-        },
-    );
-    settle(&mut world, 1000);
+    let mut world = host0_world(Topology::lan(8), 3, signed());
+    world.run_for(SimTime::from_millis(600));
+    let sink = world.query(HostId(3), ComponentQuery::by_interface("IDL:demo/Display:1.0"), false);
+    world.run_for(SimTime::from_millis(1000));
     let res = sink.borrow();
     assert!(res.done);
     assert_eq!(res.offers.len(), 1);
@@ -132,18 +107,14 @@ fn query_by_interface_floods_and_finds() {
 
 #[test]
 fn query_miss_terminates() {
-    let mut world = demo_world(Topology::lan(8), 4);
-    settle(&mut world, 600);
-    let sink: Rc<RefCell<QueryResult>> = Rc::default();
-    world.cmd(
+    let mut world = host0_world(Topology::lan(8), 4, signed());
+    world.run_for(SimTime::from_millis(600));
+    let sink = world.query(
         HostId(2),
-        NodeCmd::Query {
-            query: ComponentQuery::by_name("DoesNotExist", Version::new(1, 0)),
-            sink: sink.clone(),
-            first_wins: false,
-        },
+        ComponentQuery::by_name("DoesNotExist", Version::new(1, 0)),
+        false,
     );
-    settle(&mut world, 1000);
+    world.run_for(SimTime::from_millis(1000));
     let res = sink.borrow();
     assert!(res.done);
     assert!(res.offers.is_empty());
@@ -151,48 +122,18 @@ fn query_miss_terminates() {
 
 #[test]
 fn spawn_local_and_invoke_across_network() {
-    let mut world = demo_world(Topology::lan(4), 5);
-    settle(&mut world, 10);
+    let mut world = host0_world(Topology::lan(4), 5, signed());
+    world.run_for(SimTime::from_millis(10));
     // Spawn a counter on node 0.
-    let spawn: lc_core::SpawnSink = Rc::default();
-    world.cmd(
-        HostId(0),
-        NodeCmd::SpawnLocal {
-            component: "Counter".into(),
-            min_version: Version::new(1, 0),
-            instance_name: Some("c0".into()),
-            sink: spawn.clone(),
-        },
-    );
-    settle(&mut world, 10);
-    let counter_ref = spawn.borrow().clone().unwrap().unwrap();
+    let counter_ref = world.spawn(HostId(0), "Counter", Some("c0"), SimTime::from_millis(10));
 
     // Invoke from node 3: two incs and a read.
     for _ in 0..2 {
-        world.cmd(
-            HostId(3),
-            NodeCmd::Invoke {
-                target: counter_ref.clone(),
-                op: "inc".into(),
-                args: vec![Value::Long(21)],
-                oneway: true,
-                sink: None,
-            },
-        );
+        world.oneway(HostId(3), &counter_ref, "inc", vec![Value::Long(21)]);
     }
-    settle(&mut world, 50);
-    let invoke: lc_core::InvokeSink = Rc::default();
-    world.cmd(
-        HostId(3),
-        NodeCmd::Invoke {
-            target: counter_ref,
-            op: "value".into(),
-            args: vec![],
-            oneway: false,
-            sink: Some(invoke.clone()),
-        },
-    );
-    settle(&mut world, 50);
+    world.run_for(SimTime::from_millis(50));
+    let invoke = world.invoke(HostId(3), &counter_ref, "value", vec![]);
+    world.run_for(SimTime::from_millis(50));
     let replies = invoke.borrow();
     assert_eq!(replies.len(), 1);
     assert_eq!(replies[0].1.as_ref().unwrap().ret, Value::Long(42));
@@ -200,11 +141,11 @@ fn spawn_local_and_invoke_across_network() {
 
 #[test]
 fn spawn_on_remote_node() {
-    let mut world = demo_world(Topology::lan(4), 6);
-    settle(&mut world, 10);
+    let mut world = host0_world(Topology::lan(4), 6, signed());
+    world.run_for(SimTime::from_millis(10));
     // Node 1 doesn't have the package; push it there first via acceptor.
     world.cmd(HostId(1), NodeCmd::Install(demo::counter_package()));
-    settle(&mut world, 10);
+    world.run_for(SimTime::from_millis(10));
     let spawn: lc_core::SpawnSink = Rc::default();
     world.cmd(
         HostId(0),
@@ -216,7 +157,7 @@ fn spawn_on_remote_node() {
             sink: spawn.clone(),
         },
     );
-    settle(&mut world, 50);
+    world.run_for(SimTime::from_millis(50));
     let objref = spawn.borrow().clone().unwrap().unwrap();
     assert_eq!(objref.key.host, HostId(1));
     assert_eq!(world.node(HostId(1)).unwrap().registry.instance_count(), 1);
@@ -224,23 +165,12 @@ fn spawn_on_remote_node() {
 
 #[test]
 fn resolve_uses_port_fetches_locally_for_heavy_traffic() {
-    let mut world = demo_world(Topology::lan(8), 7);
-    settle(&mut world, 600);
+    let mut world = host0_world(Topology::lan(8), 7, signed());
+    world.run_for(SimTime::from_millis(600));
     // A GUI part on node 4 (push the package there first).
     world.cmd(HostId(4), NodeCmd::Install(demo::gui_package()));
-    settle(&mut world, 10);
-    let spawn: lc_core::SpawnSink = Rc::default();
-    world.cmd(
-        HostId(4),
-        NodeCmd::SpawnLocal {
-            component: "GuiPart".into(),
-            min_version: Version::new(1, 0),
-            instance_name: Some("gui".into()),
-            sink: spawn.clone(),
-        },
-    );
-    settle(&mut world, 10);
-    let gui_ref = spawn.borrow().clone().unwrap().unwrap();
+    world.run_for(SimTime::from_millis(10));
+    let gui_ref = world.spawn(HostId(4), "GuiPart", Some("gui"), SimTime::from_millis(10));
     let gui_instance = world
         .node(HostId(4))
         .unwrap()
@@ -265,7 +195,7 @@ fn resolve_uses_port_fetches_locally_for_heavy_traffic() {
             sink: Some(provider.clone()),
         },
     );
-    settle(&mut world, 2000);
+    world.run_for(SimTime::from_millis(2000));
     let display_ref = provider.borrow().clone().unwrap().unwrap();
     assert_eq!(display_ref.key.host, HostId(4), "display should run locally");
     // Display package got installed on node 4 by the fetch.
@@ -279,17 +209,8 @@ fn resolve_uses_port_fetches_locally_for_heavy_traffic() {
     assert_eq!(world.sim.metrics_ref().counter("fetch.served"), 1);
 
     // Render through the connected port: the local display draws.
-    world.cmd(
-        HostId(4),
-        NodeCmd::Invoke {
-            target: gui_ref,
-            op: "render".into(),
-            args: vec![Value::string("hello")],
-            oneway: true,
-            sink: None,
-        },
-    );
-    settle(&mut world, 100);
+    world.oneway(HostId(4), &gui_ref, "render", vec![Value::string("hello")]);
+    world.run_for(SimTime::from_millis(100));
     let node4 = world.node(HostId(4)).unwrap();
     let display_inst = node4.registry.instances_of("Display").next().unwrap();
     let _ = display_inst;
@@ -297,8 +218,8 @@ fn resolve_uses_port_fetches_locally_for_heavy_traffic() {
 
 #[test]
 fn resolve_uses_existing_remote_instance_for_light_traffic() {
-    let mut world = demo_world(Topology::lan(8), 8);
-    settle(&mut world, 600);
+    let mut world = host0_world(Topology::lan(8), 8, signed());
+    world.run_for(SimTime::from_millis(600));
     // A Display instance already runs on node 0.
     let dspawn: lc_core::SpawnSink = Rc::default();
     world.cmd(
@@ -312,7 +233,7 @@ fn resolve_uses_existing_remote_instance_for_light_traffic() {
     );
     // A GUI on node 5.
     world.cmd(HostId(5), NodeCmd::Install(demo::gui_package()));
-    settle(&mut world, 300);
+    world.run_for(SimTime::from_millis(300));
     let gspawn: lc_core::SpawnSink = Rc::default();
     world.cmd(
         HostId(5),
@@ -323,7 +244,7 @@ fn resolve_uses_existing_remote_instance_for_light_traffic() {
             sink: gspawn.clone(),
         },
     );
-    settle(&mut world, 300);
+    world.run_for(SimTime::from_millis(300));
     let gui_instance = world.node(HostId(5)).unwrap().registry.named("gui").unwrap().id;
 
     let provider: lc_core::SpawnSink = Rc::default();
@@ -337,7 +258,7 @@ fn resolve_uses_existing_remote_instance_for_light_traffic() {
             sink: Some(provider.clone()),
         },
     );
-    settle(&mut world, 2000);
+    world.run_for(SimTime::from_millis(2000));
     let display_ref = provider.borrow().clone().unwrap().unwrap();
     assert_eq!(display_ref.key.host, HostId(0), "light traffic connects to the existing one");
     assert_eq!(world.sim.metrics_ref().counter("resolve.fetch_local"), 0);
@@ -345,8 +266,8 @@ fn resolve_uses_existing_remote_instance_for_light_traffic() {
 
 #[test]
 fn events_fan_out_across_nodes() {
-    let mut world = demo_world(Topology::lan(4), 9);
-    settle(&mut world, 10);
+    let mut world = host0_world(Topology::lan(4), 9, signed());
+    world.run_for(SimTime::from_millis(10));
     // Producer GUI on node 0, watcher on node 2.
     let gspawn: lc_core::SpawnSink = Rc::default();
     world.cmd(
@@ -359,7 +280,7 @@ fn events_fan_out_across_nodes() {
         },
     );
     world.cmd(HostId(2), NodeCmd::Install(demo::watcher_package()));
-    settle(&mut world, 20);
+    world.run_for(SimTime::from_millis(20));
     let wspawn: lc_core::SpawnSink = Rc::default();
     world.cmd(
         HostId(2),
@@ -370,7 +291,7 @@ fn events_fan_out_across_nodes() {
             sink: wspawn.clone(),
         },
     );
-    settle(&mut world, 20);
+    world.run_for(SimTime::from_millis(20));
     let gui_ref = gspawn.borrow().clone().unwrap().unwrap();
     let watcher_ref = wspawn.borrow().clone().unwrap().unwrap();
 
@@ -384,75 +305,36 @@ fn events_fan_out_across_nodes() {
             delivery_op: "_push_rendered".into(),
         },
     );
-    settle(&mut world, 50);
+    world.run_for(SimTime::from_millis(50));
 
     // Render 3 times.
     for i in 0..3 {
-        world.cmd(
-            HostId(1),
-            NodeCmd::Invoke {
-                target: gui_ref.clone(),
-                op: "render".into(),
-                args: vec![Value::string(&format!("frame{i}"))],
-                oneway: true,
-                sink: None,
-            },
-        );
+        world.oneway(HostId(1), &gui_ref, "render", vec![Value::string(&format!("frame{i}"))]);
     }
-    settle(&mut world, 200);
+    world.run_for(SimTime::from_millis(200));
     assert_eq!(world.sim.metrics_ref().counter("events.published"), 3);
     // The watcher saw them all.
-    let value: lc_core::InvokeSink = Rc::default();
-    world.cmd(
-        HostId(1),
-        NodeCmd::Invoke {
-            target: watcher_ref,
-            op: "value".into(),
-            args: vec![],
-            oneway: false,
-            sink: Some(value.clone()),
-        },
-    );
-    settle(&mut world, 100);
+    let value = world.invoke(HostId(1), &watcher_ref, "value", vec![]);
+    world.run_for(SimTime::from_millis(100));
     assert_eq!(value.borrow()[0].1.as_ref().unwrap().ret, Value::Long(3));
 }
 
 #[test]
 fn migration_preserves_state_and_forwards_requests() {
-    let mut world = demo_world(Topology::lan(4), 10);
-    settle(&mut world, 10);
-    let spawn: lc_core::SpawnSink = Rc::default();
-    world.cmd(
-        HostId(0),
-        NodeCmd::SpawnLocal {
-            component: "Counter".into(),
-            min_version: Version::new(1, 0),
-            instance_name: Some("c".into()),
-            sink: spawn.clone(),
-        },
-    );
-    settle(&mut world, 10);
-    let old_ref = spawn.borrow().clone().unwrap().unwrap();
+    let mut world = host0_world(Topology::lan(4), 10, signed());
+    world.run_for(SimTime::from_millis(10));
+    let old_ref = world.spawn(HostId(0), "Counter", Some("c"), SimTime::from_millis(10));
     // Count to 5.
     for _ in 0..5 {
-        world.cmd(
-            HostId(3),
-            NodeCmd::Invoke {
-                target: old_ref.clone(),
-                op: "inc".into(),
-                args: vec![Value::Long(1)],
-                oneway: true,
-                sink: None,
-            },
-        );
+        world.oneway(HostId(3), &old_ref, "inc", vec![Value::Long(1)]);
     }
-    settle(&mut world, 100);
+    world.run_for(SimTime::from_millis(100));
 
     // Migrate to node 2 (which lacks the package → auto-fetch).
     let instance = world.node(HostId(0)).unwrap().registry.named("c").unwrap().id;
     let msink: lc_core::MigrateSink = Rc::default();
     world.cmd(HostId(0), NodeCmd::Migrate { instance, to: HostId(2), sink: Some(msink.clone()) });
-    settle(&mut world, 2000);
+    world.run_for(SimTime::from_millis(2000));
     let new_ref = msink.borrow().clone().unwrap().unwrap();
     assert_eq!(new_ref.key.host, HostId(2));
     assert_eq!(world.sim.metrics_ref().counter("migrate.completed"), 1);
@@ -460,18 +342,8 @@ fn migration_preserves_state_and_forwards_requests() {
     assert_eq!(world.node(HostId(2)).unwrap().registry.instance_count(), 1);
 
     // A caller still holding the OLD reference gets forwarded.
-    let value: lc_core::InvokeSink = Rc::default();
-    world.cmd(
-        HostId(3),
-        NodeCmd::Invoke {
-            target: old_ref,
-            op: "value".into(),
-            args: vec![],
-            oneway: false,
-            sink: Some(value.clone()),
-        },
-    );
-    settle(&mut world, 200);
+    let value = world.invoke(HostId(3), &old_ref, "value", vec![]);
+    world.run_for(SimTime::from_millis(200));
     let replies = value.borrow();
     assert_eq!(replies.len(), 1, "forwarded request must be answered");
     assert_eq!(
@@ -486,8 +358,8 @@ fn migration_preserves_state_and_forwards_requests() {
 fn assembly_deploys_and_wires_across_nodes() {
     // Node 0 is the leaf MRM (it sees everyone's reports) and holds all
     // packages; the assembly spreads instances by load.
-    let mut world = demo_world(Topology::lan(6), 11);
-    settle(&mut world, 800); // let reports accumulate
+    let mut world = host0_world(Topology::lan(6), 11, signed());
+    world.run_for(SimTime::from_millis(800)); // let reports accumulate
 
     let assembly = AssemblyDescriptor::new("demo-app")
         .instance("gui", "GuiPart", Version::new(1, 0))
@@ -505,7 +377,7 @@ fn assembly_deploys_and_wires_across_nodes() {
             sink: sink.clone(),
         },
     );
-    settle(&mut world, 3000);
+    world.run_for(SimTime::from_millis(3000));
 
     let results: BTreeMap<String, _> = sink.borrow().clone();
     assert_eq!(results.len(), 3);
@@ -517,70 +389,43 @@ fn assembly_deploys_and_wires_across_nodes() {
     // Drive the GUI and check the event reached the watcher.
     let gui_ref = results["gui"].clone().unwrap();
     let watch_ref = results["watch"].clone().unwrap();
-    world.cmd(
-        HostId(5),
-        NodeCmd::Invoke {
-            target: gui_ref,
-            op: "render".into(),
-            args: vec![Value::string("x")],
-            oneway: true,
-            sink: None,
-        },
-    );
-    settle(&mut world, 300);
-    let value: lc_core::InvokeSink = Rc::default();
-    world.cmd(
-        HostId(5),
-        NodeCmd::Invoke {
-            target: watch_ref,
-            op: "value".into(),
-            args: vec![],
-            oneway: false,
-            sink: Some(value.clone()),
-        },
-    );
-    settle(&mut world, 300);
+    world.oneway(HostId(5), &gui_ref, "render", vec![Value::string("x")]);
+    world.run_for(SimTime::from_millis(300));
+    let value = world.invoke(HostId(5), &watch_ref, "value", vec![]);
+    world.run_for(SimTime::from_millis(300));
     assert_eq!(value.borrow()[0].1.as_ref().unwrap().ret, Value::Long(1));
 }
 
 #[test]
 fn crashed_node_is_evicted_then_rejoins() {
-    let mut world = demo_world(Topology::lan(8), 12);
-    settle(&mut world, 800);
+    let mut world = host0_world(Topology::lan(8), 12, signed());
+    world.run_for(SimTime::from_millis(800));
     // Node 0's inventory is known; crash it.
     world.crash(HostId(0));
     // After > timeout (3 * 200ms) the MRM evicts it. Node 1 is the
     // surviving replica MRM of the leaf group.
-    settle(&mut world, 1500);
+    world.run_for(SimTime::from_millis(1500));
     assert!(world.sim.metrics_ref().counter("cohesion.evictions") >= 1);
 
     // Query for Display now misses (only node 0 had it).
-    let sink: Rc<RefCell<QueryResult>> = Rc::default();
-    world.cmd(
+    let sink = world.query(
         HostId(5),
-        NodeCmd::Query {
-            query: ComponentQuery::by_name("Display", Version::new(2, 0)),
-            sink: sink.clone(),
-            first_wins: false,
-        },
+        ComponentQuery::by_name("Display", Version::new(2, 0)),
+        false,
     );
-    settle(&mut world, 1000);
+    world.run_for(SimTime::from_millis(1000));
     assert!(sink.borrow().done);
     assert!(sink.borrow().offers.is_empty(), "dead node must not be offered");
 
     // Recover: installed packages persist; reports resume; queries hit.
     world.recover(HostId(0));
-    settle(&mut world, 1500);
-    let sink2: Rc<RefCell<QueryResult>> = Rc::default();
-    world.cmd(
+    world.run_for(SimTime::from_millis(1500));
+    let sink2 = world.query(
         HostId(5),
-        NodeCmd::Query {
-            query: ComponentQuery::by_name("Display", Version::new(2, 0)),
-            sink: sink2.clone(),
-            first_wins: false,
-        },
+        ComponentQuery::by_name("Display", Version::new(2, 0)),
+        false,
     );
-    settle(&mut world, 1000);
+    world.run_for(SimTime::from_millis(1000));
     assert_eq!(sink2.borrow().offers.len(), 1, "reconnected node is rediscovered");
 }
 
@@ -588,38 +433,30 @@ fn crashed_node_is_evicted_then_rejoins() {
 fn queries_survive_primary_mrm_crash_via_replica() {
     // 16 nodes, fanout 8 → two leaf groups; node 8 and 9 are the MRMs of
     // group 1. Install something on node 10, then crash node 8 (primary).
-    let behaviors = BehaviorRegistry::new();
-    demo::register_demo_behaviors(&behaviors);
     let config = NodeConfig {
         cohesion: fast_cohesion(),
         query_timeout: SimTime::from_millis(400),
         require_signature: false,
         ..Default::default()
     };
-    let mut world = build_world(
+    let mut world = World::on(
         Topology::lan(16),
         13,
         config,
-        behaviors,
-        demo::demo_trust(),
-        Arc::new(demo::demo_idl()),
+        demo::catalog(),
         |host| if host == HostId(10) { vec![demo::counter_package()] } else { Vec::new() },
     );
-    settle(&mut world, 800);
+    world.run_for(SimTime::from_millis(800));
     world.crash(HostId(8));
-    settle(&mut world, 1500);
+    world.run_for(SimTime::from_millis(1500));
 
     // Origin in group 1 must still find the Counter via replica MRM 9.
-    let sink: Rc<RefCell<QueryResult>> = Rc::default();
-    world.cmd(
+    let sink = world.query(
         HostId(12),
-        NodeCmd::Query {
-            query: ComponentQuery::by_name("Counter", Version::new(1, 0)),
-            sink: sink.clone(),
-            first_wins: false,
-        },
+        ComponentQuery::by_name("Counter", Version::new(1, 0)),
+        false,
     );
-    settle(&mut world, 1000);
+    world.run_for(SimTime::from_millis(1000));
     assert!(sink.borrow().done);
     assert_eq!(sink.borrow().offers.len(), 1, "replica MRM must answer");
     assert!(world.sim.metrics_ref().counter("query.failover") >= 1);
@@ -634,48 +471,23 @@ fn cpu_cost_delays_replies_by_host_power() {
     let slow = topo.add_host(HostCfg::new(s).cpu(0.5));
     let fast = topo.add_host(HostCfg::new(s).cpu(4.0));
     let caller = topo.add_host(HostCfg::new(s));
-    let behaviors = BehaviorRegistry::new();
-    demo::register_demo_behaviors(&behaviors);
-    let mut world = build_world(
+    let mut world = World::on(
         topo,
         14,
-        NodeConfig { cohesion: fast_cohesion(), ..Default::default() },
-        behaviors,
-        demo::demo_trust(),
-        Arc::new(demo::demo_idl()),
+        fast_config(),
+        demo::catalog(),
         |_| vec![demo::display_package()],
     );
-    settle(&mut world, 10);
+    world.run_for(SimTime::from_millis(10));
     let mut refs = Vec::new();
     for host in [slow, fast] {
-        let sink: lc_core::SpawnSink = Rc::default();
-        world.cmd(
-            host,
-            NodeCmd::SpawnLocal {
-                component: "Display".into(),
-                min_version: Version::new(2, 0),
-                instance_name: None,
-                sink: sink.clone(),
-            },
-        );
-        settle(&mut world, 10);
-        refs.push(sink.borrow().clone().unwrap().unwrap());
+        refs.push(world.spawn(host, "Display", None, SimTime::from_millis(10)));
     }
     let mut latencies = Vec::new();
     for r in &refs {
-        let sink: lc_core::InvokeSink = Rc::default();
         let start = world.sim.now();
-        world.cmd(
-            caller,
-            NodeCmd::Invoke {
-                target: r.clone(),
-                op: "draw".into(),
-                args: vec![Value::string("x")],
-                oneway: false,
-                sink: Some(sink.clone()),
-            },
-        );
-        settle(&mut world, 100);
+        let sink = world.invoke(caller, r, "draw", vec![Value::string("x")]);
+        world.run_for(SimTime::from_millis(100));
         let (at, res) = sink.borrow()[0].clone();
         assert!(res.is_ok());
         latencies.push(at - start);
@@ -697,57 +509,25 @@ fn parked_replies_go_out_once_in_order_and_die_with_the_node() {
     let s = topo.add_site("lan");
     let server = topo.add_host(HostCfg::new(s).cpu(0.1));
     let caller = topo.add_host(HostCfg::new(s));
-    let behaviors = BehaviorRegistry::new();
-    demo::register_demo_behaviors(&behaviors);
-    let mut world = build_world(
+    let mut world = World::on(
         topo,
         14,
-        NodeConfig { cohesion: fast_cohesion(), ..Default::default() },
-        behaviors,
-        demo::demo_trust(),
-        Arc::new(demo::demo_idl()),
+        fast_config(),
+        demo::catalog(),
         |_| vec![demo::display_package()],
     );
-    settle(&mut world, 10);
-    let spawn_display = |world: &mut World| {
-        let sink: lc_core::SpawnSink = Rc::default();
-        world.cmd(
-            server,
-            NodeCmd::SpawnLocal {
-                component: "Display".into(),
-                min_version: Version::new(2, 0),
-                instance_name: None,
-                sink: sink.clone(),
-            },
-        );
-        settle(world, 10);
-        let spawned = sink.borrow().clone();
-        spawned.unwrap().unwrap()
-    };
+    world.run_for(SimTime::from_millis(10));
+    let spawn_display =
+        |world: &mut World| world.spawn(server, "Display", None, SimTime::from_millis(10));
     // A burst of draws: 200us of reference CPU each, 2ms on this host,
     // so the replies queue up behind one another on the CPU.
     let burst = |world: &mut World, target: &lc_orb::ObjectRef| -> Vec<lc_core::InvokeSink> {
-        (0..3)
-            .map(|_| {
-                let sink: lc_core::InvokeSink = Rc::default();
-                world.cmd(
-                    caller,
-                    NodeCmd::Invoke {
-                        target: target.clone(),
-                        op: "draw".into(),
-                        args: vec![Value::string("x")],
-                        oneway: false,
-                        sink: Some(sink.clone()),
-                    },
-                );
-                sink
-            })
-            .collect()
+        (0..3).map(|_| world.invoke(caller, target, "draw", vec![Value::string("x")])).collect()
     };
 
     let display = spawn_display(&mut world);
     let sinks = burst(&mut world, &display);
-    settle(&mut world, 100);
+    world.run_for(SimTime::from_millis(100));
     let replies_before = world.sim.metrics_ref().counter("orb.replies");
     assert_eq!(replies_before, 3, "one reply per request");
     let at: Vec<SimTime> = sinks
@@ -766,17 +546,17 @@ fn parked_replies_go_out_once_in_order_and_die_with_the_node() {
     // Crash with all three replies parked: none is ever sent, and the
     // respawned node starts with nothing parked.
     let doomed = burst(&mut world, &display);
-    settle(&mut world, 1); // requests delivered and executed, no reply due yet
+    world.run_for(SimTime::from_millis(1)); // requests delivered and executed, no reply due yet
     let executed = world.sim.metrics_ref().summary("node.task_ms").map(|h| h.count());
     assert_eq!(executed, Some(6), "the doomed draws ran before the crash");
     world.crash(server);
     world.recover(server);
-    settle(&mut world, 100);
+    world.run_for(SimTime::from_millis(100));
     assert!(doomed.iter().all(|sink| sink.borrow().is_empty()));
     assert_eq!(world.sim.metrics_ref().counter("orb.replies"), replies_before);
     let display = spawn_display(&mut world);
     let again = burst(&mut world, &display);
-    settle(&mut world, 100);
+    world.run_for(SimTime::from_millis(100));
     assert!(again.iter().all(|sink| sink.borrow().len() == 1));
     assert_eq!(world.sim.metrics_ref().counter("orb.replies"), replies_before + 3);
 }
@@ -807,8 +587,8 @@ fn world_is_deterministic_per_seed() {
     // Per-node metrics are plain counters (no wall clock), so they are
     // part of the reproducible state, node by node.
     fn run(seed: u64) -> (u64, u64, Vec<lc_core::NodeMetrics>) {
-        let mut world = demo_world(Topology::lan(8), seed);
-        settle(&mut world, 2000);
+        let mut world = host0_world(Topology::lan(8), seed, signed());
+        world.run_for(SimTime::from_millis(2000));
         let metrics = (0..8)
             .map(|h| world.node(HostId(h)).unwrap().node_metrics().clone())
             .collect();
@@ -824,8 +604,6 @@ fn automatic_load_balancing_sheds_instances() {
     // Host 1 is overloaded with counters; hosts 2..7 idle. With LB on,
     // the node asks its MRM for lighter members and migrates instances
     // until it drops below the threshold.
-    let behaviors = BehaviorRegistry::new();
-    demo::register_demo_behaviors(&behaviors);
     let config = NodeConfig {
         cohesion: fast_cohesion(),
         query_timeout: SimTime::from_millis(400),
@@ -836,16 +614,14 @@ fn automatic_load_balancing_sheds_instances() {
         }),
         ..NodeConfig::default()
     };
-    let mut world = build_world(
+    let mut world = World::on(
         Topology::lan(8),
         40,
         config,
-        behaviors,
-        demo::demo_trust(),
-        Arc::new(demo::demo_idl()),
+        demo::catalog(),
         |_| vec![demo::counter_package()],
     );
-    settle(&mut world, 10);
+    world.run_for(SimTime::from_millis(10));
     // Overload host 1: 12 counters × 0.05 cpu = 0.6 > threshold 0.5.
     for i in 0..12 {
         let sink: lc_core::SpawnSink = Rc::default();
@@ -859,13 +635,13 @@ fn automatic_load_balancing_sheds_instances() {
             },
         );
     }
-    settle(&mut world, 50);
+    world.run_for(SimTime::from_millis(50));
     assert_eq!(world.node(HostId(1)).unwrap().registry.instance_count(), 12);
     let util_before = world.node(HostId(1)).unwrap().resources.cpu_utilisation();
     assert!(util_before > 0.5);
 
     // Let reports converge and LB run for a few periods.
-    settle(&mut world, 8_000);
+    world.run_for(SimTime::from_millis(8_000));
 
     let m = world.sim.metrics_ref();
     assert!(m.counter("lb.migrations") >= 1, "LB must migrate something");
@@ -886,8 +662,6 @@ fn automatic_load_balancing_sheds_instances() {
 #[test]
 fn fixed_instances_are_never_auto_migrated() {
     // A Fixed-mobility component must stay put even under overload.
-    let behaviors = BehaviorRegistry::new();
-    demo::register_demo_behaviors(&behaviors);
     // Build a fixed-mobility counter package.
     let fixed_pkg = {
         let mut desc = lc_pkg::ComponentDescriptor::new(
@@ -920,16 +694,14 @@ fn fixed_instances_are_never_auto_migrated() {
         ..NodeConfig::default()
     };
     let fixed_for_world = fixed_pkg.clone();
-    let mut world = build_world(
+    let mut world = World::on(
         Topology::lan(4),
         41,
         config,
-        behaviors,
-        demo::demo_trust(),
-        Arc::new(demo::demo_idl()),
+        demo::catalog(),
         move |_| vec![fixed_for_world.clone()],
     );
-    settle(&mut world, 10);
+    world.run_for(SimTime::from_millis(10));
     for i in 0..3 {
         let sink: lc_core::SpawnSink = Rc::default();
         world.cmd(
@@ -942,7 +714,7 @@ fn fixed_instances_are_never_auto_migrated() {
             },
         );
     }
-    settle(&mut world, 8_000);
+    world.run_for(SimTime::from_millis(8_000));
     // Overloaded (0.9 > 0.5) but nothing migratable.
     assert_eq!(world.sim.metrics_ref().counter("lb.migrations"), 0);
     assert_eq!(world.node(HostId(1)).unwrap().registry.instance_count(), 3);
@@ -952,19 +724,9 @@ fn fixed_instances_are_never_auto_migrated() {
 fn runtime_port_modification_changes_query_results() {
     // §2.4.2: an instance grows a provided port at run time; the
     // reflected registry shows it immediately.
-    let mut world = demo_world(Topology::lan(2), 42);
-    settle(&mut world, 10);
-    let spawn: lc_core::SpawnSink = Rc::default();
-    world.cmd(
-        HostId(0),
-        NodeCmd::SpawnLocal {
-            component: "Counter".into(),
-            min_version: Version::new(1, 0),
-            instance_name: Some("c".into()),
-            sink: spawn.clone(),
-        },
-    );
-    settle(&mut world, 10);
+    let mut world = host0_world(Topology::lan(2), 42, signed());
+    world.run_for(SimTime::from_millis(10));
+    world.spawn(HostId(0), "Counter", Some("c"), SimTime::from_millis(10));
     let instance = world.node(HostId(0)).unwrap().registry.named("c").unwrap().id;
     assert_eq!(world.node(HostId(0)).unwrap().registry.instance(instance).unwrap().provides.len(), 1);
 
@@ -976,7 +738,7 @@ fn runtime_port_modification_changes_query_results() {
             remove_provides: vec!["counter".into()],
         },
     );
-    settle(&mut world, 10);
+    world.run_for(SimTime::from_millis(10));
     let node = world.node(HostId(0)).unwrap();
     let info = node.registry.instance(instance).unwrap();
     assert_eq!(info.provides.len(), 1);
@@ -989,24 +751,13 @@ fn migration_forwarding_table_tracks_old_reference() {
     // The origin node keeps a forwarding entry for the migrated-away
     // oid; requests to the old reference are re-targeted transparently,
     // and unrelated oids are never forwarded.
-    let mut world = demo_world(Topology::lan(3), 11);
-    settle(&mut world, 10);
-    let spawn: lc_core::SpawnSink = Rc::default();
-    world.cmd(
-        HostId(0),
-        NodeCmd::SpawnLocal {
-            component: "Counter".into(),
-            min_version: Version::new(1, 0),
-            instance_name: Some("c".into()),
-            sink: spawn.clone(),
-        },
-    );
-    settle(&mut world, 10);
-    let old_ref = spawn.borrow().clone().unwrap().unwrap();
+    let mut world = host0_world(Topology::lan(3), 11, signed());
+    world.run_for(SimTime::from_millis(10));
+    let old_ref = world.spawn(HostId(0), "Counter", Some("c"), SimTime::from_millis(10));
     let instance = world.node(HostId(0)).unwrap().registry.named("c").unwrap().id;
     let msink: lc_core::MigrateSink = Rc::default();
     world.cmd(HostId(0), NodeCmd::Migrate { instance, to: HostId(1), sink: Some(msink.clone()) });
-    settle(&mut world, 2000);
+    world.run_for(SimTime::from_millis(2000));
     let new_ref = msink.borrow().clone().unwrap().unwrap();
 
     let origin = world.node(HostId(0)).unwrap();
@@ -1028,7 +779,7 @@ fn migration_forwarding_table_tracks_old_reference() {
             },
         );
     }
-    settle(&mut world, 300);
+    world.run_for(SimTime::from_millis(300));
     let replies = value.borrow();
     assert_eq!(replies.len(), 2, "both forwarded requests must be answered");
     assert!(replies.iter().all(|(_, r)| r.is_ok()));
@@ -1039,8 +790,8 @@ fn migration_forwarding_table_tracks_old_reference() {
 fn event_channels_close_when_producer_instance_dies() {
     // Destroying a producer instance must drop its event channels and
     // their subscriptions, so no delivery is attempted to or from it.
-    let mut world = demo_world(Topology::lan(3), 12);
-    settle(&mut world, 10);
+    let mut world = host0_world(Topology::lan(3), 12, signed());
+    world.run_for(SimTime::from_millis(10));
     let gspawn: lc_core::SpawnSink = Rc::default();
     world.cmd(
         HostId(0),
@@ -1052,7 +803,7 @@ fn event_channels_close_when_producer_instance_dies() {
         },
     );
     world.cmd(HostId(2), NodeCmd::Install(demo::watcher_package()));
-    settle(&mut world, 20);
+    world.run_for(SimTime::from_millis(20));
     let wspawn: lc_core::SpawnSink = Rc::default();
     world.cmd(
         HostId(2),
@@ -1063,7 +814,7 @@ fn event_channels_close_when_producer_instance_dies() {
             sink: wspawn.clone(),
         },
     );
-    settle(&mut world, 20);
+    world.run_for(SimTime::from_millis(20));
     let gui_ref = gspawn.borrow().clone().unwrap().unwrap();
     let watcher_ref = wspawn.borrow().clone().unwrap().unwrap();
     world.cmd(
@@ -1075,21 +826,12 @@ fn event_channels_close_when_producer_instance_dies() {
             delivery_op: "_push_rendered".into(),
         },
     );
-    settle(&mut world, 50);
+    world.run_for(SimTime::from_millis(50));
     assert_eq!(world.node(HostId(0)).unwrap().event_channel_count(), 1);
     assert_eq!(world.node(HostId(0)).unwrap().subscription_count(), 1);
 
-    world.cmd(
-        HostId(1),
-        NodeCmd::Invoke {
-            target: gui_ref.clone(),
-            op: "render".into(),
-            args: vec![Value::string("frame0")],
-            oneway: true,
-            sink: None,
-        },
-    );
-    settle(&mut world, 100);
+    world.oneway(HostId(1), &gui_ref, "render", vec![Value::string("frame0")]);
+    world.run_for(SimTime::from_millis(100));
     assert_eq!(world.sim.metrics_ref().counter("events.published"), 1);
 
     // Kill the producer instance; the channel and its subscriber go too.
@@ -1102,17 +844,8 @@ fn event_channels_close_when_producer_instance_dies() {
     assert_eq!(node.registry.instance_count(), 0);
 
     // A render sent to the dead reference publishes nothing.
-    world.cmd(
-        HostId(1),
-        NodeCmd::Invoke {
-            target: gui_ref,
-            op: "render".into(),
-            args: vec![Value::string("frame1")],
-            oneway: true,
-            sink: None,
-        },
-    );
-    settle(&mut world, 100);
+    world.oneway(HostId(1), &gui_ref, "render", vec![Value::string("frame1")]);
+    world.run_for(SimTime::from_millis(100));
     assert_eq!(world.sim.metrics_ref().counter("events.published"), 1);
 }
 
@@ -1124,8 +857,8 @@ fn event_channels_close_when_producer_instance_dies() {
 #[test]
 fn runtime_install_reaches_mrm_and_parent_summaries() {
     let period = fast_cohesion().report_period.as_nanos() / 1_000_000;
-    let mut world = demo_world(Topology::campus(8, 8), 17);
-    settle(&mut world, 4 * period);
+    let mut world = host0_world(Topology::campus(8, 8), 17, signed());
+    world.run_for(SimTime::from_millis(4 * period));
     // Host 13 is a plain member of leaf group 1 (hosts 8..16, MRMs 8 and
     // 9); the root group's MRMs are hosts 0 and 8.
     let member = HostId(13);
@@ -1138,12 +871,12 @@ fn runtime_install_reaches_mrm_and_parent_summaries() {
     assert_eq!(believers(&world, 0, 1), [HostId(0)], "only host 0's group holds Counter so far");
 
     world.cmd(member, NodeCmd::Install(demo::counter_package()));
-    settle(&mut world, 2 * period);
+    world.run_for(SimTime::from_millis(2 * period));
     for mrm in [8, 9] {
         assert_eq!(believers(&world, mrm, 0), [member], "leaf MRM {mrm} missed the install");
     }
     // One sweep (plus the inter-site hop) later the parents know too.
-    settle(&mut world, period + 50);
+    world.run_for(SimTime::from_millis(period + 50));
     for mrm in [0, 8] {
         assert_eq!(
             believers(&world, mrm, 1),
@@ -1155,11 +888,10 @@ fn runtime_install_reaches_mrm_and_parent_summaries() {
     // With host 0 (the only other holder) crashed and evicted, a query
     // from a third site can only be answered by the new install.
     world.crash(HostId(0));
-    settle(&mut world, 5 * period);
-    let sink: Rc<RefCell<QueryResult>> = Rc::default();
+    world.run_for(SimTime::from_millis(5 * period));
     let query = ComponentQuery::by_name("Counter", Version::new(1, 0));
-    world.cmd(HostId(42), NodeCmd::Query { query, sink: sink.clone(), first_wins: false });
-    settle(&mut world, 1000);
+    let sink = world.query(HostId(42), query, false);
+    world.run_for(SimTime::from_millis(1000));
     let res = sink.borrow();
     assert!(res.done);
     assert_eq!(res.offers.iter().map(|o| o.node).collect::<Vec<_>>(), [member]);
@@ -1174,10 +906,8 @@ fn sharded_world(
     config: NodeConfig,
     owners: &[HostId],
 ) -> World {
-    let behaviors = BehaviorRegistry::new();
-    demo::register_demo_behaviors(&behaviors);
     let owners = owners.to_vec();
-    build_world_on(
+    World::on(
         net,
         seed,
         NodeConfig {
@@ -1186,9 +916,7 @@ fn sharded_world(
             registry: RegistryConfig::Sharded(shard),
             ..config
         },
-        behaviors,
-        demo::demo_trust(),
-        Arc::new(demo::demo_idl()),
+        demo::catalog(),
         move |h| if owners.contains(&h) { vec![demo::counter_package()] } else { Vec::new() },
     )
 }
@@ -1197,12 +925,9 @@ fn query_counter(
     world: &mut World,
     origin: HostId,
     max_cost: Option<u32>,
-) -> Rc<RefCell<QueryResult>> {
-    let sink: Rc<RefCell<QueryResult>> = Rc::default();
+) -> QuerySink {
     let by_name = ComponentQuery::by_name("Counter", Version::new(1, 0));
-    let query = ComponentQuery { max_cost, ..by_name };
-    world.cmd(origin, NodeCmd::Query { query, sink: sink.clone(), first_wins: false });
-    sink
+    world.query(origin, ComponentQuery { max_cost, ..by_name }, false)
 }
 
 /// The shard ring is built once per world: every node — a crash→recover
@@ -1238,20 +963,20 @@ fn sharded_world_shares_one_ring_across_nodes_and_respawns() {
         assert!(holds_shared_ring(&world, h), "{h:?} built a private ring");
     }
 
-    settle(&mut world, 600);
+    world.run_for(SimTime::from_millis(600));
     let before = query_counter(&mut world, origin, None);
-    settle(&mut world, 600);
+    world.run_for(SimTime::from_millis(600));
     assert_eq!(before.borrow().offers.len(), 1, "the shard's only replica serves the offer");
 
     // The respawn starts with an empty store over the same ring; the
     // owner's next refresh-publish refills it and lookups resume.
     world.crash(server);
-    settle(&mut world, 300);
+    world.run_for(SimTime::from_millis(300));
     world.recover(server);
     assert!(holds_shared_ring(&world, server), "the respawn built a private ring");
-    settle(&mut world, 800);
+    world.run_for(SimTime::from_millis(800));
     let after = query_counter(&mut world, origin, None);
-    settle(&mut world, 600);
+    world.run_for(SimTime::from_millis(600));
     assert!(after.borrow().done);
     assert_eq!(after.borrow().offers.len(), 1, "the respawned replica serves ShardLookups again");
 
@@ -1288,7 +1013,7 @@ fn cache_sharding_and_admission_compose_on_a_lossy_campus() {
     let owners: Vec<HostId> = (0..64).step_by(8).map(HostId).collect();
     let mut world = sharded_world(net, 31, shard, config, &owners);
     let shared = world.seeds[0].ring.clone().expect("a sharded world carries its ring");
-    settle(&mut world, 800);
+    world.run_for(SimTime::from_millis(800));
 
     // Same-tick bursts of *distinct* keys (so none coalesce) from hosts
     // that must hop to the owning shard: each burst overflows the
@@ -1304,7 +1029,7 @@ fn cache_sharding_and_admission_compose_on_a_lossy_campus() {
                 sinks.push((origin, cost, query_counter(&mut world, origin, Some(cost))));
             }
         }
-        settle(&mut world, 1000);
+        world.run_for(SimTime::from_millis(1000));
     }
     for (origin, _, sink) in &sinks {
         assert!(sink.borrow().done, "a query from {origin:?} never finalized");
@@ -1323,7 +1048,7 @@ fn cache_sharding_and_admission_compose_on_a_lossy_campus() {
     let coalesced = world.sim.metrics_ref().counter("cache.coalesced");
     let started = world.sim.metrics_ref().counter("query.started");
     let retry = query_counter(&mut world, origin, Some(cost));
-    settle(&mut world, 1000);
+    world.run_for(SimTime::from_millis(1000));
     assert_eq!(world.sim.metrics_ref().counter("cache.coalesced"), coalesced);
     assert_eq!(world.sim.metrics_ref().counter("query.started"), started + 1);
     assert!(retry.borrow().done && !retry.borrow().shed, "a lone query fits the queue");
@@ -1355,14 +1080,14 @@ fn slo_monitor_inside_a_node_breaches_at_pinned_instants() {
         };
         let net = Net::builder(Topology::campus(2, 4)).tracer(Tracer::new()).build();
         let config = NodeConfig::builder().slo(slo).build();
-        let mut world = demo_world_on(net, 77, config);
-        settle(&mut world, 600);
+        let mut world = host0_world(net, 77, config);
+        world.run_for(SimTime::from_millis(600));
         for _ in 0..12 {
             let query = ComponentQuery::by_name("DoesNotExist", Version::new(1, 0));
-            world.cmd(FRONT, NodeCmd::Query { query, sink: Rc::default(), first_wins: true });
-            settle(&mut world, 100);
+            world.query(FRONT, query, true);
+            world.run_for(SimTime::from_millis(100));
         }
-        settle(&mut world, 1000);
+        world.run_for(SimTime::from_millis(1000));
 
         for h in (0..8).map(HostId).filter(|&h| h != FRONT) {
             let mon = world.node(h).unwrap().slo_monitor().expect("every node runs a monitor");
@@ -1391,7 +1116,7 @@ fn slo_monitor_inside_a_node_breaches_at_pinned_instants() {
     assert_eq!(run(), (breaches, flights, counted));
 }
 
-/// A `FaultPlan` crash window on a plain `build_world_on` world is the
+/// A `FaultPlan` crash window on a plain [`World::on`] world is the
 /// whole crash: the node actor dies with the host, a fresh incarnation
 /// boots from the seed when the window closes, and `World` reaches it.
 #[test]
@@ -1400,35 +1125,29 @@ fn scheduled_crash_window_kills_and_respawns_the_node() {
     let (down, up) = (SimTime::from_secs(1), SimTime::from_secs(2));
     let plan = FaultPlan::seeded(9).crash(VICTIM, down, Some(up));
     let net = Net::builder(Topology::lan(8)).fault_plan(plan).build();
-    let mut world = demo_world_on(net, 14, NodeConfig::default());
+    let mut world = host0_world(net, 14, NodeConfig::default());
 
-    let display = || NodeCmd::Query {
-        query: ComponentQuery::by_name("Display", Version::new(2, 0)),
-        sink: Rc::default(),
-        first_wins: false,
-    };
-    settle(&mut world, 600);
-    world.cmd(VICTIM, display());
-    settle(&mut world, 300);
+    world.run_for(SimTime::from_millis(600));
+    world.query(VICTIM, ComponentQuery::by_name("Display", Version::new(2, 0)), false);
+    world.run_for(SimTime::from_millis(300));
     let cmds = |world: &World| world.node(VICTIM).map(|n| n.node_metrics().cmd_counts().count());
     assert_eq!(cmds(&world), Some(1), "the first incarnation took the command");
 
-    settle(&mut world, 600); // 1.5 s: inside the window
+    world.run_for(SimTime::from_millis(600)); // 1.5 s: inside the window
     assert!(!world.net.is_up(VICTIM));
     assert!(world.node(VICTIM).is_none(), "the crash window killed the node actor");
     assert_eq!(world.net.actor_of(VICTIM), world.actors[VICTIM.0 as usize]);
 
-    settle(&mut world, 1200); // 2.7 s: the respawn has reported twice
+    world.run_for(SimTime::from_millis(1200)); // 2.7 s: the respawn has reported twice
     assert!(world.net.is_up(VICTIM));
     assert_ne!(world.net.actor_of(VICTIM), world.actors[VICTIM.0 as usize]);
     assert_eq!(cmds(&world), Some(0), "a fresh incarnation, not the old node revived");
     assert_eq!(world.sim.metrics_ref().counter("net.fault.crashes"), 1);
     assert_eq!(world.sim.metrics_ref().counter("net.fault.restarts"), 1);
 
-    let sink: Rc<RefCell<QueryResult>> = Rc::default();
     let query = ComponentQuery::by_name("Display", Version::new(2, 0));
-    world.cmd(VICTIM, NodeCmd::Query { query, sink: sink.clone(), first_wins: false });
-    settle(&mut world, 1000);
+    let sink = world.query(VICTIM, query, false);
+    world.run_for(SimTime::from_millis(1000));
     assert!(sink.borrow().done);
     assert_eq!(sink.borrow().offers.len(), 1, "the respawn issues and completes a search");
 }

@@ -25,12 +25,14 @@
 //!   decoded frames to a display.
 
 use lc_core::behavior::BehaviorRegistry;
+use lc_core::testkit::Catalog;
 use lc_core::AssemblyDescriptor;
 use lc_orb::{Invocation, ObjectRef, OrbError, Servant, Value};
 use lc_pkg::{
     ComponentDescriptor, Mobility, Package, Platform, QosSpec, SigningKey, TrustStore, Version,
 };
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// The CSCW IDL (Fig. 2 vocabulary).
 pub const CSCW_IDL: &str = r#"
@@ -337,6 +339,20 @@ pub fn register_cscw_behaviors(reg: &BehaviorRegistry) {
     reg.register("cscw_gui", || Box::<GuiPartServant>::default());
     reg.register("cscw_board", || Box::<WhiteboardAppServant>::default());
     reg.register("cscw_video", || Box::<VideoDecoderServant>::default());
+}
+
+/// The whiteboard session's packages — display, GUI part, board: what
+/// every host of a session has "on disk" (displays are firmware, the
+/// apps were shipped by the vendor).
+pub fn session_packages() -> Vec<Rc<Vec<u8>>> {
+    vec![display_package(), gui_package(), whiteboard_package()]
+}
+
+/// The CSCW domain: its behaviours, vendor trust and IDL.
+pub fn catalog() -> Catalog {
+    let behaviors = BehaviorRegistry::new();
+    register_cscw_behaviors(&behaviors);
+    Catalog { behaviors, trust: cscw_trust(), idl: Arc::new(cscw_idl()) }
 }
 
 fn seal(mut pkg: Package) -> Rc<Vec<u8>> {

@@ -3,73 +3,33 @@
 
 use super::*;
 use lc_core::node::NodeCmd;
-use lc_core::testkit::{build_world, fast_cohesion, World};
-use lc_core::{NodeConfig, PlacementStrategy};
+use lc_core::testkit::{fast_config, World};
+use lc_core::PlacementStrategy;
 use lc_des::SimTime;
 use lc_net::{HostCfg, HostId, Topology};
 use std::rc::Rc;
-use std::sync::Arc;
 
-fn settle(world: &mut World, ms: u64) {
-    let deadline = world.sim.now() + SimTime::from_millis(ms);
-    world.sim.run_until(deadline);
-}
-
-/// Build a world where every host has the CSCW packages "on disk" (their
-/// displays are firmware; the apps were shipped by the vendor).
-fn cscw_world(topo: Topology, seed: u64) -> World {
-    let behaviors = lc_core::BehaviorRegistry::new();
-    register_cscw_behaviors(&behaviors);
-    build_world(
-        topo,
-        seed,
-        NodeConfig { cohesion: fast_cohesion(), ..Default::default() },
-        behaviors,
-        cscw_trust(),
-        Arc::new(cscw_idl()),
-        |_| vec![display_package(), gui_package(), whiteboard_package()],
-    )
-}
-
-/// Spawn a named instance on a host and return its reference.
-fn spawn(world: &mut World, host: HostId, component: &str, name: &str) -> lc_orb::ObjectRef {
-    let sink: lc_core::SpawnSink = Rc::default();
-    world.cmd(
-        host,
-        NodeCmd::SpawnLocal {
-            component: component.into(),
-            min_version: lc_pkg::Version::new(1, 0),
-            instance_name: Some(name.into()),
-            sink: sink.clone(),
-        },
-    );
-    settle(world, 10);
-    let r = sink.borrow().clone().expect("spawn completed");
-    r.unwrap_or_else(|e| panic!("spawn {component} on {host}: {e}"))
-}
+const SPAWN_WAIT: SimTime = SimTime::from_millis(10);
 
 #[test]
 fn whiteboard_session_fans_strokes_to_all_participants() {
     // Fig. 2: the board on host 0; participants on hosts 1..4, each with
     // a local display their GUI part paints to.
-    let mut world = cscw_world(Topology::lan(5), 21);
-    settle(&mut world, 10);
-    let board = spawn(&mut world, HostId(0), "Whiteboard", "board");
+    let mut world = World::on(
+        Topology::lan(5),
+        21,
+        fast_config(),
+        catalog(),
+        |_| session_packages(),
+    );
+    world.run_for(SimTime::from_millis(10));
+    let board = world.spawn(HostId(0), "Whiteboard", Some("board"), SPAWN_WAIT);
     let mut guis = Vec::new();
     for i in 1..5u32 {
-        let display = spawn(&mut world, HostId(i), "CscwDisplay", &format!("disp{i}"));
-        let gui = spawn(&mut world, HostId(i), "CscwGuiPart", &format!("gui{i}"));
+        let display = world.spawn(HostId(i), "CscwDisplay", Some(&format!("disp{i}")), SPAWN_WAIT);
+        let gui = world.spawn(HostId(i), "CscwGuiPart", Some(&format!("gui{i}")), SPAWN_WAIT);
         // Wire the GUI part to its local display…
-        world.cmd(
-            HostId(i),
-            NodeCmd::Invoke {
-                target: gui.clone(),
-                op: "_connect_display".into(),
-                args: vec![lc_orb::Value::ObjRef(display)],
-                oneway: true,
-                sink: None,
-            },
-        );
+        world.oneway(HostId(i), &gui, "_connect_display", vec![lc_orb::Value::ObjRef(display)]);
         // …and subscribe it to the board's strokes.
         world.cmd(
             HostId(i),
@@ -82,28 +42,19 @@ fn whiteboard_session_fans_strokes_to_all_participants() {
         );
         guis.push((HostId(i), gui));
     }
-    settle(&mut world, 100);
+    world.run_for(SimTime::from_millis(100));
 
     // The user draws 10 strokes.
     for k in 0..10 {
-        world.cmd(
-            HostId(0),
-            NodeCmd::Invoke {
-                target: board.clone(),
-                op: "user_stroke".into(),
-                args: vec![
+        world.oneway(HostId(0), &board, "user_stroke", vec![
                     lc_orb::Value::Long(k),
                     lc_orb::Value::Long(k),
                     lc_orb::Value::Long(k + 5),
                     lc_orb::Value::Long(k + 5),
-                ],
-                oneway: true,
-                sink: None,
-            },
-        );
-        settle(&mut world, 30);
+                ]);
+        world.run_for(SimTime::from_millis(30));
     }
-    settle(&mut world, 300);
+    world.run_for(SimTime::from_millis(300));
 
     // Every participant saw every stroke, with LAN-scale latency, and
     // painted through its local display.
@@ -132,11 +83,11 @@ fn pda_thin_client_uses_remote_gui_with_local_display() {
     let s = topo.add_site("office");
     let server = topo.add_host(HostCfg::new(s).server());
     let pda = topo.add_host(HostCfg::new(s).pda());
-    let mut world = cscw_world(topo, 22);
-    settle(&mut world, 10);
+    let mut world = World::on(topo, 22, fast_config(), catalog(), |_| session_packages());
+    world.run_for(SimTime::from_millis(10));
 
     // The PDA's display is local firmware.
-    let pda_display = spawn(&mut world, pda, "CscwDisplay", "pda-screen");
+    let pda_display = world.spawn(pda, "CscwDisplay", Some("pda-screen"), SPAWN_WAIT);
     // The GUI part must not be admitted on the PDA…
     let fail: lc_core::SpawnSink = Rc::default();
     world.cmd(
@@ -148,22 +99,13 @@ fn pda_thin_client_uses_remote_gui_with_local_display() {
             sink: fail.clone(),
         },
     );
-    settle(&mut world, 10);
+    world.run_for(SimTime::from_millis(10));
     assert!(fail.borrow().clone().unwrap().is_err(), "PDA must not admit the GUI part");
 
     // …so it is spawned on the server and wired to the PDA's display.
-    let gui = spawn(&mut world, server, "CscwGuiPart", "pda-gui");
-    world.cmd(
-        server,
-        NodeCmd::Invoke {
-            target: gui.clone(),
-            op: "_connect_display".into(),
-            args: vec![lc_orb::Value::ObjRef(pda_display)],
-            oneway: true,
-            sink: None,
-        },
-    );
-    let board = spawn(&mut world, server, "Whiteboard", "board");
+    let gui = world.spawn(server, "CscwGuiPart", Some("pda-gui"), SPAWN_WAIT);
+    world.oneway(server, &gui, "_connect_display", vec![lc_orb::Value::ObjRef(pda_display)]);
+    let board = world.spawn(server, "Whiteboard", Some("board"), SPAWN_WAIT);
     world.cmd(
         server,
         NodeCmd::Subscribe {
@@ -173,27 +115,18 @@ fn pda_thin_client_uses_remote_gui_with_local_display() {
             delivery_op: "_push_strokes".into(),
         },
     );
-    settle(&mut world, 100);
+    world.run_for(SimTime::from_millis(100));
 
     for _ in 0..5 {
-        world.cmd(
-            server,
-            NodeCmd::Invoke {
-                target: board.clone(),
-                op: "user_stroke".into(),
-                args: vec![
+        world.oneway(server, &board, "user_stroke", vec![
                     lc_orb::Value::Long(0),
                     lc_orb::Value::Long(0),
                     lc_orb::Value::Long(1),
                     lc_orb::Value::Long(1),
-                ],
-                oneway: true,
-                sink: None,
-            },
-        );
-        settle(&mut world, 100);
+                ]);
+        world.run_for(SimTime::from_millis(100));
     }
-    settle(&mut world, 500);
+    world.run_for(SimTime::from_millis(500));
 
     // The PDA's screen received the paints across the network.
     let node = world.node(pda).unwrap();
@@ -204,8 +137,14 @@ fn pda_thin_client_uses_remote_gui_with_local_display() {
 
 #[test]
 fn whiteboard_assembly_deploys_with_runtime_placement() {
-    let mut world = cscw_world(Topology::lan(6), 23);
-    settle(&mut world, 800);
+    let mut world = World::on(
+        Topology::lan(6),
+        23,
+        fast_config(),
+        catalog(),
+        |_| session_packages(),
+    );
+    world.run_for(SimTime::from_millis(800));
     let assembly = whiteboard_assembly(4);
     assembly.validate().unwrap();
     let sink: lc_core::AssemblySink = Rc::default();
@@ -217,7 +156,7 @@ fn whiteboard_assembly_deploys_with_runtime_placement() {
             sink: sink.clone(),
         },
     );
-    settle(&mut world, 3000);
+    world.run_for(SimTime::from_millis(3000));
     let results = sink.borrow();
     assert_eq!(results.len(), 5);
     for (name, r) in results.iter() {
@@ -227,38 +166,31 @@ fn whiteboard_assembly_deploys_with_runtime_placement() {
 
 #[test]
 fn video_decoder_paints_through_connected_display() {
-    let mut world = cscw_world(Topology::lan(2), 24);
+    let mut world = World::on(
+        Topology::lan(2),
+        24,
+        fast_config(),
+        catalog(),
+        |_| session_packages(),
+    );
     // video package is not preinstalled; push it.
     world.cmd(HostId(1), NodeCmd::Install(video_decoder_package_sized(16)));
-    settle(&mut world, 50);
-    let display = spawn(&mut world, HostId(1), "CscwDisplay", "screen");
-    let decoder = spawn(&mut world, HostId(1), "VideoDecoder", "dec");
-    world.cmd(
-        HostId(1),
-        NodeCmd::Invoke {
-            target: decoder.clone(),
-            op: "_connect_display".into(),
-            args: vec![lc_orb::Value::ObjRef(display)],
-            oneway: true,
-            sink: None,
-        },
-    );
-    settle(&mut world, 50);
+    world.run_for(SimTime::from_millis(50));
+    let display = world.spawn(HostId(1), "CscwDisplay", Some("screen"), SPAWN_WAIT);
+    let decoder = world.spawn(HostId(1), "VideoDecoder", Some("dec"), SPAWN_WAIT);
+    world.oneway(HostId(1), &decoder, "_connect_display", vec![lc_orb::Value::ObjRef(display)]);
+    world.run_for(SimTime::from_millis(50));
     // Stream 20 chunks of 2 KiB from host 0.
     for _ in 0..20 {
-        world.cmd(
+        world.oneway(
             HostId(0),
-            NodeCmd::Invoke {
-                target: decoder.clone(),
-                op: "push_chunk".into(),
-                args: vec![lc_orb::Value::blob(&vec![0xAB; 2048])],
-                oneway: true,
-                sink: None,
-            },
+            &decoder,
+            "push_chunk",
+            vec![lc_orb::Value::blob(&vec![0xAB; 2048])],
         );
-        settle(&mut world, 40);
+        world.run_for(SimTime::from_millis(40));
     }
-    settle(&mut world, 500);
+    world.run_for(SimTime::from_millis(500));
     let node = world.node(HostId(1)).unwrap();
     let dec_id = node.registry.named("dec").unwrap().id;
     let dec: &VideoDecoderServant = node.servant_of(dec_id).unwrap();

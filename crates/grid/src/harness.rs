@@ -2,14 +2,11 @@
 //! tests, the `grid_parallel` example and the E8 experiment.
 
 use crate::{PiMasterServant, PiWorkerServant};
-use lc_core::node::NodeCmd;
-use lc_core::testkit::{build_world, fast_cohesion, World};
-use lc_core::{InstanceId, NodeConfig};
+use lc_core::testkit::{fast_config, World};
+use lc_core::InstanceId;
 use lc_des::SimTime;
 use lc_net::{HostId, Topology};
 use lc_orb::{ObjectRef, Value};
-use std::rc::Rc;
-use std::sync::Arc;
 
 /// A deployed π job: master + scattered workers.
 pub struct GridSession {
@@ -28,106 +25,63 @@ pub struct GridSession {
 /// Build a world with grid packages everywhere and spawn master +
 /// workers: master on host 0, one worker on each of `worker_hosts`.
 pub fn deploy(topo: Topology, seed: u64, worker_hosts: &[HostId]) -> GridSession {
-    let behaviors = lc_core::BehaviorRegistry::new();
-    crate::register_grid_behaviors(&behaviors);
-    let mut world = build_world(
+    let mut world = World::on(
         topo,
         seed,
-        NodeConfig { cohesion: fast_cohesion(), ..Default::default() },
-        behaviors,
-        crate::grid_trust(),
-        Arc::new(crate::grid_idl()),
+        fast_config(),
+        crate::catalog(),
         |_| vec![crate::worker_package(), crate::master_package()],
     );
     world.sim.run_until(SimTime::from_millis(10));
 
     let master_host = HostId(0);
-    let msink: lc_core::SpawnSink = Rc::default();
-    world.cmd(
-        master_host,
-        NodeCmd::SpawnLocal {
-            component: "PiMaster".into(),
-            min_version: lc_pkg::Version::new(1, 0),
-            instance_name: Some("master".into()),
-            sink: msink.clone(),
-        },
-    );
-    let deadline = world.sim.now() + SimTime::from_millis(10);
-    world.sim.run_until(deadline);
-    let master = msink.borrow().clone().unwrap().unwrap();
-    let master_instance = world.node(master_host).unwrap().registry.named("master").unwrap().id;
+    let wait = SimTime::from_millis(10);
+    let master = world.spawn(master_host, "PiMaster", Some("master"), wait);
+    let master_instance = match world.node(master_host).and_then(|n| n.registry.named("master")) {
+        Some(info) => info.id,
+        None => panic!("deploy: the master just spawned on {master_host} is not registered"),
+    };
 
     let mut workers = Vec::new();
     for (i, &wh) in worker_hosts.iter().enumerate() {
-        let wsink: lc_core::SpawnSink = Rc::default();
-        world.cmd(
-            wh,
-            NodeCmd::SpawnLocal {
-                component: "PiWorker".into(),
-                min_version: lc_pkg::Version::new(1, 0),
-                instance_name: Some(format!("worker{i}")),
-                sink: wsink.clone(),
-            },
-        );
-        let deadline = world.sim.now() + SimTime::from_millis(10);
-        world.sim.run_until(deadline);
-        let wref = wsink.borrow().clone().unwrap().unwrap();
+        let wref = world.spawn(wh, "PiWorker", Some(&format!("worker{i}")), wait);
         // Connect the worker to the master's multi-receptacle.
-        world.cmd(
-            master_host,
-            NodeCmd::Invoke {
-                target: master.clone(),
-                op: "add_worker".into(),
-                args: vec![Value::ObjRef(wref.clone())],
-                oneway: true,
-                sink: None,
-            },
-        );
+        world.oneway(master_host, &master, "add_worker", vec![Value::ObjRef(wref.clone())]);
         workers.push((wh, wref));
     }
-    let deadline = world.sim.now() + SimTime::from_millis(100);
-    world.sim.run_until(deadline);
+    world.run_for(SimTime::from_millis(100));
     GridSession { world, master_host, master, master_instance, workers }
 }
 
 impl GridSession {
-    /// Start a job and run the simulation (nudging the master every
-    /// 500ms so lost chunks are re-dispatched) until it finishes or
-    /// `timeout` virtual time elapses. Returns the elapsed job time.
+    /// Start a job and run it to completion: [`Self::start_job`] then
+    /// [`Self::await_job`].
     pub fn run_job(&mut self, total_work: u64, chunks: u32, timeout: SimTime) -> Option<SimTime> {
-        self.world.cmd(
-            self.master_host,
-            NodeCmd::Invoke {
-                target: self.master.clone(),
-                op: "start".into(),
-                args: vec![Value::ULongLong(total_work), Value::ULong(chunks)],
-                oneway: true,
-                sink: None,
-            },
-        );
+        self.start_job(total_work, chunks);
+        self.await_job(timeout)
+    }
+
+    /// Hand the master `total_work` units split into `chunks`.
+    pub fn start_job(&mut self, total_work: u64, chunks: u32) {
+        let job = vec![Value::ULongLong(total_work), Value::ULong(chunks)];
+        self.world.oneway(self.master_host, &self.master, "start", job);
+    }
+
+    /// Run the simulation (nudging the master every 500ms so lost
+    /// chunks are re-dispatched) until the started job finishes or
+    /// `timeout` virtual time elapses. Returns the elapsed job time.
+    pub fn await_job(&mut self, timeout: SimTime) -> Option<SimTime> {
         let start = self.world.sim.now();
         loop {
-            let deadline = self.world.sim.now() + SimTime::from_millis(500);
-            self.world.sim.run_until(deadline);
-            if let Some(m) = self.master_servant() {
-                if let Some(elapsed) = m.elapsed() {
-                    return Some(elapsed);
-                }
+            self.world.run_for(SimTime::from_millis(500));
+            if let Some(elapsed) = self.master_servant().and_then(|m| m.elapsed()) {
+                return Some(elapsed);
             }
             if self.world.sim.now() - start > timeout {
                 return None;
             }
             // Periodic volunteer-loss recovery.
-            self.world.cmd(
-                self.master_host,
-                NodeCmd::Invoke {
-                    target: self.master.clone(),
-                    op: "nudge".into(),
-                    args: vec![],
-                    oneway: true,
-                    sink: None,
-                },
-            );
+            self.world.oneway(self.master_host, &self.master, "nudge", vec![]);
         }
     }
 

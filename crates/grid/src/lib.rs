@@ -23,9 +23,11 @@
 //! reproduces the "crashed volunteer does not lose the job" property.
 
 use lc_core::behavior::BehaviorRegistry;
+use lc_core::testkit::Catalog;
 use lc_orb::{Invocation, ObjectRef, OrbError, Servant, Value};
 use lc_pkg::{ComponentDescriptor, Package, Platform, QosSpec, SigningKey, TrustStore, Version};
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// The Grid IDL.
 pub const GRID_IDL: &str = r#"
@@ -47,7 +49,10 @@ pub const GRID_IDL: &str = r#"
 
 /// Compile the Grid IDL.
 pub fn grid_idl() -> lc_idl::Repository {
-    lc_idl::compile(GRID_IDL).expect("grid IDL compiles")
+    match lc_idl::compile(GRID_IDL) {
+        Ok(repo) => repo,
+        Err(e) => panic!("grid IDL must compile: {e:?}"),
+    }
 }
 
 /// Deterministic xorshift sampling: how many of `n` pseudo-random points
@@ -323,6 +328,13 @@ pub fn grid_trust() -> TrustStore {
 pub fn register_grid_behaviors(reg: &BehaviorRegistry) {
     reg.register("grid_worker", || Box::<PiWorkerServant>::default());
     reg.register("grid_master", || Box::<PiMasterServant>::default());
+}
+
+/// The grid domain: its behaviours, vendor trust and IDL.
+pub fn catalog() -> Catalog {
+    let behaviors = BehaviorRegistry::new();
+    register_grid_behaviors(&behaviors);
+    Catalog { behaviors, trust: grid_trust(), idl: Arc::new(grid_idl()) }
 }
 
 fn seal(mut pkg: Package) -> Rc<Vec<u8>> {

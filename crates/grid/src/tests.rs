@@ -76,43 +76,13 @@ fn volunteer_crash_does_not_lose_the_job() {
     let hosts: Vec<HostId> = (1..=4).map(HostId).collect();
     let mut sess = deploy(Topology::lan(5), 34, &hosts);
     // Kick off a long job, then crash two volunteers mid-flight.
-    sess.world.cmd(
-        sess.master_host,
-        lc_core::node::NodeCmd::Invoke {
-            target: sess.master.clone(),
-            op: "start".into(),
-            args: vec![lc_orb::Value::ULongLong(16_000_000), lc_orb::Value::ULong(16)],
-            oneway: true,
-            sink: None,
-        },
-    );
-    let t0 = sess.world.sim.now();
-    sess.world.sim.run_until(t0 + SimTime::from_millis(200));
+    sess.start_job(16_000_000, 16);
+    sess.world.run_for(SimTime::from_millis(200));
     sess.world.crash(HostId(2));
     sess.world.crash(HostId(3));
 
     // Keep nudging until done.
-    let mut done = None;
-    for _ in 0..200 {
-        let d = sess.world.sim.now() + SimTime::from_millis(500);
-        sess.world.sim.run_until(d);
-        sess.world.cmd(
-            sess.master_host,
-            lc_core::node::NodeCmd::Invoke {
-                target: sess.master.clone(),
-                op: "nudge".into(),
-                args: vec![],
-                oneway: true,
-                sink: None,
-            },
-        );
-        if let Some(m) = sess.master_servant() {
-            if let Some(e) = m.elapsed() {
-                done = Some(e);
-                break;
-            }
-        }
-    }
+    let done = sess.await_job(SimTime::from_secs(100));
     let elapsed = done.expect("job must finish despite volunteer crashes");
     let master = sess.master_servant().unwrap();
     assert!(master.redispatches > 0, "lost chunks must be re-dispatched");

@@ -386,11 +386,11 @@ mod tests {
 
     #[test]
     fn suppression_single_and_multi_rule() {
-        let l = lex("x // lc-lint: allow(D1) -- wall-clock only\ny // lc-lint: allow(D2, A1) -- compat\n");
+        let l = lex("x // lc-lint: allow(D1) -- wall-clock only\ny // lc-lint: allow(D2, A2) -- compat\n");
         assert_eq!(l.suppressions.len(), 2);
         assert_eq!(l.suppressions[0].rules, vec!["D1"]);
         assert_eq!(l.suppressions[0].line, 1);
-        assert_eq!(l.suppressions[1].rules, vec!["D2", "A1"]);
+        assert_eq!(l.suppressions[1].rules, vec!["D2", "A2"]);
         assert!(l.malformed.is_empty());
     }
 

@@ -3,8 +3,8 @@
 //! The reproduction's experiments (E1–E10, F1, F2) are diffed byte-for-
 //! byte in CI, so the codebase carries invariants no compiler checks:
 //! virtual time only, ordered collections on every output path, seeded
-//! RNG streams, no real concurrency inside the simulation, and no new
-//! callers of deprecated shims. This crate tokenizes every `.rs` file in
+//! RNG streams and no real concurrency inside the simulation. This
+//! crate tokenizes every `.rs` file in
 //! the workspace ([`lexer`]), matches the rule set ([`rules`]) over the
 //! token stream, and ratchets what remains through a checked-in baseline
 //! ([`baseline`]). See DESIGN.md §8 for the rule ↔ invariant rationale.
@@ -20,7 +20,6 @@ pub mod lexer;
 pub mod parser;
 pub mod protocol;
 pub mod rules;
-pub mod taint;
 
 use baseline::{Baseline, Key};
 use index::{FileAnalysis, Workspace};
@@ -125,13 +124,12 @@ pub fn execute(opts: &RunOpts) -> Result<Execution, String> {
         }
     }
 
-    // Workspace-level flow rules (P1–P3, D7) need the whole tree: a
+    // Workspace-level flow rules (P1–P3) need the whole tree: a
     // partial scan can't tell "unhandled" from "handler not scanned".
     if opts.workspace {
         let ws = Workspace::build(analyses);
         let g = graph::Graph::build(&ws);
         let mut flow = protocol::check(&ws, &g);
-        flow.extend(taint::check(&ws));
         let idx_by_rel: BTreeMap<&str, usize> =
             ws.files.iter().enumerate().map(|(i, f)| (f.ctx.rel.as_str(), i)).collect();
         for v in &mut flow {

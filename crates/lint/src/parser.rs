@@ -1,6 +1,6 @@
 //! A Rust-subset item parser over the [`crate::lexer`] token stream.
 //!
-//! The protocol rules (P1–P3, D7) need more shape than per-line token
+//! The protocol rules (P1–P3) need more shape than per-line token
 //! matching gives: which enums exist and what their variants are, where
 //! function bodies begin and end, which tokens sit in *pattern* position
 //! (a `CtrlMsg::Query { .. }` inside a match arm is a handle site, the

@@ -18,35 +18,26 @@
 //! * **D4** — no RNG streams seeded outside the modules that own them
 //!   (`crates/des/src/rng.rs` and the kernel/fault/property-test modules
 //!   that derive documented sub-streams); plus a ban on ambient-entropy
-//!   types anywhere.
-//! * **D5** — `crates/trace` (plus the DES virtual-time profiler,
-//!   `crates/des/src/profile.rs`) must be hermetic: no wall-clock
-//!   types and no ambient entropy anywhere, tests included. Traces and
-//!   profiles are a determinism *oracle* (two identical runs must
-//!   export byte-identical span files and tallies), so this scope gets
-//!   a stricter rule than the D1/D4 defaults — no allowlist, no test
-//!   exemption.
+//!   types anywhere. Tests, benches and examples are exempt — except in
+//!   `crates/trace` and the DES virtual-time profiler
+//!   (`crates/des/src/profile.rs`): traces and profiles are a
+//!   determinism *oracle* (two identical runs must export byte-identical
+//!   span files and tallies), so there the rule binds tests too.
 //! * **D6** — arena/SoA modules (`crates/core/src/scale/`, the
 //!   arithmetic MRM tree in `crates/core/src/cohesion.rs`, the indexed
 //!   event queue) must stay flat: no `Rc<RefCell<…>>`, no `Box<dyn …>`.
 //!   The million-node refactor's whole premise is dense rows addressed
 //!   by `u32` handles; one shared-ownership cell or per-item vtable
 //!   quietly reintroduces the pointer-chasing layout it removed.
-//! * **A1** — no callers of the PR-2 deprecated shims `Net::new`,
-//!   `ObjectAdapter::dispatch` (3-arg) and `ObjectAdapter::dispatch_raw`
-//!   (the shims themselves were removed in the observability PR; the
-//!   rule keeps them from growing back).
 //! * **A2** — an `unwrap()`/`expect()` budget per library crate (tests
 //!   exempt), ratcheted by the checked-in baseline.
 
 use crate::lexer::{lex, Lexed, Tok, Token};
 
-/// All rule names, in reporting order. D1–D6, A1, A2 are per-file
-/// token rules (this module); D7 and P1–P3 are the workspace-level
-/// flow rules ([`crate::taint`], [`crate::protocol`]) and only run
-/// under `--workspace`.
-pub const RULES: [&str; 12] =
-    ["D1", "D2", "D3", "D4", "D5", "D6", "D7", "A1", "A2", "P1", "P2", "P3"];
+/// All rule names, in reporting order. D1–D6 and A2 are per-file token
+/// rules (this module); P1–P3 are the workspace-level flow rules
+/// ([`crate::protocol`]) and only run under `--workspace`.
+pub const RULES: [&str; 9] = ["D1", "D2", "D3", "D4", "D6", "A2", "P1", "P2", "P3"];
 
 /// Crates whose data structures feed marshalled messages or printed
 /// experiment tables (D2 scope).
@@ -65,10 +56,10 @@ const DES_CRATES: [&str; 10] =
 const ARENA_SOA_SCOPE: [&str; 3] =
     ["crates/core/src/scale/", "crates/core/src/cohesion.rs", "crates/des/src/queue.rs"];
 
-/// Files outside `crates/trace` held to the same hermetic bar (D5):
-/// the DES virtual-time profiler, whose tallies must reproduce
-/// byte-identically across runs.
-const D5_EXTRA_FILES: [&str; 1] = ["crates/des/src/profile.rs"];
+/// Files outside `crates/trace` held to the same hermetic bar (D4 with
+/// no test leniency): the DES virtual-time profiler, whose tallies must
+/// reproduce byte-identically across runs.
+const HERMETIC_FILES: [&str; 1] = ["crates/des/src/profile.rs"];
 
 /// Modules that own seeded RNG streams (D4 scope): the generator itself,
 /// the DES kernel stream, the fault-plan stream, the property-test
@@ -177,11 +168,10 @@ pub fn check_lexed(lexed: &Lexed, ctx: &FileCtx) -> FileReport {
     let d2_scope = ORDERED_OUTPUT_CRATES.contains(&ctx.krate.as_str());
     let d3_scope = DES_CRATES.contains(&ctx.krate.as_str());
     let d4_allowed = RNG_ALLOWLIST.contains(&ctx.rel.as_str());
-    // The tracing crate is held to the hermetic rule (D5): wall-clock
-    // and entropy are banned outright, in every target kind. The DES
-    // kernel profiler observes the same bar — its numbers feed the
-    // same determinism oracle the span files do.
-    let d5_scope = ctx.krate == "trace" || D5_EXTRA_FILES.contains(&ctx.rel.as_str());
+    // The tracing crate and the DES kernel profiler are hermetic:
+    // entropy is banned in every target kind, tests included — their
+    // output feeds the determinism oracle.
+    let hermetic = ctx.krate == "trace" || HERMETIC_FILES.contains(&ctx.rel.as_str());
     let d6_scope = ARENA_SOA_SCOPE.iter().any(|p| ctx.rel.starts_with(p));
     // Lib/Bin code paths are what reach wire messages and experiment
     // output; tests, benches and examples get D2–D4 leniency.
@@ -189,28 +179,8 @@ pub fn check_lexed(lexed: &Lexed, ctx: &FileCtx) -> FileReport {
 
     for (i, t) in toks.iter().enumerate() {
         let Tok::Ident(name) = &t.tok else { continue };
+        let d4_applies = hermetic || (libish && !in_test[i]);
         let hit: Option<(&'static str, String)> = match name.as_str() {
-            "Instant" | "SystemTime" if d5_scope => Some((
-                "D5",
-                format!(
-                    "wall-clock type `{name}` in the hermetic trace/profiler scope: traces \
-                     and profiles carry virtual time only — they double as a determinism \
-                     oracle"
-                ),
-            )),
-            "seed_from_u64" if d5_scope => Some((
-                "D5",
-                "RNG seeding in the hermetic trace/profiler scope: span ids and sample \
-                 decisions come from per-node counters and fixed mixing constants, never \
-                 from randomness"
-                    .to_owned(),
-            )),
-            n if BANNED_RNG.contains(&n) && d5_scope => Some((
-                "D5",
-                format!(
-                    "`{name}` in the hermetic trace/profiler scope: ambient entropy is banned"
-                ),
-            )),
             "Instant" | "SystemTime" => Some((
                 "D1",
                 format!(
@@ -247,13 +217,13 @@ pub fn check_lexed(lexed: &Lexed, ctx: &FileCtx) -> FileReport {
                  the simulated network fabric"
                     .to_owned(),
             )),
-            "seed_from_u64" if !d4_allowed && libish && !in_test[i] => Some((
+            "seed_from_u64" if !d4_allowed && d4_applies => Some((
                 "D4",
                 "RNG seeded outside the owning modules: derive a sub-stream in \
                  crates/des/src/rng.rs' documented owners instead of constructing one ad hoc"
                     .to_owned(),
             )),
-            n if BANNED_RNG.contains(&n) && libish && !in_test[i] => Some((
+            n if BANNED_RNG.contains(&n) && d4_applies => Some((
                 "D4",
                 format!("`{name}`: ambient-entropy / foreign RNG types are banned everywhere"),
             )),
@@ -269,26 +239,6 @@ pub fn check_lexed(lexed: &Lexed, ctx: &FileCtx) -> FileReport {
                  scale path; use an enum or the packed event lane"
                     .to_owned(),
             )),
-            "new" if called_on(toks, i, "Net") => Some((
-                "A1",
-                "deprecated shim `Net::new`: use `Net::builder(topo)…build()`".to_owned(),
-            )),
-            "dispatch_raw" if is_method_call(toks, i) => Some((
-                "A1",
-                "deprecated shim `ObjectAdapter::dispatch_raw`: use `invoke(key, op, args, \
-                 DispatchOpts::raw())`"
-                    .to_owned(),
-            )),
-            "dispatch" if is_method_call(toks, i) && call_arity_at_least(toks, i + 1, 3) => {
-                // `Servant::dispatch(&mut inv)` is 1-arg and legitimate;
-                // only the 3-arg adapter shim is deprecated.
-                Some((
-                    "A1",
-                    "deprecated shim `ObjectAdapter::dispatch`: use `invoke(key, op, args, \
-                     DispatchOpts::typed())`"
-                        .to_owned(),
-                ))
-            }
             "unwrap" | "expect"
                 if ctx.kind == FileKind::Lib && !in_test[i] && is_method_call(toks, i) =>
             {
@@ -346,51 +296,11 @@ fn path_prefix_is(toks: &[Token], i: usize, prefix: &str) -> bool {
         && matches!(&toks[i - 3].tok, Tok::Ident(p) if p == prefix)
 }
 
-/// Is token `i` a `Recv::name(`-style associated call on `recv`?
-fn called_on(toks: &[Token], i: usize, recv: &str) -> bool {
-    path_prefix_is(toks, i, recv) && toks.get(i + 1).map(|t| &t.tok) == Some(&Tok::Punct('('))
-}
-
 /// Is token `i` a `.name(` method call?
 fn is_method_call(toks: &[Token], i: usize) -> bool {
     i >= 1
         && toks[i - 1].tok == Tok::Punct('.')
         && toks.get(i + 1).map(|t| &t.tok) == Some(&Tok::Punct('('))
-}
-
-/// Does the call whose `(` sits at `open` have at least `n` top-level
-/// arguments? Counts commas at depth 1, ignoring commas nested inside
-/// `()`/`[]`/`{}` and inside turbofish generics (`::<A, B>`), so
-/// `f(g::<A, B>(x))` stays one argument.
-fn call_arity_at_least(toks: &[Token], open: usize, n: usize) -> bool {
-    if toks.get(open).map(|t| &t.tok) != Some(&Tok::Punct('(')) {
-        return false;
-    }
-    let mut depth = 1u32;
-    let mut angle = 0u32;
-    let mut commas = 0usize;
-    let mut any = false;
-    let mut j = open + 1;
-    while j < toks.len() && depth > 0 {
-        match &toks[j].tok {
-            Tok::Punct('(') | Tok::Punct('[') | Tok::Punct('{') => depth += 1,
-            Tok::Punct(')') | Tok::Punct(']') | Tok::Punct('}') => depth -= 1,
-            Tok::Punct('<')
-                if angle > 0
-                    || (j >= 2
-                        && toks[j - 1].tok == Tok::Punct(':')
-                        && toks[j - 2].tok == Tok::Punct(':')) =>
-            {
-                angle += 1
-            }
-            Tok::Punct('>') if angle > 0 => angle -= 1,
-            Tok::Punct(',') if depth == 1 && angle == 0 => commas += 1,
-            _ => any = true,
-        }
-        j += 1;
-    }
-    let args = if any || commas > 0 { commas + 1 } else { 0 };
-    args >= n
 }
 
 /// Per-token flag: inside a `#[cfg(test)] mod … { … }` region, or the
@@ -557,28 +467,24 @@ mod tests {
     }
 
     #[test]
-    fn d5_trace_crate_is_hermetic() {
-        // Wall clock: D5 (not D1), even inside tests of the trace crate.
-        let src = "use std::time::Instant;";
-        assert_eq!(hits(src, "crates/trace/src/tracer.rs"), vec![("D5", 1, false)]);
-        assert_eq!(hits(src, "crates/trace/tests/x.rs"), vec![("D5", 1, false)]);
-        // Entropy: D5 with no libish/test leniency.
-        assert_eq!(
-            hits("let r = SimRng::seed_from_u64(7);", "crates/trace/src/span.rs"),
-            vec![("D5", 1, false)]
-        );
-        assert_eq!(
-            hits("let h = RandomState::new();", "crates/trace/tests/x.rs"),
-            vec![("D5", 1, false)]
-        );
-        // Other crates keep the D1/D4 classification.
-        assert_eq!(hits(src, "crates/des/src/lib.rs"), vec![("D1", 1, false)]);
-        // ... except the DES profiler, which joined the hermetic scope.
-        assert_eq!(hits(src, "crates/des/src/profile.rs"), vec![("D5", 1, false)]);
-        assert_eq!(
-            hits("let r = SimRng::seed_from_u64(7);", "crates/des/src/profile.rs"),
-            vec![("D5", 1, false)]
-        );
+    fn d4_binds_tests_too_in_the_hermetic_scope() {
+        // Entropy in the trace crate and the DES profiler: D4 with no
+        // lib/test leniency.
+        let seed = "let r = SimRng::seed_from_u64(7);";
+        let entropy = "let h = RandomState::new();";
+        assert_eq!(hits(seed, "crates/trace/src/span.rs"), vec![("D4", 1, false)]);
+        assert_eq!(hits(seed, "crates/trace/tests/x.rs"), vec![("D4", 1, false)]);
+        assert_eq!(hits(entropy, "crates/trace/tests/x.rs"), vec![("D4", 1, false)]);
+        assert_eq!(hits(seed, "crates/des/src/profile.rs"), vec![("D4", 1, false)]);
+        let in_test = format!("#[cfg(test)]\nmod tests {{\n fn f() {{ {seed} }}\n}}\n");
+        assert_eq!(hits(&in_test, "crates/des/src/profile.rs"), vec![("D4", 3, false)]);
+        // Everywhere else tests keep their leniency.
+        assert!(hits(seed, "crates/core/tests/x.rs").is_empty());
+        assert!(hits(&in_test, "crates/core/src/x.rs").is_empty());
+        // Wall clock there is plain D1, as in every other file.
+        let clock = "use std::time::Instant;";
+        assert_eq!(hits(clock, "crates/trace/tests/x.rs"), vec![("D1", 1, false)]);
+        assert_eq!(hits(clock, "crates/des/src/profile.rs"), vec![("D1", 1, false)]);
     }
 
     #[test]
@@ -667,39 +573,6 @@ mod tests {
             baseline.lines().all(|l| !l.trim_start().starts_with("A2 load")),
             "load crate panic budget must stay zero: drop the `A2 load` baseline entry"
         );
-    }
-
-    #[test]
-    fn a1_shim_calls() {
-        assert_eq!(hits("let n = Net::new(topo);", "crates/core/src/x.rs"), vec![("A1", 1, false)]);
-        assert_eq!(
-            hits("oa.dispatch_raw(key, op, args);", "crates/core/src/x.rs"),
-            vec![("A1", 1, false)]
-        );
-        assert_eq!(
-            hits("oa.dispatch(key, \"add\", &[v]);", "crates/core/src/x.rs"),
-            vec![("A1", 1, false)]
-        );
-    }
-
-    #[test]
-    fn a1_leaves_servant_dispatch_alone() {
-        // 1-arg trait-method dispatch is legitimate…
-        assert!(hits("servant.dispatch(&mut inv);", "crates/orb/src/x.rs").is_empty());
-        // …even when the argument is a call with turbofish generics.
-        assert!(hits(
-            "servant.dispatch(make::<Invocation, Extra>(a, b));",
-            "crates/orb/src/x.rs"
-        )
-        .is_empty());
-        // Nested generics inside one argument stay one argument.
-        assert!(hits(
-            "servant.dispatch(wrap::<Vec<Vec<u8>>, B>(x));",
-            "crates/orb/src/x.rs"
-        )
-        .is_empty());
-        // Builder-style `.new(` is not `Net::new(`.
-        assert!(hits("let x = Foo::new(1, 2, 3);", "crates/core/src/x.rs").is_empty());
     }
 
     #[test]

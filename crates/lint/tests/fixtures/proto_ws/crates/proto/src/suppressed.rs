@@ -8,14 +8,6 @@ pub fn quiet_drop(tracer: &Tracer, now: u64) {
     tracer.span(9, "quiet", now);
 }
 
-pub fn quiet_clock(net: &mut Net) {
-    // lc-lint: allow(D1) -- fixture: D7's source, not D1's target
-    let t0 = std::time::Instant::now();
-    let wall = t0.elapsed().as_nanos() as u64;
-    // lc-lint: allow(D7) -- fixture: explicitly wall-marked column
-    net.send_in(wall, 3);
-}
-
 pub fn quiet_handler(msg: CtrlMsg) {
     match msg {
         // lc-lint: allow(P2) -- fixture: the reply lives in a peer crate

@@ -5,6 +5,6 @@ use std::time::Instant; // lc-lint: allow(D1) -- fixture: wall-clock metric
 use std::collections::HashMap;
 
 fn go(oa: &mut ObjectAdapter, key: ObjectKey) {
-    // lc-lint: allow(A1, A2) -- fixture: compat shim test with panicking accessor
-    let _ = oa.dispatch(key, "op", &[]).outcome.unwrap();
+    // lc-lint: allow(A2) -- fixture: panicking accessor
+    let _ = oa.invoke(key, "op", &[]).outcome.unwrap();
 }

@@ -7,11 +7,8 @@ fn seed() -> SimRng {
     SimRng::seed_from_u64(42)
 }
 
-fn run(oa: &mut ObjectAdapter, topo: Topology, key: ObjectKey) {
+fn run() {
     let t0 = Instant::now();
-    let _net = Net::new(topo);
-    let _r = oa.dispatch(key, "op", &[]);
-    let _x = oa.dispatch_raw(key, "op", &[]);
     let map: HashMap<u64, u64> = HashMap::new();
     let _h = std::thread::spawn(|| {});
     let (_tx, _rx) = std::sync::mpsc::channel();

@@ -171,16 +171,25 @@ pub struct Net {
     inner: Rc<RefCell<NetInner>>,
 }
 
+/// The plain fabric over `topo`: no faults, no churn, tracing off.
+impl From<Topology> for Net {
+    fn from(topo: Topology) -> Net {
+        Net::builder(topo).build()
+    }
+}
+
 impl NetBuilder {
-    /// Inject message-level faults according to `plan`.
-    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault = Some(plan);
+    /// Inject message-level faults according to `plan` (`None`: a
+    /// fault-free fabric that draws no fault randomness).
+    pub fn fault_plan(mut self, plan: impl Into<Option<FaultPlan>>) -> Self {
+        self.fault = plan.into();
         self
     }
 
-    /// Configure a churn process (armed by [`Net::install_drivers`]).
-    pub fn churn(mut self, cfg: ChurnConfig) -> Self {
-        self.churn = Some(cfg);
+    /// Configure a churn process (armed by [`Net::install_drivers`]);
+    /// `None` leaves every host up.
+    pub fn churn(mut self, cfg: impl Into<Option<ChurnConfig>>) -> Self {
+        self.churn = cfg.into();
         self
     }
 

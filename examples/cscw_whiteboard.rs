@@ -10,14 +10,11 @@
 //! Run with `cargo run --example cscw_whiteboard`.
 
 use corba_lc_repro::core::node::NodeCmd;
-use corba_lc_repro::core::testkit::{build_world, fast_cohesion};
-use corba_lc_repro::core::NodeConfig;
+use corba_lc_repro::core::testkit::{fast_config, World};
 use corba_lc_repro::cscw;
 use corba_lc_repro::des::SimTime;
 use corba_lc_repro::net::{HostCfg, Topology};
 use corba_lc_repro::orb::Value;
-use std::rc::Rc;
-use std::sync::Arc;
 
 fn main() {
     let mut topo = Topology::new();
@@ -26,53 +23,26 @@ fn main() {
     let ws: Vec<_> = (0..3).map(|_| topo.add_host(HostCfg::new(office))).collect();
     let pda = topo.add_host(HostCfg::new(office).pda());
 
-    let behaviors = corba_lc_repro::core::BehaviorRegistry::new();
-    cscw::register_cscw_behaviors(&behaviors);
-    let mut world = build_world(
+    let mut world = World::on(
         topo,
         7,
-        NodeConfig { cohesion: fast_cohesion(), ..Default::default() },
-        behaviors,
-        cscw::cscw_trust(),
-        Arc::new(cscw::cscw_idl()),
-        |_| vec![cscw::display_package(), cscw::gui_package(), cscw::whiteboard_package()],
+        fast_config(),
+        cscw::catalog(),
+        |_| cscw::session_packages(),
     );
     world.sim.run_until(SimTime::from_millis(50));
 
-    let spawn = |world: &mut corba_lc_repro::core::testkit::World, host, comp: &str, name: &str| {
-        let sink: corba_lc_repro::core::SpawnSink = Rc::default();
-        world.cmd(
-            host,
-            NodeCmd::SpawnLocal {
-                component: comp.into(),
-                min_version: corba_lc_repro::pkg::Version::new(1, 0),
-                instance_name: Some(name.into()),
-                sink: sink.clone(),
-            },
-        );
-        world.sim.run_until(world.sim.now() + SimTime::from_millis(20));
-        let r = sink.borrow().clone();
-        r.unwrap().unwrap()
-    };
+    let wait = SimTime::from_millis(20);
 
     println!("deploying the whiteboard session…");
-    let board = spawn(&mut world, server, "Whiteboard", "board");
+    let board = world.spawn(server, "Whiteboard", Some("board"), wait);
 
     // Three workstation participants: GUI + display local to each user.
     let mut parts = Vec::new();
     for (i, &host) in ws.iter().enumerate() {
-        let display = spawn(&mut world, host, "CscwDisplay", &format!("screen{i}"));
-        let gui = spawn(&mut world, host, "CscwGuiPart", &format!("gui{i}"));
-        world.cmd(
-            host,
-            NodeCmd::Invoke {
-                target: gui.clone(),
-                op: "_connect_display".into(),
-                args: vec![Value::ObjRef(display)],
-                oneway: true,
-                sink: None,
-            },
-        );
+        let display = world.spawn(host, "CscwDisplay", Some(&format!("screen{i}")), wait);
+        let gui = world.spawn(host, "CscwGuiPart", Some(&format!("gui{i}")), wait);
+        world.oneway(host, &gui, "_connect_display", vec![Value::ObjRef(display)]);
         world.cmd(
             host,
             NodeCmd::Subscribe {
@@ -87,18 +57,9 @@ fn main() {
     }
 
     // The PDA participant: display on the PDA, GUI part on the server.
-    let pda_display = spawn(&mut world, pda, "CscwDisplay", "pda-screen");
-    let pda_gui = spawn(&mut world, server, "CscwGuiPart", "pda-gui");
-    world.cmd(
-        server,
-        NodeCmd::Invoke {
-            target: pda_gui.clone(),
-            op: "_connect_display".into(),
-            args: vec![Value::ObjRef(pda_display)],
-            oneway: true,
-            sink: None,
-        },
-    );
+    let pda_display = world.spawn(pda, "CscwDisplay", Some("pda-screen"), wait);
+    let pda_gui = world.spawn(server, "CscwGuiPart", Some("pda-gui"), wait);
+    world.oneway(server, &pda_gui, "_connect_display", vec![Value::ObjRef(pda_display)]);
     world.cmd(
         server,
         NodeCmd::Subscribe {
@@ -110,28 +71,19 @@ fn main() {
     );
     parts.push((server, "pda-gui".into()));
     println!("  participant 3 (PDA): display on {pda}, GUI hosted on {server}");
-    world.sim.run_until(world.sim.now() + SimTime::from_millis(300));
+    world.run_for(SimTime::from_millis(300));
 
     println!("\nuser draws 12 strokes…");
     for k in 0..12i32 {
-        world.cmd(
-            server,
-            NodeCmd::Invoke {
-                target: board.clone(),
-                op: "user_stroke".into(),
-                args: vec![
+        world.oneway(server, &board, "user_stroke", vec![
                     Value::Long(10 * k),
                     Value::Long(5 * k),
                     Value::Long(10 * k + 8),
                     Value::Long(5 * k + 8),
-                ],
-                oneway: true,
-                sink: None,
-            },
-        );
-        world.sim.run_until(world.sim.now() + SimTime::from_millis(80));
+                ]);
+        world.run_for(SimTime::from_millis(80));
     }
-    world.sim.run_until(world.sim.now() + SimTime::from_secs(1));
+    world.run_for(SimTime::from_secs(1));
 
     println!("\nresults:");
     for (host, gui_name) in &parts {

@@ -25,43 +25,12 @@ fn main() {
     // Eight volunteers, one of which dies mid-job.
     let volunteers: Vec<HostId> = (1..=8).map(HostId).collect();
     let mut sess = deploy(Topology::lan(9), 2, &volunteers);
-    sess.world.cmd(
-        sess.master_host,
-        corba_lc_repro::core::NodeCmd::Invoke {
-            target: sess.master.clone(),
-            op: "start".into(),
-            args: vec![
-                corba_lc_repro::orb::Value::ULongLong(WORK),
-                corba_lc_repro::orb::Value::ULong(32),
-            ],
-            oneway: true,
-            sink: None,
-        },
-    );
-    let t0 = sess.world.sim.now();
-    sess.world.sim.run_until(t0 + SimTime::from_millis(100));
+    sess.start_job(WORK, 32);
+    sess.world.run_for(SimTime::from_millis(100));
     println!("\n8 volunteers: job started; volunteer host4 crashes at t+100ms…");
     sess.world.crash(HostId(4));
 
-    let mut elapsed = None;
-    while sess.world.sim.now() - t0 < SimTime::from_secs(600) {
-        let d = sess.world.sim.now() + SimTime::from_millis(500);
-        sess.world.sim.run_until(d);
-        sess.world.cmd(
-            sess.master_host,
-            corba_lc_repro::core::NodeCmd::Invoke {
-                target: sess.master.clone(),
-                op: "nudge".into(),
-                args: vec![],
-                oneway: true,
-                sink: None,
-            },
-        );
-        if let Some(e) = sess.master_servant().and_then(|m| m.elapsed()) {
-            elapsed = Some(e);
-            break;
-        }
-    }
+    let elapsed = sess.await_job(SimTime::from_secs(600));
     let e = elapsed.expect("job survives the crash");
     let m = sess.master_servant().unwrap();
     println!(

@@ -11,15 +11,13 @@
 //! Run with `cargo run --example pda_thin_client`.
 
 use corba_lc_repro::core::node::NodeCmd;
-use corba_lc_repro::core::testkit::{build_world, fast_cohesion};
-use corba_lc_repro::core::NodeConfig;
+use corba_lc_repro::core::testkit::{fast_config, World};
 use corba_lc_repro::cscw;
 use corba_lc_repro::des::SimTime;
 use corba_lc_repro::net::{HostCfg, Topology};
 use corba_lc_repro::orb::Value;
 use corba_lc_repro::pkg::{Package, Platform};
 use std::rc::Rc;
-use std::sync::Arc;
 
 fn main() {
     // 1+2: package mechanics, before any network is involved.
@@ -36,16 +34,12 @@ fn main() {
     let office = topo.add_site("office");
     let server = topo.add_host(HostCfg::new(office).server());
     let pda = topo.add_host(HostCfg::new(office).pda());
-    let behaviors = corba_lc_repro::core::BehaviorRegistry::new();
-    cscw::register_cscw_behaviors(&behaviors);
-    let mut world = build_world(
+    let mut world = World::on(
         topo,
         9,
-        NodeConfig { cohesion: fast_cohesion(), ..Default::default() },
-        behaviors,
-        cscw::cscw_trust(),
-        Arc::new(cscw::cscw_idl()),
-        |_| vec![cscw::display_package(), cscw::gui_package(), cscw::whiteboard_package()],
+        fast_config(),
+        cscw::catalog(),
+        |_| cscw::session_packages(),
     );
     world.sim.run_until(SimTime::from_millis(50));
 
@@ -60,39 +54,16 @@ fn main() {
             sink: refuse.clone(),
         },
     );
-    world.sim.run_until(world.sim.now() + SimTime::from_millis(20));
+    world.run_for(SimTime::from_millis(20));
     let refused = refuse.borrow().clone().unwrap();
     println!("\nPDA tries to host the GUI part locally -> {}", refused.unwrap_err());
 
     // Remote use: display local (it *is* the PDA's screen), app remote.
-    let spawn = |world: &mut corba_lc_repro::core::testkit::World, host, comp: &str, name: &str| {
-        let sink: corba_lc_repro::core::SpawnSink = Rc::default();
-        world.cmd(
-            host,
-            NodeCmd::SpawnLocal {
-                component: comp.into(),
-                min_version: corba_lc_repro::pkg::Version::new(1, 0),
-                instance_name: Some(name.into()),
-                sink: sink.clone(),
-            },
-        );
-        world.sim.run_until(world.sim.now() + SimTime::from_millis(20));
-        let r = sink.borrow().clone();
-        r.unwrap().unwrap()
-    };
-    let screen = spawn(&mut world, pda, "CscwDisplay", "pda-screen");
-    let board = spawn(&mut world, server, "Whiteboard", "board");
-    let gui = spawn(&mut world, server, "CscwGuiPart", "pda-gui");
-    world.cmd(
-        server,
-        NodeCmd::Invoke {
-            target: gui.clone(),
-            op: "_connect_display".into(),
-            args: vec![Value::ObjRef(screen)],
-            oneway: true,
-            sink: None,
-        },
-    );
+    let wait = SimTime::from_millis(20);
+    let screen = world.spawn(pda, "CscwDisplay", Some("pda-screen"), wait);
+    let board = world.spawn(server, "Whiteboard", Some("board"), wait);
+    let gui = world.spawn(server, "CscwGuiPart", Some("pda-gui"), wait);
+    world.oneway(server, &gui, "_connect_display", vec![Value::ObjRef(screen)]);
     world.cmd(
         server,
         NodeCmd::Subscribe {
@@ -102,23 +73,19 @@ fn main() {
             delivery_op: "_push_strokes".into(),
         },
     );
-    world.sim.run_until(world.sim.now() + SimTime::from_millis(200));
+    world.run_for(SimTime::from_millis(200));
     println!("PDA's GUI part runs on {server}; its screen stays on {pda}");
 
     for k in 0..8i32 {
-        world.cmd(
+        world.oneway(
             server,
-            NodeCmd::Invoke {
-                target: board.clone(),
-                op: "user_stroke".into(),
-                args: vec![Value::Long(k), Value::Long(k), Value::Long(k + 2), Value::Long(k + 2)],
-                oneway: true,
-                sink: None,
-            },
+            &board,
+            "user_stroke",
+            vec![Value::Long(k), Value::Long(k), Value::Long(k + 2), Value::Long(k + 2)],
         );
-        world.sim.run_until(world.sim.now() + SimTime::from_millis(150));
+        world.run_for(SimTime::from_millis(150));
     }
-    world.sim.run_until(world.sim.now() + SimTime::from_secs(2));
+    world.run_for(SimTime::from_secs(2));
 
     let node = world.node(pda).unwrap();
     let id = node.registry.named("pda-screen").unwrap().id;

@@ -5,26 +5,20 @@
 //! Run with `cargo run --release --example peer_network`.
 
 use corba_lc_repro::core::demo;
-use corba_lc_repro::core::node::{NodeCmd, QueryResult};
-use corba_lc_repro::core::testkit::{build_world, fast_cohesion};
-use corba_lc_repro::core::{ComponentQuery, NodeConfig};
+use corba_lc_repro::core::node::NodeCmd;
+use corba_lc_repro::core::testkit::{fast_config, World};
+use corba_lc_repro::core::ComponentQuery;
 use corba_lc_repro::des::SimTime;
 use corba_lc_repro::net::{HostId, Topology};
-use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::Arc;
 
 fn main() {
     // 24 peers in 3 sites; nobody has anything installed yet.
-    let behaviors = corba_lc_repro::core::BehaviorRegistry::new();
-    demo::register_demo_behaviors(&behaviors);
-    let mut world = build_world(
+    let mut world = World::on(
         Topology::campus(3, 8),
         11,
-        NodeConfig { cohesion: fast_cohesion(), ..Default::default() },
-        behaviors,
-        demo::demo_trust(),
-        Arc::new(demo::demo_idl()),
+        fast_config(),
+        demo::catalog(),
         |_| Vec::new(),
     );
     world.sim.run_until(SimTime::from_millis(100));
@@ -32,20 +26,16 @@ fn main() {
     // A developer uploads the Display component to one arbitrary peer.
     println!("installing 'Display 2.0' on host17 only…");
     world.cmd(HostId(17), NodeCmd::Install(demo::display_package()));
-    world.sim.run_until(world.sim.now() + SimTime::from_secs(1)); // soft state spreads
+    world.run_for(SimTime::from_secs(1)); // soft state spreads
 
     // Any peer can now find it ("seamlessly integrate new components").
     let query = |world: &mut corba_lc_repro::core::testkit::World, origin: HostId| {
-        let sink: Rc<RefCell<QueryResult>> = Rc::default();
-        world.cmd(
+        let sink = world.query(
             origin,
-            NodeCmd::Query {
-                query: ComponentQuery::by_name("Display", corba_lc_repro::pkg::Version::new(2, 0)),
-                sink: sink.clone(),
-                first_wins: false,
-            },
+            ComponentQuery::by_name("Display", corba_lc_repro::pkg::Version::new(2, 0)),
+            false,
         );
-        world.sim.run_until(world.sim.now() + SimTime::from_secs(1));
+        world.run_for(SimTime::from_secs(1));
         let r = sink.borrow();
         println!(
             "  query from {origin}: {} offer(s){}",
@@ -66,7 +56,7 @@ fn main() {
     // the network fetches the package from host17 and runs it on host2.
     println!("\nhost2 resolves a heavy-traffic dependency on Display:");
     world.cmd(HostId(2), NodeCmd::Install(demo::gui_package()));
-    world.sim.run_until(world.sim.now() + SimTime::from_millis(100));
+    world.run_for(SimTime::from_millis(100));
     let sink: corba_lc_repro::core::SpawnSink = Rc::default();
     world.cmd(
         HostId(2),
@@ -77,7 +67,7 @@ fn main() {
             sink: sink.clone(),
         },
     );
-    world.sim.run_until(world.sim.now() + SimTime::from_millis(100));
+    world.run_for(SimTime::from_millis(100));
     let instance = world.node(HostId(2)).unwrap().registry.named("gui").unwrap().id;
     let provider: corba_lc_repro::core::SpawnSink = Rc::default();
     world.cmd(
@@ -93,7 +83,7 @@ fn main() {
             sink: Some(provider.clone()),
         },
     );
-    world.sim.run_until(world.sim.now() + SimTime::from_secs(5));
+    world.run_for(SimTime::from_secs(5));
     let display_ref = provider.borrow().clone().unwrap().unwrap();
     println!(
         "  planner chose fetch-and-run-local: Display now at {} (fetched {} bytes)",
@@ -104,7 +94,7 @@ fn main() {
     // The original peer crashes; the network notices and heals.
     println!("\nhost17 crashes…");
     world.crash(HostId(17));
-    world.sim.run_until(world.sim.now() + SimTime::from_secs(2));
+    world.run_for(SimTime::from_secs(2));
     println!("queries keep working (host2's copy is found instead):");
     let found = query(&mut world, HostId(20));
     assert_eq!(found, Some(HostId(2)));
@@ -115,17 +105,13 @@ fn main() {
     // disk, so add it to the seed before recovering.
     world.seeds[17].preinstalled.push(demo::display_package());
     world.recover(HostId(17));
-    world.sim.run_until(world.sim.now() + SimTime::from_secs(2));
-    let sink: Rc<RefCell<QueryResult>> = Rc::default();
-    world.cmd(
+    world.run_for(SimTime::from_secs(2));
+    let sink = world.query(
         HostId(20),
-        NodeCmd::Query {
-            query: ComponentQuery::by_name("Display", corba_lc_repro::pkg::Version::new(2, 0)),
-            sink: sink.clone(),
-            first_wins: false,
-        },
+        ComponentQuery::by_name("Display", corba_lc_repro::pkg::Version::new(2, 0)),
+        false,
     );
-    world.sim.run_until(world.sim.now() + SimTime::from_secs(1));
+    world.run_for(SimTime::from_secs(1));
     let offers = sink.borrow().offers.clone();
     println!(
         "  host20 now gets its offer from {} — its own site again: incremental\n  \

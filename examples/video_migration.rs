@@ -5,14 +5,12 @@
 //! Run with `cargo run --release --example video_migration`.
 
 use corba_lc_repro::core::node::NodeCmd;
-use corba_lc_repro::core::testkit::{build_world, fast_cohesion};
-use corba_lc_repro::core::NodeConfig;
+use corba_lc_repro::core::testkit::{fast_config, World};
 use corba_lc_repro::cscw;
 use corba_lc_repro::des::SimTime;
 use corba_lc_repro::net::{HostCfg, HostId, Topology};
 use corba_lc_repro::orb::Value;
 use std::rc::Rc;
-use std::sync::Arc;
 
 fn main() {
     let mut topo = Topology::new();
@@ -22,15 +20,11 @@ fn main() {
     let server = topo.add_host(HostCfg::new(dc).server());
     let viewer = topo.add_host(HostCfg::new(home));
 
-    let behaviors = corba_lc_repro::core::BehaviorRegistry::new();
-    cscw::register_cscw_behaviors(&behaviors);
-    let mut world = build_world(
+    let mut world = World::on(
         topo,
         3,
-        NodeConfig { cohesion: fast_cohesion(), ..Default::default() },
-        behaviors,
-        cscw::cscw_trust(),
-        Arc::new(cscw::cscw_idl()),
+        fast_config(),
+        cscw::catalog(),
         |host| {
             let mut pkgs = vec![cscw::display_package()];
             if host == HostId(0) {
@@ -41,38 +35,14 @@ fn main() {
     );
     world.sim.run_until(SimTime::from_millis(50));
 
-    let spawn = |world: &mut corba_lc_repro::core::testkit::World, host, comp: &str, name: &str| {
-        let sink: corba_lc_repro::core::SpawnSink = Rc::default();
-        world.cmd(
-            host,
-            NodeCmd::SpawnLocal {
-                component: comp.into(),
-                min_version: corba_lc_repro::pkg::Version::new(1, 0),
-                instance_name: Some(name.into()),
-                sink: sink.clone(),
-            },
-        );
-        world.sim.run_until(world.sim.now() + SimTime::from_millis(20));
-        let r = sink.borrow().clone();
-        r.unwrap().unwrap()
-    };
-
-    let screen = spawn(&mut world, viewer, "CscwDisplay", "screen");
-    let mut decoder = spawn(&mut world, server, "VideoDecoder", "decoder");
+    let wait = SimTime::from_millis(20);
+    let screen = world.spawn(viewer, "CscwDisplay", Some("screen"), wait);
+    let mut decoder = world.spawn(server, "VideoDecoder", Some("decoder"), wait);
     let connect = |world: &mut corba_lc_repro::core::testkit::World,
                    dec: &corba_lc_repro::orb::ObjectRef,
                    scr: &corba_lc_repro::orb::ObjectRef| {
-        world.cmd(
-            dec.key.host,
-            NodeCmd::Invoke {
-                target: dec.clone(),
-                op: "_connect_display".into(),
-                args: vec![Value::ObjRef(scr.clone())],
-                oneway: true,
-                sink: None,
-            },
-        );
-        world.sim.run_until(world.sim.now() + SimTime::from_millis(20));
+        world.oneway(dec.key.host, dec, "_connect_display", vec![Value::ObjRef(scr.clone())]);
+        world.run_for(SimTime::from_millis(20));
     };
     connect(&mut world, &decoder, &screen);
     println!("decoder starts on {} (the video server); display on {}", server, viewer);
@@ -93,7 +63,7 @@ fn main() {
                 server,
                 NodeCmd::Migrate { instance: inst, to: viewer, sink: Some(msink.clone()) },
             );
-            world.sim.run_until(world.sim.now() + SimTime::from_secs(20));
+            world.run_for(SimTime::from_secs(20));
             decoder = msink.borrow().clone().unwrap().expect("migrated");
             connect(&mut world, &decoder, &screen);
             println!(
@@ -101,19 +71,10 @@ fn main() {
                 decoder.key.host
             );
         }
-        world.cmd(
-            server,
-            NodeCmd::Invoke {
-                target: decoder.clone(),
-                op: "push_chunk".into(),
-                args: vec![Value::blob(&vec![0x11; 4096])],
-                oneway: true,
-                sink: None,
-            },
-        );
-        world.sim.run_until(world.sim.now() + SimTime::from_millis(40));
+        world.oneway(server, &decoder, "push_chunk", vec![Value::blob(&vec![0x11; 4096])]);
+        world.run_for(SimTime::from_millis(40));
     }
-    world.sim.run_until(world.sim.now() + SimTime::from_secs(2));
+    world.run_for(SimTime::from_secs(2));
 
     let wan_total = world.sim.metrics_ref().counter("net.bytes.inter") - wan0;
     let second_half = wan_total - wan_at_half;

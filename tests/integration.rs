@@ -3,36 +3,40 @@
 //! determinism.
 
 use corba_lc_repro::core::node::NodeCmd;
-use corba_lc_repro::core::testkit::{build_world, fast_cohesion, World};
-use corba_lc_repro::core::{BehaviorRegistry, ComponentQuery, NodeConfig};
+use corba_lc_repro::core::testkit::{fast_config, Catalog, World};
+use corba_lc_repro::core::ComponentQuery;
 use corba_lc_repro::cscw;
 use corba_lc_repro::des::SimTime;
 use corba_lc_repro::grid;
 use corba_lc_repro::net::{HostCfg, HostId, Topology};
 use corba_lc_repro::orb::Value;
 use corba_lc_repro::pkg::Version;
-use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
+
+/// The CSCW domain plus the grid vendor's behaviours and signature —
+/// what a node needs to install both domains' packages. The IDL stays
+/// CSCW-only: grid packages bring theirs along.
+fn cscw_plus_grid_vendor() -> Catalog {
+    let mut catalog = cscw::catalog();
+    grid::register_grid_behaviors(&catalog.behaviors);
+    catalog.trust.trust("grid-vendor", b"grid-secret");
+    catalog
+}
 
 /// One network hosting BOTH domains: CSCW components and grid components
 /// coexist on the same nodes, sharing the same registry, IDL repository
 /// (merged) and cohesion protocol.
 fn mixed_world(seed: u64) -> World {
-    let behaviors = BehaviorRegistry::new();
-    cscw::register_cscw_behaviors(&behaviors);
-    grid::register_grid_behaviors(&behaviors);
+    let mut catalog = cscw_plus_grid_vendor();
     let mut idl = cscw::cscw_idl();
     idl.merge(grid::grid_idl()).expect("disjoint modules merge");
-    let mut trust = cscw::cscw_trust();
-    trust.trust("grid-vendor", b"grid-secret");
-    build_world(
+    catalog.idl = Arc::new(idl);
+    World::on(
         Topology::campus(2, 4),
         seed,
-        NodeConfig { cohesion: fast_cohesion(), ..Default::default() },
-        behaviors,
-        trust,
-        Arc::new(idl),
+        fast_config(),
+        catalog,
         |_| {
             vec![
                 cscw::display_package(),
@@ -45,46 +49,18 @@ fn mixed_world(seed: u64) -> World {
     )
 }
 
-fn settle(world: &mut World, ms: u64) {
-    let deadline = world.sim.now() + SimTime::from_millis(ms);
-    world.sim.run_until(deadline);
-}
-
-fn spawn(world: &mut World, host: HostId, comp: &str, name: &str) -> corba_lc_repro::orb::ObjectRef {
-    let sink: corba_lc_repro::core::SpawnSink = Rc::default();
-    world.cmd(
-        host,
-        NodeCmd::SpawnLocal {
-            component: comp.into(),
-            min_version: Version::new(1, 0),
-            instance_name: Some(name.into()),
-            sink: sink.clone(),
-        },
-    );
-    settle(world, 20);
-    let r = sink.borrow().clone();
-    r.unwrap().unwrap()
-}
+const SPAWN_WAIT: SimTime = SimTime::from_millis(20);
 
 #[test]
 fn cscw_and_grid_share_one_network() {
     let mut world = mixed_world(1);
-    settle(&mut world, 500);
+    world.run_for(SimTime::from_millis(500));
 
     // Whiteboard on hosts 0-1.
-    let board = spawn(&mut world, HostId(0), "Whiteboard", "board");
-    let display = spawn(&mut world, HostId(1), "CscwDisplay", "screen");
-    let gui = spawn(&mut world, HostId(1), "CscwGuiPart", "gui");
-    world.cmd(
-        HostId(1),
-        NodeCmd::Invoke {
-            target: gui.clone(),
-            op: "_connect_display".into(),
-            args: vec![Value::ObjRef(display)],
-            oneway: true,
-            sink: None,
-        },
-    );
+    let board = world.spawn(HostId(0), "Whiteboard", Some("board"), SPAWN_WAIT);
+    let display = world.spawn(HostId(1), "CscwDisplay", Some("screen"), SPAWN_WAIT);
+    let gui = world.spawn(HostId(1), "CscwGuiPart", Some("gui"), SPAWN_WAIT);
+    world.oneway(HostId(1), &gui, "_connect_display", vec![Value::ObjRef(display)]);
     world.cmd(
         HostId(1),
         NodeCmd::Subscribe {
@@ -96,47 +72,25 @@ fn cscw_and_grid_share_one_network() {
     );
 
     // π job on hosts 4-7 (the other site) at the same time.
-    let master = spawn(&mut world, HostId(4), "PiMaster", "master");
+    let master = world.spawn(HostId(4), "PiMaster", Some("master"), SPAWN_WAIT);
     for h in [5u32, 6, 7] {
-        let w = spawn(&mut world, HostId(h), "PiWorker", &format!("w{h}"));
-        world.cmd(
-            HostId(4),
-            NodeCmd::Invoke {
-                target: master.clone(),
-                op: "add_worker".into(),
-                args: vec![Value::ObjRef(w)],
-                oneway: true,
-                sink: None,
-            },
-        );
+        let w = world.spawn(HostId(h), "PiWorker", Some(&format!("w{h}")), SPAWN_WAIT);
+        world.oneway(HostId(4), &master, "add_worker", vec![Value::ObjRef(w)]);
     }
-    settle(&mut world, 100);
-    world.cmd(
-        HostId(4),
-        NodeCmd::Invoke {
-            target: master.clone(),
-            op: "start".into(),
-            args: vec![Value::ULongLong(6_000_000), Value::ULong(12)],
-            oneway: true,
-            sink: None,
-        },
-    );
+    world.run_for(SimTime::from_millis(100));
+    world.oneway(HostId(4), &master, "start", vec![Value::ULongLong(6_000_000), Value::ULong(12)]);
 
     // Drive strokes while the job computes.
     for k in 0..10 {
-        world.cmd(
+        world.oneway(
             HostId(0),
-            NodeCmd::Invoke {
-                target: board.clone(),
-                op: "user_stroke".into(),
-                args: vec![Value::Long(k), Value::Long(k), Value::Long(k), Value::Long(k)],
-                oneway: true,
-                sink: None,
-            },
+            &board,
+            "user_stroke",
+            vec![Value::Long(k), Value::Long(k), Value::Long(k), Value::Long(k)],
         );
-        settle(&mut world, 60);
+        world.run_for(SimTime::from_millis(60));
     }
-    settle(&mut world, 2000);
+    world.run_for(SimTime::from_millis(2000));
 
     // Both workloads completed on the shared substrate.
     let node1 = world.node(HostId(1)).unwrap();
@@ -154,22 +108,14 @@ fn cscw_and_grid_share_one_network() {
 #[test]
 fn queries_span_domains() {
     let mut world = mixed_world(2);
-    settle(&mut world, 800);
+    world.run_for(SimTime::from_millis(800));
     // Any node can discover both CSCW and grid components by interface.
     for (iface, expect) in [
         ("IDL:cscw/Display:1.0", "CscwDisplay"),
         ("IDL:grid/Worker:1.0", "PiWorker"),
     ] {
-        let sink: Rc<RefCell<corba_lc_repro::core::QueryResult>> = Rc::default();
-        world.cmd(
-            HostId(6),
-            NodeCmd::Query {
-                query: ComponentQuery::by_interface(iface),
-                sink: sink.clone(),
-                first_wins: true,
-            },
-        );
-        settle(&mut world, 1500);
+        let sink = world.query(HostId(6), ComponentQuery::by_interface(iface), true);
+        world.run_for(SimTime::from_millis(1500));
         let r = sink.borrow();
         assert!(
             r.offers.iter().any(|o| o.component == expect),
@@ -183,37 +129,25 @@ fn queries_span_domains() {
 fn package_idl_merging_enables_new_types_at_runtime() {
     // A node that boots with only the CSCW IDL learns grid interfaces
     // when the grid package is installed (the package carries its IDL).
-    let behaviors = BehaviorRegistry::new();
-    cscw::register_cscw_behaviors(&behaviors);
-    grid::register_grid_behaviors(&behaviors);
-    let mut trust = cscw::cscw_trust();
-    trust.trust("grid-vendor", b"grid-secret");
-    let mut world = build_world(
+    let mut world = World::on(
         Topology::lan(2),
         3,
-        NodeConfig { cohesion: fast_cohesion(), ..Default::default() },
-        behaviors,
-        trust,
-        Arc::new(cscw::cscw_idl()), // no grid IDL at boot
+        fast_config(),
+        cscw_plus_grid_vendor(), // no grid IDL at boot
         |_| Vec::new(),
     );
-    settle(&mut world, 50);
+    world.run_for(SimTime::from_millis(50));
     world.cmd(HostId(0), NodeCmd::Install(grid::worker_package()));
-    settle(&mut world, 50);
-    let worker = spawn(&mut world, HostId(0), "PiWorker", "w");
+    world.run_for(SimTime::from_millis(50));
+    let worker = world.spawn(HostId(0), "PiWorker", Some("w"), SPAWN_WAIT);
     // Typed invocation against the *runtime-learned* interface works.
-    let sink: corba_lc_repro::core::InvokeSink = Rc::default();
-    world.cmd(
+    let sink = world.invoke(
         HostId(1),
-        NodeCmd::Invoke {
-            target: worker,
-            op: "compute".into(),
-            args: vec![Value::ULongLong(1), Value::ULongLong(10_000)],
-            oneway: false,
-            sink: Some(sink.clone()),
-        },
+        &worker,
+        "compute",
+        vec![Value::ULongLong(1), Value::ULongLong(10_000)],
     );
-    settle(&mut world, 3000);
+    world.run_for(SimTime::from_millis(3000));
     let replies = sink.borrow();
     assert_eq!(replies.len(), 1);
     let hits = replies[0].1.as_ref().unwrap().ret.as_u64().unwrap();
@@ -229,20 +163,16 @@ fn heterogeneous_devices_coexist() {
     let server = topo.add_host(HostCfg::new(s).server());
     let _ws = topo.add_host(HostCfg::new(s));
     let pda = topo.add_host(HostCfg::new(s).pda());
-    let behaviors = BehaviorRegistry::new();
-    cscw::register_cscw_behaviors(&behaviors);
-    let mut world = build_world(
+    let mut world = World::on(
         topo,
         4,
-        NodeConfig { cohesion: fast_cohesion(), ..Default::default() },
-        behaviors,
-        cscw::cscw_trust(),
-        Arc::new(cscw::cscw_idl()),
+        fast_config(),
+        cscw::catalog(),
         |_| vec![cscw::display_package(), cscw::gui_package()],
     );
-    settle(&mut world, 50);
+    world.run_for(SimTime::from_millis(50));
     // The PDA can host its (tiny) display but not the GUI part.
-    let _screen = spawn(&mut world, pda, "CscwDisplay", "screen");
+    let _screen = world.spawn(pda, "CscwDisplay", Some("screen"), SPAWN_WAIT);
     let fail: corba_lc_repro::core::SpawnSink = Rc::default();
     world.cmd(
         pda,
@@ -253,32 +183,28 @@ fn heterogeneous_devices_coexist() {
             sink: fail.clone(),
         },
     );
-    settle(&mut world, 20);
+    world.run_for(SimTime::from_millis(20));
     assert!(fail.borrow().clone().unwrap().is_err());
     // The server hosts it fine.
-    let _gui = spawn(&mut world, server, "CscwGuiPart", "gui");
+    let _gui = world.spawn(server, "CscwGuiPart", Some("gui"), SPAWN_WAIT);
 }
 
 #[test]
 fn whole_system_is_deterministic() {
     fn fingerprint(seed: u64) -> (u64, u64, u64) {
         let mut world = mixed_world(seed);
-        settle(&mut world, 300);
-        let board = spawn(&mut world, HostId(0), "Whiteboard", "b");
+        world.run_for(SimTime::from_millis(300));
+        let board = world.spawn(HostId(0), "Whiteboard", Some("b"), SPAWN_WAIT);
         for _ in 0..5 {
-            world.cmd(
+            world.oneway(
                 HostId(3),
-                NodeCmd::Invoke {
-                    target: board.clone(),
-                    op: "user_stroke".into(),
-                    args: vec![Value::Long(1), Value::Long(2), Value::Long(3), Value::Long(4)],
-                    oneway: true,
-                    sink: None,
-                },
+                &board,
+                "user_stroke",
+                vec![Value::Long(1), Value::Long(2), Value::Long(3), Value::Long(4)],
             );
-            settle(&mut world, 40);
+            world.run_for(SimTime::from_millis(40));
         }
-        settle(&mut world, 2000);
+        world.run_for(SimTime::from_millis(2000));
         (
             world.sim.events_fired(),
             world.sim.metrics_ref().counter("net.bytes"),
