@@ -6,13 +6,12 @@ cd "$(dirname "$0")"
 
 # Determinism & API-hygiene gate runs FIRST: the protocol-flow rules
 # (P1-P3) plus the per-file rules must pass with zero open
-# violations against the checked-in baseline (which may only shrink --
-# a stale entry fails too) before anything else is built or run.
-# --stats keeps the unwrap budget trajectory visible across PRs, and
+# violations before anything else is built or run.
+# --stats keeps the per-rule tallies visible across PRs, and
 # the JSON stats document is a committed artefact: any drift in rule
 # counts without a matching LINT_STATS.json update fails the gate.
-cargo run -q -p lc-lint -- --workspace --baseline lint-baseline.txt --stats
-cargo run -q -p lc-lint -- --workspace --baseline lint-baseline.txt --format json \
+cargo run -q -p lc-lint -- --workspace --stats
+cargo run -q -p lc-lint -- --workspace --format json \
   > target/lint_stats.json
 diff target/lint_stats.json LINT_STATS.json
 rm -f target/lint_stats.json
@@ -66,9 +65,10 @@ done
 # artefact, not prose).
 identical BENCH_e12 e12
 
-# Scale sweep (E13): the smoke sweep, then the full one (the 10^6-node
-# point must complete) against BENCH_e13.json. Every run exits non-zero
-# if its largest hier point exceeds 160 bytes of state per node.
+# Scale sweep (E13, hier vs flat): the smoke sweep, then the full one
+# (the 10^6-node point must complete) against BENCH_e13.json. Every run
+# exits non-zero if its largest hier point exceeds 160 bytes of state
+# per node.
 identical - e13 --max-nodes 10000
 identical BENCH_e13 e13
 

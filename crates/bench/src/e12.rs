@@ -146,8 +146,7 @@ pub fn run_variant(name: &'static str, cache: Option<CacheConfig>, seed: u64) ->
         .filter_map(|h| w.node(HostId(h)).and_then(|n| n.cache_stats()))
         .map(|s| s.invalidated_entries)
         .sum();
-    let hotspot =
-        (0..N as u32).map(|h| w.net.host_traffic(HostId(h)).1).max().unwrap_or(0);
+    let hotspot = w.net.max_recv().1;
     let m = w.sim.metrics_ref();
     VariantResult {
         name,

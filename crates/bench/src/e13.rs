@@ -2,22 +2,19 @@
 //!
 //! §2.3's case for hierarchical MRM federation is asymptotic: soft
 //! state and summary push keep query cost at O(depth) while a central
-//! registry degrades with campus size and strong consistency pays for
-//! every membership change. E1–E12 demonstrate the mechanisms at 8–64
-//! nodes; E13 runs the arithmetic campus model
-//! ([`lc_core::scale`]) across four decades of scale and three
-//! registry designs:
+//! registry degrades with campus size. E1–E12 demonstrate the
+//! mechanisms at 8–64 nodes (E3 is the soft-vs-strong consistency
+//! comparison); E13 runs the arithmetic campus model
+//! ([`lc_core::scale`]) across four decades of scale and two registry
+//! designs:
 //!
-//! * `hier`   — the paper's hierarchy (fanout 8, 2 MRM replicas);
-//! * `flat`   — one central registry, query fan-out to every owner;
-//! * `strong` — strongly-consistent coordinator (3-message queries,
-//!   2·N view-change broadcast per membership change).
+//! * `hier` — the paper's hierarchy (fanout 8, 2 MRM replicas);
+//! * `flat` — one central registry, query fan-out to every owner.
 //!
-//! Each point reports messages per query, messages per churn event,
-//! nodes materialized (the lazy-SoA footprint), and bytes per node
-//! (campus columns + event-calendar arena). Every column derives from
-//! virtual time and counters, so two runs render byte-identical
-//! reports; ci.sh diffs a double run and the committed
+//! Each point reports messages per query, messages per churn event and
+//! bytes per node (seat masks + event-calendar arena). Every column
+//! derives from virtual time and counters, so two runs render
+//! byte-identical reports; ci.sh diffs a double run and the committed
 //! `BENCH_e13.json`. Host throughput of the same model is the
 //! benchmark's `scale_hier` workload and `scale.event_ns` row (`.perf`).
 
@@ -26,20 +23,20 @@ use lc_core::scale::{run_scale, ScaleConfig, ScaleReport, Variant};
 use std::fmt::Write as _;
 
 /// JSON schema version (bump when keys change; ci.sh pins the diff).
-pub const SCHEMA_VERSION: u32 = 1;
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// The committed run's seed.
 const SEED: u64 = 13;
 
 /// The memory gate: bytes of state per node the largest `hier` point of
-/// any sweep may reach (every point of the committed sweep is ≤ 111.2).
+/// any sweep may reach (every point of the committed sweep is ≤ 103.0).
 const GATE_BYTES_PER_NODE: f64 = 160.0;
 
 /// Campus sizes swept (nodes).
 pub const SIZES: [u32; 4] = [1_000, 10_000, 100_000, 1_000_000];
 
 /// Registry designs compared at every size.
-pub const VARIANTS: [Variant; 3] = [Variant::Hier, Variant::Flat, Variant::Strong];
+pub const VARIANTS: [Variant; 2] = [Variant::Hier, Variant::Flat];
 
 /// Run a single sweep point (pure simulation, deterministic).
 pub fn run_point(n: u32, variant: Variant, seed: u64) -> ScaleReport {
@@ -73,7 +70,6 @@ fn render_json(points: &[ScaleReport], seed: u64) -> String {
             ("latency_p99_ns", r.latency_p99_ns.into()),
             ("msgs_per_query", r.msgs_per_query.into()),
             ("n", r.n.into()),
-            ("nodes_materialized", r.nodes_materialized.into()),
             ("queries_completed", r.queries_completed.into()),
             ("queue_bytes", r.queue_bytes.into()),
             ("variant", r.variant.into()),
@@ -102,7 +98,6 @@ fn render(points: &[ScaleReport], seed: u64) -> Output {
                 f2(r.msgs_per_query),
                 f2(r.churn_msgs_per_event),
                 r.escalations.to_string(),
-                r.nodes_materialized.to_string(),
                 human_bytes(r.campus_bytes as u64),
                 human_bytes(r.queue_bytes as u64),
                 f2(r.bytes_per_node),
@@ -110,7 +105,7 @@ fn render(points: &[ScaleReport], seed: u64) -> Output {
         })
         .collect();
     let mut report = String::new();
-    let _ = writeln!(report, "E13: scale sweep, hier vs flat vs strong (seed {seed})");
+    let _ = writeln!(report, "E13: scale sweep, hier vs flat (seed {seed})");
     let _ = writeln!(
         report,
         "fanout 8, 2 MRM replicas, 2 rounds, 32 queries + 2 membership changes per point"
@@ -124,7 +119,6 @@ fn render(points: &[ScaleReport], seed: u64) -> Output {
             "msgs/query",
             "msgs/churn",
             "escalations",
-            "materialized",
             "campus mem",
             "queue mem",
             "B/node",
@@ -133,27 +127,18 @@ fn render(points: &[ScaleReport], seed: u64) -> Output {
     ));
 
     // Headline: the asymptotic claim, stated from the largest size that
-    // has all three variants.
+    // has both variants.
     if let Some(n) = points.iter().map(|r| r.n).max() {
         let at = |v: &str| points.iter().find(|r| r.n == n && r.variant == v);
-        if let (Some(h), Some(f), Some(s)) = (at("hier"), at("flat"), at("strong")) {
+        if let (Some(h), Some(f)) = (at("hier"), at("flat")) {
             let _ = writeln!(
                 report,
-                "\nat {n} nodes: hier {} msgs/query vs flat {} ({}x); \
-                 strong churn {} msgs/event vs hier {} ({}x)",
+                "\nat {n} nodes: hier {} msgs/query vs flat {} ({}x)",
                 f2(h.msgs_per_query),
                 f2(f.msgs_per_query),
                 f2(f.msgs_per_query / h.msgs_per_query.max(f64::MIN_POSITIVE)),
-                f2(s.churn_msgs_per_event),
-                f2(h.churn_msgs_per_event),
-                f2(s.churn_msgs_per_event / h.churn_msgs_per_event.max(f64::MIN_POSITIVE)),
             );
-            let _ = writeln!(
-                report,
-                "hier state: {} materialized of {n} nodes, {} bytes/node",
-                h.nodes_materialized,
-                f2(h.bytes_per_node),
-            );
+            let _ = writeln!(report, "hier state: {} bytes/node", f2(h.bytes_per_node));
         }
     }
     let _ = writeln!(report, "\nsummary: {} sweep points written to JSON", points.len());
@@ -186,6 +171,57 @@ pub fn run(max_nodes: u32) -> Output {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+
+    /// The `points` of a rendered summary (one `"key": value` per line),
+    /// each as key → rendered value.
+    fn points(json: &str) -> Vec<BTreeMap<&str, &str>> {
+        let mut out = Vec::new();
+        let mut open = BTreeMap::new();
+        for line in json.lines().map(str::trim) {
+            if line == "{" {
+                open = BTreeMap::new();
+            } else if line.starts_with('}') {
+                let done = std::mem::take(&mut open);
+                if done.contains_key("variant") {
+                    out.push(done);
+                }
+            } else if let Some((key, value)) = line.split_once(": ") {
+                open.insert(key.trim_matches('"'), value.trim_end_matches(','));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn small_sweep_reproduces_the_committed_protocol_columns() {
+        // What the protocol did, as opposed to what the model weighs:
+        // these cells move only when routing or scheduling does.
+        const PROTOCOL_KEYS: [&str; 8] = [
+            "msgs_per_query",
+            "churn_msgs_per_event",
+            "escalations",
+            "events",
+            "groups",
+            "latency_p50_ns",
+            "latency_p99_ns",
+            "queries_completed",
+        ];
+        let committed = points(include_str!("../../../BENCH_e13.json"));
+        let out = run(10_000);
+        let ran = points(&out.files[0].1);
+        assert_eq!(ran.len(), 4);
+        for point in &ran {
+            let (n, variant) = (point["n"], point["variant"]);
+            let Some(want) = committed.iter().find(|c| c["n"] == n && c["variant"] == variant)
+            else {
+                panic!("BENCH_e13.json has no {n} {variant} point");
+            };
+            for key in PROTOCOL_KEYS {
+                assert_eq!(point[key], want[key], "{n} {variant} {key}");
+            }
+        }
+    }
 
     #[test]
     fn e13_small_sweep_is_deterministic() {
@@ -195,9 +231,9 @@ mod tests {
         assert_eq!(a.files, b.files);
         assert_eq!(a.failed, None);
         let json = &a.files[0].1;
-        assert!(json.contains("\"schema_version\": 1"));
-        // 2 sizes x 3 variants.
-        assert_eq!(json.matches("\"variant\"").count(), 6);
+        assert!(json.contains("\"schema_version\": 2"));
+        // 2 sizes x 2 variants.
+        assert_eq!(json.matches("\"variant\"").count(), 4);
     }
 
     #[test]
@@ -210,7 +246,7 @@ mod tests {
         // at most), flat grows with the owner population.
         assert!(h2.msgs_per_query < h1.msgs_per_query * 2.0);
         assert!(f2_.msgs_per_query > f1.msgs_per_query * 5.0);
-        // The lazy SoA keeps footprint near-constant per node.
+        // Seat masks and calendar keep the footprint near-constant per node.
         assert!(h2.bytes_per_node < GATE_BYTES_PER_NODE, "bytes/node {}", h2.bytes_per_node);
     }
 }

@@ -71,10 +71,7 @@ fn run_one(n: usize, cohesion: CohesionConfig, seed: u64) -> Outcome {
             hits += 1;
         }
     }
-    let hotspot = (0..n as u32)
-        .map(|h| world.net.host_traffic(HostId(h)).1)
-        .max()
-        .unwrap_or(0);
+    let hotspot = world.net.max_recv().1;
     Outcome {
         msgs_per_query: msgs as f64 / sinks.len() as f64,
         first_offer_ms: first_ms.iter().sum::<f64>() / first_ms.len().max(1) as f64,

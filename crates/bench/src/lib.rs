@@ -96,7 +96,7 @@ pub const EXPERIMENTS: [(&str, &str, Run); 18] = [
     ("e12", "registry query cache + coalescing", Run::Fixed(e12::run)),
     (
         "e13",
-        "scale sweep to 10^6 nodes: hier vs flat vs strong",
+        "scale sweep to 10^6 nodes: hier vs flat",
         Run::Sweep { full: 1_000_000, run: e13::run },
     ),
     (

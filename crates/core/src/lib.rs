@@ -60,8 +60,8 @@ pub use registry::{ComponentQuery, ComponentRegistry, InstanceId, InstanceInfo, 
 pub use repository::{ComponentRepository, InstallError};
 pub use resource::{ResourceManager, ResourceReport};
 pub use scale::{
-    run_scale, run_scale_profiled, CampusSoa, NodeIdx, QueryOutcome, ScaleCampus, ScaleConfig,
-    ScaleReport, Variant, KIND_NAMES,
+    run_scale, run_scale_profiled, QueryOutcome, ScaleCampus, ScaleConfig, ScaleReport, Variant,
+    KIND_NAMES,
 };
 
 /// The scenario vocabulary: a [`testkit::World`] is a simulated

@@ -13,6 +13,7 @@
 
 use lc_core::demo;
 use lc_core::node::{AdmissionConfig, InvokePolicy, RegistryConfig};
+use lc_core::scale::{run_scale, ScaleConfig, Variant};
 use lc_core::testkit::{display_campus, fast_cohesion, DISPLAY_FRONTS as FRONTS, World};
 use lc_core::{CacheConfig, CohesionConfig, NodeConfig, ShardConfig};
 use lc_des::{Lane, ProfilerConfig, SimTime};
@@ -247,5 +248,25 @@ fn remote_invoke_allocations_are_pinned() {
         measured <= REMOTE_INVOKE_RECOVERABLE_BUDGET,
         "{measured:.3} allocations per recoverable remote invoke exceed the budget of \
          {REMOTE_INVOKE_RECOVERABLE_BUDGET}"
+    );
+}
+
+/// What one 10⁵-node hierarchical `run_scale` asks the allocator for, in
+/// calls: the seat masks, the two owner lists, the query table, the
+/// report's copies and the calendar arena's doublings — nothing per
+/// node, nothing per event. The same in debug and release builds.
+const SCALE_RUN_ALLOCS: u64 = 59;
+
+#[test]
+fn scale_run_allocations_are_pinned() {
+    let before = allocs();
+    let report = run_scale(ScaleConfig::new(100_000, Variant::Hier), 5);
+    let total = allocs() - before;
+    assert_eq!(report.queries_completed, u64::from(report.queries));
+    println!("{total} allocations for one 10^5-node scale run ({} events)", report.events);
+    assert!(
+        total <= SCALE_RUN_ALLOCS,
+        "{total} allocations in a 10^5-node scale run exceed the pinned {SCALE_RUN_ALLOCS}: \
+         per-node book-keeping has crept back"
     );
 }

@@ -302,11 +302,6 @@ impl Sim {
         self.actors.get(id.0 as usize).map(|s| s.is_some()).unwrap_or(false)
     }
 
-    /// Number of live actors.
-    pub fn live_actors(&self) -> usize {
-        self.actors.iter().filter(|a| a.is_some()).count()
-    }
-
     /// Kill an actor immediately, invoking its [`Actor::on_kill`] hook.
     pub fn kill(&mut self, id: ActorId) {
         if let Some(slot) = self.actors.get_mut(id.0 as usize) {
@@ -468,11 +463,6 @@ impl Sim {
             self.core.now = deadline;
         }
     }
-
-    /// Queue length (pending events).
-    pub fn pending_events(&self) -> usize {
-        self.core.queue.len()
-    }
 }
 
 #[cfg(test)]
@@ -561,7 +551,10 @@ mod tests {
         sim.run_until(SimTime::from_millis(35));
         assert_eq!(sim.actor_as::<Counter>(c).unwrap().hits, 4); // t=0,10,20,30
         assert_eq!(sim.now(), SimTime::from_millis(35));
-        assert_eq!(sim.pending_events(), 1);
+        // The t=40 tick stayed queued: it is the next event to fire.
+        assert!(sim.step());
+        assert_eq!(sim.now(), SimTime::from_millis(40));
+        assert_eq!(sim.actor_as::<Counter>(c).unwrap().hits, 5);
     }
 
     #[test]
@@ -586,7 +579,11 @@ mod tests {
         let s = sim.spawn(Spawner);
         sim.send_in(SimTime::ZERO, s, Hello);
         sim.run();
-        assert_eq!(sim.live_actors(), 2);
+        // The child is the second actor, alive, and got its message.
+        let child = ActorId(s.0 + 1);
+        assert!(sim.is_alive(s) && sim.is_alive(child));
+        assert!(sim.actor_as::<Child>(child).is_some_and(|c| c.got));
+        assert!(!sim.is_alive(ActorId(child.0 + 1)));
     }
 
     #[test]

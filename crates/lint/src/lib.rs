@@ -5,15 +5,14 @@
 //! virtual time only, ordered collections on every output path, seeded
 //! RNG streams and no real concurrency inside the simulation. This
 //! crate tokenizes every `.rs` file in
-//! the workspace ([`lexer`]), matches the rule set ([`rules`]) over the
-//! token stream, and ratchets what remains through a checked-in baseline
-//! ([`baseline`]). See DESIGN.md §8 for the rule ↔ invariant rationale.
+//! the workspace ([`lexer`]) and matches the rule set ([`rules`]) over
+//! the token stream. Every rule is zero-tolerance; the only escape is an
+//! in-source `// lc-lint: allow(RULE) -- reason`. See DESIGN.md §8 for
+//! the rule ↔ invariant rationale.
 //!
-//! Used as a binary (`cargo run -p lc-lint -- --workspace --baseline
-//! lint-baseline.txt --stats`) from `ci.sh`; the library surface exists
-//! for the fixture tests.
+//! Used as a binary (`cargo run -p lc-lint -- --workspace --stats`) from
+//! `ci.sh`; the library surface exists for the fixture tests.
 
-pub mod baseline;
 pub mod graph;
 pub mod index;
 pub mod lexer;
@@ -21,7 +20,6 @@ pub mod parser;
 pub mod protocol;
 pub mod rules;
 
-use baseline::{Baseline, Key};
 use index::{FileAnalysis, Workspace};
 use rules::{check_lexed, classify, Violation, RULES};
 use std::collections::BTreeMap;
@@ -38,10 +36,6 @@ pub struct RunOpts {
     pub paths: Vec<PathBuf>,
     /// Scan the entire workspace tree under `root`.
     pub workspace: bool,
-    /// Baseline file to ratchet against (optional).
-    pub baseline: Option<PathBuf>,
-    /// Regenerate the baseline at this path instead of judging.
-    pub write_baseline: Option<PathBuf>,
 }
 
 /// Per-rule tallies for the stats table.
@@ -51,10 +45,13 @@ pub struct RuleStats {
     pub fired: u64,
     /// Hits covered by an `allow` annotation.
     pub suppressed: u64,
-    /// Hits grandfathered by the baseline.
-    pub baselined: u64,
-    /// Hits that fail the gate.
-    pub new: u64,
+}
+
+impl RuleStats {
+    /// Hits that fail the gate (the `new` column).
+    pub fn open(&self) -> u64 {
+        self.fired - self.suppressed
+    }
 }
 
 /// Aggregated scan statistics (the `--stats` block).
@@ -66,22 +63,16 @@ pub struct Stats {
     pub tokens: usize,
     /// Tallies per rule name.
     pub per_rule: BTreeMap<&'static str, RuleStats>,
-    /// A2 panic budget per crate: `(used, budget)`.
-    pub budget: BTreeMap<String, (u64, u64)>,
-    /// Violations per crate (unsuppressed, any rule) — trajectory view.
-    pub per_crate: BTreeMap<String, u64>,
 }
 
 /// The result of one lint run.
 #[derive(Debug, Default)]
 pub struct Execution {
     /// Gate-failing diagnostics, formatted `file:line: RULE message`
-    /// (plus stale-baseline and malformed-suppression lines).
+    /// (malformed-suppression lines included).
     pub diagnostics: Vec<String>,
     /// Stats for `--stats`.
     pub stats: Stats,
-    /// Rendered baseline content when `write_baseline` was requested.
-    pub baseline_out: Option<String>,
     /// True iff the gate passes.
     pub clean: bool,
 }
@@ -140,119 +131,21 @@ pub fn execute(opts: &RunOpts) -> Result<Execution, String> {
         all.extend(flow);
     }
 
-    // Unsuppressed counts per ratchet scope: crate for A2, file otherwise.
-    let mut counts: BTreeMap<Key, u64> = BTreeMap::new();
+    // Every unsuppressed hit fails the gate, as does a malformed
+    // suppression.
+    let mut execution = Execution::default();
     for v in &all {
         let s = stats.per_rule.entry(v.rule).or_default();
         s.fired += 1;
-        if v.suppressed {
-            s.suppressed += 1;
-        } else {
-            *counts.entry(ratchet_key(v)).or_insert(0) += 1;
-            *stats.per_crate.entry(crate_of(v)).or_insert(0) += 1;
-        }
+        s.suppressed += u64::from(v.suppressed);
     }
-
-    let base = match &opts.baseline {
-        Some(p) if opts.write_baseline.is_none() => {
-            let text = fs::read_to_string(opts.root.join(p))
-                .map_err(|e| format!("baseline {}: {e}", p.display()))?;
-            Baseline::parse(&text)?
-        }
-        _ => Baseline::default(),
-    };
-
-    // A2 budget table: every crate with uses or a budget line.
-    for (key, n) in &counts {
-        if key.0 == "A2" {
-            let b = base.entries.get(key).copied().unwrap_or(0);
-            stats.budget.insert(key.1.clone(), (*n, b));
-        }
-    }
-    for (key, b) in &base.entries {
-        if key.0 == "A2" {
-            stats.budget.entry(key.1.clone()).or_insert((0, *b));
-        }
-    }
-
-    let mut execution = Execution::default();
-    if let Some(p) = &opts.write_baseline {
-        let rendered = Baseline::render(&counts);
-        fs::write(opts.root.join(p), &rendered)
-            .map_err(|e| format!("write baseline {}: {e}", p.display()))?;
-        execution.baseline_out = Some(rendered);
-        // Counts are all grandfathered by construction now.
-        for (key, n) in &counts {
-            if let Some(s) = stats.per_rule.get_mut(key.0.as_str()) {
-                s.baselined += n;
-            }
-        }
-    } else {
-        judge(&all, &counts, &base, &mut stats, &mut execution.diagnostics);
-    }
-
-    for e in &hard_errors {
-        execution.diagnostics.push(format!("{}:{}: {} {}", e.file, e.line, e.rule, e.msg));
+    for v in all.iter().filter(|v| !v.suppressed).chain(&hard_errors) {
+        execution.diagnostics.push(format!("{}:{}: {} {}", v.file, v.line, v.rule, v.msg));
     }
     execution.diagnostics.sort();
     execution.clean = execution.diagnostics.is_empty();
     execution.stats = stats;
     Ok(execution)
-}
-
-/// Compare current counts against the baseline; emit diagnostics for
-/// regressions and stale entries, update per-rule tallies.
-fn judge(
-    all: &[Violation],
-    counts: &BTreeMap<Key, u64>,
-    base: &Baseline,
-    stats: &mut Stats,
-    diags: &mut Vec<String>,
-) {
-    let mut keys: Vec<&Key> = counts.keys().chain(base.entries.keys()).collect();
-    keys.sort();
-    keys.dedup();
-    for key in keys {
-        let cur = counts.get(key).copied().unwrap_or(0);
-        let grandfathered = base.entries.get(key).copied().unwrap_or(0);
-        let rule = RULES.iter().find(|r| **r == key.0).copied().unwrap_or("LINT");
-        let s = stats.per_rule.entry(rule).or_default();
-        if cur > grandfathered {
-            s.new += cur - grandfathered;
-            s.baselined += grandfathered;
-            for v in all.iter().filter(|v| !v.suppressed && &ratchet_key(v) == key) {
-                diags.push(format!("{}:{}: {} {}", v.file, v.line, v.rule, v.msg));
-            }
-            if grandfathered > 0 {
-                diags.push(format!(
-                    "{}: {} violations for rule {} exceed the {} grandfathered in the baseline",
-                    key.1, cur, key.0, grandfathered
-                ));
-            }
-        } else if cur < grandfathered {
-            diags.push(format!(
-                "lint-baseline: stale entry `{} {} {}` — only {} found; \
-                 tighten the baseline (the budget may only shrink)",
-                key.0, key.1, grandfathered, cur
-            ));
-            s.baselined += cur;
-        } else {
-            s.baselined += cur;
-        }
-    }
-}
-
-/// Ratchet scope for one violation: crate for A2, file for the rest.
-fn ratchet_key(v: &Violation) -> Key {
-    if v.rule == "A2" {
-        ("A2".to_owned(), crate_of(v))
-    } else {
-        (v.rule.to_owned(), v.file.clone())
-    }
-}
-
-fn crate_of(v: &Violation) -> String {
-    classify(&v.file).krate
 }
 
 fn rel_str(p: &Path) -> String {
@@ -315,26 +208,13 @@ impl Stats {
         let mut out = String::new();
         out.push_str("lc-lint stats\n");
         out.push_str(&format!("  files scanned: {}   tokens: {}\n", self.files, self.tokens));
-        out.push_str("  rule   fired  suppressed  baselined  new\n");
+        out.push_str("  rule   fired  suppressed  new\n");
         for r in RULES {
             let s = self.per_rule.get(r).copied().unwrap_or_default();
             out.push_str(&format!(
-                "  {:<5} {:>6} {:>11} {:>10} {:>4}\n",
-                r, s.fired, s.suppressed, s.baselined, s.new
+                "  {:<5} {:>6} {:>11} {:>4}\n",
+                r, s.fired, s.suppressed, s.open()
             ));
-        }
-        if !self.budget.is_empty() {
-            out.push_str("  A2 panic budget (lib code unwrap/expect):\n");
-            out.push_str("    crate       used  budget\n");
-            for (krate, (used, budget)) in &self.budget {
-                out.push_str(&format!("    {krate:<11} {used:>4} {budget:>7}\n"));
-            }
-        }
-        if !self.per_crate.is_empty() {
-            out.push_str("  unsuppressed violations by crate:\n");
-            for (krate, n) in &self.per_crate {
-                out.push_str(&format!("    {krate:<11} {n:>4}\n"));
-            }
         }
         out
     }
@@ -346,7 +226,7 @@ impl Execution {
     /// Deterministic: BTreeMap ordering throughout, diagnostics sorted.
     pub fn render_json(&self) -> String {
         let mut out = String::from("{\n");
-        out.push_str("  \"schema\": 1,\n");
+        out.push_str("  \"schema\": 2,\n");
         out.push_str(&format!("  \"clean\": {},\n", self.clean));
         out.push_str(&format!("  \"files\": {},\n", self.stats.files));
         out.push_str(&format!("  \"tokens\": {},\n", self.stats.tokens));
@@ -354,33 +234,11 @@ impl Execution {
         for (i, r) in RULES.iter().enumerate() {
             let s = self.stats.per_rule.get(r).copied().unwrap_or_default();
             out.push_str(&format!(
-                "    \"{r}\": {{\"fired\": {}, \"suppressed\": {}, \"baselined\": {}, \
-                 \"new\": {}}}{}\n",
+                "    \"{r}\": {{\"fired\": {}, \"suppressed\": {}, \"new\": {}}}{}\n",
                 s.fired,
                 s.suppressed,
-                s.baselined,
-                s.new,
+                s.open(),
                 if i + 1 < RULES.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  },\n");
-        out.push_str("  \"a2_budget\": {\n");
-        let n = self.stats.budget.len();
-        for (i, (krate, (used, budget))) in self.stats.budget.iter().enumerate() {
-            out.push_str(&format!(
-                "    \"{}\": {{\"used\": {used}, \"budget\": {budget}}}{}\n",
-                json_escape(krate),
-                if i + 1 < n { "," } else { "" }
-            ));
-        }
-        out.push_str("  },\n");
-        out.push_str("  \"unsuppressed_by_crate\": {\n");
-        let n = self.stats.per_crate.len();
-        for (i, (krate, count)) in self.stats.per_crate.iter().enumerate() {
-            out.push_str(&format!(
-                "    \"{}\": {count}{}\n",
-                json_escape(krate),
-                if i + 1 < n { "," } else { "" }
             ));
         }
         out.push_str("  },\n");

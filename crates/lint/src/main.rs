@@ -4,15 +4,13 @@ use lc_lint::{execute, RunOpts};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: lc-lint [--workspace] [--root DIR] [--baseline FILE] \
-                     [--write-baseline FILE] [--stats] [--format text|json] [PATH...]\n\
-  --workspace            scan every .rs file under the root\n\
-  --root DIR             workspace root (default: current directory)\n\
-  --baseline FILE        ratchet against a checked-in baseline\n\
-  --write-baseline FILE  regenerate the baseline from the current tree\n\
-  --stats                print per-rule / per-crate tallies\n\
-  --format text|json     output format (json emits one machine-readable\n\
-                         document with stats and diagnostics)";
+const USAGE: &str = "usage: lc-lint [--workspace] [--root DIR] [--stats] \
+                     [--format text|json] [PATH...]\n\
+  --workspace         scan every .rs file under the root\n\
+  --root DIR          workspace root (default: current directory)\n\
+  --stats             print per-rule tallies\n\
+  --format text|json  output format (json emits one machine-readable\n\
+                      document with stats and diagnostics)";
 
 fn main() -> ExitCode {
     let mut opts = RunOpts { root: PathBuf::from("."), ..RunOpts::default() };
@@ -37,16 +35,12 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            "--root" | "--baseline" | "--write-baseline" => {
+            "--root" => {
                 let Some(v) = args.next() else {
-                    eprintln!("lc-lint: {a} needs a value\n{USAGE}");
+                    eprintln!("lc-lint: --root needs a value\n{USAGE}");
                     return ExitCode::from(2);
                 };
-                match a.as_str() {
-                    "--root" => opts.root = PathBuf::from(v),
-                    "--baseline" => opts.baseline = Some(PathBuf::from(v)),
-                    _ => opts.write_baseline = Some(PathBuf::from(v)),
-                }
+                opts.root = PathBuf::from(v);
             }
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -73,9 +67,6 @@ fn main() -> ExitCode {
     }
     for d in &exec.diagnostics {
         println!("{d}");
-    }
-    if let Some(p) = &opts.write_baseline {
-        println!("lc-lint: baseline written to {}", p.display());
     }
     if stats {
         print!("{}", exec.stats.render());

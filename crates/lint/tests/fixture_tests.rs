@@ -1,7 +1,6 @@
-//! Fixture-file tests: each rule fires where expected, suppressions and
-//! the baseline ratchet behave, the `fixtures` dir is invisible to
-//! workspace scans, and — the point of the whole exercise — the real
-//! workspace is clean under the checked-in baseline.
+//! Fixture-file tests: each rule fires where expected, suppressions
+//! behave, the `fixtures` dir is invisible to workspace scans, and — the
+//! point of the whole exercise — the real workspace is clean.
 
 use lc_lint::{execute, RunOpts};
 use std::path::{Path, PathBuf};
@@ -10,13 +9,11 @@ fn fixture_ws() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ws")
 }
 
-fn run(paths: &[&str], baseline: Option<&Path>, write: Option<&Path>) -> lc_lint::Execution {
+fn run(paths: &[&str]) -> lc_lint::Execution {
     let opts = RunOpts {
         root: fixture_ws(),
         paths: paths.iter().map(PathBuf::from).collect(),
         workspace: paths.is_empty(),
-        baseline: baseline.map(Path::to_path_buf),
-        write_baseline: write.map(Path::to_path_buf),
     };
     execute(&opts).expect("fixture scan")
 }
@@ -37,7 +34,7 @@ fn keys(e: &lc_lint::Execution) -> Vec<(String, u32, String)> {
 
 #[test]
 fn every_rule_fires_at_the_expected_site() {
-    let e = run(&[], None, None);
+    let e = run(&[]);
     assert!(!e.clean);
     let got = keys(&e);
     let v = "crates/orb/src/violations.rs";
@@ -67,7 +64,7 @@ fn every_rule_fires_at_the_expected_site() {
 
 #[test]
 fn suppressions_silence_and_are_counted() {
-    let e = run(&["crates/orb/src/suppressed.rs"], None, None);
+    let e = run(&["crates/orb/src/suppressed.rs"]);
     assert!(e.clean, "suppressed fixture should be clean: {:?}", e.diagnostics);
     let s = &e.stats.per_rule;
     for rule in ["D1", "D2", "A2"] {
@@ -77,45 +74,14 @@ fn suppressions_silence_and_are_counted() {
 }
 
 #[test]
-fn baseline_grandfathers_then_ratchets() {
-    let paths = ["crates/orb/src/violations.rs", "crates/idl/src/scope.rs"];
-    let tmp = std::env::temp_dir().join("lc-lint-fixture-baseline.txt");
-
-    // 1. Regenerate: grandfather everything currently firing.
-    let e = run(&paths, None, Some(&tmp));
-    let rendered = e.baseline_out.clone().expect("baseline rendered");
-    assert!(rendered.contains("A2 orb 1"), "{rendered}");
-    assert!(rendered.contains("D4 crates/idl/src/scope.rs 2"), "{rendered}");
-
-    // 2. Judged against its own baseline, the tree is clean.
-    let e = run(&paths, Some(&tmp), None);
-    assert!(e.clean, "grandfathered scan should pass: {:?}", e.diagnostics);
-    assert!(e.stats.per_rule["D3"].baselined == 2 && e.stats.per_rule["D3"].new == 0);
-
-    // 3. A shrunk tree makes the grandfather entry stale — the ratchet
-    //    only moves down, so CI must demand the baseline be tightened.
-    let loosened = rendered.replace("A2 orb 1", "A2 orb 5");
-    std::fs::write(&tmp, loosened).expect("rewrite baseline");
-    let e = run(&paths, Some(&tmp), None);
-    assert!(!e.clean);
-    assert!(
-        e.diagnostics.iter().any(|d| d.contains("stale entry") && d.contains("A2 orb 5")),
-        "{:?}",
-        e.diagnostics
-    );
-
-    // 4. More violations than grandfathered is a regression with per-site
-    //    diagnostics.
-    let tightened = rendered.replace("A2 orb 1", "");
-    std::fs::write(&tmp, tightened).expect("rewrite baseline");
-    let e = run(&paths, Some(&tmp), None);
-    assert!(!e.clean);
-    assert!(
-        e.diagnostics.iter().any(|d| d.starts_with("crates/orb/src/violations.rs:15: A2")),
-        "{:?}",
-        e.diagnostics
-    );
-    let _ = std::fs::remove_file(&tmp);
+fn a2_skips_a_files_own_expect_method() {
+    // The IDL parser's `self.expect(kind, what)?` returns `Result`; only
+    // the `Option::unwrap` in the same file is a panic site.
+    let rel = "crates/idl/src/own_expect.rs";
+    let e = run(&[rel]);
+    let root = fixture_ws();
+    assert_eq!(keys(&e), vec![(rel.to_owned(), line_of(&root, rel, "A2-fires"), "A2".to_owned())]);
+    assert_eq!(e.stats.per_rule["A2"].fired, 1);
 }
 
 fn proto_ws() -> PathBuf {
@@ -240,16 +206,11 @@ fn no_wall_clock_exemptions_outside_the_lint_crate() {
 
 #[test]
 fn real_workspace_is_clean_and_fixtures_are_skipped() {
-    // The fixture files above carry dozens of violations that are NOT in
-    // lint-baseline.txt, so this passing also proves `fixtures` dirs are
-    // excluded from workspace scans.
+    // The fixture files above carry dozens of violations, so this
+    // passing also proves `fixtures` dirs are excluded from workspace
+    // scans.
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let opts = RunOpts {
-        root,
-        workspace: true,
-        baseline: Some(PathBuf::from("lint-baseline.txt")),
-        ..RunOpts::default()
-    };
+    let opts = RunOpts { root, workspace: true, ..RunOpts::default() };
     let e = execute(&opts).expect("workspace scan");
     assert!(e.clean, "workspace must lint clean: {:?}", e.diagnostics);
     assert!(!e
