@@ -64,11 +64,6 @@ impl<K: Ord + Clone, V> QueryCache<K, V> {
         QueryCache { ttl, generation: 0, entries: BTreeMap::new(), stats: CacheStats::default() }
     }
 
-    /// The configured TTL.
-    pub fn ttl(&self) -> SimTime {
-        self.ttl
-    }
-
     /// The current invalidation generation (monotone, starts at 0).
     pub fn generation(&self) -> u64 {
         self.generation
@@ -77,16 +72,6 @@ impl<K: Ord + Clone, V> QueryCache<K, V> {
     /// Counters so far.
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Live entries (fresh or not yet observed stale).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// No live entries?
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Store a result under `key`, stamped with the current time.
@@ -158,11 +143,6 @@ pub struct GenVector {
 }
 
 impl GenVector {
-    /// An empty vector (knows nothing about anyone).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// The generation recorded for `publisher` (0 = nothing known).
     pub fn get(&self, publisher: u64) -> u64 {
         self.gens.get(&publisher).copied().unwrap_or(0)
@@ -178,16 +158,6 @@ impl GenVector {
         } else {
             false
         }
-    }
-
-    /// Number of publishers known.
-    pub fn len(&self) -> usize {
-        self.gens.len()
-    }
-
-    /// Knows nothing?
-    pub fn is_empty(&self) -> bool {
-        self.gens.is_empty()
     }
 }
 
@@ -234,11 +204,6 @@ impl<K: Ord + Clone> Coalescer<K> {
         self.inflight.remove(key)
     }
 
-    /// Flights currently in progress.
-    pub fn inflight(&self) -> usize {
-        self.inflight.len()
-    }
-
     /// How many queries merged onto an existing leader so far.
     pub fn coalesced(&self) -> u64 {
         self.coalesced
@@ -260,7 +225,6 @@ mod tests {
         // age == ttl: stale — evicted, miss
         c.insert("q", 7, MS(0));
         assert_eq!(c.get(&"q", MS(100)), None);
-        assert_eq!(c.len(), 0);
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.stale_evictions), (1, 1, 1));
     }
@@ -290,20 +254,18 @@ mod tests {
         assert!(c.get(&"q2".into(), MS(1)).is_some());
         assert_eq!(c.stats().invalidated_entries, 1);
         assert_eq!(c.invalidate_matching(|_, _| true), 1);
-        assert!(c.is_empty());
+        assert!(c.get(&"q2".into(), MS(1)).is_none());
     }
 
     #[test]
     fn gen_vector_observes_only_forward() {
-        let mut v = GenVector::new();
+        let mut v = GenVector::default();
         assert_eq!(v.get(3), 0);
         assert!(v.observe(3, 2));
         assert!(!v.observe(3, 2), "equal generation is not news");
         assert!(!v.observe(3, 1), "older generation is not news");
         assert!(v.observe(3, 5));
         assert_eq!(v.get(3), 5);
-        assert_eq!(v.len(), 1);
-        assert!(!v.is_empty());
     }
 
     #[test]
@@ -318,6 +280,5 @@ mod tests {
         assert_eq!(co.finish(&"q".into()), Some(10));
         assert_eq!(co.leader_of(&"q".into()), None);
         assert_eq!(co.finish(&"q".into()), None);
-        assert_eq!(co.inflight(), 0);
     }
 }

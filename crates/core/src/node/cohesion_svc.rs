@@ -12,7 +12,7 @@ use lc_des::SimTime;
 use lc_net::HostId;
 use std::rc::Rc;
 
-use super::ctx::{Hot, NodeCtx, NodeState};
+use super::ctx::{NodeCtx, NodeState};
 use super::metrics::ServiceKind;
 use super::service::{item, ServiceReflect, Tick};
 
@@ -85,20 +85,9 @@ impl NodeCtx<'_, '_> {
             }
             // One aggregate per sweep, shared by every parent replica.
             let summary = Rc::new(self.state.duty_state[i].summarize());
+            let msg = CtrlMsg::Summary { from: self.state.host, level: duty.level, summary };
             for &parent in &duty.parent_replicas {
-                if parent == self.state.host {
-                    let host = self.state.host;
-                    self.state.absorb_summary(host, duty.level, Rc::clone(&summary), now);
-                    continue;
-                }
-                let msg = CtrlMsg::Summary {
-                    from: self.state.host,
-                    level: duty.level,
-                    summary: Rc::clone(&summary),
-                };
-                let size = msg.wire_size();
-                let _ = self.net_send(parent, size, msg);
-                self.bump(Hot::Summaries);
+                self.send_ctrl(parent, msg.clone());
             }
         }
     }

@@ -356,7 +356,10 @@ impl NodeCtx<'_, '_> {
                 self.sim.metrics().incr("migrate.forwarded_requests");
                 let size = SimOrb::request_size(&op, &args);
                 let wire = OrbWire::Request { id, reply_to, target: new_ref.key, op, args };
-                let _ = self.net_send(new_ref.key.host, size, wire);
+                let (net, from) = (&self.state.net, self.state.host);
+                if net.send(self.sim, from, new_ref.key.host, size, wire).is_ok() {
+                    self.state.metrics.msg_out();
+                }
                 return;
             }
         }

@@ -230,9 +230,6 @@ pub(crate) struct PendingQuery {
     /// *own* deadline so a leader kept alive by a retry cannot extend
     /// the queries merged onto it.
     pub followers: Vec<QueryFollower>,
-    /// The cache key this query fills on success (`None` when neither
-    /// caching nor coalescing is configured).
-    pub cache_key: Option<String>,
 }
 
 /// A query merged onto an identical in-flight one (singleflight): its

@@ -274,6 +274,23 @@ const HOT_NAMES: [&str; 6] = [
     "admission.total",
 ];
 
+/// The per-kind counter a wire copy of `msg` is tallied under, if any:
+/// with the ORB's own counters these partition `net.msgs`.
+fn wire_counter(msg: &CtrlMsg) -> Option<Hot> {
+    Some(match msg {
+        CtrlMsg::Query { .. }
+        | CtrlMsg::Offers { .. }
+        | CtrlMsg::QueryDone { .. }
+        | CtrlMsg::ShardLookup { .. }
+        | CtrlMsg::ShardServe { .. } => Hot::QueryMsgs,
+        CtrlMsg::Report { .. } => Hot::Reports,
+        CtrlMsg::Summary { .. } => Hot::Summaries,
+        CtrlMsg::ShardPublish { .. } => Hot::PublishMsgs,
+        CtrlMsg::GossipDigest { .. } | CtrlMsg::GossipDelta { .. } => Hot::GossipMsgs,
+        _ => return None,
+    })
+}
+
 /// A service's view of one simulation event: the shared node state plus
 /// the DES context. All cross-cutting plumbing (control sends with local
 /// short-circuit, metric-counted ORB traffic, timers) hangs off this.
@@ -303,29 +320,53 @@ impl NodeCtx<'_, '_> {
         self.sim.send_packed(delay, me, tick.pack());
     }
 
-    /// Send a control message, delivering locally (no network, no
-    /// `query.msgs` accounting) when the target is this host. Remote
-    /// query traffic (`Query`/`Offers`/`QueryDone`) is counted under
-    /// `query.msgs` whether or not the fabric accepts the send.
-    pub(crate) fn send_ctrl(&mut self, to: HostId, msg: CtrlMsg) {
-        if to == self.state.host {
-            // Local delivery without the network.
-            let host = self.state.host;
+    /// Put a control message on the wire — the one place a [`CtrlMsg`] is
+    /// sized, counted and handed to the fabric. A message to this host is
+    /// delivered in place (no network, no accounting). A message the
+    /// fabric accepts counts as one outgoing message and one of its kind
+    /// ([`wire_counter`]); one it refuses (peer down, partitioned) counts
+    /// nowhere but the fabric's own `net.drop.*`. Returns whether the
+    /// message was delivered or accepted.
+    pub(crate) fn send_ctrl(&mut self, to: HostId, msg: CtrlMsg) -> bool {
+        let host = self.state.host;
+        if to == host {
             self.deliver_ctrl_local(host, msg);
-            return;
+            return true;
         }
-        let size = msg.wire_size();
-        if matches!(
-            msg,
-            CtrlMsg::Query { .. }
-                | CtrlMsg::Offers { .. }
-                | CtrlMsg::QueryDone { .. }
-                | CtrlMsg::ShardLookup { .. }
-                | CtrlMsg::ShardServe { .. }
-        ) {
-            self.bump(Hot::QueryMsgs);
+        let counter = wire_counter(&msg);
+        let sent = self.state.net.send(self.sim, host, to, msg.wire_size(), msg).is_ok();
+        if sent {
+            self.state.metrics.msg_out();
+            if let Some(counter) = counter {
+                self.bump(counter);
+            }
         }
-        let _ = self.net_send(to, size, msg);
+        sent
+    }
+
+    /// The one replica walk: `msg` goes to the first of `replicas` that
+    /// is this host or that the fabric can reach right now; every replica
+    /// passed over counts one `query.failover`. Returns whether anyone
+    /// took it.
+    pub(crate) fn send_to_first_reachable(&mut self, replicas: &[HostId], msg: CtrlMsg) -> bool {
+        let host = self.state.host;
+        for &r in replicas {
+            if r == host || self.state.net.reachable(host, r) {
+                return self.send_ctrl(r, msg);
+            }
+            self.sim.metrics().incr("query.failover");
+        }
+        false
+    }
+
+    /// Best-effort fan-out leg: a copy of `msg` goes to the peer `to` if
+    /// the fabric can reach it right now (a skipped peer is no
+    /// `net.drop.*`). Never delivers to this host.
+    pub(crate) fn send_if_reachable(&mut self, to: HostId, msg: &CtrlMsg) {
+        let host = self.state.host;
+        if to != host && self.state.net.reachable(host, to) {
+            self.send_ctrl(to, msg.clone());
+        }
     }
 
     /// Feed one finished registry query to the SLO monitor, if there is
@@ -397,13 +438,9 @@ impl NodeCtx<'_, '_> {
     /// peer in `to`, in order. One message is built; every receiver's
     /// copy shares its name.
     fn send_invalidate(&mut self, component: &str, to: impl Iterator<Item = HostId>) {
-        let from = self.state.host;
-        let msg = CtrlMsg::CacheInvalidate { from, component: component.into() };
-        let size = msg.wire_size();
+        let msg = CtrlMsg::CacheInvalidate { from: self.state.host, component: component.into() };
         for to in to {
-            if to != from && self.state.net.reachable(from, to) {
-                let _ = self.net_send(to, size, msg.clone());
-            }
+            self.send_if_reachable(to, &msg);
         }
     }
 
@@ -424,36 +461,10 @@ impl NodeCtx<'_, '_> {
         if replicas.contains(&from) {
             store.on_publish(component, from, gen, now, Rc::clone(&offers));
         }
+        let msg = CtrlMsg::ShardPublish { from, component: component.into(), gen, at: now, offers };
         for &to in replicas {
-            if to != from && self.state.net.reachable(from, to) {
-                let msg = CtrlMsg::ShardPublish {
-                    from,
-                    component: component.to_owned(),
-                    gen,
-                    at: now,
-                    offers: Rc::clone(&offers),
-                };
-                let size = msg.wire_size();
-                if self.net_send(to, size, msg).is_ok() {
-                    self.bump(Hot::PublishMsgs);
-                }
-            }
+            self.send_if_reachable(to, &msg);
         }
-    }
-
-    /// Raw network send from this host, counted as a per-service
-    /// outgoing message when the fabric accepts it.
-    pub(crate) fn net_send<M: std::any::Any + Clone>(
-        &mut self,
-        to: HostId,
-        size: u64,
-        payload: M,
-    ) -> Result<SimTime, DropReason> {
-        let r = self.state.net.send(self.sim, self.state.host, to, size, payload);
-        if r.is_ok() {
-            self.state.metrics.msg_out();
-        }
-        r
     }
 
     /// ORB request from this host (counted as an outgoing message).

@@ -14,7 +14,7 @@ use lc_pkg::Version;
 use std::rc::Rc;
 
 use super::continuations::{FetchCont, PendingQuery, QueryFollower, QueryPurpose, SpawnCont};
-use super::ctx::{Hot, NodeCtx, NodeState};
+use super::ctx::{NodeCtx, NodeState};
 use super::metrics::ServiceKind;
 use super::service::{item, ServiceReflect, Tick};
 use super::{NodeCmd, SpawnSink};
@@ -109,7 +109,7 @@ impl NodeCtx<'_, '_> {
                 // the leader never expires.
                 self.timer_in(timeout, Tick::QueryDeadline);
             }
-            ResolveStep::Search { key, cache_missed } => {
+            ResolveStep::Search { cache_missed } => {
                 if cache_missed {
                     self.sim.metrics().incr("cache.misses");
                 }
@@ -156,13 +156,10 @@ impl NodeCtx<'_, '_> {
                         retries_left: self.state.cfg.query_retries,
                         span,
                         followers: Vec::new(),
-                        cache_key: key.clone(),
                     },
                     started + timeout,
                 );
-                if let Some(k) = key {
-                    self.state.backend.lead(&k, seq);
-                }
+                self.state.backend.lead(&query, seq);
                 self.sim.metrics().incr("query.started");
 
                 let prev = span.map(|s| tracer.set_current(Some(s)));
@@ -196,7 +193,8 @@ impl NodeCtx<'_, '_> {
                 // to the parent ("request higher hierarchy level
                 // requests").
                 let targets = Rc::clone(&self.state.report_targets);
-                self.send_query_to_first_reachable(&targets, qid, query, 0, false);
+                let ask = CtrlMsg::Query { qid, query, level: Some(0), descending: false };
+                self.send_to_first_reachable(&targets, ask);
             }
             SearchRoute::ShardLocal { shard } => {
                 let served = self.state.backend.shard().and_then(|s| s.lookup(shard, &query));
@@ -228,25 +226,12 @@ impl NodeCtx<'_, '_> {
         shard: u32,
         hops: u32,
     ) {
-        let Some(ring) = self.state.backend.shard().map(|s| s.ring().clone()) else { return };
-        for &r in ring.replicas(shard).iter() {
-            if r == self.state.host {
-                self.shard_dispatch(qid, query, target, shard, hops);
-                return;
-            }
-            if self.state.net.reachable(self.state.host, r) {
-                let msg =
-                    CtrlMsg::ShardLookup { qid, query: query.clone(), target, at: shard, hops };
-                let size = msg.wire_size();
-                if self.net_send(r, size, msg).is_ok() {
-                    self.bump(Hot::QueryMsgs);
-                    return;
-                }
-                break; // send failed despite reachable — give up hop
-            }
-            self.sim.metrics().incr("query.failover");
+        let Some(store) = self.state.backend.shard() else { return };
+        let replicas = Rc::clone(store.ring().replicas(shard));
+        let lookup = CtrlMsg::ShardLookup { qid, query, target, at: shard, hops };
+        if !self.send_to_first_reachable(&replicas, lookup) {
+            self.send_ctrl(qid.origin, CtrlMsg::QueryDone { qid });
         }
-        self.send_ctrl(qid.origin, CtrlMsg::QueryDone { qid });
     }
 
     /// Act for shard `at` on a travelling lookup: serve it when `at`
@@ -334,43 +319,9 @@ impl NodeCtx<'_, '_> {
         let digests = store.gossip_digests(now);
         let from = self.state.host;
         for (to, shard, gens) in digests {
-            if self.state.net.reachable(from, to) {
-                let msg = CtrlMsg::GossipDigest { from, shard, gens };
-                let size = msg.wire_size();
-                if self.net_send(to, size, msg).is_ok() {
-                    self.bump(Hot::GossipMsgs);
-                }
-            }
+            self.send_if_reachable(to, &CtrlMsg::GossipDigest { from, shard, gens });
         }
         self.timer_in(period, Tick::ShardMaintain);
-    }
-
-    fn send_query_to_first_reachable(
-        &mut self,
-        replicas: &[HostId],
-        qid: QueryId,
-        query: ComponentQuery,
-        level: u8,
-        descending: bool,
-    ) -> bool {
-        for &mrm in replicas {
-            if mrm == self.state.host {
-                // We are our own MRM: route internally.
-                self.mrm_route_query(qid, query, level, descending);
-                return true;
-            }
-            if self.state.net.reachable(self.state.host, mrm) {
-                let msg = CtrlMsg::Query { qid, query, level, descending };
-                let size = msg.wire_size();
-                if self.net_send(mrm, size, msg).is_ok() {
-                    self.bump(Hot::QueryMsgs);
-                    return true;
-                }
-                return false; // send failed despite reachable — give up hop
-            }
-            self.sim.metrics().incr("query.failover");
-        }
-        false
     }
 
     /// MRM query routing (§2.4.3: incremental resource lookup): the rule
@@ -413,26 +364,13 @@ impl NodeCtx<'_, '_> {
                     }
                     any
                 }
-                // A child group this host also leads: descend in place.
-                Some(child) if to == self.state.host => {
-                    self.mrm_route_query(qid, query.clone(), child, true);
-                    true
-                }
-                // Anyone else hears it on the wire: a member as a direct
-                // node query, a child primary at its `level - 1` duty.
+                // Anyone else hears it on the wire — a member as a direct
+                // node query, a child primary at its `level - 1` duty —
+                // and a child group this host also leads descends in place.
                 _ => {
-                    let msg = CtrlMsg::Query {
-                        qid,
-                        query: query.clone(),
-                        level: child_level.unwrap_or(u8::MAX),
-                        descending: true,
-                    };
-                    let size = msg.wire_size();
-                    let sent = self.net_send(to, size, msg).is_ok();
-                    if sent {
-                        self.bump(Hot::QueryMsgs);
-                    }
-                    sent
+                    let query = query.clone();
+                    let hop = CtrlMsg::Query { qid, query, level: child_level, descending: true };
+                    self.send_ctrl(to, hop)
                 }
             }
         });
@@ -440,15 +378,12 @@ impl NodeCtx<'_, '_> {
             None => {}
             Some(Miss::Escalate) => {
                 self.sim.metrics().incr("query.escalations");
-                self.send_query_to_first_reachable(
-                    &duty.parent_replicas,
-                    qid,
-                    query,
-                    level + 1,
-                    false,
-                );
+                let ask = CtrlMsg::Query { qid, query, level: Some(level + 1), descending: false };
+                self.send_to_first_reachable(&duty.parent_replicas, ask);
             }
-            Some(Miss::DeadEnd) => self.send_ctrl(qid.origin, CtrlMsg::QueryDone { qid }),
+            Some(Miss::DeadEnd) => {
+                self.send_ctrl(qid.origin, CtrlMsg::QueryDone { qid });
+            }
         }
     }
 
@@ -506,9 +441,7 @@ impl NodeCtx<'_, '_> {
         // Singleflight resolution: close the coalescing window and fill
         // the cache before the leader's sink consumes the offer vector.
         // Timed-out (partial) results are never cached.
-        if let Some(k) = pq.cache_key.take() {
-            self.state.backend.complete(&k, &pq.offers, now, !timed_out);
-        }
+        self.state.backend.complete(&pq.query, &pq.offers, now, !timed_out);
         let followers = std::mem::take(&mut pq.followers);
         let fan = (!followers.is_empty()).then(|| (pq.offers.clone(), pq.query.clone()));
         let tracer = self.state.tracer.clone();
@@ -577,9 +510,7 @@ impl NodeCtx<'_, '_> {
         let Some(mut pq) = self.state.conts.queries.remove(&seq) else { return };
         let now = self.sim.now();
         self.sim.metrics().incr("admission.query_shed");
-        if let Some(k) = pq.cache_key.take() {
-            self.state.backend.complete(&k, &pq.offers, now, false);
-        }
+        self.state.backend.complete(&pq.query, &pq.offers, now, false);
         let tracer = self.state.tracer.clone();
         if let Some(s) = pq.span {
             tracer.set_attr(s, "shed", "true");
@@ -707,15 +638,14 @@ impl NodeCtx<'_, '_> {
 /// Registry-owned control traffic: `Query`, `Offers`, `QueryDone`.
 pub(crate) fn handle_ctrl(ctx: &mut NodeCtx<'_, '_>, _from: HostId, msg: CtrlMsg) {
     match msg {
-        CtrlMsg::Query { qid, query, level, descending } => {
-            if level == u8::MAX {
-                // Direct node query: answer from the local registry.
-                let offers = ctx.state.local_offers_for(&query);
-                if !offers.is_empty() {
-                    ctx.send_offers(qid, offers);
-                }
-            } else {
-                ctx.mrm_route_query(qid, query, level, descending);
+        CtrlMsg::Query { qid, query, level: Some(level), descending } => {
+            ctx.mrm_route_query(qid, query, level, descending);
+        }
+        // A plain member is asked directly: answer from the local registry.
+        CtrlMsg::Query { qid, query, level: None, .. } => {
+            let offers = ctx.state.local_offers_for(&query);
+            if !offers.is_empty() {
+                ctx.send_offers(qid, offers);
             }
         }
         CtrlMsg::Offers { qid, offers } => ctx.on_offers(qid, offers),
@@ -749,11 +679,7 @@ pub(crate) fn handle_ctrl(ctx: &mut NodeCtx<'_, '_>, _from: HostId, msg: CtrlMsg
             let Some(store) = ctx.state.backend.shard_mut() else { return };
             let entries = store.on_gossip_digest(shard, &gens, now);
             if !entries.is_empty() {
-                let msg = CtrlMsg::GossipDelta { shard, entries };
-                let size = msg.wire_size();
-                if ctx.net_send(from, size, msg).is_ok() {
-                    ctx.bump(Hot::GossipMsgs);
-                }
+                ctx.send_ctrl(from, CtrlMsg::GossipDelta { shard, entries });
             }
         }
         // Anti-entropy repair delta from a peer replica.

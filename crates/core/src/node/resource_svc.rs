@@ -10,7 +10,7 @@ use lc_net::HostId;
 use crate::registry::InstanceId;
 use std::rc::Rc;
 
-use super::ctx::{Hot, NodeCtx, NodeState};
+use super::ctx::{NodeCtx, NodeState};
 use super::metrics::ServiceKind;
 use super::service::{item, ms, ServiceReflect, Tick};
 
@@ -69,16 +69,8 @@ impl NodeCtx<'_, '_> {
         let host = self.state.host;
         let targets = Rc::clone(&self.state.report_targets);
         for &mrm in targets.iter() {
-            if mrm == host {
-                // An MRM absorbs its own report locally (no network hop).
-                let now = self.sim.now();
-                self.state.absorb_report(host, report.clone(), now);
-                continue;
-            }
-            let msg = CtrlMsg::Report { from: host, report: report.clone() };
-            let size = msg.wire_size();
-            let _ = self.net_send(mrm, size, msg);
-            self.bump(Hot::Reports);
+            // An MRM absorbs its own report in place (no network hop).
+            self.send_ctrl(mrm, CtrlMsg::Report { from: host, report: report.clone() });
         }
     }
 
@@ -91,20 +83,15 @@ impl NodeCtx<'_, '_> {
         }
         // Pick the heaviest mobile instance as the migration candidate.
         let Some((_, cpu_needed)) = self.state.heaviest_mobile_instance() else { return };
+        self.ask_placement(cpu_needed, None);
+    }
+
+    /// Ask the group MRM (first reachable replica; this host answers
+    /// itself when it is one) which member has `cpu_needed` headroom.
+    fn ask_placement(&mut self, cpu_needed: f64, replica: Option<(String, lc_pkg::Version)>) {
         let targets = Rc::clone(&self.state.report_targets);
-        for &mrm in targets.iter() {
-            if mrm == self.state.host {
-                // We are the MRM: answer ourselves.
-                let target = self.state.pick_offload_target(self.state.host, cpu_needed);
-                self.on_offload_target(target);
-                return;
-            }
-            if self.state.net.reachable(self.state.host, mrm) {
-                let from = self.state.host;
-                self.send_ctrl(mrm, CtrlMsg::OffloadQuery { from, cpu_needed });
-                return;
-            }
-        }
+        let ask = CtrlMsg::PlacementQuery { from: self.state.host, cpu_needed, replica };
+        self.send_to_first_reachable(&targets, ask);
     }
 
     fn on_offload_target(&mut self, target: Option<HostId>) {
@@ -146,28 +133,11 @@ impl NodeCtx<'_, '_> {
             .unwrap_or(shed_oid);
         let Some(iid) = self.state.oid_to_instance.get(&hot_oid).copied() else { return };
         let Some(info) = self.state.registry.instance(iid) else { return };
-        let component = info.component.clone();
-        let version = info.version;
+        let replica = (info.component.clone(), info.version);
         let cpu_needed = self.state.instance_meta.get(&iid).map_or(0.1, |m| m.qos.cpu_min);
         self.state.last_replicate = Some(now);
         self.sim.metrics().incr("admission.replica_queries");
-        let targets = Rc::clone(&self.state.report_targets);
-        for &mrm in targets.iter() {
-            if mrm == self.state.host {
-                // We are the MRM: answer ourselves.
-                let target = self.state.pick_offload_target(self.state.host, cpu_needed);
-                self.on_replica_target(component, version, target);
-                return;
-            }
-            if self.state.net.reachable(self.state.host, mrm) {
-                let from = self.state.host;
-                self.send_ctrl(
-                    mrm,
-                    CtrlMsg::ReplicaQuery { from, component, version, cpu_needed },
-                );
-                return;
-            }
-        }
+        self.ask_placement(cpu_needed, Some(replica));
     }
 
     /// The MRM's placement answer arrived: spawn the replica there. The
@@ -202,22 +172,15 @@ impl NodeCtx<'_, '_> {
     }
 }
 
-/// Resource-owned control traffic: `OffloadQuery`, `OffloadTarget`,
-/// `ReplicaQuery`, `ReplicaTarget`.
+/// Resource-owned control traffic: `PlacementQuery`, `PlacementTarget`.
 pub(crate) fn handle_ctrl(ctx: &mut NodeCtx<'_, '_>, _from: HostId, msg: CtrlMsg) {
     match msg {
-        CtrlMsg::OffloadQuery { from: asker, cpu_needed } => {
+        CtrlMsg::PlacementQuery { from: asker, cpu_needed, replica } => {
             let target = ctx.state.pick_offload_target(asker, cpu_needed);
-            ctx.send_ctrl(asker, CtrlMsg::OffloadTarget { target });
+            ctx.send_ctrl(asker, CtrlMsg::PlacementTarget { target, replica });
         }
-        CtrlMsg::OffloadTarget { target } => {
-            ctx.on_offload_target(target);
-        }
-        CtrlMsg::ReplicaQuery { from: asker, component, version, cpu_needed } => {
-            let target = ctx.state.pick_offload_target(asker, cpu_needed);
-            ctx.send_ctrl(asker, CtrlMsg::ReplicaTarget { component, version, target });
-        }
-        CtrlMsg::ReplicaTarget { component, version, target } => {
+        CtrlMsg::PlacementTarget { target, replica: None } => ctx.on_offload_target(target),
+        CtrlMsg::PlacementTarget { target, replica: Some((component, version)) } => {
             ctx.on_replica_target(component, version, target);
         }
         _ => {}

@@ -156,10 +156,7 @@ pub(crate) fn ctrl_service(msg: &CtrlMsg) -> ServiceKind {
         | CtrlMsg::PackageBytes { .. }
         | CtrlMsg::FetchFailed { .. }
         | CtrlMsg::Install { .. } => ServiceKind::Acceptor,
-        CtrlMsg::OffloadQuery { .. }
-        | CtrlMsg::OffloadTarget { .. }
-        | CtrlMsg::ReplicaQuery { .. }
-        | CtrlMsg::ReplicaTarget { .. } => ServiceKind::Resource,
+        CtrlMsg::PlacementQuery { .. } | CtrlMsg::PlacementTarget { .. } => ServiceKind::Resource,
         CtrlMsg::Spawn { .. }
         | CtrlMsg::SpawnDone { .. }
         | CtrlMsg::Subscribe { .. }
@@ -233,9 +230,9 @@ pub(crate) fn reflect(kind: ServiceKind, state: &NodeState) -> ServiceReflect {
 impl NodeCtx<'_, '_> {
     /// Deliver a control message addressed to this host, synchronously,
     /// within the current event — the in-process analogue of a network
-    /// hop. No `query.msgs` or per-service `msgs_in` accounting (there
-    /// is no message on the wire), matching the pre-split `send_ctrl`
-    /// local short-circuit; handler time stays attributed to the
+    /// hop, and where [`NodeCtx::send_ctrl`] takes a message to this
+    /// host. No per-kind or per-service `msgs_in` accounting (there is
+    /// no message on the wire); handler time stays attributed to the
     /// outermost routed service.
     pub(crate) fn deliver_ctrl_local(&mut self, from: HostId, msg: CtrlMsg) {
         dispatch_ctrl(self, ctrl_service(&msg), from, msg);

@@ -87,8 +87,9 @@ pub enum CtrlMsg {
         qid: QueryId,
         /// The query.
         query: ComponentQuery,
-        /// Hierarchy level of the receiving MRM (0 = leaf group).
-        level: u8,
+        /// Hierarchy level of the receiving MRM's duty (0 = leaf group);
+        /// `None` asks a plain member for its own offers.
+        level: Option<u8>,
         /// True if this hop travels downward (parent → child MRM).
         descending: bool,
     },
@@ -175,43 +176,28 @@ pub enum CtrlMsg {
         delivery_op: String,
     },
 
-    // ---- load balancing (§2.4.3) ----------------------------------------
-    /// An overloaded node asks its group MRM for a lighter-loaded member.
-    OffloadQuery {
+    // ---- placement (§2.4.3 load balancing, hot-component replication) --
+    /// A node asks its group MRM which member has `cpu_needed` headroom:
+    /// to migrate its heaviest instance there (overload), or — with
+    /// `replica` set — to run one more instance of a component it is
+    /// shedding requests for while the original keeps serving.
+    PlacementQuery {
         /// The asking node.
         from: lc_net::HostId,
-        /// CPU share it wants to move.
+        /// CPU share the moved or added instance needs.
         cpu_needed: f64,
+        /// The saturated component and the version of its instance (the
+        /// replica must match its major, so the spawn pins it); `None`
+        /// for a migration ask.
+        replica: Option<(String, Version)>,
     },
-    /// The MRM's answer (best candidate, if any has headroom).
-    OffloadTarget {
-        /// Suggested destination, or `None` if everyone is busy.
-        target: Option<lc_net::HostId>,
-    },
-    /// A node shedding requests for a hot component asks its group MRM
-    /// where a replica could run (admission control's reactive
-    /// counterpart to `OffloadQuery`: migration moves the instance,
-    /// replication *adds* one while the original keeps serving).
-    ReplicaQuery {
-        /// The overloaded node.
-        from: lc_net::HostId,
-        /// The saturated component.
-        component: String,
-        /// Version of the saturated instance (the replica must match
-        /// its major, so the spawn pins it).
-        version: lc_pkg::Version,
-        /// CPU share a replica needs.
-        cpu_needed: f64,
-    },
-    /// The MRM's placement answer for a replica request.
-    ReplicaTarget {
-        /// The component to replicate (echoed so the asker needs no
-        /// correlation state).
-        component: String,
-        /// Version to replicate (echoed).
-        version: lc_pkg::Version,
+    /// The MRM's placement answer.
+    PlacementTarget {
         /// Suggested host, or `None` if no member has headroom.
         target: Option<lc_net::HostId>,
+        /// The ask's `replica`, echoed so the asker needs no correlation
+        /// state.
+        replica: Option<(String, Version)>,
     },
 
     // ---- registry cache coherence ---------------------------------------
@@ -256,8 +242,9 @@ pub enum CtrlMsg {
     ShardPublish {
         /// Publishing node.
         from: lc_net::HostId,
-        /// Component whose inventory changed.
-        component: String,
+        /// Component whose inventory changed (one name shared by the
+        /// whole replica set).
+        component: Rc<str>,
         /// Publisher's generation for this component (monotone; newer
         /// wins, so reordered publishes cannot resurrect stale offers).
         gen: u64,
@@ -356,10 +343,8 @@ impl CtrlMsg {
                 Ok(_) => 64,
                 Err(e) => e.len() as u64 + 16,
             },
-            CtrlMsg::OffloadQuery { .. } => 16,
-            CtrlMsg::OffloadTarget { .. } => 8,
-            CtrlMsg::ReplicaQuery { component, .. } => component.len() as u64 + 24,
-            CtrlMsg::ReplicaTarget { component, .. } => component.len() as u64 + 16,
+            CtrlMsg::PlacementQuery { replica, .. } => 16 + replica_size(replica),
+            CtrlMsg::PlacementTarget { replica, .. } => 8 + replica_size(replica),
             CtrlMsg::CacheInvalidate { component, .. } => component.len() as u64 + 8,
             CtrlMsg::ShardLookup { query, .. } => query.wire_size() + 20,
             CtrlMsg::ShardServe { offers, .. } => {
@@ -378,6 +363,11 @@ impl CtrlMsg {
             }
         }
     }
+}
+
+/// Bytes a placement message spends on the component it wants replicated.
+fn replica_size(replica: &Option<(String, Version)>) -> u64 {
+    replica.as_ref().map_or(0, |(component, _)| component.len() as u64 + 8)
 }
 
 /// One repaired `(component, publisher)` inventory entry inside a
@@ -453,6 +443,21 @@ mod tests {
 
         let q = CtrlMsg::QueryDone { qid: QueryId { origin: HostId(1), seq: 2 } };
         assert!(q.wire_size() < 64);
+    }
+
+    /// The one placement pair is charged what the migration ask/answer
+    /// (16, 8) and the replication ask/answer (name + 24, name + 16) it
+    /// replaced were, so no experiment's byte column moves.
+    #[test]
+    fn placement_wire_sizes_match_the_pairs_they_replaced() {
+        const HDR: u64 = 24;
+        let query = |replica| CtrlMsg::PlacementQuery { from: HostId(1), cpu_needed: 0.2, replica };
+        let target = |replica| CtrlMsg::PlacementTarget { target: Some(HostId(2)), replica };
+        assert_eq!(query(None).wire_size(), HDR + 16);
+        assert_eq!(target(None).wire_size(), HDR + 8);
+        let replica = || Some(("Counter".to_owned(), Version::new(1, 2)));
+        assert_eq!(query(replica()).wire_size(), HDR + 7 + 24);
+        assert_eq!(target(replica()).wire_size(), HDR + 7 + 16);
     }
 
     #[test]

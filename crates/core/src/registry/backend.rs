@@ -31,21 +31,6 @@ use lc_pkg::Mobility;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-/// Deterministic cache/coalescing key for a query. The `name:` prefix is
-/// parseable so invalidation can match by component name; `*` marks a
-/// wildcard (interface queries match any component and are invalidated
-/// by every coherence event).
-pub fn cache_key(q: &ComponentQuery) -> String {
-    format!(
-        "name:{}|provides:{}|minv:{}|cost:{}|mobile:{}",
-        q.name.as_deref().unwrap_or("*"),
-        q.provides.as_deref().unwrap_or("*"),
-        q.min_version.map_or_else(|| "*".to_owned(), |v| v.to_string()),
-        q.max_cost.map_or_else(|| "*".to_owned(), |c| c.to_string()),
-        q.require_mobile,
-    )
-}
-
 /// Parameters of the sharded registry: the ring shape plus the two
 /// virtual-time cadences that bound staleness.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -99,11 +84,9 @@ pub enum ResolveStep {
         /// A result-cache lookup ran and missed (metrics attribution).
         cache_missed: bool,
     },
-    /// No shortcut: run a network search. `key` is what the pending
-    /// query carries for singleflight/cache-fill at finalization.
+    /// No shortcut: run a network search ([`Registry::lead`] it, and
+    /// [`Registry::complete`] it at finalization).
     Search {
-        /// The singleflight/cache key, when the registry wants one.
-        key: Option<String>,
         /// A result-cache lookup ran and missed (metrics attribution).
         cache_missed: bool,
     },
@@ -167,10 +150,11 @@ pub struct BackendStats {
 /// and shared by the digests to every peer replica.
 pub type ShardDigest = Rc<[(String, HostId, u64)]>;
 
-/// The result cache + singleflight table in front of every search.
+/// The result cache + singleflight table in front of every search, both
+/// keyed by the query itself.
 struct CacheFront {
-    cache: Option<QueryCache<String, Vec<Offer>>>,
-    coalescer: Coalescer<String>,
+    cache: Option<QueryCache<ComponentQuery, Vec<Offer>>>,
+    coalescer: Coalescer<ComponentQuery>,
     coalesce: bool,
 }
 
@@ -341,11 +325,6 @@ impl ShardStore {
             }
         }
         Some(out)
-    }
-
-    /// The replica set of a shard (primary first).
-    pub fn replicas(&self, shard: u32) -> &[HostId] {
-        self.ring.replicas(shard)
     }
 
     /// One finger hop from `at` toward `target`.
@@ -527,61 +506,62 @@ impl Registry {
         leader_live: impl Fn(u64) -> bool,
     ) -> ResolveStep {
         let front = &mut self.front;
-        // A sharded registry always keys: the pending query's key
-        // doubles as the shard routing input at retry time.
-        let key = (self.shard.is_some() || front.cache.is_some()).then(|| cache_key(query));
         let mut cache_missed = false;
-        if let (Some(k), Some(cache)) = (key.as_ref(), front.cache.as_mut()) {
-            if let Some((offers, age)) = cache.get(k, now) {
+        if let Some(cache) = front.cache.as_mut() {
+            if let Some((offers, age)) = cache.get(query, now) {
                 return ResolveStep::Hit { offers: offers.clone(), age };
             }
             cache_missed = true;
         }
         if front.coalesce {
-            if let Some(k) = key.as_ref() {
-                if let Some(leader) = front.coalescer.leader_of(k) {
-                    if leader_live(leader) {
-                        front.coalescer.note_coalesced();
-                        return ResolveStep::Coalesce { leader, cache_missed };
-                    }
-                    // Stale entry (leader finalized outside the normal
-                    // path): clear and lead afresh.
-                    front.coalescer.finish(k);
+            if let Some(leader) = front.coalescer.leader_of(query) {
+                if leader_live(leader) {
+                    front.coalescer.note_coalesced();
+                    return ResolveStep::Coalesce { leader, cache_missed };
                 }
+                // Stale entry (leader finalized outside the normal
+                // path): clear and lead afresh.
+                front.coalescer.finish(query);
             }
         }
-        ResolveStep::Search { key, cache_missed }
+        ResolveStep::Search { cache_missed }
     }
 
-    /// Register `seq` as the singleflight leader for `key` (no-op when
+    /// Register `seq` as the singleflight leader for `query` (no-op when
     /// coalescing is off).
-    pub fn lead(&mut self, key: &str, seq: u64) {
+    pub fn lead(&mut self, query: &ComponentQuery, seq: u64) {
         if self.front.coalesce {
-            self.front.coalescer.lead(key.to_owned(), seq);
+            self.front.coalescer.lead(query.clone(), seq);
         }
     }
 
-    /// A search finished: close the coalescing window and, when
-    /// `cacheable` (not timed out) and non-empty, fill the result cache.
-    pub fn complete(&mut self, key: &str, offers: &[Offer], now: SimTime, cacheable: bool) {
-        self.front.coalescer.finish(&key.to_owned());
+    /// The search for `query` finished: close the coalescing window and,
+    /// when `cacheable` (not timed out) and non-empty, fill the result
+    /// cache.
+    pub fn complete(
+        &mut self,
+        query: &ComponentQuery,
+        offers: &[Offer],
+        now: SimTime,
+        cacheable: bool,
+    ) {
+        self.front.coalescer.finish(query);
         if cacheable && !offers.is_empty() {
             if let Some(cache) = self.front.cache.as_mut() {
-                cache.insert(key.to_owned(), offers.to_vec(), now);
+                cache.insert(query.clone(), offers.to_vec(), now);
             }
         }
     }
 
-    /// Drop cached results that could name `component`. Returns how many
-    /// entries fell, or `None` when there is no cache layer at all (the
-    /// caller then skips coherence metrics, matching the cache-disabled
-    /// runtime byte-for-byte).
+    /// Drop cached results that could name `component`: the entry's
+    /// query names it or names nothing (an interface query), or a cached
+    /// offer is for it. Returns how many entries fell, or `None` when
+    /// there is no cache layer at all (the caller then skips coherence
+    /// metrics, matching the cache-disabled runtime byte-for-byte).
     pub fn invalidate(&mut self, component: &str) -> Option<usize> {
         let cache = self.front.cache.as_mut()?;
-        let name_key = format!("name:{component}|");
-        Some(cache.invalidate_matching(|key, offers| {
-            key.starts_with(&name_key)
-                || key.starts_with("name:*|")
+        Some(cache.invalidate_matching(|query, offers| {
+            query.name.as_deref().is_none_or(|name| name == component)
                 || offers.iter().any(|o| o.component == component)
         }))
     }
@@ -801,20 +781,16 @@ mod tests {
         let mut b = Registry::new(Some(&cache), None);
         let q = ComponentQuery::by_name("X", Version::new(1, 0));
         let live = |_: u64| true;
-        // miss → search with a key
-        let step = b.resolve(&q, MS(0), live);
-        let key = match step {
-            ResolveStep::Search { key: Some(k), cache_missed: true } => k,
-            _ => panic!("expected keyed search with a cache miss"),
-        };
-        b.lead(&key, 7);
+        // miss → search
+        assert!(matches!(b.resolve(&q, MS(0), live), ResolveStep::Search { cache_missed: true }));
+        b.lead(&q, 7);
         // identical query coalesces onto the live leader
         match b.resolve(&q, MS(1), live) {
             ResolveStep::Coalesce { leader: 7, cache_missed: true } => {}
             _ => panic!("expected coalesce onto seq 7"),
         }
         // completion fills the cache; next query hits
-        b.complete(&key, &[offer(2, "X")], MS(2), true);
+        b.complete(&q, &[offer(2, "X")], MS(2), true);
         match b.resolve(&q, MS(3), live) {
             ResolveStep::Hit { offers, age } => {
                 assert_eq!(offers.len(), 1);
@@ -826,11 +802,20 @@ mod tests {
         assert_eq!(b.invalidate("X"), Some(1));
         assert!(matches!(b.resolve(&q, MS(4), live), ResolveStep::Search { .. }));
         assert!(matches!(b.coherence_route("X"), CoherenceRoute::Broadcast));
-        // no cache config at all: no key, no coherence, invalidate = None
+        // an interface query names no component: whatever it cached,
+        // any component's invalidation drops it; a name query for
+        // another component survives
+        let iq = ComponentQuery::by_interface("IDL:Display:1.0");
+        b.complete(&iq, &[offer(2, "Gui")], MS(5), true);
+        b.complete(&q, &[offer(2, "X")], MS(5), true);
+        assert_eq!(b.invalidate("Unrelated"), Some(1));
+        assert!(matches!(b.resolve(&iq, MS(6), live), ResolveStep::Search { .. }));
+        assert!(matches!(b.resolve(&q, MS(6), live), ResolveStep::Hit { .. }));
+        // no cache config at all: no coherence, invalidate = None
         let mut none = Registry::new(None, None);
         assert!(matches!(
             none.resolve(&q, MS(0), live),
-            ResolveStep::Search { key: None, cache_missed: false }
+            ResolveStep::Search { cache_missed: false }
         ));
         assert_eq!(none.invalidate("X"), None);
         assert!(matches!(none.coherence_route("X"), CoherenceRoute::Disabled));

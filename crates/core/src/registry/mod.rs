@@ -76,11 +76,6 @@ impl InstanceInfo {
         self.provides.len() != before
     }
 
-    /// Add a used port at run-time.
-    pub fn add_uses(&mut self, name: &str, type_id: &str) {
-        self.uses.push(InstancePort { name: name.into(), type_id: type_id.into() });
-    }
-
     /// Find a provided port by name.
     pub fn provided_port(&self, name: &str) -> Option<&InstancePort> {
         self.provides.iter().find(|p| p.name == name)
@@ -101,8 +96,9 @@ pub struct Connection {
 }
 
 /// A distributed component query (§2.4.3 "Support for Distributed
-/// Queries").
-#[derive(Clone, PartialEq, Debug, Default)]
+/// Queries"). Totally ordered, so a query is its own key in the result
+/// cache and the singleflight table.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug, Default)]
 pub struct ComponentQuery {
     /// Match a specific component name.
     pub name: Option<String>,
@@ -378,7 +374,6 @@ mod tests {
         let a = info(&mut reg, "App", None);
         let inst = reg.instance_mut(a).unwrap();
         inst.add_provides("extra", "IDL:New:1.0");
-        inst.add_uses("helper", "IDL:H:1.0");
         assert!(reg.instance(a).unwrap().provided_port("extra").is_some());
         assert!(reg.instance_mut(a).unwrap().remove_provides("extra"));
         assert!(reg.instance(a).unwrap().provided_port("extra").is_none());

@@ -140,15 +140,9 @@ impl ShardRing {
         self.shards
     }
 
-    /// The shard owning a cache key (only the `name:` segment decides,
-    /// so every query shape for one component routes to one shard and
-    /// coherence traffic has a single owner).
-    pub fn shard_of_key(&self, key: &str) -> u32 {
-        let name = key.split('|').next().unwrap_or(key);
-        (stable_hash64(name.as_bytes()) % self.shards as u64) as u32
-    }
-
-    /// The shard owning a component name.
+    /// The shard owning a component name: every query shape for one
+    /// component routes to one shard, so coherence traffic has a single
+    /// owner.
     pub fn shard_of_component(&self, component: &str) -> u32 {
         // The hash of `name:<component>`, without building that string.
         (fnv1a(stable_hash64(b"name:"), component.as_bytes()) % self.shards as u64) as u32
@@ -237,14 +231,11 @@ mod tests {
     }
 
     #[test]
-    fn key_and_component_agree_and_spread() {
+    fn components_keep_their_shard_and_spread() {
         let cfg = ShardRingConfig { shards: 8, ..Default::default() };
         let r = ShardRing::build(&hosts(16), &cfg);
-        // a cache key routes by its name segment only
-        let key = "name:Counter|provides:*|minv:1.0|cost:*|mobile:false";
-        assert_eq!(r.shard_of_key(key), r.shard_of_component("Counter"));
-        let key2 = "name:Counter|provides:*|minv:2.0|cost:10|mobile:true";
-        assert_eq!(r.shard_of_key(key2), r.shard_of_key(key));
+        // the assignment every committed artefact was produced under
+        assert_eq!(r.shard_of_component("Counter"), (stable_hash64(b"name:Counter") % 8) as u32);
         // different components spread over more than one shard
         let mut seen: Vec<u32> =
             (0..64).map(|i| r.shard_of_component(&format!("C{i}"))).collect();

@@ -156,11 +156,6 @@ impl ResourceManager {
             installed: Rc::clone(installed),
         }
     }
-
-    /// Reset the dynamic side (node restart loses soft state).
-    pub fn reset_dynamic(&mut self) {
-        self.dynamic = DynamicInfo::default();
-    }
 }
 
 #[cfg(test)]
@@ -222,7 +217,5 @@ mod tests {
         assert_eq!(rep.dynamic.instances, 1);
         assert_eq!(rep.installed.len(), 2);
         assert!(rep.wire_size() > 64);
-        rm.reset_dynamic();
-        assert_eq!(rm.dynamic().instances, 0);
     }
 }

@@ -15,7 +15,10 @@ use lc_core::demo;
 use lc_core::node::{AdmissionConfig, InvokePolicy, RegistryConfig};
 use lc_core::scale::{run_scale, ScaleConfig, Variant};
 use lc_core::testkit::{display_campus, fast_cohesion, DISPLAY_FRONTS as FRONTS, World};
-use lc_core::{CacheConfig, CohesionConfig, NodeConfig, ShardConfig};
+use lc_core::{
+    CacheConfig, CohesionConfig, ComponentQuery, NodeConfig, Offer, Registry, ResolveStep,
+    ShardConfig,
+};
 use lc_des::{Lane, ProfilerConfig, SimTime};
 use lc_load::{
     ArrivalShape, ArrivalStream, DriverArrival, DriverConfig, LoadDriver, QueryTick, StreamConfig,
@@ -23,6 +26,7 @@ use lc_load::{
 };
 use lc_net::{HostId, Topology};
 use lc_orb::Value;
+use lc_pkg::Version;
 use lc_prop::alloc::{allocs, Counting};
 
 #[global_allocator]
@@ -268,5 +272,42 @@ fn scale_run_allocations_are_pinned() {
         total <= SCALE_RUN_ALLOCS,
         "{total} allocations in a 10^5-node scale run exceed the pinned {SCALE_RUN_ALLOCS}: \
          per-node book-keeping has crept back"
+    );
+}
+
+/// What one cached name query asks the allocator for across its whole
+/// life in the [`Registry`] front — miss, `lead`, `complete` with one
+/// offer, then a hit: the query cloned into the singleflight table and
+/// into the cache (its name, a tree node each), the offer set stored and
+/// handed out (a vector and a component name each). The query is its own
+/// key, so nothing is formatted, parsed or copied on the way (a formatted
+/// string key made this 16).
+const REGISTRY_CYCLE_ALLOCS: u64 = 8;
+
+#[test]
+fn registry_front_cycle_allocations_are_pinned() {
+    let offer = Offer {
+        node: HostId(2),
+        component: "Counter".into(),
+        version: Version::new(1, 0),
+        mobility: lc_pkg::Mobility::Mobile,
+        cost_per_hour: 0,
+        package_size: 1000,
+        load: 0.0,
+        running_instance: None,
+    };
+    let query = ComponentQuery::by_name("Counter", Version::new(1, 0));
+    let mut front = Registry::new(Some(&CacheConfig::default()), None);
+    let before = allocs();
+    assert!(matches!(front.resolve(&query, SimTime::ZERO, |_| true), ResolveStep::Search { .. }));
+    front.lead(&query, 1);
+    front.complete(&query, std::slice::from_ref(&offer), SimTime::from_millis(1), true);
+    let hit = front.resolve(&query, SimTime::from_millis(2), |_| true);
+    let total = allocs() - before;
+    assert!(matches!(hit, ResolveStep::Hit { offers, .. } if offers == [offer]));
+    println!("{total} allocations for one registry miss/lead/complete/hit cycle");
+    assert!(
+        total <= REGISTRY_CYCLE_ALLOCS,
+        "{total} allocations in a registry front cycle exceed the pinned {REGISTRY_CYCLE_ALLOCS}"
     );
 }

@@ -1,11 +1,12 @@
 //! Property tests for the invocation-recovery layer: exactly-once
 //! servant effects under a duplicating/reordering fabric, and the
 //! deadline-sweep contract of [`Continuations`] that the retry and
-//! dedup machinery is built on.
+//! dedup machinery is built on — plus the message-accounting invariant
+//! of the control plane under crashes and partitions.
 
 use lc_core::node::{InvokePolicy, NodeConfig};
 use lc_core::testkit::{fast_cohesion, World};
-use lc_core::{Continuations, InvokeSink};
+use lc_core::{CohesionConfig, ComponentQuery, Continuations, InvokeSink};
 use lc_des::SimTime;
 use lc_net::{FaultPlan, HostId, LinkFaults, Net, Topology};
 use lc_orb::Value;
@@ -76,6 +77,53 @@ fn dup_reorder_fabric_keeps_servant_effects_exactly_once() {
             value as u32, k,
             "servant executed {value} increments for {k} calls (dup_p={dup_p:.2})"
         );
+    });
+}
+
+/// ROADMAP 4a's first monitor clause: a message is counted under its kind
+/// exactly when the fabric accepts it. A query-only single-leader campus
+/// (no cache, no spawn, fetch or ORB traffic) sends nothing but queries,
+/// reports and summaries, so under any crash-plus-partition plan
+/// `net.msgs` is their sum — a send the fabric refused (here: to the
+/// crashed MRM replica) is counted nowhere but `net.drop.*`.
+#[test]
+fn accepted_control_messages_are_counted_once_under_their_kind() {
+    check("net_msgs_is_the_sum_of_its_kinds", |g| {
+        let seed = g.next_u64();
+        let ms = SimTime::from_millis;
+        // 16 hosts, fanout 4: four leaf groups (replicas 4k, 4k + 1)
+        // under one root, so reports *and* summaries flow.
+        let victim = HostId(4 * g.gen_range(0..4u32) + g.gen_range(0..2u32));
+        let down_at = ms(g.gen_range(500..1500u64));
+        let cut_at = ms(g.gen_range(500..1500u64));
+        let isolated: Vec<HostId> =
+            (0..g.gen_range(1..6u32)).map(|_| HostId(g.gen_range(0..16u32))).collect();
+        let plan = FaultPlan::seeded(seed)
+            .crash(victim, down_at, Some(down_at + ms(700)))
+            .partition(cut_at, cut_at + ms(700), &isolated);
+        let mut w = World::on(
+            Net::builder(Topology::lan(16)).fault_plan(plan).build(),
+            seed,
+            NodeConfig {
+                cohesion: CohesionConfig { fanout: 4, ..fast_cohesion() },
+                ..Default::default()
+            },
+            lc_core::demo::catalog(),
+            |h| if h.0 % 5 == 3 { vec![lc_core::demo::counter_package()] } else { Vec::new() },
+        );
+        for _ in 0..12 {
+            w.run_for(ms(250));
+            let origin = HostId((victim.0 + g.gen_range(1..16u32)) % 16);
+            let counter = ComponentQuery::by_name("Counter", lc_pkg::Version::new(1, 0));
+            w.query(origin, counter, g.gen_bool());
+        }
+        w.run_for(SimTime::from_secs(2));
+
+        let m = w.sim.metrics_ref();
+        let kinds = ["query.msgs", "cohesion.reports", "cohesion.summaries"];
+        assert!(kinds.iter().all(|k| m.counter(k) > 0));
+        assert!(m.counter("net.drop.receiver_down") > 0, "nothing was ever refused");
+        assert_eq!(m.counter("net.msgs"), kinds.iter().map(|k| m.counter(k)).sum::<u64>());
     });
 }
 

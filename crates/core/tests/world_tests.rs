@@ -659,6 +659,39 @@ fn automatic_load_balancing_sheds_instances() {
     assert_eq!(total, 12);
 }
 
+/// The placement ask walks the MRM replica list like every other
+/// request: with the group's first replica partitioned away, an
+/// overloaded member is answered by the second, and the replica it
+/// passed over is one `query.failover`.
+#[test]
+fn placement_ask_fails_over_to_the_second_mrm_replica() {
+    let config = NodeConfig {
+        load_balance: Some(lc_core::LoadBalanceConfig {
+            check_period: SimTime::from_millis(500),
+            overload_threshold: 0.52,
+        }),
+        ..fast_config()
+    };
+    let mut world =
+        World::on(Topology::lan(8), 41, config, demo::catalog(), |_| vec![demo::counter_package()]);
+    // Hosts 0 and 1 are the group's MRM replicas; host 1 has evicted
+    // the silent host 0 from its view by the time anyone asks.
+    world.net.set_partition_group(HostId(0), 1);
+    world.run_for(SimTime::from_secs(1));
+    // Host 3 runs 11 counters × 0.05 cpu = 0.55: one migration brings
+    // it under 0.52.
+    for _ in 0..11 {
+        world.spawn(HostId(3), "Counter", None, SimTime::from_millis(1));
+    }
+    world.run_for(SimTime::from_secs(4));
+
+    let m = world.sim.metrics_ref();
+    assert_eq!(m.counter("lb.migrations"), 1);
+    assert_eq!(m.counter("migrate.completed"), 1);
+    assert_eq!(m.counter("query.failover"), 1, "one ask, one replica passed over");
+    assert_eq!(world.node(HostId(3)).unwrap().registry.instance_count(), 10);
+}
+
 #[test]
 fn fixed_instances_are_never_auto_migrated() {
     // A Fixed-mobility component must stay put even under overload.

@@ -27,13 +27,12 @@ pub const PROTOCOL_ENUMS: [&str; 4] = ["CtrlMsg", "NetMsg", "Payload", "OrbWire"
 /// A request's own name doubles as a legal "reply" because forwarding
 /// the request toward its owner (shard hop, MRM parent) is a valid
 /// handling path. Everything not listed is a one-way message.
-const REQUEST_REPLIES: [(&str, &str, &[&str]); 9] = [
+const REQUEST_REPLIES: [(&str, &str, &[&str]); 8] = [
     ("CtrlMsg", "Query", &["Offers", "QueryDone", "Query"]),
     ("CtrlMsg", "Fetch", &["PackageBytes", "FetchFailed"]),
     ("CtrlMsg", "Spawn", &["SpawnDone"]),
     ("CtrlMsg", "MigrateIn", &["MigrateDone"]),
-    ("CtrlMsg", "OffloadQuery", &["OffloadTarget"]),
-    ("CtrlMsg", "ReplicaQuery", &["ReplicaTarget"]),
+    ("CtrlMsg", "PlacementQuery", &["PlacementTarget"]),
     ("CtrlMsg", "ShardLookup", &["ShardServe", "QueryDone", "ShardLookup"]),
     ("CtrlMsg", "GossipDigest", &["GossipDelta"]),
     ("OrbWire", "Request", &["Reply"]),

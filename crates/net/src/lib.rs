@@ -557,31 +557,6 @@ impl Net {
             Ok(planned)
         }
     }
-
-    /// Multicast: each receiver gets its own copy, but the per-copy cost is
-    /// the shared uplink FIFO (models the paper's interest in
-    /// multicast-based cohesion protocols). Returns how many copies were
-    /// deliverable.
-    pub fn multicast<M: std::any::Any + Clone>(
-        &self,
-        ctx: &mut Ctx<'_>,
-        from: HostId,
-        tos: &[HostId],
-        size: u64,
-        payload: M,
-    ) -> usize {
-        let mut delivered = 0;
-        for &to in tos {
-            if to == from {
-                continue;
-            }
-            if self.send(ctx, from, to, size, payload.clone()).is_ok() {
-                delivered += 1;
-            }
-        }
-        ctx.metrics().incr("net.multicasts");
-        delivered
-    }
 }
 
 /// Serialization delay of `size` bytes at `bw` bytes/sec.
@@ -769,45 +744,6 @@ mod tests {
         sim.send_in(SimTime::ZERO, pusher, Go);
         sim.run();
         assert_eq!(sim.metrics_ref().counter("net.drop.unbound"), 1);
-    }
-
-    #[test]
-    fn multicast_reaches_all_up_receivers() {
-        let mut topo = Topology::new();
-        let s = topo.add_site("lan");
-        let sender = topo.add_host(HostCfg::new(s));
-        let rcv: Vec<HostId> = (0..5).map(|_| topo.add_host(HostCfg::new(s))).collect();
-        let net = Net::builder(topo).build();
-        let mut sim = Sim::new(1);
-        let sinks: Vec<_> = rcv
-            .iter()
-            .map(|&h| {
-                let a = sim.spawn(Sink { arrivals: vec![] });
-                net.bind(h, a);
-                a
-            })
-            .collect();
-        net.set_host_up(rcv[2], false);
-
-        struct Mc {
-            net: Net,
-            from: HostId,
-            tos: Vec<HostId>,
-        }
-        impl Actor for Mc {
-            fn handle(&mut self, ctx: &mut Ctx<'_>, _msg: AnyMsg) {
-                let n = self.net.multicast(ctx, self.from, &self.tos, 100, ());
-                assert_eq!(n, 4);
-            }
-        }
-        let mc = sim.spawn(Mc { net: net.clone(), from: sender, tos: rcv.clone() });
-        net.bind(sender, mc);
-        sim.send_in(SimTime::ZERO, mc, Go);
-        sim.run();
-        for (i, s) in sinks.iter().enumerate() {
-            let n = sim.actor_as::<Sink>(*s).unwrap().arrivals.len();
-            assert_eq!(n, if i == 2 { 0 } else { 1 });
-        }
     }
 
     #[test]

@@ -161,11 +161,6 @@ impl Topology {
         HostId((self.hosts.len() - 1) as u32)
     }
 
-    /// Site name.
-    pub fn site_name(&self, s: SiteId) -> &str {
-        &self.sites[s.0 as usize]
-    }
-
     /// Number of sites.
     pub fn site_count(&self) -> usize {
         self.sites.len()

@@ -11,7 +11,6 @@
 //! `eventtype` declaration and whose fields match it.
 
 use crate::value::{check_value, TypeMismatch, Value};
-use lc_idl::types::ResolvedType;
 use lc_idl::Repository;
 
 /// Check an event payload against its `eventtype` declaration.
@@ -59,11 +58,6 @@ pub fn event_wire_size(payload: &Value) -> u64 {
     crate::cdr::encoded_len(std::slice::from_ref(payload))
 }
 
-/// Resolve the field types of an event as a pseudo-struct, for decoding.
-pub fn event_field_types(event_id: &str, repo: &Repository) -> Option<Vec<ResolvedType>> {
-    repo.event(event_id).map(|m| m.fields.iter().map(|f| f.ty.clone()).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,14 +94,5 @@ mod tests {
         assert!(check_event(&Value::Long(3), "IDL:Damage:1.0", &r).is_err());
         let mislabeled = Value::Struct { id: "IDL:Other:1.0".into(), fields: vec![] };
         assert!(check_event(&mislabeled, "IDL:Damage:1.0", &r).is_err());
-    }
-
-    #[test]
-    fn field_types_exposed() {
-        let r = repo();
-        let tys = event_field_types("IDL:Damage:1.0", &r).unwrap();
-        assert_eq!(tys.len(), 3);
-        assert_eq!(tys[2], ResolvedType::String);
-        assert!(event_field_types("IDL:Nope:1.0", &r).is_none());
     }
 }

@@ -256,14 +256,9 @@ impl ObjectAdapter {
         self.tracer = tracer;
     }
 
-    /// Dispatch counters since creation (or the last reset).
+    /// Dispatch counters since creation.
     pub fn dispatch_stats(&self) -> DispatchStats {
         self.stats
-    }
-
-    /// Zero the dispatch counters (e.g. between benchmark phases).
-    pub fn reset_dispatch_stats(&mut self) {
-        self.stats = DispatchStats::default();
     }
 
     /// Set the virtual time exposed to servants during dispatch.
@@ -651,14 +646,12 @@ mod tests {
     }
 
     #[test]
-    fn stats_count_errors_and_reset() {
+    fn stats_count_errors() {
         let (mut oa, r) = adapter();
         let _ = oa.invoke(r.key, "add", &[Value::Long(2)], DispatchOpts::typed());
         let _ = oa.invoke(r.key, "nope", &[], DispatchOpts::typed());
         assert_eq!(oa.dispatch_stats(), DispatchStats { typed: 2, raw: 0, errors: 1 });
         assert_eq!(oa.dispatch_stats().total(), 2);
-        oa.reset_dispatch_stats();
-        assert_eq!(oa.dispatch_stats(), DispatchStats::default());
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! *causal* dimension: Dapper-style spans that follow one registry
 //! query or component migration across the fabric, the ORB adapter and
 //! the four node services, stamped with **virtual time** and allocated
-//! from **per-node counters** — no RNG, no wall clock (lint rule D5
-//! enforces this), so traces are byte-reproducible and usable as a
+//! from **per-node counters** — no RNG, no wall clock (lint rules D1 and
+//! D4 enforce this), so traces are byte-reproducible and usable as a
 //! correctness oracle, not just a debugging aid.
 //!
 //! | module | provides |
