@@ -350,6 +350,7 @@ mod tests {
         let (_, _) = workload(SEED, tracer.clone());
         let spans = tracer.spans();
         validate(&spans).expect("trace trees well-formed");
+        assert!(lc_trace::open_spans(&spans).is_empty(), "E11 drains: no span stays open");
         let trace = representative_query(&spans).expect("a query trace exists");
         let nodes: BTreeSet<u32> =
             spans.iter().filter(|s| s.trace == trace).map(|s| s.node).collect();

@@ -50,7 +50,7 @@ pub use node::{
     NodeMetrics, NodeSeed, NodeState, QueryResult, QuerySink, RegistryConfig, ReplicateConfig,
     ServiceKind, ServiceMetrics, ServiceReflect, SpawnSink, Tick,
 };
-pub use proto::{CtrlMsg, DeltaEntry, GroupSummary, QueryId};
+pub use proto::{DeltaEntry, GroupSummary, QueryId};
 pub use registry::backend::{
     BackendStats, CoherenceRoute, Registry, ResolveStep, SearchRoute, ShardConfig, ShardDigest,
     ShardStore,

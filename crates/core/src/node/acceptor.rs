@@ -5,6 +5,7 @@
 
 use crate::proto::CtrlMsg;
 use lc_net::HostId;
+use lc_pkg::Version;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -12,7 +13,6 @@ use super::continuations::FetchCont;
 use super::ctx::{NodeCtx, NodeState};
 use super::metrics::ServiceKind;
 use super::service::{item, ServiceReflect};
-use super::NodeCmd;
 
 impl NodeState {
     /// Install a package from bytes; merges the package IDL into the
@@ -58,118 +58,68 @@ impl NodeCtx<'_, '_> {
     }
 }
 
-/// Acceptor-owned control traffic: `Install`, `Fetch`, `PackageBytes`,
-/// `FetchFailed`.
-pub(crate) fn handle_ctrl(ctx: &mut NodeCtx<'_, '_>, _from: HostId, msg: CtrlMsg) {
-    match msg {
-        CtrlMsg::Fetch { name, version, reply_to } => {
-            match ctx.state.repository.best_match(&name, version) {
-                Some(inst) if inst.descriptor.mobility == lc_pkg::Mobility::Mobile => {
-                    let bytes = Rc::new(inst.package.to_bytes());
-                    ctx.sim.metrics().incr("fetch.served");
-                    ctx.sim.metrics().add("fetch.bytes", bytes.len() as u64);
-                    let version = inst.descriptor.version;
-                    ctx.send_ctrl(reply_to, CtrlMsg::PackageBytes { name, version, bytes });
-                }
-                Some(_) => {
-                    ctx.send_ctrl(
-                        reply_to,
-                        CtrlMsg::FetchFailed {
-                            name,
-                            version,
-                            reason: "component is not mobile".into(),
-                        },
-                    );
-                }
-                None => {
-                    ctx.send_ctrl(
-                        reply_to,
-                        CtrlMsg::FetchFailed {
-                            name,
-                            version,
-                            reason: "not installed here".into(),
-                        },
-                    );
-                }
+impl NodeCtx<'_, '_> {
+    /// A peer asks for a package's container bytes: ship them if the
+    /// component is installed here and mobile, say why not otherwise.
+    pub(crate) fn serve_fetch(&mut self, name: String, version: Version, reply_to: HostId) {
+        let reply = match self.state.repository.best_match(&name, version) {
+            Some(inst) if inst.descriptor.mobility == lc_pkg::Mobility::Mobile => {
+                let bytes = Rc::new(inst.package.to_bytes());
+                self.sim.metrics().incr("fetch.served");
+                self.sim.metrics().add("fetch.bytes", bytes.len() as u64);
+                CtrlMsg::PackageBytes { name, bytes }
             }
-        }
-        CtrlMsg::PackageBytes { name, bytes, .. } => {
-            let install = ctx.state.install_bytes(&bytes);
-            ctx.sim.metrics().incr("fetch.received");
-            if install.is_ok() {
-                ctx.note_registry_change(&name);
-            }
-            let conts = ctx.state.conts.fetches.remove(&name).unwrap_or_default();
-            for cont in conts {
-                match (&install, cont) {
-                    (
-                        Ok(_),
-                        FetchCont::SpawnAndConnect { component, min_version, instance, port, sink },
-                    ) => match ctx.state.spawn_local(&component, min_version, None) {
-                        Ok(provider) => {
-                            ctx.connect_port(instance, &port, provider.clone());
-                            if let Some(s) = sink {
-                                *s.borrow_mut() = Some(Ok(provider));
-                            }
-                        }
-                        Err(e) => {
-                            if let Some(s) = sink {
-                                *s.borrow_mut() = Some(Err(e));
-                            }
-                        }
-                    },
-                    (
-                        Ok(_),
-                        FetchCont::FinishMigration {
-                            rid,
-                            origin,
-                            component,
-                            version,
-                            state,
-                            instance_name,
-                        },
-                    ) => {
-                        ctx.finish_migration_in(rid, origin, &component, version, state, instance_name);
-                    }
-                    (Err(e), FetchCont::SpawnAndConnect { sink, .. }) => {
-                        if let Some(s) = sink {
-                            *s.borrow_mut() = Some(Err(e.clone()));
-                        }
-                    }
-                    (Err(e), FetchCont::FinishMigration { rid, origin, .. }) => {
-                        let e = e.clone();
-                        ctx.send_ctrl(origin, CtrlMsg::MigrateDone { rid, result: Err(e) });
-                    }
-                }
-            }
-        }
-        CtrlMsg::FetchFailed { name, reason, .. } => {
-            let conts = ctx.state.conts.fetches.remove(&name).unwrap_or_default();
-            for cont in conts {
-                match cont {
-                    FetchCont::SpawnAndConnect { sink, .. } => {
-                        if let Some(s) = sink {
-                            *s.borrow_mut() = Some(Err(reason.clone()));
-                        }
-                    }
-                    FetchCont::FinishMigration { rid, origin, .. } => {
-                        ctx.send_ctrl(
-                            origin,
-                            CtrlMsg::MigrateDone { rid, result: Err(reason.clone()) },
-                        );
-                    }
-                }
-            }
-        }
-        CtrlMsg::Install { bytes } => ctx.accept_install(&bytes),
-        _ => {}
+            Some(_) => CtrlMsg::FetchFailed { name, reason: "component is not mobile".into() },
+            None => CtrlMsg::FetchFailed { name, reason: "not installed here".into() },
+        };
+        self.send_ctrl(reply_to, reply);
     }
-}
 
-/// Acceptor-owned driver commands: `Install`.
-pub(crate) fn handle_cmd(ctx: &mut NodeCtx<'_, '_>, cmd: NodeCmd) {
-    if let NodeCmd::Install(bytes) = cmd {
-        ctx.accept_install(&bytes);
+    /// Fetched bytes arrived: install them and resume everything parked
+    /// on the fetch.
+    pub(crate) fn on_package_bytes(&mut self, name: String, bytes: &[u8]) {
+        let install = self.state.install_bytes(bytes);
+        self.sim.metrics().incr("fetch.received");
+        match install {
+            Ok(_) => {
+                self.note_registry_change(&name);
+                for cont in self.state.conts.fetches.remove(&name).unwrap_or_default() {
+                    self.resume_fetched(cont);
+                }
+            }
+            Err(e) => self.on_fetch_failed(name, &e),
+        }
+    }
+
+    /// The package a continuation waited for is installed: carry on.
+    fn resume_fetched(&mut self, cont: FetchCont) {
+        match cont {
+            FetchCont::SpawnAndConnect { component, min_version, instance, port, sink } => {
+                let provider = self.state.spawn_local(&component, min_version, None);
+                self.connect_provider(instance, &port, provider, sink);
+            }
+            FetchCont::FinishMigration { rid, origin, component, version, state, instance_name } => {
+                self.finish_migration_in(rid, origin, &component, version, state, instance_name);
+            }
+        }
+    }
+
+    /// The fetch of `name` failed (refused by the peer, or the bytes did
+    /// not install): fail everything parked on it with `reason`.
+    pub(crate) fn on_fetch_failed(&mut self, name: String, reason: &str) {
+        for cont in self.state.conts.fetches.remove(&name).unwrap_or_default() {
+            match cont {
+                FetchCont::SpawnAndConnect { sink, .. } => {
+                    if let Some(s) = sink {
+                        *s.borrow_mut() = Some(Err(reason.to_owned()));
+                    }
+                }
+                FetchCont::FinishMigration { rid, origin, .. } => {
+                    let result = Err(reason.to_owned());
+                    self.send_ctrl(origin, CtrlMsg::MigrateDone { rid, result });
+                }
+            }
+        }
     }
 }
 

@@ -170,7 +170,7 @@ impl NodeCtx<'_, '_> {
                     self.process_dispatch_effects(consumer.oid, res);
                 }
                 Wire::ConnectRemote { consumer, op, provider } => {
-                    let _ = self.orb_request(consumer, op, vec![Value::ObjRef(provider)], true);
+                    self.send_oneway(consumer, op, vec![Value::ObjRef(provider)]);
                 }
                 Wire::Subscribe { producer, port, consumer, delivery_op } => {
                     let msg = CtrlMsg::Subscribe {

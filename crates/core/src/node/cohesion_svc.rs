@@ -66,7 +66,10 @@ impl NodeState {
 }
 
 impl NodeCtx<'_, '_> {
-    fn mrm_sweep(&mut self) {
+    /// One `Tick::MrmSweep`: evict silent members from every duty, push
+    /// a summary up from each duty this host is acting primary of, and
+    /// re-arm the cadence.
+    pub(crate) fn mrm_sweep(&mut self) {
         let timeout = self.state.cfg.cohesion.eviction_timeout();
         let now = self.sim.now();
         let duties = Rc::clone(&self.state.duties);
@@ -90,30 +93,8 @@ impl NodeCtx<'_, '_> {
                 self.send_ctrl(parent, msg.clone());
             }
         }
-    }
-}
-
-/// Cohesion-owned control traffic: `Report`, `Summary`.
-pub(crate) fn handle_ctrl(ctx: &mut NodeCtx<'_, '_>, _from: HostId, msg: CtrlMsg) {
-    match msg {
-        CtrlMsg::Report { from, report } => {
-            let now = ctx.sim.now();
-            ctx.state.absorb_report(from, report, now);
-        }
-        CtrlMsg::Summary { from, level, summary } => {
-            let now = ctx.sim.now();
-            ctx.state.absorb_summary(from, level, summary, now);
-        }
-        _ => {}
-    }
-}
-
-/// Cohesion-owned timer ticks: `MrmSweep`.
-pub(crate) fn on_timer(ctx: &mut NodeCtx<'_, '_>, tick: Tick) {
-    if let Tick::MrmSweep = tick {
-        ctx.mrm_sweep();
-        let period = ctx.state.cfg.cohesion.report_period;
-        ctx.timer_in(period, Tick::MrmSweep);
+        let period = self.state.cfg.cohesion.report_period;
+        self.timer_in(period, Tick::MrmSweep);
     }
 }
 

@@ -6,17 +6,15 @@
 use crate::proto::CtrlMsg;
 use crate::registry::{Connection, InstanceId, InstanceInfo, InstancePort};
 use lc_des::SimTime;
-use lc_net::HostId;
-use lc_orb::{
-    DispatchOpts, ObjectKey, ObjectRef, OrbError, OrbWire, Outcome, RequestId, SimOrb, Value,
-};
+use lc_net::{DropReason, HostId};
+use lc_orb::{DispatchOpts, ObjectKey, ObjectRef, OrbError, OrbWire, Outcome, RequestId, Value};
 use lc_pkg::Version;
 
 use super::continuations::{CallCont, FetchCont, PendingCall, PendingMigration, RetryState, SpawnCont};
 use super::ctx::{Hot, InstanceRuntime, NodeCtx, NodeState};
 use super::metrics::ServiceKind;
 use super::service::{item, ServiceReflect, Tick};
-use super::{InvokeSink, MigrateSink, NodeCmd};
+use super::{InvokeSink, MigrateSink, SpawnSink};
 
 impl NodeState {
     /// Create a local instance of an installed component.
@@ -133,6 +131,23 @@ impl NodeCtx<'_, '_> {
         }
     }
 
+    /// A `uses` port's provider was found, spawned or fetched — or not:
+    /// wire the port if there is one, and tell the resolve's sink.
+    pub(crate) fn connect_provider(
+        &mut self,
+        instance: InstanceId,
+        port: &str,
+        provider: Result<ObjectRef, String>,
+        sink: Option<SpawnSink>,
+    ) {
+        if let Ok(provider) = &provider {
+            self.connect_port(instance, port, provider.clone());
+        }
+        if let Some(s) = sink {
+            *s.borrow_mut() = Some(provider);
+        }
+    }
+
     /// Issue an outgoing two-way ORB call under the node's invocation
     /// recovery policy. Without a configured deadline this is the legacy
     /// fail-fast path (send once, fail the continuation on a send
@@ -150,51 +165,68 @@ impl NodeCtx<'_, '_> {
         // One span covers the whole logical call, across every attempt;
         // it ends when the reply lands or the call fails permanently.
         // Untraced calls (every call while tracing is off) build no span
-        // name and take no handle on the tracer.
-        let tracer = self.state.tracer.is_enabled().then(|| self.state.tracer.clone());
-        let span = tracer.as_ref().and_then(|tracer| {
-            let s = tracer.span(self.state.host.0, &format!("container.call {op}"), self.now())?;
+        // name.
+        let tracer = &self.state.tracer;
+        let span = tracer.is_enabled().then(|| format!("container.call {op}")).and_then(|name| {
+            let s = tracer.span(self.state.host.0, &name, self.now())?;
             tracer.set_attr(s, "target", &target.host.0.to_string());
             Some(s)
         });
-        let prev = tracer.as_ref().zip(span).map(|(tracer, s)| tracer.set_current(Some(s)));
-        let policy = &self.state.cfg.invoke;
-        match policy.deadline {
-            None => match self.orb_request(target, op, args, false) {
-                Ok(rid) => {
-                    self.state.conts.calls.insert(rid, PendingCall { cont, retry: None, span });
+        let rid = self.state.orb.fresh_id();
+        self.in_span(span, |ctx| match ctx.state.cfg.invoke.deadline {
+            None => match ctx.send_request(rid, target, op, args, false) {
+                Ok(_) => {
+                    ctx.state.conts.calls.insert(rid, PendingCall { cont, retry: None, span });
                 }
                 Err(e) => {
-                    if let Some((tracer, s)) = tracer.as_ref().zip(span) {
-                        tracer.set_attr(s, "error", "send");
-                        tracer.end(s, self.now());
+                    if let Some(s) = span {
+                        ctx.state.tracer.set_attr(s, "error", "send");
+                        ctx.state.tracer.end(s, ctx.now());
                     }
-                    self.fail_call(cont, OrbError::from(e));
+                    ctx.fail_call(cont, OrbError::from(e));
                 }
             },
             Some(deadline) => {
-                let rid = self.state.orb.fresh_id();
                 // The request moves into its frame. Only a policy that
                 // can re-send keeps a copy: without a retry budget the
                 // sweep's one verdict on this call is `Timeout`.
-                let retry = (policy.retries > 0).then(|| RetryState {
+                let retry = (ctx.state.cfg.invoke.retries > 0).then(|| RetryState {
                     target,
                     op: op.clone(),
                     args: args.clone(),
                     attempts: 1,
                 });
-                let _ = self.orb_request_with_id(rid, target, op, args);
-                self.state.conts.calls.insert_with_deadline(
+                let _ = ctx.send_request(rid, target, op, args, false);
+                ctx.state.conts.calls.insert_with_deadline(
                     rid,
                     PendingCall { cont, retry, span },
-                    self.now() + deadline,
+                    ctx.now() + deadline,
                 );
-                self.timer_in(deadline, Tick::CallSweep);
+                ctx.timer_in(deadline, Tick::CallSweep);
             }
-        }
-        if let Some((tracer, prev)) = tracer.zip(prev) {
-            tracer.set_current(prev);
-        }
+        });
+    }
+
+    /// Send `op(args)` to `target` under request id `id` (a retry
+    /// re-sends under the first attempt's id, so the servant can
+    /// suppress duplicates); unless `oneway`, the reply comes back to
+    /// this host.
+    pub(crate) fn send_request(
+        &mut self,
+        id: RequestId,
+        target: ObjectKey,
+        op: String,
+        args: Vec<Value>,
+        oneway: bool,
+    ) -> Result<SimTime, DropReason> {
+        let reply_to = (!oneway).then_some(self.state.host);
+        self.send_orb(target.host, OrbWire::Request { id, reply_to, target, op, args })
+    }
+
+    /// Fire-and-forget `op(args)` on `target`.
+    pub(crate) fn send_oneway(&mut self, target: ObjectKey, op: String, args: Vec<Value>) {
+        let id = self.state.orb.fresh_id();
+        let _ = self.send_request(id, target, op, args, true);
     }
 
     /// Complete a call continuation with a failure.
@@ -216,7 +248,7 @@ impl NodeCtx<'_, '_> {
     /// Sweep expired outgoing calls: re-send those with budget left
     /// (exponential backoff, same request id so the servant can dedup),
     /// fail the rest with `TIMEOUT`.
-    fn sweep_calls(&mut self) {
+    pub(crate) fn sweep_calls(&mut self) {
         let now = self.sim.now();
         let policy = self.state.cfg.invoke.clone();
         let Some(deadline) = policy.deadline else { return };
@@ -251,7 +283,7 @@ impl NodeCtx<'_, '_> {
 
     /// A scheduled re-send is due: if the call is still pending, re-send
     /// it under the *same* request id.
-    fn retry_call(&mut self, rid: RequestId) {
+    pub(crate) fn retry_call(&mut self, rid: RequestId) {
         let Some(pc) = self.state.conts.calls.get_mut(&rid) else { return };
         let Some(retry) = pc.retry.as_mut() else { return };
         retry.attempts += 1;
@@ -269,14 +301,12 @@ impl NodeCtx<'_, '_> {
             tracer.link(r, o.span);
             tracer.set_attr(r, "attempt", &attempts.to_string());
         }
-        let prev = rspan.map(|r| tracer.set_current(Some(r)));
-        let _ = self.orb_request_with_id(rid, target, op, args);
-        if let Some(r) = rspan {
-            tracer.end(r, now);
-        }
-        if let Some(prev) = prev {
-            tracer.set_current(prev);
-        }
+        self.in_span(rspan, |ctx| {
+            let _ = ctx.send_request(rid, target, op, args, false);
+            if let Some(r) = rspan {
+                tracer.end(r, now);
+            }
+        });
     }
 
     /// Send out-calls and publish events produced by a dispatch.
@@ -299,7 +329,7 @@ impl NodeCtx<'_, '_> {
         for call in outbox {
             match call.kind {
                 lc_orb::OutCallKind::OneWay => {
-                    let _ = self.orb_request(call.target.key, call.op, call.args, true);
+                    self.send_oneway(call.target.key, call.op, call.args);
                 }
                 lc_orb::OutCallKind::Request { token } => {
                     self.send_call(
@@ -333,14 +363,20 @@ impl NodeCtx<'_, '_> {
                 );
                 self.process_dispatch_effects(consumer.oid, res);
             } else {
-                let _ = self.orb_event(&event_id, payload.clone(), consumer, &op);
+                let event = OrbWire::Event {
+                    event_id: event_id.clone(),
+                    payload: payload.clone(),
+                    consumer,
+                    delivery_op: op,
+                };
+                let _ = self.send_orb(consumer.host, event);
             }
         }
     }
 
     /// Handle an incoming ORB request (with CPU accounting and migration
     /// forwarding).
-    fn on_request(
+    pub(crate) fn on_request(
         &mut self,
         id: RequestId,
         reply_to: Option<HostId>,
@@ -354,12 +390,8 @@ impl NodeCtx<'_, '_> {
         if let Some(new_ref) = self.state.forwards.get(&target.oid).cloned() {
             if self.state.adapter.servant(target.oid).is_none() {
                 self.sim.metrics().incr("migrate.forwarded_requests");
-                let size = SimOrb::request_size(&op, &args);
                 let wire = OrbWire::Request { id, reply_to, target: new_ref.key, op, args };
-                let (net, from) = (&self.state.net, self.state.host);
-                if net.send(self.sim, from, new_ref.key.host, size, wire).is_ok() {
-                    self.state.metrics.msg_out();
-                }
+                let _ = self.send_orb(new_ref.key.host, wire);
                 return;
             }
         }
@@ -374,7 +406,7 @@ impl NodeCtx<'_, '_> {
             {
                 let cached = cached.clone();
                 self.sim.metrics().incr("orb.dedup_hits");
-                let _ = self.orb_reply(back, id, cached);
+                let _ = self.send_orb(back, OrbWire::Reply { id, result: cached });
                 return;
             }
         }
@@ -405,7 +437,8 @@ impl NodeCtx<'_, '_> {
                     self.timer_in(dedup, Tick::DedupSweep);
                 }
                 if let Some(back) = reply_to {
-                    let _ = self.orb_reply(back, id, Err(OrbError::Overload));
+                    let refusal = OrbWire::Reply { id, result: Err(OrbError::Overload) };
+                    let _ = self.send_orb(back, refusal);
                 }
                 self.maybe_replicate(target.oid);
                 return;
@@ -453,11 +486,25 @@ impl NodeCtx<'_, '_> {
                 self.timer_in(delay, Tick::SendReply);
             }
         } else if let Some(back) = reply_to {
-            let _ = self.orb_reply(back, id, outcome);
+            let _ = self.send_orb(back, OrbWire::Reply { id, result: outcome });
         }
     }
 
-    fn on_reply(&mut self, id: RequestId, result: Result<Outcome, OrbError>) {
+    /// One `Tick::SendReply`: the reply at the front of the CPU FIFO has
+    /// finished computing.
+    pub(crate) fn send_due_reply(&mut self) {
+        if let Some((to, id, result)) = self.state.due_replies.pop_front() {
+            let _ = self.send_orb(to, OrbWire::Reply { id, result });
+        }
+    }
+
+    /// A push-channel event arrived for a local consumer.
+    pub(crate) fn on_event(&mut self, payload: Value, consumer: ObjectKey, delivery_op: &str) {
+        let res = self.state.adapter.invoke(consumer, delivery_op, &[payload], DispatchOpts::raw());
+        self.process_dispatch_effects(consumer.oid, res);
+    }
+
+    pub(crate) fn on_reply(&mut self, id: RequestId, result: Result<Outcome, OrbError>) {
         match self.state.conts.calls.remove(&id) {
             None => {
                 // Duplicate or post-timeout reply (the continuation is
@@ -571,51 +618,90 @@ impl NodeCtx<'_, '_> {
             instance_name: info.name.clone(),
         };
         self.sim.metrics().incr("migrate.started");
-        let prev = span.map(|s| tracer.set_current(Some(s)));
-        self.send_ctrl(to, msg);
-        if let Some(prev) = prev {
-            tracer.set_current(prev);
+        self.in_span(span, |ctx| ctx.send_ctrl(to, msg));
+    }
+
+    /// Create a local instance and, if that worked, announce the
+    /// inventory change (register event).
+    pub(crate) fn spawn_announced(
+        &mut self,
+        component: &str,
+        min_version: Version,
+        instance_name: Option<String>,
+    ) -> Result<ObjectRef, String> {
+        let result = self.state.spawn_local(component, min_version, instance_name);
+        if result.is_ok() {
+            self.note_registry_change(component);
+        }
+        result
+    }
+
+    /// Driver-directed placement: spawn here, or ask `node` to.
+    pub(crate) fn cmd_spawn_on(
+        &mut self,
+        node: HostId,
+        component: String,
+        min_version: Version,
+        instance_name: Option<String>,
+        sink: SpawnSink,
+    ) {
+        if node == self.state.host {
+            *sink.borrow_mut() = Some(self.spawn_announced(&component, min_version, instance_name));
+            return;
+        }
+        let rid = self.state.conts.next_seq();
+        self.state.conts.spawns.insert(rid, SpawnCont::Sink(sink));
+        let origin = self.state.host;
+        self.send_ctrl(node, CtrlMsg::Spawn { rid, origin, component, min_version, instance_name });
+    }
+
+    /// Driver traffic: a two-way call when there is a sink to hand the
+    /// reply to, otherwise a request nobody here waits for.
+    pub(crate) fn cmd_invoke(
+        &mut self,
+        target: ObjectKey,
+        op: String,
+        args: Vec<Value>,
+        oneway: bool,
+        sink: Option<InvokeSink>,
+    ) {
+        match sink.filter(|_| !oneway) {
+            Some(sink) => self.send_call(target, op, args, CallCont::Sink(sink)),
+            None => {
+                let id = self.state.orb.fresh_id();
+                let _ = self.send_request(id, target, op, args, oneway);
+            }
         }
     }
-}
 
-/// Hand a driver its reply. A call's sink gets exactly this one push,
-/// so room is made for one entry, not for `Vec`'s first-growth four.
-fn push_reply(sink: &InvokeSink, at: SimTime, result: Result<Outcome, OrbError>) {
-    let mut replies = sink.borrow_mut();
-    replies.reserve_exact(1);
-    replies.push((at, result));
-}
-
-/// Container-owned control traffic: `Spawn`, `SpawnDone`, `Subscribe`,
-/// `MigrateIn`, `MigrateDone`.
-pub(crate) fn handle_ctrl(ctx: &mut NodeCtx<'_, '_>, _from: HostId, msg: CtrlMsg) {
-    match msg {
-        CtrlMsg::Spawn { rid, origin, component, min_version, instance_name } => {
-            let result = ctx.state.spawn_local(&component, min_version, instance_name);
-            if result.is_ok() {
-                ctx.note_registry_change(&component);
-            }
-            ctx.send_ctrl(origin, CtrlMsg::SpawnDone { rid, result });
+    /// Change a running instance's reflected `provides` ports.
+    pub(crate) fn cmd_modify_ports(
+        &mut self,
+        instance: InstanceId,
+        add_provides: Vec<(String, String)>,
+        remove_provides: Vec<String>,
+    ) {
+        let Some(info) = self.state.registry.instance_mut(instance) else { return };
+        for (name, iface) in add_provides {
+            info.add_provides(&name, &iface);
         }
-        CtrlMsg::SpawnDone { rid, result } => match ctx.state.conts.spawns.remove(&rid) {
+        for name in remove_provides {
+            info.remove_provides(&name);
+        }
+        self.sim.metrics().incr("reflect.port_changes");
+    }
+
+    /// A remote spawn this node asked for finished: resume whatever was
+    /// parked on it.
+    pub(crate) fn on_spawn_done(&mut self, rid: u64, result: Result<ObjectRef, String>) {
+        match self.state.conts.spawns.remove(&rid) {
             None => {}
             Some(SpawnCont::Sink(sink)) => {
                 *sink.borrow_mut() = Some(result);
             }
-            Some(SpawnCont::Connect { instance, port, sink }) => match result {
-                Ok(provider) => {
-                    ctx.connect_port(instance, &port, provider.clone());
-                    if let Some(s) = sink {
-                        *s.borrow_mut() = Some(Ok(provider));
-                    }
-                }
-                Err(e) => {
-                    if let Some(s) = sink {
-                        *s.borrow_mut() = Some(Err(e));
-                    }
-                }
-            },
+            Some(SpawnCont::Connect { instance, port, sink }) => {
+                self.connect_provider(instance, &port, result, sink);
+            }
             Some(SpawnCont::Assembly { name, sink, pending }) => {
                 sink.borrow_mut().insert(name.clone(), result.clone());
                 let mut p = pending.borrow_mut();
@@ -626,185 +712,112 @@ pub(crate) fn handle_ctrl(ctx: &mut NodeCtx<'_, '_>, _from: HostId, msg: CtrlMsg
                 let ready = p.outstanding == 0;
                 drop(p);
                 if ready {
-                    ctx.wire_assembly(pending);
-                }
-            }
-        },
-        CtrlMsg::Subscribe { producer, port, consumer, delivery_op } => {
-            // Find the event type from the producer instance's ports.
-            let event_id = ctx
-                .state
-                .oid_to_instance
-                .get(&producer.oid)
-                .and_then(|iid| ctx.state.registry.instance(*iid))
-                .and_then(|info| {
-                    info.emits.iter().find(|p| p.name == port).map(|p| p.type_id.clone())
-                });
-            match event_id {
-                Some(event_id) => {
-                    ctx.state
-                        .subs
-                        .entry((producer.oid, port))
-                        .or_insert_with(|| (event_id, Vec::new()))
-                        .1
-                        .push((consumer, delivery_op));
-                    ctx.sim.metrics().incr("events.subscriptions");
-                }
-                None => {
-                    ctx.sim.metrics().incr("events.bad_subscription");
+                    self.wire_assembly(pending);
                 }
             }
         }
-        CtrlMsg::MigrateIn { rid, origin, component, version, state, instance_name } => {
-            if ctx.state.repository.best_match(&component, version).is_some() {
-                ctx.finish_migration_in(rid, origin, &component, version, state, instance_name);
-            } else {
-                // Auto-fetch the package from the origin, then finish.
-                ctx.state.conts.fetches.entry_or_default(component.clone()).push(
-                    FetchCont::FinishMigration {
-                        rid,
-                        origin,
-                        component: component.clone(),
-                        version,
-                        state,
-                        instance_name,
-                    },
-                );
-                let reply_to = ctx.state.host;
-                ctx.send_ctrl(origin, CtrlMsg::Fetch { name: component, version, reply_to });
-            }
-        }
-        CtrlMsg::MigrateDone { rid, result } => {
-            let Some(pm) = ctx.state.conts.migrations.remove(&rid) else { return };
-            if let Some(s) = pm.span {
-                let tracer = ctx.state.tracer.clone();
-                if result.is_err() {
-                    tracer.set_attr(s, "error", "migrate");
-                }
-                tracer.end(s, ctx.sim.now());
-            }
-            match &result {
-                Ok(new_ref) => {
-                    // Passivate and remove the old instance; forward
-                    // late requests.
-                    if let Some(info) = ctx.state.registry.instance(pm.instance) {
-                        let old_oid = info.objref.key.oid;
-                        let component = info.component.clone();
-                        ctx.state.destroy_instance(pm.instance);
-                        ctx.state.forwards.insert(old_oid, new_ref.clone());
-                        // Deregister event: offers naming this node for
-                        // the component are now wrong.
-                        ctx.note_registry_change(&component);
-                    }
-                    ctx.sim.metrics().incr("migrate.completed");
-                }
-                Err(_) => {
-                    ctx.sim.metrics().incr("migrate.failed");
-                }
-            }
-            if let Some(s) = pm.sink {
-                *s.borrow_mut() = Some(result);
-            }
-        }
-        _ => {}
     }
-}
 
-/// Container-owned driver commands.
-pub(crate) fn handle_cmd(ctx: &mut NodeCtx<'_, '_>, cmd: NodeCmd) {
-    match cmd {
-        NodeCmd::SpawnLocal { component, min_version, instance_name, sink } => {
-            let r = ctx.state.spawn_local(&component, min_version, instance_name);
-            if r.is_ok() {
-                ctx.note_registry_change(&component);
+    /// Open (or join) the push channel of a local producer's `port`.
+    pub(crate) fn on_subscribe(
+        &mut self,
+        producer: ObjectKey,
+        port: String,
+        consumer: ObjectKey,
+        delivery_op: String,
+    ) {
+        // Find the event type from the producer instance's ports.
+        let event_id = self
+            .state
+            .oid_to_instance
+            .get(&producer.oid)
+            .and_then(|iid| self.state.registry.instance(*iid))
+            .and_then(|info| info.emits.iter().find(|p| p.name == port).map(|p| p.type_id.clone()));
+        match event_id {
+            Some(event_id) => {
+                self.state
+                    .subs
+                    .entry((producer.oid, port))
+                    .or_insert_with(|| (event_id, Vec::new()))
+                    .1
+                    .push((consumer, delivery_op));
+                self.sim.metrics().incr("events.subscriptions");
             }
-            *sink.borrow_mut() = Some(r);
-        }
-        NodeCmd::SpawnOn { node, component, min_version, instance_name, sink } => {
-            if node == ctx.state.host {
-                let r = ctx.state.spawn_local(&component, min_version, instance_name);
-                if r.is_ok() {
-                    ctx.note_registry_change(&component);
-                }
-                *sink.borrow_mut() = Some(r);
-            } else {
-                let rid = ctx.state.conts.next_seq();
-                ctx.state.conts.spawns.insert(rid, SpawnCont::Sink(sink));
-                let origin = ctx.state.host;
-                ctx.send_ctrl(
-                    node,
-                    CtrlMsg::Spawn { rid, origin, component, min_version, instance_name },
-                );
-            }
-        }
-        NodeCmd::Subscribe { producer, port, consumer, delivery_op } => {
-            let msg = CtrlMsg::Subscribe {
-                producer: producer.key,
-                port,
-                consumer: consumer.key,
-                delivery_op,
-            };
-            ctx.send_ctrl(producer.key.host, msg);
-        }
-        NodeCmd::Invoke { target, op, args, oneway, sink } => match sink {
-            Some(sink) if !oneway => {
-                ctx.send_call(target.key, op, args, CallCont::Sink(sink));
-            }
-            _ => {
-                let _ = ctx.orb_request(target.key, op, args, oneway);
-            }
-        },
-        NodeCmd::Migrate { instance, to, sink } => ctx.cmd_migrate(instance, to, sink),
-        NodeCmd::ModifyPorts { instance, add_provides, remove_provides } => {
-            if let Some(info) = ctx.state.registry.instance_mut(instance) {
-                for (name, iface) in add_provides {
-                    info.add_provides(&name, &iface);
-                }
-                for name in remove_provides {
-                    info.remove_provides(&name);
-                }
-                ctx.sim.metrics().incr("reflect.port_changes");
+            None => {
+                self.sim.metrics().incr("events.bad_subscription");
             }
         }
-        NodeCmd::StartAssembly { assembly, strategy, sink } => {
-            ctx.start_assembly(assembly, strategy, sink);
-        }
-        _ => {}
     }
-}
 
-/// GIOP-style ORB wire traffic lands on the container.
-pub(crate) fn handle_orb(ctx: &mut NodeCtx<'_, '_>, wire: OrbWire) {
-    match wire {
-        OrbWire::Request { id, reply_to, target, op, args } => {
-            ctx.on_request(id, reply_to, target, op, args);
+    /// A passivated instance arrives: rebuild it here, fetching its
+    /// package from the origin first if it is not installed.
+    pub(crate) fn on_migrate_in(
+        &mut self,
+        rid: u64,
+        origin: HostId,
+        component: String,
+        version: Version,
+        state: Value,
+        instance_name: Option<String>,
+    ) {
+        if self.state.repository.best_match(&component, version).is_some() {
+            self.finish_migration_in(rid, origin, &component, version, state, instance_name);
+            return;
         }
-        OrbWire::Reply { id, result } => ctx.on_reply(id, result),
-        OrbWire::Event { payload, consumer, delivery_op, .. } => {
-            let res =
-                ctx.state.adapter.invoke(consumer, &delivery_op, &[payload], DispatchOpts::raw());
-            ctx.process_dispatch_effects(consumer.oid, res);
+        self.state.conts.fetches.entry_or_default(component.clone()).push(
+            FetchCont::FinishMigration {
+                rid,
+                origin,
+                component: component.clone(),
+                version,
+                state,
+                instance_name,
+            },
+        );
+        let reply_to = self.state.host;
+        self.send_ctrl(origin, CtrlMsg::Fetch { name: component, version, reply_to });
+    }
+
+    /// The destination's verdict on a migration this node started.
+    pub(crate) fn on_migrate_done(&mut self, rid: u64, result: Result<ObjectRef, String>) {
+        let Some(pm) = self.state.conts.migrations.remove(&rid) else { return };
+        if let Some(s) = pm.span {
+            if result.is_err() {
+                self.state.tracer.set_attr(s, "error", "migrate");
+            }
+            self.state.tracer.end(s, self.sim.now());
+        }
+        match &result {
+            Ok(new_ref) => {
+                // Passivate and remove the old instance; forward late
+                // requests.
+                if let Some(info) = self.state.registry.instance(pm.instance) {
+                    let old_oid = info.objref.key.oid;
+                    let component = info.component.clone();
+                    self.state.destroy_instance(pm.instance);
+                    self.state.forwards.insert(old_oid, new_ref.clone());
+                    // Deregister event: offers naming this node for
+                    // the component are now wrong.
+                    self.note_registry_change(&component);
+                }
+                self.sim.metrics().incr("migrate.completed");
+            }
+            Err(_) => {
+                self.sim.metrics().incr("migrate.failed");
+            }
+        }
+        if let Some(s) = pm.sink {
+            *s.borrow_mut() = Some(result);
         }
     }
 }
 
-/// Container-owned timer ticks: `SendReply`, `CallSweep`, `CallRetry`,
-/// `DedupSweep`.
-pub(crate) fn on_timer(ctx: &mut NodeCtx<'_, '_>, tick: Tick) {
-    match tick {
-        Tick::SendReply => {
-            if let Some((to, id, result)) = ctx.state.due_replies.pop_front() {
-                let _ = ctx.orb_reply(to, id, result);
-            }
-        }
-        Tick::CallSweep => ctx.sweep_calls(),
-        Tick::CallRetry(rid) => ctx.retry_call(rid),
-        Tick::DedupSweep => {
-            let now = ctx.now();
-            ctx.state.conts.replies.take_expired(now);
-        }
-        _ => {}
-    }
+/// Hand a driver its reply. A call's sink gets exactly this one push,
+/// so room is made for one entry, not for `Vec`'s first-growth four.
+fn push_reply(sink: &InvokeSink, at: SimTime, result: Result<Outcome, OrbError>) {
+    let mut replies = sink.borrow_mut();
+    replies.reserve_exact(1);
+    replies.push((at, result));
 }
 
 /// Reflect the container runtime's current state.

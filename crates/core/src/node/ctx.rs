@@ -20,8 +20,8 @@ use crate::resource::ResourceManager;
 use lc_cache::CacheStats;
 use lc_des::{CounterId, Ctx, SimTime};
 use lc_net::{DropReason, HostId, Net};
-use lc_trace::{SloMonitor, Tracer};
-use lc_orb::{ObjectAdapter, ObjectKey, ObjectRef, OrbError, Outcome, RequestId, SimOrb, Value};
+use lc_trace::{SloMonitor, TraceContext, Tracer};
+use lc_orb::{ObjectAdapter, ObjectKey, ObjectRef, OrbError, OrbWire, Outcome, RequestId, SimOrb};
 use lc_pkg::{Platform, TrustStore};
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use super::continuations::ContTable;
 use super::metrics::NodeMetrics;
-use super::service::Tick;
+use super::service::{handle_ctrl, Tick};
 use super::{NodeConfig, NodeSeed, RegistryConfig};
 
 /// One open push event channel: the event type plus its subscribers
@@ -287,7 +287,18 @@ fn wire_counter(msg: &CtrlMsg) -> Option<Hot> {
         CtrlMsg::Summary { .. } => Hot::Summaries,
         CtrlMsg::ShardPublish { .. } => Hot::PublishMsgs,
         CtrlMsg::GossipDigest { .. } | CtrlMsg::GossipDelta { .. } => Hot::GossipMsgs,
-        _ => return None,
+        CtrlMsg::Fetch { .. }
+        | CtrlMsg::PackageBytes { .. }
+        | CtrlMsg::FetchFailed { .. }
+        | CtrlMsg::Install { .. }
+        | CtrlMsg::Spawn { .. }
+        | CtrlMsg::SpawnDone { .. }
+        | CtrlMsg::Subscribe { .. }
+        | CtrlMsg::PlacementQuery { .. }
+        | CtrlMsg::PlacementTarget { .. }
+        | CtrlMsg::CacheInvalidate { .. }
+        | CtrlMsg::MigrateIn { .. }
+        | CtrlMsg::MigrateDone { .. } => return None,
     })
 }
 
@@ -322,7 +333,8 @@ impl NodeCtx<'_, '_> {
 
     /// Put a control message on the wire — the one place a [`CtrlMsg`] is
     /// sized, counted and handed to the fabric. A message to this host is
-    /// delivered in place (no network, no accounting). A message the
+    /// handled in place, within the current event (no network, no
+    /// accounting; handler time stays with the routed service). A message the
     /// fabric accepts counts as one outgoing message and one of its kind
     /// ([`wire_counter`]); one it refuses (peer down, partitioned) counts
     /// nowhere but the fabric's own `net.drop.*`. Returns whether the
@@ -330,7 +342,7 @@ impl NodeCtx<'_, '_> {
     pub(crate) fn send_ctrl(&mut self, to: HostId, msg: CtrlMsg) -> bool {
         let host = self.state.host;
         if to == host {
-            self.deliver_ctrl_local(host, msg);
+            handle_ctrl(self, msg);
             return true;
         }
         let counter = wire_counter(&msg);
@@ -438,7 +450,7 @@ impl NodeCtx<'_, '_> {
     /// peer in `to`, in order. One message is built; every receiver's
     /// copy shares its name.
     fn send_invalidate(&mut self, component: &str, to: impl Iterator<Item = HostId>) {
-        let msg = CtrlMsg::CacheInvalidate { from: self.state.host, component: component.into() };
+        let msg = CtrlMsg::CacheInvalidate { component: component.into() };
         for to in to {
             self.send_if_reachable(to, &msg);
         }
@@ -467,69 +479,30 @@ impl NodeCtx<'_, '_> {
         }
     }
 
-    /// ORB request from this host (counted as an outgoing message).
-    pub(crate) fn orb_request(
-        &mut self,
-        target: ObjectKey,
-        op: String,
-        args: Vec<Value>,
-        oneway: bool,
-    ) -> Result<RequestId, DropReason> {
-        let r = self.state.orb.send_request(self.sim, self.state.host, target, op, args, oneway);
-        if r.is_ok() {
+    /// Put an ORB message on the wire — [`NodeCtx::send_ctrl`]'s twin for
+    /// [`OrbWire`]: sized and counted under its kind by [`SimOrb::send`],
+    /// and one outgoing message of this node when the fabric accepts it.
+    pub(crate) fn send_orb(&mut self, to: HostId, wire: OrbWire) -> Result<SimTime, DropReason> {
+        let sent = self.state.orb.send(self.sim, self.state.host, to, wire);
+        if sent.is_ok() {
             self.state.metrics.msg_out();
         }
-        r
+        sent
     }
 
-    /// Re-send an ORB request under an explicit id (retries keep the
-    /// first attempt's id so the servant can suppress duplicates).
-    pub(crate) fn orb_request_with_id(
+    /// Run `f` with `span` installed as the tracer's current context —
+    /// everything `f` sends or opens parents under it — and restore the
+    /// previous context afterwards. Without a span (an untraced path)
+    /// `f` just runs.
+    pub(crate) fn in_span<R>(
         &mut self,
-        id: RequestId,
-        target: ObjectKey,
-        op: String,
-        args: Vec<Value>,
-    ) -> Result<SimTime, DropReason> {
-        let r = self
-            .state
-            .orb
-            .send_request_with_id(self.sim, self.state.host, id, target, op, args, false);
-        if r.is_ok() {
-            self.state.metrics.msg_out();
-        }
-        r
-    }
-
-    /// ORB reply from this host (counted as an outgoing message).
-    pub(crate) fn orb_reply(
-        &mut self,
-        to: HostId,
-        id: RequestId,
-        result: Result<Outcome, OrbError>,
-    ) -> Result<SimTime, DropReason> {
-        let r = self.state.orb.send_reply(self.sim, self.state.host, to, id, result);
-        if r.is_ok() {
-            self.state.metrics.msg_out();
-        }
-        r
-    }
-
-    /// ORB event delivery to a remote consumer (counted as outgoing).
-    pub(crate) fn orb_event(
-        &mut self,
-        event_id: &str,
-        payload: Value,
-        consumer: ObjectKey,
-        delivery_op: &str,
-    ) -> Result<SimTime, DropReason> {
-        let r = self
-            .state
-            .orb
-            .send_event(self.sim, self.state.host, event_id, payload, consumer, delivery_op);
-        if r.is_ok() {
-            self.state.metrics.msg_out();
-        }
-        r
+        span: Option<TraceContext>,
+        f: impl FnOnce(&mut Self) -> R,
+    ) -> R {
+        let Some(span) = span else { return f(self) };
+        let prev = self.state.tracer.set_current(Some(span));
+        let out = f(self);
+        self.state.tracer.set_current(prev);
+        out
     }
 }

@@ -61,7 +61,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use service::{
-    cmd_service, ctrl_service, dispatch_cmd, dispatch_ctrl, dispatch_tick, tick_service,
+    cmd_service, ctrl_service, handle_cmd, handle_ctrl, handle_orb, handle_tick, tick_service,
 };
 
 pub use lc_cache::CacheStats;
@@ -684,20 +684,17 @@ impl Node {
     ) {
         let state = &mut self.state;
         state.metrics.begin(kind, true);
-        // Untraced frames (every frame while tracing is off) open no
-        // span, so only a traced one takes a handle on the tracer.
+        // Untraced frames (every frame while tracing is off) open no span.
         let span = parent.and_then(|p| {
-            let tracer = state.tracer.clone();
-            let span =
-                tracer.child_of(state.host.0, &format!("node.{}", kind.name()), p, ctx.now())?;
-            Some((tracer.set_current(Some(span)), span, tracer))
+            state.tracer.child_of(state.host.0, &format!("node.{}", kind.name()), p, ctx.now())
         });
-        handler(&mut NodeCtx { state: &mut *state, sim: &mut *ctx });
+        NodeCtx { state: &mut *state, sim: &mut *ctx }.in_span(span, |n| {
+            handler(n);
+            if let Some(span) = span {
+                n.state.tracer.end(span, n.sim.now());
+            }
+        });
         state.metrics.finish();
-        if let Some((prev, span, tracer)) = span {
-            tracer.end(span, ctx.now());
-            tracer.set_current(prev);
-        }
     }
 
     /// Route a timer tick to one service. Ticks are internal work, not
@@ -706,7 +703,7 @@ impl Node {
         let kind = tick_service(tick);
         let state = &mut self.state;
         state.metrics.begin(kind, false);
-        dispatch_tick(&mut NodeCtx { state: &mut *state, sim: &mut *ctx }, kind, tick);
+        handle_tick(&mut NodeCtx { state: &mut *state, sim: &mut *ctx }, tick);
         state.metrics.finish();
     }
 }
@@ -721,20 +718,20 @@ impl Actor for Node {
             Ok(cmd) => {
                 self.state.metrics.note_cmd(cmd.name());
                 let kind = cmd_service(&cmd);
-                return self.route(ctx, kind, None, |n| dispatch_cmd(n, kind, cmd));
+                return self.route(ctx, kind, None, |n| handle_cmd(n, cmd));
             }
             Err(m) => m,
         };
         let msg = match msg.downcast_msg::<NetMsg<CtrlMsg>>() {
-            Ok(NetMsg { from, trace, payload: ctrl, .. }) => {
+            Ok(NetMsg { trace, payload: ctrl, .. }) => {
                 let kind = ctrl_service(&ctrl);
-                return self.route(ctx, kind, trace, |n| dispatch_ctrl(n, kind, from, ctrl));
+                return self.route(ctx, kind, trace, |n| handle_ctrl(n, ctrl));
             }
             Err(m) => m,
         };
         // Anything else is an unknown message type: drop.
         if let Ok(NetMsg { trace, payload: wire, .. }) = msg.downcast_msg::<NetMsg<OrbWire>>() {
-            self.route(ctx, ServiceKind::Container, trace, |n| container::handle_orb(n, wire));
+            self.route(ctx, ServiceKind::Container, trace, |n| handle_orb(n, wire));
         }
     }
 

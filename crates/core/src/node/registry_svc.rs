@@ -6,7 +6,7 @@
 
 use crate::cohesion::{route_at_seat, Miss};
 use crate::deploy::{choose, ResolveAction};
-use crate::proto::{CtrlMsg, QueryId};
+use crate::proto::{CtrlMsg, DeltaEntry, QueryId};
 use crate::registry::backend::{CoherenceRoute, ResolveStep, SearchRoute, ShardStore};
 use crate::registry::{ComponentQuery, InstanceId, Offer};
 use lc_net::HostId;
@@ -17,7 +17,7 @@ use super::continuations::{FetchCont, PendingQuery, QueryFollower, QueryPurpose,
 use super::ctx::{NodeCtx, NodeState};
 use super::metrics::ServiceKind;
 use super::service::{item, ServiceReflect, Tick};
-use super::{NodeCmd, SpawnSink};
+use super::SpawnSink;
 
 /// How one query continuation ends.
 #[derive(Clone, Copy)]
@@ -162,22 +162,18 @@ impl NodeCtx<'_, '_> {
                 self.state.backend.lead(&query, seq);
                 self.sim.metrics().incr("query.started");
 
-                let prev = span.map(|s| tracer.set_current(Some(s)));
-                // Answer locally first (own repository).
-                let local = self.state.local_offers_for(&query);
-                let mut done = false;
-                if !local.is_empty() {
-                    self.on_offers(qid, local);
-                    // first_wins completed instantly
-                    done = !self.state.conts.queries.contains_key(&seq);
-                }
-                if !done {
-                    self.issue_search(qid, query);
-                    self.timer_in(timeout, Tick::QueryDeadline);
-                }
-                if let Some(prev) = prev {
-                    tracer.set_current(prev);
-                }
+                self.in_span(span, |ctx| {
+                    // Answer locally first (own repository).
+                    let local = ctx.state.local_offers_for(&query);
+                    if !local.is_empty() {
+                        ctx.on_offers(qid, local);
+                    }
+                    // Unless first_wins completed it instantly.
+                    if ctx.state.conts.queries.contains_key(&seq) {
+                        ctx.issue_search(qid, query);
+                        ctx.timer_in(timeout, Tick::QueryDeadline);
+                    }
+                });
             }
         }
     }
@@ -203,9 +199,7 @@ impl NodeCtx<'_, '_> {
                 }
                 // The shard store is authoritative for this key — the
                 // search is exhausted either way, synchronously.
-                if self.state.conts.queries.contains_key(&qid.seq) {
-                    self.finish_query(qid.seq);
-                }
+                self.finish_query(qid.seq);
             }
             SearchRoute::ShardHop { target, via } => {
                 self.shard_send(qid, query, target, via, 1);
@@ -391,6 +385,40 @@ impl NodeCtx<'_, '_> {
         self.send_ctrl(qid.origin, CtrlMsg::Offers { qid, offers });
     }
 
+    /// A plain member is asked directly: answer from the local registry
+    /// (silence is a miss — the asking MRM reports the dead end).
+    pub(crate) fn answer_member_query(&mut self, qid: QueryId, query: &ComponentQuery) {
+        let offers = self.state.local_offers_for(query);
+        if !offers.is_empty() {
+            self.send_offers(qid, offers);
+        }
+    }
+
+    /// Anti-entropy: answer a peer replica's digest with whatever it is
+    /// missing or holds at an older generation.
+    pub(crate) fn on_gossip_digest(
+        &mut self,
+        from: HostId,
+        shard: u32,
+        gens: &[(String, HostId, u64)],
+    ) {
+        let now = self.sim.now();
+        let Some(store) = self.state.backend.shard_mut() else { return };
+        let entries = store.on_gossip_digest(shard, gens, now);
+        if !entries.is_empty() {
+            self.send_ctrl(from, CtrlMsg::GossipDelta { shard, entries });
+        }
+    }
+
+    /// Anti-entropy repair delta from a peer replica.
+    pub(crate) fn on_gossip_delta(&mut self, shard: u32, entries: Vec<DeltaEntry>) {
+        let Some(store) = self.state.backend.shard_mut() else { return };
+        let repaired = store.on_gossip_delta(shard, entries);
+        if repaired > 0 {
+            self.sim.metrics().add("registry.gossip_repaired", repaired as u64);
+        }
+    }
+
     pub(crate) fn on_offers(&mut self, qid: QueryId, offers: Vec<Offer>) {
         debug_assert_eq!(qid.origin, self.state.host);
         let now = self.sim.now();
@@ -452,8 +480,6 @@ impl NodeCtx<'_, '_> {
                 tracer.set_attr(s, "timed_out", "true");
             }
         }
-        // Follow-up work (resolve actions) still parents under the query.
-        let prev = span.map(|s| tracer.set_current(Some(s)));
         let partial = timed_out && !pq.offers.is_empty();
         let served = Ending::Served {
             started: pq.started,
@@ -461,20 +487,20 @@ impl NodeCtx<'_, '_> {
             first_offer_at: pq.first_offer_at,
             staleness: pq.first_offer_at.filter(|_| partial).map(|t| now.saturating_sub(t)),
         };
-        self.complete(pq.purpose, pq.offers, &pq.query, served);
-        // Followers see the same offer set, in join order, still inside
-        // the leader's span context.
-        if let Some((offers, query)) = fan {
-            for f in followers {
-                self.resolve_follower(f, offers.clone(), &query, timed_out, None);
+        // Follow-up work (resolve actions) still parents under the query.
+        self.in_span(span, |ctx| {
+            ctx.complete(pq.purpose, pq.offers, &pq.query, served);
+            // Followers see the same offer set, in join order, still
+            // inside the leader's span context.
+            if let Some((offers, query)) = fan {
+                for f in followers {
+                    ctx.resolve_follower(f, offers.clone(), &query, timed_out, None);
+                }
             }
-        }
-        if let Some(s) = span {
-            tracer.end(s, now);
-        }
-        if let Some(prev) = prev {
-            tracer.set_current(prev);
-        }
+            if let Some(s) = span {
+                tracer.end(s, now);
+            }
+        });
     }
 
     /// Complete one coalesced (or cache-served) query with an offer set
@@ -585,6 +611,69 @@ impl NodeCtx<'_, '_> {
         }
     }
 
+    /// One `Tick::QueryDeadline`: finalize every query whose deadline
+    /// has passed (deadline timers fire in chronological order, and a
+    /// query resumed early is no longer in the table).
+    pub(crate) fn sweep_queries(&mut self) {
+        let now = self.sim.now();
+        // Followers carry their *own* deadlines: a query coalesced
+        // onto a long-lived leader must not wait past its caller's
+        // timeout. Drain expired followers from live entries first —
+        // each gets the leader's current partial offer set.
+        let mut expired_followers = Vec::new();
+        for (_, pq) in self.state.conts.queries.iter_mut() {
+            if pq.followers.iter().any(|f| f.deadline <= now) {
+                let mut i = 0;
+                while i < pq.followers.len() {
+                    if pq.followers[i].deadline <= now {
+                        let f = pq.followers.remove(i);
+                        expired_followers.push((f, pq.offers.clone(), pq.query.clone()));
+                    } else {
+                        i += 1;
+                    }
+                }
+            }
+        }
+        for (f, offers, query) in expired_followers {
+            self.sim.metrics().incr("query.timeouts");
+            self.resolve_follower(f, offers, &query, true, None);
+        }
+        let expired = self.state.conts.queries.take_expired(now);
+        for (seq, mut pq) in expired {
+            // A query expiring with *zero* offers may be re-issued:
+            // under loss the first round's messages may simply have
+            // been dropped.
+            if pq.offers.is_empty() && pq.retries_left > 0 {
+                pq.retries_left -= 1;
+                let timeout = self.state.cfg.query_timeout;
+                let query = pq.query.clone();
+                let original = pq.span;
+                self.state.conts.queries.insert_with_deadline(seq, pq, now + timeout);
+                self.sim.metrics().incr("query.retries");
+                let qid = QueryId { origin: self.state.host, seq };
+                // The re-issue runs under a fresh span that *links*
+                // to the query root (retry, not a parent edge).
+                let tracer = self.state.tracer.clone();
+                let retry = original.and_then(|o| {
+                    tracer.child_of(self.state.host.0, "registry.query.retry", o, now)
+                });
+                if let (Some(r), Some(o)) = (retry, original) {
+                    tracer.link(r, o.span);
+                }
+                self.in_span(retry, |ctx| {
+                    ctx.issue_search(qid, query);
+                    if let Some(r) = retry {
+                        tracer.end(r, now);
+                    }
+                });
+                self.timer_in(timeout, Tick::QueryDeadline);
+                continue;
+            }
+            self.sim.metrics().incr("query.timeouts");
+            self.finalize_query(pq, true);
+        }
+    }
+
     fn apply_resolve_action(
         &mut self,
         instance: InstanceId,
@@ -595,10 +684,7 @@ impl NodeCtx<'_, '_> {
     ) {
         match action {
             ResolveAction::ConnectExisting(provider) => {
-                self.connect_port(instance, &port, provider.clone());
-                if let Some(s) = sink {
-                    *s.borrow_mut() = Some(Ok(provider));
-                }
+                self.connect_provider(instance, &port, Ok(provider), sink);
             }
             ResolveAction::SpawnRemote(node) => {
                 let rid = self.state.conts.next_seq();
@@ -631,155 +717,6 @@ impl NodeCtx<'_, '_> {
                 );
                 self.sim.metrics().incr("resolve.fetch_local");
             }
-        }
-    }
-}
-
-/// Registry-owned control traffic: `Query`, `Offers`, `QueryDone`.
-pub(crate) fn handle_ctrl(ctx: &mut NodeCtx<'_, '_>, _from: HostId, msg: CtrlMsg) {
-    match msg {
-        CtrlMsg::Query { qid, query, level: Some(level), descending } => {
-            ctx.mrm_route_query(qid, query, level, descending);
-        }
-        // A plain member is asked directly: answer from the local registry.
-        CtrlMsg::Query { qid, query, level: None, .. } => {
-            let offers = ctx.state.local_offers_for(&query);
-            if !offers.is_empty() {
-                ctx.send_offers(qid, offers);
-            }
-        }
-        CtrlMsg::Offers { qid, offers } => ctx.on_offers(qid, offers),
-        // Coherence (broadcast or shard-targeted): a peer's inventory
-        // changed — drop any cached results that could name the
-        // component.
-        CtrlMsg::CacheInvalidate { component, .. } => ctx.invalidate_cached(&component),
-        // A lookup travelling the shard finger overlay.
-        CtrlMsg::ShardLookup { qid, query, target, at, hops } => {
-            ctx.shard_dispatch(qid, query, target, at, hops);
-        }
-        // The owning replica's authoritative answer: record the offers
-        // and complete the query atomically.
-        CtrlMsg::ShardServe { qid, offers } => {
-            ctx.on_offers(qid, offers);
-            if ctx.state.conts.queries.contains_key(&qid.seq) {
-                ctx.finish_query(qid.seq);
-            }
-        }
-        // A publisher pushed its offers for one component to this shard
-        // replica.
-        CtrlMsg::ShardPublish { from, component, gen, at, offers } => {
-            if let Some(store) = ctx.state.backend.shard_mut() {
-                store.on_publish(&component, from, gen, at, offers);
-            }
-        }
-        // Anti-entropy: answer a peer replica's digest with whatever it
-        // is missing or holds at an older generation.
-        CtrlMsg::GossipDigest { from, shard, gens } => {
-            let now = ctx.sim.now();
-            let Some(store) = ctx.state.backend.shard_mut() else { return };
-            let entries = store.on_gossip_digest(shard, &gens, now);
-            if !entries.is_empty() {
-                ctx.send_ctrl(from, CtrlMsg::GossipDelta { shard, entries });
-            }
-        }
-        // Anti-entropy repair delta from a peer replica.
-        CtrlMsg::GossipDelta { shard, entries } => {
-            let Some(store) = ctx.state.backend.shard_mut() else { return };
-            let repaired = store.on_gossip_delta(shard, entries);
-            if repaired > 0 {
-                ctx.sim.metrics().add("registry.gossip_repaired", repaired as u64);
-            }
-        }
-        // Best-effort completion signal.
-        CtrlMsg::QueryDone { qid } if ctx.state.conts.queries.contains_key(&qid.seq) => {
-            ctx.finish_query(qid.seq);
-        }
-        _ => {}
-    }
-}
-
-/// Registry-owned driver commands: `Query`, `Resolve`.
-pub(crate) fn handle_cmd(ctx: &mut NodeCtx<'_, '_>, cmd: NodeCmd) {
-    match cmd {
-        NodeCmd::Query { query, sink, first_wins } => {
-            ctx.start_query(query, QueryPurpose::Collect { sink, first_wins });
-        }
-        NodeCmd::Resolve { instance, port, query, policy, sink } => {
-            ctx.start_query(query, QueryPurpose::Resolve { instance, port, policy, sink });
-        }
-        _ => {}
-    }
-}
-
-/// Registry-owned timer ticks: `ShardMaintain`, `QueryDeadline`.
-pub(crate) fn on_timer(ctx: &mut NodeCtx<'_, '_>, tick: Tick) {
-    if let Tick::ShardMaintain = tick {
-        ctx.shard_maintain();
-        return;
-    }
-    if let Tick::QueryDeadline = tick {
-        // One sweep finalizes every query whose deadline has passed
-        // (count- and order-identical to the old per-seq checks:
-        // deadline timers fire in chronological order, and a query
-        // resumed early is no longer in the table).
-        let now = ctx.sim.now();
-        // Followers carry their *own* deadlines: a query coalesced
-        // onto a long-lived leader must not wait past its caller's
-        // timeout. Drain expired followers from live entries first —
-        // each gets the leader's current partial offer set.
-        let mut expired_followers = Vec::new();
-        for (_, pq) in ctx.state.conts.queries.iter_mut() {
-            if pq.followers.iter().any(|f| f.deadline <= now) {
-                let mut i = 0;
-                while i < pq.followers.len() {
-                    if pq.followers[i].deadline <= now {
-                        let f = pq.followers.remove(i);
-                        expired_followers.push((f, pq.offers.clone(), pq.query.clone()));
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
-        }
-        for (f, offers, query) in expired_followers {
-            ctx.sim.metrics().incr("query.timeouts");
-            ctx.resolve_follower(f, offers, &query, true, None);
-        }
-        let expired = ctx.state.conts.queries.take_expired(now);
-        for (seq, mut pq) in expired {
-            // A query expiring with *zero* offers may be re-issued:
-            // under loss the first round's messages may simply have
-            // been dropped.
-            if pq.offers.is_empty() && pq.retries_left > 0 {
-                pq.retries_left -= 1;
-                let timeout = ctx.state.cfg.query_timeout;
-                let query = pq.query.clone();
-                let original = pq.span;
-                ctx.state.conts.queries.insert_with_deadline(seq, pq, now + timeout);
-                ctx.sim.metrics().incr("query.retries");
-                let qid = QueryId { origin: ctx.state.host, seq };
-                // The re-issue runs under a fresh span that *links*
-                // to the query root (retry, not a parent edge).
-                let tracer = ctx.state.tracer.clone();
-                let retry = original.and_then(|o| {
-                    tracer.child_of(ctx.state.host.0, "registry.query.retry", o, now)
-                });
-                if let (Some(r), Some(o)) = (retry, original) {
-                    tracer.link(r, o.span);
-                }
-                let prev = retry.map(|r| tracer.set_current(Some(r)));
-                ctx.issue_search(qid, query);
-                if let Some(r) = retry {
-                    tracer.end(r, now);
-                }
-                if let Some(prev) = prev {
-                    tracer.set_current(prev);
-                }
-                ctx.timer_in(timeout, Tick::QueryDeadline);
-                continue;
-            }
-            ctx.sim.metrics().incr("query.timeouts");
-            ctx.finalize_query(pq, true);
         }
     }
 }

@@ -60,9 +60,10 @@ impl NodeState {
 }
 
 impl NodeCtx<'_, '_> {
-    /// Emit the periodic resource report to every report target. The
-    /// report *is* the keep-alive: the Network Cohesion layer's
-    /// liveness view is refreshed purely by absorbing these reports.
+    /// One `Tick::KeepAlive`: emit the periodic resource report to every
+    /// report target and re-arm the cadence. The report *is* the
+    /// keep-alive: the Network Cohesion layer's liveness view is
+    /// refreshed purely by absorbing these reports.
     pub(crate) fn send_report(&mut self) {
         // One report per tick; each target's copy is two `Rc` bumps.
         let report = self.state.resources.report(self.state.repository.names());
@@ -72,18 +73,21 @@ impl NodeCtx<'_, '_> {
             // An MRM absorbs its own report in place (no network hop).
             self.send_ctrl(mrm, CtrlMsg::Report { from: host, report: report.clone() });
         }
+        let period = self.state.cfg.cohesion.report_period;
+        self.timer_in(period, Tick::KeepAlive);
     }
 
-    /// §2.4.3: when this node is overloaded, ask the group MRM for a
-    /// lighter member and migrate the heaviest *mobile* instance there.
-    fn load_balance_check(&mut self) {
+    /// One `Tick::LoadBalance` (§2.4.3): when this node is overloaded,
+    /// ask the group MRM for a lighter member to migrate the heaviest
+    /// *mobile* instance to; re-arm the cadence either way.
+    pub(crate) fn load_balance_check(&mut self) {
         let Some(lb) = self.state.cfg.load_balance.clone() else { return };
-        if self.state.resources.cpu_utilisation() < lb.overload_threshold {
-            return;
+        if self.state.resources.cpu_utilisation() >= lb.overload_threshold {
+            if let Some((_, cpu_needed)) = self.state.heaviest_mobile_instance() {
+                self.ask_placement(cpu_needed, None);
+            }
         }
-        // Pick the heaviest mobile instance as the migration candidate.
-        let Some((_, cpu_needed)) = self.state.heaviest_mobile_instance() else { return };
-        self.ask_placement(cpu_needed, None);
+        self.timer_in(lb.check_period, Tick::LoadBalance);
     }
 
     /// Ask the group MRM (first reachable replica; this host answers
@@ -94,7 +98,9 @@ impl NodeCtx<'_, '_> {
         self.send_to_first_reachable(&targets, ask);
     }
 
-    fn on_offload_target(&mut self, target: Option<HostId>) {
+    /// The MRM's answer to a migration ask: move the heaviest mobile
+    /// instance there.
+    pub(crate) fn on_offload_target(&mut self, target: Option<HostId>) {
         let Some(to) = target else {
             self.sim.metrics().incr("lb.no_target");
             return;
@@ -143,7 +149,7 @@ impl NodeCtx<'_, '_> {
     /// The MRM's placement answer arrived: spawn the replica there. The
     /// spawner's registry-change event makes the new instance visible to
     /// queries, so clients re-querying the component spread onto it.
-    fn on_replica_target(
+    pub(crate) fn on_replica_target(
         &mut self,
         component: String,
         version: lc_pkg::Version,
@@ -169,43 +175,6 @@ impl NodeCtx<'_, '_> {
             to,
             CtrlMsg::Spawn { rid, origin, component, min_version: version, instance_name: None },
         );
-    }
-}
-
-/// Resource-owned control traffic: `PlacementQuery`, `PlacementTarget`.
-pub(crate) fn handle_ctrl(ctx: &mut NodeCtx<'_, '_>, _from: HostId, msg: CtrlMsg) {
-    match msg {
-        CtrlMsg::PlacementQuery { from: asker, cpu_needed, replica } => {
-            let target = ctx.state.pick_offload_target(asker, cpu_needed);
-            ctx.send_ctrl(asker, CtrlMsg::PlacementTarget { target, replica });
-        }
-        CtrlMsg::PlacementTarget { target, replica: None } => ctx.on_offload_target(target),
-        CtrlMsg::PlacementTarget { target, replica: Some((component, version)) } => {
-            ctx.on_replica_target(component, version, target);
-        }
-        _ => {}
-    }
-}
-
-/// Resource-owned timer ticks: `KeepAlive`, `LoadBalance`, `SloCheck`.
-pub(crate) fn on_timer(ctx: &mut NodeCtx<'_, '_>, tick: Tick) {
-    match tick {
-        Tick::KeepAlive => {
-            ctx.send_report();
-            let period = ctx.state.cfg.cohesion.report_period;
-            ctx.timer_in(period, Tick::KeepAlive);
-        }
-        Tick::LoadBalance => {
-            ctx.load_balance_check();
-            if let Some(lb) = &ctx.state.cfg.load_balance {
-                let period = lb.check_period;
-                ctx.timer_in(period, Tick::LoadBalance);
-            }
-        }
-        Tick::SloCheck => {
-            ctx.slo_check();
-        }
-        _ => {}
     }
 }
 

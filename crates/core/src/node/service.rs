@@ -1,24 +1,24 @@
 //! Routing for the Figure-1 services (plus the container runtime): the
-//! timer enum, the tables that assign every driver command, control
-//! message and timer tick to exactly one service, and the dispatchers
-//! that call the owning module's `handle_cmd` / `handle_ctrl` /
-//! `on_timer` / `reflect` function.
+//! timer enum and, per input type — driver command, control message,
+//! timer tick, ORB frame — at most two tables: the service that owns an
+//! input (`*_service`, what [`super::NodeMetrics`] and the handler span
+//! are charged to) and the function that handles it (`handle_*`). Each
+//! table matches its input once, exhaustively, so rustc is the check
+//! that every message, tick and command has an owner and a handler.
 //!
-//! The [`super::Node`] router looks an input's service up in a table,
-//! counts the activation in [`super::NodeMetrics`] and dispatches by
-//! [`ServiceKind`]. A service that needs a sibling's behaviour *within
-//! the same event* (e.g. the registry finishing a query and wiring a
-//! port through the container) calls the shared [`NodeCtx`] plumbing
-//! directly — local control delivery ([`NodeCtx::deliver_ctrl_local`])
-//! routes by the same table and dispatcher, without network hops or
-//! extra message accounting, exactly like the pre-split synchronous
-//! code.
+//! The [`super::Node`] router looks an input's service up, counts the
+//! activation and calls the handler table. A service that needs a
+//! sibling's behaviour *within the same event* (e.g. the registry
+//! finishing a query and wiring a port through the container) calls the
+//! shared [`NodeCtx`] plumbing directly; a control message addressed to
+//! this host goes through the same [`handle_ctrl`], without a network
+//! hop or message accounting.
 
 use crate::proto::CtrlMsg;
 use lc_des::SimTime;
-use lc_net::HostId;
-use lc_orb::RequestId;
+use lc_orb::{OrbWire, RequestId};
 
+use super::continuations::QueryPurpose;
 use super::ctx::{NodeCtx, NodeState};
 use super::metrics::ServiceKind;
 use super::NodeCmd;
@@ -177,42 +177,138 @@ pub(crate) fn tick_service(tick: Tick) -> ServiceKind {
     }
 }
 
-/// Hand a driver command to the service [`cmd_service`] named (the
-/// Resource Manager and Network Cohesion own no commands).
-pub(crate) fn dispatch_cmd(ctx: &mut NodeCtx<'_, '_>, kind: ServiceKind, cmd: NodeCmd) {
-    match kind {
-        ServiceKind::Acceptor => acceptor::handle_cmd(ctx, cmd),
-        ServiceKind::Registry => registry_svc::handle_cmd(ctx, cmd),
-        ServiceKind::Container => container::handle_cmd(ctx, cmd),
-        ServiceKind::Resource | ServiceKind::Cohesion => {}
+/// Hand a driver command to the one function that runs it. Every
+/// handler table below is exhaustive, with no wildcard arm: an input
+/// without a handler does not compile.
+pub(crate) fn handle_cmd(ctx: &mut NodeCtx<'_, '_>, cmd: NodeCmd) {
+    match cmd {
+        NodeCmd::Install(bytes) => ctx.accept_install(&bytes),
+        NodeCmd::Query { query, sink, first_wins } => {
+            ctx.start_query(query, QueryPurpose::Collect { sink, first_wins });
+        }
+        NodeCmd::Resolve { instance, port, query, policy, sink } => {
+            ctx.start_query(query, QueryPurpose::Resolve { instance, port, policy, sink });
+        }
+        NodeCmd::SpawnLocal { component, min_version, instance_name, sink } => {
+            *sink.borrow_mut() = Some(ctx.spawn_announced(&component, min_version, instance_name));
+        }
+        NodeCmd::SpawnOn { node, component, min_version, instance_name, sink } => {
+            ctx.cmd_spawn_on(node, component, min_version, instance_name, sink);
+        }
+        NodeCmd::Subscribe { producer, port, consumer, delivery_op } => {
+            let msg = CtrlMsg::Subscribe {
+                producer: producer.key,
+                port,
+                consumer: consumer.key,
+                delivery_op,
+            };
+            ctx.send_ctrl(producer.key.host, msg);
+        }
+        NodeCmd::Invoke { target, op, args, oneway, sink } => {
+            ctx.cmd_invoke(target.key, op, args, oneway, sink);
+        }
+        NodeCmd::Migrate { instance, to, sink } => ctx.cmd_migrate(instance, to, sink),
+        NodeCmd::ModifyPorts { instance, add_provides, remove_provides } => {
+            ctx.cmd_modify_ports(instance, add_provides, remove_provides);
+        }
+        NodeCmd::StartAssembly { assembly, strategy, sink } => {
+            ctx.start_assembly(assembly, strategy, sink);
+        }
     }
 }
 
-/// Hand a control message to the service [`ctrl_service`] named.
-pub(crate) fn dispatch_ctrl(
-    ctx: &mut NodeCtx<'_, '_>,
-    kind: ServiceKind,
-    from: HostId,
-    msg: CtrlMsg,
-) {
-    match kind {
-        ServiceKind::Acceptor => acceptor::handle_ctrl(ctx, from, msg),
-        ServiceKind::Registry => registry_svc::handle_ctrl(ctx, from, msg),
-        ServiceKind::Resource => resource_svc::handle_ctrl(ctx, from, msg),
-        ServiceKind::Cohesion => cohesion_svc::handle_ctrl(ctx, from, msg),
-        ServiceKind::Container => container::handle_ctrl(ctx, from, msg),
+/// Hand a control message to the one function that handles its variant.
+pub(crate) fn handle_ctrl(ctx: &mut NodeCtx<'_, '_>, msg: CtrlMsg) {
+    match msg {
+        CtrlMsg::Report { from, report } => ctx.state.absorb_report(from, report, ctx.sim.now()),
+        CtrlMsg::Summary { from, level, summary } => {
+            ctx.state.absorb_summary(from, level, summary, ctx.sim.now());
+        }
+        CtrlMsg::Query { qid, query, level: Some(level), descending } => {
+            ctx.mrm_route_query(qid, query, level, descending);
+        }
+        CtrlMsg::Query { qid, query, level: None, descending: _ } => {
+            ctx.answer_member_query(qid, &query);
+        }
+        CtrlMsg::Offers { qid, offers } => ctx.on_offers(qid, offers),
+        // Best-effort completion signal (a query already finalized is
+        // no longer in the table).
+        CtrlMsg::QueryDone { qid } => ctx.finish_query(qid.seq),
+        CtrlMsg::Fetch { name, version, reply_to } => ctx.serve_fetch(name, version, reply_to),
+        CtrlMsg::PackageBytes { name, bytes } => ctx.on_package_bytes(name, &bytes),
+        CtrlMsg::FetchFailed { name, reason } => ctx.on_fetch_failed(name, &reason),
+        CtrlMsg::Install { bytes } => ctx.accept_install(&bytes),
+        CtrlMsg::Spawn { rid, origin, component, min_version, instance_name } => {
+            let result = ctx.spawn_announced(&component, min_version, instance_name);
+            ctx.send_ctrl(origin, CtrlMsg::SpawnDone { rid, result });
+        }
+        CtrlMsg::SpawnDone { rid, result } => ctx.on_spawn_done(rid, result),
+        CtrlMsg::Subscribe { producer, port, consumer, delivery_op } => {
+            ctx.on_subscribe(producer, port, consumer, delivery_op);
+        }
+        CtrlMsg::PlacementQuery { from, cpu_needed, replica } => {
+            let target = ctx.state.pick_offload_target(from, cpu_needed);
+            ctx.send_ctrl(from, CtrlMsg::PlacementTarget { target, replica });
+        }
+        CtrlMsg::PlacementTarget { target, replica: None } => ctx.on_offload_target(target),
+        CtrlMsg::PlacementTarget { target, replica: Some((component, version)) } => {
+            ctx.on_replica_target(component, version, target);
+        }
+        // Coherence (broadcast or shard-targeted): a peer's inventory
+        // changed — drop any cached results that could name the
+        // component.
+        CtrlMsg::CacheInvalidate { component } => ctx.invalidate_cached(&component),
+        CtrlMsg::ShardLookup { qid, query, target, at, hops } => {
+            ctx.shard_dispatch(qid, query, target, at, hops);
+        }
+        // The owning replica's authoritative answer: record the offers
+        // and complete the query atomically.
+        CtrlMsg::ShardServe { qid, offers } => {
+            ctx.on_offers(qid, offers);
+            ctx.finish_query(qid.seq);
+        }
+        CtrlMsg::ShardPublish { from, component, gen, at, offers } => {
+            if let Some(store) = ctx.state.backend.shard_mut() {
+                store.on_publish(&component, from, gen, at, offers);
+            }
+        }
+        CtrlMsg::GossipDigest { from, shard, gens } => ctx.on_gossip_digest(from, shard, &gens),
+        CtrlMsg::GossipDelta { shard, entries } => ctx.on_gossip_delta(shard, entries),
+        CtrlMsg::MigrateIn { rid, origin, component, version, state, instance_name } => {
+            ctx.on_migrate_in(rid, origin, component, version, state, instance_name);
+        }
+        CtrlMsg::MigrateDone { rid, result } => ctx.on_migrate_done(rid, result),
     }
 }
 
-/// Hand a timer tick to the service [`tick_service`] named (the
-/// Component Acceptor arms no timers).
-pub(crate) fn dispatch_tick(ctx: &mut NodeCtx<'_, '_>, kind: ServiceKind, tick: Tick) {
-    match kind {
-        ServiceKind::Registry => registry_svc::on_timer(ctx, tick),
-        ServiceKind::Resource => resource_svc::on_timer(ctx, tick),
-        ServiceKind::Cohesion => cohesion_svc::on_timer(ctx, tick),
-        ServiceKind::Container => container::on_timer(ctx, tick),
-        ServiceKind::Acceptor => {}
+/// Run a timer tick. Periodic ticks re-arm themselves in their handler.
+pub(crate) fn handle_tick(ctx: &mut NodeCtx<'_, '_>, tick: Tick) {
+    match tick {
+        Tick::KeepAlive => ctx.send_report(),
+        Tick::MrmSweep => ctx.mrm_sweep(),
+        Tick::QueryDeadline => ctx.sweep_queries(),
+        Tick::SendReply => ctx.send_due_reply(),
+        Tick::LoadBalance => ctx.load_balance_check(),
+        Tick::CallSweep => ctx.sweep_calls(),
+        Tick::CallRetry(rid) => ctx.retry_call(rid),
+        Tick::DedupSweep => {
+            ctx.state.conts.replies.take_expired(ctx.sim.now());
+        }
+        Tick::ShardMaintain => ctx.shard_maintain(),
+        Tick::SloCheck => ctx.slo_check(),
+    }
+}
+
+/// GIOP-style ORB wire traffic lands on the container.
+pub(crate) fn handle_orb(ctx: &mut NodeCtx<'_, '_>, wire: OrbWire) {
+    match wire {
+        OrbWire::Request { id, reply_to, target, op, args } => {
+            ctx.on_request(id, reply_to, target, op, args);
+        }
+        OrbWire::Reply { id, result } => ctx.on_reply(id, result),
+        OrbWire::Event { event_id: _, payload, consumer, delivery_op } => {
+            ctx.on_event(payload, consumer, &delivery_op);
+        }
     }
 }
 
@@ -224,18 +320,6 @@ pub(crate) fn reflect(kind: ServiceKind, state: &NodeState) -> ServiceReflect {
         ServiceKind::Resource => resource_svc::reflect(state),
         ServiceKind::Cohesion => cohesion_svc::reflect(state),
         ServiceKind::Container => container::reflect(state),
-    }
-}
-
-impl NodeCtx<'_, '_> {
-    /// Deliver a control message addressed to this host, synchronously,
-    /// within the current event — the in-process analogue of a network
-    /// hop, and where [`NodeCtx::send_ctrl`] takes a message to this
-    /// host. No per-kind or per-service `msgs_in` accounting (there is
-    /// no message on the wire); handler time stays attributed to the
-    /// outermost routed service.
-    pub(crate) fn deliver_ctrl_local(&mut self, from: HostId, msg: CtrlMsg) {
-        dispatch_ctrl(self, ctrl_service(&msg), from, msg);
     }
 }
 

@@ -58,7 +58,7 @@ pub struct QueryId {
 /// flight (the protocol tolerates duplicate control traffic: reports and
 /// summaries are idempotent soft state, queries dedup by [`QueryId`]).
 #[derive(Clone, Debug)]
-pub enum CtrlMsg {
+pub(crate) enum CtrlMsg {
     // ---- soft-consistency cohesion (§2.4.3) --------------------------
     /// Periodic resource report; doubles as the keep-alive.
     Report {
@@ -121,8 +121,6 @@ pub enum CtrlMsg {
     PackageBytes {
         /// Component name.
         name: String,
-        /// Version shipped.
-        version: Version,
         /// Container bytes.
         bytes: Rc<Vec<u8>>,
     },
@@ -130,8 +128,6 @@ pub enum CtrlMsg {
     FetchFailed {
         /// Component name.
         name: String,
-        /// Version requested.
-        version: Version,
         /// Why.
         reason: String,
     },
@@ -205,8 +201,6 @@ pub enum CtrlMsg {
     /// peers drop cached query results that could name it. Best-effort —
     /// the cache TTL is the staleness backstop when this is lost.
     CacheInvalidate {
-        /// The node whose inventory changed.
-        from: lc_net::HostId,
         /// The component affected (one name shared by the whole fan-out).
         component: Rc<str>,
     },
@@ -433,11 +427,7 @@ mod tests {
             version: Version::new(1, 0),
             reply_to: HostId(0),
         };
-        let pkg = CtrlMsg::PackageBytes {
-            name: "A".into(),
-            version: Version::new(1, 0),
-            bytes: Rc::new(vec![0u8; 50_000]),
-        };
+        let pkg = CtrlMsg::PackageBytes { name: "A".into(), bytes: Rc::new(vec![0u8; 50_000]) };
         assert!(pkg.wire_size() > 50_000);
         assert!(small.wire_size() < 100);
 

@@ -2,7 +2,8 @@
 //! does to the traffic (drop, duplicate, reorder, jitter), the recorded
 //! spans must always form well-formed trace trees — every span
 //! reachable from its root, children nested inside parents, link
-//! targets recorded — and the id allocator must stay deterministic.
+//! targets recorded, none left open once the world has drained — and
+//! the id allocator must stay deterministic.
 
 use lc_core::node::{InvokePolicy, NodeConfig};
 use lc_core::testkit::{fast_cohesion, World};
@@ -11,7 +12,7 @@ use lc_des::SimTime;
 use lc_net::{FaultPlan, HostId, LinkFaults, Net, Topology};
 use lc_orb::Value;
 use lc_prop::check;
-use lc_trace::{validate, Tracer};
+use lc_trace::{open_spans, validate, Tracer};
 
 /// Drive queries and retried invocations over a lossy fabric and return
 /// the tracer that watched it all.
@@ -77,6 +78,10 @@ fn trace_trees_stay_well_formed_under_faults() {
                  jitter {jitter_ms}ms q {q}): {e}"
             );
         }
+        // The run drained: every call, retry, query and handler span
+        // was ended, on the loss and deadline paths too.
+        let open = open_spans(&spans);
+        assert!(open.is_empty(), "spans never ended (seed {seed}): {open:?}");
         // Same seed, same faults -> byte-identical span ids and times.
         let again = lossy_traced_run(seed, drop_p, dup_p, jitter_ms, q);
         assert_eq!(tracer.span_count(), again.span_count());

@@ -48,6 +48,15 @@ fn signed() -> NodeConfig {
     NodeConfig { require_signature: true, ..Default::default() }
 }
 
+/// Nothing is left pending on any node: every continuation the scenario
+/// parked (query, spawn, call, fetch, migration) was resumed or swept.
+fn assert_drained(world: &World) {
+    for host in world.net.host_ids() {
+        let depth = world.node(host).map_or(0, |node| node.continuation_depth());
+        assert_eq!(depth, 0, "{host:?} still holds {depth} continuation(s)");
+    }
+}
+
 #[test]
 fn installation_reflected_in_repository() {
     let mut world = host0_world(Topology::lan(4), 1, signed());
@@ -118,6 +127,12 @@ fn query_miss_terminates() {
     let res = sink.borrow();
     assert!(res.done);
     assert!(res.offers.is_empty());
+    // Every branch of the search dead-ends, and the last MRM says so:
+    // the miss is final on `QueryDone`, a few LAN hops in — not at the
+    // 400 ms query deadline.
+    let took = res.done_at.expect("finalized") - res.started;
+    assert!(took < SimTime::from_millis(40), "miss took {took:?}");
+    assert_eq!(world.sim.metrics_ref().counter("query.timeouts"), 0);
 }
 
 #[test]
@@ -161,6 +176,7 @@ fn spawn_on_remote_node() {
     let objref = spawn.borrow().clone().unwrap().unwrap();
     assert_eq!(objref.key.host, HostId(1));
     assert_eq!(world.node(HostId(1)).unwrap().registry.instance_count(), 1);
+    assert_drained(&world);
 }
 
 #[test]
@@ -214,6 +230,7 @@ fn resolve_uses_port_fetches_locally_for_heavy_traffic() {
     let node4 = world.node(HostId(4)).unwrap();
     let display_inst = node4.registry.instances_of("Display").next().unwrap();
     let _ = display_inst;
+    assert_drained(&world);
 }
 
 #[test]
@@ -262,6 +279,7 @@ fn resolve_uses_existing_remote_instance_for_light_traffic() {
     let display_ref = provider.borrow().clone().unwrap().unwrap();
     assert_eq!(display_ref.key.host, HostId(0), "light traffic connects to the existing one");
     assert_eq!(world.sim.metrics_ref().counter("resolve.fetch_local"), 0);
+    assert_drained(&world);
 }
 
 #[test]
@@ -352,6 +370,34 @@ fn migration_preserves_state_and_forwards_requests() {
         "state travelled with the instance"
     );
     assert!(world.sim.metrics_ref().counter("migrate.forwarded_requests") >= 1);
+    assert_drained(&world);
+}
+
+/// The same migration, traced: once the world has drained no span is
+/// left open — `container.migrate` (ended by `MigrateDone`) and the
+/// handler, fetch and call spans under it included.
+#[test]
+fn traced_migration_leaves_no_span_open() {
+    let tracer = lc_trace::Tracer::new();
+    let net = Net::builder(Topology::lan(4)).tracer(tracer.clone()).build();
+    let mut world = host0_world(net, 10, signed());
+    world.run_for(SimTime::from_millis(10));
+    let old_ref = world.spawn(HostId(0), "Counter", Some("c"), SimTime::from_millis(10));
+    let instance = world.node(HostId(0)).unwrap().registry.named("c").unwrap().id;
+    let msink: lc_core::MigrateSink = Rc::default();
+    world.cmd(HostId(0), NodeCmd::Migrate { instance, to: HostId(2), sink: Some(msink.clone()) });
+    world.run_for(SimTime::from_millis(2000));
+    assert!(matches!(*msink.borrow(), Some(Ok(_))));
+    let value = world.invoke(HostId(3), &old_ref, "value", vec![]);
+    world.run_for(SimTime::from_millis(200));
+    assert_eq!(value.borrow().len(), 1);
+
+    let spans = tracer.spans();
+    lc_trace::validate(&spans).expect("trace trees well-formed");
+    assert!(spans.iter().any(|s| s.name == "container.migrate"));
+    let open = lc_trace::open_spans(&spans);
+    assert!(open.is_empty(), "spans never ended: {open:?}");
+    assert_drained(&world);
 }
 
 #[test]
@@ -1027,6 +1073,67 @@ fn sharded_world_shares_one_ring_across_nodes_and_respawns() {
     for s in 0..shard.shards {
         assert_eq!(shared.replicas(s), private.replicas(s), "shard {s} replica sets differ");
     }
+}
+
+/// A shard replica the publisher cannot reach — every `ShardPublish` to
+/// it is lost on the wire — still learns the entry, over the wire: its
+/// digest goes to the peer replica, the peer answers with the delta.
+#[test]
+fn a_replica_that_misses_every_publish_converges_through_gossip() {
+    let shard = ShardConfig {
+        shards: 8,
+        replicas: 2,
+        vnodes: 4,
+        gossip_period: SimTime::from_millis(200),
+        ..Default::default()
+    };
+    let hosts: Vec<HostId> = (0..16).map(HostId).collect();
+    let ring = ShardRing::build(&hosts, &shard.ring());
+    let counter_shard = ring.shard_of_component("Counter");
+    let [peer, deaf] = ring.replicas(counter_shard)[..] else { panic!("two replicas") };
+    let owner = *hosts.iter().find(|&&h| h != peer && h != deaf).expect("16 hosts");
+
+    let plan = FaultPlan::seeded(5).link(owner, deaf, LinkFaults::none().drop_p(1.0));
+    let net = Net::builder(Topology::lan(16)).fault_plan(plan).build();
+    let mut world = sharded_world(net, 22, shard, NodeConfig::default(), &[owner]);
+    world.run_for(SimTime::from_millis(1500));
+
+    let query = ComponentQuery::by_name("Counter", Version::new(1, 0));
+    for replica in [peer, deaf] {
+        let node = world.node(replica).expect("node is up");
+        let store = node.state().backend().shard().expect("sharded registry");
+        let held = store.lookup(counter_shard, &query).unwrap_or_default();
+        assert_eq!(held.len(), 1, "{replica:?} holds {held:?}");
+        assert_eq!(held[0].node, owner);
+    }
+    assert!(world.sim.metrics_ref().counter("registry.gossip_repaired") >= 1);
+}
+
+/// A cached result is dropped by a peer's `CacheInvalidate`, long before
+/// its TTL: the next identical query searches again and sees the change.
+#[test]
+fn a_received_cache_invalidate_drops_the_cached_result_before_its_ttl() {
+    let cache = CacheConfig { ttl: SimTime::from_secs(60), ..Default::default() };
+    let config = NodeConfig { cache: Some(cache), ..Default::default() };
+    let mut world = host0_world(Topology::lan(4), 23, config);
+    world.run_for(SimTime::from_millis(600));
+    let ask = |world: &mut World| {
+        let query = ComponentQuery::by_name("Counter", Version::new(1, 0));
+        let sink = world.query(HostId(2), query, true);
+        world.run_for(SimTime::from_millis(600));
+        let running = sink.borrow().offers.iter().filter(|o| o.running_instance.is_some()).count();
+        (world.node(HostId(2)).unwrap().cache_stats().expect("cache on"), running)
+    };
+    let (stats, running) = ask(&mut world);
+    assert_eq!((stats.hits, stats.misses, running), (0, 1, 0));
+    let (stats, running) = ask(&mut world);
+    assert_eq!((stats.hits, stats.misses, running), (1, 1, 0), "second ask is served from cache");
+
+    // Host 0's inventory changes; its broadcast reaches host 2.
+    world.spawn(HostId(0), "Counter", None, SimTime::from_millis(50));
+    let (stats, running) = ask(&mut world);
+    assert_eq!(stats.invalidated_entries, 1);
+    assert_eq!((stats.hits, stats.misses, running), (1, 2, 1), "third ask searches again");
 }
 
 /// Cache, sharded registry and a tight admission queue all on, on a

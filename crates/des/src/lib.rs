@@ -238,6 +238,7 @@ pub struct Sim {
 
 impl Sim {
     /// Create a world whose RNG is seeded with `seed`.
+    #[expect(clippy::disallowed_methods, reason = "the kernel owns the simulation's one stream")]
     pub fn new(seed: u64) -> Self {
         Sim {
             core: Core {

@@ -303,6 +303,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "a private stream drives the queue against its oracle")]
     fn interleaved_push_pop_matches_legacy() {
         let mut rng = crate::SimRng::seed_from_u64(0xE13);
         let mut indexed = IndexedQueue::new();

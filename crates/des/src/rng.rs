@@ -112,6 +112,7 @@ impl SampleRange for Range<f64> {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "the generator's own tests seed it")]
 mod tests {
     use super::*;
 

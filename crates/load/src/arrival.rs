@@ -10,7 +10,8 @@
 //! the same number of draws as accepted ones.
 //!
 //! This module is the only place in the crate that seeds an RNG
-//! (enforced by lc-lint rule D4).
+//! (`clippy.toml` disallows `SimRng::seed_from_u64`; [`ArrivalStream::new`]
+//! carries the `#[expect]`).
 
 use lc_des::{SimRng, SimTime};
 
@@ -168,6 +169,7 @@ pub struct ArrivalStream {
 
 impl ArrivalStream {
     /// A stream positioned at virtual time zero.
+    #[expect(clippy::disallowed_methods, reason = "the arrival process owns the workload stream")]
     pub fn new(cfg: StreamConfig) -> ArrivalStream {
         assert!(
             cfg.rate_per_sec.is_finite() && cfg.rate_per_sec > 0.0,
@@ -260,6 +262,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "draws keys from a stream of its own")]
     fn zipf_rank_zero_is_hottest() {
         let mut rng = SimRng::seed_from_u64(3);
         let keys = ZipfKeys::new(16, 1.2);

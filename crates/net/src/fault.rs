@@ -151,6 +151,7 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// A plan whose probabilistic draws replay deterministically from
     /// `seed` (independent of the simulation RNG).
+    #[expect(clippy::disallowed_methods, reason = "the fault plan owns its stream, apart from the kernel's")]
     pub fn seeded(seed: u64) -> Self {
         Self {
             rng: SimRng::seed_from_u64(seed ^ 0xfa_017_fab),

@@ -138,7 +138,8 @@ impl Actor for ServerActor {
             self.adapter.set_clock(ctx.now());
             let res = self.adapter.invoke(target, &op, &args, DispatchOpts::typed());
             if let Some(back) = reply_to {
-                let _ = self.orb.send_reply(ctx, self.host, back, id, res.outcome);
+                let reply = OrbWire::Reply { id, result: res.outcome };
+                let _ = self.orb.send(ctx, self.host, back, reply);
             }
         }
     }
@@ -162,9 +163,14 @@ impl Actor for ClientActor {
     fn handle(&mut self, ctx: &mut Ctx<'_>, msg: AnyMsg) {
         match msg.downcast_msg::<DoCall>() {
             Ok(call) => {
-                if let Err(e) =
-                    self.orb.send_request(ctx, self.host, call.target, call.op, call.args, false)
-                {
+                let request = OrbWire::Request {
+                    id: self.orb.fresh_id(),
+                    reply_to: Some(self.host),
+                    target: call.target,
+                    op: call.op,
+                    args: call.args,
+                };
+                if let Err(e) = self.orb.send(ctx, self.host, call.target.host, request) {
                     *self.slot.borrow_mut() = Some(Err(OrbError::from(e)));
                 }
             }

@@ -381,6 +381,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "LocalOrb is the one thread-safe ORB; this is its test")]
     fn concurrent_invocations() {
         let orb = orb();
         let board = orb.activate(Box::new(BoardImpl { strokes: 0 }));

@@ -67,11 +67,27 @@ pub enum OrbWire {
     },
 }
 
-/// Ids of the counters bumped per request/reply.
+impl OrbWire {
+    /// What the network is charged for this message: the GIOP-style
+    /// header plus the CDR size of what it carries.
+    pub fn wire_size(&self) -> u64 {
+        match self {
+            OrbWire::Request { op, args, .. } => SimOrb::request_size(op, args),
+            OrbWire::Reply { result, .. } => SimOrb::reply_size(result),
+            OrbWire::Event { payload, .. } => {
+                HEADER_BYTES + crate::events::event_wire_size(payload)
+            }
+        }
+    }
+}
+
+/// Ids of the per-kind counters (`orb.requests`, `orb.replies`,
+/// `orb.events`).
 #[derive(Clone, Copy)]
 struct SendCounters {
     requests: CounterId,
     replies: CounterId,
+    events: CounterId,
 }
 
 /// What every clone of a [`SimOrb`] shares.
@@ -82,7 +98,7 @@ struct Shared {
     counters: Cell<Option<SendCounters>>,
 }
 
-/// Shared request-id allocator + senders for one simulation.
+/// Shared request-id allocator + sender for one simulation.
 #[derive(Clone)]
 pub struct SimOrb {
     net: Net,
@@ -99,7 +115,11 @@ impl SimOrb {
     fn counters(&self, ctx: &mut Ctx<'_>) -> SendCounters {
         self.shared.counters.get().unwrap_or_else(|| {
             let m = ctx.metrics();
-            let c = SendCounters { requests: m.id("orb.requests"), replies: m.id("orb.replies") };
+            let c = SendCounters {
+                requests: m.id("orb.requests"),
+                replies: m.id("orb.replies"),
+                events: m.id("orb.events"),
+            };
             self.shared.counters.set(Some(c));
             c
         })
@@ -110,7 +130,9 @@ impl SimOrb {
         &self.net
     }
 
-    /// Allocate a fresh request id.
+    /// Allocate a fresh request id. A retry re-sends under the first
+    /// attempt's id — that is what lets the servant side recognise and
+    /// suppress duplicates.
     pub fn fresh_id(&self) -> RequestId {
         let id = self.shared.next_id.get();
         self.shared.next_id.set(id + 1);
@@ -130,89 +152,31 @@ impl SimOrb {
         }
     }
 
-    /// Send a request from `from` to the host owning `target`.
-    ///
-    /// Returns the allocated request id, or the drop reason if the
-    /// destination is unreachable *right now* (callers translate that to
-    /// [`OrbError::CommFailure`] immediately instead of timing out).
-    #[allow(clippy::too_many_arguments)]
-    pub fn send_request(
-        &self,
-        ctx: &mut Ctx<'_>,
-        from: HostId,
-        target: ObjectKey,
-        op: String,
-        args: Vec<Value>,
-        oneway: bool,
-    ) -> Result<RequestId, DropReason> {
-        let id = self.fresh_id();
-        self.send_request_with_id(ctx, from, id, target, op, args, oneway)?;
-        Ok(id)
-    }
-
-    /// Send (or re-send) a request under an explicit id. Retries MUST
-    /// reuse the first attempt's id — that is what lets the servant side
-    /// recognise and suppress duplicates. `op` and `args` move into the
-    /// frame; a caller that may re-send keeps its own copy.
-    #[allow(clippy::too_many_arguments)]
-    pub fn send_request_with_id(
-        &self,
-        ctx: &mut Ctx<'_>,
-        from: HostId,
-        id: RequestId,
-        target: ObjectKey,
-        op: String,
-        args: Vec<Value>,
-        oneway: bool,
-    ) -> Result<SimTime, DropReason> {
-        let size = Self::request_size(&op, &args);
-        let reply_to = if oneway { None } else { Some(from) };
-        let wire = OrbWire::Request { id, reply_to, target, op, args };
-        let requests = self.counters(ctx).requests;
-        ctx.metrics().bump(requests, 1);
-        self.net.send(ctx, from, target.host, size, wire)
-    }
-
-    /// Send a reply from the servant's host back to the caller.
-    pub fn send_reply(
+    /// Put `wire` on the fabric from `from` to `to` — the one place an
+    /// ORB message is sized, handed to [`Net::send`] and counted. A
+    /// message the fabric accepts counts one of its kind; one it refuses
+    /// (the destination is unreachable *right now*) counts nowhere but
+    /// the fabric's own `net.drop.*`, and the reason comes back so a
+    /// caller can fail with [`OrbError::CommFailure`] instead of timing
+    /// out.
+    pub fn send(
         &self,
         ctx: &mut Ctx<'_>,
         from: HostId,
         to: HostId,
-        id: RequestId,
-        result: Result<Outcome, OrbError>,
+        wire: OrbWire,
     ) -> Result<SimTime, DropReason> {
-        let size = Self::reply_size(&result);
-        let replies = self.counters(ctx).replies;
-        ctx.metrics().bump(replies, 1);
-        self.net.send(ctx, from, to, size, OrbWire::Reply { id, result })
-    }
-
-    /// Deliver one event copy to a consumer on another host.
-    #[allow(clippy::too_many_arguments)]
-    pub fn send_event(
-        &self,
-        ctx: &mut Ctx<'_>,
-        from: HostId,
-        event_id: &str,
-        payload: Value,
-        consumer: ObjectKey,
-        delivery_op: &str,
-    ) -> Result<SimTime, DropReason> {
-        let size = HEADER_BYTES + crate::events::event_wire_size(&payload);
-        ctx.metrics().incr("orb.events");
-        self.net.send(
-            ctx,
-            from,
-            consumer.host,
-            size,
-            OrbWire::Event {
-                event_id: event_id.to_owned(),
-                payload,
-                consumer,
-                delivery_op: delivery_op.to_owned(),
-            },
-        )
+        let counters = self.counters(ctx);
+        let counter = match &wire {
+            OrbWire::Request { .. } => counters.requests,
+            OrbWire::Reply { .. } => counters.replies,
+            OrbWire::Event { .. } => counters.events,
+        };
+        let sent = self.net.send(ctx, from, to, wire.wire_size(), wire);
+        if sent.is_ok() {
+            ctx.metrics().bump(counter, 1);
+        }
+        sent
     }
 }
 
@@ -262,8 +226,8 @@ mod tests {
                 OrbWire::Request { id, reply_to, target, op, args } => {
                     let res = self.adapter.invoke(target, &op, &args, DispatchOpts::typed());
                     if let Some(back) = reply_to {
-                        let _ =
-                            self.orb.send_reply(ctx, self.host, back, id, res.outcome);
+                        let reply = OrbWire::Reply { id, result: res.outcome };
+                        let _ = self.orb.send(ctx, self.host, back, reply);
                     }
                 }
                 OrbWire::Reply { result, .. } => {
@@ -288,16 +252,14 @@ mod tests {
         fn handle(&mut self, ctx: &mut Ctx<'_>, msg: AnyMsg) {
             match msg.downcast_msg::<Kick>() {
                 Ok(kick) => {
-                    self.orb
-                        .send_request(
-                            ctx,
-                            self.host,
-                            kick.target.key,
-                            "echo".into(),
-                            vec![Value::string("hi")],
-                            false,
-                        )
-                        .unwrap();
+                    let request = OrbWire::Request {
+                        id: self.orb.fresh_id(),
+                        reply_to: Some(self.host),
+                        target: kick.target.key,
+                        op: "echo".into(),
+                        args: vec![Value::string("hi")],
+                    };
+                    self.orb.send(ctx, self.host, kick.target.key.host, request).unwrap();
                 }
                 Err(other) => {
                     let net_msg = other.downcast_msg::<NetMsg<OrbWire>>().expect("ORB frame");
@@ -359,21 +321,21 @@ mod tests {
         struct TryCall {
             host: HostId,
             orb: SimOrb,
-            result: Option<Result<RequestId, DropReason>>,
+            result: Option<Result<SimTime, DropReason>>,
         }
         struct Go;
         impl Actor for TryCall {
             fn handle(&mut self, ctx: &mut Ctx<'_>, msg: AnyMsg) {
                 msg.downcast_msg::<Go>().expect("Go");
-                let r = self.orb.send_request(
-                    ctx,
-                    self.host,
-                    ObjectKey { host: HostId(1), oid: 1 },
-                    "echo".into(),
-                    vec![],
-                    false,
-                );
-                self.result = Some(r);
+                let target = ObjectKey { host: HostId(1), oid: 1 };
+                let request = OrbWire::Request {
+                    id: self.orb.fresh_id(),
+                    reply_to: Some(self.host),
+                    target,
+                    op: "echo".into(),
+                    args: vec![],
+                };
+                self.result = Some(self.orb.send(ctx, self.host, target.host, request));
             }
         }
         let mut sim = Sim::new(1);

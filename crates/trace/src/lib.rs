@@ -5,13 +5,13 @@
 //! *causal* dimension: Dapper-style spans that follow one registry
 //! query or component migration across the fabric, the ORB adapter and
 //! the four node services, stamped with **virtual time** and allocated
-//! from **per-node counters** — no RNG, no wall clock (lint rules D1 and
-//! D4 enforce this), so traces are byte-reproducible and usable as a
-//! correctness oracle, not just a debugging aid.
+//! from **per-node counters** — no RNG, no wall clock (`clippy.toml`
+//! disallows both, in tests too), so traces are byte-reproducible and
+//! usable as a correctness oracle, not just a debugging aid.
 //!
 //! | module | provides |
 //! |---|---|
-//! | [`span`] | [`TraceContext`], [`Span`], [`validate`] (tree well-formedness) |
+//! | [`span`] | [`TraceContext`], [`Span`], [`validate`] (tree well-formedness), [`open_spans`] (nothing left open) |
 //! | [`tracer`] | [`Tracer`] (allocation, current-context register, end-propagation), flight recorder |
 //! | [`metrics`] | [`BucketHistogram`] (fixed buckets, integer quantiles) |
 //! | [`export`] | sorted JSONL, chrome://tracing JSON, critical path |
@@ -48,5 +48,5 @@ pub use flame::{to_collapsed, to_timeline};
 pub use metrics::BucketHistogram;
 pub use sampler::SampleConfig;
 pub use slo::{SloBreach, SloConfig, SloKind, SloMonitor, SloRule};
-pub use span::{validate, Span, SpanId, TraceContext, TraceId};
+pub use span::{open_spans, validate, Span, SpanId, TraceContext, TraceId};
 pub use tracer::{SpanEvent, Tracer, FLIGHT_RECORDER_CAP};

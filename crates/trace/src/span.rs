@@ -170,6 +170,14 @@ pub fn validate(spans: &[Span]) -> Result<(), String> {
     Ok(())
 }
 
+/// The spans of `spans` nobody ended. After a world has drained there
+/// are none: whatever opens a span — a handler, a call, a query, a
+/// migration — ends it on every way out, the deadline and failure paths
+/// included.
+pub fn open_spans(spans: &[Span]) -> Vec<&Span> {
+    spans.iter().filter(|s| s.open).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
