@@ -14,8 +14,6 @@
 //!   for a key becomes the *leader*; identical queries issued while it
 //!   is pending join it as followers instead of spawning their own
 //!   network search.
-//! * [`GenVector`] — per-publisher generations, the digest a sharded
-//!   registry replica folds a peer's anti-entropy summary into.
 //!
 //! Determinism: no wall clock, no RNG, no `HashMap` — every structure
 //! iterates in key order, and expiry compares [`SimTime`] stamps the
@@ -123,44 +121,6 @@ impl<K: Ord + Clone, V> QueryCache<K, V> {
     }
 }
 
-/// A per-publisher generation vector: the anti-entropy summary one
-/// registry replica exchanges with another. Each publisher (keyed by an
-/// opaque `u64`, in practice the host id) advances its own generation
-/// when its inventory for a component actually changes; a replica
-/// holding `{p → g}` knows everything publisher `p` said up to
-/// generation `g`. A digest round sends the vector, the peer answers
-/// with entries it holds at a strictly newer generation (or that the
-/// digest lacks entirely), and both sides converge without re-shipping
-/// the full inventory.
-///
-/// This generalises [`QueryCache::generation`] (one monotone counter
-/// per node) to one counter per publisher per shard, which is what a
-/// *sharded* registry needs: a replica can tell exactly which
-/// publisher's updates it missed.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct GenVector {
-    gens: BTreeMap<u64, u64>,
-}
-
-impl GenVector {
-    /// The generation recorded for `publisher` (0 = nothing known).
-    pub fn get(&self, publisher: u64) -> u64 {
-        self.gens.get(&publisher).copied().unwrap_or(0)
-    }
-
-    /// Record `generation` for `publisher` if it is newer than what we
-    /// hold. Returns `true` when the vector advanced.
-    pub fn observe(&mut self, publisher: u64, generation: u64) -> bool {
-        let slot = self.gens.entry(publisher).or_insert(0);
-        if generation > *slot {
-            *slot = generation;
-            true
-        } else {
-            false
-        }
-    }
-}
-
 /// Singleflight bookkeeping for the node's registry: maps an in-flight
 /// query key to the *leader* continuation's sequence number. Followers
 /// attach themselves to the leader's pending entry; this table only
@@ -255,17 +215,6 @@ mod tests {
         assert_eq!(c.stats().invalidated_entries, 1);
         assert_eq!(c.invalidate_matching(|_, _| true), 1);
         assert!(c.get(&"q2".into(), MS(1)).is_none());
-    }
-
-    #[test]
-    fn gen_vector_observes_only_forward() {
-        let mut v = GenVector::default();
-        assert_eq!(v.get(3), 0);
-        assert!(v.observe(3, 2));
-        assert!(!v.observe(3, 2), "equal generation is not news");
-        assert!(!v.observe(3, 1), "older generation is not news");
-        assert!(v.observe(3, 5));
-        assert_eq!(v.get(3), 5);
     }
 
     #[test]

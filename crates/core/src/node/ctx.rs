@@ -458,22 +458,40 @@ impl NodeCtx<'_, '_> {
 
     /// Push this node's current offers for `component` to the owning
     /// shard's replica set (self applies locally, no wire traffic).
-    /// The offer set is computed once; the local store, every message
-    /// and every receiving replica's entry share it.
     /// `bump` advances the publication generation — a real inventory
-    /// change; refreshes reuse the current generation so reordered
-    /// publishes cannot resurrect stale offers.
+    /// change. A refresh keeps it, so reordered publishes cannot
+    /// resurrect stale offers, and when nothing the offer set is computed
+    /// from has changed it re-sends the last publication as it is. The
+    /// offer set and the name are built once; the local store, every
+    /// message and every receiving replica's entry share them.
     pub(crate) fn publish_component(&mut self, component: &str, bump: bool, replicas: &[HostId]) {
         let now = self.sim.now();
         let from = self.state.host;
-        let query = ComponentQuery { name: Some(component.to_owned()), ..Default::default() };
-        let offers: Rc<[Offer]> = self.state.local_offers_for(&query).into();
-        let Some(store) = self.state.backend.shard_mut() else { return };
-        let gen = store.publish_gen(component, bump);
+        let inputs = self.state.publish_inputs();
+        let by_name = || ComponentQuery { name: Some(component.to_owned()), ..Default::default() };
+        let Some(store) = self.state.backend.shard() else { return };
+        let last = if bump { None } else { store.republish(component, &inputs) };
+        let (component, gen, offers) = match last {
+            Some(last) => {
+                debug_assert_eq!(
+                    *last.2,
+                    *self.state.local_offers_for(&by_name()),
+                    "a re-sent offer set must equal a recomputation"
+                );
+                last
+            }
+            None => {
+                let offers: Rc<[Offer]> = self.state.local_offers_for(&by_name()).into();
+                let Some(store) = self.state.backend.shard_mut() else { return };
+                store.publish(component, bump, inputs, offers)
+            }
+        };
         if replicas.contains(&from) {
-            store.on_publish(component, from, gen, now, Rc::clone(&offers));
+            if let Some(store) = self.state.backend.shard_mut() {
+                store.on_publish(Rc::clone(&component), from, gen, now, Rc::clone(&offers));
+            }
         }
-        let msg = CtrlMsg::ShardPublish { from, component: component.into(), gen, at: now, offers };
+        let msg = CtrlMsg::ShardPublish { from, component, gen, at: now, offers };
         for &to in replicas {
             self.send_if_reachable(to, &msg);
         }

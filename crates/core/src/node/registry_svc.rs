@@ -7,7 +7,9 @@
 use crate::cohesion::{route_at_seat, Miss};
 use crate::deploy::{choose, ResolveAction};
 use crate::proto::{CtrlMsg, DeltaEntry, QueryId};
-use crate::registry::backend::{CoherenceRoute, ResolveStep, SearchRoute, ShardStore};
+use crate::registry::backend::{
+    CoherenceRoute, PublishInputs, ResolveStep, SearchRoute, ShardStore,
+};
 use crate::registry::{ComponentQuery, InstanceId, Offer};
 use lc_net::HostId;
 use lc_pkg::Version;
@@ -44,6 +46,16 @@ impl NodeState {
             &self.idl,
             self.resources.cpu_utilisation(),
         )
+    }
+
+    /// Everything [`local_offers_for`](Self::local_offers_for) reads for
+    /// a name query, as a publication records it.
+    pub(crate) fn publish_inputs(&self) -> PublishInputs {
+        PublishInputs {
+            names: Rc::clone(self.repository.names()),
+            instances: self.registry.generation(),
+            dynamic: self.resources.dynamic(),
+        }
     }
 }
 
@@ -400,7 +412,7 @@ impl NodeCtx<'_, '_> {
         &mut self,
         from: HostId,
         shard: u32,
-        gens: &[(String, HostId, u64)],
+        gens: &[(Rc<str>, HostId, u64)],
     ) {
         let now = self.sim.now();
         let Some(store) = self.state.backend.shard_mut() else { return };

@@ -269,7 +269,7 @@ pub(crate) fn handle_ctrl(ctx: &mut NodeCtx<'_, '_>, msg: CtrlMsg) {
         }
         CtrlMsg::ShardPublish { from, component, gen, at, offers } => {
             if let Some(store) = ctx.state.backend.shard_mut() {
-                store.on_publish(&component, from, gen, at, offers);
+                store.on_publish(component, from, gen, at, offers);
             }
         }
         CtrlMsg::GossipDigest { from, shard, gens } => ctx.on_gossip_digest(from, shard, &gens),

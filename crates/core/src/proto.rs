@@ -8,6 +8,7 @@
 //! Each message knows its approximate wire size so the network model is
 //! charged honestly.
 
+use crate::registry::backend::ShardDigest;
 use crate::registry::{ComponentQuery, Offer};
 use crate::resource::ResourceReport;
 use lc_orb::{ObjectKey, ObjectRef, Value};
@@ -258,9 +259,9 @@ pub(crate) enum CtrlMsg {
         from: lc_net::HostId,
         /// Shard the digest describes.
         shard: u32,
-        /// Generation triples: built once per shard per round and shared
-        /// by every peer replica's digest.
-        gens: Rc<[(String, lc_net::HostId, u64)]>,
+        /// Generation triples, sorted: built once per shard per round and
+        /// shared by every peer replica's digest.
+        gens: ShardDigest,
     },
     /// Anti-entropy repair: the entries the digest sender was missing or
     /// held at an older generation.
@@ -372,8 +373,8 @@ fn replica_size(replica: &Option<(String, Version)>) -> u64 {
 /// publishers).
 #[derive(Clone, Debug)]
 pub struct DeltaEntry {
-    /// Component name.
-    pub component: String,
+    /// Component name (the sender's store key, shared).
+    pub component: Rc<str>,
     /// Publishing node.
     pub publisher: lc_net::HostId,
     /// Publisher generation.
@@ -466,7 +467,7 @@ mod tests {
         let full = CtrlMsg::GossipDigest {
             from: HostId(0),
             shard: 0,
-            gens: (0..10).map(|i| (format!("C{i}"), HostId(i), i as u64)).collect(),
+            gens: (0..10).map(|i| (format!("C{i}").into(), HostId(i), i as u64)).collect(),
         };
         assert!(full.wire_size() > empty.wire_size() + 100);
 

@@ -12,9 +12,9 @@
 //!   over the world's one [`ShardRing`]: publishers push their offers to
 //!   the owning shard's replica set, lookups route Chord-style through
 //!   the finger overlay in O(log S) hops, and replicas reconcile with
-//!   gossip anti-entropy (per-publisher generation vectors on a
-//!   virtual-time cadence), so a lost publish or invalidate has a
-//!   convergence path beyond the TTL backstop.
+//!   gossip anti-entropy (sorted `(component, publisher, generation)`
+//!   digests on a virtual-time cadence), so a lost publish or
+//!   invalidate has a convergence path beyond the TTL backstop.
 //!
 //! The route enums ([`ResolveStep`], [`SearchRoute`], [`CoherenceRoute`])
 //! are data the registry service branches on; the shard-only operations
@@ -24,11 +24,14 @@
 use crate::proto::DeltaEntry;
 use crate::registry::shard::{ShardRing, ShardRingConfig};
 use crate::registry::{ComponentQuery, Offer};
-use lc_cache::{CacheStats, Coalescer, GenVector, QueryCache};
+use crate::resource::DynamicInfo;
+use lc_cache::{CacheStats, Coalescer, QueryCache};
 use lc_des::SimTime;
 use lc_net::HostId;
 use lc_pkg::Mobility;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::ops::Bound;
 use std::rc::Rc;
 
 /// Parameters of the sharded registry: the ring shape plus the two
@@ -146,9 +149,46 @@ pub struct BackendStats {
 }
 
 /// A shard's anti-entropy summary: `(component, publisher, generation)`
-/// triples for every entry a replica holds. Built once per gossip round
-/// and shared by the digests to every peer replica.
-pub type ShardDigest = Rc<[(String, HostId, u64)]>;
+/// triples for every entry a replica holds, strictly sorted by
+/// `(component, publisher)`. Built once per gossip round — a sized
+/// vector copied into the shared slice, the names the store's own — and
+/// shared by the digests to every peer replica.
+pub type ShardDigest = Rc<[(Rc<str>, HostId, u64)]>;
+
+/// What [`ComponentRegistry::local_offers`](crate::registry::ComponentRegistry::local_offers)
+/// reads of a node when it builds a publication's offer set (the query
+/// names one component, so the interface repository plays no part).
+#[derive(Clone, Debug)]
+pub(crate) struct PublishInputs {
+    /// The repository's installed-name snapshot, rebuilt by every change
+    /// to the installed set and compared by pointer; holding the clone
+    /// keeps the allocation from being reused by a later snapshot.
+    pub names: Rc<[String]>,
+    /// [`ComponentRegistry::generation`](crate::registry::ComponentRegistry::generation).
+    pub instances: u64,
+    /// The resource allocation every offer's `load` is computed from.
+    pub dynamic: DynamicInfo,
+}
+
+impl PublishInputs {
+    fn unchanged(&self, since: &PublishInputs) -> bool {
+        Rc::ptr_eq(&self.names, &since.names)
+            && self.instances == since.instances
+            && self.dynamic == since.dynamic
+    }
+}
+
+/// One publication this host made: the generation it went out under,
+/// what its offer set was computed from, and the set itself.
+struct Published {
+    gen: u64,
+    inputs: PublishInputs,
+    offers: Rc<[Offer]>,
+}
+
+/// A publication as it goes on the wire: the component's name (the
+/// store's key, shared), its generation and its offer set.
+pub(crate) type Publication = (Rc<str>, u64, Rc<[Offer]>);
 
 /// The result cache + singleflight table in front of every search, both
 /// keyed by the query itself.
@@ -196,7 +236,7 @@ fn offer_matches(o: &Offer, q: &ComponentQuery) -> bool {
 
 /// This host's slice of the sharded inventory: the world's shared ring,
 /// the publisher entries of the shards this host replicates, and this
-/// host's own publication generations. Reached only from the
+/// host's own last publications. Reached only from the
 /// [`SearchRoute`]/[`CoherenceRoute`] arms and control messages that
 /// name a shard.
 pub struct ShardStore {
@@ -209,12 +249,15 @@ pub struct ShardStore {
     my_shards: Vec<u32>,
     /// This host's home shard (overlay entry point for lookups).
     home: u32,
-    /// shard → component → publisher → entry.
-    store: BTreeMap<u32, BTreeMap<String, BTreeMap<HostId, PubEntry>>>,
-    /// This host's publication generations, one monotone counter
+    /// shard → component → publisher → entry. A component key is the
+    /// name its first publish arrived with.
+    store: BTreeMap<u32, BTreeMap<Rc<str>, BTreeMap<HostId, PubEntry>>>,
+    /// This host's publication generations: one monotone counter,
     /// stamped per component on real changes.
     next_gen: u64,
-    my_gens: BTreeMap<String, u64>,
+    /// This host's last publication of each component, re-sent as is by
+    /// a refresh that finds its inputs unchanged.
+    published: BTreeMap<Rc<str>, Published>,
     gossip_rounds: u64,
 }
 
@@ -229,7 +272,7 @@ impl ShardStore {
             cfg: cfg.clone(),
             store: BTreeMap::new(),
             next_gen: 0,
-            my_gens: BTreeMap::new(),
+            published: BTreeMap::new(),
             gossip_rounds: 0,
         }
     }
@@ -245,19 +288,13 @@ impl ShardStore {
     fn apply(
         &mut self,
         shard: u32,
-        component: &str,
+        component: Rc<str>,
         publisher: HostId,
         gen: u64,
         at: SimTime,
         offers: Rc<[Offer]>,
     ) -> bool {
-        let by_comp = self.store.entry(shard).or_default();
-        // A refresh finds its component already there: borrow the name
-        // and only build the key for a first publish.
-        if !by_comp.contains_key(component) {
-            by_comp.insert(component.to_owned(), BTreeMap::new());
-        }
-        let Some(by_pub) = by_comp.get_mut(component) else { return false };
+        let by_pub = self.store.entry(shard).or_default().entry(component).or_default();
         match by_pub.get_mut(&publisher) {
             Some(e) if gen < e.gen || (gen == e.gen && at < e.at) => false,
             Some(e) => {
@@ -303,12 +340,13 @@ impl ShardStore {
         }
         let mut out: Vec<Offer> = Vec::new();
         if let Some(by_comp) = self.store.get(&shard) {
-            let comps: Box<dyn Iterator<Item = &BTreeMap<HostId, PubEntry>>> =
-                match query.name.as_deref() {
-                    Some(name) => Box::new(by_comp.get(name).into_iter()),
-                    None => Box::new(by_comp.values()),
-                };
-            for by_pub in comps {
+            let comps = match query.name.as_deref() {
+                Some(name) => {
+                    by_comp.range::<str, _>((Bound::Included(name), Bound::Included(name)))
+                }
+                None => by_comp.range::<str, _>(..),
+            };
+            for (_, by_pub) in comps {
                 for e in by_pub.values() {
                     for o in e.offers.iter() {
                         if offer_matches(o, query)
@@ -341,14 +379,39 @@ impl ShardStore {
         self.ring.max_hops()
     }
 
-    /// This host's publication generation for `component`; `bump`
-    /// advances it (a real inventory change), a refresh reuses it.
-    pub fn publish_gen(&mut self, component: &str, bump: bool) -> u64 {
-        if bump || !self.my_gens.contains_key(component) {
-            self.next_gen += 1;
-            self.my_gens.insert(component.to_owned(), self.next_gen);
-        }
-        self.my_gens.get(component).copied().unwrap_or(0)
+    /// This host's last publication of `component`, for a refresh: the
+    /// name, generation and offer set it went out with, when nothing its
+    /// offer set was computed from has changed since (`inputs`).
+    pub(crate) fn republish(&self, component: &str, inputs: &PublishInputs) -> Option<Publication> {
+        let (name, last) = self.published.get_key_value(component)?;
+        inputs
+            .unchanged(&last.inputs)
+            .then(|| (Rc::clone(name), last.gen, Rc::clone(&last.offers)))
+    }
+
+    /// Record a freshly computed publication of `component`. `bump`
+    /// advances its generation (a real inventory change), as does a first
+    /// publish; a refresh keeps it, so reordered publishes cannot
+    /// resurrect stale offers.
+    pub(crate) fn publish(
+        &mut self,
+        component: &str,
+        bump: bool,
+        inputs: PublishInputs,
+        offers: Rc<[Offer]>,
+    ) -> Publication {
+        let last = self.published.get_key_value(component);
+        let name = last.map_or_else(|| Rc::from(component), |(name, _)| Rc::clone(name));
+        let gen = match last {
+            Some((_, last)) if !bump => last.gen,
+            _ => {
+                self.next_gen += 1;
+                self.next_gen
+            }
+        };
+        let published = Published { gen, inputs, offers: Rc::clone(&offers) };
+        self.published.insert(Rc::clone(&name), published);
+        (name, gen, offers)
     }
 
     /// Absorb a publisher's offers for `component` (direct publish).
@@ -356,13 +419,13 @@ impl ShardStore {
     /// store changed.
     pub fn on_publish(
         &mut self,
-        component: &str,
+        component: Rc<str>,
         publisher: HostId,
         gen: u64,
         at: SimTime,
         offers: Rc<[Offer]>,
     ) -> bool {
-        let shard = self.ring.shard_of_component(component);
+        let shard = self.ring.shard_of_component(&component);
         if !self.ring.is_replica(shard, self.host) {
             return false; // stale addressing (e.g. ring drift across configs)
         }
@@ -382,12 +445,11 @@ impl ShardStore {
                 .store
                 .get(&shard)
                 .map(|by_comp| {
-                    by_comp
-                        .iter()
-                        .flat_map(|(c, by_pub)| {
-                            by_pub.iter().map(move |(&p, e)| (c.clone(), p, e.gen))
-                        })
-                        .collect()
+                    let mut gens = Vec::with_capacity(by_comp.values().map(BTreeMap::len).sum());
+                    for (c, by_pub) in by_comp {
+                        gens.extend(by_pub.iter().map(|(&p, e)| (Rc::clone(c), p, e.gen)));
+                    }
+                    gens.into()
                 })
                 .unwrap_or_default();
             for &peer in self.ring.replicas(shard).iter() {
@@ -401,31 +463,39 @@ impl ShardStore {
 
     /// Answer a peer's digest for `shard` with every entry this replica
     /// holds at a strictly newer generation (or that the digest lacks).
+    /// `gens` must be sorted by `(component, publisher)`, as
+    /// [`gossip_digests`](Self::gossip_digests) emits it; a repeated pair
+    /// counts at its highest generation.
     pub fn on_gossip_digest(
         &mut self,
         shard: u32,
-        gens: &[(String, HostId, u64)],
+        gens: &[(Rc<str>, HostId, u64)],
         now: SimTime,
     ) -> Vec<DeltaEntry> {
         if !self.ring.is_replica(shard, self.host) {
             return Vec::new();
         }
         self.expire(now);
-        // Fold the peer's digest into per-component generation vectors,
-        // then ship everything we hold strictly ahead of (or absent
-        // from) the peer's view.
-        let mut theirs: BTreeMap<&str, GenVector> = BTreeMap::new();
-        for (c, p, g) in gens {
-            theirs.entry(c.as_str()).or_default().observe(p.0 as u64, *g);
-        }
         let Some(by_comp) = self.store.get(&shard) else { return Vec::new() };
+        // The digest and the store are both in (component, publisher)
+        // order: walk them side by side, and ship everything held
+        // strictly ahead of (or absent from) the peer's view.
+        let mut theirs = gens.iter().peekable();
         let mut out = Vec::new();
         for (c, by_pub) in by_comp {
             for (&p, e) in by_pub {
-                let known = theirs.get(c.as_str()).map_or(0, |v| v.get(p.0 as u64));
+                let mut known = 0;
+                while let Some((tc, tp, tg)) = theirs.peek() {
+                    match (&**tc, *tp).cmp(&(&**c, p)) {
+                        Ordering::Less => {}
+                        Ordering::Equal => known = known.max(*tg),
+                        Ordering::Greater => break,
+                    }
+                    theirs.next();
+                }
                 if e.gen > known {
                     out.push(DeltaEntry {
-                        component: c.clone(),
+                        component: Rc::clone(c),
                         publisher: p,
                         gen: e.gen,
                         at: e.at,
@@ -447,7 +517,7 @@ impl ShardStore {
             if self.ring.shard_of_component(&e.component) != shard {
                 continue;
             }
-            if self.apply(shard, &e.component, e.publisher, e.gen, e.at, e.offers) {
+            if self.apply(shard, e.component, e.publisher, e.gen, e.at, e.offers) {
                 advanced += 1;
             }
         }
@@ -660,7 +730,7 @@ mod tests {
         let shard = a.ring().shard_of_component("X");
         // The publish reached replica A but the fabric lost B's copy
         // (the missed-broadcast case): only A can answer.
-        assert!(a.on_publish("X", HostId(0), 1, MS(10), [offer(0, "X")].into()));
+        assert!(a.on_publish("X".into(), HostId(0), 1, MS(10), [offer(0, "X")].into()));
         assert_eq!(a.lookup(shard, &q).map(|o| o.len()), Some(1));
         assert_eq!(b.lookup(shard, &q).map(|o| o.len()), Some(0));
         // One gossip round repairs B; a second round is quiescent.
@@ -675,11 +745,11 @@ mod tests {
         let q = ComponentQuery::by_name("X", Version::new(1, 0));
         let shard = a.ring().shard_of_component("X");
         // Both replicas hold generation 1 …
-        a.on_publish("X", HostId(0), 1, MS(10), [offer(0, "X")].into());
-        b.on_publish("X", HostId(0), 1, MS(10), [offer(0, "X")].into());
+        a.on_publish("X".into(), HostId(0), 1, MS(10), [offer(0, "X")].into());
+        b.on_publish("X".into(), HostId(0), 1, MS(10), [offer(0, "X")].into());
         // … then the publisher's inventory empties (deregister) and only
         // A hears about it — the lost-CacheInvalidate analogue.
-        a.on_publish("X", HostId(0), 2, MS(20), [].into());
+        a.on_publish("X".into(), HostId(0), 2, MS(20), [].into());
         assert_eq!(a.lookup(shard, &q).map(|o| o.len()), Some(0));
         assert_eq!(b.lookup(shard, &q).map(|o| o.len()), Some(1), "B is stale");
         assert_eq!(gossip_round(&mut a, &mut b, MS(30)), 1);
@@ -691,9 +761,9 @@ mod tests {
         let (mut a, _) = replica_pair();
         let q = ComponentQuery::by_name("X", Version::new(1, 0));
         let shard = a.ring().shard_of_component("X");
-        a.on_publish("X", HostId(0), 3, MS(30), [].into());
+        a.on_publish("X".into(), HostId(0), 3, MS(30), [].into());
         // A reordered older publish must not resurrect the offers.
-        assert!(!a.on_publish("X", HostId(0), 2, MS(10), [offer(0, "X")].into()));
+        assert!(!a.on_publish("X".into(), HostId(0), 2, MS(10), [offer(0, "X")].into()));
         assert_eq!(a.lookup(shard, &q).map(|o| o.len()), Some(0));
     }
 
@@ -709,9 +779,9 @@ mod tests {
         let mut a = store(&cfg, 0, 2);
         let q = ComponentQuery::by_name("X", Version::new(1, 0));
         let shard = a.ring().shard_of_component("X");
-        a.on_publish("X", HostId(1), 1, MS(0), [offer(1, "X")].into());
+        a.on_publish("X".into(), HostId(1), 1, MS(0), [offer(1, "X")].into());
         // Refresh (same generation, newer stamp) keeps it alive …
-        a.on_publish("X", HostId(1), 1, MS(80), [offer(1, "X")].into());
+        a.on_publish("X".into(), HostId(1), 1, MS(80), [offer(1, "X")].into());
         a.gossip_digests(MS(150)); // sweep at 150: age 70 < ttl
         assert_eq!(a.lookup(shard, &q).map(|o| o.len()), Some(1));
         // … but a crashed publisher's entry ages out.
@@ -728,7 +798,7 @@ mod tests {
         pay.cost_per_hour = 100;
         pay.version = Version::new(1, 5);
         pay.mobility = Mobility::Fixed;
-        a.on_publish("X", HostId(0), 1, MS(0), [offer(1, "X"), pay].into());
+        a.on_publish("X".into(), HostId(0), 1, MS(0), [offer(1, "X"), pay].into());
         let all = ComponentQuery::by_name("X", Version::new(1, 0));
         assert_eq!(a.lookup(shard, &all).map(|o| o.len()), Some(2));
         let newer = ComponentQuery::by_name("X", Version::new(1, 5));
@@ -819,5 +889,96 @@ mod tests {
         ));
         assert_eq!(none.invalidate("X"), None);
         assert!(matches!(none.coherence_route("X"), CoherenceRoute::Disabled));
+    }
+
+    /// A refresh gets the last publication back — same name, generation
+    /// and offer set, by pointer — until one of its inputs moves; a bump
+    /// or a first publish advances the generation, a recomputed refresh
+    /// keeps it and keeps the name.
+    #[test]
+    fn a_refresh_reuses_the_last_publication_until_an_input_moves() {
+        let (mut a, _) = replica_pair();
+        let inputs = PublishInputs {
+            names: ["X".to_owned()].into(),
+            instances: 0,
+            dynamic: DynamicInfo::default(),
+        };
+        assert!(a.republish("X", &inputs).is_none(), "nothing published yet");
+        let (name, gen, offers) = a.publish("X", false, inputs.clone(), [offer(0, "X")].into());
+        assert_eq!(gen, 1);
+        let (again, same_gen, same) = a.republish("X", &inputs).expect("inputs unchanged");
+        assert!(Rc::ptr_eq(&again, &name) && Rc::ptr_eq(&same, &offers));
+        assert_eq!(same_gen, gen);
+
+        let busier = DynamicInfo { cpu_used: 0.1, ..inputs.dynamic };
+        let moved = [
+            PublishInputs { names: ["X".to_owned()].into(), ..inputs.clone() },
+            PublishInputs { instances: 1, ..inputs.clone() },
+            PublishInputs { dynamic: busier, ..inputs.clone() },
+        ];
+        for changed in moved {
+            assert!(a.republish("X", &changed).is_none(), "{changed:?} must recompute");
+            let (renamed, regen, _) = a.publish("X", false, changed, [].into());
+            assert!(Rc::ptr_eq(&renamed, &name), "the name is built once");
+            assert_eq!(regen, gen, "a refresh keeps its generation");
+        }
+        assert_eq!(a.publish("X", true, inputs.clone(), [].into()).1, 2, "a bump advances it");
+        assert_eq!(a.publish("Y", false, inputs, [].into()).1, 3, "so does a first publish");
+    }
+
+    /// The merge walk answers a digest exactly as a reference fold does —
+    /// a map of the highest generation the peer named per (component,
+    /// publisher) — whatever the two replicas hold: entries missing or
+    /// extra on either side, older or newer on either side, and pairs the
+    /// digest repeats. The digests a replica emits are strictly sorted,
+    /// which is what the walk assumes.
+    #[test]
+    fn digest_walk_matches_a_reference_fold() {
+        const NAMES: [&str; 5] = ["A", "Ab", "B", "Counter", "X"];
+        lc_prop::check("digest walk = reference fold", |g| {
+            let (mut a, mut b) = replica_pair();
+            for replica in [&mut a, &mut b] {
+                for name in NAMES {
+                    for p in 0..3 {
+                        if g.gen_bool() {
+                            let gen = g.gen_range(1..5u64);
+                            replica.on_publish(name.into(), HostId(p), gen, MS(10), [].into());
+                        }
+                    }
+                }
+            }
+            let now = MS(20);
+            for (_, shard, gens) in a.gossip_digests(now) {
+                let key = |t: &(Rc<str>, HostId, u64)| (Rc::clone(&t.0), t.1);
+                assert!(gens.windows(2).all(|w| key(&w[0]) < key(&w[1])), "unsorted: {gens:?}");
+                let mut digest = Vec::new();
+                for t in gens.iter() {
+                    digest.push(t.clone());
+                    if g.gen_bool() {
+                        digest.push((Rc::clone(&t.0), t.1, g.gen_range(0..6u64)));
+                    }
+                }
+                let mut theirs: BTreeMap<(&str, HostId), u64> = BTreeMap::new();
+                for (c, p, gen) in &digest {
+                    let known = theirs.entry((c, *p)).or_default();
+                    *known = (*known).max(*gen);
+                }
+                let expected: Vec<(String, HostId, u64)> = b
+                    .store
+                    .get(&shard)
+                    .into_iter()
+                    .flatten()
+                    .flat_map(|(c, by_pub)| by_pub.iter().map(move |(&p, e)| (c, p, e.gen)))
+                    .filter(|(c, p, gen)| *gen > theirs.get(&(&**c, *p)).copied().unwrap_or(0))
+                    .map(|(c, p, gen)| (c.to_string(), p, gen))
+                    .collect();
+                let walked: Vec<(String, HostId, u64)> = b
+                    .on_gossip_digest(shard, &digest, now)
+                    .into_iter()
+                    .map(|d| (d.component.to_string(), d.publisher, d.gen))
+                    .collect();
+                assert_eq!(walked, expected);
+            }
+        });
     }
 }

@@ -206,6 +206,8 @@ pub struct ComponentRegistry {
     instances: BTreeMap<InstanceId, InstanceInfo>,
     connections: Vec<Connection>,
     next_instance: u64,
+    /// Bumped by every write to `instances` (see [`Self::generation`]).
+    generation: u64,
 }
 
 impl ComponentRegistry {
@@ -222,12 +224,14 @@ impl ComponentRegistry {
 
     /// Record a new running instance.
     pub fn add_instance(&mut self, info: InstanceInfo) {
+        self.generation += 1;
         self.instances.insert(info.id, info);
     }
 
     /// Remove an instance (destroyed or migrated away) and its
     /// connections.
     pub fn remove_instance(&mut self, id: InstanceId) -> Option<InstanceInfo> {
+        self.generation += 1;
         self.connections.retain(|c| c.from != id);
         self.instances.remove(&id)
     }
@@ -237,9 +241,21 @@ impl ComponentRegistry {
         self.instances.get(&id)
     }
 
-    /// Mutable instance info (run-time port modification).
+    /// Mutable instance info (run-time port modification). Counts as a
+    /// write: the caller may change anything an offer reads.
     pub fn instance_mut(&mut self, id: InstanceId) -> Option<&mut InstanceInfo> {
+        self.generation += 1;
         self.instances.get_mut(&id)
+    }
+
+    /// The instance-set generation: advanced by every call that can
+    /// change an instance ([`add_instance`](Self::add_instance),
+    /// [`remove_instance`](Self::remove_instance),
+    /// [`instance_mut`](Self::instance_mut), [`clear`](Self::clear)).
+    /// An equal generation means [`local_offers`](Self::local_offers)
+    /// sees the same instances.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// All instances.
@@ -313,6 +329,7 @@ impl ComponentRegistry {
 
     /// Forget everything (node restart).
     pub fn clear(&mut self) {
+        self.generation += 1;
         self.instances.clear();
         self.connections.clear();
     }

@@ -33,12 +33,20 @@ use lc_prop::alloc::{allocs, Counting};
 static GLOBAL: Counting = Counting;
 
 /// Allocations per node per report period: the measured 1 500 / 640 and
-/// 6 740 / 640 (the same in debug and release builds), rounded up to
-/// two decimals. With every frame boxed twice and every timer boxed
-/// once the same runs measured 6.32 and 20.44; before soft state was
-/// shared, 25.50 and 47.25 (EXPERIMENTS.md, "Background soft state").
+/// 4 060 / 640, rounded up to two decimals. Debug builds add the
+/// exactness assertion's recomputation of every re-sent publication,
+/// 320 × [`RESEND_CHECK_ALLOCS`] on the sharded campus (5 020 / 640).
+/// Before a refresh re-sent its last publication the sharded plane
+/// measured 6 460 / 640; with every frame boxed twice and every timer
+/// boxed once the same runs measured 6.32 and 20.44; before soft state
+/// was shared, 25.50 and 47.25 (EXPERIMENTS.md, "Background soft state").
 const SINGLE_LEADER_BUDGET: f64 = 2.35;
-const SHARDED_BUDGET: f64 = 10.54;
+const SHARDED_BUDGET: f64 = if cfg!(debug_assertions) { 7.85 } else { 6.35 };
+
+/// What the exactness assertion of debug builds adds to re-sending the
+/// campus's one publication: recomputing it (the query's name, the offer
+/// vector, the offer's component name) to compare with what is re-sent.
+const RESEND_CHECK_ALLOCS: u64 = if cfg!(debug_assertions) { 3 } else { 0 };
 
 /// What rebuilding one subtree summary allocates: the component name,
 /// the set node holding it and the `Rc` around the summary. The only
@@ -102,6 +110,51 @@ fn sharded_idle_allocation_budget() {
     let registry = RegistryConfig::Sharded(ShardConfig::default());
     let total = idle_allocs(campus(registry, Some(CacheConfig::default())));
     assert_budget("sharded idle campus", total, SHARDED_BUDGET);
+}
+
+/// A sharded refresh re-sends, tick by tick on the idle campus: the
+/// `ShardMaintain` tick of a `Counter` owner that replicates no shard (so
+/// it builds no digest), whose publisher inputs did not change, allocates
+/// one frame per `ShardPublish` it sends and nothing to rebuild the
+/// publication — plus, in debug builds, [`RESEND_CHECK_ALLOCS`].
+#[test]
+fn an_unchanged_refresh_allocates_one_frame_per_message() {
+    let mut world = campus(
+        RegistryConfig::Sharded(ShardConfig::default()),
+        Some(CacheConfig::default()),
+    );
+    world.sim.run_until(SimTime::from_secs(7));
+    let ring = world.seeds[0].ring.clone().expect("a sharded world carries its ring");
+    let owners = (0..NODES as u32).step_by(8).map(HostId);
+    let publishers: Vec<HostId> = owners.filter(|&h| ring.shards_of(h).is_empty()).collect();
+    assert!(!publishers.is_empty(), "some owner replicates no shard");
+    let rounds = |world: &World| -> Vec<u64> {
+        let node = |h| world.node(h).expect("no crashes");
+        publishers.iter().map(|&h| node(h).backend().stats().gossip_rounds).collect()
+    };
+    let sent = |world: &World| world.sim.metrics_ref().counter("net.msgs");
+
+    let end = SimTime::from_secs(7) + REPORT_PERIOD * PERIODS;
+    let mut refreshes = 0;
+    while world.sim.now() < end {
+        let (rounds_before, sent_before) = (rounds(&world), sent(&world));
+        let before = allocs();
+        assert!(world.sim.step(), "the idle plane never drains");
+        let allocs = allocs() - before;
+        if rounds(&world) != rounds_before {
+            let sent = sent(&world) - sent_before;
+            assert!(sent > 0, "a refresh publishes");
+            assert_eq!(
+                allocs,
+                sent + RESEND_CHECK_ALLOCS,
+                "a refresh that sent {sent} message(s) allocated {allocs} times at {}",
+                world.sim.now()
+            );
+            refreshes += 1;
+        }
+    }
+    println!("{refreshes} unchanged refreshes, each one frame per message");
+    assert!(refreshes > 0, "the window must contain publishers' maintenance ticks");
 }
 
 

@@ -324,7 +324,7 @@ fn ring_rebalance_moves_only_departed_hosts_shards() {
             let (mut b, mut a) = (registry(&before), registry(&after));
             let served = |r: &mut Registry, offers: Rc<[lc_core::Offer]>| {
                 let store = r.shard_mut().expect("built with a shard store");
-                store.on_publish(component, replica, 1, now, offers);
+                store.on_publish(component.as_str().into(), replica, 1, now, offers);
                 store.lookup(s, &q).map(|o| o.len())
             };
             let before_offers = served(&mut b, [offer.clone()].into());

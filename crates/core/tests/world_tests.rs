@@ -3,7 +3,7 @@
 //! events, migration, assembly deployment, crashes and MRM failover.
 
 use lc_core::demo;
-use lc_core::node::{AdmissionConfig, NodeCmd, QuerySink, RegistryConfig};
+use lc_core::node::{AdmissionConfig, Node, NodeCmd, QuerySink, RegistryConfig};
 use lc_core::testkit::{fast_cohesion, fast_config, World};
 use lc_core::{
     AssemblyDescriptor, CacheConfig, ComponentQuery, NodeConfig,
@@ -1107,6 +1107,64 @@ fn a_replica_that_misses_every_publish_converges_through_gossip() {
         assert_eq!(held[0].node, owner);
     }
     assert!(world.sim.metrics_ref().counter("registry.gossip_repaired") >= 1);
+}
+
+/// A refresh re-sends its last publication only while nothing the offer
+/// set was computed from has moved. An owner holds `Counter` and
+/// `Display`; spawning `Display` changes the load every one of its offers
+/// carries, so `Counter`'s next refresh — no bump, `Counter` itself did
+/// not change — reaches the replica with the new load. After
+/// `ComponentRegistry::clear` the next refresh recomputes too: an
+/// instance the registry forgot is no longer offered as running.
+#[test]
+fn a_refresh_recomputes_when_the_load_or_the_instances_move() {
+    let shard = ShardConfig {
+        shards: 8,
+        replicas: 2,
+        vnodes: 4,
+        gossip_period: SimTime::from_millis(200),
+        ..Default::default()
+    };
+    let hosts: Vec<HostId> = (0..16).map(HostId).collect();
+    let ring = ShardRing::build(&hosts, &shard.ring());
+    let counter_shard = ring.shard_of_component("Counter");
+    let replica = ring.replicas(counter_shard)[0];
+    let owner = *hosts.iter().find(|h| !ring.is_replica(counter_shard, **h)).expect("16 hosts");
+    let config = NodeConfig {
+        cohesion: fast_cohesion(),
+        registry: RegistryConfig::Sharded(shard),
+        ..Default::default()
+    };
+    let mut world = World::on(Topology::lan(16), 24, config, demo::catalog(), |h| {
+        if h == owner {
+            vec![demo::counter_package(), demo::display_package()]
+        } else {
+            Vec::new()
+        }
+    });
+    let held = |world: &World| {
+        let node = world.node(replica).expect("replica is up");
+        let store = node.backend().shard().expect("sharded registry");
+        let query = ComponentQuery::by_name("Counter", Version::new(1, 0));
+        let held = store.lookup(counter_shard, &query).unwrap_or_default();
+        assert_eq!(held.len(), 1, "{replica:?} holds {held:?}");
+        held[0].clone()
+    };
+    let owner_load = |world: &World| world.node(owner).expect("up").resources.cpu_utilisation();
+    world.run_for(SimTime::from_millis(1000));
+    assert_eq!(held(&world).load, 0.0);
+
+    world.spawn(owner, "Display", None, SimTime::from_millis(10));
+    assert!(owner_load(&world) > 0.0);
+    world.run_for(SimTime::from_millis(250));
+    assert_eq!(held(&world).load, owner_load(&world), "the refresh carries the new load");
+
+    world.spawn(owner, "Counter", None, SimTime::from_millis(250));
+    assert!(held(&world).running_instance.is_some());
+    let owner_node = world.net.actor_of(owner);
+    world.sim.actor_as_mut::<Node>(owner_node).expect("owner is up").registry.clear();
+    world.run_for(SimTime::from_millis(250));
+    assert_eq!(held(&world).running_instance, None, "the refresh after a clear recomputes");
 }
 
 /// A cached result is dropped by a peer's `CacheInvalidate`, long before
