@@ -294,7 +294,7 @@ pub fn run() -> Output {
         let (flat, _, _, _) = query_run(
             loss,
             NodeConfig {
-                cohesion: lc_baselines::flat_config(N as usize, 2, SimTime::from_millis(500)),
+                cohesion: CohesionConfig::flat(N as usize, 2, SimTime::from_millis(500)),
                 query_timeout: SimTime::from_millis(600),
                 ..Default::default()
             },
@@ -327,7 +327,7 @@ pub fn run() -> Output {
     let (hb, hd, ha) = partition_run(hier_cfg(InvokePolicy::default(), 1), 0);
     let (fb, fd, fa) = partition_run(
         NodeConfig {
-            cohesion: lc_baselines::flat_config(N as usize, 2, SimTime::from_millis(500)),
+            cohesion: CohesionConfig::flat(N as usize, 2, SimTime::from_millis(500)),
             query_timeout: SimTime::from_millis(600),
             ..Default::default()
         },

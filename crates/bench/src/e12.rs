@@ -143,7 +143,7 @@ pub fn run_variant(name: &'static str, cache: Option<CacheConfig>, seed: u64) ->
         result_sets.push(set);
     }
     let invalidated = (0..N as u32)
-        .filter_map(|h| w.node(HostId(h)).and_then(|n| n.cache_stats()))
+        .filter_map(|h| w.node(HostId(h)).and_then(|n| n.backend().stats().cache))
         .map(|s| s.invalidated_entries)
         .sum();
     let hotspot = w.net.max_recv().1;

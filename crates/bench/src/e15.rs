@@ -106,22 +106,11 @@ pub fn slo_config() -> SloConfig {
         rules: vec![
             SloRule {
                 name: "query-p99-us".to_owned(),
-                kind: SloKind::LatencyQuantile {
-                    key: "slo.query_us".to_owned(),
-                    q_ppm: 990_000,
-                    max: 5_000,
-                    min_samples: 8,
-                },
+                kind: SloKind::LatencyQuantile { q_ppm: 990_000, max: 5_000, min_samples: 8 },
             },
             SloRule {
                 name: "query-empty-burn".to_owned(),
-                kind: SloKind::BurnRate {
-                    bad: "slo.query.empty".to_owned(),
-                    total: "slo.query.total".to_owned(),
-                    budget_ppm: 10_000,
-                    max_burn_centi: 100,
-                    min_total: 16,
-                },
+                kind: SloKind::BurnRate { budget_ppm: 10_000, max_burn_centi: 100, min_total: 16 },
             },
         ],
     }

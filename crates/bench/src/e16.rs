@@ -234,6 +234,20 @@ pub struct ReplicationResult {
     pub replicas: u64,
 }
 
+/// The capacity knee of a goodput-vs-offered-load curve: the point of
+/// maximum goodput (first such point on ties, so the answer is
+/// deterministic). Returns `(offered, goodput)`; `(0, 0)` for an empty
+/// curve.
+fn knee(curve: &[(f64, f64)]) -> (f64, f64) {
+    let mut best = (0.0, 0.0);
+    for &(offered, goodput) in curve {
+        if goodput > best.1 {
+            best = (offered, goodput);
+        }
+    }
+    best
+}
+
 fn sweep_shape(shape: &ArrivalShape, seed: u64) -> ShapeCurve {
     let mut points = Vec::new();
     for rate in RATES {
@@ -245,7 +259,7 @@ fn sweep_shape(shape: &ArrivalShape, seed: u64) -> ShapeCurve {
     }
     let shed_curve: Vec<(f64, f64)> =
         points.iter().map(|p| (p.shed.offered_per_sec, p.shed.goodput_per_sec)).collect();
-    let (knee_offered, knee_goodput) = lc_load::knee(&shed_curve);
+    let (knee_offered, knee_goodput) = knee(&shed_curve);
     let last = match points.last() {
         Some(p) => p,
         None => panic!("e16: empty sweep"),
@@ -435,6 +449,13 @@ pub fn run() -> Output {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn knee_picks_first_max() {
+        let curve = [(1.0, 10.0), (2.0, 20.0), (3.0, 20.0), (4.0, 5.0)];
+        assert_eq!(knee(&curve), (2.0, 20.0));
+        assert_eq!(knee(&[]), (0.0, 0.0));
+    }
 
     #[test]
     fn e16_is_deterministic_and_gates_pass() {

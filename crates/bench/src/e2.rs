@@ -11,7 +11,6 @@
 //! network load and exploits locality", §2.4.3).
 
 use crate::{f2, format_table, human_bytes, per_service_rows, Output, PER_SERVICE_HEADERS};
-use lc_baselines::flat_config;
 use lc_core::cohesion::CohesionConfig;
 use lc_core::demo;
 use lc_core::testkit::World;
@@ -98,7 +97,7 @@ pub fn run() -> Output {
 
     let mut rows = Vec::new();
     for &n in &[16usize, 64, 256, 1024] {
-        for (label, cfg) in [("hier f=8", hier(8)), ("flat", flat_config(n, 2, period))] {
+        for (label, cfg) in [("hier f=8", hier(8)), ("flat", CohesionConfig::flat(n, 2, period))] {
             let o = run_one(n, cfg, 42 + n as u64);
             rows.push(vec![
                 n.to_string(),

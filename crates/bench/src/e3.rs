@@ -9,16 +9,18 @@
 //! the table reports control traffic (messages and bytes per node per
 //! second) and the membership-change work each protocol performs.
 
+mod strong;
+
 use crate::{f2, format_table, per_service_rows, Output, PER_SERVICE_HEADERS};
-use lc_baselines::strong::{StrongConfig, StrongMember};
 use lc_core::demo;
 use lc_core::testkit::World;
 use lc_core::{CohesionConfig, NodeConfig};
 use lc_des::{Sim, SimTime};
-use lc_net::{ChurnConfig, ChurnDriver, ChurnHooks, HostId, Net, Topology};
+use lc_net::{ChurnConfig, ChurnHooks, HostId, Net, Topology};
 use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::rc::Rc;
+use strong::{StrongConfig, StrongMember};
 
 const N: usize = 64;
 const RUN_SECS: u64 = 120;
@@ -50,18 +52,23 @@ fn soft_world(net: impl Into<Net>, seed: u64, period_ms: u64) -> World {
     )
 }
 
-/// Soft consistency: the CORBA-LC cohesion protocol under churn.
-fn run_soft(mean_uptime: Option<SimTime>, seed: u64) -> Row {
-    // Crash/recover the non-MRM hosts (MRM failover is E4's topic):
-    // spare the 2 MRM replicas per group.
+/// The 64-host campus both protocols run on. Churn crashes and
+/// recovers the non-MRM hosts (MRM failover is E4's topic): it spares
+/// the 2 MRM replicas per group, the strong coordinator (host 0) among
+/// them.
+fn churned_campus(mean_uptime: Option<SimTime>) -> Net {
     let churn = mean_uptime.map(|up| ChurnConfig {
         mean_uptime: up,
         mean_downtime: SimTime::from_secs(10),
         victims: (0..N as u32).map(HostId).filter(|h| h.0 % 8 >= 2).collect(),
         until: SimTime::from_secs(RUN_SECS),
     });
-    let net = Net::builder(Topology::campus(8, 8)).churn(churn).build();
-    let mut world = soft_world(net, seed, PERIOD_MS);
+    Net::builder(Topology::campus(8, 8)).churn(churn).build()
+}
+
+/// Soft consistency: the CORBA-LC cohesion protocol under churn.
+fn run_soft(mean_uptime: Option<SimTime>, seed: u64) -> Row {
+    let mut world = soft_world(churned_campus(mean_uptime), seed, PERIOD_MS);
 
     world.sim.run_until(SimTime::from_secs(RUN_SECS));
     let m = world.sim.metrics_ref();
@@ -75,40 +82,25 @@ fn run_soft(mean_uptime: Option<SimTime>, seed: u64) -> Row {
 
 /// Strong consistency baseline under identical churn.
 fn run_strong(mean_uptime: Option<SimTime>, seed: u64) -> Row {
-    let net = Net::from(Topology::campus(8, 8));
+    let net = churned_campus(mean_uptime);
     let mut sim = Sim::new(seed);
     let cfg = StrongConfig {
         period: SimTime::from_millis(PERIOD_MS),
         timeout_intervals: 3,
     };
     let actors = Rc::new(RefCell::new(StrongMember::install(&mut sim, &net, &cfg)));
-    if let Some(up) = mean_uptime {
-        let victims: Vec<_> =
-            net.host_ids().into_iter().filter(|h| h.0 % 8 >= 2 && h.0 != 0).collect();
-        let a1 = actors.clone();
-        let a2 = actors.clone();
-        let net2 = net.clone();
-        let cfg2 = cfg.clone();
-        ChurnDriver::new(
-            net.clone(),
-            ChurnConfig {
-                mean_uptime: up,
-                mean_downtime: SimTime::from_secs(10),
-                victims,
-                until: SimTime::from_secs(RUN_SECS),
-            },
-            ChurnHooks {
-                on_crash: Box::new(move |sim, h| {
-                    sim.kill(a1.borrow()[h.0 as usize]);
-                }),
-                on_recover: Box::new(move |sim, h| {
-                    let a = StrongMember::install_one(sim, &net2, &cfg2, h);
-                    a2.borrow_mut()[h.0 as usize] = a;
-                }),
-            },
-        )
-        .install(&mut sim);
-    }
+    net.install_drivers(&mut sim, || {
+        let (net, a1, a2) = (net.clone(), actors.clone(), actors);
+        ChurnHooks {
+            on_crash: Box::new(move |sim, h| {
+                sim.kill(a1.borrow()[h.0 as usize]);
+            }),
+            on_recover: Box::new(move |sim, h| {
+                let a = StrongMember::install_one(sim, &net, &cfg, h);
+                a2.borrow_mut()[h.0 as usize] = a;
+            }),
+        }
+    });
     sim.run_until(SimTime::from_secs(RUN_SECS));
     let m = sim.metrics_ref();
     let msgs =

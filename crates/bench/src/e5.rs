@@ -16,7 +16,7 @@
 use crate::{f2, format_table, human_bytes, per_service_rows, Output, PER_SERVICE_HEADERS};
 use lc_core::node::NodeCmd;
 use lc_core::testkit::{fast_cohesion, World};
-use lc_core::{AssemblyDescriptor, InvokeSink, NodeConfig, PlacementStrategy};
+use lc_core::{AssemblyDescriptor, CohesionConfig, InvokeSink, NodeConfig, PlacementStrategy};
 use lc_des::SimTime;
 use lc_grid::PiWorkerServant;
 use lc_net::{HostCfg, HostId, Topology};
@@ -53,7 +53,7 @@ fn run_one(strategy: PlacementStrategy, lb: bool, seed: u64) -> Run {
         topo(),
         seed,
         NodeConfig {
-            cohesion: lc_baselines::flat_config(16, 1, fast_cohesion().report_period),
+            cohesion: CohesionConfig::flat(16, 1, fast_cohesion().report_period),
             load_balance: lb.then(|| lc_core::LoadBalanceConfig {
                 check_period: SimTime::from_millis(500),
                 overload_threshold: 0.25,

@@ -55,6 +55,14 @@ impl Default for CohesionConfig {
 }
 
 impl CohesionConfig {
+    /// The centralized-registry baseline (§4; E2, E5, E10): the
+    /// hierarchy collapsed into one group of `n_hosts`, so every node
+    /// reports to host 0 (and its `replicas - 1` stand-bys) and every
+    /// query is a two-hop star walk through host 0.
+    pub fn flat(n_hosts: usize, replicas: usize, report_period: SimTime) -> CohesionConfig {
+        CohesionConfig { fanout: n_hosts.max(2), replicas, report_period, timeout_intervals: 3 }
+    }
+
     /// The eviction timeout implied by the config.
     pub fn eviction_timeout(&self) -> SimTime {
         self.report_period * self.timeout_intervals as u64
@@ -477,6 +485,18 @@ mod tests {
         assert_eq!(h.shape.group_count(1), 1);
         // primaries of leaf groups are hosts 0, 8, 16, ...
         assert_eq!(ids(h.shape.members(1, 0)), [0, 8, 16, 24, 32, 40, 48, 56]);
+    }
+
+    #[test]
+    fn flat_config_yields_single_group() {
+        let h = Hierarchy::build(64, CohesionConfig::flat(64, 1, SimTime::from_secs(2)));
+        assert_eq!(h.depth(), 1);
+        assert_eq!(h.shape.group_count(0), 1);
+        assert_eq!(ids(h.shape.mrms(0, 0)), [0]);
+        // every node reports to the central server
+        for host in (0..64).map(HostId) {
+            assert_eq!(h.report_targets(host), vec![HostId(0)]);
+        }
     }
 
     #[test]

@@ -169,7 +169,7 @@ impl NodeCtx<'_, '_> {
         let tracer = &self.state.tracer;
         let span = tracer.is_enabled().then(|| format!("container.call {op}")).and_then(|name| {
             let s = tracer.span(self.state.host.0, &name, self.now())?;
-            tracer.set_attr(s, "target", &target.host.0.to_string());
+            tracer.set_attr(s, "target", target.host.0);
             Some(s)
         });
         let rid = self.state.orb.fresh_id();
@@ -179,10 +179,7 @@ impl NodeCtx<'_, '_> {
                     ctx.state.conts.calls.insert(rid, PendingCall { cont, retry: None, span });
                 }
                 Err(e) => {
-                    if let Some(s) = span {
-                        ctx.state.tracer.set_attr(s, "error", "send");
-                        ctx.state.tracer.end(s, ctx.now());
-                    }
+                    ctx.state.tracer.end_with(span, ctx.now(), Some("send"));
                     ctx.fail_call(cont, OrbError::from(e));
                 }
             },
@@ -233,15 +230,7 @@ impl NodeCtx<'_, '_> {
     pub(crate) fn fail_call(&mut self, cont: CallCont, err: OrbError) {
         match cont {
             CallCont::Sink(sink) => push_reply(&sink, self.sim.now(), Err(err)),
-            CallCont::ToInstance { oid, token } => {
-                let res = self.state.adapter.invoke(
-                    ObjectKey { host: self.state.host, oid },
-                    "_reply",
-                    &[Value::ULongLong(token), Value::Boolean(false)],
-                    DispatchOpts::raw(),
-                );
-                self.process_dispatch_effects(oid, res);
-            }
+            CallCont::ToInstance { oid, token } => self.reply_to_instance(oid, token, Err(err)),
         }
     }
 
@@ -257,11 +246,7 @@ impl NodeCtx<'_, '_> {
                 pc.retry.as_ref().is_some_and(|r| r.attempts < 1 + policy.retries);
             if !can_retry {
                 self.sim.metrics().incr("orb.call_timeouts");
-                if let Some(s) = pc.span {
-                    let tracer = self.state.tracer.clone();
-                    tracer.set_attr(s, "error", "timeout");
-                    tracer.end(s, now);
-                }
+                self.state.tracer.end_with(pc.span, now, Some("timeout"));
                 self.fail_call(pc.cont, OrbError::Timeout);
                 continue;
             }
@@ -295,11 +280,9 @@ impl NodeCtx<'_, '_> {
         // an explicit *link* back to it marking the retry relationship.
         let now = self.now();
         let tracer = self.state.tracer.clone();
-        let rspan =
-            original.and_then(|o| tracer.child_of(self.state.host.0, "container.retry", o, now));
-        if let (Some(r), Some(o)) = (rspan, original) {
-            tracer.link(r, o.span);
-            tracer.set_attr(r, "attempt", &attempts.to_string());
+        let rspan = tracer.retry(self.state.host.0, "container.retry", original, now);
+        if let Some(r) = rspan {
+            tracer.set_attr(r, "attempt", attempts);
         }
         self.in_span(rspan, |ctx| {
             let _ = ctx.send_request(rid, target, op, args, false);
@@ -511,37 +494,28 @@ impl NodeCtx<'_, '_> {
                 // gone): count and drop.
                 self.sim.metrics().incr("orb.orphan_replies");
             }
-            Some(PendingCall { cont: CallCont::Sink(sink), span, .. }) => {
-                self.end_call_span(span, result.is_err());
-                push_reply(&sink, self.sim.now(), result);
-            }
-            Some(PendingCall { cont: CallCont::ToInstance { oid, token }, span, .. }) => {
-                self.end_call_span(span, result.is_err());
-                let mut args = vec![Value::ULongLong(token), Value::Boolean(result.is_ok())];
-                if let Ok(out) = result {
-                    args.push(out.ret);
-                    args.extend(out.outs);
+            Some(PendingCall { cont, span, .. }) => {
+                let error = result.is_err().then_some("reply");
+                self.state.tracer.end_with(span, self.sim.now(), error);
+                match cont {
+                    CallCont::Sink(sink) => push_reply(&sink, self.sim.now(), result),
+                    CallCont::ToInstance { oid, token } => {
+                        self.reply_to_instance(oid, token, result)
+                    }
                 }
-                let res = self.state.adapter.invoke(
-                    ObjectKey { host: self.state.host, oid },
-                    "_reply",
-                    &args,
-                    DispatchOpts::raw(),
-                );
-                self.process_dispatch_effects(oid, res);
             }
         }
     }
 
-    /// End a logical-call span (if the call was traced) at reply time.
-    fn end_call_span(&mut self, span: Option<lc_trace::TraceContext>, errored: bool) {
-        if let Some(s) = span {
-            let tracer = self.state.tracer.clone();
-            if errored {
-                tracer.set_attr(s, "error", "reply");
-            }
-            tracer.end(s, self.sim.now());
-        }
+    /// Hand a local instance the `_reply` to its `call_request` `token`.
+    fn reply_to_instance(&mut self, oid: u64, token: u64, result: Result<Outcome, OrbError>) {
+        let res = self.state.adapter.invoke(
+            ObjectKey { host: self.state.host, oid },
+            "_reply",
+            &lc_orb::reply_args(token, result),
+            DispatchOpts::raw(),
+        );
+        self.process_dispatch_effects(oid, res);
     }
 
     /// Rebuild a migrating instance here: spawn, restore state, report.
@@ -602,11 +576,11 @@ impl NodeCtx<'_, '_> {
             _ => Value::Void,
         };
         let rid = self.state.conts.next_seq();
-        let tracer = self.state.tracer.clone();
+        let tracer = &self.state.tracer;
         let span = tracer.span(self.state.host.0, "container.migrate", self.now());
         if let Some(s) = span {
             tracer.set_attr(s, "component", &info.component);
-            tracer.set_attr(s, "to", &to.0.to_string());
+            tracer.set_attr(s, "to", to.0);
         }
         self.state.conts.migrations.insert(rid, PendingMigration { instance, sink, span });
         let msg = CtrlMsg::MigrateIn {
@@ -781,12 +755,8 @@ impl NodeCtx<'_, '_> {
     /// The destination's verdict on a migration this node started.
     pub(crate) fn on_migrate_done(&mut self, rid: u64, result: Result<ObjectRef, String>) {
         let Some(pm) = self.state.conts.migrations.remove(&rid) else { return };
-        if let Some(s) = pm.span {
-            if result.is_err() {
-                self.state.tracer.set_attr(s, "error", "migrate");
-            }
-            self.state.tracer.end(s, self.sim.now());
-        }
+        let error = result.is_err().then_some("migrate");
+        self.state.tracer.end_with(pm.span, self.sim.now(), error);
         match &result {
             Ok(new_ref) => {
                 // Passivate and remove the old instance; forward late

@@ -17,7 +17,6 @@ use crate::registry::shard::ShardRing;
 use crate::registry::{ComponentQuery, ComponentRegistry, InstanceId, Offer};
 use crate::repository::ComponentRepository;
 use crate::resource::ResourceManager;
-use lc_cache::CacheStats;
 use lc_des::{CounterId, Ctx, SimTime};
 use lc_net::{DropReason, HostId, Net};
 use lc_trace::{SloMonitor, TraceContext, Tracer};
@@ -195,22 +194,6 @@ impl NodeState {
         self.slo.as_ref()
     }
 
-    /// Registry query-cache counters, when result caching is enabled.
-    pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.backend.stats().cache
-    }
-
-    /// The cache's invalidation generation (coherence epoch), when
-    /// result caching is enabled. Monotone per node.
-    pub fn cache_generation(&self) -> Option<u64> {
-        self.backend.stats().cache_generation
-    }
-
-    /// Queries merged onto an in-flight identical query so far.
-    pub fn coalesced_queries(&self) -> u64 {
-        self.backend.stats().coalesced
-    }
-
     /// The resolution substrate behind the Component Registry service
     /// (its `stats()` carry the cache, coalescing and shard counters).
     pub fn backend(&self) -> &Registry {
@@ -336,7 +319,7 @@ impl NodeCtx<'_, '_> {
     /// handled in place, within the current event (no network, no
     /// accounting; handler time stays with the routed service). A message the
     /// fabric accepts counts as one outgoing message and one of its kind
-    /// ([`wire_counter`]); one it refuses (peer down, partitioned) counts
+    /// ([`wire_counter`]); one it refuses (peer down, unbound) counts
     /// nowhere but the fabric's own `net.drop.*`. Returns whether the
     /// message was delivered or accepted.
     pub(crate) fn send_ctrl(&mut self, to: HostId, msg: CtrlMsg) -> bool {
@@ -378,20 +361,6 @@ impl NodeCtx<'_, '_> {
         let host = self.state.host;
         if to != host && self.state.net.reachable(host, to) {
             self.send_ctrl(to, msg.clone());
-        }
-    }
-
-    /// Feed one finished registry query to the SLO monitor, if there is
-    /// one: a virtual-latency sample plus total/empty counts, under the
-    /// `slo.*` keys rules name.
-    pub(crate) fn note_slo_query(&mut self, latency: SimTime, empty: bool) {
-        let Some(mon) = &mut self.state.slo else { return };
-        const QUERY_LATENCY_BUCKETS_US: [u64; 8] =
-            [100, 500, 1_000, 5_000, 20_000, 100_000, 400_000, 1_600_000];
-        mon.observe("slo.query_us", &QUERY_LATENCY_BUCKETS_US, latency.as_nanos() / 1_000);
-        mon.incr("slo.query.total");
-        if empty {
-            mon.incr("slo.query.empty");
         }
     }
 

@@ -179,22 +179,6 @@ impl Default for AdmissionConfig {
     }
 }
 
-impl AdmissionConfig {
-    /// Admission control configured but fully open: unbounded queues,
-    /// no deadline awareness, no replication. Behaviour is identical to
-    /// `admission: None`; only the `admission.*` counters are recorded.
-    /// Exists so the off-by-default contract is testable as an
-    /// equivalence, not just as an absence.
-    pub fn unbounded() -> Self {
-        AdmissionConfig {
-            query_queue_cap: usize::MAX,
-            cpu_backlog_cap: SimTime::MAX,
-            deadline_aware: false,
-            replicate_hot: None,
-        }
-    }
-}
-
 /// Hot-component replication policy (§2.4.3: "component instance
 /// migration and replication to achieve load balancing") — the
 /// *reactive* counterpart to [`LoadBalanceConfig`]'s periodic check:

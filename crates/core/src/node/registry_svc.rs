@@ -13,6 +13,7 @@ use crate::registry::backend::{
 use crate::registry::{ComponentQuery, InstanceId, Offer};
 use lc_net::HostId;
 use lc_pkg::Version;
+use std::fmt::Display;
 use std::rc::Rc;
 
 use super::continuations::{FetchCont, PendingQuery, QueryFollower, QueryPurpose, SpawnCont};
@@ -79,18 +80,9 @@ impl NodeCtx<'_, '_> {
             ResolveStep::Hit { offers, age } => {
                 self.sim.metrics().incr("query.started");
                 self.sim.metrics().incr("cache.hits");
-                let tracer = self.state.tracer.clone();
-                if let Some(sp) = tracer.complete(
-                    self.state.host.0,
-                    "registry.cache",
-                    tracer.current(),
-                    started,
-                    started,
-                ) {
-                    let age_us = (age.as_secs_f64() * 1e6) as u64;
-                    tracer.set_attr(sp, "hit", "true");
-                    tracer.set_attr(sp, "age_us", &age_us.to_string());
-                }
+                let age_us = (age.as_secs_f64() * 1e6) as u64;
+                let attrs: &[(_, &dyn Display)] = &[("hit", &true), ("age_us", &age_us)];
+                self.state.tracer.event(self.state.host.0, "registry.cache", started, attrs);
                 let f = QueryFollower { purpose, started, deadline: started };
                 self.resolve_follower(f, offers, &query, false, Some(age));
             }
@@ -102,17 +94,8 @@ impl NodeCtx<'_, '_> {
                 }
                 self.sim.metrics().incr("query.started");
                 self.sim.metrics().incr("cache.coalesced");
-                let tracer = self.state.tracer.clone();
-                if let Some(sp) = tracer.complete(
-                    self.state.host.0,
-                    "registry.cache",
-                    tracer.current(),
-                    started,
-                    started,
-                ) {
-                    tracer.set_attr(sp, "coalesced", "true");
-                    tracer.set_attr(sp, "leader_seq", &leader.to_string());
-                }
+                let attrs: &[(_, &dyn Display)] = &[("coalesced", &true), ("leader_seq", &leader)];
+                self.state.tracer.event(self.state.host.0, "registry.cache", started, attrs);
                 let deadline = started + timeout;
                 if let Some(pq) = self.state.conts.queries.get_mut(&leader) {
                     pq.followers.push(QueryFollower { purpose, started, deadline });
@@ -155,7 +138,7 @@ impl NodeCtx<'_, '_> {
                     if let Some(name) = &query.name {
                         tracer.set_attr(s, "component", name);
                     }
-                    tracer.set_attr(s, "seq", &seq.to_string());
+                    tracer.set_attr(s, "seq", seq);
                 }
                 self.state.conts.queries.insert_with_deadline(
                     seq,
@@ -257,18 +240,9 @@ impl NodeCtx<'_, '_> {
         let (max_hops, next) = (store.max_hops(), store.next_hop(at, target));
         if at == target {
             if let Some(offers) = store.lookup(target, &query) {
-                let tracer = self.state.tracer.clone();
-                if let Some(sp) = tracer.complete(
-                    self.state.host.0,
-                    "registry.shard_serve",
-                    tracer.current(),
-                    now,
-                    now,
-                ) {
-                    tracer.set_attr(sp, "shard", &target.to_string());
-                    tracer.set_attr(sp, "hops", &hops.to_string());
-                    tracer.set_attr(sp, "offers", &offers.len().to_string());
-                }
+                let attrs: &[(_, &dyn Display)] =
+                    &[("shard", &target), ("hops", &hops), ("offers", &offers.len())];
+                self.state.tracer.event(self.state.host.0, "registry.shard_serve", now, attrs);
                 if offers.is_empty() {
                     self.send_ctrl(qid.origin, CtrlMsg::QueryDone { qid });
                 } else {
@@ -287,19 +261,9 @@ impl NodeCtx<'_, '_> {
             self.send_ctrl(qid.origin, CtrlMsg::QueryDone { qid });
             return;
         }
-        let tracer = self.state.tracer.clone();
-        if let Some(sp) = tracer.complete(
-            self.state.host.0,
-            "registry.shard_hop",
-            tracer.current(),
-            now,
-            now,
-        ) {
-            tracer.set_attr(sp, "at", &at.to_string());
-            tracer.set_attr(sp, "next", &next.to_string());
-            tracer.set_attr(sp, "target", &target.to_string());
-            tracer.set_attr(sp, "hops", &hops.to_string());
-        }
+        let attrs: &[(_, &dyn Display)] =
+            &[("at", &at), ("next", &next), ("target", &target), ("hops", &hops)];
+        self.state.tracer.event(self.state.host.0, "registry.shard_hop", now, attrs);
         self.sim.metrics().incr("registry.shard_hops");
         self.shard_send(qid, query, target, next, hops + 1);
     }
@@ -435,10 +399,8 @@ impl NodeCtx<'_, '_> {
         debug_assert_eq!(qid.origin, self.state.host);
         let now = self.sim.now();
         let Some(pq) = self.state.conts.queries.get_mut(&qid.seq) else { return };
-        let mut first_offer_ms = None;
         if pq.first_offer_at.is_none() && !offers.is_empty() {
             pq.first_offer_at = Some(now);
-            first_offer_ms = Some((now - pq.started).as_secs_f64() * 1e3);
         }
         for offer in offers {
             let dup = pq.offers.iter().any(|o| {
@@ -452,9 +414,6 @@ impl NodeCtx<'_, '_> {
             QueryPurpose::Collect { first_wins, .. } => *first_wins && !pq.offers.is_empty(),
             QueryPurpose::Resolve { .. } => !pq.offers.is_empty(),
         };
-        if let Some(ms) = first_offer_ms {
-            self.sim.metrics().record("query.first_offer_ms", ms);
-        }
         if finish_now {
             self.finish_query(qid.seq);
         } else if let Some(pq) = self.state.conts.queries.get_mut(&qid.seq) {
@@ -487,7 +446,7 @@ impl NodeCtx<'_, '_> {
         let tracer = self.state.tracer.clone();
         let span = pq.span;
         if let Some(s) = span {
-            tracer.set_attr(s, "offers", &pq.offers.len().to_string());
+            tracer.set_attr(s, "offers", pq.offers.len());
             if timed_out {
                 tracer.set_attr(s, "timed_out", "true");
             }
@@ -575,7 +534,6 @@ impl NodeCtx<'_, '_> {
         let now = self.sim.now();
         let mut partial = false;
         if let Ending::Served { started, timed_out, .. } = ending {
-            self.sim.metrics().record("query.duration_ms", (now - started).as_secs_f64() * 1e3);
             if offers.is_empty() {
                 self.sim.metrics().incr("query.misses");
             } else {
@@ -585,7 +543,9 @@ impl NodeCtx<'_, '_> {
             if partial {
                 self.sim.metrics().incr("query.partial");
             }
-            self.note_slo_query(now - started, offers.is_empty());
+            if let Some(mon) = &mut self.state.slo {
+                mon.observe_query((now - started).as_nanos() / 1_000, offers.is_empty());
+            }
         }
         match purpose {
             QueryPurpose::Collect { sink, .. } => {
@@ -666,12 +626,7 @@ impl NodeCtx<'_, '_> {
                 // The re-issue runs under a fresh span that *links*
                 // to the query root (retry, not a parent edge).
                 let tracer = self.state.tracer.clone();
-                let retry = original.and_then(|o| {
-                    tracer.child_of(self.state.host.0, "registry.query.retry", o, now)
-                });
-                if let (Some(r), Some(o)) = (retry, original) {
-                    tracer.link(r, o.span);
-                }
+                let retry = tracer.retry(self.state.host.0, "registry.query.retry", original, now);
                 self.in_span(retry, |ctx| {
                     ctx.issue_search(qid, query);
                     if let Some(r) = retry {

@@ -19,8 +19,8 @@
 //!   [`registry_svc`](crate::node::Node) routes them by, over the
 //!   [`HierShape`] every node reads its duties from.
 //! * **flat** — one central registry on node 0: the hierarchy collapsed
-//!   into a single group, as `lc_baselines::flat_config` collapses the
-//!   node stack's. Every query fans out to *all* matching owners, so
+//!   into a single group, as [`CohesionConfig::flat`](crate::cohesion::CohesionConfig::flat)
+//!   collapses the node stack's. Every query fans out to *all* matching owners, so
 //!   messages per query grow linearly with campus size.
 //!
 //! Group soft state is per *seat*, not per node: one `u64` presence mask

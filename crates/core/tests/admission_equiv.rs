@@ -15,6 +15,18 @@ use std::rc::Rc;
 
 const OWNER: HostId = HostId(5);
 
+/// Admission control configured but fully open: unbounded queues, no
+/// deadline awareness, no replication. Behaviour is identical to
+/// `admission: None`; only the `admission.*` counters are recorded.
+fn unbounded() -> AdmissionConfig {
+    AdmissionConfig {
+        query_queue_cap: usize::MAX,
+        cpu_backlog_cap: SimTime::MAX,
+        deadline_aware: false,
+        replicate_hot: None,
+    }
+}
+
 /// Everything observable about one run: normalized query results,
 /// per-invoke reply transcripts, and the full simulation counter and
 /// summary dumps.
@@ -150,7 +162,7 @@ fn disabled_admission_leaves_no_trace_and_stays_deterministic() {
 #[test]
 fn unbounded_admission_differs_only_in_admission_counters() {
     let off = workload(None, 42);
-    let on = workload(Some(AdmissionConfig::unbounded()), 42);
+    let on = workload(Some(unbounded()), 42);
     assert!(on.has_admission_keys(), "unbounded admission recorded nothing — vacuous");
     assert_eq!(off, on.without_admission_keys());
 }

@@ -52,7 +52,7 @@ fn staleness_bounded_and_generations_monotone_under_churn_and_faults() {
         let mut gens = vec![0u64; N];
         let check_gens = |w: &lc_core::testkit::World, gens: &mut Vec<u64>| {
             for h in 0..N as u32 {
-                let Some(gen) = w.node(HostId(h)).and_then(|n| n.cache_generation())
+                let Some(gen) = w.node(HostId(h)).and_then(|n| n.backend().stats().cache_generation)
                 else {
                     continue; // crashed (killed actors are unreadable)
                 };
@@ -166,7 +166,7 @@ fn sharded_staleness_bounded_by_publish_ttl_and_gossip() {
         let mut gens = vec![0u64; N];
         let check_gens = |w: &lc_core::testkit::World, gens: &mut Vec<u64>| {
             for h in 0..N as u32 {
-                let Some(gen) = w.node(HostId(h)).and_then(|n| n.cache_generation())
+                let Some(gen) = w.node(HostId(h)).and_then(|n| n.backend().stats().cache_generation)
                 else {
                     continue;
                 };

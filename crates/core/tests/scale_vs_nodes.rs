@@ -45,19 +45,12 @@ struct Observed {
 }
 
 /// The campus on the full node stack: `n / 8` sites of 8 hosts, groups
-/// of `fanout` with `replicas` MRMs, single-leader registry, no cache,
-/// no faults. The queries run one at a time so the global `query.*`
+/// as `cohesion` shapes them, single-leader registry, no cache, no
+/// faults. The queries run one at a time so the global `query.*`
 /// counters can be attributed per query.
-fn through_nodes(n: u32, fanout: usize, replicas: usize) -> Vec<Observed> {
+fn through_nodes(n: u32, cohesion: CohesionConfig) -> Vec<Observed> {
     let packages: Vec<Rc<Vec<u8>>> = COMPONENTS.iter().map(|c| package(c)).collect();
-    let config = NodeConfig::builder()
-        .cohesion(CohesionConfig {
-            fanout,
-            replicas,
-            report_period: SimTime::from_secs(2),
-            timeout_intervals: 3,
-        })
-        .build();
+    let config = NodeConfig::builder().cohesion(cohesion).build();
     let timeout = config.query_timeout;
     let mut world: World = World::on(
         Topology::campus(n as usize / 8, 8),
@@ -151,7 +144,7 @@ fn node_stack_and_scale_model_agree_query_by_query() {
     let mut self_owned = 0;
     for n in [512u32, 1_000, 1_016, 4_096] {
         let shape = HierShape::build(u64::from(n), 8, 2);
-        let nodes = through_nodes(n, 8, 2);
+        let nodes = through_nodes(n, CohesionConfig::default());
         let model = through_model(n, Variant::Hier);
         for i in 0..QUERIES {
             let (origin, comp) = (origin_of(i, n), i as usize % COMPONENTS.len());
@@ -190,14 +183,14 @@ fn node_stack_and_scale_model_agree_query_by_query() {
 }
 
 /// The campus's `Flat` variant against the real stack collapsed into one
-/// group (`fanout = n`, one MRM: what `lc_baselines::flat_config`
-/// returns). Neither side has a same-host hop — host 0, the central
+/// group (`fanout = n`, one MRM: [`CohesionConfig::flat`], the
+/// constructor E2 uses). Neither side has a same-host hop — host 0, the central
 /// registry, neither asks nor owns — so only difference 2 remains.
 #[test]
 fn flat_variant_is_the_stack_under_a_one_group_config() {
     for n in [512u32, 2_048] {
         let owners = u64::from(n / 256);
-        let nodes = through_nodes(n, n as usize, 1);
+        let nodes = through_nodes(n, CohesionConfig::flat(n as usize, 1, SimTime::from_secs(2)));
         let model = through_model(n, Variant::Flat);
         for i in 0..QUERIES {
             let (origin, comp) = (origin_of(i, n), i as usize % COMPONENTS.len());

@@ -68,7 +68,7 @@ fn burst_of_identical_queries_is_one_round_trip() {
         assert_eq!(r.offers.len(), leader.offers.len(), "follower {i} offer set differs");
     }
     let node = w.node(HostId(1)).expect("origin alive");
-    assert_eq!(node.coalesced_queries(), (N - 1) as u64);
+    assert_eq!(node.backend().stats().coalesced, (N - 1) as u64);
 }
 
 /// A follower that joins a leader keeps its *own* deadline. Under total

@@ -706,7 +706,7 @@ fn automatic_load_balancing_sheds_instances() {
 }
 
 /// The placement ask walks the MRM replica list like every other
-/// request: with the group's first replica partitioned away, an
+/// request: with the group's first replica crashed, an
 /// overloaded member is answered by the second, and the replica it
 /// passed over is one `query.failover`.
 #[test]
@@ -722,7 +722,7 @@ fn placement_ask_fails_over_to_the_second_mrm_replica() {
         World::on(Topology::lan(8), 41, config, demo::catalog(), |_| vec![demo::counter_package()]);
     // Hosts 0 and 1 are the group's MRM replicas; host 1 has evicted
     // the silent host 0 from its view by the time anyone asks.
-    world.net.set_partition_group(HostId(0), 1);
+    world.crash(HostId(0));
     world.run_for(SimTime::from_secs(1));
     // Host 3 runs 11 counters × 0.05 cpu = 0.55: one migration brings
     // it under 0.52.
@@ -1180,7 +1180,7 @@ fn a_received_cache_invalidate_drops_the_cached_result_before_its_ttl() {
         let sink = world.query(HostId(2), query, true);
         world.run_for(SimTime::from_millis(600));
         let running = sink.borrow().offers.iter().filter(|o| o.running_instance.is_some()).count();
-        (world.node(HostId(2)).unwrap().cache_stats().expect("cache on"), running)
+        (world.node(HostId(2)).unwrap().backend().stats().cache.expect("cache on"), running)
     };
     let (stats, running) = ask(&mut world);
     assert_eq!((stats.hits, stats.misses, running), (0, 1, 0));
@@ -1253,7 +1253,7 @@ fn cache_sharding_and_admission_compose_on_a_lossy_campus() {
 }
 
 /// An SLO monitor running inside a node: every query from one front
-/// end misses, so a burn-rate rule over the `slo.query.*` feed fires in
+/// end misses, so a burn-rate rule over the empty-query share fires in
 /// each 500 ms window that saw a query finish — at the front end's own
 /// staggered `SloCheck` instants, nowhere else, with the front end's
 /// flight recorder attached, and identically in a same-seed world.
@@ -1267,13 +1267,7 @@ fn slo_monitor_inside_a_node_breaches_at_pinned_instants() {
             window: SimTime::from_millis(500),
             rules: vec![SloRule {
                 name: "empty-burn".into(),
-                kind: SloKind::BurnRate {
-                    bad: "slo.query.empty".into(),
-                    total: "slo.query.total".into(),
-                    budget_ppm: 100_000,
-                    max_burn_centi: 200,
-                    min_total: 2,
-                },
+                kind: SloKind::BurnRate { budget_ppm: 100_000, max_burn_centi: 200, min_total: 2 },
             }],
         };
         let net = Net::builder(Topology::campus(2, 4)).tracer(Tracer::new()).build();

@@ -20,7 +20,6 @@
 //!   arrivals into `NodeCmd::Invoke` traffic against a front-end node,
 //!   periodically re-queries the registry, and spreads keys over the
 //!   replica set the query returns.
-//! * [`stats`] — the capacity-knee helper for capacity reports.
 //!
 //! Determinism contract: two streams built from equal configs yield
 //! byte-equal arrival sequences; splitting a stream over `k` drivers by
@@ -29,8 +28,6 @@
 
 pub mod arrival;
 pub mod driver;
-pub mod stats;
 
 pub use arrival::{Arrival, ArrivalShape, ArrivalStream, StreamConfig, ZipfKeys};
 pub use driver::{DriverArrival, DriverConfig, DriverStats, LoadDriver, QueryTick};
-pub use stats::knee;

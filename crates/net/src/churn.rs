@@ -6,9 +6,12 @@
 //! independently alternates between UP periods (exponentially distributed
 //! with mean `mean_uptime`) and DOWN periods (mean `mean_downtime`).
 //!
-//! The driver only toggles fabric reachability ([`Net::set_host_up`]) and
-//! invokes callbacks; the component layer above decides what a crash does
-//! to the node process (kill the actor, lose soft state, etc.).
+//! A fabric is given its churn process by [`crate::NetBuilder::churn`]
+//! and arms it with [`Net::install_drivers`], the one way a process is
+//! armed. The driver only toggles fabric reachability
+//! ([`Net::set_host_up`]) and invokes callbacks; the component layer
+//! above decides what a crash does to the node process (kill the actor,
+//! lose soft state, etc.).
 
 use crate::{HostId, Net};
 use lc_des::{Sim, SimTime};
@@ -48,45 +51,14 @@ impl Default for ChurnHooks {
     }
 }
 
-/// Drives the churn process by scheduling control events on the [`Sim`].
-pub struct ChurnDriver {
-    net: Net,
-    cfg: ChurnConfig,
-    hooks: Rc<RefCell<ChurnHooks>>,
-}
-
-impl ChurnDriver {
-    /// Create a driver; call [`ChurnDriver::install`] to arm it.
-    pub fn new(net: Net, cfg: ChurnConfig, hooks: ChurnHooks) -> Self {
-        Self::with_shared_hooks(net, cfg, Rc::new(RefCell::new(hooks)))
-    }
-
-    /// Like [`ChurnDriver::new`] but sharing `hooks` with another driver
-    /// (e.g. a `FaultPlan` crash schedule installed by
-    /// `Net::install_drivers`).
-    pub(crate) fn with_shared_hooks(
-        net: Net,
-        cfg: ChurnConfig,
-        hooks: Rc<RefCell<ChurnHooks>>,
-    ) -> Self {
-        assert!(cfg.mean_uptime > SimTime::ZERO, "mean uptime must be positive");
-        assert!(cfg.mean_downtime > SimTime::ZERO, "mean downtime must be positive");
-        ChurnDriver { net, cfg, hooks }
-    }
-
-    /// Schedule the first crash for every victim host.
-    pub fn install(&self, sim: &mut Sim) {
-        for &h in &self.cfg.victims {
-            let first = exponential(sim, self.cfg.mean_uptime);
-            schedule_crash(
-                sim,
-                self.net.clone(),
-                self.cfg.clone(),
-                self.hooks.clone(),
-                h,
-                first,
-            );
-        }
+/// Arm the churn process: schedule the first crash of every victim host.
+/// `hooks` are shared with the fault plan's crash schedule.
+pub(crate) fn install(sim: &mut Sim, net: &Net, cfg: ChurnConfig, hooks: Rc<RefCell<ChurnHooks>>) {
+    assert!(cfg.mean_uptime > SimTime::ZERO, "mean uptime must be positive");
+    assert!(cfg.mean_downtime > SimTime::ZERO, "mean downtime must be positive");
+    for &h in &cfg.victims {
+        let first = exponential(sim, cfg.mean_uptime);
+        schedule_crash(sim, net.clone(), cfg.clone(), hooks.clone(), h, first);
     }
 }
 
@@ -142,31 +114,26 @@ mod tests {
 
     #[test]
     fn churn_crashes_and_recovers() {
-        let topo = Topology::lan(10);
-        let net = Net::builder(topo).build();
-        let victims = net.host_ids();
+        let net = Net::builder(Topology::lan(10))
+            .churn(ChurnConfig {
+                mean_uptime: SimTime::from_secs(10),
+                mean_downtime: SimTime::from_secs(2),
+                victims: (0..10).map(HostId).collect(),
+                until: SimTime::from_secs(120),
+            })
+            .build();
         let crashes = Arc::new(AtomicU32::new(0));
         let recoveries = Arc::new(AtomicU32::new(0));
         let (c2, r2) = (crashes.clone(), recoveries.clone());
         let mut sim = Sim::new(99);
-        let driver = ChurnDriver::new(
-            net.clone(),
-            ChurnConfig {
-                mean_uptime: SimTime::from_secs(10),
-                mean_downtime: SimTime::from_secs(2),
-                victims,
-                until: SimTime::from_secs(120),
-            },
-            ChurnHooks {
-                on_crash: Box::new(move |_, _| {
-                    c2.fetch_add(1, Ordering::Relaxed);
-                }),
-                on_recover: Box::new(move |_, _| {
-                    r2.fetch_add(1, Ordering::Relaxed);
-                }),
-            },
-        );
-        driver.install(&mut sim);
+        net.install_drivers(&mut sim, || ChurnHooks {
+            on_crash: Box::new(move |_, _| {
+                c2.fetch_add(1, Ordering::Relaxed);
+            }),
+            on_recover: Box::new(move |_, _| {
+                r2.fetch_add(1, Ordering::Relaxed);
+            }),
+        });
         sim.run_until(SimTime::from_secs(200));
         let c = crashes.load(Ordering::Relaxed);
         let r = recoveries.load(Ordering::Relaxed);
@@ -185,19 +152,16 @@ mod tests {
     #[test]
     fn churn_is_deterministic_per_seed() {
         fn run(seed: u64) -> u64 {
-            let net = Net::builder(Topology::lan(5)).build();
-            let mut sim = Sim::new(seed);
-            ChurnDriver::new(
-                net.clone(),
-                ChurnConfig {
+            let net = Net::builder(Topology::lan(5))
+                .churn(ChurnConfig {
                     mean_uptime: SimTime::from_secs(5),
                     mean_downtime: SimTime::from_secs(1),
-                    victims: net.host_ids(),
+                    victims: (0..5).map(HostId).collect(),
                     until: SimTime::from_secs(60),
-                },
-                ChurnHooks::default(),
-            )
-            .install(&mut sim);
+                })
+                .build();
+            let mut sim = Sim::new(seed);
+            net.install_drivers(&mut sim, ChurnHooks::default);
             sim.run_until(SimTime::from_secs(100));
             sim.metrics_ref().counter("churn.crashes")
         }

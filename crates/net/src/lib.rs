@@ -9,11 +9,13 @@
 //!   inter-site links are the slow WAN lines the paper worries about),
 //! * a latency + bandwidth cost model with FIFO serialization at each
 //!   host's uplink and downlink,
-//! * **fault injection**: hosts crash and recover ([`Net::set_host_up`]),
-//!   sites can be partitioned from each other, [`churn`] drives a
-//!   continuous crash/recovery process, and a seeded [`FaultPlan`]
-//!   injects message-level faults (loss, jitter, duplication,
-//!   reordering, timed partitions, scheduled crashes) — see [`fault`],
+//! * **fault injection**, each fault one way, at the send boundary:
+//!   hosts crash and recover ([`Net::set_host_up`]); a seeded
+//!   [`FaultPlan`] injects message-level faults (loss, jitter,
+//!   duplication, reordering, scheduled crashes) and is the only way
+//!   hosts are partitioned (timed windows, see [`fault`]); a [`churn`]
+//!   process is configured only through [`NetBuilder::churn`]; and
+//!   [`Net::install_drivers`] arms both schedules,
 //! * byte/message accounting split into intra-site and inter-site traffic
 //!   (the quantity the paper's "reduces network load and exploits
 //!   locality" claim is about).
@@ -27,7 +29,7 @@ pub mod churn;
 pub mod fault;
 pub mod topology;
 
-pub use churn::{ChurnConfig, ChurnDriver, ChurnHooks};
+pub use churn::{ChurnConfig, ChurnHooks};
 pub use fault::{CrashWindow, FaultPlan, LinkFaults, PartitionWindow};
 pub use topology::{DeviceClass, HostCfg, HostId, LinkClass, SiteId, Topology};
 
@@ -68,8 +70,6 @@ pub enum DropReason {
     SenderDown,
     /// The destination host is down at send time.
     ReceiverDown,
-    /// Sender and receiver are in different partition groups.
-    Partitioned,
     /// Destination host has no bound actor (host exists but no node
     /// process is listening — e.g. during restart).
     Unbound,
@@ -79,8 +79,6 @@ struct HostState {
     cfg: HostCfg,
     up: bool,
     bound: Option<ActorId>,
-    /// Partition group; hosts can talk iff groups match.
-    group: u8,
     /// Time the uplink/downlink becomes free (FIFO serialization).
     up_free: SimTime,
     down_free: SimTime,
@@ -212,7 +210,6 @@ impl NetBuilder {
                 cfg: cfg.clone(),
                 up: true,
                 bound: None,
-                group: 0,
                 up_free: SimTime::ZERO,
                 down_free: SimTime::ZERO,
                 bytes_sent: 0,
@@ -278,7 +275,7 @@ impl Net {
             }
         }
         if let Some(cfg) = churn {
-            ChurnDriver::with_shared_hooks(self.clone(), cfg, hooks).install(sim);
+            churn::install(sim, self, cfg, hooks);
         }
     }
 
@@ -323,19 +320,6 @@ impl Net {
         self.inner.borrow().hosts[h.0 as usize].up
     }
 
-    /// Put a host into partition group `g`; hosts communicate only within
-    /// their group. Group 0 is the default connected component.
-    pub fn set_partition_group(&self, h: HostId, g: u8) {
-        self.inner.borrow_mut().hosts[h.0 as usize].group = g;
-    }
-
-    /// Heal all partitions (everyone back to group 0).
-    pub fn heal_partitions(&self) {
-        for h in self.inner.borrow_mut().hosts.iter_mut() {
-            h.group = 0;
-        }
-    }
-
     /// Bytes sent / received by a host so far.
     pub fn host_traffic(&self, h: HostId) -> (u64, u64) {
         let inner = self.inner.borrow();
@@ -357,11 +341,11 @@ impl Net {
         best
     }
 
-    /// Would a message from `a` to `b` currently be deliverable?
+    /// Would a send from `a` to `b` pass the fail-fast checks — are both
+    /// hosts up? (A [`FaultPlan`] fault stays silent here, as on the wire.)
     pub fn reachable(&self, a: HostId, b: HostId) -> bool {
         let inner = self.inner.borrow();
-        let (ha, hb) = (&inner.hosts[a.0 as usize], &inner.hosts[b.0 as usize]);
-        ha.up && hb.up && ha.group == hb.group
+        inner.hosts[a.0 as usize].up && inner.hosts[b.0 as usize].up
     }
 
     /// Send `size` bytes of `payload` from host `from` to host `to`.
@@ -371,7 +355,7 @@ impl Net {
     /// time. Records metrics under `net.*`.
     ///
     /// Fail-fast `Err(DropReason)` covers conditions a real ORB detects
-    /// at connect time (host down, unbound, explicit partition group).
+    /// at connect time (host down, unbound).
     /// Faults injected by a [`FaultPlan`] are *silent*: the sender still
     /// pays uplink serialization and gets `Ok(would-have-arrived)` while
     /// nothing (loss, active partition window) or two copies
@@ -414,8 +398,8 @@ impl Net {
         let span = tracer.as_ref().and_then(|tracer| {
             let parent = tracer.current()?;
             let sp = tracer.complete(from.0, "net.msg", Some(parent), now, end)?;
-            tracer.set_attr(sp, "to", &to.0.to_string());
-            tracer.set_attr(sp, "bytes", &size.to_string());
+            tracer.set_attr(sp, "to", to.0);
+            tracer.set_attr(sp, "bytes", size);
             Some((tracer, sp))
         });
         match planned {
@@ -478,10 +462,6 @@ impl Net {
             if !inner.hosts[to.0 as usize].up {
                 ctx.metrics().incr("net.drop.receiver_down");
                 return Err(DropReason::ReceiverDown);
-            }
-            if inner.hosts[from.0 as usize].group != inner.hosts[to.0 as usize].group {
-                ctx.metrics().incr("net.drop.partitioned");
-                return Err(DropReason::Partitioned);
             }
             let Some(target) = inner.hosts[to.0 as usize].bound else {
                 ctx.metrics().incr("net.drop.unbound");
@@ -700,15 +680,6 @@ mod tests {
         assert_eq!(sim.metrics_ref().counter("net.drop.receiver_down"), 1);
         assert!(!net.reachable(h0, h1));
         net.set_host_up(h1, true);
-        assert!(net.reachable(h0, h1));
-    }
-
-    #[test]
-    fn partitions_isolate_groups() {
-        let (net, h0, h1) = two_host_net(1e6, 1e6, 1);
-        net.set_partition_group(h1, 1);
-        assert!(!net.reachable(h0, h1));
-        net.heal_partitions();
         assert!(net.reachable(h0, h1));
     }
 

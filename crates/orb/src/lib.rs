@@ -36,8 +36,8 @@ pub use events::{check_event, make_event};
 pub use local::{LocalOrb, LocalOrbStats};
 pub use object::{CommReason, ObjectKey, ObjectRef, OrbError};
 pub use servant::{
-    DispatchOpts, DispatchResult, DispatchStats, Invocation, ObjectAdapter, OutCall, OutCallKind,
-    Outcome, Servant,
+    reply_args, DispatchOpts, DispatchResult, DispatchStats, Invocation, ObjectAdapter, OutCall,
+    OutCallKind, Outcome, Servant,
 };
 pub use sim::{OrbWire, RequestId, SimOrb, HEADER_BYTES};
 pub use value::{check_value, Value};

@@ -9,14 +9,17 @@
 //! a CDR encode/decode round-trip, under concurrent callers.
 //!
 //! It is also the execution engine for unit tests and the quickstart
-//! example: nested out-calls issued by servants are executed to fixpoint,
-//! and emitted events are fanned out to subscribed consumers.
+//! example: nested out-calls issued by servants are executed to fixpoint
+//! (a request's result comes back to its issuer as `_reply`), and
+//! emitted events are fanned out to subscribed consumers.
 
 use crate::api::{cdr_round_trip_in_args, cdr_round_trip_outcome, op_meta};
 use crate::cdr::encoded_len;
 use crate::events::check_event;
 use crate::object::{ObjectRef, OrbError};
-use crate::servant::{DispatchOpts, ObjectAdapter, OutCall, OutCallKind, Outcome, Servant};
+use crate::servant::{
+    reply_args, DispatchOpts, ObjectAdapter, OutCall, OutCallKind, Outcome, Servant,
+};
 use crate::value::Value;
 use lc_idl::Repository;
 use lc_net::HostId;
@@ -138,9 +141,10 @@ impl LocalOrb {
 
     /// Invoke `op` on `target` synchronously, with full type checking.
     ///
-    /// Nested out-calls are executed breadth-first after the initial
-    /// dispatch returns; their failures surface as `Err` of the original
-    /// call only if the original dispatch itself failed.
+    /// Nested out-calls are executed after the initial dispatch returns,
+    /// each to fixpoint before the next; their failures surface as `Err`
+    /// of the original call only if the original dispatch itself failed
+    /// (a request's failure reaches its issuer as a failed `_reply`).
     pub fn invoke(
         &self,
         target: &ObjectRef,
@@ -155,7 +159,7 @@ impl LocalOrb {
             let events = self.resolve_events(&mut inner, target.key.oid, res.events);
             (res.outcome, res.outbox, events)
         };
-        self.drain(follow_ups, events);
+        self.drain(target, follow_ups, events);
         outcome
     }
 
@@ -188,7 +192,7 @@ impl LocalOrb {
             let events = self.resolve_events(&mut inner, target.key.oid, res.events);
             (res.outcome, res.outbox, events)
         };
-        self.drain(follow_ups, events);
+        self.drain(target, follow_ups, events);
         outcome
     }
 
@@ -210,32 +214,18 @@ impl LocalOrb {
             .collect()
     }
 
-    /// Execute queued out-calls and event publications to fixpoint.
-    fn drain(&self, mut calls: Vec<OutCall>, mut events: Vec<(String, Value)>) {
-        loop {
-            if calls.is_empty() && events.is_empty() {
-                return;
-            }
-            for (event_id, payload) in std::mem::take(&mut events) {
-                let _ = self.publish(&event_id, &payload);
-            }
-            for call in std::mem::take(&mut calls) {
-                match call.kind {
-                    OutCallKind::OneWay => {
-                        let _ = self.invoke(&call.target, &call.op, &call.args);
-                    }
-                    OutCallKind::Request { token } => {
-                        let result = self.invoke(&call.target, &call.op, &call.args);
-                        // Reply goes back to… the original servant. In the
-                        // local ORB we do not track the issuer per call; the
-                        // target of the reply *is* the issuer, recorded by
-                        // convention as the call's reply_to field — the
-                        // sim ORB handles this properly. Local mode routes
-                        // replies only for calls that set one.
-                        let _ = token;
-                        let _ = result;
-                    }
-                }
+    /// Publish the events and perform the out-calls one dispatch of
+    /// `issuer` produced; each nested dispatch drains its own, so this
+    /// runs to fixpoint. A request's result goes back to `issuer` as its
+    /// `_reply`.
+    fn drain(&self, issuer: &ObjectRef, calls: Vec<OutCall>, events: Vec<(String, Value)>) {
+        for (event_id, payload) in events {
+            let _ = self.publish(&event_id, &payload);
+        }
+        for call in calls {
+            let result = self.invoke(&call.target, &call.op, &call.args);
+            if let OutCallKind::Request { token } = call.kind {
+                let _ = self.invoke_raw(issuer, "_reply", &reply_args(token, result));
             }
         }
     }
@@ -401,6 +391,42 @@ mod tests {
         }
         let out = orb.invoke(&board, "count", &[]).unwrap();
         assert_eq!(out.ret, Value::Long(800));
+    }
+
+    /// Asks a board for its count on `refresh`, keeps every `_reply`.
+    struct AskerImpl {
+        board: ObjectRef,
+        replies: Arc<Mutex<Vec<Vec<Value>>>>,
+    }
+    impl Servant for AskerImpl {
+        fn interface_id(&self) -> &str {
+            "IDL:Viewer:1.0"
+        }
+        fn dispatch(&mut self, inv: &mut Invocation<'_>) -> Result<(), OrbError> {
+            match inv.op {
+                "refresh" => {
+                    inv.call_request(self.board.clone(), "count", Vec::new(), 7);
+                    Ok(())
+                }
+                "_reply" => {
+                    self.replies.lock().unwrap().push(inv.args.to_vec());
+                    Ok(())
+                }
+                o => Err(OrbError::BadOperation(o.into())),
+            }
+        }
+    }
+
+    #[test]
+    fn request_out_call_is_answered_with_reply() {
+        let orb = orb();
+        let board = orb.activate(Box::new(BoardImpl { strokes: 0 }));
+        orb.invoke(&board, "draw", &[Value::Long(1), Value::Long(2)]).unwrap();
+        let replies = Arc::default();
+        let asker = orb.activate(Box::new(AskerImpl { board, replies: Arc::clone(&replies) }));
+        orb.invoke(&asker, "refresh", &[]).unwrap();
+        let expect = [Value::ULongLong(7), Value::Boolean(true), Value::Long(1)];
+        assert_eq!(*replies.lock().unwrap(), [expect.to_vec()]);
     }
 
     #[test]

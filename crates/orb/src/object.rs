@@ -36,15 +36,13 @@ impl std::fmt::Display for ObjectRef {
 
 /// Why a `COMM_FAILURE` happened — the fabric's [`lc_net::DropReason`]
 /// surfaced through the ORB so callers can distinguish a crashed peer
-/// from a partition from a dead node process.
+/// from a dead node process.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CommReason {
     /// The local (sending) host is down.
     SenderDown,
     /// The destination host is down.
     ReceiverDown,
-    /// Sender and destination are in different partitions.
-    Partitioned,
     /// The destination host has no node process listening.
     Unbound,
 }
@@ -54,7 +52,6 @@ impl From<lc_net::DropReason> for CommReason {
         match r {
             lc_net::DropReason::SenderDown => CommReason::SenderDown,
             lc_net::DropReason::ReceiverDown => CommReason::ReceiverDown,
-            lc_net::DropReason::Partitioned => CommReason::Partitioned,
             lc_net::DropReason::Unbound => CommReason::Unbound,
         }
     }
@@ -71,7 +68,6 @@ impl std::fmt::Display for CommReason {
         match self {
             CommReason::SenderDown => write!(f, "sender down"),
             CommReason::ReceiverDown => write!(f, "receiver down"),
-            CommReason::Partitioned => write!(f, "partitioned"),
             CommReason::Unbound => write!(f, "unbound"),
         }
     }

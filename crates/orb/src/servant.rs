@@ -36,8 +36,8 @@ pub struct Outcome {
 /// Servants cannot block on nested remote calls (the simulation is
 /// event-driven), so they enqueue out-calls; the hosting runtime sends
 /// them when dispatch returns. Replies to [`OutCallKind::Request`] calls
-/// come back as later dispatches of the servant's `_reply` operation with
-/// the token as first argument.
+/// come back as later dispatches of the servant's `_reply` operation,
+/// with the arguments [`reply_args`] builds.
 #[derive(Debug)]
 pub struct OutCall {
     /// Callee.
@@ -48,6 +48,18 @@ pub struct OutCall {
     pub args: Vec<Value>,
     /// Fire-and-forget or request/reply.
     pub kind: OutCallKind,
+}
+
+/// The arguments of the `_reply` dispatch that answers a
+/// [`OutCallKind::Request`]: `(token, ok, ret, outs…)` for a result,
+/// `(token, false)` for a failure.
+pub fn reply_args(token: u64, result: Result<Outcome, OrbError>) -> Vec<Value> {
+    let mut args = vec![Value::ULongLong(token), Value::Boolean(result.is_ok())];
+    if let Ok(out) = result {
+        args.push(out.ret);
+        args.extend(out.outs);
+    }
+    args
 }
 
 /// How an [`OutCall`] is performed.
@@ -126,7 +138,7 @@ impl<'a> Invocation<'a> {
     }
 
     /// Enqueue a request/reply out-call; the reply arrives later as a
-    /// dispatch of `_reply` with `token` as the first argument.
+    /// dispatch of `_reply` ([`reply_args`]: `token` first).
     pub fn call_request(&mut self, target: ObjectRef, op: &str, args: Vec<Value>, token: u64) {
         self.outbox.push(OutCall {
             target,

@@ -16,7 +16,7 @@
 //! | [`metrics`] | [`BucketHistogram`] (fixed buckets, integer quantiles) |
 //! | [`export`] | sorted JSONL, chrome://tracing JSON, critical path |
 //! | [`sampler`] | seeded head-based trace sampling ([`SampleConfig`]) for bounded-memory tracing at scale |
-//! | [`slo`] | [`SloMonitor`]: windowed latency/burn-rate rules over the counts and samples it is fed, breach records with flight dumps |
+//! | [`slo`] | [`SloMonitor`]: windowed latency/burn-rate rules over the finished queries it is fed, breach records with flight dumps |
 //! | [`flame`] | collapsed-stack flamegraph + per-node virtual-time timeline from span trees |
 //! | [`profile`] | deterministic rendering of the DES kernel's [`lc_des::ProfileReport`] |
 //!

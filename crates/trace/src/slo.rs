@@ -1,12 +1,13 @@
 //! SLO monitors evaluated in virtual time.
 //!
 //! A monitor holds a set of rules and the **window** they read: the
-//! counts ([`SloMonitor::incr`]) and latency samples
-//! ([`SloMonitor::observe`]) fed to it since its previous evaluation.
-//! It is polled on a virtual-time cadence (the node arms a timer;
-//! nothing here schedules anything). Each [`SloMonitor::evaluate`] fires
-//! a deterministic [`SloBreach`] per rule the window violates and starts
-//! the next window empty. The caller is expected to attach the node's
+//! finished registry queries fed to it ([`SloMonitor::observe_query`])
+//! since its previous evaluation, the node's one feed: a latency
+//! histogram over [`QUERY_LATENCY_BUCKETS_US`] and a count of the
+//! queries that came back empty. It is polled on a virtual-time cadence
+//! (the node arms a timer; nothing here schedules anything). Each
+//! [`SloMonitor::evaluate`] fires a deterministic [`SloBreach`] per rule
+//! the window violates and starts the next window empty. The caller is expected to attach the node's
 //! flight-recorder dump to each breach ([`SloMonitor::record_breach`]),
 //! which is the "automatic dump on SLO breach, not only on crash"
 //! behaviour the node runtime wires up.
@@ -18,21 +19,24 @@
 use crate::metrics::BucketHistogram;
 use crate::tracer::SpanEvent;
 use lc_des::SimTime;
-use std::collections::BTreeMap;
+
+/// Upper bucket edges (µs) of the windowed query-latency histogram.
+pub const QUERY_LATENCY_BUCKETS_US: [u64; 8] =
+    [100, 500, 1_000, 5_000, 20_000, 100_000, 400_000, 1_600_000];
 
 /// One SLO rule kind.
 #[derive(Clone, Debug)]
 pub enum SloKind {
-    /// Breach when the windowed `q_ppm` quantile of histogram `key`
-    /// exceeds `max` (same unit as the histogram's samples). Windows
-    /// with fewer than `min_samples` observations never breach.
-    LatencyQuantile { key: String, q_ppm: u32, max: u64, min_samples: u64 },
+    /// Breach when the windowed `q_ppm` quantile of query latency (µs,
+    /// a bucket edge) exceeds `max`. Windows with fewer than
+    /// `min_samples` queries never breach.
+    LatencyQuantile { q_ppm: u32, max: u64, min_samples: u64 },
     /// Error-budget burn rate: breach when, over the window,
-    /// `bad/total > budget_ppm * max_burn` (burn expressed as a
+    /// `empty/total > budget_ppm * max_burn` (burn expressed as a
     /// multiple of the budget, in hundredths: `max_burn_centi = 250`
     /// means "burning budget 2.5× too fast"). Windows with fewer than
-    /// `min_total` events never breach.
-    BurnRate { bad: String, total: String, budget_ppm: u32, max_burn_centi: u32, min_total: u64 },
+    /// `min_total` queries never breach.
+    BurnRate { budget_ppm: u32, max_burn_centi: u32, min_total: u64 },
 }
 
 /// A named SLO rule.
@@ -94,12 +98,13 @@ pub struct BreachRecord {
     pub flight_dropped: u64,
 }
 
-/// The per-node monitor: rules + the current window's counts and samples.
+/// The per-node monitor: rules + the current window's queries.
 #[derive(Clone, Debug)]
 pub struct SloMonitor {
     cfg: SloConfig,
-    counts: BTreeMap<String, u64>,
-    samples: BTreeMap<String, BucketHistogram>,
+    /// One sample per query, so its count is the window's total.
+    latency_us: BucketHistogram,
+    empty: u64,
     evals: u64,
     breaches: Vec<BreachRecord>,
 }
@@ -109,8 +114,8 @@ impl SloMonitor {
     pub fn new(cfg: SloConfig) -> SloMonitor {
         SloMonitor {
             cfg,
-            counts: BTreeMap::new(),
-            samples: BTreeMap::new(),
+            latency_us: BucketHistogram::new(&QUERY_LATENCY_BUCKETS_US),
+            empty: 0,
             evals: 0,
             breaches: Vec::new(),
         }
@@ -121,27 +126,11 @@ impl SloMonitor {
         self.cfg.window
     }
 
-    /// Count one event under `key` in the current window.
-    pub fn incr(&mut self, key: &str) {
-        match self.counts.get_mut(key) {
-            Some(c) => *c += 1,
-            None => {
-                self.counts.insert(key.to_owned(), 1);
-            }
-        }
-    }
-
-    /// Record one sample under `key` in the current window; the first
-    /// sample ever seen under a key fixes its bucket `bounds`.
-    pub fn observe(&mut self, key: &str, bounds: &[u64], v: u64) {
-        match self.samples.get_mut(key) {
-            Some(h) => h.observe(v),
-            None => {
-                let mut h = BucketHistogram::new(bounds);
-                h.observe(v);
-                self.samples.insert(key.to_owned(), h);
-            }
-        }
+    /// Feed one finished query to the current window: its latency and
+    /// whether it came back empty.
+    pub fn observe_query(&mut self, latency_us: u64, empty: bool) {
+        self.latency_us.observe(latency_us);
+        self.empty += u64::from(empty);
     }
 
     /// Evaluate every rule against the window since the last call and
@@ -151,11 +140,10 @@ impl SloMonitor {
     pub fn evaluate(&mut self, now: SimTime) -> Vec<SloBreach> {
         self.evals += 1;
         let mut fired = Vec::new();
-        let count = |key: &str| self.counts.get(key).copied().unwrap_or(0);
         for rule in &self.cfg.rules {
             match &rule.kind {
-                SloKind::LatencyQuantile { key, q_ppm, max, min_samples } => {
-                    let Some(w) = self.samples.get(key) else { continue };
+                SloKind::LatencyQuantile { q_ppm, max, min_samples } => {
+                    let w = &self.latency_us;
                     if w.count() < *min_samples {
                         continue;
                     }
@@ -170,13 +158,12 @@ impl SloMonitor {
                         });
                     }
                 }
-                SloKind::BurnRate { bad, total, budget_ppm, max_burn_centi, min_total } => {
-                    let t = count(total);
+                SloKind::BurnRate { budget_ppm, max_burn_centi, min_total } => {
+                    let (t, b) = (self.latency_us.count(), self.empty);
                     // An empty window burns nothing (and has no ratio).
                     if t == 0 || t < *min_total || *budget_ppm == 0 {
                         continue;
                     }
-                    let b = count(bad);
                     // burn in centi-multiples of budget:
                     //   (bad/total) / (budget_ppm/1e6) * 100
                     let burn_centi =
@@ -193,8 +180,8 @@ impl SloMonitor {
                 }
             }
         }
-        self.counts.values_mut().for_each(|c| *c = 0);
-        self.samples.values_mut().for_each(BucketHistogram::reset);
+        self.latency_us.reset();
+        self.empty = 0;
         fired
     }
 
@@ -222,25 +209,17 @@ mod tests {
         SimTime::from_millis(ms)
     }
 
-    const BOUNDS: [u64; 3] = [10, 100, 1000];
-
-    fn latency_rule(key: &str, q_ppm: u32, max: u64, min_samples: u64) -> SloRule {
+    fn latency_rule(q_ppm: u32, max: u64, min_samples: u64) -> SloRule {
         SloRule {
             name: "query-p90".into(),
-            kind: SloKind::LatencyQuantile { key: key.into(), q_ppm, max, min_samples },
+            kind: SloKind::LatencyQuantile { q_ppm, max, min_samples },
         }
     }
 
     fn burn_rule(budget_ppm: u32, max_burn_centi: u32, min_total: u64) -> SloRule {
         SloRule {
             name: "empty-burn".into(),
-            kind: SloKind::BurnRate {
-                bad: "q.empty".into(),
-                total: "q.total".into(),
-                budget_ppm,
-                max_burn_centi,
-                min_total,
-            },
+            kind: SloKind::BurnRate { budget_ppm, max_burn_centi, min_total },
         }
     }
 
@@ -248,18 +227,18 @@ mod tests {
     fn latency_rule_fires_on_windowed_quantile_only() {
         let mut mon = SloMonitor::new(SloConfig {
             window: t(100),
-            rules: vec![latency_rule("lat", 900_000, 100, 4)],
+            rules: vec![latency_rule(900_000, 500, 4)],
         });
-        // first window: fast samples — no breach
+        // first window: fast queries — no breach
         for _ in 0..10 {
-            mon.observe("lat", &BOUNDS, 5);
+            mon.observe_query(50, false);
         }
         assert!(mon.evaluate(t(100)).is_empty());
-        // second window: slow samples; the p90 over *both* windows would
-        // still look fine, this window must not. The key keeps the
-        // bounds of its first sample: 900 lands under the 1000 edge.
+        // second window: slow queries; the p90 over *both* windows would
+        // still look fine, this window must not. 900 lands under the
+        // 1000 edge.
         for _ in 0..10 {
-            mon.observe("lat", &[5000], 900);
+            mon.observe_query(900, false);
         }
         let fired = mon.evaluate(t(200));
         assert_eq!(fired.len(), 1);
@@ -267,7 +246,7 @@ mod tests {
         assert_eq!(fired[0].observed, 1000);
         assert_eq!(fired[0].window_events, 10);
         // third window: quiet (below min_samples) — no breach
-        mon.observe("lat", &BOUNDS, 900);
+        mon.observe_query(900, false);
         assert!(mon.evaluate(t(300)).is_empty());
         assert_eq!(mon.evals(), 3);
     }
@@ -280,8 +259,7 @@ mod tests {
             rules: vec![burn_rule(100_000, 200, 10)],
         });
         let feed = |mon: &mut SloMonitor, total: u32, empty: u32| {
-            (0..total).for_each(|_| mon.incr("q.total"));
-            (0..empty).for_each(|_| mon.incr("q.empty"));
+            (0..total).for_each(|i| mon.observe_query(10, i < empty));
         };
         feed(&mut mon, 20, 2); // exactly budget: burn = 100 centi
         assert!(mon.evaluate(t(100)).is_empty());
@@ -297,13 +275,14 @@ mod tests {
         assert_eq!(mon.breaches()[0].breach.rule, "empty-burn");
     }
 
-    /// What the monitor's window replaced, kept as the oracle: counters
+    /// What the monitor's window replaced, kept as the oracle: counts
     /// and bucket counts that only ever grow, a copy of them taken at
     /// each evaluation, and rules that read current minus copy.
-    #[derive(Clone, Default)]
+    #[derive(Clone, Copy, Default)]
     struct Totals {
-        counts: BTreeMap<String, u64>,
-        buckets: BTreeMap<String, Vec<u64>>,
+        total: u64,
+        empty: u64,
+        buckets: [u64; QUERY_LATENCY_BUCKETS_US.len() + 1],
     }
 
     #[derive(Default)]
@@ -313,28 +292,20 @@ mod tests {
     }
 
     impl Cumulative {
-        fn incr(&mut self, key: &str) {
-            *self.now.counts.entry(key.to_owned()).or_insert(0) += 1;
-        }
-
-        fn observe(&mut self, key: &str, v: u64) {
-            let b = self.now.buckets.entry(key.to_owned()).or_insert_with(|| vec![0; 4]);
-            b[BOUNDS.partition_point(|&e| e < v)] += 1;
+        fn observe_query(&mut self, v: u64, empty: bool) {
+            self.now.total += 1;
+            self.now.empty += u64::from(empty);
+            self.now.buckets[QUERY_LATENCY_BUCKETS_US.partition_point(|&e| e < v)] += 1;
         }
 
         fn evaluate(&mut self, now: SimTime, rules: &[SloRule]) -> Vec<SloBreach> {
-            let delta = |key: &str| {
-                let at = |t: &Totals| t.counts.get(key).copied().unwrap_or(0);
-                at(&self.now) - at(&self.last)
-            };
+            let (cur, prev) = (self.now, self.last);
             let mut fired = Vec::new();
             for rule in rules {
                 let (observed, threshold, window_events) = match &rule.kind {
-                    SloKind::LatencyQuantile { key, q_ppm, max, min_samples } => {
-                        let Some(cur) = self.now.buckets.get(key) else { continue };
-                        let zero = vec![0; 4];
-                        let prev = self.last.buckets.get(key).unwrap_or(&zero);
-                        let window: Vec<u64> = cur.iter().zip(prev).map(|(c, p)| c - p).collect();
+                    SloKind::LatencyQuantile { q_ppm, max, min_samples } => {
+                        let window: Vec<u64> =
+                            cur.buckets.iter().zip(prev.buckets).map(|(c, p)| c - p).collect();
                         let n: u64 = window.iter().sum();
                         if n == 0 || n < *min_samples {
                             continue;
@@ -345,15 +316,18 @@ mod tests {
                             cum += c;
                             cum >= need
                         });
-                        let q = edge.and_then(|i| BOUNDS.get(i).copied()).unwrap_or(u64::MAX);
+                        let q = edge
+                            .and_then(|i| QUERY_LATENCY_BUCKETS_US.get(i).copied())
+                            .unwrap_or(u64::MAX);
                         (q, *max, n)
                     }
-                    SloKind::BurnRate { bad, total, budget_ppm, max_burn_centi, min_total } => {
-                        let t = delta(total);
+                    SloKind::BurnRate { budget_ppm, max_burn_centi, min_total } => {
+                        let t = cur.total - prev.total;
                         if t == 0 || t < *min_total || *budget_ppm == 0 {
                             continue;
                         }
-                        let burn = delta(bad) as u128 * 100_000_000 / (t as u128 * *budget_ppm as u128);
+                        let bad = cur.empty - prev.empty;
+                        let burn = bad as u128 * 100_000_000 / (t as u128 * *budget_ppm as u128);
                         (burn as u64, *max_burn_centi as u64, t)
                     }
                 };
@@ -362,7 +336,7 @@ mod tests {
                     fired.push(SloBreach { at: now, rule, observed, threshold, window_events });
                 }
             }
-            self.last = self.now.clone();
+            self.last = self.now;
             fired
         }
     }
@@ -374,9 +348,8 @@ mod tests {
         lc_prop::check("slo window == cumulative minus snapshot", |g| {
             let rules = vec![
                 latency_rule(
-                    g.pick::<&str>(&["a", "b", "never-fed"]),
                     *g.pick(&[500_000, 900_000, 990_000, 1_000_000]),
-                    *g.pick(&[10, 100, 1000]),
+                    *g.pick(&[500, 1_000, 5_000]),
                     g.gen_range(0..6u64),
                 ),
                 burn_rule(
@@ -398,16 +371,10 @@ mod tests {
                     *if fired.is_empty() { &mut quiet } else { &mut loud } += 1;
                     continue;
                 }
-                let key = *g.pick(&["a", "b"]);
-                let v = g.gen_range(0..3_000u64);
-                mon.observe(key, &BOUNDS, v);
-                oracle.observe(key, v);
-                mon.incr("q.total");
-                oracle.incr("q.total");
-                if g.gen_range(0..8u32) == 0 {
-                    mon.incr("q.empty");
-                    oracle.incr("q.empty");
-                }
+                let v = g.gen_range(0..8_000u64);
+                let empty = g.gen_range(0..8u32) == 0;
+                mon.observe_query(v, empty);
+                oracle.observe_query(v, empty);
             }
             assert_eq!(mon.evaluate(now), oracle.evaluate(now, &rules));
         });

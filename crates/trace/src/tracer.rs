@@ -20,6 +20,7 @@ use crate::span::{Span, SpanId, TraceContext, TraceId};
 use lc_des::SimTime;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
+use std::fmt::Display;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Flight-recorder capacity (span events kept per node).
@@ -243,6 +244,32 @@ impl Tracer {
         Some(ctx)
     }
 
+    /// Record a point event on `node`: a zero-length span at `at` with
+    /// `attrs` in order, under the current context (a new trace root when
+    /// none is current).
+    pub fn event(&self, node: u32, name: &str, at: SimTime, attrs: &[(&str, &dyn Display)]) {
+        if let Some(sp) = self.complete(node, name, self.current(), at, at) {
+            for (key, value) in attrs {
+                self.set_attr(sp, key, value);
+            }
+        }
+    }
+
+    /// Start a retry of the span `of` on `node`: its child, with a link
+    /// back to it marking the retry relationship. `None` when `of` is.
+    pub fn retry(
+        &self,
+        node: u32,
+        name: &str,
+        of: Option<TraceContext>,
+        at: SimTime,
+    ) -> Option<TraceContext> {
+        let of = of?;
+        let retry = self.child_of(node, name, of, at)?;
+        self.link(retry, of.span);
+        Some(retry)
+    }
+
     /// Close a span; its recorded end becomes the max of `now` and its
     /// children's ends, then propagates upward (see module docs).
     pub fn end(&self, ctx: TraceContext, now: SimTime) {
@@ -253,14 +280,25 @@ impl Tracer {
         inner.close_span(ctx.span, now);
     }
 
-    /// Append an attribute to an open or closed span.
-    pub fn set_attr(&self, ctx: TraceContext, key: &str, value: &str) {
+    /// [`Tracer::end`] for a span that may not exist, first tagging it
+    /// with an `error` attribute when there is one.
+    pub fn end_with(&self, span: Option<TraceContext>, at: SimTime, error: Option<&str>) {
+        let Some(span) = span else { return };
+        if let Some(error) = error {
+            self.set_attr(span, "error", error);
+        }
+        self.end(span, at);
+    }
+
+    /// Append an attribute to an open or closed span; `value` is
+    /// formatted only when the span is recorded.
+    pub fn set_attr(&self, ctx: TraceContext, key: &str, value: impl Display) {
         if !self.enabled || !ctx.sampled {
             return;
         }
         let mut inner = self.locked();
         if let Some(s) = inner.spans.get_mut(&ctx.span) {
-            s.attrs.push((key.to_owned(), value.to_owned()));
+            s.attrs.push((key.to_owned(), value.to_string()));
         }
     }
 
@@ -428,7 +466,9 @@ mod tests {
         assert!(tr.child_of(0, "c", ctx, t(0)).is_none());
         tr.set_attr(ctx, "k", "v");
         tr.link(ctx, ctx.span);
-        tr.end(ctx, t(1));
+        tr.event(0, "e", t(0), &[("k", &1)]);
+        assert!(tr.retry(0, "r", Some(ctx), t(0)).is_none());
+        tr.end_with(Some(ctx), t(1), Some("e"));
     }
 
     #[test]
@@ -502,7 +542,7 @@ mod tests {
             for (tr, sampling) in [(&full, false), (&sampled, true)] {
                 let root = tr.root(0, "req", t(i * 10)).unwrap();
                 let child = tr.child_of(1, "work", root, t(i * 10 + 1)).unwrap();
-                tr.set_attr(child, "i", &i.to_string());
+                tr.set_attr(child, "i", i);
                 tr.end(child, t(i * 10 + 2));
                 tr.end(root, t(i * 10 + 3));
                 if sampling && root.sampled {
@@ -526,15 +566,21 @@ mod tests {
     fn links_and_attrs_are_recorded() {
         let tr = Tracer::new();
         let a = tr.root(0, "call", t(0)).unwrap();
-        let retry = tr.child_of(0, "retry", a, t(10)).unwrap();
-        tr.link(retry, a.span);
-        tr.set_attr(retry, "attempt", "2");
+        let retry = tr.retry(0, "retry", Some(a), t(10)).unwrap();
+        tr.set_attr(retry, "attempt", 2);
         tr.end(retry, t(20));
-        tr.end(a, t(30));
+        tr.end_with(Some(a), t(30), Some("timeout"));
+        // no current context: the event roots its own trace
+        tr.event(1, "hop", t(40), &[("at", &3), ("next", &"x")]);
         let spans = tr.spans();
         let r = spans.iter().find(|s| s.id == retry.span).unwrap();
+        assert_eq!(r.parent, Some(a.span));
         assert_eq!(r.links, vec![a.span]);
         assert_eq!(r.attr("attempt"), Some("2"));
+        assert_eq!(spans.iter().find(|s| s.id == a.span).unwrap().attr("error"), Some("timeout"));
+        let hop = spans.iter().find(|s| s.name == "hop").unwrap();
+        assert_eq!((hop.parent, hop.start, hop.end), (None, t(40), t(40)));
+        assert_eq!(hop.attrs, [("at".to_owned(), "3".to_owned()), ("next".into(), "x".into())]);
         validate(&spans).unwrap();
     }
 }

@@ -3,7 +3,6 @@
 //! Re-exports all member crates so the top-level `examples/` and `tests/`
 //! can exercise the whole system through one dependency.
 
-pub use lc_baselines as baselines;
 pub use lc_core as core;
 pub use lc_cscw as cscw;
 pub use lc_des as des;
