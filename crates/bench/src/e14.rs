@@ -6,7 +6,7 @@
 //! sharded registry ([`lc_core::ShardStore`]) against that wall: the same
 //! 1k-node campus, the same query workload, with the component
 //! inventory consistent-hashed over 2/4/8 shards (2 replicas each) and
-//! lookups routed Chord-style through the finger overlay instead of up
+//! each lookup sent one hop to the owning shard's replicas instead of up
 //! the hierarchy.
 //!
 //! The workload runs under E10-style churn — uniform loss, duplication
@@ -18,7 +18,7 @@
 //! is exactly the traffic that concentrates on the leader.
 //!
 //! Reported per variant: answered fraction, p50/p99 first-offer
-//! latency, query messages, overlay hops, gossip traffic, the busiest
+//! latency, query messages, gossip traffic, the busiest
 //! receiver over the query phase, and — the headline — bytes received
 //! by the *former leader* (the busiest host of the single-leader run)
 //! under each shard count. The committed `BENCH_e14.json` pins the
@@ -41,7 +41,7 @@ use std::fmt::Write as _;
 use std::rc::Rc;
 
 /// JSON schema version (bump when keys change; ci.sh pins the diff).
-pub const SCHEMA_VERSION: u32 = 1;
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// The committed run's seed.
 const SEED: u64 = 14;
@@ -93,8 +93,7 @@ pub struct VariantResult {
     pub p99_ms: f64,
     /// `query.msgs` delta per query.
     pub msgs_per_query: f64,
-    /// Overlay finger hops and gossip digest/delta messages.
-    pub shard_hops: u64,
+    /// Gossip digest/delta messages.
     pub gossip_msgs: u64,
     /// Busiest receiver over the query phase: host and byte delta.
     pub hotspot: HostId,
@@ -257,7 +256,6 @@ pub fn run_point(point: Point, seed: u64, leader: Option<HostId>) -> VariantResu
         p50_ms: pctl(0.50),
         p99_ms: pctl(0.99),
         msgs_per_query: (m.counter("query.msgs") - msgs_before) as f64 / QUERIES as f64,
-        shard_hops: m.counter("registry.shard_hops"),
         gossip_msgs: m.counter("registry.gossip_msgs"),
         hotspot,
         hotspot_recv,
@@ -293,7 +291,6 @@ fn render_json(points: &[VariantResult], seed: u64) -> String {
             ("nodes", r.point.nodes.into()),
             ("p50_ms", r.p50_ms.into()),
             ("p99_ms", r.p99_ms.into()),
-            ("shard_hops", r.shard_hops.into()),
             ("shards", r.point.shards.into()),
         ])
     };
@@ -343,7 +340,6 @@ fn render(points: &[VariantResult], seed: u64) -> Output {
                 f2(r.p50_ms),
                 f2(r.p99_ms),
                 f2(r.msgs_per_query),
-                r.shard_hops.to_string(),
                 r.gossip_msgs.to_string(),
                 human_bytes(r.hotspot_recv),
                 human_bytes(r.leader_recv),
@@ -367,7 +363,6 @@ fn render(points: &[VariantResult], seed: u64) -> Output {
             "p50 ms",
             "p99 ms",
             "msgs/query",
-            "hops",
             "gossip",
             "hotspot recv",
             "ex-leader recv",
@@ -435,7 +430,7 @@ mod tests {
         // >= 3x former-leader reduction and p99 no worse at 4+ shards.
         assert_eq!(a.failed, None);
         let json = &a.files[0].1;
-        assert!(json.contains("\"schema_version\": 1"));
+        assert!(json.contains("\"schema_version\": 2"));
 
         // Parse the per-variant fields back out of the JSON.
         let field = |block: &str, key: &str| -> f64 {

@@ -190,12 +190,11 @@ pub fn run_traced(seed: u64, label: &'static str, one_in: Option<u32>) -> Traced
     let answered = sinks.iter().filter(|s| s.borrow().first_offer_at.is_some()).count() as u64;
     let m = w.sim.metrics_ref();
     let fingerprint = format!(
-        "answered={} query.msgs={} breaches={} crashes={} hops={} gossip={}",
+        "answered={} query.msgs={} breaches={} crashes={} gossip={}",
         answered,
         m.counter("query.msgs") - msgs_before,
         m.counter("slo.breaches"),
         m.counter("net.fault.crashes"),
-        m.counter("registry.shard_hops"),
         m.counter("registry.gossip_msgs"),
     );
     let breaches = m.counter("slo.breaches");

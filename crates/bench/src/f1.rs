@@ -33,7 +33,7 @@ pub fn run() -> Output {
     let _ = writeln!(report, "(a) empty node right after boot:\n");
     world.sim.run_until(SimTime::from_millis(10));
     let Some(node) = world.node(host) else { return Output::failed("f1: node 0 is down") };
-    let _ = writeln!(report, "{}", reflect::render(&reflect::snapshot(node)));
+    let _ = writeln!(report, "{}", reflect::render(node));
 
     // Component Acceptor: install three packages at run time.
     for pkg in [demo::counter_package(), demo::display_package(), demo::gui_package()] {
@@ -78,7 +78,7 @@ pub fn run() -> Output {
         report,
         "(b) after run-time install of 3 packages, 2 instances, 1 connection:\n"
     );
-    let _ = writeln!(report, "{}", reflect::render(&reflect::snapshot(node)));
+    let _ = writeln!(report, "{}", reflect::render(node));
 
     let _ = writeln!(report, "Node services exercised:");
     let _ = writeln!(report, "  Component Acceptor : acceptor.installed = {}", 3);

@@ -132,7 +132,7 @@ pub struct NodeView {
 }
 
 impl NodeView {
-    fn cpu_free(&self) -> f64 {
+    pub(crate) fn cpu_free(&self) -> f64 {
         (self.report.static_info.cpu_power - self.report.dynamic.cpu_used).max(0.0)
     }
     fn mem_free(&self) -> u64 {

@@ -20,7 +20,7 @@
 //! | [`deploy`] | §2.4.3/4 offer selection & run-time placement |
 //! | [`assembly`] | §2.4.4 applications as components |
 //! | [`node`] | §2.4.1 the Node service (Fig. 1) + container (§2.2) |
-//! | [`reflect`] | §2.4.2 Reflection Architecture snapshots |
+//! | [`reflect`] | §2.4.2 Reflection Architecture view of a node |
 //!
 //! The crate runs on the simulated substrates: [`lc_des`] (virtual time),
 //! [`lc_net`] (the fabric), [`lc_orb`] (typed invocation), [`lc_pkg`]
@@ -113,6 +113,7 @@ pub mod testkit {
         /// update it — [`Net::actor_of`] is the live host → actor map,
         /// and everything on `World` goes through that. Kept because the
         /// frozen benchmark crate indexes it (its worlds never crash).
+        // frozen .perf surface: goes with ROADMAP 1a
         pub actors: Vec<ActorId>,
     }
 

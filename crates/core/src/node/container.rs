@@ -14,7 +14,13 @@ use super::continuations::{CallCont, FetchCont, PendingCall, PendingMigration, R
 use super::ctx::{Hot, InstanceRuntime, NodeCtx, NodeState};
 use super::metrics::ServiceKind;
 use super::service::{item, ServiceReflect, Tick};
-use super::{InvokeSink, MigrateSink, SpawnSink};
+use super::{InvokePolicy, InvokeSink, MigrateSink, SpawnSink};
+
+/// Backoff before a call's first re-send (`sweep_calls`); doubles per
+/// further attempt.
+const BACKOFF_BASE: SimTime = SimTime::from_millis(50);
+/// Upper bound on any single re-send backoff.
+const BACKOFF_CAP: SimTime = SimTime::from_secs(1);
 
 impl NodeState {
     /// Create a local instance of an installed component.
@@ -239,11 +245,10 @@ impl NodeCtx<'_, '_> {
     /// fail the rest with `TIMEOUT`.
     pub(crate) fn sweep_calls(&mut self) {
         let now = self.sim.now();
-        let policy = self.state.cfg.invoke.clone();
-        let Some(deadline) = policy.deadline else { return };
+        let InvokePolicy { deadline, retries, .. } = self.state.cfg.invoke;
+        let Some(deadline) = deadline else { return };
         for (rid, pc) in self.state.conts.calls.take_expired(now) {
-            let can_retry =
-                pc.retry.as_ref().is_some_and(|r| r.attempts < 1 + policy.retries);
+            let can_retry = pc.retry.as_ref().is_some_and(|r| r.attempts < 1 + retries);
             if !can_retry {
                 self.sim.metrics().incr("orb.call_timeouts");
                 self.state.tracer.end_with(pc.span, now, Some("timeout"));
@@ -253,8 +258,8 @@ impl NodeCtx<'_, '_> {
             let attempts = pc.retry.as_ref().map_or(1, |r| r.attempts);
             // Backoff doubles per attempt already made, capped.
             let backoff = std::cmp::min(
-                policy.backoff_base.mul_f64((1u64 << (attempts - 1).min(20)) as f64),
-                policy.backoff_cap,
+                BACKOFF_BASE.mul_f64((1u64 << (attempts - 1).min(20)) as f64),
+                BACKOFF_CAP,
             );
             self.state.conts.calls.insert_with_deadline(
                 rid,

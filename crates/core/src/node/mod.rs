@@ -76,20 +76,12 @@ pub struct LoadBalanceConfig {
     pub overload_threshold: f64,
 }
 
-impl Default for LoadBalanceConfig {
-    fn default() -> Self {
-        LoadBalanceConfig {
-            check_period: SimTime::from_secs(2),
-            overload_threshold: 0.75,
-        }
-    }
-}
-
 /// Client-side invocation recovery policy: per-request deadlines,
 /// exponential backoff with a bounded retry budget, and the matching
 /// servant-side duplicate-suppression window. Retries re-send under the
 /// *same* request id, so a slow (not lost) original plus its retry still
-/// execute the servant exactly once.
+/// execute the servant exactly once. The backoff between attempts is
+/// fixed: 50 ms, doubling per attempt, capped at 1 s.
 #[derive(Clone, Debug)]
 pub struct InvokePolicy {
     /// Per-attempt reply deadline; `None` disables recovery entirely
@@ -97,10 +89,6 @@ pub struct InvokePolicy {
     pub deadline: Option<SimTime>,
     /// Re-send budget after the first attempt.
     pub retries: u32,
-    /// Backoff before the first retry; doubles per further attempt.
-    pub backoff_base: SimTime,
-    /// Upper bound on any single backoff delay.
-    pub backoff_cap: SimTime,
     /// How long a servant remembers sent replies by request id so
     /// duplicated/retried requests are answered from cache instead of
     /// re-executed. `ZERO` disables the cache.
@@ -109,26 +97,17 @@ pub struct InvokePolicy {
 
 impl Default for InvokePolicy {
     fn default() -> Self {
-        InvokePolicy {
-            deadline: None,
-            retries: 0,
-            backoff_base: SimTime::from_millis(50),
-            backoff_cap: SimTime::from_secs(1),
-            dedup_window: SimTime::ZERO,
-        }
+        InvokePolicy { deadline: None, retries: 0, dedup_window: SimTime::ZERO }
     }
 }
 
 impl InvokePolicy {
     /// The recovery preset used by the fault-tolerance experiments:
-    /// 250 ms deadline, 3 retries, 50 ms base backoff capped at 1 s,
-    /// 5 s dedup window.
+    /// 250 ms deadline, 3 retries, 5 s dedup window.
     pub fn standard() -> Self {
         InvokePolicy {
             deadline: Some(SimTime::from_millis(250)),
             retries: 3,
-            backoff_base: SimTime::from_millis(50),
-            backoff_cap: SimTime::from_secs(1),
             dedup_window: SimTime::from_secs(5),
         }
     }
@@ -195,12 +174,6 @@ pub struct ReplicateConfig {
     pub max_replicas: u32,
 }
 
-impl Default for ReplicateConfig {
-    fn default() -> Self {
-        ReplicateConfig { cooldown: SimTime::from_millis(200), max_replicas: 2 }
-    }
-}
-
 /// Registry query-result caching and request coalescing (§2.4.2:
 /// component metadata is mostly immutable, so "caching can be
 /// performed safely"). Off by default — a node without
@@ -237,8 +210,9 @@ pub enum RegistryConfig {
     /// the pre-backend runtime.
     #[default]
     SingleLeader,
-    /// Component inventory consistent-hashed over a shard ring with
-    /// finger-overlay routing and gossip anti-entropy.
+    /// Component inventory consistent-hashed over a shard ring: lookups
+    /// go one hop to the owning shard's replicas, which reconcile by
+    /// gossip anti-entropy.
     Sharded(ShardConfig),
 }
 
@@ -329,24 +303,6 @@ impl NodeConfigBuilder {
         self
     }
 
-    /// Refuse unsigned packages.
-    pub fn require_signature(mut self, on: bool) -> Self {
-        self.cfg.require_signature = on;
-        self
-    }
-
-    /// Enable automatic load balancing.
-    pub fn load_balance(mut self, lb: LoadBalanceConfig) -> Self {
-        self.cfg.load_balance = Some(lb);
-        self
-    }
-
-    /// Invocation recovery policy.
-    pub fn invoke(mut self, policy: InvokePolicy) -> Self {
-        self.cfg.invoke = policy;
-        self
-    }
-
     /// Zero-offer re-issue budget.
     pub fn query_retries(mut self, retries: u32) -> Self {
         self.cfg.query_retries = retries;
@@ -362,18 +318,6 @@ impl NodeConfigBuilder {
     /// Select the registry backend.
     pub fn registry(mut self, registry: RegistryConfig) -> Self {
         self.cfg.registry = registry;
-        self
-    }
-
-    /// Enable SLO monitoring.
-    pub fn slo(mut self, slo: lc_trace::SloConfig) -> Self {
-        self.cfg.slo = Some(slo);
-        self
-    }
-
-    /// Enable server-side overload control (admission + shedding).
-    pub fn admission(mut self, admission: AdmissionConfig) -> Self {
-        self.cfg.admission = Some(admission);
         self
     }
 

@@ -129,8 +129,8 @@ impl NodeCtx<'_, '_> {
                 let seq = self.state.conts.next_seq();
                 let qid = QueryId { origin: self.state.host, seq };
                 // Root (or continue) the per-query trace: everything the
-                // search fans out — MRM hops, member queries, shard hops,
-                // offer replies — parents under this span until
+                // search fans out — MRM hops, member queries, shard
+                // lookups, offer replies — parents under this span until
                 // finalization ends it.
                 let tracer = self.state.tracer.clone();
                 let span = tracer.span(self.state.host.0, "registry.query", started);
@@ -174,8 +174,9 @@ impl NodeCtx<'_, '_> {
     }
 
     /// Run the network search for a pending query along the registry's
-    /// route: up the MRM cohesion hierarchy, from the local shard store,
-    /// or into the shard finger overlay.
+    /// route: up the MRM cohesion hierarchy, or to the owning shard —
+    /// served in place when this host replicates it, otherwise one
+    /// lookup to the first reachable replica.
     pub(crate) fn issue_search(&mut self, qid: QueryId, query: ComponentQuery) {
         match self.state.backend.search_route(&query) {
             SearchRoute::Hierarchy => {
@@ -187,85 +188,37 @@ impl NodeCtx<'_, '_> {
                 let ask = CtrlMsg::Query { qid, query, level: Some(0), descending: false };
                 self.send_to_first_reachable(&targets, ask);
             }
-            SearchRoute::ShardLocal { shard } => {
-                let served = self.state.backend.shard().and_then(|s| s.lookup(shard, &query));
-                if let Some(offers) = served.filter(|o| !o.is_empty()) {
-                    self.on_offers(qid, offers);
+            SearchRoute::ShardLocal { shard } => self.serve_lookup(qid, &query, shard),
+            SearchRoute::ShardRemote { shard } => {
+                let Some(store) = self.state.backend.shard() else { return };
+                let replicas = Rc::clone(store.ring().replicas(shard));
+                // With no replica reachable the search is exhausted: the
+                // query finalizes with what this host already offered.
+                let lookup = CtrlMsg::ShardLookup { qid, query, shard };
+                if !self.send_to_first_reachable(&replicas, lookup) {
+                    self.finish_query(qid.seq);
                 }
-                // The shard store is authoritative for this key — the
-                // search is exhausted either way, synchronously.
-                self.finish_query(qid.seq);
-            }
-            SearchRoute::ShardHop { target, via } => {
-                self.shard_send(qid, query, target, via, 1);
             }
         }
     }
 
-    /// Forward a shard lookup to the first reachable replica of `shard`
-    /// (`hops` counts this hop; a replica that is this host dispatches
-    /// locally without a wire message). Falls back to `QueryDone` toward
-    /// the origin when no replica is reachable — the origin's deadline
-    /// and retry budget are the backstop.
-    fn shard_send(
-        &mut self,
-        qid: QueryId,
-        query: ComponentQuery,
-        target: u32,
-        shard: u32,
-        hops: u32,
-    ) {
-        let Some(store) = self.state.backend.shard() else { return };
-        let replicas = Rc::clone(store.ring().replicas(shard));
-        let lookup = CtrlMsg::ShardLookup { qid, query, target, at: shard, hops };
-        if !self.send_to_first_reachable(&replicas, lookup) {
-            self.send_ctrl(qid.origin, CtrlMsg::QueryDone { qid });
-        }
-    }
-
-    /// Act for shard `at` on a travelling lookup: serve it when `at`
-    /// owns the key and this host replicates it, otherwise take one
-    /// greedy finger hop toward the owner. Hop-bounded by the ring's
-    /// budget so stale addressing cannot loop.
-    pub(crate) fn shard_dispatch(
-        &mut self,
-        qid: QueryId,
-        query: ComponentQuery,
-        target: u32,
-        at: u32,
-        hops: u32,
-    ) {
+    /// Answer a lookup for `shard`, which this host replicates: the
+    /// shard store is authoritative for the key, so the answer also
+    /// completes the query (in place when the origin is this host).
+    pub(crate) fn serve_lookup(&mut self, qid: QueryId, query: &ComponentQuery, shard: u32) {
         let now = self.sim.now();
         let Some(store) = self.state.backend.shard() else { return };
-        let (max_hops, next) = (store.max_hops(), store.next_hop(at, target));
-        if at == target {
-            if let Some(offers) = store.lookup(target, &query) {
-                let attrs: &[(_, &dyn Display)] =
-                    &[("shard", &target), ("hops", &hops), ("offers", &offers.len())];
-                self.state.tracer.event(self.state.host.0, "registry.shard_serve", now, attrs);
-                if offers.is_empty() {
-                    self.send_ctrl(qid.origin, CtrlMsg::QueryDone { qid });
-                } else {
-                    // One message for answer + completion: two separate
-                    // sends can reorder under link jitter, and a done
-                    // arriving first finalizes the query empty.
-                    self.send_ctrl(qid.origin, CtrlMsg::ShardServe { qid, offers });
-                }
-                return;
-            }
-            // Stale addressing: this host no longer replicates the
-            // shard — re-route to the current replica set below.
-        }
-        if hops >= max_hops {
-            self.sim.metrics().incr("registry.shard_giveup");
+        let offers = store.lookup(shard, query).unwrap_or_default();
+        let attrs: &[(_, &dyn Display)] = &[("shard", &shard), ("offers", &offers.len())];
+        self.state.tracer.event(self.state.host.0, "registry.shard_serve", now, attrs);
+        if offers.is_empty() {
             self.send_ctrl(qid.origin, CtrlMsg::QueryDone { qid });
-            return;
+        } else {
+            // One message for answer + completion: two separate sends
+            // can reorder under link jitter, and a done arriving first
+            // finalizes the query empty.
+            self.send_ctrl(qid.origin, CtrlMsg::ShardServe { qid, offers });
         }
-        let attrs: &[(_, &dyn Display)] =
-            &[("at", &at), ("next", &next), ("target", &target), ("hops", &hops)];
-        self.state.tracer.event(self.state.host.0, "registry.shard_hop", now, attrs);
-        self.sim.metrics().incr("registry.shard_hops");
-        self.shard_send(qid, query, target, next, hops + 1);
     }
 
     /// One sharded-registry maintenance round: refresh-publish the local

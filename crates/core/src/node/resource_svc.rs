@@ -35,27 +35,15 @@ impl NodeState {
             .max_by(|a, b| a.1.total_cmp(&b.1))
     }
 
-    /// MRM side: the least-utilised alive member that can absorb the load.
+    /// MRM side: the least-utilised alive member that can absorb the
+    /// load, the first one seen on a tie.
     pub(crate) fn pick_offload_target(&self, asking: HostId, cpu_needed: f64) -> Option<HostId> {
-        let mut best: Option<(f64, HostId)> = None;
-        for (duty, state) in self.duties.iter().zip(self.duty_state.iter()) {
-            if duty.level != 0 {
-                continue;
-            }
-            for (host, rec) in &state.records {
-                if *host == asking {
-                    continue;
-                }
-                if let crate::cohesion::MemberRecord::Node { report, .. } = rec {
-                    let free = (report.static_info.cpu_power - report.dynamic.cpu_used).max(0.0);
-                    let util = report.dynamic.cpu_used / report.static_info.cpu_power;
-                    if free >= cpu_needed * 2.0 && best.map(|(bu, _)| util < bu).unwrap_or(true) {
-                        best = Some((util, *host));
-                    }
-                }
-            }
-        }
-        best.map(|(_, h)| h)
+        self.placement_view()
+            .into_iter()
+            .filter(|v| v.host != asking && v.cpu_free() >= cpu_needed * 2.0)
+            .map(|v| (v.report.dynamic.cpu_used / v.report.static_info.cpu_power, v.host))
+            .min_by(|a, b| a.0.total_cmp(&b.0))
+            .map(|(_, h)| h)
     }
 }
 

@@ -258,9 +258,7 @@ pub(crate) fn handle_ctrl(ctx: &mut NodeCtx<'_, '_>, msg: CtrlMsg) {
         // changed — drop any cached results that could name the
         // component.
         CtrlMsg::CacheInvalidate { component } => ctx.invalidate_cached(&component),
-        CtrlMsg::ShardLookup { qid, query, target, at, hops } => {
-            ctx.shard_dispatch(qid, query, target, at, hops);
-        }
+        CtrlMsg::ShardLookup { qid, query, shard } => ctx.serve_lookup(qid, &query, shard),
         // The owning replica's authoritative answer: record the offers
         // and complete the query atomically.
         CtrlMsg::ShardServe { qid, offers } => {

@@ -3,7 +3,9 @@
 //! Everything the paper's §2.4.3 requires of "the protocol" travels as
 //! [`CtrlMsg`] values inside [`lc_net::NetMsg`] payloads: soft-consistency
 //! keep-alive reports, hierarchical summaries, distributed component
-//! queries and their offers, package fetches (the network as a component
+//! queries and their offers (up the MRM hierarchy, or one hop to the
+//! owning registry shard, whose replicas publish and gossip among
+//! themselves), package fetches (the network as a component
 //! repository), remote instantiation, event subscription, and migration.
 //! Each message knows its approximate wire size so the network model is
 //! charged honestly.
@@ -206,20 +208,15 @@ pub(crate) enum CtrlMsg {
         component: Rc<str>,
     },
 
-    // ---- sharded registry (DHT overlay + anti-entropy) ------------------
-    /// A component lookup travelling the shard finger overlay toward the
-    /// owning shard's replica set.
+    // ---- sharded registry (one-hop lookups + anti-entropy) --------------
+    /// A component lookup sent straight to a replica of the owning shard.
     ShardLookup {
         /// Query id (offers flow straight back to `qid.origin`).
         qid: QueryId,
         /// The query.
         query: ComponentQuery,
         /// Shard owning the queried component.
-        target: u32,
-        /// Shard the receiving replica acts for on this hop.
-        at: u32,
-        /// Hops taken so far (bounded by the ring's hop budget).
-        hops: u32,
+        shard: u32,
     },
     /// The owning replica's authoritative answer: offers plus query
     /// completion in ONE message, so link jitter cannot reorder the
@@ -457,9 +454,7 @@ mod tests {
         let lookup = CtrlMsg::ShardLookup {
             qid: QueryId { origin: HostId(0), seq: 1 },
             query: ComponentQuery::by_name("Counter", Version::new(1, 0)),
-            target: 3,
-            at: 1,
-            hops: 2,
+            shard: 3,
         };
         assert!(lookup.wire_size() < 128);
 

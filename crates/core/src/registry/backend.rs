@@ -10,9 +10,8 @@
 //!   default, byte-identical to the pre-sharding runtime.
 //! * With a [`ShardStore`] the component inventory is consistent-hashed
 //!   over the world's one [`ShardRing`]: publishers push their offers to
-//!   the owning shard's replica set, lookups route Chord-style through
-//!   the finger overlay in O(log S) hops, and replicas reconcile with
-//!   gossip anti-entropy (sorted `(component, publisher, generation)`
+//!   the owning shard's replica set, lookups go there in one hop, and
+//!   replicas reconcile with gossip anti-entropy (sorted `(component, publisher, generation)`
 //!   digests on a virtual-time cadence), so a lost publish or
 //!   invalidate has a convergence path beyond the TTL backstop.
 //!
@@ -108,13 +107,11 @@ pub enum SearchRoute {
         /// The owning shard.
         shard: u32,
     },
-    /// Enter the finger overlay: address a replica of shard `via` and
-    /// let it forward toward `target`.
-    ShardHop {
-        /// The shard owning the key.
-        target: u32,
-        /// First overlay hop (next finger from this host's home shard).
-        via: u32,
+    /// Another host replicates the owning shard: one lookup to its
+    /// replica set, answered there.
+    ShardRemote {
+        /// The owning shard.
+        shard: u32,
     },
 }
 
@@ -247,8 +244,6 @@ pub struct ShardStore {
     cfg: ShardConfig,
     /// Shards this host replicates.
     my_shards: Vec<u32>,
-    /// This host's home shard (overlay entry point for lookups).
-    home: u32,
     /// shard → component → publisher → entry. A component key is the
     /// name its first publish arrived with.
     store: BTreeMap<u32, BTreeMap<Rc<str>, BTreeMap<HostId, PubEntry>>>,
@@ -267,7 +262,6 @@ impl ShardStore {
         ShardStore {
             host,
             my_shards: ring.shards_of(host),
-            home: ring.home_shard(host),
             ring,
             cfg: cfg.clone(),
             store: BTreeMap::new(),
@@ -324,16 +318,16 @@ impl ShardStore {
 
     /// Where a name query for `name` goes from this host.
     fn route(&self, name: &str) -> SearchRoute {
-        let target = self.ring.shard_of_component(name);
-        if self.ring.is_replica(target, self.host) {
-            SearchRoute::ShardLocal { shard: target }
+        let shard = self.ring.shard_of_component(name);
+        if self.ring.is_replica(shard, self.host) {
+            SearchRoute::ShardLocal { shard }
         } else {
-            SearchRoute::ShardHop { target, via: self.next_hop(self.home, target) }
+            SearchRoute::ShardRemote { shard }
         }
     }
 
     /// Answer a query from the local store of `shard`. `None` when this
-    /// host does not replicate the shard (stale addressing).
+    /// host does not replicate the shard.
     pub fn lookup(&self, shard: u32, query: &ComponentQuery) -> Option<Vec<Offer>> {
         if !self.ring.is_replica(shard, self.host) {
             return None;
@@ -363,20 +357,6 @@ impl ShardStore {
             }
         }
         Some(out)
-    }
-
-    /// One finger hop from `at` toward `target`.
-    pub fn next_hop(&self, at: u32, target: u32) -> u32 {
-        if at == target {
-            target
-        } else {
-            self.ring.next_hop(at, target)
-        }
-    }
-
-    /// Hop budget for overlay routing.
-    pub fn max_hops(&self) -> u32 {
-        self.ring.max_hops()
     }
 
     /// This host's last publication of `component`, for a refresh: the
@@ -822,9 +802,9 @@ mod tests {
         // interface query → hierarchy
         let iq = ComponentQuery::by_interface("IDL:Display:1.0");
         assert!(matches!(s.search_route(&iq), SearchRoute::Hierarchy));
-        // name queries → shard-local or overlay hop
+        // name queries → the owning shard, here or on its replicas
         let mut local = 0;
-        let mut hop = 0;
+        let mut remote = 0;
         for i in 0..32 {
             let q = ComponentQuery::by_name(&format!("C{i}"), Version::new(1, 0));
             match s.search_route(&q) {
@@ -832,17 +812,15 @@ mod tests {
                     assert!(ring.is_replica(shard, HostId(3)));
                     local += 1;
                 }
-                SearchRoute::ShardHop { target, via } => {
-                    assert!(!ring.is_replica(target, HostId(3)));
-                    let home = ring.home_shard(HostId(3));
-                    assert!(via == target || ring.fingers(home).contains(&via));
-                    hop += 1;
+                SearchRoute::ShardRemote { shard } => {
+                    assert!(!ring.is_replica(shard, HostId(3)));
+                    remote += 1;
                 }
                 SearchRoute::Hierarchy => panic!("name query must route through shards"),
             }
         }
-        assert!(hop > 0, "16 hosts / 8 shards: most lookups need the overlay");
-        assert!(local + hop == 32);
+        assert!(remote > 0, "16 hosts / 8 shards: most lookups leave the host");
+        assert!(local + remote == 32);
     }
 
     #[test]

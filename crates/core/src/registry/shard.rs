@@ -1,5 +1,5 @@
-//! Consistent-hash shard ring and Chord-style finger routing for the
-//! sharded Distributed Registry backend.
+//! Consistent-hash shard ring for the sharded Distributed Registry
+//! backend.
 //!
 //! Two levels keep churn cheap:
 //!
@@ -13,11 +13,9 @@
 //!    every other shard's replica set, and therefore every key in it,
 //!    stays put (the ring-rebalance property test pins this).
 //!
-//! Lookup routing is Chord-style in *shard-index space*: shard `s` keeps
-//! fingers at shards `(s + 2^i) mod S`, and one greedy hop forwards a
-//! lookup to the finger covering the largest power-of-two distance that
-//! does not overshoot the target. The binary decomposition of the
-//! clockwise distance bounds every route at `⌈log2 S⌉` hops.
+//! Every node holds the world's one ring, so a lookup, a publish and an
+//! invalidation all go one hop, straight to the owning shard's replica
+//! set.
 //!
 //! Everything is deterministic: the hash is FNV-1a over explicit byte
 //! strings, hosts come from the fabric's ordered host list, and no
@@ -66,8 +64,6 @@ pub struct ShardRing {
     /// (index 0 is the primary). Shared, so a coherence route names a
     /// replica set without copying it.
     replica_sets: Vec<Rc<[HostId]>>,
-    /// Per shard: finger targets `(s + 2^i) mod S`, deduplicated.
-    fingers: Vec<Vec<u32>>,
 }
 
 impl ShardRing {
@@ -117,22 +113,7 @@ impl ShardRing {
             })
             .collect();
 
-        let fingers = (0..cfg.shards)
-            .map(|s| {
-                let mut f = Vec::new();
-                let mut step = 1u32;
-                while step < cfg.shards {
-                    let t = (s + step) % cfg.shards;
-                    if t != s && !f.contains(&t) {
-                        f.push(t);
-                    }
-                    step <<= 1;
-                }
-                f
-            })
-            .collect();
-
-        ShardRing { shards: cfg.shards, replica_sets, fingers }
+        ShardRing { shards: cfg.shards, replica_sets }
     }
 
     /// Number of shards.
@@ -146,12 +127,6 @@ impl ShardRing {
     pub fn shard_of_component(&self, component: &str) -> u32 {
         // The hash of `name:<component>`, without building that string.
         (fnv1a(stable_hash64(b"name:"), component.as_bytes()) % self.shards as u64) as u32
-    }
-
-    /// A host's home shard: where its outbound lookups enter the finger
-    /// overlay.
-    pub fn home_shard(&self, host: HostId) -> u32 {
-        (stable_hash64(&host.0.to_le_bytes()) % self.shards as u64) as u32
     }
 
     /// The replica set of a shard (primary first). A route that must
@@ -170,14 +145,11 @@ impl ShardRing {
         (0..self.shards).filter(|&s| self.is_replica(s, host)).collect()
     }
 
-    /// The finger targets of a shard.
-    pub fn fingers(&self, shard: u32) -> &[u32] {
-        &self.fingers[shard as usize]
-    }
-
-    /// One greedy finger hop from `at` toward `target`: the largest
-    /// power-of-two step that does not overshoot the clockwise distance.
-    /// Returns `target` itself once a single step reaches it.
+    /// The largest power-of-two step from `at` that does not overshoot
+    /// the clockwise distance to `target` (`target` once one step
+    /// reaches it). No node routes by it; only the benchmark's
+    /// `registry.ring_next_hop_ns` row times it.
+    // frozen .perf surface: goes with ROADMAP 1a
     pub fn next_hop(&self, at: u32, target: u32) -> u32 {
         let dist = (target + self.shards - at) % self.shards;
         if dist == 0 {
@@ -188,12 +160,6 @@ impl ShardRing {
             step *= 2;
         }
         (at + step) % self.shards
-    }
-
-    /// Upper bound on finger hops for any route (`⌈log2 S⌉`, plus one
-    /// for safety against stale addressing).
-    pub fn max_hops(&self) -> u32 {
-        32 - (self.shards.max(1) - 1).leading_zeros() + 1
     }
 }
 
@@ -242,31 +208,6 @@ mod tests {
         seen.sort_unstable();
         seen.dedup();
         assert!(seen.len() > 4, "64 components landed on {} shards", seen.len());
-    }
-
-    #[test]
-    fn finger_routing_reaches_target_in_log_hops() {
-        let cfg = ShardRingConfig { shards: 32, ..Default::default() };
-        let r = ShardRing::build(&hosts(40), &cfg);
-        for from in 0..32 {
-            for to in 0..32 {
-                let mut at = from;
-                let mut hops = 0;
-                while at != to {
-                    let next = r.next_hop(at, to);
-                    assert_ne!(next, at, "routing stalled at {at} toward {to}");
-                    // every hop lands on a finger of the current shard
-                    assert!(
-                        r.fingers(at).contains(&next),
-                        "hop {at}->{next} is not a finger edge"
-                    );
-                    at = next;
-                    hops += 1;
-                    assert!(hops <= r.max_hops(), "route {from}->{to} exceeded max hops");
-                }
-                assert!(hops <= 5, "route {from}->{to} took {hops} hops (log2 32 = 5)");
-            }
-        }
     }
 
     #[test]

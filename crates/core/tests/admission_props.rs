@@ -132,13 +132,7 @@ fn shed_requests_never_execute_under_retries_and_loss() {
             Topology::lan(3),
             owner,
             fast_cohesion(),
-            InvokePolicy {
-                deadline: Some(SimTime::from_millis(250)),
-                retries: 3,
-                backoff_base: SimTime::from_millis(20),
-                backoff_cap: SimTime::from_millis(100),
-                dedup_window: SimTime::from_secs(5),
-            },
+            InvokePolicy::standard(),
             AdmissionConfig {
                 query_queue_cap: 1024,
                 cpu_backlog_cap: SimTime::from_millis(5 + g.gen_range(0..35u64)),

@@ -140,20 +140,20 @@ fn sharded_staleness_bounded_by_publish_ttl_and_gossip() {
         let period = SimTime::from_millis(g.gen_range(50..150u64));
 
         let plan = FaultPlan::seeded(seed).default_link(LinkFaults::none().drop_p(drop_p));
-        let config = NodeConfig::builder()
-            .cohesion(fast_cohesion())
-            .query_timeout(timeout)
-            .query_retries(1)
-            .require_signature(false)
-            .cache(CacheConfig { ttl, ..CacheConfig::default() })
-            .registry(RegistryConfig::Sharded(ShardConfig {
+        let config = NodeConfig {
+            cohesion: fast_cohesion(),
+            query_timeout: timeout,
+            query_retries: 1,
+            cache: Some(CacheConfig { ttl, ..CacheConfig::default() }),
+            registry: RegistryConfig::Sharded(ShardConfig {
                 shards: 4,
                 replicas: 2,
                 vnodes: 4,
                 gossip_period: gossip,
                 publish_ttl,
-            }))
-            .build();
+            }),
+            ..Default::default()
+        };
         let mut w = World::on(
             Net::builder(Topology::lan(N)).fault_plan(plan).build(),
             seed ^ 0x54a2d,

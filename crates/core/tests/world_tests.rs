@@ -1075,6 +1075,68 @@ fn sharded_world_shares_one_ring_across_nodes_and_respawns() {
     }
 }
 
+/// A lookup is one hop: on a fault-free sharded campus with no cache,
+/// every cold name query from a host that does not replicate the owning
+/// shard costs exactly two query messages — the `ShardLookup` to a
+/// replica and its `ShardServe` back — and finalizes with the owner's
+/// offer, for every such origin and every component.
+#[test]
+fn a_cold_sharded_lookup_costs_one_round_trip() {
+    let shard = ShardConfig {
+        shards: 8,
+        replicas: 2,
+        vnodes: 8,
+        gossip_period: SimTime::from_millis(200),
+        ..Default::default()
+    };
+    let owner = HostId(5);
+    let components = [
+        ("Counter", Version::new(1, 0)),
+        ("Display", Version::new(2, 0)),
+        ("GuiPart", Version::new(1, 0)),
+        ("Watcher", Version::new(1, 0)),
+    ];
+    let config = NodeConfig {
+        cohesion: fast_cohesion(),
+        query_timeout: SimTime::from_millis(400),
+        registry: RegistryConfig::Sharded(shard),
+        ..Default::default()
+    };
+    let mut world = World::on(Topology::campus(8, 8), 27, config, demo::catalog(), move |h| {
+        if h == owner {
+            vec![
+                demo::counter_package(),
+                demo::display_package(),
+                demo::gui_package(),
+                demo::watcher_package(),
+            ]
+        } else {
+            Vec::new()
+        }
+    });
+    let ring = world.seeds[0].ring.clone().expect("a sharded world carries its ring");
+    world.run_for(SimTime::from_millis(800));
+
+    let mut remote = 0;
+    for (name, version) in components {
+        let shard = ring.shard_of_component(name);
+        for origin in (0..64).map(HostId).filter(|&h| h != owner && !ring.is_replica(shard, h)) {
+            let msgs = world.sim.metrics_ref().counter("query.msgs");
+            let sink = world.query(origin, ComponentQuery::by_name(name, version), false);
+            world.run_for(SimTime::from_millis(100));
+            let res = sink.borrow();
+            assert!(res.done && !res.partial, "{name} from {origin:?} did not finalize");
+            let nodes: Vec<HostId> = res.offers.iter().map(|o| o.node).collect();
+            assert_eq!(nodes, [owner], "{name} from {origin:?}");
+            let cost = world.sim.metrics_ref().counter("query.msgs") - msgs;
+            assert_eq!(cost, 2, "{name} from {origin:?} cost {cost} query messages");
+            remote += 1;
+        }
+    }
+    assert!(remote > 200, "only {remote} remote lookups ran");
+    assert_drained(&world);
+}
+
 /// A shard replica the publisher cannot reach — every `ShardPublish` to
 /// it is lost on the wire — still learns the entry, over the wire: its
 /// digest goes to the peer replica, the peer answers with the delta.
@@ -1271,7 +1333,7 @@ fn slo_monitor_inside_a_node_breaches_at_pinned_instants() {
             }],
         };
         let net = Net::builder(Topology::campus(2, 4)).tracer(Tracer::new()).build();
-        let config = NodeConfig::builder().slo(slo).build();
+        let config = NodeConfig { slo: Some(slo), ..Default::default() };
         let mut world = host0_world(net, 77, config);
         world.run_for(SimTime::from_millis(600));
         for _ in 0..12 {

@@ -48,6 +48,7 @@ use std::rc::Rc;
 /// box, one downcast per frame. Always name the payload type; the
 /// default argument exists only because the frozen benchmark crate
 /// spells the bare name.
+// frozen .perf surface: goes with ROADMAP 1a
 pub struct NetMsg<P = AnyMsg> {
     /// Sending host.
     pub from: HostId,
