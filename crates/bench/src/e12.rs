@@ -62,7 +62,7 @@ pub struct VariantResult {
     pub cache_hits: u64,
     pub cache_misses: u64,
     pub coalesced: u64,
-    /// Entries dropped by coherence broadcasts, summed over nodes.
+    /// Entries dropped by coherence broadcasts (sim counter).
     pub invalidated: u64,
     /// Bytes received by the busiest host.
     pub hotspot_recv: u64,
@@ -142,10 +142,6 @@ pub fn run_variant(name: &'static str, cache: Option<CacheConfig>, seed: u64) ->
         set.dedup();
         result_sets.push(set);
     }
-    let invalidated = (0..N as u32)
-        .filter_map(|h| w.node(HostId(h)).and_then(|n| n.backend().stats().cache))
-        .map(|s| s.invalidated_entries)
-        .sum();
     let hotspot = w.net.max_recv().1;
     let m = w.sim.metrics_ref();
     VariantResult {
@@ -157,7 +153,7 @@ pub fn run_variant(name: &'static str, cache: Option<CacheConfig>, seed: u64) ->
         cache_hits: m.counter("cache.hits"),
         cache_misses: m.counter("cache.misses"),
         coalesced: m.counter("cache.coalesced"),
-        invalidated,
+        invalidated: m.counter("cache.invalidated_entries"),
         hotspot_recv: hotspot,
         result_sets,
     }

@@ -15,27 +15,16 @@
 //!   is pending join it as followers instead of spawning their own
 //!   network search.
 //!
+//! Neither keeps counters: the node counts every hit, miss, coalesced
+//! follower and invalidation once, in the simulation's `cache.*`
+//! metrics.
+//!
 //! Determinism: no wall clock, no RNG, no `HashMap` — every structure
 //! iterates in key order, and expiry compares [`SimTime`] stamps the
 //! simulation supplies.
 
 use lc_des::SimTime;
 use std::collections::BTreeMap;
-
-/// Counters a cache accumulates; read by the node's metrics registry.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups answered from a fresh entry.
-    pub hits: u64,
-    /// Lookups that found nothing usable.
-    pub misses: u64,
-    /// Entries evicted because their age reached the TTL.
-    pub stale_evictions: u64,
-    /// Invalidation rounds applied (generation bumps).
-    pub invalidations: u64,
-    /// Entries removed by invalidations.
-    pub invalidated_entries: u64,
-}
 
 struct CachedEntry<V> {
     value: V,
@@ -46,30 +35,16 @@ struct CachedEntry<V> {
 ///
 /// An entry is *fresh* while `now - stored_at < ttl`; at `age == ttl`
 /// it is stale (the same closed/open convention as the continuation
-/// sweep's `deadline <= now`). Invalidation bumps a monotone per-cache
-/// generation — the count of coherence events this cache has seen — and
-/// removes matching entries.
+/// sweep's `deadline <= now`). Invalidation removes matching entries.
 pub struct QueryCache<K: Ord + Clone, V> {
     ttl: SimTime,
-    generation: u64,
     entries: BTreeMap<K, CachedEntry<V>>,
-    stats: CacheStats,
 }
 
 impl<K: Ord + Clone, V> QueryCache<K, V> {
     /// An empty cache whose entries live for `ttl` of virtual time.
     pub fn new(ttl: SimTime) -> Self {
-        QueryCache { ttl, generation: 0, entries: BTreeMap::new(), stats: CacheStats::default() }
-    }
-
-    /// The current invalidation generation (monotone, starts at 0).
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Counters so far.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
+        QueryCache { ttl, entries: BTreeMap::new() }
     }
 
     /// Store a result under `key`, stamped with the current time.
@@ -79,34 +54,21 @@ impl<K: Ord + Clone, V> QueryCache<K, V> {
     }
 
     /// Look up `key`. A fresh entry is a hit and returns the value with
-    /// its age; an entry whose age reached the TTL is evicted (counted
-    /// under `stale_evictions`) and the lookup is a miss.
+    /// its age; an entry whose age reached the TTL is evicted and the
+    /// lookup is a miss.
     pub fn get(&mut self, key: &K, now: SimTime) -> Option<(&V, SimTime)> {
-        let fresh = match self.entries.get(key) {
-            None => {
-                self.stats.misses += 1;
-                return None;
-            }
-            Some(e) => now.saturating_sub(e.stored_at) < self.ttl,
-        };
+        let fresh = now.saturating_sub(self.entries.get(key)?.stored_at) < self.ttl;
         if !fresh {
             self.entries.remove(key);
-            self.stats.stale_evictions += 1;
-            self.stats.misses += 1;
             return None;
         }
-        self.stats.hits += 1;
         let e = &self.entries[key];
         Some((&e.value, now.saturating_sub(e.stored_at)))
     }
 
-    /// Apply one invalidation round: bump the generation and remove
-    /// every entry `pred` matches. Returns how many entries fell.
-    /// The generation advances even when nothing matched — observers
-    /// count coherence events, not evictions.
+    /// Apply one invalidation round: remove every entry `pred` matches.
+    /// Returns how many entries fell.
     pub fn invalidate_matching(&mut self, mut pred: impl FnMut(&K, &V) -> bool) -> usize {
-        self.generation += 1;
-        self.stats.invalidations += 1;
         let victims: Vec<K> = self
             .entries
             .iter()
@@ -116,7 +78,6 @@ impl<K: Ord + Clone, V> QueryCache<K, V> {
         for k in &victims {
             self.entries.remove(k);
         }
-        self.stats.invalidated_entries += victims.len() as u64;
         victims.len()
     }
 }
@@ -128,14 +89,12 @@ impl<K: Ord + Clone, V> QueryCache<K, V> {
 #[derive(Default)]
 pub struct Coalescer<K: Ord + Clone> {
     inflight: BTreeMap<K, u64>,
-    /// Queries merged onto an existing leader.
-    coalesced: u64,
 }
 
 impl<K: Ord + Clone> Coalescer<K> {
     /// An empty table.
     pub fn new() -> Self {
-        Coalescer { inflight: BTreeMap::new(), coalesced: 0 }
+        Coalescer { inflight: BTreeMap::new() }
     }
 
     /// The leader's sequence for `key`, if a flight is in progress.
@@ -153,20 +112,10 @@ impl<K: Ord + Clone> Coalescer<K> {
         true
     }
 
-    /// Note one follower merged onto a leader.
-    pub fn note_coalesced(&mut self) {
-        self.coalesced += 1;
-    }
-
     /// The flight for `key` completed; forget it. Returns the leader
     /// sequence, if one was registered.
     pub fn finish(&mut self, key: &K) -> Option<u64> {
         self.inflight.remove(key)
-    }
-
-    /// How many queries merged onto an existing leader so far.
-    pub fn coalesced(&self) -> u64 {
-        self.coalesced
     }
 }
 
@@ -185,22 +134,8 @@ mod tests {
         // age == ttl: stale — evicted, miss
         c.insert("q", 7, MS(0));
         assert_eq!(c.get(&"q", MS(100)), None);
-        let s = c.stats();
-        assert_eq!((s.hits, s.misses, s.stale_evictions), (1, 1, 1));
-    }
-
-    #[test]
-    fn generations_are_monotone() {
-        let mut c: QueryCache<&str, u32> = QueryCache::new(MS(1000));
-        c.insert("a", 1, MS(0));
-        let mut last = c.generation();
-        for round in 0..5 {
-            c.invalidate_matching(|_, _| false); // even a no-op round advances
-            assert!(c.generation() > last, "round {round}: generation must grow");
-            last = c.generation();
-        }
-        // "a" survived the no-op rounds
-        assert_eq!(c.get(&"a", MS(1)), Some((&1, MS(1))));
+        // the eviction took the entry: still a miss before its TTL
+        assert_eq!(c.get(&"q", MS(1)), None);
     }
 
     #[test]
@@ -208,11 +143,13 @@ mod tests {
         let mut c: QueryCache<String, Vec<&str>> = QueryCache::new(MS(1000));
         c.insert("q1".into(), vec!["Counter"], MS(0));
         c.insert("q2".into(), vec!["Clock"], MS(0));
+        // a no-op round removes nothing
+        assert_eq!(c.invalidate_matching(|_, _| false), 0);
+        assert!(c.get(&"q1".into(), MS(1)).is_some());
         let fell = c.invalidate_matching(|_, v| v.contains(&"Counter"));
         assert_eq!(fell, 1);
         assert_eq!(c.get(&"q1".into(), MS(1)), None);
         assert!(c.get(&"q2".into(), MS(1)).is_some());
-        assert_eq!(c.stats().invalidated_entries, 1);
         assert_eq!(c.invalidate_matching(|_, _| true), 1);
         assert!(c.get(&"q2".into(), MS(1)).is_none());
     }
@@ -223,9 +160,6 @@ mod tests {
         assert!(co.lead("q".into(), 10));
         assert!(!co.lead("q".into(), 11), "second leader refused");
         assert_eq!(co.leader_of(&"q".into()), Some(10));
-        co.note_coalesced();
-        co.note_coalesced();
-        assert_eq!(co.coalesced(), 2);
         assert_eq!(co.finish(&"q".into()), Some(10));
         assert_eq!(co.leader_of(&"q".into()), None);
         assert_eq!(co.finish(&"q".into()), None);

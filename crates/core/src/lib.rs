@@ -44,16 +44,14 @@ pub use behavior::BehaviorRegistry;
 pub use cohesion::{CohesionConfig, HierShape, Hierarchy};
 pub use deploy::{NodeView, PlacementStrategy, ResolveAction, ResolvePolicy};
 pub use node::{
-    AdmissionConfig, AssemblySink, CacheConfig, CacheStats, Continuations, InvokePolicy,
-    InvokeSink,
+    AdmissionConfig, AssemblySink, CacheConfig, Continuations, InvokePolicy, InvokeSink,
     LoadBalanceConfig, MigrateSink, Node, NodeCmd, NodeConfig, NodeConfigBuilder, NodeCtx,
     NodeMetrics, NodeSeed, NodeState, QueryResult, QuerySink, RegistryConfig, ReplicateConfig,
     ServiceKind, ServiceMetrics, ServiceReflect, SpawnSink, Tick,
 };
 pub use proto::{DeltaEntry, GroupSummary, QueryId};
 pub use registry::backend::{
-    BackendStats, CoherenceRoute, Registry, ResolveStep, SearchRoute, ShardConfig, ShardDigest,
-    ShardStore,
+    CoherenceRoute, Registry, ResolveStep, SearchRoute, ShardConfig, ShardDigest, ShardStore,
 };
 pub use registry::shard::{ShardRing, ShardRingConfig};
 pub use registry::{ComponentQuery, ComponentRegistry, InstanceId, InstanceInfo, Offer};

@@ -62,17 +62,17 @@ impl NodeCtx<'_, '_> {
     /// A peer asks for a package's container bytes: ship them if the
     /// component is installed here and mobile, say why not otherwise.
     pub(crate) fn serve_fetch(&mut self, name: String, version: Version, reply_to: HostId) {
-        let reply = match self.state.repository.best_match(&name, version) {
+        let bytes = match self.state.repository.best_match(&name, version) {
             Some(inst) if inst.descriptor.mobility == lc_pkg::Mobility::Mobile => {
                 let bytes = Rc::new(inst.package.to_bytes());
                 self.sim.metrics().incr("fetch.served");
                 self.sim.metrics().add("fetch.bytes", bytes.len() as u64);
-                CtrlMsg::PackageBytes { name, bytes }
+                Ok(bytes)
             }
-            Some(_) => CtrlMsg::FetchFailed { name, reason: "component is not mobile".into() },
-            None => CtrlMsg::FetchFailed { name, reason: "not installed here".into() },
+            Some(_) => Err("component is not mobile".into()),
+            None => Err("not installed here".into()),
         };
-        self.send_ctrl(reply_to, reply);
+        self.send_ctrl(reply_to, CtrlMsg::Package { name, bytes });
     }
 
     /// Fetched bytes arrived: install them and resume everything parked

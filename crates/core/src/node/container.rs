@@ -615,25 +615,6 @@ impl NodeCtx<'_, '_> {
         result
     }
 
-    /// Driver-directed placement: spawn here, or ask `node` to.
-    pub(crate) fn cmd_spawn_on(
-        &mut self,
-        node: HostId,
-        component: String,
-        min_version: Version,
-        instance_name: Option<String>,
-        sink: SpawnSink,
-    ) {
-        if node == self.state.host {
-            *sink.borrow_mut() = Some(self.spawn_announced(&component, min_version, instance_name));
-            return;
-        }
-        let rid = self.state.conts.next_seq();
-        self.state.conts.spawns.insert(rid, SpawnCont::Sink(sink));
-        let origin = self.state.host;
-        self.send_ctrl(node, CtrlMsg::Spawn { rid, origin, component, min_version, instance_name });
-    }
-
     /// Driver traffic: a two-way call when there is a sink to hand the
     /// reply to, otherwise a request nobody here waits for.
     pub(crate) fn cmd_invoke(
@@ -675,9 +656,6 @@ impl NodeCtx<'_, '_> {
     pub(crate) fn on_spawn_done(&mut self, rid: u64, result: Result<ObjectRef, String>) {
         match self.state.conts.spawns.remove(&rid) {
             None => {}
-            Some(SpawnCont::Sink(sink)) => {
-                *sink.borrow_mut() = Some(result);
-            }
             Some(SpawnCont::Connect { instance, port, sink }) => {
                 self.connect_provider(instance, &port, result, sink);
             }

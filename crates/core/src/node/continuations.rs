@@ -155,7 +155,7 @@ pub struct ContTable {
     pub(crate) spawns: Continuations<u64, SpawnCont>,
     /// Outgoing ORB requests awaiting replies.
     pub(crate) calls: Continuations<RequestId, PendingCall>,
-    /// Package fetches awaiting `PackageBytes`/`FetchFailed`, by name.
+    /// Package fetches awaiting their `Package` answer, by name.
     pub(crate) fetches: Continuations<String, Vec<FetchCont>>,
     /// Migrations awaiting `MigrateDone`.
     pub(crate) migrations: Continuations<u64, PendingMigration>,
@@ -243,8 +243,6 @@ pub(crate) struct QueryFollower {
 
 /// What to do when a remote spawn completes.
 pub(crate) enum SpawnCont {
-    /// Hand the result to a driver sink (`NodeCmd::SpawnOn`).
-    Sink(SpawnSink),
     Connect {
         instance: InstanceId,
         port: String,

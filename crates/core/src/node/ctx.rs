@@ -261,18 +261,15 @@ const HOT_NAMES: [&str; 6] = [
 /// with the ORB's own counters these partition `net.msgs`.
 fn wire_counter(msg: &CtrlMsg) -> Option<Hot> {
     Some(match msg {
-        CtrlMsg::Query { .. }
-        | CtrlMsg::Offers { .. }
-        | CtrlMsg::QueryDone { .. }
-        | CtrlMsg::ShardLookup { .. }
-        | CtrlMsg::ShardServe { .. } => Hot::QueryMsgs,
+        CtrlMsg::Query { .. } | CtrlMsg::Offers { .. } | CtrlMsg::ShardLookup { .. } => {
+            Hot::QueryMsgs
+        }
         CtrlMsg::Report { .. } => Hot::Reports,
         CtrlMsg::Summary { .. } => Hot::Summaries,
         CtrlMsg::ShardPublish { .. } => Hot::PublishMsgs,
         CtrlMsg::GossipDigest { .. } | CtrlMsg::GossipDelta { .. } => Hot::GossipMsgs,
         CtrlMsg::Fetch { .. }
-        | CtrlMsg::PackageBytes { .. }
-        | CtrlMsg::FetchFailed { .. }
+        | CtrlMsg::Package { .. }
         | CtrlMsg::Install { .. }
         | CtrlMsg::Spawn { .. }
         | CtrlMsg::SpawnDone { .. }
@@ -382,8 +379,9 @@ impl NodeCtx<'_, '_> {
 
     /// Drop cached query results that could name `component` (the entry's
     /// query names it, is a no-name interface query, or any cached offer
-    /// resolves to it). Bumps the coherence generation even when nothing
-    /// matched; no-op (and no metrics) when there is no cache layer.
+    /// resolves to it). Counts the round in `cache.invalidations` even
+    /// when nothing matched; no-op (and no metrics) when there is no
+    /// cache layer.
     pub(crate) fn invalidate_cached(&mut self, component: &str) {
         let Some(dropped) = self.state.backend.invalidate(component) else { return };
         self.sim.metrics().incr("cache.invalidations");

@@ -64,8 +64,6 @@ use service::{
     cmd_service, ctrl_service, handle_cmd, handle_ctrl, handle_orb, handle_tick, tick_service,
 };
 
-pub use lc_cache::CacheStats;
-
 /// Automatic load-balancing policy (§2.4.3: "component instance
 /// migration and replication to achieve load balancing").
 #[derive(Clone, Debug)]
@@ -392,20 +390,6 @@ pub enum NodeCmd {
         /// Result sink.
         sink: SpawnSink,
     },
-    /// Ask a *remote* node to create an instance (driver-directed
-    /// placement, used by experiments that bypass the planner).
-    SpawnOn {
-        /// Target node.
-        node: HostId,
-        /// Component name.
-        component: String,
-        /// Minimum version.
-        min_version: Version,
-        /// Optional instance name.
-        instance_name: Option<String>,
-        /// Result sink.
-        sink: SpawnSink,
-    },
     /// Resolve a `uses` port of a local instance through the network:
     /// query → choose (connect/spawn/fetch) → connect.
     Resolve {
@@ -488,7 +472,6 @@ impl NodeCmd {
             NodeCmd::Install(_) => "Install",
             NodeCmd::Query { .. } => "Query",
             NodeCmd::SpawnLocal { .. } => "SpawnLocal",
-            NodeCmd::SpawnOn { .. } => "SpawnOn",
             NodeCmd::Resolve { .. } => "Resolve",
             NodeCmd::Subscribe { .. } => "Subscribe",
             NodeCmd::Invoke { .. } => "Invoke",

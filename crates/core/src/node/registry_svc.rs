@@ -160,9 +160,7 @@ impl NodeCtx<'_, '_> {
                 self.in_span(span, |ctx| {
                     // Answer locally first (own repository).
                     let local = ctx.state.local_offers_for(&query);
-                    if !local.is_empty() {
-                        ctx.on_offers(qid, local);
-                    }
+                    ctx.on_offers(qid, local);
                     // Unless first_wins completed it instantly.
                     if ctx.state.conts.queries.contains_key(&seq) {
                         ctx.issue_search(qid, query);
@@ -211,14 +209,7 @@ impl NodeCtx<'_, '_> {
         let offers = store.lookup(shard, query).unwrap_or_default();
         let attrs: &[(_, &dyn Display)] = &[("shard", &shard), ("offers", &offers.len())];
         self.state.tracer.event(self.state.host.0, "registry.shard_serve", now, attrs);
-        if offers.is_empty() {
-            self.send_ctrl(qid.origin, CtrlMsg::QueryDone { qid });
-        } else {
-            // One message for answer + completion: two separate sends
-            // can reorder under link jitter, and a done arriving first
-            // finalizes the query empty.
-            self.send_ctrl(qid.origin, CtrlMsg::ShardServe { qid, offers });
-        }
+        self.send_offers(qid, offers, true);
     }
 
     /// One sharded-registry maintenance round: refresh-publish the local
@@ -279,14 +270,7 @@ impl NodeCtx<'_, '_> {
                 // already answered locally …
                 None if to == qid.origin => false,
                 // … or this host, which answers directly.
-                None if to == self.state.host => {
-                    let offers = self.state.local_offers_for(&query);
-                    let any = !offers.is_empty();
-                    if any {
-                        self.send_offers(qid, offers);
-                    }
-                    any
-                }
+                None if to == self.state.host => self.answer_member_query(qid, &query),
                 // Anyone else hears it on the wire — a member as a direct
                 // node query, a child primary at its `level - 1` duty —
                 // and a child group this host also leads descends in place.
@@ -304,23 +288,26 @@ impl NodeCtx<'_, '_> {
                 let ask = CtrlMsg::Query { qid, query, level: Some(level + 1), descending: false };
                 self.send_to_first_reachable(&duty.parent_replicas, ask);
             }
-            Some(Miss::DeadEnd) => {
-                self.send_ctrl(qid.origin, CtrlMsg::QueryDone { qid });
-            }
+            Some(Miss::DeadEnd) => self.send_offers(qid, Vec::new(), true),
         }
     }
 
-    pub(crate) fn send_offers(&mut self, qid: QueryId, offers: Vec<Offer>) {
-        self.send_ctrl(qid.origin, CtrlMsg::Offers { qid, offers });
+    /// Answer the query's origin: `offers`, and whether that ends the
+    /// search (`done`).
+    pub(crate) fn send_offers(&mut self, qid: QueryId, offers: Vec<Offer>, done: bool) {
+        self.send_ctrl(qid.origin, CtrlMsg::Offers { qid, offers, done });
     }
 
     /// A plain member is asked directly: answer from the local registry
     /// (silence is a miss — the asking MRM reports the dead end).
-    pub(crate) fn answer_member_query(&mut self, qid: QueryId, query: &ComponentQuery) {
+    /// Returns whether it had offers.
+    pub(crate) fn answer_member_query(&mut self, qid: QueryId, query: &ComponentQuery) -> bool {
         let offers = self.state.local_offers_for(query);
-        if !offers.is_empty() {
-            self.send_offers(qid, offers);
+        let any = !offers.is_empty();
+        if any {
+            self.send_offers(qid, offers, false);
         }
+        any
     }
 
     /// Anti-entropy: answer a peer replica's digest with whatever it is
@@ -350,9 +337,12 @@ impl NodeCtx<'_, '_> {
 
     pub(crate) fn on_offers(&mut self, qid: QueryId, offers: Vec<Offer>) {
         debug_assert_eq!(qid.origin, self.state.host);
+        if offers.is_empty() {
+            return;
+        }
         let now = self.sim.now();
         let Some(pq) = self.state.conts.queries.get_mut(&qid.seq) else { return };
-        if pq.first_offer_at.is_none() && !offers.is_empty() {
+        if pq.first_offer_at.is_none() {
             pq.first_offer_at = Some(now);
         }
         for offer in offers {

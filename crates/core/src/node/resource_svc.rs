@@ -149,12 +149,11 @@ impl NodeCtx<'_, '_> {
         };
         self.state.replicas_started += 1;
         self.sim.metrics().incr("admission.replicas");
+        // Fire and forget: nothing is parked, so the `SpawnDone` finds no
+        // continuation. Success is observable through the registry (a new
+        // offer with a running instance), and a failed spawn simply
+        // leaves demand shedding until the next cooldown.
         let rid = self.state.conts.next_seq();
-        // Fire-and-forget sink: success is observable through the
-        // registry (a new offer with a running instance), and a failed
-        // spawn simply leaves demand shedding until the next cooldown.
-        let sink: super::SpawnSink = std::rc::Rc::new(std::cell::RefCell::new(None));
-        self.state.conts.spawns.insert(rid, super::continuations::SpawnCont::Sink(sink));
         let origin = self.state.host;
         // `Version::satisfies` is major-pinned, so the saturated
         // instance's own version is the right minimum: the target must

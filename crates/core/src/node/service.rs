@@ -130,7 +130,6 @@ pub(crate) fn cmd_service(cmd: &NodeCmd) -> ServiceKind {
         NodeCmd::Install(_) => ServiceKind::Acceptor,
         NodeCmd::Query { .. } | NodeCmd::Resolve { .. } => ServiceKind::Registry,
         NodeCmd::SpawnLocal { .. }
-        | NodeCmd::SpawnOn { .. }
         | NodeCmd::Subscribe { .. }
         | NodeCmd::Invoke { .. }
         | NodeCmd::Migrate { .. }
@@ -145,17 +144,14 @@ pub(crate) fn ctrl_service(msg: &CtrlMsg) -> ServiceKind {
         CtrlMsg::Report { .. } | CtrlMsg::Summary { .. } => ServiceKind::Cohesion,
         CtrlMsg::Query { .. }
         | CtrlMsg::Offers { .. }
-        | CtrlMsg::QueryDone { .. }
         | CtrlMsg::CacheInvalidate { .. }
         | CtrlMsg::ShardLookup { .. }
-        | CtrlMsg::ShardServe { .. }
         | CtrlMsg::ShardPublish { .. }
         | CtrlMsg::GossipDigest { .. }
         | CtrlMsg::GossipDelta { .. } => ServiceKind::Registry,
-        CtrlMsg::Fetch { .. }
-        | CtrlMsg::PackageBytes { .. }
-        | CtrlMsg::FetchFailed { .. }
-        | CtrlMsg::Install { .. } => ServiceKind::Acceptor,
+        CtrlMsg::Fetch { .. } | CtrlMsg::Package { .. } | CtrlMsg::Install { .. } => {
+            ServiceKind::Acceptor
+        }
         CtrlMsg::PlacementQuery { .. } | CtrlMsg::PlacementTarget { .. } => ServiceKind::Resource,
         CtrlMsg::Spawn { .. }
         | CtrlMsg::SpawnDone { .. }
@@ -192,9 +188,6 @@ pub(crate) fn handle_cmd(ctx: &mut NodeCtx<'_, '_>, cmd: NodeCmd) {
         NodeCmd::SpawnLocal { component, min_version, instance_name, sink } => {
             *sink.borrow_mut() = Some(ctx.spawn_announced(&component, min_version, instance_name));
         }
-        NodeCmd::SpawnOn { node, component, min_version, instance_name, sink } => {
-            ctx.cmd_spawn_on(node, component, min_version, instance_name, sink);
-        }
         NodeCmd::Subscribe { producer, port, consumer, delivery_op } => {
             let msg = CtrlMsg::Subscribe {
                 producer: producer.key,
@@ -230,13 +223,18 @@ pub(crate) fn handle_ctrl(ctx: &mut NodeCtx<'_, '_>, msg: CtrlMsg) {
         CtrlMsg::Query { qid, query, level: None, descending: _ } => {
             ctx.answer_member_query(qid, &query);
         }
-        CtrlMsg::Offers { qid, offers } => ctx.on_offers(qid, offers),
-        // Best-effort completion signal (a query already finalized is
-        // no longer in the table).
-        CtrlMsg::QueryDone { qid } => ctx.finish_query(qid.seq),
+        // Record the offers, then — on a dead end or an owning shard
+        // replica's answer — complete the query (one already finalized
+        // is no longer in the table).
+        CtrlMsg::Offers { qid, offers, done } => {
+            ctx.on_offers(qid, offers);
+            if done {
+                ctx.finish_query(qid.seq);
+            }
+        }
         CtrlMsg::Fetch { name, version, reply_to } => ctx.serve_fetch(name, version, reply_to),
-        CtrlMsg::PackageBytes { name, bytes } => ctx.on_package_bytes(name, &bytes),
-        CtrlMsg::FetchFailed { name, reason } => ctx.on_fetch_failed(name, &reason),
+        CtrlMsg::Package { name, bytes: Ok(bytes) } => ctx.on_package_bytes(name, &bytes),
+        CtrlMsg::Package { name, bytes: Err(reason) } => ctx.on_fetch_failed(name, &reason),
         CtrlMsg::Install { bytes } => ctx.accept_install(&bytes),
         CtrlMsg::Spawn { rid, origin, component, min_version, instance_name } => {
             let result = ctx.spawn_announced(&component, min_version, instance_name);
@@ -259,12 +257,6 @@ pub(crate) fn handle_ctrl(ctx: &mut NodeCtx<'_, '_>, msg: CtrlMsg) {
         // component.
         CtrlMsg::CacheInvalidate { component } => ctx.invalidate_cached(&component),
         CtrlMsg::ShardLookup { qid, query, shard } => ctx.serve_lookup(qid, &query, shard),
-        // The owning replica's authoritative answer: record the offers
-        // and complete the query atomically.
-        CtrlMsg::ShardServe { qid, offers } => {
-            ctx.on_offers(qid, offers);
-            ctx.finish_query(qid.seq);
-        }
         CtrlMsg::ShardPublish { from, component, gen, at, offers } => {
             if let Some(store) = ctx.state.backend.shard_mut() {
                 store.on_publish(component, from, gen, at, offers);

@@ -3,12 +3,14 @@
 //! Everything the paper's §2.4.3 requires of "the protocol" travels as
 //! [`CtrlMsg`] values inside [`lc_net::NetMsg`] payloads: soft-consistency
 //! keep-alive reports, hierarchical summaries, distributed component
-//! queries and their offers (up the MRM hierarchy, or one hop to the
-//! owning registry shard, whose replicas publish and gossip among
-//! themselves), package fetches (the network as a component
-//! repository), remote instantiation, event subscription, and migration.
-//! Each message knows its approximate wire size so the network model is
-//! charged honestly.
+//! queries (up the MRM hierarchy, or one hop to the owning registry
+//! shard, whose replicas publish and gossip among themselves) and their
+//! answers — one [`CtrlMsg::Offers`] carrying the offers and whether the
+//! search is over — package fetches (the network as a component
+//! repository; one [`CtrlMsg::Package`] answers, bytes or refusal),
+//! remote instantiation, event subscription, and migration. Each message
+//! knows its approximate wire size so the network model is charged
+//! honestly.
 
 use crate::registry::backend::ShardDigest;
 use crate::registry::{ComponentQuery, Offer};
@@ -96,17 +98,18 @@ pub(crate) enum CtrlMsg {
         /// True if this hop travels downward (parent → child MRM).
         descending: bool,
     },
-    /// Offers sent directly back to the query origin.
+    /// Offers sent directly back to the query origin, and whether the
+    /// search is over: a member's answer leaves it open, a dead end
+    /// (no offers) or an owning shard replica's answer closes it. One
+    /// message carries both, so jitter cannot reorder the offers behind
+    /// the completion.
     Offers {
         /// Query id.
         qid: QueryId,
         /// Matching offers (possibly empty).
         offers: Vec<Offer>,
-    },
-    /// The search is exhausted with no (further) matches.
-    QueryDone {
-        /// Query id.
-        qid: QueryId,
+        /// The search is exhausted: finalize on receipt.
+        done: bool,
     },
 
     // ---- network-as-repository: fetch & install (§2.4.3, R5/R6) ------
@@ -119,20 +122,15 @@ pub(crate) enum CtrlMsg {
         /// Where to send the bytes.
         reply_to: lc_net::HostId,
     },
-    /// Package container bytes (`Rc` so the simulation does not copy the
-    /// payload; the *network* is still charged the real size).
-    PackageBytes {
+    /// The answer to a [`CtrlMsg::Fetch`]: the package's container bytes
+    /// (`Rc` so the simulation does not copy the payload; the *network*
+    /// is still charged the real size), or why not (not installed / not
+    /// mobile).
+    Package {
         /// Component name.
         name: String,
-        /// Container bytes.
-        bytes: Rc<Vec<u8>>,
-    },
-    /// Fetch failed (not installed / not mobile).
-    FetchFailed {
-        /// Component name.
-        name: String,
-        /// Why.
-        reason: String,
+        /// Container bytes, or the refusal's reason.
+        bytes: Result<Rc<Vec<u8>>, String>,
     },
     /// Push a package to a node for installation (Component Acceptor).
     Install {
@@ -218,17 +216,6 @@ pub(crate) enum CtrlMsg {
         /// Shard owning the queried component.
         shard: u32,
     },
-    /// The owning replica's authoritative answer: offers plus query
-    /// completion in ONE message, so link jitter cannot reorder the
-    /// offers behind the done marker (the origin would finalize empty
-    /// and drop the late offers as stale).
-    ShardServe {
-        /// Query id (delivered to `qid.origin`).
-        qid: QueryId,
-        /// The owning shard's offers for the query (non-empty; an empty
-        /// lookup completes with a plain [`CtrlMsg::QueryDone`]).
-        offers: Vec<Offer>,
-    },
     /// A publisher pushes its current offers for one component to the
     /// owning shard's replicas.
     ShardPublish {
@@ -305,13 +292,13 @@ impl CtrlMsg {
             CtrlMsg::Offers { offers, .. } => {
                 8 + offers.iter().map(Offer::wire_size).sum::<u64>()
             }
-            CtrlMsg::QueryDone { .. } => 8,
             CtrlMsg::Fetch { name, .. } => name.len() as u64 + 12,
-            CtrlMsg::PackageBytes { bytes, name, .. } => {
-                bytes.len() as u64 + name.len() as u64 + 12
-            }
-            CtrlMsg::FetchFailed { name, reason, .. } => {
-                (name.len() + reason.len()) as u64 + 12
+            CtrlMsg::Package { name, bytes } => {
+                let body = match bytes {
+                    Ok(bytes) => bytes.len(),
+                    Err(reason) => reason.len(),
+                };
+                (name.len() + body) as u64 + 12
             }
             CtrlMsg::Install { bytes } => bytes.len() as u64,
             CtrlMsg::Spawn { component, instance_name, .. } => {
@@ -339,9 +326,6 @@ impl CtrlMsg {
             CtrlMsg::PlacementTarget { replica, .. } => 8 + replica_size(replica),
             CtrlMsg::CacheInvalidate { component, .. } => component.len() as u64 + 8,
             CtrlMsg::ShardLookup { query, .. } => query.wire_size() + 20,
-            CtrlMsg::ShardServe { offers, .. } => {
-                8 + offers.iter().map(Offer::wire_size).sum::<u64>()
-            }
             CtrlMsg::ShardPublish { component, offers, .. } => {
                 component.len() as u64
                     + 24
@@ -425,12 +409,42 @@ mod tests {
             version: Version::new(1, 0),
             reply_to: HostId(0),
         };
-        let pkg = CtrlMsg::PackageBytes { name: "A".into(), bytes: Rc::new(vec![0u8; 50_000]) };
+        let pkg = CtrlMsg::Package { name: "A".into(), bytes: Ok(Rc::new(vec![0u8; 50_000])) };
         assert!(pkg.wire_size() > 50_000);
         assert!(small.wire_size() < 100);
+    }
 
-        let q = CtrlMsg::QueryDone { qid: QueryId { origin: HostId(1), seq: 2 } };
-        assert!(q.wire_size() < 64);
+    /// One `Offers` (offers plus a done flag) is charged what the offer
+    /// set, the bare done marker (8) and the shard serve (the same as
+    /// the offers) it replaced were; one `Package` what the shipped bytes
+    /// and the refusal were (name + 12 + bytes or reason). No
+    /// experiment's byte column moves.
+    #[test]
+    fn answer_wire_sizes_match_the_kinds_they_replaced() {
+        const HDR: u64 = 24;
+        let qid = QueryId { origin: HostId(1), seq: 2 };
+        let done = CtrlMsg::Offers { qid, offers: Vec::new(), done: true };
+        assert_eq!(done.wire_size(), HDR + 8);
+        let offer = Offer {
+            node: HostId(3),
+            component: "Counter".into(),
+            version: Version::new(1, 0),
+            mobility: lc_pkg::Mobility::Mobile,
+            cost_per_hour: 0,
+            package_size: 1000,
+            load: 0.0,
+            running_instance: None,
+        };
+        for done in [false, true] {
+            let offers = vec![offer.clone(); 3];
+            let answer = CtrlMsg::Offers { qid, offers, done };
+            assert_eq!(answer.wire_size(), HDR + 8 + 3 * (48 + 7));
+        }
+        let name = || "Counter".to_owned();
+        let shipped = CtrlMsg::Package { name: name(), bytes: Ok(Rc::new(vec![0u8; 500])) };
+        assert_eq!(shipped.wire_size(), HDR + 7 + 500 + 12);
+        let refused = CtrlMsg::Package { name: name(), bytes: Err("not installed here".into()) };
+        assert_eq!(refused.wire_size(), HDR + 7 + 18 + 12);
     }
 
     /// The one placement pair is charged what the migration ask/answer

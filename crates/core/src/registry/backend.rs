@@ -24,10 +24,9 @@ use crate::proto::DeltaEntry;
 use crate::registry::shard::{ShardRing, ShardRingConfig};
 use crate::registry::{ComponentQuery, Offer};
 use crate::resource::DynamicInfo;
-use lc_cache::{CacheStats, Coalescer, QueryCache};
+use lc_cache::{Coalescer, QueryCache};
 use lc_des::SimTime;
 use lc_net::HostId;
-use lc_pkg::Mobility;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -130,21 +129,6 @@ pub enum CoherenceRoute {
     },
 }
 
-/// Counters the node surfaces from its [`Registry`].
-#[derive(Clone, Debug, Default)]
-pub struct BackendStats {
-    /// Result-cache counters, when result caching is enabled.
-    pub cache: Option<CacheStats>,
-    /// The cache's invalidation generation, when caching is enabled.
-    pub cache_generation: Option<u64>,
-    /// Queries merged onto an in-flight identical query.
-    pub coalesced: u64,
-    /// Publisher entries held in this host's shard stores.
-    pub shard_entries: usize,
-    /// Anti-entropy digest rounds initiated.
-    pub gossip_rounds: u64,
-}
-
 /// A shard's anti-entropy summary: `(component, publisher, generation)`
 /// triples for every entry a replica holds, strictly sorted by
 /// `(component, publisher)`. Built once per gossip round — a sized
@@ -204,31 +188,6 @@ struct PubEntry {
     /// The publisher's offer set as published: shared with the other
     /// replicas' entries and with any repair delta that carries it on.
     offers: Rc<[Offer]>,
-}
-
-/// Does an offer satisfy a (name-routed) query? Interface (`provides`)
-/// queries never reach the shard store — the router sends them down the
-/// hierarchy — so only the offer-expressible predicates apply.
-fn offer_matches(o: &Offer, q: &ComponentQuery) -> bool {
-    if let Some(name) = &q.name {
-        if &o.component != name {
-            return false;
-        }
-    }
-    if let Some(min) = q.min_version {
-        if !o.version.satisfies(min) {
-            return false;
-        }
-    }
-    if let Some(max) = q.max_cost {
-        if o.cost_per_hour > max {
-            return false;
-        }
-    }
-    if q.require_mobile && o.mobility != Mobility::Mobile {
-        return false;
-    }
-    true
 }
 
 /// This host's slice of the sharded inventory: the world's shared ring,
@@ -327,7 +286,9 @@ impl ShardStore {
     }
 
     /// Answer a query from the local store of `shard`. `None` when this
-    /// host does not replicate the shard.
+    /// host does not replicate the shard. Interface (`provides`) queries
+    /// never reach the store — the router sends them down the hierarchy
+    /// — so an offer is checked against the query's other predicates.
     pub fn lookup(&self, shard: u32, query: &ComponentQuery) -> Option<Vec<Offer>> {
         if !self.ring.is_replica(shard, self.host) {
             return None;
@@ -343,7 +304,7 @@ impl ShardStore {
             for (_, by_pub) in comps {
                 for e in by_pub.values() {
                     for o in e.offers.iter() {
-                        if offer_matches(o, query)
+                        if query.admits(&o.component, o.version, o.cost_per_hour, o.mobility)
                             && !out.iter().any(|x| {
                                 x.node == o.node
                                     && x.component == o.component
@@ -509,6 +470,11 @@ impl ShardStore {
         self.cfg.gossip_period
     }
 
+    /// Anti-entropy digest rounds this host has run.
+    pub fn gossip_rounds(&self) -> u64 {
+        self.gossip_rounds
+    }
+
     /// Publisher entries held across this host's shard stores.
     pub fn entries(&self) -> usize {
         self.store.values().flat_map(|by_comp| by_comp.values()).map(|by_pub| by_pub.len()).sum()
@@ -566,7 +532,6 @@ impl Registry {
         if front.coalesce {
             if let Some(leader) = front.coalescer.leader_of(query) {
                 if leader_live(leader) {
-                    front.coalescer.note_coalesced();
                     return ResolveStep::Coalesce { leader, cache_missed };
                 }
                 // Stale entry (leader finalized outside the normal
@@ -637,23 +602,12 @@ impl Registry {
             None => CoherenceRoute::Disabled,
         }
     }
-
-    /// Counters for reflection and experiments.
-    pub fn stats(&self) -> BackendStats {
-        BackendStats {
-            cache: self.front.cache.as_ref().map(|c| c.stats()),
-            cache_generation: self.front.cache.as_ref().map(|c| c.generation()),
-            coalesced: self.front.coalescer.coalesced(),
-            shard_entries: self.shard.as_ref().map_or(0, ShardStore::entries),
-            gossip_rounds: self.shard.as_ref().map_or(0, |s| s.gossip_rounds),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lc_pkg::Version;
+    use lc_pkg::{Mobility, Version};
 
     const MS: fn(u64) -> SimTime = SimTime::from_millis;
 

@@ -139,34 +139,28 @@ impl ComponentQuery {
     /// `idl` supplies the interface hierarchy so that a component
     /// providing `Derived` matches a query for `Base`.
     pub fn matches(&self, desc: &ComponentDescriptor, idl: &Repository) -> bool {
-        if let Some(name) = &self.name {
-            if &desc.name != name {
-                return false;
-            }
-        }
-        if let Some(min) = self.min_version {
-            if !desc.version.satisfies(min) {
-                return false;
-            }
-        }
-        if let Some(iface) = &self.provides {
-            let provides_it =
-                desc.provides.iter().any(|p| idl.is_a(&p.interface, iface));
-            if !provides_it {
-                return false;
-            }
-        }
-        if let Some(max) = self.max_cost {
-            if let Licensing::PayPerUse { cost_per_hour } = desc.licensing {
-                if cost_per_hour > max {
-                    return false;
-                }
-            }
-        }
-        if self.require_mobile && desc.mobility != Mobility::Mobile {
-            return false;
-        }
-        true
+        self.admits(&desc.name, desc.version, cost_per_hour(desc.licensing), desc.mobility)
+            && self.provides.as_ref().is_none_or(|iface| {
+                desc.provides.iter().any(|p| idl.is_a(&p.interface, iface))
+            })
+    }
+
+    /// Does this query accept a result with this name, version, cost per
+    /// hour and mobility? Everything but the `provides` check of
+    /// [`matches`](Self::matches), which needs the descriptor's ports.
+    pub fn admits(&self, name: &str, version: Version, cost: u32, mobility: Mobility) -> bool {
+        self.name.as_deref().is_none_or(|n| n == name)
+            && self.min_version.is_none_or(|min| version.satisfies(min))
+            && self.max_cost.is_none_or(|max| cost <= max)
+            && (!self.require_mobile || mobility == Mobility::Mobile)
+    }
+}
+
+/// What a licence costs per instance-hour (0 when free).
+fn cost_per_hour(licensing: Licensing) -> u32 {
+    match licensing {
+        Licensing::Free => 0,
+        Licensing::PayPerUse { cost_per_hour } => cost_per_hour,
     }
 }
 
@@ -315,10 +309,7 @@ impl ComponentRegistry {
                     component: inst.descriptor.name.clone(),
                     version: inst.descriptor.version,
                     mobility: inst.descriptor.mobility,
-                    cost_per_hour: match inst.descriptor.licensing {
-                        Licensing::Free => 0,
-                        Licensing::PayPerUse { cost_per_hour } => cost_per_hour,
-                    },
+                    cost_per_hour: cost_per_hour(inst.descriptor.licensing),
                     package_size: inst.package_wire_size,
                     load,
                     running_instance: running,

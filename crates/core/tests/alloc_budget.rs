@@ -17,7 +17,7 @@ use lc_core::scale::{run_scale, ScaleConfig, Variant};
 use lc_core::testkit::{display_campus, fast_cohesion, DISPLAY_FRONTS as FRONTS, World};
 use lc_core::{
     CacheConfig, CohesionConfig, ComponentQuery, NodeConfig, Offer, Registry, ResolveStep,
-    ShardConfig,
+    ShardConfig, ShardStore,
 };
 use lc_des::{Lane, ProfilerConfig, SimTime};
 use lc_load::{
@@ -130,7 +130,8 @@ fn an_unchanged_refresh_allocates_one_frame_per_message() {
     assert!(!publishers.is_empty(), "some owner replicates no shard");
     let rounds = |world: &World| -> Vec<u64> {
         let node = |h| world.node(h).expect("no crashes");
-        publishers.iter().map(|&h| node(h).backend().stats().gossip_rounds).collect()
+        let rounds = |h| node(h).backend().shard().map_or(0, ShardStore::gossip_rounds);
+        publishers.iter().map(|&h| rounds(h)).collect()
     };
     let sent = |world: &World| world.sim.metrics_ref().counter("net.msgs");
 

@@ -157,7 +157,7 @@ fn node_stack_and_scale_model_agree_query_by_query() {
                 // in `mrm_route_query`'s offer), finds no other taker,
                 // escalates once for nothing, and the parent's descent
                 // back dead-ends at the same leaf: query, escalation,
-                // descent, QueryDone. The escalation and the descent stay
+                // descent, done answer. The escalation and the descent stay
                 // on one host when the leaf primary also leads the parent
                 // group; the other two always cross the wire, an owner
                 // being no leaf primary (7, 19 ≢ 0 mod 8). The model asks
