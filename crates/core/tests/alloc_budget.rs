@@ -313,7 +313,7 @@ fn remote_invoke_allocations_are_pinned() {
 /// calls: the seat masks, the two owner lists, the query table, the
 /// report's copies and the calendar arena's doublings — nothing per
 /// node, nothing per event. The same in debug and release builds.
-const SCALE_RUN_ALLOCS: u64 = 59;
+const SCALE_RUN_ALLOCS: u64 = 44;
 
 #[test]
 fn scale_run_allocations_are_pinned() {

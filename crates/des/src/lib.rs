@@ -45,13 +45,13 @@
 
 pub mod metrics;
 pub mod profile;
-pub mod queue;
+mod queue;
 pub mod rng;
 pub mod time;
 
 pub use metrics::{nearest_rank, CounterId, Metrics, Summary};
 pub use profile::{Lane, ProfileReport, Profiler, ProfilerConfig, QueueSample, Tally};
-pub use queue::IndexedQueue;
+use queue::IndexedQueue;
 pub use rng::SimRng;
 pub use time::SimTime;
 
@@ -415,7 +415,12 @@ impl Sim {
 
     /// Fire a single event. Returns `false` when the calendar is empty.
     pub fn step(&mut self) -> bool {
-        let Some((at, _seq, payload)) = self.core.queue.pop() else { return false };
+        self.step_until(SimTime::MAX)
+    }
+
+    /// Fire the next event if it is due by `deadline`; `false` if none is.
+    fn step_until(&mut self, deadline: SimTime) -> bool {
+        let Some((at, _seq, payload)) = self.core.queue.pop_until(deadline) else { return false };
         debug_assert!(at >= self.core.now);
         if let Some(p) = self.core.profiler.as_mut() {
             // Observation only: attribute the calendar gap this event
@@ -453,13 +458,7 @@ impl Sim {
     /// Run until virtual time reaches `deadline` (events at exactly
     /// `deadline` are fired). Later events stay queued.
     pub fn run_until(&mut self, deadline: SimTime) {
-        while !self.core.stopped {
-            let Some((head_at, _)) = self.core.queue.peek() else { break };
-            if head_at > deadline {
-                break;
-            }
-            self.step();
-        }
+        while !self.core.stopped && self.step_until(deadline) {}
         if self.core.now < deadline {
             self.core.now = deadline;
         }
@@ -468,7 +467,7 @@ impl Sim {
 
 #[cfg(test)]
 mod tests {
-    use super::queue::legacy::LegacyQueue;
+    use super::queue::legacy::replay_against_legacy;
     use super::*;
 
     struct Counter {
@@ -689,38 +688,26 @@ mod tests {
         assert_eq!(sim.metrics_ref().counter("des.dropped_to_dead"), 1);
     }
 
-    /// lc-prop: the indexed queue replays any random schedule — pushes
-    /// and pops arbitrarily interleaved — byte-identically to the
+    /// lc-prop: the calendar replays any random schedule the kernel can
+    /// make — pushes and deadline-bounded pops arbitrarily interleaved,
+    /// every digit level, same-instant bursts — identically to the
     /// legacy binary heap it replaced.
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "each case seeds the stream that drives the replay")]
     fn prop_indexed_queue_replays_legacy_order() {
         lc_prop::check("indexed queue == legacy heap", |g| {
-            let mut indexed = IndexedQueue::new();
-            let mut legacy = LegacyQueue::new();
-            let mut seq = 0u64;
-            let mut now = 0u64;
-            let ops = g.gen_range(1..200usize);
-            for _ in 0..ops {
-                if legacy.is_empty() || g.gen_f64() < 0.55 {
-                    // Bursts of identical timestamps stress the tie-break.
-                    let at = SimTime::from_nanos(now + g.gen_range(0..50u64));
-                    indexed.push(at, seq, seq);
-                    legacy.push(at, seq, seq);
-                    seq += 1;
-                } else {
-                    assert_eq!(indexed.peek(), legacy.peek());
-                    let want = legacy.pop();
-                    assert_eq!(indexed.pop(), want);
-                    if let Some((at, _, _)) = want {
-                        now = at.as_nanos();
-                    }
-                }
-            }
-            while let Some(want) = legacy.pop() {
-                assert_eq!(indexed.pop(), Some(want));
-            }
-            assert!(indexed.is_empty());
+            // lc-prop links the non-test build of this crate: hand the
+            // case over as a seed for this build's generator.
+            let ops = g.gen_range(1..400usize);
+            replay_against_legacy(&mut SimRng::seed_from_u64(g.next_u64()), ops);
         });
+    }
+
+    /// E13's `queue_bytes` and E15's `arena_bytes_max` count calendar
+    /// slots: their committed cells hold only while a slot is 48 bytes.
+    #[test]
+    fn calendar_slot_is_48_bytes() {
+        assert_eq!(std::mem::size_of::<queue::Slot<Payload>>(), 48);
     }
 
     #[test]

@@ -1,204 +1,208 @@
-//! Index-addressed event queues for the DES kernel.
+//! The DES kernel's event calendar: a monotone radix heap (Ahuja,
+//! Mehlhorn, Orlin and Tarjan, 1990) over a slot arena.
 //!
-//! The original kernel kept its calendar in a
-//! `BinaryHeap<Reverse<Scheduled>>`, which sifts whole `Scheduled`
-//! structs (~40 bytes with a boxed payload) up and down the heap array
-//! on every push/pop. At campus sizes of 10⁵–10⁶ nodes the calendar
-//! holds hundreds of thousands of pending events and that movement is
-//! the kernel's dominant cost.
+//! A simulation never schedules before the event it last fired, so the
+//! calendar keeps that instant as its *floor* and files each pending
+//! event by the highest 8-bit digit in which its `at` differs from it:
+//! bucket 0 is the floor's own instant, bucket `1 + 256·d + v` the events
+//! that first differ at digit `d`, carrying `v` there — bucket order is
+//! time order. When bucket 0 is empty, a pop opens the first non-empty
+//! bucket, raises the floor to its earliest event and re-files its events
+//! into the empty buckets below, so an event moves at most eight times.
 //!
-//! [`IndexedQueue`] replaces it with an arena-backed **pairing heap**:
-//! payloads live in fixed slots that never move once written, and heap
-//! restructuring relinks `u32` child/sibling indices only. Freed slots
-//! go on a free list and are reused, so steady-state simulation does no
-//! queue allocation at all.
-//!
-//! Ordering is the exact total order of the old kernel — strictly by
-//! `(SimTime, seq)` where `seq` is the global schedule sequence number.
-//! Keys are therefore unique, every correct priority queue pops them in
-//! the same order, and all existing experiment outputs stay
-//! byte-identical. The original binary heap survives under `cfg(test)`
-//! as this crate's oracle: the equivalence and property tests replay
-//! random schedules through both and compare pop order.
+//! Events sit in fixed 48-byte slots that never move; a bucket is an
+//! intrusive list through each slot's `u32` link, with head, tail,
+//! earliest instant and occupancy bit inline in the queue. Freed slots
+//! go on a free list: steady-state simulation allocates nothing here.
+//! Order is exactly `(SimTime, seq)`: events with one `at` always share a
+//! bucket, in push order, so appending builds bucket 0 with no sort.
 
 use crate::time::SimTime;
 
 const NIL: u32 = u32::MAX;
+/// Width of one radix digit of a `u64` instant.
+const DIGIT_BITS: u32 = 8;
+const RADIX: usize = 1 << DIGIT_BITS;
+/// The current instant, then `RADIX` buckets per digit.
+const BUCKETS: usize = 1 + (u64::BITS / DIGIT_BITS) as usize * RADIX;
 
-struct Slot<P> {
+pub(crate) struct Slot<P> {
     at: SimTime,
     seq: u64,
-    /// First child in the pairing heap (NIL if leaf).
-    child: u32,
-    /// Next sibling in the parent's child list (NIL at end; doubles as
-    /// the free-list link when the slot is vacant).
-    sibling: u32,
+    /// Next slot in its bucket or, vacant, on the free list (NIL ends).
+    next: u32,
     payload: Option<P>,
 }
 
-/// Arena-backed pairing heap ordered by `(SimTime, seq)`, min first.
+/// Monotone radix calendar ordered by `(SimTime, seq)`, min first.
 ///
-/// `seq` values must be unique per queue instance (the kernel's global
-/// schedule counter guarantees this); the tie-break therefore makes the
-/// order total, so same-time events pop in schedule (FIFO) order.
-pub struct IndexedQueue<P> {
+/// `seq` must grow from push to push (the kernel's schedule counter
+/// does), which makes the order total: same-time events pop in schedule
+/// (FIFO) order. No push may precede the last popped instant.
+pub(crate) struct IndexedQueue<P> {
     slots: Vec<Slot<P>>,
     free: u32,
-    root: u32,
     len: usize,
-    /// Reused across pops so steady-state delete-min never allocates.
-    scratch: Vec<u32>,
-}
-
-impl<P> Default for IndexedQueue<P> {
-    fn default() -> Self {
-        IndexedQueue::new()
-    }
+    /// The last popped instant: no pending event is earlier.
+    floor: u64,
+    head: [u32; BUCKETS],
+    tail: [u32; BUCKETS],
+    /// Earliest instant in each non-empty bucket.
+    min: [u64; BUCKETS],
+    /// Bit `b % 64` of word `b / 64` is set iff bucket `1 + b` is non-empty.
+    occupied: [u64; (BUCKETS - 1) / 64],
 }
 
 impl<P> IndexedQueue<P> {
-    /// An empty queue.
-    pub fn new() -> Self {
-        IndexedQueue { slots: Vec::new(), free: NIL, root: NIL, len: 0, scratch: Vec::new() }
+    /// An empty calendar, its floor at time zero.
+    pub(crate) fn new() -> Self {
+        IndexedQueue {
+            slots: Vec::new(),
+            free: NIL,
+            len: 0,
+            floor: 0,
+            head: [NIL; BUCKETS],
+            tail: [NIL; BUCKETS],
+            min: [0; BUCKETS],
+            occupied: [0; (BUCKETS - 1) / 64],
+        }
     }
 
     /// Number of pending events.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
-    /// Is the queue empty?
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+    /// The bucket an event at `at` files into under the current floor.
+    #[inline]
+    fn bucket(&self, at: u64) -> usize {
+        let diff = at ^ self.floor;
+        if diff == 0 {
+            return 0;
+        }
+        let digit = (diff.ilog2() / DIGIT_BITS) as usize;
+        1 + digit * RADIX + (at >> (digit as u32 * DIGIT_BITS)) as usize % RADIX
     }
 
+    /// Append slot `i`, due at `at`, to bucket `b`'s list.
     #[inline]
-    fn key(&self, i: u32) -> (SimTime, u64) {
-        let s = &self.slots[i as usize];
-        (s.at, s.seq)
-    }
-
-    /// Meld two pairing-heap roots, returning the new root index.
-    /// The smaller `(at, seq)` key wins; the loser becomes its first
-    /// child. Only `u32` links move — payloads stay in place.
-    #[inline]
-    fn meld(&mut self, a: u32, b: u32) -> u32 {
-        if a == NIL {
-            return b;
+    fn append(&mut self, b: usize, i: u32, at: u64) {
+        self.slots[i as usize].next = NIL;
+        if self.head[b] == NIL {
+            self.head[b] = i;
+            self.min[b] = at;
+            if b > 0 {
+                self.occupied[(b - 1) / 64] |= 1 << ((b - 1) % 64);
+            }
+        } else {
+            let t = self.tail[b] as usize;
+            debug_assert!(
+                b > 0 || self.slots[t].seq < self.slots[i as usize].seq,
+                "the current instant's run grows in seq order"
+            );
+            self.slots[t].next = i;
+            self.min[b] = self.min[b].min(at);
         }
-        if b == NIL {
-            return a;
-        }
-        let (winner, loser) = if self.key(a) <= self.key(b) { (a, b) } else { (b, a) };
-        let first = self.slots[winner as usize].child;
-        self.slots[loser as usize].sibling = first;
-        self.slots[winner as usize].child = loser;
-        winner
+        self.tail[b] = i;
     }
 
     /// Schedule `payload` at `(at, seq)`. O(1).
-    pub fn push(&mut self, at: SimTime, seq: u64, payload: P) {
-        let idx = if self.free != NIL {
-            let idx = self.free;
-            let slot = &mut self.slots[idx as usize];
-            self.free = slot.sibling;
-            slot.at = at;
-            slot.seq = seq;
-            slot.child = NIL;
-            slot.sibling = NIL;
-            slot.payload = Some(payload);
-            idx
+    ///
+    /// # Panics
+    /// If `at` precedes the last popped instant: the past is closed.
+    pub(crate) fn push(&mut self, at: SimTime, seq: u64, payload: P) {
+        assert!(at.as_nanos() >= self.floor, "cannot schedule into the past");
+        let i = if self.free != NIL {
+            let i = self.free;
+            let slot = &mut self.slots[i as usize];
+            self.free = slot.next;
+            (slot.at, slot.seq, slot.payload) = (at, seq, Some(payload));
+            i
         } else {
-            assert!(self.slots.len() < u32::MAX as usize, "event arena exceeds u32 slots");
-            let idx = self.slots.len() as u32;
-            self.slots.push(Slot { at, seq, child: NIL, sibling: NIL, payload: Some(payload) });
-            idx
+            assert!(self.slots.len() < NIL as usize, "event arena exceeds u32 slots");
+            self.slots.push(Slot { at, seq, next: NIL, payload: Some(payload) });
+            (self.slots.len() - 1) as u32
         };
-        self.root = self.meld(self.root, idx);
+        self.append(self.bucket(at.as_nanos()), i, at.as_nanos());
         self.len += 1;
     }
 
-    /// Key of the minimum event, without removing it.
-    pub fn peek(&self) -> Option<(SimTime, u64)> {
-        if self.root == NIL {
-            None
-        } else {
-            Some(self.key(self.root))
-        }
+    /// Remove and return the earliest event if it is due by `deadline`.
+    /// When nothing is due the floor stays where it was, so the caller
+    /// may go on scheduling from any instant it has reached.
+    pub(crate) fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, u64, P)> {
+        let deadline = deadline.as_nanos();
+        let i = match self.head[0] {
+            NIL => self.advance(deadline)?,
+            _ if self.floor > deadline => return None,
+            i => {
+                self.head[0] = self.slots[i as usize].next;
+                i
+            }
+        };
+        let slot = &mut self.slots[i as usize];
+        let Some(payload) = slot.payload.take() else {
+            unreachable!("occupied slot has payload")
+        };
+        slot.next = self.free;
+        self.free = i;
+        self.len -= 1;
+        Some((slot.at, slot.seq, payload))
     }
 
-    /// Remove and return the minimum event. Amortised O(log n).
-    pub fn pop(&mut self) -> Option<(SimTime, u64, P)> {
-        if self.root == NIL {
+    /// Open the first non-empty bucket if its earliest event is due by
+    /// `deadline`: raise the floor to that event, re-file the bucket in
+    /// list order into the empty buckets below it, and unlink the first
+    /// event of the new current instant.
+    fn advance(&mut self, deadline: u64) -> Option<u32> {
+        let w = self.occupied.iter().position(|&o| o != 0)?;
+        let b = 1 + w * 64 + self.occupied[w].trailing_zeros() as usize;
+        if self.min[b] > deadline {
             return None;
         }
-        let min = self.root;
-        let children = self.slots[min as usize].child;
-        self.root = self.merge_pairs(children);
-        let slot = &mut self.slots[min as usize];
-        let at = slot.at;
-        let seq = slot.seq;
-        let payload = match slot.payload.take() {
-            Some(p) => p,
-            None => unreachable!("occupied slot has payload"),
-        };
-        slot.child = NIL;
-        slot.sibling = self.free;
-        self.free = min;
-        self.len -= 1;
-        Some((at, seq, payload))
-    }
-
-    /// Two-pass pairwise merge of a sibling list (the classic pairing-
-    /// heap delete-min). Iterative so a long same-time burst cannot
-    /// overflow the stack.
-    fn merge_pairs(&mut self, first: u32) -> u32 {
-        if first == NIL {
-            return NIL;
+        self.floor = self.min[b];
+        self.occupied[w] &= self.occupied[w] - 1;
+        let mut i = std::mem::replace(&mut self.head[b], NIL);
+        if i == self.tail[b] {
+            // A lone event is the whole of the new instant.
+            return Some(i);
         }
-        // Pass 1: meld adjacent pairs left to right.
-        let mut pairs = std::mem::take(&mut self.scratch);
-        pairs.clear();
-        let mut cur = first;
-        while cur != NIL {
-            let a = cur;
-            let b = self.slots[a as usize].sibling;
-            if b == NIL {
-                self.slots[a as usize].sibling = NIL;
-                pairs.push(a);
-                break;
-            }
-            let next = self.slots[b as usize].sibling;
-            self.slots[a as usize].sibling = NIL;
-            self.slots[b as usize].sibling = NIL;
-            pairs.push(self.meld(a, b));
-            cur = next;
+        while i != NIL {
+            let slot = &self.slots[i as usize];
+            let (at, next) = (slot.at.as_nanos(), slot.next);
+            self.append(self.bucket(at), i, at);
+            i = next;
         }
-        // Pass 2: meld right to left.
-        let mut root = NIL;
-        for &p in pairs.iter().rev() {
-            root = self.meld(root, p);
-        }
-        self.scratch = pairs;
-        root
+        let i = self.head[0];
+        self.head[0] = self.slots[i as usize].next;
+        Some(i)
     }
 
     /// Bytes held by the queue arena (capacity-inclusive), for the
     /// kernel's memory accounting.
-    pub fn arena_bytes(&self) -> usize {
+    pub(crate) fn arena_bytes(&self) -> usize {
         self.slots.capacity() * std::mem::size_of::<Slot<P>>()
     }
 }
 
-/// The pre-refactor calendar: a binary heap over `(at, seq)`-ordered
-/// entries. Kept as the reference implementation — the kernel
-/// equivalence tests replay random schedules through both queues and
-/// assert identical pop sequences.
 #[cfg(test)]
+/// The kernel's first calendar: a binary heap over `(at, seq)`-ordered
+/// entries. Kept as the reference implementation — the equivalence tests
+/// replay random schedules through both queues and assert identical pop
+/// sequences.
 pub(crate) mod legacy {
+    use super::IndexedQueue;
+    use crate::rng::SimRng;
     use crate::time::SimTime;
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
+
+    impl<P> IndexedQueue<P> {
+        /// Remove and return the earliest event.
+        pub(crate) fn pop(&mut self) -> Option<(SimTime, u64, P)> {
+            self.pop_until(SimTime::MAX)
+        }
+    }
 
     pub(crate) struct LegacyQueue<P> {
         heap: BinaryHeap<Reverse<LegacyEntry<P>>>,
@@ -243,21 +247,60 @@ pub(crate) mod legacy {
             self.heap.push(Reverse(LegacyEntry { at, seq, payload }));
         }
 
-        /// Key of the minimum event, without removing it.
-        pub(crate) fn peek(&self) -> Option<(SimTime, u64)> {
-            self.heap.peek().map(|Reverse(e)| (e.at, e.seq))
+        /// Remove and return the minimum event if it is due by `deadline`.
+        pub(crate) fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, u64, P)> {
+            if self.heap.peek()?.0.at > deadline {
+                return None;
+            }
+            self.heap.pop().map(|Reverse(e)| (e.at, e.seq, e.payload))
         }
 
         /// Remove and return the minimum event.
         pub(crate) fn pop(&mut self) -> Option<(SimTime, u64, P)> {
-            self.heap.pop().map(|Reverse(e)| (e.at, e.seq, e.payload))
+            self.pop_until(SimTime::MAX)
         }
+    }
+
+    /// Replay `ops` random steps through the calendar and the oracle the
+    /// way the kernel drives it, asserting both pop the same events in
+    /// the same order. The clock starts at a random instant below 2⁶²
+    /// while the floor is still zero, so the first pushes file at the
+    /// high digits; delays are log-uniform below 2⁴⁰ ns, a quarter of the
+    /// pushes come in same-instant bursts, and a pop's deadline often
+    /// falls short of the next event — after which, as after
+    /// `Sim::run_until`, the clock stands at the deadline and pushes land
+    /// between the old floor and that event.
+    pub(crate) fn replay_against_legacy(rng: &mut SimRng, ops: usize) {
+        let delay = |rng: &mut SimRng| rng.next_u64() >> rng.gen_range(24..64u32);
+        let mut calendar = IndexedQueue::new();
+        let mut legacy = LegacyQueue::new();
+        let (mut seq, mut now) = (0u64, rng.next_u64() >> rng.gen_range(2..26u32));
+        for _ in 0..ops {
+            if legacy.is_empty() || rng.gen_f64() < 0.55 {
+                let at = SimTime::from_nanos(now + delay(rng));
+                let burst = if rng.gen_range(0..4u32) == 0 { rng.gen_range(2..9u32) } else { 1 };
+                for _ in 0..burst {
+                    calendar.push(at, seq, seq);
+                    legacy.push(at, seq, seq);
+                    seq += 1;
+                }
+            } else {
+                let deadline = SimTime::from_nanos(now + delay(rng));
+                let want = legacy.pop_until(deadline);
+                assert_eq!(calendar.pop_until(deadline), want);
+                now = want.map_or(deadline, |(at, _, _)| at).as_nanos();
+            }
+        }
+        while let Some(want) = legacy.pop() {
+            assert_eq!(calendar.pop(), Some(want));
+        }
+        assert_eq!(calendar.len(), 0);
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::legacy::LegacyQueue;
+    use super::legacy::{replay_against_legacy, LegacyQueue};
     use super::*;
 
     fn t(ns: u64) -> SimTime {
@@ -299,30 +342,51 @@ mod tests {
         }
         // Arena never grows past the high-water mark of 100 live slots.
         assert!(q.arena_bytes() <= 128 * std::mem::size_of::<Slot<u64>>());
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
+    }
+
+    #[test]
+    fn every_digit_level_pops_in_time_order() {
+        // One instant per bucket level, the top one included, pushed
+        // latest first from floor zero; each pop re-files what is left.
+        let mut times: Vec<u64> = (0..64).step_by(8).map(|s| 3 << s).collect();
+        times.extend([0, u64::MAX, u64::MAX - 1, 1 << 63]);
+        let mut q = IndexedQueue::new();
+        for (seq, &at) in times.iter().rev().enumerate() {
+            q.push(t(at), seq as u64, at);
+        }
+        times.sort_unstable();
+        let popped: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|(_, _, p)| p).collect();
+        assert_eq!(popped, times);
+    }
+
+    #[test]
+    fn pop_until_short_of_the_next_event_keeps_the_floor() {
+        let mut q = IndexedQueue::new();
+        q.push(t(1_000), 0, "late");
+        assert_eq!(q.pop_until(t(400)), None);
+        // The clock may stand anywhere up to the deadline: push there.
+        q.push(t(400), 1, "between");
+        assert_eq!(q.pop_until(t(400)).map(|(_, _, p)| p), Some("between"));
+        assert_eq!(q.pop_until(t(999)), None);
+        assert_eq!(q.pop().map(|(_, _, p)| p), Some("late"));
+        // A deadline behind the current instant fires nothing.
+        q.push(t(1_000), 2, "same instant");
+        assert_eq!(q.pop_until(t(999)), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule into the past")]
+    fn push_below_the_floor_panics() {
+        let mut q = IndexedQueue::new();
+        q.push(t(500), 0, ());
+        q.pop();
+        q.push(t(499), 1, ());
     }
 
     #[test]
     #[expect(clippy::disallowed_methods, reason = "a private stream drives the queue against its oracle")]
     fn interleaved_push_pop_matches_legacy() {
-        let mut rng = crate::SimRng::seed_from_u64(0xE13);
-        let mut indexed = IndexedQueue::new();
-        let mut legacy = LegacyQueue::new();
-        let mut seq = 0u64;
-        for _ in 0..5_000 {
-            if legacy.is_empty() || rng.gen_f64() < 0.6 {
-                let at = t(rng.gen_range(0..10_000u64));
-                indexed.push(at, seq, seq);
-                legacy.push(at, seq, seq);
-                seq += 1;
-            } else {
-                assert_eq!(indexed.peek(), legacy.peek());
-                assert_eq!(indexed.pop(), legacy.pop());
-            }
-        }
-        while let Some(want) = legacy.pop() {
-            assert_eq!(indexed.pop(), Some(want));
-        }
-        assert!(indexed.is_empty());
+        replay_against_legacy(&mut crate::SimRng::seed_from_u64(0xE13), 5_000);
     }
 }
