@@ -27,6 +27,7 @@ use crate::proto::GroupSummary;
 use crate::resource::ResourceReport;
 use lc_des::SimTime;
 use lc_net::HostId;
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -379,22 +380,50 @@ impl MemberRecord {
     }
 }
 
-/// The soft-state table one MRM duty maintains.
+/// The soft-state table one MRM duty maintains (the members believed
+/// alive), and what its seat reads from it until a record changes.
 #[derive(Clone, Debug, Default)]
 pub struct DutyState {
-    /// Member → last record.
-    pub records: BTreeMap<HostId, MemberRecord>,
+    records: BTreeMap<HostId, MemberRecord>,
+    /// Component name → the members whose record names it, in host order.
+    holders: OnceCell<BTreeMap<Rc<str>, Vec<HostId>>>,
+    summary: OnceCell<Rc<GroupSummary>>,
 }
 
 impl DutyState {
+    /// Member → last record.
+    pub fn records(&self) -> &BTreeMap<HostId, MemberRecord> {
+        &self.records
+    }
+
     /// Absorb a node report.
     pub fn on_report(&mut self, from: HostId, report: ResourceReport, now: SimTime) {
-        self.records.insert(from, MemberRecord::Node { report, at: now });
+        self.absorb(from, MemberRecord::Node { report, at: now });
     }
 
     /// Absorb a child-subtree summary.
     pub fn on_summary(&mut self, from: HostId, summary: Rc<GroupSummary>, now: SimTime) {
-        self.records.insert(from, MemberRecord::Subtree { summary, at: now });
+        self.absorb(from, MemberRecord::Subtree { summary, at: now });
+    }
+
+    /// Store `from`'s record. One saying what the last did — the same
+    /// `StaticInfo`, an equal allocation and installed set, or the very
+    /// summary a child re-sends unchanged — keeps what was read from them.
+    fn absorb(&mut self, from: HostId, rec: MemberRecord) {
+        use MemberRecord::{Node, Subtree};
+        let same = match (self.records.get(&from), &rec) {
+            (Some(Node { report: a, .. }), Node { report: b, .. }) => {
+                Rc::ptr_eq(&a.static_info, &b.static_info)
+                    && a.dynamic == b.dynamic
+                    && a.installed == b.installed
+            }
+            (Some(Subtree { summary: a, .. }), Subtree { summary: b, .. }) => Rc::ptr_eq(a, b),
+            _ => false,
+        };
+        self.records.insert(from, rec);
+        if !same {
+            (self.holders, self.summary) = Default::default();
+        }
     }
 
     /// Drop members whose last record is older than `timeout`.
@@ -402,12 +431,39 @@ impl DutyState {
     pub fn sweep(&mut self, now: SimTime, timeout: SimTime) -> usize {
         let before = self.records.len();
         self.records.retain(|_, r| now.saturating_sub(r.at()) <= timeout);
-        before - self.records.len()
+        let evicted = before - self.records.len();
+        if evicted > 0 {
+            (self.holders, self.summary) = Default::default();
+        }
+        evicted
     }
 
-    /// Members currently believed alive.
-    pub fn alive(&self) -> impl Iterator<Item = HostId> + '_ {
-        self.records.keys().copied()
+    /// The members whose record names component `name`, once, in host order.
+    pub fn holders(&self, name: &str) -> &[HostId] {
+        let index = self.holders.get_or_init(|| {
+            let mut index: BTreeMap<Rc<str>, Vec<HostId>> = BTreeMap::new();
+            for (&host, rec) in &self.records {
+                let (installed, summarised) = match rec {
+                    MemberRecord::Node { report, .. } => (&report.installed[..], None),
+                    MemberRecord::Subtree { summary, .. } => (&[][..], Some(&summary.components)),
+                };
+                for name in installed.iter().chain(summarised.into_iter().flatten()) {
+                    let hosts = index.entry(Rc::clone(name)).or_default();
+                    if hosts.last() != Some(&host) {
+                        hosts.push(host);
+                    }
+                }
+            }
+            index
+        });
+        index.get(name).map_or(&[], Vec::as_slice)
+    }
+
+    /// The summary to send up: an unchanged duty re-sends the `Rc` it sent.
+    pub fn summary(&self) -> Rc<GroupSummary> {
+        let summary = self.summary.get_or_init(|| Rc::new(self.summarize()));
+        debug_assert_eq!(**summary, self.summarize(), "a re-sent summary must equal a fresh one");
+        Rc::clone(summary)
     }
 
     /// Aggregate everything known into a subtree summary.
@@ -427,20 +483,6 @@ impl DutyState {
             }
         }
         out
-    }
-
-    /// Does the (believed) subtree contain a component with this name?
-    pub fn may_have_component(&self, name: &str) -> Vec<HostId> {
-        self.records
-            .iter()
-            .filter(|(_, rec)| match rec {
-                MemberRecord::Node { report, .. } => {
-                    report.installed.iter().any(|c| c == name)
-                }
-                MemberRecord::Subtree { summary, .. } => summary.components.contains(name),
-            })
-            .map(|(h, _)| *h)
-            .collect()
     }
 }
 
@@ -468,7 +510,7 @@ mod tests {
                 down_bw: 1e7,
             }),
             dynamic: DynamicInfo { cpu_used: 0.25, mem_used: 1 << 20, instances: 1 },
-            installed: installed.iter().map(|s| (*s).to_owned()).collect(),
+            installed: installed.iter().map(|&s| s.into()).collect(),
         }
     }
 
@@ -636,13 +678,13 @@ mod tests {
         let mut ds = DutyState::default();
         ds.on_report(HostId(1), report(&["A"]), SimTime::from_secs(0));
         ds.on_report(HostId(2), report(&["B"]), SimTime::from_secs(5));
-        assert_eq!(ds.alive().count(), 2);
+        assert_eq!(ds.records().len(), 2);
         let evicted = ds.sweep(SimTime::from_secs(7), SimTime::from_secs(6));
         assert_eq!(evicted, 1);
-        assert_eq!(ds.alive().collect::<Vec<_>>(), vec![HostId(2)]);
+        assert_eq!(ds.records().keys().collect::<Vec<_>>(), [&HostId(2)]);
         // silent node re-joins gracefully on its next report
         ds.on_report(HostId(1), report(&["A"]), SimTime::from_secs(8));
-        assert_eq!(ds.alive().count(), 2);
+        assert_eq!(ds.records().len(), 2);
     }
 
     #[test]
@@ -662,9 +704,131 @@ mod tests {
         assert!(sum.components.contains("Display"));
         assert!((sum.cpu_free - 4.5).abs() < 1e-9);
 
-        assert_eq!(ds.may_have_component("Decoder"), vec![HostId(1), HostId(8)]);
-        assert_eq!(ds.may_have_component("Display"), vec![HostId(2)]);
-        assert!(ds.may_have_component("Nope").is_empty());
+        assert_eq!(ds.holders("Decoder"), [HostId(1), HostId(8)]);
+        assert_eq!(ds.holders("Display"), [HostId(2)]);
+        assert!(ds.holders("Nope").is_empty());
+    }
+
+    /// What a seat offered a query to before it kept an index: a scan of
+    /// every record, in host order, for one that names the component.
+    fn scanned(records: &BTreeMap<HostId, MemberRecord>, name: &str) -> Vec<HostId> {
+        records
+            .iter()
+            .filter(|(_, rec)| match rec {
+                MemberRecord::Node { report, .. } => report.installed.iter().any(|c| &**c == name),
+                MemberRecord::Subtree { summary, .. } => summary.components.contains(name),
+            })
+            .map(|(h, _)| *h)
+            .collect()
+    }
+
+    /// The index names the same members, in the same order, as the scan
+    /// it replaced, and a kept summary equals a fresh one, after any mix
+    /// of reports (several versions of one name, repeated and changed
+    /// allocations, snapshots rebuilt equal), summaries (a sender that
+    /// also reported, as a backup replica acting after failover does, and
+    /// re-sent `Rc`s), sweeps and name queries, absent names included.
+    /// (An interface query takes every record, as it did.)
+    #[test]
+    fn the_index_offers_what_the_scan_did() {
+        const NAMES: [&str; 4] = ["A", "B", "Counter", "Decoder"];
+        lc_prop::check("index = scan", |g| {
+            let static_info = report(&[]).static_info;
+            let mut ds = DutyState::default();
+            let mut sent: Vec<Rc<GroupSummary>> = Vec::new();
+            let mut now = SimTime::ZERO;
+            for _ in 0..g.gen_range(1..60u32) {
+                now += SimTime::from_millis(g.gen_range(0..400u64));
+                let from = HostId(g.gen_range(0..12u32));
+                match g.gen_range(0..5u32) {
+                    0 | 1 => {
+                        let mut names: Vec<Rc<str>> = Vec::new();
+                        for name in NAMES {
+                            for _ in 0..g.gen_range(0..3u32) {
+                                names.push(name.into());
+                            }
+                        }
+                        let dynamic = DynamicInfo {
+                            cpu_used: f64::from(g.gen_range(0..3u32)) * 0.25,
+                            mem_used: 1 << 20,
+                            instances: 1,
+                        };
+                        let installed = names.into();
+                        let report = ResourceReport {
+                            static_info: Rc::clone(&static_info),
+                            dynamic,
+                            installed,
+                        };
+                        ds.on_report(from, report, now);
+                    }
+                    2 => {
+                        let summary = match sent.last() {
+                            Some(last) if g.gen_bool() => Rc::clone(last),
+                            _ => {
+                                let mut s = GroupSummary::default();
+                                s.components.extend(
+                                    NAMES.iter().filter(|_| g.gen_bool()).map(|&n| n.into()),
+                                );
+                                s.node_count = g.gen_range(1..9u32);
+                                Rc::new(s)
+                            }
+                        };
+                        sent.push(Rc::clone(&summary));
+                        ds.on_summary(from, summary, now);
+                    }
+                    3 => {
+                        ds.sweep(now, SimTime::from_millis(g.gen_range(0..1500u64)));
+                    }
+                    _ => assert_eq!(*ds.summary(), ds.summarize()),
+                }
+                for name in NAMES.into_iter().chain(["Nope"]) {
+                    assert_eq!(ds.holders(name), scanned(ds.records(), name), "{name}");
+                }
+            }
+        });
+    }
+
+    /// A sweep of an unchanged duty re-sends the summary it built last,
+    /// by pointer, however many keep-alives refreshed its records; a
+    /// changed allocation, a new member and an eviction each rebuild it.
+    #[test]
+    fn an_unchanged_duty_resends_its_summary() {
+        let t = SimTime::from_secs;
+        let mut ds = DutyState::default();
+        let (a, b) = (report(&["A"]), report(&["B"]));
+        ds.on_report(HostId(1), a.clone(), t(0));
+        ds.on_report(HostId(2), b.clone(), t(0));
+        let first = ds.summary();
+        for s in 1..4 {
+            ds.on_report(HostId(1), a.clone(), t(s));
+            // An equal snapshot behind another `Rc` is no change either.
+            let rebuilt = ResourceReport { installed: ["B".into()].into(), ..b.clone() };
+            ds.on_report(HostId(2), rebuilt, t(s));
+            assert_eq!(ds.sweep(t(s), t(3)), 0);
+            assert!(Rc::ptr_eq(&ds.summary(), &first), "sweep {s} rebuilt an unchanged summary");
+        }
+        assert_eq!(ds.records()[&HostId(1)].at(), t(3), "a keep-alive still refreshes `at`");
+
+        let busier = ResourceReport {
+            dynamic: DynamicInfo { cpu_used: 0.5, ..a.dynamic },
+            ..a.clone()
+        };
+        ds.on_report(HostId(1), busier, t(4));
+        let second = ds.summary();
+        assert!(!Rc::ptr_eq(&second, &first), "a changed allocation rebuilds");
+        assert_eq!(second.cpu_free, first.cpu_free - 0.25);
+
+        ds.on_report(HostId(3), report(&["C"]), t(4));
+        let third = ds.summary();
+        assert!(!Rc::ptr_eq(&third, &second), "a new member rebuilds");
+        assert_eq!(third.node_count, 3);
+
+        // Host 2 last reported at 3: at 7 it is 4 s silent.
+        assert_eq!(ds.sweep(t(7), t(3)), 1);
+        let fourth = ds.summary();
+        assert!(!Rc::ptr_eq(&fourth, &third), "an eviction rebuilds");
+        assert!(!fourth.components.contains("B"));
+        assert_eq!(ds.holders("B"), []);
     }
 
     #[test]

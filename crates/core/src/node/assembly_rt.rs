@@ -77,7 +77,7 @@ impl NodeCtx<'_, '_> {
                 // Push the package first if the target lacks it (known
                 // from its report), then spawn.
                 let target_has =
-                    views[node_idx].report.installed.iter().any(|c| c == &inst.component);
+                    views[node_idx].report.installed.iter().any(|c| **c == *inst.component);
                 if !target_has {
                     if let Some(found) =
                         self.state.repository.best_match(&inst.component, inst.min_version)

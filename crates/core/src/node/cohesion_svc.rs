@@ -54,7 +54,7 @@ impl NodeState {
             if duty.level != 0 {
                 continue;
             }
-            for (host, rec) in &state.records {
+            for (host, rec) in state.records() {
                 if let crate::cohesion::MemberRecord::Node { report, .. } = rec {
                     // Rc clone: the view shares the record's snapshot.
                     out.push(NodeView { host: *host, report: report.clone() });
@@ -86,8 +86,8 @@ impl NodeCtx<'_, '_> {
             if acting != self.state.host {
                 continue;
             }
-            // One aggregate per sweep, shared by every parent replica.
-            let summary = Rc::new(self.state.duty_state[i].summarize());
+            // One aggregate, shared by every parent and kept while unchanged.
+            let summary = self.state.duty_state[i].summary();
             let msg = CtrlMsg::Summary { from: self.state.host, level: duty.level, summary };
             for &parent in &duty.parent_replicas {
                 self.send_ctrl(parent, msg.clone());
@@ -105,7 +105,7 @@ pub(crate) fn reflect(state: &NodeState) -> ServiceReflect {
         .iter()
         .zip(state.duty_state.iter())
         .filter(|(d, _)| d.level == 0)
-        .map(|(_, s)| s.records.len())
+        .map(|(_, s)| s.records().len())
         .sum();
     ServiceReflect {
         kind: ServiceKind::Cohesion,

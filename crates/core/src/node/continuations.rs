@@ -218,7 +218,7 @@ pub(crate) struct PendingQuery {
     pub offers: Vec<Offer>,
     pub started: SimTime,
     pub first_offer_at: Option<SimTime>,
-    pub query: ComponentQuery,
+    pub query: Rc<ComponentQuery>,
     /// Re-issues left for a query expiring with zero offers
     /// (`NodeConfig::query_retries`).
     pub retries_left: u32,

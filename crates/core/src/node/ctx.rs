@@ -66,6 +66,8 @@ pub struct NodeState {
     pub(crate) report_targets: Rc<[HostId]>,
     /// One soft-state table per duty, index-aligned with `duties`.
     pub(crate) duty_state: Vec<DutyState>,
+    /// Seat routing's candidate buffers, one per nesting level.
+    pub(crate) seat_buffers: Vec<Vec<HostId>>,
     /// Unified pending-work table (queries, spawns, calls, fetches,
     /// migrations) behind one sequence counter.
     pub(crate) conts: ContTable,
@@ -147,6 +149,7 @@ impl NodeState {
             trust: seed.trust,
             duties,
             duty_state,
+            seat_buffers: Vec::new(),
             report_targets,
             conts: ContTable::new(),
             metrics: NodeMetrics::default(),

@@ -128,6 +128,7 @@ impl NodeCtx<'_, '_> {
                 }
                 let seq = self.state.conts.next_seq();
                 let qid = QueryId { origin: self.state.host, seq };
+                let query = Rc::new(query); // shared by every hop and retry
                 // Root (or continue) the per-query trace: everything the
                 // search fans out — MRM hops, member queries, shard
                 // lookups, offer replies — parents under this span until
@@ -147,7 +148,7 @@ impl NodeCtx<'_, '_> {
                         offers: Vec::new(),
                         started,
                         first_offer_at: None,
-                        query: query.clone(),
+                        query: Rc::clone(&query),
                         retries_left: self.state.cfg.query_retries,
                         span,
                         followers: Vec::new(),
@@ -175,7 +176,7 @@ impl NodeCtx<'_, '_> {
     /// route: up the MRM cohesion hierarchy, or to the owning shard —
     /// served in place when this host replicates it, otherwise one
     /// lookup to the first reachable replica.
-    pub(crate) fn issue_search(&mut self, qid: QueryId, query: ComponentQuery) {
+    pub(crate) fn issue_search(&mut self, qid: QueryId, query: Rc<ComponentQuery>) {
         match self.state.backend.search_route(&query) {
             SearchRoute::Hierarchy => {
                 // Send to our leaf-group MRM (first reachable replica).
@@ -244,7 +245,7 @@ impl NodeCtx<'_, '_> {
     pub(crate) fn mrm_route_query(
         &mut self,
         qid: QueryId,
-        query: ComponentQuery,
+        query: Rc<ComponentQuery>,
         level: u8,
         descending: bool,
     ) {
@@ -256,15 +257,19 @@ impl NodeCtx<'_, '_> {
             return;
         };
 
-        // Which members might hold a match? Name queries prune by
-        // summary; interface queries must visit the whole subtree.
-        let candidates: Vec<HostId> = match &query.name {
-            Some(name) => self.state.duty_state[duty_idx].may_have_component(name),
-            None => self.state.duty_state[duty_idx].alive().collect(),
-        };
+        // Which members might hold a match? Name queries read the seat's
+        // index; interface queries must visit the whole subtree. A pooled
+        // buffer holds them: offering may descend in place one level down.
+        let mut candidates = self.state.seat_buffers.pop().unwrap_or_default();
+        let seat = &self.state.duty_state[duty_idx];
+        match &query.name {
+            Some(name) => candidates.extend_from_slice(seat.holders(name)),
+            None => candidates.extend(seat.records().keys()),
+        }
 
         let has_parent = !duty.parent_replicas.is_empty();
-        let miss = route_at_seat(level, descending, has_parent, candidates, |to, child_level| {
+        let offered = candidates.drain(..);
+        let miss = route_at_seat(level, descending, has_parent, offered, |to, child_level| {
             match child_level {
                 // A plain member — unless it is the origin, which
                 // already answered locally …
@@ -275,12 +280,13 @@ impl NodeCtx<'_, '_> {
                 // node query, a child primary at its `level - 1` duty —
                 // and a child group this host also leads descends in place.
                 _ => {
-                    let query = query.clone();
+                    let query = Rc::clone(&query);
                     let hop = CtrlMsg::Query { qid, query, level: child_level, descending: true };
                     self.send_ctrl(to, hop)
                 }
             }
         });
+        self.state.seat_buffers.push(candidates);
         match miss {
             None => {}
             Some(Miss::Escalate) => {
@@ -345,12 +351,23 @@ impl NodeCtx<'_, '_> {
         if pq.first_offer_at.is_none() {
             pq.first_offer_at = Some(now);
         }
-        for offer in offers {
-            let dup = pq.offers.iter().any(|o| {
-                o.node == offer.node && o.component == offer.component && o.version == offer.version
-            });
-            if !dup {
-                pq.offers.push(offer);
+        // The first answer becomes the offer set itself; then the first of
+        // equal (node, component, version) offers wins.
+        let kept = pq.offers.len();
+        if kept == 0 {
+            pq.offers = offers;
+        } else {
+            pq.offers.extend(offers);
+        }
+        fn key(o: &Offer) -> (HostId, &str, Version) {
+            (o.node, &o.component, o.version)
+        }
+        let mut i = kept.max(1);
+        while let Some(o) = pq.offers.get(i) {
+            if pq.offers[..i].iter().any(|p| key(p) == key(o)) {
+                pq.offers.remove(i);
+            } else {
+                i += 1;
             }
         }
         let finish_now = match &pq.purpose {
@@ -359,12 +376,10 @@ impl NodeCtx<'_, '_> {
         };
         if finish_now {
             self.finish_query(qid.seq);
-        } else if let Some(pq) = self.state.conts.queries.get_mut(&qid.seq) {
+        } else if let QueryPurpose::Collect { sink, .. } = &pq.purpose {
             // keep collecting; sync collect sinks for observers
-            if let QueryPurpose::Collect { sink, .. } = &pq.purpose {
-                sink.borrow_mut().offers = pq.offers.clone();
-                sink.borrow_mut().first_offer_at = pq.first_offer_at;
-            }
+            sink.borrow_mut().offers = pq.offers.clone();
+            sink.borrow_mut().first_offer_at = pq.first_offer_at;
         }
     }
 
@@ -385,7 +400,7 @@ impl NodeCtx<'_, '_> {
         // Timed-out (partial) results are never cached.
         self.state.backend.complete(&pq.query, &pq.offers, now, !timed_out);
         let followers = std::mem::take(&mut pq.followers);
-        let fan = (!followers.is_empty()).then(|| (pq.offers.clone(), pq.query.clone()));
+        let fan = (!followers.is_empty()).then(|| pq.offers.clone());
         let tracer = self.state.tracer.clone();
         let span = pq.span;
         if let Some(s) = span {
@@ -406,9 +421,9 @@ impl NodeCtx<'_, '_> {
             ctx.complete(pq.purpose, pq.offers, &pq.query, served);
             // Followers see the same offer set, in join order, still
             // inside the leader's span context.
-            if let Some((offers, query)) = fan {
+            if let Some(offers) = fan {
                 for f in followers {
-                    ctx.resolve_follower(f, offers.clone(), &query, timed_out, None);
+                    ctx.resolve_follower(f, offers.clone(), &pq.query, timed_out, None);
                 }
             }
             if let Some(s) = span {
@@ -537,16 +552,8 @@ impl NodeCtx<'_, '_> {
         // each gets the leader's current partial offer set.
         let mut expired_followers = Vec::new();
         for (_, pq) in self.state.conts.queries.iter_mut() {
-            if pq.followers.iter().any(|f| f.deadline <= now) {
-                let mut i = 0;
-                while i < pq.followers.len() {
-                    if pq.followers[i].deadline <= now {
-                        let f = pq.followers.remove(i);
-                        expired_followers.push((f, pq.offers.clone(), pq.query.clone()));
-                    } else {
-                        i += 1;
-                    }
-                }
+            for f in pq.followers.extract_if(.., |f| f.deadline <= now) {
+                expired_followers.push((f, pq.offers.clone(), Rc::clone(&pq.query)));
             }
         }
         for (f, offers, query) in expired_followers {
@@ -561,7 +568,7 @@ impl NodeCtx<'_, '_> {
             if pq.offers.is_empty() && pq.retries_left > 0 {
                 pq.retries_left -= 1;
                 let timeout = self.state.cfg.query_timeout;
-                let query = pq.query.clone();
+                let query = Rc::clone(&pq.query);
                 let original = pq.span;
                 self.state.conts.queries.insert_with_deadline(seq, pq, now + timeout);
                 self.sim.metrics().incr("query.retries");

@@ -21,10 +21,10 @@ use std::collections::BTreeSet;
 use std::rc::Rc;
 
 /// Aggregated view of a subtree, sent MRM → parent MRM.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct GroupSummary {
-    /// Component names available somewhere in the subtree.
-    pub components: BTreeSet<String>,
+    /// Component names available somewhere in the subtree (shared).
+    pub components: BTreeSet<Rc<str>>,
     /// Live nodes in the subtree.
     pub node_count: u32,
     /// Total free CPU (reference units) in the subtree.
@@ -80,8 +80,8 @@ pub(crate) enum CtrlMsg {
         /// summary into its level+1 duty only, so deep hierarchies route
         /// correctly).
         level: u8,
-        /// Aggregate: one `summarize()` result, shared by every parent
-        /// replica it is sent to and every duty that absorbs it.
+        /// Aggregate: the duty's summary, shared by every parent replica
+        /// and re-sent as the same `Rc` while the duty is unchanged.
         summary: Rc<GroupSummary>,
     },
 
@@ -90,8 +90,8 @@ pub(crate) enum CtrlMsg {
     Query {
         /// Query id.
         qid: QueryId,
-        /// The query.
-        query: ComponentQuery,
+        /// The query, built once by the origin and shared by every hop.
+        query: Rc<ComponentQuery>,
         /// Hierarchy level of the receiving MRM's duty (0 = leaf group);
         /// `None` asks a plain member for its own offers.
         level: Option<u8>,
@@ -212,7 +212,7 @@ pub(crate) enum CtrlMsg {
         /// Query id (offers flow straight back to `qid.origin`).
         qid: QueryId,
         /// The query.
-        query: ComponentQuery,
+        query: Rc<ComponentQuery>,
         /// Shard owning the queried component.
         shard: u32,
     },
@@ -384,13 +384,13 @@ mod tests {
     #[test]
     fn summary_absorb() {
         let mut a = GroupSummary {
-            components: ["X".to_owned()].into_iter().collect(),
+            components: ["X".into()].into_iter().collect(),
             node_count: 3,
             cpu_free: 2.0,
             mem_free: 100,
         };
         let b = GroupSummary {
-            components: ["X".to_owned(), "Y".to_owned()].into_iter().collect(),
+            components: ["X".into(), "Y".into()].into_iter().collect(),
             node_count: 2,
             cpu_free: 1.0,
             mem_free: 50,
@@ -467,7 +467,7 @@ mod tests {
         use crate::registry::ComponentQuery;
         let lookup = CtrlMsg::ShardLookup {
             qid: QueryId { origin: HostId(0), seq: 1 },
-            query: ComponentQuery::by_name("Counter", Version::new(1, 0)),
+            query: ComponentQuery::by_name("Counter", Version::new(1, 0)).into(),
             shard: 3,
         };
         assert!(lookup.wire_size() < 128);

@@ -144,7 +144,7 @@ pub(crate) struct PublishInputs {
     /// The repository's installed-name snapshot, rebuilt by every change
     /// to the installed set and compared by pointer; holding the clone
     /// keeps the allocation from being reused by a later snapshot.
-    pub names: Rc<[String]>,
+    pub names: Rc<[Rc<str>]>,
     /// [`ComponentRegistry::generation`](crate::registry::ComponentRegistry::generation).
     pub instances: u64,
     /// The resource allocation every offer's `load` is computed from.
@@ -831,7 +831,7 @@ mod tests {
     fn a_refresh_reuses_the_last_publication_until_an_input_moves() {
         let (mut a, _) = replica_pair();
         let inputs = PublishInputs {
-            names: ["X".to_owned()].into(),
+            names: ["X".into()].into(),
             instances: 0,
             dynamic: DynamicInfo::default(),
         };
@@ -844,7 +844,7 @@ mod tests {
 
         let busier = DynamicInfo { cpu_used: 0.1, ..inputs.dynamic };
         let moved = [
-            PublishInputs { names: ["X".to_owned()].into(), ..inputs.clone() },
+            PublishInputs { names: ["X".into()].into(), ..inputs.clone() },
             PublishInputs { instances: 1, ..inputs.clone() },
             PublishInputs { dynamic: busier, ..inputs.clone() },
         ];

@@ -60,11 +60,11 @@ pub struct Installed {
 #[derive(Clone, Default)]
 pub struct ComponentRepository {
     /// name → version → installed component (lookups borrow the name).
-    items: BTreeMap<String, BTreeMap<Version, Installed>>,
+    items: BTreeMap<Rc<str>, BTreeMap<Version, Installed>>,
     /// The installed-name snapshot every keep-alive report shares.
     /// Rebuilt by `install` of a new (name, version) and by `remove` —
-    /// the only two ways `items` changes.
-    names: Rc<[String]>,
+    /// the only two ways `items` changes — from `items`' own names.
+    names: Rc<[Rc<str>]>,
 }
 
 impl ComponentRepository {
@@ -122,7 +122,7 @@ impl ComponentRepository {
             package: pkg,
         };
         let desc = installed.descriptor.clone();
-        self.items.entry(desc.name.clone()).or_default().insert(desc.version, installed);
+        self.items.entry(desc.name.as_str().into()).or_default().insert(desc.version, installed);
         self.rebuild_names();
         Ok(desc)
     }
@@ -144,7 +144,7 @@ impl ComponentRepository {
         self.names = self
             .items
             .iter()
-            .flat_map(|(name, versions)| versions.keys().map(move |_| name.clone()))
+            .flat_map(|(name, versions)| versions.keys().map(move |_| Rc::clone(name)))
             .collect();
     }
 
@@ -171,7 +171,7 @@ impl ComponentRepository {
 
     /// Installed component names in [`iter`](Self::iter) order (with
     /// duplicates for multiple versions): the shared snapshot, not a copy.
-    pub fn names(&self) -> &Rc<[String]> {
+    pub fn names(&self) -> &Rc<[Rc<str>]> {
         &self.names
     }
 
@@ -318,30 +318,33 @@ mod tests {
             let bytes = make_pkg(name, v, "nop", Some(&key));
             repo.install(&bytes, &Platform::reference(), &trust, &behaviors, true).unwrap();
         };
+        let strs = |names: &[Rc<str>]| names.iter().map(|n| n.to_string()).collect::<Vec<_>>();
         assert!(repo.names().is_empty());
         install(&mut repo, "B", Version::new(1, 0));
         let one = repo.names().clone();
-        assert_eq!(&*one, ["B"]);
+        assert_eq!(strs(&one), ["B"]);
         // An idempotent re-install leaves the very same snapshot in place.
         install(&mut repo, "B", Version::new(1, 0));
         assert!(Rc::ptr_eq(&one, repo.names()));
         // A new version and a new name both rebuild it, in (name, version)
-        // order with one entry per installed version.
+        // order with one entry per installed version, sharing one string
+        // per name.
         install(&mut repo, "B", Version::new(1, 2));
         install(&mut repo, "A", Version::new(2, 0));
-        assert_eq!(&**repo.names(), ["A", "B", "B"]);
+        assert_eq!(strs(repo.names()), ["A", "B", "B"]);
+        assert!(Rc::ptr_eq(&repo.names()[1], &repo.names()[2]));
         assert_eq!(repo.len(), 3);
-        assert_eq!(&*one, ["B"], "a snapshot already shipped never changes");
+        assert_eq!(strs(&one), ["B"], "a snapshot already shipped never changes");
         // Removing a version that is not there changes nothing …
         let three = repo.names().clone();
         assert!(!repo.remove("B", Version::new(3, 0)));
         assert!(Rc::ptr_eq(&three, repo.names()));
         // … removing one that is rebuilds the list.
         assert!(repo.remove("B", Version::new(1, 0)));
-        assert_eq!(&**repo.names(), ["A", "B"]);
+        assert_eq!(strs(repo.names()), ["A", "B"]);
         assert!(repo.remove("A", Version::new(2, 0)));
         assert!(repo.best_match("A", Version::new(2, 0)).is_none());
-        assert_eq!(&**repo.names(), ["B"]);
+        assert_eq!(strs(repo.names()), ["B"]);
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub struct ResourceReport {
     pub dynamic: DynamicInfo,
     /// Names of components installed locally (for query summaries): the
     /// Component Repository's current snapshot.
-    pub installed: Rc<[String]>,
+    pub installed: Rc<[Rc<str>]>,
 }
 
 impl ResourceReport {
@@ -149,7 +149,7 @@ impl ResourceManager {
 
     /// Build the keep-alive report (installed-name snapshot supplied by
     /// the Component Repository). Allocation-free.
-    pub fn report(&self, installed: &Rc<[String]>) -> ResourceReport {
+    pub fn report(&self, installed: &Rc<[Rc<str>]>) -> ResourceReport {
         ResourceReport {
             static_info: Rc::clone(&self.static_info),
             dynamic: self.dynamic,
@@ -213,7 +213,7 @@ mod tests {
         let mut rm = ResourceManager::from_host_cfg(&cfg());
         let qos = QosSpec::default();
         rm.reserve(&qos);
-        let rep = rm.report(&Rc::from(["A".to_owned(), "B".to_owned()]));
+        let rep = rm.report(&Rc::from([Rc::from("A"), Rc::from("B")]));
         assert_eq!(rep.dynamic.instances, 1);
         assert_eq!(rep.installed.len(), 2);
         assert!(rep.wire_size() > 64);

@@ -229,14 +229,14 @@ fn duty_state_sweep_correct() {
         for (host, advance) in events {
             now_s += advance % 5;
             let mut summary = GroupSummary::default();
-            summary.components.insert(format!("C{host}"));
+            summary.components.insert(format!("C{host}").into());
             summary.node_count = 1;
             ds.on_summary(HostId(host), summary.into(), SimTime::from_secs(now_s));
             last.insert(host, now_s);
         }
         now_s += timeout_s + 1;
         ds.sweep(SimTime::from_secs(now_s), SimTime::from_secs(timeout_s));
-        let alive: BTreeSet<HostId> = ds.alive().collect();
+        let alive: BTreeSet<HostId> = ds.records().keys().copied().collect();
         for (host, t) in last {
             let fresh = now_s - t <= timeout_s;
             assert_eq!(
@@ -268,7 +268,7 @@ fn summary_absorb_monotone() {
         let mut prev_nodes = 0u32;
         for (comps, nodes, cpu) in parts {
             let part = GroupSummary {
-                components: comps.into_iter().collect(),
+                components: comps.into_iter().map(Into::into).collect(),
                 node_count: nodes,
                 cpu_free: cpu,
                 mem_free: nodes as u64 * 1024,

@@ -919,7 +919,7 @@ fn runtime_install_reaches_mrm_and_parent_summaries() {
     let believers = |world: &World, mrm: u32, level: u8| {
         let node = world.node(HostId(mrm)).expect("node is up");
         let (_, table) = node.duties().find(|(d, _)| d.level == level).expect("serves the level");
-        table.may_have_component("Counter")
+        table.holders("Counter").to_vec()
     };
     assert_eq!(believers(&world, 8, 0), []);
     assert_eq!(believers(&world, 0, 1), [HostId(0)], "only host 0's group holds Counter so far");

@@ -38,7 +38,7 @@ impl SimTime {
     /// From fractional seconds (rounds to nearest nanosecond).
     pub fn from_secs_f64(s: f64) -> Self {
         assert!(s >= 0.0 && s.is_finite(), "negative or non-finite SimTime");
-        SimTime((s * 1e9).round() as u64)
+        SimTime(round_to_u64(s * 1e9))
     }
 
     /// As nanoseconds.
@@ -71,8 +71,16 @@ impl SimTime {
     /// Scale by a float factor (for jittered timers); rounds to nearest ns.
     pub fn mul_f64(self, k: f64) -> SimTime {
         assert!(k >= 0.0 && k.is_finite(), "negative or non-finite scale");
-        SimTime((self.0 as f64 * k).round() as u64)
+        SimTime(round_to_u64(self.0 as f64 * k))
     }
+}
+
+/// `x.round() as u64` for `x ≥ 0`, without `f64::round`'s libm call: below
+/// 2^53 the remainder is exact and a half rounds up; above, every `f64` is
+/// an integer, and past `u64::MAX` both saturate.
+fn round_to_u64(x: f64) -> u64 {
+    let t = x as u64;
+    t + u64::from(t < 1 << 53 && x - t as f64 >= 0.5)
 }
 
 impl Add for SimTime {
@@ -174,6 +182,45 @@ mod tests {
         assert_eq!(SimTime::from_millis(12).to_string(), "12.000ms");
         assert_eq!(SimTime::from_secs(12).to_string(), "12.000s");
         assert_eq!(SimTime::MAX.to_string(), "never");
+    }
+
+    /// The integer rounding is `f64::round` bit for bit: on arbitrary
+    /// finite non-negative doubles, on values near a half, and on the
+    /// edges — the largest double below ½, 2^52 + ½ (which parses to
+    /// 2^52), the doubles from 2^53 up, and those past `u64::MAX`.
+    #[test]
+    fn integer_rounding_matches_f64_round() {
+        let pinned = [
+            0.0,
+            -0.0,
+            0.5,
+            1.5,
+            2.5,
+            0.499_999_999_999_999_94,
+            4_503_599_627_370_496.5,
+            9_007_199_254_740_991.0,
+            9_007_199_254_740_992.0,
+            9_007_199_254_740_994.0,
+            18_446_744_073_709_549_568.0,
+            18_446_744_073_709_551_616.0,
+            1e300,
+            f64::MAX,
+        ];
+        for x in pinned {
+            assert_eq!(round_to_u64(x), x.round() as u64, "{x:e}");
+        }
+        lc_prop::check("integer rounding = f64::round", |g| {
+            let x = g.any_f64().abs();
+            assert_eq!(round_to_u64(x), x.round() as u64, "{x:e}");
+            let half = (g.gen_range(0..1u64 << 40) as f64 + 0.5).to_bits();
+            for y in [half - 1, half, half + 1].map(f64::from_bits) {
+                assert_eq!(round_to_u64(y), y.round() as u64, "{y:e}");
+            }
+            let ns = g.gen_range(0..1u64 << 62);
+            let k = g.gen_f64() * 4.0;
+            let t = SimTime(ns).mul_f64(k);
+            assert_eq!(t.0, (ns as f64 * k).round() as u64);
+        });
     }
 
     #[test]
