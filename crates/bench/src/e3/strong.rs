@@ -18,7 +18,7 @@
 //! change* — under churn of rate λ, that is `O(λ·N)` extra traffic and
 //! it balloons as the system grows, which is exactly what E3 measures.
 
-use lc_des::{Actor, AnyMsg, AnyMsgExt, Ctx, SimTime};
+use lc_des::{Actor, AnyMsg, AnyMsgExt, Counter, Ctx, SimTime};
 use lc_net::{HostId, Net, NetMsg};
 use std::collections::BTreeSet;
 
@@ -140,9 +140,9 @@ impl StrongMember {
                 size,
                 Msg::View { generation: self.generation, members: self.view.clone() },
             );
-            ctx.metrics().incr("strong.view_msgs");
+            ctx.metrics().incr(Counter::StrongViewMsgs);
         }
-        ctx.metrics().incr("strong.view_changes");
+        ctx.metrics().incr(Counter::StrongViewChanges);
     }
 
     fn on_tick(&mut self, ctx: &mut Ctx<'_>, tick: Tick) {
@@ -156,7 +156,7 @@ impl StrongMember {
                         HEARTBEAT_SIZE,
                         Msg::Heartbeat { from: self.host },
                     );
-                    ctx.metrics().incr("strong.heartbeats");
+                    ctx.metrics().incr(Counter::StrongHeartbeats);
                 }
                 ctx.timer_in(self.cfg.period, Tick::Heartbeat);
             }
@@ -221,13 +221,13 @@ impl StrongMember {
                     ACK_SIZE,
                     Msg::ViewAck { from: self.host, generation },
                 );
-                ctx.metrics().incr("strong.acks");
+                ctx.metrics().incr(Counter::StrongAcks);
             }
             Msg::ViewAck { from, generation } => {
                 if generation == self.generation {
                     self.unacked.remove(&from);
                     if self.unacked.is_empty() {
-                        ctx.metrics().incr("strong.views_committed");
+                        ctx.metrics().incr(Counter::StrongViewsCommitted);
                     }
                 }
             }

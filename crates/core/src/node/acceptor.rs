@@ -4,6 +4,7 @@
 //! the continuations parked on an incoming fetch).
 
 use crate::proto::CtrlMsg;
+use lc_des::Counter;
 use lc_net::HostId;
 use lc_pkg::Version;
 use std::rc::Rc;
@@ -49,7 +50,7 @@ impl NodeCtx<'_, '_> {
         let r = self.state.install_bytes(bytes);
         self.sim
             .metrics()
-            .incr(if r.is_ok() { "acceptor.installed" } else { "acceptor.rejected" });
+            .incr(if r.is_ok() { Counter::AcceptorInstalled } else { Counter::AcceptorRejected });
         if let Ok(name) = r {
             // Register event: peers may hold cached query results that
             // are now incomplete for this component.
@@ -65,8 +66,8 @@ impl NodeCtx<'_, '_> {
         let bytes = match self.state.repository.best_match(&name, version) {
             Some(inst) if inst.descriptor.mobility == lc_pkg::Mobility::Mobile => {
                 let bytes = Rc::new(inst.package.to_bytes());
-                self.sim.metrics().incr("fetch.served");
-                self.sim.metrics().add("fetch.bytes", bytes.len() as u64);
+                self.sim.metrics().incr(Counter::FetchServed);
+                self.sim.metrics().add(Counter::FetchBytes, bytes.len() as u64);
                 Ok(bytes)
             }
             Some(_) => Err("component is not mobile".into()),
@@ -79,7 +80,7 @@ impl NodeCtx<'_, '_> {
     /// on the fetch.
     pub(crate) fn on_package_bytes(&mut self, name: String, bytes: &[u8]) {
         let install = self.state.install_bytes(bytes);
-        self.sim.metrics().incr("fetch.received");
+        self.sim.metrics().incr(Counter::FetchReceived);
         match install {
             Ok(_) => {
                 self.note_registry_change(&name);

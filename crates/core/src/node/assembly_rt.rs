@@ -6,6 +6,7 @@
 use crate::assembly::{AssemblyDescriptor, ConnectionKind};
 use crate::deploy::{NodeView, PlacementStrategy};
 use crate::proto::CtrlMsg;
+use lc_des::Counter;
 use lc_orb::{DispatchOpts, ObjectKey, ObjectRef, Value};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -48,7 +49,7 @@ impl NodeCtx<'_, '_> {
             })
             .collect();
         let placement = crate::deploy::plan_assembly(&qoses, &views, strategy);
-        self.sim.metrics().incr("assembly.started");
+        self.sim.metrics().incr(Counter::AssemblyStarted);
 
         let pending = Rc::new(RefCell::new(PendingAssembly {
             assembly: assembly.clone(),
@@ -83,7 +84,7 @@ impl NodeCtx<'_, '_> {
                         self.state.repository.best_match(&inst.component, inst.min_version)
                     {
                         let bytes = Rc::new(found.package.to_bytes());
-                        self.sim.metrics().add("assembly.push_bytes", bytes.len() as u64);
+                        self.sim.metrics().add(Counter::AssemblyPushBytes, bytes.len() as u64);
                         self.send_ctrl(target, CtrlMsg::Install { bytes });
                     }
                 }
@@ -183,6 +184,6 @@ impl NodeCtx<'_, '_> {
                 }
             }
         }
-        self.sim.metrics().incr("assembly.wired");
+        self.sim.metrics().incr(Counter::AssemblyWired);
     }
 }

@@ -8,7 +8,7 @@
 use crate::cohesion::{effective_primary, MrmDuty};
 use crate::deploy::NodeView;
 use crate::proto::CtrlMsg;
-use lc_des::SimTime;
+use lc_des::{Counter, SimTime};
 use lc_net::HostId;
 use std::rc::Rc;
 
@@ -76,7 +76,7 @@ impl NodeCtx<'_, '_> {
         for (i, duty) in duties.iter().enumerate() {
             let evicted = self.state.duty_state[i].sweep(now, timeout);
             if evicted > 0 {
-                self.sim.metrics().add("cohesion.evictions", evicted as u64);
+                self.sim.metrics().add(Counter::CohesionEvictions, evicted as u64);
             }
             // Only the acting primary pushes summaries upward.
             if duty.parent_replicas.is_empty() {

@@ -5,13 +5,13 @@
 
 use crate::proto::CtrlMsg;
 use crate::registry::{Connection, InstanceId, InstanceInfo, InstancePort};
-use lc_des::SimTime;
+use lc_des::{Counter, Series, SimTime};
 use lc_net::{DropReason, HostId};
 use lc_orb::{DispatchOpts, ObjectKey, ObjectRef, OrbError, OrbWire, Outcome, RequestId, Value};
 use lc_pkg::Version;
 
 use super::continuations::{CallCont, FetchCont, PendingCall, PendingMigration, RetryState, SpawnCont};
-use super::ctx::{Hot, InstanceRuntime, NodeCtx, NodeState};
+use super::ctx::{InstanceRuntime, NodeCtx, NodeState};
 use super::metrics::ServiceKind;
 use super::service::{item, ServiceReflect, Tick};
 use super::{InvokePolicy, InvokeSink, MigrateSink, SpawnSink};
@@ -133,7 +133,7 @@ impl NodeCtx<'_, '_> {
                 DispatchOpts::raw(),
             );
             self.process_dispatch_effects(key.oid, res);
-            self.sim.metrics().incr("resolve.connected");
+            self.sim.metrics().incr(Counter::ResolveConnected);
         }
     }
 
@@ -250,7 +250,7 @@ impl NodeCtx<'_, '_> {
         for (rid, pc) in self.state.conts.calls.take_expired(now) {
             let can_retry = pc.retry.as_ref().is_some_and(|r| r.attempts < 1 + retries);
             if !can_retry {
-                self.sim.metrics().incr("orb.call_timeouts");
+                self.sim.metrics().incr(Counter::OrbCallTimeouts);
                 self.state.tracer.end_with(pc.span, now, Some("timeout"));
                 self.fail_call(pc.cont, OrbError::Timeout);
                 continue;
@@ -280,7 +280,7 @@ impl NodeCtx<'_, '_> {
         let attempts = retry.attempts;
         let (target, op, args) = (retry.target, retry.op.clone(), retry.args.clone());
         let original = pc.span;
-        self.sim.metrics().incr("orb.retries");
+        self.sim.metrics().incr(Counter::OrbRetries);
         // The re-send runs under a fresh span nested in the call, with
         // an explicit *link* back to it marking the retry relationship.
         let now = self.now();
@@ -340,7 +340,7 @@ impl NodeCtx<'_, '_> {
         else {
             return; // no channel opened for this port
         };
-        self.sim.metrics().incr("events.published");
+        self.sim.metrics().incr(Counter::EventsPublished);
         for (consumer, op) in subscribers {
             if consumer.host == self.state.host {
                 let res = self.state.adapter.invoke(
@@ -377,7 +377,7 @@ impl NodeCtx<'_, '_> {
         // back to the caller).
         if let Some(new_ref) = self.state.forwards.get(&target.oid).cloned() {
             if self.state.adapter.servant(target.oid).is_none() {
-                self.sim.metrics().incr("migrate.forwarded_requests");
+                self.sim.metrics().incr(Counter::MigrateForwardedRequests);
                 let wire = OrbWire::Request { id, reply_to, target: new_ref.key, op, args };
                 let _ = self.send_orb(new_ref.key.host, wire);
                 return;
@@ -393,7 +393,7 @@ impl NodeCtx<'_, '_> {
                 (reply_to, self.state.conts.replies.get_mut(&id))
             {
                 let cached = cached.clone();
-                self.sim.metrics().incr("orb.dedup_hits");
+                self.sim.metrics().incr(Counter::OrbDedupHits);
                 let _ = self.send_orb(back, OrbWire::Reply { id, result: cached });
                 return;
             }
@@ -410,9 +410,9 @@ impl NodeCtx<'_, '_> {
             let backlog = self.state.cpu_free_at.saturating_sub(now);
             let over_deadline = adm.deadline_aware
                 && self.state.cfg.invoke.deadline.is_some_and(|d| backlog > d);
-            self.bump(Hot::AdmissionTotal);
+            self.sim.metrics().incr(Counter::AdmissionTotal);
             if backlog > adm.cpu_backlog_cap || over_deadline {
-                self.sim.metrics().incr("admission.shed");
+                self.sim.metrics().incr(Counter::AdmissionShed);
                 if dedup > SimTime::ZERO && reply_to.is_some() {
                     // Remember the refusal for the dedup window: the
                     // shed request stays shed even if retried after the
@@ -436,7 +436,7 @@ impl NodeCtx<'_, '_> {
             // the overload property tests pin that bound.
             self.sim
                 .metrics()
-                .record("admission.queue_delay_ms", backlog.as_secs_f64() * 1e3);
+                .record(Series::AdmissionQueueDelayMs, backlog.as_secs_f64() * 1e3);
             if adm.replicate_hot.is_some() {
                 *self.state.instance_load.entry(target.oid).or_insert(0) += 1;
             }
@@ -463,7 +463,7 @@ impl NodeCtx<'_, '_> {
             // Occupy the CPU: FIFO over the node's processor, scaled by
             // CPU power (Resource Manager accounting).
             let (scaled, done) = self.state.occupy_cpu(self.sim.now(), cpu_cost);
-            self.sim.metrics().record("node.task_ms", scaled.as_secs_f64() * 1e3);
+            self.sim.metrics().record(Series::NodeTaskMs, scaled.as_secs_f64() * 1e3);
             if let Some(back) = reply_to {
                 // The CPU is FIFO, so `done` never decreases from one
                 // parked reply to the next and same-instant timers fire
@@ -497,7 +497,7 @@ impl NodeCtx<'_, '_> {
             None => {
                 // Duplicate or post-timeout reply (the continuation is
                 // gone): count and drop.
-                self.sim.metrics().incr("orb.orphan_replies");
+                self.sim.metrics().incr(Counter::OrbOrphanReplies);
             }
             Some(PendingCall { cont, span, .. }) => {
                 let error = result.is_err().then_some("reply");
@@ -596,7 +596,7 @@ impl NodeCtx<'_, '_> {
             state,
             instance_name: info.name.clone(),
         };
-        self.sim.metrics().incr("migrate.started");
+        self.sim.metrics().incr(Counter::MigrateStarted);
         self.in_span(span, |ctx| ctx.send_ctrl(to, msg));
     }
 
@@ -648,7 +648,7 @@ impl NodeCtx<'_, '_> {
         for name in remove_provides {
             info.remove_provides(&name);
         }
-        self.sim.metrics().incr("reflect.port_changes");
+        self.sim.metrics().incr(Counter::ReflectPortChanges);
     }
 
     /// A remote spawn this node asked for finished: resume whatever was
@@ -698,10 +698,10 @@ impl NodeCtx<'_, '_> {
                     .or_insert_with(|| (event_id, Vec::new()))
                     .1
                     .push((consumer, delivery_op));
-                self.sim.metrics().incr("events.subscriptions");
+                self.sim.metrics().incr(Counter::EventsSubscriptions);
             }
             None => {
-                self.sim.metrics().incr("events.bad_subscription");
+                self.sim.metrics().incr(Counter::EventsBadSubscription);
             }
         }
     }
@@ -753,10 +753,10 @@ impl NodeCtx<'_, '_> {
                     // the component are now wrong.
                     self.note_registry_change(&component);
                 }
-                self.sim.metrics().incr("migrate.completed");
+                self.sim.metrics().incr(Counter::MigrateCompleted);
             }
             Err(_) => {
-                self.sim.metrics().incr("migrate.failed");
+                self.sim.metrics().incr(Counter::MigrateFailed);
             }
         }
         if let Some(s) = pm.sink {

@@ -17,7 +17,7 @@ use crate::registry::shard::ShardRing;
 use crate::registry::{ComponentQuery, ComponentRegistry, InstanceId, Offer};
 use crate::repository::ComponentRepository;
 use crate::resource::ResourceManager;
-use lc_des::{CounterId, Ctx, SimTime};
+use lc_des::{Counter, Ctx, SimTime};
 use lc_net::{DropReason, HostId, Net};
 use lc_trace::{SloMonitor, TraceContext, Tracer};
 use lc_orb::{ObjectAdapter, ObjectKey, ObjectRef, OrbError, OrbWire, Outcome, RequestId, SimOrb};
@@ -105,9 +105,6 @@ pub struct NodeState {
     /// result cache, singleflight and (when [`NodeConfig::registry`] is
     /// sharded) this host's shard store over the world's ring.
     pub(crate) backend: Registry,
-    /// [`Hot`] counter ids in the simulation's metrics sink, resolved by
-    /// this node's first hot bump.
-    pub(crate) hot_ids: Option<[CounterId; HOT_NAMES.len()]>,
 }
 
 impl NodeState {
@@ -165,7 +162,6 @@ impl NodeState {
             last_replicate: None,
             replicas_started: 0,
             backend,
-            hot_ids: None,
         }
     }
 
@@ -227,50 +223,23 @@ impl NodeState {
         self.conts.queries.high_water()
     }
 
-    /// Replicas this node has started through hot-component replication.
-    pub fn replicas_started(&self) -> u32 {
-        self.replicas_started
-    }
-
     /// Peak pending-work depth (sum of per-table high-water marks).
     pub fn continuation_peak_depth(&self) -> usize {
         self.conts.peak_depth()
     }
 }
 
-/// The counters a node bumps per message or per tick, resolved to ids
-/// once per node ([`NodeCtx::bump`]) instead of by name per bump.
-#[derive(Clone, Copy)]
-pub(crate) enum Hot {
-    QueryMsgs,
-    Reports,
-    Summaries,
-    PublishMsgs,
-    GossipMsgs,
-    AdmissionTotal,
-}
-
-/// Counter names, indexed by [`Hot`].
-const HOT_NAMES: [&str; 6] = [
-    "query.msgs",
-    "cohesion.reports",
-    "cohesion.summaries",
-    "registry.publish_msgs",
-    "registry.gossip_msgs",
-    "admission.total",
-];
-
 /// The per-kind counter a wire copy of `msg` is tallied under, if any:
 /// with the ORB's own counters these partition `net.msgs`.
-fn wire_counter(msg: &CtrlMsg) -> Option<Hot> {
+fn wire_counter(msg: &CtrlMsg) -> Option<Counter> {
     Some(match msg {
         CtrlMsg::Query { .. } | CtrlMsg::Offers { .. } | CtrlMsg::ShardLookup { .. } => {
-            Hot::QueryMsgs
+            Counter::QueryMsgs
         }
-        CtrlMsg::Report { .. } => Hot::Reports,
-        CtrlMsg::Summary { .. } => Hot::Summaries,
-        CtrlMsg::ShardPublish { .. } => Hot::PublishMsgs,
-        CtrlMsg::GossipDigest { .. } | CtrlMsg::GossipDelta { .. } => Hot::GossipMsgs,
+        CtrlMsg::Report { .. } => Counter::CohesionReports,
+        CtrlMsg::Summary { .. } => Counter::CohesionSummaries,
+        CtrlMsg::ShardPublish { .. } => Counter::RegistryPublishMsgs,
+        CtrlMsg::GossipDigest { .. } | CtrlMsg::GossipDelta { .. } => Counter::RegistryGossipMsgs,
         CtrlMsg::Fetch { .. }
         | CtrlMsg::Package { .. }
         | CtrlMsg::Install { .. }
@@ -301,13 +270,6 @@ impl NodeCtx<'_, '_> {
         self.sim.now()
     }
 
-    /// Count one `counter` event in the simulation-wide metrics.
-    pub(crate) fn bump(&mut self, counter: Hot) {
-        let m = self.sim.metrics();
-        let ids = self.state.hot_ids.get_or_insert_with(|| HOT_NAMES.map(|name| m.id(name)));
-        m.bump(ids[counter as usize], 1);
-    }
-
     /// Arm a node-internal timer (packed lane: no allocation).
     pub(crate) fn timer_in(&mut self, delay: SimTime, tick: Tick) {
         let me = self.sim.me();
@@ -333,7 +295,7 @@ impl NodeCtx<'_, '_> {
         if sent {
             self.state.metrics.msg_out();
             if let Some(counter) = counter {
-                self.bump(counter);
+                self.sim.metrics().incr(counter);
             }
         }
         sent
@@ -349,7 +311,7 @@ impl NodeCtx<'_, '_> {
             if r == host || self.state.net.reachable(host, r) {
                 return self.send_ctrl(r, msg);
             }
-            self.sim.metrics().incr("query.failover");
+            self.sim.metrics().incr(Counter::QueryFailover);
         }
         false
     }
@@ -372,7 +334,7 @@ impl NodeCtx<'_, '_> {
         let now = self.sim.now();
         let Some(mon) = &mut self.state.slo else { return };
         for breach in mon.evaluate(now) {
-            self.sim.metrics().incr("slo.breaches");
+            self.sim.metrics().incr(Counter::SloBreaches);
             let (flight, dropped) = self.state.tracer.flight_record(self.state.host.0);
             mon.record_breach(breach, flight, dropped);
         }
@@ -387,8 +349,8 @@ impl NodeCtx<'_, '_> {
     /// cache layer.
     pub(crate) fn invalidate_cached(&mut self, component: &str) {
         let Some(dropped) = self.state.backend.invalidate(component) else { return };
-        self.sim.metrics().incr("cache.invalidations");
-        self.sim.metrics().add("cache.invalidated_entries", dropped as u64);
+        self.sim.metrics().incr(Counter::CacheInvalidations);
+        self.sim.metrics().add(Counter::CacheInvalidatedEntries, dropped as u64);
     }
 
     /// A register/deregister/migrate event changed this node's component
@@ -405,13 +367,13 @@ impl NodeCtx<'_, '_> {
                 self.invalidate_cached(component);
                 let hosts = (0..self.state.net.host_count() as u32).map(HostId);
                 self.send_invalidate(component, hosts);
-                self.sim.metrics().incr("cache.invalidate_bcasts");
+                self.sim.metrics().incr(Counter::CacheInvalidateBcasts);
             }
             CoherenceRoute::Shard { replicas } => {
                 self.invalidate_cached(component);
                 self.publish_component(component, true, &replicas);
                 self.send_invalidate(component, replicas.iter().copied());
-                self.sim.metrics().incr("cache.invalidate_targeted");
+                self.sim.metrics().incr(Counter::CacheInvalidateTargeted);
             }
         }
     }

@@ -8,7 +8,7 @@
 //! same-seed runs leave `==` metrics on every node. (What a dispatch
 //! costs the host is measured from outside, by `.perf`.)
 
-use std::collections::BTreeMap;
+use super::NodeCmd;
 
 /// The four Figure-1 services plus the container runtime.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -76,7 +76,8 @@ impl std::ops::AddAssign for ServiceMetrics {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct NodeMetrics {
     services: [ServiceMetrics; 5],
-    cmds: BTreeMap<&'static str, u64>,
+    /// Indexed by [`NodeCmd::index`].
+    cmds: [u64; NodeCmd::NAMES.len()],
     current: Option<ServiceKind>,
 }
 
@@ -89,11 +90,11 @@ impl NodeMetrics {
     /// `(command name, count)` for every [`super::NodeCmd`] seen,
     /// in name order.
     pub fn cmd_counts(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.cmds.iter().map(|(name, n)| (*name, *n))
+        NodeCmd::NAMES.into_iter().zip(self.cmds).filter(|&(_, n)| n > 0)
     }
 
-    pub(crate) fn note_cmd(&mut self, name: &'static str) {
-        *self.cmds.entry(name).or_insert(0) += 1;
+    pub(crate) fn note_cmd(&mut self, cmd: &NodeCmd) {
+        self.cmds[cmd.index()] += 1;
     }
 
     /// Begin a handler activation: attribute subsequent sends to `kind`.
@@ -148,9 +149,20 @@ mod tests {
     #[test]
     fn cmd_counters_accumulate() {
         let mut m = NodeMetrics::default();
-        m.note_cmd("Query");
-        m.note_cmd("Install");
-        m.note_cmd("Install");
+        let install = NodeCmd::Install(Default::default());
+        m.note_cmd(&NodeCmd::Query {
+            query: Default::default(),
+            sink: Default::default(),
+            first_wins: false,
+        });
+        m.note_cmd(&install);
+        m.note_cmd(&install);
         assert_eq!(m.cmd_counts().collect::<Vec<_>>(), vec![("Install", 2), ("Query", 1)]);
+    }
+
+    #[test]
+    fn cmd_names_are_sorted() {
+        // `cmd_counts()` reports in name order.
+        assert!(NodeCmd::NAMES.windows(2).all(|w| w[0] < w[1]));
     }
 }

@@ -465,20 +465,32 @@ pub enum NodeCmd {
 }
 
 impl NodeCmd {
-    /// Stable command name, used for the per-command counters in
-    /// [`NodeMetrics`].
-    pub fn name(&self) -> &'static str {
+    /// Every command's stable name, in name order: the per-command
+    /// counters in [`NodeMetrics`] are indexed alike.
+    pub(crate) const NAMES: [&'static str; 9] = [
+        "Install", "Invoke", "Migrate", "ModifyPorts", "Query", "Resolve", "SpawnLocal",
+        "StartAssembly", "Subscribe",
+    ];
+
+    /// This command's index into [`NodeCmd::NAMES`].
+    pub(crate) fn index(&self) -> usize {
         match self {
-            NodeCmd::Install(_) => "Install",
-            NodeCmd::Query { .. } => "Query",
-            NodeCmd::SpawnLocal { .. } => "SpawnLocal",
-            NodeCmd::Resolve { .. } => "Resolve",
-            NodeCmd::Subscribe { .. } => "Subscribe",
-            NodeCmd::Invoke { .. } => "Invoke",
-            NodeCmd::Migrate { .. } => "Migrate",
-            NodeCmd::ModifyPorts { .. } => "ModifyPorts",
-            NodeCmd::StartAssembly { .. } => "StartAssembly",
+            NodeCmd::Install(_) => 0,
+            NodeCmd::Invoke { .. } => 1,
+            NodeCmd::Migrate { .. } => 2,
+            NodeCmd::ModifyPorts { .. } => 3,
+            NodeCmd::Query { .. } => 4,
+            NodeCmd::Resolve { .. } => 5,
+            NodeCmd::SpawnLocal { .. } => 6,
+            NodeCmd::StartAssembly { .. } => 7,
+            NodeCmd::Subscribe { .. } => 8,
         }
+    }
+
+    /// Stable command name, as the per-command counters in
+    /// [`NodeMetrics`] report it.
+    pub fn name(&self) -> &'static str {
+        Self::NAMES[self.index()]
     }
 }
 
@@ -627,7 +639,7 @@ impl Actor for Node {
         self.state.adapter.set_clock(ctx.now());
         let msg = match msg.downcast_msg::<NodeCmd>() {
             Ok(cmd) => {
-                self.state.metrics.note_cmd(cmd.name());
+                self.state.metrics.note_cmd(&cmd);
                 let kind = cmd_service(&cmd);
                 return self.route(ctx, kind, None, |n| handle_cmd(n, cmd));
             }

@@ -11,6 +11,7 @@ use crate::registry::backend::{
     CoherenceRoute, PublishInputs, ResolveStep, SearchRoute, ShardStore,
 };
 use crate::registry::{ComponentQuery, InstanceId, Offer};
+use lc_des::Counter;
 use lc_net::HostId;
 use lc_pkg::Version;
 use std::fmt::Display;
@@ -78,8 +79,8 @@ impl NodeCtx<'_, '_> {
             // Cache hit: serve synchronously from the local result cache
             // — no network search, no pending continuation.
             ResolveStep::Hit { offers, age } => {
-                self.sim.metrics().incr("query.started");
-                self.sim.metrics().incr("cache.hits");
+                self.sim.metrics().incr(Counter::QueryStarted);
+                self.sim.metrics().incr(Counter::CacheHits);
                 let age_us = (age.as_secs_f64() * 1e6) as u64;
                 let attrs: &[(_, &dyn Display)] = &[("hit", &true), ("age_us", &age_us)];
                 self.state.tracer.event(self.state.host.0, "registry.cache", started, attrs);
@@ -90,10 +91,10 @@ impl NodeCtx<'_, '_> {
             // as a follower instead of spawning a second network search.
             ResolveStep::Coalesce { leader, cache_missed } => {
                 if cache_missed {
-                    self.sim.metrics().incr("cache.misses");
+                    self.sim.metrics().incr(Counter::CacheMisses);
                 }
-                self.sim.metrics().incr("query.started");
-                self.sim.metrics().incr("cache.coalesced");
+                self.sim.metrics().incr(Counter::QueryStarted);
+                self.sim.metrics().incr(Counter::CacheCoalesced);
                 let attrs: &[(_, &dyn Display)] = &[("coalesced", &true), ("leader_seq", &leader)];
                 self.state.tracer.event(self.state.host.0, "registry.cache", started, attrs);
                 let deadline = started + timeout;
@@ -106,7 +107,7 @@ impl NodeCtx<'_, '_> {
             }
             ResolveStep::Search { cache_missed } => {
                 if cache_missed {
-                    self.sim.metrics().incr("cache.misses");
+                    self.sim.metrics().incr(Counter::CacheMisses);
                 }
                 // Bounded admission queue: starting a search beyond the
                 // cap sheds the *oldest* pending query first (adaptive
@@ -156,7 +157,7 @@ impl NodeCtx<'_, '_> {
                     started + timeout,
                 );
                 self.state.backend.lead(&query, seq);
-                self.sim.metrics().incr("query.started");
+                self.sim.metrics().incr(Counter::QueryStarted);
 
                 self.in_span(span, |ctx| {
                     // Answer locally first (own repository).
@@ -253,7 +254,7 @@ impl NodeCtx<'_, '_> {
         let Some((duty_idx, duty)) = duties.iter().enumerate().find(|(_, d)| d.level == level)
         else {
             // Not an MRM at this level (stale addressing) — drop.
-            self.sim.metrics().incr("query.misrouted");
+            self.sim.metrics().incr(Counter::QueryMisrouted);
             return;
         };
 
@@ -290,7 +291,7 @@ impl NodeCtx<'_, '_> {
         match miss {
             None => {}
             Some(Miss::Escalate) => {
-                self.sim.metrics().incr("query.escalations");
+                self.sim.metrics().incr(Counter::QueryEscalations);
                 let ask = CtrlMsg::Query { qid, query, level: Some(level + 1), descending: false };
                 self.send_to_first_reachable(&duty.parent_replicas, ask);
             }
@@ -337,7 +338,7 @@ impl NodeCtx<'_, '_> {
         let Some(store) = self.state.backend.shard_mut() else { return };
         let repaired = store.on_gossip_delta(shard, entries);
         if repaired > 0 {
-            self.sim.metrics().add("registry.gossip_repaired", repaired as u64);
+            self.sim.metrics().add(Counter::RegistryGossipRepaired, repaired as u64);
         }
     }
 
@@ -464,7 +465,7 @@ impl NodeCtx<'_, '_> {
     pub(crate) fn shed_pending_query(&mut self, seq: u64) {
         let Some(mut pq) = self.state.conts.queries.remove(&seq) else { return };
         let now = self.sim.now();
-        self.sim.metrics().incr("admission.query_shed");
+        self.sim.metrics().incr(Counter::AdmissionQueryShed);
         self.state.backend.complete(&pq.query, &pq.offers, now, false);
         let tracer = self.state.tracer.clone();
         if let Some(s) = pq.span {
@@ -493,13 +494,13 @@ impl NodeCtx<'_, '_> {
         let mut partial = false;
         if let Ending::Served { started, timed_out, .. } = ending {
             if offers.is_empty() {
-                self.sim.metrics().incr("query.misses");
+                self.sim.metrics().incr(Counter::QueryMisses);
             } else {
-                self.sim.metrics().incr("query.hits");
+                self.sim.metrics().incr(Counter::QueryHits);
             }
             partial = timed_out && !offers.is_empty();
             if partial {
-                self.sim.metrics().incr("query.partial");
+                self.sim.metrics().incr(Counter::QueryPartial);
             }
             if let Some(mon) = &mut self.state.slo {
                 mon.observe_query((now - started).as_nanos() / 1_000, offers.is_empty());
@@ -557,7 +558,7 @@ impl NodeCtx<'_, '_> {
             }
         }
         for (f, offers, query) in expired_followers {
-            self.sim.metrics().incr("query.timeouts");
+            self.sim.metrics().incr(Counter::QueryTimeouts);
             self.resolve_follower(f, offers, &query, true, None);
         }
         let expired = self.state.conts.queries.take_expired(now);
@@ -571,7 +572,7 @@ impl NodeCtx<'_, '_> {
                 let query = Rc::clone(&pq.query);
                 let original = pq.span;
                 self.state.conts.queries.insert_with_deadline(seq, pq, now + timeout);
-                self.sim.metrics().incr("query.retries");
+                self.sim.metrics().incr(Counter::QueryRetries);
                 let qid = QueryId { origin: self.state.host, seq };
                 // The re-issue runs under a fresh span that *links*
                 // to the query root (retry, not a parent edge).
@@ -586,7 +587,7 @@ impl NodeCtx<'_, '_> {
                 self.timer_in(timeout, Tick::QueryDeadline);
                 continue;
             }
-            self.sim.metrics().incr("query.timeouts");
+            self.sim.metrics().incr(Counter::QueryTimeouts);
             self.finalize_query(pq, true);
         }
     }
@@ -613,7 +614,7 @@ impl NodeCtx<'_, '_> {
                     node,
                     CtrlMsg::Spawn { rid, origin, component, min_version, instance_name: None },
                 );
-                self.sim.metrics().incr("resolve.spawn_remote");
+                self.sim.metrics().incr(Counter::ResolveSpawnRemote);
             }
             ResolveAction::FetchAndRunLocal { from } => {
                 let component = query.name.clone().unwrap_or_default();
@@ -632,7 +633,7 @@ impl NodeCtx<'_, '_> {
                     from,
                     CtrlMsg::Fetch { name: component, version: min_version, reply_to },
                 );
-                self.sim.metrics().incr("resolve.fetch_local");
+                self.sim.metrics().incr(Counter::ResolveFetchLocal);
             }
         }
     }

@@ -5,7 +5,7 @@
 //! load balancing").
 
 use crate::proto::CtrlMsg;
-use lc_des::SimTime;
+use lc_des::{Counter, SimTime};
 use lc_net::HostId;
 use crate::registry::InstanceId;
 use std::rc::Rc;
@@ -90,11 +90,11 @@ impl NodeCtx<'_, '_> {
     /// instance there.
     pub(crate) fn on_offload_target(&mut self, target: Option<HostId>) {
         let Some(to) = target else {
-            self.sim.metrics().incr("lb.no_target");
+            self.sim.metrics().incr(Counter::LbNoTarget);
             return;
         };
         let Some((instance, _)) = self.state.heaviest_mobile_instance() else { return };
-        self.sim.metrics().incr("lb.migrations");
+        self.sim.metrics().incr(Counter::LbMigrations);
         self.cmd_migrate(instance, to, None);
     }
 
@@ -130,7 +130,7 @@ impl NodeCtx<'_, '_> {
         let replica = (info.component.clone(), info.version);
         let cpu_needed = self.state.instance_meta.get(&iid).map_or(0.1, |m| m.qos.cpu_min);
         self.state.last_replicate = Some(now);
-        self.sim.metrics().incr("admission.replica_queries");
+        self.sim.metrics().incr(Counter::AdmissionReplicaQueries);
         self.ask_placement(cpu_needed, Some(replica));
     }
 
@@ -144,11 +144,11 @@ impl NodeCtx<'_, '_> {
         target: Option<HostId>,
     ) {
         let Some(to) = target else {
-            self.sim.metrics().incr("admission.replica_no_target");
+            self.sim.metrics().incr(Counter::AdmissionReplicaNoTarget);
             return;
         };
         self.state.replicas_started += 1;
-        self.sim.metrics().incr("admission.replicas");
+        self.sim.metrics().incr(Counter::AdmissionReplicas);
         // Fire and forget: nothing is parked, so the `SpawnDone` finds no
         // continuation. Success is observable through the registry (a new
         // offer with a running instance), and a failed spawn simply

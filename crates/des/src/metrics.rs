@@ -1,11 +1,13 @@
-//! Simulation-wide measurement: named counters and sample summaries.
+//! Simulation-wide measurement: declared counters and sample summaries.
 //!
 //! Every experiment in `lc-bench` reads its reported quantities (messages
 //! per query, control bandwidth, failover latency, …) from a [`Metrics`]
 //! sink, so protocol code records measurements with one call and stays free
-//! of experiment-specific plumbing.
-
-use std::collections::BTreeMap;
+//! of experiment-specific plumbing. What can be measured is declared once,
+//! here: [`Counter`] and [`Series`] are closed key sets, a write names a
+//! variant (a misspelt one does not compile), and the sink is two fixed
+//! arrays indexed by it. Reads go by name, for reports and the benchmark;
+//! a name nobody declared is refused.
 
 /// Nearest-rank quantile of an ascending `sorted` slice: the element at
 /// rank `⌈q·n⌉` (1-based, clamped into the slice), `None` when empty.
@@ -65,93 +67,193 @@ impl Summary {
     }
 }
 
-/// Handle to one counter of a [`Metrics`], from [`Metrics::id`].
-///
-/// Valid only for the `Metrics` that issued it (and its clones), for
-/// that sink's whole life — [`Metrics::clear`] keeps ids.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct CounterId(u32);
+/// Declare a closed key set: `Variant => "name"` rows, in byte order of
+/// their names, become one enum and its `NAMES` table, so the two cannot
+/// drift apart.
+macro_rules! keys {
+    ($(#[$doc:meta])* $name:ident { $($variant:ident => $key:literal,)* }) => {
+        $(#[$doc])*
+        #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+        pub enum $name {
+            $(#[doc = $key] $variant,)*
+        }
 
-/// Named counters and sample summaries for one simulation run.
+        impl $name {
+            /// Every key's name, indexed by discriminant: byte order.
+            pub const NAMES: &'static [&'static str] = &[$($key,)*];
+            /// How many keys there are.
+            pub const COUNT: usize = Self::NAMES.len();
+
+            /// The discriminant of the key called `name`. Panics when no
+            /// key is: a misspelt reader fails instead of reading nothing.
+            fn index_of(name: &str) -> usize {
+                match Self::NAMES.binary_search(&name) {
+                    Ok(i) => i,
+                    Err(_) => panic!("no {} is called {name:?}", stringify!($name)),
+                }
+            }
+        }
+    };
+}
+
+keys! {
+    /// Every run counter of the workspace.
+    Counter {
+        AcceptorInstalled => "acceptor.installed",
+        AcceptorRejected => "acceptor.rejected",
+        AdmissionQueryShed => "admission.query_shed",
+        AdmissionReplicaNoTarget => "admission.replica_no_target",
+        AdmissionReplicaQueries => "admission.replica_queries",
+        AdmissionReplicas => "admission.replicas",
+        AdmissionShed => "admission.shed",
+        AdmissionTotal => "admission.total",
+        AssemblyPushBytes => "assembly.push_bytes",
+        AssemblyStarted => "assembly.started",
+        AssemblyWired => "assembly.wired",
+        CacheCoalesced => "cache.coalesced",
+        CacheHits => "cache.hits",
+        CacheInvalidateBcasts => "cache.invalidate_bcasts",
+        CacheInvalidateTargeted => "cache.invalidate_targeted",
+        CacheInvalidatedEntries => "cache.invalidated_entries",
+        CacheInvalidations => "cache.invalidations",
+        CacheMisses => "cache.misses",
+        ChurnCrashes => "churn.crashes",
+        ChurnRecoveries => "churn.recoveries",
+        CohesionEvictions => "cohesion.evictions",
+        CohesionReports => "cohesion.reports",
+        CohesionSummaries => "cohesion.summaries",
+        DesDroppedToDead => "des.dropped_to_dead",
+        EventsBadSubscription => "events.bad_subscription",
+        EventsPublished => "events.published",
+        EventsSubscriptions => "events.subscriptions",
+        FetchBytes => "fetch.bytes",
+        FetchReceived => "fetch.received",
+        FetchServed => "fetch.served",
+        LbMigrations => "lb.migrations",
+        LbNoTarget => "lb.no_target",
+        MigrateCompleted => "migrate.completed",
+        MigrateFailed => "migrate.failed",
+        MigrateForwardedRequests => "migrate.forwarded_requests",
+        MigrateStarted => "migrate.started",
+        NetBytes => "net.bytes",
+        NetBytesInter => "net.bytes.inter",
+        NetBytesIntra => "net.bytes.intra",
+        NetBytesLoopback => "net.bytes.loopback",
+        NetDropReceiverDown => "net.drop.receiver_down",
+        NetDropSenderDown => "net.drop.sender_down",
+        NetDropUnbound => "net.drop.unbound",
+        NetFaultCrashes => "net.fault.crashes",
+        NetFaultDelayed => "net.fault.delayed",
+        NetFaultDropped => "net.fault.dropped",
+        NetFaultDuplicated => "net.fault.duplicated",
+        NetFaultRestarts => "net.fault.restarts",
+        NetFaultSevered => "net.fault.severed",
+        NetMsgs => "net.msgs",
+        OrbCallTimeouts => "orb.call_timeouts",
+        OrbDedupHits => "orb.dedup_hits",
+        OrbEvents => "orb.events",
+        OrbOrphanReplies => "orb.orphan_replies",
+        OrbReplies => "orb.replies",
+        OrbRequests => "orb.requests",
+        OrbRetries => "orb.retries",
+        QueryEscalations => "query.escalations",
+        QueryFailover => "query.failover",
+        QueryHits => "query.hits",
+        QueryMisrouted => "query.misrouted",
+        QueryMisses => "query.misses",
+        QueryMsgs => "query.msgs",
+        QueryPartial => "query.partial",
+        QueryRetries => "query.retries",
+        QueryStarted => "query.started",
+        QueryTimeouts => "query.timeouts",
+        ReflectPortChanges => "reflect.port_changes",
+        RegistryGossipMsgs => "registry.gossip_msgs",
+        RegistryGossipRepaired => "registry.gossip_repaired",
+        RegistryPublishMsgs => "registry.publish_msgs",
+        ResolveConnected => "resolve.connected",
+        ResolveFetchLocal => "resolve.fetch_local",
+        ResolveSpawnRemote => "resolve.spawn_remote",
+        SloBreaches => "slo.breaches",
+        StrongAcks => "strong.acks",
+        StrongHeartbeats => "strong.heartbeats",
+        StrongViewChanges => "strong.view_changes",
+        StrongViewMsgs => "strong.view_msgs",
+        StrongViewsCommitted => "strong.views_committed",
+    }
+}
+
+keys! {
+    /// Every sample series of the workspace.
+    Series {
+        AdmissionQueueDelayMs => "admission.queue_delay_ms",
+        NodeTaskMs => "node.task_ms",
+    }
+}
+
+/// Counters and sample summaries for one simulation run.
 ///
-/// Counters live in one dense store. A name resolves to a
-/// [`CounterId`] by one tree walk ([`Metrics::id`]); a bump by id is an
-/// indexed add. Sites that fire per message or per tick resolve their
-/// ids once and keep them; everything else calls [`Metrics::incr`] /
-/// [`Metrics::add`], which resolve on every call. Keys are string
-/// literals, so nothing here allocates per bump, and reports iterate in
-/// name order whatever the registration order was.
-#[derive(Clone, Debug, Default)]
+/// One cell per declared key: a write is an indexed add, nothing
+/// allocates, and reports iterate in name order whatever the write order
+/// was.
+#[derive(Clone, Debug)]
 pub struct Metrics {
-    ids: BTreeMap<&'static str, CounterId>,
-    /// Indexed by [`CounterId`]: `None` until the first bump, so a key
-    /// that was only registered never shows up in [`Metrics::counters`].
-    cells: Vec<Option<u64>>,
-    summaries: BTreeMap<&'static str, Summary>,
+    /// Indexed by [`Counter`]: `None` until the first write, so a key
+    /// nobody touched never shows up in [`Metrics::counters`].
+    counters: [Option<u64>; Counter::COUNT],
+    /// Indexed by [`Series`], listed likewise.
+    summaries: [Option<Summary>; Series::COUNT],
+}
+
+impl Default for Metrics {
+    fn default() -> Self {
+        Metrics { counters: [None; Counter::COUNT], summaries: [None; Series::COUNT] }
+    }
 }
 
 impl Metrics {
-    /// The id of counter `key`, registering it on first sight.
-    /// Registering alone does not list the key.
-    pub fn id(&mut self, key: &'static str) -> CounterId {
-        let next = CounterId(self.cells.len() as u32);
-        let id = *self.ids.entry(key).or_insert(next);
-        if id == next {
-            self.cells.push(None);
-        }
-        id
-    }
-
-    /// Increment the counter behind `id` by `n` (`n == 0` still lists
-    /// the key).
-    #[inline]
-    pub fn bump(&mut self, id: CounterId, n: u64) {
-        let cell = &mut self.cells[id.0 as usize];
-        *cell = Some(cell.unwrap_or(0) + n);
-    }
-
     /// Increment `key` by 1.
-    pub fn incr(&mut self, key: &'static str) {
+    pub fn incr(&mut self, key: Counter) {
         self.add(key, 1);
     }
 
-    /// Increment `key` by `n`.
-    pub fn add(&mut self, key: &'static str, n: u64) {
-        let id = self.id(key);
-        self.bump(id, n);
+    /// Increment `key` by `n` (`n == 0` still lists the key).
+    #[inline]
+    pub fn add(&mut self, key: Counter, n: u64) {
+        let cell = &mut self.counters[key as usize];
+        *cell = Some(cell.unwrap_or(0) + n);
     }
 
-    /// Current value of a counter (0 if never touched).
-    pub fn counter(&self, key: &str) -> u64 {
-        self.ids.get(key).and_then(|id| self.cells[id.0 as usize]).unwrap_or(0)
+    /// Current value of the counter called `name` (0 if never touched).
+    /// Panics when no [`Counter`] is called `name`.
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters[Counter::index_of(name)].unwrap_or(0)
     }
 
-    /// Record a sample into summary `key`.
-    pub fn record(&mut self, key: &'static str, v: f64) {
-        self.summaries.entry(key).or_default().record(v);
+    /// Record a sample into series `key`.
+    pub fn record(&mut self, key: Series, v: f64) {
+        self.summaries[key as usize].get_or_insert_with(Summary::default).record(v);
     }
 
-    /// The summary under `key` (`None` if nothing was recorded).
-    pub fn summary(&self, key: &str) -> Option<&Summary> {
-        self.summaries.get(key)
+    /// The summary of the series called `name` (`None` if nothing was
+    /// recorded). Panics when no [`Series`] is called `name`.
+    pub fn summary(&self, name: &str) -> Option<&Summary> {
+        self.summaries[Series::index_of(name)].as_ref()
     }
 
-    /// Iterate the counters bumped since the last [`Metrics::clear`], in
-    /// key order.
+    /// Iterate the counters written since the last [`Metrics::clear`], in
+    /// name order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.ids.iter().filter_map(|(k, id)| Some((*k, self.cells[id.0 as usize]?)))
+        Counter::NAMES.iter().zip(&self.counters).filter_map(|(&k, v)| Some((k, (*v)?)))
     }
 
-    /// Iterate summaries in key order.
+    /// Iterate the recorded summaries in name order.
     pub fn summaries(&self) -> impl Iterator<Item = (&str, &Summary)> {
-        self.summaries.iter().map(|(k, v)| (*k, v))
+        Series::NAMES.iter().zip(&self.summaries).filter_map(|(&k, s)| Some((k, s.as_ref()?)))
     }
 
-    /// Reset everything (between experiment repetitions). Issued
-    /// [`CounterId`]s stay valid.
+    /// Reset everything (between experiment repetitions).
     pub fn clear(&mut self) {
-        self.cells.fill(None);
-        self.summaries.clear();
+        *self = Metrics::default();
     }
 }
 
@@ -162,40 +264,55 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let mut m = Metrics::default();
-        m.incr("a");
-        m.add("a", 4);
-        m.incr("b");
-        assert_eq!(m.counter("a"), 5);
-        assert_eq!(m.counter("b"), 1);
-        assert_eq!(m.counter("missing"), 0);
+        m.incr(Counter::NetMsgs);
+        m.add(Counter::NetMsgs, 4);
+        m.incr(Counter::AcceptorInstalled);
+        assert_eq!(m.counter("net.msgs"), 5);
+        assert_eq!(m.counter("acceptor.installed"), 1);
+        assert_eq!(m.counter("query.msgs"), 0, "declared, never written");
         let keys: Vec<_> = m.counters().map(|(k, _)| k.to_owned()).collect();
-        assert_eq!(keys, ["a", "b"]);
+        assert_eq!(keys, ["acceptor.installed", "net.msgs"]);
     }
 
     #[test]
     fn ids_and_names_share_one_store() {
         let mut m = Metrics::default();
-        // Registered out of name order, and `idle` never bumped.
-        let z = m.id("z.hot");
-        let idle = m.id("idle");
-        let a = m.id("a.hot");
-        assert_eq!(m.id("z.hot"), z, "a name keeps its id");
-        m.bump(z, 2);
-        m.incr("z.hot");
-        m.add("a.hot", 0);
-        m.incr("cold");
-        assert_eq!(m.counter("z.hot"), 3);
+        // Written out of name order: enum keys in, names out.
+        m.add(Counter::StrongAcks, 2);
+        m.incr(Counter::StrongAcks);
+        m.add(Counter::AcceptorInstalled, 0);
+        m.incr(Counter::NetBytes);
+        assert_eq!(m.counter("strong.acks"), 3);
         let listed: Vec<_> = m.counters().collect();
-        // Name-sorted; a zero bump lists the key, a bare registration does not.
-        assert_eq!(listed, [("a.hot", 0), ("cold", 1), ("z.hot", 3)]);
-        assert_eq!(m.counter("idle"), 0);
+        // Name-sorted; a zero add lists the key.
+        assert_eq!(listed, [("acceptor.installed", 0), ("net.bytes", 1), ("strong.acks", 3)]);
 
         m.clear();
         assert_eq!(m.counters().count(), 0);
-        m.bump(idle, 5);
-        m.bump(a, 1);
-        assert_eq!(m.counters().collect::<Vec<_>>(), [("a.hot", 1), ("idle", 5)]);
-        assert_eq!(m.id("a.hot"), a, "ids survive clear()");
+        assert_eq!(m.counter("strong.acks"), 0);
+        m.add(Counter::QueryMsgs, 5);
+        m.incr(Counter::AcceptorInstalled);
+        let listed: Vec<_> = m.counters().collect();
+        assert_eq!(listed, [("acceptor.installed", 1), ("query.msgs", 5)]);
+    }
+
+    #[test]
+    fn counter_names_are_sorted_unique_and_dotted() {
+        // `[a-z_]+(\.[a-z_]+)+`
+        let word = |p: &str| !p.is_empty() && p.bytes().all(|b| b == b'_' || b.is_ascii_lowercase());
+        let dotted = |name: &str| name.contains('.') && name.split('.').all(word);
+        for names in [Counter::NAMES, Series::NAMES] {
+            assert!(names.windows(2).all(|w| w[0] < w[1]), "strictly increasing in byte order");
+            for name in names {
+                assert!(dotted(name), "{name:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "\"query.msg\"")]
+    fn an_undeclared_name_is_refused() {
+        Metrics::default().counter("query.msg");
     }
 
     #[test]
@@ -248,11 +365,12 @@ mod tests {
     #[test]
     fn metrics_record_routes_to_histogram() {
         let mut m = Metrics::default();
-        m.record("lat", 1.0);
-        m.record("lat", 3.0);
-        assert_eq!(m.summary("lat").unwrap().sum(), 4.0);
-        assert!(m.summary("nope").is_none());
+        m.record(Series::NodeTaskMs, 1.0);
+        m.record(Series::NodeTaskMs, 3.0);
+        assert_eq!(m.summary("node.task_ms").unwrap().sum(), 4.0);
+        assert!(m.summary("admission.queue_delay_ms").is_none());
+        assert_eq!(m.summaries().map(|(k, _)| k).collect::<Vec<_>>(), ["node.task_ms"]);
         m.clear();
-        assert!(m.summary("lat").is_none());
+        assert!(m.summary("node.task_ms").is_none());
     }
 }

@@ -227,6 +227,11 @@ impl Repository {
             let id = repo_id(scope, name);
             match entry {
                 RawEntry::Struct(s) => {
+                    // `<member_list> ::= <member>+`: an exception may be
+                    // empty, a struct may not.
+                    if s.fields.is_empty() {
+                        return sem(format!("struct {name}: no members"));
+                    }
                     let fields = resolver.fields(&s.fields, scope, &format!("struct {name}"))?;
                     repo.structs.insert(
                         id.clone(),
@@ -752,7 +757,7 @@ mod tests {
         assert!(compile("interface I { void f() raises (NotThere); };").is_err());
         assert!(compile("struct S { long x; }; interface I { void f() raises (S); };").is_err());
         assert!(compile("interface I : NotThere {};").is_err());
-        assert!(compile("struct S {}; interface I : S {};").is_err());
+        assert!(compile("struct S { long x; }; interface I : S {};").is_err());
         // `void` is a return type only — not an element type either,
         // spelled out or behind an alias, at any nesting depth.
         for src in [
@@ -767,6 +772,13 @@ mod tests {
             assert!(e.to_string().contains("sequence element cannot be void"), "{src}: {e}");
         }
         assert!(compile("typedef long L; struct S { sequence<L> xs; };").is_ok());
+    }
+
+    #[test]
+    fn empty_struct_rejected_empty_exception_allowed() {
+        let e = compile("struct S {};").unwrap_err();
+        assert!(e.to_string().contains("struct S: no members"), "{e}");
+        assert!(compile("exception E {};").is_ok());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! lose soft state, etc.).
 
 use crate::{HostId, Net};
-use lc_des::{Sim, SimTime};
+use lc_des::{Counter, Sim, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -81,7 +81,7 @@ fn schedule_crash(
     }
     sim.control_in(delay, move |sim| {
         net.set_host_up(h, false);
-        sim.metrics().incr("churn.crashes");
+        sim.metrics().incr(Counter::ChurnCrashes);
         (hooks.borrow_mut().on_crash)(sim, h);
         let down_for = exponential(sim, cfg.mean_downtime);
         schedule_recovery(sim, net, cfg, hooks, h, down_for);
@@ -98,7 +98,7 @@ fn schedule_recovery(
 ) {
     sim.control_in(delay, move |sim| {
         net.set_host_up(h, true);
-        sim.metrics().incr("churn.recoveries");
+        sim.metrics().incr(Counter::ChurnRecoveries);
         (hooks.borrow_mut().on_recover)(sim, h);
         let up_for = exponential(sim, cfg.mean_uptime);
         schedule_crash(sim, net, cfg, hooks, h, up_for);

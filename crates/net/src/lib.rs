@@ -34,7 +34,7 @@ pub use fault::{CrashWindow, FaultPlan, LinkFaults, PartitionWindow};
 pub use topology::{DeviceClass, HostCfg, HostId, LinkClass, SiteId, Topology};
 
 use fault::Verdict;
-use lc_des::{ActorId, AnyMsg, CounterId, Ctx, Metrics, Sim, SimTime};
+use lc_des::{ActorId, AnyMsg, Counter, Ctx, Sim, SimTime};
 use lc_trace::{TraceContext, Tracer};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -87,42 +87,9 @@ struct HostState {
     bytes_recv: u64,
 }
 
-/// Ids of the counters [`Net::send`] bumps per message.
-#[derive(Clone, Copy)]
-struct SendCounters {
-    msgs: CounterId,
-    bytes: CounterId,
-    bytes_loopback: CounterId,
-    bytes_intra: CounterId,
-    bytes_inter: CounterId,
-    dropped: CounterId,
-    severed: CounterId,
-    delayed: CounterId,
-    duplicated: CounterId,
-}
-
-impl SendCounters {
-    fn resolve(m: &mut Metrics) -> Self {
-        SendCounters {
-            msgs: m.id("net.msgs"),
-            bytes: m.id("net.bytes"),
-            bytes_loopback: m.id("net.bytes.loopback"),
-            bytes_intra: m.id("net.bytes.intra"),
-            bytes_inter: m.id("net.bytes.inter"),
-            dropped: m.id("net.fault.dropped"),
-            severed: m.id("net.fault.severed"),
-            delayed: m.id("net.fault.delayed"),
-            duplicated: m.id("net.fault.duplicated"),
-        }
-    }
-}
-
 struct NetInner {
     topo: Topology,
     hosts: Vec<HostState>,
-    /// Resolved by the first [`Net::send`] against the metrics sink of
-    /// the simulation this fabric serves (a fabric serves exactly one).
-    counters: Option<SendCounters>,
     /// Message-level fault schedule; `None` draws zero fault randomness.
     fault: Option<FaultPlan>,
     /// Churn process armed by [`Net::install_drivers`].
@@ -221,7 +188,6 @@ impl NetBuilder {
             inner: Rc::new(RefCell::new(NetInner {
                 topo: self.topo,
                 hosts,
-                counters: None,
                 fault: self.fault,
                 churn: self.churn,
                 tracer: self.tracer.unwrap_or_default(),
@@ -263,14 +229,14 @@ impl Net {
             let (net, h) = (self.clone(), hooks.clone());
             sim.control_in(cw.down_at.saturating_sub(sim.now()), move |sim| {
                 net.set_host_up(cw.host, false);
-                sim.metrics().incr("net.fault.crashes");
+                sim.metrics().incr(Counter::NetFaultCrashes);
                 (h.borrow_mut().on_crash)(sim, cw.host);
             });
             if let Some(up_at) = cw.up_at {
                 let (net, h) = (self.clone(), hooks.clone());
                 sim.control_in(up_at.saturating_sub(sim.now()), move |sim| {
                     net.set_host_up(cw.host, true);
-                    sim.metrics().incr("net.fault.restarts");
+                    sim.metrics().incr(Counter::NetFaultRestarts);
                     (h.borrow_mut().on_recover)(sim, cw.host);
                 });
             }
@@ -371,25 +337,24 @@ impl Net {
     ) -> Result<SimTime, DropReason> {
         let now = ctx.now();
         let planned = self.plan(ctx, from, to, size)?;
-        let mut inner = self.inner.borrow_mut();
-        let c = *inner.counters.get_or_insert_with(|| SendCounters::resolve(ctx.metrics()));
+        let inner = self.inner.borrow();
         // Only a send inside a traced operation gets a message span, so
         // the shared handle is cloned out only when tracing is on.
         let tracer = inner.tracer.is_enabled().then(|| inner.tracer.clone());
         drop(inner);
 
         let m = ctx.metrics();
-        m.bump(c.msgs, 1);
-        m.bump(c.bytes, size);
+        m.incr(Counter::NetMsgs);
+        m.add(Counter::NetBytes, size);
         let (class, end) = match planned {
             Planned::Lost { would_arrive, class, .. } => (class, would_arrive),
             Planned::Deliver { deliver_at, class, .. } => (class, deliver_at),
         };
-        m.bump(
+        m.add(
             match class {
-                LinkClass::Loopback => c.bytes_loopback,
-                LinkClass::IntraSite => c.bytes_intra,
-                LinkClass::InterSite => c.bytes_inter,
+                LinkClass::Loopback => Counter::NetBytesLoopback,
+                LinkClass::IntraSite => Counter::NetBytesIntra,
+                LinkClass::InterSite => Counter::NetBytesInter,
             },
             size,
         );
@@ -406,9 +371,9 @@ impl Net {
         match planned {
             Planned::Lost { would_arrive, severed, .. } => {
                 // The sender transmitted: traffic counts, delivery doesn't.
-                m.bump(c.dropped, 1);
+                m.incr(Counter::NetFaultDropped);
                 if severed {
-                    m.bump(c.severed, 1);
+                    m.incr(Counter::NetFaultSevered);
                 }
                 if let Some((tracer, sp)) = span {
                     tracer.set_attr(sp, "lost", if severed { "severed" } else { "dropped" });
@@ -417,11 +382,11 @@ impl Net {
             }
             Planned::Deliver { target, deliver_at, delayed, dup_at, .. } => {
                 if delayed {
-                    m.bump(c.delayed, 1);
+                    m.incr(Counter::NetFaultDelayed);
                 }
                 let trace = span.map(|(_, sp)| sp);
                 if let Some(dup_at) = dup_at {
-                    m.bump(c.duplicated, 1);
+                    m.incr(Counter::NetFaultDuplicated);
                     if let Some((tracer, sp)) = span {
                         tracer.set_attr(sp, "duplicated", "true");
                     }
@@ -457,15 +422,15 @@ impl Net {
         {
             let inner = &mut *guard;
             if !inner.hosts[from.0 as usize].up {
-                ctx.metrics().incr("net.drop.sender_down");
+                ctx.metrics().incr(Counter::NetDropSenderDown);
                 return Err(DropReason::SenderDown);
             }
             if !inner.hosts[to.0 as usize].up {
-                ctx.metrics().incr("net.drop.receiver_down");
+                ctx.metrics().incr(Counter::NetDropReceiverDown);
                 return Err(DropReason::ReceiverDown);
             }
             let Some(target) = inner.hosts[to.0 as usize].bound else {
-                ctx.metrics().incr("net.drop.unbound");
+                ctx.metrics().incr(Counter::NetDropUnbound);
                 return Err(DropReason::Unbound);
             };
 
@@ -902,8 +867,7 @@ mod tests {
 
     #[test]
     fn send_counters_are_listed_only_once_bumped() {
-        // Every id is resolved by the first send; only what that send
-        // bumped may show up in a report's key list.
+        // Only what a send wrote may show up in a report's key list.
         let (net, h0, h1) = two_host_net(1e6, 1e6, 1);
         let mut sim = Sim::new(1);
         let sink = sim.spawn(Sink { arrivals: vec![] });

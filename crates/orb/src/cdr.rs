@@ -301,8 +301,10 @@ impl<'a> Decoder<'a> {
                 for _ in 0..n {
                     let at = self.pos;
                     items.push(self.value(inner)?);
-                    // Elements that occupy no bytes (void, an empty
-                    // struct) are not bounded by the stream running out.
+                    // Elements that occupy no bytes are not bounded by the
+                    // stream running out. The IDL compiler refuses every
+                    // zero-width element type, but a caller can still hand
+                    // `value` a `Sequence(Void)` directly.
                     if self.pos == at && n > MAX_EMPTY_ELEMENTS {
                         return Err(CdrError(format!("sequence of {n} empty elements")));
                     }

@@ -15,7 +15,7 @@ use crate::cdr::encoded_len;
 use crate::object::{ObjectKey, OrbError};
 use crate::servant::Outcome;
 use crate::value::Value;
-use lc_des::{CounterId, Ctx, SimTime};
+use lc_des::{Counter, Ctx, SimTime};
 use lc_net::{DropReason, HostId, Net};
 use std::cell::Cell;
 use std::rc::Rc;
@@ -81,48 +81,18 @@ impl OrbWire {
     }
 }
 
-/// Ids of the per-kind counters (`orb.requests`, `orb.replies`,
-/// `orb.events`).
-#[derive(Clone, Copy)]
-struct SendCounters {
-    requests: CounterId,
-    replies: CounterId,
-    events: CounterId,
-}
-
-/// What every clone of a [`SimOrb`] shares.
-struct Shared {
-    next_id: Cell<u64>,
-    /// Resolved by the first send against the metrics sink of the
-    /// simulation this ORB serves (like its fabric, exactly one).
-    counters: Cell<Option<SendCounters>>,
-}
-
 /// Shared request-id allocator + sender for one simulation.
 #[derive(Clone)]
 pub struct SimOrb {
     net: Net,
-    shared: Rc<Shared>,
+    /// The next request id, shared by every clone.
+    next_id: Rc<Cell<u64>>,
 }
 
 impl SimOrb {
     /// New ORB plumbing over `net`.
     pub fn new(net: Net) -> Self {
-        let shared = Shared { next_id: Cell::new(1), counters: Cell::new(None) };
-        SimOrb { net, shared: Rc::new(shared) }
-    }
-
-    fn counters(&self, ctx: &mut Ctx<'_>) -> SendCounters {
-        self.shared.counters.get().unwrap_or_else(|| {
-            let m = ctx.metrics();
-            let c = SendCounters {
-                requests: m.id("orb.requests"),
-                replies: m.id("orb.replies"),
-                events: m.id("orb.events"),
-            };
-            self.shared.counters.set(Some(c));
-            c
-        })
+        SimOrb { net, next_id: Rc::new(Cell::new(1)) }
     }
 
     /// The network fabric.
@@ -134,8 +104,8 @@ impl SimOrb {
     /// attempt's id — that is what lets the servant side recognise and
     /// suppress duplicates.
     pub fn fresh_id(&self) -> RequestId {
-        let id = self.shared.next_id.get();
-        self.shared.next_id.set(id + 1);
+        let id = self.next_id.get();
+        self.next_id.set(id + 1);
         RequestId(id)
     }
 
@@ -166,15 +136,14 @@ impl SimOrb {
         to: HostId,
         wire: OrbWire,
     ) -> Result<SimTime, DropReason> {
-        let counters = self.counters(ctx);
         let counter = match &wire {
-            OrbWire::Request { .. } => counters.requests,
-            OrbWire::Reply { .. } => counters.replies,
-            OrbWire::Event { .. } => counters.events,
+            OrbWire::Request { .. } => Counter::OrbRequests,
+            OrbWire::Reply { .. } => Counter::OrbReplies,
+            OrbWire::Event { .. } => Counter::OrbEvents,
         };
         let sent = self.net.send(ctx, from, to, wire.wire_size(), wire);
         if sent.is_ok() {
-            ctx.metrics().bump(counter, 1);
+            ctx.metrics().incr(counter);
         }
         sent
     }
