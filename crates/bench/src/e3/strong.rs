@@ -18,7 +18,7 @@
 //! change* — under churn of rate λ, that is `O(λ·N)` extra traffic and
 //! it balloons as the system grows, which is exactly what E3 measures.
 
-use lc_des::{Actor, AnyMsg, AnyMsgExt, Counter, Ctx, SimTime};
+use lc_des::{Actor, Counter, Ctx, Mail, SimTime};
 use lc_net::{HostId, Net, NetMsg};
 use std::collections::BTreeSet;
 
@@ -236,12 +236,12 @@ impl StrongMember {
 }
 
 impl Actor for StrongMember {
-    fn handle(&mut self, ctx: &mut Ctx<'_>, msg: AnyMsg) {
-        let msg = match msg.downcast_msg::<Tick>() {
+    fn handle_mail(&mut self, ctx: &mut Ctx<'_>, mail: Mail<'_>) {
+        let mail = match ctx.open::<Tick>(mail) {
             Ok(t) => return self.on_tick(ctx, t),
             Err(m) => m,
         };
-        if let Ok(net_msg) = msg.downcast_msg::<NetMsg<Msg>>() {
+        if let Ok(net_msg) = ctx.open::<NetMsg<Msg>>(mail) {
             self.on_msg(ctx, net_msg.payload);
         }
     }

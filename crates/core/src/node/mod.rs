@@ -49,7 +49,7 @@ use crate::registry::shard::ShardRing;
 use crate::deploy::{PlacementStrategy, ResolvePolicy};
 use crate::proto::CtrlMsg;
 use crate::registry::{ComponentQuery, InstanceId, Offer};
-use lc_des::{Actor, AnyMsg, AnyMsgExt, Ctx, SimTime};
+use lc_des::{Actor, Ctx, Mail, SimTime};
 use lc_net::{HostId, Net, NetMsg};
 use lc_orb::{ObjectRef, OrbError, OrbWire, Outcome, SimOrb, Value};
 use lc_trace::TraceContext;
@@ -634,10 +634,10 @@ impl Node {
 impl Actor for Node {
     /// Driver commands arrive directly; network traffic arrives as a
     /// frame around its protocol payload.
-    fn handle(&mut self, ctx: &mut Ctx<'_>, msg: AnyMsg) {
+    fn handle_mail(&mut self, ctx: &mut Ctx<'_>, mail: Mail<'_>) {
         // Expose virtual time to servants dispatched during this event.
         self.state.adapter.set_clock(ctx.now());
-        let msg = match msg.downcast_msg::<NodeCmd>() {
+        let mail = match ctx.open::<NodeCmd>(mail) {
             Ok(cmd) => {
                 self.state.metrics.note_cmd(&cmd);
                 let kind = cmd_service(&cmd);
@@ -645,7 +645,7 @@ impl Actor for Node {
             }
             Err(m) => m,
         };
-        let msg = match msg.downcast_msg::<NetMsg<CtrlMsg>>() {
+        let mail = match ctx.open::<NetMsg<CtrlMsg>>(mail) {
             Ok(NetMsg { trace, payload: ctrl, .. }) => {
                 let kind = ctrl_service(&ctrl);
                 return self.route(ctx, kind, trace, |n| handle_ctrl(n, ctrl));
@@ -653,7 +653,7 @@ impl Actor for Node {
             Err(m) => m,
         };
         // Anything else is an unknown message type: drop.
-        if let Ok(NetMsg { trace, payload: wire, .. }) = msg.downcast_msg::<NetMsg<OrbWire>>() {
+        if let Ok(NetMsg { trace, payload: wire, .. }) = ctx.open::<NetMsg<OrbWire>>(mail) {
             self.route(ctx, ServiceKind::Container, trace, |n| handle_orb(n, wire));
         }
     }

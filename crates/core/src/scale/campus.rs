@@ -27,7 +27,7 @@
 //! per component — constant bytes per group, ≈ n/(fanout−1) groups.
 
 use crate::cohesion::{route_at_seat, HierShape, Miss};
-use lc_des::{Actor, AnyMsg, Ctx, Sim, SimTime};
+use lc_des::{Actor, Ctx, Mail, Sim, SimTime};
 
 /// Components the sweep queries for; node `i` owns component `c` iff
 /// `i % 256 == OWNER_RESIDUE[c]` (≈ one owner per 128 nodes overall).
@@ -454,7 +454,7 @@ fn owner_list(n: u32, comp: usize) -> Vec<u32> {
 }
 
 impl Actor for ScaleCampus {
-    fn handle(&mut self, _ctx: &mut Ctx<'_>, _msg: AnyMsg) {
+    fn handle_mail(&mut self, _ctx: &mut Ctx<'_>, _mail: Mail<'_>) {
         debug_assert!(false, "scale campus only speaks the packed lane");
     }
 

@@ -3,7 +3,7 @@
 //! The actor-based [`Node`](crate::node::Node) is faithful to the
 //! paper's Fig. 1 — five services, boxed continuations, per-node
 //! `BTreeMap`s — and tops out around 10³–10⁴ hosts: each node costs
-//! kilobytes of scattered heap and every message is a boxed `dyn Any`.
+//! kilobytes of scattered heap.
 //! The paper's campus argument needs 10⁵–10⁶ nodes, which is a
 //! memory-layout problem, not a protocol problem.
 //!

@@ -12,23 +12,28 @@
 //! * [`SimTime`] — nanosecond-resolution virtual time.
 //! * [`Sim`] — the world: an event calendar, a population of [`Actor`]s,
 //!   a seeded RNG and a [`Metrics`] sink.
-//! * Events are either *messages* addressed to an actor (delivered through
-//!   [`Actor::handle`]) or *control closures* with full access to the world
-//!   (used for fault injection and instrumentation).
+//! * Events are *messages* addressed to an actor, *packed* `u64` events
+//!   ([`Actor::handle_packed`]) or *control closures* with full access to
+//!   the world (used for fault injection and instrumentation).
+//! * A message is stored by value in its type's mail lane beside the
+//!   calendar, so a send allocates nothing once the lane has grown. The
+//!   receiver gets a [`Mail`] in [`Actor::handle_mail`] and moves the
+//!   value out with [`Ctx::open`]; an actor that keeps the default
+//!   receives it boxed in [`Actor::handle`].
 //!
 //! Event ordering is `(time, sequence-number)`, so two runs with the same
 //! seed produce identical histories — every number reported in
 //! `EXPERIMENTS.md` is exactly reproducible.
 //!
 //! ```
-//! use lc_des::{Sim, SimTime, Actor, Ctx, AnyMsg};
+//! use lc_des::{Sim, SimTime, Actor, Ctx, Mail};
 //!
 //! struct Ping { peer: lc_des::ActorId, left: u32 }
 //! struct Tick;
 //!
 //! impl Actor for Ping {
-//!     fn handle(&mut self, ctx: &mut Ctx<'_>, _msg: AnyMsg) {
-//!         if self.left > 0 {
+//!     fn handle_mail(&mut self, ctx: &mut Ctx<'_>, mail: Mail<'_>) {
+//!         if ctx.open::<Tick>(mail).is_ok() && self.left > 0 {
 //!             self.left -= 1;
 //!             ctx.send_in(SimTime::from_millis(5), self.peer, Tick);
 //!         }
@@ -43,12 +48,15 @@
 //! assert_eq!(sim.now(), SimTime::from_millis(30));
 //! ```
 
+mod mail;
 pub mod metrics;
 pub mod profile;
 mod queue;
 pub mod rng;
 pub mod time;
 
+pub use mail::Mail;
+use mail::{MailLanes, Stored};
 pub use metrics::{nearest_rank, Counter, Metrics, Series, Summary};
 pub use profile::{Lane, ProfileReport, Profiler, ProfilerConfig, QueueSample, Tally};
 use queue::IndexedQueue;
@@ -71,10 +79,8 @@ impl std::fmt::Display for ActorId {
     }
 }
 
-/// Type-erased message payload.
-///
-/// Layers above define their own concrete message enums and downcast in
-/// [`Actor::handle`]; see [`AnyMsgExt::downcast_msg`] for the helper.
+/// A message boxed for an actor that keeps the default
+/// [`Actor::handle_mail`]; see [`AnyMsgExt::downcast_msg`] for the helper.
 pub type AnyMsg = Box<dyn Any>;
 
 /// Convenience downcasting for [`AnyMsg`].
@@ -99,10 +105,23 @@ pub struct PackedEvent(pub u64);
 
 /// A simulated entity: a protocol state machine reacting to messages.
 pub trait Actor: Any {
-    /// React to one message. `ctx` gives access to virtual time, the RNG,
-    /// scheduling, spawning and metrics — everything except other actors'
-    /// private state (communicate by message instead).
-    fn handle(&mut self, ctx: &mut Ctx<'_>, msg: AnyMsg);
+    /// React to one message, still in its mail lane: [`Ctx::open`] moves
+    /// it out by value, and whatever is not opened is dropped when this
+    /// returns. `ctx` gives access to virtual time, the RNG, scheduling,
+    /// spawning and metrics — everything except other actors' private
+    /// state (communicate by message instead).
+    ///
+    /// The default boxes the message and calls [`Actor::handle`].
+    // frozen .perf surface: goes with ROADMAP 1a
+    fn handle_mail(&mut self, ctx: &mut Ctx<'_>, mail: Mail<'_>) {
+        let msg = ctx.open_boxed(mail);
+        self.handle(ctx, msg);
+    }
+
+    /// React to one boxed message ([`Actor::handle_mail`]'s default). The
+    /// default drops it, so an actor that opens its own mail implements
+    /// `handle_mail` alone.
+    fn handle(&mut self, _ctx: &mut Ctx<'_>, _msg: AnyMsg) {}
 
     /// React to a packed event — a bare `u64` scheduled through
     /// [`Ctx::send_packed`], carrying no heap allocation at all.
@@ -119,7 +138,8 @@ pub trait Actor: Any {
 }
 
 enum Payload {
-    Message { target: ActorId, msg: AnyMsg },
+    /// A message waiting in its mail lane.
+    Message { target: ActorId, mail: Stored },
     /// Index-sized event for the scale path: no box, no downcast.
     Packed { target: ActorId, data: u64 },
     Control(Box<dyn FnOnce(&mut Sim)>),
@@ -130,6 +150,8 @@ struct Core {
     now: SimTime,
     seq: u64,
     queue: IndexedQueue<Payload>,
+    /// Every message the calendar carries, by value.
+    mail: MailLanes,
     rng: SimRng,
     events_fired: u64,
     next_actor: u32,
@@ -150,6 +172,11 @@ impl Core {
         let seq = self.seq;
         self.seq += 1;
         self.queue.push(at, seq, payload);
+    }
+
+    fn send_in<M: Any>(&mut self, delay: SimTime, target: ActorId, msg: M) {
+        let mail = self.mail.store(msg);
+        self.push(self.now + delay, Payload::Message { target, mail });
     }
 }
 
@@ -182,8 +209,18 @@ impl<'a> Ctx<'a> {
 
     /// Deliver `msg` to `target` after `delay` of virtual time.
     pub fn send_in<M: Any>(&mut self, delay: SimTime, target: ActorId, msg: M) {
-        let at = self.core.now + delay;
-        self.core.push(at, Payload::Message { target, msg: Box::new(msg) });
+        self.core.send_in(delay, target, msg);
+    }
+
+    /// Move the message out of `mail` if it is an `M`; hand the mail back
+    /// if not, for the next type to try.
+    pub fn open<'m, M: Any>(&mut self, mail: Mail<'m>) -> Result<M, Mail<'m>> {
+        self.core.mail.open(mail)
+    }
+
+    /// Move the message out of `mail`, boxed.
+    pub fn open_boxed(&mut self, mail: Mail<'_>) -> AnyMsg {
+        self.core.mail.open_boxed(mail)
     }
 
     /// Deliver `msg` to the current actor after `delay` — a timer.
@@ -228,7 +265,7 @@ impl<'a> Ctx<'a> {
 
 /// How one event reaches its actor in [`Sim::deliver`].
 enum Delivery {
-    Msg(AnyMsg),
+    Mail(Stored),
     Packed(u64),
 }
 
@@ -247,6 +284,7 @@ impl Sim {
                 now: SimTime::ZERO,
                 seq: 0,
                 queue: IndexedQueue::new(),
+                mail: MailLanes::default(),
                 rng: SimRng::seed_from_u64(seed),
                 metrics: Metrics::default(),
                 events_fired: 0,
@@ -318,8 +356,7 @@ impl Sim {
 
     /// Schedule `msg` for `target` after `delay`.
     pub fn send_in<M: Any>(&mut self, delay: SimTime, target: ActorId, msg: M) {
-        let at = self.core.now + delay;
-        self.core.push(at, Payload::Message { target, msg: Box::new(msg) });
+        self.core.send_in(delay, target, msg);
     }
 
     /// Schedule a packed `u64` event for `target` after `delay` — the
@@ -375,7 +412,9 @@ impl Sim {
     }
 
     /// Deliver one event to `target`, temporarily removing the actor so
-    /// it can borrow the core. Shared by the boxed and packed lanes.
+    /// it can borrow the core. Shared by messages and packed events; a
+    /// message's slot is released as soon as its handler returns, or at
+    /// once if the target is dead.
     fn deliver(&mut self, target: ActorId, ev: Delivery) {
         let idx = target.0 as usize;
         let taken = self.actors.get_mut(idx).and_then(|s| s.take());
@@ -383,7 +422,10 @@ impl Sim {
             {
                 let mut ctx = Ctx { core: &mut self.core, me: target };
                 match ev {
-                    Delivery::Msg(msg) => actor.handle(&mut ctx, msg),
+                    Delivery::Mail(at) => {
+                        actor.handle_mail(&mut ctx, at.mail());
+                        self.core.mail.release(at);
+                    }
                     Delivery::Packed(data) => actor.handle_packed(&mut ctx, data),
                 }
             }
@@ -397,6 +439,9 @@ impl Sim {
             }
             self.apply_side_effects();
         } else {
+            if let Delivery::Mail(at) = ev {
+                self.core.mail.release(at);
+            }
             self.core.metrics.incr(Counter::DesDroppedToDead);
         }
     }
@@ -443,7 +488,7 @@ impl Sim {
         self.core.now = at;
         self.core.events_fired += 1;
         match payload {
-            Payload::Message { target, msg } => self.deliver(target, Delivery::Msg(msg)),
+            Payload::Message { target, mail } => self.deliver(target, Delivery::Mail(mail)),
             Payload::Packed { target, data } => self.deliver(target, Delivery::Packed(data)),
             Payload::Control(f) => {
                 f(self);
@@ -712,6 +757,22 @@ mod tests {
         assert_eq!(std::mem::size_of::<queue::Slot<Payload>>(), 48);
     }
 
+    /// lc-prop: the mail lanes in a random world — four message types,
+    /// two carrying an `Rc` and one of those never opened, beside packed
+    /// events, spawns, self-kills and `Sim::kill` — deliver every message
+    /// exactly once, by value, in `(SimTime, seq)` order, alike to an
+    /// actor that opens its mail and to one that keeps the boxing default.
+    /// Mail nobody opens and mail to the dead are dropped, the latter
+    /// counted and its slot recycled; at drain every lane is empty and
+    /// every payload has been dropped exactly once.
+    #[test]
+    fn prop_mail_lanes_deliver_once_by_value_in_order() {
+        lc_prop::check("mail lanes", |g| {
+            let (seed, budget, kills) = (g.next_u64(), g.gen_range(1..300u64), g.gen_range(0..4u32));
+            mail_world::run(seed, budget, kills);
+        });
+    }
+
     #[test]
     fn actor_as_mut_allows_instrumented_mutation() {
         let mut sim = Sim::new(1);
@@ -720,5 +781,312 @@ mod tests {
         sim.send_in(SimTime::ZERO, c, Tick);
         sim.run();
         assert_eq!(sim.actor_as::<Counter>(c).unwrap().hits, 3);
+    }
+
+    /// The random world of [`prop_mail_lanes_deliver_once_by_value_in_order`].
+    mod mail_world {
+        use super::super::*;
+        use std::cell::RefCell;
+        use std::collections::BTreeMap;
+        use std::rc::Rc;
+
+        /// What the test knows of every event it sent, indexed by id; ids
+        /// grow with the kernel's schedule counter.
+        #[derive(Default)]
+        struct Ledger {
+            /// Target and due instant of each id.
+            sent: Vec<(ActorId, SimTime)>,
+            /// `(instant, id)` in delivery order.
+            delivered: Vec<(SimTime, usize)>,
+            /// When each dead actor died.
+            killed: BTreeMap<ActorId, SimTime>,
+            /// Drops of each id's `Token` payload.
+            token_drops: Vec<u32>,
+            /// Who declined the mail under way, and when: the next token
+            /// dropped is that mail's, and its drop is its delivery.
+            declined: Option<(ActorId, SimTime)>,
+            tokens: usize,
+            actors: u32,
+            /// Sends left.
+            budget: u64,
+        }
+        type Shared = Rc<RefCell<Ledger>>;
+
+        struct Plain(usize);
+        struct Wide {
+            id: usize,
+            check: [u64; 6],
+        }
+        /// The `Rc`-carrying payload: it counts its own drops.
+        struct Token {
+            id: usize,
+            ledger: Shared,
+        }
+        impl Drop for Token {
+            fn drop(&mut self) {
+                let mut l = self.ledger.borrow_mut();
+                l.token_drops[self.id] += 1;
+                if let Some(by) = l.declined.take() {
+                    assert_eq!(l.sent[self.id], by, "a declined message is dropped by its delivery");
+                    l.delivered.push((by.1, self.id));
+                }
+            }
+        }
+        /// A message no receiver opens: the kernel drops it after the
+        /// handler (or the boxing default inside it).
+        struct Unread(#[expect(dead_code, reason = "carried only to be dropped")] Token);
+
+        fn check_of(id: usize) -> [u64; 6] {
+            std::array::from_fn(|i| (id as u64 + 1).wrapping_mul(0x9E37_79B9 + i as u64))
+        }
+
+        /// What both [`Sim`] and [`Ctx`] can schedule.
+        trait Sched {
+            fn now(&self) -> SimTime;
+            fn rng(&mut self) -> &mut SimRng;
+            fn send_in<M: Any>(&mut self, delay: SimTime, target: ActorId, msg: M);
+            fn send_packed(&mut self, delay: SimTime, target: ActorId, data: u64);
+        }
+        macro_rules! sched {
+            ($t:ty) => {
+                impl Sched for $t {
+                    fn now(&self) -> SimTime {
+                        <$t>::now(self)
+                    }
+                    fn rng(&mut self) -> &mut SimRng {
+                        <$t>::rng(self)
+                    }
+                    fn send_in<M: Any>(&mut self, delay: SimTime, target: ActorId, msg: M) {
+                        <$t>::send_in(self, delay, target, msg)
+                    }
+                    fn send_packed(&mut self, delay: SimTime, target: ActorId, data: u64) {
+                        <$t>::send_packed(self, delay, target, data)
+                    }
+                }
+            };
+        }
+        sched!(Sim);
+        sched!(Ctx<'_>);
+
+        /// One random send — plain, wide, token, unread or packed — to
+        /// any actor ever spawned, at once or within 5 µs; nothing once the
+        /// budget is spent.
+        fn send_one(s: &mut impl Sched, ledger: &Shared) {
+            let (id, target, delay, kind) = {
+                let mut l = ledger.borrow_mut();
+                if l.budget == 0 {
+                    return;
+                }
+                l.budget -= 1;
+                let target = ActorId(s.rng().gen_range(0..l.actors));
+                let zero = s.rng().gen_range(0..3u32) == 0;
+                let delay = match zero {
+                    true => SimTime::ZERO,
+                    false => SimTime::from_nanos(s.rng().gen_range(1..5_000u64)),
+                };
+                let kind = s.rng().gen_range(0..5u32);
+                l.sent.push((target, s.now() + delay));
+                l.token_drops.push(0);
+                l.tokens += usize::from(kind == 2 || kind == 3);
+                (l.sent.len() - 1, target, delay, kind)
+            };
+            match kind {
+                0 => s.send_in(delay, target, Plain(id)),
+                1 => s.send_in(delay, target, Wide { id, check: check_of(id) }),
+                2 => s.send_in(delay, target, Token { id, ledger: ledger.clone() }),
+                3 => s.send_in(delay, target, Unread(Token { id, ledger: ledger.clone() })),
+                _ => s.send_packed(delay, target, id as u64),
+            }
+        }
+
+        /// A receiver: `opens` takes its mail by value, otherwise it keeps
+        /// the boxing defaults of `handle_mail` and `handle_packed`.
+        struct Member {
+            ledger: Shared,
+            opens: bool,
+        }
+
+        impl Member {
+            /// Log the delivery of `id`, then act: send, spawn or die.
+            fn got(&mut self, ctx: &mut Ctx<'_>, id: usize) {
+                {
+                    let mut l = self.ledger.borrow_mut();
+                    assert_eq!(l.sent[id], (ctx.me(), ctx.now()), "id {id} reached its target when due");
+                    l.delivered.push((ctx.now(), id));
+                }
+                match ctx.rng().gen_range(0..100u32) {
+                    0..60 => {
+                        for _ in 0..ctx.rng().gen_range(1..3u32) {
+                            send_one(ctx, &self.ledger);
+                        }
+                    }
+                    60..68 => {
+                        let opens = ctx.rng().gen_range(0..2u32) == 0;
+                        let child = ctx.spawn(Member { ledger: self.ledger.clone(), opens });
+                        {
+                            let n = &mut self.ledger.borrow_mut().actors;
+                            assert_eq!(child, ActorId(*n), "ids are dense");
+                            *n += 1;
+                        }
+                        send_one(ctx, &self.ledger);
+                    }
+                    68..72 => ctx.kill(ctx.me()),
+                    _ => {}
+                }
+            }
+        }
+
+        impl Actor for Member {
+            fn handle_mail(&mut self, ctx: &mut Ctx<'_>, mail: Mail<'_>) {
+                if !self.opens {
+                    let msg = ctx.open_boxed(mail);
+                    return self.handle(ctx, msg);
+                }
+                let mail = match ctx.open::<Plain>(mail) {
+                    Ok(Plain(id)) => return self.got(ctx, id),
+                    Err(m) => m,
+                };
+                let mail = match ctx.open::<Wide>(mail) {
+                    Ok(Wide { id, check }) => {
+                        assert_eq!(check, check_of(id));
+                        return self.got(ctx, id);
+                    }
+                    Err(m) => m,
+                };
+                match ctx.open::<Token>(mail) {
+                    Ok(token) => {
+                        let id = token.id;
+                        drop(token);
+                        self.got(ctx, id);
+                    }
+                    Err(_unread) => self.ledger.borrow_mut().declined = Some((ctx.me(), ctx.now())),
+                }
+            }
+
+            fn handle(&mut self, ctx: &mut Ctx<'_>, msg: AnyMsg) {
+                assert!(!self.opens, "only the default reaches handle");
+                let msg = match msg.downcast_msg::<Plain>() {
+                    Ok(Plain(id)) => return self.got(ctx, id),
+                    Err(m) => m,
+                };
+                let msg = match msg.downcast_msg::<Wide>() {
+                    Ok(Wide { id, check }) => {
+                        assert_eq!(check, check_of(id));
+                        return self.got(ctx, id);
+                    }
+                    Err(m) => m,
+                };
+                let msg = match msg.downcast_msg::<Token>() {
+                    Ok(token) => {
+                        let id = token.id;
+                        drop(token);
+                        return self.got(ctx, id);
+                    }
+                    Err(m) => m,
+                };
+                match msg.downcast_msg::<PackedEvent>() {
+                    Ok(PackedEvent(id)) => self.got(ctx, id as usize),
+                    Err(unread) => {
+                        assert!(unread.is::<Unread>(), "an unknown message type");
+                        self.ledger.borrow_mut().declined = Some((ctx.me(), ctx.now()));
+                    }
+                }
+            }
+
+            fn handle_packed(&mut self, ctx: &mut Ctx<'_>, data: u64) {
+                if self.opens {
+                    self.got(ctx, data as usize);
+                } else {
+                    self.handle(ctx, Box::new(PackedEvent(data)));
+                }
+            }
+
+            fn on_kill(&mut self, ctx: &mut Ctx<'_>) {
+                let fresh = self.ledger.borrow_mut().killed.insert(ctx.me(), ctx.now()).is_none();
+                assert!(fresh, "an actor dies once");
+            }
+        }
+
+        fn dropped_to_dead(sim: &Sim) -> u64 {
+            sim.metrics_ref().counter("des.dropped_to_dead")
+        }
+
+        fn assert_lanes_empty(sim: &Sim) -> Vec<usize> {
+            let lanes = sim.core.mail.occupancy();
+            assert!(lanes.iter().all(|&(busy, _)| busy == 0), "a lane holds mail at drain: {lanes:?}");
+            lanes.iter().map(|&(_, slots)| slots).collect()
+        }
+
+        pub(super) fn run(seed: u64, budget: u64, kills: u32) {
+            let ledger = Shared::new(RefCell::new(Ledger { budget, ..Ledger::default() }));
+            let mut sim = Sim::new(seed);
+            for i in 0..4 {
+                sim.spawn(Member { ledger: ledger.clone(), opens: i % 2 == 0 });
+            }
+            ledger.borrow_mut().actors = 4;
+            for _ in 0..8 {
+                send_one(&mut sim, &ledger);
+            }
+            for _ in 0..kills {
+                let at = SimTime::from_nanos(sim.rng().gen_range(0..20_000u64));
+                let ledger = ledger.clone();
+                sim.control_in(at, move |sim| {
+                    let n = ledger.borrow().actors;
+                    let victim = ActorId(sim.rng().gen_range(0..n));
+                    sim.kill(victim);
+                });
+            }
+            sim.run();
+
+            let l = ledger.borrow();
+            // In `(SimTime, seq)` order, hence each id at most once.
+            assert!(l.delivered.windows(2).all(|w| w[0] < w[1]), "deliveries out of order");
+            let delivered: BTreeMap<usize, SimTime> = l.delivered.iter().map(|&(at, id)| (id, at)).collect();
+            for (id, &(target, due)) in l.sent.iter().enumerate() {
+                let died = l.killed.get(&target).copied();
+                if delivered.contains_key(&id) {
+                    assert!(died.is_none_or(|t| t >= due), "id {id} reached a dead actor");
+                } else {
+                    assert!(died.is_some_and(|t| t <= due), "id {id} to a live actor was lost");
+                }
+            }
+            let lost = (l.sent.len() - delivered.len()) as u64;
+            assert_eq!(dropped_to_dead(&sim), lost, "every undelivered event is counted");
+            assert!(l.token_drops.iter().all(|&d| d <= 1));
+            assert_eq!(l.token_drops.iter().sum::<u32>() as usize, l.tokens, "every token dropped once");
+            drop(l);
+            assert_lanes_empty(&sim);
+
+            // Mail to the dead, one at a time: each is dropped and counted,
+            // and its slot is the one the next reuses.
+            sim.kill(ActorId(0));
+            let dead = ActorId(0);
+            let before = dropped_to_dead(&sim);
+            let mut slots = Vec::new();
+            for round in 0..3u64 {
+                let id = {
+                    let mut l = ledger.borrow_mut();
+                    l.sent.push((dead, sim.now()));
+                    l.token_drops.push(0);
+                    l.sent.len() - 1
+                };
+                sim.send_in(SimTime::ZERO, dead, Plain(id));
+                sim.send_in(SimTime::ZERO, dead, Wide { id, check: check_of(id) });
+                sim.send_in(SimTime::ZERO, dead, Token { id, ledger: ledger.clone() });
+                sim.run();
+                assert_eq!(ledger.borrow().token_drops[id], 1, "mail to the dead is dropped");
+                assert_eq!(dropped_to_dead(&sim), before + 3 * (round + 1));
+                let now = assert_lanes_empty(&sim);
+                if round > 0 {
+                    assert_eq!(now, slots, "a dropped message's slot is recycled");
+                }
+                slots = now;
+            }
+
+            // Nothing else holds a payload: dropping the world leaves the
+            // ledger with its one owner.
+            drop(sim);
+            assert_eq!(Rc::strong_count(&ledger), 1, "a payload outlived the world");
+        }
     }
 }

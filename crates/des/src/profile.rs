@@ -12,7 +12,7 @@
 //! * **per actor** — event count and simulated nanoseconds attributed to
 //!   each [`crate::ActorId`] (the time an event "costs" is the calendar
 //!   gap it closes: `at - now` when it fires);
-//! * **per lane** — boxed message / packed / control;
+//! * **per lane** — message / packed / control;
 //! * **per packed kind** — the top byte of the packed `u64`, which both
 //!   packed-lane users (`lc_core::scale` events, `lc_core::node` timer
 //!   ticks) use as their event-kind tag.
@@ -26,7 +26,7 @@ use crate::time::SimTime;
 /// Which scheduling lane an event travelled on.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Lane {
-    /// Boxed `AnyMsg` delivery.
+    /// A message, delivered from its mail lane.
     Message = 0,
     /// Zero-allocation packed `u64` delivery.
     Packed = 1,

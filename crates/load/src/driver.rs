@@ -10,7 +10,7 @@
 //! subsequent keys across the new instances.
 
 use lc_core::{ComponentQuery, NodeCmd, QueryResult};
-use lc_des::{Actor, ActorId, AnyMsg, AnyMsgExt, Ctx, SimTime};
+use lc_des::{Actor, ActorId, Ctx, Mail, SimTime};
 use lc_orb::{ObjectRef, OrbError, Value};
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -230,12 +230,12 @@ impl LoadDriver {
 }
 
 impl Actor for LoadDriver {
-    fn handle(&mut self, ctx: &mut Ctx<'_>, msg: AnyMsg) {
-        let msg = match msg.downcast_msg::<DriverArrival>() {
+    fn handle_mail(&mut self, ctx: &mut Ctx<'_>, mail: Mail<'_>) {
+        let mail = match ctx.open::<DriverArrival>(mail) {
             Ok(DriverArrival(a)) => return self.on_arrival(ctx, a),
             Err(m) => m,
         };
-        if msg.downcast_msg::<QueryTick>().is_ok() {
+        if ctx.open::<QueryTick>(mail).is_ok() {
             self.on_query_tick(ctx);
         }
     }

@@ -43,11 +43,12 @@ use std::rc::Rc;
 /// plus the sender's payload, inline.
 ///
 /// [`Net::send`] schedules a `NetMsg<M>` for the payload type `M` it was
-/// given, so a host actor downcasts the [`AnyMsg`] it receives in
-/// [`lc_des::Actor::handle`] straight to `NetMsg<ItsProtocol>` — one
-/// box, one downcast per frame. Always name the payload type; the
-/// default argument exists only because the frozen benchmark crate
-/// spells the bare name.
+/// given, by value in the kernel's mail lane for that type, so a host
+/// actor opens the [`lc_des::Mail`] it receives in
+/// [`lc_des::Actor::handle_mail`] straight as `NetMsg<ItsProtocol>` —
+/// nothing allocated, one type check per frame. Always name the payload
+/// type; the default argument exists only because the frozen benchmark
+/// crate spells the bare name.
 // frozen .perf surface: goes with ROADMAP 1a
 pub struct NetMsg<P = AnyMsg> {
     /// Sending host.
@@ -317,9 +318,9 @@ impl Net {
 
     /// Send `size` bytes of `payload` from host `from` to host `to`.
     ///
-    /// On success schedules a [`NetMsg<M>`] — header and payload in one
-    /// box — for the destination's bound actor and returns the delivery
-    /// time. Records metrics under `net.*`.
+    /// On success schedules a [`NetMsg<M>`] — header and payload inline,
+    /// stored by value in a mail lane — for the destination's bound actor
+    /// and returns the delivery time. Records metrics under `net.*`.
     ///
     /// Fail-fast `Err(DropReason)` covers conditions a real ORB detects
     /// at connect time (host down, unbound).

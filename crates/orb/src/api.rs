@@ -18,7 +18,7 @@ use lc_idl::ast::ParamMode;
 use lc_idl::types::OpMeta;
 use lc_idl::Repository;
 use lc_net::{HostCfg, Net, NetMsg, Topology};
-use lc_des::{Actor, ActorId, AnyMsg, AnyMsgExt, Ctx, Sim, SimTime};
+use lc_des::{Actor, ActorId, Ctx, Mail, Sim, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -130,8 +130,8 @@ struct ServerActor {
 }
 
 impl Actor for ServerActor {
-    fn handle(&mut self, ctx: &mut Ctx<'_>, msg: AnyMsg) {
-        let Ok(m) = msg.downcast_msg::<NetMsg<OrbWire>>() else {
+    fn handle_mail(&mut self, ctx: &mut Ctx<'_>, mail: Mail<'_>) {
+        let Ok(m) = ctx.open::<NetMsg<OrbWire>>(mail) else {
             return; // not ours: the fabric only delivers ORB frames here
         };
         if let OrbWire::Request { id, reply_to, target, op, args } = m.payload {
@@ -160,8 +160,8 @@ struct ClientActor {
 }
 
 impl Actor for ClientActor {
-    fn handle(&mut self, ctx: &mut Ctx<'_>, msg: AnyMsg) {
-        match msg.downcast_msg::<DoCall>() {
+    fn handle_mail(&mut self, ctx: &mut Ctx<'_>, mail: Mail<'_>) {
+        match ctx.open::<DoCall>(mail) {
             Ok(call) => {
                 let request = OrbWire::Request {
                     id: self.orb.fresh_id(),
@@ -175,7 +175,7 @@ impl Actor for ClientActor {
                 }
             }
             Err(other) => {
-                let Ok(m) = other.downcast_msg::<NetMsg<OrbWire>>() else {
+                let Ok(m) = ctx.open::<NetMsg<OrbWire>>(other) else {
                     return;
                 };
                 if let OrbWire::Reply { result, .. } = m.payload {
