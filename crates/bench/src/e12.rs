@@ -136,7 +136,7 @@ pub fn run_variant(name: &'static str, cache: Option<CacheConfig>, seed: u64) ->
         let mut set: Vec<(u32, String, String)> = r
             .offers
             .iter()
-            .map(|o| (o.node.0, o.component.clone(), o.version.to_string()))
+            .map(|o| (o.node.0, o.component.to_string(), o.version.to_string()))
             .collect();
         set.sort();
         set.dedup();

@@ -62,7 +62,7 @@ pub fn run() -> Output {
             .with_binary(Platform::pda(), "x_pda", &payload(kind, size / 8));
         pkg.seal(&key);
         let bytes = pkg.to_bytes();
-        let verified = Package::from_bytes(&bytes).map(|back| back.verify(&trust));
+        let verified = Package::receive(&bytes, &trust).map(|(_, verdict)| verdict);
         if !matches!(verified, Ok(lc_pkg::sign::Verification::Trusted)) {
             return Output::failed(format!(
                 "e9: {kind} package of {size} bytes did not verify after the round trip"

@@ -24,6 +24,8 @@
 //! simulation supplies.
 
 use lc_des::SimTime;
+use std::borrow::Borrow;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 struct CachedEntry<V> {
@@ -36,49 +38,63 @@ struct CachedEntry<V> {
 /// An entry is *fresh* while `now - stored_at < ttl`; at `age == ttl`
 /// it is stale (the same closed/open convention as the continuation
 /// sweep's `deadline <= now`). Invalidation removes matching entries.
+/// Lookups borrow the key (`&str` for a `String` key, `&Q` for an
+/// `Rc<Q>` key), so a probe copies nothing.
 pub struct QueryCache<K: Ord + Clone, V> {
     ttl: SimTime,
     entries: BTreeMap<K, CachedEntry<V>>,
+    /// The key of an entry the last lookup found stale: it is removed
+    /// before the cache is next read or written. A hit hands out a borrow
+    /// of the tree from its one search, so the lookup that finds an entry
+    /// stale cannot also remove it.
+    stale: Option<K>,
 }
 
 impl<K: Ord + Clone, V> QueryCache<K, V> {
     /// An empty cache whose entries live for `ttl` of virtual time.
     pub fn new(ttl: SimTime) -> Self {
-        QueryCache { ttl, entries: BTreeMap::new() }
+        QueryCache { ttl, entries: BTreeMap::new(), stale: None }
+    }
+
+    /// Remove the entry the last lookup found stale, if any.
+    fn evict_stale(&mut self) {
+        if let Some(key) = self.stale.take() {
+            self.entries.remove(&key);
+        }
     }
 
     /// Store a result under `key`, stamped with the current time.
     /// Overwrites any previous entry.
     pub fn insert(&mut self, key: K, value: V, now: SimTime) {
+        self.evict_stale();
         self.entries.insert(key, CachedEntry { value, stored_at: now });
     }
 
     /// Look up `key`. A fresh entry is a hit and returns the value with
-    /// its age; an entry whose age reached the TTL is evicted and the
-    /// lookup is a miss.
-    pub fn get(&mut self, key: &K, now: SimTime) -> Option<(&V, SimTime)> {
-        let fresh = now.saturating_sub(self.entries.get(key)?.stored_at) < self.ttl;
-        if !fresh {
-            self.entries.remove(key);
-            return None;
+    /// its age, from one tree search; an entry whose age reached the TTL
+    /// is evicted and the lookup is a miss.
+    pub fn get<Q>(&mut self, key: &Q, now: SimTime) -> Option<(&V, SimTime)>
+    where
+        K: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
+        self.evict_stale();
+        let (k, e) = self.entries.get_key_value(key)?;
+        let age = now.saturating_sub(e.stored_at);
+        if age < self.ttl {
+            return Some((&e.value, age));
         }
-        let e = &self.entries[key];
-        Some((&e.value, now.saturating_sub(e.stored_at)))
+        self.stale = Some(k.clone());
+        None
     }
 
     /// Apply one invalidation round: remove every entry `pred` matches.
     /// Returns how many entries fell.
     pub fn invalidate_matching(&mut self, mut pred: impl FnMut(&K, &V) -> bool) -> usize {
-        let victims: Vec<K> = self
-            .entries
-            .iter()
-            .filter(|(k, e)| pred(k, &e.value))
-            .map(|(k, _)| k.clone())
-            .collect();
-        for k in &victims {
-            self.entries.remove(k);
-        }
-        victims.len()
+        self.evict_stale();
+        let before = self.entries.len();
+        self.entries.retain(|k, e| !pred(k, &e.value));
+        before - self.entries.len()
     }
 }
 
@@ -98,23 +114,33 @@ impl<K: Ord + Clone> Coalescer<K> {
     }
 
     /// The leader's sequence for `key`, if a flight is in progress.
-    pub fn leader_of(&self, key: &K) -> Option<u64> {
+    pub fn leader_of<Q>(&self, key: &Q) -> Option<u64>
+    where
+        K: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
         self.inflight.get(key).copied()
     }
 
     /// Register `seq` as the leader for `key`. Returns `false` (and
     /// changes nothing) if a leader already exists.
     pub fn lead(&mut self, key: K, seq: u64) -> bool {
-        if self.inflight.contains_key(&key) {
-            return false;
+        match self.inflight.entry(key) {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(v) => {
+                v.insert(seq);
+                true
+            }
         }
-        self.inflight.insert(key, seq);
-        true
     }
 
     /// The flight for `key` completed; forget it. Returns the leader
     /// sequence, if one was registered.
-    pub fn finish(&mut self, key: &K) -> Option<u64> {
+    pub fn finish<Q>(&mut self, key: &Q) -> Option<u64>
+    where
+        K: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
         self.inflight.remove(key)
     }
 }
@@ -145,13 +171,29 @@ mod tests {
         c.insert("q2".into(), vec!["Clock"], MS(0));
         // a no-op round removes nothing
         assert_eq!(c.invalidate_matching(|_, _| false), 0);
-        assert!(c.get(&"q1".into(), MS(1)).is_some());
+        assert!(c.get("q1", MS(1)).is_some());
         let fell = c.invalidate_matching(|_, v| v.contains(&"Counter"));
         assert_eq!(fell, 1);
-        assert_eq!(c.get(&"q1".into(), MS(1)), None);
-        assert!(c.get(&"q2".into(), MS(1)).is_some());
+        assert_eq!(c.get("q1", MS(1)), None);
+        assert!(c.get("q2", MS(1)).is_some());
         assert_eq!(c.invalidate_matching(|_, _| true), 1);
-        assert!(c.get(&"q2".into(), MS(1)).is_none());
+        assert!(c.get("q2", MS(1)).is_none());
+    }
+
+    /// A lookup that finds an entry stale evicts it before anything else
+    /// reads the cache: an invalidation right after counts only what was
+    /// still fresh, and a new insert under the key stands.
+    #[test]
+    fn a_stale_entry_is_gone_before_the_next_operation() {
+        let mut c: QueryCache<String, u32> = QueryCache::new(MS(100));
+        c.insert("old".into(), 1, MS(0));
+        c.insert("new".into(), 2, MS(50));
+        assert_eq!(c.get("old", MS(120)), None, "stale");
+        assert_eq!(c.invalidate_matching(|_, _| true), 1, "only the fresh entry fell");
+        c.insert("old".into(), 3, MS(0));
+        assert_eq!(c.get("old", MS(120)), None);
+        c.insert("old".into(), 4, MS(120));
+        assert_eq!(c.get("old", MS(121)), Some((&4, MS(1))));
     }
 
     #[test]
@@ -159,9 +201,9 @@ mod tests {
         let mut co: Coalescer<String> = Coalescer::new();
         assert!(co.lead("q".into(), 10));
         assert!(!co.lead("q".into(), 11), "second leader refused");
-        assert_eq!(co.leader_of(&"q".into()), Some(10));
-        assert_eq!(co.finish(&"q".into()), Some(10));
-        assert_eq!(co.leader_of(&"q".into()), None);
-        assert_eq!(co.finish(&"q".into()), None);
+        assert_eq!(co.leader_of("q"), Some(10));
+        assert_eq!(co.finish("q"), Some(10));
+        assert_eq!(co.leader_of("q"), None);
+        assert_eq!(co.finish("q"), None);
     }
 }

@@ -27,6 +27,7 @@ use crate::proto::GroupSummary;
 use crate::resource::ResourceReport;
 use lc_des::SimTime;
 use lc_net::HostId;
+use lc_orb::Name;
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -386,7 +387,7 @@ impl MemberRecord {
 pub struct DutyState {
     records: BTreeMap<HostId, MemberRecord>,
     /// Component name → the members whose record names it, in host order.
-    holders: OnceCell<BTreeMap<Rc<str>, Vec<HostId>>>,
+    holders: OnceCell<BTreeMap<Name, Vec<HostId>>>,
     summary: OnceCell<Rc<GroupSummary>>,
 }
 
@@ -441,14 +442,14 @@ impl DutyState {
     /// The members whose record names component `name`, once, in host order.
     pub fn holders(&self, name: &str) -> &[HostId] {
         let index = self.holders.get_or_init(|| {
-            let mut index: BTreeMap<Rc<str>, Vec<HostId>> = BTreeMap::new();
+            let mut index: BTreeMap<Name, Vec<HostId>> = BTreeMap::new();
             for (&host, rec) in &self.records {
                 let (installed, summarised) = match rec {
                     MemberRecord::Node { report, .. } => (&report.installed[..], None),
                     MemberRecord::Subtree { summary, .. } => (&[][..], Some(&summary.components)),
                 };
                 for name in installed.iter().chain(summarised.into_iter().flatten()) {
-                    let hosts = index.entry(Rc::clone(name)).or_default();
+                    let hosts = index.entry(name.clone()).or_default();
                     if hosts.last() != Some(&host) {
                         hosts.push(host);
                     }
@@ -742,7 +743,7 @@ mod tests {
                 let from = HostId(g.gen_range(0..12u32));
                 match g.gen_range(0..5u32) {
                     0 | 1 => {
-                        let mut names: Vec<Rc<str>> = Vec::new();
+                        let mut names: Vec<Name> = Vec::new();
                         for name in NAMES {
                             for _ in 0..g.gen_range(0..3u32) {
                                 names.push(name.into());

@@ -55,7 +55,7 @@ pub use registry::backend::{
 };
 pub use registry::shard::{ShardRing, ShardRingConfig};
 pub use registry::{ComponentQuery, ComponentRegistry, InstanceId, InstanceInfo, Offer};
-pub use repository::{ComponentRepository, InstallError};
+pub use repository::{Accepted, ComponentRepository, InstallError, Installed};
 pub use resource::{ResourceManager, ResourceReport};
 pub use scale::{
     run_scale, run_scale_profiled, QueryOutcome, ScaleCampus, ScaleConfig, ScaleReport, Variant,

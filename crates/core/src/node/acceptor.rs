@@ -6,6 +6,7 @@
 use crate::proto::CtrlMsg;
 use lc_des::Counter;
 use lc_net::HostId;
+use lc_orb::Name;
 use lc_pkg::Version;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -16,37 +17,61 @@ use super::metrics::ServiceKind;
 use super::service::{item, ServiceReflect};
 
 impl NodeState {
-    /// Install a package from bytes; merges the package IDL into the
-    /// node's repository so new port types become dispatchable. Returns
-    /// the installed component's name.
-    pub fn install_bytes(&mut self, bytes: &[u8]) -> Result<String, String> {
-        let platform = self.platform();
-        let desc = self
+    /// Install a package from container bytes, which the repository
+    /// keeps as they are. A fresh install merges the package's IDL into
+    /// the node's interface repository so new port types become
+    /// dispatchable; IDL that does not compile or conflicts refuses the
+    /// install and leaves nothing installed. An idempotent re-install
+    /// finds that merge done. Returns the installed component's (shared)
+    /// name.
+    pub fn install_bytes(&mut self, bytes: &Rc<Vec<u8>>) -> Result<Name, String> {
+        let accepted = self
             .repository
-            .install(bytes, &platform, &self.trust, &self.behaviors, self.cfg.require_signature)
+            .install(
+                bytes,
+                &self.resources.static_info().platform,
+                &self.trust,
+                &self.behaviors,
+                self.cfg.require_signature,
+            )
             .map_err(|e| e.to_string())?;
-        // Merge the package's IDL (if any) into the node's view.
-        let Some(installed) = self.repository.get(&desc.name, desc.version) else {
-            return Err(format!("install of '{}' did not register", desc.name));
-        };
-        if !installed.package.idl_sources.is_empty() {
-            let mut merged = (*self.idl).clone();
-            for (file, src) in &installed.package.idl_sources {
-                let unit = lc_idl::compile(src)
-                    .map_err(|e| format!("IDL {file} in package {}: {e}", desc.name))?;
-                merged.merge(unit).map_err(|e| e.to_string())?;
+        let installed = accepted.installed;
+        let (name, version) = (installed.name.clone(), installed.descriptor.version);
+        if accepted.fresh && !installed.idl_sources.is_empty() {
+            match merged_idl(&self.idl, &installed.idl_sources, &name) {
+                Ok(merged) => {
+                    self.idl = Arc::new(merged);
+                    self.adapter.set_repo(self.idl.clone());
+                }
+                Err(e) => {
+                    self.repository.remove(&name, version);
+                    return Err(e);
+                }
             }
-            self.idl = Arc::new(merged);
-            self.adapter.set_repo(self.idl.clone());
         }
-        Ok(desc.name)
+        Ok(name)
     }
+}
+
+/// `base` with every IDL source of component `name` compiled and merged.
+fn merged_idl(
+    base: &lc_idl::Repository,
+    sources: &[(String, String)],
+    name: &str,
+) -> Result<lc_idl::Repository, String> {
+    let mut merged = base.clone();
+    for (file, src) in sources {
+        let unit =
+            lc_idl::compile(src).map_err(|e| format!("IDL {file} in package {name}: {e}"))?;
+        merged.merge(unit).map_err(|e| e.to_string())?;
+    }
+    Ok(merged)
 }
 
 impl NodeCtx<'_, '_> {
     /// Install bytes arriving over the wire or from the local driver,
     /// recording the acceptor verdict.
-    pub(crate) fn accept_install(&mut self, bytes: &[u8]) {
+    pub(crate) fn accept_install(&mut self, bytes: &Rc<Vec<u8>>) {
         let r = self.state.install_bytes(bytes);
         self.sim
             .metrics()
@@ -65,7 +90,7 @@ impl NodeCtx<'_, '_> {
     pub(crate) fn serve_fetch(&mut self, name: String, version: Version, reply_to: HostId) {
         let bytes = match self.state.repository.best_match(&name, version) {
             Some(inst) if inst.descriptor.mobility == lc_pkg::Mobility::Mobile => {
-                let bytes = Rc::new(inst.package.to_bytes());
+                let bytes = Rc::clone(&inst.bytes);
                 self.sim.metrics().incr(Counter::FetchServed);
                 self.sim.metrics().add(Counter::FetchBytes, bytes.len() as u64);
                 Ok(bytes)
@@ -78,7 +103,7 @@ impl NodeCtx<'_, '_> {
 
     /// Fetched bytes arrived: install them and resume everything parked
     /// on the fetch.
-    pub(crate) fn on_package_bytes(&mut self, name: String, bytes: &[u8]) {
+    pub(crate) fn on_package_bytes(&mut self, name: String, bytes: &Rc<Vec<u8>>) {
         let install = self.state.install_bytes(bytes);
         self.sim.metrics().incr(Counter::FetchReceived);
         match install {

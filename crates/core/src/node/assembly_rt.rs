@@ -83,7 +83,7 @@ impl NodeCtx<'_, '_> {
                     if let Some(found) =
                         self.state.repository.best_match(&inst.component, inst.min_version)
                     {
-                        let bytes = Rc::new(found.package.to_bytes());
+                        let bytes = Rc::clone(&found.bytes);
                         self.sim.metrics().add(Counter::AssemblyPushBytes, bytes.len() as u64);
                         self.send_ctrl(target, CtrlMsg::Install { bytes });
                     }

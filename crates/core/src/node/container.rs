@@ -23,27 +23,38 @@ const BACKOFF_BASE: SimTime = SimTime::from_millis(50);
 const BACKOFF_CAP: SimTime = SimTime::from_secs(1);
 
 impl NodeState {
-    /// Create a local instance of an installed component.
+    /// Create a local instance of an installed component, read in place
+    /// from the repository.
     pub fn spawn_local(
         &mut self,
         component: &str,
         min_version: Version,
         instance_name: Option<String>,
     ) -> Result<ObjectRef, String> {
-        let installed = self
-            .repository
+        let NodeState {
+            host,
+            repository,
+            resources,
+            behaviors,
+            adapter,
+            registry,
+            instance_meta,
+            oid_to_instance,
+            ..
+        } = self;
+        let installed = repository
             .best_match(component, min_version)
-            .ok_or_else(|| format!("component '{component}' (≥{min_version}) not installed"))?
-            .clone();
-        if !self.resources.reserve(&installed.descriptor.qos) {
-            return Err(format!("node {} cannot admit QoS of '{component}'", self.host));
+            .ok_or_else(|| format!("component '{component}' (≥{min_version}) not installed"))?;
+        let desc = &installed.descriptor;
+        if !resources.reserve(&desc.qos) {
+            return Err(format!("node {host} cannot admit QoS of '{component}'"));
         }
-        let Some(servant) = self.behaviors.instantiate(&installed.behavior_id) else {
-            self.resources.release(&installed.descriptor.qos);
+        let Some(servant) = behaviors.instantiate(&installed.behavior_id) else {
+            resources.release(&desc.qos);
             return Err(format!("behavior '{}' not loadable", installed.behavior_id));
         };
-        let objref = self.adapter.activate(servant);
-        let id = self.registry.next_id();
+        let objref = adapter.activate(servant);
+        let id = registry.next_id();
         let port = |p: &lc_pkg::PortDecl| InstancePort {
             name: p.name.clone(),
             type_id: p.interface.clone(),
@@ -52,25 +63,19 @@ impl NodeState {
             name: p.name.clone(),
             type_id: p.event.clone(),
         };
-        self.registry.add_instance(InstanceInfo {
+        registry.add_instance(InstanceInfo {
             id,
             name: instance_name,
-            component: installed.descriptor.name.clone(),
-            version: installed.descriptor.version,
+            component: installed.name.clone(),
+            version: desc.version,
             objref: objref.clone(),
-            provides: installed.descriptor.provides.iter().map(port).collect(),
-            uses: installed.descriptor.uses.iter().map(port).collect(),
-            emits: installed.descriptor.emits.iter().map(evport).collect(),
-            consumes: installed.descriptor.consumes.iter().map(evport).collect(),
+            provides: desc.provides.iter().map(port).collect(),
+            uses: desc.uses.iter().map(port).collect(),
+            emits: desc.emits.iter().map(evport).collect(),
+            consumes: desc.consumes.iter().map(evport).collect(),
         });
-        self.instance_meta.insert(
-            id,
-            InstanceRuntime {
-                qos: installed.descriptor.qos,
-                mobility: installed.descriptor.mobility,
-            },
-        );
-        self.oid_to_instance.insert(objref.key.oid, id);
+        instance_meta.insert(id, InstanceRuntime { qos: desc.qos, mobility: desc.mobility });
+        oid_to_instance.insert(objref.key.oid, id);
         Ok(objref)
     }
 
@@ -591,7 +596,7 @@ impl NodeCtx<'_, '_> {
         let msg = CtrlMsg::MigrateIn {
             rid,
             origin: self.state.host,
-            component: info.component.clone(),
+            component: info.component.to_string(),
             version: info.version,
             state,
             instance_name: info.name.clone(),

@@ -21,7 +21,7 @@ use lc_des::{Counter, Ctx, SimTime};
 use lc_net::{DropReason, HostId, Net};
 use lc_trace::{SloMonitor, TraceContext, Tracer};
 use lc_orb::{ObjectAdapter, ObjectKey, ObjectRef, OrbError, OrbWire, Outcome, RequestId, SimOrb};
-use lc_pkg::{Platform, TrustStore};
+use lc_pkg::TrustStore;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
@@ -163,11 +163,6 @@ impl NodeState {
             replicas_started: 0,
             backend,
         }
-    }
-
-    /// This node's platform.
-    pub fn platform(&self) -> Platform {
-        self.resources.static_info().platform.clone()
     }
 
     /// The MRM duties this host serves, each with its soft-state table
@@ -380,9 +375,11 @@ impl NodeCtx<'_, '_> {
 
     /// Best-effort `CacheInvalidate` for `component` to each reachable
     /// peer in `to`, in order. One message is built; every receiver's
-    /// copy shares its name.
+    /// copy shares its name, the installed component's when it is
+    /// installed here.
     fn send_invalidate(&mut self, component: &str, to: impl Iterator<Item = HostId>) {
-        let msg = CtrlMsg::CacheInvalidate { component: component.into() };
+        let shared = self.state.repository.name(component).cloned();
+        let msg = CtrlMsg::CacheInvalidate { component: shared.unwrap_or_else(|| component.into()) };
         for to in to {
             self.send_if_reachable(to, &msg);
         }
@@ -420,7 +417,7 @@ impl NodeCtx<'_, '_> {
         };
         if replicas.contains(&from) {
             if let Some(store) = self.state.backend.shard_mut() {
-                store.on_publish(Rc::clone(&component), from, gen, now, Rc::clone(&offers));
+                store.on_publish(component.clone(), from, gen, now, Rc::clone(&offers));
             }
         }
         let msg = CtrlMsg::ShardPublish { from, component, gen, at: now, offers };

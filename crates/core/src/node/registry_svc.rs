@@ -13,6 +13,7 @@ use crate::registry::backend::{
 use crate::registry::{ComponentQuery, InstanceId, Offer};
 use lc_des::Counter;
 use lc_net::HostId;
+use lc_orb::Name;
 use lc_pkg::Version;
 use std::fmt::Display;
 use std::rc::Rc;
@@ -231,11 +232,17 @@ impl NodeCtx<'_, '_> {
             }
         }
         let now = self.sim.now();
-        let Some(store) = self.state.backend.shard_mut() else { return };
-        let digests = store.gossip_digests(now);
         let from = self.state.host;
-        for (to, shard, gens) in digests {
-            self.send_if_reachable(to, &CtrlMsg::GossipDigest { from, shard, gens });
+        let Some(store) = self.state.backend.shard_mut() else { return };
+        store.begin_gossip(now);
+        for i in 0.. {
+            let Some(store) = self.state.backend.shard_mut() else { return };
+            let Some((shard, gens)) = store.digest(i) else { break };
+            let replicas = Rc::clone(store.ring().replicas(shard));
+            let msg = CtrlMsg::GossipDigest { from, shard, gens };
+            for &to in replicas.iter() {
+                self.send_if_reachable(to, &msg);
+            }
         }
         self.timer_in(period, Tick::ShardMaintain);
     }
@@ -323,7 +330,7 @@ impl NodeCtx<'_, '_> {
         &mut self,
         from: HostId,
         shard: u32,
-        gens: &[(Rc<str>, HostId, u64)],
+        gens: &[(Name, HostId, u64)],
     ) {
         let now = self.sim.now();
         let Some(store) = self.state.backend.shard_mut() else { return };

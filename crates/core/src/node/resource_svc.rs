@@ -127,7 +127,7 @@ impl NodeCtx<'_, '_> {
             .unwrap_or(shed_oid);
         let Some(iid) = self.state.oid_to_instance.get(&hot_oid).copied() else { return };
         let Some(info) = self.state.registry.instance(iid) else { return };
-        let replica = (info.component.clone(), info.version);
+        let replica = (info.component.to_string(), info.version);
         let cpu_needed = self.state.instance_meta.get(&iid).map_or(0.1, |m| m.qos.cpu_min);
         self.state.last_replicate = Some(now);
         self.sim.metrics().incr(Counter::AdmissionReplicaQueries);

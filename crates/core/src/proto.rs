@@ -15,7 +15,7 @@
 use crate::registry::backend::ShardDigest;
 use crate::registry::{ComponentQuery, Offer};
 use crate::resource::ResourceReport;
-use lc_orb::{ObjectKey, ObjectRef, Value};
+use lc_orb::{Name, ObjectKey, ObjectRef, Value};
 use lc_pkg::Version;
 use std::collections::BTreeSet;
 use std::rc::Rc;
@@ -24,7 +24,7 @@ use std::rc::Rc;
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct GroupSummary {
     /// Component names available somewhere in the subtree (shared).
-    pub components: BTreeSet<Rc<str>>,
+    pub components: BTreeSet<Name>,
     /// Live nodes in the subtree.
     pub node_count: u32,
     /// Total free CPU (reference units) in the subtree.
@@ -203,7 +203,7 @@ pub(crate) enum CtrlMsg {
     /// the cache TTL is the staleness backstop when this is lost.
     CacheInvalidate {
         /// The component affected (one name shared by the whole fan-out).
-        component: Rc<str>,
+        component: Name,
     },
 
     // ---- sharded registry (one-hop lookups + anti-entropy) --------------
@@ -223,7 +223,7 @@ pub(crate) enum CtrlMsg {
         from: lc_net::HostId,
         /// Component whose inventory changed (one name shared by the
         /// whole replica set).
-        component: Rc<str>,
+        component: Name,
         /// Publisher's generation for this component (monotone; newer
         /// wins, so reordered publishes cannot resurrect stale offers).
         gen: u64,
@@ -355,7 +355,7 @@ fn replica_size(replica: &Option<(String, Version)>) -> u64 {
 #[derive(Clone, Debug)]
 pub struct DeltaEntry {
     /// Component name (the sender's store key, shared).
-    pub component: Rc<str>,
+    pub component: Name,
     /// Publishing node.
     pub publisher: lc_net::HostId,
     /// Publisher generation.

@@ -27,6 +27,7 @@ use crate::resource::DynamicInfo;
 use lc_cache::{Coalescer, QueryCache};
 use lc_des::SimTime;
 use lc_net::HostId;
+use lc_orb::Name;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -131,10 +132,10 @@ pub enum CoherenceRoute {
 
 /// A shard's anti-entropy summary: `(component, publisher, generation)`
 /// triples for every entry a replica holds, strictly sorted by
-/// `(component, publisher)`. Built once per gossip round — a sized
-/// vector copied into the shared slice, the names the store's own — and
-/// shared by the digests to every peer replica.
-pub type ShardDigest = Rc<[(Rc<str>, HostId, u64)]>;
+/// `(component, publisher)`. Built when an entry of the shard was added,
+/// advanced or expired since the last round — the names the store's own
+/// — kept otherwise, and shared by the digests to every peer replica.
+pub type ShardDigest = Rc<[(Name, HostId, u64)]>;
 
 /// What [`ComponentRegistry::local_offers`](crate::registry::ComponentRegistry::local_offers)
 /// reads of a node when it builds a publication's offer set (the query
@@ -144,7 +145,7 @@ pub(crate) struct PublishInputs {
     /// The repository's installed-name snapshot, rebuilt by every change
     /// to the installed set and compared by pointer; holding the clone
     /// keeps the allocation from being reused by a later snapshot.
-    pub names: Rc<[Rc<str>]>,
+    pub names: Rc<[Name]>,
     /// [`ComponentRegistry::generation`](crate::registry::ComponentRegistry::generation).
     pub instances: u64,
     /// The resource allocation every offer's `load` is computed from.
@@ -169,14 +170,41 @@ struct Published {
 
 /// A publication as it goes on the wire: the component's name (the
 /// store's key, shared), its generation and its offer set.
-pub(crate) type Publication = (Rc<str>, u64, Rc<[Offer]>);
+pub(crate) type Publication = (Name, u64, Rc<[Offer]>);
 
 /// The result cache + singleflight table in front of every search, both
-/// keyed by the query itself.
+/// keyed by the search's own shared query and probed by a borrowed one.
 struct CacheFront {
-    cache: Option<QueryCache<ComponentQuery, Vec<Offer>>>,
-    coalescer: Coalescer<ComponentQuery>,
+    cache: Option<QueryCache<Rc<ComponentQuery>, Vec<Offer>>>,
+    coalescer: Coalescer<Rc<ComponentQuery>>,
     coalesce: bool,
+}
+
+/// One shard this host replicates: its publisher entries, and their
+/// anti-entropy digest as last built.
+#[derive(Default)]
+struct ShardSlice {
+    /// component → publisher → entry. A component key is the name its
+    /// first publish arrived with.
+    entries: BTreeMap<Name, BTreeMap<HostId, PubEntry>>,
+    /// `None` once an entry was added, advanced or expired since the
+    /// digest was built: the next round rebuilds it.
+    digest: Option<ShardDigest>,
+}
+
+impl ShardSlice {
+    /// The digest of the entries, built only if they changed since.
+    fn digest(&mut self) -> ShardDigest {
+        let entries = &self.entries;
+        let digest = self.digest.get_or_insert_with(|| {
+            let mut gens = Vec::with_capacity(entries.values().map(BTreeMap::len).sum());
+            for (c, by_pub) in entries {
+                gens.extend(by_pub.iter().map(|(&p, e)| (c.clone(), p, e.gen)));
+            }
+            gens.into()
+        });
+        Rc::clone(digest)
+    }
 }
 
 /// One publisher's inventory for one component at one replica.
@@ -203,27 +231,27 @@ pub struct ShardStore {
     cfg: ShardConfig,
     /// Shards this host replicates.
     my_shards: Vec<u32>,
-    /// shard → component → publisher → entry. A component key is the
-    /// name its first publish arrived with.
-    store: BTreeMap<u32, BTreeMap<Rc<str>, BTreeMap<HostId, PubEntry>>>,
+    /// One slice per shard in `my_shards`, empty ones included.
+    store: BTreeMap<u32, ShardSlice>,
     /// This host's publication generations: one monotone counter,
     /// stamped per component on real changes.
     next_gen: u64,
     /// This host's last publication of each component, re-sent as is by
     /// a refresh that finds its inputs unchanged.
-    published: BTreeMap<Rc<str>, Published>,
+    published: BTreeMap<Name, Published>,
     gossip_rounds: u64,
 }
 
 impl ShardStore {
     /// An empty store for `host` over the world's ring.
     pub fn new(cfg: &ShardConfig, host: HostId, ring: Rc<ShardRing>) -> Self {
+        let my_shards = ring.shards_of(host);
         ShardStore {
             host,
-            my_shards: ring.shards_of(host),
+            store: my_shards.iter().map(|&s| (s, ShardSlice::default())).collect(),
+            my_shards,
             ring,
             cfg: cfg.clone(),
-            store: BTreeMap::new(),
             next_gen: 0,
             published: BTreeMap::new(),
             gossip_rounds: 0,
@@ -241,14 +269,15 @@ impl ShardStore {
     fn apply(
         &mut self,
         shard: u32,
-        component: Rc<str>,
+        component: Name,
         publisher: HostId,
         gen: u64,
         at: SimTime,
         offers: Rc<[Offer]>,
     ) -> bool {
-        let by_pub = self.store.entry(shard).or_default().entry(component).or_default();
-        match by_pub.get_mut(&publisher) {
+        let slice = self.store.entry(shard).or_default();
+        let by_pub = slice.entries.entry(component).or_default();
+        let changed = match by_pub.get_mut(&publisher) {
             Some(e) if gen < e.gen || (gen == e.gen && at < e.at) => false,
             Some(e) => {
                 let changed = gen > e.gen;
@@ -261,17 +290,29 @@ impl ShardStore {
                 by_pub.insert(publisher, PubEntry { gen, at, offers });
                 true
             }
+        };
+        if changed {
+            slice.digest = None;
         }
+        changed
     }
 
     /// Drop entries whose freshness stamp aged past `publish_ttl`.
     fn expire(&mut self, now: SimTime) {
         let ttl = self.cfg.publish_ttl;
-        for by_comp in self.store.values_mut() {
-            for by_pub in by_comp.values_mut() {
-                by_pub.retain(|_, e| now.saturating_sub(e.at) < ttl);
+        for slice in self.store.values_mut() {
+            let mut expired = false;
+            for by_pub in slice.entries.values_mut() {
+                by_pub.retain(|_, e| {
+                    let fresh = now.saturating_sub(e.at) < ttl;
+                    expired |= !fresh;
+                    fresh
+                });
             }
-            by_comp.retain(|_, by_pub| !by_pub.is_empty());
+            if expired {
+                slice.entries.retain(|_, by_pub| !by_pub.is_empty());
+                slice.digest = None;
+            }
         }
     }
 
@@ -294,13 +335,16 @@ impl ShardStore {
             return None;
         }
         let mut out: Vec<Offer> = Vec::new();
-        if let Some(by_comp) = self.store.get(&shard) {
+        if let Some(by_comp) = self.store.get(&shard).map(|slice| &slice.entries) {
             let comps = match query.name.as_deref() {
                 Some(name) => {
                     by_comp.range::<str, _>((Bound::Included(name), Bound::Included(name)))
                 }
                 None => by_comp.range::<str, _>(..),
             };
+            // Sized once, for every offer held: the answer is one vector.
+            let held = comps.clone().flat_map(|(_, by_pub)| by_pub.values());
+            out.reserve_exact(held.map(|e| e.offers.len()).sum());
             for (_, by_pub) in comps {
                 for e in by_pub.values() {
                     for o in e.offers.iter() {
@@ -327,7 +371,7 @@ impl ShardStore {
         let (name, last) = self.published.get_key_value(component)?;
         inputs
             .unchanged(&last.inputs)
-            .then(|| (Rc::clone(name), last.gen, Rc::clone(&last.offers)))
+            .then(|| (name.clone(), last.gen, Rc::clone(&last.offers)))
     }
 
     /// Record a freshly computed publication of `component`. `bump`
@@ -342,7 +386,7 @@ impl ShardStore {
         offers: Rc<[Offer]>,
     ) -> Publication {
         let last = self.published.get_key_value(component);
-        let name = last.map_or_else(|| Rc::from(component), |(name, _)| Rc::clone(name));
+        let name = last.map_or_else(|| Name::from(component), |(name, _)| name.clone());
         let gen = match last {
             Some((_, last)) if !bump => last.gen,
             _ => {
@@ -351,7 +395,7 @@ impl ShardStore {
             }
         };
         let published = Published { gen, inputs, offers: Rc::clone(&offers) };
-        self.published.insert(Rc::clone(&name), published);
+        self.published.insert(name.clone(), published);
         (name, gen, offers)
     }
 
@@ -360,7 +404,7 @@ impl ShardStore {
     /// store changed.
     pub fn on_publish(
         &mut self,
-        component: Rc<str>,
+        component: Name,
         publisher: HostId,
         gen: u64,
         at: SimTime,
@@ -373,51 +417,43 @@ impl ShardStore {
         self.apply(shard, component, publisher, gen, at, offers)
     }
 
-    /// Expiry-sweep the local shard stores and produce one digest per
-    /// (peer replica, shard) pair: `(to, shard, (component, publisher,
-    /// generation) triples)`. Digests go out even when empty, so an
-    /// empty (respawned) replica still solicits repair deltas.
-    pub fn gossip_digests(&mut self, now: SimTime) -> Vec<(HostId, u32, ShardDigest)> {
+    /// Start an anti-entropy round: expiry-sweep the local shard stores
+    /// and count the round. The round's digests are then read shard by
+    /// shard with [`digest`](Self::digest) and go to every peer replica
+    /// — even when empty, so an empty (respawned) replica still solicits
+    /// repair deltas.
+    pub fn begin_gossip(&mut self, now: SimTime) {
         self.expire(now);
         self.gossip_rounds += 1;
-        let mut out = Vec::new();
-        for &shard in &self.my_shards {
-            let gens: ShardDigest = self
-                .store
-                .get(&shard)
-                .map(|by_comp| {
-                    let mut gens = Vec::with_capacity(by_comp.values().map(BTreeMap::len).sum());
-                    for (c, by_pub) in by_comp {
-                        gens.extend(by_pub.iter().map(|(&p, e)| (Rc::clone(c), p, e.gen)));
-                    }
-                    gens.into()
-                })
-                .unwrap_or_default();
-            for &peer in self.ring.replicas(shard).iter() {
-                if peer != self.host {
-                    out.push((peer, shard, Rc::clone(&gens)));
-                }
-            }
-        }
-        out
+    }
+
+    /// The `i`-th shard this host replicates (in shard order) and its
+    /// digest: the one the last round sent, shared, unless an entry of
+    /// the shard was added, advanced or expired since. `None` past the
+    /// last shard.
+    pub fn digest(&mut self, i: usize) -> Option<(u32, ShardDigest)> {
+        let shard = *self.my_shards.get(i)?;
+        Some((shard, self.store.entry(shard).or_default().digest()))
     }
 
     /// Answer a peer's digest for `shard` with every entry this replica
     /// holds at a strictly newer generation (or that the digest lacks).
     /// `gens` must be sorted by `(component, publisher)`, as
-    /// [`gossip_digests`](Self::gossip_digests) emits it; a repeated pair
+    /// [`digest`](Self::digest) hands it out; a repeated pair
     /// counts at its highest generation.
     pub fn on_gossip_digest(
         &mut self,
         shard: u32,
-        gens: &[(Rc<str>, HostId, u64)],
+        gens: &[(Name, HostId, u64)],
         now: SimTime,
     ) -> Vec<DeltaEntry> {
         if !self.ring.is_replica(shard, self.host) {
             return Vec::new();
         }
         self.expire(now);
-        let Some(by_comp) = self.store.get(&shard) else { return Vec::new() };
+        let Some(by_comp) = self.store.get(&shard).map(|slice| &slice.entries) else {
+            return Vec::new();
+        };
         // The digest and the store are both in (component, publisher)
         // order: walk them side by side, and ship everything held
         // strictly ahead of (or absent from) the peer's view.
@@ -436,7 +472,7 @@ impl ShardStore {
                 }
                 if e.gen > known {
                     out.push(DeltaEntry {
-                        component: Rc::clone(c),
+                        component: c.clone(),
                         publisher: p,
                         gen: e.gen,
                         at: e.at,
@@ -477,7 +513,7 @@ impl ShardStore {
 
     /// Publisher entries held across this host's shard stores.
     pub fn entries(&self) -> usize {
-        self.store.values().flat_map(|by_comp| by_comp.values()).map(|by_pub| by_pub.len()).sum()
+        self.store.values().flat_map(|slice| slice.entries.values()).map(BTreeMap::len).sum()
     }
 }
 
@@ -543,27 +579,27 @@ impl Registry {
     }
 
     /// Register `seq` as the singleflight leader for `query` (no-op when
-    /// coalescing is off).
-    pub fn lead(&mut self, query: &ComponentQuery, seq: u64) {
+    /// coalescing is off). The table keeps the search's own query.
+    pub fn lead(&mut self, query: &Rc<ComponentQuery>, seq: u64) {
         if self.front.coalesce {
-            self.front.coalescer.lead(query.clone(), seq);
+            self.front.coalescer.lead(Rc::clone(query), seq);
         }
     }
 
     /// The search for `query` finished: close the coalescing window and,
     /// when `cacheable` (not timed out) and non-empty, fill the result
-    /// cache.
+    /// cache under the search's own query with a copy of the offers.
     pub fn complete(
         &mut self,
-        query: &ComponentQuery,
+        query: &Rc<ComponentQuery>,
         offers: &[Offer],
         now: SimTime,
         cacheable: bool,
     ) {
-        self.front.coalescer.finish(query);
+        self.front.coalescer.finish(&**query);
         if cacheable && !offers.is_empty() {
             if let Some(cache) = self.front.cache.as_mut() {
-                cache.insert(query.clone(), offers.to_vec(), now);
+                cache.insert(Rc::clone(query), offers.to_vec(), now);
             }
         }
     }
@@ -640,16 +676,30 @@ mod tests {
         (store(&cfg, 0, 2), store(&cfg, 1, 2))
     }
 
+    /// One anti-entropy round of `store`, as the node runs it: every
+    /// digest with the peer replica it goes to.
+    fn digests(store: &mut ShardStore, now: SimTime) -> Vec<(HostId, u32, ShardDigest)> {
+        store.begin_gossip(now);
+        let mut out = Vec::new();
+        for i in 0.. {
+            let Some((shard, gens)) = store.digest(i) else { break };
+            for &peer in store.ring().replicas(shard).iter().filter(|&&p| p != store.host) {
+                out.push((peer, shard, Rc::clone(&gens)));
+            }
+        }
+        out
+    }
+
     /// One full anti-entropy exchange: `a` digests to `b`, `b` replies
     /// with its delta, and vice versa. Returns entries applied.
     fn gossip_round(a: &mut ShardStore, b: &mut ShardStore, now: SimTime) -> usize {
         let mut applied = 0;
-        for (to, shard, gens) in a.gossip_digests(now) {
+        for (to, shard, gens) in digests(a, now) {
             assert_eq!(to, HostId(1));
             let delta = b.on_gossip_digest(shard, &gens, now);
             applied += a.on_gossip_delta(shard, delta);
         }
-        for (to, shard, gens) in b.gossip_digests(now) {
+        for (to, shard, gens) in digests(b, now) {
             assert_eq!(to, HostId(0));
             let delta = a.on_gossip_digest(shard, &gens, now);
             applied += b.on_gossip_delta(shard, delta);
@@ -716,10 +766,10 @@ mod tests {
         a.on_publish("X".into(), HostId(1), 1, MS(0), [offer(1, "X")].into());
         // Refresh (same generation, newer stamp) keeps it alive …
         a.on_publish("X".into(), HostId(1), 1, MS(80), [offer(1, "X")].into());
-        a.gossip_digests(MS(150)); // sweep at 150: age 70 < ttl
+        a.begin_gossip(MS(150)); // sweep at 150: age 70 < ttl
         assert_eq!(a.lookup(shard, &q).map(|o| o.len()), Some(1));
         // … but a crashed publisher's entry ages out.
-        a.gossip_digests(MS(200)); // age 120 >= ttl
+        a.begin_gossip(MS(200)); // age 120 >= ttl
         assert_eq!(a.lookup(shard, &q).map(|o| o.len()), Some(0));
         assert_eq!(a.entries(), 0);
     }
@@ -781,7 +831,7 @@ mod tests {
     fn unsharded_front_matches_cache_semantics() {
         let cache = crate::node::CacheConfig::default();
         let mut b = Registry::new(Some(&cache), None);
-        let q = ComponentQuery::by_name("X", Version::new(1, 0));
+        let q = Rc::new(ComponentQuery::by_name("X", Version::new(1, 0)));
         let live = |_: u64| true;
         // miss → search
         assert!(matches!(b.resolve(&q, MS(0), live), ResolveStep::Search { cache_missed: true }));
@@ -807,7 +857,7 @@ mod tests {
         // an interface query names no component: whatever it cached,
         // any component's invalidation drops it; a name query for
         // another component survives
-        let iq = ComponentQuery::by_interface("IDL:Display:1.0");
+        let iq = Rc::new(ComponentQuery::by_interface("IDL:Display:1.0"));
         b.complete(&iq, &[offer(2, "Gui")], MS(5), true);
         b.complete(&q, &[offer(2, "X")], MS(5), true);
         assert_eq!(b.invalidate("Unrelated"), Some(1));
@@ -839,7 +889,7 @@ mod tests {
         let (name, gen, offers) = a.publish("X", false, inputs.clone(), [offer(0, "X")].into());
         assert_eq!(gen, 1);
         let (again, same_gen, same) = a.republish("X", &inputs).expect("inputs unchanged");
-        assert!(Rc::ptr_eq(&again, &name) && Rc::ptr_eq(&same, &offers));
+        assert!(Name::ptr_eq(&again, &name) && Rc::ptr_eq(&same, &offers));
         assert_eq!(same_gen, gen);
 
         let busier = DynamicInfo { cpu_used: 0.1, ..inputs.dynamic };
@@ -851,7 +901,7 @@ mod tests {
         for changed in moved {
             assert!(a.republish("X", &changed).is_none(), "{changed:?} must recompute");
             let (renamed, regen, _) = a.publish("X", false, changed, [].into());
-            assert!(Rc::ptr_eq(&renamed, &name), "the name is built once");
+            assert!(Name::ptr_eq(&renamed, &name), "the name is built once");
             assert_eq!(regen, gen, "a refresh keeps its generation");
         }
         assert_eq!(a.publish("X", true, inputs.clone(), [].into()).1, 2, "a bump advances it");
@@ -880,14 +930,14 @@ mod tests {
                 }
             }
             let now = MS(20);
-            for (_, shard, gens) in a.gossip_digests(now) {
-                let key = |t: &(Rc<str>, HostId, u64)| (Rc::clone(&t.0), t.1);
+            for (_, shard, gens) in digests(&mut a, now) {
+                let key = |t: &(Name, HostId, u64)| (t.0.clone(), t.1);
                 assert!(gens.windows(2).all(|w| key(&w[0]) < key(&w[1])), "unsorted: {gens:?}");
                 let mut digest = Vec::new();
                 for t in gens.iter() {
                     digest.push(t.clone());
                     if g.gen_bool() {
-                        digest.push((Rc::clone(&t.0), t.1, g.gen_range(0..6u64)));
+                        digest.push((t.0.clone(), t.1, g.gen_range(0..6u64)));
                     }
                 }
                 let mut theirs: BTreeMap<(&str, HostId), u64> = BTreeMap::new();
@@ -899,7 +949,7 @@ mod tests {
                     .store
                     .get(&shard)
                     .into_iter()
-                    .flatten()
+                    .flat_map(|slice| &slice.entries)
                     .flat_map(|(c, by_pub)| by_pub.iter().map(move |(&p, e)| (c, p, e.gen)))
                     .filter(|(c, p, gen)| *gen > theirs.get(&(&**c, *p)).copied().unwrap_or(0))
                     .map(|(c, p, gen)| (c.to_string(), p, gen))

@@ -16,7 +16,7 @@ pub mod shard;
 use crate::repository::ComponentRepository;
 use lc_idl::Repository;
 use lc_net::HostId;
-use lc_orb::ObjectRef;
+use lc_orb::{Name, ObjectRef};
 use lc_pkg::{ComponentDescriptor, Licensing, Mobility, Version};
 use std::collections::BTreeMap;
 
@@ -47,8 +47,8 @@ pub struct InstanceInfo {
     pub id: InstanceId,
     /// Optional application-assigned name ("named instance").
     pub name: Option<String>,
-    /// Component name.
-    pub component: String,
+    /// Component name (the installed component's, shared).
+    pub component: Name,
     /// Component version.
     pub version: Version,
     /// The instance's CORBA object reference.
@@ -171,8 +171,9 @@ fn cost_per_hour(licensing: Licensing) -> u32 {
 pub struct Offer {
     /// Node holding the component.
     pub node: HostId,
-    /// Component name.
-    pub component: String,
+    /// Component name: the installed component's own, shared, so
+    /// cloning an offer allocates nothing.
+    pub component: Name,
     /// Installed version.
     pub version: Version,
     /// Mobility of the binary.
@@ -306,11 +307,11 @@ impl ComponentRegistry {
                     .map(|i| i.objref.clone());
                 Offer {
                     node,
-                    component: inst.descriptor.name.clone(),
+                    component: inst.name.clone(),
                     version: inst.descriptor.version,
                     mobility: inst.descriptor.mobility,
                     cost_per_hour: cost_per_hour(inst.descriptor.licensing),
-                    package_size: inst.package_wire_size,
+                    package_size: inst.wire_size(),
                     load,
                     running_instance: running,
                 }

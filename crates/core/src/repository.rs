@@ -9,6 +9,7 @@
 //! the paper's security requirement demands.
 
 use crate::behavior::BehaviorRegistry;
+use lc_orb::Name;
 use lc_pkg::sign::Verification;
 use lc_pkg::{ComponentDescriptor, Package, Platform, TrustStore, Version};
 use std::collections::BTreeMap;
@@ -42,29 +43,52 @@ impl std::fmt::Display for InstallError {
 }
 impl std::error::Error for InstallError {}
 
-/// One installed component (a verified package subset for this platform).
+/// One installed component: what the node verified, kept as it arrived.
 #[derive(Clone, Debug)]
 pub struct Installed {
-    /// The descriptor.
+    /// The component's name, shared: the repository's key, and every
+    /// offer, instance record and report that names the component holds
+    /// this one string.
+    pub name: Name,
+    /// The descriptor, parsed once at install.
     pub descriptor: ComponentDescriptor,
     /// The behaviour id of the platform-matching binary.
     pub behavior_id: String,
-    /// Size of the full package on the wire (for fetch cost accounting).
-    pub package_wire_size: u64,
-    /// The package itself (kept so this node can serve fetches — the
-    /// network-as-repository behaviour of §2.4.3).
-    pub package: Package,
+    /// The IDL sources the package carried, merged into the node's
+    /// interface repository at install.
+    pub idl_sources: Vec<(String, String)>,
+    /// The container bytes exactly as received and verified: what this
+    /// node serves to fetches and pushes (the network-as-repository
+    /// behaviour of §2.4.3), shared, never re-encoded.
+    pub bytes: Rc<Vec<u8>>,
+}
+
+impl Installed {
+    /// Size of the package on the wire (for fetch cost accounting).
+    pub fn wire_size(&self) -> u64 {
+        self.bytes.len() as u64
+    }
+}
+
+/// An install the repository accepted.
+#[derive(Clone, Copy, Debug)]
+pub struct Accepted<'a> {
+    /// The installed component: the new one, or for an idempotent
+    /// re-install the copy already there.
+    pub installed: &'a Installed,
+    /// This install added it (`false` for an idempotent re-install).
+    pub fresh: bool,
 }
 
 /// The per-node Component Repository.
 #[derive(Clone, Default)]
 pub struct ComponentRepository {
     /// name → version → installed component (lookups borrow the name).
-    items: BTreeMap<Rc<str>, BTreeMap<Version, Installed>>,
+    items: BTreeMap<Name, BTreeMap<Version, Installed>>,
     /// The installed-name snapshot every keep-alive report shares.
     /// Rebuilt by `install` of a new (name, version) and by `remove` —
     /// the only two ways `items` changes — from `items`' own names.
-    names: Rc<[Rc<str>]>,
+    names: Rc<[Name]>,
 }
 
 impl ComponentRepository {
@@ -73,20 +97,24 @@ impl ComponentRepository {
         Self::default()
     }
 
-    /// Install from container bytes after full verification.
+    /// Install from container bytes after full verification: digests,
+    /// then the vendor signature over the bytes as received, then the
+    /// platform and the behaviour. The bytes are kept, shared, not
+    /// copied.
     ///
     /// `require_signature` is the node's security policy: when set,
     /// unsigned or unknown-signer packages are refused.
     pub fn install(
         &mut self,
-        bytes: &[u8],
+        bytes: &Rc<Vec<u8>>,
         platform: &Platform,
         trust: &TrustStore,
         behaviors: &BehaviorRegistry,
         require_signature: bool,
-    ) -> Result<ComponentDescriptor, InstallError> {
-        let pkg = Package::from_bytes(bytes).map_err(|e| InstallError::BadPackage(e.to_string()))?;
-        match pkg.verify(trust) {
+    ) -> Result<Accepted<'_>, InstallError> {
+        let (pkg, verdict) =
+            Package::receive(bytes, trust).map_err(|e| InstallError::BadPackage(e.to_string()))?;
+        match verdict {
             Verification::Trusted => {}
             Verification::BadSignature => {
                 return Err(InstallError::Untrusted("signature does not verify".into()));
@@ -99,32 +127,38 @@ impl ComponentRepository {
                 }
             }
         }
-        let Some(section) = pkg.section_for(platform) else {
+        let Package { descriptor, idl_sources, sections, .. } = pkg;
+        let Some(section) = sections.into_iter().find(|s| s.platform == *platform) else {
             return Err(InstallError::NoBinaryFor(platform.clone()));
         };
         if !behaviors.contains(&section.behavior_id) {
-            return Err(InstallError::UnknownBehavior(section.behavior_id.clone()));
+            return Err(InstallError::UnknownBehavior(section.behavior_id));
         }
-        let (name, version) = (&pkg.descriptor.name, pkg.descriptor.version);
-        if let Some(existing) = self.get(name, version) {
-            if existing.descriptor != pkg.descriptor {
+        let version = descriptor.version;
+        let (name, fresh) = match self.get(&descriptor.name, version) {
+            Some(existing) if existing.descriptor != descriptor => {
                 return Err(InstallError::Conflict(format!(
-                    "{name} {version} already installed with a different descriptor"
+                    "{} {version} already installed with a different descriptor",
+                    descriptor.name
                 )));
             }
-            // idempotent re-install
-            return Ok(existing.descriptor.clone());
-        }
-        let installed = Installed {
-            descriptor: pkg.descriptor.clone(),
-            behavior_id: section.behavior_id.clone(),
-            package_wire_size: bytes.len() as u64,
-            package: pkg,
+            // Idempotent re-install: the first copy stays.
+            Some(existing) => (existing.name.clone(), false),
+            None => {
+                let name = Name::from(descriptor.name.as_str());
+                let installed = Installed {
+                    name: name.clone(),
+                    behavior_id: section.behavior_id,
+                    idl_sources,
+                    bytes: Rc::clone(bytes),
+                    descriptor,
+                };
+                self.items.entry(name.clone()).or_default().insert(version, installed);
+                self.rebuild_names();
+                (name, true)
+            }
         };
-        let desc = installed.descriptor.clone();
-        self.items.entry(desc.name.as_str().into()).or_default().insert(desc.version, installed);
-        self.rebuild_names();
-        Ok(desc)
+        Ok(Accepted { installed: &self.items[name.as_str()][&version], fresh })
     }
 
     /// Remove a component version. Returns whether it was present.
@@ -144,13 +178,18 @@ impl ComponentRepository {
         self.names = self
             .items
             .iter()
-            .flat_map(|(name, versions)| versions.keys().map(move |_| Rc::clone(name)))
+            .flat_map(|(name, versions)| versions.keys().map(move |_| name.clone()))
             .collect();
     }
 
     /// Exact lookup.
     pub fn get(&self, name: &str, version: Version) -> Option<&Installed> {
         self.items.get(name)?.get(&version)
+    }
+
+    /// The shared name of an installed component.
+    pub fn name(&self, name: &str) -> Option<&Name> {
+        self.items.get_key_value(name).map(|(name, _)| name)
     }
 
     /// Best installed version satisfying `required` (§2.1:
@@ -171,7 +210,7 @@ impl ComponentRepository {
 
     /// Installed component names in [`iter`](Self::iter) order (with
     /// duplicates for multiple versions): the shared snapshot, not a copy.
-    pub fn names(&self) -> &Rc<[Rc<str>]> {
+    pub fn names(&self) -> &Rc<[Name]> {
         &self.names
     }
 
@@ -210,7 +249,12 @@ mod tests {
         (behaviors, trust, SigningKey::new("acme", b"key"))
     }
 
-    fn make_pkg(name: &str, version: Version, behavior: &str, key: Option<&SigningKey>) -> Vec<u8> {
+    fn make_pkg(
+        name: &str,
+        version: Version,
+        behavior: &str,
+        key: Option<&SigningKey>,
+    ) -> Rc<Vec<u8>> {
         let desc = ComponentDescriptor::new(name, version, "acme");
         let mut pkg = Package::new(desc)
             .with_binary(Platform::reference(), behavior, b"code")
@@ -218,7 +262,7 @@ mod tests {
         if let Some(k) = key {
             pkg.seal(k);
         }
-        pkg.to_bytes()
+        Rc::new(pkg.to_bytes())
     }
 
     #[test]
@@ -226,14 +270,21 @@ mod tests {
         let (behaviors, trust, key) = setup();
         let mut repo = ComponentRepository::new();
         let bytes = make_pkg("A", Version::new(1, 0), "nop", Some(&key));
-        let desc = repo
+        let accepted = repo
             .install(&bytes, &Platform::reference(), &trust, &behaviors, true)
             .unwrap();
-        assert_eq!(desc.name, "A");
+        assert!(accepted.fresh);
+        assert_eq!(accepted.installed.name, "A");
+        let kept = &accepted.installed.bytes;
+        assert!(Rc::ptr_eq(kept, &bytes), "the received bytes are kept, not copied");
         assert_eq!(repo.len(), 1);
         assert!(repo.get("A", Version::new(1, 0)).is_some());
-        // idempotent
-        repo.install(&bytes, &Platform::reference(), &trust, &behaviors, true).unwrap();
+        // idempotent: the first copy stays
+        let again = Rc::new(bytes.to_vec());
+        let accepted =
+            repo.install(&again, &Platform::reference(), &trust, &behaviors, true).unwrap();
+        assert!(!accepted.fresh);
+        assert!(Rc::ptr_eq(&accepted.installed.bytes, &bytes));
         assert_eq!(repo.len(), 1);
     }
 
@@ -305,7 +356,7 @@ mod tests {
         let mut pkg2 = Package::new(desc2).with_binary(Platform::reference(), "nop", b"x");
         pkg2.seal(&key);
         assert!(matches!(
-            repo.install(&pkg2.to_bytes(), &Platform::reference(), &trust, &behaviors, true),
+            repo.install(&Rc::new(pkg2.to_bytes()), &Platform::reference(), &trust, &behaviors, true),
             Err(InstallError::Conflict(_))
         ));
     }
@@ -318,7 +369,7 @@ mod tests {
             let bytes = make_pkg(name, v, "nop", Some(&key));
             repo.install(&bytes, &Platform::reference(), &trust, &behaviors, true).unwrap();
         };
-        let strs = |names: &[Rc<str>]| names.iter().map(|n| n.to_string()).collect::<Vec<_>>();
+        let strs = |names: &[Name]| names.iter().map(|n| n.to_string()).collect::<Vec<_>>();
         assert!(repo.names().is_empty());
         install(&mut repo, "B", Version::new(1, 0));
         let one = repo.names().clone();
@@ -332,7 +383,7 @@ mod tests {
         install(&mut repo, "B", Version::new(1, 2));
         install(&mut repo, "A", Version::new(2, 0));
         assert_eq!(strs(repo.names()), ["A", "B", "B"]);
-        assert!(Rc::ptr_eq(&repo.names()[1], &repo.names()[2]));
+        assert!(Name::ptr_eq(&repo.names()[1], &repo.names()[2]));
         assert_eq!(repo.len(), 3);
         assert_eq!(strs(&one), ["B"], "a snapshot already shipped never changes");
         // Removing a version that is not there changes nothing …

@@ -9,6 +9,7 @@
 //! [`ResourceReport`]s for soft-consistency membership (§2.4.3).
 
 use lc_net::{DeviceClass, HostCfg};
+use lc_orb::Name;
 use lc_pkg::{Platform, QosSpec};
 use std::rc::Rc;
 
@@ -54,7 +55,7 @@ pub struct ResourceReport {
     pub dynamic: DynamicInfo,
     /// Names of components installed locally (for query summaries): the
     /// Component Repository's current snapshot.
-    pub installed: Rc<[Rc<str>]>,
+    pub installed: Rc<[Name]>,
 }
 
 impl ResourceReport {
@@ -149,7 +150,7 @@ impl ResourceManager {
 
     /// Build the keep-alive report (installed-name snapshot supplied by
     /// the Component Repository). Allocation-free.
-    pub fn report(&self, installed: &Rc<[Rc<str>]>) -> ResourceReport {
+    pub fn report(&self, installed: &Rc<[Name]>) -> ResourceReport {
         ResourceReport {
             static_info: Rc::clone(&self.static_info),
             dynamic: self.dynamic,
@@ -213,7 +214,7 @@ mod tests {
         let mut rm = ResourceManager::from_host_cfg(&cfg());
         let qos = QosSpec::default();
         rm.reserve(&qos);
-        let rep = rm.report(&Rc::from([Rc::from("A"), Rc::from("B")]));
+        let rep = rm.report(&Rc::from([Name::from("A"), Name::from("B")]));
         assert_eq!(rep.dynamic.instances, 1);
         assert_eq!(rep.installed.len(), 2);
         assert!(rep.wire_size() > 64);

@@ -109,7 +109,7 @@ fn workload(admission: Option<AdmissionConfig>, seed: u64) -> Fingerprint {
             .map(|s| {
                 let r = s.borrow();
                 let mut set: Vec<(u32, String)> =
-                    r.offers.iter().map(|o| (o.node.0, o.component.clone())).collect();
+                    r.offers.iter().map(|o| (o.node.0, o.component.to_string())).collect();
                 set.sort();
                 set
             })

@@ -12,7 +12,7 @@
 //! (`lc_prop::alloc`, thread-local counters).
 
 use lc_core::demo;
-use lc_core::node::{AdmissionConfig, InvokePolicy, RegistryConfig};
+use lc_core::node::{AdmissionConfig, InvokePolicy, NodeCmd, RegistryConfig};
 use lc_core::scale::{run_scale, ScaleConfig, Variant};
 use lc_core::testkit::{display_campus, fast_cohesion, DISPLAY_FRONTS as FRONTS, World};
 use lc_core::{
@@ -28,32 +28,34 @@ use lc_net::{HostId, Topology};
 use lc_orb::Value;
 use lc_pkg::Version;
 use lc_prop::alloc::{allocs, Counting};
+use std::rc::Rc;
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations per node per report period: the measured 0 / 640 and
-/// 1 320 / 640, rounded up to two decimals. A frame waits by value in its
-/// mail lane, so the single-leader plane allocates nothing; what is left on
-/// the sharded one is each replica's gossip round — the digest list and,
-/// per replicated shard, its generation vector shared as an `Rc` slice.
-/// Debug builds add the exactness assertions' recomputations: of every
-/// re-sent publication, 320 × [`RESEND_CHECK_ALLOCS`] on the sharded
-/// campus, and of every re-sent summary, 80 × [`SUMMARY_CHECK_ALLOCS`] on
-/// both (80 / 640 and 2 360 / 640). With every frame boxed once the two
-/// measured 1 260 / 640 and 3 820 / 640; before an unchanged duty re-sent
-/// its last summary, 1 500 / 640 and 4 060 / 640; before a refresh re-sent
-/// its last publication the sharded plane measured 6 460 / 640; with
-/// every frame boxed twice and every timer boxed once the same runs
-/// measured 6.32 and 20.44; before soft state was shared, 25.50 and 47.25
+/// Allocations per node per report period: the measured 0 / 640 on both
+/// campuses. A frame waits by value in its mail lane, and a gossip round
+/// re-sends each replicated shard's digest as last built while nothing
+/// in the shard changed, so neither plane allocates. Debug builds add the
+/// exactness assertions' recomputations: of every re-sent publication,
+/// 320 × [`RESEND_CHECK_ALLOCS`] on the sharded campus, and of every
+/// re-sent summary, 80 × [`SUMMARY_CHECK_ALLOCS`] on both (80 / 640 and
+/// 720 / 640). While every round rebuilt every digest, the sharded plane
+/// measured 1 320 / 640; with every frame boxed once the two measured
+/// 1 260 / 640 and 3 820 / 640; before an unchanged duty re-sent its last
+/// summary, 1 500 / 640 and 4 060 / 640; before a refresh re-sent its
+/// last publication the sharded plane measured 6 460 / 640; with every
+/// frame boxed twice and every timer boxed once the same runs measured
+/// 6.32 and 20.44; before soft state was shared, 25.50 and 47.25
 /// (EXPERIMENTS.md, "Background soft state").
 const SINGLE_LEADER_BUDGET: f64 = if cfg!(debug_assertions) { 0.13 } else { 0.0 };
-const SHARDED_BUDGET: f64 = if cfg!(debug_assertions) { 3.69 } else { 2.07 };
+const SHARDED_BUDGET: f64 = if cfg!(debug_assertions) { 1.13 } else { 0.0 };
 
 /// What the exactness assertion of debug builds adds to re-sending the
-/// campus's one publication: recomputing it (the query's name, the offer
-/// vector, the offer's component name) to compare with what is re-sent.
-const RESEND_CHECK_ALLOCS: u64 = if cfg!(debug_assertions) { 3 } else { 0 };
+/// campus's one publication: recomputing it (the query's name and the
+/// offer vector; the offer shares its component name) to compare with
+/// what is re-sent.
+const RESEND_CHECK_ALLOCS: u64 = if cfg!(debug_assertions) { 2 } else { 0 };
 
 /// What the exactness assertion of debug builds adds to re-sending a
 /// subtree summary on this campus: recomputing it (the tree node of its
@@ -222,6 +224,59 @@ fn no_allocation_per_message_or_timer() {
     assert!(silent_ticks > 0, "the window must contain timer ticks that send nothing");
 }
 
+/// The same on the idle sharded campus, the benchmark's
+/// `registry_mixed` configuration (result cache on): no event allocates.
+/// A gossip round re-sends each replicated shard's digest as it was last
+/// built — nothing in the shard changed — and a refresh re-sends its last
+/// publication. Debug builds add [`RESEND_CHECK_ALLOCS`] per `Counter`
+/// holder's maintenance tick (its re-sent publication recomputed) and
+/// [`SUMMARY_CHECK_ALLOCS`] per re-sent summary. (Every gossip round
+/// rebuilt every digest before: 1 320 allocations per 640 node-periods.)
+#[test]
+fn no_allocation_per_message_or_timer_when_sharded() {
+    let registry = RegistryConfig::Sharded(ShardConfig::default());
+    let mut world = campus(registry, Some(CacheConfig::default()));
+    world.sim.enable_profiler(ProfilerConfig { sample_every: SimTime::ZERO, max_samples: 0 });
+    world.sim.run_until(SimTime::from_secs(7));
+    let counter = |world: &World, key: &str| world.sim.metrics_ref().counter(key);
+    let ticks = |world: &World| {
+        world.sim.profile_report().map_or(0, |r| r.lane(Lane::Packed).events)
+    };
+    let holders: Vec<HostId> = (0..NODES as u32).step_by(8).map(HostId).collect();
+    let rounds = |world: &World| -> u64 {
+        let node = |h: &HostId| world.node(*h).expect("no crashes");
+        holders.iter().map(|h| node(h).backend().shard().map_or(0, ShardStore::gossip_rounds)).sum()
+    };
+
+    let end = SimTime::from_secs(7) + REPORT_PERIOD * PERIODS;
+    let (mut msgs, mut silent_ticks, mut digests) = (0, 0, 0);
+    while world.sim.now() < end {
+        let sent_before = counter(&world, "net.msgs");
+        let digests_before = counter(&world, "registry.gossip_msgs");
+        let built_before = counter(&world, "cohesion.summaries");
+        let (ticks_before, rounds_before) = (ticks(&world), rounds(&world));
+        let allocs = step_counting(&mut world);
+        let sent = counter(&world, "net.msgs") - sent_before;
+        let resent = counter(&world, "cohesion.summaries") > built_before;
+        let republished = rounds(&world) - rounds_before;
+        let checks = republished * RESEND_CHECK_ALLOCS + if resent { SUMMARY_CHECK_ALLOCS } else { 0 };
+        assert_eq!(
+            allocs,
+            checks,
+            "an event that sent {sent} message(s) allocated {allocs} times at {}",
+            world.sim.now()
+        );
+        msgs += sent;
+        digests += counter(&world, "registry.gossip_msgs") - digests_before;
+        if sent == 0 && ticks(&world) > ticks_before {
+            silent_ticks += 1;
+        }
+    }
+    println!("no allocation for {msgs} messages ({digests} digests) and {silent_ticks} silent ticks");
+    assert!(digests > 0, "the window must contain gossip digests");
+    assert!(silent_ticks > 0, "the window must contain timer ticks that send nothing");
+}
+
 /// A query's hops through the MRM seats allocate nothing. `Counter` sits
 /// on two plain members, 5 and 13, so a query from host 42 misses at its
 /// leaf seat (host 40) and escalates; the root seat (host 0) descends to
@@ -274,28 +329,168 @@ fn a_seat_hop_allocates_nothing() {
     assert_eq!(holders(&sink), [HostId(5), HostId(13)]);
 }
 
+/// One event, and what the allocator was asked for while it ran.
+fn step_counting(world: &mut World) -> u64 {
+    let before = allocs();
+    assert!(world.sim.step(), "the campus never drains");
+    allocs() - before
+}
+
+/// Step until `done` holds; return the allocations of the event that
+/// made it hold.
+fn step_until_counting(world: &mut World, done: impl Fn(&World) -> bool) -> u64 {
+    loop {
+        let allocs = step_counting(world);
+        if done(world) {
+            return allocs;
+        }
+    }
+}
+
+/// A query the result cache serves allocates its answer vector and
+/// nothing else: the offers in it share their component names and their
+/// instances' repository ids with the cached set. (Each offer copied its
+/// name when names were owned strings.) On the sharded registry, whose
+/// one-hop lookup completes a search — so its result is cached — with
+/// every holder's offer.
+#[test]
+fn a_cache_served_query_allocates_only_its_answer() {
+    const ORIGIN: HostId = HostId(42);
+    let registry = RegistryConfig::Sharded(ShardConfig::default());
+    let mut world = campus(registry, Some(CacheConfig::default()));
+    world.sim.run_until(SimTime::from_secs(7));
+    let query = || ComponentQuery::by_name("Counter", Version::new(1, 0));
+    let warm = world.query(ORIGIN, query(), false);
+    world.run_for(SimTime::from_millis(100));
+    let found = warm.borrow().offers.len();
+    assert!(warm.borrow().done && found == 8, "the first query found all 8 holders");
+
+    let hits = |world: &World| world.sim.metrics_ref().counter("cache.hits");
+    let hits_before = hits(&world);
+    let sink = world.query(ORIGIN, query(), false);
+    let allocs = step_until_counting(&mut world, |_| sink.borrow().done);
+    assert_eq!(hits(&world), hits_before + 1, "the second query was a cache hit");
+    assert_eq!(sink.borrow().offers.len(), found);
+    println!("a cache-served query of {found} offers: {allocs} allocation(s)");
+    assert_eq!(allocs, 1, "a cache hit allocates its answer vector only");
+}
+
+/// A name query on the sharded registry, hop by hop, from a host that
+/// neither holds `Counter` nor replicates its shard: the origin's start
+/// allocates the search's one shared query; the replica's lookup
+/// allocates the answer vector it sends (its offers share their names
+/// with the stored publication); the origin's receipt moves that vector
+/// into the caller's sink and allocates nothing. (Without a result cache,
+/// so no copy is kept.)
+#[test]
+fn a_shard_lookup_allocates_one_vector_per_hop() {
+    let mut world = campus(RegistryConfig::Sharded(ShardConfig::default()), None);
+    world.sim.run_until(SimTime::from_secs(7));
+    let ring = world.seeds[0].ring.clone().expect("a sharded world carries its ring");
+    let shard = ring.shard_of_component("Counter");
+    let origin = (0..NODES as u32)
+        .map(HostId)
+        .find(|&h| h.0 % 8 != 0 && !ring.is_replica(shard, h))
+        .expect("some host is neither a holder nor a replica");
+    let query = || ComponentQuery::by_name("Counter", Version::new(1, 0));
+    let warm = world.query(origin, query(), true);
+    world.run_for(SimTime::from_millis(500));
+    let found = warm.borrow().offers.len();
+    assert!(warm.borrow().done && found > 0, "the first query found Counter");
+
+    let served = |world: &World| -> u64 {
+        let node = |h: &HostId| world.node(*h).expect("no crashes");
+        let msgs_in = |h| node(h).node_metrics().service(ServiceKind::Registry).msgs_in;
+        ring.replicas(shard).iter().map(msgs_in).sum()
+    };
+    let sink = world.query(origin, query(), true);
+    let started = sink.borrow().started;
+    let start = step_until_counting(&mut world, |_| sink.borrow().started > started);
+    let before = served(&world);
+    let lookup = step_until_counting(&mut world, |w| served(w) > before);
+    let answer = step_until_counting(&mut world, |_| sink.borrow().done);
+    assert_eq!(sink.borrow().offers.len(), found);
+    println!("shard lookup of {found} offer(s): start {start}, lookup {lookup}, answer {answer}");
+    assert_eq!((start, lookup, answer), (1, 1, 0));
+}
+
+/// What an idempotent re-install of the demo `Counter` package costs the
+/// acceptor: parsing it — the descriptor's XML tree and fields, the IDL
+/// source, each section's strings and decompressed payload — and hashing
+/// the bytes that arrived to check their signature; nothing is kept (the
+/// first copy stays) and the IDL merged by the first install is not
+/// merged again. The measured 78, in release and debug builds alike. It
+/// was 463 while the signature was checked over a re-encoding of the
+/// package (XML, LZSS and hash again), the schema was rebuilt per parse,
+/// the descriptor and name were copied out and every install re-merged
+/// its IDL into a copy of the node's interface repository.
+const REINSTALL_ALLOCS: u64 = 78;
+/// What a local spawn of `Counter` costs: the servant, and the instance
+/// record's port list with its two strings; the installed component is
+/// read in place and the reference shares its repository id. The
+/// measured 4; it was 33 while the spawn cloned the whole installed
+/// component, package and 4 KiB payload included.
+const SPAWN_ALLOCS: u64 = 4;
+
+/// An idempotent re-install and a local spawn on host 0, which holds
+/// `Counter`, each event by event (coherence off: no cache, one leader,
+/// so this is the acceptor's and the container's own work).
+#[test]
+fn a_reinstall_and_a_spawn_allocate_a_pinned_count() {
+    const HOLDER: HostId = HostId(0);
+    let mut world = campus(RegistryConfig::SingleLeader, None);
+    world.sim.run_until(SimTime::from_secs(7));
+    let installed = |world: &World| world.sim.metrics_ref().counter("acceptor.installed");
+    let spawn = |world: &mut World| {
+        let sink: lc_core::SpawnSink = Rc::default();
+        let cmd = NodeCmd::SpawnLocal {
+            component: "Counter".into(),
+            min_version: Version::new(1, 0),
+            instance_name: None,
+            sink: sink.clone(),
+        };
+        world.cmd(HOLDER, cmd);
+        step_until_counting(world, |_| sink.borrow().as_ref().is_some_and(Result::is_ok))
+    };
+    let reinstall = |world: &mut World| {
+        let before = installed(world);
+        world.cmd(HOLDER, NodeCmd::Install(demo::counter_package()));
+        step_until_counting(world, |w| installed(w) > before)
+    };
+    // The first of each grows the tables the second reuses.
+    reinstall(&mut world);
+    spawn(&mut world);
+    let (reinstall, spawn) = (reinstall(&mut world), spawn(&mut world));
+    println!("idempotent re-install: {reinstall} allocations; local spawn: {spawn}");
+    assert_eq!(world.node(HOLDER).expect("up").repository.len(), 1, "still one Counter");
+    assert!(reinstall <= REINSTALL_ALLOCS, "{reinstall} > {REINSTALL_ALLOCS} for a re-install");
+    assert!(spawn <= SPAWN_ALLOCS, "{spawn} > {SPAWN_ALLOCS} for a local spawn");
+}
+
 /// Allocations per completed remote invoke, end to end — driver, front
 /// node, fabric, worker's container and adapter, reply — on the
 /// benchmark's `invoke_open` world: E16's 2 × 4 campus, four
 /// `LoadDriver` fronts at 4 000 invokes/s, admission on, 250 ms deadline.
-/// The measured 13 338 / 2 000 (the campus's own reports and the
+/// The measured 10 735 / 2 000 (the campus's own reports and the
 /// drivers' discovery queries included; the same in debug and release
-/// builds), rounded up. With the command and both frames boxed it was
-/// 19 696; before a search shared one copy of its query and a seat routed
-/// from its index, 19 856; with sizes marshalled to be measured, the
-/// operation resolved twice by name and every request copied for a
-/// re-send that could not happen, 39 856 / 2 000 = 19.93 (EXPERIMENTS.md,
-/// "An invoke pays for what it carries"). What is left is the driver's
-/// `ObjectRef`/`op`/`args` and the sink with its one reply slot; the
-/// command and the two frames wait by value in their mail lanes.
-const REMOTE_INVOKE_BUDGET: f64 = 6.67;
-/// The same under [`InvokePolicy::standard`] (19 669 / 2 000; 26 027 with
-/// the command and frames boxed, 26 187 before the shared query): three
-/// retries make every call keep a copy of its request — operation name,
-/// argument vector, the string in it — and a 5 s dedup window makes the
-/// worker keep every reply under a map node. (Before, 20.09: a call
-/// without a retry budget paid for the copy too.)
-const REMOTE_INVOKE_RECOVERABLE_BUDGET: f64 = 9.84;
+/// builds), rounded up. While a reference owned its repository id it was
+/// 13 338; with the command and both frames boxed, 19 696; before a
+/// search shared one copy of its query and a seat routed from its index,
+/// 19 856; with sizes marshalled to be measured, the operation resolved
+/// twice by name and every request copied for a re-send that could not
+/// happen, 39 856 / 2 000 = 19.93 (EXPERIMENTS.md, "An invoke pays for
+/// what it carries"). What is left is the driver's `op`/`args` and the
+/// sink with its one reply slot; the target reference is copied by count,
+/// and the command and the two frames wait by value in their mail lanes.
+const REMOTE_INVOKE_BUDGET: f64 = 5.37;
+/// The same under [`InvokePolicy::standard`] (17 066 / 2 000; 19 669
+/// while a reference owned its repository id, 26 027 with the command and
+/// frames boxed, 26 187 before the shared query): three retries make
+/// every call keep a copy of its request — operation name, argument
+/// vector, the string in it — and a 5 s dedup window makes the worker
+/// keep every reply under a map node. (Before, 20.09: a call without a
+/// retry budget paid for the copy too.)
+const REMOTE_INVOKE_RECOVERABLE_BUDGET: f64 = 8.54;
 
 const INVOKES: u64 = 2_000;
 
@@ -402,12 +597,13 @@ fn scale_run_allocations_are_pinned() {
 
 /// What one cached name query asks the allocator for across its whole
 /// life in the [`Registry`] front — miss, `lead`, `complete` with one
-/// offer, then a hit: the query cloned into the singleflight table and
-/// into the cache (its name, a tree node each), the offer set stored and
-/// handed out (a vector and a component name each). The query is its own
-/// key, so nothing is formatted, parsed or copied on the way (a formatted
-/// string key made this 16).
-const REGISTRY_CYCLE_ALLOCS: u64 = 8;
+/// offer, then a hit: a tree node each in the singleflight table and the
+/// cache, which key by the search's own shared query, and the offer set
+/// stored and handed out (a vector each; the offer shares its component
+/// name). Nothing is formatted, parsed or copied on the way (8 while both
+/// tables kept a copy of the query and every offer a copy of its name; a
+/// formatted string key made this 16).
+const REGISTRY_CYCLE_ALLOCS: u64 = 4;
 
 #[test]
 fn registry_front_cycle_allocations_are_pinned() {
@@ -421,7 +617,7 @@ fn registry_front_cycle_allocations_are_pinned() {
         load: 0.0,
         running_instance: None,
     };
-    let query = ComponentQuery::by_name("Counter", Version::new(1, 0));
+    let query = Rc::new(ComponentQuery::by_name("Counter", Version::new(1, 0)));
     let mut front = Registry::new(Some(&CacheConfig::default()), None);
     let before = allocs();
     assert!(matches!(front.resolve(&query, SimTime::ZERO, |_| true), ResolveStep::Search { .. }));

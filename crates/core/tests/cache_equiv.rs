@@ -35,7 +35,7 @@ fn normalize(r: &QueryResult) -> ResultSet {
     let mut set: ResultSet = r
         .offers
         .iter()
-        .map(|o| (o.node.0, o.component.clone(), o.version.to_string()))
+        .map(|o| (o.node.0, o.component.to_string(), o.version.to_string()))
         .collect();
     set.sort();
     set.dedup();

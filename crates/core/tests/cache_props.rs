@@ -269,7 +269,7 @@ fn ring_rebalance_moves_only_departed_hosts_shards() {
                 .expect("unmoved shards came from the key set");
             let offer = lc_core::Offer {
                 node: HostId(i as u32),
-                component: component.clone(),
+                component: component.as_str().into(),
                 version: lc_pkg::Version::new(1, 0),
                 mobility: lc_pkg::Mobility::Mobile,
                 cost_per_hour: 0,

@@ -83,6 +83,24 @@ fn unsigned_package_rejected_by_acceptor() {
     assert_eq!(world.sim.metrics_ref().counter("acceptor.rejected"), 1);
 }
 
+/// A signed package whose IDL does not compile is refused, and leaves
+/// nothing installed behind it: the acceptor merges a fresh install's IDL
+/// before it counts the install, and undoes the install when the merge
+/// fails.
+#[test]
+fn a_package_whose_idl_fails_leaves_nothing_installed() {
+    let mut world = host0_world(Topology::lan(2), 1, signed());
+    let desc = lc_pkg::ComponentDescriptor::new("Broken", Version::new(1, 0), "demo-vendor");
+    let mut pkg = lc_pkg::Package::new(desc)
+        .with_idl("broken.idl", "interface Broken { void f( };")
+        .with_binary(lc_pkg::Platform::reference(), "demo_counter", b"x");
+    pkg.seal(&demo::demo_key());
+    world.cmd(HostId(1), NodeCmd::Install(Rc::new(pkg.to_bytes())));
+    world.run_for(SimTime::from_millis(10));
+    assert!(world.node(HostId(1)).unwrap().repository.is_empty());
+    assert_eq!(world.sim.metrics_ref().counter("acceptor.rejected"), 1);
+}
+
 #[test]
 fn distributed_query_finds_remote_component() {
     let mut world = host0_world(Topology::lan(8), 2, signed());

@@ -342,7 +342,7 @@ impl<'a> Decoder<'a> {
                 } else {
                     let host = self.u32()?;
                     let oid = self.u64()?;
-                    let type_id = self.string()?;
+                    let type_id = self.string()?.into();
                     Value::ObjRef(ObjectRef {
                         key: ObjectKey { host: lc_net::HostId(host), oid },
                         type_id,

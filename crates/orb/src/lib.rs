@@ -10,6 +10,8 @@
 //! * [`cdr`] — CDR-style marshalling with CORBA alignment rules; byte
 //!   counts from here are what the simulated network is charged,
 //! * [`object`] — object keys, typed references (IORs) and system errors,
+//! * [`name`] — [`Name`], the shared string a reference's repository id
+//!   and the registry's component names are held in,
 //! * [`servant`] — the [`servant::Servant`] trait and the per-host
 //!   [`servant::ObjectAdapter`] with fully type-checked dispatch,
 //! * [`events`] — typed publish/subscribe payloads ("push event
@@ -25,6 +27,7 @@ pub mod api;
 pub mod cdr;
 pub mod events;
 pub mod local;
+pub mod name;
 pub mod object;
 pub mod servant;
 pub mod sim;
@@ -34,6 +37,7 @@ pub use api::{Orb, SimOrbClient};
 pub use cdr::{encoded_len, Decoder, Encoder};
 pub use events::{check_event, make_event};
 pub use local::{LocalOrb, LocalOrbStats};
+pub use name::Name;
 pub use object::{CommReason, ObjectKey, ObjectRef, OrbError};
 pub use servant::{
     reply_args, DispatchOpts, DispatchResult, DispatchStats, Invocation, ObjectAdapter, OutCall,

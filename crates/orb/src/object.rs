@@ -1,5 +1,6 @@
 //! Object references and ORB error codes.
 
+use crate::name::Name;
 use lc_net::HostId;
 
 /// Location-transparent address of a servant: the host it lives on plus
@@ -24,8 +25,9 @@ pub struct ObjectRef {
     /// Servant address.
     pub key: ObjectKey,
     /// Repository id of the most-derived interface, e.g.
-    /// `IDL:cscw/Display:1.0`.
-    pub type_id: String,
+    /// `IDL:cscw/Display:1.0`. Shared: copying a reference allocates
+    /// nothing.
+    pub type_id: Name,
 }
 
 impl std::fmt::Display for ObjectRef {

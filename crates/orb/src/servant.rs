@@ -11,6 +11,7 @@
 //! smuggle an ill-typed value onto the wire, which is what lets the
 //! component layer treat port connections as statically typed.
 
+use crate::name::Name;
 use crate::object::{ObjectKey, ObjectRef, OrbError};
 use crate::value::{check_value, Value};
 use lc_idl::ast::ParamMode;
@@ -18,7 +19,7 @@ use lc_idl::Repository;
 use lc_net::HostId;
 use lc_trace::Tracer;
 use std::any::Any;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// The result of a successful invocation: the return value plus the
@@ -243,6 +244,9 @@ pub struct ObjectAdapter {
     repo: Arc<Repository>,
     next_oid: u64,
     servants: BTreeMap<u64, Box<dyn Servant>>,
+    /// The repository id of every interface activated here, each held
+    /// once and shared by every reference to its servants.
+    type_ids: BTreeSet<Name>,
     clock: lc_des::SimTime,
     stats: DispatchStats,
     tracer: Tracer,
@@ -256,6 +260,7 @@ impl ObjectAdapter {
             repo,
             next_oid: 1,
             servants: BTreeMap::new(),
+            type_ids: BTreeSet::new(),
             clock: lc_des::SimTime::ZERO,
             stats: DispatchStats::default(),
             tracer: Tracer::disabled(),
@@ -305,11 +310,19 @@ impl ObjectAdapter {
     /// Panics if the servant's `type_id` is not in the repository — that
     /// is a programming error, not a runtime condition.
     pub fn activate(&mut self, servant: Box<dyn Servant>) -> ObjectRef {
-        let type_id = servant.interface_id().to_owned();
+        let interface = servant.interface_id();
         assert!(
-            self.repo.interface(&type_id).is_some(),
-            "servant type '{type_id}' not in IDL repository"
+            self.repo.interface(interface).is_some(),
+            "servant type '{interface}' not in IDL repository"
         );
+        let type_id = match self.type_ids.get(interface) {
+            Some(known) => known.clone(),
+            None => {
+                let fresh = Name::from(interface);
+                self.type_ids.insert(fresh.clone());
+                fresh
+            }
+        };
         let oid = self.next_oid;
         self.next_oid += 1;
         self.servants.insert(oid, servant);

@@ -30,6 +30,14 @@ use crate::sign::{Signature, SigningKey, TrustStore, Verification};
 /// Container format magic + version.
 const MAGIC: &[u8; 5] = b"CLCP\x01";
 
+/// The fewest bytes a blob takes on the wire: its length, the LZSS
+/// stream's declared length, and its digest.
+const MIN_BLOB: usize = 4 + 4 + DIGEST_LEN;
+/// The fewest bytes an IDL entry takes: its file name's length, then a blob.
+const MIN_IDL_ENTRY: usize = 4 + MIN_BLOB;
+/// The fewest bytes a binary section takes: four string lengths, a blob.
+const MIN_SECTION: usize = 4 * 4 + MIN_BLOB;
+
 /// One platform-specific implementation inside a package.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct BinarySection {
@@ -110,14 +118,15 @@ impl Package {
         self.signature = Some(key.sign(&unsigned));
     }
 
-    /// Verify the vendor signature against a trust store.
+    /// Verify the vendor signature of a package held in memory — one
+    /// assembled here, or edited since it was parsed — against a trust
+    /// store: the body is encoded afresh and the signature checked over
+    /// that. A receiver checks what arrived instead, with
+    /// [`Package::receive`].
     ///
     /// Returns [`Verification::UnknownSigner`] for unsigned packages.
     pub fn verify(&self, store: &TrustStore) -> Verification {
-        match &self.signature {
-            None => Verification::UnknownSigner,
-            Some(sig) => store.verify(&self.encode_body(), sig),
-        }
+        signed_by(&self.signature, &self.encode_body(), store)
     }
 
     /// The platforms with binaries in this package.
@@ -202,12 +211,32 @@ impl Package {
     /// Parse container bytes, verifying the container digest and every
     /// per-blob digest.
     pub fn from_bytes(bytes: &[u8]) -> Result<Package, PackageError> {
+        Self::parse(bytes).map(|(pkg, _)| pkg)
+    }
+
+    /// Parse received container bytes as [`from_bytes`](Self::from_bytes)
+    /// does, and verify the vendor signature over the very body bytes
+    /// the container digest has just covered: what was received, not a
+    /// re-encoding of it. A body that decodes to the signed content but
+    /// is not the signed encoding is refused
+    /// ([`Verification::BadSignature`]).
+    pub fn receive(
+        bytes: &[u8],
+        store: &TrustStore,
+    ) -> Result<(Package, Verification), PackageError> {
+        let (pkg, body_end) = Self::parse(bytes)?;
+        let verdict = signed_by(&pkg.signature, &bytes[..body_end], store);
+        Ok((pkg, verdict))
+    }
+
+    /// Parse and check digests; also returns where the signed body ends.
+    fn parse(bytes: &[u8]) -> Result<(Package, usize), PackageError> {
         let mut r = Reader { b: bytes, pos: 0 };
         let magic = r.take(MAGIC.len())?;
         if magic != MAGIC {
             return Err(PackageError::BadMagic);
         }
-        let desc_bytes = r.blob("descriptor")?;
+        let desc_bytes = r.blob(|| "descriptor".into())?;
         let desc_text = String::from_utf8(desc_bytes)
             .map_err(|_| PackageError::BadDescriptor("descriptor is not UTF-8".into()))?;
         let desc_xml = lc_xml::parse(&desc_text)
@@ -215,24 +244,26 @@ impl Package {
         let descriptor =
             ComponentDescriptor::from_xml(&desc_xml).map_err(PackageError::BadDescriptor)?;
 
+        // A count read off the wire sizes nothing by itself: no more
+        // entries are reserved than the bytes that remain could hold.
         let n_idl = r.u32()? as usize;
-        let mut idl_sources = Vec::with_capacity(n_idl);
+        let mut idl_sources = Vec::with_capacity(n_idl.min(r.remaining() / MIN_IDL_ENTRY));
         for _ in 0..n_idl {
             let file = r.string()?;
-            let src = r.blob("idl source")?;
+            let src = r.blob(|| "idl source".into())?;
             let src = String::from_utf8(src)
                 .map_err(|_| PackageError::Malformed("IDL source is not UTF-8".into()))?;
             idl_sources.push((file, src));
         }
 
         let n_sec = r.u32()? as usize;
-        let mut sections = Vec::with_capacity(n_sec);
+        let mut sections = Vec::with_capacity(n_sec.min(r.remaining() / MIN_SECTION));
         for _ in 0..n_sec {
             let arch = r.string()?;
             let os = r.string()?;
             let orb = r.string()?;
             let behavior_id = r.string()?;
-            let payload = r.blob(&format!("binary {arch}-{os}-{orb}"))?;
+            let payload = r.blob(|| format!("binary {arch}-{os}-{orb}"))?;
             sections.push(BinarySection {
                 platform: Platform { arch, os, orb },
                 behavior_id,
@@ -266,7 +297,15 @@ impl Package {
             return Err(PackageError::Malformed("trailing bytes".into()));
         }
 
-        Ok(Package { descriptor, idl_sources, sections, signature })
+        Ok((Package { descriptor, idl_sources, sections, signature }, body_end))
+    }
+}
+
+/// Check `signature` (if any) over `body` against the trust store.
+fn signed_by(signature: &Option<Signature>, body: &[u8], store: &TrustStore) -> Verification {
+    match signature {
+        None => Verification::UnknownSigner,
+        Some(sig) => store.verify(body, sig),
     }
 }
 
@@ -312,6 +351,9 @@ impl<'a> Reader<'a> {
         self.pos += n;
         Ok(s)
     }
+    fn remaining(&self) -> usize {
+        self.b.len() - self.pos
+    }
     fn u8(&mut self) -> Result<u8, PackageError> {
         Ok(self.take(1)?[0])
     }
@@ -325,17 +367,18 @@ impl<'a> Reader<'a> {
         String::from_utf8(s.to_vec())
             .map_err(|_| PackageError::Malformed("non-UTF-8 string".into()))
     }
-    fn blob(&mut self, what: &str) -> Result<Vec<u8>, PackageError> {
+    /// A compressed, digest-checked blob; `what` names it in an error.
+    fn blob(&mut self, what: impl Fn() -> String) -> Result<Vec<u8>, PackageError> {
         let len = self.u32()? as usize;
         let compressed = self.take(len)?;
         let raw = lzss::decompress(compressed)
-            .map_err(|e| PackageError::Malformed(format!("{what}: {e}")))?;
+            .map_err(|e| PackageError::Malformed(format!("{}: {e}", what())))?;
         let stored: Digest = self
             .take(DIGEST_LEN)?
             .try_into()
             .map_err(|_| PackageError::Malformed("short blob digest".into()))?;
         if sha256(&raw) != stored {
-            return Err(PackageError::DigestMismatch(what.to_owned()));
+            return Err(PackageError::DigestMismatch(what()));
         }
         Ok(raw)
     }
@@ -440,6 +483,30 @@ mod tests {
         assert!(pkg.section_for(&Platform::reference()).is_some());
         assert!(pkg.section_for(&Platform::new("mips", "irix", "tao")).is_none());
         assert_eq!(pkg.platforms().len(), 3);
+    }
+
+    /// A valid descriptor followed by `n_idl = u32::MAX`: 259 bytes that
+    /// once asked the allocator for 206 GB up front and aborted the
+    /// process. A count read off the wire is now bounded by the bytes
+    /// that remain, so this is a plain error.
+    #[test]
+    fn a_259_byte_package_claiming_u32_max_idl_files_is_an_error() {
+        let mut w = Writer::new();
+        w.bytes_raw(MAGIC);
+        let desc = ComponentDescriptor::new("A", Version::new(1, 0), "v");
+        w.blob(lc_xml::to_string(&desc.to_xml()).as_bytes());
+        w.u32(u32::MAX);
+        assert_eq!(w.out.len(), 259);
+        assert!(matches!(Package::from_bytes(&w.out), Err(PackageError::Malformed(_))));
+    }
+
+    /// An LZSS stream declaring 4 GiB of output reserves only what its
+    /// bytes could produce.
+    #[test]
+    fn a_declared_length_reserves_no_more_than_the_stream_can_produce() {
+        let mut stream = u32::MAX.to_le_bytes().to_vec();
+        stream.extend_from_slice(&[0xFF, b'x']);
+        assert!(lzss::decompress(&stream).is_err());
     }
 
     #[test]

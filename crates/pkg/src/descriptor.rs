@@ -11,6 +11,7 @@
 //! node will install the package.
 
 use lc_xml::{AttrRule, Element, ElementRule, Multiplicity, Schema};
+use std::sync::LazyLock;
 
 /// A component version: `major.minor`.
 ///
@@ -470,8 +471,14 @@ impl ComponentDescriptor {
     }
 }
 
-/// The OSD-style schema for `<component>` documents.
-pub fn descriptor_schema() -> Schema {
+/// The OSD-style schema for `<component>` documents, built on first use
+/// and shared by every parse after it.
+pub fn descriptor_schema() -> &'static Schema {
+    static SCHEMA: LazyLock<Schema> = LazyLock::new(build_descriptor_schema);
+    &SCHEMA
+}
+
+fn build_descriptor_schema() -> Schema {
     Schema::new("component")
         .element(
             "component",

@@ -27,10 +27,12 @@
 //! pkg.seal(&SigningKey::new("acme", b"secret"));
 //!
 //! let wire = pkg.to_bytes();                       // compressed container
-//! let received = Package::from_bytes(&wire).unwrap(); // digests verified
 //! let mut trust = TrustStore::new();
 //! trust.trust("acme", b"secret");
-//! assert_eq!(received.verify(&trust), Verification::Trusted);
+//! // Digests checked, signature verified over the bytes that arrived.
+//! let (received, verdict) = Package::receive(&wire, &trust).unwrap();
+//! assert_eq!(verdict, Verification::Trusted);
+//! assert_eq!(received, pkg);
 //! ```
 
 pub mod container;

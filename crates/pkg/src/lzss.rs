@@ -119,7 +119,10 @@ pub fn decompress(stream: &[u8]) -> Result<Vec<u8>, DecompressError> {
         return Err(DecompressError("truncated header".into()));
     }
     let expect = u32::from_le_bytes([stream[0], stream[1], stream[2], stream[3]]) as usize;
-    let mut out = Vec::with_capacity(expect);
+    // The declared length is a claim; what the stream can produce is at
+    // most MAX_MATCH bytes per two-byte back-reference. Reserve no more.
+    let producible = (stream.len() - 4).saturating_mul(MAX_MATCH / 2);
+    let mut out = Vec::with_capacity(expect.min(producible));
     let mut pos = 4usize;
     while out.len() < expect {
         if pos >= stream.len() {

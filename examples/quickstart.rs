@@ -12,6 +12,7 @@ use corba_lc_repro::orb::{Invocation, LocalOrb, OrbError, Servant, Value};
 use corba_lc_repro::pkg::{
     ComponentDescriptor, Package, Platform, QosSpec, SigningKey, TrustStore, Version,
 };
+use std::rc::Rc;
 use std::sync::Arc;
 
 // ---- 1. Interfaces, in IDL --------------------------------------------
@@ -70,7 +71,7 @@ fn main() {
         .with_idl("hello.idl", IDL)
         .with_binary(Platform::reference(), "greeter_impl", b"\x90\x90 pretend machine code");
     package.seal(&SigningKey::new("hello-inc", b"vendor-secret"));
-    let wire_bytes = package.to_bytes();
+    let wire_bytes = Rc::new(package.to_bytes());
     println!(
         "packaged Greeter 1.0: {} bytes on the wire (descriptor + IDL + binary, compressed)",
         wire_bytes.len()
@@ -82,9 +83,11 @@ fn main() {
     let behaviors = BehaviorRegistry::new();
     behaviors.register("greeter_impl", || Box::new(GreeterImpl { count: 0 }));
     let mut repo = ComponentRepository::new();
-    let installed = repo
+    let installed = &repo
         .install(&wire_bytes, &Platform::reference(), &trust, &behaviors, true)
-        .expect("verified install");
+        .expect("verified install")
+        .installed
+        .descriptor;
     println!("installed: {} {} by {}", installed.name, installed.version, installed.vendor);
 
     // ---- 5. Instantiate and invoke through the ORB --------------------
