@@ -13,6 +13,10 @@ cargo clippy --workspace --all-targets -- -D warnings -D clippy::allow_attribute
 cargo clippy --workspace --lib --bins -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
 
 cargo build --release --workspace
+# The allocation pins again, optimised: several (the idle planes' "no
+# allocation at all") only take their release value here, the debug
+# build re-checking what a re-send reuses.
+cargo test --release -q -p lc-core --test alloc_budget
 cargo test -q --workspace
 # Doc links are checked too: a deleted or renamed item must take its
 # [`intra-doc`] references with it.

@@ -7,7 +7,7 @@ use crate::assembly::{AssemblyDescriptor, ConnectionKind};
 use crate::deploy::{NodeView, PlacementStrategy};
 use crate::proto::CtrlMsg;
 use lc_des::Counter;
-use lc_orb::{DispatchOpts, ObjectKey, ObjectRef, Value};
+use lc_orb::{DispatchOpts, Name, ObjectKey, ObjectRef, Value};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -121,7 +121,7 @@ impl NodeCtx<'_, '_> {
         // recurse into this node) never overlaps the pending borrow.
         enum Wire {
             ConnectLocal { consumer: ObjectKey, op: String, provider: ObjectRef },
-            ConnectRemote { consumer: ObjectKey, op: String, provider: ObjectRef },
+            ConnectRemote { consumer: ObjectKey, op: Name, provider: ObjectRef },
             Subscribe { producer: ObjectRef, port: String, consumer: ObjectRef, delivery_op: String },
         }
         let actions: Vec<Wire> = {
@@ -144,7 +144,7 @@ impl NodeCtx<'_, '_> {
                             } else {
                                 Wire::ConnectRemote {
                                     consumer: from_ref.key,
-                                    op,
+                                    op: op.into(),
                                     provider: to_ref.clone(),
                                 }
                             }

@@ -7,7 +7,9 @@ use crate::proto::CtrlMsg;
 use crate::registry::{Connection, InstanceId, InstanceInfo, InstancePort};
 use lc_des::{Counter, Series, SimTime};
 use lc_net::{DropReason, HostId};
-use lc_orb::{DispatchOpts, ObjectKey, ObjectRef, OrbError, OrbWire, Outcome, RequestId, Value};
+use lc_orb::{
+    DispatchOpts, Name, ObjectKey, ObjectRef, OrbError, OrbWire, Outcome, RequestId, Value,
+};
 use lc_pkg::Version;
 
 use super::continuations::{CallCont, FetchCont, PendingCall, PendingMigration, RetryState, SpawnCont};
@@ -169,7 +171,7 @@ impl NodeCtx<'_, '_> {
     pub(crate) fn send_call(
         &mut self,
         target: ObjectKey,
-        op: String,
+        op: Name,
         args: Vec<Value>,
         cont: CallCont,
     ) {
@@ -223,7 +225,7 @@ impl NodeCtx<'_, '_> {
         &mut self,
         id: RequestId,
         target: ObjectKey,
-        op: String,
+        op: Name,
         args: Vec<Value>,
         oneway: bool,
     ) -> Result<SimTime, DropReason> {
@@ -232,7 +234,7 @@ impl NodeCtx<'_, '_> {
     }
 
     /// Fire-and-forget `op(args)` on `target`.
-    pub(crate) fn send_oneway(&mut self, target: ObjectKey, op: String, args: Vec<Value>) {
+    pub(crate) fn send_oneway(&mut self, target: ObjectKey, op: Name, args: Vec<Value>) {
         let id = self.state.orb.fresh_id();
         let _ = self.send_request(id, target, op, args, true);
     }
@@ -374,7 +376,7 @@ impl NodeCtx<'_, '_> {
         id: RequestId,
         reply_to: Option<HostId>,
         target: ObjectKey,
-        op: String,
+        op: Name,
         args: Vec<Value>,
     ) {
         // Forward requests to migrated instances (CORBA LOCATION_FORWARD:
@@ -394,9 +396,7 @@ impl NodeCtx<'_, '_> {
         // answered from the cache — the servant executes exactly once.
         let dedup = self.state.cfg.invoke.dedup_window;
         if dedup > SimTime::ZERO {
-            if let (Some(back), Some(cached)) =
-                (reply_to, self.state.conts.replies.get_mut(&id))
-            {
+            if let (Some(back), Some(cached)) = (reply_to, self.state.conts.replies.get(&id)) {
                 let cached = cached.clone();
                 self.sim.metrics().incr(Counter::OrbDedupHits);
                 let _ = self.send_orb(back, OrbWire::Reply { id, result: cached });
@@ -422,11 +422,7 @@ impl NodeCtx<'_, '_> {
                     // Remember the refusal for the dedup window: the
                     // shed request stays shed even if retried after the
                     // queue drains (exactly-once under shedding).
-                    self.state.conts.replies.insert_with_deadline(
-                        id,
-                        Err(OrbError::Overload),
-                        now + dedup,
-                    );
+                    self.state.conts.replies.insert(id, Err(OrbError::Overload), now + dedup);
                     self.timer_in(dedup, Tick::DedupSweep);
                 }
                 if let Some(back) = reply_to {
@@ -456,11 +452,7 @@ impl NodeCtx<'_, '_> {
         self.send_effects(target.oid, outbox, events);
 
         if dedup > SimTime::ZERO && reply_to.is_some() {
-            self.state.conts.replies.insert_with_deadline(
-                id,
-                outcome.clone(),
-                self.sim.now() + dedup,
-            );
+            self.state.conts.replies.insert(id, outcome.clone(), self.sim.now() + dedup);
             self.timer_in(dedup, Tick::DedupSweep);
         }
 
@@ -625,7 +617,7 @@ impl NodeCtx<'_, '_> {
     pub(crate) fn cmd_invoke(
         &mut self,
         target: ObjectKey,
-        op: String,
+        op: Name,
         args: Vec<Value>,
         oneway: bool,
         sink: Option<InvokeSink>,

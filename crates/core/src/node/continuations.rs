@@ -6,18 +6,19 @@
 //! resume it when the answering message arrives, optionally expire it on
 //! a deadline*. [`Continuations`] is the one helper behind all five
 //! (replacing five ad-hoc `BTreeMap`s with hand-rolled expiry), and
-//! [`ContTable`] groups them behind a single sequence counter.
+//! [`ContTable`] groups them behind a single sequence counter, next to
+//! the servant side's [`ReplyCache`].
 
 use crate::assembly::AssemblyDescriptor;
 use crate::deploy::ResolvePolicy;
 use crate::registry::{ComponentQuery, InstanceId, Offer};
 use lc_des::SimTime;
 use lc_net::HostId;
-use lc_orb::{ObjectKey, ObjectRef, OrbError, Outcome, RequestId, Value};
+use lc_orb::{Name, ObjectKey, ObjectRef, OrbError, Outcome, RequestId, Value};
 use lc_pkg::Version;
 use lc_trace::TraceContext;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 use super::{AssemblySink, InvokeSink, MigrateSink, QuerySink, SpawnSink};
@@ -163,7 +164,63 @@ pub struct ContTable {
     /// request id, remembered for the invoke policy's dedup window so a
     /// retried or fabric-duplicated request re-sends the cached reply
     /// instead of re-executing the servant.
-    pub(crate) replies: Continuations<RequestId, Result<Outcome, OrbError>>,
+    pub(crate) replies: ReplyCache,
+}
+
+/// The servant side's reply cache. Every entry lives for the one fixed
+/// dedup window from the instant it is cached, so deadlines arrive in
+/// order, and a FIFO of them lets a sweep visit only what has expired
+/// (a full scan per sweep is linear in the window times the reply rate).
+#[derive(Default)]
+pub(crate) struct ReplyCache {
+    entries: BTreeMap<RequestId, (Result<Outcome, OrbError>, SimTime)>,
+    /// `(deadline, id)` per insert, in insert order, so deadlines never
+    /// decrease. An id cached again leaves its earlier pair behind; the
+    /// sweep tells it by its deadline and skips it.
+    expiry: VecDeque<(SimTime, RequestId)>,
+}
+
+impl ReplyCache {
+    /// Cache `reply` for `id` until `deadline`, which is no earlier than
+    /// any deadline cached before it.
+    pub(crate) fn insert(
+        &mut self,
+        id: RequestId,
+        reply: Result<Outcome, OrbError>,
+        deadline: SimTime,
+    ) {
+        debug_assert!(
+            self.expiry.back().is_none_or(|&(last, _)| last <= deadline),
+            "reply cache deadlines arrive in order"
+        );
+        self.entries.insert(id, (reply, deadline));
+        self.expiry.push_back((deadline, id));
+    }
+
+    /// The cached reply for `id`, if its window is still open.
+    pub(crate) fn get(&self, id: &RequestId) -> Option<&Result<Outcome, OrbError>> {
+        self.entries.get(id).map(|(reply, _)| reply)
+    }
+
+    /// Drop every entry whose deadline is at or before `now`; returns
+    /// how many.
+    pub(crate) fn sweep(&mut self, now: SimTime) -> usize {
+        let mut dropped = 0;
+        while let Some(&(deadline, id)) = self.expiry.front().filter(|(d, _)| *d <= now) {
+            self.expiry.pop_front();
+            if self.entries.get(&id).is_some_and(|(_, d)| *d == deadline) {
+                self.entries.remove(&id);
+                dropped += 1;
+            }
+        }
+        dropped
+    }
+
+    /// Replies cached.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
 }
 
 impl ContTable {
@@ -278,7 +335,7 @@ pub(crate) struct PendingCall {
 /// Re-send state for a call under a deadline/retry policy.
 pub(crate) struct RetryState {
     pub target: ObjectKey,
-    pub op: String,
+    pub op: Name,
     pub args: Vec<Value>,
     /// Send attempts made so far (the first send counts as 1).
     pub attempts: u32,
@@ -400,6 +457,48 @@ mod tests {
             assert_eq!(table.take_expired(SimTime::ZERO), reference.take_expired(SimTime::ZERO));
             assert_eq!(table.take_expired(SimTime::MAX), reference.take_expired(SimTime::MAX));
             assert_eq!(table.len(), reference.0.len());
+        });
+    }
+
+    /// The reply cache drops, at every sweep, exactly what a full scan
+    /// over its entries drops: inserts at `now + window` for one window
+    /// per case, re-inserts of a live or swept id, gets, and sweeps at
+    /// instants that may pass several deadlines or none.
+    #[test]
+    fn reply_cache_sweeps_agree_with_a_full_scan() {
+        lc_prop::check("reply_cache_sweeps_agree_with_a_full_scan", |g| {
+            let mut cache = ReplyCache::default();
+            let mut reference = FullScan::default();
+            let ms = SimTime::from_millis;
+            let window = ms(g.gen_range(0..60u64));
+            let reply = |v: u32| Ok(Outcome { ret: Value::ULong(v), outs: Vec::new() });
+            let mut now = SimTime::ZERO;
+            for step in 0..g.gen_range(1..300u32) {
+                now += ms(g.gen_range(0..8u64));
+                let key = g.gen_range(0..24u64);
+                match g.gen_range(0..4u32) {
+                    0 | 1 => {
+                        cache.insert(RequestId(key), reply(step), now + window);
+                        reference.0.insert(key, (step, Some(now + window)));
+                    }
+                    2 => {
+                        let want = reference.0.get(&key).map(|&(v, _)| reply(v));
+                        assert_eq!(cache.get(&RequestId(key)), want.as_ref(), "get {key}");
+                    }
+                    _ => {
+                        let dropped = reference.take_expired(now).len();
+                        assert_eq!(cache.sweep(now), dropped, "sweep at {now}");
+                        for k in 0..24u64 {
+                            let want = reference.0.get(&k).map(|&(v, _)| reply(v));
+                            assert_eq!(cache.get(&RequestId(k)), want.as_ref(), "{k} at {now}");
+                        }
+                    }
+                }
+                assert_eq!(cache.len(), reference.0.len());
+            }
+            let last = now + window;
+            assert_eq!(cache.sweep(last), reference.take_expired(last).len());
+            assert_eq!(cache.len(), 0);
         });
     }
 

@@ -51,7 +51,7 @@ use crate::proto::CtrlMsg;
 use crate::registry::{ComponentQuery, InstanceId, Offer};
 use lc_des::{Actor, Ctx, Mail, SimTime};
 use lc_net::{HostId, Net, NetMsg};
-use lc_orb::{ObjectRef, OrbError, OrbWire, Outcome, SimOrb, Value};
+use lc_orb::{Name, ObjectRef, OrbError, OrbWire, Outcome, SimOrb, Value};
 use lc_trace::TraceContext;
 use lc_pkg::{TrustStore, Version};
 use std::cell::RefCell;
@@ -419,8 +419,9 @@ pub enum NodeCmd {
     Invoke {
         /// Target object.
         target: ObjectRef,
-        /// Operation.
-        op: String,
+        /// Operation: shared, so a driver re-sending one name copies no
+        /// text.
+        op: Name,
         /// Arguments.
         args: Vec<Value>,
         /// Fire-and-forget?

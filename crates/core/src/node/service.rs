@@ -282,7 +282,7 @@ pub(crate) fn handle_tick(ctx: &mut NodeCtx<'_, '_>, tick: Tick) {
         Tick::CallSweep => ctx.sweep_calls(),
         Tick::CallRetry(rid) => ctx.retry_call(rid),
         Tick::DedupSweep => {
-            ctx.state.conts.replies.take_expired(ctx.sim.now());
+            ctx.state.conts.replies.sweep(ctx.sim.now());
         }
         Tick::ShardMaintain => ctx.shard_maintain(),
         Tick::SloCheck => ctx.slo_check(),

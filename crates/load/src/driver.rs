@@ -8,10 +8,18 @@
 //! replica set learned from periodic registry queries, so a hot
 //! component that gets replicated under overload automatically spreads
 //! subsequent keys across the new instances.
+//!
+//! An invoke carries what it shares: the operation and any string
+//! arguments are [`Name`]s, so each arrival copies only its argument
+//! vector. A reply sink the driver alone still holds once its call is
+//! counted is emptied and handed to a later arrival; one it alone holds
+//! *before* an answer came (the front node crashed, or the command
+//! reached a dead actor) can never be answered, and is counted
+//! `unresolved` instead of holding back every call behind it.
 
 use lc_core::{ComponentQuery, NodeCmd, QueryResult};
 use lc_des::{Actor, ActorId, Ctx, Mail, SimTime};
-use lc_orb::{ObjectRef, OrbError, Value};
+use lc_orb::{Name, ObjectRef, OrbError, Value};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -33,8 +41,9 @@ pub struct DriverConfig {
     /// Component name re-queried for replica discovery.
     pub component: String,
     /// Operation invoked per arrival.
-    pub op: String,
-    /// Arguments passed with every invocation.
+    pub op: Name,
+    /// Arguments passed with every invocation (a clone per arrival:
+    /// one vector, sharing every string).
     pub args: Vec<Value>,
     /// Target used until the first query returns running instances.
     pub initial_target: ObjectRef,
@@ -53,8 +62,13 @@ pub struct LoadDriver {
     pending_query: Option<(SimTime, lc_core::QuerySink)>,
     /// Calls not yet counted in `settled`, in send order. The front one
     /// is still in flight (as of the last arrival); the driver holds a
-    /// sink only for these.
+    /// sink only for these and for `spare`.
     open: VecDeque<Call>,
+    /// Emptied sinks of counted calls that nobody else held, reused by
+    /// the next arrivals. A sink is made only when this is empty, so
+    /// `open` and `spare` together never exceed `open`'s high-water
+    /// mark.
+    spare: Vec<lc_core::InvokeSink>,
     /// Running statistics: every call sent before `open`'s front, in
     /// send order, and every harvested discovery query.
     settled: DriverStats,
@@ -111,6 +125,7 @@ impl LoadDriver {
             replicas: Vec::new(),
             pending_query: None,
             open: VecDeque::new(),
+            spare: Vec::new(),
             settled: DriverStats::default(),
             queries_done: 0,
         }
@@ -119,13 +134,21 @@ impl LoadDriver {
     /// Count the leading run of answered calls and let go of their
     /// sinks. Stops at the first call still in flight, so latencies
     /// reach `ok_latency_ms` in send order whatever order replies land.
+    /// Nobody can fill a sink the driver alone holds, so its call is
+    /// counted now (`unresolved` if still empty) and the sink emptied
+    /// onto `spare`.
     fn settle(&mut self) {
         while let Some((sent_at, sink)) = self.open.front() {
-            if sink.borrow().is_empty() {
+            let alone = Rc::strong_count(sink) == 1;
+            if !alone && sink.borrow().is_empty() {
                 break;
             }
             self.settled.count_call(*sent_at, sink);
-            self.open.pop_front();
+            if let Some((_, sink)) = self.open.pop_front().filter(|_| alone) {
+                // Clearing keeps the one-entry capacity the reply made.
+                sink.borrow_mut().clear();
+                self.spare.push(sink);
+            }
         }
     }
 
@@ -136,7 +159,7 @@ impl LoadDriver {
         } else {
             self.replicas[(a.key % self.replicas.len() as u64) as usize].clone()
         };
-        let sink: lc_core::InvokeSink = Rc::new(RefCell::new(Vec::new()));
+        let sink = self.spare.pop().unwrap_or_default();
         self.settled.sent += 1;
         self.open.push_back((ctx.now(), sink.clone()));
         ctx.send_in(
@@ -213,7 +236,8 @@ impl LoadDriver {
     }
 
     /// Calls whose sink the driver still holds (inspection): bounded by
-    /// the calls sent since the oldest unanswered one, not by the run.
+    /// the calls sent since the oldest one still awaiting an answer that
+    /// can come, not by the run.
     pub fn open_calls(&self) -> usize {
         self.open.len()
     }

@@ -10,6 +10,7 @@
 //! both flavours satisfy it.
 
 use crate::cdr::{Decoder, Encoder};
+use crate::name::Name;
 use crate::object::{ObjectKey, ObjectRef, OrbError};
 use crate::servant::{DispatchOpts, DispatchStats, ObjectAdapter, Outcome, Servant};
 use crate::sim::{OrbWire, SimOrb};
@@ -148,7 +149,7 @@ impl Actor for ServerActor {
 /// One synchronous call for the client actor to perform.
 struct DoCall {
     target: ObjectKey,
-    op: String,
+    op: Name,
     args: Vec<Value>,
 }
 
@@ -241,7 +242,7 @@ impl Orb for SimOrbClient {
     fn invoke(&self, target: &ObjectRef, op: &str, args: &[Value]) -> Result<Outcome, OrbError> {
         let mut sim = self.sim.borrow_mut();
         self.slot.borrow_mut().take();
-        let call = DoCall { target: target.key, op: op.to_owned(), args: args.to_vec() };
+        let call = DoCall { target: target.key, op: Name::from(op), args: args.to_vec() };
         sim.send_in(SimTime::ZERO, self.client, call);
         sim.run();
         self.slot.borrow_mut().take().unwrap_or(Err(OrbError::Timeout))

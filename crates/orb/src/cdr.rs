@@ -11,6 +11,7 @@
 //! encode/decode round-trips in tests to prove the format is
 //! self-consistent.
 
+use crate::name::Name;
 use crate::object::{ObjectKey, ObjectRef};
 use crate::value::Value;
 use lc_idl::types::ResolvedType;
@@ -342,7 +343,7 @@ impl<'a> Decoder<'a> {
                 } else {
                     let host = self.u32()?;
                     let oid = self.u64()?;
-                    let type_id = self.string()?.into();
+                    let type_id = self.string()?;
                     Value::ObjRef(ObjectRef {
                         key: ObjectKey { host: lc_net::HostId(host), oid },
                         type_id,
@@ -352,7 +353,9 @@ impl<'a> Decoder<'a> {
         })
     }
 
-    fn string(&mut self) -> Result<String, CdrError> {
+    /// A string, built as a [`Name`] straight from the checked bytes:
+    /// one allocation, no intermediate `String`.
+    fn string(&mut self) -> Result<Name, CdrError> {
         let n = self.u32()? as usize;
         if n == 0 {
             return Err(CdrError("string length 0 (must include NUL)".into()));
@@ -361,7 +364,8 @@ impl<'a> Decoder<'a> {
         if bytes[n - 1] != 0 {
             return Err(CdrError("string missing NUL terminator".into()));
         }
-        String::from_utf8(bytes[..n - 1].to_vec())
+        std::str::from_utf8(&bytes[..n - 1])
+            .map(Name::from)
             .map_err(|_| CdrError("string is not UTF-8".into()))
     }
 }

@@ -4,8 +4,11 @@
 //! activated, and then rides in every reference to that servant; a
 //! component's name is written once, when its package is installed, and
 //! then rides in every offer, instance record, report and shard entry
-//! that names it. [`Name`] is that string: cloning it bumps a count, so
-//! handing a reference or an offer on allocates nothing. The count is
+//! that names it. An operation name rides from the command or out-call
+//! that makes it to the adapter that dispatches it, and a `string` value
+//! ([`Value::Str`](crate::Value::Str)) from the caller to the servant.
+//! [`Name`] is that string: cloning it bumps a count, so handing a
+//! reference, an offer or a request on allocates nothing. The count is
 //! atomic because references live inside servants, which
 //! [`LocalOrb`](crate::LocalOrb) may move across threads.
 
@@ -14,9 +17,10 @@ use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
 
-/// An immutable, reference-counted string: a component name or a
-/// repository id. Compares, orders and hashes as the text it holds, so a
-/// map keyed by `Name` is looked up by `&str`.
+/// An immutable, reference-counted string: a component name, a
+/// repository id, an operation name or a `string` value. Compares,
+/// orders and hashes as the text it holds, so a map keyed by `Name` is
+/// looked up by `&str`.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Name(Arc<str>);
 

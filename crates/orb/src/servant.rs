@@ -43,8 +43,8 @@ pub struct Outcome {
 pub struct OutCall {
     /// Callee.
     pub target: ObjectRef,
-    /// Operation name.
-    pub op: String,
+    /// Operation name, built once here and moved onto the wire.
+    pub op: Name,
     /// `in`/`inout` arguments.
     pub args: Vec<Value>,
     /// Fire-and-forget or request/reply.
@@ -135,7 +135,7 @@ impl<'a> Invocation<'a> {
 
     /// Enqueue a oneway out-call.
     pub fn call_oneway(&mut self, target: ObjectRef, op: &str, args: Vec<Value>) {
-        self.outbox.push(OutCall { target, op: op.to_owned(), args, kind: OutCallKind::OneWay });
+        self.outbox.push(OutCall { target, op: Name::from(op), args, kind: OutCallKind::OneWay });
     }
 
     /// Enqueue a request/reply out-call; the reply arrives later as a
@@ -143,7 +143,7 @@ impl<'a> Invocation<'a> {
     pub fn call_request(&mut self, target: ObjectRef, op: &str, args: Vec<Value>, token: u64) {
         self.outbox.push(OutCall {
             target,
-            op: op.to_owned(),
+            op: Name::from(op),
             args,
             kind: OutCallKind::Request { token },
         });

@@ -12,6 +12,7 @@
 //! and later receives [`OrbWire::Reply`] with the same id.
 
 use crate::cdr::encoded_len;
+use crate::name::Name;
 use crate::object::{ObjectKey, OrbError};
 use crate::servant::Outcome;
 use crate::value::Value;
@@ -43,7 +44,7 @@ pub enum OrbWire {
         /// Target servant.
         target: ObjectKey,
         /// Operation name.
-        op: String,
+        op: Name,
         /// `in`/`inout` arguments.
         args: Vec<Value>,
     },

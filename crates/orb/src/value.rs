@@ -6,6 +6,7 @@
 //! while remaining fully typed — [`check_value`] rejects any value that
 //! does not match the declared parameter type before it is marshalled.
 
+use crate::name::Name;
 use crate::object::ObjectRef;
 use lc_idl::types::ResolvedType;
 use lc_idl::Repository;
@@ -37,8 +38,8 @@ pub enum Value {
     Float(f32),
     /// `double`.
     Double(f64),
-    /// `string`.
-    Str(String),
+    /// `string`: a shared [`Name`], so cloning a value copies no text.
+    Str(Name),
     /// `sequence<T>`.
     Sequence(Vec<Value>),
     /// A struct instance: repository id plus fields in declaration order.
@@ -71,7 +72,7 @@ impl Default for Value {
 impl Value {
     /// Convenience: a `string` value.
     pub fn string(s: &str) -> Value {
-        Value::Str(s.to_owned())
+        Value::Str(Name::from(s))
     }
 
     /// Convenience: an octet sequence from bytes.

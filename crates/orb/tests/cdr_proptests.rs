@@ -42,7 +42,7 @@ fn typed_value(g: &mut Gen, depth: usize) -> (ResolvedType, Value) {
         8 => (ResolvedType::LongLong { unsigned: true }, Value::ULongLong(g.any_u64())),
         9 => (ResolvedType::Float, Value::Float(g.any_f32())),
         10 => (ResolvedType::Double, Value::Double(g.any_f64())),
-        11 => (ResolvedType::String, Value::Str(g.ascii_printable(0..41))),
+        11 => (ResolvedType::String, Value::Str(g.ascii_printable(0..41).into())),
         12 => (
             ResolvedType::Struct("IDL:Point:1.0".into()),
             Value::Struct {
