@@ -111,4 +111,8 @@ cargo run --release --offline --quiet --manifest-path .perf/Cargo.toml -- selfte
 diff target/perf_exact.txt PERF_EXACT.txt
 rm -f target/perf_exact.txt
 
+# The size the ROADMAP judges: non-test lines under crates/*/src (the
+# lines before each file's top-level #[cfg(test)]). Logged, not gated.
+echo "ci: $(find crates/*/src -name '*.rs' | xargs awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n}') non-test lines under crates/*/src"
+
 echo "ci: all green"

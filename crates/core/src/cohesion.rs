@@ -65,6 +65,14 @@ impl CohesionConfig {
         CohesionConfig { fanout: n_hosts.max(2), replicas, report_period, timeout_intervals: 3 }
     }
 
+    /// The tree over hosts `0..hosts` (all hosts of the fabric —
+    /// contiguous runs become groups, so arranging hosts by site yields
+    /// site-aligned groups, "exploiting locality").
+    pub fn shape(&self, hosts: usize) -> HierShape {
+        assert!(u32::try_from(hosts).is_ok(), "host ids are u32");
+        HierShape::build(hosts as u64, self.fanout as u64, self.replicas as u64)
+    }
+
     /// The eviction timeout implied by the config.
     pub fn eviction_timeout(&self) -> SimTime {
         self.report_period * self.timeout_intervals as u64
@@ -79,10 +87,17 @@ impl CohesionConfig {
 /// is therefore an arithmetic progression — the `j`-th member of group
 /// `g` at level `l` is host `(g·f + j)·fˡ` — so membership, replica
 /// sets, parents and subtree spans are computed on demand from
-/// `(n, fanout, replicas)` with no member `Vec`s at all. This is the
-/// tree every node reads its duties from ([`Hierarchy`]) and the one a
-/// 10⁶-node [`ScaleCampus`](crate::scale::ScaleCampus) routes over, in a
-/// few dozen bytes.
+/// `(n, fanout, replicas)` with no member `Vec`s at all. A seat is the
+/// coordinate `(level, g)`: every node addresses its own
+/// ([`seats_of`](Self::seats_of)) and its peers' in the world's one
+/// shape, as a 10⁶-node [`ScaleCampus`](crate::scale::ScaleCampus) does,
+/// in a few dozen bytes.
+///
+/// The paper says "the protocol must also carry group formation deciding
+/// the nodes that are going to implement the Meta-Resource Manager
+/// interface"; in this reproduction formation is deterministic from the
+/// host ids (lowest ids become replicas), which is the fixed-point a
+/// dynamic election would reach and keeps experiments reproducible.
 #[derive(Clone, Debug)]
 pub struct HierShape {
     n: u64,
@@ -109,11 +124,6 @@ impl HierShape {
             members = groups;
         }
         HierShape { n, fanout, replicas, group_counts }
-    }
-
-    /// Number of hosts.
-    pub fn n(&self) -> u64 {
-        self.n
     }
 
     /// The fanout.
@@ -211,100 +221,39 @@ impl HierShape {
         let width = self.stride(level) * self.fanout;
         (g * width)..((g + 1) * width).min(self.n)
     }
-}
 
-/// A host's MRM duty in one group.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct MrmDuty {
-    /// Level of the group this duty belongs to.
-    pub level: u8,
-    /// Fellow replicas (including self).
-    pub replicas: Vec<HostId>,
-    /// The hosts this MRM aggregates (group members).
-    pub members: Vec<HostId>,
-    /// Replicas of the parent group (`empty` for the root group).
-    pub parent_replicas: Vec<HostId>,
-}
-
-/// The static MRM hierarchy (group formation) of one world: the
-/// [`HierShape`] over its hosts, read per host as report targets and
-/// MRM duties.
-///
-/// The paper says "the protocol must also carry group formation deciding
-/// the nodes that are going to implement the Meta-Resource Manager
-/// interface"; in this reproduction formation is deterministic from the
-/// host ids (lowest ids become replicas), which is the fixed-point a
-/// dynamic election would reach and keeps experiments reproducible.
-#[derive(Clone, Debug)]
-pub struct Hierarchy {
-    /// The tree.
-    pub shape: HierShape,
-    /// The cohesion parameters used.
-    pub config: CohesionConfig,
-}
-
-fn host_ids(ids: impl Iterator<Item = u64>) -> Vec<HostId> {
-    ids.map(|i| HostId(i as u32)).collect()
-}
-
-impl Hierarchy {
-    /// Build the hierarchy over hosts `HostId(0)..HostId(hosts)` (all
-    /// hosts of the fabric — contiguous runs become groups, so arranging
-    /// hosts by site yields site-aligned groups, "exploiting locality").
-    pub fn build(hosts: usize, config: CohesionConfig) -> Self {
-        assert!(u32::try_from(hosts).is_ok(), "host ids are u32");
-        let shape = HierShape::build(hosts as u64, config.fanout as u64, config.replicas as u64);
-        Hierarchy { shape, config }
+    /// The group at `level` whose subtree holds `host` — for a host that
+    /// is a member there, its own group.
+    pub fn group_of(&self, level: usize, host: u64) -> u64 {
+        host / (self.stride(level) * self.fanout)
     }
 
-    /// Number of levels.
-    pub fn depth(&self) -> usize {
-        self.shape.depth()
-    }
-
-    fn index_of(&self, host: HostId) -> u64 {
+    /// The MRM seats `host` holds, leaf level first, as `(level, g)`:
+    /// walk up from its leaf group while it is the group's primary (only
+    /// primaries are members one level up), taking the seat wherever its
+    /// member slot is one. A backup seat ends the walk, so a host's seats
+    /// are contiguous from level 0 and the one at `level` is in group
+    /// [`group_of`](Self::group_of)`(level, host)`.
+    pub fn seats_of(&self, host: HostId) -> impl Iterator<Item = (usize, u64)> + '_ {
         assert!(
-            u64::from(host.0) < self.shape.n(),
+            u64::from(host.0) < self.n,
             "host {host:?} not in a hierarchy of {} hosts",
-            self.shape.n()
+            self.n
         );
-        u64::from(host.0)
+        // Index of `host` among the members of the level walked next.
+        let mut m = Some(u64::from(host.0));
+        (0..self.depth()).map_while(move |level| {
+            let (g, slot) = (m? / self.fanout, m? % self.fanout);
+            m = (slot == 0).then_some(g);
+            (slot < self.seats(level, g)).then_some((level, g))
+        })
     }
 
-    /// The MRM replicas a plain node reports to.
-    pub fn report_targets(&self, host: HostId) -> Vec<HostId> {
-        let leaf = self.shape.leaf_group_of(self.index_of(host));
-        host_ids(self.shape.mrms(0, leaf))
-    }
-
-    /// All MRM duties of a host across levels, leaf level first: walk up
-    /// from the host's leaf group while it is the group's primary (only
-    /// primaries are members one level up), taking a duty wherever its
-    /// member slot is an MRM seat.
-    pub fn duties_of(&self, host: HostId) -> Vec<MrmDuty> {
-        let s = &self.shape;
-        let mut duties = Vec::new();
-        // Index of `host` among the members of the current level.
-        let mut m = self.index_of(host);
-        for level in 0..s.depth() {
-            let (g, slot) = (m / s.fanout, m % s.fanout);
-            if slot < s.seats(level, g) {
-                duties.push(MrmDuty {
-                    level: level as u8,
-                    replicas: host_ids(s.mrms(level, g)),
-                    members: host_ids(s.members(level, g)),
-                    parent_replicas: match s.parent(level, g) {
-                        Some((pl, pg)) => host_ids(s.mrms(pl, pg)),
-                        None => Vec::new(),
-                    },
-                });
-            }
-            if slot != 0 {
-                break;
-            }
-            m = g;
-        }
-        duties
+    /// [`mrms`](Self::mrms) as host ids: where group `g`'s members send
+    /// their reports (level 0) and its child seats their summaries and
+    /// escalated queries.
+    pub fn mrm_hosts(&self, level: usize, g: u64) -> impl Iterator<Item = HostId> + '_ {
+        self.mrms(level, g).map(|i| HostId(i as u32))
     }
 }
 
@@ -489,8 +438,13 @@ impl DutyState {
 
 /// Pick the effective primary among `replicas`: the first one `believed`
 /// reports as alive, falling back to the configured primary.
-pub fn effective_primary(replicas: &[HostId], believed_alive: impl Fn(HostId) -> bool) -> HostId {
-    replicas.iter().copied().find(|&h| believed_alive(h)).unwrap_or(replicas[0])
+pub fn effective_primary(
+    replicas: impl IntoIterator<Item = HostId>,
+    believed_alive: impl Fn(HostId) -> bool,
+) -> HostId {
+    let mut replicas = replicas.into_iter();
+    let Some(primary) = replicas.next() else { panic!("a group has at least one replica") };
+    std::iter::once(primary).chain(replicas).find(|&h| believed_alive(h)).unwrap_or(primary)
 }
 
 #[cfg(test)]
@@ -519,94 +473,109 @@ mod tests {
         ids.collect()
     }
 
+    /// `(level, g, replicas, members, parent replicas)` of each seat.
+    type Seat = (usize, u64, Vec<u64>, Vec<u64>, Vec<u64>);
+
+    fn seats(s: &HierShape, host: u32) -> Vec<Seat> {
+        s.seats_of(HostId(host))
+            .map(|(level, g)| {
+                let parent = s.parent(level, g).map(|(pl, pg)| ids(s.mrms(pl, pg)));
+                let (mrms, members) = (ids(s.mrms(level, g)), ids(s.members(level, g)));
+                (level, g, mrms, members, parent.unwrap_or_default())
+            })
+            .collect()
+    }
+
     #[test]
     fn hierarchy_shape_64_nodes_fanout_8() {
-        let h = Hierarchy::build(64, CohesionConfig { fanout: 8, ..Default::default() });
+        let s = CohesionConfig { fanout: 8, ..Default::default() }.shape(64);
         // 64 → 8 leaf groups → 1 group of 8 primaries → root
-        assert_eq!(h.depth(), 2);
-        assert_eq!(h.shape.group_count(0), 8);
-        assert_eq!(h.shape.group_count(1), 1);
+        assert_eq!(s.depth(), 2);
+        assert_eq!(s.group_count(0), 8);
+        assert_eq!(s.group_count(1), 1);
         // primaries of leaf groups are hosts 0, 8, 16, ...
-        assert_eq!(ids(h.shape.members(1, 0)), [0, 8, 16, 24, 32, 40, 48, 56]);
+        assert_eq!(ids(s.members(1, 0)), [0, 8, 16, 24, 32, 40, 48, 56]);
     }
 
     #[test]
     fn flat_config_yields_single_group() {
-        let h = Hierarchy::build(64, CohesionConfig::flat(64, 1, SimTime::from_secs(2)));
-        assert_eq!(h.depth(), 1);
-        assert_eq!(h.shape.group_count(0), 1);
-        assert_eq!(ids(h.shape.mrms(0, 0)), [0]);
+        let s = CohesionConfig::flat(64, 1, SimTime::from_secs(2)).shape(64);
+        assert_eq!(s.depth(), 1);
+        assert_eq!(s.group_count(0), 1);
+        assert_eq!(ids(s.mrms(0, 0)), [0]);
         // every node reports to the central server
-        for host in (0..64).map(HostId) {
-            assert_eq!(h.report_targets(host), vec![HostId(0)]);
+        for host in 0..64 {
+            assert_eq!(ids(s.mrms(0, s.leaf_group_of(host))), [0]);
         }
     }
 
     #[test]
     fn hierarchy_depth_grows_logarithmically() {
         let cfg = CohesionConfig { fanout: 4, ..Default::default() };
-        assert_eq!(Hierarchy::build(4, cfg.clone()).depth(), 1);
-        assert_eq!(Hierarchy::build(16, cfg.clone()).depth(), 2);
-        assert_eq!(Hierarchy::build(64, cfg.clone()).depth(), 3);
-        assert_eq!(Hierarchy::build(256, cfg).depth(), 4);
+        assert_eq!(cfg.shape(4).depth(), 1);
+        assert_eq!(cfg.shape(16).depth(), 2);
+        assert_eq!(cfg.shape(64).depth(), 3);
+        assert_eq!(cfg.shape(256).depth(), 4);
     }
 
     #[test]
     fn duties_and_report_targets() {
-        let h =
-            Hierarchy::build(64, CohesionConfig { fanout: 8, replicas: 2, ..Default::default() });
+        let s = CohesionConfig { fanout: 8, replicas: 2, ..Default::default() }.shape(64);
         // host 5 is a plain member of group 0
-        assert!(h.duties_of(HostId(5)).is_empty());
-        assert_eq!(h.report_targets(HostId(5)), vec![HostId(0), HostId(1)]);
+        assert!(seats(&s, 5).is_empty());
+        assert_eq!(ids(s.mrms(0, s.leaf_group_of(5))), [0, 1]);
         // host 1 is replica (not primary) of leaf group 0
-        let d1 = h.duties_of(HostId(1));
+        let d1 = seats(&s, 1);
         assert_eq!(d1.len(), 1);
-        assert_eq!(d1[0].level, 0);
-        assert_eq!(d1[0].parent_replicas, vec![HostId(0), HostId(8)]);
+        assert_eq!((d1[0].0, d1[0].1), (0, 0));
+        assert_eq!(d1[0].4, [0, 8]);
         // host 0 is primary of leaf group 0 AND replica of the root group
-        let d0 = h.duties_of(HostId(0));
+        let d0 = seats(&s, 0);
         assert_eq!(d0.len(), 2);
-        assert_eq!(d0[1].level, 1);
-        assert!(d0[1].parent_replicas.is_empty());
+        assert_eq!((d0[1].0, d0[1].1), (1, 0));
+        assert!(d0[1].4.is_empty());
         // host 8 is primary of group 1 and member+replica of root group
-        let d8 = h.duties_of(HostId(8));
-        assert_eq!(d8.len(), 2);
+        let d8 = seats(&s, 8);
+        assert_eq!(d8.iter().map(|d| (d.0, d.1)).collect::<Vec<_>>(), [(0, 1), (1, 0)]);
+        assert_eq!(d8[0].2, [8, 9]);
         // host 16 leads group 2 but is only a plain member of the root group
-        let d16 = h.duties_of(HostId(16));
+        let d16 = seats(&s, 16);
         assert_eq!(d16.len(), 1);
-        assert_eq!(d16[0].members, (16..24).map(HostId).collect::<Vec<_>>());
+        assert_eq!(d16[0].3, ids(16..24));
     }
 
     #[test]
     fn single_group_when_few_hosts() {
-        let h = Hierarchy::build(5, CohesionConfig { fanout: 8, ..Default::default() });
-        assert_eq!(h.depth(), 1);
-        assert_eq!(h.shape.group_count(0), 1);
-        assert!(h.duties_of(HostId(0)).len() == 1);
+        let s = CohesionConfig { fanout: 8, ..Default::default() }.shape(5);
+        assert_eq!(s.depth(), 1);
+        assert_eq!(s.group_count(0), 1);
+        assert_eq!(ids(s.seats_of(HostId(0)).map(|(_, g)| g)), [0]);
     }
 
     #[test]
     #[should_panic(expected = "host HostId(64) not in a hierarchy of 64 hosts")]
     fn a_host_outside_the_tree_is_named() {
-        Hierarchy::build(64, CohesionConfig::default()).report_targets(HostId(64));
+        let _ = CohesionConfig::default().shape(64).seats_of(HostId(64));
     }
 
-    /// What `build_world` pays: every host's report targets and duties.
+    /// What booting every node pays: each host's seats, and the group
+    /// [`HierShape::group_of`] names for each is the one the walk found.
     /// O(n · depth) arithmetic; the scan-every-group version this
     /// replaced took 7.7 s here.
     #[test]
     fn every_hosts_duties_at_100k_are_a_walk_not_a_scan() {
         let n = 100_000u32;
-        let h = Hierarchy::build(n as usize, CohesionConfig::default());
-        let (mut duties, mut targets) = (0u64, 0usize);
-        for host in (0..n).map(HostId) {
-            duties += h.duties_of(host).len() as u64;
-            targets += h.report_targets(host).len();
+        let s = CohesionConfig::default().shape(n as usize);
+        let mut seats = 0u64;
+        for host in 0..n {
+            for (i, (level, g)) in s.seats_of(HostId(host)).enumerate() {
+                assert_eq!((level, g), (i, s.group_of(level, u64::from(host))));
+                seats += 1;
+            }
         }
         // Two seats per group, but 100 000 → 12 500 → 1 563 → 196 → 25
         // → 4 → 1 leaves the 25th level-3 primary alone in its group.
-        assert_eq!(duties, 2 * h.shape.groups_total() - 1);
-        assert_eq!(targets, 2 * n as usize);
+        assert_eq!(seats, 2 * s.groups_total() - 1);
     }
 
     #[test]
@@ -834,10 +803,10 @@ mod tests {
 
     #[test]
     fn effective_primary_fails_over() {
-        let reps = vec![HostId(0), HostId(1), HostId(2)];
-        assert_eq!(effective_primary(&reps, |_| true), HostId(0));
-        assert_eq!(effective_primary(&reps, |h| h != HostId(0)), HostId(1));
-        assert_eq!(effective_primary(&reps, |h| h == HostId(2)), HostId(2));
-        assert_eq!(effective_primary(&reps, |_| false), HostId(0));
+        let reps = [HostId(0), HostId(1), HostId(2)];
+        assert_eq!(effective_primary(reps, |_| true), HostId(0));
+        assert_eq!(effective_primary(reps, |h| h != HostId(0)), HostId(1));
+        assert_eq!(effective_primary(reps, |h| h == HostId(2)), HostId(2));
+        assert_eq!(effective_primary(reps, |_| false), HostId(0));
     }
 }

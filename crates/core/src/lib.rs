@@ -41,7 +41,7 @@ pub mod scale;
 
 pub use assembly::{AssemblyConnection, AssemblyDescriptor, AssemblyInstance, ConnectionKind};
 pub use behavior::BehaviorRegistry;
-pub use cohesion::{CohesionConfig, HierShape, Hierarchy};
+pub use cohesion::{CohesionConfig, HierShape};
 pub use deploy::{NodeView, PlacementStrategy, ResolveAction, ResolvePolicy};
 pub use node::{
     AdmissionConfig, AssemblySink, CacheConfig, Continuations, InvokePolicy, InvokeSink,
@@ -69,7 +69,7 @@ pub use scale::{
 /// it with.
 pub mod testkit {
     use crate::behavior::BehaviorRegistry;
-    use crate::cohesion::{CohesionConfig, Hierarchy};
+    use crate::cohesion::CohesionConfig;
     use crate::node::{
         InvokeSink, NodeCmd, NodeConfig, NodeSeed, QuerySink, RegistryConfig, SpawnSink,
     };
@@ -153,7 +153,7 @@ pub mod testkit {
     ) -> World {
         let orb = SimOrb::new(net.clone());
         let hosts = net.host_ids();
-        let hierarchy = Rc::new(Hierarchy::build(hosts.len(), config.cohesion.clone()));
+        let shape = Rc::new(config.cohesion.shape(hosts.len()));
         // One ring per world, not per node: it depends only on the host
         // list and the ring shape.
         let ring = match &config.registry {
@@ -169,7 +169,7 @@ pub mod testkit {
                 config: config.clone(),
                 net: net.clone(),
                 orb: orb.clone(),
-                hierarchy: hierarchy.clone(),
+                shape: shape.clone(),
                 ring: ring.clone(),
                 behaviors: behaviors.clone(),
                 trust: trust.clone(),

@@ -10,7 +10,7 @@
 //! traffic, local delivery) lives here exactly once.
 
 use crate::behavior::BehaviorRegistry;
-use crate::cohesion::{DutyState, MrmDuty};
+use crate::cohesion::{DutyState, HierShape};
 use crate::proto::CtrlMsg;
 use crate::registry::backend::{CoherenceRoute, Registry, ShardStore};
 use crate::registry::shard::ShardRing;
@@ -59,12 +59,12 @@ pub struct NodeState {
     pub registry: ComponentRegistry,
     pub(crate) behaviors: BehaviorRegistry,
     pub(crate) trust: TrustStore,
-    /// This host's MRM duties and report targets: fixed at boot, so a
-    /// handler that must hold them across `&mut self` calls takes a
-    /// reference-counted handle, never a copy.
-    pub(crate) duties: Rc<[MrmDuty]>,
-    pub(crate) report_targets: Rc<[HostId]>,
-    /// One soft-state table per duty, index-aligned with `duties`.
+    /// The world's one MRM tree: this host's seats and every peer's are
+    /// coordinates in it. A handler that must hold it across `&mut self`
+    /// calls takes a reference-counted handle, never a copy.
+    pub(crate) shape: Rc<HierShape>,
+    /// One soft-state table per seat this host holds, indexed by level
+    /// (a host's seats are contiguous from level 0).
     pub(crate) duty_state: Vec<DutyState>,
     /// Seat routing's candidate buffers, one per nesting level.
     pub(crate) seat_buffers: Vec<Vec<HostId>>,
@@ -124,9 +124,7 @@ impl NodeState {
             }
         };
         let backend = Registry::new(cfg.cache.as_ref(), shard);
-        let duties: Rc<[MrmDuty]> = seed.hierarchy.duties_of(host).into();
-        let duty_state = duties.iter().map(|_| DutyState::default()).collect();
-        let report_targets: Rc<[HostId]> = seed.hierarchy.report_targets(host).into();
+        let duty_state = seed.shape.seats_of(host).map(|_| DutyState::default()).collect();
         let host_cfg = seed.net.host_cfg(host);
         let tracer = seed.net.tracer();
         let slo = cfg.slo.clone().map(SloMonitor::new);
@@ -144,10 +142,9 @@ impl NodeState {
             registry: ComponentRegistry::new(),
             behaviors: seed.behaviors,
             trust: seed.trust,
-            duties,
+            shape: seed.shape,
             duty_state,
             seat_buffers: Vec::new(),
-            report_targets,
             conts: ContTable::new(),
             metrics: NodeMetrics::default(),
             tracer,
@@ -165,10 +162,15 @@ impl NodeState {
         }
     }
 
-    /// The MRM duties this host serves, each with its soft-state table
-    /// (inspection: what does this MRM currently believe?).
-    pub fn duties(&self) -> impl Iterator<Item = (&MrmDuty, &DutyState)> {
-        self.duties.iter().zip(&self.duty_state)
+    /// The soft-state table of this host's MRM seat at `level`, if it
+    /// holds one (inspection: what does this MRM currently believe?).
+    pub fn seat(&self, level: usize) -> Option<&DutyState> {
+        self.duty_state.get(level)
+    }
+
+    /// The group at `level` this host's seat there is in.
+    pub(crate) fn group_at(&self, level: usize) -> u64 {
+        self.shape.group_of(level, u64::from(self.host.0))
     }
 
     /// The per-service instrumentation collected by the router.
@@ -300,9 +302,13 @@ impl NodeCtx<'_, '_> {
     /// is this host or that the fabric can reach right now; every replica
     /// passed over counts one `query.failover`. Returns whether anyone
     /// took it.
-    pub(crate) fn send_to_first_reachable(&mut self, replicas: &[HostId], msg: CtrlMsg) -> bool {
+    pub(crate) fn send_to_first_reachable(
+        &mut self,
+        replicas: impl IntoIterator<Item = HostId>,
+        msg: CtrlMsg,
+    ) -> bool {
         let host = self.state.host;
-        for &r in replicas {
+        for r in replicas {
             if r == host || self.state.net.reachable(host, r) {
                 return self.send_ctrl(r, msg);
             }

@@ -43,7 +43,7 @@ pub use service::{ServiceReflect, Tick};
 
 use crate::assembly::AssemblyDescriptor;
 use crate::behavior::BehaviorRegistry;
-use crate::cohesion::{CohesionConfig, Hierarchy};
+use crate::cohesion::{CohesionConfig, HierShape};
 use crate::registry::backend::ShardConfig;
 use crate::registry::shard::ShardRing;
 use crate::deploy::{PlacementStrategy, ResolvePolicy};
@@ -508,10 +508,11 @@ pub struct NodeSeed {
     pub net: Net,
     /// ORB plumbing.
     pub orb: SimOrb,
-    /// Shared MRM hierarchy.
-    pub hierarchy: Rc<Hierarchy>,
+    /// The world's MRM tree, `config.cohesion`'s shape over every host
+    /// of the fabric: built once and shared.
+    pub shape: Rc<HierShape>,
     /// The world's shard ring — a pure function of the host list and
-    /// the ring shape, built once and shared like `hierarchy` (`None`
+    /// the ring shape, built once and shared like `shape` (`None`
     /// when `config.registry` is not [`RegistryConfig::Sharded`]).
     pub ring: Option<Rc<ShardRing>>,
     /// Behaviour registry (the loadable code).

@@ -185,9 +185,9 @@ impl NodeCtx<'_, '_> {
                 // The hop is *ascending*: a miss at the group escalates
                 // to the parent ("request higher hierarchy level
                 // requests").
-                let targets = Rc::clone(&self.state.report_targets);
+                let (shape, g) = (Rc::clone(&self.state.shape), self.state.group_at(0));
                 let ask = CtrlMsg::Query { qid, query, level: Some(0), descending: false };
-                self.send_to_first_reachable(&targets, ask);
+                self.send_to_first_reachable(shape.mrm_hosts(0, g), ask);
             }
             SearchRoute::ShardLocal { shard } => self.serve_lookup(qid, &query, shard),
             SearchRoute::ShardRemote { shard } => {
@@ -196,7 +196,7 @@ impl NodeCtx<'_, '_> {
                 // With no replica reachable the search is exhausted: the
                 // query finalizes with what this host already offered.
                 let lookup = CtrlMsg::ShardLookup { qid, query, shard };
-                if !self.send_to_first_reachable(&replicas, lookup) {
+                if !self.send_to_first_reachable(replicas.iter().copied(), lookup) {
                     self.finish_query(qid.seq);
                 }
             }
@@ -257,25 +257,25 @@ impl NodeCtx<'_, '_> {
         level: u8,
         descending: bool,
     ) {
-        let duties = Rc::clone(&self.state.duties);
-        let Some((duty_idx, duty)) = duties.iter().enumerate().find(|(_, d)| d.level == level)
-        else {
+        let at = usize::from(level);
+        if self.state.seat(at).is_none() {
             // Not an MRM at this level (stale addressing) — drop.
             self.sim.metrics().incr(Counter::QueryMisrouted);
             return;
-        };
+        }
 
         // Which members might hold a match? Name queries read the seat's
         // index; interface queries must visit the whole subtree. A pooled
         // buffer holds them: offering may descend in place one level down.
         let mut candidates = self.state.seat_buffers.pop().unwrap_or_default();
-        let seat = &self.state.duty_state[duty_idx];
+        let seat = &self.state.duty_state[at];
         match &query.name {
             Some(name) => candidates.extend_from_slice(seat.holders(name)),
             None => candidates.extend(seat.records().keys()),
         }
 
-        let has_parent = !duty.parent_replicas.is_empty();
+        // Every level but the root has a parent group.
+        let has_parent = at + 1 < self.state.shape.depth();
         let offered = candidates.drain(..);
         let miss = route_at_seat(level, descending, has_parent, offered, |to, child_level| {
             match child_level {
@@ -300,7 +300,8 @@ impl NodeCtx<'_, '_> {
             Some(Miss::Escalate) => {
                 self.sim.metrics().incr(Counter::QueryEscalations);
                 let ask = CtrlMsg::Query { qid, query, level: Some(level + 1), descending: false };
-                self.send_to_first_reachable(&duty.parent_replicas, ask);
+                let (shape, g) = (Rc::clone(&self.state.shape), self.state.group_at(at + 1));
+                self.send_to_first_reachable(shape.mrm_hosts(at + 1, g), ask);
             }
             Some(Miss::DeadEnd) => self.send_offers(qid, Vec::new(), true),
         }

@@ -56,8 +56,8 @@ impl NodeCtx<'_, '_> {
         // One report per tick; each target's copy is two `Rc` bumps.
         let report = self.state.resources.report(self.state.repository.names());
         let host = self.state.host;
-        let targets = Rc::clone(&self.state.report_targets);
-        for &mrm in targets.iter() {
+        let (shape, g) = (Rc::clone(&self.state.shape), self.state.group_at(0));
+        for mrm in shape.mrm_hosts(0, g) {
             // An MRM absorbs its own report in place (no network hop).
             self.send_ctrl(mrm, CtrlMsg::Report { from: host, report: report.clone() });
         }
@@ -81,9 +81,9 @@ impl NodeCtx<'_, '_> {
     /// Ask the group MRM (first reachable replica; this host answers
     /// itself when it is one) which member has `cpu_needed` headroom.
     fn ask_placement(&mut self, cpu_needed: f64, replica: Option<(String, lc_pkg::Version)>) {
-        let targets = Rc::clone(&self.state.report_targets);
+        let (shape, g) = (Rc::clone(&self.state.shape), self.state.group_at(0));
         let ask = CtrlMsg::PlacementQuery { from: self.state.host, cpu_needed, replica };
-        self.send_to_first_reachable(&targets, ask);
+        self.send_to_first_reachable(shape.mrm_hosts(0, g), ask);
     }
 
     /// The MRM's answer to a migration ask: move the heaviest mobile

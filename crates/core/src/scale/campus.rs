@@ -17,7 +17,7 @@
 //!   component presence upward; queries ascend on miss and descend
 //!   into matching subtrees by [`route_at_seat`], the rule
 //!   [`registry_svc`](crate::node::Node) routes them by, over the
-//!   [`HierShape`] every node reads its duties from.
+//!   [`HierShape`] every node reads its seats from.
 //! * **flat** — one central registry on node 0: the hierarchy collapsed
 //!   into a single group, as [`CohesionConfig::flat`](crate::cohesion::CohesionConfig::flat)
 //!   collapses the node stack's. Every query fans out to *all* matching owners, so

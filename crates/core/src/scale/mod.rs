@@ -22,7 +22,7 @@
 //!   no row anywhere; what it reports is a function of its index.
 //! * **One protocol, two drivers** — the tree is
 //!   [`HierShape`](crate::cohesion::HierShape), the one every node reads
-//!   its duties from, and a query at a seat is routed by
+//!   its seats from, and a query at a seat is routed by
 //!   [`route_at_seat`](crate::cohesion::route_at_seat), the function
 //!   `registry_svc` calls; only the soft-state *representation* (presence
 //!   masks instead of full reports) is the campus's own.

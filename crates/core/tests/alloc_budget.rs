@@ -27,7 +27,7 @@ use lc_load::{
 use lc_net::{HostId, Topology};
 use lc_orb::Value;
 use lc_pkg::Version;
-use lc_prop::alloc::{allocs, Counting};
+use lc_prop::alloc::{allocs, live_bytes, Counting};
 use std::rc::Rc;
 
 #[global_allocator]
@@ -639,4 +639,35 @@ fn registry_front_cycle_allocations_are_pinned() {
         total <= REGISTRY_CYCLE_ALLOCS,
         "{total} allocations in a registry front cycle exceed the pinned {REGISTRY_CYCLE_ALLOCS}"
     );
+}
+
+/// Heap bytes one booted node of the benchmark's `query_hier` campus
+/// retains: 1 024 hosts on 128 sites of 8, default cohesion, one leader,
+/// no cache, `Counter` on the first host of every site, converged for
+/// three report periods — everything the world holds (fabric, kernel,
+/// every node's stores and soft state) per host. The measured 4 983, in
+/// release and debug builds alike; 5 038 while every node copied its
+/// seats' member, replica and parent lists and its report targets out of
+/// the tree.
+const RETAINED_BYTES_PER_NODE: i64 = 4_983;
+
+#[test]
+fn retained_bytes_per_node_are_pinned() {
+    const HOSTS: i64 = 1_024;
+    let (catalog, counter) = (demo::catalog(), demo::counter_package());
+    // Parsing a descriptor builds its schema, a process-wide lazy value
+    // whichever test thread gets there first pays for: not per node.
+    lc_pkg::Package::from_bytes(&counter).expect("the demo package parses");
+    let before = live_bytes();
+    let mut world = World::on(
+        Topology::campus(128, 8),
+        7,
+        NodeConfig::default(),
+        catalog,
+        |HostId(h)| if h % 8 == 0 { vec![Rc::clone(&counter)] } else { Vec::new() },
+    );
+    world.sim.run_until(SimTime::from_secs(1) + REPORT_PERIOD * 3);
+    let per_node = (live_bytes() - before) / HOSTS;
+    println!("{per_node} bytes retained per booted node");
+    assert_eq!(per_node, RETAINED_BYTES_PER_NODE, "bytes retained per booted node moved");
 }

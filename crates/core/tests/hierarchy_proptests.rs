@@ -3,7 +3,7 @@
 //! count (§2.4.3 group formation), and the arithmetic tree against the
 //! materialized construction it replaced.
 
-use lc_core::cohesion::{CohesionConfig, DutyState, Hierarchy, MrmDuty};
+use lc_core::cohesion::{CohesionConfig, DutyState, HierShape};
 use lc_core::GroupSummary;
 use lc_des::SimTime;
 use lc_net::HostId;
@@ -26,8 +26,8 @@ fn hosts(ids: impl Iterator<Item = u64>) -> Vec<HostId> {
 /// The reference construction: chunk the member list into groups of
 /// `fanout`, elect the first `replicas` of each chunk, recurse over the
 /// chunk primaries, and answer per-host questions by scanning every
-/// group. This is what `Hierarchy` was before it became arithmetic over
-/// `HierShape`; it lives on only as the oracle below.
+/// group. This is what the hierarchy was before it became arithmetic
+/// over `HierShape`; it lives on only as the oracle below.
 struct OracleGroup {
     members: Vec<HostId>,
     mrms: Vec<HostId>,
@@ -35,6 +35,38 @@ struct OracleGroup {
 
 struct Oracle {
     levels: Vec<Vec<OracleGroup>>,
+}
+
+/// One MRM seat, spelled out: its level, fellow replicas (self
+/// included), the members it aggregates and its parent group's replicas
+/// (empty at the root).
+#[derive(PartialEq, Eq, Debug)]
+struct Seat {
+    level: usize,
+    replicas: Vec<HostId>,
+    members: Vec<HostId>,
+    parent_replicas: Vec<HostId>,
+}
+
+/// `host`'s seats as the shape addresses them, spelled out. Each is in
+/// the group `group_of` names for its level.
+fn seats(shape: &HierShape, host: HostId) -> Vec<Seat> {
+    let seats = shape.seats_of(host).map(|(level, g)| {
+        assert_eq!(g, shape.group_of(level, u64::from(host.0)), "{host:?} at level {level}");
+        Seat {
+            level,
+            replicas: hosts(shape.mrms(level, g)),
+            members: hosts(shape.members(level, g)),
+            parent_replicas: shape.parent(level, g).map_or(Vec::new(), |(pl, pg)| {
+                hosts(shape.mrms(pl, pg))
+            }),
+        }
+    });
+    seats.collect()
+}
+
+fn report_targets(shape: &HierShape, host: HostId) -> Vec<HostId> {
+    hosts(shape.mrms(0, shape.leaf_group_of(u64::from(host.0))))
 }
 
 impl Oracle {
@@ -62,8 +94,8 @@ impl Oracle {
         leaf.expect("host in a leaf group").mrms.clone()
     }
 
-    fn duties_of(&self, host: HostId) -> Vec<MrmDuty> {
-        let mut duties = Vec::new();
+    fn seats_of(&self, host: HostId) -> Vec<Seat> {
+        let mut seats = Vec::new();
         for (level, groups) in self.levels.iter().enumerate() {
             for g in groups.iter().filter(|g| g.mrms.contains(&host)) {
                 // Parent group = the one a level up containing this
@@ -71,26 +103,25 @@ impl Oracle {
                 let parent = self.levels.get(level + 1).map(|above| {
                     above.iter().find(|pg| pg.members.contains(&g.mrms[0])).expect("parent group")
                 });
-                duties.push(MrmDuty {
-                    level: level as u8,
+                seats.push(Seat {
+                    level,
                     replicas: g.mrms.clone(),
                     members: g.members.clone(),
                     parent_replicas: parent.map(|pg| pg.mrms.clone()).unwrap_or_default(),
                 });
             }
         }
-        duties
+        seats
     }
 }
 
 /// The arithmetic tree is the materialized one: same depth, same groups,
 /// members, MRMs and parents, and for every host the same report targets
-/// and duties.
+/// and seats.
 fn assert_matches_oracle(n: u32, fanout: usize, replicas: usize) {
     let ctx = format!("n={n} fanout={fanout} replicas={replicas}");
     let oracle = Oracle::build(n, fanout, replicas);
-    let h = Hierarchy::build(n as usize, cfg(fanout, replicas));
-    let shape = &h.shape;
+    let shape = &cfg(fanout, replicas).shape(n as usize);
     assert_eq!(shape.depth(), oracle.levels.len(), "depth, {ctx}");
     let mut groups_total = 0;
     for (level, groups) in oracle.levels.iter().enumerate() {
@@ -117,8 +148,8 @@ fn assert_matches_oracle(n: u32, fanout: usize, replicas: usize) {
     }
     assert_eq!(shape.groups_total(), groups_total);
     for host in (0..n).map(HostId) {
-        assert_eq!(h.report_targets(host), oracle.report_targets(host), "{host:?}, {ctx}");
-        assert_eq!(h.duties_of(host), oracle.duties_of(host), "{host:?}, {ctx}");
+        assert_eq!(report_targets(shape, host), oracle.report_targets(host), "{host:?}, {ctx}");
+        assert_eq!(seats(shape, host), oracle.seats_of(host), "{host:?}, {ctx}");
     }
 }
 
@@ -154,8 +185,7 @@ fn hierarchy_invariants() {
         let fanout = g.gen_range(2..20usize);
         let replicas = g.gen_range(1..5usize);
 
-        let h = Hierarchy::build(n as usize, cfg(fanout, replicas));
-        let s = &h.shape;
+        let s = &cfg(fanout, replicas).shape(n as usize);
         let groups = |level| (0..s.group_count(level)).map(move |g| (level, g));
 
         // 1. Leaf groups partition the hosts exactly.
@@ -170,7 +200,7 @@ fn hierarchy_invariants() {
 
         // 2. Every group's MRM seats are a prefix of its members, at most
         //    `replicas` of them, never empty.
-        for (level, g) in (0..h.depth()).flat_map(groups) {
+        for (level, g) in (0..s.depth()).flat_map(groups) {
             let (members, mrms) = (hosts(s.members(level, g)), hosts(s.mrms(level, g)));
             assert!(!mrms.is_empty());
             assert!(mrms.len() <= replicas.min(members.len()));
@@ -178,38 +208,33 @@ fn hierarchy_invariants() {
         }
 
         // 3. The top level has exactly one group; depth is logarithmic.
-        assert_eq!(s.group_count(h.depth() - 1), 1);
+        assert_eq!(s.group_count(s.depth() - 1), 1);
         let mut expect_depth = 1usize;
         let mut count = n as usize;
         while count > fanout {
             count = count.div_ceil(fanout);
             expect_depth += 1;
         }
-        assert_eq!(h.depth(), expect_depth);
+        assert_eq!(s.depth(), expect_depth);
 
         // 4. Level k+1 members are exactly the level-k primaries.
-        for k in 0..h.depth() - 1 {
+        for k in 0..s.depth() - 1 {
             let primaries: BTreeSet<u64> = groups(k).map(|(l, g)| s.primary(l, g)).collect();
             let members: BTreeSet<u64> =
                 groups(k + 1).flat_map(|(l, g)| s.members(l, g)).collect();
             assert_eq!(primaries, members);
         }
 
-        // 5. Every plain host has report targets = its leaf group's MRMs,
-        //    and duties are consistent with the group tables.
+        // 5. Every seat a host holds is consistent with the group tables,
+        //    and its seats are contiguous from level 0 (the seat at level
+        //    `l` is the `l`-th).
         for host in (0..n.min(50)).map(HostId) {
-            let leaf = s.leaf_group_of(u64::from(host.0));
-            assert_eq!(h.report_targets(host), hosts(s.mrms(0, leaf)));
-            let duties = h.duties_of(host);
-            for d in &duties {
+            let seats = seats(s, host);
+            for (i, d) in seats.iter().enumerate() {
+                assert_eq!(d.level, i, "{host:?}: seats not contiguous from level 0");
                 assert!(d.replicas.contains(&host));
                 assert!(d.members.contains(&host));
             }
-            // a duty's level is unique per host
-            let mut levels: Vec<u8> = duties.iter().map(|d| d.level).collect();
-            levels.sort_unstable();
-            levels.dedup();
-            assert_eq!(levels.len(), duties.len(), "duplicate duty level");
         }
     });
 }

@@ -33,6 +33,17 @@ fn header_fields(bytes: &[u8]) -> [usize; 3] {
     [5, 9, 9 + len + 32]
 }
 
+/// `raw` as an LZSS stream of literals only: a valid encoding, made
+/// without searching for matches.
+fn literal_stream(raw: &[u8]) -> Vec<u8> {
+    let mut stream = (raw.len() as u32).to_le_bytes().to_vec();
+    for chunk in raw.chunks(8) {
+        stream.push(0xFF >> (8 - chunk.len()));
+        stream.extend_from_slice(chunk);
+    }
+    stream
+}
+
 /// One random edit that always changes the bytes: flip bits of a byte,
 /// overwrite a little-endian `u32` (half the time a header length or
 /// count field, else anywhere) with a huge or random value, cut the tail,
@@ -115,11 +126,7 @@ fn a_signature_binds_the_received_bytes() {
     let len = u32::from_le_bytes([signed[5], signed[6], signed[7], signed[8]]) as usize;
     let stream = &signed[9..9 + len];
     let raw = lzss::decompress(stream).expect("a valid stream");
-    let mut literal = (raw.len() as u32).to_le_bytes().to_vec();
-    for chunk in raw.chunks(8) {
-        literal.push(0xFF >> (8 - chunk.len()));
-        literal.extend_from_slice(chunk);
-    }
+    let literal = literal_stream(&raw);
     assert_ne!(literal, stream, "a different encoding");
     let trailer = 32 + 1 + 4 + demo::demo_key().signer.len() + 32;
     let body_end = signed.len() - trailer;
@@ -136,4 +143,25 @@ fn a_signature_binds_the_received_bytes() {
     assert_eq!(copy, original, "same content, signature included");
     assert!(install(&signed).is_ok());
     assert!(matches!(install(&Rc::new(forged)), Err(InstallError::Untrusted(_))));
+}
+
+/// The descriptor is parsed before the container digest and the
+/// signature are checked, so any peer's bytes reach the XML parser: a
+/// descriptor blob (valid stream, valid blob digest) of 100 000 nested
+/// elements is refused with an error. (It once overflowed the stack and
+/// aborted the process.)
+#[test]
+fn a_descriptor_nested_100_000_deep_is_refused() {
+    let signed = demo::counter_package();
+    let len = u32::from_le_bytes([signed[5], signed[6], signed[7], signed[8]]) as usize;
+    let depth = 100_000;
+    let raw = ("<a>".repeat(depth) + &"</a>".repeat(depth)).into_bytes();
+    let stream = literal_stream(&raw);
+    let mut hostile = signed[..5].to_vec();
+    hostile.extend_from_slice(&(stream.len() as u32).to_le_bytes());
+    hostile.extend_from_slice(&stream);
+    hostile.extend_from_slice(&sha256::sha256(&raw));
+    hostile.extend_from_slice(&signed[9 + len + 32..]);
+    let refused = install(&Rc::new(hostile)).expect_err("refused");
+    assert!(refused.to_string().contains("nest deeper"), "{refused}");
 }

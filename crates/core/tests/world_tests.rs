@@ -921,6 +921,57 @@ fn event_channels_close_when_producer_instance_dies() {
     assert_eq!(world.sim.metrics_ref().counter("events.published"), 1);
 }
 
+/// A backup replica acting as its group's primary sends its summary
+/// under its own id, and the parent absorbs it keyed by that sender —
+/// though the backup is no member of the parent group. With host 8, the
+/// primary of leaf group 1 (hosts 8..16), crashed, host 0's level-1 seat
+/// holds host 9's record one sweep (plus the inter-site hop) later, and
+/// once host 8's own record is evicted a query from another site still
+/// finds a component held only in group 1, through host 9.
+#[test]
+fn a_backups_summary_is_absorbed_under_its_own_id() {
+    let period = fast_cohesion().report_period.as_nanos() / 1_000_000;
+    let config = NodeConfig {
+        cohesion: fast_cohesion(),
+        query_timeout: SimTime::from_millis(400),
+        ..Default::default()
+    };
+    let holder = HostId(12);
+    let mut world = World::on(Topology::campus(8, 8), 23, config, demo::catalog(), |host| {
+        if host == holder {
+            vec![demo::counter_package()]
+        } else {
+            Vec::new()
+        }
+    });
+    world.run_for(SimTime::from_millis(4 * period));
+    let level1 = |world: &World| {
+        let root = world.node(HostId(0)).expect("host 0 is up");
+        let seat = root.seat(1).expect("host 0 holds a level-1 seat");
+        (seat.records().keys().copied().collect::<Vec<_>>(), seat.holders("Counter").to_vec())
+    };
+    let (senders, holders) = level1(&world);
+    assert!(senders.contains(&HostId(8)) && !senders.contains(&HostId(9)), "{senders:?}");
+    assert_eq!(holders, [HostId(8)]);
+
+    world.crash(HostId(8));
+    world.run_for(SimTime::from_millis(period + 50));
+    let (senders, holders) = level1(&world);
+    assert!(senders.contains(&HostId(9)), "host 9's summary was not absorbed: {senders:?}");
+    assert!(holders.contains(&HostId(9)), "{holders:?}");
+
+    world.run_for(SimTime::from_millis(4 * period));
+    let (senders, holders) = level1(&world);
+    assert!(!senders.contains(&HostId(8)), "the crashed primary is evicted: {senders:?}");
+    assert_eq!(holders, [HostId(9)]);
+    let query = ComponentQuery::by_name("Counter", Version::new(1, 0));
+    let sink = world.query(HostId(42), query, false);
+    world.run_for(SimTime::from_millis(1000));
+    let res = sink.borrow();
+    assert!(res.done);
+    assert_eq!(res.offers.iter().map(|o| o.node).collect::<Vec<_>>(), [holder]);
+}
+
 /// Shared soft state never serves yesterday's inventory: a package
 /// installed at run time on a plain member reaches its leaf MRMs with the
 /// member's next keep-alive and the parent level with the leaf primary's
@@ -934,10 +985,9 @@ fn runtime_install_reaches_mrm_and_parent_summaries() {
     // Host 13 is a plain member of leaf group 1 (hosts 8..16, MRMs 8 and
     // 9); the root group's MRMs are hosts 0 and 8.
     let member = HostId(13);
-    let believers = |world: &World, mrm: u32, level: u8| {
+    let believers = |world: &World, mrm: u32, level: usize| {
         let node = world.node(HostId(mrm)).expect("node is up");
-        let (_, table) = node.duties().find(|(d, _)| d.level == level).expect("serves the level");
-        table.holders("Counter").to_vec()
+        node.seat(level).expect("serves the level").holders("Counter").to_vec()
     };
     assert_eq!(believers(&world, 8, 0), []);
     assert_eq!(believers(&world, 0, 1), [HostId(0)], "only host 0's group holds Counter so far");

@@ -25,10 +25,15 @@ impl From<LexError> for IdlParseError {
     }
 }
 
+/// How many modules and `sequence<`s may enclose one another. Parsing
+/// recurses once per level, so deeper input is refused rather than
+/// allowed to exhaust the stack; real IDL nests a few levels deep.
+pub const MAX_DEPTH: usize = 256;
+
 /// Parse a compilation unit.
 pub fn parse(src: &str) -> Result<Spec, IdlParseError> {
     let tokens = Lexer::new(src).tokenize()?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser { tokens, pos: 0, depth: 0 };
     let mut defs = Vec::new();
     while !p.at_eof() {
         defs.push(p.definition()?);
@@ -39,6 +44,8 @@ pub fn parse(src: &str) -> Result<Spec, IdlParseError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Modules and sequences open around the current token.
+    depth: usize,
 }
 
 impl Parser {
@@ -95,6 +102,20 @@ impl Parser {
         }
     }
 
+    /// Parse with `f` one nesting level deeper, refusing past [`MAX_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, IdlParseError>,
+    ) -> Result<T, IdlParseError> {
+        if self.depth == MAX_DEPTH {
+            return self.err(format!("modules and sequences nest deeper than {MAX_DEPTH}"));
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
     fn scoped_name(&mut self) -> Result<ScopedName, IdlParseError> {
         let mut parts = vec![self.ident("scoped")?];
         while self.eat(&TokenKind::Scope) {
@@ -105,16 +126,7 @@ impl Parser {
 
     fn definition(&mut self) -> Result<Definition, IdlParseError> {
         let def = if self.eat_kw("module") {
-            let name = self.ident("module")?;
-            self.expect(TokenKind::LBrace, "'{'")?;
-            let mut defs = Vec::new();
-            while !self.eat(&TokenKind::RBrace) {
-                if self.at_eof() {
-                    return self.err("unterminated module body");
-                }
-                defs.push(self.definition()?);
-            }
-            Definition::Module(ModuleDecl { name, defs })
+            Definition::Module(self.nested(Self::module)?)
         } else if self.eat_kw("interface") {
             Definition::Interface(self.interface()?)
         } else if self.eat_kw("struct") {
@@ -150,6 +162,19 @@ impl Parser {
         };
         self.expect(TokenKind::Semi, "';' after definition")?;
         Ok(def)
+    }
+
+    fn module(&mut self) -> Result<ModuleDecl, IdlParseError> {
+        let name = self.ident("module")?;
+        self.expect(TokenKind::LBrace, "'{'")?;
+        let mut defs = Vec::new();
+        while !self.eat(&TokenKind::RBrace) {
+            if self.at_eof() {
+                return self.err("unterminated module body");
+            }
+            defs.push(self.definition()?);
+        }
+        Ok(ModuleDecl { name, defs })
     }
 
     fn field_block(&mut self) -> Result<Vec<Field>, IdlParseError> {
@@ -282,10 +307,12 @@ impl Parser {
                 Ok(TypeRef::Long { unsigned: false })
             }
         } else if self.eat_kw("sequence") {
-            self.expect(TokenKind::Lt, "'<'")?;
-            let inner = self.type_ref()?;
-            self.expect(TokenKind::Gt, "'>'")?;
-            Ok(TypeRef::Sequence(Box::new(inner)))
+            self.nested(|p| {
+                p.expect(TokenKind::Lt, "'<'")?;
+                let inner = p.type_ref()?;
+                p.expect(TokenKind::Gt, "'>'")?;
+                Ok(TypeRef::Sequence(Box::new(inner)))
+            })
         } else if matches!(self.cur().kind, TokenKind::Ident(_)) {
             Ok(TypeRef::Named(self.scoped_name()?))
         } else {
@@ -363,6 +390,28 @@ mod tests {
         assert!(parse("interface I { void f(long x); };").is_err()); // missing mode
         assert!(parse("struct S { unsigned float x; };").is_err());
         assert!(parse("bogus").is_err());
+    }
+
+    fn modules(depth: usize) -> String {
+        "module m {".repeat(depth) + &"};".repeat(depth)
+    }
+
+    fn sequences(depth: usize) -> String {
+        format!("typedef {}long{} T;", "sequence<".repeat(depth), ">".repeat(depth))
+    }
+
+    /// Parsing recurses per module and per `sequence<`: input at the
+    /// limit compiles, one level more is refused, and 100 000 levels
+    /// (which once overflowed the stack and aborted the process) are an
+    /// error.
+    #[test]
+    fn nesting_depth_is_bounded() {
+        for nest in [modules, sequences] {
+            crate::compile(&nest(MAX_DEPTH)).unwrap();
+            let e = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+            assert!(e.msg.contains("nest deeper"), "{e}");
+            assert!(crate::compile(&nest(100_000)).is_err());
+        }
     }
 
     #[test]

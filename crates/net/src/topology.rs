@@ -161,11 +161,6 @@ impl Topology {
         HostId((self.hosts.len() - 1) as u32)
     }
 
-    /// Number of sites.
-    pub fn site_count(&self) -> usize {
-        self.sites.len()
-    }
-
     /// All host configurations, indexed by [`HostId`].
     pub fn hosts(&self) -> &[HostCfg] {
         &self.hosts
@@ -259,10 +254,8 @@ mod tests {
     fn canned_topologies() {
         let lan = Topology::lan(8);
         assert_eq!(lan.hosts().len(), 8);
-        assert_eq!(lan.site_count(), 1);
         let campus = Topology::campus(4, 4);
         assert_eq!(campus.hosts().len(), 16);
-        assert_eq!(campus.site_count(), 4);
         // first host of each site is a server
         assert_eq!(campus.hosts()[0].device, DeviceClass::Server);
         assert_eq!(campus.hosts()[1].device, DeviceClass::Workstation);

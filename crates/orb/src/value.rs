@@ -80,20 +80,6 @@ impl Value {
         Value::Sequence(bytes.iter().map(|&b| Value::Octet(b)).collect())
     }
 
-    /// Extract bytes from an octet sequence.
-    pub fn as_blob(&self) -> Option<Vec<u8>> {
-        match self {
-            Value::Sequence(items) => items
-                .iter()
-                .map(|v| match v {
-                    Value::Octet(b) => Some(*b),
-                    _ => None,
-                })
-                .collect(),
-            _ => None,
-        }
-    }
-
     /// Extract a `long`.
     pub fn as_long(&self) -> Option<i32> {
         match self {
@@ -308,13 +294,5 @@ mod tests {
         check_value(&Value::ObjRef(objref("IDL:Derived:1.0")), &base_ty, &r).unwrap();
         assert!(check_value(&Value::ObjRef(objref("IDL:Base:1.0")), &derived_ty, &r).is_err());
         check_value(&Value::Nil, &base_ty, &r).unwrap();
-    }
-
-    #[test]
-    fn blob_round_trip() {
-        let v = Value::blob(&[1, 2, 3]);
-        assert_eq!(v.as_blob().unwrap(), vec![1, 2, 3]);
-        assert_eq!(Value::Long(1).as_blob(), None);
-        assert_eq!(Value::Sequence(vec![Value::Long(1)]).as_blob(), None);
     }
 }

@@ -134,11 +134,6 @@ impl Package {
         self.sections.iter().map(|s| s.platform.clone()).collect()
     }
 
-    /// Find the binary section for `platform`.
-    pub fn section_for(&self, platform: &Platform) -> Option<&BinarySection> {
-        self.sections.iter().find(|s| &s.platform == platform)
-    }
-
     /// Build a reduced package containing metadata plus only the sections
     /// matching `keep` — the "extracting only a set of binaries … for
     /// devices with a tiny memory" operation. The result is unsigned (the
@@ -480,8 +475,6 @@ mod tests {
     #[test]
     fn section_lookup() {
         let pkg = sample_package();
-        assert!(pkg.section_for(&Platform::reference()).is_some());
-        assert!(pkg.section_for(&Platform::new("mips", "irix", "tao")).is_none());
         assert_eq!(pkg.platforms().len(), 3);
     }
 

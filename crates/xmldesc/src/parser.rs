@@ -28,11 +28,16 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// How deep elements may nest (the root is at depth 1). Parsing recurses
+/// once per level, so deeper input is refused rather than allowed to
+/// exhaust the stack; real descriptors nest about 5 deep.
+pub const MAX_DEPTH: usize = 256;
+
 /// Parse a complete document, returning its root element.
 pub fn parse(input: &str) -> Result<Element, ParseError> {
     let mut p = Parser { b: input.as_bytes(), pos: 0 };
     p.skip_prolog()?;
-    let root = p.element()?;
+    let root = p.element(1)?;
     p.skip_misc()?;
     if p.pos < p.b.len() {
         return Err(p.err("content after document root"));
@@ -208,7 +213,10 @@ impl<'a> Parser<'a> {
         Ok(ch)
     }
 
-    fn element(&mut self) -> Result<Element, ParseError> {
+    fn element(&mut self, depth: usize) -> Result<Element, ParseError> {
+        if depth > MAX_DEPTH {
+            return Err(self.err(&format!("elements nest deeper than {MAX_DEPTH}")));
+        }
         self.eat(b'<')?;
         let name = self.name()?;
         let mut elem = Element::new(&name);
@@ -271,7 +279,7 @@ impl<'a> Parser<'a> {
                     } else if self.starts_with("<?") {
                         self.skip_until("?>")?;
                     } else {
-                        let child = self.element()?;
+                        let child = self.element(depth + 1)?;
                         elem.children.push(Node::Element(child));
                     }
                 }
@@ -378,6 +386,26 @@ mod tests {
         assert!(parse("<a>&nope;</a>").is_err());
         assert!(parse("<a b=c/>").is_err());
         assert!(parse("<a b='<'/>").is_err());
+    }
+
+    fn nested(depth: usize) -> String {
+        "<a>".repeat(depth) + &"</a>".repeat(depth)
+    }
+
+    /// Parsing recurses per element: input at the limit parses, and
+    /// 100 000 levels (which once overflowed the stack and aborted the
+    /// process) are an error.
+    #[test]
+    fn nesting_depth_is_bounded() {
+        let mut root = parse(&nested(MAX_DEPTH)).unwrap();
+        let mut depth = 1;
+        while let Some(Node::Element(child)) = root.children.pop() {
+            (root, depth) = (child, depth + 1);
+        }
+        assert_eq!(depth, MAX_DEPTH);
+        let e = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(e.msg.contains("nest deeper"), "{e}");
+        assert!(parse(&nested(100_000)).is_err());
     }
 
     #[test]
