@@ -13,7 +13,7 @@
 //! a few `u64` masks per group seat.
 //!
 //! Design rules (`tests/alloc_budget.rs` pins the allocator calls of a
-//! 10⁵-node run and E13 gates 160 B/node, so per-item boxing fails both):
+//! 10⁵-node run and E13 gates 100 B/node, so per-item boxing fails both):
 //!
 //! * **No `Rc<RefCell<…>>`, no `Box<dyn …>`** — hot-path state is plain
 //!   data reached through dense indices; there is nothing to

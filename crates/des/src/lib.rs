@@ -21,9 +21,9 @@
 //!   value out with [`Ctx::open`]; an actor that keeps the default
 //!   receives it boxed in [`Actor::handle`].
 //!
-//! Event ordering is `(time, sequence-number)`, so two runs with the same
-//! seed produce identical histories — every number reported in
-//! `EXPERIMENTS.md` is exactly reproducible.
+//! Event ordering is `(time, push order)`, with no sequence number stored,
+//! so two runs with the same seed produce identical histories — every
+//! number reported in `EXPERIMENTS.md` is exactly reproducible.
 //!
 //! ```
 //! use lc_des::{Sim, SimTime, Actor, Ctx, Mail};
@@ -137,18 +137,22 @@ pub trait Actor: Any {
     fn on_kill(&mut self, _ctx: &mut Ctx<'_>) {}
 }
 
+/// A calendar slot's 16 bytes of plain data: what owns memory waits in a mail lane.
 enum Payload {
     /// A message waiting in its mail lane.
     Message { target: ActorId, mail: Stored },
     /// Index-sized event for the scale path: no box, no downcast.
     Packed { target: ActorId, data: u64 },
-    Control(Box<dyn FnOnce(&mut Sim)>),
+    /// A [`Control`] closure waiting in its mail lane.
+    Control(Stored),
 }
+
+/// A control closure, in a lane of a type no message can have.
+struct Control(Box<dyn FnOnce(&mut Sim)>);
 
 /// The scheduling core shared between [`Sim`] and [`Ctx`].
 struct Core {
     now: SimTime,
-    seq: u64,
     queue: IndexedQueue<Payload>,
     /// Every message the calendar carries, by value.
     mail: MailLanes,
@@ -169,9 +173,7 @@ struct Core {
 impl Core {
     fn push(&mut self, at: SimTime, payload: Payload) {
         debug_assert!(at >= self.now, "cannot schedule into the past");
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(at, seq, payload);
+        self.queue.push(at, payload);
     }
 
     fn send_in<M: Any>(&mut self, delay: SimTime, target: ActorId, msg: M) {
@@ -238,8 +240,8 @@ impl<'a> Ctx<'a> {
 
     /// Run a control closure against the whole world at `now + delay`.
     pub fn control_in(&mut self, delay: SimTime, f: impl FnOnce(&mut Sim) + 'static) {
-        let at = self.core.now + delay;
-        self.core.push(at, Payload::Control(Box::new(f)));
+        let closure = self.core.mail.store(Control(Box::new(f)));
+        self.core.push(self.core.now + delay, Payload::Control(closure));
     }
 
     /// Spawn a new actor. It becomes addressable immediately (messages
@@ -282,7 +284,6 @@ impl Sim {
         Sim {
             core: Core {
                 now: SimTime::ZERO,
-                seq: 0,
                 queue: IndexedQueue::new(),
                 mail: MailLanes::default(),
                 rng: SimRng::seed_from_u64(seed),
@@ -368,8 +369,8 @@ impl Sim {
 
     /// Schedule a control closure after `delay`.
     pub fn control_in(&mut self, delay: SimTime, f: impl FnOnce(&mut Sim) + 'static) {
-        let at = self.core.now + delay;
-        self.core.push(at, Payload::Control(Box::new(f)));
+        let closure = self.core.mail.store(Control(Box::new(f)));
+        self.core.push(self.core.now + delay, Payload::Control(closure));
     }
 
     /// Bytes currently held by the event-calendar arena — used by the
@@ -467,7 +468,7 @@ impl Sim {
 
     /// Fire the next event if it is due by `deadline`; `false` if none is.
     fn step_until(&mut self, deadline: SimTime) -> bool {
-        let Some((at, _seq, payload)) = self.core.queue.pop_until(deadline) else { return false };
+        let Some((at, payload)) = self.core.queue.pop_until(deadline) else { return false };
         debug_assert!(at >= self.core.now);
         if let Some(p) = self.core.profiler.as_mut() {
             // Observation only: attribute the calendar gap this event
@@ -490,7 +491,11 @@ impl Sim {
         match payload {
             Payload::Message { target, mail } => self.deliver(target, Delivery::Mail(mail)),
             Payload::Packed { target, data } => self.deliver(target, Delivery::Packed(data)),
-            Payload::Control(f) => {
+            Payload::Control(closure) => {
+                let Ok(Control(f)) = self.core.mail.open(closure.mail()) else {
+                    unreachable!("a control event stores a closure")
+                };
+                self.core.mail.release(closure);
                 f(self);
             }
         }
@@ -670,7 +675,7 @@ mod tests {
         }
         let mut sim = Sim::new(1);
         let r = sim.spawn(Recorder { seen: Vec::new() });
-        // All at the same instant; seq must break the tie in FIFO order.
+        // All at the same instant; push order must break the tie.
         for i in 0..16 {
             sim.send_in(SimTime::from_millis(5), r, Tag(i));
         }
@@ -751,16 +756,19 @@ mod tests {
     }
 
     /// E13's `queue_bytes` and E15's `arena_bytes_max` count calendar
-    /// slots: their committed cells hold only while a slot is 48 bytes.
+    /// slots: their committed cells hold only while a slot is 32 bytes,
+    /// which takes a payload of 16 bytes whose `None` costs nothing.
     #[test]
-    fn calendar_slot_is_48_bytes() {
-        assert_eq!(std::mem::size_of::<queue::Slot<Payload>>(), 48);
+    fn calendar_slot_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<queue::Slot<Payload>>(), 32);
+        assert_eq!(std::mem::size_of::<Option<Payload>>(), 16);
+        assert!(!std::mem::needs_drop::<Payload>(), "a slot owns nothing");
     }
 
     /// lc-prop: the mail lanes in a random world — four message types,
     /// two carrying an `Rc` and one of those never opened, beside packed
     /// events, spawns, self-kills and `Sim::kill` — deliver every message
-    /// exactly once, by value, in `(SimTime, seq)` order, alike to an
+    /// exactly once, by value, in `(SimTime, push)` order, alike to an
     /// actor that opens its mail and to one that keeps the boxing default.
     /// Mail nobody opens and mail to the dead are dropped, the latter
     /// counted and its slot recycled; at drain every lane is empty and
@@ -783,15 +791,168 @@ mod tests {
         assert_eq!(sim.actor_as::<Counter>(c).unwrap().hits, 3);
     }
 
+    /// What both [`Sim`] and [`Ctx`] can schedule.
+    trait Sched {
+        fn now(&self) -> SimTime;
+        fn rng(&mut self) -> &mut SimRng;
+        fn send_in<M: Any>(&mut self, delay: SimTime, target: ActorId, msg: M);
+        fn send_packed(&mut self, delay: SimTime, target: ActorId, data: u64);
+        fn control_in(&mut self, delay: SimTime, f: impl FnOnce(&mut Sim) + 'static);
+    }
+    macro_rules! sched {
+        ($t:ty) => {
+            impl Sched for $t {
+                fn now(&self) -> SimTime {
+                    <$t>::now(self)
+                }
+                fn rng(&mut self) -> &mut SimRng {
+                    <$t>::rng(self)
+                }
+                fn send_in<M: Any>(&mut self, delay: SimTime, target: ActorId, msg: M) {
+                    <$t>::send_in(self, delay, target, msg)
+                }
+                fn send_packed(&mut self, delay: SimTime, target: ActorId, data: u64) {
+                    <$t>::send_packed(self, delay, target, data)
+                }
+                fn control_in(&mut self, delay: SimTime, f: impl FnOnce(&mut Sim) + 'static) {
+                    <$t>::control_in(self, delay, f)
+                }
+            }
+        };
+    }
+    sched!(Sim);
+    sched!(Ctx<'_>);
+
+    /// Push order is the calendar's only tie-break. Messages, packed
+    /// events and control closures for one instant `T` are pushed
+    /// interleaved by the world, by two actors and by closures: some from
+    /// earlier instants that differ from `T` in a high digit, so `T`'s
+    /// events are re-filed on the way down, and some while `T`'s own run
+    /// is being consumed. They fire in push order, each through its own
+    /// lane, and the control closures' lane is empty at drain.
+    #[test]
+    fn same_instant_events_of_every_kind_fire_in_push_order() {
+        use push_order::{push, Plan, Shared, T};
+        let plan = Shared::new(std::cell::RefCell::new(Plan { left_at_t: 9, ..Plan::default() }));
+        let mut sim = Sim::new(1);
+        for _ in 0..2 {
+            sim.spawn(push_order::Echo(plan.clone()));
+        }
+        let early = [T - SimTime::from_nanos(0x10_0000), SimTime::from_nanos(3), T - SimTime::from_nanos(1)];
+        for at in [T, early[0], T, early[1], T, T, early[2], T] {
+            push(&mut sim, &plan, at);
+        }
+        sim.run();
+
+        let p = plan.borrow();
+        assert!(p.log.windows(2).all(|w| w[0] < w[1]), "not in (instant, push) order: {:?}", p.log);
+        let mut fired: Vec<u32> = p.log.iter().map(|&(_, n, _)| n).collect();
+        fired.sort_unstable();
+        assert_eq!(fired, (0..p.pushed).collect::<Vec<_>>(), "each push fires once");
+        assert!(p.log.iter().all(|&(_, n, lane)| lane == n % 3), "each event keeps its lane");
+        let at_t: Vec<_> = p.log.iter().filter(|e| e.0 == T).collect();
+        assert_eq!((at_t.len(), p.left_at_t), (5 + 3 * 3 + 9, 0));
+        assert!((0..3).all(|lane| at_t.iter().any(|e| e.2 == lane)));
+        drop(p);
+        let lanes = sim.core.mail.occupancy();
+        assert_eq!(lanes.len(), 2, "one lane for the messages, one for the closures");
+        assert!(lanes.iter().all(|&(busy, slots)| busy == 0 && slots > 1), "{lanes:?}");
+        // A fired closure's slot is free again: two more fit in the lane.
+        for _ in 0..2 {
+            sim.control_in(SimTime::ZERO, |_| {});
+        }
+        sim.run();
+        assert_eq!(sim.core.mail.occupancy(), lanes, "a fired closure's slot is recycled");
+    }
+
+    /// The schedule of [`same_instant_events_of_every_kind_fire_in_push_order`].
+    mod push_order {
+        use super::super::*;
+        use super::Sched;
+        use std::cell::RefCell;
+        use std::rc::Rc;
+
+        /// The contested instant, `0xAB` in digit 4.
+        pub(super) const T: SimTime = SimTime::from_nanos(0xAB_0000_0000);
+
+        #[derive(Default)]
+        pub(super) struct Plan {
+            /// `(instant, push number, lane)` of each event, in firing
+            /// order; lane 0 is a message, 1 packed, 2 a control closure.
+            pub(super) log: Vec<(SimTime, u32, u32)>,
+            pub(super) pushed: u32,
+            /// Pushes still to make from `T` itself.
+            pub(super) left_at_t: u32,
+        }
+        pub(super) type Shared = Rc<RefCell<Plan>>;
+
+        struct Tag(u32);
+
+        /// Actor `n % 2` receives push `n` unless it is a closure.
+        pub(super) struct Echo(pub(super) Shared);
+
+        /// Push the next event for `at`: its number `n` picks its lane
+        /// (`n % 3`) and its target.
+        pub(super) fn push(s: &mut impl Sched, plan: &Shared, at: SimTime) {
+            let n = {
+                let mut p = plan.borrow_mut();
+                p.pushed += 1;
+                p.pushed - 1
+            };
+            let (delay, target) = (at - s.now(), ActorId(n % 2));
+            match n % 3 {
+                0 => s.send_in(delay, target, Tag(n)),
+                1 => s.send_packed(delay, target, u64::from(n)),
+                _ => {
+                    let plan = plan.clone();
+                    s.control_in(delay, move |sim| fired(sim, &plan, n, 2));
+                }
+            }
+        }
+
+        /// Log event `n`. One that fires before `T` pushes three more for
+        /// `T`; one at `T` pushes one more while any are left.
+        fn fired(s: &mut impl Sched, plan: &Shared, n: u32, lane: u32) {
+            let now = s.now();
+            let more = {
+                let mut p = plan.borrow_mut();
+                p.log.push((now, n, lane));
+                match now < T {
+                    true => 3,
+                    false if p.left_at_t > 0 => {
+                        p.left_at_t -= 1;
+                        1
+                    }
+                    false => 0,
+                }
+            };
+            for _ in 0..more {
+                push(s, plan, T);
+            }
+        }
+
+        impl Actor for Echo {
+            fn handle_mail(&mut self, ctx: &mut Ctx<'_>, mail: Mail<'_>) {
+                let Ok(Tag(n)) = ctx.open(mail) else { unreachable!("only tags are sent") };
+                fired(ctx, &self.0, n, 0);
+            }
+
+            fn handle_packed(&mut self, ctx: &mut Ctx<'_>, data: u64) {
+                fired(ctx, &self.0, data as u32, 1);
+            }
+        }
+    }
+
     /// The random world of [`prop_mail_lanes_deliver_once_by_value_in_order`].
     mod mail_world {
         use super::super::*;
+        use super::Sched;
         use std::cell::RefCell;
         use std::collections::BTreeMap;
         use std::rc::Rc;
 
         /// What the test knows of every event it sent, indexed by id; ids
-        /// grow with the kernel's schedule counter.
+        /// grow in push order.
         #[derive(Default)]
         struct Ledger {
             /// Target and due instant of each id.
@@ -839,34 +1000,6 @@ mod tests {
         fn check_of(id: usize) -> [u64; 6] {
             std::array::from_fn(|i| (id as u64 + 1).wrapping_mul(0x9E37_79B9 + i as u64))
         }
-
-        /// What both [`Sim`] and [`Ctx`] can schedule.
-        trait Sched {
-            fn now(&self) -> SimTime;
-            fn rng(&mut self) -> &mut SimRng;
-            fn send_in<M: Any>(&mut self, delay: SimTime, target: ActorId, msg: M);
-            fn send_packed(&mut self, delay: SimTime, target: ActorId, data: u64);
-        }
-        macro_rules! sched {
-            ($t:ty) => {
-                impl Sched for $t {
-                    fn now(&self) -> SimTime {
-                        <$t>::now(self)
-                    }
-                    fn rng(&mut self) -> &mut SimRng {
-                        <$t>::rng(self)
-                    }
-                    fn send_in<M: Any>(&mut self, delay: SimTime, target: ActorId, msg: M) {
-                        <$t>::send_in(self, delay, target, msg)
-                    }
-                    fn send_packed(&mut self, delay: SimTime, target: ActorId, data: u64) {
-                        <$t>::send_packed(self, delay, target, data)
-                    }
-                }
-            };
-        }
-        sched!(Sim);
-        sched!(Ctx<'_>);
 
         /// One random send — plain, wide, token, unread or packed — to
         /// any actor ever spawned, at once or within 5 µs; nothing once the
@@ -1039,7 +1172,7 @@ mod tests {
             sim.run();
 
             let l = ledger.borrow();
-            // In `(SimTime, seq)` order, hence each id at most once.
+            // In `(SimTime, push)` order, hence each id at most once.
             assert!(l.delivered.windows(2).all(|w| w[0] < w[1]), "deliveries out of order");
             let delivered: BTreeMap<usize, SimTime> = l.delivered.iter().map(|&(at, id)| (id, at)).collect();
             for (id, &(target, due)) in l.sent.iter().enumerate() {

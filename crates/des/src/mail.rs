@@ -1,7 +1,7 @@
-//! Mail lanes: every scheduled message, stored by value beside the
-//! calendar.
+//! Mail lanes: every scheduled message and control closure, stored by
+//! value beside the calendar.
 //!
-//! A calendar slot stays 48 bytes because it carries only where its
+//! A calendar slot stays 32 bytes because it carries only where its
 //! message waits, `(lane, slot)`. Each message type a world sends gets one
 //! lane the first time it is sent: a slab of `Option<M>` slots with a free
 //! list, found by `TypeId` in a short list (a world sends a handful of

@@ -10,12 +10,14 @@
 //! bucket, raises the floor to its earliest event and re-files its events
 //! into the empty buckets below, so an event moves at most eight times.
 //!
-//! Events sit in fixed 48-byte slots that never move; a bucket is an
+//! Events sit in fixed 32-byte slots that never move; a bucket is an
 //! intrusive list through each slot's `u32` link, with head, tail,
 //! earliest instant and occupancy bit inline in the queue. Freed slots
 //! go on a free list: steady-state simulation allocates nothing here.
-//! Order is exactly `(SimTime, seq)`: events with one `at` always share a
-//! bucket, in push order, so appending builds bucket 0 with no sort.
+//! Order is exactly `(SimTime, push order)` with no sequence number
+//! stored: events with one `at` always share a bucket, every list stays
+//! in push order and a re-file walks it in order, so appending builds
+//! bucket 0 with no sort.
 
 use crate::time::SimTime;
 
@@ -28,17 +30,14 @@ const BUCKETS: usize = 1 + (u64::BITS / DIGIT_BITS) as usize * RADIX;
 
 pub(crate) struct Slot<P> {
     at: SimTime,
-    seq: u64,
     /// Next slot in its bucket or, vacant, on the free list (NIL ends).
     next: u32,
     payload: Option<P>,
 }
 
-/// Monotone radix calendar ordered by `(SimTime, seq)`, min first.
-///
-/// `seq` must grow from push to push (the kernel's schedule counter
-/// does), which makes the order total: same-time events pop in schedule
-/// (FIFO) order. No push may precede the last popped instant.
+/// Monotone radix calendar ordered by `(SimTime, push order)`, min
+/// first: same-time events pop in schedule (FIFO) order. No push may
+/// precede the last popped instant.
 pub(crate) struct IndexedQueue<P> {
     slots: Vec<Slot<P>>,
     free: u32,
@@ -95,32 +94,27 @@ impl<P> IndexedQueue<P> {
                 self.occupied[(b - 1) / 64] |= 1 << ((b - 1) % 64);
             }
         } else {
-            let t = self.tail[b] as usize;
-            debug_assert!(
-                b > 0 || self.slots[t].seq < self.slots[i as usize].seq,
-                "the current instant's run grows in seq order"
-            );
-            self.slots[t].next = i;
+            self.slots[self.tail[b] as usize].next = i;
             self.min[b] = self.min[b].min(at);
         }
         self.tail[b] = i;
     }
 
-    /// Schedule `payload` at `(at, seq)`. O(1).
+    /// Schedule `payload` at `at`, after every event already there. O(1).
     ///
     /// # Panics
     /// If `at` precedes the last popped instant: the past is closed.
-    pub(crate) fn push(&mut self, at: SimTime, seq: u64, payload: P) {
+    pub(crate) fn push(&mut self, at: SimTime, payload: P) {
         assert!(at.as_nanos() >= self.floor, "cannot schedule into the past");
         let i = if self.free != NIL {
             let i = self.free;
             let slot = &mut self.slots[i as usize];
             self.free = slot.next;
-            (slot.at, slot.seq, slot.payload) = (at, seq, Some(payload));
+            (slot.at, slot.payload) = (at, Some(payload));
             i
         } else {
             assert!(self.slots.len() < NIL as usize, "event arena exceeds u32 slots");
-            self.slots.push(Slot { at, seq, next: NIL, payload: Some(payload) });
+            self.slots.push(Slot { at, next: NIL, payload: Some(payload) });
             (self.slots.len() - 1) as u32
         };
         self.append(self.bucket(at.as_nanos()), i, at.as_nanos());
@@ -130,7 +124,7 @@ impl<P> IndexedQueue<P> {
     /// Remove and return the earliest event if it is due by `deadline`.
     /// When nothing is due the floor stays where it was, so the caller
     /// may go on scheduling from any instant it has reached.
-    pub(crate) fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, u64, P)> {
+    pub(crate) fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, P)> {
         let deadline = deadline.as_nanos();
         let i = match self.head[0] {
             NIL => self.advance(deadline)?,
@@ -147,7 +141,7 @@ impl<P> IndexedQueue<P> {
         slot.next = self.free;
         self.free = i;
         self.len -= 1;
-        Some((slot.at, slot.seq, payload))
+        Some((slot.at, payload))
     }
 
     /// Open the first non-empty bucket if its earliest event is due by
@@ -187,9 +181,9 @@ impl<P> IndexedQueue<P> {
 
 #[cfg(test)]
 /// The kernel's first calendar: a binary heap over `(at, seq)`-ordered
-/// entries. Kept as the reference implementation — the equivalence tests
-/// replay random schedules through both queues and assert identical pop
-/// sequences.
+/// entries, `seq` its own push counter. Kept as the reference
+/// implementation — the equivalence tests replay random schedules through
+/// both queues and assert identical pop sequences.
 pub(crate) mod legacy {
     use super::IndexedQueue;
     use crate::rng::SimRng;
@@ -199,13 +193,15 @@ pub(crate) mod legacy {
 
     impl<P> IndexedQueue<P> {
         /// Remove and return the earliest event.
-        pub(crate) fn pop(&mut self) -> Option<(SimTime, u64, P)> {
+        pub(crate) fn pop(&mut self) -> Option<(SimTime, P)> {
             self.pop_until(SimTime::MAX)
         }
     }
 
     pub(crate) struct LegacyQueue<P> {
         heap: BinaryHeap<Reverse<LegacyEntry<P>>>,
+        /// The next push's tie-break.
+        seq: u64,
     }
 
     struct LegacyEntry<P> {
@@ -234,7 +230,7 @@ pub(crate) mod legacy {
     impl<P> LegacyQueue<P> {
         /// An empty queue.
         pub(crate) fn new() -> Self {
-            LegacyQueue { heap: BinaryHeap::new() }
+            LegacyQueue { heap: BinaryHeap::new(), seq: 0 }
         }
 
         /// Is the queue empty?
@@ -242,21 +238,22 @@ pub(crate) mod legacy {
             self.heap.is_empty()
         }
 
-        /// Schedule `payload` at `(at, seq)`.
-        pub(crate) fn push(&mut self, at: SimTime, seq: u64, payload: P) {
-            self.heap.push(Reverse(LegacyEntry { at, seq, payload }));
+        /// Schedule `payload` at `(at, seq)`, `seq` counting pushes.
+        pub(crate) fn push(&mut self, at: SimTime, payload: P) {
+            self.heap.push(Reverse(LegacyEntry { at, seq: self.seq, payload }));
+            self.seq += 1;
         }
 
         /// Remove and return the minimum event if it is due by `deadline`.
-        pub(crate) fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, u64, P)> {
+        pub(crate) fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, P)> {
             if self.heap.peek()?.0.at > deadline {
                 return None;
             }
-            self.heap.pop().map(|Reverse(e)| (e.at, e.seq, e.payload))
+            self.heap.pop().map(|Reverse(e)| (e.at, e.payload))
         }
 
         /// Remove and return the minimum event.
-        pub(crate) fn pop(&mut self) -> Option<(SimTime, u64, P)> {
+        pub(crate) fn pop(&mut self) -> Option<(SimTime, P)> {
             self.pop_until(SimTime::MAX)
         }
     }
@@ -269,26 +266,27 @@ pub(crate) mod legacy {
     /// pushes come in same-instant bursts, and a pop's deadline often
     /// falls short of the next event — after which, as after
     /// `Sim::run_until`, the clock stands at the deadline and pushes land
-    /// between the old floor and that event.
+    /// between the old floor and that event. Each payload is its push
+    /// number, so equal pops mean equal order among same-instant events.
     pub(crate) fn replay_against_legacy(rng: &mut SimRng, ops: usize) {
         let delay = |rng: &mut SimRng| rng.next_u64() >> rng.gen_range(24..64u32);
         let mut calendar = IndexedQueue::new();
         let mut legacy = LegacyQueue::new();
-        let (mut seq, mut now) = (0u64, rng.next_u64() >> rng.gen_range(2..26u32));
+        let (mut pushed, mut now) = (0u64, rng.next_u64() >> rng.gen_range(2..26u32));
         for _ in 0..ops {
             if legacy.is_empty() || rng.gen_f64() < 0.55 {
                 let at = SimTime::from_nanos(now + delay(rng));
                 let burst = if rng.gen_range(0..4u32) == 0 { rng.gen_range(2..9u32) } else { 1 };
                 for _ in 0..burst {
-                    calendar.push(at, seq, seq);
-                    legacy.push(at, seq, seq);
-                    seq += 1;
+                    calendar.push(at, pushed);
+                    legacy.push(at, pushed);
+                    pushed += 1;
                 }
             } else {
                 let deadline = SimTime::from_nanos(now + delay(rng));
                 let want = legacy.pop_until(deadline);
                 assert_eq!(calendar.pop_until(deadline), want);
-                now = want.map_or(deadline, |(at, _, _)| at).as_nanos();
+                now = want.map_or(deadline, |(at, _)| at).as_nanos();
             }
         }
         while let Some(want) = legacy.pop() {
@@ -310,22 +308,22 @@ mod tests {
     #[test]
     fn same_time_events_pop_in_schedule_order_indexed() {
         let mut q = IndexedQueue::new();
-        q.push(t(100), 0, "first");
-        q.push(t(100), 1, "second");
-        q.push(t(50), 2, "early");
-        q.push(t(100), 3, "third");
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, _, p)| p).collect();
+        q.push(t(100), "first");
+        q.push(t(100), "second");
+        q.push(t(50), "early");
+        q.push(t(100), "third");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, p)| p).collect();
         assert_eq!(order, ["early", "first", "second", "third"]);
     }
 
     #[test]
     fn same_time_events_pop_in_schedule_order_legacy() {
         let mut q = LegacyQueue::new();
-        q.push(t(100), 0, "first");
-        q.push(t(100), 1, "second");
-        q.push(t(50), 2, "early");
-        q.push(t(100), 3, "third");
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, _, p)| p).collect();
+        q.push(t(100), "first");
+        q.push(t(100), "second");
+        q.push(t(50), "early");
+        q.push(t(100), "third");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, p)| p).collect();
         assert_eq!(order, ["early", "first", "second", "third"]);
     }
 
@@ -334,7 +332,7 @@ mod tests {
         let mut q = IndexedQueue::new();
         for round in 0..10u64 {
             for i in 0..100u64 {
-                q.push(t(round * 1000 + i), round * 100 + i, i);
+                q.push(t(round * 1000 + i), i);
             }
             for _ in 0..100 {
                 q.pop();
@@ -352,26 +350,26 @@ mod tests {
         let mut times: Vec<u64> = (0..64).step_by(8).map(|s| 3 << s).collect();
         times.extend([0, u64::MAX, u64::MAX - 1, 1 << 63]);
         let mut q = IndexedQueue::new();
-        for (seq, &at) in times.iter().rev().enumerate() {
-            q.push(t(at), seq as u64, at);
+        for &at in times.iter().rev() {
+            q.push(t(at), at);
         }
         times.sort_unstable();
-        let popped: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|(_, _, p)| p).collect();
+        let popped: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|(_, p)| p).collect();
         assert_eq!(popped, times);
     }
 
     #[test]
     fn pop_until_short_of_the_next_event_keeps_the_floor() {
         let mut q = IndexedQueue::new();
-        q.push(t(1_000), 0, "late");
+        q.push(t(1_000), "late");
         assert_eq!(q.pop_until(t(400)), None);
         // The clock may stand anywhere up to the deadline: push there.
-        q.push(t(400), 1, "between");
-        assert_eq!(q.pop_until(t(400)).map(|(_, _, p)| p), Some("between"));
+        q.push(t(400), "between");
+        assert_eq!(q.pop_until(t(400)).map(|(_, p)| p), Some("between"));
         assert_eq!(q.pop_until(t(999)), None);
-        assert_eq!(q.pop().map(|(_, _, p)| p), Some("late"));
+        assert_eq!(q.pop().map(|(_, p)| p), Some("late"));
         // A deadline behind the current instant fires nothing.
-        q.push(t(1_000), 2, "same instant");
+        q.push(t(1_000), "same instant");
         assert_eq!(q.pop_until(t(999)), None);
     }
 
@@ -379,9 +377,9 @@ mod tests {
     #[should_panic(expected = "cannot schedule into the past")]
     fn push_below_the_floor_panics() {
         let mut q = IndexedQueue::new();
-        q.push(t(500), 0, ());
+        q.push(t(500), ());
         q.pop();
-        q.push(t(499), 1, ());
+        q.push(t(499), ());
     }
 
     #[test]

@@ -549,7 +549,7 @@ mod tests {
         let mut topo = Topology::new();
         let s0 = topo.add_site("a");
         let s1 = topo.add_site("b");
-        topo.set_inter_site_latency(SimTime::from_millis(latency_ms));
+        topo.set_site_pair_latency(s0, s1, SimTime::from_millis(latency_ms));
         let h0 = topo.add_host(HostCfg::new(s0).bw(up_bw, down_bw));
         let h1 = topo.add_host(HostCfg::new(s1).bw(up_bw, down_bw));
         (Net::builder(topo).build(), h0, h1)
@@ -564,7 +564,7 @@ mod tests {
         let mut topo = Topology::new();
         let s0 = topo.add_site("a");
         let s1 = topo.add_site("b");
-        topo.set_inter_site_latency(SimTime::from_millis(latency_ms));
+        topo.set_site_pair_latency(s0, s1, SimTime::from_millis(latency_ms));
         let h0 = topo.add_host(HostCfg::new(s0).bw(up_bw, down_bw));
         let h1 = topo.add_host(HostCfg::new(s1).bw(up_bw, down_bw));
         (Net::builder(topo).fault_plan(plan).build(), h0, h1)

@@ -166,11 +166,6 @@ impl Topology {
         &self.hosts
     }
 
-    /// Set the default inter-site (WAN) latency.
-    pub fn set_inter_site_latency(&mut self, l: SimTime) {
-        self.inter_latency = l;
-    }
-
     /// Override the latency between one specific pair of sites.
     pub fn set_site_pair_latency(&mut self, a: SiteId, b: SiteId, l: SimTime) {
         let key = (a.min(b), a.max(b));
