@@ -29,8 +29,8 @@ pub const SCHEMA_VERSION: u32 = 2;
 const SEED: u64 = 13;
 
 /// The memory gate: bytes of state per node the largest `hier` point of
-/// any sweep may reach (every point of the committed sweep is ≤ 69.5).
-const GATE_BYTES_PER_NODE: f64 = 100.0;
+/// any sweep may reach (every point of the committed sweep is ≤ 53.1).
+const GATE_BYTES_PER_NODE: f64 = 75.0;
 
 /// Campus sizes swept (nodes).
 pub const SIZES: [u32; 4] = [1_000, 10_000, 100_000, 1_000_000];

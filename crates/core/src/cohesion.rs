@@ -141,11 +141,6 @@ impl HierShape {
         self.group_counts[level]
     }
 
-    /// Total groups across all levels (≈ n/(fanout−1)).
-    pub fn groups_total(&self) -> u64 {
-        self.group_counts.iter().sum()
-    }
-
     /// Members at `level` (hosts at level 0, child primaries above).
     fn members_at(&self, level: usize) -> u64 {
         if level == 0 {
@@ -575,7 +570,7 @@ mod tests {
         }
         // Two seats per group, but 100 000 → 12 500 → 1 563 → 196 → 25
         // → 4 → 1 leaves the 25th level-3 primary alone in its group.
-        assert_eq!(seats, 2 * s.groups_total() - 1);
+        assert_eq!(seats, 2 * (0..s.depth()).map(|l| s.group_count(l)).sum::<u64>() - 1);
     }
 
     #[test]
@@ -604,7 +599,8 @@ mod tests {
         assert_eq!(s.depth(), 7);
         // The whole routing structure: three u64s and one tiny Vec.
         assert!(s.group_counts.len() <= 8);
-        assert_eq!(s.groups_total(), 125_000 + 15_625 + 1_954 + 245 + 31 + 4 + 1);
+        let groups: u64 = (0..s.depth()).map(|l| s.group_count(l)).sum();
+        assert_eq!(groups, 125_000 + 15_625 + 1_954 + 245 + 31 + 4 + 1);
     }
 
     /// The seat rule's truth table: a taker anywhere ends the routing

@@ -645,11 +645,12 @@ fn registry_front_cycle_allocations_are_pinned() {
 /// retains: 1 024 hosts on 128 sites of 8, default cohesion, one leader,
 /// no cache, `Counter` on the first host of every site, converged for
 /// three report periods — everything the world holds (fabric, kernel,
-/// every node's stores and soft state) per host. The measured 4 919, in
-/// release and debug builds alike; 4 983 while a calendar slot was 48
-/// bytes, 5 038 while every node copied its seats' member, replica and
-/// parent lists and its report targets out of the tree.
-const RETAINED_BYTES_PER_NODE: i64 = 4_919;
+/// every node's stores and soft state) per host. The measured 4 887, in
+/// release and debug builds alike; 4 919 while a calendar slot was 32
+/// bytes, 4 983 while it was 48, 5 038 while every node copied its seats'
+/// member, replica and parent lists and its report targets out of the
+/// tree.
+const RETAINED_BYTES_PER_NODE: i64 = 4_887;
 
 #[test]
 fn retained_bytes_per_node_are_pinned() {

@@ -146,7 +146,7 @@ fn assert_matches_oracle(n: u32, fanout: usize, replicas: usize) {
             }
         }
     }
-    assert_eq!(shape.groups_total(), groups_total);
+    assert_eq!((0..shape.depth()).map(|l| shape.group_count(l)).sum::<u64>(), groups_total);
     for host in (0..n).map(HostId) {
         assert_eq!(report_targets(shape, host), oracle.report_targets(host), "{host:?}, {ctx}");
         assert_eq!(seats(shape, host), oracle.seats_of(host), "{host:?}, {ctx}");

@@ -20,6 +20,10 @@
 //!   receiver gets a [`Mail`] in [`Actor::handle_mail`] and moves the
 //!   value out with [`Ctx::open`]; an actor that keeps the default
 //!   receives it boxed in [`Actor::handle`].
+//! * A pending event is one 24-byte calendar slot: its instant, a `u64`
+//!   word (a packed event's data, or where a message or closure waits)
+//!   and a `u32` tag (the event's kind and a 30-bit target — a world
+//!   spawns fewer than 2³⁰ actors), plus the calendar's link.
 //!
 //! Event ordering is `(time, push order)`, with no sequence number stored,
 //! so two runs with the same seed produce identical histories — every
@@ -59,7 +63,7 @@ pub use mail::Mail;
 use mail::{MailLanes, Stored};
 pub use metrics::{nearest_rank, Counter, Metrics, Series, Summary};
 pub use profile::{Lane, ProfileReport, Profiler, ProfilerConfig, QueueSample, Tally};
-use queue::IndexedQueue;
+use queue::{IndexedQueue, KIND_SHIFT};
 pub use rng::SimRng;
 pub use time::SimTime;
 
@@ -69,7 +73,9 @@ use std::any::Any;
 ///
 /// Ids are never reused within one simulation, even after
 /// [`Ctx::kill`]/[`Sim::kill`]; a message sent to a dead actor is silently
-/// dropped (the DES analogue of a packet to a crashed host).
+/// dropped (the DES analogue of a packet to a crashed host). A world
+/// spawns fewer than 2³⁰ actors: the calendar keeps an event's target in
+/// 30 bits.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ActorId(pub u32);
 
@@ -137,7 +143,10 @@ pub trait Actor: Any {
     fn on_kill(&mut self, _ctx: &mut Ctx<'_>) {}
 }
 
-/// A calendar slot's 16 bytes of plain data: what owns memory waits in a mail lane.
+/// What a calendar slot carries, as plain data: what owns memory waits
+/// in a mail lane. The calendar stores it as a `u64` word and a `u32`
+/// tag, the kind in the tag's top two bits and the target in the rest.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Payload {
     /// A message waiting in its mail lane.
     Message { target: ActorId, mail: Stored },
@@ -147,13 +156,45 @@ enum Payload {
     Control(Stored),
 }
 
+/// Every target below this fits a tag.
+const TARGETS: u32 = 1 << KIND_SHIFT;
+
+impl Payload {
+    /// The calendar's `(word, tag)` for this event.
+    ///
+    /// # Panics
+    /// If the target does not fit the tag's 30 bits.
+    fn pack(self) -> (u64, u32) {
+        let stored = |at: Stored| u64::from(at.lane) << 32 | u64::from(at.slot);
+        let (kind, target, word) = match self {
+            Payload::Message { target, mail } => (0, target, stored(mail)),
+            Payload::Packed { target, data } => (1, target, data),
+            Payload::Control(closure) => (2, ActorId(0), stored(closure)),
+        };
+        assert!(target.0 < TARGETS, "{target} is past the calendar's 30-bit targets");
+        (word, kind << KIND_SHIFT | target.0)
+    }
+
+    /// The event [`Payload::pack`] made `(word, tag)` of.
+    fn unpack(word: u64, tag: u32) -> Payload {
+        let target = ActorId(tag % TARGETS);
+        let stored = Stored { lane: (word >> 32) as u32, slot: word as u32 };
+        match tag >> KIND_SHIFT {
+            0 => Payload::Message { target, mail: stored },
+            1 => Payload::Packed { target, data: word },
+            2 => Payload::Control(stored),
+            _ => unreachable!("the calendar pops only occupied slots"),
+        }
+    }
+}
+
 /// A control closure, in a lane of a type no message can have.
 struct Control(Box<dyn FnOnce(&mut Sim)>);
 
 /// The scheduling core shared between [`Sim`] and [`Ctx`].
 struct Core {
     now: SimTime,
-    queue: IndexedQueue<Payload>,
+    queue: IndexedQueue,
     /// Every message the calendar carries, by value.
     mail: MailLanes,
     rng: SimRng,
@@ -171,14 +212,35 @@ struct Core {
 }
 
 impl Core {
-    fn push(&mut self, at: SimTime, payload: Payload) {
-        debug_assert!(at >= self.now, "cannot schedule into the past");
-        self.queue.push(at, payload);
+    /// Schedule `payload` at `now + delay`.
+    ///
+    /// # Panics
+    /// If that instant is past [`SimTime::MAX`]: a wrapped instant would
+    /// rewind the clock.
+    fn push_in(&mut self, delay: SimTime, payload: Payload) {
+        let Some(at) = self.now.checked_add(delay) else { panic!("virtual time overflow") };
+        let (word, tag) = payload.pack();
+        self.queue.push(at, word, tag);
     }
 
     fn send_in<M: Any>(&mut self, delay: SimTime, target: ActorId, msg: M) {
         let mail = self.mail.store(msg);
-        self.push(self.now + delay, Payload::Message { target, mail });
+        self.push_in(delay, Payload::Message { target, mail });
+    }
+
+    fn control_in(&mut self, delay: SimTime, f: impl FnOnce(&mut Sim) + 'static) {
+        let closure = self.mail.store(Control(Box::new(f)));
+        self.push_in(delay, Payload::Control(closure));
+    }
+
+    /// The next actor's id.
+    ///
+    /// # Panics
+    /// Past 2³⁰ actors, which the calendar's targets cannot address.
+    fn next_id(&mut self) -> ActorId {
+        assert!(self.next_actor < TARGETS, "a world spawns fewer than 2^30 actors");
+        self.next_actor += 1;
+        ActorId(self.next_actor - 1)
     }
 }
 
@@ -234,21 +296,18 @@ impl<'a> Ctx<'a> {
     /// Deliver a packed `u64` event to `target` after `delay` — the
     /// zero-allocation lane ([`Actor::handle_packed`]).
     pub fn send_packed(&mut self, delay: SimTime, target: ActorId, data: u64) {
-        let at = self.core.now + delay;
-        self.core.push(at, Payload::Packed { target, data });
+        self.core.push_in(delay, Payload::Packed { target, data });
     }
 
     /// Run a control closure against the whole world at `now + delay`.
     pub fn control_in(&mut self, delay: SimTime, f: impl FnOnce(&mut Sim) + 'static) {
-        let closure = self.core.mail.store(Control(Box::new(f)));
-        self.core.push(self.core.now + delay, Payload::Control(closure));
+        self.core.control_in(delay, f);
     }
 
     /// Spawn a new actor. It becomes addressable immediately (messages
     /// scheduled for it before the current event finishes are delivered).
     pub fn spawn(&mut self, actor: impl Actor + 'static) -> ActorId {
-        let id = ActorId(self.core.next_actor);
-        self.core.next_actor += 1;
+        let id = self.core.next_id();
         self.core.spawned.push((id, Box::new(actor)));
         id
     }
@@ -326,8 +385,7 @@ impl Sim {
 
     /// Spawn an actor into the world.
     pub fn spawn(&mut self, actor: impl Actor + 'static) -> ActorId {
-        let id = ActorId(self.core.next_actor);
-        self.core.next_actor += 1;
+        let id = self.core.next_id();
         self.ensure_slot(id);
         self.actors[id.0 as usize] = Some(Box::new(actor));
         id
@@ -363,14 +421,12 @@ impl Sim {
     /// Schedule a packed `u64` event for `target` after `delay` — the
     /// zero-allocation lane ([`Actor::handle_packed`]).
     pub fn send_packed(&mut self, delay: SimTime, target: ActorId, data: u64) {
-        let at = self.core.now + delay;
-        self.core.push(at, Payload::Packed { target, data });
+        self.core.push_in(delay, Payload::Packed { target, data });
     }
 
     /// Schedule a control closure after `delay`.
     pub fn control_in(&mut self, delay: SimTime, f: impl FnOnce(&mut Sim) + 'static) {
-        let closure = self.core.mail.store(Control(Box::new(f)));
-        self.core.push(self.core.now + delay, Payload::Control(closure));
+        self.core.control_in(delay, f);
     }
 
     /// Bytes currently held by the event-calendar arena — used by the
@@ -412,39 +468,35 @@ impl Sim {
         }
     }
 
-    /// Deliver one event to `target`, temporarily removing the actor so
-    /// it can borrow the core. Shared by messages and packed events; a
-    /// message's slot is released as soon as its handler returns, or at
-    /// once if the target is dead.
+    /// Deliver one event to `target` where it lives, beside the core it
+    /// borrows. Shared by messages and packed events; a message's slot is
+    /// released as soon as its handler returns, or at once if the target
+    /// is dead. An actor that killed itself is taken out for its
+    /// [`Actor::on_kill`] before the other spawns and kills apply.
     fn deliver(&mut self, target: ActorId, ev: Delivery) {
         let idx = target.0 as usize;
-        let taken = self.actors.get_mut(idx).and_then(|s| s.take());
-        if let Some(mut actor) = taken {
-            {
-                let mut ctx = Ctx { core: &mut self.core, me: target };
-                match ev {
-                    Delivery::Mail(at) => {
-                        actor.handle_mail(&mut ctx, at.mail());
-                        self.core.mail.release(at);
-                    }
-                    Delivery::Packed(data) => actor.handle_packed(&mut ctx, data),
-                }
-            }
-            // Re-insert unless the actor killed itself.
-            if self.core.killed.contains(&target) {
-                self.core.killed.retain(|&k| k != target);
-                let mut ctx = Ctx { core: &mut self.core, me: target };
-                actor.on_kill(&mut ctx);
-            } else {
-                self.actors[idx] = Some(actor);
-            }
-            self.apply_side_effects();
-        } else {
+        let Some(actor) = self.actors.get_mut(idx).and_then(|s| s.as_deref_mut()) else {
             if let Delivery::Mail(at) = ev {
                 self.core.mail.release(at);
             }
             self.core.metrics.incr(Counter::DesDroppedToDead);
+            return;
+        };
+        let mut ctx = Ctx { core: &mut self.core, me: target };
+        match ev {
+            Delivery::Mail(at) => {
+                actor.handle_mail(&mut ctx, at.mail());
+                self.core.mail.release(at);
+            }
+            Delivery::Packed(data) => actor.handle_packed(&mut ctx, data),
         }
+        if self.core.killed.contains(&target) {
+            self.core.killed.retain(|&k| k != target);
+            if let Some(mut actor) = self.actors[idx].take() {
+                actor.on_kill(&mut Ctx { core: &mut self.core, me: target });
+            }
+        }
+        self.apply_side_effects();
     }
 
     /// Enable the virtual-time profiler from the current instant.
@@ -468,8 +520,9 @@ impl Sim {
 
     /// Fire the next event if it is due by `deadline`; `false` if none is.
     fn step_until(&mut self, deadline: SimTime) -> bool {
-        let Some((at, payload)) = self.core.queue.pop_until(deadline) else { return false };
+        let Some((at, word, tag)) = self.core.queue.pop_until(deadline) else { return false };
         debug_assert!(at >= self.core.now);
+        let payload = Payload::unpack(word, tag);
         if let Some(p) = self.core.profiler.as_mut() {
             // Observation only: attribute the calendar gap this event
             // closes, then sample queue telemetry. No scheduling, no RNG.
@@ -756,13 +809,70 @@ mod tests {
     }
 
     /// E13's `queue_bytes` and E15's `arena_bytes_max` count calendar
-    /// slots: their committed cells hold only while a slot is 32 bytes,
-    /// which takes a payload of 16 bytes whose `None` costs nothing.
+    /// slots: their committed cells hold only while a slot is 24 bytes,
+    /// three words with no padding, and what it stores owns nothing.
     #[test]
-    fn calendar_slot_is_32_bytes() {
-        assert_eq!(std::mem::size_of::<queue::Slot<Payload>>(), 32);
-        assert_eq!(std::mem::size_of::<Option<Payload>>(), 16);
-        assert!(!std::mem::needs_drop::<Payload>(), "a slot owns nothing");
+    fn calendar_slot_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<queue::Slot>(), 24);
+        assert!(!std::mem::needs_drop::<queue::Slot>(), "a slot owns nothing");
+        assert!(!std::mem::needs_drop::<Payload>(), "a payload owns nothing");
+    }
+
+    /// lc-prop: every kind of event comes back from its `(word, tag)` as
+    /// it went in, the edge targets, words and mail coordinates included,
+    /// and no tag is the vacant slot's.
+    #[test]
+    fn prop_payload_pack_round_trips() {
+        /// Zero, all of `mask` or a random value under it.
+        fn edge(g: &mut lc_prop::Gen, mask: u64) -> u64 {
+            let any = g.any_u64() & mask;
+            *g.pick(&[0, mask, any])
+        }
+        lc_prop::check("payload pack/unpack", |g| {
+            let target = ActorId(edge(g, u64::from(TARGETS - 1)) as u32);
+            let data = edge(g, u64::MAX);
+            let stored = Stored { lane: edge(g, u32::MAX.into()) as u32, slot: edge(g, u32::MAX.into()) as u32 };
+            for p in [
+                Payload::Message { target, mail: stored },
+                Payload::Packed { target, data },
+                Payload::Control(stored),
+            ] {
+                let (word, tag) = p.pack();
+                assert!(tag < queue::VACANT, "{p:?} packs to the vacant tag");
+                assert_eq!(Payload::unpack(word, tag), p);
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "past the calendar's 30-bit targets")]
+    fn an_event_for_a_target_past_30_bits_panics() {
+        Sim::new(1).send_packed(SimTime::ZERO, ActorId(1 << 30), 0);
+    }
+
+    /// The id both spawns take is refused at 2³⁰ (asked of the core: a
+    /// spawn that got past it would grow the actor table to 16 GiB).
+    #[test]
+    #[should_panic(expected = "fewer than 2^30 actors")]
+    fn spawning_past_30_bit_ids_panics() {
+        let mut sim = Sim::new(1);
+        sim.core.next_actor = TARGETS - 1;
+        assert_eq!(sim.core.next_id(), ActorId(TARGETS - 1));
+        sim.core.next_id();
+    }
+
+    /// A delay that carries `now + delay` past [`SimTime::MAX`] is refused
+    /// rather than wrapped to an instant behind the clock.
+    #[test]
+    #[should_panic(expected = "virtual time overflow")]
+    fn an_overflowing_delay_panics_instead_of_rewinding_the_clock() {
+        let mut sim = Sim::new(1);
+        let c = sim.spawn(Counter { hits: 0, every: SimTime::ZERO, limit: 1 });
+        sim.send_in(SimTime::from_nanos(50), c, Tick);
+        sim.run_until(SimTime::from_nanos(100));
+        sim.send_in(SimTime::from_nanos(u64::MAX - 20), c, Tick);
+        sim.run();
+        assert!(sim.now() >= SimTime::from_nanos(100), "the clock went back to {}", sim.now());
     }
 
     /// lc-prop: the mail lanes in a random world — four message types,

@@ -1,8 +1,8 @@
 //! Mail lanes: every scheduled message and control closure, stored by
 //! value beside the calendar.
 //!
-//! A calendar slot stays 32 bytes because it carries only where its
-//! message waits, `(lane, slot)`. Each message type a world sends gets one
+//! A calendar slot stays 24 bytes because it carries only where its
+//! message waits, `(lane, slot)`, packed in one word. Each message type a world sends gets one
 //! lane the first time it is sent: a slab of `Option<M>` slots with a free
 //! list, found by `TypeId` in a short list (a world sends a handful of
 //! types). Storing moves the message into a vacant slot, so once each lane
@@ -27,10 +27,10 @@ pub struct Mail<'a> {
 }
 
 /// Where one stored message waits: what the calendar carries.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) struct Stored {
-    lane: u32,
-    slot: u32,
+    pub(crate) lane: u32,
+    pub(crate) slot: u32,
 }
 
 impl Stored {

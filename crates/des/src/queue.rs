@@ -10,10 +10,12 @@
 //! bucket, raises the floor to its earliest event and re-files its events
 //! into the empty buckets below, so an event moves at most eight times.
 //!
-//! Events sit in fixed 32-byte slots that never move; a bucket is an
-//! intrusive list through each slot's `u32` link, with head, tail,
-//! earliest instant and occupancy bit inline in the queue. Freed slots
-//! go on a free list: steady-state simulation allocates nothing here.
+//! Events sit in fixed 24-byte slots that never move — an instant, the
+//! event's `u64` word and `u32` tag ([`crate::Payload::pack`] encodes
+//! both) and a `u32` link; a bucket is an intrusive list through the
+//! links, with head, tail, earliest instant and occupancy bit inline in
+//! the queue. Freed slots go on a free list: steady-state simulation
+//! allocates nothing here.
 //! Order is exactly `(SimTime, push order)` with no sequence number
 //! stored: events with one `at` always share a bucket, every list stays
 //! in push order and a re-file walks it in order, so appending builds
@@ -28,18 +30,26 @@ const RADIX: usize = 1 << DIGIT_BITS;
 /// The current instant, then `RADIX` buckets per digit.
 const BUCKETS: usize = 1 + (u64::BITS / DIGIT_BITS) as usize * RADIX;
 
-pub(crate) struct Slot<P> {
+/// A tag's payload kind sits in its bits from here up. The calendar
+/// knows one kind, [`VACANT`]'s; every other is the encoder's.
+pub(crate) const KIND_SHIFT: u32 = 30;
+/// The tag of a vacant slot: the fourth kind, target zero.
+pub(crate) const VACANT: u32 = 3 << KIND_SHIFT;
+
+pub(crate) struct Slot {
     at: SimTime,
+    word: u64,
+    /// Below [`VACANT`] while the slot holds an event.
+    tag: u32,
     /// Next slot in its bucket or, vacant, on the free list (NIL ends).
     next: u32,
-    payload: Option<P>,
 }
 
-/// Monotone radix calendar ordered by `(SimTime, push order)`, min
-/// first: same-time events pop in schedule (FIFO) order. No push may
-/// precede the last popped instant.
-pub(crate) struct IndexedQueue<P> {
-    slots: Vec<Slot<P>>,
+/// Monotone radix calendar of `(word, tag)` events ordered by
+/// `(SimTime, push order)`, min first: same-time events pop in schedule
+/// (FIFO) order. No push may precede the last popped instant.
+pub(crate) struct IndexedQueue {
+    slots: Vec<Slot>,
     free: u32,
     len: usize,
     /// The last popped instant: no pending event is earlier.
@@ -52,7 +62,7 @@ pub(crate) struct IndexedQueue<P> {
     occupied: [u64; (BUCKETS - 1) / 64],
 }
 
-impl<P> IndexedQueue<P> {
+impl IndexedQueue {
     /// An empty calendar, its floor at time zero.
     pub(crate) fn new() -> Self {
         IndexedQueue {
@@ -100,21 +110,23 @@ impl<P> IndexedQueue<P> {
         self.tail[b] = i;
     }
 
-    /// Schedule `payload` at `at`, after every event already there. O(1).
+    /// Schedule the event `(word, tag)` at `at`, after every event
+    /// already there. O(1).
     ///
     /// # Panics
     /// If `at` precedes the last popped instant: the past is closed.
-    pub(crate) fn push(&mut self, at: SimTime, payload: P) {
+    pub(crate) fn push(&mut self, at: SimTime, word: u64, tag: u32) {
         assert!(at.as_nanos() >= self.floor, "cannot schedule into the past");
+        debug_assert!(tag < VACANT, "an event's tag is not the vacant kind");
         let i = if self.free != NIL {
             let i = self.free;
             let slot = &mut self.slots[i as usize];
             self.free = slot.next;
-            (slot.at, slot.payload) = (at, Some(payload));
+            (slot.at, slot.word, slot.tag) = (at, word, tag);
             i
         } else {
             assert!(self.slots.len() < NIL as usize, "event arena exceeds u32 slots");
-            self.slots.push(Slot { at, next: NIL, payload: Some(payload) });
+            self.slots.push(Slot { at, word, tag, next: NIL });
             (self.slots.len() - 1) as u32
         };
         self.append(self.bucket(at.as_nanos()), i, at.as_nanos());
@@ -124,7 +136,7 @@ impl<P> IndexedQueue<P> {
     /// Remove and return the earliest event if it is due by `deadline`.
     /// When nothing is due the floor stays where it was, so the caller
     /// may go on scheduling from any instant it has reached.
-    pub(crate) fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, P)> {
+    pub(crate) fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, u64, u32)> {
         let deadline = deadline.as_nanos();
         let i = match self.head[0] {
             NIL => self.advance(deadline)?,
@@ -135,13 +147,12 @@ impl<P> IndexedQueue<P> {
             }
         };
         let slot = &mut self.slots[i as usize];
-        let Some(payload) = slot.payload.take() else {
-            unreachable!("occupied slot has payload")
-        };
+        let tag = std::mem::replace(&mut slot.tag, VACANT);
+        assert!(tag < VACANT, "a popped slot holds an event");
         slot.next = self.free;
         self.free = i;
         self.len -= 1;
-        Some((slot.at, payload))
+        Some((slot.at, slot.word, tag))
     }
 
     /// Open the first non-empty bucket if its earliest event is due by
@@ -175,7 +186,7 @@ impl<P> IndexedQueue<P> {
     /// Bytes held by the queue arena (capacity-inclusive), for the
     /// kernel's memory accounting.
     pub(crate) fn arena_bytes(&self) -> usize {
-        self.slots.capacity() * std::mem::size_of::<Slot<P>>()
+        self.slots.capacity() * std::mem::size_of::<Slot>()
     }
 }
 
@@ -185,15 +196,15 @@ impl<P> IndexedQueue<P> {
 /// implementation — the equivalence tests replay random schedules through
 /// both queues and assert identical pop sequences.
 pub(crate) mod legacy {
-    use super::IndexedQueue;
+    use super::{IndexedQueue, KIND_SHIFT};
     use crate::rng::SimRng;
     use crate::time::SimTime;
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
-    impl<P> IndexedQueue<P> {
+    impl IndexedQueue {
         /// Remove and return the earliest event.
-        pub(crate) fn pop(&mut self) -> Option<(SimTime, P)> {
+        pub(crate) fn pop(&mut self) -> Option<(SimTime, u64, u32)> {
             self.pop_until(SimTime::MAX)
         }
     }
@@ -266,8 +277,10 @@ pub(crate) mod legacy {
     /// pushes come in same-instant bursts, and a pop's deadline often
     /// falls short of the next event — after which, as after
     /// `Sim::run_until`, the clock stands at the deadline and pushes land
-    /// between the old floor and that event. Each payload is its push
-    /// number, so equal pops mean equal order among same-instant events.
+    /// between the old floor and that event. Each event's word is its push
+    /// number, so equal pops mean equal order among same-instant events;
+    /// its tag runs through the three occupied kinds and scrambles the
+    /// 30 target bits, so equal pops mean each tag came back whole.
     pub(crate) fn replay_against_legacy(rng: &mut SimRng, ops: usize) {
         let delay = |rng: &mut SimRng| rng.next_u64() >> rng.gen_range(24..64u32);
         let mut calendar = IndexedQueue::new();
@@ -278,19 +291,21 @@ pub(crate) mod legacy {
                 let at = SimTime::from_nanos(now + delay(rng));
                 let burst = if rng.gen_range(0..4u32) == 0 { rng.gen_range(2..9u32) } else { 1 };
                 for _ in 0..burst {
-                    calendar.push(at, pushed);
-                    legacy.push(at, pushed);
+                    let target = (pushed as u32).wrapping_mul(0x9E37_79B9) >> (32 - KIND_SHIFT);
+                    let tag = ((pushed % 3) as u32) << KIND_SHIFT | target;
+                    calendar.push(at, pushed, tag);
+                    legacy.push(at, (pushed, tag));
                     pushed += 1;
                 }
             } else {
                 let deadline = SimTime::from_nanos(now + delay(rng));
-                let want = legacy.pop_until(deadline);
+                let want = legacy.pop_until(deadline).map(|(at, (word, tag))| (at, word, tag));
                 assert_eq!(calendar.pop_until(deadline), want);
-                now = want.map_or(deadline, |(at, _)| at).as_nanos();
+                now = want.map_or(deadline, |(at, ..)| at).as_nanos();
             }
         }
-        while let Some(want) = legacy.pop() {
-            assert_eq!(calendar.pop(), Some(want));
+        while let Some((at, (word, tag))) = legacy.pop() {
+            assert_eq!(calendar.pop(), Some((at, word, tag)));
         }
         assert_eq!(calendar.len(), 0);
     }
@@ -305,15 +320,38 @@ mod tests {
         SimTime::from_nanos(ns)
     }
 
+    /// The tag pushed with `word`: never the vacant one.
+    fn tag_of(word: u64) -> u32 {
+        word as u32 % VACANT
+    }
+
+    /// Push event `word` at `ns`.
+    fn push(q: &mut IndexedQueue, ns: u64, word: u64) {
+        q.push(t(ns), word, tag_of(word));
+    }
+
+    /// Pop event `word`, checking its tag came back with it.
+    fn pop_word(popped: Option<(SimTime, u64, u32)>) -> Option<u64> {
+        popped.map(|(_, word, tag)| {
+            assert_eq!(tag, tag_of(word));
+            word
+        })
+    }
+
+    /// Pop every event's word.
+    fn drain(q: &mut IndexedQueue) -> Vec<u64> {
+        std::iter::from_fn(|| pop_word(q.pop())).collect()
+    }
+
     #[test]
     fn same_time_events_pop_in_schedule_order_indexed() {
+        let (early, first, second, third) = (0, 1, 2, 3);
         let mut q = IndexedQueue::new();
-        q.push(t(100), "first");
-        q.push(t(100), "second");
-        q.push(t(50), "early");
-        q.push(t(100), "third");
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, p)| p).collect();
-        assert_eq!(order, ["early", "first", "second", "third"]);
+        push(&mut q, 100, first);
+        push(&mut q, 100, second);
+        push(&mut q, 50, early);
+        push(&mut q, 100, third);
+        assert_eq!(drain(&mut q), [early, first, second, third]);
     }
 
     #[test]
@@ -332,14 +370,14 @@ mod tests {
         let mut q = IndexedQueue::new();
         for round in 0..10u64 {
             for i in 0..100u64 {
-                q.push(t(round * 1000 + i), i);
+                push(&mut q, round * 1000 + i, i);
             }
             for _ in 0..100 {
                 q.pop();
             }
         }
         // Arena never grows past the high-water mark of 100 live slots.
-        assert!(q.arena_bytes() <= 128 * std::mem::size_of::<Slot<u64>>());
+        assert!(q.arena_bytes() <= 128 * std::mem::size_of::<Slot>());
         assert_eq!(q.len(), 0);
     }
 
@@ -351,25 +389,25 @@ mod tests {
         times.extend([0, u64::MAX, u64::MAX - 1, 1 << 63]);
         let mut q = IndexedQueue::new();
         for &at in times.iter().rev() {
-            q.push(t(at), at);
+            push(&mut q, at, at);
         }
         times.sort_unstable();
-        let popped: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|(_, p)| p).collect();
-        assert_eq!(popped, times);
+        assert_eq!(drain(&mut q), times);
     }
 
     #[test]
     fn pop_until_short_of_the_next_event_keeps_the_floor() {
+        let (late, between, same_instant) = (1, 2, 3);
         let mut q = IndexedQueue::new();
-        q.push(t(1_000), "late");
+        push(&mut q, 1_000, late);
         assert_eq!(q.pop_until(t(400)), None);
         // The clock may stand anywhere up to the deadline: push there.
-        q.push(t(400), "between");
-        assert_eq!(q.pop_until(t(400)).map(|(_, p)| p), Some("between"));
+        push(&mut q, 400, between);
+        assert_eq!(pop_word(q.pop_until(t(400))), Some(between));
         assert_eq!(q.pop_until(t(999)), None);
-        assert_eq!(q.pop().map(|(_, p)| p), Some("late"));
+        assert_eq!(pop_word(q.pop()), Some(late));
         // A deadline behind the current instant fires nothing.
-        q.push(t(1_000), "same instant");
+        push(&mut q, 1_000, same_instant);
         assert_eq!(q.pop_until(t(999)), None);
     }
 
@@ -377,9 +415,9 @@ mod tests {
     #[should_panic(expected = "cannot schedule into the past")]
     fn push_below_the_floor_panics() {
         let mut q = IndexedQueue::new();
-        q.push(t(500), ());
+        push(&mut q, 500, 0);
         q.pop();
-        q.push(t(499), ());
+        push(&mut q, 499, 1);
     }
 
     #[test]

@@ -339,11 +339,6 @@ impl ObjectAdapter {
         self.servants.len()
     }
 
-    /// Is this object id active?
-    pub fn is_active(&self, oid: u64) -> bool {
-        self.servants.contains_key(&oid)
-    }
-
     /// Borrow a servant's state (for reflection / tests).
     pub fn servant(&self, oid: u64) -> Option<&dyn Servant> {
         self.servants.get(&oid).map(|b| b.as_ref())
@@ -582,9 +577,9 @@ mod tests {
     #[test]
     fn deactivate_kills_object() {
         let (mut oa, r) = adapter();
-        assert!(oa.is_active(r.key.oid));
+        assert!(oa.servant(r.key.oid).is_some());
         assert!(oa.deactivate(r.key.oid).is_some());
-        assert!(!oa.is_active(r.key.oid));
+        assert!(oa.servant(r.key.oid).is_none());
         assert!(matches!(
             oa.invoke(r.key, "add", &[Value::Long(1)], DispatchOpts::typed()).outcome,
             Err(OrbError::ObjectNotExist)
