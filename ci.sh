@@ -66,7 +66,7 @@ identical BENCH_e12 e12
 
 # Scale sweep (E13, hier vs flat): the smoke sweep, then the full one
 # (the 10^6-node point must complete) against BENCH_e13.json. Every run
-# exits non-zero if its largest hier point exceeds 75 bytes of state
+# exits non-zero if any of its hier points exceeds 15 bytes of state
 # per node.
 identical - e13 --max-nodes 10000
 identical BENCH_e13 e13

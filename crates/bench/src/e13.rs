@@ -28,9 +28,9 @@ pub const SCHEMA_VERSION: u32 = 2;
 /// The committed run's seed.
 const SEED: u64 = 13;
 
-/// The memory gate: bytes of state per node the largest `hier` point of
-/// any sweep may reach (every point of the committed sweep is ≤ 53.1).
-const GATE_BYTES_PER_NODE: f64 = 75.0;
+/// The memory gate: bytes of state per node no `hier` point of any sweep
+/// may exceed (the committed sweep's worst is 9.98, at 10³ nodes).
+const GATE_BYTES_PER_NODE: f64 = 15.0;
 
 /// Campus sizes swept (nodes).
 pub const SIZES: [u32; 4] = [1_000, 10_000, 100_000, 1_000_000];
@@ -143,11 +143,8 @@ fn render(points: &[ScaleReport], seed: u64) -> Output {
     }
     let _ = writeln!(report, "\nsummary: {} sweep points written to JSON", points.len());
 
-    let worst = points
-        .iter()
-        .filter(|r| r.variant == "hier")
-        .max_by_key(|r| r.n)
-        .map_or(0.0, |r| r.bytes_per_node);
+    let worst =
+        points.iter().filter(|r| r.variant == "hier").map(|r| r.bytes_per_node).fold(0.0, f64::max);
     let failed = (worst > GATE_BYTES_PER_NODE).then(|| {
         format!("e13: memory gate FAILED: {worst:.2} bytes/node > {GATE_BYTES_PER_NODE:.2}")
     });
@@ -246,7 +243,10 @@ mod tests {
         // at most), flat grows with the owner population.
         assert!(h2.msgs_per_query < h1.msgs_per_query * 2.0);
         assert!(f2_.msgs_per_query > f1.msgs_per_query * 5.0);
-        // Seat masks and calendar keep the footprint near-constant per node.
-        assert!(h2.bytes_per_node < GATE_BYTES_PER_NODE, "bytes/node {}", h2.bytes_per_node);
+        // Seat masks and a window of reports keep every point under the gate.
+        for h in [&h1, &h2] {
+            let (n, b) = (h.n, h.bytes_per_node);
+            assert!(b < GATE_BYTES_PER_NODE, "{n} nodes: {b} bytes/node");
+        }
     }
 }

@@ -205,11 +205,15 @@ pub struct ScaleCampus {
     /// All group seats, leaf level first (`level_base[l]` offsets).
     groups: Vec<GroupState>,
     level_base: Vec<usize>,
-    /// Owner node lists per component (the flat central's view).
+    /// Owner node lists per component (the flat central's view; empty
+    /// in the hierarchy, whose seats route by their masks).
     owners: [Vec<u32>; COMPONENTS.len()],
     queries: Vec<QueryState>,
     counts: Counts,
-    /// Reports stop rescheduling at this time.
+    /// Reports pending at once: each arms the one this many places on
+    /// in the campus-wide order `(round, node)` ([`report_window`]).
+    window: u64,
+    /// Reports and summaries stop rescheduling at this time.
     t_end: SimTime,
 }
 
@@ -232,7 +236,10 @@ impl ScaleCampus {
             total += shape.group_count(level) as usize;
         }
         let groups = vec![GroupState::default(); total];
-        let owners = [owner_list(cfg.n, 0), owner_list(cfg.n, 1)];
+        let owners = match cfg.variant {
+            Variant::Hier => Default::default(),
+            Variant::Flat => [owner_list(cfg.n, 0), owner_list(cfg.n, 1)],
+        };
         let t_end = cfg.report_period * u64::from(cfg.rounds);
         ScaleCampus {
             queries: Vec::with_capacity(cfg.queries as usize),
@@ -241,6 +248,7 @@ impl ScaleCampus {
             level_base,
             owners,
             counts: Counts::default(),
+            window: report_window(cfg.n, cfg.report_period),
             t_end,
             cfg,
         }
@@ -273,9 +281,19 @@ impl ScaleCampus {
                 self.counts.traffic += 1;
             }
         }
-        let me = ctx.me();
-        if ctx.now() + self.cfg.report_period < self.t_end {
-            ctx.send_packed(self.cfg.report_period, me, pack(K_REPORT, node, 0));
+        // The report wheel: arm the report `window` places on in the
+        // order `(round, node)`, wrapping into the next round.
+        let (n, period, now) = (u64::from(self.cfg.n), self.cfg.report_period, ctx.now());
+        let next = now.as_nanos() / period.as_nanos() * n + u64::from(node) + self.window;
+        let (round, i) = (next / n, next % n);
+        let at = period * round + stagger(i, n, period);
+        if at < self.t_end {
+            let lead = at - now;
+            // Armed more than a hop ahead, a report is still pushed before
+            // any query hop due at its instant, as a per-node timer was.
+            debug_assert!(lead > HOP || self.window == n, "report armed only {lead} ahead");
+            let me = ctx.me();
+            ctx.send_packed(lead, me, pack(K_REPORT, i as u32, 0));
         }
     }
 
@@ -453,6 +471,25 @@ fn owner_list(n: u32, comp: usize) -> Vec<u32> {
     (0..n).filter(|i| i % 256 == OWNER_RESIDUE[comp]).collect()
 }
 
+/// When node `i` of `n` reports within a round: staggered over the
+/// first half of the period.
+fn stagger(i: u64, n: u64, period: SimTime) -> SimTime {
+    SimTime::from_nanos(i * (period.as_nanos() / 2) / n)
+}
+
+/// The fewest pending reports that keep each one armed more than a
+/// [`HOP`] ahead of its instant, so that it is pushed before any query
+/// hop due then (52 at 10⁶ nodes), capped at `n`.
+///
+/// Within a round reports sit `half / n` apart (`half` is the first
+/// half of the period), so the report `window` places on is more than
+/// `window · half / n − 1 ns` later; across a round it is more than
+/// `half` later, and `half > HOP` whenever the cap does not bind.
+fn report_window(n: u32, period: SimTime) -> u64 {
+    let (n, half) = (u64::from(n), period.as_nanos() / 2);
+    ((HOP.as_nanos() + 2) * n / half.max(1) + 2).min(n)
+}
+
 impl Actor for ScaleCampus {
     fn handle_mail(&mut self, _ctx: &mut Ctx<'_>, _mail: Mail<'_>) {
         debug_assert!(false, "scale campus only speaks the packed lane");
@@ -535,6 +572,9 @@ pub struct ScaleReport {
 /// Schedule: every node reports each round (staggered over the first
 /// half of the period); summaries propagate level-by-level inside the
 /// round; queries and churn fire in the last round, after convergence.
+/// The calendar holds a window of about fifty reports, not one per
+/// node: each report arms a later one, so the campus's reports fire at
+/// the same instants, in the same order, as one timer per node would.
 pub fn run_scale(cfg: ScaleConfig, seed: u64) -> ScaleReport {
     let (report, _) = run_scale_profiled(cfg, seed, None);
     report
@@ -550,10 +590,19 @@ pub fn run_scale_profiled(
     seed: u64,
     prof: Option<lc_des::ProfilerConfig>,
 ) -> (ScaleReport, Option<lc_des::ProfileReport>) {
+    run_campus(ScaleCampus::build(cfg), seed, prof)
+}
+
+fn run_campus(
+    campus: ScaleCampus,
+    seed: u64,
+    prof: Option<lc_des::ProfilerConfig>,
+) -> (ScaleReport, Option<lc_des::ProfileReport>) {
+    let cfg = campus.cfg.clone();
     let period = cfg.report_period;
     let rounds = u64::from(cfg.rounds);
     assert!(cfg.rounds >= 2, "need a warm-up round and a measure round");
-    let campus = ScaleCampus::build(cfg.clone());
+    let window = campus.window;
     let depth = campus.shape.depth();
     assert!(depth <= 8, "summary stagger supports 8 levels");
     // Read off the campus's own tree before the actor moves into the
@@ -566,11 +615,10 @@ pub fn run_scale_profiled(
     }
     let me = sim.spawn(campus);
 
-    // Reports: each node, staggered over the first half of the period.
-    let half = period.as_nanos() / 2;
-    for node in 0..cfg.n {
-        let stagger = SimTime::from_nanos(u64::from(node) * half / u64::from(cfg.n));
-        sim.send_packed(stagger, me, pack(K_REPORT, node, 0));
+    // Reports: the first `window` of round 0; each arms a later one.
+    for node in 0..window {
+        let at = stagger(node, u64::from(cfg.n), period);
+        sim.send_packed(at, me, pack(K_REPORT, node as u32, 0));
     }
     // Summaries (hier only): level l pushes at (8+l)/16 of each period,
     // so presence reaches the root within the same round.
@@ -675,5 +723,53 @@ mod tests {
         assert_eq!(a.outcomes, b.outcomes);
         assert_eq!(a.campus_bytes, b.campus_bytes);
         assert_eq!(a.queue_bytes, b.queue_bytes);
+    }
+
+    /// A run's report without what the calendar weighs, and its
+    /// per-kind tallies (events and the virtual time each closed).
+    fn fired(campus: ScaleCampus, seed: u64) -> (ScaleReport, Vec<(u8, lc_des::Tally)>) {
+        let prof = Some(lc_des::ProfilerConfig::default());
+        let (mut report, profile) = run_campus(campus, seed, prof);
+        report.queue_bytes = 0;
+        report.bytes_per_node = 0.0;
+        (report, profile.map(|p| p.kinds).unwrap_or_default())
+    }
+
+    #[test]
+    fn the_report_wheel_fires_what_per_node_timers_fire() {
+        lc_prop::check("report wheel = one timer per node", |g| {
+            // Round sizes put reports on the instants of query hops.
+            let n = if g.gen_bool() {
+                *g.pick(&[1_000, 1_250, 2_000, 2_500, 4_000, 5_000])
+            } else {
+                g.gen_range(1..5_001u32)
+            };
+            let mut cfg = ScaleConfig::new(n, *g.pick(&[Variant::Hier, Variant::Flat]));
+            cfg.churn = g.gen_range(0..24u32);
+            cfg.rounds = g.gen_range(2..4u32);
+            // Short periods pack reports closer than a hop.
+            if g.gen_bool() {
+                let us = *g.pick(&[200, 1_000, 2_000, 5_000, 20_000, 100_000]);
+                cfg.report_period = SimTime::from_micros(us);
+            }
+            let seed = g.any_u64();
+            // A window of `n`: every node re-arms itself a period later.
+            let mut timers = ScaleCampus::build(cfg.clone());
+            timers.window = u64::from(n);
+            let timers = fired(timers, seed);
+            let wheel = fired(ScaleCampus::build(cfg), seed);
+            assert_eq!(wheel, timers);
+        });
+    }
+
+    #[test]
+    fn a_scale_run_keeps_a_window_of_reports_pending() {
+        let cfg = ScaleConfig::new(100_000, Variant::Hier);
+        let (report, profile) = run_scale_profiled(cfg, 5, Some(lc_des::ProfilerConfig::default()));
+        let Some(profile) = profile else { panic!("profiler attached") };
+        assert_eq!(report.queries_completed, u64::from(report.queries));
+        // The summaries (one per seat), the queries and churn pushed at
+        // setup, and a window of reports — not one report per node.
+        assert_eq!(profile.depth_max, 14_330);
     }
 }

@@ -584,10 +584,11 @@ fn recoverable_remote_invoke_allocations_are_pinned() {
 }
 
 /// What one 10⁵-node hierarchical `run_scale` asks the allocator for, in
-/// calls: the seat masks, the two owner lists, the query table, the
-/// report's copies and the calendar arena's doublings — nothing per
-/// node, nothing per event. The same in debug and release builds.
-const SCALE_RUN_ALLOCS: u64 = 44;
+/// calls: the seat masks, the query table, the report's copies and the
+/// calendar arena's doublings, up to the summaries and a window of
+/// reports — nothing per node, nothing per event. The same in debug and
+/// release builds.
+const SCALE_RUN_ALLOCS: u64 = 25;
 
 #[test]
 fn scale_run_allocations_are_pinned() {
