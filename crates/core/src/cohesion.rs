@@ -7,9 +7,8 @@
 //!   groups of at most `fanout` members; each group elects `replicas`
 //!   MRMs from its membership; group primaries are themselves grouped at
 //!   the next level, recursively, up to a single root group. Queries do
-//!   "incremental resource lookup": group first, escalate on miss —
-//!   [`route_at_seat`] is that rule, written once for the node stack and
-//!   the million-node campus alike.
+//!   "incremental resource lookup": group first, escalate on miss
+//!   ([`route_query`]).
 //! * **Soft consistency** — members send periodic [`ResourceReport`]s
 //!   that "also serve as a keep-alive mechanism"; an MRM "can suppose a
 //!   node of the group has been down after some time-out" and tolerates
@@ -20,6 +19,11 @@
 //!   numbered replica believed alive) emits summaries and answers
 //!   queries, and any replica takes over when the primaries above it go
 //!   silent.
+//!
+//! An MRM seat is one state machine with two drivers: four steps decide
+//! where a report ([`report_seat`]) and a summary ([`summary_seat`]) land,
+//! when a seat pushes up and to whom ([`push_summary`]), and where a query
+//! goes ([`route_query`]), over either [`SeatStore`].
 //!
 //! [`ResourceReport`]: crate::resource::ResourceReport
 
@@ -185,17 +189,6 @@ impl HierShape {
         self.group_size(level, g).min(self.replicas)
     }
 
-    /// The group's MRM replicas (its first `replicas` members).
-    pub fn mrms(&self, level: usize, g: u64) -> impl Iterator<Item = u64> + '_ {
-        (0..self.seats(level, g)).map(move |j| self.member(level, g, j))
-    }
-
-    /// The leaf group a host belongs to.
-    pub fn leaf_group_of(&self, host: u64) -> u64 {
-        debug_assert!(host < self.n);
-        host / self.fanout
-    }
-
     /// Parent group of group `g` at `level` (`None` at the root level).
     pub fn parent(&self, level: usize, g: u64) -> Option<(usize, u64)> {
         if level + 1 < self.depth() {
@@ -205,12 +198,6 @@ impl HierShape {
         }
     }
 
-    /// The member slot (bit position) of group `g`'s primary inside its
-    /// parent group.
-    pub fn slot_in_parent(&self, g: u64) -> u64 {
-        g % self.fanout
-    }
-
     /// Host-id span covered by the subtree under group `g` at `level`.
     pub fn subtree(&self, level: usize, g: u64) -> std::ops::Range<u64> {
         let width = self.stride(level) * self.fanout;
@@ -218,8 +205,9 @@ impl HierShape {
     }
 
     /// The group at `level` whose subtree holds `host` — for a host that
-    /// is a member there, its own group.
+    /// is a member there, its own group; at level 0, its leaf group.
     pub fn group_of(&self, level: usize, host: u64) -> u64 {
+        debug_assert!(host < self.n);
         host / (self.stride(level) * self.fanout)
     }
 
@@ -244,55 +232,94 @@ impl HierShape {
         })
     }
 
-    /// [`mrms`](Self::mrms) as host ids: where group `g`'s members send
-    /// their reports (level 0) and its child seats their summaries and
-    /// escalated queries.
+    /// The group's MRM replicas, its first `replicas` members: where its
+    /// members send their reports (level 0) and its child seats their
+    /// summaries and escalated queries.
     pub fn mrm_hosts(&self, level: usize, g: u64) -> impl Iterator<Item = HostId> + '_ {
-        self.mrms(level, g).map(|i| HostId(i as u32))
+        (0..self.seats(level, g)).map(move |j| HostId(self.member(level, g, j) as u32))
     }
 }
 
-/// What an MRM seat does with a query none of its candidates took.
+/// A seat: the coordinate `(level, g)` of one MRM group in the tree.
+pub type Seat = (usize, u64);
+
+/// One MRM seat's soft state: full records keyed by sender on a node
+/// ([`DutyState`]), masks keyed by member slot in the scale campus.
+pub trait SeatStore {
+    /// What a member reports.
+    type Report;
+    /// What a seat pushes up to its parent.
+    type Summary;
+    /// Absorb a member's report, replacing its last record.
+    fn on_report(&mut self, from: HostId, slot: u64, report: Self::Report, now: SimTime);
+    /// Absorb a child seat's summary, replacing its last record.
+    fn on_summary(&mut self, from: HostId, slot: u64, summary: Self::Summary, now: SimTime);
+    /// The summary this seat pushes up.
+    fn summary(&self) -> Self::Summary;
+}
+
+/// Report step: the seat a report from `from` lands in, its leaf group,
+/// and the member slot it fills there, its own.
+pub fn report_seat(shape: &HierShape, from: HostId) -> (Seat, u64) {
+    let host = u64::from(from.0);
+    ((0, shape.group_of(0, host)), host % shape.fanout)
+}
+
+/// Summary step: the seat child seat `(level, g)`'s summary lands in, its
+/// parent (none at the root), and the child's member slot there.
+pub fn summary_seat(shape: &HierShape, (level, g): Seat) -> Option<(Seat, u64)> {
+    Some((shape.parent(level, g)?, g % shape.fanout))
+}
+
+/// Tick step: a seat with a parent pushes its summary up while its host
+/// is `acting` for the group. Returns the summary, built only then, and
+/// the parent replicas to send it to.
+pub fn push_summary<'t, S: SeatStore>(
+    shape: &'t HierShape,
+    (level, g): Seat,
+    acting: bool,
+    store: &S,
+) -> Option<(S::Summary, impl Iterator<Item = HostId> + 't)> {
+    let (pl, pg) = shape.parent(level, g).filter(|_| acting)?;
+    Some((store.summary(), shape.mrm_hosts(pl, pg)))
+}
+
+/// Where a query goes from a seat once every candidate was asked.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Miss {
-    /// Ascending with a parent group: ask one level up ("request higher
-    /// hierarchy level requests").
-    Escalate,
-    /// Descending, or at the root: tell the origin this branch is
-    /// exhausted so it can stop early when every branch misses (best
-    /// effort — the origin's timeout is the backstop).
+pub enum Route {
+    /// A candidate took it: the routing ends here.
+    Taken,
+    /// None did, ascending below the root: ask the parent seat
+    /// `(level, g)` ("request higher hierarchy level requests").
+    Escalate { level: usize, g: u64 },
+    /// None did, descending or at the root: tell the origin this branch
+    /// is exhausted, so it can stop early when every branch misses (best
+    /// effort; the origin's timeout is the backstop).
     DeadEnd,
 }
 
-/// Query routing at one MRM seat (§2.4.3: incremental resource lookup) —
-/// the one rule both drivers run, [`registry_svc`](crate::node::Node)
-/// over real soft state and wire messages and
-/// [`ScaleCampus`](crate::scale::ScaleCampus) over presence masks and
-/// packed events.
-///
-/// The seat offers the query to every candidate, in order: a plain
-/// member at level 0 (`offer(c, None)`), the child seat one level down
-/// above it (`offer(c, Some(level - 1))`); `offer` says whether the
-/// candidate took it. When none did, the seat escalates or dead-ends
-/// ([`Miss`]). Escalation happens only on a miss: an ascending query
-/// stops at the first level with a taker even when the origin wants
-/// *all* offers; the origin's timeout bounds latency.
-pub fn route_at_seat<C>(
-    level: u8,
+/// Query step (§2.4.3: incremental resource lookup). Seat `(level, g)`
+/// asks every candidate, in order: a plain member at level 0
+/// (`ask(c, None)`), the child seat one level down above it
+/// (`ask(c, Some(level - 1))`); `ask` says whether it took the query. An
+/// ascending query escalates only when none did, so it stops at the
+/// first level with a taker even when the origin wants *all* offers.
+pub fn route_query<C>(
+    shape: &HierShape,
+    (level, g): Seat,
     descending: bool,
-    has_parent: bool,
     candidates: impl IntoIterator<Item = C>,
-    mut offer: impl FnMut(C, Option<u8>) -> bool,
-) -> Option<Miss> {
-    let child_level = level.checked_sub(1);
+    mut ask: impl FnMut(C, Option<u8>) -> bool,
+) -> Route {
+    let child_level = (level as u8).checked_sub(1);
     let mut taken = false;
     for c in candidates {
-        taken |= offer(c, child_level);
+        taken |= ask(c, child_level);
     }
-    match (taken, !descending && has_parent) {
-        (true, _) => None,
-        (false, true) => Some(Miss::Escalate),
-        (false, false) => Some(Miss::DeadEnd),
+    match shape.parent(level, g) {
+        _ if taken => Route::Taken,
+        Some((level, g)) if !descending => Route::Escalate { level, g },
+        _ => Route::DeadEnd,
     }
 }
 
@@ -339,16 +366,6 @@ impl DutyState {
     /// Member → last record.
     pub fn records(&self) -> &BTreeMap<HostId, MemberRecord> {
         &self.records
-    }
-
-    /// Absorb a node report.
-    pub fn on_report(&mut self, from: HostId, report: ResourceReport, now: SimTime) {
-        self.absorb(from, MemberRecord::Node { report, at: now });
-    }
-
-    /// Absorb a child-subtree summary.
-    pub fn on_summary(&mut self, from: HostId, summary: Rc<GroupSummary>, now: SimTime) {
-        self.absorb(from, MemberRecord::Subtree { summary, at: now });
     }
 
     /// Store `from`'s record. One saying what the last did — the same
@@ -404,13 +421,6 @@ impl DutyState {
         index.get(name).map_or(&[], Vec::as_slice)
     }
 
-    /// The summary to send up: an unchanged duty re-sends the `Rc` it sent.
-    pub fn summary(&self) -> Rc<GroupSummary> {
-        let summary = self.summary.get_or_init(|| Rc::new(self.summarize()));
-        debug_assert_eq!(**summary, self.summarize(), "a re-sent summary must equal a fresh one");
-        Rc::clone(summary)
-    }
-
     /// Aggregate everything known into a subtree summary.
     pub fn summarize(&self) -> GroupSummary {
         let mut out = GroupSummary::default();
@@ -428,6 +438,27 @@ impl DutyState {
             }
         }
         out
+    }
+}
+
+/// A node's seat store: full records keyed by the sending host.
+impl SeatStore for DutyState {
+    type Report = ResourceReport;
+    type Summary = Rc<GroupSummary>;
+
+    fn on_report(&mut self, from: HostId, _: u64, report: ResourceReport, now: SimTime) {
+        self.absorb(from, MemberRecord::Node { report, at: now });
+    }
+
+    fn on_summary(&mut self, from: HostId, _: u64, summary: Rc<GroupSummary>, now: SimTime) {
+        self.absorb(from, MemberRecord::Subtree { summary, at: now });
+    }
+
+    /// An unchanged duty re-sends the `Rc` it sent.
+    fn summary(&self) -> Rc<GroupSummary> {
+        let summary = self.summary.get_or_init(|| Rc::new(self.summarize()));
+        debug_assert_eq!(**summary, self.summarize(), "a re-sent summary must equal a fresh one");
+        Rc::clone(summary)
     }
 }
 
@@ -468,14 +499,18 @@ mod tests {
         ids.collect()
     }
 
+    fn hosts(hosts: impl Iterator<Item = HostId>) -> Vec<u64> {
+        hosts.map(|h| u64::from(h.0)).collect()
+    }
+
     /// `(level, g, replicas, members, parent replicas)` of each seat.
     type Seat = (usize, u64, Vec<u64>, Vec<u64>, Vec<u64>);
 
     fn seats(s: &HierShape, host: u32) -> Vec<Seat> {
         s.seats_of(HostId(host))
             .map(|(level, g)| {
-                let parent = s.parent(level, g).map(|(pl, pg)| ids(s.mrms(pl, pg)));
-                let (mrms, members) = (ids(s.mrms(level, g)), ids(s.members(level, g)));
+                let parent = s.parent(level, g).map(|(pl, pg)| hosts(s.mrm_hosts(pl, pg)));
+                let (mrms, members) = (hosts(s.mrm_hosts(level, g)), ids(s.members(level, g)));
                 (level, g, mrms, members, parent.unwrap_or_default())
             })
             .collect()
@@ -497,10 +532,10 @@ mod tests {
         let s = CohesionConfig::flat(64, 1, SimTime::from_secs(2)).shape(64);
         assert_eq!(s.depth(), 1);
         assert_eq!(s.group_count(0), 1);
-        assert_eq!(ids(s.mrms(0, 0)), [0]);
+        assert_eq!(hosts(s.mrm_hosts(0, 0)), [0]);
         // every node reports to the central server
         for host in 0..64 {
-            assert_eq!(ids(s.mrms(0, s.leaf_group_of(host))), [0]);
+            assert_eq!(hosts(s.mrm_hosts(0, s.group_of(0, host))), [0]);
         }
     }
 
@@ -518,7 +553,7 @@ mod tests {
         let s = CohesionConfig { fanout: 8, replicas: 2, ..Default::default() }.shape(64);
         // host 5 is a plain member of group 0
         assert!(seats(&s, 5).is_empty());
-        assert_eq!(ids(s.mrms(0, s.leaf_group_of(5))), [0, 1]);
+        assert_eq!(hosts(s.mrm_hosts(0, s.group_of(0, 5))), [0, 1]);
         // host 1 is replica (not primary) of leaf group 0
         let d1 = seats(&s, 1);
         assert_eq!(d1.len(), 1);
@@ -576,10 +611,10 @@ mod tests {
     #[test]
     fn leaf_groups_and_subtrees() {
         let s = HierShape::build(1000, 8, 2);
-        assert_eq!(s.leaf_group_of(0), 0);
-        assert_eq!(s.leaf_group_of(7), 0);
-        assert_eq!(s.leaf_group_of(8), 1);
-        assert_eq!(s.leaf_group_of(999), 124);
+        assert_eq!(s.group_of(0, 0), 0);
+        assert_eq!(s.group_of(0, 7), 0);
+        assert_eq!(s.group_of(0, 8), 1);
+        assert_eq!(s.group_of(0, 999), 124);
         // Level-1 group 0 spans hosts 0..64; the last one is ragged.
         assert_eq!(s.subtree(1, 0), 0..64);
         assert_eq!(s.subtree(0, 124), 992..1000);
@@ -587,10 +622,10 @@ mod tests {
         // Depth: 1000 → 125 → 16 → 2 → 1.
         assert_eq!(s.depth(), 4);
         assert_eq!(s.group_count(3), 1);
-        assert_eq!(s.slot_in_parent(9), 1);
+        assert_eq!(summary_seat(&s, (0, 9)), Some(((1, 1), 1)));
         // 125 leaf primaries fill 15 level-1 groups and leave 5 over.
         assert_eq!(s.group_size(1, 15), 5);
-        assert_eq!(ids(s.mrms(1, 15)), [960, 968]);
+        assert_eq!(hosts(s.mrm_hosts(1, 15)), [960, 968]);
     }
 
     #[test]
@@ -603,22 +638,31 @@ mod tests {
         assert_eq!(groups, 125_000 + 15_625 + 1_954 + 245 + 31 + 4 + 1);
     }
 
-    /// The seat rule's truth table: a taker anywhere ends the routing
-    /// here; with none, only an ascending query with a parent escalates.
+    /// The query step's truth table: a taker anywhere ends the routing
+    /// here; with none, only an ascending query with a parent escalates,
+    /// and it names the parent seat.
     #[test]
     fn seat_rule_truth_table() {
+        // Seat (2, 1) is a root's child in a depth-4 tree and the root
+        // itself in a depth-3 one.
+        let (deep, shallow) = (HierShape::build(256, 4, 2), HierShape::build(64, 4, 2));
         for descending in [false, true] {
             for has_parent in [false, true] {
+                let (shape, seat) = if has_parent { (&deep, (2, 1)) } else { (&shallow, (2, 0)) };
                 let route = |takers: [bool; 3]| {
-                    route_at_seat(2, descending, has_parent, takers, |took, _| took)
+                    route_query(shape, seat, descending, takers, |took, _| took)
                 };
-                assert_eq!(route([false, true, false]), None);
-                assert_eq!(route([true, true, true]), None);
-                let miss = if !descending && has_parent { Miss::Escalate } else { Miss::DeadEnd };
-                assert_eq!(route([false, false, false]), Some(miss));
+                assert_eq!(route([false, true, false]), Route::Taken);
+                assert_eq!(route([true, true, true]), Route::Taken);
+                let miss = if !descending && has_parent {
+                    Route::Escalate { level: 3, g: 0 }
+                } else {
+                    Route::DeadEnd
+                };
+                assert_eq!(route([false, false, false]), miss);
                 // A seat with no candidates at all misses the same way.
-                let nobody = route_at_seat(2, descending, has_parent, [(); 0], |(), _| true);
-                assert_eq!(nobody, Some(miss));
+                let nobody = route_query(shape, seat, descending, [(); 0], |(), _| true);
+                assert_eq!(nobody, miss);
             }
         }
     }
@@ -628,13 +672,14 @@ mod tests {
     /// level down above it.
     #[test]
     fn seat_offers_every_candidate_in_order() {
-        for (level, child) in [(0u8, None), (1, Some(0u8)), (3, Some(2))] {
+        let shape = HierShape::build(1024, 4, 2);
+        for (level, child) in [(0, None), (1, Some(0u8)), (3, Some(2))] {
             let mut seen = Vec::new();
-            let miss = route_at_seat(level, false, true, [7u32, 3, 9], |c, l| {
+            let route = route_query(&shape, (level, 1), false, [7u32, 3, 9], |c, l| {
                 seen.push((c, l));
                 c == 7
             });
-            assert_eq!(miss, None);
+            assert_eq!(route, Route::Taken);
             assert_eq!(seen, [(7, child), (3, child), (9, child)]);
         }
     }
@@ -642,27 +687,27 @@ mod tests {
     #[test]
     fn soft_state_sweep_evicts_silent_members() {
         let mut ds = DutyState::default();
-        ds.on_report(HostId(1), report(&["A"]), SimTime::from_secs(0));
-        ds.on_report(HostId(2), report(&["B"]), SimTime::from_secs(5));
+        ds.on_report(HostId(1), 0, report(&["A"]), SimTime::from_secs(0));
+        ds.on_report(HostId(2), 0, report(&["B"]), SimTime::from_secs(5));
         assert_eq!(ds.records().len(), 2);
         let evicted = ds.sweep(SimTime::from_secs(7), SimTime::from_secs(6));
         assert_eq!(evicted, 1);
         assert_eq!(ds.records().keys().collect::<Vec<_>>(), [&HostId(2)]);
         // silent node re-joins gracefully on its next report
-        ds.on_report(HostId(1), report(&["A"]), SimTime::from_secs(8));
+        ds.on_report(HostId(1), 0, report(&["A"]), SimTime::from_secs(8));
         assert_eq!(ds.records().len(), 2);
     }
 
     #[test]
     fn summaries_aggregate_and_route_queries() {
         let mut ds = DutyState::default();
-        ds.on_report(HostId(1), report(&["Decoder"]), SimTime::ZERO);
-        ds.on_report(HostId(2), report(&["Display"]), SimTime::ZERO);
+        ds.on_report(HostId(1), 0, report(&["Decoder"]), SimTime::ZERO);
+        ds.on_report(HostId(2), 0, report(&["Display"]), SimTime::ZERO);
         let mut child = GroupSummary::default();
         child.components.insert("Decoder".into());
         child.node_count = 4;
         child.cpu_free = 3.0;
-        ds.on_summary(HostId(8), Rc::new(child), SimTime::ZERO);
+        ds.on_summary(HostId(8), 0, Rc::new(child), SimTime::ZERO);
 
         let sum = ds.summarize();
         assert_eq!(sum.node_count, 6);
@@ -725,7 +770,7 @@ mod tests {
                             dynamic,
                             installed,
                         };
-                        ds.on_report(from, report, now);
+                        ds.on_report(from, 0, report, now);
                     }
                     2 => {
                         let summary = match sent.last() {
@@ -740,7 +785,7 @@ mod tests {
                             }
                         };
                         sent.push(Rc::clone(&summary));
-                        ds.on_summary(from, summary, now);
+                        ds.on_summary(from, 0, summary, now);
                     }
                     3 => {
                         ds.sweep(now, SimTime::from_millis(g.gen_range(0..1500u64)));
@@ -762,14 +807,14 @@ mod tests {
         let t = SimTime::from_secs;
         let mut ds = DutyState::default();
         let (a, b) = (report(&["A"]), report(&["B"]));
-        ds.on_report(HostId(1), a.clone(), t(0));
-        ds.on_report(HostId(2), b.clone(), t(0));
+        ds.on_report(HostId(1), 0, a.clone(), t(0));
+        ds.on_report(HostId(2), 0, b.clone(), t(0));
         let first = ds.summary();
         for s in 1..4 {
-            ds.on_report(HostId(1), a.clone(), t(s));
+            ds.on_report(HostId(1), 0, a.clone(), t(s));
             // An equal snapshot behind another `Rc` is no change either.
             let rebuilt = ResourceReport { installed: ["B".into()].into(), ..b.clone() };
-            ds.on_report(HostId(2), rebuilt, t(s));
+            ds.on_report(HostId(2), 0, rebuilt, t(s));
             assert_eq!(ds.sweep(t(s), t(3)), 0);
             assert!(Rc::ptr_eq(&ds.summary(), &first), "sweep {s} rebuilt an unchanged summary");
         }
@@ -779,12 +824,12 @@ mod tests {
             dynamic: DynamicInfo { cpu_used: 0.5, ..a.dynamic },
             ..a.clone()
         };
-        ds.on_report(HostId(1), busier, t(4));
+        ds.on_report(HostId(1), 0, busier, t(4));
         let second = ds.summary();
         assert!(!Rc::ptr_eq(&second, &first), "a changed allocation rebuilds");
         assert_eq!(second.cpu_free, first.cpu_free - 0.25);
 
-        ds.on_report(HostId(3), report(&["C"]), t(4));
+        ds.on_report(HostId(3), 0, report(&["C"]), t(4));
         let third = ds.summary();
         assert!(!Rc::ptr_eq(&third, &second), "a new member rebuilds");
         assert_eq!(third.node_count, 3);

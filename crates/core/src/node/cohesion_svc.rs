@@ -5,10 +5,11 @@
 //! the soft-state rejoin path: a member that went silent is dropped and
 //! reappears with its next report, with no membership protocol.
 
-use crate::cohesion::effective_primary;
+use crate::cohesion::{self, effective_primary, DutyState, Seat, SeatStore};
 use crate::deploy::NodeView;
-use crate::proto::CtrlMsg;
-use lc_des::{Counter, SimTime};
+use crate::proto::{CtrlMsg, GroupSummary};
+use crate::resource::ResourceReport;
+use lc_des::Counter;
 use lc_net::HostId;
 use std::rc::Rc;
 
@@ -17,38 +18,6 @@ use super::metrics::ServiceKind;
 use super::service::{item, ServiceReflect, Tick};
 
 impl NodeState {
-    /// Record a member report into the level-0 seat, when `from` is a
-    /// member of its group (a host holds at most one seat per level, so
-    /// the report is moved into that one table).
-    pub(crate) fn absorb_report(
-        &mut self,
-        from: HostId,
-        report: crate::resource::ResourceReport,
-        now: SimTime,
-    ) {
-        let member = self.shape.leaf_group_of(u64::from(from.0)) == self.group_at(0);
-        if let Some(seat) = self.duty_state.first_mut().filter(|_| member) {
-            seat.on_report(from, report, now);
-        }
-    }
-
-    /// Record a child-subtree summary into the seat one level above the
-    /// sender's (and only there — a host serving several levels must not
-    /// leak level-k records into level-j routing tables). Keyed by the
-    /// sender, with no membership check: a backup replica acting as its
-    /// group's primary sends under its own id.
-    pub(crate) fn absorb_summary(
-        &mut self,
-        from: HostId,
-        sender_level: u8,
-        summary: Rc<crate::proto::GroupSummary>,
-        now: SimTime,
-    ) {
-        if let Some(seat) = self.duty_state.get_mut(usize::from(sender_level) + 1) {
-            seat.on_summary(from, summary, now);
-        }
-    }
-
     /// The node views this node can see as a level-0 MRM (for placement).
     pub fn placement_view(&self) -> Vec<NodeView> {
         let mut out = Vec::new();
@@ -60,16 +29,42 @@ impl NodeState {
         }
         out
     }
+
+    /// The table of `seat`, when this host holds it.
+    fn held(&mut self, (level, g): Seat) -> Option<&mut DutyState> {
+        let holds = self.group_at(level) == g;
+        self.duty_state.get_mut(level).filter(|_| holds)
+    }
 }
 
 impl NodeCtx<'_, '_> {
+    /// Record a member report where the report step puts it.
+    pub(crate) fn absorb_report(&mut self, from: HostId, report: ResourceReport) {
+        let (seat, slot) = cohesion::report_seat(&self.state.shape, from);
+        let now = self.sim.now();
+        if let Some(store) = self.state.held(seat) {
+            store.on_report(from, slot, report, now);
+        }
+    }
+
+    /// Record the summary `from` pushed for its seat at `level` where the
+    /// summary step puts it.
+    pub(crate) fn absorb_summary(&mut self, from: HostId, level: u8, summary: Rc<GroupSummary>) {
+        let (level, now) = (usize::from(level), self.sim.now());
+        let child = (level, self.state.shape.group_of(level, u64::from(from.0)));
+        let Some((seat, slot)) = cohesion::summary_seat(&self.state.shape, child) else { return };
+        if let Some(store) = self.state.held(seat) {
+            store.on_summary(from, slot, summary, now);
+        }
+    }
+
     /// One `Tick::MrmSweep`: evict silent members from every seat, push
     /// a summary up from each seat this host is acting primary of, and
     /// re-arm the cadence.
     pub(crate) fn mrm_sweep(&mut self) {
         let timeout = self.state.cfg.cohesion.eviction_timeout();
         let now = self.sim.now();
-        let shape = Rc::clone(&self.state.shape);
+        let (shape, host) = (Rc::clone(&self.state.shape), self.state.host);
         for level in 0..self.state.duty_state.len() {
             let evicted = self.state.duty_state[level].sweep(now, timeout);
             if evicted > 0 {
@@ -77,16 +72,14 @@ impl NodeCtx<'_, '_> {
             }
             // Only the acting primary pushes summaries upward.
             let g = self.state.group_at(level);
-            let Some((pl, pg)) = shape.parent(level, g) else { continue };
             let acting = effective_primary(shape.mrm_hosts(level, g), |h| self.state.net.is_up(h));
-            if acting != self.state.host {
-                continue;
-            }
+            let seat = &self.state.duty_state[level];
             // One aggregate, shared by every parent and kept while unchanged.
-            let summary = self.state.duty_state[level].summary();
-            let msg = CtrlMsg::Summary { from: self.state.host, level: level as u8, summary };
-            for parent in shape.mrm_hosts(pl, pg) {
-                self.send_ctrl(parent, msg.clone());
+            let pushed = cohesion::push_summary(&shape, (level, g), acting == host, seat);
+            let Some((summary, parents)) = pushed else { continue };
+            for parent in parents {
+                let (level, summary) = (level as u8, Rc::clone(&summary));
+                self.send_ctrl(parent, CtrlMsg::Summary { from: host, level, summary });
             }
         }
         let period = self.state.cfg.cohesion.report_period;
@@ -97,7 +90,7 @@ impl NodeCtx<'_, '_> {
 /// Reflect the Network Cohesion service's current state.
 pub(crate) fn reflect(state: &NodeState) -> ServiceReflect {
     let level0_members = state.seat(0).map_or(0, |s| s.records().len());
-    let report_targets = state.shape.mrms(0, state.group_at(0)).count();
+    let report_targets = state.shape.mrm_hosts(0, state.group_at(0)).count();
     ServiceReflect {
         kind: ServiceKind::Cohesion,
         items: vec![

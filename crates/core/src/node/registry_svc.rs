@@ -4,7 +4,7 @@
 //! finalization into the driver- or resolve-continuations parked in the
 //! unified continuation table.
 
-use crate::cohesion::{route_at_seat, Miss};
+use crate::cohesion::{route_query, Route};
 use crate::deploy::{choose, ResolveAction};
 use crate::proto::{CtrlMsg, DeltaEntry, QueryId};
 use crate::registry::backend::{
@@ -247,9 +247,9 @@ impl NodeCtx<'_, '_> {
         self.timer_in(period, Tick::ShardMaintain);
     }
 
-    /// MRM query routing (§2.4.3: incremental resource lookup): the rule
-    /// is [`route_at_seat`]; this is its driver over real soft state and
-    /// wire messages.
+    /// MRM query routing (§2.4.3: incremental resource lookup): the
+    /// decisions are [`route_query`]'s; this carries them over real soft
+    /// state and wire messages.
     pub(crate) fn mrm_route_query(
         &mut self,
         qid: QueryId,
@@ -266,7 +266,7 @@ impl NodeCtx<'_, '_> {
 
         // Which members might hold a match? Name queries read the seat's
         // index; interface queries must visit the whole subtree. A pooled
-        // buffer holds them: offering may descend in place one level down.
+        // buffer holds them: asking may descend in place one level down.
         let mut candidates = self.state.seat_buffers.pop().unwrap_or_default();
         let seat = &self.state.duty_state[at];
         match &query.name {
@@ -274,10 +274,9 @@ impl NodeCtx<'_, '_> {
             None => candidates.extend(seat.records().keys()),
         }
 
-        // Every level but the root has a parent group.
-        let has_parent = at + 1 < self.state.shape.depth();
-        let offered = candidates.drain(..);
-        let miss = route_at_seat(level, descending, has_parent, offered, |to, child_level| {
+        let (shape, g) = (Rc::clone(&self.state.shape), self.state.group_at(at));
+        let asked = candidates.drain(..);
+        let route = route_query(&shape, (at, g), descending, asked, |to, child_level| {
             match child_level {
                 // A plain member — unless it is the origin, which
                 // already answered locally …
@@ -295,15 +294,14 @@ impl NodeCtx<'_, '_> {
             }
         });
         self.state.seat_buffers.push(candidates);
-        match miss {
-            None => {}
-            Some(Miss::Escalate) => {
+        match route {
+            Route::Taken => {}
+            Route::Escalate { level: up, g } => {
                 self.sim.metrics().incr(Counter::QueryEscalations);
-                let ask = CtrlMsg::Query { qid, query, level: Some(level + 1), descending: false };
-                let (shape, g) = (Rc::clone(&self.state.shape), self.state.group_at(at + 1));
-                self.send_to_first_reachable(shape.mrm_hosts(at + 1, g), ask);
+                let ask = CtrlMsg::Query { qid, query, level: Some(up as u8), descending: false };
+                self.send_to_first_reachable(shape.mrm_hosts(up, g), ask);
             }
-            Some(Miss::DeadEnd) => self.send_offers(qid, Vec::new(), true),
+            Route::DeadEnd => self.send_offers(qid, Vec::new(), true),
         }
     }
 

@@ -213,9 +213,9 @@ pub(crate) fn handle_cmd(ctx: &mut NodeCtx<'_, '_>, cmd: NodeCmd) {
 /// Hand a control message to the one function that handles its variant.
 pub(crate) fn handle_ctrl(ctx: &mut NodeCtx<'_, '_>, msg: CtrlMsg) {
     match msg {
-        CtrlMsg::Report { from, report } => ctx.state.absorb_report(from, report, ctx.sim.now()),
+        CtrlMsg::Report { from, report } => ctx.absorb_report(from, report),
         CtrlMsg::Summary { from, level, summary } => {
-            ctx.state.absorb_summary(from, level, summary, ctx.sim.now());
+            ctx.absorb_summary(from, level, summary);
         }
         CtrlMsg::Query { qid, query, level: Some(level), descending } => {
             ctx.mrm_route_query(qid, query, level, descending);

@@ -15,29 +15,27 @@
 //!   leaf-group replicas; per-level summaries (staggered inside the
 //!   report period so the whole tree converges in one round) push
 //!   component presence upward; queries ascend on miss and descend
-//!   into matching subtrees by [`route_at_seat`], the rule
-//!   [`registry_svc`](crate::node::Node) routes them by, over the
-//!   [`HierShape`] every node reads its seats from.
+//!   into matching subtrees. Every seat decision is a [`cohesion`] step,
+//!   the ones [`Node`](crate::node::Node)s run, over the [`HierShape`]
+//!   every node reads its seats from; this actor carries their outputs
+//!   as packed events and counts.
 //! * **flat** — one central registry on node 0: the hierarchy collapsed
 //!   into a single group, as [`CohesionConfig::flat`](crate::cohesion::CohesionConfig::flat)
 //!   collapses the node stack's. Every query fans out to *all* matching owners, so
 //!   messages per query grow linearly with campus size.
 //!
 //! Group soft state is per *seat*, not per node: one `u64` presence mask
-//! per component — constant bytes per group, ≈ n/(fanout−1) groups.
+//! per component — constant bytes per group, ≈ n/(fanout−1) groups —
+//! which is the campus's [`SeatStore`].
 
-use crate::cohesion::{route_at_seat, HierShape, Miss};
+use crate::cohesion::{self, HierShape, Route, Seat, SeatStore};
 use lc_des::{Actor, Ctx, Mail, Sim, SimTime};
+use lc_net::HostId;
 
 /// Components the sweep queries for; node `i` owns component `c` iff
 /// `i % 256 == OWNER_RESIDUE[c]` (≈ one owner per 128 nodes overall).
 pub const COMPONENTS: [&str; 2] = ["sensor.telemetry", "media.decoder"];
 const OWNER_RESIDUE: [u32; 2] = [7, 19];
-
-/// Report flag: the node hosts `COMPONENTS[0]`.
-const FLAG_OWNER_C0: u8 = 1 << 0;
-/// Report flag: the node hosts `COMPONENTS[1]`.
-const FLAG_OWNER_C1: u8 = 1 << 1;
 
 /// One network hop of the campus fabric.
 const HOP: SimTime = SimTime::from_micros(50);
@@ -153,6 +151,27 @@ struct GroupState {
     has: [u64; COMPONENTS.len()],
 }
 
+/// The campus's seat store. A report or summary is a flag bit per
+/// component; it sets or clears the member slot's bit in each mask.
+impl SeatStore for GroupState {
+    type Report = u8;
+    type Summary = u8;
+
+    fn on_report(&mut self, _: HostId, slot: u64, flags: u8, _: SimTime) {
+        for (c, has) in self.has.iter_mut().enumerate() {
+            *has = *has & !(1 << slot) | u64::from(flags >> c & 1) << slot;
+        }
+    }
+
+    fn on_summary(&mut self, from: HostId, slot: u64, flags: u8, now: SimTime) {
+        self.on_report(from, slot, flags, now);
+    }
+
+    fn summary(&self) -> u8 {
+        self.has.iter().enumerate().fold(0, |flags, (c, &has)| flags | u8::from(has != 0) << c)
+    }
+}
+
 /// In-flight query bookkeeping (at most `cfg.queries` of these).
 #[derive(Clone, Debug)]
 struct QueryState {
@@ -254,33 +273,22 @@ impl ScaleCampus {
         }
     }
 
+    /// `node` reports `flags` (a leave reports none) to each replica of
+    /// its leaf seat; returns how many. The flat centre keeps no masks.
     #[inline]
-    fn gs(&mut self, level: usize, g: u64) -> &mut GroupState {
-        &mut self.groups[self.level_base[level] + g as usize]
+    fn report(&mut self, node: u32, flags: u8, now: SimTime) -> u64 {
+        let ((level, g), slot) = cohesion::report_seat(&self.shape, HostId(node));
+        if self.cfg.variant == Variant::Hier {
+            let masks = &mut self.groups[self.level_base[level] + g as usize];
+            masks.on_report(HostId(node), slot, flags, now);
+        }
+        self.shape.mrm_hosts(level, g).count() as u64
     }
 
     fn on_report(&mut self, ctx: &mut Ctx<'_>, node: u32) {
-        match self.cfg.variant {
-            Variant::Hier => {
-                let g = self.shape.leaf_group_of(u64::from(node));
-                let slot = u64::from(node) % self.shape.fanout();
-                let flags = owner_flags(node);
-                let st = self.gs(0, g);
-                for (c, residue_flag) in [FLAG_OWNER_C0, FLAG_OWNER_C1].iter().enumerate() {
-                    if flags & residue_flag != 0 {
-                        st.has[c] |= 1 << slot;
-                    }
-                }
-                let replicas = self.shape.mrms(0, g).count() as u64;
-                self.counts.report_msgs += replicas;
-                self.counts.traffic += replicas;
-            }
-            Variant::Flat => {
-                // Reports all land on the central node.
-                self.counts.report_msgs += 1;
-                self.counts.traffic += 1;
-            }
-        }
+        let sent = self.report(node, owner_flags(node), ctx.now());
+        self.counts.report_msgs += sent;
+        self.counts.traffic += sent;
         // The report wheel: arm the report `window` places on in the
         // order `(round, node)`, wrapping into the next round.
         let (n, period, now) = (u64::from(self.cfg.n), self.cfg.report_period, ctx.now());
@@ -297,27 +305,23 @@ impl ScaleCampus {
         }
     }
 
+    /// A seat's summary tick (hierarchy only): its configured primary
+    /// acts, and one write to the parent's masks stands for every push.
     fn on_summary(&mut self, ctx: &mut Ctx<'_>, g: u32, level: usize) {
-        if self.cfg.variant == Variant::Hier {
-            if let Some((pl, pg)) = self.shape.parent(level, u64::from(g)) {
-                let own = *self.gs(level, u64::from(g));
-                let slot = self.shape.slot_in_parent(u64::from(g));
-                let parent = self.gs(pl, pg);
-                for c in 0..COMPONENTS.len() {
-                    if own.has[c] != 0 {
-                        parent.has[c] |= 1 << slot;
-                    } else {
-                        parent.has[c] &= !(1 << slot);
-                    }
-                }
-                let parent_replicas = self.shape.mrms(pl, pg).count() as u64;
-                self.counts.summary_msgs += parent_replicas;
-                self.counts.traffic += 1;
+        let seat = (level, u64::from(g));
+        let own = &self.groups[self.level_base[level] + g as usize];
+        if let Some((flags, parents)) = cohesion::push_summary(&self.shape, seat, true, own) {
+            self.counts.summary_msgs += parents.count() as u64;
+            self.counts.traffic += 1;
+            if let Some(((pl, pg), slot)) = cohesion::summary_seat(&self.shape, seat) {
+                let from = HostId(self.shape.primary(level, seat.1) as u32);
+                let masks = &mut self.groups[self.level_base[pl] + pg as usize];
+                masks.on_summary(from, slot, flags, ctx.now());
             }
-            let me = ctx.me();
-            if ctx.now() + self.cfg.report_period < self.t_end {
-                ctx.send_packed(self.cfg.report_period, me, pack(K_SUMMARY, g, level as u32));
-            }
+        }
+        let me = ctx.me();
+        if ctx.now() + self.cfg.report_period < self.t_end {
+            ctx.send_packed(self.cfg.report_period, me, pack(K_SUMMARY, g, level as u32));
         }
     }
 
@@ -333,7 +337,7 @@ impl ScaleCampus {
             issued_at: ctx.now(),
             first_offer_at: None,
         });
-        let g = self.shape.leaf_group_of(u64::from(origin)) as u32;
+        let g = self.shape.group_of(0, u64::from(origin)) as u32;
         self.count_query_msgs(qid, 1);
         ctx.send_packed(HOP, ctx.me(), pack(K_QUERY_UP, g, query_aux(qid, 0)));
     }
@@ -344,30 +348,26 @@ impl ScaleCampus {
         self.counts.traffic += u64::from(n);
     }
 
-    /// Query routing at an MRM seat — `descending=false` is the ascend
-    /// path, `true` the descend path. The rule is [`route_at_seat`]; the
-    /// campus supplies who the seat believes may hold the component —
-    /// the only thing the two variants differ in — and makes each
-    /// offer one counted packed event.
-    fn route_query(&mut self, ctx: &mut Ctx<'_>, g: u32, qid: u32, level: usize, descending: bool) {
-        let me = ctx.me();
-        let comp = self.queries[qid as usize].comp;
-        let parent = self.shape.parent(level, u64::from(g));
+    /// Who seat `(level, g)` believes may hold `comp`: member `g·f + j`
+    /// (a node or child group) for each set bit `j`, or every flat owner.
+    fn candidates(&self, (level, g): Seat, comp: usize) -> impl Iterator<Item = u32> + '_ {
         let (slots, listed): (u64, &[u32]) = match self.cfg.variant {
-            // The member slots whose report or summary named it.
             Variant::Hier => (self.groups[self.level_base[level] + g as usize].has[comp], &[]),
-            // Every owner the central registry knows.
             Variant::Flat => (0, &self.owners[comp]),
         };
-        // Slot `j` of seat `g` is host `g·f + j` at level 0 and child
-        // seat `g·f + j` above it.
-        let first = g * self.cfg.fanout;
-        let candidates = (0..u64::BITS)
-            .filter(|j| slots >> j & 1 == 1)
-            .map(|j| first + j)
-            .chain(listed.iter().copied());
+        let first = g as u32 * self.cfg.fanout;
+        let slots = (0..u64::BITS).filter(move |j| slots >> j & 1 == 1);
+        slots.map(move |j| first + j).chain(listed.iter().copied())
+    }
+
+    /// A query at seat `(level, g)`: each ask, escalation or dead end of
+    /// the query step is one counted packed event.
+    fn route_query(&mut self, ctx: &mut Ctx<'_>, g: u32, qid: u32, level: usize, descending: bool) {
+        let me = ctx.me();
+        let seat = (level, u64::from(g));
+        let candidates = self.candidates(seat, self.queries[qid as usize].comp);
         let mut sent = 0;
-        let miss = route_at_seat(level as u8, descending, parent.is_some(), candidates, |c, child| {
+        let route = cohesion::route_query(&self.shape, seat, descending, candidates, |c, child| {
             let event = match child {
                 None => pack(K_QUERY_MEMBER, c, qid),
                 Some(l) => pack(K_QUERY_DOWN, c, query_aux(qid, usize::from(l))),
@@ -377,31 +377,24 @@ impl ScaleCampus {
             true
         });
         self.count_query_msgs(qid, sent);
-        match (miss, parent) {
-            (None, _) => {}
-            (Some(Miss::Escalate), Some((pl, pg))) => {
+        match route {
+            Route::Taken => {}
+            Route::Escalate { level, g } => {
                 self.queries[qid as usize].escalations += 1;
                 self.counts.escalations += 1;
                 self.count_query_msgs(qid, 1);
-                ctx.send_packed(HOP, me, pack(K_QUERY_UP, pg as u32, query_aux(qid, pl)));
+                ctx.send_packed(HOP, me, pack(K_QUERY_UP, g as u32, query_aux(qid, level)));
             }
-            (Some(_), _) => self.send_query_done(ctx, qid),
+            Route::DeadEnd => self.answer_origin(ctx, K_QUERY_DONE, qid),
         }
     }
 
-    fn send_query_done(&mut self, ctx: &mut Ctx<'_>, qid: u32) {
+    /// One counted message to `qid`'s origin: an owner's offer, or a
+    /// seat's dead end.
+    fn answer_origin(&mut self, ctx: &mut Ctx<'_>, kind: u8, qid: u32) {
         let origin = self.queries[qid as usize].origin;
         self.count_query_msgs(qid, 1);
-        let me = ctx.me();
-        ctx.send_packed(HOP, me, pack(K_QUERY_DONE, origin, qid));
-    }
-
-    fn on_query_member(&mut self, ctx: &mut Ctx<'_>, qid: u32) {
-        // The owner answers the origin with an offer.
-        let origin = self.queries[qid as usize].origin;
-        self.count_query_msgs(qid, 1);
-        let me = ctx.me();
-        ctx.send_packed(HOP, me, pack(K_OFFER, origin, qid));
+        ctx.send_packed(HOP, ctx.me(), pack(kind, origin, qid));
     }
 
     fn on_offer(&mut self, ctx: &mut Ctx<'_>, qid: u32) {
@@ -414,25 +407,10 @@ impl ScaleCampus {
         }
     }
 
-    fn on_churn(&mut self, node: u32) {
-        match self.cfg.variant {
-            Variant::Hier => {
-                // Leave: deregister with the leaf replicas; soft state
-                // above corrects itself on the next summary push.
-                let g = self.shape.leaf_group_of(u64::from(node));
-                let slot = u64::from(node) % self.shape.fanout();
-                let st = self.gs(0, g);
-                for c in 0..COMPONENTS.len() {
-                    st.has[c] &= !(1 << slot);
-                }
-                let replicas = self.shape.mrms(0, g).count() as u64;
-                self.counts.churn_msgs += replicas;
-            }
-            Variant::Flat => {
-                // One deregister message to the central registry.
-                self.counts.churn_msgs += 1;
-            }
-        }
+    /// A leave: deregister with the leaf replicas; soft state above
+    /// corrects itself on the next summary push.
+    fn on_churn(&mut self, ctx: &mut Ctx<'_>, node: u32) {
+        self.counts.churn_msgs += self.report(node, 0, ctx.now());
     }
 
     /// Per-query outcomes, in query order.
@@ -456,15 +434,13 @@ impl ScaleCampus {
     }
 }
 
+/// What node `i` reports: bit `c` set iff it hosts `COMPONENTS[c]`.
 fn owner_flags(i: u32) -> u8 {
-    let mut f = 0;
-    if i % 256 == OWNER_RESIDUE[0] {
-        f |= FLAG_OWNER_C0;
+    let mut flags = 0;
+    for (c, &residue) in OWNER_RESIDUE.iter().enumerate() {
+        flags |= u8::from(i % 256 == residue) << c;
     }
-    if i % 256 == OWNER_RESIDUE[1] {
-        f |= FLAG_OWNER_C1;
-    }
-    f
+    flags
 }
 
 fn owner_list(n: u32, comp: usize) -> Vec<u32> {
@@ -501,18 +477,14 @@ impl Actor for ScaleCampus {
             K_REPORT => self.on_report(ctx, idx),
             K_SUMMARY => self.on_summary(ctx, idx, aux as usize),
             K_QUERY_START => self.on_query_start(ctx, idx, aux),
-            K_QUERY_UP => {
+            K_QUERY_UP | K_QUERY_DOWN => {
                 let (qid, level) = split_query_aux(aux);
-                self.route_query(ctx, idx, qid, level, false);
+                self.route_query(ctx, idx, qid, level, kind == K_QUERY_DOWN);
             }
-            K_QUERY_DOWN => {
-                let (qid, level) = split_query_aux(aux);
-                self.route_query(ctx, idx, qid, level, true);
-            }
-            K_QUERY_MEMBER => self.on_query_member(ctx, aux),
+            K_QUERY_MEMBER => self.answer_origin(ctx, K_OFFER, aux),
             K_OFFER => self.on_offer(ctx, aux),
             K_QUERY_DONE => { /* unresolved query returns to origin */ }
-            K_CHURN => self.on_churn(idx),
+            K_CHURN => self.on_churn(ctx, idx),
             _ => debug_assert!(false, "unknown packed kind {kind}"),
         }
     }
@@ -759,6 +731,106 @@ mod tests {
             let timers = fired(timers, seed);
             let wheel = fired(ScaleCampus::build(cfg), seed);
             assert_eq!(wheel, timers);
+        });
+    }
+
+    /// One protocol over two stores. Random trees and holdings go through
+    /// the same report and summary steps into a `DutyState` per seat (one
+    /// replica's table on a node) and into the campus's masks. Every seat
+    /// then has the same members present, in the same order, and a query
+    /// step asks the same members and routes alike over either store.
+    #[test]
+    fn a_seat_routes_alike_over_either_store() {
+        use crate::cohesion::{push_summary, report_seat, route_query, summary_seat, DutyState};
+        use crate::resource::{DynamicInfo, ResourceReport, StaticInfo};
+        use std::rc::Rc;
+        let static_info = Rc::new(StaticInfo {
+            platform: lc_pkg::Platform::reference(),
+            device: lc_net::DeviceClass::Workstation,
+            cpu_power: 1.0,
+            memory: 1 << 30,
+            up_bw: 1e7,
+            down_bw: 1e7,
+        });
+        // The report a node sends to a node's seat, by its flags.
+        let reports: Vec<ResourceReport> = (0..4u8)
+            .map(|flags| ResourceReport {
+                static_info: Rc::clone(&static_info),
+                dynamic: DynamicInfo::default(),
+                installed: (0..COMPONENTS.len())
+                    .filter(|c| flags >> c & 1 == 1)
+                    .map(|c| COMPONENTS[c].into())
+                    .collect(),
+            })
+            .collect();
+        lc_prop::check("a seat routes alike over either store", |g| {
+            let mut cfg = ScaleConfig::new(g.gen_range(1..5_001u32), Variant::Hier);
+            (cfg.fanout, cfg.replicas) = (g.gen_range(2..65u32), g.gen_range(1..4u32));
+            let mut campus = ScaleCampus::build(cfg);
+            let (shape, base) = (campus.shape.clone(), campus.level_base.clone());
+            let at = |(level, g): Seat| base[level] + g as usize;
+            let mut duties = vec![DutyState::default(); campus.groups.len()];
+            let now = SimTime::ZERO;
+            // Two rounds: about one node in eight holds each component,
+            // and the second round's holdings clear some of the first's.
+            for _ in 0..2 {
+                for node in 0..campus.cfg.n {
+                    let flags = (0..COMPONENTS.len())
+                        .fold(0u8, |f, c| f | u8::from(g.gen_range(0..8u32) == 0) << c);
+                    let (seat, slot) = report_seat(&shape, HostId(node));
+                    let report = reports[usize::from(flags)].clone();
+                    duties[at(seat)].on_report(HostId(node), slot, report, now);
+                    campus.groups[at(seat)].on_report(HostId(node), slot, flags, now);
+                }
+                // Each configured primary pushes its seat's summary, leaves first.
+                for level in 0..shape.depth() {
+                    for gi in 0..shape.group_count(level) {
+                        let (seat, from) = ((level, gi), HostId(shape.primary(level, gi) as u32));
+                        let Some((parent, slot)) = summary_seat(&shape, seat) else { continue };
+                        let pushed = push_summary(&shape, seat, true, &duties[at(seat)]);
+                        let (summary, _) = pushed.expect("a seat with a parent pushes");
+                        duties[at(parent)].on_summary(from, slot, summary, now);
+                        let pushed = push_summary(&shape, seat, true, &campus.groups[at(seat)]);
+                        let (flags, _) = pushed.expect("a seat with a parent pushes");
+                        campus.groups[at(parent)].on_summary(from, slot, flags, now);
+                    }
+                }
+            }
+            // A node's seat keys a member by host; its index is the host
+            // at level 0 and, above, the child group the host leads.
+            let index = |level: usize, h: HostId| match level {
+                0 => h.0,
+                _ => shape.group_of(level - 1, u64::from(h.0)) as u32,
+            };
+            for level in 0..shape.depth() {
+                for gi in 0..shape.group_count(level) {
+                    for (c, name) in COMPONENTS.iter().enumerate() {
+                        let held = duties[at((level, gi))].holders(name).iter();
+                        let held: Vec<u32> = held.map(|&h| index(level, h)).collect();
+                        let masked: Vec<u32> = campus.candidates((level, gi), c).collect();
+                        assert_eq!(held, masked, "seat ({level}, {gi}), {name}");
+                    }
+                }
+            }
+            for _ in 0..16 {
+                let level = g.gen_range(0..shape.depth());
+                let seat = (level, g.gen_range(0..shape.group_count(level)));
+                let (c, descending) = (g.gen_range(0..COMPONENTS.len()), g.gen_bool());
+                let salt = g.any_u64();
+                let took = |i: u32| (u64::from(i) ^ salt) % 3 == 0;
+                let (mut by_host, mut by_mask) = (Vec::new(), Vec::new());
+                let held = duties[at(seat)].holders(COMPONENTS[c]).iter().copied();
+                let via_host = route_query(&shape, seat, descending, held, |h, child| {
+                    by_host.push((index(level, h), child));
+                    took(index(level, h))
+                });
+                let masked = campus.candidates(seat, c);
+                let via_mask = route_query(&shape, seat, descending, masked, |i, child| {
+                    by_mask.push((i, child));
+                    took(i)
+                });
+                assert_eq!((via_host, by_host), (via_mask, by_mask), "seat {seat:?}");
+            }
         });
     }
 

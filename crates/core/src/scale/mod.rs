@@ -13,7 +13,7 @@
 //! a few `u64` masks per group seat.
 //!
 //! Design rules (`tests/alloc_budget.rs` pins the allocator calls of a
-//! 10⁵-node run and E13 gates 100 B/node, so per-item boxing fails both):
+//! 10⁵-node run and E13 gates 15 B/node, so per-item boxing fails both):
 //!
 //! * **No `Rc<RefCell<…>>`, no `Box<dyn …>`** — hot-path state is plain
 //!   data reached through dense indices; there is nothing to
@@ -22,10 +22,11 @@
 //!   no row anywhere; what it reports is a function of its index.
 //! * **One protocol, two drivers** — the tree is
 //!   [`HierShape`](crate::cohesion::HierShape), the one every node reads
-//!   its seats from, and a query at a seat is routed by
-//!   [`route_at_seat`](crate::cohesion::route_at_seat), the function
-//!   `registry_svc` calls; only the soft-state *representation* (presence
-//!   masks instead of full reports) is the campus's own.
+//!   its seats from, and every seat decision is a step of
+//!   [`cohesion`](crate::cohesion) the nodes run too; only the soft-state
+//!   *representation* is the campus's own: presence masks instead of
+//!   full reports, behind the one [`SeatStore`](crate::cohesion::SeatStore)
+//!   trait.
 
 pub mod campus;
 

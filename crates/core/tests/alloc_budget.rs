@@ -1,5 +1,6 @@
-//! Allocation budget of the background soft-state plane (ROADMAP item 1:
-//! "the allocation columns are deterministic, so gate them exactly").
+//! Allocation budget of the background soft-state plane (ROADMAP, the
+//! `[benchmark]` PR: "the allocation columns are deterministic, so gate
+//! them exactly").
 //!
 //! A converged campus with no operations in flight does nothing but
 //! re-send soft state: keep-alive reports, subtree summaries and, when

@@ -80,9 +80,9 @@ fn dup_reorder_fabric_keeps_servant_effects_exactly_once() {
     });
 }
 
-/// ROADMAP 4a's first monitor clause: a message is counted under its kind
-/// exactly when the fabric accepts it. A query-only single-leader campus
-/// (no cache, no spawn, fetch or ORB traffic) sends nothing but queries,
+/// The first clause of ROADMAP's one monitor: a message is counted under
+/// its kind exactly when the fabric accepts it. A query-only single-leader
+/// campus (no cache, no spawn, fetch or ORB traffic) sends nothing but queries,
 /// reports and summaries, so under any crash-plus-partition plan
 /// `net.msgs` is their sum — a send the fabric refused (here: to the
 /// crashed MRM replica) is counted nowhere but `net.drop.*`.

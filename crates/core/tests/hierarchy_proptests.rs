@@ -3,7 +3,7 @@
 //! count (§2.4.3 group formation), and the arithmetic tree against the
 //! materialized construction it replaced.
 
-use lc_core::cohesion::{CohesionConfig, DutyState, HierShape};
+use lc_core::cohesion::{self, CohesionConfig, DutyState, HierShape, SeatStore};
 use lc_core::GroupSummary;
 use lc_des::SimTime;
 use lc_net::HostId;
@@ -55,10 +55,10 @@ fn seats(shape: &HierShape, host: HostId) -> Vec<Seat> {
         assert_eq!(g, shape.group_of(level, u64::from(host.0)), "{host:?} at level {level}");
         Seat {
             level,
-            replicas: hosts(shape.mrms(level, g)),
+            replicas: shape.mrm_hosts(level, g).collect(),
             members: hosts(shape.members(level, g)),
             parent_replicas: shape.parent(level, g).map_or(Vec::new(), |(pl, pg)| {
-                hosts(shape.mrms(pl, pg))
+                shape.mrm_hosts(pl, pg).collect()
             }),
         }
     });
@@ -66,7 +66,7 @@ fn seats(shape: &HierShape, host: HostId) -> Vec<Seat> {
 }
 
 fn report_targets(shape: &HierShape, host: HostId) -> Vec<HostId> {
-    hosts(shape.mrms(0, shape.leaf_group_of(u64::from(host.0))))
+    shape.mrm_hosts(0, shape.group_of(0, u64::from(host.0))).collect()
 }
 
 impl Oracle {
@@ -130,16 +130,17 @@ fn assert_matches_oracle(n: u32, fanout: usize, replicas: usize) {
         for (g, group) in groups.iter().enumerate() {
             let g = g as u64;
             assert_eq!(hosts(shape.members(level, g)), group.members, "members {level}/{g}, {ctx}");
-            assert_eq!(hosts(shape.mrms(level, g)), group.mrms, "mrms {level}/{g}, {ctx}");
+            let mrms: Vec<HostId> = shape.mrm_hosts(level, g).collect();
+            assert_eq!(mrms, group.mrms, "mrms {level}/{g}, {ctx}");
             assert_eq!(shape.group_size(level, g), group.members.len() as u64);
             // A subtree spans from the group's primary to the next group's.
             let next = groups.get(g as usize + 1).map_or(n, |ng| ng.members[0].0);
             assert_eq!(shape.subtree(level, g), u64::from(group.members[0].0)..u64::from(next));
-            match shape.parent(level, g) {
-                Some((pl, pg)) => {
+            match cohesion::summary_seat(shape, (level, g)) {
+                Some(((pl, pg), slot)) => {
                     assert_eq!(pl, level + 1);
                     let parent = &oracle.levels[pl][pg as usize];
-                    let slot = shape.slot_in_parent(g) as usize;
+                    let slot = slot as usize;
                     assert_eq!(parent.members[slot], group.mrms[0], "parent of {level}/{g}, {ctx}");
                 }
                 None => assert_eq!(level + 1, oracle.levels.len(), "root level, {ctx}"),
@@ -201,7 +202,8 @@ fn hierarchy_invariants() {
         // 2. Every group's MRM seats are a prefix of its members, at most
         //    `replicas` of them, never empty.
         for (level, g) in (0..s.depth()).flat_map(groups) {
-            let (members, mrms) = (hosts(s.members(level, g)), hosts(s.mrms(level, g)));
+            let members = hosts(s.members(level, g));
+            let mrms: Vec<HostId> = s.mrm_hosts(level, g).collect();
             assert!(!mrms.is_empty());
             assert!(mrms.len() <= replicas.min(members.len()));
             assert_eq!(&members[..mrms.len()], &mrms[..]);
@@ -256,7 +258,7 @@ fn duty_state_sweep_correct() {
             let mut summary = GroupSummary::default();
             summary.components.insert(format!("C{host}").into());
             summary.node_count = 1;
-            ds.on_summary(HostId(host), summary.into(), SimTime::from_secs(now_s));
+            ds.on_summary(HostId(host), 0, summary.into(), SimTime::from_secs(now_s));
             last.insert(host, now_s);
         }
         now_s += timeout_s + 1;

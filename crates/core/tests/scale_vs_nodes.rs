@@ -1,9 +1,11 @@
-//! Differential test (ROADMAP item 1, step 1): the same campus through
-//! real [`lc_core::node::Node`] actors and through the arithmetic
+//! Differential test (ROADMAP, "The model is the stack"): the same campus
+//! through real [`lc_core::node::Node`] actors and through the arithmetic
 //! [`lc_core::ScaleCampus`] model that E13 and `lcperf`'s `scale_hier`
-//! report from. Per query the two must agree on offers and escalations,
-//! and on messages up to the two systematic differences DESIGN §11
-//! states — each asserted here as an exact offset, not a tolerance.
+//! report from. Both run the seat steps of `lc_core::cohesion`. Per query
+//! the two must agree on offers and escalations, and on messages up to
+//! the two systematic differences DESIGN §11 states; their soft-state
+//! tallies differ by a third. Each is asserted here as an exact offset,
+//! not a tolerance.
 
 use lc_core::cohesion::CohesionConfig;
 use lc_core::demo;
@@ -44,14 +46,12 @@ struct Observed {
     offers: usize,
 }
 
-/// The campus on the full node stack: `n / 8` sites of 8 hosts, groups
-/// as `cohesion` shapes them, single-leader registry, no cache, no
-/// faults. The queries run one at a time so the global `query.*`
-/// counters can be attributed per query.
-fn through_nodes(n: u32, cohesion: CohesionConfig) -> Vec<Observed> {
+/// The campus on the full node stack, converged: `n / 8` sites of 8
+/// hosts, groups as `cohesion` shapes them, single-leader registry, no
+/// cache, no faults.
+fn converged(n: u32, cohesion: CohesionConfig) -> World {
     let packages: Vec<Rc<Vec<u8>>> = COMPONENTS.iter().map(|c| package(c)).collect();
     let config = NodeConfig::builder().cohesion(cohesion).build();
-    let timeout = config.query_timeout;
     let mut world: World = World::on(
         Topology::campus(n as usize / 8, 8),
         42,
@@ -66,7 +66,14 @@ fn through_nodes(n: u32, cohesion: CohesionConfig) -> Vec<Observed> {
     );
     // Reports, then one summary sweep per level of the tree.
     world.sim.run_until(SimTime::from_secs(12));
+    world
+}
 
+/// The queries on the converged node stack, one at a time so the global
+/// `query.*` counters can be attributed per query.
+fn through_nodes(n: u32, cohesion: CohesionConfig) -> Vec<Observed> {
+    let timeout = NodeConfig::default().query_timeout;
+    let mut world = converged(n, cohesion);
     let counters = |w: &World| {
         let m = w.sim.metrics_ref();
         (m.counter("query.msgs"), m.counter("query.escalations"))
@@ -109,7 +116,7 @@ fn through_model(n: u32, variant: Variant) -> Vec<Observed> {
 /// subtree holds an owner, then descend into every child that does.
 fn local_hops(shape: &HierShape, origin: u32, comp: usize) -> u64 {
     let holds = |level, g| shape.subtree(level, g).any(|i| i % 256 == u64::from(OWNER_RESIDUE[comp]));
-    let (mut level, mut g) = (0, shape.leaf_group_of(u64::from(origin)));
+    let (mut level, mut g) = (0, shape.group_of(0, u64::from(origin)));
     let mut local = u64::from(shape.primary(0, g) == u64::from(origin));
     while !holds(level, g) {
         let (pl, pg) = shape.parent(level, g).expect("some subtree holds an owner");
@@ -154,7 +161,7 @@ fn node_stack_and_scale_model_agree_query_by_query() {
                 // Difference 2: the origin holds the component itself.
                 // The node answers from its own repository; its leaf MRM
                 // does not offer the query back to it (the one `false`
-                // in `mrm_route_query`'s offer), finds no other taker,
+                // in `mrm_route_query`'s `ask`), finds no other taker,
                 // escalates once for nothing, and the parent's descent
                 // back dead-ends at the same leaf: query, escalation,
                 // descent, done answer. The escalation and the descent stay
@@ -164,7 +171,7 @@ fn node_stack_and_scale_model_agree_query_by_query() {
                 // the origin like any member: query, member query, offer,
                 // no escalation.
                 self_owned += 1;
-                let leaf = shape.leaf_group_of(u64::from(origin));
+                let leaf = shape.group_of(0, u64::from(origin));
                 assert_ne!(shape.primary(0, leaf), u64::from(origin), "{ctx}");
                 let (pl, pg) = shape.parent(0, leaf).expect("a leaf group has a parent");
                 let leads_parent = shape.primary(pl, pg) == shape.primary(0, leaf);
@@ -203,5 +210,43 @@ fn flat_variant_is_the_stack_under_a_one_group_config() {
             // Difference 2: the centre leaves a self-owning origin out.
             assert_eq!(a.msgs + 2 * u64::from(owns(origin, comp)), b.msgs, "{ctx}");
         }
+    }
+}
+
+/// Difference 3: the soft-state tallies, derived from the tree. Per round
+/// the model counts one summary message per parent replica of every seat
+/// with a parent, but one `traffic_total` delivery per push, and a leave
+/// adds nothing to `traffic_total`. Over one converged period the stack
+/// sends the same summaries less those a child's primary hands to itself
+/// as one of its parent's replicas: they are handled in place, uncounted.
+#[test]
+fn summary_tallies_differ_by_the_pushes_handled_in_place() {
+    for n in [512u32, 1_000, 1_016, 4_096] {
+        let shape = HierShape::build(u64::from(n), 8, 2);
+        let (mut pushes, mut per_round, mut in_place) = (0, 0, 0);
+        for level in 0..shape.depth() {
+            for g in 0..shape.group_count(level) {
+                let Some((pl, pg)) = shape.parent(level, g) else { continue };
+                pushes += 1;
+                per_round += shape.mrm_hosts(pl, pg).count() as u64;
+                let primary = HostId(shape.primary(level, g) as u32);
+                in_place += u64::from(shape.mrm_hosts(pl, pg).any(|r| r == primary));
+            }
+        }
+        let cfg = ScaleConfig::new(n, Variant::Hier);
+        let rounds = u64::from(cfg.rounds);
+        let quiet = run_scale(ScaleConfig { churn: 0, ..cfg.clone() }, 42);
+        let model = run_scale(cfg, 42);
+        assert_eq!(model.summary_msgs, rounds * per_round, "n={n}");
+        let deliveries = model.report_msgs + rounds * pushes + model.query_msgs;
+        assert_eq!(model.traffic_total, deliveries, "n={n}");
+        assert!(model.churn_msgs > 0 && quiet.churn_msgs == 0, "n={n}");
+        assert_eq!(model.traffic_total, quiet.traffic_total, "n={n}");
+
+        let mut world = converged(n, CohesionConfig::default());
+        let summaries = |w: &World| w.sim.metrics_ref().counter("cohesion.summaries");
+        let before = summaries(&world);
+        world.run_for(CohesionConfig::default().report_period);
+        assert_eq!(summaries(&world) - before, per_round - in_place, "n={n}");
     }
 }

@@ -1299,9 +1299,9 @@ fn a_received_cache_invalidate_drops_the_cached_result_before_its_ttl() {
 }
 
 /// Cache, sharded registry and a tight admission queue all on, on a
-/// lossy 64-node campus (ROADMAP 5(d)): every query finalizes, shed
-/// sinks balance the world's `admission.query_shed` counter, and a shed
-/// leader leaves no singleflight window behind.
+/// lossy 64-node campus (ROADMAP's feature lattice): every query
+/// finalizes, shed sinks balance the world's `admission.query_shed`
+/// counter, and a shed leader leaves no singleflight window behind.
 #[test]
 fn cache_sharding_and_admission_compose_on_a_lossy_campus() {
     let plan = FaultPlan::seeded(31).default_link(LinkFaults::none().drop_p(0.05));
