@@ -13,6 +13,12 @@ cargo clippy --workspace --all-targets -- -D warnings -D clippy::allow_attribute
 cargo clippy --workspace --lib --bins -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
 
 cargo build --release --workspace
+# The examples carry their own asserts (peer_network crashes a host and
+# recovers it from the world's seed table): run every one, not only
+# compile it as `cargo test` does.
+for ex in examples/*.rs; do
+  cargo run --release --offline -q --example "$(basename "$ex" .rs)" > /dev/null
+done
 # The allocation pins again, optimised: several (the idle planes' "no
 # allocation at all") only take their release value here, the debug
 # build re-checking what a re-send reuses.

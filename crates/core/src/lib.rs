@@ -47,7 +47,7 @@ pub use node::{
     AdmissionConfig, AssemblySink, CacheConfig, Continuations, InvokePolicy, InvokeSink,
     LoadBalanceConfig, MigrateSink, Node, NodeCmd, NodeConfig, NodeConfigBuilder, NodeCtx,
     NodeMetrics, NodeSeed, NodeState, QueryResult, QuerySink, RegistryConfig, ReplicateConfig,
-    ServiceKind, ServiceMetrics, ServiceReflect, SpawnSink, Tick,
+    ServiceKind, ServiceMetrics, ServiceReflect, SpawnSink, Tick, WorldRecord,
 };
 pub use proto::{DeltaEntry, GroupSummary, QueryId};
 pub use registry::backend::{
@@ -71,31 +71,18 @@ pub mod testkit {
     use crate::behavior::BehaviorRegistry;
     use crate::cohesion::CohesionConfig;
     use crate::node::{
-        InvokeSink, NodeCmd, NodeConfig, NodeSeed, QuerySink, RegistryConfig, SpawnSink,
+        InvokeSink, NodeCmd, NodeConfig, NodeSeed, QuerySink, SpawnSink, WorldRecord,
     };
-    use crate::registry::shard::ShardRing;
     use crate::registry::ComponentQuery;
     use lc_des::{ActorId, Sim, SimTime};
     use lc_net::{ChurnHooks, HostId, Net, Topology};
-    use lc_orb::{ObjectRef, SimOrb, Value};
+    use lc_orb::{ObjectRef, Value};
     use lc_pkg::TrustStore;
+    use std::cell::RefCell;
     use std::rc::Rc;
     use std::sync::Arc;
 
-    /// What a node must know of a component domain before it can
-    /// install and run the domain's packages: the behaviours their
-    /// binaries name, the vendors whose signatures it accepts and the
-    /// IDL their ports speak. `demo::catalog()`, `lc_cscw::catalog()`
-    /// and `lc_grid::catalog()` are the three domains.
-    #[derive(Clone)]
-    pub struct Catalog {
-        /// Loadable behaviours (the DLL substitute).
-        pub behaviors: BehaviorRegistry,
-        /// Trusted vendors.
-        pub trust: TrustStore,
-        /// Interface repository.
-        pub idl: Arc<lc_idl::Repository>,
-    }
+    pub use crate::node::Catalog;
 
     /// A fully wired simulated CORBA-LC network.
     pub struct World {
@@ -103,10 +90,12 @@ pub mod testkit {
         pub sim: Sim,
         /// The fabric.
         pub net: Net,
-        /// ORB plumbing.
-        pub orb: SimOrb,
-        /// One seed per host (respawn material).
-        pub seeds: Vec<NodeSeed>,
+        /// What every node of the world shares, built once.
+        pub record: Rc<WorldRecord>,
+        /// One seed per host (respawn material): [`World::recover`] and
+        /// the fabric's crash windows and churn process all respawn
+        /// from this one table, so an edit made here reaches each.
+        pub seeds: Rc<RefCell<Vec<NodeSeed>>>,
         /// The node actor each host *booted* with. A respawn does not
         /// update it — [`Net::actor_of`] is the live host → actor map,
         /// and everything on `World` goes through that. Kept because the
@@ -151,47 +140,29 @@ pub mod testkit {
         idl: Arc<lc_idl::Repository>,
         preinstalled: impl Fn(HostId) -> Vec<Rc<Vec<u8>>>,
     ) -> World {
-        let orb = SimOrb::new(net.clone());
-        let hosts = net.host_ids();
-        let shape = Rc::new(config.cohesion.shape(hosts.len()));
-        // One ring per world, not per node: it depends only on the host
-        // list and the ring shape.
-        let ring = match &config.registry {
-            RegistryConfig::SingleLeader => None,
-            RegistryConfig::Sharded(sc) => Some(Rc::new(ShardRing::build(&hosts, &sc.ring()))),
-        };
+        let record = WorldRecord::new(net.clone(), config, Catalog { behaviors, trust, idl });
         let mut sim = Sim::new(seed);
         let mut seeds = Vec::new();
         let mut actors = Vec::new();
-        for host in hosts {
-            let node_seed = NodeSeed {
-                host,
-                config: config.clone(),
-                net: net.clone(),
-                orb: orb.clone(),
-                shape: shape.clone(),
-                ring: ring.clone(),
-                behaviors: behaviors.clone(),
-                trust: trust.clone(),
-                idl: idl.clone(),
-                preinstalled: preinstalled(host),
-            };
-            let actor = node_seed.spawn(&mut sim);
+        for host in net.host_ids() {
+            let node_seed = NodeSeed { host, preinstalled: preinstalled(host) };
+            actors.push(node_seed.spawn(&record, &mut sim));
             seeds.push(node_seed);
-            actors.push(actor);
         }
+        let seeds = Rc::new(RefCell::new(seeds));
         // Armed after the last spawn, so the nodes' boot timers keep
         // their event sequence numbers whether or not anything crashes.
         net.install_drivers(&mut sim, || {
-            let (net, seeds) = (net.clone(), seeds.clone());
+            let (world, table) = (Rc::clone(&record), Rc::clone(&seeds));
+            let net = net.clone();
             ChurnHooks {
                 on_crash: Box::new(move |sim, host| sim.kill(net.actor_of(host))),
                 on_recover: Box::new(move |sim, host| {
-                    seeds[host.0 as usize].spawn(sim);
+                    table.borrow()[host.0 as usize].spawn(&world, sim);
                 }),
             }
         });
-        World { sim, net, orb, seeds, actors }
+        World { sim, net, record, seeds, actors }
     }
 
     impl World {
@@ -205,15 +176,8 @@ pub mod testkit {
             catalog: Catalog,
             preinstalled: impl Fn(HostId) -> Vec<Rc<Vec<u8>>>,
         ) -> World {
-            build_world_on(
-                net.into(),
-                seed,
-                config,
-                catalog.behaviors,
-                catalog.trust,
-                catalog.idl,
-                preinstalled,
-            )
+            let Catalog { behaviors, trust, idl } = catalog;
+            build_world_on(net.into(), seed, config, behaviors, trust, idl, preinstalled)
         }
 
         /// Shorthand: a LAN world with default config and no components.
@@ -322,7 +286,7 @@ pub mod testkit {
         /// (installed packages persist, dynamic state starts empty).
         pub fn recover(&mut self, host: HostId) {
             self.net.set_host_up(host, true);
-            self.seeds[host.0 as usize].spawn(&mut self.sim);
+            self.seeds.borrow()[host.0 as usize].spawn(&self.record, &mut self.sim);
         }
 
         /// Send a [`NodeCmd`] to a host's node, now.

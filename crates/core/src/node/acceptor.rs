@@ -30,9 +30,9 @@ impl NodeState {
             .install(
                 bytes,
                 &self.resources.static_info().platform,
-                &self.trust,
-                &self.behaviors,
-                self.cfg.require_signature,
+                &self.world.catalog.trust,
+                &self.world.catalog.behaviors,
+                self.world.config.require_signature,
             )
             .map_err(|e| e.to_string())?;
         let installed = accepted.installed;

@@ -40,7 +40,7 @@ impl NodeState {
 impl NodeCtx<'_, '_> {
     /// Record a member report where the report step puts it.
     pub(crate) fn absorb_report(&mut self, from: HostId, report: ResourceReport) {
-        let (seat, slot) = cohesion::report_seat(&self.state.shape, from);
+        let (seat, slot) = cohesion::report_seat(&self.state.world.shape, from);
         let now = self.sim.now();
         if let Some(store) = self.state.held(seat) {
             store.on_report(from, slot, report, now);
@@ -50,9 +50,9 @@ impl NodeCtx<'_, '_> {
     /// Record the summary `from` pushed for its seat at `level` where the
     /// summary step puts it.
     pub(crate) fn absorb_summary(&mut self, from: HostId, level: u8, summary: Rc<GroupSummary>) {
-        let (level, now) = (usize::from(level), self.sim.now());
-        let child = (level, self.state.shape.group_of(level, u64::from(from.0)));
-        let Some((seat, slot)) = cohesion::summary_seat(&self.state.shape, child) else { return };
+        let (level, now, shape) = (usize::from(level), self.sim.now(), &self.state.world.shape);
+        let child = (level, shape.group_of(level, u64::from(from.0)));
+        let Some((seat, slot)) = cohesion::summary_seat(shape, child) else { return };
         if let Some(store) = self.state.held(seat) {
             store.on_summary(from, slot, summary, now);
         }
@@ -62,9 +62,9 @@ impl NodeCtx<'_, '_> {
     /// a summary up from each seat this host is acting primary of, and
     /// re-arm the cadence.
     pub(crate) fn mrm_sweep(&mut self) {
-        let timeout = self.state.cfg.cohesion.eviction_timeout();
+        let timeout = self.state.world.config.cohesion.eviction_timeout();
         let now = self.sim.now();
-        let (shape, host) = (Rc::clone(&self.state.shape), self.state.host);
+        let (world, host) = (Rc::clone(&self.state.world), self.state.host);
         for level in 0..self.state.duty_state.len() {
             let evicted = self.state.duty_state[level].sweep(now, timeout);
             if evicted > 0 {
@@ -72,17 +72,17 @@ impl NodeCtx<'_, '_> {
             }
             // Only the acting primary pushes summaries upward.
             let g = self.state.group_at(level);
-            let acting = effective_primary(shape.mrm_hosts(level, g), |h| self.state.net.is_up(h));
+            let acting = effective_primary(world.shape.mrm_hosts(level, g), |h| world.net.is_up(h));
             let seat = &self.state.duty_state[level];
             // One aggregate, shared by every parent and kept while unchanged.
-            let pushed = cohesion::push_summary(&shape, (level, g), acting == host, seat);
+            let pushed = cohesion::push_summary(&world.shape, (level, g), acting == host, seat);
             let Some((summary, parents)) = pushed else { continue };
             for parent in parents {
                 let (level, summary) = (level as u8, Rc::clone(&summary));
                 self.send_ctrl(parent, CtrlMsg::Summary { from: host, level, summary });
             }
         }
-        let period = self.state.cfg.cohesion.report_period;
+        let period = self.state.world.config.cohesion.report_period;
         self.timer_in(period, Tick::MrmSweep);
     }
 }
@@ -90,7 +90,7 @@ impl NodeCtx<'_, '_> {
 /// Reflect the Network Cohesion service's current state.
 pub(crate) fn reflect(state: &NodeState) -> ServiceReflect {
     let level0_members = state.seat(0).map_or(0, |s| s.records().len());
-    let report_targets = state.shape.mrm_hosts(0, state.group_at(0)).count();
+    let report_targets = state.world.shape.mrm_hosts(0, state.group_at(0)).count();
     ServiceReflect {
         kind: ServiceKind::Cohesion,
         items: vec![

@@ -37,7 +37,7 @@ impl NodeState {
             host,
             repository,
             resources,
-            behaviors,
+            world,
             adapter,
             registry,
             instance_meta,
@@ -51,7 +51,7 @@ impl NodeState {
         if !resources.reserve(&desc.qos) {
             return Err(format!("node {host} cannot admit QoS of '{component}'"));
         }
-        let Some(servant) = behaviors.instantiate(&installed.behavior_id) else {
+        let Some(servant) = world.catalog.behaviors.instantiate(&installed.behavior_id) else {
             resources.release(&desc.qos);
             return Err(format!("behavior '{}' not loadable", installed.behavior_id));
         };
@@ -185,8 +185,8 @@ impl NodeCtx<'_, '_> {
             tracer.set_attr(s, "target", target.host.0);
             Some(s)
         });
-        let rid = self.state.orb.fresh_id();
-        self.in_span(span, |ctx| match ctx.state.cfg.invoke.deadline {
+        let rid = self.state.world.orb.fresh_id();
+        self.in_span(span, |ctx| match ctx.state.world.config.invoke.deadline {
             None => match ctx.send_request(rid, target, op, args, false) {
                 Ok(_) => {
                     ctx.state.conts.calls.insert(rid, PendingCall { cont, retry: None, span });
@@ -200,7 +200,7 @@ impl NodeCtx<'_, '_> {
                 // The request moves into its frame. Only a policy that
                 // can re-send keeps a copy: without a retry budget the
                 // sweep's one verdict on this call is `Timeout`.
-                let retry = (ctx.state.cfg.invoke.retries > 0).then(|| RetryState {
+                let retry = (ctx.state.world.config.invoke.retries > 0).then(|| RetryState {
                     target,
                     op: op.clone(),
                     args: args.clone(),
@@ -235,7 +235,7 @@ impl NodeCtx<'_, '_> {
 
     /// Fire-and-forget `op(args)` on `target`.
     pub(crate) fn send_oneway(&mut self, target: ObjectKey, op: Name, args: Vec<Value>) {
-        let id = self.state.orb.fresh_id();
+        let id = self.state.world.orb.fresh_id();
         let _ = self.send_request(id, target, op, args, true);
     }
 
@@ -252,7 +252,7 @@ impl NodeCtx<'_, '_> {
     /// fail the rest with `TIMEOUT`.
     pub(crate) fn sweep_calls(&mut self) {
         let now = self.sim.now();
-        let InvokePolicy { deadline, retries, .. } = self.state.cfg.invoke;
+        let InvokePolicy { deadline, retries, .. } = self.state.world.config.invoke;
         let Some(deadline) = deadline else { return };
         for (rid, pc) in self.state.conts.calls.take_expired(now) {
             let can_retry = pc.retry.as_ref().is_some_and(|r| r.attempts < 1 + retries);
@@ -394,7 +394,7 @@ impl NodeCtx<'_, '_> {
         // Servant-side duplicate suppression: a retried (same id) or
         // fabric-duplicated request whose reply is already cached is
         // answered from the cache — the servant executes exactly once.
-        let dedup = self.state.cfg.invoke.dedup_window;
+        let dedup = self.state.world.config.invoke.dedup_window;
         if dedup > SimTime::ZERO {
             if let (Some(back), Some(cached)) = (reply_to, self.state.conts.replies.get(&id)) {
                 let cached = cached.clone();
@@ -410,11 +410,11 @@ impl NodeCtx<'_, '_> {
         // must keep winning over a fresh decision, or a retried shed
         // request could execute after the backlog drains) and before
         // dispatch (a shed request must never reach the servant).
-        if let Some(adm) = self.state.cfg.admission.clone() {
+        if let Some(adm) = self.state.world.config.admission.clone() {
             let now = self.sim.now();
             let backlog = self.state.cpu_free_at.saturating_sub(now);
             let over_deadline = adm.deadline_aware
-                && self.state.cfg.invoke.deadline.is_some_and(|d| backlog > d);
+                && self.state.world.config.invoke.deadline.is_some_and(|d| backlog > d);
             self.sim.metrics().incr(Counter::AdmissionTotal);
             if backlog > adm.cpu_backlog_cap || over_deadline {
                 self.sim.metrics().incr(Counter::AdmissionShed);
@@ -625,7 +625,7 @@ impl NodeCtx<'_, '_> {
         match sink.filter(|_| !oneway) {
             Some(sink) => self.send_call(target, op, args, CallCont::Sink(sink)),
             None => {
-                let id = self.state.orb.fresh_id();
+                let id = self.state.world.orb.fresh_id();
                 let _ = self.send_request(id, target, op, args, oneway);
             }
         }

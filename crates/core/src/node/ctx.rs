@@ -9,19 +9,16 @@
 //! `&mut NodeCtx`, so cross-service plumbing (control sends, ORB
 //! traffic, local delivery) lives here exactly once.
 
-use crate::behavior::BehaviorRegistry;
-use crate::cohesion::{DutyState, HierShape};
+use crate::cohesion::DutyState;
 use crate::proto::CtrlMsg;
 use crate::registry::backend::{CoherenceRoute, Registry, ShardStore};
-use crate::registry::shard::ShardRing;
 use crate::registry::{ComponentQuery, ComponentRegistry, InstanceId, Offer};
 use crate::repository::ComponentRepository;
 use crate::resource::ResourceManager;
 use lc_des::{Counter, Ctx, SimTime};
-use lc_net::{DropReason, HostId, Net};
+use lc_net::{DropReason, HostId};
 use lc_trace::{SloMonitor, TraceContext, Tracer};
-use lc_orb::{ObjectAdapter, ObjectKey, ObjectRef, OrbError, OrbWire, Outcome, RequestId, SimOrb};
-use lc_pkg::TrustStore;
+use lc_orb::{ObjectAdapter, ObjectKey, ObjectRef, OrbError, OrbWire, Outcome, RequestId};
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
@@ -29,7 +26,7 @@ use std::sync::Arc;
 use super::continuations::ContTable;
 use super::metrics::NodeMetrics;
 use super::service::{handle_ctrl, Tick};
-use super::{NodeConfig, NodeSeed, RegistryConfig};
+use super::{RegistryConfig, WorldRecord};
 
 /// One open push event channel: the event type plus its subscribers
 /// (consumer servant, delivery operation).
@@ -46,9 +43,14 @@ pub(crate) struct InstanceRuntime {
 pub struct NodeState {
     /// The host this node serves.
     pub host: HostId,
-    pub(crate) cfg: NodeConfig,
-    pub(crate) net: Net,
-    pub(crate) orb: SimOrb,
+    /// What this node shares with every node of its world: config,
+    /// catalog, fabric, ORB, MRM tree and shard ring. Every seat of
+    /// this host and of its peers is a coordinate in the record's tree;
+    /// a handler that must hold the record across `&mut self` calls
+    /// takes a reference-counted handle, never a copy.
+    pub(crate) world: Rc<WorldRecord>,
+    /// This node's interface repository: the catalog's base IDL plus
+    /// what its installs merged in.
     pub(crate) idl: Arc<lc_idl::Repository>,
     pub(crate) adapter: ObjectAdapter,
     /// The Component Repository (installed packages).
@@ -57,12 +59,6 @@ pub struct NodeState {
     pub resources: ResourceManager,
     /// The Component Registry (instances + connections).
     pub registry: ComponentRegistry,
-    pub(crate) behaviors: BehaviorRegistry,
-    pub(crate) trust: TrustStore,
-    /// The world's one MRM tree: this host's seats and every peer's are
-    /// coordinates in it. A handler that must hold it across `&mut self`
-    /// calls takes a reference-counted handle, never a copy.
-    pub(crate) shape: Rc<HierShape>,
     /// One soft-state table per seat this host holds, indexed by level
     /// (a host's seats are contiguous from level 0).
     pub(crate) duty_state: Vec<DutyState>,
@@ -76,7 +72,7 @@ pub struct NodeState {
     /// Distributed-tracing handle, shared with the fabric (disabled
     /// unless the fabric was built with one — all no-ops then).
     pub(crate) tracer: Tracer,
-    /// SLO monitor, present only when [`NodeConfig::slo`] is set: fed by
+    /// SLO monitor, present only when [`super::NodeConfig::slo`] is set: fed by
     /// every finished query, evaluated on the `Tick::SloCheck` cadence.
     pub(crate) slo: Option<SloMonitor>,
     // container runtime state
@@ -94,7 +90,7 @@ pub struct NodeState {
     pub(crate) due_replies: VecDeque<(HostId, RequestId, Result<Outcome, OrbError>)>,
     /// Admitted requests per local oid since boot — which instance is
     /// hot, for replication placement. Maintained only while
-    /// [`NodeConfig::admission`] configures `replicate_hot`.
+    /// [`super::NodeConfig::admission`] configures `replicate_hot`.
     pub(crate) instance_load: BTreeMap<u64, u64>,
     /// When this node last asked for a replica (replication cooldown).
     pub(crate) last_replicate: Option<SimTime>,
@@ -102,47 +98,37 @@ pub struct NodeState {
     /// [`super::ReplicateConfig::max_replicas`]).
     pub(crate) replicas_started: u32,
     /// The resolution substrate behind the Component Registry service:
-    /// result cache, singleflight and (when [`NodeConfig::registry`] is
+    /// result cache, singleflight and (when [`super::NodeConfig::registry`] is
     /// sharded) this host's shard store over the world's ring.
     pub(crate) backend: Registry,
 }
 
 impl NodeState {
-    /// Build the shared state from a seed (no packages installed yet).
-    pub(crate) fn new(seed: NodeSeed) -> Self {
-        let cfg = seed.config;
-        let host = seed.host;
-        let shard = match &cfg.registry {
-            RegistryConfig::SingleLeader => None,
-            RegistryConfig::Sharded(sc) => {
-                // The ring is a pure function of (hosts, shape): a seed
-                // made without the world's shared one derives its own.
-                let ring = seed.ring.unwrap_or_else(|| {
-                    Rc::new(ShardRing::build(&seed.net.host_ids(), &sc.ring()))
-                });
-                Some(ShardStore::new(sc, host, ring))
+    /// Build `world`'s state for `host` (no packages installed yet).
+    pub(crate) fn new(world: Rc<WorldRecord>, host: HostId) -> Self {
+        let cfg = &world.config;
+        let shard = match (&cfg.registry, &world.ring) {
+            (RegistryConfig::Sharded(sc), Some(ring)) => {
+                Some(ShardStore::new(sc, host, Rc::clone(ring)))
             }
+            _ => None,
         };
         let backend = Registry::new(cfg.cache.as_ref(), shard);
-        let duty_state = seed.shape.seats_of(host).map(|_| DutyState::default()).collect();
-        let host_cfg = seed.net.host_cfg(host);
-        let tracer = seed.net.tracer();
+        let duty_state = world.shape.seats_of(host).map(|_| DutyState::default()).collect();
+        let host_cfg = world.net.host_cfg(host);
+        let tracer = world.net.tracer();
         let slo = cfg.slo.clone().map(SloMonitor::new);
-        let mut adapter = ObjectAdapter::new(host, seed.idl.clone());
+        let idl = world.catalog.idl.clone();
+        let mut adapter = ObjectAdapter::new(host, idl.clone());
         adapter.set_tracer(tracer.clone());
         NodeState {
             host,
-            cfg,
-            net: seed.net,
-            orb: seed.orb,
-            idl: seed.idl,
+            world,
+            idl,
             adapter,
             repository: ComponentRepository::new(),
             resources: ResourceManager::from_host_cfg(&host_cfg),
             registry: ComponentRegistry::new(),
-            behaviors: seed.behaviors,
-            trust: seed.trust,
-            shape: seed.shape,
             duty_state,
             seat_buffers: Vec::new(),
             conts: ContTable::new(),
@@ -170,7 +156,7 @@ impl NodeState {
 
     /// The group at `level` this host's seat there is in.
     pub(crate) fn group_at(&self, level: usize) -> u64 {
-        self.shape.group_of(level, u64::from(self.host.0))
+        self.world.shape.group_of(level, u64::from(self.host.0))
     }
 
     /// The per-service instrumentation collected by the router.
@@ -184,7 +170,7 @@ impl NodeState {
         &self.tracer
     }
 
-    /// The SLO monitor, when [`NodeConfig::slo`] configured one
+    /// The SLO monitor, when [`super::NodeConfig::slo`] configured one
     /// — breach history (with flight-recorder dumps) lives here.
     pub fn slo_monitor(&self) -> Option<&SloMonitor> {
         self.slo.as_ref()
@@ -288,7 +274,7 @@ impl NodeCtx<'_, '_> {
             return true;
         }
         let counter = wire_counter(&msg);
-        let sent = self.state.net.send(self.sim, host, to, msg.wire_size(), msg).is_ok();
+        let sent = self.state.world.net.send(self.sim, host, to, msg.wire_size(), msg).is_ok();
         if sent {
             self.state.metrics.msg_out();
             if let Some(counter) = counter {
@@ -309,7 +295,7 @@ impl NodeCtx<'_, '_> {
     ) -> bool {
         let host = self.state.host;
         for r in replicas {
-            if r == host || self.state.net.reachable(host, r) {
+            if r == host || self.state.world.net.reachable(host, r) {
                 return self.send_ctrl(r, msg);
             }
             self.sim.metrics().incr(Counter::QueryFailover);
@@ -322,7 +308,7 @@ impl NodeCtx<'_, '_> {
     /// `net.drop.*`). Never delivers to this host.
     pub(crate) fn send_if_reachable(&mut self, to: HostId, msg: &CtrlMsg) {
         let host = self.state.host;
-        if to != host && self.state.net.reachable(host, to) {
+        if to != host && self.state.world.net.reachable(host, to) {
             self.send_ctrl(to, msg.clone());
         }
     }
@@ -366,7 +352,7 @@ impl NodeCtx<'_, '_> {
             CoherenceRoute::Disabled => {}
             CoherenceRoute::Broadcast => {
                 self.invalidate_cached(component);
-                let hosts = (0..self.state.net.host_count() as u32).map(HostId);
+                let hosts = (0..self.state.world.net.host_count() as u32).map(HostId);
                 self.send_invalidate(component, hosts);
                 self.sim.metrics().incr(Counter::CacheInvalidateBcasts);
             }
@@ -433,10 +419,10 @@ impl NodeCtx<'_, '_> {
     }
 
     /// Put an ORB message on the wire — [`NodeCtx::send_ctrl`]'s twin for
-    /// [`OrbWire`]: sized and counted under its kind by [`SimOrb::send`],
+    /// [`OrbWire`]: sized and counted under its kind by [`lc_orb::SimOrb::send`],
     /// and one outgoing message of this node when the fabric accepts it.
     pub(crate) fn send_orb(&mut self, to: HostId, wire: OrbWire) -> Result<SimTime, DropReason> {
-        let sent = self.state.orb.send(self.sim, self.state.host, to, wire);
+        let sent = self.state.world.orb.send(self.sim, self.state.host, to, wire);
         if sent.is_ok() {
             self.state.metrics.msg_out();
         }

@@ -495,64 +495,99 @@ impl NodeCmd {
     }
 }
 
-/// Everything needed to (re)create a node — used for initial bring-up and
-/// for respawning after a crash (dynamic state is lost, installed
-/// packages persist like files on disk).
+/// What a node must know of a component domain before it can install
+/// and run the domain's packages: the behaviours their binaries name,
+/// the vendors whose signatures it accepts and the IDL their ports
+/// speak. `demo::catalog()`, `lc_cscw::catalog()` and
+/// `lc_grid::catalog()` are the three domains.
 #[derive(Clone)]
-pub struct NodeSeed {
-    /// The host this node runs on.
-    pub host: HostId,
-    /// Configuration.
+pub struct Catalog {
+    /// Loadable behaviours (the DLL substitute).
+    pub behaviors: BehaviorRegistry,
+    /// Trusted vendors.
+    pub trust: TrustStore,
+    /// Interface repository.
+    pub idl: Arc<lc_idl::Repository>,
+}
+
+/// What every node of one world shares: built once per world by
+/// [`WorldRecord::new`] (the only way to build one, so its tree and ring
+/// always match its config and fabric), never rebuilt, and held by
+/// reference by every node the world boots or respawns.
+#[non_exhaustive]
+pub struct WorldRecord {
+    /// Every node's configuration.
     pub config: NodeConfig,
+    /// The component domain every node knows (its base IDL is where a
+    /// node's own interface repository starts).
+    pub catalog: Catalog,
     /// The network fabric.
     pub net: Net,
     /// ORB plumbing.
     pub orb: SimOrb,
-    /// The world's MRM tree, `config.cohesion`'s shape over every host
-    /// of the fabric: built once and shared.
-    pub shape: Rc<HierShape>,
-    /// The world's shard ring — a pure function of the host list and
-    /// the ring shape, built once and shared like `shape` (`None`
-    /// when `config.registry` is not [`RegistryConfig::Sharded`]).
+    /// The MRM tree, `config.cohesion`'s shape over every host of the
+    /// fabric.
+    pub shape: HierShape,
+    /// The shard ring, a pure function of the host list and the ring
+    /// shape (`Some` exactly when `config.registry` is
+    /// [`RegistryConfig::Sharded`]).
     pub ring: Option<Rc<ShardRing>>,
-    /// Behaviour registry (the loadable code).
-    pub behaviors: BehaviorRegistry,
-    /// Trust store for package verification.
-    pub trust: TrustStore,
-    /// Base IDL repository (system interfaces).
-    pub idl: Arc<lc_idl::Repository>,
+}
+
+impl WorldRecord {
+    /// The record of a world of one node per host of `net`.
+    pub fn new(net: Net, config: NodeConfig, catalog: Catalog) -> Rc<Self> {
+        let hosts = net.host_ids();
+        let shape = config.cohesion.shape(hosts.len());
+        let ring = match &config.registry {
+            RegistryConfig::SingleLeader => None,
+            RegistryConfig::Sharded(sc) => Some(Rc::new(ShardRing::build(&hosts, &sc.ring()))),
+        };
+        let orb = SimOrb::new(net.clone());
+        Rc::new(WorldRecord { config, catalog, net, orb, shape, ring })
+    }
+}
+
+/// What one host's node is (re)created from beyond its world's record:
+/// the packages on its disk. Used for initial bring-up and for
+/// respawning after a crash (dynamic state is lost, installed packages
+/// persist like files on disk).
+pub struct NodeSeed {
+    /// The host this node runs on.
+    pub host: HostId,
     /// Packages present "on disk" at boot (installed before start).
     pub preinstalled: Vec<Rc<Vec<u8>>>,
 }
 
 impl NodeSeed {
-    /// Spawn a node actor from this seed, bind it to the host, and start
-    /// its timers. Returns the actor id.
-    pub fn spawn(&self, sim: &mut lc_des::Sim) -> lc_des::ActorId {
-        let mut node = Node::new(self.clone());
+    /// Spawn a node actor of `world` from this seed, bind it to the
+    /// host, and start its timers. Returns the actor id.
+    pub fn spawn(&self, world: &Rc<WorldRecord>, sim: &mut lc_des::Sim) -> lc_des::ActorId {
+        let mut node = Node::new(Rc::clone(world), self.host);
         for pkg in &self.preinstalled {
             // Pre-installed packages bypass the network (local media).
             let _ = node.install_bytes(pkg);
         }
         let actor = sim.spawn(node);
-        self.net.bind(self.host, actor);
+        world.net.bind(self.host, actor);
         // Deterministic de-synchronization: stagger the first keep-alive
         // by host id so report storms do not align.
         let jitter = SimTime::from_micros(137 * (self.host.0 as u64 + 1));
         let mut arm = |delay: SimTime, tick: Tick| sim.send_packed(delay, actor, tick.pack());
+        let config = &world.config;
         arm(jitter, Tick::KeepAlive);
-        arm(jitter + self.config.cohesion.report_period / 2, Tick::MrmSweep);
-        if let Some(lb) = &self.config.load_balance {
+        arm(jitter + config.cohesion.report_period / 2, Tick::MrmSweep);
+        if let Some(lb) = &config.load_balance {
             arm(jitter + lb.check_period, Tick::LoadBalance);
         }
-        if let RegistryConfig::Sharded(sc) = &self.config.registry {
+        if let RegistryConfig::Sharded(sc) = &config.registry {
             // First maintenance tick publishes the pre-installed
             // inventory (installed before the actor existed, so no
             // runtime was there to publish through) and starts the
             // gossip cadence.
             arm(jitter + sc.gossip_period, Tick::ShardMaintain);
         }
-        if let Some(slo) = &self.config.slo {
+        if let Some(slo) = &config.slo {
             arm(jitter + slo.window, Tick::SloCheck);
         }
         actor
@@ -579,9 +614,9 @@ impl DerefMut for Node {
 }
 
 impl Node {
-    /// Build a node from a seed (no packages installed yet).
-    pub fn new(seed: NodeSeed) -> Self {
-        Node { state: NodeState::new(seed) }
+    /// Build `world`'s node for `host` (no packages installed yet).
+    pub fn new(world: Rc<WorldRecord>, host: HostId) -> Self {
+        Node { state: NodeState::new(world, host) }
     }
 
     /// Read access to the shared node state (post-run inspection:
@@ -665,6 +700,37 @@ impl Actor for Node {
         self.state.adapter.set_clock(ctx.now());
         if let Some(tick) = Tick::unpack(data) {
             self.route_tick(ctx, tick);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::demo;
+    use crate::testkit::{fast_config, World};
+    use lc_des::SimTime;
+    use lc_net::{FaultPlan, HostId, Net, Topology};
+    use std::rc::Rc;
+
+    /// Every node of a world reads the one record the world built: the
+    /// nodes it booted, the one a crash window's recovery respawned and
+    /// the one [`World::recover`] respawned.
+    #[test]
+    fn every_node_of_a_world_reads_its_one_record() {
+        let (scheduled, manual) = (HostId(3), HostId(1));
+        let (down, up) = (SimTime::from_secs(1), SimTime::from_secs(2));
+        let plan = FaultPlan::seeded(1).crash(scheduled, down, Some(up));
+        let net = Net::builder(Topology::lan(6)).fault_plan(plan).build();
+        let mut world = World::on(net, 3, fast_config(), demo::catalog(), |_| Vec::new());
+        world.run_for(SimTime::from_millis(2500));
+        world.crash(manual);
+        world.recover(manual);
+        for host in [scheduled, manual] {
+            assert_ne!(world.net.actor_of(host), world.actors[host.0 as usize], "{host} respawned");
+        }
+        for host in world.net.host_ids() {
+            let node = world.node(host).expect("every host is up");
+            assert!(Rc::ptr_eq(&node.world, &world.record), "{host} reads the world's record");
         }
     }
 }

@@ -68,7 +68,7 @@ impl NodeCtx<'_, '_> {
         if let QueryPurpose::Collect { sink, .. } = &purpose {
             sink.borrow_mut().started = started;
         }
-        let timeout = self.state.cfg.query_timeout;
+        let timeout = self.state.world.config.query_timeout;
         // Triage: cache hit, coalesce onto an in-flight identical
         // query, or run a network search.
         let step = {
@@ -118,7 +118,7 @@ impl NodeCtx<'_, '_> {
                 // coalesced followers above never hit this: they cost
                 // no table entry.
                 if let Some(cap) =
-                    self.state.cfg.admission.as_ref().map(|a| a.query_queue_cap)
+                    self.state.world.config.admission.as_ref().map(|a| a.query_queue_cap)
                 {
                     while self.state.conts.queries.len() >= cap {
                         let Some(oldest) = self.state.conts.queries.oldest_key().copied()
@@ -151,7 +151,7 @@ impl NodeCtx<'_, '_> {
                         started,
                         first_offer_at: None,
                         query: Rc::clone(&query),
-                        retries_left: self.state.cfg.query_retries,
+                        retries_left: self.state.world.config.query_retries,
                         span,
                         followers: Vec::new(),
                     },
@@ -185,9 +185,9 @@ impl NodeCtx<'_, '_> {
                 // The hop is *ascending*: a miss at the group escalates
                 // to the parent ("request higher hierarchy level
                 // requests").
-                let (shape, g) = (Rc::clone(&self.state.shape), self.state.group_at(0));
+                let (world, g) = (Rc::clone(&self.state.world), self.state.group_at(0));
                 let ask = CtrlMsg::Query { qid, query, level: Some(0), descending: false };
-                self.send_to_first_reachable(shape.mrm_hosts(0, g), ask);
+                self.send_to_first_reachable(world.shape.mrm_hosts(0, g), ask);
             }
             SearchRoute::ShardLocal { shard } => self.serve_lookup(qid, &query, shard),
             SearchRoute::ShardRemote { shard } => {
@@ -274,9 +274,9 @@ impl NodeCtx<'_, '_> {
             None => candidates.extend(seat.records().keys()),
         }
 
-        let (shape, g) = (Rc::clone(&self.state.shape), self.state.group_at(at));
+        let (world, g) = (Rc::clone(&self.state.world), self.state.group_at(at));
         let asked = candidates.drain(..);
-        let route = route_query(&shape, (at, g), descending, asked, |to, child_level| {
+        let route = route_query(&world.shape, (at, g), descending, asked, |to, child_level| {
             match child_level {
                 // A plain member — unless it is the origin, which
                 // already answered locally …
@@ -299,7 +299,7 @@ impl NodeCtx<'_, '_> {
             Route::Escalate { level: up, g } => {
                 self.sim.metrics().incr(Counter::QueryEscalations);
                 let ask = CtrlMsg::Query { qid, query, level: Some(up as u8), descending: false };
-                self.send_to_first_reachable(shape.mrm_hosts(up, g), ask);
+                self.send_to_first_reachable(world.shape.mrm_hosts(up, g), ask);
             }
             Route::DeadEnd => self.send_offers(qid, Vec::new(), true),
         }
@@ -574,7 +574,7 @@ impl NodeCtx<'_, '_> {
             // been dropped.
             if pq.offers.is_empty() && pq.retries_left > 0 {
                 pq.retries_left -= 1;
-                let timeout = self.state.cfg.query_timeout;
+                let timeout = self.state.world.config.query_timeout;
                 let query = Rc::clone(&pq.query);
                 let original = pq.span;
                 self.state.conts.queries.insert_with_deadline(seq, pq, now + timeout);

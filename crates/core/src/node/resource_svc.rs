@@ -56,12 +56,12 @@ impl NodeCtx<'_, '_> {
         // One report per tick; each target's copy is two `Rc` bumps.
         let report = self.state.resources.report(self.state.repository.names());
         let host = self.state.host;
-        let (shape, g) = (Rc::clone(&self.state.shape), self.state.group_at(0));
-        for mrm in shape.mrm_hosts(0, g) {
+        let (world, g) = (Rc::clone(&self.state.world), self.state.group_at(0));
+        for mrm in world.shape.mrm_hosts(0, g) {
             // An MRM absorbs its own report in place (no network hop).
             self.send_ctrl(mrm, CtrlMsg::Report { from: host, report: report.clone() });
         }
-        let period = self.state.cfg.cohesion.report_period;
+        let period = self.state.world.config.cohesion.report_period;
         self.timer_in(period, Tick::KeepAlive);
     }
 
@@ -69,7 +69,7 @@ impl NodeCtx<'_, '_> {
     /// ask the group MRM for a lighter member to migrate the heaviest
     /// *mobile* instance to; re-arm the cadence either way.
     pub(crate) fn load_balance_check(&mut self) {
-        let Some(lb) = self.state.cfg.load_balance.clone() else { return };
+        let Some(lb) = self.state.world.config.load_balance.clone() else { return };
         if self.state.resources.cpu_utilisation() >= lb.overload_threshold {
             if let Some((_, cpu_needed)) = self.state.heaviest_mobile_instance() {
                 self.ask_placement(cpu_needed, None);
@@ -81,9 +81,9 @@ impl NodeCtx<'_, '_> {
     /// Ask the group MRM (first reachable replica; this host answers
     /// itself when it is one) which member has `cpu_needed` headroom.
     fn ask_placement(&mut self, cpu_needed: f64, replica: Option<(String, lc_pkg::Version)>) {
-        let (shape, g) = (Rc::clone(&self.state.shape), self.state.group_at(0));
+        let (world, g) = (Rc::clone(&self.state.world), self.state.group_at(0));
         let ask = CtrlMsg::PlacementQuery { from: self.state.host, cpu_needed, replica };
-        self.send_to_first_reachable(shape.mrm_hosts(0, g), ask);
+        self.send_to_first_reachable(world.shape.mrm_hosts(0, g), ask);
     }
 
     /// The MRM's answer to a migration ask: move the heaviest mobile
@@ -105,7 +105,7 @@ impl NodeCtx<'_, '_> {
     /// accumulated yet.
     pub(crate) fn maybe_replicate(&mut self, shed_oid: u64) {
         let Some(rep) =
-            self.state.cfg.admission.as_ref().and_then(|a| a.replicate_hot.clone())
+            self.state.world.config.admission.as_ref().and_then(|a| a.replicate_hot.clone())
         else {
             return;
         };

@@ -515,8 +515,6 @@ pub struct ScaleReport {
     pub queries_completed: u64,
     /// Mean messages per query.
     pub msgs_per_query: f64,
-    /// Membership-change events and their total message cost.
-    pub churn_events: u32,
     /// Messages spent on membership changes.
     pub churn_msgs: u64,
     /// Mean messages per membership change.
@@ -645,7 +643,6 @@ fn run_campus(
         queries: cfg.queries,
         queries_completed: counts.queries_completed,
         msgs_per_query: counts.query_msgs as f64 / f64::from(cfg.queries.max(1)),
-        churn_events: cfg.churn,
         churn_msgs: counts.churn_msgs,
         churn_msgs_per_event: counts.churn_msgs as f64 / f64::from(cfg.churn.max(1)),
         escalations: counts.escalations,

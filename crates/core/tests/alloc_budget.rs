@@ -144,7 +144,7 @@ fn an_unchanged_refresh_allocates_nothing_per_message() {
         Some(CacheConfig::default()),
     );
     world.sim.run_until(SimTime::from_secs(7));
-    let ring = world.seeds[0].ring.clone().expect("a sharded world carries its ring");
+    let ring = world.record.ring.clone().expect("a sharded world carries its ring");
     let owners = (0..NODES as u32).step_by(8).map(HostId);
     let publishers: Vec<HostId> = owners.filter(|&h| ring.shards_of(h).is_empty()).collect();
     assert!(!publishers.is_empty(), "some owner replicates no shard");
@@ -387,7 +387,7 @@ fn a_cache_served_query_allocates_only_its_answer() {
 fn a_shard_lookup_allocates_one_vector_per_hop() {
     let mut world = campus(RegistryConfig::Sharded(ShardConfig::default()), None);
     world.sim.run_until(SimTime::from_secs(7));
-    let ring = world.seeds[0].ring.clone().expect("a sharded world carries its ring");
+    let ring = world.record.ring.clone().expect("a sharded world carries its ring");
     let shard = ring.shard_of_component("Counter");
     let origin = (0..NODES as u32)
         .map(HostId)
@@ -647,12 +647,13 @@ fn registry_front_cycle_allocations_are_pinned() {
 /// retains: 1 024 hosts on 128 sites of 8, default cohesion, one leader,
 /// no cache, `Counter` on the first host of every site, converged for
 /// three report periods — everything the world holds (fabric, kernel,
-/// every node's stores and soft state) per host. The measured 4 887, in
-/// release and debug builds alike; 4 919 while a calendar slot was 32
+/// every node's stores and soft state) per host. The measured 3 140, in
+/// release and debug builds alike; 4 887 while every host held its own
+/// seed, config and trust store, 4 919 while a calendar slot was 32
 /// bytes, 4 983 while it was 48, 5 038 while every node copied its seats'
 /// member, replica and parent lists and its report targets out of the
 /// tree.
-const RETAINED_BYTES_PER_NODE: i64 = 4_887;
+const RETAINED_BYTES_PER_NODE: i64 = 3_140;
 
 #[test]
 fn retained_bytes_per_node_are_pinned() {

@@ -1075,7 +1075,7 @@ fn sharded_world_shares_one_ring_across_nodes_and_respawns() {
 
     let net = Net::builder(Topology::lan(16)).build();
     let mut world = sharded_world(net, 21, shard.clone(), NodeConfig::default(), &[owner]);
-    let shared = world.seeds[0].ring.clone().expect("a sharded world carries its ring");
+    let shared = world.record.ring.clone().expect("a sharded world carries its ring");
     let holds_shared_ring = |world: &World, h: HostId| {
         let node = world.node(h).expect("node is up");
         let store = node.state().backend().shard().expect("sharded registry");
@@ -1157,7 +1157,7 @@ fn a_cold_sharded_lookup_costs_one_round_trip() {
             Vec::new()
         }
     });
-    let ring = world.seeds[0].ring.clone().expect("a sharded world carries its ring");
+    let ring = world.record.ring.clone().expect("a sharded world carries its ring");
     world.run_for(SimTime::from_millis(800));
 
     let mut remote = 0;
@@ -1314,7 +1314,7 @@ fn cache_sharding_and_admission_compose_on_a_lossy_campus() {
     let shard = ShardConfig { gossip_period: SimTime::from_millis(200), ..Default::default() };
     let owners: Vec<HostId> = (0..64).step_by(8).map(HostId).collect();
     let mut world = sharded_world(net, 31, shard, config, &owners);
-    let shared = world.seeds[0].ring.clone().expect("a sharded world carries its ring");
+    let shared = world.record.ring.clone().expect("a sharded world carries its ring");
     world.run_for(SimTime::from_millis(800));
 
     // Same-tick bursts of *distinct* keys (so none coalesce) from hosts
@@ -1446,4 +1446,29 @@ fn scheduled_crash_window_kills_and_respawns_the_node() {
     world.run_for(SimTime::from_millis(1000));
     assert!(sink.borrow().done);
     assert_eq!(sink.borrow().offers.len(), 1, "the respawn issues and completes a search");
+}
+
+/// A boot package added through the world's seed table before a crash
+/// window opens is installed by the incarnation the window's recovery
+/// boots: the scheduled respawn reads the table `World::recover` reads,
+/// not a copy taken when the world was built.
+#[test]
+fn a_crash_window_respawns_from_the_seed_table_the_world_edits() {
+    const VICTIM: HostId = HostId(5);
+    let (down, up) = (SimTime::from_secs(1), SimTime::from_secs(2));
+    let plan = FaultPlan::seeded(9).crash(VICTIM, down, Some(up));
+    let net = Net::builder(Topology::lan(8)).fault_plan(plan).build();
+    let mut world = host0_world(net, 14, NodeConfig::default());
+    let installed = |world: &World| {
+        let node = world.node(VICTIM);
+        node.is_some_and(|n| n.repository.iter().any(|i| i.descriptor.name == "Display"))
+    };
+
+    world.run_for(SimTime::from_millis(500));
+    assert!(!installed(&world), "the victim boots with nothing installed");
+    world.seeds.borrow_mut()[VICTIM.0 as usize].preinstalled.push(demo::display_package());
+    world.run_for(SimTime::from_millis(2000)); // 2.5 s: past the window
+    assert!(world.net.is_up(VICTIM));
+    assert_ne!(world.net.actor_of(VICTIM), world.actors[VICTIM.0 as usize]);
+    assert!(installed(&world), "the respawned node boots with the package added to its seed");
 }

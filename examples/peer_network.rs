@@ -102,8 +102,9 @@ fn main() {
     println!("\nhost17 recovers (its disk kept the package)…");
     // Node respawn semantics: a NodeSeed reinstalls its `preinstalled`
     // list on boot. The run-time install wrote the package to host17's
-    // disk, so add it to the seed before recovering.
-    world.seeds[17].preinstalled.push(demo::display_package());
+    // disk, so add it to the world's one seed table (the one `recover`,
+    // crash windows and churn all respawn from) before recovering.
+    world.seeds.borrow_mut()[17].preinstalled.push(demo::display_package());
     world.recover(HostId(17));
     world.run_for(SimTime::from_secs(2));
     let sink = world.query(
