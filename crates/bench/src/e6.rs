@@ -94,7 +94,7 @@ fn stream(strategy: Strategy, frames: u32) -> Result<(u64, u64), String> {
             let provider: lc_core::SpawnSink = Rc::default();
             world.cmd(
                 VIEWER,
-                NodeCmd::Resolve {
+                NodeCmd::Resolve(Box::new(lc_core::node::ResolveCmd {
                     instance,
                     port: "video_in".into(),
                     query: lc_core::ComponentQuery::by_name(
@@ -106,7 +106,7 @@ fn stream(strategy: Strategy, frames: u32) -> Result<(u64, u64), String> {
                         ..Default::default()
                     },
                     sink: Some(provider.clone()),
-                },
+                })),
             );
             world.run_for(SimTime::from_secs(30));
             let resolved = provider.borrow().clone();

@@ -61,9 +61,9 @@ fn session(participants: usize, strokes: u32, seed: u64) -> SessionResult {
         world.cmd(
             gui_host,
             NodeCmd::Subscribe {
-                producer: board.clone(),
+                producer: board.key,
                 port: "strokes".into(),
-                consumer: gui,
+                consumer: gui.key,
                 delivery_op: "_push_strokes".into(),
             },
         );

@@ -63,13 +63,13 @@ pub fn run() -> Output {
     let instance = gui.id;
     world.cmd(
         host,
-        NodeCmd::Resolve {
+        NodeCmd::Resolve(Box::new(lc_core::node::ResolveCmd {
             instance,
             port: "display".into(),
             query: ComponentQuery::by_name("Display", Version::new(2, 0)),
             policy: ResolvePolicy::default(),
             sink: None,
-        },
+        })),
     );
     world.run_for(SimTime::from_millis(1000));
 

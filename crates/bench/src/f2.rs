@@ -89,9 +89,9 @@ pub fn run() -> Output {
         world.cmd(
             host,
             NodeCmd::Subscribe {
-                producer: board.clone(),
+                producer: board.key,
                 port: "strokes".into(),
-                consumer: gui.clone(),
+                consumer: gui.key,
                 delivery_op: "_push_strokes".into(),
             },
         );

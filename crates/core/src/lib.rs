@@ -47,7 +47,7 @@ pub use node::{
     AdmissionConfig, AssemblySink, CacheConfig, Continuations, InvokePolicy, InvokeSink,
     LoadBalanceConfig, MigrateSink, Node, NodeCmd, NodeConfig, NodeConfigBuilder, NodeCtx,
     NodeMetrics, NodeSeed, NodeState, QueryResult, QuerySink, RegistryConfig, ReplicateConfig,
-    ServiceKind, ServiceMetrics, ServiceReflect, SpawnSink, Tick, WorldRecord,
+    ResolveCmd, ServiceKind, ServiceMetrics, ServiceReflect, SpawnSink, Tick, WorldRecord,
 };
 pub use proto::{DeltaEntry, GroupSummary, QueryId};
 pub use registry::backend::{

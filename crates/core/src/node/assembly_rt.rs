@@ -89,7 +89,7 @@ impl NodeCtx<'_, '_> {
                     }
                 }
                 let rid = self.state.conts.next_seq();
-                self.state.conts.spawns.insert(
+                self.state.container().spawns.insert(
                     rid,
                     SpawnCont::Assembly {
                         name: inst.name.clone(),
@@ -162,7 +162,9 @@ impl NodeCtx<'_, '_> {
         for action in actions {
             match action {
                 Wire::ConnectLocal { consumer, op, provider } => {
-                    let res = self.state.adapter.invoke(
+                    let now = self.sim.now();
+                    let res = self.state.container().dispatch(
+                        now,
                         consumer,
                         &op,
                         &[Value::ObjRef(provider)],

@@ -8,12 +8,19 @@ use crate::registry::{Connection, InstanceId, InstanceInfo, InstancePort};
 use lc_des::{Counter, Series, SimTime};
 use lc_net::{DropReason, HostId};
 use lc_orb::{
-    DispatchOpts, Name, ObjectKey, ObjectRef, OrbError, OrbWire, Outcome, RequestId, Value,
+    DispatchOpts, DispatchResult, Name, ObjectAdapter, ObjectKey, ObjectRef, OrbError, OrbWire,
+    Outcome, RequestId, Value,
 };
 use lc_pkg::Version;
+use lc_trace::Tracer;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
-use super::continuations::{CallCont, FetchCont, PendingCall, PendingMigration, RetryState, SpawnCont};
-use super::ctx::{InstanceRuntime, NodeCtx, NodeState};
+use super::continuations::{
+    CallCont, Continuations, FetchCont, PendingCall, PendingMigration, ReplyCache, RetryState,
+    SpawnCont,
+};
+use super::ctx::{NodeCtx, NodeState};
 use super::metrics::ServiceKind;
 use super::service::{item, ServiceReflect, Tick};
 use super::{InvokePolicy, InvokeSink, MigrateSink, SpawnSink};
@@ -24,6 +31,115 @@ const BACKOFF_BASE: SimTime = SimTime::from_millis(50);
 /// Upper bound on any single re-send backoff.
 const BACKOFF_CAP: SimTime = SimTime::from_secs(1);
 
+/// One open push event channel: the event type plus its subscribers
+/// (consumer servant, delivery operation).
+pub(crate) type EventChannel = (String, Vec<(ObjectKey, String)>);
+
+/// Per-instance runtime bookkeeping the registry does not hold.
+pub(crate) struct InstanceRuntime {
+    pub qos: lc_pkg::QosSpec,
+    pub mobility: lc_pkg::Mobility,
+}
+
+/// The container runtime's state: everything only a node that holds a
+/// component, or calls, spawns, fetches or migrates an instance, touches.
+/// A node makes it with its first install or on first use
+/// ([`NodeState::container`]); until then (for a node that only reports,
+/// routes and searches, most of a campus) it is one empty pointer, and
+/// every accessor answers as this state does when empty.
+pub(crate) struct Container {
+    /// The servant table every local dispatch goes through.
+    pub(crate) adapter: ObjectAdapter,
+    pub(crate) instance_meta: BTreeMap<InstanceId, InstanceRuntime>,
+    pub(crate) oid_to_instance: BTreeMap<u64, InstanceId>,
+    /// Event subscriptions: (producer oid, port) → (event id, subscribers).
+    pub(crate) subs: BTreeMap<(u64, String), EventChannel>,
+    /// Requests to migrated-away instances are forwarded here.
+    pub(crate) forwards: BTreeMap<u64, ObjectRef>,
+    /// Replies computed but still occupying the CPU, in the order their
+    /// `Tick::SendReply` timers fire; lost with the node on a crash.
+    pub(crate) due_replies: VecDeque<(HostId, RequestId, Result<Outcome, OrbError>)>,
+    /// Admitted requests per local oid since boot — which instance is
+    /// hot, for replication placement. Maintained only while
+    /// [`super::NodeConfig::admission`] configures `replicate_hot`.
+    pub(crate) instance_load: BTreeMap<u64, u64>,
+    /// When this node last asked for a replica (replication cooldown).
+    pub(crate) last_replicate: Option<SimTime>,
+    /// Replicas this node has started (bounded by
+    /// [`super::ReplicateConfig::max_replicas`]).
+    pub(crate) replicas_started: u32,
+    /// Remote spawns awaiting `SpawnDone`.
+    pub(crate) spawns: Continuations<u64, SpawnCont>,
+    /// Outgoing ORB requests awaiting replies.
+    pub(crate) calls: Continuations<RequestId, PendingCall>,
+    /// Package fetches awaiting their `Package` answer, by name.
+    pub(crate) fetches: Continuations<String, Vec<FetchCont>>,
+    /// Migrations awaiting `MigrateDone`.
+    pub(crate) migrations: Continuations<u64, PendingMigration>,
+    /// Servant-side duplicate suppression: replies already produced, by
+    /// request id, remembered for the invoke policy's dedup window so a
+    /// retried or fabric-duplicated request re-sends the cached reply
+    /// instead of re-executing the servant.
+    pub(crate) replies: ReplyCache,
+}
+
+impl Container {
+    /// The state in `slot`, made there first if it is empty: an empty
+    /// adapter for `host` over `idl`, tracing through `tracer`.
+    pub(crate) fn made<'a>(
+        slot: &'a mut Option<Box<Container>>,
+        host: HostId,
+        idl: &Arc<lc_idl::Repository>,
+        tracer: &Tracer,
+    ) -> &'a mut Container {
+        slot.get_or_insert_with(|| {
+            Box::new(Container {
+                adapter: ObjectAdapter::new(host, Arc::clone(idl), tracer.clone()),
+                instance_meta: BTreeMap::new(),
+                oid_to_instance: BTreeMap::new(),
+                subs: BTreeMap::new(),
+                forwards: BTreeMap::new(),
+                due_replies: VecDeque::new(),
+                instance_load: BTreeMap::new(),
+                last_replicate: None,
+                replicas_started: 0,
+                spawns: Continuations::default(),
+                calls: Continuations::default(),
+                fetches: Continuations::default(),
+                migrations: Continuations::default(),
+                replies: ReplyCache::default(),
+            })
+        })
+    }
+
+    /// Run `op` on the local servant at `key`, exposing virtual time
+    /// `now` to it.
+    pub(crate) fn dispatch(
+        &mut self,
+        now: SimTime,
+        key: ObjectKey,
+        op: &str,
+        args: &[Value],
+        opts: DispatchOpts,
+    ) -> DispatchResult {
+        self.adapter.set_clock(now);
+        self.adapter.invoke(key, op, args, opts)
+    }
+
+    /// Pending spawns, calls, fetches and migrations.
+    pub(crate) fn depth(&self) -> usize {
+        self.spawns.len() + self.calls.len() + self.fetches.len() + self.migrations.len()
+    }
+
+    /// Sum of the four tables' high-water marks.
+    pub(crate) fn peak_depth(&self) -> usize {
+        self.spawns.high_water()
+            + self.calls.high_water()
+            + self.fetches.high_water()
+            + self.migrations.high_water()
+    }
+}
+
 impl NodeState {
     /// Create a local instance of an installed component, read in place
     /// from the repository.
@@ -33,17 +149,8 @@ impl NodeState {
         min_version: Version,
         instance_name: Option<String>,
     ) -> Result<ObjectRef, String> {
-        let NodeState {
-            host,
-            repository,
-            resources,
-            world,
-            adapter,
-            registry,
-            instance_meta,
-            oid_to_instance,
-            ..
-        } = self;
+        let NodeState { host, repository, resources, world, registry, container, idl, tracer, .. } =
+            self;
         let installed = repository
             .best_match(component, min_version)
             .ok_or_else(|| format!("component '{component}' (≥{min_version}) not installed"))?;
@@ -55,7 +162,8 @@ impl NodeState {
             resources.release(&desc.qos);
             return Err(format!("behavior '{}' not loadable", installed.behavior_id));
         };
-        let objref = adapter.activate(servant);
+        let container = Container::made(container, *host, idl, tracer);
+        let objref = container.adapter.activate(servant);
         let id = registry.next_id();
         let port = |p: &lc_pkg::PortDecl| InstancePort {
             name: p.name.clone(),
@@ -76,48 +184,53 @@ impl NodeState {
             emits: desc.emits.iter().map(evport).collect(),
             consumes: desc.consumes.iter().map(evport).collect(),
         });
-        instance_meta.insert(id, InstanceRuntime { qos: desc.qos, mobility: desc.mobility });
-        oid_to_instance.insert(objref.key.oid, id);
+        container
+            .instance_meta
+            .insert(id, InstanceRuntime { qos: desc.qos, mobility: desc.mobility });
+        container.oid_to_instance.insert(objref.key.oid, id);
         Ok(objref)
     }
 
     /// Destroy a local instance, releasing its resources.
     pub fn destroy_instance(&mut self, id: InstanceId) -> bool {
         let Some(info) = self.registry.remove_instance(id) else { return false };
-        self.adapter.deactivate(info.objref.key.oid);
-        self.oid_to_instance.remove(&info.objref.key.oid);
-        if let Some(meta) = self.instance_meta.remove(&id) {
+        let oid = info.objref.key.oid;
+        let container = self.container();
+        container.adapter.deactivate(oid);
+        container.oid_to_instance.remove(&oid);
+        // Drop event channels rooted at this instance.
+        container.subs.retain(|(producer, _), _| *producer != oid);
+        if let Some(meta) = container.instance_meta.remove(&id) {
             self.resources.release(&meta.qos);
         }
-        // Drop event channels rooted at this instance.
-        self.subs.retain(|(oid, _), _| *oid != info.objref.key.oid);
         true
     }
 
     /// Downcast a local instance's servant for observation.
     pub fn servant_of<T: std::any::Any>(&self, instance: InstanceId) -> Option<&T> {
         let info = self.registry.instance(instance)?;
-        self.adapter.servant_as::<T>(info.objref.key.oid)
+        self.container.as_ref()?.adapter.servant_as::<T>(info.objref.key.oid)
     }
 
     /// Number of open push event channels (producer oid + port pairs).
     pub fn event_channel_count(&self) -> usize {
-        self.subs.len()
+        self.container.as_ref().map_or(0, |c| c.subs.len())
     }
 
     /// Total subscribers across all open event channels.
     pub fn subscription_count(&self) -> usize {
-        self.subs.values().map(|(_, subs)| subs.len()).sum()
+        let channels = self.container.iter().flat_map(|c| c.subs.values());
+        channels.map(|(_, subs)| subs.len()).sum()
     }
 
     /// Where requests to a migrated-away oid are forwarded, if anywhere.
     pub fn forward_target(&self, oid: u64) -> Option<&ObjectRef> {
-        self.forwards.get(&oid)
+        self.container.as_ref()?.forwards.get(&oid)
     }
 
     /// Number of active migration forwarding entries.
     pub fn forward_count(&self) -> usize {
-        self.forwards.len()
+        self.container.as_ref().map_or(0, |c| c.forwards.len())
     }
 }
 
@@ -133,7 +246,9 @@ impl NodeCtx<'_, '_> {
                 to: provider.clone(),
                 to_port: String::new(),
             });
-            let res = self.state.adapter.invoke(
+            let now = self.sim.now();
+            let res = self.state.container().dispatch(
+                now,
                 key,
                 &format!("_connect_{port}"),
                 &[Value::ObjRef(provider)],
@@ -189,7 +304,8 @@ impl NodeCtx<'_, '_> {
         self.in_span(span, |ctx| match ctx.state.world.config.invoke.deadline {
             None => match ctx.send_request(rid, target, op, args, false) {
                 Ok(_) => {
-                    ctx.state.conts.calls.insert(rid, PendingCall { cont, retry: None, span });
+                    let call = PendingCall { cont, retry: None, span };
+                    ctx.state.container().calls.insert(rid, call);
                 }
                 Err(e) => {
                     ctx.state.tracer.end_with(span, ctx.now(), Some("send"));
@@ -207,10 +323,11 @@ impl NodeCtx<'_, '_> {
                     attempts: 1,
                 });
                 let _ = ctx.send_request(rid, target, op, args, false);
-                ctx.state.conts.calls.insert_with_deadline(
+                let due = ctx.now() + deadline;
+                ctx.state.container().calls.insert_with_deadline(
                     rid,
                     PendingCall { cont, retry, span },
-                    ctx.now() + deadline,
+                    due,
                 );
                 ctx.timer_in(deadline, Tick::CallSweep);
             }
@@ -254,7 +371,7 @@ impl NodeCtx<'_, '_> {
         let now = self.sim.now();
         let InvokePolicy { deadline, retries, .. } = self.state.world.config.invoke;
         let Some(deadline) = deadline else { return };
-        for (rid, pc) in self.state.conts.calls.take_expired(now) {
+        for (rid, pc) in self.state.container().calls.take_expired(now) {
             let can_retry = pc.retry.as_ref().is_some_and(|r| r.attempts < 1 + retries);
             if !can_retry {
                 self.sim.metrics().incr(Counter::OrbCallTimeouts);
@@ -268,11 +385,7 @@ impl NodeCtx<'_, '_> {
                 BACKOFF_BASE.mul_f64((1u64 << (attempts - 1).min(20)) as f64),
                 BACKOFF_CAP,
             );
-            self.state.conts.calls.insert_with_deadline(
-                rid,
-                pc,
-                now + backoff + deadline,
-            );
+            self.state.container().calls.insert_with_deadline(rid, pc, now + backoff + deadline);
             self.timer_in(backoff, Tick::CallRetry(rid));
             self.timer_in(backoff + deadline, Tick::CallSweep);
         }
@@ -281,7 +394,7 @@ impl NodeCtx<'_, '_> {
     /// A scheduled re-send is due: if the call is still pending, re-send
     /// it under the *same* request id.
     pub(crate) fn retry_call(&mut self, rid: RequestId) {
-        let Some(pc) = self.state.conts.calls.get_mut(&rid) else { return };
+        let Some(pc) = self.state.container().calls.get_mut(&rid) else { return };
         let Some(retry) = pc.retry.as_mut() else { return };
         retry.attempts += 1;
         let attempts = retry.attempts;
@@ -343,14 +456,16 @@ impl NodeCtx<'_, '_> {
 
     fn publish_event(&mut self, producer_oid: u64, port: &str, payload: Value) {
         let Some((event_id, subscribers)) =
-            self.state.subs.get(&(producer_oid, port.to_owned())).cloned()
+            self.state.container().subs.get(&(producer_oid, port.to_owned())).cloned()
         else {
             return; // no channel opened for this port
         };
         self.sim.metrics().incr(Counter::EventsPublished);
         for (consumer, op) in subscribers {
             if consumer.host == self.state.host {
-                let res = self.state.adapter.invoke(
+                let now = self.sim.now();
+                let res = self.state.container().dispatch(
+                    now,
                     consumer,
                     &op,
                     std::slice::from_ref(&payload),
@@ -382,8 +497,9 @@ impl NodeCtx<'_, '_> {
         // Forward requests to migrated instances (CORBA LOCATION_FORWARD:
         // the old node proxies to the new location, reply goes straight
         // back to the caller).
-        if let Some(new_ref) = self.state.forwards.get(&target.oid).cloned() {
-            if self.state.adapter.servant(target.oid).is_none() {
+        let container = self.state.container();
+        if let Some(new_ref) = container.forwards.get(&target.oid).cloned() {
+            if container.adapter.servant(target.oid).is_none() {
                 self.sim.metrics().incr(Counter::MigrateForwardedRequests);
                 let wire = OrbWire::Request { id, reply_to, target: new_ref.key, op, args };
                 let _ = self.send_orb(new_ref.key.host, wire);
@@ -396,7 +512,8 @@ impl NodeCtx<'_, '_> {
         // answered from the cache — the servant executes exactly once.
         let dedup = self.state.world.config.invoke.dedup_window;
         if dedup > SimTime::ZERO {
-            if let (Some(back), Some(cached)) = (reply_to, self.state.conts.replies.get(&id)) {
+            let cached = self.state.container().replies.get(&id);
+            if let (Some(back), Some(cached)) = (reply_to, cached) {
                 let cached = cached.clone();
                 self.sim.metrics().incr(Counter::OrbDedupHits);
                 let _ = self.send_orb(back, OrbWire::Reply { id, result: cached });
@@ -422,7 +539,8 @@ impl NodeCtx<'_, '_> {
                     // Remember the refusal for the dedup window: the
                     // shed request stays shed even if retried after the
                     // queue drains (exactly-once under shedding).
-                    self.state.conts.replies.insert(id, Err(OrbError::Overload), now + dedup);
+                    let shed = Err(OrbError::Overload);
+                    self.state.container().replies.insert(id, shed, now + dedup);
                     self.timer_in(dedup, Tick::DedupSweep);
                 }
                 if let Some(back) = reply_to {
@@ -439,7 +557,7 @@ impl NodeCtx<'_, '_> {
                 .metrics()
                 .record(Series::AdmissionQueueDelayMs, backlog.as_secs_f64() * 1e3);
             if adm.replicate_hot.is_some() {
-                *self.state.instance_load.entry(target.oid).or_insert(0) += 1;
+                *self.state.container().instance_load.entry(target.oid).or_insert(0) += 1;
             }
         }
 
@@ -447,12 +565,13 @@ impl NodeCtx<'_, '_> {
         // IDL ops are type-checked. Attribute accessors (`_get_x`) exist
         // in the interface metadata, so the adapter settles which from
         // the operation lookup its check needs anyway.
-        let lc_orb::DispatchResult { outcome, outbox, events, cpu_cost } =
-            self.state.adapter.invoke(target, &op, &args, DispatchOpts::wire());
+        let now = self.sim.now();
+        let DispatchResult { outcome, outbox, events, cpu_cost } =
+            self.state.container().dispatch(now, target, &op, &args, DispatchOpts::wire());
         self.send_effects(target.oid, outbox, events);
 
         if dedup > SimTime::ZERO && reply_to.is_some() {
-            self.state.conts.replies.insert(id, outcome.clone(), self.sim.now() + dedup);
+            self.state.container().replies.insert(id, outcome.clone(), now + dedup);
             self.timer_in(dedup, Tick::DedupSweep);
         }
 
@@ -467,7 +586,7 @@ impl NodeCtx<'_, '_> {
                 // in arming order: each `SendReply` tick finds its own
                 // reply at the front.
                 let delay = done.saturating_sub(self.sim.now());
-                self.state.due_replies.push_back((back, id, outcome));
+                self.state.container().due_replies.push_back((back, id, outcome));
                 self.timer_in(delay, Tick::SendReply);
             }
         } else if let Some(back) = reply_to {
@@ -478,19 +597,21 @@ impl NodeCtx<'_, '_> {
     /// One `Tick::SendReply`: the reply at the front of the CPU FIFO has
     /// finished computing.
     pub(crate) fn send_due_reply(&mut self) {
-        if let Some((to, id, result)) = self.state.due_replies.pop_front() {
+        if let Some((to, id, result)) = self.state.container().due_replies.pop_front() {
             let _ = self.send_orb(to, OrbWire::Reply { id, result });
         }
     }
 
     /// A push-channel event arrived for a local consumer.
     pub(crate) fn on_event(&mut self, payload: Value, consumer: ObjectKey, delivery_op: &str) {
-        let res = self.state.adapter.invoke(consumer, delivery_op, &[payload], DispatchOpts::raw());
+        let now = self.sim.now();
+        let container = self.state.container();
+        let res = container.dispatch(now, consumer, delivery_op, &[payload], DispatchOpts::raw());
         self.process_dispatch_effects(consumer.oid, res);
     }
 
     pub(crate) fn on_reply(&mut self, id: RequestId, result: Result<Outcome, OrbError>) {
-        match self.state.conts.calls.remove(&id) {
+        match self.state.container.as_mut().and_then(|c| c.calls.remove(&id)) {
             None => {
                 // Duplicate or post-timeout reply (the continuation is
                 // gone): count and drop.
@@ -511,8 +632,10 @@ impl NodeCtx<'_, '_> {
 
     /// Hand a local instance the `_reply` to its `call_request` `token`.
     fn reply_to_instance(&mut self, oid: u64, token: u64, result: Result<Outcome, OrbError>) {
-        let res = self.state.adapter.invoke(
-            ObjectKey { host: self.state.host, oid },
+        let (now, host) = (self.sim.now(), self.state.host);
+        let res = self.state.container().dispatch(
+            now,
+            ObjectKey { host, oid },
             "_reply",
             &lc_orb::reply_args(token, result),
             DispatchOpts::raw(),
@@ -533,7 +656,9 @@ impl NodeCtx<'_, '_> {
         let result = match self.state.spawn_local(component, version, instance_name) {
             Ok(objref) => {
                 if !matches!(state, Value::Void) {
-                    let res = self.state.adapter.invoke(
+                    let now = self.sim.now();
+                    let res = self.state.container().dispatch(
+                        now,
                         objref.key,
                         "_set_state",
                         &[state],
@@ -568,7 +693,9 @@ impl NodeCtx<'_, '_> {
             }
             return;
         };
-        let state = match self.state.adapter.invoke(
+        let now = self.sim.now();
+        let state = match self.state.container().dispatch(
+            now,
             info.objref.key,
             "_get_state",
             &[],
@@ -584,7 +711,7 @@ impl NodeCtx<'_, '_> {
             tracer.set_attr(s, "component", &info.component);
             tracer.set_attr(s, "to", to.0);
         }
-        self.state.conts.migrations.insert(rid, PendingMigration { instance, sink, span });
+        self.state.container().migrations.insert(rid, PendingMigration { instance, sink, span });
         let msg = CtrlMsg::MigrateIn {
             rid,
             origin: self.state.host,
@@ -651,7 +778,7 @@ impl NodeCtx<'_, '_> {
     /// A remote spawn this node asked for finished: resume whatever was
     /// parked on it.
     pub(crate) fn on_spawn_done(&mut self, rid: u64, result: Result<ObjectRef, String>) {
-        match self.state.conts.spawns.remove(&rid) {
+        match self.state.container.as_mut().and_then(|c| c.spawns.remove(&rid)) {
             None => {}
             Some(SpawnCont::Connect { instance, port, sink }) => {
                 self.connect_provider(instance, &port, result, sink);
@@ -683,13 +810,15 @@ impl NodeCtx<'_, '_> {
         // Find the event type from the producer instance's ports.
         let event_id = self
             .state
-            .oid_to_instance
-            .get(&producer.oid)
+            .container
+            .as_ref()
+            .and_then(|c| c.oid_to_instance.get(&producer.oid))
             .and_then(|iid| self.state.registry.instance(*iid))
             .and_then(|info| info.emits.iter().find(|p| p.name == port).map(|p| p.type_id.clone()));
         match event_id {
             Some(event_id) => {
                 self.state
+                    .container()
                     .subs
                     .entry((producer.oid, port))
                     .or_insert_with(|| (event_id, Vec::new()))
@@ -718,7 +847,7 @@ impl NodeCtx<'_, '_> {
             self.finish_migration_in(rid, origin, &component, version, state, instance_name);
             return;
         }
-        self.state.conts.fetches.entry_or_default(component.clone()).push(
+        self.state.container().fetches.entry_or_default(component.clone()).push(
             FetchCont::FinishMigration {
                 rid,
                 origin,
@@ -734,7 +863,9 @@ impl NodeCtx<'_, '_> {
 
     /// The destination's verdict on a migration this node started.
     pub(crate) fn on_migrate_done(&mut self, rid: u64, result: Result<ObjectRef, String>) {
-        let Some(pm) = self.state.conts.migrations.remove(&rid) else { return };
+        let Some(pm) = self.state.container.as_mut().and_then(|c| c.migrations.remove(&rid)) else {
+            return;
+        };
         let error = result.is_err().then_some("migrate");
         self.state.tracer.end_with(pm.span, self.sim.now(), error);
         match &result {
@@ -745,7 +876,7 @@ impl NodeCtx<'_, '_> {
                     let old_oid = info.objref.key.oid;
                     let component = info.component.clone();
                     self.state.destroy_instance(pm.instance);
-                    self.state.forwards.insert(old_oid, new_ref.clone());
+                    self.state.container().forwards.insert(old_oid, new_ref.clone());
                     // Deregister event: offers naming this node for
                     // the component are now wrong.
                     self.note_registry_change(&component);
@@ -781,12 +912,12 @@ pub(crate) fn reflect(state: &NodeState) -> ServiceReflect {
             item("forwarding entries", state.forward_count()),
             item(
                 "pending spawns/calls/migrations",
-                format!(
-                    "{}/{}/{}",
-                    state.conts.spawns.len(),
-                    state.conts.calls.len(),
-                    state.conts.migrations.len()
-                ),
+                match &state.container {
+                    Some(c) => {
+                        format!("{}/{}/{}", c.spawns.len(), c.calls.len(), c.migrations.len())
+                    }
+                    None => "0/0/0".to_owned(),
+                },
             ),
         ],
     }

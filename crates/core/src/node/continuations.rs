@@ -5,9 +5,12 @@
 //! that all follow the same shape: *stash a continuation under a key,
 //! resume it when the answering message arrives, optionally expire it on
 //! a deadline*. [`Continuations`] is the one helper behind all five
-//! (replacing five ad-hoc `BTreeMap`s with hand-rolled expiry), and
-//! [`ContTable`] groups them behind a single sequence counter, next to
-//! the servant side's [`ReplyCache`].
+//! (replacing five ad-hoc `BTreeMap`s with hand-rolled expiry). Every
+//! node searches, so [`ContTable`] keeps the queries beside the single
+//! sequence counter all five draw from; the other four tables and the
+//! servant side's [`ReplyCache`] belong to the container runtime's state
+//! (`container::Container`), which a node makes at its first install or
+//! first use.
 
 use crate::assembly::AssemblyDescriptor;
 use crate::deploy::ResolvePolicy;
@@ -61,7 +64,10 @@ impl<K: Ord + Clone, V> Continuations<K, V> {
     }
 
     /// Resume: take the continuation for `key`, if still pending.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
+    pub fn remove<Q: Ord + ?Sized>(&mut self, key: &Q) -> Option<V>
+    where
+        K: std::borrow::Borrow<Q>,
+    {
         self.entries.remove(key).map(|e| e.value)
     }
 
@@ -145,26 +151,14 @@ impl<K: Ord + Clone, V> Continuations<K, V> {
     }
 }
 
-/// All of a node's pending work, behind one sequence counter (the old
-/// code grew a separate `next_seq` per use site).
+/// A node's pending queries, beside the one sequence counter that
+/// numbers queries, spawn rounds and migrations alike (the old code grew
+/// a separate `next_seq` per use site).
 #[derive(Default)]
 pub struct ContTable {
     next_seq: u64,
     /// Distributed queries awaiting offers (expire on the query timeout).
     pub(crate) queries: Continuations<u64, PendingQuery>,
-    /// Remote spawns awaiting `SpawnDone`.
-    pub(crate) spawns: Continuations<u64, SpawnCont>,
-    /// Outgoing ORB requests awaiting replies.
-    pub(crate) calls: Continuations<RequestId, PendingCall>,
-    /// Package fetches awaiting their `Package` answer, by name.
-    pub(crate) fetches: Continuations<String, Vec<FetchCont>>,
-    /// Migrations awaiting `MigrateDone`.
-    pub(crate) migrations: Continuations<u64, PendingMigration>,
-    /// Servant-side duplicate suppression: replies already produced, by
-    /// request id, remembered for the invoke policy's dedup window so a
-    /// retried or fabric-duplicated request re-sends the cached reply
-    /// instead of re-executing the servant.
-    pub(crate) replies: ReplyCache,
 }
 
 /// The servant side's reply cache. Every entry lives for the one fixed
@@ -235,22 +229,14 @@ impl ContTable {
         seq
     }
 
-    /// Total pending continuations across all five tables.
+    /// Pending queries.
     pub fn depth(&self) -> usize {
         self.queries.len()
-            + self.spawns.len()
-            + self.calls.len()
-            + self.fetches.len()
-            + self.migrations.len()
     }
 
-    /// Sum of per-table high-water marks (upper bound on peak depth).
+    /// Most queries ever pending at once.
     pub fn peak_depth(&self) -> usize {
         self.queries.high_water()
-            + self.spawns.high_water()
-            + self.calls.high_water()
-            + self.fetches.high_water()
-            + self.migrations.high_water()
     }
 }
 
@@ -516,13 +502,20 @@ mod tests {
         let mut t = ContTable::new();
         assert_eq!(t.next_seq(), 1);
         assert_eq!(t.next_seq(), 2);
-        t.calls.insert(
-            RequestId(7),
-            PendingCall { cont: CallCont::ToInstance { oid: 1, token: 9 }, retry: None, span: None },
-        );
+        let pending = PendingQuery {
+            purpose: QueryPurpose::Collect { sink: Rc::default(), first_wins: false },
+            offers: Vec::new(),
+            started: SimTime::ZERO,
+            first_offer_at: None,
+            query: Rc::default(),
+            retries_left: 0,
+            span: None,
+            followers: Vec::new(),
+        };
+        t.queries.insert(7, pending);
         assert_eq!(t.depth(), 1);
         assert_eq!(t.peak_depth(), 1);
-        t.calls.remove(&RequestId(7));
+        t.queries.remove(&7);
         assert_eq!(t.depth(), 0);
         assert_eq!(t.peak_depth(), 1);
     }

@@ -1,9 +1,11 @@
 //! The shared runtime context behind the four node services.
 //!
-//! [`NodeState`] owns everything the services share: the ORB object
-//! adapter, the network handle, the IDL repository, the Figure-1 data
-//! stores (repository / registry / resources), the MRM duty soft state,
-//! the unified continuation table and the per-service metrics.
+//! [`NodeState`] owns everything the services share: the world record,
+//! the IDL repository, the Figure-1 data stores (repository / registry /
+//! resources), the MRM duty soft state, the pending queries and the
+//! per-service metrics, plus the container runtime's state (ORB object
+//! adapter, instance tables, call/spawn/fetch/migration continuations),
+//! made at its first install or first use.
 //! [`NodeCtx`] pairs a borrow of that state with the simulation context
 //! for the current event; every service handler runs against a
 //! `&mut NodeCtx`, so cross-service plumbing (control sends, ORB
@@ -12,31 +14,21 @@
 use crate::cohesion::DutyState;
 use crate::proto::CtrlMsg;
 use crate::registry::backend::{CoherenceRoute, Registry, ShardStore};
-use crate::registry::{ComponentQuery, ComponentRegistry, InstanceId, Offer};
+use crate::registry::{ComponentQuery, ComponentRegistry, Offer};
 use crate::repository::ComponentRepository;
 use crate::resource::ResourceManager;
 use lc_des::{Counter, Ctx, SimTime};
 use lc_net::{DropReason, HostId};
 use lc_trace::{SloMonitor, TraceContext, Tracer};
-use lc_orb::{ObjectAdapter, ObjectKey, ObjectRef, OrbError, OrbWire, Outcome, RequestId};
-use std::collections::{BTreeMap, VecDeque};
+use lc_orb::OrbWire;
 use std::rc::Rc;
 use std::sync::Arc;
 
+use super::container::Container;
 use super::continuations::ContTable;
 use super::metrics::NodeMetrics;
 use super::service::{handle_ctrl, Tick};
 use super::{RegistryConfig, WorldRecord};
-
-/// One open push event channel: the event type plus its subscribers
-/// (consumer servant, delivery operation).
-pub(crate) type EventChannel = (String, Vec<(ObjectKey, String)>);
-
-/// Per-instance runtime bookkeeping the registry does not hold.
-pub(crate) struct InstanceRuntime {
-    pub qos: lc_pkg::QosSpec,
-    pub mobility: lc_pkg::Mobility,
-}
 
 /// The state shared by all node services (Fig. 1: the node is the
 /// *composition* of the four services over one runtime).
@@ -52,7 +44,6 @@ pub struct NodeState {
     /// This node's interface repository: the catalog's base IDL plus
     /// what its installs merged in.
     pub(crate) idl: Arc<lc_idl::Repository>,
-    pub(crate) adapter: ObjectAdapter,
     /// The Component Repository (installed packages).
     pub repository: ComponentRepository,
     /// The Resource Manager.
@@ -64,8 +55,8 @@ pub struct NodeState {
     pub(crate) duty_state: Vec<DutyState>,
     /// Seat routing's candidate buffers, one per nesting level.
     pub(crate) seat_buffers: Vec<Vec<HostId>>,
-    /// Unified pending-work table (queries, spawns, calls, fetches,
-    /// migrations) behind one sequence counter.
+    /// Pending distributed queries, and the one sequence every kind of
+    /// pending work is numbered from.
     pub(crate) conts: ContTable,
     /// Per-service instrumentation.
     pub(crate) metrics: NodeMetrics,
@@ -74,29 +65,14 @@ pub struct NodeState {
     pub(crate) tracer: Tracer,
     /// SLO monitor, present only when [`super::NodeConfig::slo`] is set: fed by
     /// every finished query, evaluated on the `Tick::SloCheck` cadence.
-    pub(crate) slo: Option<SloMonitor>,
-    // container runtime state
-    pub(crate) instance_meta: BTreeMap<InstanceId, InstanceRuntime>,
-    pub(crate) oid_to_instance: BTreeMap<u64, InstanceId>,
-    /// Event subscriptions: (producer oid, port) → (event id, subscribers).
-    pub(crate) subs: BTreeMap<(u64, String), EventChannel>,
-    /// Requests to migrated-away instances are forwarded here.
-    pub(crate) forwards: BTreeMap<u64, ObjectRef>,
+    pub(crate) slo: Option<Box<SloMonitor>>,
+    /// The container runtime's state, `None` until this node first
+    /// installs a component or calls, spawns, fetches or migrates an
+    /// instance (see [`NodeState::container`]).
+    pub(crate) container: Option<Box<Container>>,
     /// CPU FIFO: when the processor frees up (owned by the Resource
     /// Manager's accounting, see `resource_svc::occupy_cpu`).
     pub(crate) cpu_free_at: SimTime,
-    /// Replies computed but still occupying the CPU, in the order their
-    /// `Tick::SendReply` timers fire; lost with the node on a crash.
-    pub(crate) due_replies: VecDeque<(HostId, RequestId, Result<Outcome, OrbError>)>,
-    /// Admitted requests per local oid since boot — which instance is
-    /// hot, for replication placement. Maintained only while
-    /// [`super::NodeConfig::admission`] configures `replicate_hot`.
-    pub(crate) instance_load: BTreeMap<u64, u64>,
-    /// When this node last asked for a replica (replication cooldown).
-    pub(crate) last_replicate: Option<SimTime>,
-    /// Replicas this node has started (bounded by
-    /// [`super::ReplicateConfig::max_replicas`]).
-    pub(crate) replicas_started: u32,
     /// The resolution substrate behind the Component Registry service:
     /// result cache, singleflight and (when [`super::NodeConfig::registry`] is
     /// sharded) this host's shard store over the world's ring.
@@ -117,15 +93,12 @@ impl NodeState {
         let duty_state = world.shape.seats_of(host).map(|_| DutyState::default()).collect();
         let host_cfg = world.net.host_cfg(host);
         let tracer = world.net.tracer();
-        let slo = cfg.slo.clone().map(SloMonitor::new);
+        let slo = cfg.slo.clone().map(|slo| Box::new(SloMonitor::new(slo)));
         let idl = world.catalog.idl.clone();
-        let mut adapter = ObjectAdapter::new(host, idl.clone());
-        adapter.set_tracer(tracer.clone());
         NodeState {
             host,
             world,
             idl,
-            adapter,
             repository: ComponentRepository::new(),
             resources: ResourceManager::from_host_cfg(&host_cfg),
             registry: ComponentRegistry::new(),
@@ -135,17 +108,18 @@ impl NodeState {
             metrics: NodeMetrics::default(),
             tracer,
             slo,
-            instance_meta: BTreeMap::new(),
-            oid_to_instance: BTreeMap::new(),
-            subs: BTreeMap::new(),
-            forwards: BTreeMap::new(),
+            container: None,
             cpu_free_at: SimTime::ZERO,
-            due_replies: VecDeque::new(),
-            instance_load: BTreeMap::new(),
-            last_replicate: None,
-            replicas_started: 0,
             backend,
         }
+    }
+
+    /// The container runtime's state, made here if the node has none
+    /// yet: the adapter then validates against this node's interface
+    /// repository as it stands and traces through its tracer.
+    pub(crate) fn container(&mut self) -> &mut Container {
+        let NodeState { container, host, idl, tracer, .. } = self;
+        Container::made(container, *host, idl, tracer)
     }
 
     /// The soft-state table of this host's MRM seat at `level`, if it
@@ -173,7 +147,7 @@ impl NodeState {
     /// The SLO monitor, when [`super::NodeConfig::slo`] configured one
     /// — breach history (with flight-recorder dumps) lives here.
     pub fn slo_monitor(&self) -> Option<&SloMonitor> {
-        self.slo.as_ref()
+        self.slo.as_deref()
     }
 
     /// The resolution substrate behind the Component Registry service
@@ -184,19 +158,19 @@ impl NodeState {
 
     /// Current pending-work depth across the unified continuation table.
     pub fn continuation_depth(&self) -> usize {
-        self.conts.depth()
+        self.conts.depth() + self.container.as_ref().map_or(0, |c| c.depth())
     }
 
     /// Outgoing two-way calls still awaiting their reply or deadline.
     /// Zero on every node once a run has drained.
     pub fn pending_calls(&self) -> usize {
-        self.conts.calls.len()
+        self.container.as_ref().map_or(0, |c| c.calls.len())
     }
 
     /// Replies computed but still occupying the CPU, not yet sent. Zero
     /// once a run has drained.
     pub fn parked_replies(&self) -> usize {
-        self.due_replies.len()
+        self.container.as_ref().map_or(0, |c| c.due_replies.len())
     }
 
     /// Most distributed queries ever pending at once on this node. With
@@ -208,7 +182,7 @@ impl NodeState {
 
     /// Peak pending-work depth (sum of per-table high-water marks).
     pub fn continuation_peak_depth(&self) -> usize {
-        self.conts.peak_depth()
+        self.conts.peak_depth() + self.container.as_ref().map_or(0, |c| c.peak_depth())
     }
 }
 

@@ -51,7 +51,7 @@ use crate::proto::CtrlMsg;
 use crate::registry::{ComponentQuery, InstanceId, Offer};
 use lc_des::{Actor, Ctx, Mail, SimTime};
 use lc_net::{HostId, Net, NetMsg};
-use lc_orb::{Name, ObjectRef, OrbError, OrbWire, Outcome, SimOrb, Value};
+use lc_orb::{Name, ObjectKey, ObjectRef, OrbError, OrbWire, Outcome, SimOrb, Value};
 use lc_trace::TraceContext;
 use lc_pkg::{TrustStore, Version};
 use std::cell::RefCell;
@@ -391,27 +391,17 @@ pub enum NodeCmd {
         sink: SpawnSink,
     },
     /// Resolve a `uses` port of a local instance through the network:
-    /// query → choose (connect/spawn/fetch) → connect.
-    Resolve {
-        /// The dependent instance.
-        instance: InstanceId,
-        /// Its `uses` port to satisfy.
-        port: String,
-        /// The query finding providers.
-        query: ComponentQuery,
-        /// Selection policy.
-        policy: ResolvePolicy,
-        /// Optional sink receiving the provider reference.
-        sink: Option<SpawnSink>,
-    },
+    /// query → choose (connect/spawn/fetch) → connect. Boxed: the rarest
+    /// command is the largest, and every command waits by value.
+    Resolve(Box<ResolveCmd>),
     /// Subscribe a consumer to a producer's event-source port.
     Subscribe {
-        /// Producer instance reference.
-        producer: ObjectRef,
+        /// Producer instance.
+        producer: ObjectKey,
         /// Producer's emits port.
         port: String,
-        /// Consumer instance reference.
-        consumer: ObjectRef,
+        /// Consumer instance.
+        consumer: ObjectKey,
         /// Delivery operation on the consumer servant.
         delivery_op: String,
     },
@@ -465,6 +455,20 @@ pub enum NodeCmd {
     },
 }
 
+/// What [`NodeCmd::Resolve`] carries.
+pub struct ResolveCmd {
+    /// The dependent instance.
+    pub instance: InstanceId,
+    /// Its `uses` port to satisfy.
+    pub port: String,
+    /// The query finding providers.
+    pub query: ComponentQuery,
+    /// Selection policy.
+    pub policy: ResolvePolicy,
+    /// Optional sink receiving the provider reference.
+    pub sink: Option<SpawnSink>,
+}
+
 impl NodeCmd {
     /// Every command's stable name, in name order: the per-command
     /// counters in [`NodeMetrics`] are indexed alike.
@@ -481,7 +485,7 @@ impl NodeCmd {
             NodeCmd::Migrate { .. } => 2,
             NodeCmd::ModifyPorts { .. } => 3,
             NodeCmd::Query { .. } => 4,
-            NodeCmd::Resolve { .. } => 5,
+            NodeCmd::Resolve(_) => 5,
             NodeCmd::SpawnLocal { .. } => 6,
             NodeCmd::StartAssembly { .. } => 7,
             NodeCmd::Subscribe { .. } => 8,
@@ -672,8 +676,6 @@ impl Actor for Node {
     /// Driver commands arrive directly; network traffic arrives as a
     /// frame around its protocol payload.
     fn handle_mail(&mut self, ctx: &mut Ctx<'_>, mail: Mail<'_>) {
-        // Expose virtual time to servants dispatched during this event.
-        self.state.adapter.set_clock(ctx.now());
         let mail = match ctx.open::<NodeCmd>(mail) {
             Ok(cmd) => {
                 self.state.metrics.note_cmd(&cmd);
@@ -697,7 +699,6 @@ impl Actor for Node {
 
     /// Timer ticks arrive on the packed lane, as `Tick::pack` words.
     fn handle_packed(&mut self, ctx: &mut Ctx<'_>, data: u64) {
-        self.state.adapter.set_clock(ctx.now());
         if let Some(tick) = Tick::unpack(data) {
             self.route_tick(ctx, tick);
         }
@@ -732,5 +733,23 @@ mod tests {
             let node = world.node(host).expect("every host is up");
             assert!(Rc::ptr_eq(&node.world, &world.record), "{host} reads the world's record");
         }
+    }
+
+    /// Every command waits by value, in a driver's prepared list and in
+    /// the kernel's mail lane, so the largest variant sizes them all:
+    /// `Resolve` boxes its body and `Subscribe` carries object keys. It
+    /// was 136 bytes while `Resolve` was inline.
+    #[test]
+    fn a_node_command_is_at_most_88_bytes() {
+        assert!(std::mem::size_of::<super::NodeCmd>() <= 88);
+    }
+
+    /// What a node holds inline, in the kernel's box for it: every node
+    /// of a world pays it. 1 328 bytes while the container runtime's state
+    /// and room for an SLO monitor were inline, 1 624 while the node held
+    /// its own config and trust store.
+    #[test]
+    fn node_state_is_712_bytes() {
+        assert_eq!(std::mem::size_of::<super::NodeState>(), 712);
     }
 }

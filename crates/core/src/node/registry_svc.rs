@@ -24,6 +24,10 @@ use super::metrics::ServiceKind;
 use super::service::{item, ServiceReflect, Tick};
 use super::SpawnSink;
 
+/// Offers a still-collecting query keeps room for: what a collected
+/// answer used to reserve, so merging the next answers grows nothing.
+const MERGE_ROOM: usize = 4;
+
 /// How one query continuation ends.
 #[derive(Clone, Copy)]
 enum Ending {
@@ -384,9 +388,15 @@ impl NodeCtx<'_, '_> {
         if finish_now {
             self.finish_query(qid.seq);
         } else if let QueryPurpose::Collect { sink, .. } = &pq.purpose {
-            // keep collecting; sync collect sinks for observers
-            sink.borrow_mut().offers = pq.offers.clone();
-            sink.borrow_mut().first_offer_at = pq.first_offer_at;
+            // Keep collecting; sync collect sinks for observers. An answer
+            // is sized exactly, so the observers get the set as it stands
+            // and the query keeps a copy with room for the next answers
+            // to merge into (one copy either way).
+            let mut roomy = Vec::with_capacity(pq.offers.len().max(MERGE_ROOM));
+            roomy.extend_from_slice(&pq.offers);
+            let mut s = sink.borrow_mut();
+            s.offers = std::mem::replace(&mut pq.offers, roomy);
+            s.first_offer_at = pq.first_offer_at;
         }
     }
 
@@ -612,7 +622,8 @@ impl NodeCtx<'_, '_> {
             }
             ResolveAction::SpawnRemote(node) => {
                 let rid = self.state.conts.next_seq();
-                self.state.conts.spawns.insert(rid, SpawnCont::Connect { instance, port, sink });
+                let cont = SpawnCont::Connect { instance, port, sink };
+                self.state.container().spawns.insert(rid, cont);
                 let component = query.name.clone().unwrap_or_default();
                 let min_version = query.min_version.unwrap_or(Version::new(0, 0));
                 let origin = self.state.host;
@@ -625,7 +636,7 @@ impl NodeCtx<'_, '_> {
             ResolveAction::FetchAndRunLocal { from } => {
                 let component = query.name.clone().unwrap_or_default();
                 let min_version = query.min_version.unwrap_or(Version::new(0, 0));
-                self.state.conts.fetches.entry_or_default(component.clone()).push(
+                self.state.container().fetches.entry_or_default(component.clone()).push(
                     FetchCont::SpawnAndConnect {
                         component: component.clone(),
                         min_version,

@@ -28,8 +28,9 @@ impl NodeState {
 
     /// The heaviest *mobile* local instance (migration candidate).
     pub(crate) fn heaviest_mobile_instance(&self) -> Option<(InstanceId, f64)> {
-        self.instance_meta
+        self.container
             .iter()
+            .flat_map(|c| c.instance_meta.iter())
             .filter(|(_, m)| m.mobility == lc_pkg::Mobility::Mobile)
             .map(|(id, m)| (*id, m.qos.cpu_min))
             .max_by(|a, b| a.1.total_cmp(&b.1))
@@ -109,27 +110,26 @@ impl NodeCtx<'_, '_> {
         else {
             return;
         };
-        if self.state.replicas_started >= rep.max_replicas {
-            return;
-        }
         let now = self.sim.now();
-        if self.state.last_replicate.is_some_and(|last| now < last + rep.cooldown) {
+        let container = self.state.container();
+        if container.replicas_started >= rep.max_replicas
+            || container.last_replicate.is_some_and(|last| now < last + rep.cooldown)
+        {
             return;
         }
         // The hottest instance by admitted-request count; ties break
         // toward the smallest oid so the choice is deterministic.
-        let hot_oid = self
-            .state
+        let hot_oid = container
             .instance_load
             .iter()
             .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(a.0)))
             .map(|(oid, _)| *oid)
             .unwrap_or(shed_oid);
-        let Some(iid) = self.state.oid_to_instance.get(&hot_oid).copied() else { return };
+        let Some(iid) = container.oid_to_instance.get(&hot_oid).copied() else { return };
+        let cpu_needed = container.instance_meta.get(&iid).map_or(0.1, |m| m.qos.cpu_min);
         let Some(info) = self.state.registry.instance(iid) else { return };
         let replica = (info.component.to_string(), info.version);
-        let cpu_needed = self.state.instance_meta.get(&iid).map_or(0.1, |m| m.qos.cpu_min);
-        self.state.last_replicate = Some(now);
+        self.state.container().last_replicate = Some(now);
         self.sim.metrics().incr(Counter::AdmissionReplicaQueries);
         self.ask_placement(cpu_needed, Some(replica));
     }
@@ -147,7 +147,7 @@ impl NodeCtx<'_, '_> {
             self.sim.metrics().incr(Counter::AdmissionReplicaNoTarget);
             return;
         };
-        self.state.replicas_started += 1;
+        self.state.container().replicas_started += 1;
         self.sim.metrics().incr(Counter::AdmissionReplicas);
         // Fire and forget: nothing is parked, so the `SpawnDone` finds no
         // continuation. Success is observable through the registry (a new

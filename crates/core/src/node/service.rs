@@ -21,7 +21,7 @@ use lc_orb::{OrbWire, RequestId};
 use super::continuations::QueryPurpose;
 use super::ctx::{NodeCtx, NodeState};
 use super::metrics::ServiceKind;
-use super::NodeCmd;
+use super::{NodeCmd, ResolveCmd};
 use super::{acceptor, cohesion_svc, container, registry_svc, resource_svc};
 
 /// Node-internal timer ticks, routed to services like messages.
@@ -128,7 +128,7 @@ pub struct ServiceReflect {
 pub(crate) fn cmd_service(cmd: &NodeCmd) -> ServiceKind {
     match cmd {
         NodeCmd::Install(_) => ServiceKind::Acceptor,
-        NodeCmd::Query { .. } | NodeCmd::Resolve { .. } => ServiceKind::Registry,
+        NodeCmd::Query { .. } | NodeCmd::Resolve(_) => ServiceKind::Registry,
         NodeCmd::SpawnLocal { .. }
         | NodeCmd::Subscribe { .. }
         | NodeCmd::Invoke { .. }
@@ -182,20 +182,16 @@ pub(crate) fn handle_cmd(ctx: &mut NodeCtx<'_, '_>, cmd: NodeCmd) {
         NodeCmd::Query { query, sink, first_wins } => {
             ctx.start_query(query, QueryPurpose::Collect { sink, first_wins });
         }
-        NodeCmd::Resolve { instance, port, query, policy, sink } => {
+        NodeCmd::Resolve(cmd) => {
+            let ResolveCmd { instance, port, query, policy, sink } = *cmd;
             ctx.start_query(query, QueryPurpose::Resolve { instance, port, policy, sink });
         }
         NodeCmd::SpawnLocal { component, min_version, instance_name, sink } => {
             *sink.borrow_mut() = Some(ctx.spawn_announced(&component, min_version, instance_name));
         }
         NodeCmd::Subscribe { producer, port, consumer, delivery_op } => {
-            let msg = CtrlMsg::Subscribe {
-                producer: producer.key,
-                port,
-                consumer: consumer.key,
-                delivery_op,
-            };
-            ctx.send_ctrl(producer.key.host, msg);
+            let msg = CtrlMsg::Subscribe { producer, port, consumer, delivery_op };
+            ctx.send_ctrl(producer.host, msg);
         }
         NodeCmd::Invoke { target, op, args, oneway, sink } => {
             ctx.cmd_invoke(target.key, op, args, oneway, sink);
@@ -282,7 +278,9 @@ pub(crate) fn handle_tick(ctx: &mut NodeCtx<'_, '_>, tick: Tick) {
         Tick::CallSweep => ctx.sweep_calls(),
         Tick::CallRetry(rid) => ctx.retry_call(rid),
         Tick::DedupSweep => {
-            ctx.state.conts.replies.sweep(ctx.sim.now());
+            if let Some(container) = &mut ctx.state.container {
+                container.replies.sweep(ctx.sim.now());
+            }
         }
         Tick::ShardMaintain => ctx.shard_maintain(),
         Tick::SloCheck => ctx.slo_check(),

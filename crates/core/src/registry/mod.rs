@@ -289,7 +289,10 @@ impl ComponentRegistry {
     /// Answer a query against this node's repository + instances.
     ///
     /// Produces at most one offer per installed matching (name, version),
-    /// annotated with a running instance when one exists.
+    /// annotated with a running instance when one exists. The answer
+    /// travels by value to the asker and waits there until harvested, so
+    /// it is sized exactly: matches are counted before one allocation of
+    /// that many (a collected filter reserves four offers for one).
     pub fn local_offers(
         &self,
         node: HostId,
@@ -298,25 +301,25 @@ impl ComponentRegistry {
         idl: &Repository,
         load: f64,
     ) -> Vec<Offer> {
-        repo.iter()
-            .filter(|inst| query.matches(&inst.descriptor, idl))
-            .map(|inst| {
-                let running = self
-                    .instances_of(&inst.descriptor.name)
-                    .find(|i| i.version == inst.descriptor.version)
-                    .map(|i| i.objref.clone());
-                Offer {
-                    node,
-                    component: inst.name.clone(),
-                    version: inst.descriptor.version,
-                    mobility: inst.descriptor.mobility,
-                    cost_per_hour: cost_per_hour(inst.descriptor.licensing),
-                    package_size: inst.wire_size(),
-                    load,
-                    running_instance: running,
-                }
-            })
-            .collect()
+        let matching = || repo.iter().filter(|inst| query.matches(&inst.descriptor, idl));
+        let mut offers = Vec::with_capacity(matching().count());
+        offers.extend(matching().map(|inst| {
+            let running = self
+                .instances_of(&inst.descriptor.name)
+                .find(|i| i.version == inst.descriptor.version)
+                .map(|i| i.objref.clone());
+            Offer {
+                node,
+                component: inst.name.clone(),
+                version: inst.descriptor.version,
+                mobility: inst.descriptor.mobility,
+                cost_per_hour: cost_per_hour(inst.descriptor.licensing),
+                package_size: inst.wire_size(),
+                load,
+                running_instance: running,
+            }
+        }));
+        offers
     }
 
     /// Forget everything (node restart).

@@ -54,9 +54,6 @@ pub struct Installed {
     pub descriptor: ComponentDescriptor,
     /// The behaviour id of the platform-matching binary.
     pub behavior_id: String,
-    /// The IDL sources the package carried, merged into the node's
-    /// interface repository at install.
-    pub idl_sources: Vec<(String, String)>,
     /// The container bytes exactly as received and verified: what this
     /// node serves to fetches and pushes (the network-as-repository
     /// behaviour of §2.4.3), shared, never re-encoded.
@@ -71,13 +68,17 @@ impl Installed {
 }
 
 /// An install the repository accepted.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct Accepted<'a> {
     /// The installed component: the new one, or for an idempotent
     /// re-install the copy already there.
     pub installed: &'a Installed,
     /// This install added it (`false` for an idempotent re-install).
     pub fresh: bool,
+    /// The IDL sources a fresh install's package carried, handed over
+    /// for the node to merge into its interface repository; the
+    /// repository keeps none. Empty for a re-install.
+    pub idl_sources: Vec<(String, String)>,
 }
 
 /// The per-node Component Repository.
@@ -135,7 +136,7 @@ impl ComponentRepository {
             return Err(InstallError::UnknownBehavior(section.behavior_id));
         }
         let version = descriptor.version;
-        let (name, fresh) = match self.get(&descriptor.name, version) {
+        let (name, fresh, idl_sources) = match self.get(&descriptor.name, version) {
             Some(existing) if existing.descriptor != descriptor => {
                 return Err(InstallError::Conflict(format!(
                     "{} {version} already installed with a different descriptor",
@@ -143,22 +144,21 @@ impl ComponentRepository {
                 )));
             }
             // Idempotent re-install: the first copy stays.
-            Some(existing) => (existing.name.clone(), false),
+            Some(existing) => (existing.name.clone(), false, Vec::new()),
             None => {
                 let name = Name::from(descriptor.name.as_str());
                 let installed = Installed {
                     name: name.clone(),
                     behavior_id: section.behavior_id,
-                    idl_sources,
                     bytes: Rc::clone(bytes),
                     descriptor,
                 };
                 self.items.entry(name.clone()).or_default().insert(version, installed);
                 self.rebuild_names();
-                (name, true)
+                (name, true, idl_sources)
             }
         };
-        Ok(Accepted { installed: &self.items[name.as_str()][&version], fresh })
+        Ok(Accepted { installed: &self.items[name.as_str()][&version], fresh, idl_sources })
     }
 
     /// Remove a component version. Returns whether it was present.

@@ -28,7 +28,7 @@ use lc_load::{
 use lc_net::{HostId, Topology};
 use lc_orb::Value;
 use lc_pkg::Version;
-use lc_prop::alloc::{allocs, live_bytes, Counting};
+use lc_prop::alloc::{allocs, live_bytes, peak_live_bytes, reset_peak_live_bytes, Counting};
 use std::rc::Rc;
 
 #[global_allocator]
@@ -647,13 +647,19 @@ fn registry_front_cycle_allocations_are_pinned() {
 /// retains: 1 024 hosts on 128 sites of 8, default cohesion, one leader,
 /// no cache, `Counter` on the first host of every site, converged for
 /// three report periods — everything the world holds (fabric, kernel,
-/// every node's stores and soft state) per host. The measured 3 140, in
-/// release and debug builds alike; 4 887 while every host held its own
-/// seed, config and trust store, 4 919 while a calendar slot was 32
+/// every node's stores and soft state) per host. The measured 2 032, in
+/// release and debug builds alike; 2 113 while the repository kept every
+/// installed package's IDL sources, 2 588 while every install of
+/// `Counter` copied the node's interface repository although its IDL
+/// added nothing, 3 140 while every node, holding a component or not,
+/// held its container runtime's state (adapter, instance tables,
+/// call/spawn/fetch/migration tables) and room for an SLO monitor
+/// inline, 4 887 while every host held its
+/// own seed, config and trust store, 4 919 while a calendar slot was 32
 /// bytes, 4 983 while it was 48, 5 038 while every node copied its seats'
 /// member, replica and parent lists and its report targets out of the
 /// tree.
-const RETAINED_BYTES_PER_NODE: i64 = 3_140;
+const RETAINED_BYTES_PER_NODE: i64 = 2_032;
 
 #[test]
 fn retained_bytes_per_node_are_pinned() {
@@ -674,4 +680,93 @@ fn retained_bytes_per_node_are_pinned() {
     let per_node = (live_bytes() - before) / HOSTS;
     println!("{per_node} bytes retained per booted node");
     assert_eq!(per_node, RETAINED_BYTES_PER_NODE, "bytes retained per booted node moved");
+}
+
+/// Heap bytes one query in flight holds at the height of a segment of the
+/// benchmark's `query_hier` load: the same campus (1 024 hosts, 128 sites
+/// of 8, a 2 s report period, an 800 ms query timeout with one retry),
+/// 32 components on seat 5 of scattered sites, and one segment of 4 000
+/// name queries from 384 origins, due on a 100 op/s Poisson schedule and
+/// handed to the kernel before the first is due, as the harness hands
+/// them. What a query holds until harvest is its command waiting in the
+/// kernel's mail lane, its sink and the offer set the sink ends with;
+/// the pending query and its frames come and go. The measured 550; 863
+/// while the owner's answer reserved four offers for its one and a
+/// `Resolve` command made every command 136 bytes.
+const PEAK_BYTES_PER_QUERY: i64 = 550;
+
+#[test]
+fn in_flight_query_bytes_are_pinned() {
+    const SITES: u32 = 128;
+    const COMPONENTS: u32 = 32;
+    const ORIGINS: u32 = 384;
+    const QUERIES: usize = 4_000;
+    let package = |i: u32| {
+        let name = format!("Svc{i:03}");
+        let mut desc = lc_pkg::ComponentDescriptor::new(&name, Version::new(1, 0), "demo-vendor")
+            .provides("counter", "IDL:demo/Counter:1.0");
+        desc.qos.cpu_min = 1e-7;
+        let mut pkg = lc_pkg::Package::new(desc).with_binary(
+            lc_pkg::Platform::reference(),
+            "demo_counter",
+            &[0xE1; 4 * 1024],
+        );
+        pkg.seal(&demo::demo_key());
+        Rc::new(pkg.to_bytes())
+    };
+    let owner = |i: u32| HostId((i * 37) % SITES * 8 + 5);
+    let origin = |k: u32| HostId(k % SITES * 8 + 2 + k / SITES);
+    let config = NodeConfig {
+        cohesion: CohesionConfig {
+            fanout: 8,
+            replicas: 2,
+            report_period: REPORT_PERIOD,
+            timeout_intervals: 3,
+        },
+        query_timeout: SimTime::from_millis(800),
+        query_retries: 1,
+        ..Default::default()
+    };
+    let mut world = World::on(
+        Topology::campus(SITES as usize, 8),
+        42,
+        config,
+        demo::catalog(),
+        |h| (0..COMPONENTS).filter(|&i| owner(i) == h).map(package).collect(),
+    );
+    let converged = SimTime::from_secs(7);
+    world.sim.run_until(converged);
+    let arrivals = ArrivalStream::new(StreamConfig {
+        shape: ArrivalShape::Steady,
+        rate_per_sec: 100.0,
+        seed: 42 ^ 0x0C0F_FEE0,
+        horizon: SimTime::MAX,
+        users: u64::from(ORIGINS),
+        keys: ZipfKeys::new(COMPONENTS as usize, 0.0),
+    });
+
+    let before = live_bytes();
+    reset_peak_live_bytes();
+    let mut sinks = Vec::with_capacity(QUERIES);
+    let mut last = converged;
+    for a in arrivals.take(QUERIES) {
+        let sink = QuerySink::default();
+        let query = ComponentQuery::by_name(&format!("Svc{:03}", a.key), Version::new(1, 0));
+        let cmd = NodeCmd::Query { query, sink: Rc::clone(&sink), first_wins: true };
+        let actor = world.net.actor_of(origin(a.user as u32));
+        world.sim.send_in(a.at, actor, cmd);
+        sinks.push(sink);
+        last = converged + a.at;
+    }
+    // Past the timeout and its retry: every query has been answered.
+    world.sim.run_until(last + SimTime::from_secs(2));
+    let per_query = (peak_live_bytes() - before) / QUERIES as i64;
+
+    for sink in &sinks {
+        let r = sink.borrow();
+        assert!(r.done && r.offers.len() == 1, "every query finds its one owner");
+        assert_eq!(r.offers.capacity(), r.offers.len(), "an answer is sized exactly");
+    }
+    println!("{per_query} bytes held per query in flight at the segment's height");
+    assert_eq!(per_query, PEAK_BYTES_PER_QUERY, "bytes per query in flight moved");
 }

@@ -1,14 +1,16 @@
-//! Hostile package bytes (ROADMAP 8c, the CLCP + LZSS third): a peer's
-//! `Install` or `Package` reply is whatever bytes it chose to send, and
-//! the acceptor must refuse anything but a package its vendor signed —
-//! with an error, never a panic, and without asking the allocator for more
-//! than the bytes could ever decode to.
+//! Hostile package bytes (ROADMAP 8c): a peer's `Install` or `Package`
+//! reply is whatever bytes it chose to send, and the acceptor must refuse
+//! anything but a package its vendor signed — with an error, never a
+//! panic, and without asking the allocator for more than the bytes could
+//! ever decode to. The descriptor's XML is parsed before any signature
+//! is checked, and a package's IDL is compiled at install, so the XML and
+//! IDL parsers meet mutated text of their own too.
 //!
 //! Its own test binary because it installs a counting global allocator
 //! (`lc_prop::alloc`, thread-local counters).
 
 use lc_core::{demo, BehaviorRegistry, ComponentRepository, InstallError};
-use lc_pkg::{lzss, sha256, Package, Platform};
+use lc_pkg::{lzss, sha256, ComponentDescriptor, Package, Platform};
 use lc_prop::alloc::{largest, reset_largest, Counting};
 use lc_prop::Gen;
 use std::rc::Rc;
@@ -164,4 +166,133 @@ fn a_descriptor_nested_100_000_deep_is_refused() {
     hostile.extend_from_slice(&signed[9 + len + 32..]);
     let refused = install(&Rc::new(hostile)).expect_err("refused");
     assert!(refused.to_string().contains("nest deeper"), "{refused}");
+}
+
+/// One random edit of a text: flip bits of a byte, delete a span, insert
+/// random printable text, or repeat a span in place.
+fn mutate_text(g: &mut Gen, text: &mut Vec<u8>) {
+    let at = g.gen_range(0..text.len());
+    let end = (at + g.gen_range(1..17usize)).min(text.len());
+    match g.gen_range(0..4u32) {
+        0 => text[at] ^= g.gen_range(1..256u32) as u8,
+        1 => {
+            text.drain(at..end);
+        }
+        2 => {
+            let extra = g.ascii_printable(1..9).into_bytes();
+            text.splice(at..at, extra);
+        }
+        _ => {
+            let span = text[at..end].to_vec();
+            text.splice(at..at, span);
+        }
+    }
+}
+
+/// Run `parse` on `text` with the largest allocator request recorded;
+/// returns its verdict and that request. The parsers work on `&str`, so
+/// bytes a mutation left invalid as UTF-8 reach them as replacement
+/// characters.
+fn parse_counted<T>(text: &[u8], parse: impl Fn(&str) -> T) -> (T, usize) {
+    let text = String::from_utf8_lossy(text);
+    reset_largest();
+    let verdict = parse(&text);
+    (verdict, largest())
+}
+
+/// What a node parses a component descriptor's XML with: the document,
+/// then the schema and the fields.
+fn descriptor(xml: &str) -> Result<ComponentDescriptor, String> {
+    let root = lc_xml::parse(xml).map_err(|e| e.to_string())?;
+    ComponentDescriptor::from_xml(&root)
+}
+
+/// No text parser request may exceed 64 bytes per input byte (a tiny
+/// input is allowed the 4 096 bytes of 64): at most one token or node of
+/// at most 32 bytes per input byte, in a vector that at most doubles. A
+/// request sized by a count read from the input breaks it.
+fn text_bound(len: usize) -> usize {
+    64 * len.max(64)
+}
+
+/// Byte mutations of the demo packages' component descriptors, as XML
+/// text: never a panic, never a request beyond [`text_bound`], and a
+/// verdict that is an error or a descriptor which writes back to XML that
+/// parses to itself (a mutation can leave a descriptor valid: a flipped
+/// letter in a name). A cut anywhere before the root element closes is
+/// always refused.
+#[test]
+fn mutated_descriptor_xml_is_refused_or_round_trips_with_bounded_allocation() {
+    let packages = [
+        demo::counter_package(),
+        demo::display_package(),
+        demo::gui_package(),
+        demo::watcher_package(),
+    ];
+    let corpus: Vec<Vec<u8>> = packages
+        .iter()
+        .map(|pkg| {
+            let pkg = Package::from_bytes(pkg).expect("a demo package parses");
+            lc_xml::to_string(&pkg.descriptor.to_xml()).into_bytes()
+        })
+        .collect();
+    for xml in &corpus {
+        assert!(parse_counted(xml, descriptor).0.is_ok(), "the unmutated descriptor parses");
+    }
+    let (mut refused, mut worst) = (0u32, 0.0f64);
+    lc_prop::check("mutated descriptor XML", |g| {
+        let original = g.pick(&corpus);
+        let mut xml = original.clone();
+        for _ in 0..g.gen_range(1..4u32) {
+            mutate_text(g, &mut xml);
+            if xml.is_empty() {
+                break;
+            }
+        }
+        let (verdict, asked) = parse_counted(&xml, descriptor);
+        assert!(asked <= text_bound(xml.len()), "{} bytes asked for {asked} at once", xml.len());
+        worst = worst.max(asked as f64 / xml.len().max(1) as f64);
+        match verdict {
+            Err(_) => refused += 1,
+            Ok(desc) => {
+                let again = lc_xml::to_string(&desc.to_xml());
+                assert_eq!(descriptor(&again), Ok(desc), "a parsed descriptor round-trips");
+            }
+        }
+        let last_close = original.iter().rposition(|&b| b == b'>').expect("a root element");
+        let (cut, asked) = parse_counted(&original[..g.gen_range(0..last_close)], descriptor);
+        assert!(cut.is_err(), "a descriptor cut before its root closes parsed");
+        assert!(asked <= text_bound(last_close));
+    });
+    println!("descriptor XML: {refused} mutations refused; largest request per byte {worst:.2}");
+}
+
+/// Byte mutations of the demo IDL: never a panic, never a request beyond
+/// [`text_bound`]. A cut anywhere inside the module (after its first
+/// word, before its closing brace) is always refused.
+#[test]
+fn mutated_demo_idl_is_refused_with_bounded_allocation() {
+    let original = demo::DEMO_IDL.as_bytes();
+    assert!(lc_idl::compile(demo::DEMO_IDL).is_ok(), "the unmutated IDL compiles");
+    let first = original.iter().position(|b| !b.is_ascii_whitespace()).expect("IDL text");
+    let last_brace = original.iter().rposition(|&b| b == b'}').expect("a module");
+    let (mut refused, mut worst) = (0u32, 0.0f64);
+    lc_prop::check("mutated demo IDL", |g| {
+        let mut idl = original.to_vec();
+        for _ in 0..g.gen_range(1..4u32) {
+            mutate_text(g, &mut idl);
+            if idl.is_empty() {
+                break;
+            }
+        }
+        let (verdict, asked) = parse_counted(&idl, lc_idl::compile);
+        assert!(asked <= text_bound(idl.len()), "{} bytes asked for {asked} at once", idl.len());
+        worst = worst.max(asked as f64 / idl.len().max(1) as f64);
+        refused += u32::from(verdict.is_err());
+        let cut = &original[..g.gen_range(first + 1..last_brace)];
+        let (verdict, asked) = parse_counted(cut, lc_idl::compile);
+        assert!(verdict.is_err(), "IDL cut inside its module compiled");
+        assert!(asked <= text_bound(cut.len()));
+    });
+    println!("demo IDL: {refused} mutations refused; largest request per byte {worst:.2}");
 }

@@ -3,7 +3,7 @@
 //! events, migration, assembly deployment, crashes and MRM failover.
 
 use lc_core::demo;
-use lc_core::node::{AdmissionConfig, Node, NodeCmd, QuerySink, RegistryConfig};
+use lc_core::node::{AdmissionConfig, Node, NodeCmd, QuerySink, RegistryConfig, ResolveCmd};
 use lc_core::testkit::{fast_cohesion, fast_config, World};
 use lc_core::{
     AssemblyDescriptor, CacheConfig, ComponentQuery, NodeConfig,
@@ -193,7 +193,7 @@ fn resolve_uses_port_fetches_locally_for_heavy_traffic() {
     let provider: lc_core::SpawnSink = Rc::default();
     world.cmd(
         HostId(4),
-        NodeCmd::Resolve {
+        NodeCmd::Resolve(Box::new(ResolveCmd {
             instance: gui_instance,
             port: "display".into(),
             query: ComponentQuery::by_name("Display", Version::new(2, 0)),
@@ -202,7 +202,7 @@ fn resolve_uses_port_fetches_locally_for_heavy_traffic() {
                 ..Default::default()
             },
             sink: Some(provider.clone()),
-        },
+        })),
     );
     world.run_for(SimTime::from_millis(2000));
     let display_ref = provider.borrow().clone().unwrap().unwrap();
@@ -260,13 +260,13 @@ fn resolve_uses_existing_remote_instance_for_light_traffic() {
     let provider: lc_core::SpawnSink = Rc::default();
     world.cmd(
         HostId(5),
-        NodeCmd::Resolve {
+        NodeCmd::Resolve(Box::new(ResolveCmd {
             instance: gui_instance,
             port: "display".into(),
             query: ComponentQuery::by_name("Display", Version::new(2, 0)),
             policy: ResolvePolicy { expected_traffic: 1_000, ..Default::default() },
             sink: Some(provider.clone()),
-        },
+        })),
     );
     world.run_for(SimTime::from_millis(2000));
     let display_ref = provider.borrow().clone().unwrap().unwrap();
@@ -310,9 +310,9 @@ fn events_fan_out_across_nodes() {
     world.cmd(
         HostId(2),
         NodeCmd::Subscribe {
-            producer: gui_ref.clone(),
+            producer: gui_ref.key,
             port: "rendered".into(),
-            consumer: watcher_ref.clone(),
+            consumer: watcher_ref.key,
             delivery_op: "_push_rendered".into(),
         },
     );
@@ -892,9 +892,9 @@ fn event_channels_close_when_producer_instance_dies() {
     world.cmd(
         HostId(2),
         NodeCmd::Subscribe {
-            producer: gui_ref.clone(),
+            producer: gui_ref.key,
             port: "rendered".into(),
-            consumer: watcher_ref,
+            consumer: watcher_ref.key,
             delivery_op: "_push_rendered".into(),
         },
     );

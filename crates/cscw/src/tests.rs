@@ -34,9 +34,9 @@ fn whiteboard_session_fans_strokes_to_all_participants() {
         world.cmd(
             HostId(i),
             NodeCmd::Subscribe {
-                producer: board.clone(),
+                producer: board.key,
                 port: "strokes".into(),
-                consumer: gui.clone(),
+                consumer: gui.key,
                 delivery_op: "_push_strokes".into(),
             },
         );
@@ -109,9 +109,9 @@ fn pda_thin_client_uses_remote_gui_with_local_display() {
     world.cmd(
         server,
         NodeCmd::Subscribe {
-            producer: board.clone(),
+            producer: board.key,
             port: "strokes".into(),
-            consumer: gui,
+            consumer: gui.key,
             delivery_op: "_push_strokes".into(),
         },
     );

@@ -294,6 +294,18 @@ impl Repository {
         Ok(())
     }
 
+    /// Would merging this repository into `base` add a definition `base`
+    /// lacks? An error where an id names another definition in `base`,
+    /// as [`merge`](Self::merge) would report it. Both are read in place,
+    /// so a caller keeps `base` as it is, uncopied, when nothing is new.
+    pub fn adds_to(&self, base: &Repository) -> Result<bool, CompileError> {
+        Ok(adds(&self.interfaces, &base.interfaces, "interface")?
+            | adds(&self.events, &base.events, "eventtype")?
+            | adds(&self.structs, &base.structs, "struct")?
+            | adds(&self.enums, &base.enums, "enum")?
+            | adds(&self.exceptions, &base.exceptions, "exception")?)
+    }
+
     /// Look up an interface by repository id.
     pub fn interface(&self, id: &str) -> Option<&InterfaceMeta> {
         self.interfaces.get(id)
@@ -347,6 +359,24 @@ fn merge_map<V: PartialEq + std::fmt::Debug>(
         }
     }
     Ok(())
+}
+
+/// Does `src` hold an id `dst` lacks? An error where both hold an id
+/// with different definitions.
+fn adds<V: PartialEq>(
+    src: &BTreeMap<String, V>,
+    dst: &BTreeMap<String, V>,
+    what: &str,
+) -> Result<bool, CompileError> {
+    let mut added = false;
+    for (k, v) in src {
+        match dst.get(k) {
+            None => added = true,
+            Some(d) if d != v => return sem(format!("conflicting {what} definition for '{k}'")),
+            Some(_) => {}
+        }
+    }
+    Ok(added)
 }
 
 fn collect(
@@ -796,14 +826,17 @@ mod tests {
     fn merge_repositories() {
         let mut a = compile("interface A {};").unwrap();
         let b = compile("interface B {};").unwrap();
+        assert!(b.adds_to(&a).unwrap(), "B is new to A");
         a.merge(b).unwrap();
         assert!(a.interface("IDL:A:1.0").is_some());
         assert!(a.interface("IDL:B:1.0").is_some());
-        // identical duplicate is fine
+        // identical duplicate is fine, and adds nothing
         let b2 = compile("interface B {};").unwrap();
+        assert!(!b2.adds_to(&a).unwrap());
         a.merge(b2).unwrap();
         // conflicting duplicate is not
         let b3 = compile("interface B { void f(); };").unwrap();
+        assert!(b3.adds_to(&a).is_err());
         assert!(a.merge(b3).is_err());
     }
 

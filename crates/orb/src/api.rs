@@ -213,7 +213,7 @@ impl SimOrbClient {
         let server = sim.spawn(ServerActor {
             host: server_host,
             orb: orb.clone(),
-            adapter: ObjectAdapter::new(server_host, repo.clone()),
+            adapter: ObjectAdapter::new(server_host, repo.clone(), lc_trace::Tracer::disabled()),
         });
         net.bind(server_host, server);
         let slot: ReplySlot = Rc::default();

@@ -64,7 +64,7 @@ impl LocalOrb {
     pub fn new(repo: Arc<Repository>) -> Self {
         LocalOrb {
             inner: Arc::new(Mutex::new(Inner {
-                adapter: ObjectAdapter::new(HostId(0), repo.clone()),
+                adapter: ObjectAdapter::new(HostId(0), repo.clone(), lc_trace::Tracer::disabled()),
                 subs: BTreeMap::new(),
                 port_events: BTreeMap::new(),
                 stats: LocalOrbStats::default(),

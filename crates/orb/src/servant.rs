@@ -253,8 +253,10 @@ pub struct ObjectAdapter {
 }
 
 impl ObjectAdapter {
-    /// New adapter for `host`, validating against `repo`.
-    pub fn new(host: HostId, repo: Arc<Repository>) -> Self {
+    /// New adapter for `host`, validating against `repo`. [`Self::invoke`]
+    /// records a span per dispatch under `tracer`'s current context (none
+    /// when it is disabled).
+    pub fn new(host: HostId, repo: Arc<Repository>, tracer: Tracer) -> Self {
         ObjectAdapter {
             host,
             repo,
@@ -263,14 +265,8 @@ impl ObjectAdapter {
             type_ids: BTreeSet::new(),
             clock: lc_des::SimTime::ZERO,
             stats: DispatchStats::default(),
-            tracer: Tracer::disabled(),
+            tracer,
         }
-    }
-
-    /// Attach the fabric's tracer: [`Self::invoke`] then records a span
-    /// per dispatch under the tracer's current context.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
     }
 
     /// Dispatch counters since creation.
@@ -525,7 +521,7 @@ mod tests {
 
     fn adapter() -> (ObjectAdapter, ObjectRef) {
         let repo = Arc::new(compile(IDL).unwrap());
-        let mut oa = ObjectAdapter::new(HostId(0), repo);
+        let mut oa = ObjectAdapter::new(HostId(0), repo, Tracer::disabled());
         let r = oa.activate(Box::new(CounterImpl { total: 0, pokes: vec![] }));
         (oa, r)
     }
@@ -601,7 +597,7 @@ mod tests {
             }
         }
         let repo = Arc::new(compile(IDL).unwrap());
-        let mut oa = ObjectAdapter::new(HostId(0), repo);
+        let mut oa = ObjectAdapter::new(HostId(0), repo, Tracer::disabled());
         let r = oa.activate(Box::new(Liar));
         let res = oa.invoke(r.key, "add", &[Value::Long(1)], DispatchOpts::typed());
         assert!(matches!(res.outcome, Err(OrbError::Internal(_))));
@@ -620,7 +616,7 @@ mod tests {
             }
         }
         let repo = Arc::new(compile(IDL).unwrap());
-        let mut oa = ObjectAdapter::new(HostId(0), repo);
+        let mut oa = ObjectAdapter::new(HostId(0), repo, Tracer::disabled());
         let _ = oa.activate(Box::new(Ghost));
     }
 
@@ -695,7 +691,7 @@ mod tests {
             }
         }
         let repo = Arc::new(compile(IDL).unwrap());
-        let mut oa = ObjectAdapter::new(HostId(0), repo);
+        let mut oa = ObjectAdapter::new(HostId(0), repo, Tracer::disabled());
         let peer = oa.activate(Box::new(CounterImpl { total: 0, pokes: vec![] }));
         let chainer = oa.activate(Box::new(Chainer { peer: peer.clone() }));
         let res = oa.invoke(chainer.key, "poke", &[Value::string("go")], DispatchOpts::typed());

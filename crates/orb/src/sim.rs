@@ -251,7 +251,7 @@ mod tests {
         let orb = SimOrb::new(net.clone());
         let repo = Arc::new(compile(IDL).unwrap());
 
-        let mut server_adapter = ObjectAdapter::new(h1, repo);
+        let mut server_adapter = ObjectAdapter::new(h1, repo, lc_trace::Tracer::disabled());
         let echo_ref = server_adapter.activate(Box::new(EchoImpl));
 
         let mut sim = Sim::new(5);

@@ -2,9 +2,10 @@
 //!
 //! A test binary installs it once —
 //! `#[global_allocator] static GLOBAL: lc_prop::alloc::Counting = lc_prop::alloc::Counting;`
-//! — and reads [`allocs`] / [`largest`] / [`live_bytes`] around the code
-//! under test. The counters are thread-local, so the libtest harness
-//! thread and other tests' threads cannot leak into a measurement.
+//! — and reads [`allocs`] / [`largest`] / [`live_bytes`] /
+//! [`peak_live_bytes`] around the code under test. The counters are
+//! thread-local, so the libtest harness thread and other tests' threads
+//! cannot leak into a measurement.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -13,6 +14,7 @@ thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static LARGEST: Cell<usize> = const { Cell::new(0) };
     static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 fn note(size: usize) {
@@ -22,7 +24,11 @@ fn note(size: usize) {
 }
 
 fn live(grown: usize, freed: usize) {
-    let _ = LIVE.try_with(|c| c.set(c.get() + grown as i64 - freed as i64));
+    let _ = LIVE.try_with(|c| {
+        let now = c.get() + grown as i64 - freed as i64;
+        c.set(now);
+        let _ = PEAK.try_with(|p| p.set(p.get().max(now)));
+    });
 }
 
 /// Allocator calls made on this thread so far (a grow counts: it asked
@@ -47,6 +53,19 @@ pub fn reset_largest() {
 /// what the code in between retains.
 pub fn live_bytes() -> i64 {
     LIVE.with(Cell::get)
+}
+
+/// Most [`live_bytes`] this thread held at once since
+/// [`reset_peak_live_bytes`]: what the code in between needed at its
+/// height, above what was live before it, is this minus the
+/// [`live_bytes`] read at the reset.
+pub fn peak_live_bytes() -> i64 {
+    PEAK.with(Cell::get)
+}
+
+/// Start a new [`peak_live_bytes`] measurement from what is live now.
+pub fn reset_peak_live_bytes() {
+    PEAK.with(|p| p.set(live_bytes()));
 }
 
 /// The system allocator, counted.

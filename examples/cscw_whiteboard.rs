@@ -46,9 +46,9 @@ fn main() {
         world.cmd(
             host,
             NodeCmd::Subscribe {
-                producer: board.clone(),
+                producer: board.key,
                 port: "strokes".into(),
-                consumer: gui.clone(),
+                consumer: gui.key,
                 delivery_op: "_push_strokes".into(),
             },
         );
@@ -63,9 +63,9 @@ fn main() {
     world.cmd(
         server,
         NodeCmd::Subscribe {
-            producer: board.clone(),
+            producer: board.key,
             port: "strokes".into(),
-            consumer: pda_gui,
+            consumer: pda_gui.key,
             delivery_op: "_push_strokes".into(),
         },
     );

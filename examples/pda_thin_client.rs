@@ -67,9 +67,9 @@ fn main() {
     world.cmd(
         server,
         NodeCmd::Subscribe {
-            producer: board.clone(),
+            producer: board.key,
             port: "strokes".into(),
-            consumer: gui,
+            consumer: gui.key,
             delivery_op: "_push_strokes".into(),
         },
     );

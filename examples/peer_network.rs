@@ -72,7 +72,7 @@ fn main() {
     let provider: corba_lc_repro::core::SpawnSink = Rc::default();
     world.cmd(
         HostId(2),
-        NodeCmd::Resolve {
+        NodeCmd::Resolve(Box::new(corba_lc_repro::core::node::ResolveCmd {
             instance,
             port: "display".into(),
             query: ComponentQuery::by_name("Display", corba_lc_repro::pkg::Version::new(2, 0)),
@@ -81,7 +81,7 @@ fn main() {
                 ..Default::default()
             },
             sink: Some(provider.clone()),
-        },
+        })),
     );
     world.run_for(SimTime::from_secs(5));
     let display_ref = provider.borrow().clone().unwrap().unwrap();

@@ -64,9 +64,9 @@ fn cscw_and_grid_share_one_network() {
     world.cmd(
         HostId(1),
         NodeCmd::Subscribe {
-            producer: board.clone(),
+            producer: board.key,
             port: "strokes".into(),
-            consumer: gui,
+            consumer: gui.key,
             delivery_op: "_push_strokes".into(),
         },
     );
