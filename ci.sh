@@ -23,6 +23,10 @@ done
 # allocation at all") only take their release value here, the debug
 # build re-checking what a re-send reuses.
 cargo test --release -q -p lc-core --test alloc_budget
+# The shard store's property tests again, optimised: its kept digests are
+# edited in place, and the debug build also re-checks each one it hands
+# out against a fold of its entries.
+cargo test --release -q -p lc-core --lib registry::backend
 # The suite's log feeds SIZE.txt's test count below; a failing suite
 # still stops the gate here, printing its log.
 cargo test -q --workspace > target/tests.log 2>&1 || { cat target/tests.log; exit 1; }

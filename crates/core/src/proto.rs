@@ -243,8 +243,8 @@ pub(crate) enum CtrlMsg {
         from: lc_net::HostId,
         /// Shard the digest describes.
         shard: u32,
-        /// Generation triples, sorted: built once per shard per round and
-        /// shared by every peer replica's digest.
+        /// Generation triples, sorted: the shard's kept digest, shared by
+        /// every peer replica's copy of the message.
         gens: ShardDigest,
     },
     /// Anti-entropy repair: the entries the digest sender was missing or
@@ -472,11 +472,11 @@ mod tests {
         };
         assert!(lookup.wire_size() < 128);
 
-        let empty = CtrlMsg::GossipDigest { from: HostId(0), shard: 0, gens: [].into() };
+        let empty = CtrlMsg::GossipDigest { from: HostId(0), shard: 0, gens: Rc::default() };
         let full = CtrlMsg::GossipDigest {
             from: HostId(0),
             shard: 0,
-            gens: (0..10).map(|i| (format!("C{i}").into(), HostId(i), i as u64)).collect(),
+            gens: Rc::new((0..10).map(|i| (format!("C{i}").into(), HostId(i), i as u64)).collect()),
         };
         assert!(full.wire_size() > empty.wire_size() + 100);
 

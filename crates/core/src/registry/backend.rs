@@ -132,10 +132,12 @@ pub enum CoherenceRoute {
 
 /// A shard's anti-entropy summary: `(component, publisher, generation)`
 /// triples for every entry a replica holds, strictly sorted by
-/// `(component, publisher)`. Built when an entry of the shard was added,
-/// advanced or expired since the last round — the names the store's own
-/// — kept otherwise, and shared by the digests to every peer replica.
-pub type ShardDigest = Rc<[(Name, HostId, u64)]>;
+/// `(component, publisher)`, the names the store's own. The replica keeps
+/// it current as entries are added, advanced or expired, and a gossip
+/// round shares it with every peer replica's digest. An edit copies it
+/// first only while an earlier round's digest still holds it, so what a
+/// round sent never changes after.
+pub type ShardDigest = Rc<Vec<(Name, HostId, u64)>>;
 
 /// What [`ComponentRegistry::local_offers`](crate::registry::ComponentRegistry::local_offers)
 /// reads of a node when it builds a publication's offer set (the query
@@ -180,30 +182,104 @@ struct CacheFront {
     coalesce: bool,
 }
 
-/// One shard this host replicates: its publisher entries, and their
-/// anti-entropy digest as last built.
-#[derive(Default)]
+/// One shard this host replicates: its publisher entries, their
+/// anti-entropy digest and a bound on their freshness stamps.
 struct ShardSlice {
     /// component → publisher → entry. A component key is the name its
     /// first publish arrived with.
     entries: BTreeMap<Name, BTreeMap<HostId, PubEntry>>,
-    /// `None` once an entry was added, advanced or expired since the
-    /// digest was built: the next round rebuilds it.
-    digest: Option<ShardDigest>,
+    /// The entries' `(component, publisher, generation)` fold, edited in
+    /// place by every change to it.
+    digest: ShardDigest,
+    /// No entry's freshness stamp is older: lowered by every stamp
+    /// stored, recomputed by an expiry walk (`SimTime::MAX` when empty).
+    oldest: SimTime,
+}
+
+impl Default for ShardSlice {
+    fn default() -> Self {
+        ShardSlice { entries: BTreeMap::new(), digest: Rc::default(), oldest: SimTime::MAX }
+    }
 }
 
 impl ShardSlice {
-    /// The digest of the entries, built only if they changed since.
-    fn digest(&mut self) -> ShardDigest {
-        let entries = &self.entries;
-        let digest = self.digest.get_or_insert_with(|| {
-            let mut gens = Vec::with_capacity(entries.values().map(BTreeMap::len).sum());
-            for (c, by_pub) in entries {
-                gens.extend(by_pub.iter().map(|(&p, e)| (c.clone(), p, e.gen)));
+    /// Apply one entry if it is news: a strictly newer generation wins,
+    /// and an equal generation with an equal-or-newer freshness stamp
+    /// refreshes (keeps a live publisher's entry from expiring). Returns
+    /// whether the generation advanced or the entry is new.
+    fn apply(
+        &mut self,
+        component: Name,
+        publisher: HostId,
+        gen: u64,
+        at: SimTime,
+        offers: Rc<[Offer]>,
+    ) -> bool {
+        let by_name = self.entries.entry(component);
+        // The store's own key, whichever name this publish arrived with.
+        let name = by_name.key().clone();
+        let by_pub = by_name.or_default();
+        let changed = match by_pub.get_mut(&publisher) {
+            Some(e) if gen < e.gen || (gen == e.gen && at < e.at) => return false,
+            Some(e) => {
+                let changed = gen > e.gen;
+                *e = PubEntry { gen, at, offers };
+                changed
             }
-            gens.into()
-        });
-        Rc::clone(digest)
+            None => {
+                by_pub.insert(publisher, PubEntry { gen, at, offers });
+                true
+            }
+        };
+        self.oldest = self.oldest.min(at);
+        if changed {
+            let digest = Rc::make_mut(&mut self.digest);
+            let key = (name.as_str(), publisher);
+            match digest.binary_search_by(|(c, p, _)| (c.as_str(), *p).cmp(&key)) {
+                Ok(i) => digest[i].2 = gen,
+                Err(i) => digest.insert(i, (name, publisher, gen)),
+            }
+        }
+        changed
+    }
+
+    /// Drop entries whose freshness stamp aged past `ttl`; a slice whose
+    /// oldest stamp is younger is not walked.
+    fn expire(&mut self, now: SimTime, ttl: SimTime) {
+        if now.saturating_sub(self.oldest) < ttl {
+            return;
+        }
+        let (mut oldest, mut expired) = (SimTime::MAX, false);
+        for by_pub in self.entries.values_mut() {
+            by_pub.retain(|_, e| {
+                let fresh = now.saturating_sub(e.at) < ttl;
+                if fresh {
+                    oldest = oldest.min(e.at);
+                }
+                expired |= !fresh;
+                fresh
+            });
+        }
+        self.oldest = oldest;
+        if expired {
+            self.entries.retain(|_, by_pub| !by_pub.is_empty());
+            self.digest = Rc::new(self.fold().map(|(c, p, gen)| (c.clone(), p, gen)).collect());
+        }
+    }
+
+    /// The entries' `(component, publisher, generation)` triples, in
+    /// digest order.
+    fn fold(&self) -> impl Iterator<Item = (&Name, HostId, u64)> {
+        self.entries.iter().flat_map(|(c, by_pub)| by_pub.iter().map(move |(&p, e)| (c, p, e.gen)))
+    }
+
+    /// The kept digest, shared.
+    fn digest(&self) -> ShardDigest {
+        debug_assert!(
+            self.digest.iter().map(|(c, p, gen)| (c, *p, *gen)).eq(self.fold()),
+            "a kept digest must equal a fold of its entries"
+        );
+        Rc::clone(&self.digest)
     }
 }
 
@@ -263,56 +339,11 @@ impl ShardStore {
         &self.ring
     }
 
-    /// Apply one entry if it is news: a strictly newer generation wins,
-    /// and an equal generation with an equal-or-newer freshness stamp
-    /// refreshes (keeps a live publisher's entry from expiring).
-    fn apply(
-        &mut self,
-        shard: u32,
-        component: Name,
-        publisher: HostId,
-        gen: u64,
-        at: SimTime,
-        offers: Rc<[Offer]>,
-    ) -> bool {
-        let slice = self.store.entry(shard).or_default();
-        let by_pub = slice.entries.entry(component).or_default();
-        let changed = match by_pub.get_mut(&publisher) {
-            Some(e) if gen < e.gen || (gen == e.gen && at < e.at) => false,
-            Some(e) => {
-                let changed = gen > e.gen;
-                e.gen = gen;
-                e.at = at;
-                e.offers = offers;
-                changed
-            }
-            None => {
-                by_pub.insert(publisher, PubEntry { gen, at, offers });
-                true
-            }
-        };
-        if changed {
-            slice.digest = None;
-        }
-        changed
-    }
-
     /// Drop entries whose freshness stamp aged past `publish_ttl`.
     fn expire(&mut self, now: SimTime) {
         let ttl = self.cfg.publish_ttl;
         for slice in self.store.values_mut() {
-            let mut expired = false;
-            for by_pub in slice.entries.values_mut() {
-                by_pub.retain(|_, e| {
-                    let fresh = now.saturating_sub(e.at) < ttl;
-                    expired |= !fresh;
-                    fresh
-                });
-            }
-            if expired {
-                slice.entries.retain(|_, by_pub| !by_pub.is_empty());
-                slice.digest = None;
-            }
+            slice.expire(now, ttl);
         }
     }
 
@@ -414,7 +445,7 @@ impl ShardStore {
         if !self.ring.is_replica(shard, self.host) {
             return false; // stale addressing (e.g. ring drift across configs)
         }
-        self.apply(shard, component, publisher, gen, at, offers)
+        self.store.entry(shard).or_default().apply(component, publisher, gen, at, offers)
     }
 
     /// Start an anti-entropy round: expiry-sweep the local shard stores
@@ -428,9 +459,7 @@ impl ShardStore {
     }
 
     /// The `i`-th shard this host replicates (in shard order) and its
-    /// digest: the one the last round sent, shared, unless an entry of
-    /// the shard was added, advanced or expired since. `None` past the
-    /// last shard.
+    /// kept digest, shared. `None` past the last shard.
     pub fn digest(&mut self, i: usize) -> Option<(u32, ShardDigest)> {
         let shard = *self.my_shards.get(i)?;
         Some((shard, self.store.entry(shard).or_default().digest()))
@@ -494,7 +523,8 @@ impl ShardStore {
             if self.ring.shard_of_component(&e.component) != shard {
                 continue;
             }
-            if self.apply(shard, e.component, e.publisher, e.gen, e.at, e.offers) {
+            let slice = self.store.entry(shard).or_default();
+            if slice.apply(e.component, e.publisher, e.gen, e.at, e.offers) {
                 advanced += 1;
             }
         }
@@ -960,6 +990,119 @@ mod tests {
                     .map(|d| (d.component.to_string(), d.publisher, d.gen))
                     .collect();
                 assert_eq!(walked, expected);
+            }
+        });
+    }
+
+    /// Every slice's kept digest, checked against its entries: the fold
+    /// of their triples, strictly sorted by `(component, publisher)`, its
+    /// names the store's own keys; and every stamp at or after the
+    /// slice's `oldest`.
+    fn assert_kept(store: &ShardStore) {
+        for slice in store.store.values() {
+            let fold: Vec<_> = slice.fold().map(|(c, p, gen)| (c.clone(), p, gen)).collect();
+            assert_eq!(*slice.digest, fold, "the kept digest is the fold of its entries");
+            let key = |t: &(Name, HostId, u64)| (t.0.clone(), t.1);
+            assert!(slice.digest.windows(2).all(|w| key(&w[0]) < key(&w[1])), "unsorted");
+            for (c, _, _) in slice.digest.iter() {
+                let (own, _) = slice.entries.get_key_value(&**c).expect("a digest names an entry");
+                assert!(Name::ptr_eq(c, own), "a digest name is the store's own");
+            }
+            let stamps = slice.entries.values().flat_map(BTreeMap::values);
+            assert!(stamps.map(|e| e.at).all(|at| at >= slice.oldest), "oldest bounds the stamps");
+        }
+    }
+
+    /// A digest kept current through publishes, repair deltas and expiry
+    /// sweeps equals a fresh fold of the entries after every step, and a
+    /// digest handed out earlier — a `GossipDigest` still in flight —
+    /// keeps what it held when it was read.
+    #[test]
+    fn a_kept_digest_is_the_fold_of_its_entries() {
+        const NAMES: [&str; 5] = ["A", "Ab", "B", "Counter", "X"];
+        let cfg = ShardConfig {
+            shards: 4,
+            replicas: 2,
+            vnodes: 4,
+            publish_ttl: MS(100),
+            ..Default::default()
+        };
+        lc_prop::check("kept digest = fold of entries", |g| {
+            let mut a = store(&cfg, 0, 2);
+            let mut now = MS(0);
+            // Digests handed out, each with a copy of what it held then.
+            let mut held = Vec::new();
+            for _ in 0..g.gen_range(1..80usize) {
+                now += MS(g.gen_range(0..30u64));
+                let entry = |g: &mut lc_prop::Gen| DeltaEntry {
+                    // A fresh name each time: the store keeps its first.
+                    component: Name::from(*g.pick(&NAMES)),
+                    publisher: HostId(g.gen_range(0..4u32)),
+                    gen: g.gen_range(1..6u64),
+                    at: now.saturating_sub(MS(g.gen_range(0..60u64))),
+                    offers: [].into(),
+                };
+                match g.gen_range(0..5u32) {
+                    0 => {
+                        let e = entry(g);
+                        a.on_publish(e.component, e.publisher, e.gen, e.at, e.offers);
+                    }
+                    1 => {
+                        let delta: Vec<_> = (0..g.gen_range(0..6usize)).map(|_| entry(g)).collect();
+                        let shard = g.gen_range(0..4u32);
+                        a.on_gossip_delta(shard, delta);
+                    }
+                    2 => a.begin_gossip(now),
+                    3 => {
+                        let (_, gens) = a.digest(g.gen_range(0..4usize)).expect("replicates all 4");
+                        let copy = gens.to_vec();
+                        held.push((gens, copy));
+                    }
+                    _ if !held.is_empty() => {
+                        held.swap_remove(g.gen_range(0..held.len()));
+                    }
+                    _ => {}
+                }
+                assert_kept(&a);
+                for (gens, copy) in &held {
+                    assert_eq!(**gens, *copy, "a digest handed out never changes");
+                }
+            }
+        });
+    }
+
+    /// Expiry that skips a slice whose oldest stamp is younger than the
+    /// TTL removes exactly what a walk over every entry removes, under
+    /// random stamps, TTLs and sweep times (not only increasing ones).
+    #[test]
+    fn bounded_expiry_removes_what_a_full_walk_removes() {
+        const NAMES: [&str; 4] = ["A", "B", "Counter", "X"];
+        lc_prop::check("bounded expiry = full walk", |g| {
+            let ttl = MS(g.gen_range(1..300u64));
+            let cfg =
+                ShardConfig { shards: 4, replicas: 2, vnodes: 4, publish_ttl: ttl, ..Default::default() };
+            let mut a = store(&cfg, 0, 2);
+            let held = |a: &ShardStore| -> Vec<(String, HostId, u64, SimTime)> {
+                let mut all = Vec::new();
+                for (c, by_pub) in a.store.values().flat_map(|slice| &slice.entries) {
+                    all.extend(by_pub.iter().map(|(&p, e)| (c.to_string(), p, e.gen, e.at)));
+                }
+                all.sort();
+                all
+            };
+            for _ in 0..g.gen_range(1..100usize) {
+                let now = MS(g.gen_range(0..1_000u64));
+                if g.gen_range(0..3u32) > 0 {
+                    let (c, p) = (*g.pick(&NAMES), HostId(g.gen_range(0..3u32)));
+                    let (gen, at) = (g.gen_range(1..4u64), MS(g.gen_range(0..1_000u64)));
+                    a.on_publish(c.into(), p, gen, at, [].into());
+                } else {
+                    let mut expected = held(&a);
+                    expected.retain(|&(.., at)| now.saturating_sub(at) < ttl);
+                    a.begin_gossip(now);
+                    assert_eq!(held(&a), expected, "a sweep at {now} with ttl {ttl}");
+                }
+                assert_kept(&a);
             }
         });
     }

@@ -36,12 +36,17 @@ static GLOBAL: Counting = Counting;
 
 /// Allocations per node per report period: the measured 0 / 640 on both
 /// campuses. A frame waits by value in its mail lane, and a gossip round
-/// re-sends each replicated shard's digest as last built while nothing
-/// in the shard changed, so neither plane allocates. Debug builds add the
-/// exactness assertions' recomputations: of every re-sent publication,
-/// 320 × [`RESEND_CHECK_ALLOCS`] on the sharded campus, and of every
-/// re-sent summary, 80 × [`SUMMARY_CHECK_ALLOCS`] on both (80 / 640 and
-/// 720 / 640). While every round rebuilt every digest, the sharded plane
+/// shares each replicated shard's digest as kept, so neither plane
+/// allocates. Debug builds add the exactness assertions' recomputations:
+/// of every re-sent publication, 320 × [`RESEND_CHECK_ALLOCS`] on the
+/// sharded campus, and of every re-sent summary, 80 ×
+/// [`SUMMARY_CHECK_ALLOCS`] on both (80 / 640 and 720 / 640); the check
+/// of a shared digest against a fold of its entries compares them in
+/// step and allocates nothing. A round after a change to its shard
+/// allocates nothing either, the digest having been edited in place
+/// ([`a_changed_shard_gossips_without_rebuilding`]; 2 allocations while
+/// such a round rebuilt it whole). While every round rebuilt every
+/// digest, the sharded plane
 /// measured 1 320 / 640; with every frame boxed once the two measured
 /// 1 260 / 640 and 3 820 / 640; before an unchanged duty re-sent its last
 /// summary, 1 500 / 640 and 4 060 / 640; before a refresh re-sent its
@@ -227,9 +232,8 @@ fn no_allocation_per_message_or_timer() {
 
 /// The same on the idle sharded campus, the benchmark's
 /// `registry_mixed` configuration (result cache on): no event allocates.
-/// A gossip round re-sends each replicated shard's digest as it was last
-/// built — nothing in the shard changed — and a refresh re-sends its last
-/// publication. Debug builds add [`RESEND_CHECK_ALLOCS`] per `Counter`
+/// A gossip round shares each replicated shard's digest as kept, and a
+/// refresh re-sends its last publication. Debug builds add [`RESEND_CHECK_ALLOCS`] per `Counter`
 /// holder's maintenance tick (its re-sent publication recomputed) and
 /// [`SUMMARY_CHECK_ALLOCS`] per re-sent summary. (Every gossip round
 /// rebuilt every digest before: 1 320 allocations per 640 node-periods.)
@@ -276,6 +280,54 @@ fn no_allocation_per_message_or_timer_when_sharded() {
     println!("no allocation for {msgs} messages ({digests} digests) and {silent_ticks} silent ticks");
     assert!(digests > 0, "the window must contain gossip digests");
     assert!(silent_ticks > 0, "the window must contain timer ticks that send nothing");
+}
+
+/// A replica's gossip round after an entry of its shard changed: a spawn
+/// of `Counter` on host 0 advances host 0's generation for it, and its
+/// publishes reach the shard's replicas, each of which edits its kept
+/// digest in place. The next `ShardMaintain` tick of a replica that holds
+/// no `Counter` (so it re-sends no publication) then allocates nothing:
+/// it shares the digest as kept. (It rebuilt the whole digest before, one
+/// vector and one shared slice.)
+#[test]
+fn a_changed_shard_gossips_without_rebuilding() {
+    const HOLDER: HostId = HostId(0);
+    let registry = RegistryConfig::Sharded(ShardConfig::default());
+    let mut world = campus(registry, Some(CacheConfig::default()));
+    world.sim.run_until(SimTime::from_secs(7));
+    let ring = world.record.ring.clone().expect("a sharded world carries its ring");
+    let shard = ring.shard_of_component("Counter");
+    let replica = (ring.replicas(shard).iter().copied())
+        .find(|h| h.0 % 8 != 0)
+        .expect("a replica of Counter's shard holds no Counter");
+    let running = |world: &World| {
+        let store = world.node(replica).expect("no crashes").backend().shard().expect("sharded");
+        let query = ComponentQuery::by_name("Counter", Version::new(1, 0));
+        let offers = store.lookup(shard, &query).expect("a replica answers");
+        offers.iter().any(|o| o.node == HOLDER && o.running_instance.is_some())
+    };
+    let rounds = |world: &World| {
+        let node = world.node(replica).expect("no crashes");
+        node.backend().shard().map_or(0, ShardStore::gossip_rounds)
+    };
+
+    assert!(!running(&world), "no instance of Counter yet");
+    let sink: lc_core::SpawnSink = Rc::default();
+    let cmd = NodeCmd::SpawnLocal {
+        component: "Counter".into(),
+        min_version: Version::new(1, 0),
+        instance_name: None,
+        sink: sink.clone(),
+    };
+    world.cmd(HOLDER, cmd);
+    while !running(&world) {
+        assert!(world.sim.step(), "the campus never drains");
+    }
+    assert!(sink.borrow().as_ref().is_some_and(Result::is_ok), "the spawn succeeded");
+    let before = rounds(&world);
+    let allocs = step_until_counting(&mut world, |w| rounds(w) > before);
+    println!("the first gossip round of a changed replica: {allocs} allocation(s)");
+    assert_eq!(allocs, 0, "a replica's round after a change shares its kept digest");
 }
 
 /// A query's hops through the MRM seats allocate nothing. `Counter` sits
@@ -499,7 +551,24 @@ const REMOTE_INVOKE_RECOVERABLE_BUDGET: f64 = 2.54;
 
 const INVOKES: u64 = 2_000;
 
-fn remote_invoke_allocs(invoke: InvokePolicy) -> f64 {
+/// Heap bytes one segment of [`INVOKES`] remote invokes holds at its
+/// height, above what the converged, warmed-up `invoke_open` world holds
+/// before it (the segment's arrivals already scheduled): the calls in
+/// flight — commands, call-table entries, frames, admission queue and
+/// dedup state — at 4 000 invokes/s, in release and debug builds alike.
+/// The measured 57 920. VmHWM (`invoke_open`'s `peak_rss_mb`) follows where
+/// the allocator places the heap; this is the figure a memory claim on
+/// the invoke path cites.
+const PEAK_INVOKE_SEGMENT_BYTES: i64 = 57_920;
+
+/// One measured segment of the `invoke_open` world: allocator calls per
+/// invoke, and the peak heap bytes the segment held above its start.
+struct InvokeSegment {
+    allocs_per_invoke: f64,
+    peak_bytes: i64,
+}
+
+fn remote_invoke_segment(invoke: InvokePolicy) -> InvokeSegment {
     let config = NodeConfig {
         cohesion: fast_cohesion(),
         invoke,
@@ -537,7 +606,7 @@ fn remote_invoke_allocs(invoke: InvokePolicy) -> f64 {
     // harness's own arrival boxes stay out of it.
     let drain = SimTime::from_millis(300);
     let mut end = start;
-    let mut before = 0;
+    let (mut before, mut live_before) = (0, 0);
     for (batch, measured) in [(0, false), (1, true)] {
         for a in arrivals.by_ref().take(INVOKES as usize) {
             let driver = drivers[(a.index % FRONTS.len() as u64) as usize];
@@ -545,29 +614,31 @@ fn remote_invoke_allocs(invoke: InvokePolicy) -> f64 {
             world.sim.send_in(end.saturating_sub(world.sim.now()), driver, DriverArrival(a));
         }
         if measured {
-            before = allocs();
+            (before, live_before) = (allocs(), live_bytes());
+            reset_peak_live_bytes();
         }
         // Past the deadline, so every call of the batch has resolved.
         world.sim.run_until(end + drain);
     }
     let total = allocs() - before;
+    let peak_bytes = peak_live_bytes() - live_before;
     let ok: u64 = drivers
         .iter()
         .map(|&d| world.sim.actor_as_mut::<LoadDriver>(d).expect("driver").stats().ok)
         .sum();
     assert_eq!(ok, 2 * INVOKES, "at 0.8 × the knee every call is answered");
-    println!("{total} allocations for {INVOKES} remote invokes");
-    total as f64 / INVOKES as f64
+    println!("{total} allocations and a peak of {peak_bytes} bytes for {INVOKES} remote invokes");
+    InvokeSegment { allocs_per_invoke: total as f64 / INVOKES as f64, peak_bytes }
+}
+
+/// The `invoke_open` policy: a 250 ms deadline, no retries.
+fn plain_invoke() -> InvokePolicy {
+    InvokePolicy { deadline: Some(SimTime::from_millis(250)), retries: 0, ..InvokePolicy::default() }
 }
 
 #[test]
 fn remote_invoke_allocations_are_pinned() {
-    let plain = InvokePolicy {
-        deadline: Some(SimTime::from_millis(250)),
-        retries: 0,
-        ..InvokePolicy::default()
-    };
-    let measured = remote_invoke_allocs(plain);
+    let measured = remote_invoke_segment(plain_invoke()).allocs_per_invoke;
     assert!(
         measured <= REMOTE_INVOKE_BUDGET,
         "{measured:.3} allocations per remote invoke exceed the budget of {REMOTE_INVOKE_BUDGET}"
@@ -576,12 +647,18 @@ fn remote_invoke_allocations_are_pinned() {
 
 #[test]
 fn recoverable_remote_invoke_allocations_are_pinned() {
-    let measured = remote_invoke_allocs(InvokePolicy::standard());
+    let measured = remote_invoke_segment(InvokePolicy::standard()).allocs_per_invoke;
     assert!(
         measured <= REMOTE_INVOKE_RECOVERABLE_BUDGET,
         "{measured:.3} allocations per recoverable remote invoke exceed the budget of \
          {REMOTE_INVOKE_RECOVERABLE_BUDGET}"
     );
+}
+
+#[test]
+fn in_flight_invoke_bytes_are_pinned() {
+    let peak = remote_invoke_segment(plain_invoke()).peak_bytes;
+    assert_eq!(peak, PEAK_INVOKE_SEGMENT_BYTES, "peak bytes of an invoke segment moved");
 }
 
 /// What one 10⁵-node hierarchical `run_scale` asks the allocator for, in
