@@ -103,12 +103,10 @@ identical BENCH_e15 e15
 # Open-loop capacity (E16) against BENCH_e16.json (headline knee
 # included). The run itself exits non-zero when the overload gates
 # fail: post-knee goodput with shedding >= 80% of the knee while the
-# no-shedding baseline collapses below 50%, and hot-replication lifts
-# capacity >= 1.3x with at least one replica spawned.
+# no-shedding baseline collapses below 50%, hot-replication lifts
+# capacity >= 1.3x with at least one replica spawned, and the headline
+# knee stays at or above 5000 op/s (the worker's theoretical draw rate).
 identical BENCH_e16 e16
-# Knee-regression gate on the committed artefact: the headline capacity
-# may not drift below 5000 op/s (the worker's theoretical draw rate).
-awk '/"headline_knee_goodput_per_sec"/{g=$2+0; exit} END{if (g < 5000) {print "e16: committed knee goodput " g " < 5000 op/s"; exit 1}}' BENCH_e16.json
 
 # The benchmark is a stand-alone crate over the workspace's public API:
 # build it against this tree and run its seconds-long self-check, so an

@@ -16,8 +16,9 @@
 //!
 //! The *knee* of the goodput-vs-offered-load curve is the headline
 //! capacity number. Past the knee the shed variant must retain most of
-//! its peak goodput while the noshed variant collapses (both gated by
-//! the binary and ci.sh). A final scenario turns on hot-component
+//! its peak goodput while the noshed variant collapses, and the
+//! headline knee may not fall below the worker's draw rate (all gated
+//! by the binary, so by ci.sh and the crate's tests). A final scenario turns on hot-component
 //! replication: when the worker saturates, it asks its group MRM for a
 //! placement and spawns a replica; drivers re-query the registry and
 //! spread zipf-keyed traffic over the replica set, lifting goodput past
@@ -59,6 +60,10 @@ const USERS: u64 = 1_000_000;
 const REQUERY: SimTime = SimTime::from_millis(100);
 /// Offered load of the replication scenario (≈1.8x one worker).
 const REPLICATION_RATE: f64 = 9_000.0;
+/// The headline (steady) knee's goodput floor: the worker's theoretical
+/// draw rate (≈ 5 000 draws/s at 200 µs/draw), below which capacity
+/// has regressed.
+const KNEE_FLOOR: f64 = 5_000.0;
 
 fn shapes() -> [ArrivalShape; 3] {
     [
@@ -354,7 +359,8 @@ fn render_json(curves: &[ShapeCurve], rep: &ReplicationResult, gates_ok: bool) -
 }
 
 /// Run the full sweep (the committed-artefact configuration). Fails
-/// when an overload-control gate (retention, replication) does not hold.
+/// when an overload-control gate (retention, replication) or the
+/// headline capacity floor does not hold.
 pub fn run() -> Output {
     let seed = SEED;
     let curves: Vec<ShapeCurve> =
@@ -364,6 +370,7 @@ pub fn run() -> Output {
     // Overload-control gates. Retention gates need a post-knee point,
     // so they only bind when the sweep reaches 1.5x the knee.
     let mut gates_ok = rep.gain >= 1.3 && rep.replicas >= 1;
+    gates_ok &= curves[0].knee_goodput >= KNEE_FLOOR;
     for c in &curves {
         let last_offered = c.points.last().map_or(0.0, |p| p.shed.offered_per_sec);
         if last_offered >= c.knee_offered * 1.5 {

@@ -44,12 +44,7 @@ impl NodeState {
         };
         match merged {
             Ok(None) => {}
-            Ok(Some(merged)) => {
-                self.idl = Arc::new(merged);
-                if let Some(container) = &mut self.container {
-                    container.adapter.set_repo(Arc::clone(&self.idl));
-                }
-            }
+            Ok(Some(merged)) => self.idl = Arc::new(merged),
             Err(e) => {
                 self.repository.remove(&name, version);
                 return Err(e);

@@ -8,13 +8,13 @@ use crate::registry::{Connection, InstanceId, InstanceInfo, InstancePort};
 use lc_des::{Counter, Series, SimTime};
 use lc_net::{DropReason, HostId};
 use lc_orb::{
-    DispatchOpts, DispatchResult, Name, ObjectAdapter, ObjectKey, ObjectRef, OrbError, OrbWire,
-    Outcome, RequestId, Value,
+    DispatchEnv, DispatchOpts, DispatchResult, Name, ObjectAdapter, ObjectKey, ObjectRef,
+    OrbError, OrbWire, Outcome, RequestId, Value,
 };
 use lc_pkg::Version;
 use lc_trace::Tracer;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
+use std::ops::{Deref, DerefMut};
 
 use super::continuations::{
     CallCont, Continuations, FetchCont, PendingCall, PendingMigration, ReplyCache, RetryState,
@@ -35,23 +35,17 @@ const BACKOFF_CAP: SimTime = SimTime::from_secs(1);
 /// (consumer servant, delivery operation).
 pub(crate) type EventChannel = (String, Vec<(ObjectKey, String)>);
 
-/// Per-instance runtime bookkeeping the registry does not hold.
-pub(crate) struct InstanceRuntime {
-    pub qos: lc_pkg::QosSpec,
-    pub mobility: lc_pkg::Mobility,
-}
-
 /// The container runtime's state: everything only a node that holds a
 /// component, or calls, spawns, fetches or migrates an instance, touches.
 /// A node makes it with its first install or on first use
 /// ([`NodeState::container`]); until then (for a node that only reports,
 /// routes and searches, most of a campus) it is one empty pointer, and
-/// every accessor answers as this state does when empty.
+/// every accessor answers as this state does when empty. What an
+/// instance is (component, version, ports) is the registry's; what it
+/// reserved and whether it may move is its installed descriptor's.
 pub(crate) struct Container {
     /// The servant table every local dispatch goes through.
     pub(crate) adapter: ObjectAdapter,
-    pub(crate) instance_meta: BTreeMap<InstanceId, InstanceRuntime>,
-    pub(crate) oid_to_instance: BTreeMap<u64, InstanceId>,
     /// Event subscriptions: (producer oid, port) → (event id, subscribers).
     pub(crate) subs: BTreeMap<(u64, String), EventChannel>,
     /// Requests to migrated-away instances are forwarded here.
@@ -85,18 +79,11 @@ pub(crate) struct Container {
 
 impl Container {
     /// The state in `slot`, made there first if it is empty: an empty
-    /// adapter for `host` over `idl`, tracing through `tracer`.
-    pub(crate) fn made<'a>(
-        slot: &'a mut Option<Box<Container>>,
-        host: HostId,
-        idl: &Arc<lc_idl::Repository>,
-        tracer: &Tracer,
-    ) -> &'a mut Container {
+    /// adapter for `host`.
+    pub(crate) fn made(slot: &mut Option<Box<Container>>, host: HostId) -> &mut Container {
         slot.get_or_insert_with(|| {
             Box::new(Container {
-                adapter: ObjectAdapter::new(host, Arc::clone(idl), tracer.clone()),
-                instance_meta: BTreeMap::new(),
-                oid_to_instance: BTreeMap::new(),
+                adapter: ObjectAdapter::new(host),
                 subs: BTreeMap::new(),
                 forwards: BTreeMap::new(),
                 due_replies: VecDeque::new(),
@@ -110,20 +97,6 @@ impl Container {
                 replies: ReplyCache::default(),
             })
         })
-    }
-
-    /// Run `op` on the local servant at `key`, exposing virtual time
-    /// `now` to it.
-    pub(crate) fn dispatch(
-        &mut self,
-        now: SimTime,
-        key: ObjectKey,
-        op: &str,
-        args: &[Value],
-        opts: DispatchOpts,
-    ) -> DispatchResult {
-        self.adapter.set_clock(now);
-        self.adapter.invoke(key, op, args, opts)
     }
 
     /// Pending spawns, calls, fetches and migrations.
@@ -140,7 +113,53 @@ impl Container {
     }
 }
 
+/// The container runtime's state beside what its dispatches read of the
+/// node: the node's interface repository and the world's tracer. What
+/// [`NodeState::container`] hands out; it reads as the [`Container`].
+pub(crate) struct ContainerMut<'a> {
+    container: &'a mut Container,
+    idl: &'a lc_idl::Repository,
+    tracer: &'a Tracer,
+}
+
+impl ContainerMut<'_> {
+    /// Run `op` on the local servant at `key`, exposing virtual time
+    /// `now` to it.
+    pub(crate) fn dispatch(
+        &mut self,
+        now: SimTime,
+        key: ObjectKey,
+        op: &str,
+        args: &[Value],
+        opts: DispatchOpts,
+    ) -> DispatchResult {
+        let env = DispatchEnv { repo: self.idl, now, tracer: Some(self.tracer) };
+        self.container.adapter.invoke(env, key, op, args, opts)
+    }
+}
+
+impl Deref for ContainerMut<'_> {
+    type Target = Container;
+    fn deref(&self) -> &Container {
+        self.container
+    }
+}
+
+impl DerefMut for ContainerMut<'_> {
+    fn deref_mut(&mut self) -> &mut Container {
+        self.container
+    }
+}
+
 impl NodeState {
+    /// The container runtime's state, made here if the node has none
+    /// yet, beside the node's interface repository as it stands and the
+    /// world's tracer.
+    pub(crate) fn container(&mut self) -> ContainerMut<'_> {
+        let NodeState { container, host, idl, world, .. } = self;
+        ContainerMut { container: Container::made(container, *host), idl, tracer: &world.tracer }
+    }
+
     /// Create a local instance of an installed component, read in place
     /// from the repository.
     pub fn spawn_local(
@@ -149,8 +168,7 @@ impl NodeState {
         min_version: Version,
         instance_name: Option<String>,
     ) -> Result<ObjectRef, String> {
-        let NodeState { host, repository, resources, world, registry, container, idl, tracer, .. } =
-            self;
+        let NodeState { host, repository, resources, world, registry, container, idl, .. } = self;
         let installed = repository
             .best_match(component, min_version)
             .ok_or_else(|| format!("component '{component}' (≥{min_version}) not installed"))?;
@@ -162,8 +180,7 @@ impl NodeState {
             resources.release(&desc.qos);
             return Err(format!("behavior '{}' not loadable", installed.behavior_id));
         };
-        let container = Container::made(container, *host, idl, tracer);
-        let objref = container.adapter.activate(servant);
+        let objref = Container::made(container, *host).adapter.activate(idl, servant);
         let id = registry.next_id();
         let port = |p: &lc_pkg::PortDecl| InstancePort {
             name: p.name.clone(),
@@ -184,24 +201,21 @@ impl NodeState {
             emits: desc.emits.iter().map(evport).collect(),
             consumes: desc.consumes.iter().map(evport).collect(),
         });
-        container
-            .instance_meta
-            .insert(id, InstanceRuntime { qos: desc.qos, mobility: desc.mobility });
-        container.oid_to_instance.insert(objref.key.oid, id);
         Ok(objref)
     }
 
-    /// Destroy a local instance, releasing its resources.
+    /// Destroy a local instance, releasing the resources its installed
+    /// descriptor reserved (an install never changes the descriptor of
+    /// an installed `(name, version)`).
     pub fn destroy_instance(&mut self, id: InstanceId) -> bool {
         let Some(info) = self.registry.remove_instance(id) else { return false };
         let oid = info.objref.key.oid;
-        let container = self.container();
+        let mut container = self.container();
         container.adapter.deactivate(oid);
-        container.oid_to_instance.remove(&oid);
         // Drop event channels rooted at this instance.
         container.subs.retain(|(producer, _), _| *producer != oid);
-        if let Some(meta) = container.instance_meta.remove(&id) {
-            self.resources.release(&meta.qos);
+        if let Some(installed) = self.repository.get(&info.component, info.version) {
+            self.resources.release(&installed.descriptor.qos);
         }
         true
     }
@@ -294,7 +308,7 @@ impl NodeCtx<'_, '_> {
         // it ends when the reply lands or the call fails permanently.
         // Untraced calls (every call while tracing is off) build no span
         // name.
-        let tracer = &self.state.tracer;
+        let tracer = &self.state.world.tracer;
         let span = tracer.is_enabled().then(|| format!("container.call {op}")).and_then(|name| {
             let s = tracer.span(self.state.host.0, &name, self.now())?;
             tracer.set_attr(s, "target", target.host.0);
@@ -308,7 +322,7 @@ impl NodeCtx<'_, '_> {
                     ctx.state.container().calls.insert(rid, call);
                 }
                 Err(e) => {
-                    ctx.state.tracer.end_with(span, ctx.now(), Some("send"));
+                    ctx.state.world.tracer.end_with(span, ctx.now(), Some("send"));
                     ctx.fail_call(cont, OrbError::from(e));
                 }
             },
@@ -375,7 +389,7 @@ impl NodeCtx<'_, '_> {
             let can_retry = pc.retry.as_ref().is_some_and(|r| r.attempts < 1 + retries);
             if !can_retry {
                 self.sim.metrics().incr(Counter::OrbCallTimeouts);
-                self.state.tracer.end_with(pc.span, now, Some("timeout"));
+                self.state.world.tracer.end_with(pc.span, now, Some("timeout"));
                 self.fail_call(pc.cont, OrbError::Timeout);
                 continue;
             }
@@ -394,7 +408,9 @@ impl NodeCtx<'_, '_> {
     /// A scheduled re-send is due: if the call is still pending, re-send
     /// it under the *same* request id.
     pub(crate) fn retry_call(&mut self, rid: RequestId) {
-        let Some(pc) = self.state.container().calls.get_mut(&rid) else { return };
+        let Some(pc) = self.state.container.as_mut().and_then(|c| c.calls.get_mut(&rid)) else {
+            return;
+        };
         let Some(retry) = pc.retry.as_mut() else { return };
         retry.attempts += 1;
         let attempts = retry.attempts;
@@ -404,7 +420,7 @@ impl NodeCtx<'_, '_> {
         // The re-send runs under a fresh span nested in the call, with
         // an explicit *link* back to it marking the retry relationship.
         let now = self.now();
-        let tracer = self.state.tracer.clone();
+        let tracer = self.state.world.tracer.clone();
         let rspan = tracer.retry(self.state.host.0, "container.retry", original, now);
         if let Some(r) = rspan {
             tracer.set_attr(r, "attempt", attempts);
@@ -512,7 +528,7 @@ impl NodeCtx<'_, '_> {
         // answered from the cache — the servant executes exactly once.
         let dedup = self.state.world.config.invoke.dedup_window;
         if dedup > SimTime::ZERO {
-            let cached = self.state.container().replies.get(&id);
+            let cached = self.state.container.as_ref().and_then(|c| c.replies.get(&id));
             if let (Some(back), Some(cached)) = (reply_to, cached) {
                 let cached = cached.clone();
                 self.sim.metrics().incr(Counter::OrbDedupHits);
@@ -605,7 +621,7 @@ impl NodeCtx<'_, '_> {
     /// A push-channel event arrived for a local consumer.
     pub(crate) fn on_event(&mut self, payload: Value, consumer: ObjectKey, delivery_op: &str) {
         let now = self.sim.now();
-        let container = self.state.container();
+        let mut container = self.state.container();
         let res = container.dispatch(now, consumer, delivery_op, &[payload], DispatchOpts::raw());
         self.process_dispatch_effects(consumer.oid, res);
     }
@@ -619,7 +635,7 @@ impl NodeCtx<'_, '_> {
             }
             Some(PendingCall { cont, span, .. }) => {
                 let error = result.is_err().then_some("reply");
-                self.state.tracer.end_with(span, self.sim.now(), error);
+                self.state.world.tracer.end_with(span, self.sim.now(), error);
                 match cont {
                     CallCont::Sink(sink) => push_reply(&sink, self.sim.now(), result),
                     CallCont::ToInstance { oid, token } => {
@@ -705,7 +721,7 @@ impl NodeCtx<'_, '_> {
             _ => Value::Void,
         };
         let rid = self.state.conts.next_seq();
-        let tracer = &self.state.tracer;
+        let tracer = &self.state.world.tracer;
         let span = tracer.span(self.state.host.0, "container.migrate", self.now());
         if let Some(s) = span {
             tracer.set_attr(s, "component", &info.component);
@@ -810,10 +826,8 @@ impl NodeCtx<'_, '_> {
         // Find the event type from the producer instance's ports.
         let event_id = self
             .state
-            .container
-            .as_ref()
-            .and_then(|c| c.oid_to_instance.get(&producer.oid))
-            .and_then(|iid| self.state.registry.instance(*iid))
+            .registry
+            .by_oid(producer.oid)
             .and_then(|info| info.emits.iter().find(|p| p.name == port).map(|p| p.type_id.clone()));
         match event_id {
             Some(event_id) => {
@@ -867,7 +881,7 @@ impl NodeCtx<'_, '_> {
             return;
         };
         let error = result.is_err().then_some("migrate");
-        self.state.tracer.end_with(pm.span, self.sim.now(), error);
+        self.state.world.tracer.end_with(pm.span, self.sim.now(), error);
         match &result {
             Ok(new_ref) => {
                 // Passivate and remove the old instance; forward late

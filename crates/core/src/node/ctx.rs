@@ -28,7 +28,7 @@ use super::container::Container;
 use super::continuations::ContTable;
 use super::metrics::NodeMetrics;
 use super::service::{handle_ctrl, Tick};
-use super::{RegistryConfig, WorldRecord};
+use super::WorldRecord;
 
 /// The state shared by all node services (Fig. 1: the node is the
 /// *composition* of the four services over one runtime).
@@ -60,9 +60,6 @@ pub struct NodeState {
     pub(crate) conts: ContTable,
     /// Per-service instrumentation.
     pub(crate) metrics: NodeMetrics,
-    /// Distributed-tracing handle, shared with the fabric (disabled
-    /// unless the fabric was built with one — all no-ops then).
-    pub(crate) tracer: Tracer,
     /// SLO monitor, present only when [`super::NodeConfig::slo`] is set: fed by
     /// every finished query, evaluated on the `Tick::SloCheck` cadence.
     pub(crate) slo: Option<Box<SloMonitor>>,
@@ -83,16 +80,10 @@ impl NodeState {
     /// Build `world`'s state for `host` (no packages installed yet).
     pub(crate) fn new(world: Rc<WorldRecord>, host: HostId) -> Self {
         let cfg = &world.config;
-        let shard = match (&cfg.registry, &world.ring) {
-            (RegistryConfig::Sharded(sc), Some(ring)) => {
-                Some(ShardStore::new(sc, host, Rc::clone(ring)))
-            }
-            _ => None,
-        };
+        let shard = world.ring.as_ref().map(|ring| ShardStore::new(host, Rc::clone(ring)));
         let backend = Registry::new(cfg.cache.as_ref(), shard);
         let duty_state = world.shape.seats_of(host).map(|_| DutyState::default()).collect();
         let host_cfg = world.net.host_cfg(host);
-        let tracer = world.net.tracer();
         let slo = cfg.slo.clone().map(|slo| Box::new(SloMonitor::new(slo)));
         let idl = world.catalog.idl.clone();
         NodeState {
@@ -106,20 +97,11 @@ impl NodeState {
             seat_buffers: Vec::new(),
             conts: ContTable::new(),
             metrics: NodeMetrics::default(),
-            tracer,
             slo,
             container: None,
             cpu_free_at: SimTime::ZERO,
             backend,
         }
-    }
-
-    /// The container runtime's state, made here if the node has none
-    /// yet: the adapter then validates against this node's interface
-    /// repository as it stands and traces through its tracer.
-    pub(crate) fn container(&mut self) -> &mut Container {
-        let NodeState { container, host, idl, tracer, .. } = self;
-        Container::made(container, *host, idl, tracer)
     }
 
     /// The soft-state table of this host's MRM seat at `level`, if it
@@ -141,7 +123,7 @@ impl NodeState {
     /// The tracing handle this node stamps spans through (disabled —
     /// all no-ops — unless the fabric was built with a tracer).
     pub fn tracer(&self) -> &Tracer {
-        &self.tracer
+        &self.world.tracer
     }
 
     /// The SLO monitor, when [`super::NodeConfig::slo`] configured one
@@ -296,7 +278,7 @@ impl NodeCtx<'_, '_> {
         let Some(mon) = &mut self.state.slo else { return };
         for breach in mon.evaluate(now) {
             self.sim.metrics().incr(Counter::SloBreaches);
-            let (flight, dropped) = self.state.tracer.flight_record(self.state.host.0);
+            let (flight, dropped) = self.state.world.tracer.flight_record(self.state.host.0);
             mon.record_breach(breach, flight, dropped);
         }
         let window = mon.window();
@@ -413,9 +395,9 @@ impl NodeCtx<'_, '_> {
         f: impl FnOnce(&mut Self) -> R,
     ) -> R {
         let Some(span) = span else { return f(self) };
-        let prev = self.state.tracer.set_current(Some(span));
+        let prev = self.state.world.tracer.set_current(Some(span));
         let out = f(self);
-        self.state.tracer.set_current(prev);
+        self.state.world.tracer.set_current(prev);
         out
     }
 }

@@ -52,7 +52,7 @@ use crate::registry::{ComponentQuery, InstanceId, Offer};
 use lc_des::{Actor, Ctx, Mail, SimTime};
 use lc_net::{HostId, Net, NetMsg};
 use lc_orb::{Name, ObjectKey, ObjectRef, OrbError, OrbWire, Outcome, SimOrb, Value};
-use lc_trace::TraceContext;
+use lc_trace::{TraceContext, Tracer};
 use lc_pkg::{TrustStore, Version};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -536,6 +536,10 @@ pub struct WorldRecord {
     /// shape (`Some` exactly when `config.registry` is
     /// [`RegistryConfig::Sharded`]).
     pub ring: Option<Rc<ShardRing>>,
+    /// The fabric's distributed-tracing handle, which every node stamps
+    /// its spans through (disabled unless the fabric was built with a
+    /// tracer: all no-ops then).
+    pub tracer: Tracer,
 }
 
 impl WorldRecord {
@@ -548,7 +552,16 @@ impl WorldRecord {
             RegistryConfig::Sharded(sc) => Some(Rc::new(ShardRing::build(&hosts, &sc.ring()))),
         };
         let orb = SimOrb::new(net.clone());
-        Rc::new(WorldRecord { config, catalog, net, orb, shape, ring })
+        let tracer = net.tracer();
+        Rc::new(WorldRecord { config, catalog, net, orb, shape, ring, tracer })
+    }
+
+    /// The sharded registry's parameters, when it is sharded.
+    pub(crate) fn shard_config(&self) -> Option<&ShardConfig> {
+        match &self.config.registry {
+            RegistryConfig::Sharded(sc) => Some(sc),
+            RegistryConfig::SingleLeader => None,
+        }
     }
 }
 
@@ -650,12 +663,13 @@ impl Node {
         state.metrics.begin(kind, true);
         // Untraced frames (every frame while tracing is off) open no span.
         let span = parent.and_then(|p| {
-            state.tracer.child_of(state.host.0, &format!("node.{}", kind.name()), p, ctx.now())
+            let name = format!("node.{}", kind.name());
+            state.world.tracer.child_of(state.host.0, &name, p, ctx.now())
         });
         NodeCtx { state: &mut *state, sim: &mut *ctx }.in_span(span, |n| {
             handler(n);
             if let Some(span) = span {
-                n.state.tracer.end(span, n.sim.now());
+                n.state.world.tracer.end(span, n.sim.now());
             }
         });
         state.metrics.finish();
@@ -747,9 +761,19 @@ mod tests {
     /// What a node holds inline, in the kernel's box for it: every node
     /// of a world pays it. 1 328 bytes while the container runtime's state
     /// and room for an SLO monitor were inline, 1 624 while the node held
-    /// its own config and trust store.
+    /// its own config and trust store, 712 while it held its own tracer
+    /// handle and its shard store a copy of the shard config.
     #[test]
-    fn node_state_is_712_bytes() {
-        assert_eq!(std::mem::size_of::<super::NodeState>(), 712);
+    fn node_state_is_632_bytes() {
+        assert_eq!(std::mem::size_of::<super::NodeState>(), 632);
+    }
+
+    /// The registry backend, inline in every node: 216 bytes while the
+    /// shard store held its host, a copy of the shard config and its
+    /// shard list beside its slices, and the front a `coalesce` flag
+    /// beside an always-built singleflight table.
+    #[test]
+    fn registry_backend_is_152_bytes() {
+        assert_eq!(std::mem::size_of::<crate::registry::backend::Registry>(), 152);
     }
 }

@@ -7,9 +7,7 @@
 use crate::cohesion::{route_query, Route};
 use crate::deploy::{choose, ResolveAction};
 use crate::proto::{CtrlMsg, DeltaEntry, QueryId};
-use crate::registry::backend::{
-    CoherenceRoute, PublishInputs, ResolveStep, SearchRoute, ShardStore,
-};
+use crate::registry::backend::{CoherenceRoute, PublishInputs, ResolveStep, SearchRoute};
 use crate::registry::{ComponentQuery, InstanceId, Offer};
 use lc_des::Counter;
 use lc_net::HostId;
@@ -75,10 +73,7 @@ impl NodeCtx<'_, '_> {
         let timeout = self.state.world.config.query_timeout;
         // Triage: cache hit, coalesce onto an in-flight identical
         // query, or run a network search.
-        let step = {
-            let NodeState { backend, conts, .. } = &mut *self.state;
-            backend.resolve(&query, started, |seq| conts.queries.contains_key(&seq))
-        };
+        let step = self.state.backend.resolve(&query, started);
 
         match step {
             // Cache hit: serve synchronously from the local result cache
@@ -88,7 +83,7 @@ impl NodeCtx<'_, '_> {
                 self.sim.metrics().incr(Counter::CacheHits);
                 let age_us = (age.as_secs_f64() * 1e6) as u64;
                 let attrs: &[(_, &dyn Display)] = &[("hit", &true), ("age_us", &age_us)];
-                self.state.tracer.event(self.state.host.0, "registry.cache", started, attrs);
+                self.state.world.tracer.event(self.state.host.0, "registry.cache", started, attrs);
                 let f = QueryFollower { purpose, started, deadline: started };
                 self.resolve_follower(f, offers, &query, false, Some(age));
             }
@@ -101,9 +96,11 @@ impl NodeCtx<'_, '_> {
                 self.sim.metrics().incr(Counter::QueryStarted);
                 self.sim.metrics().incr(Counter::CacheCoalesced);
                 let attrs: &[(_, &dyn Display)] = &[("coalesced", &true), ("leader_seq", &leader)];
-                self.state.tracer.event(self.state.host.0, "registry.cache", started, attrs);
+                self.state.world.tracer.event(self.state.host.0, "registry.cache", started, attrs);
                 let deadline = started + timeout;
-                if let Some(pq) = self.state.conts.queries.get_mut(&leader) {
+                let pending = self.state.conts.queries.get_mut(&leader);
+                debug_assert!(pending.is_some(), "a singleflight leader is a pending query");
+                if let Some(pq) = pending {
                     pq.followers.push(QueryFollower { purpose, started, deadline });
                 }
                 // The follower's own deadline needs a sweep tick even if
@@ -139,7 +136,7 @@ impl NodeCtx<'_, '_> {
                 // search fans out — MRM hops, member queries, shard
                 // lookups, offer replies — parents under this span until
                 // finalization ends it.
-                let tracer = self.state.tracer.clone();
+                let tracer = self.state.world.tracer.clone();
                 let span = tracer.span(self.state.host.0, "registry.query", started);
                 if let Some(s) = span {
                     if let Some(name) = &query.name {
@@ -215,7 +212,7 @@ impl NodeCtx<'_, '_> {
         let Some(store) = self.state.backend.shard() else { return };
         let offers = store.lookup(shard, query).unwrap_or_default();
         let attrs: &[(_, &dyn Display)] = &[("shard", &shard), ("offers", &offers.len())];
-        self.state.tracer.event(self.state.host.0, "registry.shard_serve", now, attrs);
+        self.state.world.tracer.event(self.state.host.0, "registry.shard_serve", now, attrs);
         self.send_offers(qid, offers, true);
     }
 
@@ -224,9 +221,8 @@ impl NodeCtx<'_, '_> {
     /// had no runtime to publish through) and exchange gossip digests
     /// with peer replicas, then re-arm the cadence.
     pub(crate) fn shard_maintain(&mut self) {
-        let Some(period) = self.state.backend.shard().map(ShardStore::gossip_period) else {
-            return;
-        };
+        let world = Rc::clone(&self.state.world);
+        let Some(sc) = world.shard_config() else { return };
         // The repository's name snapshot is sorted, one entry per
         // installed version: a component is the head of each equal run.
         let names = Rc::clone(self.state.repository.names());
@@ -238,9 +234,9 @@ impl NodeCtx<'_, '_> {
         let now = self.sim.now();
         let from = self.state.host;
         let Some(store) = self.state.backend.shard_mut() else { return };
-        store.begin_gossip(now);
+        store.begin_gossip(now, sc.publish_ttl);
         for i in 0.. {
-            let Some(store) = self.state.backend.shard_mut() else { return };
+            let Some(store) = self.state.backend.shard() else { return };
             let Some((shard, gens)) = store.digest(i) else { break };
             let replicas = Rc::clone(store.ring().replicas(shard));
             let msg = CtrlMsg::GossipDigest { from, shard, gens };
@@ -248,7 +244,7 @@ impl NodeCtx<'_, '_> {
                 self.send_if_reachable(to, &msg);
             }
         }
-        self.timer_in(period, Tick::ShardMaintain);
+        self.timer_in(sc.gossip_period, Tick::ShardMaintain);
     }
 
     /// MRM query routing (§2.4.3: incremental resource lookup): the
@@ -336,8 +332,9 @@ impl NodeCtx<'_, '_> {
         gens: &[(Name, HostId, u64)],
     ) {
         let now = self.sim.now();
+        let Some(ttl) = self.state.world.shard_config().map(|sc| sc.publish_ttl) else { return };
         let Some(store) = self.state.backend.shard_mut() else { return };
-        let entries = store.on_gossip_digest(shard, gens, now);
+        let entries = store.on_gossip_digest(shard, gens, now, ttl);
         if !entries.is_empty() {
             self.send_ctrl(from, CtrlMsg::GossipDelta { shard, entries });
         }
@@ -418,7 +415,7 @@ impl NodeCtx<'_, '_> {
         self.state.backend.complete(&pq.query, &pq.offers, now, !timed_out);
         let followers = std::mem::take(&mut pq.followers);
         let fan = (!followers.is_empty()).then(|| pq.offers.clone());
-        let tracer = self.state.tracer.clone();
+        let tracer = self.state.world.tracer.clone();
         let span = pq.span;
         if let Some(s) = span {
             tracer.set_attr(s, "offers", pq.offers.len());
@@ -483,7 +480,7 @@ impl NodeCtx<'_, '_> {
         let now = self.sim.now();
         self.sim.metrics().incr(Counter::AdmissionQueryShed);
         self.state.backend.complete(&pq.query, &pq.offers, now, false);
-        let tracer = self.state.tracer.clone();
+        let tracer = self.state.world.tracer.clone();
         if let Some(s) = pq.span {
             tracer.set_attr(s, "shed", "true");
             tracer.end(s, now);
@@ -592,7 +589,7 @@ impl NodeCtx<'_, '_> {
                 let qid = QueryId { origin: self.state.host, seq };
                 // The re-issue runs under a fresh span that *links*
                 // to the query root (retry, not a parent edge).
-                let tracer = self.state.tracer.clone();
+                let tracer = self.state.world.tracer.clone();
                 let retry = tracer.retry(self.state.host.0, "registry.query.retry", original, now);
                 self.in_span(retry, |ctx| {
                     ctx.issue_search(qid, query);
@@ -668,4 +665,64 @@ pub(crate) fn reflect(state: &NodeState) -> ServiceReflect {
         items.push(item("shard entries", store.entries()));
     }
     ServiceReflect { kind: ServiceKind::Registry, items }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::demo;
+    use crate::node::{AdmissionConfig, CacheConfig, Node, NodeConfig};
+    use crate::registry::ComponentQuery;
+    use crate::testkit::{fast_cohesion, World};
+    use lc_des::SimTime;
+    use lc_net::{FaultPlan, LinkFaults, Net, Topology};
+    use lc_pkg::Version;
+
+    /// Every way out of the pending-query table closes the query's
+    /// singleflight window, so the table in front of the searches names
+    /// exactly the pending queries, each under its own sequence: under
+    /// random queries (first-wins or collecting, found or not), message
+    /// loss that times searches out and retries them, and admission
+    /// caps that shed the oldest.
+    #[test]
+    fn the_coalescer_names_exactly_the_pending_leaders() {
+        const NAMES: [&str; 2] = ["Counter", "Missing"];
+        lc_prop::check("coalescer = pending leaders", |g| {
+            let loss = *g.pick(&[0.0, 0.2, 0.6]);
+            let plan = FaultPlan::seeded(g.any_u64()).default_link(LinkFaults::none().drop_p(loss));
+            let net = Net::builder(Topology::campus(2, 3)).fault_plan(plan).build();
+            let cap = g.gen_range(0..4usize);
+            let config = NodeConfig {
+                cohesion: fast_cohesion(),
+                query_timeout: SimTime::from_millis(g.gen_range(50..400u64)),
+                query_retries: g.gen_range(0..2u32),
+                cache: Some(CacheConfig::default()),
+                admission: (cap > 0)
+                    .then(|| AdmissionConfig { query_queue_cap: cap, ..Default::default() }),
+                ..Default::default()
+            };
+            let hosts = net.host_ids();
+            let mut world = World::on(net, g.any_u64(), config, demo::catalog(), |h| {
+                if h.0 % 2 == 0 { vec![demo::counter_package()] } else { Vec::new() }
+            });
+            world.run_for(SimTime::from_secs(1));
+            for _ in 0..g.gen_range(1..24usize) {
+                let (origin, name) = (*g.pick(&hosts), *g.pick(&NAMES));
+                let query = ComponentQuery::by_name(name, Version::new(1, 0));
+                world.query(origin, query, g.gen_bool());
+                world.run_for(SimTime::from_millis(g.gen_range(0..150u64)));
+                for &h in &hosts {
+                    let actor = world.net.actor_of(h);
+                    let node = world.sim.actor_as_mut::<Node>(actor).expect("nothing crashes");
+                    // Every query asked is one of `NAMES`, so this covers
+                    // the table: a stale leader shows as a name's entry.
+                    for name in NAMES {
+                        let query = ComponentQuery::by_name(name, Version::new(1, 0));
+                        let seq = (node.conts.queries.iter_mut())
+                            .find_map(|(&seq, pq)| (*pq.query == query).then_some(seq));
+                        assert_eq!(node.backend.leader(&query), seq, "{h:?}: {name}'s leader");
+                    }
+                }
+            }
+        });
+    }
 }

@@ -7,7 +7,7 @@
 use crate::proto::CtrlMsg;
 use lc_des::{Counter, SimTime};
 use lc_net::HostId;
-use crate::registry::InstanceId;
+use crate::registry::{InstanceId, InstanceInfo};
 use std::rc::Rc;
 
 use super::ctx::{NodeCtx, NodeState};
@@ -26,13 +26,18 @@ impl NodeState {
         (scaled, done)
     }
 
+    /// The installed descriptor of a running instance.
+    fn descriptor_of(&self, info: &InstanceInfo) -> Option<&lc_pkg::ComponentDescriptor> {
+        self.repository.get(&info.component, info.version).map(|i| &i.descriptor)
+    }
+
     /// The heaviest *mobile* local instance (migration candidate).
     pub(crate) fn heaviest_mobile_instance(&self) -> Option<(InstanceId, f64)> {
-        self.container
-            .iter()
-            .flat_map(|c| c.instance_meta.iter())
-            .filter(|(_, m)| m.mobility == lc_pkg::Mobility::Mobile)
-            .map(|(id, m)| (*id, m.qos.cpu_min))
+        self.registry
+            .instances()
+            .filter_map(|info| Some((info.id, self.descriptor_of(info)?)))
+            .filter(|(_, desc)| desc.mobility == lc_pkg::Mobility::Mobile)
+            .map(|(id, desc)| (id, desc.qos.cpu_min))
             .max_by(|a, b| a.1.total_cmp(&b.1))
     }
 
@@ -125,9 +130,8 @@ impl NodeCtx<'_, '_> {
             .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(a.0)))
             .map(|(oid, _)| *oid)
             .unwrap_or(shed_oid);
-        let Some(iid) = container.oid_to_instance.get(&hot_oid).copied() else { return };
-        let cpu_needed = container.instance_meta.get(&iid).map_or(0.1, |m| m.qos.cpu_min);
-        let Some(info) = self.state.registry.instance(iid) else { return };
+        let Some(info) = self.state.registry.by_oid(hot_oid) else { return };
+        let cpu_needed = self.state.descriptor_of(info).map_or(0.1, |desc| desc.qos.cpu_min);
         let replica = (info.component.to_string(), info.version);
         self.state.container().last_replicate = Some(now);
         self.sim.metrics().incr(Counter::AdmissionReplicaQueries);

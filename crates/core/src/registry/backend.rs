@@ -176,10 +176,12 @@ pub(crate) type Publication = (Name, u64, Rc<[Offer]>);
 
 /// The result cache + singleflight table in front of every search, both
 /// keyed by the search's own shared query and probed by a borrowed one.
+/// The table exists only when [`CacheConfig::coalesce`](crate::node::CacheConfig)
+/// turns coalescing on; it then names exactly the pending searches, each
+/// by its continuation sequence.
 struct CacheFront {
     cache: Option<QueryCache<Rc<ComponentQuery>, Vec<Offer>>>,
-    coalescer: Coalescer<Rc<ComponentQuery>>,
-    coalesce: bool,
+    coalescer: Option<Coalescer<Rc<ComponentQuery>>>,
 }
 
 /// One shard this host replicates: its publisher entries, their
@@ -298,16 +300,14 @@ struct PubEntry {
 /// the publisher entries of the shards this host replicates, and this
 /// host's own last publications. Reached only from the
 /// [`SearchRoute`]/[`CoherenceRoute`] arms and control messages that
-/// name a shard.
+/// name a shard. Its cadences (gossip period, publish TTL) are the
+/// world config's [`ShardConfig`], passed to the calls that read them.
 pub struct ShardStore {
-    host: HostId,
     /// Built once per world (a pure function of the host list and the
     /// ring shape) and shared by every node, respawns included.
     ring: Rc<ShardRing>,
-    cfg: ShardConfig,
-    /// Shards this host replicates.
-    my_shards: Vec<u32>,
-    /// One slice per shard in `my_shards`, empty ones included.
+    /// One slice per shard this host replicates, empty ones included:
+    /// its keys are exactly the shards the ring gives this host.
     store: BTreeMap<u32, ShardSlice>,
     /// This host's publication generations: one monotone counter,
     /// stamped per component on real changes.
@@ -320,14 +320,10 @@ pub struct ShardStore {
 
 impl ShardStore {
     /// An empty store for `host` over the world's ring.
-    pub fn new(cfg: &ShardConfig, host: HostId, ring: Rc<ShardRing>) -> Self {
-        let my_shards = ring.shards_of(host);
+    pub fn new(host: HostId, ring: Rc<ShardRing>) -> Self {
         ShardStore {
-            host,
-            store: my_shards.iter().map(|&s| (s, ShardSlice::default())).collect(),
-            my_shards,
+            store: ring.shards_of(host).into_iter().map(|s| (s, ShardSlice::default())).collect(),
             ring,
-            cfg: cfg.clone(),
             next_gen: 0,
             published: BTreeMap::new(),
             gossip_rounds: 0,
@@ -339,9 +335,8 @@ impl ShardStore {
         &self.ring
     }
 
-    /// Drop entries whose freshness stamp aged past `publish_ttl`.
-    fn expire(&mut self, now: SimTime) {
-        let ttl = self.cfg.publish_ttl;
+    /// Drop entries whose freshness stamp aged past `ttl`.
+    fn expire(&mut self, now: SimTime, ttl: SimTime) {
         for slice in self.store.values_mut() {
             slice.expire(now, ttl);
         }
@@ -350,7 +345,7 @@ impl ShardStore {
     /// Where a name query for `name` goes from this host.
     fn route(&self, name: &str) -> SearchRoute {
         let shard = self.ring.shard_of_component(name);
-        if self.ring.is_replica(shard, self.host) {
+        if self.store.contains_key(&shard) {
             SearchRoute::ShardLocal { shard }
         } else {
             SearchRoute::ShardRemote { shard }
@@ -362,32 +357,28 @@ impl ShardStore {
     /// never reach the store — the router sends them down the hierarchy
     /// — so an offer is checked against the query's other predicates.
     pub fn lookup(&self, shard: u32, query: &ComponentQuery) -> Option<Vec<Offer>> {
-        if !self.ring.is_replica(shard, self.host) {
-            return None;
-        }
+        let by_comp = &self.store.get(&shard)?.entries;
         let mut out: Vec<Offer> = Vec::new();
-        if let Some(by_comp) = self.store.get(&shard).map(|slice| &slice.entries) {
-            let comps = match query.name.as_deref() {
-                Some(name) => {
-                    by_comp.range::<str, _>((Bound::Included(name), Bound::Included(name)))
-                }
-                None => by_comp.range::<str, _>(..),
-            };
-            // Sized once, for every offer held: the answer is one vector.
-            let held = comps.clone().flat_map(|(_, by_pub)| by_pub.values());
-            out.reserve_exact(held.map(|e| e.offers.len()).sum());
-            for (_, by_pub) in comps {
-                for e in by_pub.values() {
-                    for o in e.offers.iter() {
-                        if query.admits(&o.component, o.version, o.cost_per_hour, o.mobility)
-                            && !out.iter().any(|x| {
-                                x.node == o.node
-                                    && x.component == o.component
-                                    && x.version == o.version
-                            })
-                        {
-                            out.push(o.clone());
-                        }
+        let comps = match query.name.as_deref() {
+            Some(name) => {
+                by_comp.range::<str, _>((Bound::Included(name), Bound::Included(name)))
+            }
+            None => by_comp.range::<str, _>(..),
+        };
+        // Sized once, for every offer held: the answer is one vector.
+        let held = comps.clone().flat_map(|(_, by_pub)| by_pub.values());
+        out.reserve_exact(held.map(|e| e.offers.len()).sum());
+        for (_, by_pub) in comps {
+            for e in by_pub.values() {
+                for o in e.offers.iter() {
+                    if query.admits(&o.component, o.version, o.cost_per_hour, o.mobility)
+                        && !out.iter().any(|x| {
+                            x.node == o.node
+                                && x.component == o.component
+                                && x.version == o.version
+                        })
+                    {
+                        out.push(o.clone());
                     }
                 }
             }
@@ -442,44 +433,45 @@ impl ShardStore {
         offers: Rc<[Offer]>,
     ) -> bool {
         let shard = self.ring.shard_of_component(&component);
-        if !self.ring.is_replica(shard, self.host) {
+        let Some(slice) = self.store.get_mut(&shard) else {
             return false; // stale addressing (e.g. ring drift across configs)
-        }
-        self.store.entry(shard).or_default().apply(component, publisher, gen, at, offers)
+        };
+        slice.apply(component, publisher, gen, at, offers)
     }
 
     /// Start an anti-entropy round: expiry-sweep the local shard stores
-    /// and count the round. The round's digests are then read shard by
-    /// shard with [`digest`](Self::digest) and go to every peer replica
-    /// — even when empty, so an empty (respawned) replica still solicits
-    /// repair deltas.
-    pub fn begin_gossip(&mut self, now: SimTime) {
-        self.expire(now);
+    /// (entries older than `ttl` fall) and count the round. The round's
+    /// digests are then read shard by shard with [`digest`](Self::digest)
+    /// and go to every peer replica — even when empty, so an empty
+    /// (respawned) replica still solicits repair deltas.
+    pub fn begin_gossip(&mut self, now: SimTime, ttl: SimTime) {
+        self.expire(now, ttl);
         self.gossip_rounds += 1;
     }
 
     /// The `i`-th shard this host replicates (in shard order) and its
     /// kept digest, shared. `None` past the last shard.
-    pub fn digest(&mut self, i: usize) -> Option<(u32, ShardDigest)> {
-        let shard = *self.my_shards.get(i)?;
-        Some((shard, self.store.entry(shard).or_default().digest()))
+    pub fn digest(&self, i: usize) -> Option<(u32, ShardDigest)> {
+        let (&shard, slice) = self.store.iter().nth(i)?;
+        Some((shard, slice.digest()))
     }
 
     /// Answer a peer's digest for `shard` with every entry this replica
-    /// holds at a strictly newer generation (or that the digest lacks).
-    /// `gens` must be sorted by `(component, publisher)`, as
-    /// [`digest`](Self::digest) hands it out; a repeated pair
-    /// counts at its highest generation.
+    /// holds at a strictly newer generation (or that the digest lacks),
+    /// after dropping entries older than `ttl`. `gens` must be sorted by
+    /// `(component, publisher)`, as [`digest`](Self::digest) hands it
+    /// out; a repeated pair counts at its highest generation.
     pub fn on_gossip_digest(
         &mut self,
         shard: u32,
         gens: &[(Name, HostId, u64)],
         now: SimTime,
+        ttl: SimTime,
     ) -> Vec<DeltaEntry> {
-        if !self.ring.is_replica(shard, self.host) {
+        if !self.store.contains_key(&shard) {
             return Vec::new();
         }
-        self.expire(now);
+        self.expire(now, ttl);
         let Some(by_comp) = self.store.get(&shard).map(|slice| &slice.entries) else {
             return Vec::new();
         };
@@ -515,25 +507,17 @@ impl ShardStore {
 
     /// Apply a peer's repair delta. Returns how many entries advanced.
     pub fn on_gossip_delta(&mut self, shard: u32, entries: Vec<DeltaEntry>) -> usize {
-        if !self.ring.is_replica(shard, self.host) {
-            return 0;
-        }
+        let Some(slice) = self.store.get_mut(&shard) else { return 0 };
         let mut advanced = 0;
         for e in entries {
             if self.ring.shard_of_component(&e.component) != shard {
                 continue;
             }
-            let slice = self.store.entry(shard).or_default();
             if slice.apply(e.component, e.publisher, e.gen, e.at, e.offers) {
                 advanced += 1;
             }
         }
         advanced
-    }
-
-    /// The anti-entropy cadence.
-    pub fn gossip_period(&self) -> SimTime {
-        self.cfg.gossip_period
     }
 
     /// Anti-entropy digest rounds this host has run.
@@ -562,8 +546,7 @@ impl Registry {
     pub fn new(cache: Option<&crate::node::CacheConfig>, shard: Option<ShardStore>) -> Self {
         let front = CacheFront {
             cache: cache.map(|c| QueryCache::new(c.ttl)),
-            coalescer: Coalescer::new(),
-            coalesce: cache.is_some_and(|c| c.coalesce),
+            coalescer: cache.filter(|c| c.coalesce).map(|_| Coalescer::new()),
         };
         Registry { front, shard }
     }
@@ -578,15 +561,11 @@ impl Registry {
         self.shard.as_mut()
     }
 
-    /// Triage a fresh query: cache hit, coalesce onto a live leader
-    /// (`leader_live` says whether a sequence is still pending), or
-    /// search.
-    pub fn resolve(
-        &mut self,
-        query: &ComponentQuery,
-        now: SimTime,
-        leader_live: impl Fn(u64) -> bool,
-    ) -> ResolveStep {
+    /// Triage a fresh query: cache hit, coalesce onto the pending search
+    /// for it, or search. Every search that [`lead`](Self::lead)s is
+    /// [`complete`](Self::complete)d when it leaves the pending table,
+    /// so a leader named here is still pending.
+    pub fn resolve(&mut self, query: &ComponentQuery, now: SimTime) -> ResolveStep {
         let front = &mut self.front;
         let mut cache_missed = false;
         if let Some(cache) = front.cache.as_mut() {
@@ -595,25 +574,25 @@ impl Registry {
             }
             cache_missed = true;
         }
-        if front.coalesce {
-            if let Some(leader) = front.coalescer.leader_of(query) {
-                if leader_live(leader) {
-                    return ResolveStep::Coalesce { leader, cache_missed };
-                }
-                // Stale entry (leader finalized outside the normal
-                // path): clear and lead afresh.
-                front.coalescer.finish(query);
-            }
+        match front.coalescer.as_ref().and_then(|c| c.leader_of(query)) {
+            Some(leader) => ResolveStep::Coalesce { leader, cache_missed },
+            None => ResolveStep::Search { cache_missed },
         }
-        ResolveStep::Search { cache_missed }
     }
 
     /// Register `seq` as the singleflight leader for `query` (no-op when
     /// coalescing is off). The table keeps the search's own query.
     pub fn lead(&mut self, query: &Rc<ComponentQuery>, seq: u64) {
-        if self.front.coalesce {
-            self.front.coalescer.lead(Rc::clone(query), seq);
+        if let Some(coalescer) = &mut self.front.coalescer {
+            coalescer.lead(Rc::clone(query), seq);
         }
+    }
+
+    /// The leader the singleflight table names for `query`, read without
+    /// touching the cache.
+    #[cfg(test)]
+    pub(crate) fn leader(&self, query: &ComponentQuery) -> Option<u64> {
+        self.front.coalescer.as_ref()?.leader_of(query)
     }
 
     /// The search for `query` finished: close the coalescing window and,
@@ -626,7 +605,9 @@ impl Registry {
         now: SimTime,
         cacheable: bool,
     ) {
-        self.front.coalescer.finish(&**query);
+        if let Some(coalescer) = &mut self.front.coalescer {
+            coalescer.finish(&**query);
+        }
         if cacheable && !offers.is_empty() {
             if let Some(cache) = self.front.cache.as_mut() {
                 cache.insert(Rc::clone(query), offers.to_vec(), now);
@@ -676,6 +657,8 @@ mod tests {
     use lc_pkg::{Mobility, Version};
 
     const MS: fn(u64) -> SimTime = SimTime::from_millis;
+    /// [`replica_pair`]'s publish TTL, the default.
+    const TTL: SimTime = SimTime::from_secs(2);
 
     fn hosts(n: u32) -> Vec<HostId> {
         (0..n).map(HostId).collect()
@@ -696,7 +679,7 @@ mod tests {
 
     /// `host`'s shard store over a ring of `n` hosts.
     fn store(cfg: &ShardConfig, host: u32, n: u32) -> ShardStore {
-        ShardStore::new(cfg, HostId(host), Rc::new(ShardRing::build(&hosts(n), &cfg.ring())))
+        ShardStore::new(HostId(host), Rc::new(ShardRing::build(&hosts(n), &cfg.ring())))
     }
 
     /// Two replicas of a two-host ring (replicas=2 → every shard lives
@@ -706,14 +689,18 @@ mod tests {
         (store(&cfg, 0, 2), store(&cfg, 1, 2))
     }
 
-    /// One anti-entropy round of `store`, as the node runs it: every
-    /// digest with the peer replica it goes to.
-    fn digests(store: &mut ShardStore, now: SimTime) -> Vec<(HostId, u32, ShardDigest)> {
-        store.begin_gossip(now);
+    /// One anti-entropy round of `me`'s `store`, as the node runs it:
+    /// every digest with the peer replica it goes to.
+    fn digests(
+        store: &mut ShardStore,
+        me: HostId,
+        now: SimTime,
+    ) -> Vec<(HostId, u32, ShardDigest)> {
+        store.begin_gossip(now, TTL);
         let mut out = Vec::new();
         for i in 0.. {
             let Some((shard, gens)) = store.digest(i) else { break };
-            for &peer in store.ring().replicas(shard).iter().filter(|&&p| p != store.host) {
+            for &peer in store.ring().replicas(shard).iter().filter(|&&p| p != me) {
                 out.push((peer, shard, Rc::clone(&gens)));
             }
         }
@@ -724,14 +711,14 @@ mod tests {
     /// with its delta, and vice versa. Returns entries applied.
     fn gossip_round(a: &mut ShardStore, b: &mut ShardStore, now: SimTime) -> usize {
         let mut applied = 0;
-        for (to, shard, gens) in digests(a, now) {
+        for (to, shard, gens) in digests(a, HostId(0), now) {
             assert_eq!(to, HostId(1));
-            let delta = b.on_gossip_digest(shard, &gens, now);
+            let delta = b.on_gossip_digest(shard, &gens, now, TTL);
             applied += a.on_gossip_delta(shard, delta);
         }
-        for (to, shard, gens) in digests(b, now) {
+        for (to, shard, gens) in digests(b, HostId(1), now) {
             assert_eq!(to, HostId(0));
-            let delta = a.on_gossip_digest(shard, &gens, now);
+            let delta = a.on_gossip_digest(shard, &gens, now, TTL);
             applied += b.on_gossip_delta(shard, delta);
         }
         applied
@@ -796,10 +783,10 @@ mod tests {
         a.on_publish("X".into(), HostId(1), 1, MS(0), [offer(1, "X")].into());
         // Refresh (same generation, newer stamp) keeps it alive …
         a.on_publish("X".into(), HostId(1), 1, MS(80), [offer(1, "X")].into());
-        a.begin_gossip(MS(150)); // sweep at 150: age 70 < ttl
+        a.begin_gossip(MS(150), cfg.publish_ttl); // sweep at 150: age 70 < ttl
         assert_eq!(a.lookup(shard, &q).map(|o| o.len()), Some(1));
         // … but a crashed publisher's entry ages out.
-        a.begin_gossip(MS(200)); // age 120 >= ttl
+        a.begin_gossip(MS(200), cfg.publish_ttl); // age 120 >= ttl
         assert_eq!(a.lookup(shard, &q).map(|o| o.len()), Some(0));
         assert_eq!(a.entries(), 0);
     }
@@ -862,18 +849,17 @@ mod tests {
         let cache = crate::node::CacheConfig::default();
         let mut b = Registry::new(Some(&cache), None);
         let q = Rc::new(ComponentQuery::by_name("X", Version::new(1, 0)));
-        let live = |_: u64| true;
         // miss → search
-        assert!(matches!(b.resolve(&q, MS(0), live), ResolveStep::Search { cache_missed: true }));
+        assert!(matches!(b.resolve(&q, MS(0)), ResolveStep::Search { cache_missed: true }));
         b.lead(&q, 7);
         // identical query coalesces onto the live leader
-        match b.resolve(&q, MS(1), live) {
+        match b.resolve(&q, MS(1)) {
             ResolveStep::Coalesce { leader: 7, cache_missed: true } => {}
             _ => panic!("expected coalesce onto seq 7"),
         }
         // completion fills the cache; next query hits
         b.complete(&q, &[offer(2, "X")], MS(2), true);
-        match b.resolve(&q, MS(3), live) {
+        match b.resolve(&q, MS(3)) {
             ResolveStep::Hit { offers, age } => {
                 assert_eq!(offers.len(), 1);
                 assert_eq!(age, MS(1));
@@ -882,7 +868,7 @@ mod tests {
         }
         // invalidation drops it again
         assert_eq!(b.invalidate("X"), Some(1));
-        assert!(matches!(b.resolve(&q, MS(4), live), ResolveStep::Search { .. }));
+        assert!(matches!(b.resolve(&q, MS(4)), ResolveStep::Search { .. }));
         assert!(matches!(b.coherence_route("X"), CoherenceRoute::Broadcast));
         // an interface query names no component: whatever it cached,
         // any component's invalidation drops it; a name query for
@@ -891,12 +877,12 @@ mod tests {
         b.complete(&iq, &[offer(2, "Gui")], MS(5), true);
         b.complete(&q, &[offer(2, "X")], MS(5), true);
         assert_eq!(b.invalidate("Unrelated"), Some(1));
-        assert!(matches!(b.resolve(&iq, MS(6), live), ResolveStep::Search { .. }));
-        assert!(matches!(b.resolve(&q, MS(6), live), ResolveStep::Hit { .. }));
+        assert!(matches!(b.resolve(&iq, MS(6)), ResolveStep::Search { .. }));
+        assert!(matches!(b.resolve(&q, MS(6)), ResolveStep::Hit { .. }));
         // no cache config at all: no coherence, invalidate = None
         let mut none = Registry::new(None, None);
         assert!(matches!(
-            none.resolve(&q, MS(0), live),
+            none.resolve(&q, MS(0)),
             ResolveStep::Search { cache_missed: false }
         ));
         assert_eq!(none.invalidate("X"), None);
@@ -960,7 +946,7 @@ mod tests {
                 }
             }
             let now = MS(20);
-            for (_, shard, gens) in digests(&mut a, now) {
+            for (_, shard, gens) in digests(&mut a, HostId(0), now) {
                 let key = |t: &(Name, HostId, u64)| (t.0.clone(), t.1);
                 assert!(gens.windows(2).all(|w| key(&w[0]) < key(&w[1])), "unsorted: {gens:?}");
                 let mut digest = Vec::new();
@@ -985,7 +971,7 @@ mod tests {
                     .map(|(c, p, gen)| (c.to_string(), p, gen))
                     .collect();
                 let walked: Vec<(String, HostId, u64)> = b
-                    .on_gossip_digest(shard, &digest, now)
+                    .on_gossip_digest(shard, &digest, now, TTL)
                     .into_iter()
                     .map(|d| (d.component.to_string(), d.publisher, d.gen))
                     .collect();
@@ -1052,7 +1038,7 @@ mod tests {
                         let shard = g.gen_range(0..4u32);
                         a.on_gossip_delta(shard, delta);
                     }
-                    2 => a.begin_gossip(now),
+                    2 => a.begin_gossip(now, cfg.publish_ttl),
                     3 => {
                         let (_, gens) = a.digest(g.gen_range(0..4usize)).expect("replicates all 4");
                         let copy = gens.to_vec();
@@ -1099,7 +1085,7 @@ mod tests {
                 } else {
                     let mut expected = held(&a);
                     expected.retain(|&(.., at)| now.saturating_sub(at) < ttl);
-                    a.begin_gossip(now);
+                    a.begin_gossip(now, ttl);
                     assert_eq!(held(&a), expected, "a sweep at {now} with ttl {ttl}");
                 }
                 assert_kept(&a);

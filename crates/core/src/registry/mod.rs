@@ -75,11 +75,6 @@ impl InstanceInfo {
         self.provides.retain(|p| p.name != name);
         self.provides.len() != before
     }
-
-    /// Find a provided port by name.
-    pub fn provided_port(&self, name: &str) -> Option<&InstancePort> {
-        self.provides.iter().find(|p| p.name == name)
-    }
 }
 
 /// A recorded port connection (the registry's assembly view).
@@ -263,6 +258,11 @@ impl ComponentRegistry {
         self.instances.len()
     }
 
+    /// The instance whose servant has object id `oid` on this node.
+    pub fn by_oid(&self, oid: u64) -> Option<&InstanceInfo> {
+        self.instances.values().find(|i| i.objref.key.oid == oid)
+    }
+
     /// Find a named instance.
     pub fn named(&self, name: &str) -> Option<&InstanceInfo> {
         self.instances.values().find(|i| i.name.as_deref() == Some(name))
@@ -367,6 +367,7 @@ mod tests {
         assert_eq!(reg.named("main").unwrap().id, a);
         assert!(reg.named("other").is_none());
         assert_eq!(reg.instances_of("Gui").count(), 1);
+        assert_eq!(reg.by_oid(b.0).map(|i| i.id), Some(b), "found by its servant's object id");
 
         reg.add_connection(Connection {
             from: a,
@@ -386,9 +387,12 @@ mod tests {
         let a = info(&mut reg, "App", None);
         let inst = reg.instance_mut(a).unwrap();
         inst.add_provides("extra", "IDL:New:1.0");
-        assert!(reg.instance(a).unwrap().provided_port("extra").is_some());
+        let extra = |reg: &ComponentRegistry| {
+            reg.instance(a).unwrap().provides.iter().any(|p| p.name == "extra")
+        };
+        assert!(extra(&reg));
         assert!(reg.instance_mut(a).unwrap().remove_provides("extra"));
-        assert!(reg.instance(a).unwrap().provided_port("extra").is_none());
+        assert!(!extra(&reg));
         assert!(!reg.instance_mut(a).unwrap().remove_provides("extra"));
     }
 

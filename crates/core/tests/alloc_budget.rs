@@ -707,10 +707,10 @@ fn registry_front_cycle_allocations_are_pinned() {
     let query = Rc::new(ComponentQuery::by_name("Counter", Version::new(1, 0)));
     let mut front = Registry::new(Some(&CacheConfig::default()), None);
     let before = allocs();
-    assert!(matches!(front.resolve(&query, SimTime::ZERO, |_| true), ResolveStep::Search { .. }));
+    assert!(matches!(front.resolve(&query, SimTime::ZERO), ResolveStep::Search { .. }));
     front.lead(&query, 1);
     front.complete(&query, std::slice::from_ref(&offer), SimTime::from_millis(1), true);
-    let hit = front.resolve(&query, SimTime::from_millis(2), |_| true);
+    let hit = front.resolve(&query, SimTime::from_millis(2));
     let total = allocs() - before;
     assert!(matches!(hit, ResolveStep::Hit { offers, .. } if offers == [offer]));
     println!("{total} allocations for one registry miss/lead/complete/hit cycle");
@@ -724,8 +724,13 @@ fn registry_front_cycle_allocations_are_pinned() {
 /// retains: 1 024 hosts on 128 sites of 8, default cohesion, one leader,
 /// no cache, `Counter` on the first host of every site, converged for
 /// three report periods — everything the world holds (fabric, kernel,
-/// every node's stores and soft state) per host. The measured 2 032, in
-/// release and debug builds alike; 2 113 while the repository kept every
+/// every node's stores and soft state) per host. The measured 1 942, in
+/// release and debug builds alike; 2 032 while every node held its own
+/// tracer handle, its shard store a copy of the shard config and its
+/// registry front a flag beside its singleflight table, and every
+/// container runtime's adapter held the repository, clock and tracer
+/// beside two instance tables the registry and repository already
+/// answer; 2 113 while the repository kept every
 /// installed package's IDL sources, 2 588 while every install of
 /// `Counter` copied the node's interface repository although its IDL
 /// added nothing, 3 140 while every node, holding a component or not,
@@ -736,7 +741,7 @@ fn registry_front_cycle_allocations_are_pinned() {
 /// bytes, 4 983 while it was 48, 5 038 while every node copied its seats'
 /// member, replica and parent lists and its report targets out of the
 /// tree.
-const RETAINED_BYTES_PER_NODE: i64 = 2_032;
+const RETAINED_BYTES_PER_NODE: i64 = 1_942;
 
 #[test]
 fn retained_bytes_per_node_are_pinned() {

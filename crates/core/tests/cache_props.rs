@@ -253,12 +253,6 @@ fn ring_rebalance_moves_only_departed_hosts_shards() {
         // "Results identical": for a key in an unmoved shard, the same
         // surviving replica answers the same lookup with the same offers
         // whether the ring was built before or after the departure.
-        let shard_cfg = ShardConfig {
-            shards: cfg.shards,
-            replicas: cfg.replicas,
-            vnodes: cfg.vnodes,
-            ..Default::default()
-        };
         unmoved_shards.sort_unstable();
         unmoved_shards.dedup();
         for (i, &s) in unmoved_shards.iter().take(4).enumerate() {
@@ -280,7 +274,7 @@ fn ring_rebalance_moves_only_departed_hosts_shards() {
             let q = ComponentQuery::by_name(component, lc_pkg::Version::new(1, 0));
             let now = SimTime::from_millis(5);
             let registry = |ring: &Rc<ShardRing>| {
-                Registry::new(None, Some(ShardStore::new(&shard_cfg, replica, ring.clone())))
+                Registry::new(None, Some(ShardStore::new(replica, ring.clone())))
             };
             let (mut b, mut a) = (registry(&before), registry(&after));
             let served = |r: &mut Registry, offers: Rc<[lc_core::Offer]>| {

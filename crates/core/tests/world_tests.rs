@@ -864,6 +864,7 @@ fn event_channels_close_when_producer_instance_dies() {
     // their subscriptions, so no delivery is attempted to or from it.
     let mut world = host0_world(Topology::lan(3), 12, signed());
     world.run_for(SimTime::from_millis(10));
+    let unreserved = world.node(HostId(0)).unwrap().resources.dynamic();
     let gspawn: lc_core::SpawnSink = Rc::default();
     world.cmd(
         HostId(0),
@@ -914,6 +915,7 @@ fn event_channels_close_when_producer_instance_dies() {
     assert_eq!(node.event_channel_count(), 0, "channels rooted at the dead instance are dropped");
     assert_eq!(node.subscription_count(), 0);
     assert_eq!(node.registry.instance_count(), 0);
+    assert_eq!(node.resources.dynamic(), unreserved, "the installed descriptor's QoS is released");
 
     // A render sent to the dead reference publishes nothing.
     world.oneway(HostId(1), &gui_ref, "render", vec![Value::string("frame1")]);
@@ -1105,7 +1107,7 @@ fn sharded_world_shares_one_ring_across_nodes_and_respawns() {
     // Shared vs private ring: same routes, same replica sets.
     for &h in &hosts {
         let over = |ring: &Rc<ShardRing>| {
-            Registry::new(None, Some(ShardStore::new(&shard, h, ring.clone())))
+            Registry::new(None, Some(ShardStore::new(h, ring.clone())))
         };
         let (a, b) = (over(&shared), over(&private));
         for i in 0..32 {

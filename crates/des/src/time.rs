@@ -45,14 +45,6 @@ impl SimTime {
     pub const fn as_nanos(self) -> u64 {
         self.0
     }
-    /// As microseconds (truncating).
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-    /// As milliseconds (truncating).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
-    }
     /// As fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
@@ -156,9 +148,9 @@ mod tests {
     #[test]
     fn conversions_round_trip() {
         assert_eq!(SimTime::from_secs(2).as_nanos(), 2_000_000_000);
-        assert_eq!(SimTime::from_millis(5).as_micros(), 5_000);
+        assert_eq!(SimTime::from_millis(5).as_nanos(), 5_000_000);
         assert_eq!(SimTime::from_micros(7).as_nanos(), 7_000);
-        assert_eq!(SimTime::from_secs_f64(0.5).as_millis(), 500);
+        assert_eq!(SimTime::from_secs_f64(0.5).as_nanos(), 500_000_000);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use crate::cdr::{Decoder, Encoder};
 use crate::name::Name;
 use crate::object::{ObjectKey, ObjectRef, OrbError};
-use crate::servant::{DispatchOpts, DispatchStats, ObjectAdapter, Outcome, Servant};
+use crate::servant::{DispatchEnv, DispatchOpts, DispatchStats, ObjectAdapter, Outcome, Servant};
 use crate::sim::{OrbWire, SimOrb};
 use crate::value::Value;
 use lc_idl::ast::ParamMode;
@@ -127,6 +127,7 @@ type ReplySlot = Rc<RefCell<Option<Result<Outcome, OrbError>>>>;
 struct ServerActor {
     host: lc_net::HostId,
     orb: SimOrb,
+    repo: Arc<Repository>,
     adapter: ObjectAdapter,
 }
 
@@ -136,8 +137,8 @@ impl Actor for ServerActor {
             return; // not ours: the fabric only delivers ORB frames here
         };
         if let OrbWire::Request { id, reply_to, target, op, args } = m.payload {
-            self.adapter.set_clock(ctx.now());
-            let res = self.adapter.invoke(target, &op, &args, DispatchOpts::typed());
+            let env = DispatchEnv { repo: &self.repo, now: ctx.now(), tracer: None };
+            let res = self.adapter.invoke(env, target, &op, &args, DispatchOpts::typed());
             if let Some(back) = reply_to {
                 let reply = OrbWire::Reply { id, result: res.outcome };
                 let _ = self.orb.send(ctx, self.host, back, reply);
@@ -213,7 +214,8 @@ impl SimOrbClient {
         let server = sim.spawn(ServerActor {
             host: server_host,
             orb: orb.clone(),
-            adapter: ObjectAdapter::new(server_host, repo.clone(), lc_trace::Tracer::disabled()),
+            repo: Arc::clone(&repo),
+            adapter: ObjectAdapter::new(server_host),
         });
         net.bind(server_host, server);
         let slot: ReplySlot = Rc::default();
@@ -226,7 +228,7 @@ impl SimOrbClient {
     /// Activate a servant on the server host.
     pub fn activate(&self, servant: Box<dyn Servant>) -> ObjectRef {
         match self.sim.borrow_mut().actor_as_mut::<ServerActor>(self.server) {
-            Some(server) => server.adapter.activate(servant),
+            Some(server) => server.adapter.activate(&server.repo, servant),
             None => unreachable!("the server actor lives as long as the harness"),
         }
     }

@@ -40,8 +40,8 @@ pub use local::{LocalOrb, LocalOrbStats};
 pub use name::Name;
 pub use object::{CommReason, ObjectKey, ObjectRef, OrbError};
 pub use servant::{
-    reply_args, DispatchOpts, DispatchResult, DispatchStats, Invocation, ObjectAdapter, OutCall,
-    OutCallKind, Outcome, Servant,
+    reply_args, DispatchEnv, DispatchOpts, DispatchResult, DispatchStats, Invocation,
+    ObjectAdapter, OutCall, OutCallKind, Outcome, Servant,
 };
 pub use sim::{OrbWire, RequestId, SimOrb, HEADER_BYTES};
 pub use value::{check_value, Value};

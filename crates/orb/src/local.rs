@@ -18,7 +18,7 @@ use crate::cdr::encoded_len;
 use crate::events::check_event;
 use crate::object::{ObjectRef, OrbError};
 use crate::servant::{
-    reply_args, DispatchOpts, ObjectAdapter, OutCall, OutCallKind, Outcome, Servant,
+    reply_args, DispatchEnv, DispatchOpts, ObjectAdapter, OutCall, OutCallKind, Outcome, Servant,
 };
 use crate::value::Value;
 use lc_idl::Repository;
@@ -64,7 +64,7 @@ impl LocalOrb {
     pub fn new(repo: Arc<Repository>) -> Self {
         LocalOrb {
             inner: Arc::new(Mutex::new(Inner {
-                adapter: ObjectAdapter::new(HostId(0), repo.clone(), lc_trace::Tracer::disabled()),
+                adapter: ObjectAdapter::new(HostId(0)),
                 subs: BTreeMap::new(),
                 port_events: BTreeMap::new(),
                 stats: LocalOrbStats::default(),
@@ -78,6 +78,12 @@ impl LocalOrb {
         &self.repo
     }
 
+    /// What every dispatch here reads: this ORB's repository, at time
+    /// zero, untraced.
+    fn env(&self) -> DispatchEnv<'_> {
+        DispatchEnv { repo: &self.repo, now: lc_des::SimTime::ZERO, tracer: None }
+    }
+
     /// Lock the shared state, recovering from poisoning: a caller that
     /// panicked mid-dispatch leaves counters (not invariants) behind,
     /// so later callers may proceed.
@@ -87,7 +93,7 @@ impl LocalOrb {
 
     /// Activate a servant.
     pub fn activate(&self, servant: Box<dyn Servant>) -> ObjectRef {
-        self.locked().adapter.activate(servant)
+        self.locked().adapter.activate(&self.repo, servant)
     }
 
     /// Deactivate a servant.
@@ -155,7 +161,7 @@ impl LocalOrb {
             let mut inner = self.locked();
             inner.stats.requests += 1;
             inner.stats.request_bytes += encoded_len(args);
-            let res = inner.adapter.invoke(target.key, op, args, DispatchOpts::typed());
+            let res = inner.adapter.invoke(self.env(), target.key, op, args, DispatchOpts::typed());
             let events = self.resolve_events(&mut inner, target.key.oid, res.events);
             (res.outcome, res.outbox, events)
         };
@@ -188,7 +194,7 @@ impl LocalOrb {
         let (outcome, follow_ups, events) = {
             let mut inner = self.locked();
             inner.stats.requests += 1;
-            let res = inner.adapter.invoke(target.key, op, args, DispatchOpts::raw());
+            let res = inner.adapter.invoke(self.env(), target.key, op, args, DispatchOpts::raw());
             let events = self.resolve_events(&mut inner, target.key.oid, res.events);
             (res.outcome, res.outbox, events)
         };

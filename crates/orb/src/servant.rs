@@ -20,7 +20,6 @@ use lc_net::HostId;
 use lc_trace::Tracer;
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 /// The result of a successful invocation: the return value plus the
 /// `out`/`inout` parameter values in declaration order.
@@ -93,8 +92,8 @@ pub struct Invocation<'a> {
     /// *reference-CPU* units; the node runtime scales it by the host's
     /// CPU power and delays the reply accordingly. Zero for free ops.
     pub cpu_cost: lc_des::SimTime,
-    /// Virtual time of the dispatch (set by the hosting runtime via
-    /// [`ObjectAdapter::set_clock`]; zero under the loopback ORB).
+    /// Virtual time of the dispatch ([`DispatchEnv::now`], passed by the
+    /// hosting runtime; zero under the loopback ORB).
     pub now: lc_des::SimTime,
 }
 
@@ -169,6 +168,21 @@ pub trait Servant: Send + Any {
     fn dispatch(&mut self, inv: &mut Invocation<'_>) -> Result<(), OrbError>;
 }
 
+/// What one dispatch reads of the runtime that hosts the adapter, which
+/// owns all three: the interface repository the call is checked
+/// against, the virtual time servants see, and the tracer its span goes
+/// under (`None`: untraced).
+#[derive(Clone, Copy)]
+pub struct DispatchEnv<'a> {
+    /// The IDL repository (the hosting node's, merged installs included).
+    pub repo: &'a Repository,
+    /// Virtual time of the dispatch.
+    pub now: lc_des::SimTime,
+    /// Where the dispatch span is recorded, under the tracer's current
+    /// context.
+    pub tracer: Option<&'a Tracer>,
+}
+
 /// How [`ObjectAdapter::invoke`] performs a dispatch.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct DispatchOpts {
@@ -238,45 +252,34 @@ impl DispatchStats {
     }
 }
 
-/// The per-host servant table.
+/// The per-host servant table. It holds servants and their ids only:
+/// the repository, the time and the tracer a dispatch reads belong to
+/// the hosting runtime and arrive with each call ([`DispatchEnv`]).
 pub struct ObjectAdapter {
     host: HostId,
-    repo: Arc<Repository>,
     next_oid: u64,
     servants: BTreeMap<u64, Box<dyn Servant>>,
     /// The repository id of every interface activated here, each held
     /// once and shared by every reference to its servants.
     type_ids: BTreeSet<Name>,
-    clock: lc_des::SimTime,
     stats: DispatchStats,
-    tracer: Tracer,
 }
 
 impl ObjectAdapter {
-    /// New adapter for `host`, validating against `repo`. [`Self::invoke`]
-    /// records a span per dispatch under `tracer`'s current context (none
-    /// when it is disabled).
-    pub fn new(host: HostId, repo: Arc<Repository>, tracer: Tracer) -> Self {
+    /// New, empty adapter for `host`.
+    pub fn new(host: HostId) -> Self {
         ObjectAdapter {
             host,
-            repo,
             next_oid: 1,
             servants: BTreeMap::new(),
             type_ids: BTreeSet::new(),
-            clock: lc_des::SimTime::ZERO,
             stats: DispatchStats::default(),
-            tracer,
         }
     }
 
     /// Dispatch counters since creation.
     pub fn dispatch_stats(&self) -> DispatchStats {
         self.stats
-    }
-
-    /// Set the virtual time exposed to servants during dispatch.
-    pub fn set_clock(&mut self, now: lc_des::SimTime) {
-        self.clock = now;
     }
 
     /// Downcast a servant to its concrete type (reflection/observation).
@@ -290,25 +293,14 @@ impl ObjectAdapter {
         self.host
     }
 
-    /// The IDL repository used for dispatch checking.
-    pub fn repo(&self) -> &Arc<Repository> {
-        &self.repo
-    }
-
-    /// Replace the IDL repository (a node that installs a package merges
-    /// the package's compiled IDL and swaps the merged repository in).
-    pub fn set_repo(&mut self, repo: Arc<Repository>) {
-        self.repo = repo;
-    }
-
     /// Activate a servant, returning its reference.
     ///
-    /// Panics if the servant's `type_id` is not in the repository — that
-    /// is a programming error, not a runtime condition.
-    pub fn activate(&mut self, servant: Box<dyn Servant>) -> ObjectRef {
+    /// Panics if the servant's `type_id` is not in `repo` — that is a
+    /// programming error, not a runtime condition.
+    pub fn activate(&mut self, repo: &Repository, servant: Box<dyn Servant>) -> ObjectRef {
         let interface = servant.interface_id();
         assert!(
-            self.repo.interface(interface).is_some(),
+            repo.interface(interface).is_some(),
             "servant type '{interface}' not in IDL repository"
         );
         let type_id = match self.type_ids.get(interface) {
@@ -341,18 +333,19 @@ impl ObjectAdapter {
     }
 
     /// The single dispatch entrypoint: run `op` on the servant at `key`
-    /// according to `opts` — type-checked against the IDL repository
+    /// according to `opts` — type-checked against `env.repo`
     /// ([`DispatchOpts::typed`]), unchecked for runtime-internal system
     /// operations ([`DispatchOpts::raw`]), or whichever of the two the
     /// operation calls for ([`DispatchOpts::wire`]).
     pub fn invoke(
         &mut self,
+        env: DispatchEnv<'_>,
         key: ObjectKey,
         op: &str,
         args: &[Value],
         opts: DispatchOpts,
     ) -> DispatchResult {
-        let (typed, res) = self.resolve_and_run(key, op, args, opts);
+        let (typed, res) = self.resolve_and_run(env, key, op, args, opts);
         if typed {
             self.stats.typed += 1;
         } else {
@@ -361,20 +354,15 @@ impl ObjectAdapter {
         if res.outcome.is_err() {
             self.stats.errors += 1;
         }
-        // Dispatch span: virtual interval [clock, clock + declared CPU
+        // Dispatch span: virtual interval [now, now + declared CPU
         // cost], under whatever operation is being traced right now.
-        if let Some(parent) = self.tracer.current() {
-            let sp = self.tracer.complete(
-                self.host.0,
-                &format!("orb.invoke {op}"),
-                Some(parent),
-                self.clock,
-                self.clock + res.cpu_cost,
-            );
-            if let Some(sp) = sp {
-                self.tracer.set_attr(sp, "kind", if typed { "typed" } else { "raw" });
+        let traced = env.tracer.and_then(|t| Some((t, t.current()?)));
+        if let Some((tracer, parent)) = traced {
+            let (name, end) = (format!("orb.invoke {op}"), env.now + res.cpu_cost);
+            if let Some(sp) = tracer.complete(self.host.0, &name, Some(parent), env.now, end) {
+                tracer.set_attr(sp, "kind", if typed { "typed" } else { "raw" });
                 if res.outcome.is_err() {
-                    self.tracer.set_attr(sp, "error", "true");
+                    tracer.set_attr(sp, "error", "true");
                 }
             }
         }
@@ -386,12 +374,13 @@ impl ObjectAdapter {
     /// type-checked.
     fn resolve_and_run(
         &mut self,
+        env: DispatchEnv<'_>,
         key: ObjectKey,
         op: &str,
         args: &[Value],
         opts: DispatchOpts,
     ) -> (bool, DispatchResult) {
-        let repo: &Repository = &self.repo;
+        let repo = env.repo;
         let servant = self.servants.get_mut(&key.oid);
         // A raw dispatch needs no metadata; the other two kinds share
         // this one lookup between the decision and the checks.
@@ -414,7 +403,7 @@ impl ObjectAdapter {
             return fail(OrbError::ObjectNotExist);
         };
         let mut inv = Invocation::new(op, args);
-        inv.now = self.clock;
+        inv.now = env.now;
         if !typed {
             let run = servant.dispatch(&mut inv);
             let (outcome, outbox, events, cpu_cost) = inv.into_parts();
@@ -519,9 +508,49 @@ mod tests {
         }
     }
 
-    fn adapter() -> (ObjectAdapter, ObjectRef) {
-        let repo = Arc::new(compile(IDL).unwrap());
-        let mut oa = ObjectAdapter::new(HostId(0), repo, Tracer::disabled());
+    /// An adapter with the repository its host would pass it, at time
+    /// zero and untraced.
+    struct Host {
+        oa: ObjectAdapter,
+        repo: Repository,
+    }
+
+    impl Host {
+        fn new() -> Self {
+            Host { oa: ObjectAdapter::new(HostId(0)), repo: compile(IDL).unwrap() }
+        }
+
+        fn activate(&mut self, servant: Box<dyn Servant>) -> ObjectRef {
+            self.oa.activate(&self.repo, servant)
+        }
+
+        fn invoke(
+            &mut self,
+            key: ObjectKey,
+            op: &str,
+            args: &[Value],
+            opts: DispatchOpts,
+        ) -> DispatchResult {
+            let env = DispatchEnv { repo: &self.repo, now: lc_des::SimTime::ZERO, tracer: None };
+            self.oa.invoke(env, key, op, args, opts)
+        }
+    }
+
+    impl std::ops::Deref for Host {
+        type Target = ObjectAdapter;
+        fn deref(&self) -> &ObjectAdapter {
+            &self.oa
+        }
+    }
+
+    impl std::ops::DerefMut for Host {
+        fn deref_mut(&mut self) -> &mut ObjectAdapter {
+            &mut self.oa
+        }
+    }
+
+    fn adapter() -> (Host, ObjectRef) {
+        let mut oa = Host::new();
         let r = oa.activate(Box::new(CounterImpl { total: 0, pokes: vec![] }));
         (oa, r)
     }
@@ -596,8 +625,7 @@ mod tests {
                 Ok(())
             }
         }
-        let repo = Arc::new(compile(IDL).unwrap());
-        let mut oa = ObjectAdapter::new(HostId(0), repo, Tracer::disabled());
+        let mut oa = Host::new();
         let r = oa.activate(Box::new(Liar));
         let res = oa.invoke(r.key, "add", &[Value::Long(1)], DispatchOpts::typed());
         assert!(matches!(res.outcome, Err(OrbError::Internal(_))));
@@ -615,8 +643,7 @@ mod tests {
                 Ok(())
             }
         }
-        let repo = Arc::new(compile(IDL).unwrap());
-        let mut oa = ObjectAdapter::new(HostId(0), repo, Tracer::disabled());
+        let mut oa = Host::new();
         let _ = oa.activate(Box::new(Ghost));
     }
 
@@ -641,7 +668,7 @@ mod tests {
     #[test]
     fn wire_dispatch_settles_typed_or_raw_per_operation() {
         let (mut oa, r) = adapter();
-        let typed_raw = |oa: &ObjectAdapter| (oa.dispatch_stats().typed, oa.dispatch_stats().raw);
+        let typed_raw = |oa: &Host| (oa.dispatch_stats().typed, oa.dispatch_stats().raw);
         // Declared operations, attribute accessors included, are checked…
         let bad = oa.invoke(r.key, "add", &[Value::string("five")], DispatchOpts::wire());
         assert!(matches!(bad.outcome, Err(OrbError::BadParam(_))));
@@ -690,8 +717,7 @@ mod tests {
                 }
             }
         }
-        let repo = Arc::new(compile(IDL).unwrap());
-        let mut oa = ObjectAdapter::new(HostId(0), repo, Tracer::disabled());
+        let mut oa = Host::new();
         let peer = oa.activate(Box::new(CounterImpl { total: 0, pokes: vec![] }));
         let chainer = oa.activate(Box::new(Chainer { peer: peer.clone() }));
         let res = oa.invoke(chainer.key, "poke", &[Value::string("go")], DispatchOpts::typed());

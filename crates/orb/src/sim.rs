@@ -154,11 +154,10 @@ impl SimOrb {
 mod tests {
     use super::*;
     use crate::object::ObjectRef;
-    use crate::servant::{DispatchOpts, Invocation, ObjectAdapter, Servant};
+    use crate::servant::{DispatchEnv, DispatchOpts, Invocation, ObjectAdapter, Servant};
     use lc_des::{Actor, AnyMsg, AnyMsgExt, Sim};
     use lc_idl::compile;
     use lc_net::{HostCfg, NetMsg, Topology};
-    use std::sync::Arc;
 
     const IDL: &str = "interface Echo { string echo(in string s); };";
 
@@ -181,10 +180,11 @@ mod tests {
         }
     }
 
-    /// Minimal host actor: an adapter plus reply recording.
+    /// Minimal host actor: a repository, an adapter and reply recording.
     struct HostActor {
         host: HostId,
         orb: SimOrb,
+        repo: lc_idl::Repository,
         adapter: ObjectAdapter,
         got_reply: Option<Result<Outcome, OrbError>>,
     }
@@ -194,7 +194,8 @@ mod tests {
             let net_msg = msg.downcast_msg::<NetMsg<OrbWire>>().expect("ORB frame");
             match net_msg.payload {
                 OrbWire::Request { id, reply_to, target, op, args } => {
-                    let res = self.adapter.invoke(target, &op, &args, DispatchOpts::typed());
+                    let env = DispatchEnv { repo: &self.repo, now: ctx.now(), tracer: None };
+                    let res = self.adapter.invoke(env, target, &op, &args, DispatchOpts::typed());
                     if let Some(back) = reply_to {
                         let reply = OrbWire::Reply { id, result: res.outcome };
                         let _ = self.orb.send(ctx, self.host, back, reply);
@@ -249,15 +250,16 @@ mod tests {
         let h1 = topo.add_host(HostCfg::new(s));
         let net = Net::builder(topo).build();
         let orb = SimOrb::new(net.clone());
-        let repo = Arc::new(compile(IDL).unwrap());
+        let repo = compile(IDL).unwrap();
 
-        let mut server_adapter = ObjectAdapter::new(h1, repo, lc_trace::Tracer::disabled());
-        let echo_ref = server_adapter.activate(Box::new(EchoImpl));
+        let mut server_adapter = ObjectAdapter::new(h1);
+        let echo_ref = server_adapter.activate(&repo, Box::new(EchoImpl));
 
         let mut sim = Sim::new(5);
         let server = sim.spawn(HostActor {
             host: h1,
             orb: orb.clone(),
+            repo,
             adapter: server_adapter,
             got_reply: None,
         });

@@ -270,12 +270,6 @@ impl ComponentDescriptor {
         self
     }
 
-    /// Add a component dependency (builder style).
-    pub fn depends_on(mut self, name: &str, version: Version) -> Self {
-        self.depends.push(ComponentDep { name: name.into(), version });
-        self
-    }
-
     /// Serialize to the `<component>` XML document.
     pub fn to_xml(&self) -> Element {
         let mut root = Element::new("component")
@@ -559,8 +553,8 @@ mod tests {
             .provides("video", "IDL:av/VideoOut:1.0")
             .uses("display", "IDL:cscw/Display:1.0")
             .emits("frame_ready", "IDL:av/FrameReady:1.0")
-            .consumes("quality_hint", "IDL:av/QualityHint:1.0")
-            .depends_on("Display", Version::new(2, 0));
+            .consumes("quality_hint", "IDL:av/QualityHint:1.0");
+        d.depends.push(ComponentDep { name: "Display".into(), version: Version::new(2, 0) });
         d.description = "Decodes MPEG video streams".into();
         d.mobility = Mobility::Mobile;
         d.replication = Replication::Stateless;

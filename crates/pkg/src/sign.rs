@@ -98,11 +98,6 @@ impl TrustStore {
         self.keys.insert(signer.to_owned(), secret.to_vec());
     }
 
-    /// Stop trusting `signer`.
-    pub fn revoke(&mut self, signer: &str) {
-        self.keys.remove(signer);
-    }
-
     /// Verify a signature over `bytes`.
     pub fn verify(&self, bytes: &[u8], sig: &Signature) -> Verification {
         match self.keys.get(&sig.signer) {
@@ -165,9 +160,6 @@ mod tests {
         // Wrong key on the installer side.
         store.trust("acme", b"different");
         assert_eq!(store.verify(pkg, &sig), Verification::BadSignature);
-
-        store.revoke("acme");
-        assert_eq!(store.verify(pkg, &sig), Verification::UnknownSigner);
     }
 
     #[test]

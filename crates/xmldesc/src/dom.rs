@@ -54,12 +54,6 @@ impl Element {
         self.attr(key).ok_or_else(|| format!("<{}> missing required attribute '{key}'", self.name))
     }
 
-    /// Append a child element; returns `self` for chaining.
-    pub fn with_child(mut self, child: Element) -> Self {
-        self.children.push(Node::Element(child));
-        self
-    }
-
     /// Append a text child; returns `self` for chaining.
     pub fn with_text(mut self, text: &str) -> Self {
         self.children.push(Node::Text(text.to_owned()));
@@ -112,13 +106,12 @@ mod tests {
 
     #[test]
     fn builders_and_accessors() {
-        let e = Element::new("component")
-            .with_attr("name", "Decoder")
-            .with_attr("version", "1.2")
-            .with_child(Element::new("provides").with_attr("port", "video"))
-            .with_child(Element::new("provides").with_attr("port", "stats"))
-            .with_child(Element::new("uses").with_attr("port", "display"))
-            .with_text("note");
+        let mut e =
+            Element::new("component").with_attr("name", "Decoder").with_attr("version", "1.2");
+        e.push(Element::new("provides").with_attr("port", "video"));
+        e.push(Element::new("provides").with_attr("port", "stats"));
+        e.push(Element::new("uses").with_attr("port", "display"));
+        let e = e.with_text("note");
         assert_eq!(e.attr("name"), Some("Decoder"));
         assert_eq!(e.attr("missing"), None);
         assert!(e.require_attr("bogus").is_err());

@@ -83,11 +83,10 @@ mod tests {
 
     #[test]
     fn nested_round_trip() {
-        let e = Element::new("softpkg").with_attr("name", "A").with_child(
-            Element::new("implementation")
-                .with_attr("os", "linux")
-                .with_child(Element::new("code").with_attr("file", "a.so")),
-        );
+        let mut implementation = Element::new("implementation").with_attr("os", "linux");
+        implementation.push(Element::new("code").with_attr("file", "a.so"));
+        let mut e = Element::new("softpkg").with_attr("name", "A");
+        e.push(implementation);
         assert_eq!(parse(&to_string(&e)).unwrap(), e);
     }
 }
