@@ -31,6 +31,7 @@ use lc_core::testkit::World;
 use lc_core::{CacheConfig, ComponentQuery, NodeConfig, QuerySink};
 use lc_des::SimTime;
 use lc_net::{HostId, Topology};
+use lc_pkg::Version;
 use std::fmt::Write as _;
 
 /// The committed run's seed.
@@ -67,8 +68,8 @@ pub struct VariantResult {
     /// Bytes received by the busiest host.
     pub hotspot_recv: u64,
     /// Normalized result sets, one per query, for equivalence checks:
-    /// sorted `(node, component, version)` triples.
-    pub result_sets: Vec<Vec<(u32, String, String)>>,
+    /// sorted [`Offer::key`](lc_core::Offer::key)s.
+    pub result_sets: Vec<Vec<(HostId, String, Version)>>,
 }
 
 fn config(cache: Option<CacheConfig>) -> NodeConfig {
@@ -133,11 +134,8 @@ pub fn run_variant(name: &'static str, cache: Option<CacheConfig>, seed: u64) ->
             first_ms.push((at - r.started).as_secs_f64() * 1e3);
             hits += 1;
         }
-        let mut set: Vec<(u32, String, String)> = r
-            .offers
-            .iter()
-            .map(|o| (o.node.0, o.component.to_string(), o.version.to_string()))
-            .collect();
+        let keys = r.offers.iter().map(|o| o.key());
+        let mut set: Vec<_> = keys.map(|(node, c, v)| (node, c.to_owned(), v)).collect();
         set.sort();
         set.dedup();
         result_sets.push(set);

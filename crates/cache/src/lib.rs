@@ -1,31 +1,26 @@
-//! # lc-cache — registry query result caching and request coalescing
+//! # lc-cache — registry query result caching
 //!
 //! The paper argues the distributed registry's metadata "caching can be
 //! performed safely" because component metadata is mostly immutable
-//! (§2.4.2). This crate supplies the mechanisms the node threads
-//! through its registry service, all expressed against **virtual time**
-//! so a cached run stays byte-deterministic:
+//! (§2.4.2). This crate supplies the one mechanism the node threads
+//! through its registry service, expressed against **virtual time** so a
+//! cached run stays byte-deterministic: [`QueryCache`], query→result
+//! entries with a TTL in [`SimTime`] and explicit invalidation
+//! (register / deregister / migrate broadcasts). The TTL is the
+//! staleness backstop for invalidations lost on a faulty fabric.
+//! Coalescing identical in-flight queries needs no table here: the
+//! node's pending-query table already names every search.
 //!
-//! * [`QueryCache`] — query→result entries with a TTL
-//!   in [`SimTime`] and explicit invalidation (register / deregister /
-//!   migrate broadcasts). The TTL is the staleness backstop for
-//!   invalidations lost on a faulty fabric.
-//! * [`Coalescer`] — singleflight bookkeeping: the first in-flight query
-//!   for a key becomes the *leader*; identical queries issued while it
-//!   is pending join it as followers instead of spawning their own
-//!   network search.
+//! The cache keeps no counters: the node counts every hit, miss,
+//! coalesced follower and invalidation once, in the simulation's
+//! `cache.*` metrics.
 //!
-//! Neither keeps counters: the node counts every hit, miss, coalesced
-//! follower and invalidation once, in the simulation's `cache.*`
-//! metrics.
-//!
-//! Determinism: no wall clock, no RNG, no `HashMap` — every structure
-//! iterates in key order, and expiry compares [`SimTime`] stamps the
-//! simulation supplies.
+//! Determinism: no wall clock, no RNG, no `HashMap` — the cache iterates
+//! in key order, and expiry compares [`SimTime`] stamps the simulation
+//! supplies.
 
 use lc_des::SimTime;
 use std::borrow::Borrow;
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 struct CachedEntry<V> {
@@ -98,53 +93,6 @@ impl<K: Ord + Clone, V> QueryCache<K, V> {
     }
 }
 
-/// Singleflight bookkeeping for the node's registry: maps an in-flight
-/// query key to the *leader* continuation's sequence number. Followers
-/// attach themselves to the leader's pending entry; this table only
-/// answers "is someone already searching for this?".
-#[derive(Default)]
-pub struct Coalescer<K: Ord + Clone> {
-    inflight: BTreeMap<K, u64>,
-}
-
-impl<K: Ord + Clone> Coalescer<K> {
-    /// An empty table.
-    pub fn new() -> Self {
-        Coalescer { inflight: BTreeMap::new() }
-    }
-
-    /// The leader's sequence for `key`, if a flight is in progress.
-    pub fn leader_of<Q>(&self, key: &Q) -> Option<u64>
-    where
-        K: Borrow<Q>,
-        Q: Ord + ?Sized,
-    {
-        self.inflight.get(key).copied()
-    }
-
-    /// Register `seq` as the leader for `key`. Returns `false` (and
-    /// changes nothing) if a leader already exists.
-    pub fn lead(&mut self, key: K, seq: u64) -> bool {
-        match self.inflight.entry(key) {
-            Entry::Occupied(_) => false,
-            Entry::Vacant(v) => {
-                v.insert(seq);
-                true
-            }
-        }
-    }
-
-    /// The flight for `key` completed; forget it. Returns the leader
-    /// sequence, if one was registered.
-    pub fn finish<Q>(&mut self, key: &Q) -> Option<u64>
-    where
-        K: Borrow<Q>,
-        Q: Ord + ?Sized,
-    {
-        self.inflight.remove(key)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,16 +142,5 @@ mod tests {
         assert_eq!(c.get("old", MS(120)), None);
         c.insert("old".into(), 4, MS(120));
         assert_eq!(c.get("old", MS(121)), Some((&4, MS(1))));
-    }
-
-    #[test]
-    fn coalescer_single_leader() {
-        let mut co: Coalescer<String> = Coalescer::new();
-        assert!(co.lead("q".into(), 10));
-        assert!(!co.lead("q".into(), 11), "second leader refused");
-        assert_eq!(co.leader_of("q"), Some(10));
-        assert_eq!(co.finish("q"), Some(10));
-        assert_eq!(co.leader_of("q"), None);
-        assert_eq!(co.finish("q"), None);
     }
 }

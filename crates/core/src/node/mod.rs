@@ -762,18 +762,21 @@ mod tests {
     /// of a world pays it. 1 328 bytes while the container runtime's state
     /// and room for an SLO monitor were inline, 1 624 while the node held
     /// its own config and trust store, 712 while it held its own tracer
-    /// handle and its shard store a copy of the shard config.
+    /// handle and its shard store a copy of the shard config, 632 while
+    /// its registry front held a singleflight table.
     #[test]
-    fn node_state_is_632_bytes() {
-        assert_eq!(std::mem::size_of::<super::NodeState>(), 632);
+    fn node_state_is_600_bytes() {
+        assert_eq!(std::mem::size_of::<super::NodeState>(), 600);
     }
 
     /// The registry backend, inline in every node: 216 bytes while the
     /// shard store held its host, a copy of the shard config and its
     /// shard list beside its slices, and the front a `coalesce` flag
-    /// beside an always-built singleflight table.
+    /// beside an always-built singleflight table; 152 while the front
+    /// held that table beside the cache, naming the searches the node's
+    /// pending-query table already names.
     #[test]
-    fn registry_backend_is_152_bytes() {
-        assert_eq!(std::mem::size_of::<crate::registry::backend::Registry>(), 152);
+    fn registry_backend_is_120_bytes() {
+        assert_eq!(std::mem::size_of::<crate::registry::backend::Registry>(), 120);
     }
 }

@@ -41,6 +41,23 @@ enum Ending {
     Shed,
 }
 
+impl Ending {
+    /// How a search serves its own caller at `now`: with what it found
+    /// since it started. `timed_out` marks results collected when the
+    /// deadline fired before the search completed: the offer set is
+    /// then *partial* — served with a staleness tag instead of hanging
+    /// the caller (graceful degradation under loss and partitions).
+    fn search(pq: &PendingQuery, timed_out: bool, now: lc_des::SimTime) -> Ending {
+        let partial = timed_out && !pq.offers.is_empty();
+        Ending::Served {
+            started: pq.started,
+            timed_out,
+            first_offer_at: pq.first_offer_at,
+            staleness: pq.first_offer_at.filter(|_| partial).map(|t| now.saturating_sub(t)),
+        }
+    }
+}
+
 impl NodeState {
     /// Offers this node's own registry/repository can make for a query.
     pub(crate) fn local_offers_for(&self, query: &ComponentQuery) -> Vec<Offer> {
@@ -71,11 +88,9 @@ impl NodeCtx<'_, '_> {
             sink.borrow_mut().started = started;
         }
         let timeout = self.state.world.config.query_timeout;
-        // Triage: cache hit, coalesce onto an in-flight identical
-        // query, or run a network search.
-        let step = self.state.backend.resolve(&query, started);
-
-        match step {
+        // Triage: cache hit, join the identical pending search, or run a
+        // network search.
+        let cache_missed = match self.state.backend.resolve(&query, started) {
             // Cache hit: serve synchronously from the local result cache
             // — no network search, no pending continuation.
             ResolveStep::Hit { offers, age } => {
@@ -86,93 +101,86 @@ impl NodeCtx<'_, '_> {
                 self.state.world.tracer.event(self.state.host.0, "registry.cache", started, attrs);
                 let f = QueryFollower { purpose, started, deadline: started };
                 self.resolve_follower(f, offers, &query, false, Some(age));
+                return;
             }
-            // Coalesce: an identical query is already in flight — ride it
-            // as a follower instead of spawning a second network search.
-            ResolveStep::Coalesce { leader, cache_missed } => {
-                if cache_missed {
-                    self.sim.metrics().incr(Counter::CacheMisses);
-                }
-                self.sim.metrics().incr(Counter::QueryStarted);
-                self.sim.metrics().incr(Counter::CacheCoalesced);
-                let attrs: &[(_, &dyn Display)] = &[("coalesced", &true), ("leader_seq", &leader)];
-                self.state.world.tracer.event(self.state.host.0, "registry.cache", started, attrs);
-                let deadline = started + timeout;
-                let pending = self.state.conts.queries.get_mut(&leader);
-                debug_assert!(pending.is_some(), "a singleflight leader is a pending query");
-                if let Some(pq) = pending {
-                    pq.followers.push(QueryFollower { purpose, started, deadline });
-                }
-                // The follower's own deadline needs a sweep tick even if
-                // the leader never expires.
-                self.timer_in(timeout, Tick::QueryDeadline);
+            ResolveStep::Miss { cache_missed } => cache_missed,
+        };
+        if cache_missed {
+            self.sim.metrics().incr(Counter::CacheMisses);
+        }
+        // Coalesce: an identical query is already in flight — ride it as
+        // a follower instead of spawning a second network search. With
+        // coalescing on, every entry of the pending table leads its own
+        // query, so the table names at most one search per query.
+        let joined = match &self.state.world.config.cache {
+            Some(c) if c.coalesce => {
+                self.state.conts.queries.iter_mut().find(|(_, pq)| *pq.query == query)
             }
-            ResolveStep::Search { cache_missed } => {
-                if cache_missed {
-                    self.sim.metrics().incr(Counter::CacheMisses);
-                }
-                // Bounded admission queue: starting a search beyond the
-                // cap sheds the *oldest* pending query first (adaptive
-                // LIFO — under sustained overload the oldest callers
-                // are closest to their deadlines, so the newcomer is
-                // the one still worth serving). Cache hits and
-                // coalesced followers above never hit this: they cost
-                // no table entry.
-                if let Some(cap) =
-                    self.state.world.config.admission.as_ref().map(|a| a.query_queue_cap)
-                {
-                    while self.state.conts.queries.len() >= cap {
-                        let Some(oldest) = self.state.conts.queries.oldest_key().copied()
-                        else {
-                            break;
-                        };
-                        self.shed_pending_query(oldest);
-                    }
-                }
-                let seq = self.state.conts.next_seq();
-                let qid = QueryId { origin: self.state.host, seq };
-                let query = Rc::new(query); // shared by every hop and retry
-                // Root (or continue) the per-query trace: everything the
-                // search fans out — MRM hops, member queries, shard
-                // lookups, offer replies — parents under this span until
-                // finalization ends it.
-                let tracer = self.state.world.tracer.clone();
-                let span = tracer.span(self.state.host.0, "registry.query", started);
-                if let Some(s) = span {
-                    if let Some(name) = &query.name {
-                        tracer.set_attr(s, "component", name);
-                    }
-                    tracer.set_attr(s, "seq", seq);
-                }
-                self.state.conts.queries.insert_with_deadline(
-                    seq,
-                    PendingQuery {
-                        purpose,
-                        offers: Vec::new(),
-                        started,
-                        first_offer_at: None,
-                        query: Rc::clone(&query),
-                        retries_left: self.state.world.config.query_retries,
-                        span,
-                        followers: Vec::new(),
-                    },
-                    started + timeout,
-                );
-                self.state.backend.lead(&query, seq);
-                self.sim.metrics().incr(Counter::QueryStarted);
-
-                self.in_span(span, |ctx| {
-                    // Answer locally first (own repository).
-                    let local = ctx.state.local_offers_for(&query);
-                    ctx.on_offers(qid, local);
-                    // Unless first_wins completed it instantly.
-                    if ctx.state.conts.queries.contains_key(&seq) {
-                        ctx.issue_search(qid, query);
-                        ctx.timer_in(timeout, Tick::QueryDeadline);
-                    }
-                });
+            _ => None,
+        };
+        if let Some((&leader, pq)) = joined {
+            pq.followers.push(QueryFollower { purpose, started, deadline: started + timeout });
+            self.sim.metrics().incr(Counter::QueryStarted);
+            self.sim.metrics().incr(Counter::CacheCoalesced);
+            let attrs: &[(_, &dyn Display)] = &[("coalesced", &true), ("leader_seq", &leader)];
+            self.state.world.tracer.event(self.state.host.0, "registry.cache", started, attrs);
+            // The follower's own deadline needs a sweep tick even if the
+            // leader never expires.
+            self.timer_in(timeout, Tick::QueryDeadline);
+            return;
+        }
+        // Bounded admission queue: starting a search beyond the cap sheds
+        // the *oldest* pending query first (adaptive LIFO — under
+        // sustained overload the oldest callers are closest to their
+        // deadlines, so the newcomer is the one still worth serving).
+        // Cache hits and coalesced followers above never hit this: they
+        // cost no table entry.
+        if let Some(cap) = self.state.world.config.admission.as_ref().map(|a| a.query_queue_cap) {
+            while self.state.conts.queries.len() >= cap {
+                let Some(oldest) = self.state.conts.queries.oldest_key().copied() else { break };
+                self.shed_pending_query(oldest);
             }
         }
+        let seq = self.state.conts.next_seq();
+        let qid = QueryId { origin: self.state.host, seq };
+        let query = Rc::new(query); // shared by every hop and retry
+        // Root (or continue) the per-query trace: everything the search
+        // fans out — MRM hops, member queries, shard lookups, offer
+        // replies — parents under this span until its ending ends it.
+        let tracer = self.state.world.tracer.clone();
+        let span = tracer.span(self.state.host.0, "registry.query", started);
+        if let Some(s) = span {
+            if let Some(name) = &query.name {
+                tracer.set_attr(s, "component", name);
+            }
+            tracer.set_attr(s, "seq", seq);
+        }
+        self.state.conts.queries.insert_with_deadline(
+            seq,
+            PendingQuery {
+                purpose,
+                offers: Vec::new(),
+                started,
+                first_offer_at: None,
+                query: Rc::clone(&query),
+                retries_left: self.state.world.config.query_retries,
+                span,
+                followers: Vec::new(),
+            },
+            started + timeout,
+        );
+        self.sim.metrics().incr(Counter::QueryStarted);
+
+        self.in_span(span, |ctx| {
+            // Answer locally first (own repository).
+            let local = ctx.state.local_offers_for(&query);
+            ctx.on_offers(qid, local);
+            // Unless first_wins completed it instantly.
+            if ctx.state.conts.queries.contains_key(&seq) {
+                ctx.issue_search(qid, query);
+                ctx.timer_in(timeout, Tick::QueryDeadline);
+            }
+        });
     }
 
     /// Run the network search for a pending query along the registry's
@@ -367,12 +375,9 @@ impl NodeCtx<'_, '_> {
         } else {
             pq.offers.extend(offers);
         }
-        fn key(o: &Offer) -> (HostId, &str, Version) {
-            (o.node, &o.component, o.version)
-        }
         let mut i = kept.max(1);
         while let Some(o) = pq.offers.get(i) {
-            if pq.offers[..i].iter().any(|p| key(p) == key(o)) {
+            if pq.offers[..i].iter().any(|p| p.key() == o.key()) {
                 pq.offers.remove(i);
             } else {
                 i += 1;
@@ -397,47 +402,50 @@ impl NodeCtx<'_, '_> {
         }
     }
 
+    /// The search `seq` is over: serve its callers what it found.
     pub(crate) fn finish_query(&mut self, seq: u64) {
         let Some(pq) = self.state.conts.queries.remove(&seq) else { return };
-        self.finalize_query(pq, false);
+        let served = Ending::search(&pq, false, self.sim.now());
+        self.end_query(pq, served);
     }
 
-    /// Finalize a pending query already removed from the table.
-    /// `timed_out` marks results collected when the deadline fired
-    /// before the search completed: the offer set is then *partial* —
-    /// served with a staleness tag instead of hanging the caller
-    /// (graceful degradation under loss and partitions).
-    fn finalize_query(&mut self, mut pq: PendingQuery, timed_out: bool) {
+    /// End a pending query already removed from the table — which closes
+    /// its coalescing window — and every query coalesced onto it: fill
+    /// the cache when the search is served before its deadline (partial,
+    /// timed-out results are never cached), tag and end the query's span,
+    /// then complete the leader and, in join order, its followers, still
+    /// inside the span's context. Every caller gets a copy of the offer
+    /// set but the last, which gets the set itself.
+    fn end_query(&mut self, mut pq: PendingQuery, ending: Ending) {
         let now = self.sim.now();
-        // Singleflight resolution: close the coalescing window and fill
-        // the cache before the leader's sink consumes the offer vector.
-        // Timed-out (partial) results are never cached.
-        self.state.backend.complete(&pq.query, &pq.offers, now, !timed_out);
-        let followers = std::mem::take(&mut pq.followers);
-        let fan = (!followers.is_empty()).then(|| pq.offers.clone());
+        if let Ending::Served { timed_out: false, .. } = ending {
+            self.state.backend.complete(&pq.query, &pq.offers, now);
+        }
         let tracer = self.state.world.tracer.clone();
         let span = pq.span;
         if let Some(s) = span {
-            tracer.set_attr(s, "offers", pq.offers.len());
-            if timed_out {
-                tracer.set_attr(s, "timed_out", "true");
+            match ending {
+                Ending::Served { timed_out, .. } => {
+                    tracer.set_attr(s, "offers", pq.offers.len());
+                    if timed_out {
+                        tracer.set_attr(s, "timed_out", "true");
+                    }
+                }
+                Ending::Shed => tracer.set_attr(s, "shed", "true"),
             }
         }
-        let partial = timed_out && !pq.offers.is_empty();
-        let served = Ending::Served {
-            started: pq.started,
-            timed_out,
-            first_offer_at: pq.first_offer_at,
-            staleness: pq.first_offer_at.filter(|_| partial).map(|t| now.saturating_sub(t)),
-        };
+        let followers = std::mem::take(&mut pq.followers);
+        let (last, mut offers) = (followers.len(), pq.offers);
+        let mut share = |i| if i == last { std::mem::take(&mut offers) } else { offers.clone() };
         // Follow-up work (resolve actions) still parents under the query.
         self.in_span(span, |ctx| {
-            ctx.complete(pq.purpose, pq.offers, &pq.query, served);
-            // Followers see the same offer set, in join order, still
-            // inside the leader's span context.
-            if let Some(offers) = fan {
-                for f in followers {
-                    ctx.resolve_follower(f, offers.clone(), &pq.query, timed_out, None);
+            ctx.complete(pq.purpose, share(0), &pq.query, ending);
+            for (i, f) in (1..).zip(followers) {
+                match ending {
+                    Ending::Served { timed_out, .. } => {
+                        ctx.resolve_follower(f, share(i), &pq.query, timed_out, None)
+                    }
+                    Ending::Shed => ctx.complete(f.purpose, share(i), &pq.query, ending),
                 }
             }
             if let Some(s) = span {
@@ -472,25 +480,12 @@ impl NodeCtx<'_, '_> {
     /// every coalesced follower complete immediately with
     /// [`super::QueryResult::shed`] (Resolve purposes get an overload
     /// error) — a deterministic refusal now instead of a silent timeout
-    /// later. The singleflight window closes without caching, so late
-    /// identical queries start a fresh search rather than coalescing
-    /// onto a dead leader.
+    /// later. Nothing is cached, and the query has left the table, so
+    /// late identical queries start a fresh search.
     pub(crate) fn shed_pending_query(&mut self, seq: u64) {
-        let Some(mut pq) = self.state.conts.queries.remove(&seq) else { return };
-        let now = self.sim.now();
+        let Some(pq) = self.state.conts.queries.remove(&seq) else { return };
         self.sim.metrics().incr(Counter::AdmissionQueryShed);
-        self.state.backend.complete(&pq.query, &pq.offers, now, false);
-        let tracer = self.state.world.tracer.clone();
-        if let Some(s) = pq.span {
-            tracer.set_attr(s, "shed", "true");
-            tracer.end(s, now);
-        }
-        let followers = std::mem::take(&mut pq.followers);
-        let offers = pq.offers.clone();
-        self.complete(pq.purpose, offers.clone(), &pq.query, Ending::Shed);
-        for f in followers {
-            self.complete(f.purpose, offers.clone(), &pq.query, Ending::Shed);
-        }
+        self.end_query(pq, Ending::Shed);
     }
 
     /// Complete one query continuation — a leader, a coalesced follower
@@ -601,7 +596,8 @@ impl NodeCtx<'_, '_> {
                 continue;
             }
             self.sim.metrics().incr(Counter::QueryTimeouts);
-            self.finalize_query(pq, true);
+            let served = Ending::search(&pq, true, now);
+            self.end_query(pq, served);
         }
     }
 
@@ -677,24 +673,27 @@ mod tests {
     use lc_net::{FaultPlan, LinkFaults, Net, Topology};
     use lc_pkg::Version;
 
-    /// Every way out of the pending-query table closes the query's
-    /// singleflight window, so the table in front of the searches names
-    /// exactly the pending queries, each under its own sequence: under
-    /// random queries (first-wins or collecting, found or not), message
-    /// loss that times searches out and retries them, and admission
-    /// caps that shed the oldest.
+    /// Every way out of the pending-query table ends the query and every
+    /// query coalesced onto it, and a query joins only a search that is
+    /// still pending: under random queries (first-wins or collecting,
+    /// found or not), message loss that times searches out and retries
+    /// them, and admission caps that shed the oldest, no node's table
+    /// ever holds two searches for one query, and by the longest horizon
+    /// after the last query (its timeout times its tries) every caller
+    /// asked is answered and every table is empty.
     #[test]
-    fn the_coalescer_names_exactly_the_pending_leaders() {
+    fn every_query_ends_and_the_pending_tables_drain() {
         const NAMES: [&str; 2] = ["Counter", "Missing"];
-        lc_prop::check("coalescer = pending leaders", |g| {
+        lc_prop::check("every query ends, every pending table drains", |g| {
             let loss = *g.pick(&[0.0, 0.2, 0.6]);
             let plan = FaultPlan::seeded(g.any_u64()).default_link(LinkFaults::none().drop_p(loss));
             let net = Net::builder(Topology::campus(2, 3)).fault_plan(plan).build();
             let cap = g.gen_range(0..4usize);
+            let (timeout, retries) = (g.gen_range(50..400u64), g.gen_range(0..2u32));
             let config = NodeConfig {
                 cohesion: fast_cohesion(),
-                query_timeout: SimTime::from_millis(g.gen_range(50..400u64)),
-                query_retries: g.gen_range(0..2u32),
+                query_timeout: SimTime::from_millis(timeout),
+                query_retries: retries,
                 cache: Some(CacheConfig::default()),
                 admission: (cap > 0)
                     .then(|| AdmissionConfig { query_queue_cap: cap, ..Default::default() }),
@@ -705,23 +704,29 @@ mod tests {
                 if h.0 % 2 == 0 { vec![demo::counter_package()] } else { Vec::new() }
             });
             world.run_for(SimTime::from_secs(1));
+            let mut sinks = Vec::new();
             for _ in 0..g.gen_range(1..24usize) {
                 let (origin, name) = (*g.pick(&hosts), *g.pick(&NAMES));
                 let query = ComponentQuery::by_name(name, Version::new(1, 0));
-                world.query(origin, query, g.gen_bool());
+                sinks.push(world.query(origin, query, g.gen_bool()));
                 world.run_for(SimTime::from_millis(g.gen_range(0..150u64)));
                 for &h in &hosts {
                     let actor = world.net.actor_of(h);
                     let node = world.sim.actor_as_mut::<Node>(actor).expect("nothing crashes");
-                    // Every query asked is one of `NAMES`, so this covers
-                    // the table: a stale leader shows as a name's entry.
-                    for name in NAMES {
-                        let query = ComponentQuery::by_name(name, Version::new(1, 0));
-                        let seq = (node.conts.queries.iter_mut())
-                            .find_map(|(&seq, pq)| (*pq.query == query).then_some(seq));
-                        assert_eq!(node.backend.leader(&query), seq, "{h:?}: {name}'s leader");
+                    let pending: Vec<_> = node.conts.queries.iter_mut().map(|(_, pq)| pq).collect();
+                    for (i, pq) in pending.iter().enumerate() {
+                        let twice = pending[..i].iter().any(|p| p.query == pq.query);
+                        assert!(!twice, "{h:?}: two searches for {:?}", pq.query);
                     }
                 }
+            }
+            world.run_for(SimTime::from_millis(timeout * u64::from(retries + 1)));
+            for (i, sink) in sinks.iter().enumerate() {
+                assert!(sink.borrow().done, "query {i} unanswered");
+            }
+            for &h in &hosts {
+                let node = world.node(h).expect("nothing crashes");
+                assert!(node.conts.queries.is_empty(), "{h:?}: queries left pending");
             }
         });
     }

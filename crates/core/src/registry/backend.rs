@@ -1,9 +1,10 @@
 //! The Component Registry service's resolution substrate: one concrete
 //! [`Registry`] answering "where do this query's results come from?".
 //!
-//! * Every query first passes the per-node result cache and singleflight
-//!   coalescer ([`Registry::resolve`]); a miss becomes a network search
-//!   along [`Registry::search_route`].
+//! * Every query first probes the per-node result cache
+//!   ([`Registry::resolve`]); a miss joins the identical search pending
+//!   at its origin or becomes a network search along
+//!   [`Registry::search_route`].
 //! * Without a shard store the search ascends the MRM hierarchy and
 //!   coherence is a best-effort `CacheInvalidate` broadcast — the
 //!   [`RegistryConfig::SingleLeader`](crate::node::RegistryConfig)
@@ -24,7 +25,7 @@ use crate::proto::DeltaEntry;
 use crate::registry::shard::{ShardRing, ShardRingConfig};
 use crate::registry::{ComponentQuery, Offer};
 use crate::resource::DynamicInfo;
-use lc_cache::{Coalescer, QueryCache};
+use lc_cache::QueryCache;
 use lc_des::SimTime;
 use lc_net::HostId;
 use lc_orb::Name;
@@ -70,7 +71,7 @@ impl ShardConfig {
     }
 }
 
-/// What [`Registry::resolve`] decided about a fresh query.
+/// What [`Registry::resolve`] found in the result cache for a fresh query.
 pub enum ResolveStep {
     /// Serve synchronously from the result cache.
     Hit {
@@ -79,16 +80,9 @@ pub enum ResolveStep {
         /// The entry's age (surfaced as result staleness).
         age: SimTime,
     },
-    /// Ride an identical in-flight query as a follower.
-    Coalesce {
-        /// The leader's continuation sequence.
-        leader: u64,
-        /// A result-cache lookup ran and missed (metrics attribution).
-        cache_missed: bool,
-    },
-    /// No shortcut: run a network search ([`Registry::lead`] it, and
-    /// [`Registry::complete`] it at finalization).
-    Search {
+    /// No cached answer: join the identical pending search or run one
+    /// (and [`Registry::complete`] it when it is served).
+    Miss {
         /// A result-cache lookup ran and missed (metrics attribution).
         cache_missed: bool,
     },
@@ -173,16 +167,6 @@ struct Published {
 /// A publication as it goes on the wire: the component's name (the
 /// store's key, shared), its generation and its offer set.
 pub(crate) type Publication = (Name, u64, Rc<[Offer]>);
-
-/// The result cache + singleflight table in front of every search, both
-/// keyed by the search's own shared query and probed by a borrowed one.
-/// The table exists only when [`CacheConfig::coalesce`](crate::node::CacheConfig)
-/// turns coalescing on; it then names exactly the pending searches, each
-/// by its continuation sequence.
-struct CacheFront {
-    cache: Option<QueryCache<Rc<ComponentQuery>, Vec<Offer>>>,
-    coalescer: Option<Coalescer<Rc<ComponentQuery>>>,
-}
 
 /// One shard this host replicates: its publisher entries, their
 /// anti-entropy digest and a bound on their freshness stamps.
@@ -372,11 +356,7 @@ impl ShardStore {
             for e in by_pub.values() {
                 for o in e.offers.iter() {
                     if query.admits(&o.component, o.version, o.cost_per_hour, o.mobility)
-                        && !out.iter().any(|x| {
-                            x.node == o.node
-                                && x.component == o.component
-                                && x.version == o.version
-                        })
+                        && !out.iter().any(|x| x.key() == o.key())
                     {
                         out.push(o.clone());
                     }
@@ -532,11 +512,13 @@ impl ShardStore {
 }
 
 /// The Component Registry service's resolution substrate: the result
-/// cache and singleflight table every query passes first, plus — when
+/// cache every query probes first, keyed by the search's own shared
+/// query and probed by a borrowed one, plus — when
 /// [`RegistryConfig::Sharded`](crate::node::RegistryConfig) selects it
-/// — this host's [`ShardStore`].
+/// — this host's [`ShardStore`]. The node's pending-query table, not
+/// this front, names the search an identical query joins.
 pub struct Registry {
-    front: CacheFront,
+    cache: Option<QueryCache<Rc<ComponentQuery>, Vec<Offer>>>,
     shard: Option<ShardStore>,
 }
 
@@ -544,11 +526,7 @@ impl Registry {
     /// Build from the node's cache configuration and, for a sharded
     /// registry, this host's store over the world's ring.
     pub fn new(cache: Option<&crate::node::CacheConfig>, shard: Option<ShardStore>) -> Self {
-        let front = CacheFront {
-            cache: cache.map(|c| QueryCache::new(c.ttl)),
-            coalescer: cache.filter(|c| c.coalesce).map(|_| Coalescer::new()),
-        };
-        Registry { front, shard }
+        Registry { cache: cache.map(|c| QueryCache::new(c.ttl)), shard }
     }
 
     /// The shard store, when the registry is sharded.
@@ -561,57 +539,27 @@ impl Registry {
         self.shard.as_mut()
     }
 
-    /// Triage a fresh query: cache hit, coalesce onto the pending search
-    /// for it, or search. Every search that [`lead`](Self::lead)s is
-    /// [`complete`](Self::complete)d when it leaves the pending table,
-    /// so a leader named here is still pending.
+    /// Probe the result cache for a fresh query: a fresh entry is a hit,
+    /// anything else a miss.
     pub fn resolve(&mut self, query: &ComponentQuery, now: SimTime) -> ResolveStep {
-        let front = &mut self.front;
-        let mut cache_missed = false;
-        if let Some(cache) = front.cache.as_mut() {
-            if let Some((offers, age)) = cache.get(query, now) {
-                return ResolveStep::Hit { offers: offers.clone(), age };
-            }
-            cache_missed = true;
-        }
-        match front.coalescer.as_ref().and_then(|c| c.leader_of(query)) {
-            Some(leader) => ResolveStep::Coalesce { leader, cache_missed },
-            None => ResolveStep::Search { cache_missed },
+        let Some(cache) = self.cache.as_mut() else {
+            return ResolveStep::Miss { cache_missed: false };
+        };
+        match cache.get(query, now) {
+            Some((offers, age)) => ResolveStep::Hit { offers: offers.clone(), age },
+            None => ResolveStep::Miss { cache_missed: true },
         }
     }
 
-    /// Register `seq` as the singleflight leader for `query` (no-op when
-    /// coalescing is off). The table keeps the search's own query.
-    pub fn lead(&mut self, query: &Rc<ComponentQuery>, seq: u64) {
-        if let Some(coalescer) = &mut self.front.coalescer {
-            coalescer.lead(Rc::clone(query), seq);
+    /// The search for `query` was served `offers` before its deadline:
+    /// when they are non-empty, fill the result cache under the search's
+    /// own query with a copy of them.
+    pub fn complete(&mut self, query: &Rc<ComponentQuery>, offers: &[Offer], now: SimTime) {
+        if offers.is_empty() {
+            return;
         }
-    }
-
-    /// The leader the singleflight table names for `query`, read without
-    /// touching the cache.
-    #[cfg(test)]
-    pub(crate) fn leader(&self, query: &ComponentQuery) -> Option<u64> {
-        self.front.coalescer.as_ref()?.leader_of(query)
-    }
-
-    /// The search for `query` finished: close the coalescing window and,
-    /// when `cacheable` (not timed out) and non-empty, fill the result
-    /// cache under the search's own query with a copy of the offers.
-    pub fn complete(
-        &mut self,
-        query: &Rc<ComponentQuery>,
-        offers: &[Offer],
-        now: SimTime,
-        cacheable: bool,
-    ) {
-        if let Some(coalescer) = &mut self.front.coalescer {
-            coalescer.finish(&**query);
-        }
-        if cacheable && !offers.is_empty() {
-            if let Some(cache) = self.front.cache.as_mut() {
-                cache.insert(Rc::clone(query), offers.to_vec(), now);
-            }
+        if let Some(cache) = self.cache.as_mut() {
+            cache.insert(Rc::clone(query), offers.to_vec(), now);
         }
     }
 
@@ -621,7 +569,7 @@ impl Registry {
     /// there is no cache layer at all (the caller then skips coherence
     /// metrics, matching the cache-disabled runtime byte-for-byte).
     pub fn invalidate(&mut self, component: &str) -> Option<usize> {
-        let cache = self.front.cache.as_mut()?;
+        let cache = self.cache.as_mut()?;
         Some(cache.invalidate_matching(|query, offers| {
             query.name.as_deref().is_none_or(|name| name == component)
                 || offers.iter().any(|o| o.component == component)
@@ -645,7 +593,7 @@ impl Registry {
                 let shard = store.ring.shard_of_component(component);
                 CoherenceRoute::Shard { replicas: Rc::clone(store.ring.replicas(shard)) }
             }
-            None if self.front.cache.is_some() => CoherenceRoute::Broadcast,
+            None if self.cache.is_some() => CoherenceRoute::Broadcast,
             None => CoherenceRoute::Disabled,
         }
     }
@@ -849,16 +797,9 @@ mod tests {
         let cache = crate::node::CacheConfig::default();
         let mut b = Registry::new(Some(&cache), None);
         let q = Rc::new(ComponentQuery::by_name("X", Version::new(1, 0)));
-        // miss → search
-        assert!(matches!(b.resolve(&q, MS(0)), ResolveStep::Search { cache_missed: true }));
-        b.lead(&q, 7);
-        // identical query coalesces onto the live leader
-        match b.resolve(&q, MS(1)) {
-            ResolveStep::Coalesce { leader: 7, cache_missed: true } => {}
-            _ => panic!("expected coalesce onto seq 7"),
-        }
-        // completion fills the cache; next query hits
-        b.complete(&q, &[offer(2, "X")], MS(2), true);
+        // miss → search; completion fills the cache; next query hits
+        assert!(matches!(b.resolve(&q, MS(0)), ResolveStep::Miss { cache_missed: true }));
+        b.complete(&q, &[offer(2, "X")], MS(2));
         match b.resolve(&q, MS(3)) {
             ResolveStep::Hit { offers, age } => {
                 assert_eq!(offers.len(), 1);
@@ -868,22 +809,22 @@ mod tests {
         }
         // invalidation drops it again
         assert_eq!(b.invalidate("X"), Some(1));
-        assert!(matches!(b.resolve(&q, MS(4)), ResolveStep::Search { .. }));
+        assert!(matches!(b.resolve(&q, MS(4)), ResolveStep::Miss { .. }));
         assert!(matches!(b.coherence_route("X"), CoherenceRoute::Broadcast));
         // an interface query names no component: whatever it cached,
         // any component's invalidation drops it; a name query for
         // another component survives
         let iq = Rc::new(ComponentQuery::by_interface("IDL:Display:1.0"));
-        b.complete(&iq, &[offer(2, "Gui")], MS(5), true);
-        b.complete(&q, &[offer(2, "X")], MS(5), true);
+        b.complete(&iq, &[offer(2, "Gui")], MS(5));
+        b.complete(&q, &[offer(2, "X")], MS(5));
         assert_eq!(b.invalidate("Unrelated"), Some(1));
-        assert!(matches!(b.resolve(&iq, MS(6)), ResolveStep::Search { .. }));
+        assert!(matches!(b.resolve(&iq, MS(6)), ResolveStep::Miss { .. }));
         assert!(matches!(b.resolve(&q, MS(6)), ResolveStep::Hit { .. }));
         // no cache config at all: no coherence, invalidate = None
         let mut none = Registry::new(None, None);
         assert!(matches!(
             none.resolve(&q, MS(0)),
-            ResolveStep::Search { cache_missed: false }
+            ResolveStep::Miss { cache_missed: false }
         ));
         assert_eq!(none.invalidate("X"), None);
         assert!(matches!(none.coherence_route("X"), CoherenceRoute::Disabled));

@@ -92,7 +92,7 @@ pub struct Connection {
 
 /// A distributed component query (§2.4.3 "Support for Distributed
 /// Queries"). Totally ordered, so a query is its own key in the result
-/// cache and the singleflight table.
+/// cache.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug, Default)]
 pub struct ComponentQuery {
     /// Match a specific component name.
@@ -184,6 +184,12 @@ pub struct Offer {
 }
 
 impl Offer {
+    /// What makes two offers one: the node, component and version they
+    /// name. An offer set keeps the first of equal keys.
+    pub fn key(&self) -> (HostId, &str, Version) {
+        (self.node, &self.component, self.version)
+    }
+
     /// Approximate wire size in bytes.
     pub fn wire_size(&self) -> u64 {
         48 + self.component.len() as u64

@@ -683,14 +683,15 @@ fn scale_run_allocations_are_pinned() {
 }
 
 /// What one cached name query asks the allocator for across its whole
-/// life in the [`Registry`] front — miss, `lead`, `complete` with one
-/// offer, then a hit: a tree node each in the singleflight table and the
-/// cache, which key by the search's own shared query, and the offer set
-/// stored and handed out (a vector each; the offer shares its component
-/// name). Nothing is formatted, parsed or copied on the way (8 while both
-/// tables kept a copy of the query and every offer a copy of its name; a
-/// formatted string key made this 16).
-const REGISTRY_CYCLE_ALLOCS: u64 = 4;
+/// life in the [`Registry`] front — miss, `complete` with one offer, then
+/// a hit: a tree node in the cache, which keys by the search's own shared
+/// query, and the offer set stored and handed out (a vector each; the
+/// offer shares its component name). Nothing is formatted, parsed or
+/// copied on the way (4 while a singleflight table beside the cache also
+/// keyed a tree node by the query, 8 while both tables kept a copy of the
+/// query and every offer a copy of its name; a formatted string key made
+/// this 16).
+const REGISTRY_CYCLE_ALLOCS: u64 = 3;
 
 #[test]
 fn registry_front_cycle_allocations_are_pinned() {
@@ -707,13 +708,12 @@ fn registry_front_cycle_allocations_are_pinned() {
     let query = Rc::new(ComponentQuery::by_name("Counter", Version::new(1, 0)));
     let mut front = Registry::new(Some(&CacheConfig::default()), None);
     let before = allocs();
-    assert!(matches!(front.resolve(&query, SimTime::ZERO), ResolveStep::Search { .. }));
-    front.lead(&query, 1);
-    front.complete(&query, std::slice::from_ref(&offer), SimTime::from_millis(1), true);
+    assert!(matches!(front.resolve(&query, SimTime::ZERO), ResolveStep::Miss { .. }));
+    front.complete(&query, std::slice::from_ref(&offer), SimTime::from_millis(1));
     let hit = front.resolve(&query, SimTime::from_millis(2));
     let total = allocs() - before;
     assert!(matches!(hit, ResolveStep::Hit { offers, .. } if offers == [offer]));
-    println!("{total} allocations for one registry miss/lead/complete/hit cycle");
+    println!("{total} allocations for one registry miss/complete/hit cycle");
     assert!(
         total <= REGISTRY_CYCLE_ALLOCS,
         "{total} allocations in a registry front cycle exceed the pinned {REGISTRY_CYCLE_ALLOCS}"
@@ -724,9 +724,10 @@ fn registry_front_cycle_allocations_are_pinned() {
 /// retains: 1 024 hosts on 128 sites of 8, default cohesion, one leader,
 /// no cache, `Counter` on the first host of every site, converged for
 /// three report periods — everything the world holds (fabric, kernel,
-/// every node's stores and soft state) per host. The measured 1 942, in
-/// release and debug builds alike; 2 032 while every node held its own
-/// tracer handle, its shard store a copy of the shard config and its
+/// every node's stores and soft state) per host. The measured 1 910, in
+/// release and debug builds alike; 1 942 while every node's registry
+/// front had room for a singleflight table; 2 032 while every node held
+/// its own tracer handle, its shard store a copy of the shard config and its
 /// registry front a flag beside its singleflight table, and every
 /// container runtime's adapter held the repository, clock and tracer
 /// beside two instance tables the registry and repository already
@@ -741,7 +742,7 @@ fn registry_front_cycle_allocations_are_pinned() {
 /// bytes, 4 983 while it was 48, 5 038 while every node copied its seats'
 /// member, replica and parent lists and its report targets out of the
 /// tree.
-const RETAINED_BYTES_PER_NODE: i64 = 1_942;
+const RETAINED_BYTES_PER_NODE: i64 = 1_910;
 
 #[test]
 fn retained_bytes_per_node_are_pinned() {

@@ -172,3 +172,71 @@ fn shed_leader_fans_overload_to_coalesced_followers() {
     let n = newcomer.borrow();
     assert!(n.done && !n.shed, "newcomer must keep its admitted search");
 }
+
+/// Ask for `name` at host 5 and run for `d`: the caller's sink and the
+/// `query.msgs` sent meanwhile.
+fn ask(w: &mut World, name: &str, d: SimTime) -> (lc_core::node::QuerySink, u64) {
+    let before = w.sim.metrics_ref().counter("query.msgs");
+    let sink = w.query(HostId(5), query(name), true);
+    w.run_for(d);
+    (sink, w.sim.metrics_ref().counter("query.msgs") - before)
+}
+
+/// A query that has left the pending table is never joined, whichever
+/// way it left: a dead-end finish (nothing offers `Missing`), a timeout
+/// with no retry left, and an admission shed. In each, the next
+/// identical query runs its own search — its `query.msgs` equal the
+/// first query's, which ran alone — and `cache.coalesced` does not move.
+#[test]
+fn a_query_that_has_left_the_table_is_never_joined() {
+    let timeout = SimTime::from_millis(400);
+    let lossy = |seed, admission| {
+        let plan = lc_net::FaultPlan::seeded(seed)
+            .default_link(lc_net::LinkFaults::none().drop_p(1.0));
+        let config = NodeConfig { admission, ..config(Some(CacheConfig::default())) };
+        let net = lc_net::Net::builder(Topology::lan(8)).fault_plan(plan).build();
+        let mut w = World::on(net, seed, config, lc_core::demo::catalog(), |_| Vec::new());
+        w.run_for(SimTime::from_secs(1));
+        w
+    };
+
+    // Dead end: the search ends well before its deadline, with no
+    // offers, so nothing is cached either.
+    let mut w = world(Some(CacheConfig::default()), 9);
+    w.run_for(SimTime::from_secs(1));
+    let (first, alone) = ask(&mut w, "Missing", SimTime::from_millis(100));
+    let r = first.borrow();
+    assert!(r.done && r.offers.is_empty() && r.done_at < Some(r.started + timeout));
+    assert!(alone > 0, "the search never left the origin — the case is vacuous");
+    let (next, msgs) = ask(&mut w, "Missing", SimTime::from_millis(100));
+    assert!(next.borrow().done);
+    assert_eq!((msgs, w.sim.metrics_ref().counter("cache.coalesced")), (alone, 0), "dead end");
+
+    // Timeout: total loss, no retry, so the search expires at its
+    // deadline.
+    let mut w = lossy(11, None);
+    let (first, alone) = ask(&mut w, "Ghost", timeout);
+    assert_eq!(first.borrow().done_at, Some(first.borrow().started + timeout));
+    assert!(alone > 0);
+    let (next, msgs) = ask(&mut w, "Ghost", timeout);
+    assert!(next.borrow().done);
+    assert_eq!((msgs, w.sim.metrics_ref().counter("cache.coalesced")), (alone, 0), "timeout");
+
+    // Shed: one queue slot, and a distinct query takes it from the
+    // hanging search.
+    let admission = lc_core::node::AdmissionConfig {
+        query_queue_cap: 1,
+        cpu_backlog_cap: SimTime::from_secs(10),
+        deadline_aware: false,
+        replicate_hot: None,
+    };
+    let mut w = lossy(13, Some(admission));
+    let tick = SimTime::from_millis(1);
+    let (first, alone) = ask(&mut w, "Ghost", tick);
+    assert!(alone > 0);
+    ask(&mut w, "Phantom", tick);
+    assert!(first.borrow().shed);
+    let (next, msgs) = ask(&mut w, "Ghost", tick);
+    assert!(!next.borrow().done, "the next query holds the slot");
+    assert_eq!((msgs, w.sim.metrics_ref().counter("cache.coalesced")), (alone, 0), "shed");
+}

@@ -64,7 +64,7 @@ pub fn to_collapsed(spans: &[Span]) -> String {
             kids.entry(p).or_default().push(s);
         }
     }
-    let mut weights: BTreeMap<String, u64> = BTreeMap::new();
+    let mut rows = Vec::new();
     for s in spans {
         // stack: walk the parent chain up to the root
         let mut names = vec![s.name.as_str()];
@@ -85,7 +85,17 @@ pub fn to_collapsed(spans: &[Span]) -> String {
         if w == 0 && !children.is_empty() {
             continue;
         }
-        *weights.entry(names.join(";")).or_insert(0) += w;
+        rows.push((names.join(";"), w));
+    }
+    write_collapsed(rows)
+}
+
+/// Collapsed-stack lines, `"{stack} {weight}"`, one per distinct stack
+/// (equal stacks' weights summed), sorted by stack.
+pub(crate) fn write_collapsed(rows: impl IntoIterator<Item = (String, u64)>) -> String {
+    let mut weights: BTreeMap<String, u64> = BTreeMap::new();
+    for (stack, w) in rows {
+        *weights.entry(stack).or_insert(0) += w;
     }
     let mut out = String::new();
     for (stack, w) in &weights {

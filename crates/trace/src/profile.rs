@@ -91,12 +91,7 @@ pub fn to_collapsed(r: &ProfileReport, names: &[(u8, &str)]) -> String {
     if packed.events > 0 && packed.sim_ns > packed_in_kinds {
         rows.push(("des;packed".to_owned(), packed.sim_ns - packed_in_kinds));
     }
-    rows.sort();
-    let mut out = String::new();
-    for (stack, w) in rows {
-        let _ = writeln!(out, "{stack} {w}");
-    }
-    out
+    crate::flame::write_collapsed(rows)
 }
 
 #[cfg(test)]
