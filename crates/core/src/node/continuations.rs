@@ -4,13 +4,13 @@
 //! remote spawns, outgoing ORB calls, package fetches and migrations —
 //! that all follow the same shape: *stash a continuation under a key,
 //! resume it when the answering message arrives, optionally expire it on
-//! a deadline*. [`Continuations`] is the one helper behind all five
-//! (replacing five ad-hoc `BTreeMap`s with hand-rolled expiry). Every
-//! node searches, so [`ContTable`] keeps the queries beside the single
-//! sequence counter all five draw from; the other four tables and the
-//! servant side's [`ReplyCache`] belong to the container runtime's state
-//! (`container::Container`), which a node makes at its first install or
-//! first use.
+//! a deadline*. [`Continuations`] is the one helper behind all five: a
+//! key-sorted ring with one expiry sweep, which replaced five ad-hoc
+//! maps with hand-rolled expiry. Every node searches, so [`ContTable`]
+//! keeps the queries beside the single sequence counter all five draw
+//! from; the other four tables and the servant side's [`ReplyCache`]
+//! belong to the container runtime's state (`container::Container`),
+//! which a node makes at its first install or first use.
 
 use crate::assembly::AssemblyDescriptor;
 use crate::deploy::ResolvePolicy;
@@ -34,8 +34,14 @@ struct Entry<V> {
 /// Keyed pending-work map with optional per-entry deadlines and a single
 /// sweep ([`Continuations::take_expired`]) instead of per-entry
 /// `contains_key` + remove dances.
+///
+/// The entries sit in one ring, sorted by key. Sequence numbers and
+/// request ids only grow, so a new entry goes on the back, and answers,
+/// which mostly arrive oldest first, take entries from near the front.
+/// The ring keeps its slots, so a table in steady state allocates
+/// nothing per entry.
 pub struct Continuations<K, V> {
-    entries: BTreeMap<K, Entry<V>>,
+    entries: VecDeque<(K, Entry<V>)>,
     high_water: usize,
     /// No live entry expires before this (`MAX`: none has a deadline).
     /// A lower bound, not the minimum: inserts lower it, removals leave
@@ -43,23 +49,40 @@ pub struct Continuations<K, V> {
     next_due: SimTime,
 }
 
-impl<K: Ord, V> Default for Continuations<K, V> {
+impl<K, V> Default for Continuations<K, V> {
     fn default() -> Self {
-        Continuations { entries: BTreeMap::new(), high_water: 0, next_due: SimTime::MAX }
+        Continuations { entries: VecDeque::new(), high_water: 0, next_due: SimTime::MAX }
     }
 }
 
-impl<K: Ord + Clone, V> Continuations<K, V> {
+impl<K: Ord, V> Continuations<K, V> {
+    /// Where `key` sits in the ring: `Ok` at its entry, `Err` where it
+    /// would go.
+    fn find<Q: Ord + ?Sized>(&self, key: &Q) -> Result<usize, usize>
+    where
+        K: std::borrow::Borrow<Q>,
+    {
+        self.entries.binary_search_by(|(k, _)| k.borrow().cmp(key))
+    }
+
+    /// Park `entry` under `key` in key order (on the back when `key` is
+    /// the greatest yet), replacing what was there.
+    fn put(&mut self, key: K, entry: Entry<V>) {
+        match self.find(&key) {
+            Ok(i) => self.entries[i].1 = entry,
+            Err(i) => self.entries.insert(i, (key, entry)),
+        }
+        self.high_water = self.high_water.max(self.entries.len());
+    }
+
     /// Park a continuation that never expires (resumed only by a message).
     pub fn insert(&mut self, key: K, value: V) {
-        self.entries.insert(key, Entry { value, deadline: None });
-        self.high_water = self.high_water.max(self.entries.len());
+        self.put(key, Entry { value, deadline: None });
     }
 
     /// Park a continuation that expires at `deadline` if not resumed.
     pub fn insert_with_deadline(&mut self, key: K, value: V, deadline: SimTime) {
-        self.entries.insert(key, Entry { value, deadline: Some(deadline) });
-        self.high_water = self.high_water.max(self.entries.len());
+        self.put(key, Entry { value, deadline: Some(deadline) });
         self.next_due = self.next_due.min(deadline);
     }
 
@@ -68,17 +91,25 @@ impl<K: Ord + Clone, V> Continuations<K, V> {
     where
         K: std::borrow::Borrow<Q>,
     {
-        self.entries.remove(key).map(|e| e.value)
+        let i = self.find(key).ok()?;
+        self.entries.remove(i).map(|(_, e)| e.value)
+    }
+
+    /// The continuation under `key`, if pending.
+    pub fn get(&self, key: &K) -> Option<&V> {
+        let i = self.find(key).ok()?;
+        Some(&self.entries[i].1.value)
     }
 
     /// Peek at a pending continuation.
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        self.entries.get_mut(key).map(|e| &mut e.value)
+        let i = self.find(key).ok()?;
+        Some(&mut self.entries[i].1.value)
     }
 
     /// Is work still pending under `key`?
     pub fn contains_key(&self, key: &K) -> bool {
-        self.entries.contains_key(key)
+        self.find(key).is_ok()
     }
 
     /// The continuation under `key`, inserting a default (no deadline)
@@ -87,13 +118,15 @@ impl<K: Ord + Clone, V> Continuations<K, V> {
     where
         V: Default,
     {
-        let after = self.entries.len() + usize::from(!self.entries.contains_key(&key));
-        self.high_water = self.high_water.max(after);
-        let e = self
-            .entries
-            .entry(key)
-            .or_insert_with(|| Entry { value: V::default(), deadline: None });
-        &mut e.value
+        let i = match self.find(&key) {
+            Ok(i) => i,
+            Err(i) => {
+                self.entries.insert(i, (key, Entry { value: V::default(), deadline: None }));
+                self.high_water = self.high_water.max(self.entries.len());
+                i
+            }
+        };
+        &mut self.entries[i].1.value
     }
 
     /// Remove and return every entry whose deadline is at or before
@@ -101,30 +134,36 @@ impl<K: Ord + Clone, V> Continuations<K, V> {
     /// deadline tick only needs the clock, not the key that armed it —
     /// and a tick whose entry was resumed long ago (the common case:
     /// every call arms one, almost every reply beats it) finds `now`
-    /// short of the earliest deadline and looks at nothing.
+    /// short of the earliest deadline and looks at nothing. The sweep
+    /// is one pass; due entries are mostly the oldest, at the front,
+    /// so taking them out shifts little, and a sweep that finds none
+    /// due allocates nothing.
     pub fn take_expired(&mut self, now: SimTime) -> Vec<(K, V)> {
-        if now < self.next_due {
-            return Vec::new();
-        }
         let mut due = Vec::new();
+        if now < self.next_due {
+            return due;
+        }
         self.next_due = SimTime::MAX;
-        for (k, e) in &self.entries {
+        let mut i = 0;
+        while let Some((_, e)) = self.entries.get(i) {
             match e.deadline {
-                Some(d) if d <= now => due.push(k.clone()),
+                Some(d) if d <= now => {
+                    due.extend(self.entries.remove(i).map(|(k, e)| (k, e.value)));
+                    continue;
+                }
                 Some(d) => self.next_due = self.next_due.min(d),
                 None => {}
             }
+            i += 1;
         }
-        due.into_iter()
-            .filter_map(|k| self.entries.remove(&k).map(|e| (k, e.value)))
-            .collect()
+        due
     }
 
     /// The smallest key currently pending. For sequence-keyed tables
     /// this is the *oldest* entry — the one admission control sheds
     /// when the table hits its cap.
     pub fn oldest_key(&self) -> Option<&K> {
-        self.entries.keys().next()
+        self.entries.front().map(|(k, _)| k)
     }
 
     /// Iterate over live entries in key order, values mutable. Used by
@@ -132,7 +171,7 @@ impl<K: Ord + Clone, V> Continuations<K, V> {
     /// expiring individual coalesced followers inside a still-pending
     /// query).
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (&K, &mut V)> {
-        self.entries.iter_mut().map(|(k, e)| (k, &mut e.value))
+        self.entries.iter_mut().map(|(k, e)| (&*k, &mut e.value))
     }
 
     /// Number of pending continuations.
@@ -165,9 +204,13 @@ pub struct ContTable {
 /// dedup window from the instant it is cached, so deadlines arrive in
 /// order, and a FIFO of them lets a sweep visit only what has expired
 /// (a full scan per sweep is linear in the window times the reply rate).
+/// The replies sit in a [`Continuations`] ring by request id: requests
+/// arrive in nearly the order their ids were drawn, so a reply goes on
+/// or near the back and the sweep takes from near the front.
 #[derive(Default)]
 pub(crate) struct ReplyCache {
-    entries: BTreeMap<RequestId, (Result<Outcome, OrbError>, SimTime)>,
+    /// Each reply beside the deadline its expiry pair names.
+    entries: Continuations<RequestId, (Result<Outcome, OrbError>, SimTime)>,
     /// `(deadline, id)` per insert, in insert order, so deadlines never
     /// decrease. An id cached again leaves its earlier pair behind; the
     /// sweep tells it by its deadline and skips it.
@@ -443,6 +486,123 @@ mod tests {
             assert_eq!(table.take_expired(SimTime::ZERO), reference.take_expired(SimTime::ZERO));
             assert_eq!(table.take_expired(SimTime::MAX), reference.take_expired(SimTime::MAX));
             assert_eq!(table.len(), reference.0.len());
+        });
+    }
+
+    /// The tree the ring replaced, each entry's deadline beside its
+    /// value, with a sweep that scans every entry and its own high-water
+    /// mark.
+    struct Tree<K> {
+        entries: BTreeMap<K, (u32, Option<SimTime>)>,
+        high_water: usize,
+    }
+
+    impl<K: Ord + Clone> Tree<K> {
+        fn insert(&mut self, key: K, value: u32, deadline: Option<SimTime>) {
+            self.entries.insert(key, (value, deadline));
+            self.high_water = self.high_water.max(self.entries.len());
+        }
+
+        fn take_expired(&mut self, now: SimTime) -> Vec<(K, u32)> {
+            let due: Vec<K> = self
+                .entries
+                .iter()
+                .filter(|(_, (_, d))| d.is_some_and(|d| d <= now))
+                .map(|(k, _)| k.clone())
+                .collect();
+            due.into_iter().filter_map(|k| self.entries.remove(&k).map(|(v, _)| (k, v))).collect()
+        }
+    }
+
+    /// Every method of the ring against the tree: inserts with and
+    /// without deadlines, overwrites, removals, peeks, defaults, sweeps
+    /// (re-parking an expired key under a later deadline, as
+    /// `sweep_calls` and `sweep_queries` do), and after every step the
+    /// length, high-water mark, oldest key and iteration order. `key`
+    /// draws the keys, in or out of order.
+    fn ring_agrees_with_a_tree<K: Ord + Clone + std::fmt::Debug>(
+        g: &mut lc_prop::Gen,
+        mut key: impl FnMut(&mut lc_prop::Gen) -> K,
+    ) {
+        let mut ring: Continuations<K, u32> = Continuations::default();
+        let mut tree = Tree { entries: BTreeMap::new(), high_water: 0 };
+        let ms = SimTime::from_millis;
+        for step in 0..g.gen_range(1..200u32) {
+            let k = key(g);
+            match g.gen_range(0..9u32) {
+                0 => {
+                    ring.insert(k.clone(), step);
+                    tree.insert(k, step, None);
+                }
+                1 | 2 => {
+                    let deadline = ms(g.gen_range(0..400u64));
+                    ring.insert_with_deadline(k.clone(), step, deadline);
+                    tree.insert(k, step, Some(deadline));
+                }
+                3 => assert_eq!(ring.remove(&k), tree.entries.remove(&k).map(|(v, _)| v)),
+                4 => {
+                    // The order check below compares the edited values.
+                    if let Some(v) = ring.get_mut(&k) {
+                        *v += 1_000;
+                    }
+                    if let Some((v, _)) = tree.entries.get_mut(&k) {
+                        *v += 1_000;
+                    }
+                }
+                5 => assert_eq!(ring.contains_key(&k), tree.entries.contains_key(&k)),
+                6 => {
+                    *ring.entry_or_default(k.clone()) += 1;
+                    if !tree.entries.contains_key(&k) {
+                        tree.insert(k.clone(), 0, None);
+                    }
+                    tree.entries.get_mut(&k).expect("just made").0 += 1;
+                }
+                _ => {
+                    let now = ms(g.gen_range(0..450u64));
+                    let expired = ring.take_expired(now);
+                    assert_eq!(expired, tree.take_expired(now), "sweep at {now}");
+                    if let Some((k, v)) = expired.into_iter().next() {
+                        let later = now + ms(g.gen_range(1..100u64));
+                        ring.insert_with_deadline(k.clone(), v, later);
+                        tree.insert(k, v, Some(later));
+                    }
+                }
+            }
+            assert_eq!(ring.len(), tree.entries.len());
+            assert_eq!(ring.is_empty(), tree.entries.is_empty());
+            assert_eq!(ring.high_water(), tree.high_water);
+            assert_eq!(ring.oldest_key(), tree.entries.keys().next());
+            let order: Vec<(K, u32)> = ring.iter_mut().map(|(k, v)| (k.clone(), *v)).collect();
+            let want: Vec<(K, u32)> =
+                tree.entries.iter().map(|(k, (v, _))| (k.clone(), *v)).collect();
+            assert_eq!(order, want);
+        }
+        assert_eq!(ring.take_expired(SimTime::MAX), tree.take_expired(SimTime::MAX));
+        assert_eq!(ring.len(), tree.entries.len());
+    }
+
+    /// Request ids: half the time a fresh, greater one (the back of the
+    /// ring), else any id up to it.
+    #[test]
+    fn the_ring_agrees_with_a_tree_on_growing_ids() {
+        lc_prop::check("the_ring_agrees_with_a_tree_on_growing_ids", |g| {
+            let mut next = 0u64;
+            ring_agrees_with_a_tree(g, |g| {
+                if g.gen_bool() {
+                    next += g.gen_range(1..3u64);
+                    RequestId(next)
+                } else {
+                    RequestId(g.gen_range(0..next + 1))
+                }
+            });
+        });
+    }
+
+    /// Component names, as the fetch table keys them: no order at all.
+    #[test]
+    fn the_ring_agrees_with_a_tree_on_names() {
+        lc_prop::check("the_ring_agrees_with_a_tree_on_names", |g| {
+            ring_agrees_with_a_tree(g, |g| g.string_of("abc", 0..3));
         });
     }
 

@@ -17,8 +17,8 @@ use lc_core::node::{AdmissionConfig, InvokePolicy, NodeCmd, RegistryConfig};
 use lc_core::scale::{run_scale, ScaleConfig, Variant};
 use lc_core::testkit::{display_campus, fast_cohesion, DISPLAY_FRONTS as FRONTS, World};
 use lc_core::{
-    CacheConfig, CohesionConfig, ComponentQuery, NodeConfig, Offer, QuerySink, Registry,
-    ResolveStep, ServiceKind, ShardConfig, ShardStore,
+    CacheConfig, CohesionConfig, ComponentQuery, Continuations, NodeConfig, Offer, QuerySink,
+    Registry, ResolveStep, ServiceKind, ShardConfig, ShardStore,
 };
 use lc_des::{Lane, ProfilerConfig, SimTime};
 use lc_load::{
@@ -26,7 +26,7 @@ use lc_load::{
     ZipfKeys,
 };
 use lc_net::{HostId, Topology};
-use lc_orb::Value;
+use lc_orb::{RequestId, Value};
 use lc_pkg::Version;
 use lc_prop::alloc::{allocs, live_bytes, peak_live_bytes, reset_peak_live_bytes, Counting};
 use std::rc::Rc;
@@ -524,9 +524,12 @@ fn a_reinstall_and_a_spawn_allocate_a_pinned_count() {
 /// node, fabric, worker's container and adapter, reply — on the
 /// benchmark's `invoke_open` world: E16's 2 × 4 campus, four
 /// `LoadDriver` fronts at 4 000 invokes/s, admission on, 250 ms deadline.
-/// The measured 2 739 / 2 000 (the campus's own reports and the
+/// The measured 2 428 / 2 000 (the campus's own reports and the
 /// drivers' discovery queries included; the same in debug and release
-/// builds), rounded up. While each invoke made its sink and reply slot
+/// builds), rounded up. While each front's call table was a tree, 2 739:
+/// request ids only grow, so the tree allocated a leaf on its right and
+/// freed an emptied one on its left every few calls, 0.14 leaves per
+/// invoke. While each invoke made its sink and reply slot
 /// and copied its operation name and string argument, 10 735; while a
 /// reference owned its repository id it was 13 338; with the command and both frames boxed, 19 696; before a
 /// search shared one copy of its query and a seat routed from its index,
@@ -534,20 +537,23 @@ fn a_reinstall_and_a_spawn_allocate_a_pinned_count() {
 /// twice by name and every request copied for a re-send that could not
 /// happen, 39 856 / 2 000 = 19.93 (EXPERIMENTS.md, "An invoke pays for
 /// what it carries"). What is left is the argument vector the driver
-/// hands the node: the driver reuses the sinks of counted calls, the
-/// operation name and the string argument are shared `Name`s, the target
-/// reference is copied by count, and the command and the two frames wait
-/// by value in their mail lanes.
-const REMOTE_INVOKE_BUDGET: f64 = 1.37;
-/// The same under [`InvokePolicy::standard`] (5 071 / 2 000; 17 066 while
+/// hands the node and the campus's own traffic: the driver reuses the
+/// sinks of counted calls, the operation name and the string argument
+/// are shared `Name`s, the target reference is copied by count, the
+/// command and the two frames wait by value in their mail lanes, and a
+/// call waits in its front's ring, whose slots outlive it.
+const REMOTE_INVOKE_BUDGET: f64 = 1.22;
+/// The same under [`InvokePolicy::standard`] (4 431 / 2 000; 4 760 while
+/// the worker's reply cache was a tree, 5 071 while the call table was
+/// one too, 17 066 while
 /// each invoke made its sink and copied its text, 19 669 while a
 /// reference owned its repository id, 26 027 with the command and frames
 /// boxed, 26 187 before the shared query): three retries make every call
 /// keep a copy of its argument vector (the operation name and the string
 /// in it are shared), and a 5 s dedup window makes the worker keep every
-/// reply under a map node. (Before, 20.09: a call without a retry budget
-/// paid for the copy too.)
-const REMOTE_INVOKE_RECOVERABLE_BUDGET: f64 = 2.54;
+/// reply in its cache's ring, which doubles as the window fills.
+/// (Before, 20.09: a call without a retry budget paid for the copy too.)
+const REMOTE_INVOKE_RECOVERABLE_BUDGET: f64 = 2.22;
 
 const INVOKES: u64 = 2_000;
 
@@ -556,10 +562,12 @@ const INVOKES: u64 = 2_000;
 /// before it (the segment's arrivals already scheduled): the calls in
 /// flight — commands, call-table entries, frames, admission queue and
 /// dedup state — at 4 000 invokes/s, in release and debug builds alike.
-/// The measured 57 920. VmHWM (`invoke_open`'s `peak_rss_mb`) follows where
-/// the allocator places the heap; this is the figure a memory claim on
-/// the invoke path cites.
-const PEAK_INVOKE_SEGMENT_BYTES: i64 = 57_920;
+/// The measured 22 856; 57 920 while each front's call table was a tree
+/// of 1 512-byte leaves, one made on the right for every few calls while
+/// emptied ones were freed on the left. VmHWM (`invoke_open`'s
+/// `peak_rss_mb`) follows where the allocator places the heap; this is
+/// the figure a memory claim on the invoke path cites.
+const PEAK_INVOKE_SEGMENT_BYTES: i64 = 22_856;
 
 /// One measured segment of the `invoke_open` world: allocator calls per
 /// invoke, and the peak heap bytes the segment held above its start.
@@ -661,6 +669,35 @@ fn in_flight_invoke_bytes_are_pinned() {
     assert_eq!(peak, PEAK_INVOKE_SEGMENT_BYTES, "peak bytes of an invoke segment moved");
 }
 
+/// A front's call table in steady state: 10 000 calls under growing
+/// request ids, each with a deadline, at most 32 pending, answered
+/// oldest first, and a deadline sweep after every call that finds
+/// nothing due. Once the first 32 have grown the table, no call
+/// allocates. (A tree keyed by the same ids allocated a leaf on its
+/// right and freed an emptied one on its left every few calls.)
+#[test]
+fn a_call_table_in_steady_state_allocates_nothing() {
+    const CALLS: u64 = 10_000;
+    const PENDING: usize = 32;
+    let mut table: Continuations<RequestId, u64> = Continuations::default();
+    let mut before = 0;
+    for id in 0..CALLS {
+        if id == PENDING as u64 {
+            before = allocs();
+        }
+        if table.len() == PENDING {
+            let oldest = *table.oldest_key().expect("a full table has an oldest call");
+            assert_eq!(table.remove(&oldest), Some(oldest.0));
+        }
+        table.insert_with_deadline(RequestId(id), id, SimTime::from_millis(id + 250));
+        assert!(table.take_expired(SimTime::from_millis(id)).is_empty());
+    }
+    let total = allocs() - before;
+    println!("{total} allocations for {} calls through a warm call table", CALLS - PENDING as u64);
+    assert_eq!(total, 0, "a call through a warm call table allocated");
+    assert_eq!(table.high_water(), PENDING);
+}
+
 /// What one 10⁵-node hierarchical `run_scale` asks the allocator for, in
 /// calls: the seat masks, the query table, the report's copies and the
 /// calendar arena's doublings, up to the summaries and a window of
@@ -724,9 +761,14 @@ fn registry_front_cycle_allocations_are_pinned() {
 /// retains: 1 024 hosts on 128 sites of 8, default cohesion, one leader,
 /// no cache, `Counter` on the first host of every site, converged for
 /// three report periods — everything the world holds (fabric, kernel,
-/// every node's stores and soft state) per host. The measured 1 910, in
-/// release and debug builds alike; 1 942 while every node's registry
-/// front had room for a singleflight table; 2 032 while every node held
+/// every node's stores and soft state) per host. The measured 1 925, in
+/// release and debug builds alike: a ring's header is 8 bytes wider than
+/// a tree's root in every node's query table, 8 in each of the four
+/// pending-work tables of every eighth node's container and 16 in its
+/// reply cache ([`DRAINED_BYTES_PER_NODE`] is what the rings win back
+/// once queries have run); 1 910 while those tables were trees, 1 942
+/// while every node's registry front had room for a singleflight
+/// table; 2 032 while every node held
 /// its own tracer handle, its shard store a copy of the shard config and its
 /// registry front a flag beside its singleflight table, and every
 /// container runtime's adapter held the repository, clock and tracer
@@ -742,7 +784,7 @@ fn registry_front_cycle_allocations_are_pinned() {
 /// bytes, 4 983 while it was 48, 5 038 while every node copied its seats'
 /// member, replica and parent lists and its report targets out of the
 /// tree.
-const RETAINED_BYTES_PER_NODE: i64 = 1_910;
+const RETAINED_BYTES_PER_NODE: i64 = 1_925;
 
 #[test]
 fn retained_bytes_per_node_are_pinned() {
@@ -773,13 +815,29 @@ fn retained_bytes_per_node_are_pinned() {
 /// handed to the kernel before the first is due, as the harness hands
 /// them. What a query holds until harvest is its command waiting in the
 /// kernel's mail lane, its sink and the offer set the sink ends with;
-/// the pending query and its frames come and go. The measured 550; 863
-/// while the owner's answer reserved four offers for its one and a
-/// `Resolve` command made every command 136 bytes.
-const PEAK_BYTES_PER_QUERY: i64 = 550;
+/// the pending query and its frames come and go. The measured 414; 550
+/// while every origin's pending-query table was a tree, whose first
+/// entry made a leaf of eleven pending queries; 863 while the owner's
+/// answer reserved four offers for its one and a `Resolve` command made
+/// every command 136 bytes.
+const PEAK_BYTES_PER_QUERY: i64 = 414;
 
-#[test]
-fn in_flight_query_bytes_are_pinned() {
+/// Heap bytes per host that the same segment leaves behind once every
+/// query has been answered and its sink dropped: mostly what the 384
+/// origins' emptied pending-query tables keep (a ring its few slots, a
+/// tree its root leaf of eleven), beside the run's own samples. The
+/// measured 805, in release and debug builds alike; 1 336 while the
+/// tables were trees.
+const DRAINED_BYTES_PER_NODE: i64 = 805;
+
+/// One segment of `query_hier` load, with what it holds at its height
+/// and what it leaves behind.
+struct QuerySegment {
+    peak_bytes_per_query: i64,
+    drained_bytes_per_node: i64,
+}
+
+fn query_segment() -> QuerySegment {
     const SITES: u32 = 128;
     const COMPONENTS: u32 = 32;
     const ORIGINS: u32 = 384;
@@ -843,13 +901,28 @@ fn in_flight_query_bytes_are_pinned() {
     }
     // Past the timeout and its retry: every query has been answered.
     world.sim.run_until(last + SimTime::from_secs(2));
-    let per_query = (peak_live_bytes() - before) / QUERIES as i64;
+    let peak_bytes_per_query = (peak_live_bytes() - before) / QUERIES as i64;
 
     for sink in &sinks {
         let r = sink.borrow();
         assert!(r.done && r.offers.len() == 1, "every query finds its one owner");
         assert_eq!(r.offers.capacity(), r.offers.len(), "an answer is sized exactly");
     }
+    drop(sinks);
+    let drained_bytes_per_node = (live_bytes() - before) / i64::from(SITES * 8);
+    QuerySegment { peak_bytes_per_query, drained_bytes_per_node }
+}
+
+#[test]
+fn in_flight_query_bytes_are_pinned() {
+    let per_query = query_segment().peak_bytes_per_query;
     println!("{per_query} bytes held per query in flight at the segment's height");
     assert_eq!(per_query, PEAK_BYTES_PER_QUERY, "bytes per query in flight moved");
+}
+
+#[test]
+fn drained_query_bytes_are_pinned() {
+    let per_node = query_segment().drained_bytes_per_node;
+    println!("{per_node} bytes per host left behind once the segment's queries have drained");
+    assert_eq!(per_node, DRAINED_BYTES_PER_NODE, "bytes a drained segment leaves moved");
 }
