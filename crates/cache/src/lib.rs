@@ -33,8 +33,9 @@ struct CachedEntry<V> {
 /// An entry is *fresh* while `now - stored_at < ttl`; at `age == ttl`
 /// it is stale (the same closed/open convention as the continuation
 /// sweep's `deadline <= now`). Invalidation removes matching entries.
-/// Lookups borrow the key (`&str` for a `String` key, `&Q` for an
-/// `Rc<Q>` key), so a probe copies nothing.
+/// Lookups borrow the key (`&str` for a `String` key, `&Q` for a `Q`
+/// key), so a probe copies nothing; a key whose clone is cheap (a query
+/// sharing its names) makes an insert and a stale eviction cheap too.
 pub struct QueryCache<K: Ord + Clone, V> {
     ttl: SimTime,
     entries: BTreeMap<K, CachedEntry<V>>,

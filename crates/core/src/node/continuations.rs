@@ -135,26 +135,31 @@ impl<K: Ord, V> Continuations<K, V> {
     /// and a tick whose entry was resumed long ago (the common case:
     /// every call arms one, almost every reply beats it) finds `now`
     /// short of the earliest deadline and looks at nothing. The sweep
-    /// is one pass; due entries are mostly the oldest, at the front,
-    /// so taking them out shifts little, and a sweep that finds none
-    /// due allocates nothing.
+    /// counts what is due (and finds the next deadline) first, so the
+    /// batch is allocated at its size, and a sweep that finds none due
+    /// allocates nothing; due entries are mostly the oldest, at the
+    /// front, so taking them out shifts little and stops at the last.
     pub fn take_expired(&mut self, now: SimTime) -> Vec<(K, V)> {
-        let mut due = Vec::new();
         if now < self.next_due {
-            return due;
+            return Vec::new();
         }
         self.next_due = SimTime::MAX;
-        let mut i = 0;
-        while let Some((_, e)) = self.entries.get(i) {
+        let mut count = 0;
+        for (_, e) in &self.entries {
             match e.deadline {
-                Some(d) if d <= now => {
-                    due.extend(self.entries.remove(i).map(|(k, e)| (k, e.value)));
-                    continue;
-                }
+                Some(d) if d <= now => count += 1,
                 Some(d) => self.next_due = self.next_due.min(d),
                 None => {}
             }
-            i += 1;
+        }
+        let mut due = Vec::with_capacity(count);
+        let mut i = 0;
+        while due.len() < count {
+            if self.entries[i].1.deadline.is_some_and(|d| d <= now) {
+                due.extend(self.entries.remove(i).map(|(k, e)| (k, e.value)));
+            } else {
+                i += 1;
+            }
         }
         due
     }
@@ -285,18 +290,24 @@ impl ContTable {
 
 // ===================== continuation payloads ============================
 
-/// Why a query was started (what to do when it completes).
+/// Why a query was started (what to do when it completes). A resolve
+/// is rare and its payload wide, so it waits behind one box: every
+/// pending query and follower is only as wide as a collect.
 pub(crate) enum QueryPurpose {
     Collect {
         sink: QuerySink,
         first_wins: bool,
     },
-    Resolve {
-        instance: InstanceId,
-        port: String,
-        policy: ResolvePolicy,
-        sink: Option<SpawnSink>,
-    },
+    Resolve(Box<ResolveCont>),
+}
+
+/// What a resolve does with its answer: bind `port` of `instance` to
+/// the offer `policy` chooses.
+pub(crate) struct ResolveCont {
+    pub instance: InstanceId,
+    pub port: String,
+    pub policy: ResolvePolicy,
+    pub sink: Option<SpawnSink>,
 }
 
 pub(crate) struct PendingQuery {
@@ -304,7 +315,8 @@ pub(crate) struct PendingQuery {
     pub offers: Vec<Offer>,
     pub started: SimTime,
     pub first_offer_at: Option<SimTime>,
-    pub query: Rc<ComponentQuery>,
+    /// The query; each hop and retry sends a clone sharing its names.
+    pub query: ComponentQuery,
     /// Re-issues left for a query expiring with zero offers
     /// (`NodeConfig::query_retries`).
     pub retries_left: u32,
@@ -445,6 +457,7 @@ mod tests {
     /// deadline-less entries, removals that leave the bound stale,
     /// re-insertion under a later deadline (`sweep_calls`' retry path),
     /// sweeps before, at and after every deadline, out of time order.
+    /// Every batch is allocated at its size.
     #[test]
     fn sweeps_agree_with_a_full_scan() {
         lc_prop::check("sweeps_agree_with_a_full_scan", |g| {
@@ -470,6 +483,7 @@ mod tests {
                         let now = ms(g.gen_range(0..450u64));
                         let expired = table.take_expired(now);
                         assert_eq!(expired, reference.take_expired(now), "sweep at {now}");
+                        assert_eq!(expired.capacity(), expired.len(), "a batch is sized exactly");
                         // The retry path parks an expired call again,
                         // under a later deadline.
                         if let Some(&(k, v)) = expired.first() {
@@ -667,7 +681,7 @@ mod tests {
             offers: Vec::new(),
             started: SimTime::ZERO,
             first_offer_at: None,
-            query: Rc::default(),
+            query: ComponentQuery::default(),
             retries_left: 0,
             span: None,
             followers: Vec::new(),

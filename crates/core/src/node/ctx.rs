@@ -345,7 +345,13 @@ impl NodeCtx<'_, '_> {
         let now = self.sim.now();
         let from = self.state.host;
         let inputs = self.state.publish_inputs();
-        let by_name = || ComponentQuery { name: Some(component.to_owned()), ..Default::default() };
+        // The installed component's own name; a new one only for a
+        // component no longer installed here.
+        let by_name = || {
+            let name = self.state.repository.name(component).cloned();
+            let name = name.unwrap_or_else(|| component.into());
+            ComponentQuery { name: Some(name), ..Default::default() }
+        };
         let Some(store) = self.state.backend.shard() else { return };
         let last = if bump { None } else { store.republish(component, &inputs) };
         let (component, gen, offers) = match last {

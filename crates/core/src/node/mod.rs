@@ -765,10 +765,11 @@ mod tests {
     /// handle and its shard store a copy of the shard config, 632 while
     /// its registry front held a singleflight table, 600 while its
     /// pending-query table was a tree (a ring's header is 8 bytes wider
-    /// than a tree's root).
+    /// than a tree's root), 608 while its registry front held its result
+    /// cache inline.
     #[test]
-    fn node_state_is_608_bytes() {
-        assert_eq!(std::mem::size_of::<super::NodeState>(), 608);
+    fn node_state_is_568_bytes() {
+        assert_eq!(std::mem::size_of::<super::NodeState>(), 568);
     }
 
     /// The registry backend, inline in every node: 216 bytes while the
@@ -776,9 +777,24 @@ mod tests {
     /// shard list beside its slices, and the front a `coalesce` flag
     /// beside an always-built singleflight table; 152 while the front
     /// held that table beside the cache, naming the searches the node's
-    /// pending-query table already names.
+    /// pending-query table already names; 120 while the cache was
+    /// inline, so every node, cached or not, had room for its tree and
+    /// the stale key beside it.
     #[test]
-    fn registry_backend_is_120_bytes() {
-        assert_eq!(std::mem::size_of::<crate::registry::backend::Registry>(), 120);
+    fn registry_backend_is_80_bytes() {
+        assert_eq!(std::mem::size_of::<crate::registry::backend::Registry>(), 80);
+    }
+
+    /// One slot of a node's pending-query ring (less its key and
+    /// deadline): the query is held by value, its names shared, and a
+    /// resolve's payload waits behind a box, so a query and a follower
+    /// are only as wide as a collect. While the query sat in a shared
+    /// box and a resolve inline, the pending query was 176 bytes too and
+    /// a follower 80.
+    #[test]
+    fn pending_query_is_176_bytes() {
+        use super::continuations::{PendingQuery, QueryFollower};
+        assert_eq!(std::mem::size_of::<PendingQuery>(), 176);
+        assert_eq!(std::mem::size_of::<QueryFollower>(), 32);
     }
 }

@@ -16,7 +16,9 @@ use lc_pkg::Version;
 use std::fmt::Display;
 use std::rc::Rc;
 
-use super::continuations::{FetchCont, PendingQuery, QueryFollower, QueryPurpose, SpawnCont};
+use super::continuations::{
+    FetchCont, PendingQuery, QueryFollower, QueryPurpose, ResolveCont, SpawnCont,
+};
 use super::ctx::{NodeCtx, NodeState};
 use super::metrics::ServiceKind;
 use super::service::{item, ServiceReflect, Tick};
@@ -114,7 +116,7 @@ impl NodeCtx<'_, '_> {
         // query, so the table names at most one search per query.
         let joined = match &self.state.world.config.cache {
             Some(c) if c.coalesce => {
-                self.state.conts.queries.iter_mut().find(|(_, pq)| *pq.query == query)
+                self.state.conts.queries.iter_mut().find(|(_, pq)| pq.query == query)
             }
             _ => None,
         };
@@ -143,7 +145,6 @@ impl NodeCtx<'_, '_> {
         }
         let seq = self.state.conts.next_seq();
         let qid = QueryId { origin: self.state.host, seq };
-        let query = Rc::new(query); // shared by every hop and retry
         // Root (or continue) the per-query trace: everything the search
         // fans out — MRM hops, member queries, shard lookups, offer
         // replies — parents under this span until its ending ends it.
@@ -162,7 +163,7 @@ impl NodeCtx<'_, '_> {
                 offers: Vec::new(),
                 started,
                 first_offer_at: None,
-                query: Rc::clone(&query),
+                query: query.clone(),
                 retries_left: self.state.world.config.query_retries,
                 span,
                 followers: Vec::new(),
@@ -187,7 +188,7 @@ impl NodeCtx<'_, '_> {
     /// route: up the MRM cohesion hierarchy, or to the owning shard —
     /// served in place when this host replicates it, otherwise one
     /// lookup to the first reachable replica.
-    pub(crate) fn issue_search(&mut self, qid: QueryId, query: Rc<ComponentQuery>) {
+    pub(crate) fn issue_search(&mut self, qid: QueryId, query: ComponentQuery) {
         match self.state.backend.search_route(&query) {
             SearchRoute::Hierarchy => {
                 // Send to our leaf-group MRM (first reachable replica).
@@ -261,7 +262,7 @@ impl NodeCtx<'_, '_> {
     pub(crate) fn mrm_route_query(
         &mut self,
         qid: QueryId,
-        query: Rc<ComponentQuery>,
+        query: ComponentQuery,
         level: u8,
         descending: bool,
     ) {
@@ -295,7 +296,7 @@ impl NodeCtx<'_, '_> {
                 // node query, a child primary at its `level - 1` duty —
                 // and a child group this host also leads descends in place.
                 _ => {
-                    let query = Rc::clone(&query);
+                    let query = query.clone();
                     let hop = CtrlMsg::Query { qid, query, level: child_level, descending: true };
                     self.send_ctrl(to, hop)
                 }
@@ -385,7 +386,7 @@ impl NodeCtx<'_, '_> {
         }
         let finish_now = match &pq.purpose {
             QueryPurpose::Collect { first_wins, .. } => *first_wins && !pq.offers.is_empty(),
-            QueryPurpose::Resolve { .. } => !pq.offers.is_empty(),
+            QueryPurpose::Resolve(_) => !pq.offers.is_empty(),
         };
         if finish_now {
             self.finish_query(qid.seq);
@@ -529,7 +530,8 @@ impl NodeCtx<'_, '_> {
                 s.done = true;
                 s.done_at = Some(now);
             }
-            QueryPurpose::Resolve { instance, port, policy, sink } => {
+            QueryPurpose::Resolve(cont) => {
+                let ResolveCont { instance, port, policy, sink } = *cont;
                 let served = matches!(ending, Ending::Served { .. });
                 let chosen = if served { choose(&offers, &policy) } else { None };
                 match chosen {
@@ -562,7 +564,7 @@ impl NodeCtx<'_, '_> {
         let mut expired_followers = Vec::new();
         for (_, pq) in self.state.conts.queries.iter_mut() {
             for f in pq.followers.extract_if(.., |f| f.deadline <= now) {
-                expired_followers.push((f, pq.offers.clone(), Rc::clone(&pq.query)));
+                expired_followers.push((f, pq.offers.clone(), pq.query.clone()));
             }
         }
         for (f, offers, query) in expired_followers {
@@ -577,7 +579,7 @@ impl NodeCtx<'_, '_> {
             if pq.offers.is_empty() && pq.retries_left > 0 {
                 pq.retries_left -= 1;
                 let timeout = self.state.world.config.query_timeout;
-                let query = Rc::clone(&pq.query);
+                let query = pq.query.clone();
                 let original = pq.span;
                 self.state.conts.queries.insert_with_deadline(seq, pq, now + timeout);
                 self.sim.metrics().incr(Counter::QueryRetries);
@@ -617,7 +619,7 @@ impl NodeCtx<'_, '_> {
                 let rid = self.state.conts.next_seq();
                 let cont = SpawnCont::Connect { instance, port, sink };
                 self.state.container().spawns.insert(rid, cont);
-                let component = query.name.clone().unwrap_or_default();
+                let component = query.name.as_deref().unwrap_or_default().to_owned();
                 let min_version = query.min_version.unwrap_or(Version::new(0, 0));
                 let origin = self.state.host;
                 self.send_ctrl(
@@ -627,7 +629,7 @@ impl NodeCtx<'_, '_> {
                 self.sim.metrics().incr(Counter::ResolveSpawnRemote);
             }
             ResolveAction::FetchAndRunLocal { from } => {
-                let component = query.name.clone().unwrap_or_default();
+                let component = query.name.as_deref().unwrap_or_default().to_owned();
                 let min_version = query.min_version.unwrap_or(Version::new(0, 0));
                 self.state.container().fetches.entry_or_default(component.clone()).push(
                     FetchCont::SpawnAndConnect {

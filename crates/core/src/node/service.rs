@@ -18,7 +18,7 @@ use crate::proto::CtrlMsg;
 use lc_des::SimTime;
 use lc_orb::{OrbWire, RequestId};
 
-use super::continuations::QueryPurpose;
+use super::continuations::{QueryPurpose, ResolveCont};
 use super::ctx::{NodeCtx, NodeState};
 use super::metrics::ServiceKind;
 use super::{NodeCmd, ResolveCmd};
@@ -184,7 +184,8 @@ pub(crate) fn handle_cmd(ctx: &mut NodeCtx<'_, '_>, cmd: NodeCmd) {
         }
         NodeCmd::Resolve(cmd) => {
             let ResolveCmd { instance, port, query, policy, sink } = *cmd;
-            ctx.start_query(query, QueryPurpose::Resolve { instance, port, policy, sink });
+            let cont = ResolveCont { instance, port, policy, sink };
+            ctx.start_query(query, QueryPurpose::Resolve(Box::new(cont)));
         }
         NodeCmd::SpawnLocal { component, min_version, instance_name, sink } => {
             *sink.borrow_mut() = Some(ctx.spawn_announced(&component, min_version, instance_name));

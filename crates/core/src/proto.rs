@@ -90,8 +90,8 @@ pub(crate) enum CtrlMsg {
     Query {
         /// Query id.
         qid: QueryId,
-        /// The query, built once by the origin and shared by every hop.
-        query: Rc<ComponentQuery>,
+        /// The query: every hop's copy shares the origin's names.
+        query: ComponentQuery,
         /// Hierarchy level of the receiving MRM's duty (0 = leaf group);
         /// `None` asks a plain member for its own offers.
         level: Option<u8>,
@@ -212,7 +212,7 @@ pub(crate) enum CtrlMsg {
         /// Query id (offers flow straight back to `qid.origin`).
         qid: QueryId,
         /// The query.
-        query: Rc<ComponentQuery>,
+        query: ComponentQuery,
         /// Shard owning the queried component.
         shard: u32,
     },
@@ -467,7 +467,7 @@ mod tests {
         use crate::registry::ComponentQuery;
         let lookup = CtrlMsg::ShardLookup {
             qid: QueryId { origin: HostId(0), seq: 1 },
-            query: ComponentQuery::by_name("Counter", Version::new(1, 0)).into(),
+            query: ComponentQuery::by_name("Counter", Version::new(1, 0)),
             shard: 3,
         };
         assert!(lookup.wire_size() < 128);

@@ -512,13 +512,15 @@ impl ShardStore {
 }
 
 /// The Component Registry service's resolution substrate: the result
-/// cache every query probes first, keyed by the search's own shared
-/// query and probed by a borrowed one, plus — when
+/// cache every query probes first, keyed by a clone of the search's
+/// query (which shares its names) and probed by a borrowed one, plus — when
 /// [`RegistryConfig::Sharded`](crate::node::RegistryConfig) selects it
 /// — this host's [`ShardStore`]. The node's pending-query table, not
 /// this front, names the search an identical query joins.
 pub struct Registry {
-    cache: Option<QueryCache<Rc<ComponentQuery>, Vec<Offer>>>,
+    /// Boxed: a cache holds a query it found stale beside its tree, and
+    /// inline that would widen every node, cached or not.
+    cache: Option<Box<QueryCache<ComponentQuery, Vec<Offer>>>>,
     shard: Option<ShardStore>,
 }
 
@@ -526,7 +528,7 @@ impl Registry {
     /// Build from the node's cache configuration and, for a sharded
     /// registry, this host's store over the world's ring.
     pub fn new(cache: Option<&crate::node::CacheConfig>, shard: Option<ShardStore>) -> Self {
-        Registry { cache: cache.map(|c| QueryCache::new(c.ttl)), shard }
+        Registry { cache: cache.map(|c| Box::new(QueryCache::new(c.ttl))), shard }
     }
 
     /// The shard store, when the registry is sharded.
@@ -554,12 +556,12 @@ impl Registry {
     /// The search for `query` was served `offers` before its deadline:
     /// when they are non-empty, fill the result cache under the search's
     /// own query with a copy of them.
-    pub fn complete(&mut self, query: &Rc<ComponentQuery>, offers: &[Offer], now: SimTime) {
+    pub fn complete(&mut self, query: &ComponentQuery, offers: &[Offer], now: SimTime) {
         if offers.is_empty() {
             return;
         }
         if let Some(cache) = self.cache.as_mut() {
-            cache.insert(Rc::clone(query), offers.to_vec(), now);
+            cache.insert(query.clone(), offers.to_vec(), now);
         }
     }
 
@@ -796,7 +798,7 @@ mod tests {
     fn unsharded_front_matches_cache_semantics() {
         let cache = crate::node::CacheConfig::default();
         let mut b = Registry::new(Some(&cache), None);
-        let q = Rc::new(ComponentQuery::by_name("X", Version::new(1, 0)));
+        let q = ComponentQuery::by_name("X", Version::new(1, 0));
         // miss → search; completion fills the cache; next query hits
         assert!(matches!(b.resolve(&q, MS(0)), ResolveStep::Miss { cache_missed: true }));
         b.complete(&q, &[offer(2, "X")], MS(2));
@@ -814,7 +816,7 @@ mod tests {
         // an interface query names no component: whatever it cached,
         // any component's invalidation drops it; a name query for
         // another component survives
-        let iq = Rc::new(ComponentQuery::by_interface("IDL:Display:1.0"));
+        let iq = ComponentQuery::by_interface("IDL:Display:1.0");
         b.complete(&iq, &[offer(2, "Gui")], MS(5));
         b.complete(&q, &[offer(2, "X")], MS(5));
         assert_eq!(b.invalidate("Unrelated"), Some(1));
@@ -828,6 +830,25 @@ mod tests {
         ));
         assert_eq!(none.invalidate("X"), None);
         assert!(matches!(none.coherence_route("X"), CoherenceRoute::Disabled));
+    }
+
+    /// Query equality is by text: two name queries built apart, each
+    /// holding its own allocation of the name, fill and then hit one
+    /// cache entry.
+    #[test]
+    fn queries_built_apart_are_one_cache_entry() {
+        let mut front = Registry::new(Some(&crate::node::CacheConfig::default()), None);
+        let counter = || ComponentQuery::by_name("Counter", Version::new(1, 0));
+        let (filled, probe) = (counter(), counter());
+        let (Some(x), Some(y)) = (&filled.name, &probe.name) else { panic!("name queries") };
+        assert!(!Name::ptr_eq(x, y), "each query holds its own name");
+        front.complete(&filled, &[offer(2, "Counter")], MS(0));
+        match front.resolve(&probe, MS(1)) {
+            ResolveStep::Hit { offers, .. } => assert_eq!(offers, [offer(2, "Counter")]),
+            ResolveStep::Miss { .. } => panic!("an equal query must hit the entry"),
+        }
+        front.complete(&probe, &[offer(3, "Counter")], MS(2));
+        assert_eq!(front.invalidate("Counter"), Some(1), "both completions filled one entry");
     }
 
     /// A refresh gets the last publication back — same name, generation

@@ -92,13 +92,15 @@ pub struct Connection {
 
 /// A distributed component query (§2.4.3 "Support for Distributed
 /// Queries"). Totally ordered, so a query is its own key in the result
-/// cache.
+/// cache. Its names are shared [`Name`]s, which compare as their text:
+/// every hop, retry and cache entry holds a clone of the one query,
+/// and cloning it allocates nothing.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug, Default)]
 pub struct ComponentQuery {
     /// Match a specific component name.
-    pub name: Option<String>,
+    pub name: Option<Name>,
     /// Match components providing (a subtype of) this interface.
-    pub provides: Option<String>,
+    pub provides: Option<Name>,
     /// Minimum compatible version.
     pub min_version: Option<Version>,
     /// Maximum acceptable pay-per-use cost (milli-credits/hour);
@@ -112,7 +114,7 @@ impl ComponentQuery {
     /// Query by component name.
     pub fn by_name(name: &str, min_version: Version) -> Self {
         ComponentQuery {
-            name: Some(name.to_owned()),
+            name: Some(name.into()),
             min_version: Some(min_version),
             ..Default::default()
         }
@@ -120,7 +122,7 @@ impl ComponentQuery {
 
     /// Query by provided interface.
     pub fn by_interface(interface: &str) -> Self {
-        ComponentQuery { provides: Some(interface.to_owned()), ..Default::default() }
+        ComponentQuery { provides: Some(interface.into()), ..Default::default() }
     }
 
     /// Approximate wire size in bytes.

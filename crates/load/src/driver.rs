@@ -58,6 +58,9 @@ type Call = (SimTime, lc_core::InvokeSink);
 /// [`lc_des::Sim::actor_as`] and calls [`LoadDriver::stats`].
 pub struct LoadDriver {
     cfg: DriverConfig,
+    /// The discovery query for `cfg.component`, built once: every tick
+    /// sends a clone that shares its name.
+    query: ComponentQuery,
     replicas: Vec<ObjectRef>,
     pending_query: Option<(SimTime, lc_core::QuerySink)>,
     /// Calls not yet counted in `settled`, in send order. The front one
@@ -120,8 +123,13 @@ impl DriverStats {
 impl LoadDriver {
     /// A driver with no traffic sent yet.
     pub fn new(cfg: DriverConfig) -> LoadDriver {
+        let query = ComponentQuery {
+            name: Some(cfg.component.as_str().into()),
+            ..ComponentQuery::default()
+        };
         LoadDriver {
             cfg,
+            query,
             replicas: Vec::new(),
             pending_query: None,
             open: VecDeque::new(),
@@ -207,10 +215,7 @@ impl LoadDriver {
         self.harvest_query();
         let sink: lc_core::QuerySink = Rc::new(RefCell::new(QueryResult::default()));
         self.pending_query = Some((ctx.now(), sink.clone()));
-        let query = ComponentQuery {
-            name: Some(self.cfg.component.clone()),
-            ..ComponentQuery::default()
-        };
+        let query = self.query.clone();
         ctx.send_in(
             SimTime::ZERO,
             self.cfg.node,
