@@ -295,10 +295,7 @@ fn run_replication(seed: u64) -> ReplicationResult {
         &ArrivalShape::Steady,
         REPLICATION_RATE,
         Some(AdmissionConfig {
-            replicate_hot: Some(ReplicateConfig {
-                cooldown: SimTime::from_millis(200),
-                max_replicas: 1,
-            }),
+            replicate_hot: Some(ReplicateConfig),
             ..shed_config()
         }),
         seed,

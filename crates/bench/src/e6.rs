@@ -101,10 +101,7 @@ fn stream(strategy: Strategy, frames: u32) -> Result<(u64, u64), String> {
                         "VideoDecoder",
                         lc_pkg::Version::new(1, 0),
                     ),
-                    policy: lc_core::ResolvePolicy {
-                        expected_traffic: frames as u64 * CHUNK as u64 * 8,
-                        ..Default::default()
-                    },
+                    expected_traffic: frames as u64 * CHUNK as u64 * 8,
                     sink: Some(provider.clone()),
                 })),
             );

@@ -10,7 +10,7 @@ use lc_core::demo;
 use lc_core::node::NodeCmd;
 use lc_core::reflect;
 use lc_core::testkit::{fast_config, World};
-use lc_core::{ComponentQuery, ResolvePolicy};
+use lc_core::ComponentQuery;
 use lc_des::SimTime;
 use lc_net::{HostId, Topology};
 use lc_pkg::Version;
@@ -67,7 +67,7 @@ pub fn run() -> Output {
             instance,
             port: "display".into(),
             query: ComponentQuery::by_name("Display", Version::new(2, 0)),
-            policy: ResolvePolicy::default(),
+            expected_traffic: 0,
             sink: None,
         })),
     );

@@ -86,20 +86,7 @@ fn block<'a>(
 }
 
 fn quote(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' | '\\' => {
-                out.push('\\');
-                out.push(c);
-            }
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    let _ = write!(out, "\"{}\"", lc_trace::export::escape(s));
 }
 
 macro_rules! json_from {
@@ -142,7 +129,7 @@ mod tests {
     "ok": true
   },
   "empty": [],
-  "name": "say \"hi\"\u000a",
+  "name": "say \"hi\"\n",
   "z": [
     {
       "p999_ms": 3,

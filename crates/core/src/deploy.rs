@@ -7,7 +7,7 @@
 //! E5/E6 experiments drive it.
 
 use crate::registry::Offer;
-use crate::resource::ResourceReport;
+use crate::resource::{ResourceReport, StaticInfo};
 use lc_net::{DeviceClass, HostId};
 use lc_orb::ObjectRef;
 use lc_pkg::{Mobility, QosSpec};
@@ -31,52 +31,30 @@ pub enum ResolveAction {
     },
 }
 
-/// Knobs for offer selection.
-#[derive(Clone, Debug)]
-pub struct ResolvePolicy {
-    /// Expected bytes the connection will carry over its lifetime; the
-    /// paper's fetch-vs-remote decision hinges on whether this dwarfs the
-    /// package transfer. E6 sweeps this.
-    pub expected_traffic: u64,
-    /// Local downlink bandwidth (bytes/sec), for fetch-time estimation.
-    pub local_down_bw: f64,
-    /// Prefer already-running instances over new ones.
-    pub prefer_existing: bool,
-    /// Refuse to fetch (tiny devices with no room for binaries — R8).
-    pub never_fetch: bool,
-}
-
-impl Default for ResolvePolicy {
-    fn default() -> Self {
-        ResolvePolicy {
-            expected_traffic: 0,
-            local_down_bw: 12_500_000.0,
-            prefer_existing: true,
-            never_fetch: false,
-        }
-    }
-}
-
-/// Choose the best offer and what to do with it.
+/// Choose the best offer for a port expected to carry `expected_traffic`
+/// bytes over its lifetime, and what to do with it, as seen from the
+/// resolving node `here`.
 ///
 /// Scoring (lower is better) reflects §2.4.3's "location, cost,
 /// migration" criteria: licensing cost is a hard filter upstream (in the
-/// query), load and traffic locality are soft scores here.
-pub fn choose(offers: &[Offer], policy: &ResolvePolicy) -> Option<(usize, ResolveAction)> {
+/// query), load and traffic locality are soft scores here. Fetching pays
+/// the package transfer once over `here`'s downlink, then all traffic is
+/// local; using a provider remotely pays the traffic over the network
+/// forever. A PDA never fetches: it has no room for binaries (R8).
+pub fn choose(
+    offers: &[Offer],
+    expected_traffic: u64,
+    here: &StaticInfo,
+) -> Option<(usize, ResolveAction)> {
+    let remote_traffic = traffic_penalty(expected_traffic);
+    let can_fetch = here.device != DeviceClass::Pda;
     let mut best: Option<(f64, usize, ResolveAction)> = None;
     for (i, offer) in offers.iter().enumerate() {
-        // Fetching locally pays the package transfer once but then all
-        // traffic is local; using remotely pays the traffic over the
-        // network forever.
         let candidates: [(f64, Option<ResolveAction>); 3] = [
             (
                 // connect to existing instance: zero setup, remote traffic,
                 // shared load
-                if offer.running_instance.is_some() && policy.prefer_existing {
-                    0.1 + offer.load + traffic_penalty(policy.expected_traffic)
-                } else {
-                    f64::INFINITY
-                },
+                0.1 + offer.load + remote_traffic,
                 offer
                     .running_instance
                     .clone()
@@ -84,14 +62,14 @@ pub fn choose(offers: &[Offer], policy: &ResolvePolicy) -> Option<(usize, Resolv
             ),
             (
                 // spawn remotely: small setup, remote traffic
-                0.3 + offer.load + traffic_penalty(policy.expected_traffic),
+                0.3 + offer.load + remote_traffic,
                 Some(ResolveAction::SpawnRemote(offer.node)),
             ),
             (
                 // fetch + run locally: pay package transfer, no remote
                 // traffic afterwards
-                if offer.mobility == Mobility::Mobile && !policy.never_fetch {
-                    0.3 + fetch_penalty(offer.package_size, policy.local_down_bw)
+                if offer.mobility == Mobility::Mobile && can_fetch {
+                    0.3 + fetch_penalty(offer.package_size, here.down_bw)
                 } else {
                     f64::INFINITY
                 },
@@ -218,7 +196,7 @@ pub fn plan_assembly(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resource::{DynamicInfo, StaticInfo};
+    use crate::resource::DynamicInfo;
     use lc_orb::ObjectKey;
     use lc_pkg::{Platform, Version};
 
@@ -238,11 +216,28 @@ mod tests {
         }
     }
 
+    /// What a resolving node knows of itself: a `device` on a `down_bw`
+    /// downlink.
+    fn here(device: DeviceClass, down_bw: f64) -> StaticInfo {
+        StaticInfo {
+            platform: Platform::reference(),
+            device,
+            cpu_power: 1.0,
+            memory: 1 << 30,
+            up_bw: 12_500_000.0,
+            down_bw,
+        }
+    }
+
+    /// A workstation on the reference 100 Mbit/s link.
+    fn workstation() -> StaticInfo {
+        here(DeviceClass::Workstation, 12_500_000.0)
+    }
+
     #[test]
     fn light_traffic_prefers_existing_instance() {
         let offers = vec![offer(1, 0.2, true, 100_000, true)];
-        let policy = ResolvePolicy { expected_traffic: 1000, ..Default::default() };
-        let (_, action) = choose(&offers, &policy).unwrap();
+        let (_, action) = choose(&offers, 1000, &workstation()).unwrap();
         assert!(matches!(action, ResolveAction::ConnectExisting(_)));
     }
 
@@ -251,42 +246,37 @@ mod tests {
         // The paper's MPEG example: a long video stream should pull the
         // decoder to the consumer.
         let offers = vec![offer(1, 0.2, true, 100_000, true)];
-        let policy = ResolvePolicy { expected_traffic: 500_000_000, ..Default::default() };
-        let (_, action) = choose(&offers, &policy).unwrap();
+        let (_, action) = choose(&offers, 500_000_000, &workstation()).unwrap();
         assert!(matches!(action, ResolveAction::FetchAndRunLocal { .. }));
     }
 
     #[test]
     fn fixed_components_never_fetch() {
         let offers = vec![offer(1, 0.2, false, 100_000, false)];
-        let policy = ResolvePolicy { expected_traffic: 500_000_000, ..Default::default() };
-        let (_, action) = choose(&offers, &policy).unwrap();
+        let (_, action) = choose(&offers, 500_000_000, &workstation()).unwrap();
         assert!(matches!(action, ResolveAction::SpawnRemote(_)));
     }
 
     #[test]
     fn pda_never_fetches() {
+        // Even on a link fast enough that fetching would win.
         let offers = vec![offer(1, 0.0, true, 100_000, false)];
-        let policy = ResolvePolicy {
-            expected_traffic: 500_000_000,
-            never_fetch: true,
-            ..Default::default()
-        };
-        let (_, action) = choose(&offers, &policy).unwrap();
+        let pda = here(DeviceClass::Pda, 12_500_000.0);
+        let (_, action) = choose(&offers, 500_000_000, &pda).unwrap();
         assert!(matches!(action, ResolveAction::SpawnRemote(_)));
     }
 
     #[test]
     fn lower_load_wins_between_remote_offers() {
         let offers = vec![offer(1, 0.9, false, 0, false), offer(2, 0.1, false, 0, false)];
-        let (idx, action) = choose(&offers, &ResolvePolicy::default()).unwrap();
+        let (idx, action) = choose(&offers, 0, &workstation()).unwrap();
         assert_eq!(idx, 1);
         assert_eq!(action, ResolveAction::SpawnRemote(HostId(2)));
     }
 
     #[test]
     fn empty_offers_yield_none() {
-        assert!(choose(&[], &ResolvePolicy::default()).is_none());
+        assert!(choose(&[], 0, &workstation()).is_none());
     }
 
     fn node_view(host: u32, cpu_power: f64, cpu_used: f64) -> NodeView {
@@ -294,12 +284,8 @@ mod tests {
             host: HostId(host),
             report: ResourceReport {
                 static_info: std::rc::Rc::new(StaticInfo {
-                    platform: Platform::reference(),
-                    device: DeviceClass::Workstation,
                     cpu_power,
-                    memory: 1 << 30,
-                    up_bw: 1e7,
-                    down_bw: 1e7,
+                    ..here(DeviceClass::Workstation, 1e7)
                 }),
                 dynamic: DynamicInfo { cpu_used, mem_used: 0, instances: 0 },
                 installed: [].into(),

@@ -42,7 +42,7 @@ pub mod scale;
 pub use assembly::{AssemblyConnection, AssemblyDescriptor, AssemblyInstance, ConnectionKind};
 pub use behavior::BehaviorRegistry;
 pub use cohesion::{CohesionConfig, HierShape};
-pub use deploy::{NodeView, PlacementStrategy, ResolveAction, ResolvePolicy};
+pub use deploy::{NodeView, PlacementStrategy, ResolveAction};
 pub use node::{
     AdmissionConfig, AssemblySink, CacheConfig, Continuations, InvokePolicy, InvokeSink,
     LoadBalanceConfig, MigrateSink, Node, NodeCmd, NodeConfig, NodeConfigBuilder, NodeCtx,

@@ -60,7 +60,7 @@ pub(crate) struct Container {
     /// When this node last asked for a replica (replication cooldown).
     pub(crate) last_replicate: Option<SimTime>,
     /// Replicas this node has started (bounded by
-    /// [`super::ReplicateConfig::max_replicas`]).
+    /// [`super::ReplicateConfig::MAX_REPLICAS`]).
     pub(crate) replicas_started: u32,
     /// Remote spawns awaiting `SpawnDone`.
     pub(crate) spawns: Continuations<u64, SpawnCont>,

@@ -13,7 +13,6 @@
 //! which a node makes at its first install or first use.
 
 use crate::assembly::AssemblyDescriptor;
-use crate::deploy::ResolvePolicy;
 use crate::registry::{ComponentQuery, InstanceId, Offer};
 use lc_des::SimTime;
 use lc_net::HostId;
@@ -302,11 +301,11 @@ pub(crate) enum QueryPurpose {
 }
 
 /// What a resolve does with its answer: bind `port` of `instance` to
-/// the offer `policy` chooses.
+/// the offer [`crate::deploy::choose`] picks for `expected_traffic`.
 pub(crate) struct ResolveCont {
     pub instance: InstanceId,
     pub port: String,
-    pub policy: ResolvePolicy,
+    pub expected_traffic: u64,
     pub sink: Option<SpawnSink>,
 }
 

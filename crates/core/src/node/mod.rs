@@ -46,7 +46,7 @@ use crate::behavior::BehaviorRegistry;
 use crate::cohesion::{CohesionConfig, HierShape};
 use crate::registry::backend::ShardConfig;
 use crate::registry::shard::ShardRing;
-use crate::deploy::{PlacementStrategy, ResolvePolicy};
+use crate::deploy::PlacementStrategy;
 use crate::proto::CtrlMsg;
 use crate::registry::{ComponentQuery, InstanceId, Offer};
 use lc_des::{Actor, Ctx, Mail, SimTime};
@@ -68,10 +68,13 @@ use service::{
 /// migration and replication to achieve load balancing").
 #[derive(Clone, Debug)]
 pub struct LoadBalanceConfig {
-    /// How often a node examines its own load.
-    pub check_period: SimTime,
     /// CPU utilisation above which the node tries to shed an instance.
     pub overload_threshold: f64,
+}
+
+impl LoadBalanceConfig {
+    /// How often a node examines its own load.
+    pub const CHECK_PERIOD: SimTime = SimTime::from_millis(500);
 }
 
 /// Client-side invocation recovery policy: per-request deadlines,
@@ -160,16 +163,19 @@ impl Default for AdmissionConfig {
 /// migration and replication to achieve load balancing") — the
 /// *reactive* counterpart to [`LoadBalanceConfig`]'s periodic check:
 /// shedding is the trigger, so replication starts exactly when demand
-/// provably exceeds this node's capacity.
+/// provably exceeds this node's capacity. Its timing and budget are
+/// fixed; configuring it switches replication on.
 #[derive(Clone, Debug)]
-pub struct ReplicateConfig {
+pub struct ReplicateConfig;
+
+impl ReplicateConfig {
     /// Minimum virtual time between replication attempts from this
     /// node (a spawned replica needs time to absorb load before the
     /// next shed justifies another copy).
-    pub cooldown: SimTime,
+    pub const COOLDOWN: SimTime = SimTime::from_millis(200);
     /// Replicas this node will start in total (bounds runaway growth
     /// under a flash crowd).
-    pub max_replicas: u32,
+    pub const MAX_REPLICAS: u32 = 1;
 }
 
 /// Registry query-result caching and request coalescing (§2.4.2:
@@ -463,8 +469,10 @@ pub struct ResolveCmd {
     pub port: String,
     /// The query finding providers.
     pub query: ComponentQuery,
-    /// Selection policy.
-    pub policy: ResolvePolicy,
+    /// Bytes the connection is expected to carry over its lifetime: the
+    /// planner fetches the provider when moving its package over this
+    /// node's downlink costs less than carrying this remotely (§2.4.3).
+    pub expected_traffic: u64,
     /// Optional sink receiving the provider reference.
     pub sink: Option<SpawnSink>,
 }
@@ -594,8 +602,8 @@ impl NodeSeed {
         let config = &world.config;
         arm(jitter, Tick::KeepAlive);
         arm(jitter + config.cohesion.report_period / 2, Tick::MrmSweep);
-        if let Some(lb) = &config.load_balance {
-            arm(jitter + lb.check_period, Tick::LoadBalance);
+        if config.load_balance.is_some() {
+            arm(jitter + LoadBalanceConfig::CHECK_PERIOD, Tick::LoadBalance);
         }
         if let RegistryConfig::Sharded(sc) = &config.registry {
             // First maintenance tick publishes the pre-installed

@@ -531,9 +531,10 @@ impl NodeCtx<'_, '_> {
                 s.done_at = Some(now);
             }
             QueryPurpose::Resolve(cont) => {
-                let ResolveCont { instance, port, policy, sink } = *cont;
+                let ResolveCont { instance, port, expected_traffic, sink } = *cont;
                 let served = matches!(ending, Ending::Served { .. });
-                let chosen = if served { choose(&offers, &policy) } else { None };
+                let here = self.state.resources.static_info();
+                let chosen = if served { choose(&offers, expected_traffic, here) } else { None };
                 match chosen {
                     Some((_, action)) => {
                         self.apply_resolve_action(instance, port, action, sink, query)

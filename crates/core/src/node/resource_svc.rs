@@ -12,6 +12,7 @@ use std::rc::Rc;
 
 use super::ctx::{NodeCtx, NodeState};
 use super::metrics::ServiceKind;
+use super::{LoadBalanceConfig, ReplicateConfig};
 use super::service::{item, ms, ServiceReflect, Tick};
 
 impl NodeState {
@@ -75,13 +76,13 @@ impl NodeCtx<'_, '_> {
     /// ask the group MRM for a lighter member to migrate the heaviest
     /// *mobile* instance to; re-arm the cadence either way.
     pub(crate) fn load_balance_check(&mut self) {
-        let Some(lb) = self.state.world.config.load_balance.clone() else { return };
+        let Some(lb) = &self.state.world.config.load_balance else { return };
         if self.state.resources.cpu_utilisation() >= lb.overload_threshold {
             if let Some((_, cpu_needed)) = self.state.heaviest_mobile_instance() {
                 self.ask_placement(cpu_needed, None);
             }
         }
-        self.timer_in(lb.check_period, Tick::LoadBalance);
+        self.timer_in(LoadBalanceConfig::CHECK_PERIOD, Tick::LoadBalance);
     }
 
     /// Ask the group MRM (first reachable replica; this host answers
@@ -110,15 +111,14 @@ impl NodeCtx<'_, '_> {
     /// shed request addressed — the fallback when no load profile has
     /// accumulated yet.
     pub(crate) fn maybe_replicate(&mut self, shed_oid: u64) {
-        let Some(rep) =
-            self.state.world.config.admission.as_ref().and_then(|a| a.replicate_hot.clone())
-        else {
+        let admission = self.state.world.config.admission.as_ref();
+        if admission.is_none_or(|a| a.replicate_hot.is_none()) {
             return;
-        };
+        }
         let now = self.sim.now();
         let container = self.state.container();
-        if container.replicas_started >= rep.max_replicas
-            || container.last_replicate.is_some_and(|last| now < last + rep.cooldown)
+        if container.replicas_started >= ReplicateConfig::MAX_REPLICAS
+            || container.last_replicate.is_some_and(|last| now < last + ReplicateConfig::COOLDOWN)
         {
             return;
         }

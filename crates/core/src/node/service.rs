@@ -183,8 +183,8 @@ pub(crate) fn handle_cmd(ctx: &mut NodeCtx<'_, '_>, cmd: NodeCmd) {
             ctx.start_query(query, QueryPurpose::Collect { sink, first_wins });
         }
         NodeCmd::Resolve(cmd) => {
-            let ResolveCmd { instance, port, query, policy, sink } = *cmd;
-            let cont = ResolveCont { instance, port, policy, sink };
+            let ResolveCmd { instance, port, query, expected_traffic, sink } = *cmd;
+            let cont = ResolveCont { instance, port, expected_traffic, sink };
             ctx.start_query(query, QueryPurpose::Resolve(Box::new(cont)));
         }
         NodeCmd::SpawnLocal { component, min_version, instance_name, sink } => {

@@ -7,7 +7,7 @@ use lc_core::node::{AdmissionConfig, Node, NodeCmd, QuerySink, RegistryConfig, R
 use lc_core::testkit::{fast_cohesion, fast_config, World};
 use lc_core::{
     AssemblyDescriptor, CacheConfig, ComponentQuery, NodeConfig,
-    PlacementStrategy, Registry, ResolvePolicy, ShardConfig, ShardRing, ShardStore,
+    PlacementStrategy, Registry, ShardConfig, ShardRing, ShardStore,
 };
 use lc_des::SimTime;
 use lc_net::{FaultPlan, HostCfg, HostId, LinkFaults, Net, Topology};
@@ -197,10 +197,7 @@ fn resolve_uses_port_fetches_locally_for_heavy_traffic() {
             instance: gui_instance,
             port: "display".into(),
             query: ComponentQuery::by_name("Display", Version::new(2, 0)),
-            policy: ResolvePolicy {
-                expected_traffic: 1_000_000_000,
-                ..Default::default()
-            },
+            expected_traffic: 1_000_000_000,
             sink: Some(provider.clone()),
         })),
     );
@@ -264,7 +261,7 @@ fn resolve_uses_existing_remote_instance_for_light_traffic() {
             instance: gui_instance,
             port: "display".into(),
             query: ComponentQuery::by_name("Display", Version::new(2, 0)),
-            policy: ResolvePolicy { expected_traffic: 1_000, ..Default::default() },
+            expected_traffic: 1_000,
             sink: Some(provider.clone()),
         })),
     );
@@ -272,6 +269,72 @@ fn resolve_uses_existing_remote_instance_for_light_traffic() {
     let display_ref = provider.borrow().clone().unwrap().unwrap();
     assert_eq!(display_ref.key.host, HostId(0), "light traffic connects to the existing one");
     assert_eq!(world.sim.metrics_ref().counter("resolve.fetch_local"), 0);
+    assert_drained(&world);
+}
+
+/// Spawn a GUI part on `host` and resolve its display port for
+/// `expected_traffic` bytes; the host the planner put the display on.
+fn resolve_display(world: &mut World, host: HostId, expected_traffic: u64) -> HostId {
+    world.cmd(host, NodeCmd::Install(demo::gui_package()));
+    world.run_for(SimTime::from_millis(300));
+    world.spawn(host, "GuiPart", Some("gui"), SimTime::from_millis(300));
+    let instance = world.node(host).unwrap().registry.named("gui").unwrap().id;
+    let provider: lc_core::SpawnSink = Rc::default();
+    world.cmd(
+        host,
+        NodeCmd::Resolve(Box::new(ResolveCmd {
+            instance,
+            port: "display".into(),
+            query: ComponentQuery::by_name("Display", Version::new(2, 0)),
+            expected_traffic,
+            sink: Some(provider.clone()),
+        })),
+    );
+    world.run_for(SimTime::from_millis(2000));
+    let display = provider.borrow().clone().unwrap().unwrap();
+    display.key.host
+}
+
+#[test]
+fn a_pda_resolving_heavy_traffic_spawns_the_provider_remotely() {
+    // Display ships only a workstation binary: a PDA that fetched it
+    // could not run it. The planner reads the resolving node's device
+    // class and spawns the display where the package is (R8).
+    let mut topo = Topology::new();
+    let lan = topo.add_site("lan");
+    for _ in 0..4 {
+        topo.add_host(HostCfg::new(lan));
+    }
+    let pda = topo.add_host(HostCfg::new(lan).pda());
+    let mut world = host0_world(topo, 11, signed());
+    world.run_for(SimTime::from_millis(600));
+    assert_eq!(resolve_display(&mut world, pda, 1_000_000_000), HostId(0));
+    let metrics = world.sim.metrics_ref();
+    assert_eq!(metrics.counter("resolve.spawn_remote"), 1);
+    assert_eq!(metrics.counter("resolve.fetch_local"), 0);
+    assert_drained(&world);
+}
+
+#[test]
+fn a_slow_downlink_spawns_remotely_where_the_reference_link_fetches() {
+    // The same 10 MB stream against Display's 64 KiB binary: a
+    // workstation on the reference 100 Mbit/s link fetches it in
+    // milliseconds, one on a 128 kbit/s downlink would wait seconds, so
+    // it uses the provider remotely.
+    let mut topo = Topology::new();
+    let lan = topo.add_site("lan");
+    for _ in 0..4 {
+        topo.add_host(HostCfg::new(lan));
+    }
+    let slow = topo.add_host(HostCfg::new(lan).bw(12_500_000.0, 16_000.0));
+    let reference = topo.add_host(HostCfg::new(lan));
+    let mut world = host0_world(topo, 12, signed());
+    world.run_for(SimTime::from_millis(600));
+    assert_eq!(resolve_display(&mut world, slow, 10_000_000), HostId(0));
+    assert_eq!(world.sim.metrics_ref().counter("resolve.spawn_remote"), 1);
+    assert_eq!(world.sim.metrics_ref().counter("resolve.fetch_local"), 0);
+    assert_eq!(resolve_display(&mut world, reference, 10_000_000), reference);
+    assert_eq!(world.sim.metrics_ref().counter("resolve.fetch_local"), 1);
     assert_drained(&world);
 }
 
@@ -647,10 +710,7 @@ fn automatic_load_balancing_sheds_instances() {
         cohesion: fast_cohesion(),
         query_timeout: SimTime::from_millis(400),
         require_signature: false,
-        load_balance: Some(lc_core::LoadBalanceConfig {
-            check_period: SimTime::from_millis(500),
-            overload_threshold: 0.5,
-        }),
+        load_balance: Some(lc_core::LoadBalanceConfig { overload_threshold: 0.5 }),
         ..NodeConfig::default()
     };
     let mut world = World::on(
@@ -705,10 +765,7 @@ fn automatic_load_balancing_sheds_instances() {
 #[test]
 fn placement_ask_fails_over_to_the_second_mrm_replica() {
     let config = NodeConfig {
-        load_balance: Some(lc_core::LoadBalanceConfig {
-            check_period: SimTime::from_millis(500),
-            overload_threshold: 0.52,
-        }),
+        load_balance: Some(lc_core::LoadBalanceConfig { overload_threshold: 0.52 }),
         ..fast_config()
     };
     let mut world =
@@ -759,10 +816,7 @@ fn fixed_instances_are_never_auto_migrated() {
         cohesion: fast_cohesion(),
         query_timeout: SimTime::from_millis(400),
         require_signature: false,
-        load_balance: Some(lc_core::LoadBalanceConfig {
-            check_period: SimTime::from_millis(500),
-            overload_threshold: 0.5,
-        }),
+        load_balance: Some(lc_core::LoadBalanceConfig { overload_threshold: 0.5 }),
         ..NodeConfig::default()
     };
     let fixed_for_world = fixed_pkg.clone();

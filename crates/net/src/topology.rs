@@ -94,12 +94,6 @@ impl HostCfg {
         self
     }
 
-    /// Override memory size.
-    pub fn mem(mut self, bytes: u64) -> Self {
-        self.memory = bytes;
-        self
-    }
-
     /// Mark as a server-class host (4x CPU, 4 GiB, gigabit).
     pub fn server(mut self) -> Self {
         self.device = DeviceClass::Server;
@@ -267,11 +261,10 @@ mod tests {
         assert!(pda.memory < 64 << 20);
         let srv = HostCfg::new(s).server();
         assert!(srv.cpu_power > 1.0);
-        let custom = HostCfg::new(s).bw(1.0, 2.0).cpu(3.0).mem(7);
+        let custom = HostCfg::new(s).bw(1.0, 2.0).cpu(3.0);
         assert_eq!(custom.up_bw, 1.0);
         assert_eq!(custom.down_bw, 2.0);
         assert_eq!(custom.cpu_power, 3.0);
-        assert_eq!(custom.memory, 7);
     }
 
     #[test]

@@ -10,8 +10,11 @@
 use crate::span::{Span, SpanId, TraceId};
 use std::fmt::Write as _;
 
-/// Escape a string for a JSON string literal.
-fn esc(s: &str) -> String {
+/// Escape a string for a JSON string literal: quote, backslash,
+/// newline, carriage return and tab take their short escapes, other
+/// control characters `\u00XX`. Every JSON writer in the workspace
+/// quotes through this one.
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -45,7 +48,7 @@ fn span_json(s: &Span) -> String {
     let _ = write!(
         line,
         ",\"name\":\"{}\",\"node\":{},\"start_ns\":{},\"end_ns\":{}",
-        esc(&s.name),
+        escape(&s.name),
         s.node,
         s.start.as_nanos(),
         s.end.as_nanos()
@@ -57,7 +60,7 @@ fn span_json(s: &Span) -> String {
         if i > 0 {
             line.push(',');
         }
-        let _ = write!(line, "\"{}\":\"{}\"", esc(k), esc(v));
+        let _ = write!(line, "\"{}\":\"{}\"", escape(k), escape(v));
     }
     line.push_str("},\"links\":[");
     for (i, l) in s.links.iter().enumerate() {
@@ -100,13 +103,13 @@ pub fn to_chrome(spans: &[Span]) -> String {
         let mut attrs = s.attrs.clone();
         attrs.sort();
         for (k, v) in &attrs {
-            let _ = write!(args, ",\"{}\":\"{}\"", esc(k), esc(v));
+            let _ = write!(args, ",\"{}\":\"{}\"", escape(k), escape(v));
         }
         let _ = write!(
             out,
             "{{\"name\":\"{}\",\"cat\":\"lc\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
              \"pid\":\"{}\",\"tid\":\"node {}\",\"args\":{{{args}}}}}",
-            esc(&s.name),
+            escape(&s.name),
             us(s.start.as_nanos()),
             us(s.end.saturating_sub(s.start).as_nanos()),
             s.trace,
@@ -220,8 +223,8 @@ mod tests {
 
     #[test]
     fn escaping_handles_quotes_and_control() {
-        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(esc("\u{1}"), "\\u0001");
+        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape("\u{1}"), "\\u0001");
     }
 
     #[test]

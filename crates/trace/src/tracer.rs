@@ -303,7 +303,7 @@ impl Tracer {
     }
 
     /// Record a non-parent causal link (retry → original attempt).
-    pub fn link(&self, ctx: TraceContext, to: SpanId) {
+    fn link(&self, ctx: TraceContext, to: SpanId) {
         if !self.enabled || !ctx.sampled {
             return;
         }
@@ -336,14 +336,6 @@ impl Tracer {
             Some(r) => (r.buf.iter().cloned().collect(), r.dropped),
             None => (Vec::new(), 0),
         }
-    }
-
-    /// Drop all recorded spans and flight records.
-    pub fn clear(&self) {
-        let mut inner = self.locked();
-        inner.spans.clear();
-        inner.recorders.clear();
-        inner.current = None;
     }
 }
 

@@ -76,10 +76,7 @@ fn main() {
             instance,
             port: "display".into(),
             query: ComponentQuery::by_name("Display", corba_lc_repro::pkg::Version::new(2, 0)),
-            policy: corba_lc_repro::core::ResolvePolicy {
-                expected_traffic: 1_000_000_000,
-                ..Default::default()
-            },
+            expected_traffic: 1_000_000_000,
             sink: Some(provider.clone()),
         })),
     );
