@@ -197,7 +197,7 @@ impl AssemblyDescriptor {
     }
 
     /// Serialize to XML.
-    pub fn to_xml(&self) -> Element {
+    pub fn to_xml(&self) -> Element<'static> {
         let mut root = Element::new("assembly").with_attr("name", &self.name);
         for i in &self.instances {
             root.push(
@@ -223,7 +223,7 @@ impl AssemblyDescriptor {
     }
 
     /// Parse from XML (schema-validated).
-    pub fn from_xml(root: &Element) -> Result<Self, String> {
+    pub fn from_xml(root: &Element<'_>) -> Result<Self, String> {
         assembly_schema().validate(root).map_err(|e| e.to_string())?;
         let name = root.require_attr("name")?.to_owned();
         let mut out = AssemblyDescriptor::new(&name);

@@ -33,7 +33,7 @@ use lc_des::SimTime;
 use lc_net::HostId;
 use lc_orb::Name;
 use std::cell::OnceCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 /// Parameters of the cohesion protocol.
@@ -359,6 +359,9 @@ pub struct DutyState {
     records: BTreeMap<HostId, MemberRecord>,
     /// Component name → the members whose record names it, in host order.
     holders: OnceCell<BTreeMap<Name, Vec<HostId>>>,
+    /// Every component name the records carry: the summary's set, kept
+    /// while only the members' load changes.
+    names: OnceCell<Rc<BTreeSet<Name>>>,
     summary: OnceCell<Rc<GroupSummary>>,
 }
 
@@ -370,21 +373,30 @@ impl DutyState {
 
     /// Store `from`'s record. One saying what the last did — the same
     /// `StaticInfo`, an equal allocation and installed set, or the very
-    /// summary a child re-sends unchanged — keeps what was read from them.
+    /// summary a child re-sends unchanged — keeps what was read from them;
+    /// one that names what the last did — an equal installed set, or a
+    /// child summary sharing the last one's name set — keeps the names
+    /// and their index.
     fn absorb(&mut self, from: HostId, rec: MemberRecord) {
         use MemberRecord::{Node, Subtree};
-        let same = match (self.records.get(&from), &rec) {
+        let (same_names, same) = match (self.records.get(&from), &rec) {
             (Some(Node { report: a, .. }), Node { report: b, .. }) => {
-                Rc::ptr_eq(&a.static_info, &b.static_info)
-                    && a.dynamic == b.dynamic
-                    && a.installed == b.installed
+                let same_names = a.installed == b.installed;
+                let same_load =
+                    Rc::ptr_eq(&a.static_info, &b.static_info) && a.dynamic == b.dynamic;
+                (same_names, same_names && same_load)
             }
-            (Some(Subtree { summary: a, .. }), Subtree { summary: b, .. }) => Rc::ptr_eq(a, b),
-            _ => false,
+            (Some(Subtree { summary: a, .. }), Subtree { summary: b, .. }) => {
+                (Rc::ptr_eq(&a.components, &b.components), Rc::ptr_eq(a, b))
+            }
+            _ => (false, false),
         };
         self.records.insert(from, rec);
+        if !same_names {
+            (self.holders, self.names) = Default::default();
+        }
         if !same {
-            (self.holders, self.summary) = Default::default();
+            self.summary = OnceCell::new();
         }
     }
 
@@ -395,7 +407,7 @@ impl DutyState {
         self.records.retain(|_, r| now.saturating_sub(r.at()) <= timeout);
         let evicted = before - self.records.len();
         if evicted > 0 {
-            (self.holders, self.summary) = Default::default();
+            (self.holders, self.names, self.summary) = Default::default();
         }
         evicted
     }
@@ -405,11 +417,7 @@ impl DutyState {
         let index = self.holders.get_or_init(|| {
             let mut index: BTreeMap<Name, Vec<HostId>> = BTreeMap::new();
             for (&host, rec) in &self.records {
-                let (installed, summarised) = match rec {
-                    MemberRecord::Node { report, .. } => (&report.installed[..], None),
-                    MemberRecord::Subtree { summary, .. } => (&[][..], Some(&summary.components)),
-                };
-                for name in installed.iter().chain(summarised.into_iter().flatten()) {
+                for name in rec_names(rec) {
                     let hosts = index.entry(name.clone()).or_default();
                     if hosts.last() != Some(&host) {
                         hosts.push(host);
@@ -421,24 +429,59 @@ impl DutyState {
         index.get(name).map_or(&[], Vec::as_slice)
     }
 
-    /// Aggregate everything known into a subtree summary.
+    /// Aggregate everything known into a subtree summary, from scratch.
     pub fn summarize(&self) -> GroupSummary {
-        let mut out = GroupSummary::default();
+        self.totals(Rc::new(self.fold_names()))
+    }
+
+    /// Every component name the records carry, inserted one by one (a
+    /// collected set sorts a vector of them first).
+    fn fold_names(&self) -> BTreeSet<Name> {
+        let mut names = BTreeSet::new();
+        names.extend(self.records.values().flat_map(rec_names).cloned());
+        names
+    }
+
+    /// Whether `names` holds exactly the names the records carry, checked
+    /// without building their set.
+    fn carries_exactly(&self, names: &BTreeSet<Name>) -> bool {
+        let mut carried = self.records.values().flat_map(rec_names);
+        carried.all(|n| names.contains(n))
+            && names.iter().all(|n| self.records.values().flat_map(rec_names).any(|m| m == n))
+    }
+
+    /// The summary over `components`: the records' numbers summed in
+    /// record order.
+    fn totals(&self, components: Rc<BTreeSet<Name>>) -> GroupSummary {
+        let mut out = GroupSummary { components, node_count: 0, cpu_free: 0.0, mem_free: 0 };
         for rec in self.records.values() {
             match rec {
                 MemberRecord::Node { report, .. } => {
-                    out.components.extend(report.installed.iter().cloned());
                     out.node_count += 1;
                     out.cpu_free +=
                         (report.static_info.cpu_power - report.dynamic.cpu_used).max(0.0);
                     out.mem_free +=
                         report.static_info.memory.saturating_sub(report.dynamic.mem_used);
                 }
-                MemberRecord::Subtree { summary, .. } => out.absorb(summary),
+                MemberRecord::Subtree { summary, .. } => {
+                    out.node_count += summary.node_count;
+                    out.cpu_free += summary.cpu_free;
+                    out.mem_free += summary.mem_free;
+                }
             }
         }
         out
     }
+}
+
+/// The component names one record carries: a member's installed list,
+/// a child's summarised set.
+fn rec_names(rec: &MemberRecord) -> impl Iterator<Item = &Name> {
+    let (installed, summarised) = match rec {
+        MemberRecord::Node { report, .. } => (&report.installed[..], None),
+        MemberRecord::Subtree { summary, .. } => (&[][..], Some(&*summary.components)),
+    };
+    installed.iter().chain(summarised.into_iter().flatten())
 }
 
 /// A node's seat store: full records keyed by the sending host.
@@ -454,10 +497,19 @@ impl SeatStore for DutyState {
         self.absorb(from, MemberRecord::Subtree { summary, at: now });
     }
 
-    /// An unchanged duty re-sends the `Rc` it sent.
+    /// An unchanged duty re-sends the `Rc` it sent; one whose members
+    /// changed only their load shares the name set it built last.
     fn summary(&self) -> Rc<GroupSummary> {
-        let summary = self.summary.get_or_init(|| Rc::new(self.summarize()));
-        debug_assert_eq!(**summary, self.summarize(), "a re-sent summary must equal a fresh one");
+        let summary = self.summary.get_or_init(|| {
+            let names = self.names.get_or_init(|| Rc::new(self.fold_names()));
+            Rc::new(self.totals(Rc::clone(names)))
+        });
+        debug_assert!(self.carries_exactly(&summary.components), "kept names must equal a fold");
+        debug_assert_eq!(
+            **summary,
+            self.totals(Rc::clone(&summary.components)),
+            "a re-sent summary must equal a fresh one"
+        );
         Rc::clone(summary)
     }
 }
@@ -703,10 +755,8 @@ mod tests {
         let mut ds = DutyState::default();
         ds.on_report(HostId(1), 0, report(&["Decoder"]), SimTime::ZERO);
         ds.on_report(HostId(2), 0, report(&["Display"]), SimTime::ZERO);
-        let mut child = GroupSummary::default();
-        child.components.insert("Decoder".into());
-        child.node_count = 4;
-        child.cpu_free = 3.0;
+        let components = Rc::new(["Decoder".into()].into());
+        let child = GroupSummary { components, node_count: 4, cpu_free: 3.0, mem_free: 0 };
         ds.on_summary(HostId(8), 0, Rc::new(child), SimTime::ZERO);
 
         let sum = ds.summarize();
@@ -773,15 +823,20 @@ mod tests {
                         ds.on_report(from, 0, report, now);
                     }
                     2 => {
-                        let summary = match sent.last() {
-                            Some(last) if g.gen_bool() => Rc::clone(last),
+                        let node_count = g.gen_range(1..9u32);
+                        let summary = match (sent.last(), g.gen_range(0..3u32)) {
+                            (Some(last), 0) => Rc::clone(last),
+                            // A child whose load alone changed: its names
+                            // are the set it sent last.
+                            (Some(last), 1) => Rc::new(GroupSummary {
+                                node_count,
+                                ..GroupSummary::clone(last)
+                            }),
                             _ => {
-                                let mut s = GroupSummary::default();
-                                s.components.extend(
-                                    NAMES.iter().filter(|_| g.gen_bool()).map(|&n| n.into()),
-                                );
-                                s.node_count = g.gen_range(1..9u32);
-                                Rc::new(s)
+                                let names = NAMES.iter().filter(|_| g.gen_bool());
+                                let components = Rc::new(names.map(|&n| n.into()).collect());
+                                let (cpu_free, mem_free) = (0.0, 0);
+                                Rc::new(GroupSummary { components, node_count, cpu_free, mem_free })
                             }
                         };
                         sent.push(Rc::clone(&summary));
@@ -801,7 +856,8 @@ mod tests {
 
     /// A sweep of an unchanged duty re-sends the summary it built last,
     /// by pointer, however many keep-alives refreshed its records; a
-    /// changed allocation, a new member and an eviction each rebuild it.
+    /// changed allocation, a new member and an eviction each rebuild it,
+    /// and only the last two its name set.
     #[test]
     fn an_unchanged_duty_resends_its_summary() {
         let t = SimTime::from_secs;
@@ -828,10 +884,13 @@ mod tests {
         let second = ds.summary();
         assert!(!Rc::ptr_eq(&second, &first), "a changed allocation rebuilds");
         assert_eq!(second.cpu_free, first.cpu_free - 0.25);
+        let shared = Rc::ptr_eq(&second.components, &first.components);
+        assert!(shared, "a load-only change keeps the name set");
 
         ds.on_report(HostId(3), 0, report(&["C"]), t(4));
         let third = ds.summary();
         assert!(!Rc::ptr_eq(&third, &second), "a new member rebuilds");
+        assert!(!Rc::ptr_eq(&third.components, &second.components), "and its names");
         assert_eq!(third.node_count, 3);
 
         // Host 2 last reported at 3: at 7 it is 4 s silent.

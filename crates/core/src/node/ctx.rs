@@ -14,7 +14,7 @@
 use crate::cohesion::DutyState;
 use crate::proto::CtrlMsg;
 use crate::registry::backend::{CoherenceRoute, Registry, ShardStore};
-use crate::registry::{ComponentQuery, ComponentRegistry, Offer};
+use crate::registry::{ComponentQuery, ComponentRegistry};
 use crate::repository::ComponentRepository;
 use crate::resource::ResourceManager;
 use lc_des::{Counter, Ctx, SimTime};
@@ -364,7 +364,7 @@ impl NodeCtx<'_, '_> {
                 last
             }
             None => {
-                let offers: Rc<[Offer]> = self.state.local_offers_for(&by_name()).into();
+                let offers = self.state.published_offers_for(&by_name());
                 let Some(store) = self.state.backend.shard_mut() else { return };
                 store.publish(component, bump, inputs, offers)
             }

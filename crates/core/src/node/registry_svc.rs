@@ -72,6 +72,13 @@ impl NodeState {
         )
     }
 
+    /// The same offers as a publication shares them, collected straight
+    /// into the `Rc`.
+    pub(crate) fn published_offers_for(&self, query: &ComponentQuery) -> Rc<[Offer]> {
+        let (repo, idl, load) = (&self.repository, &self.idl, self.resources.cpu_utilisation());
+        self.registry.offers(self.host, repo, query, idl, load).collect()
+    }
+
     /// Everything [`local_offers_for`](Self::local_offers_for) reads for
     /// a name query, as a publication records it.
     pub(crate) fn publish_inputs(&self) -> PublishInputs {

@@ -23,8 +23,10 @@ use std::rc::Rc;
 /// Aggregated view of a subtree, sent MRM → parent MRM.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct GroupSummary {
-    /// Component names available somewhere in the subtree (shared).
-    pub components: BTreeSet<Name>,
+    /// Component names available somewhere in the subtree: the set the
+    /// sending duty keeps, shared by every summary it builds until a
+    /// member's names change.
+    pub components: Rc<BTreeSet<Name>>,
     /// Live nodes in the subtree.
     pub node_count: u32,
     /// Total free CPU (reference units) in the subtree.
@@ -37,14 +39,6 @@ impl GroupSummary {
     /// Approximate wire size in bytes.
     pub fn wire_size(&self) -> u64 {
         24 + self.components.iter().map(|c| c.len() as u64 + 4).sum::<u64>()
-    }
-
-    /// Merge another summary into this one.
-    pub fn absorb(&mut self, other: &GroupSummary) {
-        self.components.extend(other.components.iter().cloned());
-        self.node_count += other.node_count;
-        self.cpu_free += other.cpu_free;
-        self.mem_free += other.mem_free;
     }
 }
 
@@ -381,21 +375,22 @@ mod tests {
     use super::*;
     use lc_net::HostId;
 
+    /// A duty absorbing two child summaries sums their numbers and
+    /// unites their names.
     #[test]
     fn summary_absorb() {
-        let mut a = GroupSummary {
-            components: ["X".into()].into_iter().collect(),
-            node_count: 3,
-            cpu_free: 2.0,
-            mem_free: 100,
+        use crate::cohesion::{DutyState, SeatStore};
+        let summary = |names: &[&str], node_count, cpu_free, mem_free| GroupSummary {
+            components: Rc::new(names.iter().map(|&n| n.into()).collect()),
+            node_count,
+            cpu_free,
+            mem_free,
         };
-        let b = GroupSummary {
-            components: ["X".into(), "Y".into()].into_iter().collect(),
-            node_count: 2,
-            cpu_free: 1.0,
-            mem_free: 50,
-        };
-        a.absorb(&b);
+        let mut duty = DutyState::default();
+        let now = lc_des::SimTime::ZERO;
+        duty.on_summary(HostId(1), 0, Rc::new(summary(&["X"], 3, 2.0, 100)), now);
+        duty.on_summary(HostId(2), 1, Rc::new(summary(&["X", "Y"], 2, 1.0, 50)), now);
+        let a = duty.summarize();
         assert_eq!(a.components.len(), 2);
         assert_eq!(a.node_count, 5);
         assert_eq!(a.cpu_free, 3.0);

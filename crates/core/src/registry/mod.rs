@@ -299,8 +299,7 @@ impl ComponentRegistry {
     /// Produces at most one offer per installed matching (name, version),
     /// annotated with a running instance when one exists. The answer
     /// travels by value to the asker and waits there until harvested, so
-    /// it is sized exactly: matches are counted before one allocation of
-    /// that many (a collected filter reserves four offers for one).
+    /// it is sized exactly (see `offers`).
     pub fn local_offers(
         &self,
         node: HostId,
@@ -309,9 +308,27 @@ impl ComponentRegistry {
         idl: &Repository,
         load: f64,
     ) -> Vec<Offer> {
-        let matching = || repo.iter().filter(|inst| query.matches(&inst.descriptor, idl));
-        let mut offers = Vec::with_capacity(matching().count());
-        offers.extend(matching().map(|inst| {
+        self.offers(node, repo, query, idl, load).collect()
+    }
+
+    /// The offers of [`local_offers`](Self::local_offers), one per match.
+    /// The matches are counted first and `(0..n).map(..)` is `TrustedLen`,
+    /// so a `Vec` or an `Rc<[Offer]>` collects them with one allocation of
+    /// exactly that many. (A collected filter reserves four offers for
+    /// one, and a `Vec` turned into an `Rc<[Offer]>` is copied.)
+    pub(crate) fn offers<'s>(
+        &'s self,
+        node: HostId,
+        repo: &'s ComponentRepository,
+        query: &'s ComponentQuery,
+        idl: &'s Repository,
+        load: f64,
+    ) -> impl Iterator<Item = Offer> + 's {
+        let matching = move || repo.iter().filter(move |inst| query.matches(&inst.descriptor, idl));
+        let n = matching().count();
+        let mut matches = matching();
+        (0..n).map(move |_| {
+            let Some(inst) = matches.next() else { unreachable!("{n} matches were counted") };
             let running = self
                 .instances_of(&inst.descriptor.name)
                 .find(|i| i.version == inst.descriptor.version)
@@ -326,8 +343,7 @@ impl ComponentRegistry {
                 load,
                 running_instance: running,
             }
-        }));
-        offers
+        })
     }
 
     /// Forget everything (node restart).

@@ -255,9 +255,8 @@ fn duty_state_sweep_correct() {
         let mut now_s = 0;
         for (host, advance) in events {
             now_s += advance % 5;
-            let mut summary = GroupSummary::default();
-            summary.components.insert(format!("C{host}").into());
-            summary.node_count = 1;
+            let components = std::rc::Rc::new([format!("C{host}").into()].into());
+            let summary = GroupSummary { components, node_count: 1, cpu_free: 0.0, mem_free: 0 };
             ds.on_summary(HostId(host), 0, summary.into(), SimTime::from_secs(now_s));
             last.insert(host, now_s);
         }
@@ -278,8 +277,9 @@ fn duty_state_sweep_correct() {
     });
 }
 
-/// Summaries aggregate monotonically: absorbing more subtrees never
-/// shrinks the component set or the counted resources.
+/// Summaries aggregate monotonically: a duty that absorbs more subtrees
+/// never shrinks the component set or the counted resources of the
+/// summary it builds.
 #[test]
 fn summary_absorb_monotone() {
     check("summary_absorb_monotone", |g| {
@@ -290,19 +290,21 @@ fn summary_absorb_monotone() {
             (comps, g.gen_range(0..100u32), g.gen_range(0.0..8.0f64))
         });
 
-        let mut total = GroupSummary::default();
+        let mut duty = DutyState::default();
         let mut prev_components = 0usize;
         let mut prev_nodes = 0u32;
-        for (comps, nodes, cpu) in parts {
+        for (host, (comps, nodes, cpu)) in (0..).zip(parts) {
             let part = GroupSummary {
-                components: comps.into_iter().map(Into::into).collect(),
+                components: std::rc::Rc::new(comps.into_iter().map(Into::into).collect()),
                 node_count: nodes,
                 cpu_free: cpu,
                 mem_free: nodes as u64 * 1024,
             };
-            total.absorb(&part);
+            duty.on_summary(HostId(host), 0, part.into(), SimTime::ZERO);
+            let total = duty.summarize();
             assert!(total.components.len() >= prev_components);
             assert!(total.node_count >= prev_nodes);
+            assert_eq!(*duty.summary(), total, "a kept summary equals a fresh one");
             prev_components = total.components.len();
             prev_nodes = total.node_count;
         }

@@ -271,7 +271,7 @@ impl ComponentDescriptor {
     }
 
     /// Serialize to the `<component>` XML document.
-    pub fn to_xml(&self) -> Element {
+    pub fn to_xml(&self) -> Element<'static> {
         let mut root = Element::new("component")
             .with_attr("name", &self.name)
             .with_attr("version", &self.version.to_string())
@@ -360,7 +360,7 @@ impl ComponentDescriptor {
     }
 
     /// Parse and validate a `<component>` document.
-    pub fn from_xml(root: &Element) -> Result<Self, String> {
+    pub fn from_xml(root: &Element<'_>) -> Result<Self, String> {
         descriptor_schema().validate(root).map_err(|e| e.to_string())?;
         let name = root.require_attr("name")?.to_owned();
         let version = Version::parse(root.require_attr("version")?)?;
@@ -401,13 +401,13 @@ impl ComponentDescriptor {
             "singleton" => LifeCycle::Singleton,
             _ => LifeCycle::Factory,
         };
-        let port = |e: &Element| -> Result<PortDecl, String> {
+        let port = |e: &Element<'_>| -> Result<PortDecl, String> {
             Ok(PortDecl {
                 name: e.require_attr("name")?.to_owned(),
                 interface: e.require_attr("interface")?.to_owned(),
             })
         };
-        let evport = |e: &Element| -> Result<EventPortDecl, String> {
+        let evport = |e: &Element<'_>| -> Result<EventPortDecl, String> {
             Ok(EventPortDecl {
                 name: e.require_attr("name")?.to_owned(),
                 event: e.require_attr("event")?.to_owned(),

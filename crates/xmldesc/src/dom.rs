@@ -1,12 +1,19 @@
 //! Document object model: elements with ordered attributes and children.
+//!
+//! A parsed tree borrows its tag names, attribute keys and values, and
+//! text from the document it was parsed from ([`Cow::Borrowed`]); only a
+//! string that decoded an entity is a copy ([`Cow::Owned`]). Trees built
+//! with the builders own their strings and are `Element<'static>`.
+
+use std::borrow::Cow;
 
 /// A node in the document tree.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub enum Node {
+pub enum Node<'a> {
     /// A child element.
-    Element(Element),
+    Element(Element<'a>),
     /// Character data (entity-decoded).
-    Text(String),
+    Text(Cow<'a, str>),
 }
 
 /// An XML element.
@@ -14,19 +21,19 @@ pub enum Node {
 /// Attributes keep insertion order (descriptor output is deterministic and
 /// diff-friendly); duplicate attribute names are rejected by the parser.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Element {
+pub struct Element<'a> {
     /// Tag name.
-    pub name: String,
+    pub name: Cow<'a, str>,
     /// Attributes in document order.
-    pub attrs: Vec<(String, String)>,
+    pub attrs: Vec<(Cow<'a, str>, Cow<'a, str>)>,
     /// Child nodes in document order.
-    pub children: Vec<Node>,
+    pub children: Vec<Node<'a>>,
 }
 
-impl Element {
+impl<'a> Element<'a> {
     /// New element with no attributes or children.
     pub fn new(name: &str) -> Self {
-        Element { name: name.to_owned(), attrs: Vec::new(), children: Vec::new() }
+        Element { name: Cow::Owned(name.to_owned()), attrs: Vec::new(), children: Vec::new() }
     }
 
     /// Set (or replace) an attribute; returns `self` for chaining.
@@ -37,16 +44,17 @@ impl Element {
 
     /// Set (or replace) an attribute.
     pub fn set_attr(&mut self, key: &str, value: &str) {
+        let value = Cow::Owned(value.to_owned());
         if let Some(kv) = self.attrs.iter_mut().find(|(k, _)| k == key) {
-            kv.1 = value.to_owned();
+            kv.1 = value;
         } else {
-            self.attrs.push((key.to_owned(), value.to_owned()));
+            self.attrs.push((Cow::Owned(key.to_owned()), value));
         }
     }
 
     /// Attribute value, if present.
     pub fn attr(&self, key: &str) -> Option<&str> {
-        self.attrs.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
+        self.attrs.iter().find(|(k, _)| k == key).map(|(_, v)| &**v)
     }
 
     /// Attribute value or a descriptive error (for descriptor readers).
@@ -56,17 +64,17 @@ impl Element {
 
     /// Append a text child; returns `self` for chaining.
     pub fn with_text(mut self, text: &str) -> Self {
-        self.children.push(Node::Text(text.to_owned()));
+        self.children.push(Node::Text(Cow::Owned(text.to_owned())));
         self
     }
 
     /// Append a child element.
-    pub fn push(&mut self, child: Element) {
+    pub fn push(&mut self, child: Element<'a>) {
         self.children.push(Node::Element(child));
     }
 
     /// Iterate child elements (skipping text nodes).
-    pub fn elements(&self) -> impl Iterator<Item = &Element> {
+    pub fn elements(&self) -> impl Iterator<Item = &Element<'a>> {
         self.children.iter().filter_map(|n| match n {
             Node::Element(e) => Some(e),
             Node::Text(_) => None,
@@ -74,17 +82,20 @@ impl Element {
     }
 
     /// Child elements with a given tag name.
-    pub fn children_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a Element> + 'a {
+    pub fn children_named<'s>(
+        &'s self,
+        name: &'s str,
+    ) -> impl Iterator<Item = &'s Element<'a>> + 's {
         self.elements().filter(move |e| e.name == name)
     }
 
     /// First child element with a given tag name.
-    pub fn child(&self, name: &str) -> Option<&Element> {
+    pub fn child(&self, name: &str) -> Option<&Element<'a>> {
         self.elements().find(|e| e.name == name)
     }
 
     /// First child element with a given name, or a descriptive error.
-    pub fn require_child(&self, name: &str) -> Result<&Element, String> {
+    pub fn require_child(&self, name: &str) -> Result<&Element<'a>, String> {
         self.child(name).ok_or_else(|| format!("<{}> missing required child <{name}>", self.name))
     }
 

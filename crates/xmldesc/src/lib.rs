@@ -11,6 +11,7 @@
 //! dependencies are sanctioned for this):
 //!
 //! * [`dom`] — a small document object model ([`Element`], [`Node`]),
+//!   whose strings a parsed tree borrows from its input,
 //! * [`parser`] — a recursive-descent parser with positioned errors,
 //! * [`writer`] — serialization with proper escaping (round-trips the DOM),
 //! * [`schema`] — a DTD-like validator: required/optional attributes and
@@ -38,23 +39,31 @@ mod proptests {
         s
     }
 
+    /// Multi-byte characters of every UTF-8 length: the parser takes a
+    /// run of character data as one slice of its input.
+    const WIDE: &str = "éßñ—€日本語🦀𝄞";
+
     fn gen_text(g: &mut Gen) -> String {
-        // Arbitrary printable text including XML-special characters; the
-        // writer must escape whatever we throw at it.
-        g.ascii_printable(0..41)
+        // Arbitrary printable text including XML-special characters and
+        // multi-byte characters; the writer must escape whatever we throw
+        // at it.
+        let mut s = g.ascii_printable(0..21);
+        s.push_str(&g.string_of(WIDE, 0..4));
+        s.push_str(&g.ascii_printable(0..21));
+        s
     }
 
     /// Text nodes without leading/trailing whitespace: the parser trims
     /// inter-element whitespace.
     fn gen_trimmed_text(g: &mut Gen) -> String {
-        const NON_SPACE: &str = "!\"#$%&'()*+,-./0123456789:;<=>?@ABCDEFGHIJKLMNOPQRSTUVWXYZ[\\]^_`abcdefghijklmnopqrstuvwxyz{|}~";
+        const NON_SPACE: &str = "!\"#$%&'()*+,-./0123456789:;<=>?@ABCDEFGHIJKLMNOPQRSTUVWXYZ[\\]^_`abcdefghijklmnopqrstuvwxyz{|}~éßñ—€日本語🦀𝄞";
         let mut s = g.string_of(NON_SPACE, 1..2);
-        s.push_str(&g.ascii_printable(0..21));
+        s.push_str(&gen_text(g));
         s.push_str(&g.string_of(NON_SPACE, 1..2));
         s
     }
 
-    fn gen_element(g: &mut Gen, depth: usize) -> Element {
+    fn gen_element(g: &mut Gen, depth: usize) -> Element<'static> {
         let mut e = Element::new(&gen_name(g));
         for _ in 0..g.gen_range(0..3usize) {
             let (k, v) = (gen_name(g), gen_text(g));
@@ -67,11 +76,11 @@ mod proptests {
                 let c = if g.gen_bool() {
                     Node::Element(gen_element(g, depth - 1))
                 } else {
-                    Node::Text(gen_trimmed_text(g))
+                    Node::Text(gen_trimmed_text(g).into())
                 };
                 // Merge adjacent text nodes to keep round-trips exact.
                 match (&c, e.children.last_mut()) {
-                    (Node::Text(t), Some(Node::Text(prev))) => prev.push_str(t),
+                    (Node::Text(t), Some(Node::Text(prev))) => prev.to_mut().push_str(t),
                     _ => e.children.push(c),
                 }
             }

@@ -6,8 +6,13 @@
 //! comments, CDATA sections, and a leading `<?xml …?>` declaration or
 //! `<!DOCTYPE …>` (both skipped). Inter-element whitespace-only text is
 //! discarded, as descriptor consumers never care about indentation.
+//!
+//! The tree it returns borrows from the input: names, attribute values and
+//! text are slices of it, and only a run of character data that holds an
+//! entity is decoded into an owned copy.
 
 use crate::dom::{Element, Node};
+use std::borrow::Cow;
 
 /// A parse failure with 1-based line/column of the offending byte.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -33,9 +38,10 @@ impl std::error::Error for ParseError {}
 /// exhaust the stack; real descriptors nest about 5 deep.
 pub const MAX_DEPTH: usize = 256;
 
-/// Parse a complete document, returning its root element.
-pub fn parse(input: &str) -> Result<Element, ParseError> {
-    let mut p = Parser { b: input.as_bytes(), pos: 0 };
+/// Parse a complete document, returning its root element, which borrows
+/// from `input`.
+pub fn parse(input: &str) -> Result<Element<'_>, ParseError> {
+    let mut p = Parser { src: input, b: input.as_bytes(), pos: 0 };
     p.skip_prolog()?;
     let root = p.element(1)?;
     p.skip_misc()?;
@@ -46,6 +52,7 @@ pub fn parse(input: &str) -> Result<Element, ParseError> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     b: &'a [u8],
     pos: usize,
 }
@@ -74,6 +81,12 @@ impl<'a> Parser<'a> {
 
     fn bump(&mut self, n: usize) {
         self.pos += n;
+    }
+
+    /// The input from `start` to the current position, which must both
+    /// fall on character boundaries.
+    fn slice(&self, start: usize) -> Result<&'a str, ParseError> {
+        self.src.get(start..self.pos).ok_or_else(|| self.err("invalid UTF-8"))
     }
 
     fn skip_ws(&mut self) {
@@ -133,7 +146,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn name(&mut self) -> Result<String, ParseError> {
+    fn name(&mut self) -> Result<&'a str, ParseError> {
         let start = self.pos;
         while let Some(c) = self.peek() {
             let ok = c.is_ascii_alphanumeric() || matches!(c, b'_' | b'-' | b'.' | b':');
@@ -149,34 +162,49 @@ impl<'a> Parser<'a> {
         if !(first.is_ascii_alphabetic() || first == b'_' || first == b':') {
             return Err(self.err("names must start with a letter, '_' or ':'"));
         }
-        // Every byte passed the ASCII check above, so nothing is replaced.
-        Ok(String::from_utf8_lossy(&self.b[start..self.pos]).into_owned())
+        self.slice(start)
     }
 
-    fn attr_value(&mut self) -> Result<String, ParseError> {
+    /// Character data up to the next `stop` or `<` byte, or the end of
+    /// the input, whichever comes first; the caller reads which. A slice
+    /// of the input, unless the run holds an entity: then the run is
+    /// decoded into an owned copy.
+    fn chars(&mut self, stop: u8) -> Result<Cow<'a, str>, ParseError> {
+        let mut decoded: Option<String> = None;
+        loop {
+            let run = self.pos;
+            let rest = &self.b[run..];
+            let n = rest.iter().position(|&c| c == stop || c == b'<' || c == b'&');
+            self.pos += n.unwrap_or(rest.len());
+            let run = self.slice(run)?;
+            if self.peek() != Some(b'&') {
+                return Ok(match decoded {
+                    None => Cow::Borrowed(run),
+                    Some(mut s) => {
+                        s.push_str(run);
+                        Cow::Owned(s)
+                    }
+                });
+            }
+            let s = decoded.get_or_insert_with(String::new);
+            s.push_str(run);
+            s.push(self.entity()?);
+        }
+    }
+
+    fn attr_value(&mut self) -> Result<Cow<'a, str>, ParseError> {
         let quote = match self.peek() {
             Some(q @ (b'"' | b'\'')) => q,
             _ => return Err(self.err("expected quoted attribute value")),
         };
         self.pos += 1;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated attribute value")),
-                Some(c) if c == quote => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'<') => return Err(self.err("'<' in attribute value")),
-                Some(b'&') => out.push(self.entity()?),
-                Some(c) => {
-                    // attribute values are arbitrary UTF-8; copy bytes
-                    let ch_len = utf8_len(c);
-                    let s = std::str::from_utf8(&self.b[self.pos..self.pos + ch_len])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    out.push_str(s);
-                    self.pos += ch_len;
-                }
+        let value = self.chars(quote)?;
+        match self.peek() {
+            None => Err(self.err("unterminated attribute value")),
+            Some(b'<') => Err(self.err("'<' in attribute value")),
+            Some(_) => {
+                self.pos += 1;
+                Ok(value)
             }
         }
     }
@@ -213,13 +241,14 @@ impl<'a> Parser<'a> {
         Ok(ch)
     }
 
-    fn element(&mut self, depth: usize) -> Result<Element, ParseError> {
+    fn element(&mut self, depth: usize) -> Result<Element<'a>, ParseError> {
         if depth > MAX_DEPTH {
             return Err(self.err(&format!("elements nest deeper than {MAX_DEPTH}")));
         }
         self.eat(b'<')?;
         let name = self.name()?;
-        let mut elem = Element::new(&name);
+        let (attrs, children) = (Vec::new(), Vec::new());
+        let mut elem = Element { name: Cow::Borrowed(name), attrs, children };
 
         loop {
             self.skip_ws();
@@ -239,85 +268,64 @@ impl<'a> Parser<'a> {
                     self.eat(b'=')?;
                     self.skip_ws();
                     let value = self.attr_value()?;
-                    if elem.attr(&key).is_some() {
+                    if elem.attr(key).is_some() {
                         return Err(self.err(&format!("duplicate attribute '{key}'")));
                     }
-                    elem.attrs.push((key, value));
+                    elem.attrs.push((Cow::Borrowed(key), value));
                 }
                 None => return Err(self.err("unterminated start tag")),
             }
         }
 
         // Content until the matching end tag.
-        let mut text = String::new();
         loop {
-            match self.peek() {
-                None => return Err(self.err(&format!("missing </{name}>"))),
-                Some(b'<') => {
-                    flush_text(&mut text, &mut elem);
-                    if self.starts_with("</") {
-                        self.bump(2);
-                        let end_name = self.name()?;
-                        if end_name != name {
-                            return Err(
-                                self.err(&format!("expected </{name}>, found </{end_name}>"))
-                            );
-                        }
-                        self.skip_ws();
-                        self.eat(b'>')?;
-                        return Ok(elem);
-                    } else if self.starts_with("<!--") {
-                        self.skip_until("-->")?;
-                    } else if self.starts_with("<![CDATA[") {
-                        self.bump("<![CDATA[".len());
-                        let start = self.pos;
-                        self.skip_until("]]>")?;
-                        let raw = &self.b[start..self.pos - 3];
-                        let s =
-                            std::str::from_utf8(raw).map_err(|_| self.err("invalid UTF-8"))?;
-                        elem.children.push(Node::Text(s.to_owned()));
-                    } else if self.starts_with("<?") {
-                        self.skip_until("?>")?;
-                    } else {
-                        let child = self.element(depth + 1)?;
-                        elem.children.push(Node::Element(child));
-                    }
+            let text = self.chars(b'<')?;
+            push_text(text, &mut elem);
+            if self.peek().is_none() {
+                return Err(self.err(&format!("missing </{name}>")));
+            }
+            if self.starts_with("</") {
+                self.bump(2);
+                let end_name = self.name()?;
+                if end_name != name {
+                    return Err(self.err(&format!("expected </{name}>, found </{end_name}>")));
                 }
-                Some(b'&') => text.push(self.entity()?),
-                Some(c) => {
-                    let ch_len = utf8_len(c);
-                    let s = std::str::from_utf8(&self.b[self.pos..self.pos + ch_len])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    text.push_str(s);
-                    self.pos += ch_len;
-                }
+                self.skip_ws();
+                self.eat(b'>')?;
+                return Ok(elem);
+            } else if self.starts_with("<!--") {
+                self.skip_until("-->")?;
+            } else if self.starts_with("<![CDATA[") {
+                self.bump("<![CDATA[".len());
+                let start = self.pos;
+                self.skip_until("]]>")?;
+                let raw = self.src.get(start..self.pos - 3);
+                let raw = raw.ok_or_else(|| self.err("invalid UTF-8"))?;
+                elem.children.push(Node::Text(Cow::Borrowed(raw)));
+            } else if self.starts_with("<?") {
+                self.skip_until("?>")?;
+            } else {
+                let child = self.element(depth + 1)?;
+                elem.children.push(Node::Element(child));
             }
         }
     }
 }
 
-/// Push accumulated character data as a text node unless it is pure
-/// inter-element whitespace.
-fn flush_text(buf: &mut String, elem: &mut Element) {
-    if !buf.is_empty() {
-        if !buf.chars().all(|c| c.is_ascii_whitespace()) {
-            // Trim the indentation noise around real content.
-            let trimmed = buf.trim();
-            match elem.children.last_mut() {
-                Some(Node::Text(prev)) => prev.push_str(trimmed),
-                _ => elem.children.push(Node::Text(trimmed.to_owned())),
-            }
-        }
-        buf.clear();
+/// Add a run of character data as a text node unless it is pure
+/// inter-element whitespace, merged into a text node just before it.
+fn push_text<'a>(text: Cow<'a, str>, elem: &mut Element<'a>) {
+    if text.bytes().all(|c| c.is_ascii_whitespace()) {
+        return;
     }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
+    // Trim the indentation noise around real content.
+    let trimmed = match text {
+        Cow::Borrowed(s) => Cow::Borrowed(s.trim()),
+        Cow::Owned(s) => Cow::Owned(s.trim().to_owned()),
+    };
+    match elem.children.last_mut() {
+        Some(Node::Text(prev)) => prev.to_mut().push_str(&trimmed),
+        _ => elem.children.push(Node::Text(trimmed)),
     }
 }
 
@@ -385,7 +393,38 @@ mod tests {
         assert!(parse("<-a/>").unwrap_err().msg.contains("must start with"));
         assert!(parse("<a>&nope;</a>").is_err());
         assert!(parse("<a b=c/>").is_err());
-        assert!(parse("<a b='<'/>").is_err());
+        // Each at the offending byte, wherever the value is scanned from.
+        let at = |doc: &str| parse(doc).map(|_| ()).map_err(|e| (e.msg, e.line, e.col));
+        assert_eq!(at("<a b='<'/>"), Err(("'<' in attribute value".into(), 1, 7)));
+        assert_eq!(at("<a b='é&amp;\n<'/>"), Err(("'<' in attribute value".into(), 2, 1)));
+        assert_eq!(at("<a b='x"), Err(("unterminated attribute value".into(), 1, 8)));
+        assert_eq!(at("<é/>"), Err(("expected a name".into(), 1, 2)));
+        assert_eq!(at("<aé/>"), Err(("expected a name".into(), 1, 3)));
+        assert_eq!(at("<a é='1'/>"), Err(("expected a name".into(), 1, 4)));
+        assert_eq!(at("<a>\n é&nope;</a>"), Err(("unknown entity '&nope;'".into(), 2, 5)));
+    }
+
+    /// Names, values and text are slices of the input; only a run that
+    /// decodes an entity is an owned copy, and the runs around the
+    /// entity are copied into it.
+    #[test]
+    fn an_entity_free_document_borrows_its_input() {
+        let doc = "<c name='Décodeur' v=\"a&amp;b\">text<d/>x&#65;y</c>";
+        let root = parse(doc).unwrap();
+        let borrowed = |s: &Cow<'_, str>| matches!(s, Cow::Borrowed(_));
+        assert!(borrowed(&root.name));
+        let [(k0, v0), (k1, v1)] = &root.attrs[..] else { panic!("two attributes") };
+        assert!(borrowed(k0) && borrowed(v0) && borrowed(k1));
+        assert_eq!((&**v0, &**v1), ("Décodeur", "a&b"));
+        assert!(matches!(v1, Cow::Owned(_)), "a decoded value is owned");
+        let texts: Vec<&Cow<'_, str>> = root
+            .children
+            .iter()
+            .filter_map(|n| if let Node::Text(t) = n { Some(t) } else { None })
+            .collect();
+        assert_eq!(texts, ["text", "xAy"]);
+        assert!(borrowed(texts[0]));
+        assert!(matches!(texts[1], Cow::Owned(_)));
     }
 
     fn nested(depth: usize) -> String {
@@ -397,7 +436,8 @@ mod tests {
     /// process) are an error.
     #[test]
     fn nesting_depth_is_bounded() {
-        let mut root = parse(&nested(MAX_DEPTH)).unwrap();
+        let doc = nested(MAX_DEPTH);
+        let mut root = parse(&doc).unwrap();
         let mut depth = 1;
         while let Some(Node::Element(child)) = root.children.pop() {
             (root, depth) = (child, depth + 1);

@@ -7,7 +7,7 @@
 //! descriptor schemas are defined where the descriptors live (`lc-pkg` and
 //! `lc-core`); this module is schema-agnostic.
 
-use crate::dom::Element;
+use crate::dom::{Element, Node};
 use std::collections::BTreeMap;
 
 /// How many times a child element may occur.
@@ -140,82 +140,71 @@ impl Schema {
     }
 
     /// Validate a document against the schema.
-    pub fn validate(&self, root: &Element) -> Result<(), SchemaError> {
+    pub fn validate(&self, root: &Element<'_>) -> Result<(), SchemaError> {
         if root.name != self.root {
             return Err(SchemaError {
-                path: root.name.clone(),
+                path: root.name.to_string(),
                 msg: format!("expected document root <{}>", self.root),
             });
         }
-        self.validate_at(root, &root.name)
+        self.validate_at(root)
     }
 
-    fn validate_at(&self, e: &Element, path: &str) -> Result<(), SchemaError> {
-        let rule = self.rules.get(&e.name).ok_or_else(|| SchemaError {
-            path: path.to_owned(),
-            msg: format!("unknown element <{}>", e.name),
-        })?;
+    /// Validate `e` and its subtree. An error's path is built on its way
+    /// out, one element name per level, so a valid document formats none.
+    fn validate_at(&self, e: &Element<'_>) -> Result<(), SchemaError> {
+        let fail = |msg: String| Err(SchemaError { path: e.name.to_string(), msg });
+        let Some(rule) = self.rules.get(&*e.name) else {
+            return fail(format!("unknown element <{}>", e.name));
+        };
 
         // Attributes.
         for ar in &rule.attrs {
             match e.attr(&ar.name) {
                 None if ar.required => {
-                    return Err(SchemaError {
-                        path: path.to_owned(),
-                        msg: format!("missing required attribute '{}'", ar.name),
-                    });
+                    return fail(format!("missing required attribute '{}'", ar.name));
                 }
                 Some(v) if !ar.one_of.is_empty() && !ar.one_of.iter().any(|o| o == v) => {
-                    return Err(SchemaError {
-                        path: path.to_owned(),
-                        msg: format!(
-                            "attribute '{}' must be one of {:?}, found '{v}'",
-                            ar.name, ar.one_of
-                        ),
-                    });
+                    return fail(format!(
+                        "attribute '{}' must be one of {:?}, found '{v}'",
+                        ar.name, ar.one_of
+                    ));
                 }
                 _ => {}
             }
         }
         for (k, _) in &e.attrs {
-            if !rule.attrs.iter().any(|ar| &ar.name == k) {
-                return Err(SchemaError {
-                    path: path.to_owned(),
-                    msg: format!("unexpected attribute '{k}'"),
-                });
+            if !rule.attrs.iter().any(|ar| ar.name == *k) {
+                return fail(format!("unexpected attribute '{k}'"));
             }
         }
 
         // Text content.
-        if !rule.allow_text && !e.text().trim().is_empty() {
-            return Err(SchemaError {
-                path: path.to_owned(),
-                msg: "unexpected text content".to_owned(),
-            });
+        let text = |n: &Node<'_>| matches!(n, Node::Text(t) if !t.trim().is_empty());
+        let has_text = e.children.iter().any(text);
+        if !rule.allow_text && has_text {
+            return fail("unexpected text content".to_owned());
         }
 
         // Children: counts, then unexpected names, then recursion.
         for cr in &rule.children {
             let n = e.children_named(&cr.name).count();
             if !cr.mult.check(n) {
-                return Err(SchemaError {
-                    path: path.to_owned(),
-                    msg: format!(
-                        "child <{}> occurs {n} time(s), violates {:?}",
-                        cr.name, cr.mult
-                    ),
-                });
+                return fail(format!(
+                    "child <{}> occurs {n} time(s), violates {:?}",
+                    cr.name, cr.mult
+                ));
             }
         }
         for c in e.elements() {
             if !rule.children.iter().any(|cr| cr.name == c.name) {
-                return Err(SchemaError {
-                    path: path.to_owned(),
-                    msg: format!("unexpected child <{}>", c.name),
-                });
+                return fail(format!("unexpected child <{}>", c.name));
             }
-            let child_path = format!("{path}/{}", c.name);
-            self.validate_at(c, &child_path)?;
+            self.validate_at(c).map_err(|mut err| {
+                err.path.insert(0, '/');
+                err.path.insert_str(0, &e.name);
+                err
+            })?;
         }
         Ok(())
     }

@@ -8,14 +8,14 @@
 use crate::dom::{Element, Node};
 
 /// Serialize a document: XML declaration plus the root element.
-pub fn to_string(root: &Element) -> String {
+pub fn to_string(root: &Element<'_>) -> String {
     let mut out = String::with_capacity(256);
     out.push_str("<?xml version=\"1.0\"?>");
     write_element(root, &mut out);
     out
 }
 
-fn write_element(e: &Element, out: &mut String) {
+fn write_element(e: &Element<'_>, out: &mut String) {
     out.push('<');
     out.push_str(&e.name);
     for (k, v) in &e.attrs {
