@@ -205,7 +205,7 @@ pub fn run_traced(seed: u64, label: &'static str, one_in: Option<u32>) -> Traced
     let mut lines: Vec<(u64, u32, String)> = Vec::new();
     for host in 0..NODES {
         let Some(node) = w.node(HostId(host)) else { continue };
-        let Some(mon) = node.state().slo_monitor() else { continue };
+        let Some(mon) = node.slo_monitor() else { continue };
         for rec in mon.breaches() {
             flight_events += rec.flight.len() as u64;
             lines.push((

@@ -54,7 +54,7 @@ fn run_one(strategy: PlacementStrategy, lb: bool, seed: u64) -> Run {
         seed,
         NodeConfig {
             cohesion: CohesionConfig::flat(16, 1, fast_cohesion().report_period),
-            load_balance: lb.then_some(lc_core::LoadBalanceConfig { overload_threshold: 0.25 }),
+            load_balance: lb,
             ..Default::default()
         },
         lc_grid::catalog(),

@@ -44,7 +44,7 @@ pub fn run() -> Output {
         "E9: CLCP packaging — compression, signing, partial extraction\n".to_owned();
     let key = SigningKey::new("vendor", b"secret");
     let mut trust = TrustStore::new();
-    trust.trust("vendor", b"secret");
+    trust.trust(&key);
 
     let mut rows = Vec::new();
     for &(kind, size) in &[

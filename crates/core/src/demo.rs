@@ -233,7 +233,7 @@ pub fn demo_key() -> SigningKey {
 /// A trust store that trusts the demo vendor.
 pub fn demo_trust() -> lc_pkg::TrustStore {
     let mut t = lc_pkg::TrustStore::new();
-    t.trust("demo-vendor", b"demo-secret");
+    t.trust(&demo_key());
     t
 }
 
@@ -261,21 +261,27 @@ pub fn display_package_sized(binary_size: usize) -> Rc<Vec<u8>> {
     let mut desc = ComponentDescriptor::new("Display", Version::new(2, 0), "demo-vendor")
         .provides("graphics", "IDL:demo/Display:1.0");
     desc.qos = QosSpec { cpu_min: 0.1, cpu_max: 0.5, memory: 4 << 20, bandwidth_min: 0.0 };
-    // Pseudo-random payload so compression does not trivialize it.
-    let mut x = 0x9E3779B9u32;
-    let payload: Vec<u8> = (0..binary_size)
+    let payload = incompressible_payload(0x9E3779B9, binary_size);
+    seal(
+        Package::new(desc)
+            .with_idl("demo.idl", DEMO_IDL)
+            .with_binary(Platform::reference(), "demo_display", &payload),
+    )
+}
+
+/// `len` pseudo-random bytes from a xorshift32 stream started at
+/// `seed`, so compression does not trivialize a package's binary and a
+/// fetch really costs its size.
+pub fn incompressible_payload(seed: u32, len: usize) -> Vec<u8> {
+    let mut x = seed;
+    (0..len)
         .map(|_| {
             x ^= x << 13;
             x ^= x >> 17;
             x ^= x << 5;
             (x >> 24) as u8
         })
-        .collect();
-    seal(
-        Package::new(desc)
-            .with_idl("demo.idl", DEMO_IDL)
-            .with_binary(Platform::reference(), "demo_display", &payload),
-    )
+        .collect()
 }
 
 /// Package: the Display component (default 64 KiB binary).

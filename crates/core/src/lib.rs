@@ -45,9 +45,9 @@ pub use cohesion::{CohesionConfig, HierShape};
 pub use deploy::{NodeView, PlacementStrategy, ResolveAction};
 pub use node::{
     AdmissionConfig, AssemblySink, CacheConfig, Continuations, InvokePolicy, InvokeSink,
-    LoadBalanceConfig, MigrateSink, Node, NodeCmd, NodeConfig, NodeConfigBuilder, NodeCtx,
-    NodeMetrics, NodeSeed, NodeState, QueryResult, QuerySink, RegistryConfig, ReplicateConfig,
-    ResolveCmd, ServiceKind, ServiceMetrics, ServiceReflect, SpawnSink, Tick, WorldRecord,
+    MigrateSink, Node, NodeCmd, NodeConfig, NodeConfigBuilder, NodeCtx, NodeMetrics, NodeSeed,
+    QueryResult, QuerySink, RegistryConfig, ReplicateConfig, ResolveCmd, ServiceKind,
+    ServiceMetrics, ServiceReflect, SpawnSink, Tick, WorldRecord,
 };
 pub use proto::{DeltaEntry, GroupSummary, QueryId};
 pub use registry::backend::{

@@ -12,11 +12,11 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use super::continuations::FetchCont;
-use super::ctx::{NodeCtx, NodeState};
+use super::ctx::{Node, NodeCtx};
 use super::metrics::ServiceKind;
 use super::service::{item, ServiceReflect};
 
-impl NodeState {
+impl Node {
     /// Install a package from container bytes, which the repository
     /// keeps as they are. A fresh install merges the package's IDL into
     /// the node's interface repository so new port types become
@@ -168,7 +168,7 @@ impl NodeCtx<'_, '_> {
 }
 
 /// Reflect the Component Acceptor service's current state.
-pub(crate) fn reflect(state: &NodeState) -> ServiceReflect {
+pub(crate) fn reflect(state: &Node) -> ServiceReflect {
     ServiceReflect {
         kind: ServiceKind::Acceptor,
         items: vec![

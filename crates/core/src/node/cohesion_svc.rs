@@ -13,11 +13,11 @@ use lc_des::Counter;
 use lc_net::HostId;
 use std::rc::Rc;
 
-use super::ctx::{NodeCtx, NodeState};
+use super::ctx::{Node, NodeCtx};
 use super::metrics::ServiceKind;
 use super::service::{item, ServiceReflect, Tick};
 
-impl NodeState {
+impl Node {
     /// The node views this node can see as a level-0 MRM (for placement).
     pub fn placement_view(&self) -> Vec<NodeView> {
         let mut out = Vec::new();
@@ -88,7 +88,7 @@ impl NodeCtx<'_, '_> {
 }
 
 /// Reflect the Network Cohesion service's current state.
-pub(crate) fn reflect(state: &NodeState) -> ServiceReflect {
+pub(crate) fn reflect(state: &Node) -> ServiceReflect {
     let level0_members = state.seat(0).map_or(0, |s| s.records().len());
     let report_targets = state.world.shape.mrm_hosts(0, state.group_at(0)).count();
     ServiceReflect {

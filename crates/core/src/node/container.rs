@@ -20,7 +20,7 @@ use super::continuations::{
     CallCont, Continuations, FetchCont, PendingCall, PendingMigration, ReplyCache, RetryState,
     SpawnCont,
 };
-use super::ctx::{NodeCtx, NodeState};
+use super::ctx::{Node, NodeCtx};
 use super::metrics::ServiceKind;
 use super::service::{item, ServiceReflect, Tick};
 use super::{InvokePolicy, InvokeSink, MigrateSink, SpawnSink};
@@ -38,7 +38,7 @@ pub(crate) type EventChannel = (String, Vec<(ObjectKey, String)>);
 /// The container runtime's state: everything only a node that holds a
 /// component, or calls, spawns, fetches or migrates an instance, touches.
 /// A node makes it with its first install or on first use
-/// ([`NodeState::container`]); until then (for a node that only reports,
+/// ([`Node::container`]); until then (for a node that only reports,
 /// routes and searches, most of a campus) it is one empty pointer, and
 /// every accessor answers as this state does when empty. What an
 /// instance is (component, version, ports) is the registry's; what it
@@ -115,7 +115,7 @@ impl Container {
 
 /// The container runtime's state beside what its dispatches read of the
 /// node: the node's interface repository and the world's tracer. What
-/// [`NodeState::container`] hands out; it reads as the [`Container`].
+/// [`Node::container`] hands out; it reads as the [`Container`].
 pub(crate) struct ContainerMut<'a> {
     container: &'a mut Container,
     idl: &'a lc_idl::Repository,
@@ -151,12 +151,12 @@ impl DerefMut for ContainerMut<'_> {
     }
 }
 
-impl NodeState {
+impl Node {
     /// The container runtime's state, made here if the node has none
     /// yet, beside the node's interface repository as it stands and the
     /// world's tracer.
     pub(crate) fn container(&mut self) -> ContainerMut<'_> {
-        let NodeState { container, host, idl, world, .. } = self;
+        let Node { container, host, idl, world, .. } = self;
         ContainerMut { container: Container::made(container, *host), idl, tracer: &world.tracer }
     }
 
@@ -168,7 +168,7 @@ impl NodeState {
         min_version: Version,
         instance_name: Option<String>,
     ) -> Result<ObjectRef, String> {
-        let NodeState { host, repository, resources, world, registry, container, idl, .. } = self;
+        let Node { host, repository, resources, world, registry, container, idl, .. } = self;
         let installed = repository
             .best_match(component, min_version)
             .ok_or_else(|| format!("component '{component}' (≥{min_version}) not installed"))?;
@@ -916,7 +916,7 @@ fn push_reply(sink: &InvokeSink, at: SimTime, result: Result<Outcome, OrbError>)
 }
 
 /// Reflect the container runtime's current state.
-pub(crate) fn reflect(state: &NodeState) -> ServiceReflect {
+pub(crate) fn reflect(state: &Node) -> ServiceReflect {
     ServiceReflect {
         kind: ServiceKind::Container,
         items: vec![

@@ -1,11 +1,12 @@
-//! The shared runtime context behind the four node services.
+//! The node and the per-event context behind its four services.
 //!
-//! [`NodeState`] owns everything the services share: the world record,
-//! the IDL repository, the Figure-1 data stores (repository / registry /
-//! resources), the MRM duty soft state, the pending queries and the
-//! per-service metrics, plus the container runtime's state (ORB object
-//! adapter, instance tables, call/spawn/fetch/migration continuations),
-//! made at its first install or first use.
+//! [`Node`] is the node actor and owns everything the services share:
+//! the world record, the IDL repository, the Figure-1 data stores
+//! (repository / registry / resources), the MRM duty soft state, the
+//! pending queries and the per-service metrics, plus the container
+//! runtime's state (ORB object adapter, instance tables,
+//! call/spawn/fetch/migration continuations), made at its first install
+//! or first use.
 //! [`NodeCtx`] pairs a borrow of that state with the simulation context
 //! for the current event; every service handler runs against a
 //! `&mut NodeCtx`, so cross-service plumbing (control sends, ORB
@@ -30,9 +31,10 @@ use super::metrics::NodeMetrics;
 use super::service::{handle_ctrl, Tick};
 use super::WorldRecord;
 
-/// The state shared by all node services (Fig. 1: the node is the
+/// The node actor: the state shared by all node services, which its
+/// router dispatches their handlers over (Fig. 1: the node is the
 /// *composition* of the four services over one runtime).
-pub struct NodeState {
+pub struct Node {
     /// The host this node serves.
     pub host: HostId,
     /// What this node shares with every node of its world: config,
@@ -65,7 +67,7 @@ pub struct NodeState {
     pub(crate) slo: Option<Box<SloMonitor>>,
     /// The container runtime's state, `None` until this node first
     /// installs a component or calls, spawns, fetches or migrates an
-    /// instance (see [`NodeState::container`]).
+    /// instance (see [`Node::container`]).
     pub(crate) container: Option<Box<Container>>,
     /// CPU FIFO: when the processor frees up (owned by the Resource
     /// Manager's accounting, see `resource_svc::occupy_cpu`).
@@ -76,9 +78,9 @@ pub struct NodeState {
     pub(crate) backend: Registry,
 }
 
-impl NodeState {
-    /// Build `world`'s state for `host` (no packages installed yet).
-    pub(crate) fn new(world: Rc<WorldRecord>, host: HostId) -> Self {
+impl Node {
+    /// Build `world`'s node for `host` (no packages installed yet).
+    pub fn new(world: Rc<WorldRecord>, host: HostId) -> Self {
         let cfg = &world.config;
         let shard = world.ring.as_ref().map(|ring| ShardStore::new(host, Rc::clone(ring)));
         let backend = Registry::new(cfg.cache.as_ref(), shard);
@@ -86,7 +88,7 @@ impl NodeState {
         let host_cfg = world.net.host_cfg(host);
         let slo = cfg.slo.clone().map(|slo| Box::new(SloMonitor::new(slo)));
         let idl = world.catalog.idl.clone();
-        NodeState {
+        Node {
             host,
             world,
             idl,
@@ -193,12 +195,12 @@ fn wire_counter(msg: &CtrlMsg) -> Option<Counter> {
     })
 }
 
-/// A service's view of one simulation event: the shared node state plus
-/// the DES context. All cross-cutting plumbing (control sends with local
+/// A service's view of one simulation event: the node plus the DES
+/// context. All cross-cutting plumbing (control sends with local
 /// short-circuit, metric-counted ORB traffic, timers) hangs off this.
 pub struct NodeCtx<'a, 'b> {
-    /// The shared node state.
-    pub state: &'a mut NodeState,
+    /// The node the event is for.
+    pub state: &'a mut Node,
     /// The simulation context for the current event.
     pub sim: &'a mut Ctx<'b>,
 }

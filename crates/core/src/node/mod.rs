@@ -37,7 +37,7 @@ pub mod resource_svc;
 pub mod service;
 
 pub use continuations::Continuations;
-pub use ctx::{NodeCtx, NodeState};
+pub use ctx::{Node, NodeCtx};
 pub use metrics::{NodeMetrics, ServiceKind, ServiceMetrics};
 pub use service::{ServiceReflect, Tick};
 
@@ -56,26 +56,12 @@ use lc_trace::{TraceContext, Tracer};
 use lc_pkg::{TrustStore, Version};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
 use std::sync::Arc;
 
 use service::{
     cmd_service, ctrl_service, handle_cmd, handle_ctrl, handle_orb, handle_tick, tick_service,
 };
-
-/// Automatic load-balancing policy (§2.4.3: "component instance
-/// migration and replication to achieve load balancing").
-#[derive(Clone, Debug)]
-pub struct LoadBalanceConfig {
-    /// CPU utilisation above which the node tries to shed an instance.
-    pub overload_threshold: f64,
-}
-
-impl LoadBalanceConfig {
-    /// How often a node examines its own load.
-    pub const CHECK_PERIOD: SimTime = SimTime::from_millis(500);
-}
 
 /// Client-side invocation recovery policy: per-request deadlines,
 /// exponential backoff with a bounded retry budget, and the matching
@@ -161,7 +147,7 @@ impl Default for AdmissionConfig {
 
 /// Hot-component replication policy (§2.4.3: "component instance
 /// migration and replication to achieve load balancing") — the
-/// *reactive* counterpart to [`LoadBalanceConfig`]'s periodic check:
+/// *reactive* counterpart to [`NodeConfig::load_balance`]'s periodic check:
 /// shedding is the trigger, so replication starts exactly when demand
 /// provably exceeds this node's capacity. Its timing and budget are
 /// fixed; configuring it switches replication on.
@@ -230,9 +216,10 @@ pub struct NodeConfig {
     pub query_timeout: SimTime,
     /// Security policy: refuse unsigned packages.
     pub require_signature: bool,
-    /// Automatic load balancing (off by default; experiments and
-    /// deployments opt in).
-    pub load_balance: Option<LoadBalanceConfig>,
+    /// Automatic load balancing (§2.4.3): a node at or above
+    /// [`resource_svc::OVERLOAD_THRESHOLD`] sheds its heaviest mobile
+    /// instance. Off by default; experiments and deployments opt in.
+    pub load_balance: bool,
     /// Invocation recovery policy (off by default).
     pub invoke: InvokePolicy,
     /// How many times a query that expires with *zero* offers is
@@ -259,7 +246,7 @@ impl Default for NodeConfig {
             cohesion: CohesionConfig::default(),
             query_timeout: SimTime::from_millis(500),
             require_signature: false,
-            load_balance: None,
+            load_balance: false,
             invoke: InvokePolicy::default(),
             query_retries: 0,
             cache: None,
@@ -602,8 +589,8 @@ impl NodeSeed {
         let config = &world.config;
         arm(jitter, Tick::KeepAlive);
         arm(jitter + config.cohesion.report_period / 2, Tick::MrmSweep);
-        if config.load_balance.is_some() {
-            arm(jitter + LoadBalanceConfig::CHECK_PERIOD, Tick::LoadBalance);
+        if config.load_balance {
+            arm(jitter + resource_svc::CHECK_PERIOD, Tick::LoadBalance);
         }
         if let RegistryConfig::Sharded(sc) = &config.registry {
             // First maintenance tick publishes the pre-installed
@@ -619,41 +606,11 @@ impl NodeSeed {
     }
 }
 
-/// The node actor: the shared runtime state the router dispatches the
-/// five services' handlers over.
-pub struct Node {
-    state: NodeState,
-}
-
-impl Deref for Node {
-    type Target = NodeState;
-    fn deref(&self) -> &NodeState {
-        &self.state
-    }
-}
-
-impl DerefMut for Node {
-    fn deref_mut(&mut self) -> &mut NodeState {
-        &mut self.state
-    }
-}
-
 impl Node {
-    /// Build `world`'s node for `host` (no packages installed yet).
-    pub fn new(world: Rc<WorldRecord>, host: HostId) -> Self {
-        Node { state: NodeState::new(world, host) }
-    }
-
-    /// Read access to the shared node state (post-run inspection:
-    /// metrics registry, SLO monitor, repository).
-    pub fn state(&self) -> &NodeState {
-        &self.state
-    }
-
     /// Reflect every service's current state, in display order (§2.4.2
     /// reflection).
     pub fn service_reflections(&self) -> Vec<ServiceReflect> {
-        ServiceKind::ALL.iter().map(|&k| service::reflect(k, &self.state)).collect()
+        ServiceKind::ALL.iter().map(|&k| service::reflect(k, self)).collect()
     }
 
     /// Run one routed message's handler as service `kind`. When the
@@ -667,30 +624,28 @@ impl Node {
         parent: Option<TraceContext>,
         handler: impl FnOnce(&mut NodeCtx<'_, '_>),
     ) {
-        let state = &mut self.state;
-        state.metrics.begin(kind, true);
+        self.metrics.begin(kind, true);
         // Untraced frames (every frame while tracing is off) open no span.
         let span = parent.and_then(|p| {
             let name = format!("node.{}", kind.name());
-            state.world.tracer.child_of(state.host.0, &name, p, ctx.now())
+            self.world.tracer.child_of(self.host.0, &name, p, ctx.now())
         });
-        NodeCtx { state: &mut *state, sim: &mut *ctx }.in_span(span, |n| {
+        NodeCtx { state: &mut *self, sim: &mut *ctx }.in_span(span, |n| {
             handler(n);
             if let Some(span) = span {
                 n.state.world.tracer.end(span, n.sim.now());
             }
         });
-        state.metrics.finish();
+        self.metrics.finish();
     }
 
     /// Route a timer tick to one service. Ticks are internal work, not
     /// messages: they count as a dispatch but not as a message in.
     fn route_tick(&mut self, ctx: &mut Ctx<'_>, tick: Tick) {
         let kind = tick_service(tick);
-        let state = &mut self.state;
-        state.metrics.begin(kind, false);
-        handle_tick(&mut NodeCtx { state: &mut *state, sim: &mut *ctx }, tick);
-        state.metrics.finish();
+        self.metrics.begin(kind, false);
+        handle_tick(&mut NodeCtx { state: &mut *self, sim: &mut *ctx }, tick);
+        self.metrics.finish();
     }
 }
 
@@ -700,7 +655,7 @@ impl Actor for Node {
     fn handle_mail(&mut self, ctx: &mut Ctx<'_>, mail: Mail<'_>) {
         let mail = match ctx.open::<NodeCmd>(mail) {
             Ok(cmd) => {
-                self.state.metrics.note_cmd(&cmd);
+                self.metrics.note_cmd(&cmd);
                 let kind = cmd_service(&cmd);
                 return self.route(ctx, kind, None, |n| handle_cmd(n, cmd));
             }
@@ -776,8 +731,8 @@ mod tests {
     /// than a tree's root), 608 while its registry front held its result
     /// cache inline.
     #[test]
-    fn node_state_is_568_bytes() {
-        assert_eq!(std::mem::size_of::<super::NodeState>(), 568);
+    fn node_is_568_bytes() {
+        assert_eq!(std::mem::size_of::<super::Node>(), 568);
     }
 
     /// The registry backend, inline in every node: 216 bytes while the

@@ -19,7 +19,7 @@ use std::rc::Rc;
 use super::continuations::{
     FetchCont, PendingQuery, QueryFollower, QueryPurpose, ResolveCont, SpawnCont,
 };
-use super::ctx::{NodeCtx, NodeState};
+use super::ctx::{Node, NodeCtx};
 use super::metrics::ServiceKind;
 use super::service::{item, ServiceReflect, Tick};
 use super::SpawnSink;
@@ -60,7 +60,7 @@ impl Ending {
     }
 }
 
-impl NodeState {
+impl Node {
     /// Offers this node's own registry/repository can make for a query.
     pub(crate) fn local_offers_for(&self, query: &ComponentQuery) -> Vec<Offer> {
         self.registry.local_offers(
@@ -660,7 +660,7 @@ impl NodeCtx<'_, '_> {
 }
 
 /// Reflect the Component Registry service's current state.
-pub(crate) fn reflect(state: &NodeState) -> ServiceReflect {
+pub(crate) fn reflect(state: &Node) -> ServiceReflect {
     let mut items = vec![
         item("running instances", state.registry.instance_count()),
         item("pending queries", state.conts.queries.len()),

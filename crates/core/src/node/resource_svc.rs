@@ -10,12 +10,20 @@ use lc_net::HostId;
 use crate::registry::{InstanceId, InstanceInfo};
 use std::rc::Rc;
 
-use super::ctx::{NodeCtx, NodeState};
+use super::ctx::{Node, NodeCtx};
 use super::metrics::ServiceKind;
-use super::{LoadBalanceConfig, ReplicateConfig};
+use super::ReplicateConfig;
 use super::service::{item, ms, ServiceReflect, Tick};
 
-impl NodeState {
+/// How often a node with [`super::NodeConfig::load_balance`] on
+/// examines its own load.
+pub const CHECK_PERIOD: SimTime = SimTime::from_millis(500);
+
+/// CPU utilisation at or above which such a node tries to shed an
+/// instance.
+pub const OVERLOAD_THRESHOLD: f64 = 0.25;
+
+impl Node {
     /// Occupy the CPU FIFO with `cost` of work starting no earlier than
     /// `now`, scaled by this node's CPU power. Returns `(scaled cost,
     /// completion time)`.
@@ -76,13 +84,15 @@ impl NodeCtx<'_, '_> {
     /// ask the group MRM for a lighter member to migrate the heaviest
     /// *mobile* instance to; re-arm the cadence either way.
     pub(crate) fn load_balance_check(&mut self) {
-        let Some(lb) = &self.state.world.config.load_balance else { return };
-        if self.state.resources.cpu_utilisation() >= lb.overload_threshold {
+        if !self.state.world.config.load_balance {
+            return;
+        }
+        if self.state.resources.cpu_utilisation() >= OVERLOAD_THRESHOLD {
             if let Some((_, cpu_needed)) = self.state.heaviest_mobile_instance() {
                 self.ask_placement(cpu_needed, None);
             }
         }
-        self.timer_in(LoadBalanceConfig::CHECK_PERIOD, Tick::LoadBalance);
+        self.timer_in(CHECK_PERIOD, Tick::LoadBalance);
     }
 
     /// Ask the group MRM (first reachable replica; this host answers
@@ -170,7 +180,7 @@ impl NodeCtx<'_, '_> {
 }
 
 /// Reflect the Resource Manager service's current state.
-pub(crate) fn reflect(state: &NodeState) -> ServiceReflect {
+pub(crate) fn reflect(state: &Node) -> ServiceReflect {
     ServiceReflect {
         kind: ServiceKind::Resource,
         items: vec![

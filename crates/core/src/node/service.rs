@@ -19,7 +19,7 @@ use lc_des::SimTime;
 use lc_orb::{OrbWire, RequestId};
 
 use super::continuations::{QueryPurpose, ResolveCont};
-use super::ctx::{NodeCtx, NodeState};
+use super::ctx::{Node, NodeCtx};
 use super::metrics::ServiceKind;
 use super::{NodeCmd, ResolveCmd};
 use super::{acceptor, cohesion_svc, container, registry_svc, resource_svc};
@@ -302,7 +302,7 @@ pub(crate) fn handle_orb(ctx: &mut NodeCtx<'_, '_>, wire: OrbWire) {
 }
 
 /// Reflect one service's current state (§2.4.2 reflection).
-pub(crate) fn reflect(kind: ServiceKind, state: &NodeState) -> ServiceReflect {
+pub(crate) fn reflect(kind: ServiceKind, state: &Node) -> ServiceReflect {
     match kind {
         ServiceKind::Acceptor => acceptor::reflect(state),
         ServiceKind::Registry => registry_svc::reflect(state),

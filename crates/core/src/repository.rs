@@ -244,9 +244,10 @@ mod tests {
     fn setup() -> (BehaviorRegistry, TrustStore, SigningKey) {
         let behaviors = BehaviorRegistry::new();
         behaviors.register("nop", || Box::new(Nop));
+        let key = SigningKey::new("acme", b"key");
         let mut trust = TrustStore::new();
-        trust.trust("acme", b"key");
-        (behaviors, trust, SigningKey::new("acme", b"key"))
+        trust.trust(&key);
+        (behaviors, trust, key)
     }
 
     fn make_pkg(

@@ -3,6 +3,7 @@
 //! events, migration, assembly deployment, crashes and MRM failover.
 
 use lc_core::demo;
+use lc_core::node::resource_svc::OVERLOAD_THRESHOLD;
 use lc_core::node::{AdmissionConfig, Node, NodeCmd, QuerySink, RegistryConfig, ResolveCmd};
 use lc_core::testkit::{fast_cohesion, fast_config, World};
 use lc_core::{
@@ -710,7 +711,7 @@ fn automatic_load_balancing_sheds_instances() {
         cohesion: fast_cohesion(),
         query_timeout: SimTime::from_millis(400),
         require_signature: false,
-        load_balance: Some(lc_core::LoadBalanceConfig { overload_threshold: 0.5 }),
+        load_balance: true,
         ..NodeConfig::default()
     };
     let mut world = World::on(
@@ -721,7 +722,7 @@ fn automatic_load_balancing_sheds_instances() {
         |_| vec![demo::counter_package()],
     );
     world.run_for(SimTime::from_millis(10));
-    // Overload host 1: 12 counters × 0.05 cpu = 0.6 > threshold 0.5.
+    // Overload host 1: 12 counters × 0.05 cpu = 0.6, over the threshold.
     for i in 0..12 {
         let sink: lc_core::SpawnSink = Rc::default();
         world.cmd(
@@ -737,7 +738,7 @@ fn automatic_load_balancing_sheds_instances() {
     world.run_for(SimTime::from_millis(50));
     assert_eq!(world.node(HostId(1)).unwrap().registry.instance_count(), 12);
     let util_before = world.node(HostId(1)).unwrap().resources.cpu_utilisation();
-    assert!(util_before > 0.5);
+    assert!(util_before > OVERLOAD_THRESHOLD);
 
     // Let reports converge and LB run for a few periods.
     world.run_for(SimTime::from_millis(8_000));
@@ -747,7 +748,7 @@ fn automatic_load_balancing_sheds_instances() {
     assert!(m.counter("migrate.completed") >= 1);
     let node1 = world.node(HostId(1)).unwrap();
     assert!(
-        node1.resources.cpu_utilisation() <= 0.5 + 1e-9,
+        node1.resources.cpu_utilisation() < OVERLOAD_THRESHOLD,
         "host1 still overloaded: {}",
         node1.resources.cpu_utilisation()
     );
@@ -764,19 +765,16 @@ fn automatic_load_balancing_sheds_instances() {
 /// passed over is one `query.failover`.
 #[test]
 fn placement_ask_fails_over_to_the_second_mrm_replica() {
-    let config = NodeConfig {
-        load_balance: Some(lc_core::LoadBalanceConfig { overload_threshold: 0.52 }),
-        ..fast_config()
-    };
+    let config = NodeConfig { load_balance: true, ..fast_config() };
     let mut world =
         World::on(Topology::lan(8), 41, config, demo::catalog(), |_| vec![demo::counter_package()]);
     // Hosts 0 and 1 are the group's MRM replicas; host 1 has evicted
     // the silent host 0 from its view by the time anyone asks.
     world.crash(HostId(0));
     world.run_for(SimTime::from_secs(1));
-    // Host 3 runs 11 counters × 0.05 cpu = 0.55: one migration brings
-    // it under 0.52.
-    for _ in 0..11 {
+    // Host 3 runs 5 counters × 0.05 cpu = 0.25, at the threshold (the
+    // check is `>=`): one migration brings it under.
+    for _ in 0..5 {
         world.spawn(HostId(3), "Counter", None, SimTime::from_millis(1));
     }
     world.run_for(SimTime::from_secs(4));
@@ -785,7 +783,7 @@ fn placement_ask_fails_over_to_the_second_mrm_replica() {
     assert_eq!(m.counter("lb.migrations"), 1);
     assert_eq!(m.counter("migrate.completed"), 1);
     assert_eq!(m.counter("query.failover"), 1, "one ask, one replica passed over");
-    assert_eq!(world.node(HostId(3)).unwrap().registry.instance_count(), 10);
+    assert_eq!(world.node(HostId(3)).unwrap().registry.instance_count(), 4);
 }
 
 #[test]
@@ -816,7 +814,7 @@ fn fixed_instances_are_never_auto_migrated() {
         cohesion: fast_cohesion(),
         query_timeout: SimTime::from_millis(400),
         require_signature: false,
-        load_balance: Some(lc_core::LoadBalanceConfig { overload_threshold: 0.5 }),
+        load_balance: true,
         ..NodeConfig::default()
     };
     let fixed_for_world = fixed_pkg.clone();
@@ -841,7 +839,9 @@ fn fixed_instances_are_never_auto_migrated() {
         );
     }
     world.run_for(SimTime::from_millis(8_000));
-    // Overloaded (0.9 > 0.5) but nothing migratable.
+    // Overloaded (0.9, over the threshold) but nothing migratable.
+    let util = world.node(HostId(1)).unwrap().resources.cpu_utilisation();
+    assert!(util >= OVERLOAD_THRESHOLD, "host1 must be overloaded: {util}");
     assert_eq!(world.sim.metrics_ref().counter("lb.migrations"), 0);
     assert_eq!(world.node(HostId(1)).unwrap().registry.instance_count(), 3);
 }
@@ -1134,7 +1134,7 @@ fn sharded_world_shares_one_ring_across_nodes_and_respawns() {
     let shared = world.record.ring.clone().expect("a sharded world carries its ring");
     let holds_shared_ring = |world: &World, h: HostId| {
         let node = world.node(h).expect("node is up");
-        let store = node.state().backend().shard().expect("sharded registry");
+        let store = node.backend().shard().expect("sharded registry");
         Rc::ptr_eq(store.ring(), &shared)
     };
     for &h in &hosts {
@@ -1262,7 +1262,7 @@ fn a_replica_that_misses_every_publish_converges_through_gossip() {
     let query = ComponentQuery::by_name("Counter", Version::new(1, 0));
     for replica in [peer, deaf] {
         let node = world.node(replica).expect("node is up");
-        let store = node.state().backend().shard().expect("sharded registry");
+        let store = node.backend().shard().expect("sharded registry");
         let held = store.lookup(counter_shard, &query).unwrap_or_default();
         assert_eq!(held.len(), 1, "{replica:?} holds {held:?}");
         assert_eq!(held[0].node, owner);

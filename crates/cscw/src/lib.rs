@@ -329,7 +329,7 @@ pub fn cscw_key() -> SigningKey {
 /// Trust store accepting the CSCW vendor.
 pub fn cscw_trust() -> TrustStore {
     let mut t = TrustStore::new();
-    t.trust("cscw-vendor", b"cscw-secret");
+    t.trust(&cscw_key());
     t
 }
 
@@ -408,16 +408,7 @@ pub fn video_decoder_package_sized(binary_kib: usize) -> Rc<Vec<u8>> {
         .provides("sink", "IDL:cscw/VideoSink:1.0")
         .uses("display", "IDL:cscw/Display:1.0");
     desc.qos = QosSpec { cpu_min: 0.2, cpu_max: 0.8, memory: 8 << 20, bandwidth_min: 125_000.0 };
-    // Incompressible payload so the package really costs its size.
-    let mut x = 0xDEADBEEFu32;
-    let payload: Vec<u8> = (0..binary_kib * 1024)
-        .map(|_| {
-            x ^= x << 13;
-            x ^= x >> 17;
-            x ^= x << 5;
-            (x >> 24) as u8
-        })
-        .collect();
+    let payload = lc_core::demo::incompressible_payload(0xDEADBEEF, binary_kib * 1024);
     seal(
         Package::new(desc)
             .with_idl("cscw.idl", CSCW_IDL)

@@ -320,7 +320,7 @@ pub fn grid_key() -> SigningKey {
 /// Trust store accepting the Grid vendor.
 pub fn grid_trust() -> TrustStore {
     let mut t = TrustStore::new();
-    t.trust("grid-vendor", b"grid-secret");
+    t.trust(&grid_key());
     t
 }
 

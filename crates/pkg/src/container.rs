@@ -129,11 +129,6 @@ impl Package {
         signed_by(&self.signature, &self.encode_body(), store)
     }
 
-    /// The platforms with binaries in this package.
-    pub fn platforms(&self) -> Vec<Platform> {
-        self.sections.iter().map(|s| s.platform.clone()).collect()
-    }
-
     /// Build a reduced package containing metadata plus only the sections
     /// matching `keep` — the "extracting only a set of binaries … for
     /// devices with a tiny memory" operation. The result is unsigned (the
@@ -384,6 +379,11 @@ mod tests {
     use super::*;
     use crate::descriptor::Version;
 
+    /// The platforms with binaries in `pkg`.
+    fn platforms(pkg: &Package) -> Vec<Platform> {
+        pkg.sections.iter().map(|s| s.platform.clone()).collect()
+    }
+
     fn sample_package() -> Package {
         let desc = ComponentDescriptor::new("MpegDecoder", Version::new(1, 0), "acme")
             .provides("video", "IDL:av/VideoOut:1.0")
@@ -415,7 +415,7 @@ mod tests {
         let back = Package::from_bytes(&bytes).unwrap();
 
         let mut store = TrustStore::new();
-        store.trust("acme", b"vendor-secret");
+        store.trust(&key);
         assert_eq!(back.verify(&store), Verification::Trusted);
 
         // Tamper with the descriptor after signing.
@@ -475,7 +475,7 @@ mod tests {
     #[test]
     fn section_lookup() {
         let pkg = sample_package();
-        assert_eq!(pkg.platforms().len(), 3);
+        assert_eq!(platforms(&pkg).len(), 3);
     }
 
     /// A valid descriptor followed by `n_idl = u32::MAX`: 259 bytes that

@@ -24,11 +24,12 @@
 //! let mut pkg = Package::new(desc)
 //!     .with_idl("board.idl", "module cscw { interface Board { void clear(); }; };")
 //!     .with_binary(Platform::reference(), "whiteboard_impl", b"...machine code...");
-//! pkg.seal(&SigningKey::new("acme", b"secret"));
+//! let key = SigningKey::new("acme", b"secret");
+//! pkg.seal(&key);
 //!
 //! let wire = pkg.to_bytes();                       // compressed container
 //! let mut trust = TrustStore::new();
-//! trust.trust("acme", b"secret");
+//! trust.trust(&key);
 //! // Digests checked, signature verified over the bytes that arrived.
 //! let (received, verdict) = Package::receive(&wire, &trust).unwrap();
 //! assert_eq!(verdict, Verification::Trusted);

@@ -154,18 +154,14 @@ pub fn sha256(data: &[u8]) -> Digest {
     h.finalize()
 }
 
-/// Hex-encode a digest (lowercase).
-pub fn to_hex(d: &Digest) -> String {
-    let mut s = String::with_capacity(64);
-    for b in d {
-        s.push_str(&format!("{b:02x}"));
-    }
-    s
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Hex-encode a digest (lowercase).
+    pub(crate) fn to_hex(d: &Digest) -> String {
+        d.iter().map(|b| format!("{b:02x}")).collect()
+    }
 
     #[test]
     fn fips_vectors() {

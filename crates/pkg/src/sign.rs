@@ -93,9 +93,11 @@ impl TrustStore {
         Self::default()
     }
 
-    /// Trust `signer` with the given secret.
-    pub fn trust(&mut self, signer: &str, secret: &[u8]) {
-        self.keys.insert(signer.to_owned(), secret.to_vec());
+    /// Trust `key`'s signer. The entry is built from the key it
+    /// verifies: under HMAC the vendor's key and the installer's are one
+    /// shared secret.
+    pub fn trust(&mut self, key: &SigningKey) {
+        self.keys.insert(key.signer.clone(), key.secret.clone());
     }
 
     /// Verify a signature over `bytes`.
@@ -119,7 +121,7 @@ impl TrustStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sha256::to_hex;
+    use crate::sha256::tests::to_hex;
 
     #[test]
     fn rfc4231_test_case_2() {
@@ -151,14 +153,15 @@ mod tests {
         let mut store = TrustStore::new();
         assert_eq!(store.verify(pkg, &sig), Verification::UnknownSigner);
 
-        store.trust("acme", b"s3cret");
+        store.trust(&key);
         assert_eq!(store.verify(pkg, &sig), Verification::Trusted);
 
         // Tampered content.
         assert_eq!(store.verify(b"evil bytes", &sig), Verification::BadSignature);
 
         // Wrong key on the installer side.
-        store.trust("acme", b"different");
+        let other = SigningKey::new("acme", b"different");
+        store.trust(&other);
         assert_eq!(store.verify(pkg, &sig), Verification::BadSignature);
     }
 
@@ -168,7 +171,7 @@ mod tests {
         let forger = SigningKey::new("acme", b"guessed-secret");
         let pkg = b"package";
         let mut store = TrustStore::new();
-        store.trust("acme", b"real-secret");
+        store.trust(&real);
         assert_eq!(store.verify(pkg, &real.sign(pkg)), Verification::Trusted);
         assert_eq!(store.verify(pkg, &forger.sign(pkg)), Verification::BadSignature);
     }

@@ -50,10 +50,6 @@ impl AttrRule {
     pub fn required(name: &str) -> Self {
         AttrRule { name: name.to_owned(), required: true, one_of: Vec::new() }
     }
-    /// An optional free-form attribute.
-    pub fn optional(name: &str) -> Self {
-        AttrRule { name: name.to_owned(), required: false, one_of: Vec::new() }
-    }
     /// Restrict the value to an enumeration.
     pub fn one_of(mut self, values: &[&str]) -> Self {
         self.one_of = values.iter().map(|s| (*s).to_owned()).collect();
@@ -215,6 +211,11 @@ mod tests {
     use super::*;
     use crate::parse;
 
+    /// An optional free-form attribute.
+    fn optional(name: &str) -> AttrRule {
+        AttrRule { name: name.to_owned(), required: false, one_of: Vec::new() }
+    }
+
     /// A miniature OSD-like schema used by the tests.
     fn softpkg_schema() -> Schema {
         Schema::new("softpkg")
@@ -222,7 +223,7 @@ mod tests {
                 "softpkg",
                 ElementRule::new()
                     .attr(AttrRule::required("name"))
-                    .attr(AttrRule::optional("version"))
+                    .attr(optional("version"))
                     .child("description", Multiplicity::Optional)
                     .child("implementation", Multiplicity::AtLeastOne),
             )

@@ -70,7 +70,8 @@ fn main() {
     let mut package = Package::new(desc)
         .with_idl("hello.idl", IDL)
         .with_binary(Platform::reference(), "greeter_impl", b"\x90\x90 pretend machine code");
-    package.seal(&SigningKey::new("hello-inc", b"vendor-secret"));
+    let key = SigningKey::new("hello-inc", b"vendor-secret");
+    package.seal(&key);
     let wire_bytes = Rc::new(package.to_bytes());
     println!(
         "packaged Greeter 1.0: {} bytes on the wire (descriptor + IDL + binary, compressed)",
@@ -79,7 +80,7 @@ fn main() {
 
     // ---- 4. A node installs it (verify signature, platform, loader) ---
     let mut trust = TrustStore::new();
-    trust.trust("hello-inc", b"vendor-secret");
+    trust.trust(&key);
     let behaviors = BehaviorRegistry::new();
     behaviors.register("greeter_impl", || Box::new(GreeterImpl { count: 0 }));
     let mut repo = ComponentRepository::new();

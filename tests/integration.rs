@@ -2,6 +2,7 @@
 //! domain layers on one shared CORBA-LC network, plus whole-pipeline
 //! determinism.
 
+use corba_lc_repro::core::demo;
 use corba_lc_repro::core::node::NodeCmd;
 use corba_lc_repro::core::testkit::{fast_config, Catalog, World};
 use corba_lc_repro::core::ComponentQuery;
@@ -10,6 +11,7 @@ use corba_lc_repro::des::SimTime;
 use corba_lc_repro::grid;
 use corba_lc_repro::net::{HostCfg, HostId, Topology};
 use corba_lc_repro::orb::Value;
+use corba_lc_repro::pkg::sha256::sha256;
 use corba_lc_repro::pkg::Version;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -20,7 +22,7 @@ use std::sync::Arc;
 fn cscw_plus_grid_vendor() -> Catalog {
     let mut catalog = cscw::catalog();
     grid::register_grid_behaviors(&catalog.behaviors);
-    catalog.trust.trust("grid-vendor", b"grid-secret");
+    catalog.trust.trust(&grid::grid_key());
     catalog
 }
 
@@ -215,4 +217,41 @@ fn whole_system_is_deterministic() {
     // randomness, so different seeds also agree — determinism across
     // seeds is exercised by the churn-driven experiments instead.)
     assert_eq!(fingerprint(77), fingerprint(77));
+}
+
+/// A package's bytes are a function of its vendor key, its descriptor
+/// and its payload generator's seed; every experiment that fetches or
+/// verifies one reads them. These digests pin four of them, so a
+/// swapped seed, key or section order fails here, not only in an
+/// experiment's diff.
+#[test]
+fn package_bytes_are_pinned() {
+    fn digest(bytes: &[u8]) -> String {
+        sha256(bytes).iter().map(|b| format!("{b:02x}")).collect()
+    }
+    let packages = [
+        (
+            "counter",
+            demo::counter_package(),
+            "2cd92a66857d9e35a713a0bdd18bfd9e2785f67f3cb7ee64651f8d6baf604b28",
+        ),
+        (
+            "display",
+            demo::display_package(),
+            "2b088bc01739d8794b674ea69b887e465b09b3a6e51435bdcda2afea1fa12ebf",
+        ),
+        (
+            "video_decoder",
+            cscw::video_decoder_package(),
+            "a2436ca8c8e6bf370cc1f8337ed600ebc9e9245cf2232872d094e67f3f9a9898",
+        ),
+        (
+            "grid_worker",
+            grid::worker_package(),
+            "d1e528bdd2e761541171ad6d19975a511abd8954291e89754077e568ae0ceeb1",
+        ),
+    ];
+    for (what, bytes, pinned) in packages {
+        assert_eq!(digest(&bytes), pinned, "{what} package bytes");
+    }
 }
