@@ -121,7 +121,10 @@ identical BENCH_e16 e16
 # The benchmark is a stand-alone crate over the workspace's public API:
 # build it against this tree and run its seconds-long self-check, so an
 # API change that breaks .perf fails here and not in the benchmark run.
-cargo run --release --offline --quiet --manifest-path .perf/Cargo.toml -- selftest
+# `--locked`: .perf/Cargo.lock records every workspace crate's
+# dependencies, and a change to one that would rewrite that tracked file
+# fails here instead of leaving it modified.
+cargo run --release --offline --locked --quiet --manifest-path .perf/Cargo.toml -- selftest
 
 # Cross-commit behaviour gate: the benchmark's exact columns at a fixed
 # seed and size must equal the committed PERF_EXACT.txt. A speed-only

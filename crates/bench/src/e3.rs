@@ -20,7 +20,7 @@ use lc_net::{ChurnConfig, ChurnHooks, HostId, Net, Topology};
 use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::rc::Rc;
-use strong::{StrongConfig, StrongMember};
+use strong::StrongMember;
 
 const N: usize = 64;
 const RUN_SECS: u64 = 120;
@@ -84,11 +84,8 @@ fn run_soft(mean_uptime: Option<SimTime>, seed: u64) -> Row {
 fn run_strong(mean_uptime: Option<SimTime>, seed: u64) -> Row {
     let net = churned_campus(mean_uptime);
     let mut sim = Sim::new(seed);
-    let cfg = StrongConfig {
-        period: SimTime::from_millis(PERIOD_MS),
-        timeout_intervals: 3,
-    };
-    let actors = Rc::new(RefCell::new(StrongMember::install(&mut sim, &net, &cfg)));
+    let period = SimTime::from_millis(PERIOD_MS);
+    let actors = Rc::new(RefCell::new(StrongMember::install(&mut sim, &net, period)));
     net.install_drivers(&mut sim, || {
         let (net, a1, a2) = (net.clone(), actors.clone(), actors);
         ChurnHooks {
@@ -96,7 +93,7 @@ fn run_strong(mean_uptime: Option<SimTime>, seed: u64) -> Row {
                 sim.kill(a1.borrow()[h.0 as usize]);
             }),
             on_recover: Box::new(move |sim, h| {
-                let a = StrongMember::install_one(sim, &net, &cfg, h);
+                let a = StrongMember::install_one(sim, &net, period, h);
                 a2.borrow_mut()[h.0 as usize] = a;
             }),
         }

@@ -47,14 +47,9 @@ enum Tick {
     Sweep,
 }
 
-/// Configuration of the strong membership protocol.
-#[derive(Clone, Debug)]
-pub struct StrongConfig {
-    /// Heartbeat (and sweep) period.
-    pub period: SimTime,
-    /// Heartbeats missed before the coordinator declares a member dead.
-    pub timeout_intervals: u32,
-}
+/// Heartbeat periods a member may stay silent before the coordinator
+/// declares it dead.
+const TIMEOUT_PERIODS: u64 = 3;
 
 /// One member of the strongly consistent group. Host 0 is the fixed
 /// coordinator (the baseline does not model coordinator failover; E3
@@ -62,7 +57,8 @@ pub struct StrongConfig {
 pub struct StrongMember {
     host: HostId,
     net: Net,
-    cfg: StrongConfig,
+    /// Heartbeat (and sweep) period.
+    period: SimTime,
     all_hosts: Vec<HostId>,
     // coordinator state
     last_heartbeat: Vec<(HostId, SimTime)>,
@@ -74,12 +70,12 @@ pub struct StrongMember {
 }
 
 impl StrongMember {
-    fn new(host: HostId, net: Net, cfg: StrongConfig, all_hosts: Vec<HostId>) -> Self {
+    fn new(host: HostId, net: Net, period: SimTime, all_hosts: Vec<HostId>) -> Self {
         let view = all_hosts.iter().copied().collect();
         StrongMember {
             host,
             net,
-            cfg,
+            period,
             all_hosts,
             last_heartbeat: Vec::new(),
             view,
@@ -89,11 +85,12 @@ impl StrongMember {
         }
     }
 
-    /// Install into a simulation: spawn, bind, start timers.
-    pub fn install(sim: &mut lc_des::Sim, net: &Net, cfg: &StrongConfig) -> Vec<lc_des::ActorId> {
+    /// Install into a simulation: spawn, bind, start timers that fire
+    /// every `period`.
+    pub fn install(sim: &mut lc_des::Sim, net: &Net, period: SimTime) -> Vec<lc_des::ActorId> {
         net.host_ids()
             .into_iter()
-            .map(|host| Self::install_one(sim, net, cfg, host))
+            .map(|host| Self::install_one(sim, net, period, host))
             .collect()
     }
 
@@ -102,16 +99,16 @@ impl StrongMember {
     pub fn install_one(
         sim: &mut lc_des::Sim,
         net: &Net,
-        cfg: &StrongConfig,
+        period: SimTime,
         host: HostId,
     ) -> lc_des::ActorId {
-        let member = StrongMember::new(host, net.clone(), cfg.clone(), net.host_ids());
+        let member = StrongMember::new(host, net.clone(), period, net.host_ids());
         let a = sim.spawn(member);
         net.bind(host, a);
         let jitter = SimTime::from_micros(113 * (host.0 as u64 + 1));
         sim.send_in(jitter, a, Tick::Heartbeat);
         if host == HostId(0) {
-            sim.send_in(jitter + cfg.period / 2, a, Tick::Sweep);
+            sim.send_in(jitter + period / 2, a, Tick::Sweep);
         }
         a
     }
@@ -158,12 +155,12 @@ impl StrongMember {
                     );
                     ctx.metrics().incr(Counter::StrongHeartbeats);
                 }
-                ctx.timer_in(self.cfg.period, Tick::Heartbeat);
+                ctx.timer_in(self.period, Tick::Heartbeat);
             }
             Tick::Sweep => {
                 debug_assert!(self.is_coordinator());
                 let now = ctx.now();
-                let timeout = self.cfg.period * self.cfg.timeout_intervals as u64;
+                let timeout = self.period * TIMEOUT_PERIODS;
                 let mut next_view = self.view.clone();
                 // Evict silent members (the coordinator itself stays).
                 for &h in &self.all_hosts {
@@ -190,7 +187,7 @@ impl StrongMember {
                     // strong consistency blocks on every member.
                     self.broadcast_view(ctx);
                 }
-                ctx.timer_in(self.cfg.period, Tick::Sweep);
+                ctx.timer_in(self.period, Tick::Sweep);
             }
         }
     }
@@ -256,8 +253,8 @@ mod tests {
     fn run_stable(n: usize, secs: u64) -> (u64, u64, u64) {
         let net = Net::builder(Topology::lan(n)).build();
         let mut sim = Sim::new(7);
-        let cfg = StrongConfig { period: SimTime::from_millis(500), timeout_intervals: 3 };
-        StrongMember::install(&mut sim, &net, &cfg);
+        let period = SimTime::from_millis(500);
+        StrongMember::install(&mut sim, &net, period);
         sim.run_until(SimTime::from_secs(secs));
         (
             sim.metrics_ref().counter("strong.heartbeats"),
@@ -278,8 +275,8 @@ mod tests {
     fn crash_triggers_acked_view_broadcast() {
         let net = Net::builder(Topology::lan(8)).build();
         let mut sim = Sim::new(9);
-        let cfg = StrongConfig { period: SimTime::from_millis(500), timeout_intervals: 3 };
-        let actors = StrongMember::install(&mut sim, &net, &cfg);
+        let period = SimTime::from_millis(500);
+        let actors = StrongMember::install(&mut sim, &net, period);
         sim.run_until(SimTime::from_secs(5));
         // Crash member 5.
         net.set_host_up(lc_net::HostId(5), false);
@@ -298,8 +295,8 @@ mod tests {
     fn rejoin_triggers_another_view() {
         let net = Net::builder(Topology::lan(4)).build();
         let mut sim = Sim::new(11);
-        let cfg = StrongConfig { period: SimTime::from_millis(500), timeout_intervals: 3 };
-        let actors = StrongMember::install(&mut sim, &net, &cfg);
+        let period = SimTime::from_millis(500);
+        let actors = StrongMember::install(&mut sim, &net, period);
         sim.run_until(SimTime::from_secs(4));
         net.set_host_up(lc_net::HostId(2), false);
         sim.kill(actors[2]);
@@ -308,7 +305,7 @@ mod tests {
         assert!(changes_after_crash >= 1);
         // Recover: fresh member actor.
         net.set_host_up(lc_net::HostId(2), true);
-        StrongMember::install_one(&mut sim, &net, &cfg, lc_net::HostId(2));
+        StrongMember::install_one(&mut sim, &net, period, lc_net::HostId(2));
         sim.run_until(SimTime::from_secs(16));
         assert!(sim.metrics_ref().counter("strong.view_changes") > changes_after_crash);
         let coord = sim.actor_as::<StrongMember>(actors[0]).unwrap();

@@ -10,7 +10,6 @@
 
 use lc_idl::Repository;
 use lc_pkg::{ComponentDescriptor, Version};
-use lc_xml::{AttrRule, Element, ElementRule, Multiplicity, Schema};
 use std::collections::BTreeMap;
 
 /// One named instance the application requires.
@@ -195,113 +194,11 @@ impl AssemblyDescriptor {
         }
         Ok(())
     }
-
-    /// Serialize to XML.
-    pub fn to_xml(&self) -> Element<'static> {
-        let mut root = Element::new("assembly").with_attr("name", &self.name);
-        for i in &self.instances {
-            root.push(
-                Element::new("instance")
-                    .with_attr("name", &i.name)
-                    .with_attr("component", &i.component)
-                    .with_attr("version", &i.min_version.to_string()),
-            );
-        }
-        for c in &self.connections {
-            root.push(
-                Element::new(match c.kind {
-                    ConnectionKind::Interface => "connect",
-                    ConnectionKind::Event => "subscribe",
-                })
-                .with_attr("from", &c.from)
-                .with_attr("fromport", &c.from_port)
-                .with_attr("to", &c.to)
-                .with_attr("toport", &c.to_port),
-            );
-        }
-        root
-    }
-
-    /// Parse from XML (schema-validated).
-    pub fn from_xml(root: &Element<'_>) -> Result<Self, String> {
-        assembly_schema().validate(root).map_err(|e| e.to_string())?;
-        let name = root.require_attr("name")?.to_owned();
-        let mut out = AssemblyDescriptor::new(&name);
-        for i in root.children_named("instance") {
-            out.instances.push(AssemblyInstance {
-                name: i.require_attr("name")?.to_owned(),
-                component: i.require_attr("component")?.to_owned(),
-                min_version: Version::parse(i.require_attr("version")?)?,
-            });
-        }
-        for (tag, kind) in
-            [("connect", ConnectionKind::Interface), ("subscribe", ConnectionKind::Event)]
-        {
-            for c in root.children_named(tag) {
-                out.connections.push(AssemblyConnection {
-                    from: c.require_attr("from")?.to_owned(),
-                    from_port: c.require_attr("fromport")?.to_owned(),
-                    to: c.require_attr("to")?.to_owned(),
-                    to_port: c.require_attr("toport")?.to_owned(),
-                    kind,
-                });
-            }
-        }
-        out.validate()?;
-        Ok(out)
-    }
-}
-
-/// Schema for `<assembly>` documents.
-pub fn assembly_schema() -> Schema {
-    let conn_rule = || {
-        ElementRule::new()
-            .attr(AttrRule::required("from"))
-            .attr(AttrRule::required("fromport"))
-            .attr(AttrRule::required("to"))
-            .attr(AttrRule::required("toport"))
-    };
-    Schema::new("assembly")
-        .element(
-            "assembly",
-            ElementRule::new()
-                .attr(AttrRule::required("name"))
-                .child("instance", Multiplicity::AtLeastOne)
-                .child("connect", Multiplicity::Many)
-                .child("subscribe", Multiplicity::Many),
-        )
-        .element(
-            "instance",
-            ElementRule::new()
-                .attr(AttrRule::required("name"))
-                .attr(AttrRule::required("component"))
-                .attr(AttrRule::required("version")),
-        )
-        .element("connect", conn_rule())
-        .element("subscribe", conn_rule())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample() -> AssemblyDescriptor {
-        AssemblyDescriptor::new("whiteboard")
-            .instance("app", "WhiteboardApp", Version::new(1, 0))
-            .instance("gui", "BoardGui", Version::new(1, 0))
-            .instance("display", "Display", Version::new(2, 1))
-            .connect("app", "gui", "gui", "widget")
-            .connect("gui", "display", "display", "graphics")
-            .subscribe("gui", "strokes_in", "app", "strokes_out")
-    }
-
-    #[test]
-    fn xml_round_trip() {
-        let a = sample();
-        let text = lc_xml::to_string(&a.to_xml());
-        let back = AssemblyDescriptor::from_xml(&lc_xml::parse(&text).unwrap()).unwrap();
-        assert_eq!(a, back);
-    }
 
     #[test]
     fn validation_catches_structural_errors() {
@@ -356,11 +253,5 @@ mod tests {
         // Unknown component.
         let ghost = AssemblyDescriptor::new("app").instance("x", "Nope", Version::new(1, 0));
         assert!(ghost.typecheck(&descs, &idl).unwrap_err().contains("Nope"));
-    }
-
-    #[test]
-    fn schema_rejects_empty_assembly() {
-        let doc = lc_xml::parse("<assembly name=\"x\"/>").unwrap();
-        assert!(AssemblyDescriptor::from_xml(&doc).is_err());
     }
 }

@@ -229,7 +229,7 @@ impl ComponentRepository {
 mod tests {
     use super::*;
     use lc_orb::{Invocation, OrbError, Servant};
-    use lc_pkg::SigningKey;
+    use lc_pkg::{QosSpec, SigningKey};
 
     struct Nop;
     impl Servant for Nop {
@@ -397,6 +397,37 @@ mod tests {
         assert!(repo.remove("A", Version::new(2, 0)));
         assert!(repo.best_match("A", Version::new(2, 0)).is_none());
         assert_eq!(strs(repo.names()), ["B"]);
+    }
+
+    /// A negative `cpu_min` would pass admission on a full host and free
+    /// capacity the host does not have: a CPU share or a bandwidth that is
+    /// negative or not finite is refused with the package.
+    #[test]
+    fn a_negative_or_unbounded_qos_is_refused_at_install() {
+        let (behaviors, trust, key) = setup();
+        let mut repo = ComponentRepository::new();
+        let base = QosSpec { cpu_min: 0.1, cpu_max: 0.5, memory: 1 << 20, bandwidth_min: 0.0 };
+        let cases = [
+            ("cpu_min", QosSpec { cpu_min: -1.0, ..base }),
+            ("cpu_min", QosSpec { cpu_min: f64::NAN, ..base }),
+            ("cpu_max", QosSpec { cpu_max: f64::INFINITY, ..base }),
+            ("bandwidth_min", QosSpec { bandwidth_min: -0.5, ..base }),
+        ];
+        for (field, qos) in cases {
+            let mut desc = ComponentDescriptor::new("A", Version::new(1, 0), "acme");
+            desc.qos = qos;
+            let mut pkg = Package::new(desc).with_binary(Platform::reference(), "nop", b"code");
+            pkg.seal(&key);
+            let refused = repo
+                .install(&Rc::new(pkg.to_bytes()), &Platform::reference(), &trust, &behaviors, true)
+                .map(|_| ())
+                .unwrap_err();
+            assert!(
+                matches!(&refused, InstallError::BadPackage(m) if m.contains(field)),
+                "{qos:?}: {refused}"
+            );
+        }
+        assert!(repo.is_empty());
     }
 
     #[test]

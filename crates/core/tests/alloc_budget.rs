@@ -475,9 +475,9 @@ fn a_shard_lookup_allocates_one_vector_per_hop() {
 /// first copy stays) and the IDL merged by the first install is not
 /// merged again. The measured 29, in release and debug builds alike: the
 /// descriptor's XML tree borrows its names, values and text from the
-/// decompressed descriptor, and its schema check formats no path unless
-/// it fails. It was 78 while the tree copied every tag name (twice),
-/// attribute key and value and text, and the check formatted each
+/// decompressed descriptor, and its reader builds no string unless it
+/// refuses. It was 78 while the tree copied every tag name (twice),
+/// attribute key and value and text, and a schema check formatted each
 /// element's path; 463 while the signature was checked over a
 /// re-encoding of the package (XML, LZSS and hash again), the schema was
 /// rebuilt per parse, the descriptor and name were copied out and every
@@ -873,9 +873,6 @@ const RETAINED_BYTES_PER_NODE: i64 = 1_897;
 fn retained_bytes_per_node_are_pinned() {
     const HOSTS: i64 = 1_024;
     let (catalog, counter) = (demo::catalog(), demo::counter_package());
-    // Parsing a descriptor builds its schema, a process-wide lazy value
-    // whichever test thread gets there first pays for: not per node.
-    lc_pkg::Package::from_bytes(&counter).expect("the demo package parses");
     let before = live_bytes();
     let mut world = World::on(
         Topology::campus(128, 8),

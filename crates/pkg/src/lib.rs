@@ -8,7 +8,8 @@
 //! the sections it needs.
 //!
 //! * [`descriptor`] — the `<component>` XML document (static + dynamic
-//!   dimensions), schema-validated.
+//!   dimensions), whose one reader refuses whatever the format does not
+//!   hold.
 //! * [`container`] — the CLCP wire format ([`Package`]).
 //! * [`lzss`] — from-scratch LZSS compression (requirement: "must admit
 //!   compression").

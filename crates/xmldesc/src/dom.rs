@@ -89,14 +89,41 @@ impl<'a> Element<'a> {
         self.elements().filter(move |e| e.name == name)
     }
 
-    /// First child element with a given tag name.
-    pub fn child(&self, name: &str) -> Option<&Element<'a>> {
-        self.elements().find(|e| e.name == name)
+    /// The child element with a given tag name, if any; a second one is
+    /// an error.
+    pub fn child(&self, name: &str) -> Result<Option<&Element<'a>>, String> {
+        let mut found = self.elements().filter(|e| e.name == name);
+        let first = found.next();
+        match found.next() {
+            None => Ok(first),
+            Some(_) => Err(format!("<{}> has more than one child <{name}>", self.name)),
+        }
     }
 
-    /// First child element with a given name, or a descriptive error.
+    /// The one child element with a given tag name, or a descriptive error.
     pub fn require_child(&self, name: &str) -> Result<&Element<'a>, String> {
-        self.child(name).ok_or_else(|| format!("<{}> missing required child <{name}>", self.name))
+        self.child(name)?.ok_or_else(|| format!("<{}> missing required child <{name}>", self.name))
+    }
+
+    /// Refuse what a reader of this element does not read: an attribute
+    /// not in `attrs`, a child element not in `children`, and text other
+    /// than whitespace unless `text`. Builds a string only for an error.
+    pub fn reads_only(&self, attrs: &[&str], children: &[&str], text: bool) -> Result<(), String> {
+        if let Some((k, _)) = self.attrs.iter().find(|(k, _)| !attrs.contains(&&**k)) {
+            return Err(format!("<{}> has unexpected attribute '{k}'", self.name));
+        }
+        for n in &self.children {
+            match n {
+                Node::Element(e) if !children.contains(&&*e.name) => {
+                    return Err(format!("<{}> has unexpected child <{}>", self.name, e.name));
+                }
+                Node::Text(t) if !text && !t.trim().is_empty() => {
+                    return Err(format!("<{}> has unexpected text", self.name));
+                }
+                _ => {}
+            }
+        }
+        Ok(())
     }
 
     /// Concatenated text content of this element (direct text children).
@@ -127,10 +154,29 @@ mod tests {
         assert_eq!(e.attr("missing"), None);
         assert!(e.require_attr("bogus").is_err());
         assert_eq!(e.children_named("provides").count(), 2);
-        assert_eq!(e.child("uses").unwrap().attr("port"), Some("display"));
+        assert_eq!(e.child("uses").unwrap().unwrap().attr("port"), Some("display"));
+        assert_eq!(e.child("nothere"), Ok(None));
         assert!(e.require_child("nothere").is_err());
+        assert!(e.child("provides").is_err(), "a second match is an error");
+        assert!(e.require_child("provides").is_err());
         assert_eq!(e.text(), "note");
         assert_eq!(e.elements().count(), 3);
+    }
+
+    #[test]
+    fn reads_only_refuses_what_is_not_read() {
+        let e = Element::new("qos").with_attr("cpu", "1");
+        assert_eq!(e.reads_only(&["cpu"], &[], false), Ok(()));
+        assert!(e.reads_only(&[], &[], false).unwrap_err().contains("'cpu'"));
+        let mut e = Element::new("type");
+        e.push(Element::new("qos"));
+        assert_eq!(e.reads_only(&[], &["qos"], false), Ok(()));
+        assert!(e.reads_only(&[], &["provides"], false).unwrap_err().contains("<qos>"));
+        let e = Element::new("description").with_text("hi");
+        assert_eq!(e.reads_only(&[], &[], true), Ok(()));
+        assert!(e.reads_only(&[], &[], false).unwrap_err().contains("text"));
+        let blank = Element::new("type").with_text(" \n\t");
+        assert_eq!(blank.reads_only(&[], &[], false), Ok(()), "whitespace is layout");
     }
 
     #[test]

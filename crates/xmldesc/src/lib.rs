@@ -13,19 +13,18 @@
 //! * [`dom`] — a small document object model ([`Element`], [`Node`]),
 //!   whose strings a parsed tree borrows from its input,
 //! * [`parser`] — a recursive-descent parser with positioned errors,
-//! * [`writer`] — serialization with proper escaping (round-trips the DOM),
-//! * [`schema`] — a DTD-like validator: required/optional attributes and
-//!   child-element multiplicities, used to check the OSD-style package,
-//!   component and assembly descriptors before installation.
+//! * [`writer`] — serialization with proper escaping (round-trips the DOM).
+//!
+//! A descriptor's format is stated by its reader, which refuses what it
+//! does not read through [`Element::reads_only`], [`Element::child`] and
+//! [`Element::require_child`] (`lc_pkg::ComponentDescriptor::from_xml`).
 
 pub mod dom;
 pub mod parser;
-pub mod schema;
 pub mod writer;
 
 pub use dom::{Element, Node};
 pub use parser::{parse, ParseError};
-pub use schema::{AttrRule, ChildRule, ElementRule, Multiplicity, Schema, SchemaError};
 pub use writer::to_string;
 
 #[cfg(test)]

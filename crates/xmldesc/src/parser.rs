@@ -346,10 +346,11 @@ mod tests {
         let root = parse(doc).unwrap();
         assert_eq!(root.name, "softpkg");
         assert_eq!(root.attr("name"), Some("Decoder"));
-        let imp = root.child("implementation").unwrap();
+        let imp = root.require_child("implementation").unwrap();
         assert_eq!(imp.attr("arch"), Some("x86"));
-        assert_eq!(imp.child("code").unwrap().attr("file"), Some("decoder.so"));
-        assert_eq!(root.child("description").unwrap().text(), "An MPEG & AVI decoder <fast>");
+        assert_eq!(imp.require_child("code").unwrap().attr("file"), Some("decoder.so"));
+        let description = root.require_child("description").unwrap();
+        assert_eq!(description.text(), "An MPEG & AVI decoder <fast>");
     }
 
     #[test]
