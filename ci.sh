@@ -14,35 +14,38 @@ if [ "$frozen" -gt 4 ]; then
   exit 1
 fi
 
+# Every root cargo call runs `--locked`: a manifest edit whose
+# Cargo.lock was not committed fails the gate instead of rewriting it.
+#
 # The linter runs FIRST. Pass one, every target: rustc's and clippy's
 # warnings are errors, clippy.toml's disallowed types and methods among
 # them (DESIGN.md §8), and the only way past one is an `#[expect]` that
 # says why. Pass two, library and binary code only: no `unwrap`/`expect`
 # outside tests.
-cargo clippy --workspace --all-targets -- -D warnings -D clippy::allow_attributes_without_reason
-cargo clippy --workspace --lib --bins -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
+cargo clippy --locked --workspace --all-targets -- -D warnings -D clippy::allow_attributes_without_reason
+cargo clippy --locked --workspace --lib --bins -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
 
-cargo build --release --workspace
+cargo build --locked --release --workspace
 # The examples carry their own asserts (peer_network crashes a host and
 # recovers it from the world's seed table): run every one, not only
 # compile it as `cargo test` does.
 for ex in examples/*.rs; do
-  cargo run --release --offline -q --example "$(basename "$ex" .rs)" > /dev/null
+  cargo run --locked --release --offline -q --example "$(basename "$ex" .rs)" > /dev/null
 done
 # The allocation pins again, optimised: several (the idle planes' "no
 # allocation at all") only take their release value here, the debug
 # build re-checking what a re-send reuses.
-cargo test --release -q -p lc-core --test alloc_budget
+cargo test --locked --release -q -p lc-core --test alloc_budget
 # The shard store's property tests again, optimised: its kept digests are
 # edited in place, and the debug build also re-checks each one it hands
 # out against a fold of its entries.
-cargo test --release -q -p lc-core --lib registry::backend
+cargo test --locked --release -q -p lc-core --lib registry::backend
 # The suite's log feeds SIZE.txt's test count below; a failing suite
 # still stops the gate here, printing its log.
-cargo test -q --workspace > target/tests.log 2>&1 || { cat target/tests.log; exit 1; }
+cargo test --locked -q --workspace > target/tests.log 2>&1 || { cat target/tests.log; exit 1; }
 # Doc links are checked too: a deleted or renamed item must take its
 # [`intra-doc`] references with it.
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --offline -q
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --locked --workspace --no-deps --offline -q
 
 # identical GOLDEN ID [FLAG...] -- the one determinism gate.
 #   Run `lcx ID FLAG... STEM` twice; the runs must agree byte for byte on

@@ -126,7 +126,7 @@ fn stream(strategy: Strategy, frames: u32) -> Result<(u64, u64), String> {
                 return Err("the server lost its decoder".into());
             };
             let instance = dec.id;
-            let msink: lc_core::MigrateSink = Rc::default();
+            let msink: lc_core::SpawnSink = Rc::default();
             world.cmd(SERVER, NodeCmd::Migrate { instance, to: VIEWER, sink: Some(msink.clone()) });
             world.run_for(SimTime::from_secs(30));
             let migrated = msink.borrow().clone();

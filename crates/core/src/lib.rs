@@ -44,10 +44,10 @@ pub use behavior::BehaviorRegistry;
 pub use cohesion::{CohesionConfig, HierShape};
 pub use deploy::{NodeView, PlacementStrategy, ResolveAction};
 pub use node::{
-    AdmissionConfig, AssemblySink, CacheConfig, Continuations, InvokePolicy, InvokeSink,
-    MigrateSink, Node, NodeCmd, NodeConfig, NodeConfigBuilder, NodeCtx, NodeMetrics, NodeSeed,
-    QueryResult, QuerySink, RegistryConfig, ReplicateConfig, ResolveCmd, ServiceKind,
-    ServiceMetrics, ServiceReflect, SpawnSink, Tick, WorldRecord,
+    AdmissionConfig, AssemblySink, CacheConfig, Continuations, InvokePolicy, InvokeSink, Node,
+    NodeCmd, NodeConfig, NodeConfigBuilder, NodeCtx, NodeMetrics, NodeSeed, QueryResult,
+    QuerySink, RegistryConfig, ReplicateConfig, ResolveCmd, ServiceKind, ServiceMetrics,
+    ServiceReflect, SpawnSink, Tick, WorldRecord,
 };
 pub use proto::{DeltaEntry, GroupSummary, QueryId};
 pub use registry::backend::{

@@ -168,7 +168,7 @@ impl NodeCtx<'_, '_> {
                 }
                 FetchCont::FinishMigration { rid, origin, .. } => {
                     let result = Err(reason.to_owned());
-                    self.send_ctrl(origin, CtrlMsg::MigrateDone { rid, result });
+                    self.send_ctrl(origin, CtrlMsg::SpawnDone { rid, result });
                 }
             }
         }
@@ -262,7 +262,7 @@ mod tests {
         assert!(!Arc::ptr_eq(&node.idl, &node.world.catalog.idl), "Echo's IDL was merged");
         assert!(node.idl.interface(ECHO).is_some());
         let echo = node.spawn_local("Echo", Version::new(1, 0), None).expect("Echo spawns");
-        let res = node.container().dispatch(
+        let res = node.dispatch(
             SimTime::ZERO,
             echo.key,
             "twice",

@@ -7,7 +7,7 @@ use crate::assembly::{AssemblyDescriptor, ConnectionKind};
 use crate::deploy::{NodeView, PlacementStrategy};
 use crate::proto::CtrlMsg;
 use lc_des::Counter;
-use lc_orb::{DispatchOpts, Name, ObjectKey, ObjectRef, Value};
+use lc_orb::{Name, ObjectKey, ObjectRef, Value};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -162,15 +162,7 @@ impl NodeCtx<'_, '_> {
         for action in actions {
             match action {
                 Wire::ConnectLocal { consumer, op, provider } => {
-                    let now = self.sim.now();
-                    let res = self.state.container().dispatch(
-                        now,
-                        consumer,
-                        &op,
-                        &[Value::ObjRef(provider)],
-                        DispatchOpts::raw(),
-                    );
-                    self.process_dispatch_effects(consumer.oid, res);
+                    self.run_local(consumer, &op, &[Value::ObjRef(provider)]);
                 }
                 Wire::ConnectRemote { consumer, op, provider } => {
                     self.send_oneway(consumer, op, vec![Value::ObjRef(provider)]);

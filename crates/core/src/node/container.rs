@@ -12,28 +12,21 @@ use lc_orb::{
     OrbError, OrbWire, Outcome, RequestId, Value,
 };
 use lc_pkg::Version;
-use lc_trace::Tracer;
 use std::collections::{BTreeMap, VecDeque};
-use std::ops::{Deref, DerefMut};
 
 use super::continuations::{
-    CallCont, Continuations, FetchCont, PendingCall, PendingMigration, ReplyCache, RetryState,
-    SpawnCont,
+    CallCont, Continuations, FetchCont, PendingCall, ReplyCache, RetryState, SpawnCont,
 };
 use super::ctx::{Node, NodeCtx};
 use super::metrics::ServiceKind;
 use super::service::{item, ServiceReflect, Tick};
-use super::{InvokePolicy, InvokeSink, MigrateSink, SpawnSink};
+use super::{InvokePolicy, InvokeSink, SpawnSink};
 
 /// Backoff before a call's first re-send (`sweep_calls`); doubles per
 /// further attempt.
 const BACKOFF_BASE: SimTime = SimTime::from_millis(50);
 /// Upper bound on any single re-send backoff.
 const BACKOFF_CAP: SimTime = SimTime::from_secs(1);
-
-/// One open push event channel: the event type plus its subscribers
-/// (consumer servant, delivery operation).
-pub(crate) type EventChannel = (String, Vec<(ObjectKey, String)>);
 
 /// The container runtime's state: everything only a node that holds a
 /// component, or calls, spawns, fetches or migrates an instance, touches.
@@ -46,8 +39,11 @@ pub(crate) type EventChannel = (String, Vec<(ObjectKey, String)>);
 pub(crate) struct Container {
     /// The servant table every local dispatch goes through.
     pub(crate) adapter: ObjectAdapter,
-    /// Event subscriptions: (producer oid, port) → (event id, subscribers).
-    pub(crate) subs: BTreeMap<(u64, String), EventChannel>,
+    /// Open push event channels: (producer oid, emits port) → its
+    /// subscribers (consumer servant, delivery operation). The port's
+    /// event type is the producer's to declare and the payload's tag to
+    /// carry; the channel keeps no copy of it.
+    pub(crate) subs: BTreeMap<(u64, String), Vec<(ObjectKey, String)>>,
     /// Requests to migrated-away instances are forwarded here.
     pub(crate) forwards: BTreeMap<u64, ObjectRef>,
     /// Replies computed but still occupying the CPU, in the order their
@@ -62,14 +58,13 @@ pub(crate) struct Container {
     /// Replicas this node has started (bounded by
     /// [`super::ReplicateConfig::MAX_REPLICAS`]).
     pub(crate) replicas_started: u32,
-    /// Remote spawns awaiting `SpawnDone`.
+    /// Instances this node waits for on a peer, spawned or migrated
+    /// there, awaiting their `SpawnDone`.
     pub(crate) spawns: Continuations<u64, SpawnCont>,
     /// Outgoing ORB requests awaiting replies.
     pub(crate) calls: Continuations<RequestId, PendingCall>,
     /// Package fetches awaiting their `Package` answer, by name.
     pub(crate) fetches: Continuations<String, Vec<FetchCont>>,
-    /// Migrations awaiting `MigrateDone`.
-    pub(crate) migrations: Continuations<u64, PendingMigration>,
     /// Servant-side duplicate suppression: replies already produced, by
     /// request id, remembered for the invoke policy's dedup window so a
     /// retried or fabric-duplicated request re-sends the cached reply
@@ -93,38 +88,31 @@ impl Container {
                 spawns: Continuations::default(),
                 calls: Continuations::default(),
                 fetches: Continuations::default(),
-                migrations: Continuations::default(),
                 replies: ReplyCache::default(),
             })
         })
     }
 
-    /// Pending spawns, calls, fetches and migrations.
+    /// Pending spawns and migrations, calls and fetches.
     pub(crate) fn depth(&self) -> usize {
-        self.spawns.len() + self.calls.len() + self.fetches.len() + self.migrations.len()
+        self.spawns.len() + self.calls.len() + self.fetches.len()
     }
 
-    /// Sum of the four tables' high-water marks.
+    /// Sum of the three tables' high-water marks.
     pub(crate) fn peak_depth(&self) -> usize {
-        self.spawns.high_water()
-            + self.calls.high_water()
-            + self.fetches.high_water()
-            + self.migrations.high_water()
+        self.spawns.high_water() + self.calls.high_water() + self.fetches.high_water()
     }
 }
 
-/// The container runtime's state beside what its dispatches read of the
-/// node: the node's interface repository and the world's tracer. What
-/// [`Node::container`] hands out; it reads as the [`Container`].
-pub(crate) struct ContainerMut<'a> {
-    container: &'a mut Container,
-    idl: &'a lc_idl::Repository,
-    tracer: &'a Tracer,
-}
+impl Node {
+    /// The container runtime's state, made here if the node has none yet.
+    pub(crate) fn container(&mut self) -> &mut Container {
+        Container::made(&mut self.container, self.host)
+    }
 
-impl ContainerMut<'_> {
     /// Run `op` on the local servant at `key`, exposing virtual time
-    /// `now` to it.
+    /// `now` to it, against the node's interface repository as it stands
+    /// and under the world's tracer.
     pub(crate) fn dispatch(
         &mut self,
         now: SimTime,
@@ -133,31 +121,9 @@ impl ContainerMut<'_> {
         args: &[Value],
         opts: DispatchOpts,
     ) -> DispatchResult {
-        let env = DispatchEnv { repo: self.idl, now, tracer: Some(self.tracer) };
-        self.container.adapter.invoke(env, key, op, args, opts)
-    }
-}
-
-impl Deref for ContainerMut<'_> {
-    type Target = Container;
-    fn deref(&self) -> &Container {
-        self.container
-    }
-}
-
-impl DerefMut for ContainerMut<'_> {
-    fn deref_mut(&mut self) -> &mut Container {
-        self.container
-    }
-}
-
-impl Node {
-    /// The container runtime's state, made here if the node has none
-    /// yet, beside the node's interface repository as it stands and the
-    /// world's tracer.
-    pub(crate) fn container(&mut self) -> ContainerMut<'_> {
         let Node { container, host, idl, world, .. } = self;
-        ContainerMut { container: Container::made(container, *host), idl, tracer: &world.tracer }
+        let env = DispatchEnv { repo: idl, now, tracer: Some(&world.tracer) };
+        Container::made(container, *host).adapter.invoke(env, key, op, args, opts)
     }
 
     /// Create a local instance of an installed component, read in place
@@ -210,7 +176,7 @@ impl Node {
     pub fn destroy_instance(&mut self, id: InstanceId) -> bool {
         let Some(info) = self.registry.remove_instance(id) else { return false };
         let oid = info.objref.key.oid;
-        let mut container = self.container();
+        let container = self.container();
         container.adapter.deactivate(oid);
         // Drop event channels rooted at this instance.
         container.subs.retain(|(producer, _), _| *producer != oid);
@@ -234,7 +200,7 @@ impl Node {
     /// Total subscribers across all open event channels.
     pub fn subscription_count(&self) -> usize {
         let channels = self.container.iter().flat_map(|c| c.subs.values());
-        channels.map(|(_, subs)| subs.len()).sum()
+        channels.map(Vec::len).sum()
     }
 
     /// Where requests to a migrated-away oid are forwarded, if anywhere.
@@ -258,17 +224,8 @@ impl NodeCtx<'_, '_> {
                 from: instance,
                 from_port: port.to_owned(),
                 to: provider.clone(),
-                to_port: String::new(),
             });
-            let now = self.sim.now();
-            let res = self.state.container().dispatch(
-                now,
-                key,
-                &format!("_connect_{port}"),
-                &[Value::ObjRef(provider)],
-                DispatchOpts::raw(),
-            );
-            self.process_dispatch_effects(key.oid, res);
+            self.run_local(key, &format!("_connect_{port}"), &[Value::ObjRef(provider)]);
             self.sim.metrics().incr(Counter::ResolveConnected);
         }
     }
@@ -433,17 +390,18 @@ impl NodeCtx<'_, '_> {
         });
     }
 
-    /// Send out-calls and publish events produced by a dispatch.
-    pub(crate) fn process_dispatch_effects(
-        &mut self,
-        producer_oid: u64,
-        res: lc_orb::DispatchResult,
-    ) {
-        self.send_effects(producer_oid, res.outbox, res.events);
+    /// Run a system or delivery `op` on the local servant at `key` now,
+    /// unchecked, and send what it emitted: every local dispatch but a
+    /// wire request's (which also charges the CPU and replies) and a
+    /// migration's state capture (which keeps only the state).
+    pub(crate) fn run_local(&mut self, key: ObjectKey, op: &str, args: &[Value]) {
+        let now = self.sim.now();
+        let res = self.state.dispatch(now, key, op, args, DispatchOpts::raw());
+        self.send_effects(key.oid, res.outbox, res.events);
     }
 
-    /// [`Self::process_dispatch_effects`] for a result already taken
-    /// apart (the request path moves the outcome into its reply).
+    /// Send the out-calls and publish the events a dispatch of the
+    /// servant `producer_oid` produced.
     fn send_effects(
         &mut self,
         producer_oid: u64,
@@ -471,7 +429,7 @@ impl NodeCtx<'_, '_> {
     }
 
     fn publish_event(&mut self, producer_oid: u64, port: &str, payload: Value) {
-        let Some((event_id, subscribers)) =
+        let Some(subscribers) =
             self.state.container().subs.get(&(producer_oid, port.to_owned())).cloned()
         else {
             return; // no channel opened for this port
@@ -479,22 +437,9 @@ impl NodeCtx<'_, '_> {
         self.sim.metrics().incr(Counter::EventsPublished);
         for (consumer, op) in subscribers {
             if consumer.host == self.state.host {
-                let now = self.sim.now();
-                let res = self.state.container().dispatch(
-                    now,
-                    consumer,
-                    &op,
-                    std::slice::from_ref(&payload),
-                    DispatchOpts::raw(),
-                );
-                self.process_dispatch_effects(consumer.oid, res);
+                self.run_local(consumer, &op, std::slice::from_ref(&payload));
             } else {
-                let event = OrbWire::Event {
-                    event_id: event_id.clone(),
-                    payload: payload.clone(),
-                    consumer,
-                    delivery_op: op,
-                };
+                let event = OrbWire::Event { payload: payload.clone(), consumer, delivery_op: op };
                 let _ = self.send_orb(consumer.host, event);
             }
         }
@@ -583,7 +528,7 @@ impl NodeCtx<'_, '_> {
         // the operation lookup its check needs anyway.
         let now = self.sim.now();
         let DispatchResult { outcome, outbox, events, cpu_cost } =
-            self.state.container().dispatch(now, target, &op, &args, DispatchOpts::wire());
+            self.state.dispatch(now, target, &op, &args, DispatchOpts::wire());
         self.send_effects(target.oid, outbox, events);
 
         if dedup > SimTime::ZERO && reply_to.is_some() {
@@ -618,14 +563,6 @@ impl NodeCtx<'_, '_> {
         }
     }
 
-    /// A push-channel event arrived for a local consumer.
-    pub(crate) fn on_event(&mut self, payload: Value, consumer: ObjectKey, delivery_op: &str) {
-        let now = self.sim.now();
-        let mut container = self.state.container();
-        let res = container.dispatch(now, consumer, delivery_op, &[payload], DispatchOpts::raw());
-        self.process_dispatch_effects(consumer.oid, res);
-    }
-
     pub(crate) fn on_reply(&mut self, id: RequestId, result: Result<Outcome, OrbError>) {
         match self.state.container.as_mut().and_then(|c| c.calls.remove(&id)) {
             None => {
@@ -648,15 +585,8 @@ impl NodeCtx<'_, '_> {
 
     /// Hand a local instance the `_reply` to its `call_request` `token`.
     fn reply_to_instance(&mut self, oid: u64, token: u64, result: Result<Outcome, OrbError>) {
-        let (now, host) = (self.sim.now(), self.state.host);
-        let res = self.state.container().dispatch(
-            now,
-            ObjectKey { host, oid },
-            "_reply",
-            &lc_orb::reply_args(token, result),
-            DispatchOpts::raw(),
-        );
-        self.process_dispatch_effects(oid, res);
+        let key = ObjectKey { host: self.state.host, oid };
+        self.run_local(key, "_reply", &lc_orb::reply_args(token, result));
     }
 
     /// Rebuild a migrating instance here: spawn, restore state, report.
@@ -669,28 +599,15 @@ impl NodeCtx<'_, '_> {
         state: Value,
         instance_name: Option<String>,
     ) {
-        let result = match self.state.spawn_local(component, version, instance_name) {
-            Ok(objref) => {
-                if !matches!(state, Value::Void) {
-                    let now = self.sim.now();
-                    let res = self.state.container().dispatch(
-                        now,
-                        objref.key,
-                        "_set_state",
-                        &[state],
-                        DispatchOpts::raw(),
-                    );
-                    self.process_dispatch_effects(objref.key.oid, res);
-                }
-                Ok(objref)
+        let result = self.state.spawn_local(component, version, instance_name);
+        if let Ok(objref) = &result {
+            if !matches!(state, Value::Void) {
+                self.run_local(objref.key, "_set_state", &[state]);
             }
-            Err(e) => Err(e),
-        };
-        if result.is_ok() {
             // Register event: the instance now runs here.
             self.note_registry_change(component);
         }
-        self.send_ctrl(origin, CtrlMsg::MigrateDone { rid, result });
+        self.send_ctrl(origin, CtrlMsg::SpawnDone { rid, result });
     }
 
     /// Start migrating a local instance: capture state via the agreed
@@ -701,7 +618,7 @@ impl NodeCtx<'_, '_> {
         &mut self,
         instance: InstanceId,
         to: HostId,
-        sink: Option<MigrateSink>,
+        sink: Option<SpawnSink>,
     ) {
         let Some(info) = self.state.registry.instance(instance).cloned() else {
             if let Some(s) = sink {
@@ -710,7 +627,7 @@ impl NodeCtx<'_, '_> {
             return;
         };
         let now = self.sim.now();
-        let state = match self.state.container().dispatch(
+        let state = match self.state.dispatch(
             now,
             info.objref.key,
             "_get_state",
@@ -727,7 +644,7 @@ impl NodeCtx<'_, '_> {
             tracer.set_attr(s, "component", &info.component);
             tracer.set_attr(s, "to", to.0);
         }
-        self.state.container().migrations.insert(rid, PendingMigration { instance, sink, span });
+        self.state.container().spawns.insert(rid, SpawnCont::Migrate { instance, sink, span });
         let msg = CtrlMsg::MigrateIn {
             rid,
             origin: self.state.host,
@@ -791,8 +708,9 @@ impl NodeCtx<'_, '_> {
         self.sim.metrics().incr(Counter::ReflectPortChanges);
     }
 
-    /// A remote spawn this node asked for finished: resume whatever was
-    /// parked on it.
+    /// A peer answered for an instance this node asked it to spawn or
+    /// migrated to it: resume whatever was parked on it. A duplicate or
+    /// late answer finds nothing parked and changes nothing.
     pub(crate) fn on_spawn_done(&mut self, rid: u64, result: Result<ObjectRef, String>) {
         match self.state.container.as_mut().and_then(|c| c.spawns.remove(&rid)) {
             None => {}
@@ -812,7 +730,40 @@ impl NodeCtx<'_, '_> {
                     self.wire_assembly(pending);
                 }
             }
+            Some(SpawnCont::Migrate { instance, sink, span }) => {
+                self.migrated(instance, span, &result);
+                if let Some(s) = sink {
+                    *s.borrow_mut() = Some(result);
+                }
+            }
         }
+    }
+
+    /// The destination's verdict on a migration of `instance` this node
+    /// started: on success the old instance goes and late requests to it
+    /// are forwarded.
+    fn migrated(
+        &mut self,
+        instance: InstanceId,
+        span: Option<lc_trace::TraceContext>,
+        result: &Result<ObjectRef, String>,
+    ) {
+        let error = result.is_err().then_some("migrate");
+        self.state.world.tracer.end_with(span, self.sim.now(), error);
+        let Ok(new_ref) = result else {
+            self.sim.metrics().incr(Counter::MigrateFailed);
+            return;
+        };
+        if let Some(info) = self.state.registry.instance(instance) {
+            let old_oid = info.objref.key.oid;
+            let component = info.component.clone();
+            self.state.destroy_instance(instance);
+            self.state.container().forwards.insert(old_oid, new_ref.clone());
+            // Deregister event: offers naming this node for the
+            // component are now wrong.
+            self.note_registry_change(&component);
+        }
+        self.sim.metrics().incr(Counter::MigrateCompleted);
     }
 
     /// Open (or join) the push channel of a local producer's `port`.
@@ -823,27 +774,15 @@ impl NodeCtx<'_, '_> {
         consumer: ObjectKey,
         delivery_op: String,
     ) {
-        // Find the event type from the producer instance's ports.
-        let event_id = self
-            .state
-            .registry
-            .by_oid(producer.oid)
-            .and_then(|info| info.emits.iter().find(|p| p.name == port).map(|p| p.type_id.clone()));
-        match event_id {
-            Some(event_id) => {
-                self.state
-                    .container()
-                    .subs
-                    .entry((producer.oid, port))
-                    .or_insert_with(|| (event_id, Vec::new()))
-                    .1
-                    .push((consumer, delivery_op));
-                self.sim.metrics().incr(Counter::EventsSubscriptions);
-            }
-            None => {
-                self.sim.metrics().incr(Counter::EventsBadSubscription);
-            }
+        // Only a port the producer instance declares it emits opens.
+        let emits = self.state.registry.by_oid(producer.oid);
+        if !emits.is_some_and(|info| info.emits.iter().any(|p| p.name == port)) {
+            self.sim.metrics().incr(Counter::EventsBadSubscription);
+            return;
         }
+        let channel = self.state.container().subs.entry((producer.oid, port)).or_default();
+        channel.push((consumer, delivery_op));
+        self.sim.metrics().incr(Counter::EventsSubscriptions);
     }
 
     /// A passivated instance arrives: rebuild it here, fetching its
@@ -875,36 +814,6 @@ impl NodeCtx<'_, '_> {
         self.send_ctrl(origin, CtrlMsg::Fetch { name: component, version, reply_to });
     }
 
-    /// The destination's verdict on a migration this node started.
-    pub(crate) fn on_migrate_done(&mut self, rid: u64, result: Result<ObjectRef, String>) {
-        let Some(pm) = self.state.container.as_mut().and_then(|c| c.migrations.remove(&rid)) else {
-            return;
-        };
-        let error = result.is_err().then_some("migrate");
-        self.state.world.tracer.end_with(pm.span, self.sim.now(), error);
-        match &result {
-            Ok(new_ref) => {
-                // Passivate and remove the old instance; forward late
-                // requests.
-                if let Some(info) = self.state.registry.instance(pm.instance) {
-                    let old_oid = info.objref.key.oid;
-                    let component = info.component.clone();
-                    self.state.destroy_instance(pm.instance);
-                    self.state.container().forwards.insert(old_oid, new_ref.clone());
-                    // Deregister event: offers naming this node for
-                    // the component are now wrong.
-                    self.note_registry_change(&component);
-                }
-                self.sim.metrics().incr(Counter::MigrateCompleted);
-            }
-            Err(_) => {
-                self.sim.metrics().incr(Counter::MigrateFailed);
-            }
-        }
-        if let Some(s) = pm.sink {
-            *s.borrow_mut() = Some(result);
-        }
-    }
 }
 
 /// Hand a driver its reply. A call's sink gets exactly this one push,
@@ -928,7 +837,13 @@ pub(crate) fn reflect(state: &Node) -> ServiceReflect {
                 "pending spawns/calls/migrations",
                 match &state.container {
                     Some(c) => {
-                        format!("{}/{}/{}", c.spawns.len(), c.calls.len(), c.migrations.len())
+                        let migrations = c
+                            .spawns
+                            .values()
+                            .filter(|s| matches!(s, SpawnCont::Migrate { .. }))
+                            .count();
+                        let spawns = c.spawns.len() - migrations;
+                        format!("{spawns}/{}/{migrations}", c.calls.len())
                     }
                     None => "0/0/0".to_owned(),
                 },

@@ -1,16 +1,18 @@
 //! Unified continuation table for the node's pending distributed work.
 //!
-//! The node keeps five kinds of in-flight work — distributed queries,
-//! remote spawns, outgoing ORB calls, package fetches and migrations —
-//! that all follow the same shape: *stash a continuation under a key,
+//! The node keeps four kinds of in-flight work — distributed queries,
+//! instances it waits for on a peer (a remote spawn or a migration, both
+//! answered by one `SpawnDone`), outgoing ORB calls and package fetches
+//! — that all follow the same shape: *stash a continuation under a key,
 //! resume it when the answering message arrives, optionally expire it on
-//! a deadline*. [`Continuations`] is the one helper behind all five: a
-//! key-sorted ring with one expiry sweep, which replaced five ad-hoc
-//! maps with hand-rolled expiry. Every node searches, so [`ContTable`]
-//! keeps the queries beside the single sequence counter all five draw
-//! from; the other four tables and the servant side's [`ReplyCache`]
-//! belong to the container runtime's state (`container::Container`),
-//! which a node makes at its first install or first use.
+//! a deadline*. [`Continuations`] is the one helper behind all four: a
+//! key-sorted ring with one expiry sweep, which replaced ad-hoc maps
+//! with hand-rolled expiry. Every node searches, so [`ContTable`] keeps
+//! the queries beside the single sequence counter that numbers queries,
+//! spawns and migrations; the other three tables and the servant side's
+//! [`ReplyCache`] belong to the container runtime's state
+//! (`container::Container`), which a node makes at its first install or
+//! first use.
 
 use crate::assembly::AssemblyDescriptor;
 use crate::registry::{ComponentQuery, InstanceId, Offer};
@@ -23,7 +25,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
-use super::{AssemblySink, InvokeSink, MigrateSink, QuerySink, SpawnSink};
+use super::{AssemblySink, InvokeSink, QuerySink, SpawnSink};
 
 struct Entry<V> {
     value: V,
@@ -170,6 +172,11 @@ impl<K: Ord, V> Continuations<K, V> {
         self.entries.front().map(|(k, _)| k)
     }
 
+    /// The live entries' values, in key order.
+    pub fn values(&self) -> impl Iterator<Item = &V> {
+        self.entries.iter().map(|(_, e)| &e.value)
+    }
+
     /// Iterate over live entries in key order, values mutable. Used by
     /// sweeps that must adjust an entry *without* expiring it (e.g.
     /// expiring individual coalesced followers inside a still-pending
@@ -195,7 +202,7 @@ impl<K: Ord, V> Continuations<K, V> {
 }
 
 /// A node's pending queries, beside the one sequence counter that
-/// numbers queries, spawn rounds and migrations alike (the old code grew
+/// numbers queries, spawns and migrations alike (the old code grew
 /// a separate `next_seq` per use site).
 #[derive(Default)]
 pub struct ContTable {
@@ -269,7 +276,7 @@ impl ContTable {
         ContTable { next_seq: 1, ..ContTable::default() }
     }
 
-    /// The node-wide sequence for queries, spawn rounds and migrations.
+    /// The node-wide sequence for queries, spawns and migrations.
     pub(crate) fn next_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -338,7 +345,8 @@ pub(crate) struct QueryFollower {
     pub deadline: SimTime,
 }
 
-/// What to do when a remote spawn completes.
+/// What to do when a peer answers for an instance this node asked it to
+/// create: a spawn (for a `uses` port or an assembly) or a migration.
 pub(crate) enum SpawnCont {
     Connect {
         instance: InstanceId,
@@ -349,6 +357,14 @@ pub(crate) enum SpawnCont {
         name: String,
         sink: AssemblySink,
         pending: Rc<RefCell<PendingAssembly>>,
+    },
+    /// `instance` is moving to the peer; this node drops it once the
+    /// peer holds it.
+    Migrate {
+        instance: InstanceId,
+        sink: Option<SpawnSink>,
+        /// The migration's trace span (ended on the answer).
+        span: Option<TraceContext>,
     },
 }
 
@@ -398,13 +414,6 @@ pub(crate) enum FetchCont {
         state: Value,
         instance_name: Option<String>,
     },
-}
-
-pub(crate) struct PendingMigration {
-    pub instance: InstanceId,
-    pub sink: Option<MigrateSink>,
-    /// The migration's trace span (ended on `MigrateDone`).
-    pub span: Option<TraceContext>,
 }
 
 /// Assembly deployment in progress: connections fire once all spawns land.

@@ -4,9 +4,9 @@
 //! the world record, the IDL repository, the Figure-1 data stores
 //! (repository / registry / resources), the MRM duty soft state, the
 //! pending queries and the per-service metrics, plus the container
-//! runtime's state (ORB object adapter, instance tables,
-//! call/spawn/fetch/migration continuations), made at its first install
-//! or first use.
+//! runtime's state (ORB object adapter, event channels, call, fetch and
+//! spawn continuations, a migration waiting as a spawn does), made at
+//! its first install or first use.
 //! [`NodeCtx`] pairs a borrow of that state with the simulation context
 //! for the current event; every service handler runs against a
 //! `&mut NodeCtx`, so cross-service plumbing (control sends, ORB
@@ -190,8 +190,7 @@ fn wire_counter(msg: &CtrlMsg) -> Option<Counter> {
         | CtrlMsg::PlacementQuery { .. }
         | CtrlMsg::PlacementTarget { .. }
         | CtrlMsg::CacheInvalidate { .. }
-        | CtrlMsg::MigrateIn { .. }
-        | CtrlMsg::MigrateDone { .. } => return None,
+        | CtrlMsg::MigrateIn { .. } => return None,
     })
 }
 
@@ -280,8 +279,8 @@ impl NodeCtx<'_, '_> {
         let Some(mon) = &mut self.state.slo else { return };
         for breach in mon.evaluate(now) {
             self.sim.metrics().incr(Counter::SloBreaches);
-            let (flight, dropped) = self.state.world.tracer.flight_record(self.state.host.0);
-            mon.record_breach(breach, flight, dropped);
+            let (flight, _) = self.state.world.tracer.flight_record(self.state.host.0);
+            mon.record_breach(breach, flight);
         }
         let window = mon.window();
         self.timer_in(window, Tick::SloCheck);

@@ -156,8 +156,7 @@ pub(crate) fn ctrl_service(msg: &CtrlMsg) -> ServiceKind {
         CtrlMsg::Spawn { .. }
         | CtrlMsg::SpawnDone { .. }
         | CtrlMsg::Subscribe { .. }
-        | CtrlMsg::MigrateIn { .. }
-        | CtrlMsg::MigrateDone { .. } => ServiceKind::Container,
+        | CtrlMsg::MigrateIn { .. } => ServiceKind::Container,
     }
 }
 
@@ -264,7 +263,6 @@ pub(crate) fn handle_ctrl(ctx: &mut NodeCtx<'_, '_>, msg: CtrlMsg) {
         CtrlMsg::MigrateIn { rid, origin, component, version, state, instance_name } => {
             ctx.on_migrate_in(rid, origin, component, version, state, instance_name);
         }
-        CtrlMsg::MigrateDone { rid, result } => ctx.on_migrate_done(rid, result),
     }
 }
 
@@ -295,8 +293,8 @@ pub(crate) fn handle_orb(ctx: &mut NodeCtx<'_, '_>, wire: OrbWire) {
             ctx.on_request(id, reply_to, target, op, args);
         }
         OrbWire::Reply { id, result } => ctx.on_reply(id, result),
-        OrbWire::Event { event_id: _, payload, consumer, delivery_op } => {
-            ctx.on_event(payload, consumer, &delivery_op);
+        OrbWire::Event { payload, consumer, delivery_op } => {
+            ctx.run_local(consumer, &delivery_op, &[payload]);
         }
     }
 }

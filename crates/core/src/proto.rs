@@ -146,7 +146,8 @@ pub(crate) enum CtrlMsg {
         /// Optional application-assigned instance name.
         instance_name: Option<String>,
     },
-    /// Result of a spawn.
+    /// Result of a spawn, or of a migration ([`CtrlMsg::MigrateIn`]):
+    /// the answer for an instance the origin waits for.
     SpawnDone {
         /// Correlation id.
         rid: u64,
@@ -251,7 +252,8 @@ pub(crate) enum CtrlMsg {
     },
 
     // ---- migration (§2.2) ----------------------------------------------
-    /// Carry a passivated instance to a new node.
+    /// Carry a passivated instance to a new node, which answers with a
+    /// [`CtrlMsg::SpawnDone`].
     MigrateIn {
         /// Correlation id (origin-scoped).
         rid: u64,
@@ -265,13 +267,6 @@ pub(crate) enum CtrlMsg {
         state: Value,
         /// Optional instance name to preserve.
         instance_name: Option<String>,
-    },
-    /// Migration completed on the destination.
-    MigrateDone {
-        /// Correlation id.
-        rid: u64,
-        /// New reference, or why migration failed.
-        result: Result<ObjectRef, String>,
     },
 }
 
@@ -312,10 +307,6 @@ impl CtrlMsg {
                     + lc_orb::encoded_len(std::slice::from_ref(state))
                     + 32
             }
-            CtrlMsg::MigrateDone { result, .. } => match result {
-                Ok(_) => 64,
-                Err(e) => e.len() as u64 + 16,
-            },
             CtrlMsg::PlacementQuery { replica, .. } => 16 + replica_size(replica),
             CtrlMsg::PlacementTarget { replica, .. } => 8 + replica_size(replica),
             CtrlMsg::CacheInvalidate { component, .. } => component.len() as u64 + 8,

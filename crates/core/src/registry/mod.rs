@@ -86,8 +86,6 @@ pub struct Connection {
     pub from_port: String,
     /// Provider object (possibly on another node).
     pub to: ObjectRef,
-    /// Provider's port name if known.
-    pub to_port: String,
 }
 
 /// A distributed component query (§2.4.3 "Support for Distributed
@@ -397,7 +395,6 @@ mod tests {
             from: a,
             from_port: "gui".into(),
             to: objref(0, b.0),
-            to_port: "widget".into(),
         });
         assert_eq!(reg.connections().len(), 1);
         reg.remove_instance(a);

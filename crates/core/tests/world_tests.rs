@@ -339,6 +339,89 @@ fn a_slow_downlink_spawns_remotely_where_the_reference_link_fetches() {
     assert_drained(&world);
 }
 
+/// One node waits on two peers at once: a resolve's provider spawned
+/// remotely and a migration, both answered by a `SpawnDone` into the
+/// node's one table of instances it waits for. The fabric duplicates
+/// every answer, so each `rid` is answered twice. Each sink gets its own
+/// result, the second answer for a finished `rid` changes nothing, and
+/// the table drains.
+#[test]
+fn a_remote_spawn_and_a_migration_wait_side_by_side() {
+    let mut topo = Topology::new();
+    let lan = topo.add_site("lan");
+    for _ in 0..4 {
+        topo.add_host(HostCfg::new(lan));
+    }
+    // A slow downlink makes the resolve spawn its provider remotely.
+    let origin = topo.add_host(HostCfg::new(lan).bw(12_500_000.0, 16_000.0));
+    let (provider_host, destination) = (HostId(0), HostId(2));
+    let twice = LinkFaults::none().dup_p(1.0);
+    let plan = FaultPlan::seeded(13)
+        .link(provider_host, origin, twice)
+        .link(destination, origin, twice);
+    let mut world = host0_world(Net::builder(topo).fault_plan(plan).build(), 13, signed());
+    world.run_for(SimTime::from_millis(600));
+    world.cmd(origin, NodeCmd::Install(demo::gui_package()));
+    world.cmd(origin, NodeCmd::Install(demo::counter_package()));
+    world.run_for(SimTime::from_millis(300));
+    world.spawn(origin, "GuiPart", Some("gui"), SimTime::from_millis(300));
+    let counter = world.spawn(origin, "Counter", Some("c"), SimTime::from_millis(10));
+    let node = world.node(origin).unwrap();
+    let gui = node.registry.named("gui").unwrap().id;
+    let moving = node.registry.named("c").unwrap().id;
+
+    let provider: lc_core::SpawnSink = Rc::default();
+    world.cmd(
+        origin,
+        NodeCmd::Resolve(Box::new(ResolveCmd {
+            instance: gui,
+            port: "display".into(),
+            query: ComponentQuery::by_name("Display", Version::new(2, 0)),
+            expected_traffic: 10_000_000,
+            sink: Some(provider.clone()),
+        })),
+    );
+    // Step until the provider's spawn is asked for, then migrate: the
+    // spawn's answer is still on the slow downlink.
+    let step = SimTime::from_micros(100);
+    for _ in 0..20_000 {
+        if world.sim.metrics_ref().counter("resolve.spawn_remote") == 1 {
+            break;
+        }
+        world.run_for(step);
+    }
+    assert_eq!(world.sim.metrics_ref().counter("resolve.spawn_remote"), 1);
+    let moved: lc_core::SpawnSink = Rc::default();
+    let migrate = NodeCmd::Migrate { instance: moving, to: destination, sink: Some(moved.clone()) };
+    world.cmd(origin, migrate);
+    world.run_for(step);
+    let waiting = lc_core::reflect::render(world.node(origin).unwrap());
+    assert!(
+        waiting.contains("pending spawns/calls/migrations: 1/0/1"),
+        "both wait at once:\n{waiting}"
+    );
+    assert!(provider.borrow().is_none() && moved.borrow().is_none());
+
+    world.run_for(SimTime::from_millis(3000));
+    let display = provider.borrow().clone().unwrap().unwrap();
+    let counter_now = moved.borrow().clone().unwrap().unwrap();
+    assert_eq!(display.key.host, provider_host, "the spawn's sink holds the spawned provider");
+    assert_eq!(counter_now.key.host, destination, "the migration's sink holds the moved instance");
+    let metrics = world.sim.metrics_ref();
+    assert!(metrics.counter("net.fault.duplicated") >= 2, "both answers were duplicated");
+    assert_eq!(metrics.counter("resolve.connected"), 1);
+    assert_eq!(metrics.counter("migrate.completed"), 1);
+    assert_eq!(metrics.counter("migrate.failed"), 0);
+    let node = world.node(origin).unwrap();
+    assert_eq!(node.registry.connections().len(), 1, "the port was wired once");
+    assert_eq!(node.forward_target(counter.key.oid), Some(&counter_now));
+    assert_eq!(node.forward_count(), 1);
+    assert!(node.registry.named("c").is_none(), "the moved instance left");
+    let drained = lc_core::reflect::render(node);
+    assert!(drained.contains("pending spawns/calls/migrations: 0/0/0"), "{drained}");
+    assert_drained(&world);
+}
+
 #[test]
 fn events_fan_out_across_nodes() {
     let mut world = host0_world(Topology::lan(4), 9, signed());
@@ -407,7 +490,7 @@ fn migration_preserves_state_and_forwards_requests() {
 
     // Migrate to node 2 (which lacks the package → auto-fetch).
     let instance = world.node(HostId(0)).unwrap().registry.named("c").unwrap().id;
-    let msink: lc_core::MigrateSink = Rc::default();
+    let msink: lc_core::SpawnSink = Rc::default();
     world.cmd(HostId(0), NodeCmd::Migrate { instance, to: HostId(2), sink: Some(msink.clone()) });
     world.run_for(SimTime::from_millis(2000));
     let new_ref = msink.borrow().clone().unwrap().unwrap();
@@ -431,8 +514,8 @@ fn migration_preserves_state_and_forwards_requests() {
 }
 
 /// The same migration, traced: once the world has drained no span is
-/// left open — `container.migrate` (ended by `MigrateDone`) and the
-/// handler, fetch and call spans under it included.
+/// left open — `container.migrate` (ended by the destination's
+/// `SpawnDone`) and the handler, fetch and call spans under it included.
 #[test]
 fn traced_migration_leaves_no_span_open() {
     let tracer = lc_trace::Tracer::new();
@@ -441,7 +524,7 @@ fn traced_migration_leaves_no_span_open() {
     world.run_for(SimTime::from_millis(10));
     let old_ref = world.spawn(HostId(0), "Counter", Some("c"), SimTime::from_millis(10));
     let instance = world.node(HostId(0)).unwrap().registry.named("c").unwrap().id;
-    let msink: lc_core::MigrateSink = Rc::default();
+    let msink: lc_core::SpawnSink = Rc::default();
     world.cmd(HostId(0), NodeCmd::Migrate { instance, to: HostId(2), sink: Some(msink.clone()) });
     world.run_for(SimTime::from_millis(2000));
     assert!(matches!(*msink.borrow(), Some(Ok(_))));
@@ -881,7 +964,7 @@ fn migration_forwarding_table_tracks_old_reference() {
     world.run_for(SimTime::from_millis(10));
     let old_ref = world.spawn(HostId(0), "Counter", Some("c"), SimTime::from_millis(10));
     let instance = world.node(HostId(0)).unwrap().registry.named("c").unwrap().id;
-    let msink: lc_core::MigrateSink = Rc::default();
+    let msink: lc_core::SpawnSink = Rc::default();
     world.cmd(HostId(0), NodeCmd::Migrate { instance, to: HostId(1), sink: Some(msink.clone()) });
     world.run_for(SimTime::from_millis(2000));
     let new_ref = msink.borrow().clone().unwrap().unwrap();

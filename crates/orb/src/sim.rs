@@ -57,9 +57,8 @@ pub enum OrbWire {
     },
     /// A push-channel event delivery.
     Event {
-        /// Event type repository id.
-        event_id: String,
-        /// Payload (struct value tagged with `event_id`).
+        /// Payload: a struct value tagged with its event type's
+        /// repository id, the one place the type travels.
         payload: Value,
         /// Consumer servant to deliver to.
         consumer: ObjectKey,
@@ -330,6 +329,14 @@ mod tests {
             Ok(Outcome { ret: Value::string("xxxxxxxxxx"), outs: vec![] });
         let err: Result<Outcome, OrbError> = Err(OrbError::Timeout);
         assert!(SimOrb::reply_size(&ok) > SimOrb::reply_size(&err) - 16);
+    }
+
+    /// A frame waits by value in its mail lane, so every ORB message
+    /// in flight is this wide: 112 bytes while an event carried its
+    /// type's id beside the payload its tag already names.
+    #[test]
+    fn orb_wire_is_88_bytes() {
+        assert_eq!(std::mem::size_of::<OrbWire>(), 88);
     }
 
     #[test]

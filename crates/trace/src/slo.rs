@@ -94,8 +94,6 @@ pub struct BreachRecord {
     pub breach: SloBreach,
     /// Flight-recorder events at breach time, oldest first.
     pub flight: Vec<SpanEvent>,
-    /// Events the bounded ring had already dropped.
-    pub flight_dropped: u64,
 }
 
 /// The per-node monitor: rules + the current window's queries.
@@ -186,8 +184,8 @@ impl SloMonitor {
     }
 
     /// Attach a flight-recorder dump to a fired breach and keep it.
-    pub fn record_breach(&mut self, breach: SloBreach, flight: Vec<SpanEvent>, dropped: u64) {
-        self.breaches.push(BreachRecord { breach, flight, flight_dropped: dropped });
+    pub fn record_breach(&mut self, breach: SloBreach, flight: Vec<SpanEvent>) {
+        self.breaches.push(BreachRecord { breach, flight });
     }
 
     /// Every recorded breach, in firing order.
@@ -270,7 +268,7 @@ mod tests {
         assert_eq!(fired[0].threshold, 200);
         assert!(fired[0].render().contains("SLO BREACH"));
         // breach history with a dump attached
-        mon.record_breach(fired[0].clone(), Vec::new(), 0);
+        mon.record_breach(fired[0].clone(), Vec::new());
         assert_eq!(mon.breaches().len(), 1);
         assert_eq!(mon.breaches()[0].breach.rule, "empty-burn");
     }

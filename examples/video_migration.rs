@@ -58,7 +58,7 @@ fn main() {
                 lc_human(wan_at_half)
             );
             let inst = world.node(server).unwrap().registry.named("decoder").unwrap().id;
-            let msink: corba_lc_repro::core::MigrateSink = Rc::default();
+            let msink: corba_lc_repro::core::SpawnSink = Rc::default();
             world.cmd(
                 server,
                 NodeCmd::Migrate { instance: inst, to: viewer, sink: Some(msink.clone()) },
