@@ -205,14 +205,16 @@ mod tests {
     }
 
     /// The experiments that finish in well under a second, with their
-    /// committed stdout (ci.sh diffs all thirteen goldens; these five
-    /// are cheap enough for `cargo test`).
-    const FAST_GOLDENS: [(&str, &str); 5] = [
+    /// committed stdout (ci.sh diffs all thirteen goldens; these six
+    /// are cheap enough for `cargo test`). E5 runs local and remote
+    /// assembly spawns and load-balance migrations of named instances.
+    const FAST_GOLDENS: [(&str, &str); 6] = [
         ("f1", include_str!("../../../golden/f1.out")),
         ("f2", include_str!("../../../golden/f2.out")),
         ("e1", include_str!("../../../golden/e1.out")),
         ("e3", include_str!("../../../golden/e3.out")),
         ("e4", include_str!("../../../golden/e4.out")),
+        ("e5", include_str!("../../../golden/e5.out")),
     ];
 
     #[test]

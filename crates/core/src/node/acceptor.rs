@@ -147,11 +147,11 @@ impl NodeCtx<'_, '_> {
     fn resume_fetched(&mut self, cont: FetchCont) {
         match cont {
             FetchCont::SpawnAndConnect { component, min_version, instance, port, sink } => {
-                let provider = self.state.spawn_local(&component, min_version, None);
+                let provider = self.spawn_announced(&component, min_version, None, None);
                 self.connect_provider(instance, &port, provider, sink);
             }
-            FetchCont::FinishMigration { rid, origin, component, version, state, instance_name } => {
-                self.finish_migration_in(rid, origin, &component, version, state, instance_name);
+            FetchCont::Spawn { rid, origin, component, min_version, instance_name, state } => {
+                self.on_spawn(rid, origin, component, min_version, instance_name, Some(state));
             }
         }
     }
@@ -166,7 +166,7 @@ impl NodeCtx<'_, '_> {
                         *s.borrow_mut() = Some(Err(reason.to_owned()));
                     }
                 }
-                FetchCont::FinishMigration { rid, origin, .. } => {
+                FetchCont::Spawn { rid, origin, .. } => {
                     let result = Err(reason.to_owned());
                     self.send_ctrl(origin, CtrlMsg::SpawnDone { rid, result });
                 }

@@ -58,22 +58,17 @@ impl NodeCtx<'_, '_> {
         }));
 
         for (inst, slot) in assembly.instances.iter().zip(placement) {
+            let name = inst.name.clone();
             let Some(node_idx) = slot else {
-                sink.borrow_mut()
-                    .insert(inst.name.clone(), Err("no node admits this instance".into()));
-                pending.borrow_mut().outstanding -= 1;
+                let refused = Err("no node admits this instance".into());
+                self.assembly_member(name, &sink, pending.clone(), refused);
                 continue;
             };
             let target = views[node_idx].host;
             if target == self.state.host {
-                let result =
-                    self.state.spawn_local(&inst.component, inst.min_version, Some(inst.name.clone()));
-                sink.borrow_mut().insert(inst.name.clone(), result.clone());
-                let mut p = pending.borrow_mut();
-                if let Ok(r) = result {
-                    p.refs.insert(inst.name.clone(), r);
-                }
-                p.outstanding -= 1;
+                let (component, min_version) = (&inst.component, inst.min_version);
+                let result = self.spawn_announced(component, min_version, Some(name.clone()), None);
+                self.assembly_member(name, &sink, pending.clone(), result);
             } else {
                 // Push the package first if the target lacks it (known
                 // from its report), then spawn.
@@ -88,29 +83,38 @@ impl NodeCtx<'_, '_> {
                         self.send_ctrl(target, CtrlMsg::Install { bytes });
                     }
                 }
-                let rid = self.state.conts.next_seq();
-                self.state.container().spawns.insert(
-                    rid,
-                    SpawnCont::Assembly {
-                        name: inst.name.clone(),
-                        sink: sink.clone(),
-                        pending: pending.clone(),
-                    },
-                );
-                let origin = self.state.host;
-                self.send_ctrl(
-                    target,
-                    CtrlMsg::Spawn {
-                        rid,
-                        origin,
-                        component: inst.component.clone(),
-                        min_version: inst.min_version,
-                        instance_name: Some(inst.name.clone()),
-                    },
-                );
+                let (component, min_version) = (inst.component.clone(), inst.min_version);
+                let (sink, pending) = (sink.clone(), pending.clone());
+                let cont = SpawnCont::Assembly { name: name.clone(), sink, pending };
+                self.request_instance(target, component, min_version, Some(name), None, Some(cont));
             }
         }
-        if pending.borrow().outstanding == 0 {
+        // A member answered in place wires the assembly when it is the
+        // last; one without members is wired now.
+        if assembly.instances.is_empty() {
+            self.wire_assembly(pending);
+        }
+    }
+
+    /// One member of an assembly has its answer — spawned here or on a
+    /// peer, or refused: tell the sink, keep the member's reference, and
+    /// wire the assembly once no member is outstanding.
+    pub(crate) fn assembly_member(
+        &mut self,
+        name: String,
+        sink: &AssemblySink,
+        pending: Rc<RefCell<PendingAssembly>>,
+        result: Result<ObjectRef, String>,
+    ) {
+        sink.borrow_mut().insert(name.clone(), result.clone());
+        let mut p = pending.borrow_mut();
+        if let Ok(objref) = result {
+            p.refs.insert(name, objref);
+        }
+        p.outstanding -= 1;
+        let ready = p.outstanding == 0;
+        drop(p);
+        if ready {
             self.wire_assembly(pending);
         }
     }

@@ -58,9 +58,13 @@ pub(crate) struct Container {
     /// Replicas this node has started (bounded by
     /// [`super::ReplicateConfig::MAX_REPLICAS`]).
     pub(crate) replicas_started: u32,
-    /// Instances this node waits for on a peer, spawned or migrated
-    /// there, awaiting their `SpawnDone`.
+    /// Instances this node asked a peer for (a migration among them),
+    /// awaiting their `SpawnDone`.
     pub(crate) spawns: Continuations<u64, SpawnCont>,
+    /// Instances this node made for a peer's request, by that request's
+    /// `(origin, rid)`: a duplicate of the request gets the same oid's
+    /// instance. An entry goes with its instance.
+    pub(crate) made_for: BTreeMap<(HostId, u64), u64>,
     /// Outgoing ORB requests awaiting replies.
     pub(crate) calls: Continuations<RequestId, PendingCall>,
     /// Package fetches awaiting their `Package` answer, by name.
@@ -86,6 +90,7 @@ impl Container {
                 last_replicate: None,
                 replicas_started: 0,
                 spawns: Continuations::default(),
+                made_for: BTreeMap::new(),
                 calls: Continuations::default(),
                 fetches: Continuations::default(),
                 replies: ReplyCache::default(),
@@ -93,7 +98,7 @@ impl Container {
         })
     }
 
-    /// Pending spawns and migrations, calls and fetches.
+    /// Pending instance requests, calls and fetches.
     pub(crate) fn depth(&self) -> usize {
         self.spawns.len() + self.calls.len() + self.fetches.len()
     }
@@ -127,7 +132,8 @@ impl Node {
     }
 
     /// Create a local instance of an installed component, read in place
-    /// from the repository.
+    /// from the repository. A node makes every instance through
+    /// `NodeCtx::spawn_announced`, which also announces it.
     pub fn spawn_local(
         &mut self,
         component: &str,
@@ -178,8 +184,10 @@ impl Node {
         let oid = info.objref.key.oid;
         let container = self.container();
         container.adapter.deactivate(oid);
-        // Drop event channels rooted at this instance.
+        // Drop event channels rooted at this instance, and the request
+        // it answered.
         container.subs.retain(|(producer, _), _| *producer != oid);
+        container.made_for.retain(|_, made| *made != oid);
         if let Some(installed) = self.repository.get(&info.component, info.version) {
             self.resources.release(&installed.descriptor.qos);
         }
@@ -589,27 +597,6 @@ impl NodeCtx<'_, '_> {
         self.run_local(key, "_reply", &lc_orb::reply_args(token, result));
     }
 
-    /// Rebuild a migrating instance here: spawn, restore state, report.
-    pub(crate) fn finish_migration_in(
-        &mut self,
-        rid: u64,
-        origin: HostId,
-        component: &str,
-        version: Version,
-        state: Value,
-        instance_name: Option<String>,
-    ) {
-        let result = self.state.spawn_local(component, version, instance_name);
-        if let Ok(objref) = &result {
-            if !matches!(state, Value::Void) {
-                self.run_local(objref.key, "_set_state", &[state]);
-            }
-            // Register event: the instance now runs here.
-            self.note_registry_change(component);
-        }
-        self.send_ctrl(origin, CtrlMsg::SpawnDone { rid, result });
-    }
-
     /// Start migrating a local instance: capture state via the agreed
     /// local interface (§2.2: "the container can ask the component
     /// instance … to resume its execution returning its internal
@@ -637,39 +624,101 @@ impl NodeCtx<'_, '_> {
             lc_orb::DispatchResult { outcome: Ok(out), .. } => out.ret,
             _ => Value::Void,
         };
-        let rid = self.state.conts.next_seq();
         let tracer = &self.state.world.tracer;
         let span = tracer.span(self.state.host.0, "container.migrate", self.now());
         if let Some(s) = span {
             tracer.set_attr(s, "component", &info.component);
             tracer.set_attr(s, "to", to.0);
         }
-        self.state.container().spawns.insert(rid, SpawnCont::Migrate { instance, sink, span });
-        let msg = CtrlMsg::MigrateIn {
-            rid,
-            origin: self.state.host,
-            component: info.component.to_string(),
-            version: info.version,
-            state,
-            instance_name: info.name.clone(),
-        };
         self.sim.metrics().incr(Counter::MigrateStarted);
-        self.in_span(span, |ctx| ctx.send_ctrl(to, msg));
+        let (component, name) = (info.component.to_string(), info.name);
+        let cont = Some(SpawnCont::Migrate { instance, sink, span });
+        self.in_span(span, |ctx| {
+            ctx.request_instance(to, component, info.version, name, Some(state), cont);
+        });
     }
 
-    /// Create a local instance and, if that worked, announce the
-    /// inventory change (register event).
+    /// Ask `to` for an instance — with `state` to resume a migrating
+    /// one — under a fresh rid, parking `cont` (a replica parks none)
+    /// until the `SpawnDone`.
+    pub(crate) fn request_instance(
+        &mut self,
+        to: HostId,
+        component: String,
+        min_version: Version,
+        instance_name: Option<String>,
+        state: Option<Value>,
+        cont: Option<SpawnCont>,
+    ) {
+        let rid = self.state.conts.next_seq();
+        let origin = self.state.host;
+        if let Some(cont) = cont {
+            self.state.container().spawns.insert(rid, cont);
+        }
+        let msg = CtrlMsg::Spawn { rid, origin, component, min_version, instance_name, state };
+        self.send_ctrl(to, msg);
+    }
+
+    /// Create a local instance, resume it from `state` (a migration's)
+    /// if there is one, and announce the inventory change (register
+    /// event). Every instance this node makes comes through here.
     pub(crate) fn spawn_announced(
         &mut self,
         component: &str,
         min_version: Version,
         instance_name: Option<String>,
+        state: Option<Value>,
     ) -> Result<ObjectRef, String> {
         let result = self.state.spawn_local(component, min_version, instance_name);
-        if result.is_ok() {
+        if let Ok(objref) = &result {
+            if let Some(state) = state.filter(|s| !matches!(s, Value::Void)) {
+                self.run_local(objref.key, "_set_state", &[state]);
+            }
             self.note_registry_change(component);
         }
         result
+    }
+
+    /// A peer asks for an instance (`CtrlMsg::Spawn`). A duplicate of a
+    /// request whose instance still runs here gets that instance again.
+    /// A request with state (a migration) for a component this node
+    /// lacks waits on a fetch from the origin and comes back here once
+    /// the package installs; any other request is spawned and answered
+    /// now. A failed answer is not remembered.
+    pub(crate) fn on_spawn(
+        &mut self,
+        rid: u64,
+        origin: HostId,
+        component: String,
+        min_version: Version,
+        instance_name: Option<String>,
+        state: Option<Value>,
+    ) {
+        let made = self.state.container.as_ref().and_then(|c| c.made_for.get(&(origin, rid)));
+        let running = made.and_then(|&oid| self.state.registry.by_oid(oid));
+        if let Some(info) = running.filter(|i| *i.component == *component) {
+            let result = Ok(info.objref.clone());
+            self.send_ctrl(origin, CtrlMsg::SpawnDone { rid, result });
+            return;
+        }
+        let held = self.state.repository.best_match(&component, min_version).is_some();
+        match state {
+            Some(state) if !held => {
+                let name = component.clone();
+                let request =
+                    FetchCont::Spawn { rid, origin, component, min_version, instance_name, state };
+                self.state.container().fetches.entry_or_default(name.clone()).push(request);
+                let reply_to = self.state.host;
+                self.send_ctrl(origin, CtrlMsg::Fetch { name, version: min_version, reply_to });
+            }
+            state => {
+                let result = self.spawn_announced(&component, min_version, instance_name, state);
+                if let Ok(objref) = &result {
+                    self.state.container().made_for.insert((origin, rid), objref.key.oid);
+                }
+                self.send_ctrl(origin, CtrlMsg::SpawnDone { rid, result });
+            }
+        }
     }
 
     /// Driver traffic: a two-way call when there is a sink to hand the
@@ -718,17 +767,7 @@ impl NodeCtx<'_, '_> {
                 self.connect_provider(instance, &port, result, sink);
             }
             Some(SpawnCont::Assembly { name, sink, pending }) => {
-                sink.borrow_mut().insert(name.clone(), result.clone());
-                let mut p = pending.borrow_mut();
-                if let Ok(objref) = result {
-                    p.refs.insert(name, objref);
-                }
-                p.outstanding -= 1;
-                let ready = p.outstanding == 0;
-                drop(p);
-                if ready {
-                    self.wire_assembly(pending);
-                }
+                self.assembly_member(name, &sink, pending, result);
             }
             Some(SpawnCont::Migrate { instance, sink, span }) => {
                 self.migrated(instance, span, &result);
@@ -784,36 +823,6 @@ impl NodeCtx<'_, '_> {
         channel.push((consumer, delivery_op));
         self.sim.metrics().incr(Counter::EventsSubscriptions);
     }
-
-    /// A passivated instance arrives: rebuild it here, fetching its
-    /// package from the origin first if it is not installed.
-    pub(crate) fn on_migrate_in(
-        &mut self,
-        rid: u64,
-        origin: HostId,
-        component: String,
-        version: Version,
-        state: Value,
-        instance_name: Option<String>,
-    ) {
-        if self.state.repository.best_match(&component, version).is_some() {
-            self.finish_migration_in(rid, origin, &component, version, state, instance_name);
-            return;
-        }
-        self.state.container().fetches.entry_or_default(component.clone()).push(
-            FetchCont::FinishMigration {
-                rid,
-                origin,
-                component: component.clone(),
-                version,
-                state,
-                instance_name,
-            },
-        );
-        let reply_to = self.state.host;
-        self.send_ctrl(origin, CtrlMsg::Fetch { name: component, version, reply_to });
-    }
-
 }
 
 /// Hand a driver its reply. A call's sink gets exactly this one push,
@@ -849,5 +858,69 @@ pub(crate) fn reflect(state: &Node) -> ServiceReflect {
                 },
             ),
         ],
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::demo;
+    use crate::node::{Node, NodeCmd};
+    use crate::proto::CtrlMsg;
+    use crate::testkit::{fast_config, World};
+    use lc_des::SimTime;
+    use lc_net::{HostId, NetMsg, Topology};
+    use lc_pkg::Version;
+
+    /// Host 1 asks host 0 for a `Counter` under `rid`.
+    fn ask(world: &mut World, rid: u64) {
+        let payload = CtrlMsg::Spawn {
+            rid,
+            origin: HostId(1),
+            component: "Counter".into(),
+            min_version: Version::new(1, 0),
+            instance_name: None,
+            state: None,
+        };
+        let frame = NetMsg { from: HostId(1), to: HostId(0), size: 0, trace: None, payload };
+        world.sim.send_in(SimTime::ZERO, world.net.actor_of(HostId(0)), frame);
+        world.run_for(SimTime::from_millis(10));
+    }
+
+    fn host0(world: &mut World) -> &mut Node {
+        let actor = world.net.actor_of(HostId(0));
+        world.sim.actor_as_mut::<Node>(actor).expect("host 0 runs")
+    }
+
+    /// `(instances, requests remembered)` on host 0.
+    fn counts(world: &mut World) -> (usize, usize) {
+        let node = host0(world);
+        let remembered = node.container.as_ref().map_or(0, |c| c.made_for.len());
+        (node.registry.instance_count(), remembered)
+    }
+
+    /// A request is remembered while the instance it made runs: a copy
+    /// of it spawns nothing, another rid spawns again, and once the
+    /// instance is gone a copy spawns anew. A failed request is not
+    /// remembered, so it is tried again.
+    #[test]
+    fn a_request_is_remembered_while_its_instance_runs() {
+        let catalog = demo::catalog();
+        let mut world = World::on(Topology::lan(2), 1, fast_config(), catalog, |_| Vec::new());
+        world.run_for(SimTime::from_millis(100));
+        ask(&mut world, 7);
+        assert_eq!(counts(&mut world), (0, 0), "not installed: refused, not remembered");
+        world.cmd(HostId(0), NodeCmd::Install(demo::counter_package()));
+        world.run_for(SimTime::from_millis(10));
+        ask(&mut world, 7);
+        ask(&mut world, 7);
+        assert_eq!(counts(&mut world), (1, 1), "a copy spawns nothing");
+        ask(&mut world, 8);
+        assert_eq!(counts(&mut world), (2, 2));
+        let node = host0(&mut world);
+        let first = node.registry.instances().map(|i| i.id).min().expect("two run");
+        assert!(node.destroy_instance(first));
+        assert_eq!(counts(&mut world), (1, 1), "the record went with its instance");
+        ask(&mut world, 7);
+        assert_eq!(counts(&mut world), (2, 2), "a copy after the instance went spawns anew");
     }
 }

@@ -1,15 +1,16 @@
 //! Unified continuation table for the node's pending distributed work.
 //!
 //! The node keeps four kinds of in-flight work — distributed queries,
-//! instances it waits for on a peer (a remote spawn or a migration, both
-//! answered by one `SpawnDone`), outgoing ORB calls and package fetches
-//! — that all follow the same shape: *stash a continuation under a key,
-//! resume it when the answering message arrives, optionally expire it on
-//! a deadline*. [`Continuations`] is the one helper behind all four: a
-//! key-sorted ring with one expiry sweep, which replaced ad-hoc maps
-//! with hand-rolled expiry. Every node searches, so [`ContTable`] keeps
-//! the queries beside the single sequence counter that numbers queries,
-//! spawns and migrations; the other three tables and the servant side's
+//! instances it asked a peer for (a migration is a request that carries
+//! state; one `SpawnDone` answers each), outgoing ORB calls and package
+//! fetches — that all follow the same shape: *stash a continuation
+//! under a key, resume it when the answering message arrives,
+//! optionally expire it on a deadline* (`SimTime::MAX`: never).
+//! [`Continuations`] is the one helper behind all four: a key-sorted
+//! ring with one expiry sweep, which replaced ad-hoc maps with
+//! hand-rolled expiry. Every node searches, so [`ContTable`] keeps the
+//! queries beside the single sequence counter that numbers queries and
+//! instance requests; the other three tables and the servant side's
 //! [`ReplyCache`] belong to the container runtime's state
 //! (`container::Container`), which a node makes at its first install or
 //! first use.
@@ -29,7 +30,9 @@ use super::{AssemblySink, InvokeSink, QuerySink, SpawnSink};
 
 struct Entry<V> {
     value: V,
-    deadline: Option<SimTime>,
+    /// When the entry expires; `SimTime::MAX`, which no sweep reaches,
+    /// for one only a message resumes.
+    deadline: SimTime,
 }
 
 /// Keyed pending-work map with optional per-entry deadlines and a single
@@ -78,12 +81,12 @@ impl<K: Ord, V> Continuations<K, V> {
 
     /// Park a continuation that never expires (resumed only by a message).
     pub fn insert(&mut self, key: K, value: V) {
-        self.put(key, Entry { value, deadline: None });
+        self.put(key, Entry { value, deadline: SimTime::MAX });
     }
 
     /// Park a continuation that expires at `deadline` if not resumed.
     pub fn insert_with_deadline(&mut self, key: K, value: V, deadline: SimTime) {
-        self.put(key, Entry { value, deadline: Some(deadline) });
+        self.put(key, Entry { value, deadline });
         self.next_due = self.next_due.min(deadline);
     }
 
@@ -122,7 +125,8 @@ impl<K: Ord, V> Continuations<K, V> {
         let i = match self.find(&key) {
             Ok(i) => i,
             Err(i) => {
-                self.entries.insert(i, (key, Entry { value: V::default(), deadline: None }));
+                let entry = Entry { value: V::default(), deadline: SimTime::MAX };
+                self.entries.insert(i, (key, entry));
                 self.high_water = self.high_water.max(self.entries.len());
                 i
             }
@@ -145,24 +149,25 @@ impl<K: Ord, V> Continuations<K, V> {
             return Vec::new();
         }
         self.next_due = SimTime::MAX;
+        let due = |e: &Entry<V>| e.deadline <= now && e.deadline != SimTime::MAX;
         let mut count = 0;
         for (_, e) in &self.entries {
-            match e.deadline {
-                Some(d) if d <= now => count += 1,
-                Some(d) => self.next_due = self.next_due.min(d),
-                None => {}
+            if due(e) {
+                count += 1;
+            } else {
+                self.next_due = self.next_due.min(e.deadline);
             }
         }
-        let mut due = Vec::with_capacity(count);
+        let mut taken = Vec::with_capacity(count);
         let mut i = 0;
-        while due.len() < count {
-            if self.entries[i].1.deadline.is_some_and(|d| d <= now) {
-                due.extend(self.entries.remove(i).map(|(k, e)| (k, e.value)));
+        while taken.len() < count {
+            if due(&self.entries[i].1) {
+                taken.extend(self.entries.remove(i).map(|(k, e)| (k, e.value)));
             } else {
                 i += 1;
             }
         }
-        due
+        taken
     }
 
     /// The smallest key currently pending. For sequence-keyed tables
@@ -202,8 +207,8 @@ impl<K: Ord, V> Continuations<K, V> {
 }
 
 /// A node's pending queries, beside the one sequence counter that
-/// numbers queries, spawns and migrations alike (the old code grew
-/// a separate `next_seq` per use site).
+/// numbers queries and instance requests alike (the old code grew a
+/// separate `next_seq` per use site).
 #[derive(Default)]
 pub struct ContTable {
     next_seq: u64,
@@ -276,7 +281,7 @@ impl ContTable {
         ContTable { next_seq: 1, ..ContTable::default() }
     }
 
-    /// The node-wide sequence for queries, spawns and migrations.
+    /// The node-wide sequence for queries and instance requests.
     pub(crate) fn next_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -345,8 +350,9 @@ pub(crate) struct QueryFollower {
     pub deadline: SimTime,
 }
 
-/// What to do when a peer answers for an instance this node asked it to
-/// create: a spawn (for a `uses` port or an assembly) or a migration.
+/// What to do when a peer answers for an instance this node asked it
+/// for: a provider for a `uses` port, an assembly member, or a
+/// migration's new home. A hot replica parks nothing.
 pub(crate) enum SpawnCont {
     Connect {
         instance: InstanceId,
@@ -406,13 +412,14 @@ pub(crate) enum FetchCont {
         port: String,
         sink: Option<SpawnSink>,
     },
-    FinishMigration {
+    /// A peer's request for an instance with state, handled again.
+    Spawn {
         rid: u64,
         origin: HostId,
         component: String,
-        version: Version,
-        state: Value,
+        min_version: Version,
         instance_name: Option<String>,
+        state: Value,
     },
 }
 

@@ -5,8 +5,8 @@
 //! (repository / registry / resources), the MRM duty soft state, the
 //! pending queries and the per-service metrics, plus the container
 //! runtime's state (ORB object adapter, event channels, call, fetch and
-//! spawn continuations, a migration waiting as a spawn does), made at
-//! its first install or first use.
+//! instance-request continuations, a migration waiting as a spawn does),
+//! made at its first install or first use.
 //! [`NodeCtx`] pairs a borrow of that state with the simulation context
 //! for the current event; every service handler runs against a
 //! `&mut NodeCtx`, so cross-service plumbing (control sends, ORB
@@ -189,8 +189,7 @@ fn wire_counter(msg: &CtrlMsg) -> Option<Counter> {
         | CtrlMsg::Subscribe { .. }
         | CtrlMsg::PlacementQuery { .. }
         | CtrlMsg::PlacementTarget { .. }
-        | CtrlMsg::CacheInvalidate { .. }
-        | CtrlMsg::MigrateIn { .. } => return None,
+        | CtrlMsg::CacheInvalidate { .. } => return None,
     })
 }
 

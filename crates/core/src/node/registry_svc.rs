@@ -108,8 +108,7 @@ impl NodeCtx<'_, '_> {
                 let age_us = (age.as_secs_f64() * 1e6) as u64;
                 let attrs: &[(_, &dyn Display)] = &[("hit", &true), ("age_us", &age_us)];
                 self.state.world.tracer.event(self.state.host.0, "registry.cache", started, attrs);
-                let f = QueryFollower { purpose, started, deadline: started };
-                self.resolve_follower(f, offers, &query, false, Some(age));
+                self.resolve_follower(purpose, started, offers, &query, false, Some(age));
                 return;
             }
             ResolveStep::Miss { cache_missed } => cache_missed,
@@ -451,7 +450,8 @@ impl NodeCtx<'_, '_> {
             for (i, f) in (1..).zip(followers) {
                 match ending {
                     Ending::Served { timed_out, .. } => {
-                        ctx.resolve_follower(f, share(i), &pq.query, timed_out, None)
+                        let (purpose, offers) = (f.purpose, share(i));
+                        ctx.resolve_follower(purpose, f.started, offers, &pq.query, timed_out, None)
                     }
                     Ending::Shed => ctx.complete(f.purpose, share(i), &pq.query, ending),
                 }
@@ -462,26 +462,27 @@ impl NodeCtx<'_, '_> {
         });
     }
 
-    /// Complete one coalesced (or cache-served) query with an offer set
-    /// obtained elsewhere: the leader's result at finalization, the
-    /// current partial set at the follower's own deadline, or a fresh
-    /// cache entry (`cached_age` then carries the entry's age, surfaced
-    /// as the result's staleness).
+    /// Complete one coalesced (or cache-served) query, which its caller
+    /// `started` for `purpose`, with an offer set obtained elsewhere: the
+    /// leader's result at finalization, the current partial set at the
+    /// follower's own deadline, or a fresh cache entry (`cached_age` then
+    /// carries the entry's age, surfaced as the result's staleness).
     pub(crate) fn resolve_follower(
         &mut self,
-        f: QueryFollower,
+        purpose: QueryPurpose,
+        started: lc_des::SimTime,
         offers: Vec<Offer>,
         query: &ComponentQuery,
         timed_out: bool,
         cached_age: Option<lc_des::SimTime>,
     ) {
         let served = Ending::Served {
-            started: f.started,
+            started,
             timed_out,
             first_offer_at: (!offers.is_empty()).then(|| self.sim.now()),
             staleness: cached_age,
         };
-        self.complete(f.purpose, offers, query, served);
+        self.complete(purpose, offers, query, served);
     }
 
     /// Shed one pending query under admission control: the leader *and*
@@ -577,7 +578,7 @@ impl NodeCtx<'_, '_> {
         }
         for (f, offers, query) in expired_followers {
             self.sim.metrics().incr(Counter::QueryTimeouts);
-            self.resolve_follower(f, offers, &query, true, None);
+            self.resolve_follower(f.purpose, f.started, offers, &query, true, None);
         }
         let expired = self.state.conts.queries.take_expired(now);
         for (seq, mut pq) in expired {
@@ -624,16 +625,10 @@ impl NodeCtx<'_, '_> {
                 self.connect_provider(instance, &port, Ok(provider), sink);
             }
             ResolveAction::SpawnRemote(node) => {
-                let rid = self.state.conts.next_seq();
                 let cont = SpawnCont::Connect { instance, port, sink };
-                self.state.container().spawns.insert(rid, cont);
                 let component = query.name.as_deref().unwrap_or_default().to_owned();
                 let min_version = query.min_version.unwrap_or(Version::new(0, 0));
-                let origin = self.state.host;
-                self.send_ctrl(
-                    node,
-                    CtrlMsg::Spawn { rid, origin, component, min_version, instance_name: None },
-                );
+                self.request_instance(node, component, min_version, None, None, Some(cont));
                 self.sim.metrics().incr(Counter::ResolveSpawnRemote);
             }
             ResolveAction::FetchAndRunLocal { from } => {

@@ -167,15 +167,10 @@ impl NodeCtx<'_, '_> {
         // continuation. Success is observable through the registry (a new
         // offer with a running instance), and a failed spawn simply
         // leaves demand shedding until the next cooldown.
-        let rid = self.state.conts.next_seq();
-        let origin = self.state.host;
         // `Version::satisfies` is major-pinned, so the saturated
         // instance's own version is the right minimum: the target must
         // hold a package of the same major at `>=` its minor.
-        self.send_ctrl(
-            to,
-            CtrlMsg::Spawn { rid, origin, component, min_version: version, instance_name: None },
-        );
+        self.request_instance(to, component, version, None, None, None);
     }
 }
 

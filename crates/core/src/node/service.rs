@@ -153,10 +153,9 @@ pub(crate) fn ctrl_service(msg: &CtrlMsg) -> ServiceKind {
             ServiceKind::Acceptor
         }
         CtrlMsg::PlacementQuery { .. } | CtrlMsg::PlacementTarget { .. } => ServiceKind::Resource,
-        CtrlMsg::Spawn { .. }
-        | CtrlMsg::SpawnDone { .. }
-        | CtrlMsg::Subscribe { .. }
-        | CtrlMsg::MigrateIn { .. } => ServiceKind::Container,
+        CtrlMsg::Spawn { .. } | CtrlMsg::SpawnDone { .. } | CtrlMsg::Subscribe { .. } => {
+            ServiceKind::Container
+        }
     }
 }
 
@@ -187,7 +186,8 @@ pub(crate) fn handle_cmd(ctx: &mut NodeCtx<'_, '_>, cmd: NodeCmd) {
             ctx.start_query(query, QueryPurpose::Resolve(Box::new(cont)));
         }
         NodeCmd::SpawnLocal { component, min_version, instance_name, sink } => {
-            *sink.borrow_mut() = Some(ctx.spawn_announced(&component, min_version, instance_name));
+            let result = ctx.spawn_announced(&component, min_version, instance_name, None);
+            *sink.borrow_mut() = Some(result);
         }
         NodeCmd::Subscribe { producer, port, consumer, delivery_op } => {
             let msg = CtrlMsg::Subscribe { producer, port, consumer, delivery_op };
@@ -232,9 +232,8 @@ pub(crate) fn handle_ctrl(ctx: &mut NodeCtx<'_, '_>, msg: CtrlMsg) {
         CtrlMsg::Package { name, bytes: Ok(bytes) } => ctx.on_package_bytes(name, &bytes),
         CtrlMsg::Package { name, bytes: Err(reason) } => ctx.on_fetch_failed(name, &reason),
         CtrlMsg::Install { bytes } => ctx.accept_install(&bytes),
-        CtrlMsg::Spawn { rid, origin, component, min_version, instance_name } => {
-            let result = ctx.spawn_announced(&component, min_version, instance_name);
-            ctx.send_ctrl(origin, CtrlMsg::SpawnDone { rid, result });
+        CtrlMsg::Spawn { rid, origin, component, min_version, instance_name, state } => {
+            ctx.on_spawn(rid, origin, component, min_version, instance_name, state);
         }
         CtrlMsg::SpawnDone { rid, result } => ctx.on_spawn_done(rid, result),
         CtrlMsg::Subscribe { producer, port, consumer, delivery_op } => {
@@ -260,9 +259,6 @@ pub(crate) fn handle_ctrl(ctx: &mut NodeCtx<'_, '_>, msg: CtrlMsg) {
         }
         CtrlMsg::GossipDigest { from, shard, gens } => ctx.on_gossip_digest(from, shard, &gens),
         CtrlMsg::GossipDelta { shard, entries } => ctx.on_gossip_delta(shard, entries),
-        CtrlMsg::MigrateIn { rid, origin, component, version, state, instance_name } => {
-            ctx.on_migrate_in(rid, origin, component, version, state, instance_name);
-        }
     }
 }
 

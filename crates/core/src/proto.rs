@@ -8,9 +8,9 @@
 //! answers — one [`CtrlMsg::Offers`] carrying the offers and whether the
 //! search is over — package fetches (the network as a component
 //! repository; one [`CtrlMsg::Package`] answers, bytes or refusal),
-//! remote instantiation, event subscription, and migration. Each message
-//! knows its approximate wire size so the network model is charged
-//! honestly.
+//! remote instantiation (a migration is one that carries state), and
+//! event subscription. Each message knows its approximate wire size so
+//! the network model is charged honestly.
 
 use crate::registry::backend::ShardDigest;
 use crate::registry::{ComponentQuery, Offer};
@@ -55,7 +55,8 @@ pub struct QueryId {
 ///
 /// `Clone` because the fabric's fault plan may duplicate messages in
 /// flight (the protocol tolerates duplicate control traffic: reports and
-/// summaries are idempotent soft state, queries dedup by [`QueryId`]).
+/// summaries are idempotent soft state, queries dedup by [`QueryId`],
+/// spawns by origin and correlation id while their instance runs).
 #[derive(Clone, Debug)]
 pub(crate) enum CtrlMsg {
     // ---- soft-consistency cohesion (§2.4.3) --------------------------
@@ -132,22 +133,31 @@ pub(crate) enum CtrlMsg {
         bytes: Rc<Vec<u8>>,
     },
 
-    // ---- remote instantiation -----------------------------------------
-    /// Ask a node to create an instance of an installed component.
+    // ---- remote instantiation and migration (§2.2) ----------------------
+    /// Ask a node for an instance of a component: a resolve's provider,
+    /// an assembly member, a hot replica, or — with `state` — a migrating
+    /// instance, which the node resumes from that state, fetching the
+    /// package from the origin first if it lacks it. Without state a
+    /// component the node lacks fails the request. The node answers
+    /// each `(origin, rid)` with one [`CtrlMsg::SpawnDone`]; a duplicate
+    /// of a request whose instance still runs gets that instance again.
     Spawn {
         /// Correlation id (origin-scoped).
         rid: u64,
-        /// Where to reply.
+        /// Where to reply (and, for a migration, who serves the package).
         origin: lc_net::HostId,
         /// Component name.
         component: String,
-        /// Minimum compatible version.
+        /// Minimum compatible version (a migration's exact version).
         min_version: Version,
         /// Optional application-assigned instance name.
         instance_name: Option<String>,
+        /// A migrating instance's captured state (component-defined
+        /// value); `None` for a fresh instance.
+        state: Option<Value>,
     },
-    /// Result of a spawn, or of a migration ([`CtrlMsg::MigrateIn`]):
-    /// the answer for an instance the origin waits for.
+    /// The answer to a [`CtrlMsg::Spawn`]: the instance's reference, or
+    /// why there is none.
     SpawnDone {
         /// Correlation id.
         rid: u64,
@@ -251,23 +261,6 @@ pub(crate) enum CtrlMsg {
         entries: Vec<DeltaEntry>,
     },
 
-    // ---- migration (§2.2) ----------------------------------------------
-    /// Carry a passivated instance to a new node, which answers with a
-    /// [`CtrlMsg::SpawnDone`].
-    MigrateIn {
-        /// Correlation id (origin-scoped).
-        rid: u64,
-        /// Origin node (also serves the package if needed).
-        origin: lc_net::HostId,
-        /// Component name.
-        component: String,
-        /// Version.
-        version: Version,
-        /// Captured instance state (component-defined value).
-        state: Value,
-        /// Optional instance name to preserve.
-        instance_name: Option<String>,
-    },
 }
 
 impl CtrlMsg {
@@ -290,10 +283,12 @@ impl CtrlMsg {
                 (name.len() + body) as u64 + 12
             }
             CtrlMsg::Install { bytes } => bytes.len() as u64,
-            CtrlMsg::Spawn { component, instance_name, .. } => {
+            CtrlMsg::Spawn { component, instance_name, state, .. } => {
                 component.len() as u64
-                    + instance_name.as_deref().map_or(0, |n| n.len() as u64)
-                    + 24
+                    + match state {
+                        None => instance_name.as_deref().map_or(0, |n| n.len() as u64) + 24,
+                        Some(state) => lc_orb::encoded_len(std::slice::from_ref(state)) + 32,
+                    }
             }
             CtrlMsg::SpawnDone { result, .. } => match result {
                 Ok(_) => 64,
@@ -301,11 +296,6 @@ impl CtrlMsg {
             },
             CtrlMsg::Subscribe { port, delivery_op, .. } => {
                 (port.len() + delivery_op.len()) as u64 + 32
-            }
-            CtrlMsg::MigrateIn { component, state, .. } => {
-                component.len() as u64
-                    + lc_orb::encoded_len(std::slice::from_ref(state))
-                    + 32
             }
             CtrlMsg::PlacementQuery { replica, .. } => 16 + replica_size(replica),
             CtrlMsg::PlacementTarget { replica, .. } => 8 + replica_size(replica),
@@ -446,6 +436,35 @@ mod tests {
         let replica = || Some(("Counter".to_owned(), Version::new(1, 2)));
         assert_eq!(query(replica()).wire_size(), HDR + 7 + 24);
         assert_eq!(target(replica()).wire_size(), HDR + 7 + 16);
+    }
+
+    /// A spawn is charged what it was, and a spawn with state what the
+    /// migration kind it replaced was: name + encoded state + 32, the
+    /// instance name riding free. No experiment's byte column moves.
+    #[test]
+    fn a_spawn_with_state_is_charged_as_the_migration_it_replaced() {
+        const HDR: u64 = 24;
+        let spawn = |instance_name: Option<&str>, state| CtrlMsg::Spawn {
+            rid: 1,
+            origin: HostId(2),
+            component: "Counter".into(),
+            min_version: Version::new(1, 0),
+            instance_name: instance_name.map(Into::into),
+            state,
+        };
+        assert_eq!(spawn(None, None).wire_size(), HDR + 7 + 24);
+        assert_eq!(spawn(Some("c0"), None).wire_size(), HDR + 7 + 2 + 24);
+        let state = Value::Long(5);
+        let encoded = lc_orb::encoded_len(std::slice::from_ref(&state));
+        assert_eq!(spawn(Some("c0"), Some(state)).wire_size(), HDR + 7 + encoded + 32);
+    }
+
+    /// Every mail-lane slot holds a control message by value, so the
+    /// widest variant sizes them all: a spawn carrying a migration's
+    /// state is no wider than the migration kind it replaced.
+    #[test]
+    fn ctrl_msg_is_120_bytes() {
+        assert_eq!(std::mem::size_of::<CtrlMsg>(), 120);
     }
 
     #[test]

@@ -848,9 +848,12 @@ fn registry_front_cycle_allocations_are_pinned() {
 /// retains: 1 024 hosts on 128 sites of 8, default cohesion, one leader,
 /// no cache, `Counter` on the first host of every site, converged for
 /// three report periods — everything the world holds (fabric, kernel,
-/// every node's stores and soft state) per host. The measured 1 891, in
+/// every node's stores and soft state) per host. The measured 1 894, in
 /// release and debug builds alike: no node of this world caches, and
-/// its registry front holds no room for a cache. 1 897 while every
+/// its registry front holds no room for a cache. 1 891 before every
+/// eighth node's container kept the requests its instances answer, so
+/// that a duplicated request makes one instance (24 B: an empty tree's
+/// root); 1 897 while every
 /// eighth node's container kept its migrations in a table of their own
 /// beside its spawns (48 B: one more ring). 1 885 while a subtree
 /// summary held its name set inline, not as the `Rc` its seat shares
@@ -881,7 +884,7 @@ fn registry_front_cycle_allocations_are_pinned() {
 /// bytes, 4 983 while it was 48, 5 038 while every node copied its seats'
 /// member, replica and parent lists and its report targets out of the
 /// tree.
-const RETAINED_BYTES_PER_NODE: i64 = 1_891;
+const RETAINED_BYTES_PER_NODE: i64 = 1_894;
 
 #[test]
 fn retained_bytes_per_node_are_pinned() {
@@ -909,20 +912,22 @@ fn retained_bytes_per_node_are_pinned() {
 /// handed to the kernel before the first is due, as the harness hands
 /// them. What a query holds until harvest is its command waiting in the
 /// kernel's mail lane, its sink and the offer set the sink ends with;
-/// the pending query and its frames come and go. The measured 414; 550
+/// the pending query and its frames come and go. The measured 411; 414
+/// while a pending entry's deadline was an `Option` (8 B more per slot
+/// of a pending-query ring); 550
 /// while every origin's pending-query table was a tree, whose first
 /// entry made a leaf of eleven pending queries; 863 while the owner's
 /// answer reserved four offers for its one and a `Resolve` command made
 /// every command 136 bytes.
-const PEAK_BYTES_PER_QUERY: i64 = 414;
+const PEAK_BYTES_PER_QUERY: i64 = 411;
 
 /// Heap bytes per host that the same segment leaves behind once every
 /// query has been answered and its sink dropped: mostly what the 384
 /// origins' emptied pending-query tables keep (a ring its few slots, a
 /// tree its root leaf of eleven), beside the run's own samples. The
-/// measured 805, in release and debug builds alike; 1 336 while the
-/// tables were trees.
-const DRAINED_BYTES_PER_NODE: i64 = 805;
+/// measured 793, in release and debug builds alike; 805 while a ring
+/// slot's deadline was an `Option`, 1 336 while the tables were trees.
+const DRAINED_BYTES_PER_NODE: i64 = 793;
 
 /// Allocations the same segment's run makes, from the first query's
 /// arrival until every query has been answered: one answer vector per

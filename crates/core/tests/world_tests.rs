@@ -422,6 +422,75 @@ fn a_remote_spawn_and_a_migration_wait_side_by_side() {
     assert_drained(&world);
 }
 
+/// A request the fabric delivers twice makes one instance. Every message
+/// between the origin and each of two peers is duplicated: a resolve
+/// spawns its provider remotely on the one, and a migration goes to the
+/// other, which lacks the package and fetches it from the origin first
+/// (both copies of the request wait on the fetch). Each peer ends with
+/// one instance and one QoS reservation, and the origin's sink holds
+/// that instance's reference.
+#[test]
+fn a_duplicated_instance_request_makes_one_instance() {
+    let mut topo = Topology::new();
+    let lan = topo.add_site("lan");
+    for _ in 0..4 {
+        topo.add_host(HostCfg::new(lan));
+    }
+    // A slow downlink makes the resolve spawn its provider remotely.
+    let origin = topo.add_host(HostCfg::new(lan).bw(12_500_000.0, 16_000.0));
+    let (provider_host, destination) = (HostId(0), HostId(2));
+    let twice = LinkFaults::none().dup_p(1.0);
+    let mut plan = FaultPlan::seeded(14);
+    for peer in [provider_host, destination] {
+        plan = plan.link(origin, peer, twice).link(peer, origin, twice);
+    }
+    let mut world = host0_world(Net::builder(topo).fault_plan(plan).build(), 14, signed());
+    world.run_for(SimTime::from_millis(600));
+    world.cmd(origin, NodeCmd::Install(demo::gui_package()));
+    world.cmd(origin, NodeCmd::Install(demo::counter_package()));
+    world.run_for(SimTime::from_millis(300));
+    world.spawn(origin, "GuiPart", Some("gui"), SimTime::from_millis(300));
+    world.spawn(origin, "Counter", Some("c"), SimTime::from_millis(10));
+    let node = world.node(origin).unwrap();
+    let gui = node.registry.named("gui").unwrap().id;
+    let moving = node.registry.named("c").unwrap().id;
+    assert!(world.node(destination).unwrap().repository.is_empty());
+
+    let provider: lc_core::SpawnSink = Rc::default();
+    world.cmd(
+        origin,
+        NodeCmd::Resolve(Box::new(ResolveCmd {
+            instance: gui,
+            port: "display".into(),
+            query: ComponentQuery::by_name("Display", Version::new(2, 0)),
+            expected_traffic: 10_000_000,
+            sink: Some(provider.clone()),
+        })),
+    );
+    world.run_for(SimTime::from_millis(3000));
+    let moved: lc_core::SpawnSink = Rc::default();
+    let migrate = NodeCmd::Migrate { instance: moving, to: destination, sink: Some(moved.clone()) };
+    world.cmd(origin, migrate);
+    world.run_for(SimTime::from_millis(3000));
+
+    let metrics = world.sim.metrics_ref();
+    assert_eq!(metrics.counter("resolve.spawn_remote"), 1);
+    assert_eq!(metrics.counter("migrate.completed"), 1);
+    assert!(metrics.counter("fetch.served") >= 1, "the destination fetched the package");
+    assert!(metrics.counter("net.fault.duplicated") >= 4, "requests and answers were duplicated");
+    let asked = [(provider_host, "Display", provider), (destination, "Counter", moved)];
+    for (peer, component, sink) in asked {
+        let node = world.node(peer).unwrap();
+        let made: Vec<_> = node.registry.instances_of(component).collect();
+        assert_eq!(made.len(), 1, "{peer:?}: one {component} for one request");
+        let reserved = node.resources.dynamic();
+        let qos = node.repository.get(component, made[0].version).unwrap().descriptor.qos;
+        assert_eq!((reserved.instances, reserved.mem_used), (1, qos.memory), "{peer:?}");
+        assert_eq!(sink.borrow().clone().unwrap(), Ok(made[0].objref.clone()), "{peer:?}");
+    }
+    assert_drained(&world);
+}
+
 #[test]
 fn events_fan_out_across_nodes() {
     let mut world = host0_world(Topology::lan(4), 9, signed());
