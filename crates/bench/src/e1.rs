@@ -136,9 +136,9 @@ fn report() -> Result<String, OrbError> {
     let obj = orb.activate(Box::new(BenchImpl { total: 0 }));
     let labels = ["ORB (adapter + type check)", "ORB + CDR round-trip", "ORB echo(string64)"];
     for (label, entry) in labels.into_iter().zip(series()) {
-        let bytes_before = orb.stats().request_bytes;
+        let bytes_before = orb.request_bytes();
         let ([calls, typed, raw], out) = drive(&orb, &obj, &entry)?;
-        let request = (orb.stats().request_bytes - bytes_before) / CALLS;
+        let request = (orb.request_bytes() - bytes_before) / CALLS;
         assert_eq!(request, encoded_len(&entry.2));
         rows.push(row(label, &[calls, typed, raw, request, encoded_len(&[out.ret])]));
     }

@@ -4,7 +4,7 @@
 //! the continuations parked on an incoming fetch).
 
 use crate::proto::CtrlMsg;
-use lc_des::Counter;
+use lc_des::{Counter, SimTime};
 use lc_net::HostId;
 use lc_orb::Name;
 use lc_pkg::Version;
@@ -105,6 +105,27 @@ impl NodeCtx<'_, '_> {
 }
 
 impl NodeCtx<'_, '_> {
+    /// Fetch package `name` (≥ `version`) from `from` and carry on with
+    /// `cont` once it installs. A fetch of `name` already pending is
+    /// joined: only the first request sends a `Fetch`, and its answer
+    /// resumes every request parked on it.
+    pub(crate) fn fetch_then(
+        &mut self,
+        from: HostId,
+        name: String,
+        version: Version,
+        cont: FetchCont,
+    ) {
+        let fetches = &mut self.state.container().fetches;
+        if let Some(parked) = fetches.get_mut(&name) {
+            parked.push(cont);
+            return;
+        }
+        fetches.insert(name.clone(), vec![cont], SimTime::MAX);
+        let reply_to = self.state.host;
+        self.send_ctrl(from, CtrlMsg::Fetch { name, version, reply_to });
+    }
+
     /// A peer asks for a package's container bytes: ship them if the
     /// component is installed here and mobile, say why not otherwise.
     pub(crate) fn serve_fetch(&mut self, name: String, version: Version, reply_to: HostId) {
@@ -130,7 +151,7 @@ impl NodeCtx<'_, '_> {
             Ok(_) => {
                 self.note_registry_change(&name);
                 for cont in self.parked_on_fetch(&name) {
-                    self.resume_fetched(cont);
+                    self.resume_fetched(&name, cont);
                 }
             }
             Err(e) => self.on_fetch_failed(name, &e),
@@ -143,14 +164,16 @@ impl NodeCtx<'_, '_> {
         container.and_then(|c| c.fetches.remove(name)).unwrap_or_default()
     }
 
-    /// The package a continuation waited for is installed: carry on.
-    fn resume_fetched(&mut self, cont: FetchCont) {
+    /// The package `name` a continuation waited for is installed: carry
+    /// on.
+    fn resume_fetched(&mut self, name: &str, cont: FetchCont) {
         match cont {
-            FetchCont::SpawnAndConnect { component, min_version, instance, port, sink } => {
-                let provider = self.spawn_announced(&component, min_version, None, None);
+            FetchCont::SpawnAndConnect { min_version, instance, port, sink } => {
+                let provider = self.spawn_announced(name, min_version, None, None);
                 self.connect_provider(instance, &port, provider, sink);
             }
-            FetchCont::Spawn { rid, origin, component, min_version, instance_name, state } => {
+            FetchCont::Spawn { rid, origin, min_version, instance_name, state } => {
+                let component = name.to_owned();
                 self.on_spawn(rid, origin, component, min_version, instance_name, Some(state));
             }
         }

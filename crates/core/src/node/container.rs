@@ -5,7 +5,7 @@
 
 use crate::proto::CtrlMsg;
 use crate::registry::{Connection, InstanceId, InstanceInfo, InstancePort};
-use lc_des::{Counter, Series, SimTime};
+use lc_des::{Counter, SimTime};
 use lc_net::{DropReason, HostId};
 use lc_orb::{
     DispatchEnv, DispatchOpts, DispatchResult, Name, ObjectAdapter, ObjectKey, ObjectRef,
@@ -153,7 +153,7 @@ impl Node {
             return Err(format!("behavior '{}' not loadable", installed.behavior_id));
         };
         let objref = Container::made(container, *host).adapter.activate(idl, servant);
-        let id = registry.next_id();
+        let id = InstanceId(objref.key.oid);
         let port = |p: &lc_pkg::PortDecl| InstancePort {
             name: p.name.clone(),
             type_id: p.interface.clone(),
@@ -284,7 +284,7 @@ impl NodeCtx<'_, '_> {
             None => match ctx.send_request(rid, target, op, args, false) {
                 Ok(_) => {
                     let call = PendingCall { cont, retry: None, span };
-                    ctx.state.container().calls.insert(rid, call);
+                    ctx.state.container().calls.insert(rid, call, SimTime::MAX);
                 }
                 Err(e) => {
                     ctx.state.world.tracer.end_with(span, ctx.now(), Some("send"));
@@ -303,11 +303,8 @@ impl NodeCtx<'_, '_> {
                 });
                 let _ = ctx.send_request(rid, target, op, args, false);
                 let due = ctx.now() + deadline;
-                ctx.state.container().calls.insert_with_deadline(
-                    rid,
-                    PendingCall { cont, retry, span },
-                    due,
-                );
+                let call = PendingCall { cont, retry, span };
+                ctx.state.container().calls.insert(rid, call, due);
                 ctx.timer_in(deadline, Tick::CallSweep);
             }
         });
@@ -364,7 +361,7 @@ impl NodeCtx<'_, '_> {
                 BACKOFF_BASE.mul_f64((1u64 << (attempts - 1).min(20)) as f64),
                 BACKOFF_CAP,
             );
-            self.state.container().calls.insert_with_deadline(rid, pc, now + backoff + deadline);
+            self.state.container().calls.insert(rid, pc, now + backoff + deadline);
             self.timer_in(backoff, Tick::CallRetry(rid));
             self.timer_in(backoff + deadline, Tick::CallSweep);
         }
@@ -519,12 +516,9 @@ impl NodeCtx<'_, '_> {
                 self.maybe_replicate(target.oid);
                 return;
             }
-            // Admitted: the queue delay this request will absorb. With
-            // `deadline_aware` this never exceeds the invoke deadline —
-            // the overload property tests pin that bound.
-            self.sim
-                .metrics()
-                .record(Series::AdmissionQueueDelayMs, backlog.as_secs_f64() * 1e3);
+            // Admitted: with `deadline_aware` the queue delay this
+            // request absorbs never exceeds the invoke deadline (the
+            // overload property tests bound its reply's latency).
             if adm.replicate_hot.is_some() {
                 *self.state.container().instance_load.entry(target.oid).or_insert(0) += 1;
             }
@@ -547,8 +541,7 @@ impl NodeCtx<'_, '_> {
         if cpu_cost > SimTime::ZERO {
             // Occupy the CPU: FIFO over the node's processor, scaled by
             // CPU power (Resource Manager accounting).
-            let (scaled, done) = self.state.occupy_cpu(self.sim.now(), cpu_cost);
-            self.sim.metrics().record(Series::NodeTaskMs, scaled.as_secs_f64() * 1e3);
+            let done = self.state.occupy_cpu(self.sim.now(), cpu_cost);
             if let Some(back) = reply_to {
                 // The CPU is FIFO, so `done` never decreases from one
                 // parked reply to the next and same-instant timers fire
@@ -653,7 +646,7 @@ impl NodeCtx<'_, '_> {
         let rid = self.state.conts.next_seq();
         let origin = self.state.host;
         if let Some(cont) = cont {
-            self.state.container().spawns.insert(rid, cont);
+            self.state.container().spawns.insert(rid, cont, SimTime::MAX);
         }
         let msg = CtrlMsg::Spawn { rid, origin, component, min_version, instance_name, state };
         self.send_ctrl(to, msg);
@@ -695,7 +688,7 @@ impl NodeCtx<'_, '_> {
         state: Option<Value>,
     ) {
         let made = self.state.container.as_ref().and_then(|c| c.made_for.get(&(origin, rid)));
-        let running = made.and_then(|&oid| self.state.registry.by_oid(oid));
+        let running = made.and_then(|&oid| self.state.registry.instance(InstanceId(oid)));
         if let Some(info) = running.filter(|i| *i.component == *component) {
             let result = Ok(info.objref.clone());
             self.send_ctrl(origin, CtrlMsg::SpawnDone { rid, result });
@@ -704,12 +697,8 @@ impl NodeCtx<'_, '_> {
         let held = self.state.repository.best_match(&component, min_version).is_some();
         match state {
             Some(state) if !held => {
-                let name = component.clone();
-                let request =
-                    FetchCont::Spawn { rid, origin, component, min_version, instance_name, state };
-                self.state.container().fetches.entry_or_default(name.clone()).push(request);
-                let reply_to = self.state.host;
-                self.send_ctrl(origin, CtrlMsg::Fetch { name, version: min_version, reply_to });
+                let request = FetchCont::Spawn { rid, origin, min_version, instance_name, state };
+                self.fetch_then(origin, component, min_version, request);
             }
             state => {
                 let result = self.spawn_announced(&component, min_version, instance_name, state);
@@ -814,7 +803,7 @@ impl NodeCtx<'_, '_> {
         delivery_op: String,
     ) {
         // Only a port the producer instance declares it emits opens.
-        let emits = self.state.registry.by_oid(producer.oid);
+        let emits = self.state.registry.instance(InstanceId(producer.oid));
         if !emits.is_some_and(|info| info.emits.iter().any(|p| p.name == port)) {
             self.sim.metrics().incr(Counter::EventsBadSubscription);
             return;

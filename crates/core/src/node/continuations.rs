@@ -69,24 +69,16 @@ impl<K: Ord, V> Continuations<K, V> {
         self.entries.binary_search_by(|(k, _)| k.borrow().cmp(key))
     }
 
-    /// Park `entry` under `key` in key order (on the back when `key` is
-    /// the greatest yet), replacing what was there.
-    fn put(&mut self, key: K, entry: Entry<V>) {
+    /// Park `value` under `key`, in key order (on the back when `key` is
+    /// the greatest yet), until a message resumes it or `deadline`
+    /// passes (`SimTime::MAX`: only a message resumes it), replacing
+    /// what was there.
+    pub fn insert(&mut self, key: K, value: V, deadline: SimTime) {
         match self.find(&key) {
-            Ok(i) => self.entries[i].1 = entry,
-            Err(i) => self.entries.insert(i, (key, entry)),
+            Ok(i) => self.entries[i].1 = Entry { value, deadline },
+            Err(i) => self.entries.insert(i, (key, Entry { value, deadline })),
         }
         self.high_water = self.high_water.max(self.entries.len());
-    }
-
-    /// Park a continuation that never expires (resumed only by a message).
-    pub fn insert(&mut self, key: K, value: V) {
-        self.put(key, Entry { value, deadline: SimTime::MAX });
-    }
-
-    /// Park a continuation that expires at `deadline` if not resumed.
-    pub fn insert_with_deadline(&mut self, key: K, value: V, deadline: SimTime) {
-        self.put(key, Entry { value, deadline });
         self.next_due = self.next_due.min(deadline);
     }
 
@@ -114,24 +106,6 @@ impl<K: Ord, V> Continuations<K, V> {
     /// Is work still pending under `key`?
     pub fn contains_key(&self, key: &K) -> bool {
         self.find(key).is_ok()
-    }
-
-    /// The continuation under `key`, inserting a default (no deadline)
-    /// if absent — the `entry().or_default()` idiom.
-    pub fn entry_or_default(&mut self, key: K) -> &mut V
-    where
-        V: Default,
-    {
-        let i = match self.find(&key) {
-            Ok(i) => i,
-            Err(i) => {
-                let entry = Entry { value: V::default(), deadline: SimTime::MAX };
-                self.entries.insert(i, (key, entry));
-                self.high_water = self.high_water.max(self.entries.len());
-                i
-            }
-        };
-        &mut self.entries[i].1.value
     }
 
     /// Remove and return every entry whose deadline is at or before
@@ -246,7 +220,8 @@ impl ReplyCache {
             self.expiry.back().is_none_or(|&(last, _)| last <= deadline),
             "reply cache deadlines arrive in order"
         );
-        self.entries.insert(id, (reply, deadline));
+        // The FIFO below expires the entry; the ring never sweeps it.
+        self.entries.insert(id, (reply, deadline), SimTime::MAX);
         self.expiry.push_back((deadline, id));
     }
 
@@ -403,10 +378,10 @@ pub(crate) struct RetryState {
     pub attempts: u32,
 }
 
-/// What to do once a fetched package is installed.
+/// What to do once a fetched package is installed; the package's name
+/// is the fetch table's key.
 pub(crate) enum FetchCont {
     SpawnAndConnect {
-        component: String,
         min_version: Version,
         instance: InstanceId,
         port: String,
@@ -416,7 +391,6 @@ pub(crate) enum FetchCont {
     Spawn {
         rid: u64,
         origin: HostId,
-        component: String,
         min_version: Version,
         instance_name: Option<String>,
         state: Value,
@@ -437,9 +411,9 @@ mod tests {
     #[test]
     fn deadlines_expire_in_key_order_and_only_once() {
         let mut c: Continuations<u64, &str> = Continuations::default();
-        c.insert_with_deadline(2, "b", SimTime::from_millis(20));
-        c.insert_with_deadline(1, "a", SimTime::from_millis(10));
-        c.insert(3, "never");
+        c.insert(2, "b", SimTime::from_millis(20));
+        c.insert(1, "a", SimTime::from_millis(10));
+        c.insert(3, "never", SimTime::MAX);
         assert_eq!(c.take_expired(SimTime::from_millis(5)), vec![]);
         assert_eq!(
             c.take_expired(SimTime::from_millis(20)),
@@ -483,12 +457,12 @@ mod tests {
                 let key = g.gen_range(0..24u64);
                 match g.gen_range(0..6u32) {
                     0 => {
-                        table.insert(key, step);
+                        table.insert(key, step, SimTime::MAX);
                         reference.0.insert(key, (step, None));
                     }
                     1 | 2 => {
                         let deadline = ms(g.gen_range(0..400u64));
-                        table.insert_with_deadline(key, step, deadline);
+                        table.insert(key, step, deadline);
                         reference.0.insert(key, (step, Some(deadline)));
                     }
                     3 => {
@@ -503,7 +477,7 @@ mod tests {
                         // under a later deadline.
                         if let Some(&(k, v)) = expired.first() {
                             let later = now + ms(g.gen_range(1..100u64));
-                            table.insert_with_deadline(k, v, later);
+                            table.insert(k, v, later);
                             reference.0.insert(k, (v, Some(later)));
                         }
                     }
@@ -544,7 +518,7 @@ mod tests {
     }
 
     /// Every method of the ring against the tree: inserts with and
-    /// without deadlines, overwrites, removals, peeks, defaults, sweeps
+    /// without deadlines, overwrites, removals, peeks, sweeps
     /// (re-parking an expired key under a later deadline, as
     /// `sweep_calls` and `sweep_queries` do), and after every step the
     /// length, high-water mark, oldest key and iteration order. `key`
@@ -560,12 +534,12 @@ mod tests {
             let k = key(g);
             match g.gen_range(0..9u32) {
                 0 => {
-                    ring.insert(k.clone(), step);
+                    ring.insert(k.clone(), step, SimTime::MAX);
                     tree.insert(k, step, None);
                 }
                 1 | 2 => {
                     let deadline = ms(g.gen_range(0..400u64));
-                    ring.insert_with_deadline(k.clone(), step, deadline);
+                    ring.insert(k.clone(), step, deadline);
                     tree.insert(k, step, Some(deadline));
                 }
                 3 => assert_eq!(ring.remove(&k), tree.entries.remove(&k).map(|(v, _)| v)),
@@ -579,20 +553,14 @@ mod tests {
                     }
                 }
                 5 => assert_eq!(ring.contains_key(&k), tree.entries.contains_key(&k)),
-                6 => {
-                    *ring.entry_or_default(k.clone()) += 1;
-                    if !tree.entries.contains_key(&k) {
-                        tree.insert(k.clone(), 0, None);
-                    }
-                    tree.entries.get_mut(&k).expect("just made").0 += 1;
-                }
+                6 => assert_eq!(ring.get(&k), tree.entries.get(&k).map(|(v, _)| v)),
                 _ => {
                     let now = ms(g.gen_range(0..450u64));
                     let expired = ring.take_expired(now);
                     assert_eq!(expired, tree.take_expired(now), "sweep at {now}");
                     if let Some((k, v)) = expired.into_iter().next() {
                         let later = now + ms(g.gen_range(1..100u64));
-                        ring.insert_with_deadline(k.clone(), v, later);
+                        ring.insert(k.clone(), v, later);
                         tree.insert(k, v, Some(later));
                     }
                 }
@@ -678,15 +646,6 @@ mod tests {
     }
 
     #[test]
-    fn entry_or_default_accumulates() {
-        let mut c: Continuations<String, Vec<u32>> = Continuations::default();
-        c.entry_or_default("x".into()).push(1);
-        c.entry_or_default("x".into()).push(2);
-        assert_eq!(c.remove(&"x".to_string()), Some(vec![1, 2]));
-        assert!(c.is_empty());
-    }
-
-    #[test]
     fn cont_table_sequences_and_depth() {
         let mut t = ContTable::new();
         assert_eq!(t.next_seq(), 1);
@@ -701,7 +660,7 @@ mod tests {
             span: None,
             followers: Vec::new(),
         };
-        t.queries.insert(7, pending);
+        t.queries.insert(7, pending, SimTime::MAX);
         assert_eq!(t.depth(), 1);
         assert_eq!(t.peak_depth(), 1);
         t.queries.remove(&7);

@@ -57,8 +57,12 @@ pub struct Node {
     pub(crate) duty_state: Vec<DutyState>,
     /// Seat routing's candidate buffers, one per nesting level.
     pub(crate) seat_buffers: Vec<Vec<HostId>>,
-    /// Pending distributed queries, and the one sequence every kind of
-    /// pending work is numbered from.
+    /// Pending distributed queries, and the one sequence that numbers
+    /// queries and instance requests. An outgoing ORB request takes its
+    /// id from the world's `SimOrb::fresh_id` instead: a servant's dedup
+    /// window outlives a crash of its caller, and a counter owned by the
+    /// node would restart with the respawned node and reuse ids the
+    /// window still holds.
     pub(crate) conts: ContTable,
     /// Per-service instrumentation.
     pub(crate) metrics: NodeMetrics,
@@ -134,8 +138,9 @@ impl Node {
         self.slo.as_deref()
     }
 
-    /// The resolution substrate behind the Component Registry service
-    /// (its `stats()` carry the cache, coalescing and shard counters).
+    /// The resolution substrate behind the Component Registry service:
+    /// the result cache and the shard store (cache, coalescing and shard
+    /// counts are `Sim::metrics` counters).
     pub fn backend(&self) -> &Registry {
         &self.backend
     }

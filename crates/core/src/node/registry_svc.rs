@@ -162,7 +162,7 @@ impl NodeCtx<'_, '_> {
             }
             tracer.set_attr(s, "seq", seq);
         }
-        self.state.conts.queries.insert_with_deadline(
+        self.state.conts.queries.insert(
             seq,
             PendingQuery {
                 purpose,
@@ -590,7 +590,7 @@ impl NodeCtx<'_, '_> {
                 let timeout = self.state.world.config.query_timeout;
                 let query = pq.query.clone();
                 let original = pq.span;
-                self.state.conts.queries.insert_with_deadline(seq, pq, now + timeout);
+                self.state.conts.queries.insert(seq, pq, now + timeout);
                 self.sim.metrics().incr(Counter::QueryRetries);
                 let qid = QueryId { origin: self.state.host, seq };
                 // The re-issue runs under a fresh span that *links*
@@ -634,20 +634,8 @@ impl NodeCtx<'_, '_> {
             ResolveAction::FetchAndRunLocal { from } => {
                 let component = query.name.as_deref().unwrap_or_default().to_owned();
                 let min_version = query.min_version.unwrap_or(Version::new(0, 0));
-                self.state.container().fetches.entry_or_default(component.clone()).push(
-                    FetchCont::SpawnAndConnect {
-                        component: component.clone(),
-                        min_version,
-                        instance,
-                        port,
-                        sink,
-                    },
-                );
-                let reply_to = self.state.host;
-                self.send_ctrl(
-                    from,
-                    CtrlMsg::Fetch { name: component, version: min_version, reply_to },
-                );
+                let cont = FetchCont::SpawnAndConnect { min_version, instance, port, sink };
+                self.fetch_then(from, component, min_version, cont);
                 self.sim.metrics().incr(Counter::ResolveFetchLocal);
             }
         }

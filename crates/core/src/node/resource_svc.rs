@@ -25,14 +25,12 @@ pub const OVERLOAD_THRESHOLD: f64 = 0.25;
 
 impl Node {
     /// Occupy the CPU FIFO with `cost` of work starting no earlier than
-    /// `now`, scaled by this node's CPU power. Returns `(scaled cost,
-    /// completion time)`.
-    pub(crate) fn occupy_cpu(&mut self, now: SimTime, cost: SimTime) -> (SimTime, SimTime) {
+    /// `now`, scaled by this node's CPU power. Returns its completion
+    /// time.
+    pub(crate) fn occupy_cpu(&mut self, now: SimTime, cost: SimTime) -> SimTime {
         let scaled = cost.mul_f64(1.0 / self.resources.static_info().cpu_power);
-        let start = now.max(self.cpu_free_at);
-        let done = start + scaled;
-        self.cpu_free_at = done;
-        (scaled, done)
+        self.cpu_free_at = now.max(self.cpu_free_at) + scaled;
+        self.cpu_free_at
     }
 
     /// The installed descriptor of a running instance.
@@ -140,7 +138,7 @@ impl NodeCtx<'_, '_> {
             .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(a.0)))
             .map(|(oid, _)| *oid)
             .unwrap_or(shed_oid);
-        let Some(info) = self.state.registry.by_oid(hot_oid) else { return };
+        let Some(info) = self.state.registry.instance(InstanceId(hot_oid)) else { return };
         let cpu_needed = self.state.descriptor_of(info).map_or(0.1, |desc| desc.qos.cpu_min);
         let replica = (info.component.to_string(), info.version);
         self.state.container().last_replicate = Some(now);

@@ -20,7 +20,9 @@ use lc_orb::{Name, ObjectRef};
 use lc_pkg::{ComponentDescriptor, Licensing, Mobility, Version};
 use std::collections::BTreeMap;
 
-/// Identifier of a component instance within one node.
+/// Identifier of a component instance within one node: the object id
+/// of its servant in the node's adapter, so an instance and its servant
+/// are found by one key.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct InstanceId(pub u64);
 
@@ -201,7 +203,6 @@ impl Offer {
 pub struct ComponentRegistry {
     instances: BTreeMap<InstanceId, InstanceInfo>,
     connections: Vec<Connection>,
-    next_instance: u64,
     /// Bumped by every write to `instances` (see [`Self::generation`]).
     generation: u64,
 }
@@ -210,12 +211,6 @@ impl ComponentRegistry {
     /// Empty registry.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Allocate the next instance id.
-    pub fn next_id(&mut self) -> InstanceId {
-        self.next_instance += 1;
-        InstanceId(self.next_instance)
     }
 
     /// Record a new running instance.
@@ -262,11 +257,6 @@ impl ComponentRegistry {
     /// Number of running instances.
     pub fn instance_count(&self) -> usize {
         self.instances.len()
-    }
-
-    /// The instance whose servant has object id `oid` on this node.
-    pub fn by_oid(&self, oid: u64) -> Option<&InstanceInfo> {
-        self.instances.values().find(|i| i.objref.key.oid == oid)
     }
 
     /// Find a named instance.
@@ -365,7 +355,7 @@ mod tests {
     }
 
     fn info(reg: &mut ComponentRegistry, component: &str, name: Option<&str>) -> InstanceId {
-        let id = reg.next_id();
+        let id = InstanceId(reg.instance_count() as u64 + 1);
         reg.add_instance(InstanceInfo {
             id,
             name: name.map(str::to_owned),
@@ -389,7 +379,6 @@ mod tests {
         assert_eq!(reg.named("main").unwrap().id, a);
         assert!(reg.named("other").is_none());
         assert_eq!(reg.instances_of("Gui").count(), 1);
-        assert_eq!(reg.by_oid(b.0).map(|i| i.id), Some(b), "found by its servant's object id");
 
         reg.add_connection(Connection {
             from: a,

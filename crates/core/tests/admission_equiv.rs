@@ -28,14 +28,12 @@ fn unbounded() -> AdmissionConfig {
 }
 
 /// Everything observable about one run: normalized query results,
-/// per-invoke reply transcripts, and the full simulation counter and
-/// summary dumps.
+/// per-invoke reply transcripts, and the full simulation counter dump.
 #[derive(Debug, PartialEq)]
 struct Fingerprint {
     queries: Vec<Vec<(u32, String)>>,
     replies: Vec<Vec<(u64, String)>>,
     counters: Vec<(String, u64)>,
-    summaries: Vec<(String, u64, String)>,
 }
 
 impl Fingerprint {
@@ -43,13 +41,11 @@ impl Fingerprint {
     /// config is allowed to leave.
     fn without_admission_keys(mut self) -> Fingerprint {
         self.counters.retain(|(k, _)| !k.starts_with("admission."));
-        self.summaries.retain(|(k, _, _)| !k.starts_with("admission."));
         self
     }
 
     fn has_admission_keys(&self) -> bool {
         self.counters.iter().any(|(k, _)| k.starts_with("admission."))
-            || self.summaries.iter().any(|(k, _, _)| k.starts_with("admission."))
     }
 }
 
@@ -129,12 +125,6 @@ fn workload(admission: Option<AdmissionConfig>, seed: u64) -> Fingerprint {
             })
             .collect(),
         counters: w.sim.metrics_ref().counters().map(|(k, v)| (k.to_owned(), v)).collect(),
-        summaries: w
-            .sim
-            .metrics_ref()
-            .summaries()
-            .map(|(k, h)| (k.to_owned(), h.count(), format!("{:.6}", h.sum())))
-            .collect(),
     }
 }
 
@@ -158,7 +148,7 @@ fn disabled_admission_leaves_no_trace_and_stays_deterministic() {
 /// The unbounded admission config is observationally identical to no
 /// admission config at all, except for the `admission.*` bookkeeping:
 /// same query results, same reply transcripts (values *and* timing),
-/// same counters and summaries otherwise.
+/// same counters otherwise.
 #[test]
 fn unbounded_admission_differs_only_in_admission_counters() {
     let off = workload(None, 42);

@@ -765,7 +765,7 @@ fn a_call_table_in_steady_state_allocates_nothing() {
             let oldest = *table.oldest_key().expect("a full table has an oldest call");
             assert_eq!(table.remove(&oldest), Some(oldest.0));
         }
-        table.insert_with_deadline(RequestId(id), id, SimTime::from_millis(id + 250));
+        table.insert(RequestId(id), id, SimTime::from_millis(id + 250));
         assert!(table.take_expired(SimTime::from_millis(id)).is_empty());
     }
     let total = allocs() - before;
@@ -848,9 +848,11 @@ fn registry_front_cycle_allocations_are_pinned() {
 /// retains: 1 024 hosts on 128 sites of 8, default cohesion, one leader,
 /// no cache, `Counter` on the first host of every site, converged for
 /// three report periods — everything the world holds (fabric, kernel,
-/// every node's stores and soft state) per host. The measured 1 894, in
+/// every node's stores and soft state) per host. The measured 1 886, in
 /// release and debug builds alike: no node of this world caches, and
-/// its registry front holds no room for a cache. 1 891 before every
+/// its registry front holds no room for a cache. 1 894 while every
+/// node's registry numbered its instances with a counter of its own
+/// (8 B) beside the adapter's object ids; 1 891 before every
 /// eighth node's container kept the requests its instances answer, so
 /// that a duplicated request makes one instance (24 B: an empty tree's
 /// root); 1 897 while every
@@ -884,7 +886,7 @@ fn registry_front_cycle_allocations_are_pinned() {
 /// bytes, 4 983 while it was 48, 5 038 while every node copied its seats'
 /// member, replica and parent lists and its report targets out of the
 /// tree.
-const RETAINED_BYTES_PER_NODE: i64 = 1_894;
+const RETAINED_BYTES_PER_NODE: i64 = 1_886;
 
 #[test]
 fn retained_bytes_per_node_are_pinned() {

@@ -149,10 +149,10 @@ fn continuations_deadline_sweep_contract() {
                     // Deadlines may land in the past; such entries are
                     // due on the very next sweep.
                     let dl = clock.saturating_sub(20) + g.gen_range(0..60u64);
-                    table.insert_with_deadline(key, key, SimTime::from_millis(dl));
+                    table.insert(key, key, SimTime::from_millis(dl));
                     pending.insert(key, dl);
                 } else {
-                    table.insert(key, key);
+                    table.insert(key, key, SimTime::MAX);
                     pending.insert(key, u64::MAX);
                 }
             } else {

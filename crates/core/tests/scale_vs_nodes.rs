@@ -46,25 +46,24 @@ struct Observed {
     offers: usize,
 }
 
-/// The campus on the full node stack, converged: `n / 8` sites of 8
-/// hosts, groups as `cohesion` shapes them, single-leader registry, no
-/// cache, no faults.
-fn converged(n: u32, cohesion: CohesionConfig) -> World {
+/// The campus on the full node stack, booted: `n / 8` sites of 8 hosts,
+/// groups as `cohesion` shapes them, single-leader registry, no cache,
+/// no faults.
+fn campus(n: u32, cohesion: CohesionConfig) -> World {
     let packages: Vec<Rc<Vec<u8>>> = COMPONENTS.iter().map(|c| package(c)).collect();
     let config = NodeConfig::builder().cohesion(cohesion).build();
-    let mut world: World = World::on(
-        Topology::campus(n as usize / 8, 8),
-        42,
-        config,
-        demo::catalog(),
-        |host| {
-            (0..COMPONENTS.len())
-                .filter(|&c| host.0 % 256 == OWNER_RESIDUE[c])
-                .map(|c| packages[c].clone())
-                .collect()
-        },
-    );
-    // Reports, then one summary sweep per level of the tree.
+    World::on(Topology::campus(n as usize / 8, 8), 42, config, demo::catalog(), |host| {
+        (0..COMPONENTS.len())
+            .filter(|&c| host.0 % 256 == OWNER_RESIDUE[c])
+            .map(|c| packages[c].clone())
+            .collect()
+    })
+}
+
+/// [`campus`], converged: reports, then one summary sweep per level of
+/// the tree.
+fn converged(n: u32, cohesion: CohesionConfig) -> World {
+    let mut world = campus(n, cohesion);
     world.sim.run_until(SimTime::from_secs(12));
     world
 }
@@ -249,4 +248,32 @@ fn summary_tallies_differ_by_the_pushes_handled_in_place() {
         world.run_for(CohesionConfig::default().report_period);
         assert_eq!(summaries(&world) - before, per_round - in_place, "n={n}");
     }
+}
+
+/// Every host sends its first keep-alive within one report period of
+/// boot, however large the campus: with a period short enough that
+/// staggering hosts 137 µs apart would run past it (4 096 hosts, 100
+/// ms), the campus has converged once one report period per tree level
+/// and one more have passed, and first-wins queries then cost what a
+/// converged tree's routes cost.
+#[test]
+fn a_large_campus_converges_within_its_depth_in_report_periods() {
+    let n = 4_096u32;
+    let period = SimTime::from_millis(100);
+    let cohesion = CohesionConfig { report_period: period, ..CohesionConfig::default() };
+    let depth = cohesion.shape(n as usize).depth() as u64;
+    let mut world = campus(n, cohesion);
+    world.sim.run_until(period * (depth + 1));
+    let sinks: Vec<_> = (0..QUERIES)
+        .map(|i| {
+            let component = COMPONENTS[i as usize % COMPONENTS.len()];
+            let query = ComponentQuery::by_name(component, Version::new(1, 0));
+            world.query(HostId(origin_of(i, n)), query, true)
+        })
+        .collect();
+    world.run_for(NodeConfig::default().query_timeout + SimTime::from_millis(100));
+    assert!(sinks.iter().all(|s| s.borrow().done && !s.borrow().offers.is_empty()));
+    let per_query = world.sim.metrics_ref().counter("query.msgs") as f64 / f64::from(QUERIES);
+    println!("{per_query:.2} msgs/query at {}", period * (depth + 1));
+    assert!(per_query <= 9.41, "{per_query:.2} msgs/query: the campus has not converged");
 }

@@ -61,7 +61,7 @@ pub mod time;
 
 pub use mail::Mail;
 use mail::{MailLanes, Stored};
-pub use metrics::{nearest_rank, Counter, Metrics, Series, Summary};
+pub use metrics::{nearest_rank, Counter, Metrics};
 pub use profile::{Lane, ProfileReport, Profiler, ProfilerConfig, QueueSample, Tally};
 use queue::{IndexedQueue, KIND_SHIFT};
 pub use rng::SimRng;

@@ -1,13 +1,14 @@
-//! Simulation-wide measurement: declared counters and sample summaries.
+//! Simulation-wide measurement: declared run counters.
 //!
-//! Every experiment in `lc-bench` reads its reported quantities (messages
-//! per query, control bandwidth, failover latency, …) from a [`Metrics`]
-//! sink, so protocol code records measurements with one call and stays free
-//! of experiment-specific plumbing. What can be measured is declared once,
-//! here: [`Counter`] and [`Series`] are closed key sets, a write names a
-//! variant (a misspelt one does not compile), and the sink is two fixed
-//! arrays indexed by it. Reads go by name, for reports and the benchmark;
-//! a name nobody declared is refused.
+//! Every experiment in `lc-bench` reads its reported counts (messages
+//! per query, control bandwidth, failovers, …) from a [`Metrics`] sink,
+//! so protocol code counts with one call and stays free of
+//! experiment-specific plumbing. What can be counted is declared once,
+//! here: [`Counter`] is a closed key set, a write names a variant (a
+//! misspelt one does not compile), and the sink is one fixed array
+//! indexed by it. Reads go by name, for reports and the benchmark; a name
+//! nobody declared is refused. A sample distribution lives with its one
+//! reader (the SLO monitor's `lc_trace::BucketHistogram`).
 
 /// Nearest-rank quantile of an ascending `sorted` slice: the element at
 /// rank `⌈q·n⌉` (1-based, clamped into the slice), `None` when empty.
@@ -18,53 +19,6 @@ pub fn nearest_rank<T: Copy>(sorted: &[T], q: f64) -> Option<T> {
     let n = sorted.len();
     let rank = ((q * n as f64).ceil() as usize).clamp(1, n.max(1));
     sorted.get(rank - 1).copied()
-}
-
-/// Running totals of a stream of samples: four scalars, no sample kept.
-/// For a quantile over a window use `lc_trace::BucketHistogram`
-/// (fixed buckets, reset per window).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct Summary {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Summary {
-    /// Record one sample.
-    pub fn record(&mut self, v: f64) {
-        debug_assert!(v.is_finite(), "non-finite sample");
-        if self.count == 0 {
-            self.min = v;
-            self.max = v;
-        } else {
-            self.min = self.min.min(v);
-            self.max = self.max.max(v);
-        }
-        self.count += 1;
-        self.sum += v;
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of samples, accumulated in record order.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Minimum sample, or 0.0 when empty.
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Maximum sample, or 0.0 when empty.
-    pub fn max(&self) -> f64 {
-        self.max
-    }
 }
 
 /// Declare a closed key set: `Variant => "name"` rows, in byte order of
@@ -182,15 +136,7 @@ keys! {
     }
 }
 
-keys! {
-    /// Every sample series of the workspace.
-    Series {
-        AdmissionQueueDelayMs => "admission.queue_delay_ms",
-        NodeTaskMs => "node.task_ms",
-    }
-}
-
-/// Counters and sample summaries for one simulation run.
+/// Counters for one simulation run.
 ///
 /// One cell per declared key: a write is an indexed add, nothing
 /// allocates, and reports iterate in name order whatever the write order
@@ -200,13 +146,11 @@ pub struct Metrics {
     /// Indexed by [`Counter`]: `None` until the first write, so a key
     /// nobody touched never shows up in [`Metrics::counters`].
     counters: [Option<u64>; Counter::COUNT],
-    /// Indexed by [`Series`], listed likewise.
-    summaries: [Option<Summary>; Series::COUNT],
 }
 
 impl Default for Metrics {
     fn default() -> Self {
-        Metrics { counters: [None; Counter::COUNT], summaries: [None; Series::COUNT] }
+        Metrics { counters: [None; Counter::COUNT] }
     }
 }
 
@@ -229,26 +173,10 @@ impl Metrics {
         self.counters[Counter::index_of(name)].unwrap_or(0)
     }
 
-    /// Record a sample into series `key`.
-    pub fn record(&mut self, key: Series, v: f64) {
-        self.summaries[key as usize].get_or_insert_with(Summary::default).record(v);
-    }
-
-    /// The summary of the series called `name` (`None` if nothing was
-    /// recorded). Panics when no [`Series`] is called `name`.
-    pub fn summary(&self, name: &str) -> Option<&Summary> {
-        self.summaries[Series::index_of(name)].as_ref()
-    }
-
     /// Iterate the counters written since the last [`Metrics::clear`], in
     /// name order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         Counter::NAMES.iter().zip(&self.counters).filter_map(|(&k, v)| Some((k, (*v)?)))
-    }
-
-    /// Iterate the recorded summaries in name order.
-    pub fn summaries(&self) -> impl Iterator<Item = (&str, &Summary)> {
-        Series::NAMES.iter().zip(&self.summaries).filter_map(|(&k, s)| Some((k, s.as_ref()?)))
     }
 
     /// Reset everything (between experiment repetitions).
@@ -301,11 +229,10 @@ mod tests {
         // `[a-z_]+(\.[a-z_]+)+`
         let word = |p: &str| !p.is_empty() && p.bytes().all(|b| b == b'_' || b.is_ascii_lowercase());
         let dotted = |name: &str| name.contains('.') && name.split('.').all(word);
-        for names in [Counter::NAMES, Series::NAMES] {
-            assert!(names.windows(2).all(|w| w[0] < w[1]), "strictly increasing in byte order");
-            for name in names {
-                assert!(dotted(name), "{name:?}");
-            }
+        let names = Counter::NAMES;
+        assert!(names.windows(2).all(|w| w[0] < w[1]), "strictly increasing in byte order");
+        for name in names {
+            assert!(dotted(name), "{name:?}");
         }
     }
 
@@ -313,19 +240,6 @@ mod tests {
     #[should_panic(expected = "\"query.msg\"")]
     fn an_undeclared_name_is_refused() {
         Metrics::default().counter("query.msg");
-    }
-
-    #[test]
-    fn histogram_stats() {
-        let mut h = Summary::default();
-        for v in [4.0, 1.0, 3.0, 2.0, 5.0] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 15.0);
-        assert_eq!(h.min(), 1.0);
-        assert_eq!(h.max(), 5.0);
-        assert_eq!(std::mem::size_of::<Summary>(), 32, "four scalars, no per-sample storage");
     }
 
     #[test]
@@ -348,29 +262,5 @@ mod tests {
         assert_eq!(nearest_rank(&to(200), 0.50), Some(100)); // index round(199·0.50): 101
         assert_eq!(nearest_rank(&to(200), 0.99), Some(198)); // index round(199·0.99): 198
         assert_eq!(nearest_rank(&to(96), 0.99), Some(96)); // index round(95·0.99): 95
-    }
-
-    #[test]
-    fn empty_histogram_is_zeroes() {
-        let h = Summary::default();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.sum(), 0.0);
-        assert_eq!(h.min(), 0.0);
-        assert_eq!(h.max(), 0.0);
-        let mut neg = Summary::default();
-        neg.record(-2.0);
-        assert_eq!((neg.min(), neg.max()), (-2.0, -2.0), "the first sample seeds both bounds");
-    }
-
-    #[test]
-    fn metrics_record_routes_to_histogram() {
-        let mut m = Metrics::default();
-        m.record(Series::NodeTaskMs, 1.0);
-        m.record(Series::NodeTaskMs, 3.0);
-        assert_eq!(m.summary("node.task_ms").unwrap().sum(), 4.0);
-        assert!(m.summary("admission.queue_delay_ms").is_none());
-        assert_eq!(m.summaries().map(|(k, _)| k).collect::<Vec<_>>(), ["node.task_ms"]);
-        m.clear();
-        assert!(m.summary("node.task_ms").is_none());
     }
 }

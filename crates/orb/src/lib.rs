@@ -36,7 +36,7 @@ pub mod value;
 pub use api::{Orb, SimOrbClient};
 pub use cdr::{encoded_len, Decoder, Encoder};
 pub use events::{check_event, make_event};
-pub use local::{LocalOrb, LocalOrbStats};
+pub use local::LocalOrb;
 pub use name::Name;
 pub use object::{CommReason, ObjectKey, ObjectRef, OrbError};
 pub use servant::{

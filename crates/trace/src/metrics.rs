@@ -1,7 +1,7 @@
 //! [`BucketHistogram`]: the fixed-bucket sample store the SLO monitor
-//! ([`crate::slo`]) keeps per latency rule for its current window. Run
-//! totals are `lc_des::Summary`; run counters are `lc_des::Metrics`, under
-//! the keys `lc_des::Counter` declares.
+//! ([`crate::slo`]) keeps per latency rule for its current window, the
+//! workspace's one sample store. Run counters are `lc_des::Metrics`,
+//! under the keys `lc_des::Counter` declares.
 
 /// A histogram with fixed, explicit bucket boundaries.
 ///
