@@ -40,6 +40,13 @@ cargo test --locked --release -q -p lc-core --test alloc_budget
 # edited in place, and the debug build also re-checks each one it hands
 # out against a fold of its entries.
 cargo test --locked --release -q -p lc-core --lib registry::backend
+# The servant record's properties, optimised and at 1 500 cases each
+# (~45 s on 2 vCPUs): shed requests never execute and admitted ones run
+# once under loss and retries, replies queued for the CPU answer every
+# copy and retry of their request only once their work has run, and
+# the record holds what a full scan holds after every event.
+LC_PROP_CASES=1500 cargo test --locked --release -q -p lc-core --test admission_props
+LC_PROP_CASES=1500 cargo test --locked --release -q -p lc-core --test fault_props -- queued_replies served_records
 # The suite's log feeds SIZE.txt's test count below; a failing suite
 # still stops the gate here, printing its log.
 cargo test --locked -q --workspace > target/tests.log 2>&1 || { cat target/tests.log; exit 1; }

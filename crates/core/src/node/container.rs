@@ -12,10 +12,10 @@ use lc_orb::{
     OrbError, OrbWire, Outcome, RequestId, Value,
 };
 use lc_pkg::Version;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use super::continuations::{
-    CallCont, Continuations, FetchCont, PendingCall, ReplyCache, RetryState, SpawnCont,
+    CallCont, Continuations, FetchCont, PendingCall, RetryState, SpawnCont,
 };
 use super::ctx::{Node, NodeCtx};
 use super::metrics::ServiceKind;
@@ -46,9 +46,6 @@ pub(crate) struct Container {
     pub(crate) subs: BTreeMap<(u64, String), Vec<(ObjectKey, String)>>,
     /// Requests to migrated-away instances are forwarded here.
     pub(crate) forwards: BTreeMap<u64, ObjectRef>,
-    /// Replies computed but still occupying the CPU, in the order their
-    /// `Tick::SendReply` timers fire; lost with the node on a crash.
-    pub(crate) due_replies: VecDeque<(HostId, RequestId, Result<Outcome, OrbError>)>,
     /// Admitted requests per local oid since boot — which instance is
     /// hot, for replication placement. Maintained only while
     /// [`super::NodeConfig::admission`] configures `replicate_hot`.
@@ -69,11 +66,14 @@ pub(crate) struct Container {
     pub(crate) calls: Continuations<RequestId, PendingCall>,
     /// Package fetches awaiting their `Package` answer, by name.
     pub(crate) fetches: Continuations<String, Vec<FetchCont>>,
-    /// Servant-side duplicate suppression: replies already produced, by
-    /// request id, remembered for the invoke policy's dedup window so a
-    /// retried or fabric-duplicated request re-sends the cached reply
-    /// instead of re-executing the servant.
-    pub(crate) replies: ReplyCache,
+    /// The requests this node's servants have run, by request id: each
+    /// reply once, beside the caller it goes to while the CPU works on
+    /// it (`None` once it has left). A reply that has left is kept for
+    /// the invoke policy's dedup window, until its own
+    /// `Tick::DedupSweep`, so a retried or fabric-duplicated request is
+    /// answered by it instead of re-executing the servant. The ring's
+    /// own sweep never runs here. Lost with the node on a crash.
+    pub(crate) served: Continuations<RequestId, (Result<Outcome, OrbError>, Option<HostId>)>,
 }
 
 impl Container {
@@ -85,7 +85,6 @@ impl Container {
                 adapter: ObjectAdapter::new(host),
                 subs: BTreeMap::new(),
                 forwards: BTreeMap::new(),
-                due_replies: VecDeque::new(),
                 instance_load: BTreeMap::new(),
                 last_replicate: None,
                 replicas_started: 0,
@@ -93,7 +92,7 @@ impl Container {
                 made_for: BTreeMap::new(),
                 calls: Continuations::default(),
                 fetches: Continuations::default(),
-                replies: ReplyCache::default(),
+                served: Continuations::default(),
             })
         })
     }
@@ -460,6 +459,17 @@ impl NodeCtx<'_, '_> {
         op: Name,
         args: Vec<Value>,
     ) {
+        // Servant-side duplicate suppression, first: a retried (same id)
+        // or fabric-duplicated request this node has run is answered by
+        // that run's reply, also once its instance has migrated.
+        if let Some(back) = reply_to {
+            if self.state.container.as_ref().is_some_and(|c| c.served.contains_key(&id)) {
+                self.sim.metrics().incr(Counter::OrbDedupHits);
+                self.answer(id, back, None);
+                return;
+            }
+        }
+
         // Forward requests to migrated instances (CORBA LOCATION_FORWARD:
         // the old node proxies to the new location, reply goes straight
         // back to the caller).
@@ -473,45 +483,23 @@ impl NodeCtx<'_, '_> {
             }
         }
 
-        // Servant-side duplicate suppression: a retried (same id) or
-        // fabric-duplicated request whose reply is already cached is
-        // answered from the cache — the servant executes exactly once.
-        let dedup = self.state.world.config.invoke.dedup_window;
-        if dedup > SimTime::ZERO {
-            let cached = self.state.container.as_ref().and_then(|c| c.replies.get(&id));
-            if let (Some(back), Some(cached)) = (reply_to, cached) {
-                let cached = cached.clone();
-                self.sim.metrics().incr(Counter::OrbDedupHits);
-                let _ = self.send_orb(back, OrbWire::Reply { id, result: cached });
-                return;
-            }
-        }
-
         // Admission control: refuse work the CPU FIFO cannot serve in
         // time instead of executing it late. The decision point sits
-        // after dedup (a cached verdict — including a cached shed —
-        // must keep winning over a fresh decision, or a retried shed
-        // request could execute after the backlog drains) and before
-        // dispatch (a shed request must never reach the servant).
+        // after dedup (a kept verdict — including a kept shed — must
+        // keep winning over a fresh decision, or a retried shed request
+        // could execute after the backlog drains) and before dispatch
+        // (a shed request must never reach the servant).
+        let now = self.sim.now();
         if let Some(adm) = self.state.world.config.admission.clone() {
-            let now = self.sim.now();
             let backlog = self.state.cpu_free_at.saturating_sub(now);
             let over_deadline = adm.deadline_aware
                 && self.state.world.config.invoke.deadline.is_some_and(|d| backlog > d);
             self.sim.metrics().incr(Counter::AdmissionTotal);
             if backlog > adm.cpu_backlog_cap || over_deadline {
                 self.sim.metrics().incr(Counter::AdmissionShed);
-                if dedup > SimTime::ZERO && reply_to.is_some() {
-                    // Remember the refusal for the dedup window: the
-                    // shed request stays shed even if retried after the
-                    // queue drains (exactly-once under shedding).
-                    let shed = Err(OrbError::Overload);
-                    self.state.container().replies.insert(id, shed, now + dedup);
-                    self.timer_in(dedup, Tick::DedupSweep);
-                }
                 if let Some(back) = reply_to {
-                    let refusal = OrbWire::Reply { id, result: Err(OrbError::Overload) };
-                    let _ = self.send_orb(back, refusal);
+                    // Kept for the dedup window: a retry stays shed.
+                    self.answer(id, back, Some((Err(OrbError::Overload), now)));
                 }
                 self.maybe_replicate(target.oid);
                 return;
@@ -528,39 +516,62 @@ impl NodeCtx<'_, '_> {
         // IDL ops are type-checked. Attribute accessors (`_get_x`) exist
         // in the interface metadata, so the adapter settles which from
         // the operation lookup its check needs anyway.
-        let now = self.sim.now();
         let DispatchResult { outcome, outbox, events, cpu_cost } =
             self.state.dispatch(now, target, &op, &args, DispatchOpts::wire());
         self.send_effects(target.oid, outbox, events);
-
-        if dedup > SimTime::ZERO && reply_to.is_some() {
-            self.state.container().replies.insert(id, outcome.clone(), now + dedup);
-            self.timer_in(dedup, Tick::DedupSweep);
-        }
-
-        if cpu_cost > SimTime::ZERO {
-            // Occupy the CPU: FIFO over the node's processor, scaled by
-            // CPU power (Resource Manager accounting).
-            let done = self.state.occupy_cpu(self.sim.now(), cpu_cost);
-            if let Some(back) = reply_to {
-                // The CPU is FIFO, so `done` never decreases from one
-                // parked reply to the next and same-instant timers fire
-                // in arming order: each `SendReply` tick finds its own
-                // reply at the front.
-                let delay = done.saturating_sub(self.sim.now());
-                self.state.container().due_replies.push_back((back, id, outcome));
-                self.timer_in(delay, Tick::SendReply);
-            }
-        } else if let Some(back) = reply_to {
-            let _ = self.send_orb(back, OrbWire::Reply { id, result: outcome });
+        // Occupy the CPU: FIFO over the node's processor, scaled by CPU
+        // power (Resource Manager accounting).
+        let done = match cpu_cost {
+            SimTime::ZERO => now,
+            cost => self.state.occupy_cpu(now, cost),
+        };
+        if let Some(back) = reply_to {
+            self.answer(id, back, Some((outcome, done)));
         }
     }
 
-    /// One `Tick::SendReply`: the reply at the front of the CPU FIFO has
-    /// finished computing.
-    pub(crate) fn send_due_reply(&mut self) {
-        if let Some((to, id, result)) = self.state.container().due_replies.pop_front() {
-            let _ = self.send_orb(to, OrbWire::Reply { id, result });
+    /// Send or park the reply to request `id` for `back`, the one way a
+    /// servant's reply leaves: `made` is a fresh reply and when the CPU
+    /// finishes its work (it is parked until then), kept for the dedup
+    /// window once it leaves. `None` answers a copy of a recorded
+    /// request: with the reply that left, or, while that still waits,
+    /// not yet (the parked reply answers the caller when it leaves).
+    fn answer(
+        &mut self,
+        id: RequestId,
+        back: HostId,
+        made: Option<(Result<Outcome, OrbError>, SimTime)>,
+    ) {
+        let now = self.sim.now();
+        let window = self.state.world.config.invoke.dedup_window;
+        let served = &mut self.state.container().served;
+        debug_assert!(made.is_none() || !served.contains_key(&id), "a request is recorded once");
+        let result = match made {
+            None => match served.get(&id) {
+                Some((reply, None)) => reply.clone(),
+                _ => return,
+            },
+            Some((reply, done)) if done > now => {
+                served.insert(id, (reply, Some(back)), SimTime::MAX);
+                self.timer_in(done - now, Tick::SendReply(id));
+                return;
+            }
+            Some((reply, _)) if window > SimTime::ZERO => {
+                served.insert(id, (reply.clone(), None), SimTime::MAX);
+                self.timer_in(window, Tick::DedupSweep(id));
+                reply
+            }
+            Some((reply, _)) => reply,
+        };
+        let _ = self.send_orb(back, OrbWire::Reply { id, result });
+    }
+
+    /// One `Tick::SendReply`: the CPU has finished request `id`'s work,
+    /// so its parked reply leaves.
+    pub(crate) fn reply_ready(&mut self, id: RequestId) {
+        let parked = self.state.container.as_mut().and_then(|c| c.served.remove(&id));
+        if let Some((reply, Some(back))) = parked {
+            self.answer(id, back, Some((reply, self.sim.now())));
         }
     }
 

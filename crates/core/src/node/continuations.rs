@@ -10,16 +10,16 @@
 //! ring with one expiry sweep, which replaced ad-hoc maps with
 //! hand-rolled expiry. Every node searches, so [`ContTable`] keeps the
 //! queries beside the single sequence counter that numbers queries and
-//! instance requests; the other three tables and the servant side's
-//! [`ReplyCache`] belong to the container runtime's state
-//! (`container::Container`), which a node makes at its first install or
-//! first use.
+//! instance requests; the other three tables, and the servant side's
+//! record of the requests it ran, belong to the container runtime's
+//! state (`container::Container`), which a node makes at its first
+//! install or first use.
 
 use crate::assembly::AssemblyDescriptor;
 use crate::registry::{ComponentQuery, InstanceId, Offer};
 use lc_des::SimTime;
 use lc_net::HostId;
-use lc_orb::{Name, ObjectKey, ObjectRef, OrbError, Outcome, RequestId, Value};
+use lc_orb::{Name, ObjectKey, ObjectRef, Value};
 use lc_pkg::Version;
 use lc_trace::TraceContext;
 use std::cell::RefCell;
@@ -190,67 +190,6 @@ pub struct ContTable {
     pub(crate) queries: Continuations<u64, PendingQuery>,
 }
 
-/// The servant side's reply cache. Every entry lives for the one fixed
-/// dedup window from the instant it is cached, so deadlines arrive in
-/// order, and a FIFO of them lets a sweep visit only what has expired
-/// (a full scan per sweep is linear in the window times the reply rate).
-/// The replies sit in a [`Continuations`] ring by request id: requests
-/// arrive in nearly the order their ids were drawn, so a reply goes on
-/// or near the back and the sweep takes from near the front.
-#[derive(Default)]
-pub(crate) struct ReplyCache {
-    /// Each reply beside the deadline its expiry pair names.
-    entries: Continuations<RequestId, (Result<Outcome, OrbError>, SimTime)>,
-    /// `(deadline, id)` per insert, in insert order, so deadlines never
-    /// decrease. An id cached again leaves its earlier pair behind; the
-    /// sweep tells it by its deadline and skips it.
-    expiry: VecDeque<(SimTime, RequestId)>,
-}
-
-impl ReplyCache {
-    /// Cache `reply` for `id` until `deadline`, which is no earlier than
-    /// any deadline cached before it.
-    pub(crate) fn insert(
-        &mut self,
-        id: RequestId,
-        reply: Result<Outcome, OrbError>,
-        deadline: SimTime,
-    ) {
-        debug_assert!(
-            self.expiry.back().is_none_or(|&(last, _)| last <= deadline),
-            "reply cache deadlines arrive in order"
-        );
-        // The FIFO below expires the entry; the ring never sweeps it.
-        self.entries.insert(id, (reply, deadline), SimTime::MAX);
-        self.expiry.push_back((deadline, id));
-    }
-
-    /// The cached reply for `id`, if its window is still open.
-    pub(crate) fn get(&self, id: &RequestId) -> Option<&Result<Outcome, OrbError>> {
-        self.entries.get(id).map(|(reply, _)| reply)
-    }
-
-    /// Drop every entry whose deadline is at or before `now`; returns
-    /// how many.
-    pub(crate) fn sweep(&mut self, now: SimTime) -> usize {
-        let mut dropped = 0;
-        while let Some(&(deadline, id)) = self.expiry.front().filter(|(d, _)| *d <= now) {
-            self.expiry.pop_front();
-            if self.entries.get(&id).is_some_and(|(_, d)| *d == deadline) {
-                self.entries.remove(&id);
-                dropped += 1;
-            }
-        }
-        dropped
-    }
-
-    /// Replies cached.
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-}
-
 impl ContTable {
     pub(crate) fn new() -> Self {
         ContTable { next_seq: 1, ..ContTable::default() }
@@ -407,6 +346,7 @@ pub(crate) struct PendingAssembly {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lc_orb::RequestId;
 
     #[test]
     fn deadlines_expire_in_key_order_and_only_once() {
@@ -600,48 +540,6 @@ mod tests {
     fn the_ring_agrees_with_a_tree_on_names() {
         lc_prop::check("the_ring_agrees_with_a_tree_on_names", |g| {
             ring_agrees_with_a_tree(g, |g| g.string_of("abc", 0..3));
-        });
-    }
-
-    /// The reply cache drops, at every sweep, exactly what a full scan
-    /// over its entries drops: inserts at `now + window` for one window
-    /// per case, re-inserts of a live or swept id, gets, and sweeps at
-    /// instants that may pass several deadlines or none.
-    #[test]
-    fn reply_cache_sweeps_agree_with_a_full_scan() {
-        lc_prop::check("reply_cache_sweeps_agree_with_a_full_scan", |g| {
-            let mut cache = ReplyCache::default();
-            let mut reference = FullScan::default();
-            let ms = SimTime::from_millis;
-            let window = ms(g.gen_range(0..60u64));
-            let reply = |v: u32| Ok(Outcome { ret: Value::ULong(v), outs: Vec::new() });
-            let mut now = SimTime::ZERO;
-            for step in 0..g.gen_range(1..300u32) {
-                now += ms(g.gen_range(0..8u64));
-                let key = g.gen_range(0..24u64);
-                match g.gen_range(0..4u32) {
-                    0 | 1 => {
-                        cache.insert(RequestId(key), reply(step), now + window);
-                        reference.0.insert(key, (step, Some(now + window)));
-                    }
-                    2 => {
-                        let want = reference.0.get(&key).map(|&(v, _)| reply(v));
-                        assert_eq!(cache.get(&RequestId(key)), want.as_ref(), "get {key}");
-                    }
-                    _ => {
-                        let dropped = reference.take_expired(now).len();
-                        assert_eq!(cache.sweep(now), dropped, "sweep at {now}");
-                        for k in 0..24u64 {
-                            let want = reference.0.get(&k).map(|&(v, _)| reply(v));
-                            assert_eq!(cache.get(&RequestId(k)), want.as_ref(), "{k} at {now}");
-                        }
-                    }
-                }
-                assert_eq!(cache.len(), reference.0.len());
-            }
-            let last = now + window;
-            assert_eq!(cache.sweep(last), reference.take_expired(last).len());
-            assert_eq!(cache.len(), 0);
         });
     }
 

@@ -159,7 +159,15 @@ impl Node {
     /// Replies computed but still occupying the CPU, not yet sent. Zero
     /// once a run has drained.
     pub fn parked_replies(&self) -> usize {
-        self.container.as_ref().map_or(0, |c| c.due_replies.len())
+        let served = self.container.iter().flat_map(|c| c.served.values());
+        served.filter(|(_, to)| to.is_some()).count()
+    }
+
+    /// Requests whose reply this node's servants still keep: parked
+    /// replies and those sent within the dedup window. Zero once a run
+    /// has drained and the window has passed.
+    pub fn served_requests(&self) -> usize {
+        self.container.as_ref().map_or(0, |c| c.served.len())
     }
 
     /// Most distributed queries ever pending at once on this node. With

@@ -76,9 +76,13 @@ pub struct InvokePolicy {
     pub deadline: Option<SimTime>,
     /// Re-send budget after the first attempt.
     pub retries: u32,
-    /// How long a servant remembers sent replies by request id so
-    /// duplicated/retried requests are answered from cache instead of
-    /// re-executed. `ZERO` disables the cache.
+    /// How long a servant keeps a reply by request id after it has
+    /// left, so a duplicated or retried request is answered by it
+    /// instead of re-executing the servant. The window opens when the
+    /// reply leaves: one still waiting for the CPU is kept until then
+    /// whatever the window, and a copy of its request that arrives
+    /// meanwhile is answered by it when it leaves. `ZERO`: a reply is
+    /// kept only while it waits.
     pub dedup_window: SimTime,
 }
 
@@ -754,10 +758,12 @@ mod tests {
     /// 488 bytes while migrations waited in a table of their own beside
     /// the spawns, both answered alike; 440 before it kept the request
     /// each instance made for a peer answers, so a duplicate of the
-    /// request gets that instance.
+    /// request gets that instance; 464 while CPU-parked replies waited
+    /// in a queue of their own beside a reply cache that kept its
+    /// deadlines in a FIFO as well as in their sweep timers.
     #[test]
-    fn container_is_464_bytes() {
-        assert_eq!(std::mem::size_of::<super::container::Container>(), 464);
+    fn container_is_400_bytes() {
+        assert_eq!(std::mem::size_of::<super::container::Container>(), 400);
     }
 
     /// One slot of a node's pending-query ring (less its key and

@@ -37,9 +37,8 @@ pub enum Tick {
     MrmSweep,
     /// A query deadline elapsed: finalize every expired pending query.
     QueryDeadline,
-    /// A CPU-delayed reply is due: the front of the node's parked
-    /// replies (CPU occupancy is FIFO, so they fall due in park order).
-    SendReply,
+    /// The CPU has finished a request's work: its parked reply is due.
+    SendReply(RequestId),
     /// Periodic load-balance self-check.
     LoadBalance,
     /// An outgoing-call deadline elapsed: sweep expired calls, retrying
@@ -47,8 +46,8 @@ pub enum Tick {
     CallSweep,
     /// A scheduled re-send of an outgoing call is due.
     CallRetry(RequestId),
-    /// Sweep the servant-side duplicate-suppression reply cache.
-    DedupSweep,
+    /// A reply's dedup window has passed: the servant forgets it.
+    DedupSweep(RequestId),
     /// Sharded-registry maintenance: republish the local inventory to
     /// the owning shards and run one gossip anti-entropy round.
     ShardMaintain,
@@ -77,18 +76,18 @@ impl Tick {
     ];
 
     /// The packed-lane word: tag in the top byte (the kind
-    /// [`lc_des::profile`] tallies), `CallRetry`'s request id in the 56
-    /// bits below.
+    /// [`lc_des::profile`] tallies), the request id a tick names in the
+    /// 56 bits below.
     pub(crate) fn pack(self) -> u64 {
         let (tag, id) = match self {
             Tick::KeepAlive => (1, 0),
             Tick::MrmSweep => (2, 0),
             Tick::QueryDeadline => (3, 0),
-            Tick::SendReply => (4, 0),
+            Tick::SendReply(RequestId(id)) => (4, id),
             Tick::LoadBalance => (5, 0),
             Tick::CallSweep => (6, 0),
             Tick::CallRetry(RequestId(id)) => (7, id),
-            Tick::DedupSweep => (8, 0),
+            Tick::DedupSweep(RequestId(id)) => (8, id),
             Tick::ShardMaintain => (9, 0),
             Tick::SloCheck => (10, 0),
         };
@@ -103,11 +102,11 @@ impl Tick {
             1 => Tick::KeepAlive,
             2 => Tick::MrmSweep,
             3 => Tick::QueryDeadline,
-            4 => Tick::SendReply,
+            4 => Tick::SendReply(RequestId(id)),
             5 => Tick::LoadBalance,
             6 => Tick::CallSweep,
             7 => Tick::CallRetry(RequestId(id)),
-            8 => Tick::DedupSweep,
+            8 => Tick::DedupSweep(RequestId(id)),
             9 => Tick::ShardMaintain,
             10 => Tick::SloCheck,
             _ => return None,
@@ -165,7 +164,7 @@ pub(crate) fn tick_service(tick: Tick) -> ServiceKind {
         Tick::KeepAlive | Tick::LoadBalance | Tick::SloCheck => ServiceKind::Resource,
         Tick::MrmSweep => ServiceKind::Cohesion,
         Tick::QueryDeadline | Tick::ShardMaintain => ServiceKind::Registry,
-        Tick::SendReply | Tick::CallSweep | Tick::CallRetry(_) | Tick::DedupSweep => {
+        Tick::SendReply(_) | Tick::CallSweep | Tick::CallRetry(_) | Tick::DedupSweep(_) => {
             ServiceKind::Container
         }
     }
@@ -268,13 +267,13 @@ pub(crate) fn handle_tick(ctx: &mut NodeCtx<'_, '_>, tick: Tick) {
         Tick::KeepAlive => ctx.send_report(),
         Tick::MrmSweep => ctx.mrm_sweep(),
         Tick::QueryDeadline => ctx.sweep_queries(),
-        Tick::SendReply => ctx.send_due_reply(),
+        Tick::SendReply(id) => ctx.reply_ready(id),
         Tick::LoadBalance => ctx.load_balance_check(),
         Tick::CallSweep => ctx.sweep_calls(),
         Tick::CallRetry(rid) => ctx.retry_call(rid),
-        Tick::DedupSweep => {
+        Tick::DedupSweep(id) => {
             if let Some(container) = &mut ctx.state.container {
-                container.replies.sweep(ctx.sim.now());
+                container.served.remove(&id);
             }
         }
         Tick::ShardMaintain => ctx.shard_maintain(),
@@ -324,11 +323,11 @@ mod tests {
         Tick::KeepAlive,
         Tick::MrmSweep,
         Tick::QueryDeadline,
-        Tick::SendReply,
+        Tick::SendReply(RequestId(0x0012_3456_789A_BCDE)),
         Tick::LoadBalance,
         Tick::CallSweep,
         Tick::CallRetry(RequestId(0x00AB_CDEF_0123_4567)),
-        Tick::DedupSweep,
+        Tick::DedupSweep(RequestId(0x0076_5432_10FE_DCBA)),
         Tick::ShardMaintain,
         Tick::SloCheck,
     ];

@@ -183,7 +183,7 @@ fn shed_requests_never_execute_under_retries_and_loss() {
         // Server side: every fresh admission decision either shed or
         // executed, never both and never twice — so executions equal
         // admitted decisions exactly. Retries of an executed request
-        // are answered from the dedup cache (no second execution);
+        // are answered from the servant's record (no second execution);
         // retries of a shed request stay shed.
         let total = w.sim.metrics_ref().counter("admission.total");
         let shed = w.sim.metrics_ref().counter("admission.shed");

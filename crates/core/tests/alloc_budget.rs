@@ -618,7 +618,9 @@ fn a_load_change_rebuilds_no_name_set() {
 /// command and the two frames wait by value in their mail lanes, and a
 /// call waits in its front's ring, whose slots outlive it.
 const REMOTE_INVOKE_BUDGET: f64 = 1.19;
-/// The same under [`InvokePolicy::standard`] (4 367 / 2 000; 4 431 while
+/// The same under [`InvokePolicy::standard`] (4 366 / 2 000; 4 367 while
+/// the worker kept its replies in a cache beside a FIFO of their
+/// deadlines; 4 431 while
 /// each discovery query copied its name and boxed itself, 4 760 while
 /// the worker's reply cache was a tree, 5 071 while the call table was
 /// one too, 17 066 while
@@ -627,7 +629,7 @@ const REMOTE_INVOKE_BUDGET: f64 = 1.19;
 /// boxed, 26 187 before the shared query): three retries make every call
 /// keep a copy of its argument vector (the operation name and the string
 /// in it are shared), and a 5 s dedup window makes the worker keep every
-/// reply in its cache's ring, which doubles as the window fills.
+/// reply in its record's ring, which doubles as the window fills.
 /// (Before, 20.09: a call without a retry budget paid for the copy too.)
 const REMOTE_INVOKE_RECOVERABLE_BUDGET: f64 = 2.19;
 
@@ -848,9 +850,12 @@ fn registry_front_cycle_allocations_are_pinned() {
 /// retains: 1 024 hosts on 128 sites of 8, default cohesion, one leader,
 /// no cache, `Counter` on the first host of every site, converged for
 /// three report periods — everything the world holds (fabric, kernel,
-/// every node's stores and soft state) per host. The measured 1 886, in
+/// every node's stores and soft state) per host. The measured 1 878, in
 /// release and debug builds alike: no node of this world caches, and
-/// its registry front holds no room for a cache. 1 894 while every
+/// its registry front holds no room for a cache. 1 886 while every
+/// eighth node's container queued its CPU-parked replies apart from
+/// its reply cache, which kept a FIFO of its deadlines beside their
+/// sweep timers (64 B: two `VecDeque` headers); 1 894 while every
 /// node's registry numbered its instances with a counter of its own
 /// (8 B) beside the adapter's object ids; 1 891 before every
 /// eighth node's container kept the requests its instances answer, so
@@ -886,7 +891,7 @@ fn registry_front_cycle_allocations_are_pinned() {
 /// bytes, 4 983 while it was 48, 5 038 while every node copied its seats'
 /// member, replica and parent lists and its report targets out of the
 /// tree.
-const RETAINED_BYTES_PER_NODE: i64 = 1_886;
+const RETAINED_BYTES_PER_NODE: i64 = 1_878;
 
 #[test]
 fn retained_bytes_per_node_are_pinned() {

@@ -4,7 +4,9 @@
 
 use lc_core::demo;
 use lc_core::node::resource_svc::OVERLOAD_THRESHOLD;
-use lc_core::node::{AdmissionConfig, Node, NodeCmd, QuerySink, RegistryConfig, ResolveCmd};
+use lc_core::node::{
+    AdmissionConfig, InvokePolicy, Node, NodeCmd, QuerySink, RegistryConfig, ResolveCmd,
+};
 use lc_core::testkit::{fast_cohesion, fast_config, World};
 use lc_core::{
     AssemblyDescriptor, CacheConfig, ComponentQuery, InstanceId, NodeConfig,
@@ -581,6 +583,52 @@ fn migration_preserves_state_and_forwards_requests() {
         "state travelled with the instance"
     );
     assert!(world.sim.metrics_ref().counter("migrate.forwarded_requests") >= 1);
+    assert_drained(&world);
+}
+
+/// A request runs, its reply is lost, and the instance migrates with
+/// state that already holds the request's effect: the caller's retry is
+/// answered from the old node's record of the run, not forwarded to run
+/// a second time at the destination.
+#[test]
+fn a_retry_after_a_migration_is_answered_by_the_first_run() {
+    let ms = SimTime::from_millis;
+    // Host 0 is cut off from 100 us after the call is sent until its
+    // reply has been lost, and long before the caller retries.
+    let sent = ms(1000);
+    let cut = FaultPlan::seeded(15).partition(sent + SimTime::from_micros(100), sent + ms(10), &[
+        HostId(0),
+    ]);
+    let config = NodeConfig { invoke: InvokePolicy::standard(), ..signed() };
+    let mut world = host0_world(Net::builder(Topology::lan(4)).fault_plan(cut).build(), 15, config);
+    world.run_for(ms(10));
+    let old_ref = world.spawn(HostId(0), "Counter", Some("c"), ms(10));
+    world.sim.run_until(sent);
+    let call = world.invoke(HostId(1), &old_ref, "inc", vec![Value::Long(1)]);
+    world.sim.run_until(sent + ms(20));
+    let instance = world.node(HostId(0)).unwrap().registry.named("c").unwrap().id;
+    let counter = world.node(HostId(0)).unwrap().servant_of::<demo::CounterImpl>(instance);
+    assert_eq!(counter.map(|c| c.count), Some(1), "the call ran");
+    assert!(call.borrow().is_empty(), "its reply was lost");
+
+    let moved: lc_core::SpawnSink = Rc::default();
+    world.cmd(HostId(0), NodeCmd::Migrate { instance, to: HostId(2), sink: Some(moved.clone()) });
+    // The first attempt's deadline passes at 250 ms, its retry is sent
+    // 50 ms later.
+    world.sim.run_until(sent + ms(250));
+    let new_ref = moved.borrow().clone().unwrap().unwrap();
+    assert_eq!(world.sim.metrics_ref().counter("orb.retries"), 0, "moved before the retry");
+    world.run_for(ms(2000));
+
+    let node = world.node(HostId(2)).unwrap();
+    let counter = node.servant_of::<demo::CounterImpl>(InstanceId(new_ref.key.oid)).unwrap();
+    assert_eq!(counter.count, 1, "the migrated state holds the one increment, run once");
+    let metrics = world.sim.metrics_ref();
+    assert_eq!(metrics.counter("orb.retries"), 1);
+    assert_eq!(metrics.counter("orb.dedup_hits"), 1, "the retry was answered by the record");
+    assert_eq!(metrics.counter("migrate.forwarded_requests"), 0);
+    assert_eq!(call.borrow().len(), 1);
+    assert!(call.borrow()[0].1.is_ok());
     assert_drained(&world);
 }
 
