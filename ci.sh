@@ -50,9 +50,10 @@ LC_PROP_CASES=1500 cargo test --locked --release -q -p lc-core --test fault_prop
 # The suite's log feeds SIZE.txt's test count below; a failing suite
 # still stops the gate here, printing its log.
 cargo test --locked -q --workspace > target/tests.log 2>&1 || { cat target/tests.log; exit 1; }
-# Doc links are checked too: a deleted or renamed item must take its
-# [`intra-doc`] references with it.
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --locked --workspace --no-deps --offline -q
+# The docs build without a warning: a deleted or renamed item must take
+# its [`intra-doc`] references with it, a public doc may not link to a
+# private item, and every code block must parse.
+RUSTDOCFLAGS="-D warnings" cargo doc --locked --workspace --no-deps --offline -q
 
 # identical GOLDEN ID [FLAG...] -- the one determinism gate.
 #   Run `lcx ID FLAG... STEM` twice; the runs must agree byte for byte on

@@ -55,10 +55,7 @@ pub fn choose(
                 // connect to existing instance: zero setup, remote traffic,
                 // shared load
                 0.1 + offer.load + remote_traffic,
-                offer
-                    .running_instance
-                    .clone()
-                    .map(ResolveAction::ConnectExisting),
+                offer.running_instance().map(ResolveAction::ConnectExisting),
             ),
             (
                 // spawn remotely: small setup, remote traffic
@@ -69,7 +66,7 @@ pub fn choose(
                 // fetch + run locally: pay package transfer, no remote
                 // traffic afterwards
                 if offer.mobility == Mobility::Mobile && can_fetch {
-                    0.3 + fetch_penalty(offer.package_size, here.down_bw)
+                    0.3 + fetch_penalty(offer.package_size.into(), here.down_bw)
                 } else {
                     f64::INFINITY
                 },
@@ -197,10 +194,9 @@ pub fn plan_assembly(
 mod tests {
     use super::*;
     use crate::resource::DynamicInfo;
-    use lc_orb::ObjectKey;
     use lc_pkg::{Platform, Version};
 
-    fn offer(node: u32, load: f64, mobile: bool, pkg: u64, running: bool) -> Offer {
+    fn offer(node: u32, load: f64, mobile: bool, pkg: u32, running: bool) -> Offer {
         Offer {
             node: HostId(node),
             component: "C".into(),
@@ -209,10 +205,7 @@ mod tests {
             cost_per_hour: 0,
             package_size: pkg,
             load,
-            running_instance: running.then(|| ObjectRef {
-                key: ObjectKey { host: HostId(node), oid: 1 },
-                type_id: "IDL:X:1.0".into(),
-            }),
+            running: running.then(|| (1, "IDL:X:1.0".into())),
         }
     }
 

@@ -54,7 +54,7 @@ pub use registry::backend::{
     CoherenceRoute, Registry, ResolveStep, SearchRoute, ShardConfig, ShardDigest, ShardStore,
 };
 pub use registry::shard::{ShardRing, ShardRingConfig};
-pub use registry::{ComponentQuery, ComponentRegistry, InstanceId, InstanceInfo, Offer};
+pub use registry::{ComponentQuery, ComponentRegistry, InstanceId, InstanceInfo, Offer, OfferSet};
 pub use repository::{Accepted, ComponentRepository, InstallError, Installed};
 pub use resource::{ResourceManager, ResourceReport};
 pub use scale::{

@@ -16,7 +16,7 @@
 //! install or first use.
 
 use crate::assembly::AssemblyDescriptor;
-use crate::registry::{ComponentQuery, InstanceId, Offer};
+use crate::registry::{ComponentQuery, InstanceId, OfferSet};
 use lc_des::SimTime;
 use lc_net::HostId;
 use lc_orb::{Name, ObjectKey, ObjectRef, Value};
@@ -61,12 +61,17 @@ impl<K, V> Default for Continuations<K, V> {
 
 impl<K: Ord, V> Continuations<K, V> {
     /// Where `key` sits in the ring: `Ok` at its entry, `Err` where it
-    /// would go.
+    /// would go. A key above the back entry's — a fresh sequence number
+    /// or request id, the most common probe — is answered by that one
+    /// comparison; any other by a binary search.
     fn find<Q: Ord + ?Sized>(&self, key: &Q) -> Result<usize, usize>
     where
         K: std::borrow::Borrow<Q>,
     {
-        self.entries.binary_search_by(|(k, _)| k.borrow().cmp(key))
+        match self.entries.back() {
+            Some((last, _)) if last.borrow() < key => Err(self.entries.len()),
+            _ => self.entries.binary_search_by(|(k, _)| k.borrow().cmp(key)),
+        }
     }
 
     /// Park `value` under `key`, in key order (on the back when `key` is
@@ -237,7 +242,9 @@ pub(crate) struct ResolveCont {
 
 pub(crate) struct PendingQuery {
     pub purpose: QueryPurpose,
-    pub offers: Vec<Offer>,
+    /// What the search has found so far, shared with the answers it
+    /// came in and, once served, with the cache and every caller.
+    pub offers: OfferSet,
     pub started: SimTime,
     pub first_offer_at: Option<SimTime>,
     /// The query; each hop and retry sends a clone sharing its names.
@@ -543,6 +550,39 @@ mod tests {
         });
     }
 
+    /// `find` answers as a plain binary search does — `Ok` at an entry,
+    /// `Err` where a key would go — over random insert and remove
+    /// orders and probes below, among and above the kept keys.
+    #[test]
+    fn find_agrees_with_a_binary_search() {
+        lc_prop::check("find_agrees_with_a_binary_search", |g| {
+            let mut ring: Continuations<u64, ()> = Continuations::default();
+            let mut next = 0u64;
+            for _ in 0..g.gen_range(1..200u32) {
+                // Fresh keys above every kept one half the time, as
+                // sequence numbers and request ids arrive.
+                let key = if g.gen_bool() {
+                    next += g.gen_range(1..3u64);
+                    next
+                } else {
+                    g.gen_range(0..next + 3)
+                };
+                match g.gen_range(0..3u32) {
+                    0 => ring.insert(key, (), SimTime::MAX),
+                    1 => {
+                        ring.remove(&key);
+                    }
+                    _ => {}
+                }
+                let keys: Vec<u64> = ring.entries.iter().map(|(k, _)| *k).collect();
+                for probe in [key, g.gen_range(0..next + 3)] {
+                    let want = keys.binary_search(&probe);
+                    assert_eq!(ring.find(&probe), want, "probe {probe} in {keys:?}");
+                }
+            }
+        });
+    }
+
     #[test]
     fn cont_table_sequences_and_depth() {
         let mut t = ContTable::new();
@@ -550,7 +590,7 @@ mod tests {
         assert_eq!(t.next_seq(), 2);
         let pending = PendingQuery {
             purpose: QueryPurpose::Collect { sink: Rc::default(), first_wins: false },
-            offers: Vec::new(),
+            offers: OfferSet::default(),
             started: SimTime::ZERO,
             first_offer_at: None,
             query: ComponentQuery::default(),

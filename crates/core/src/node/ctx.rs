@@ -377,14 +377,14 @@ impl NodeCtx<'_, '_> {
                 last
             }
             None => {
-                let offers = self.state.published_offers_for(&by_name());
+                let offers = self.state.local_offers_for(&by_name());
                 let Some(store) = self.state.backend.shard_mut() else { return };
                 store.publish(component, bump, inputs, offers)
             }
         };
         if replicas.contains(&from) {
             if let Some(store) = self.state.backend.shard_mut() {
-                store.on_publish(component.clone(), from, gen, now, Rc::clone(&offers));
+                store.on_publish(component.clone(), from, gen, now, offers.clone());
             }
         }
         let msg = CtrlMsg::ShardPublish { from, component, gen, at: now, offers };

@@ -20,7 +20,7 @@
 //!
 //! The router in this module assigns every input — [`NodeCmd`] driver
 //! messages, internal timer ticks, and network traffic ([`lc_net::NetMsg`]
-//! carrying [`crate::proto::CtrlMsg`] or [`lc_orb::OrbWire`]) — to
+//! carrying the control protocol's messages or [`lc_orb::OrbWire`]) — to
 //! exactly one service and counts the activation in [`NodeMetrics`].
 //! Pending distributed work lives in one unified continuation table
 //! ([`Continuations`]) instead of per-concern maps.
@@ -48,7 +48,7 @@ use crate::registry::backend::ShardConfig;
 use crate::registry::shard::ShardRing;
 use crate::deploy::PlacementStrategy;
 use crate::proto::CtrlMsg;
-use crate::registry::{ComponentQuery, InstanceId, Offer};
+use crate::registry::{ComponentQuery, InstanceId, OfferSet};
 use lc_des::{Actor, Ctx, Mail, SimTime};
 use lc_net::{HostId, Net, NetMsg};
 use lc_orb::{Name, ObjectKey, ObjectRef, OrbError, OrbWire, Outcome, SimOrb, Value};
@@ -325,8 +325,9 @@ impl NodeConfigBuilder {
 /// Where a driver observes query progress.
 #[derive(Debug, Default)]
 pub struct QueryResult {
-    /// Offers collected so far (deduplicated by (node, component, version)).
-    pub offers: Vec<Offer>,
+    /// Offers collected so far (deduplicated by (node, component,
+    /// version)): the search's offer set, shared.
+    pub offers: OfferSet,
     /// Query finalized (timeout, done message, or first-offer short-circuit).
     pub done: bool,
     /// When the query started.
@@ -767,15 +768,16 @@ mod tests {
     }
 
     /// One slot of a node's pending-query ring (less its key and
-    /// deadline): the query is held by value, its names shared, and a
-    /// resolve's payload waits behind a box, so a query and a follower
-    /// are only as wide as a collect. While the query sat in a shared
-    /// box and a resolve inline, the pending query was 176 bytes too and
-    /// a follower 80.
+    /// deadline): the query is held by value, its names shared, its
+    /// offers as a shared set, and a resolve's payload waits behind a
+    /// box, so a query and a follower are only as wide as a collect. 176
+    /// bytes while the offers were a vector; while the query sat in a
+    /// shared box and a resolve inline, the pending query was 176 bytes
+    /// too and a follower 80.
     #[test]
-    fn pending_query_is_176_bytes() {
+    fn pending_query_is_168_bytes() {
         use super::continuations::{PendingQuery, QueryFollower};
-        assert_eq!(std::mem::size_of::<PendingQuery>(), 176);
+        assert_eq!(std::mem::size_of::<PendingQuery>(), 168);
         assert_eq!(std::mem::size_of::<QueryFollower>(), 32);
     }
 }

@@ -8,7 +8,7 @@ use crate::cohesion::{route_query, Route};
 use crate::deploy::{choose, ResolveAction};
 use crate::proto::{CtrlMsg, DeltaEntry, QueryId};
 use crate::registry::backend::{CoherenceRoute, PublishInputs, ResolveStep, SearchRoute};
-use crate::registry::{ComponentQuery, InstanceId, Offer};
+use crate::registry::{ComponentQuery, InstanceId, OfferSet};
 use lc_des::Counter;
 use lc_net::HostId;
 use lc_orb::Name;
@@ -23,10 +23,6 @@ use super::ctx::{Node, NodeCtx};
 use super::metrics::ServiceKind;
 use super::service::{item, ServiceReflect, Tick};
 use super::SpawnSink;
-
-/// Offers a still-collecting query keeps room for: what a collected
-/// answer used to reserve, so merging the next answers grows nothing.
-const MERGE_ROOM: usize = 4;
 
 /// How one query continuation ends.
 #[derive(Clone, Copy)]
@@ -61,8 +57,9 @@ impl Ending {
 }
 
 impl Node {
-    /// Offers this node's own registry/repository can make for a query.
-    pub(crate) fn local_offers_for(&self, query: &ComponentQuery) -> Vec<Offer> {
+    /// Offers this node's own registry/repository can make for a query:
+    /// an answer, a publication or a recomputation to check one against.
+    pub(crate) fn local_offers_for(&self, query: &ComponentQuery) -> OfferSet {
         self.registry.local_offers(
             self.host,
             &self.repository,
@@ -70,13 +67,6 @@ impl Node {
             &self.idl,
             self.resources.cpu_utilisation(),
         )
-    }
-
-    /// The same offers as a publication shares them, collected straight
-    /// into the `Rc`.
-    pub(crate) fn published_offers_for(&self, query: &ComponentQuery) -> Rc<[Offer]> {
-        let (repo, idl, load) = (&self.repository, &self.idl, self.resources.cpu_utilisation());
-        self.registry.offers(self.host, repo, query, idl, load).collect()
     }
 
     /// Everything [`local_offers_for`](Self::local_offers_for) reads for
@@ -166,7 +156,7 @@ impl NodeCtx<'_, '_> {
             seq,
             PendingQuery {
                 purpose,
-                offers: Vec::new(),
+                offers: OfferSet::default(),
                 started,
                 first_offer_at: None,
                 query: query.clone(),
@@ -316,13 +306,13 @@ impl NodeCtx<'_, '_> {
                 let ask = CtrlMsg::Query { qid, query, level: Some(up as u8), descending: false };
                 self.send_to_first_reachable(world.shape.mrm_hosts(up, g), ask);
             }
-            Route::DeadEnd => self.send_offers(qid, Vec::new(), true),
+            Route::DeadEnd => self.send_offers(qid, OfferSet::default(), true),
         }
     }
 
     /// Answer the query's origin: `offers`, and whether that ends the
     /// search (`done`).
-    pub(crate) fn send_offers(&mut self, qid: QueryId, offers: Vec<Offer>, done: bool) {
+    pub(crate) fn send_offers(&mut self, qid: QueryId, offers: OfferSet, done: bool) {
         self.send_ctrl(qid.origin, CtrlMsg::Offers { qid, offers, done });
     }
 
@@ -364,7 +354,7 @@ impl NodeCtx<'_, '_> {
         }
     }
 
-    pub(crate) fn on_offers(&mut self, qid: QueryId, offers: Vec<Offer>) {
+    pub(crate) fn on_offers(&mut self, qid: QueryId, offers: OfferSet) {
         debug_assert_eq!(qid.origin, self.state.host);
         if offers.is_empty() {
             return;
@@ -376,20 +366,7 @@ impl NodeCtx<'_, '_> {
         }
         // The first answer becomes the offer set itself; then the first of
         // equal (node, component, version) offers wins.
-        let kept = pq.offers.len();
-        if kept == 0 {
-            pq.offers = offers;
-        } else {
-            pq.offers.extend(offers);
-        }
-        let mut i = kept.max(1);
-        while let Some(o) = pq.offers.get(i) {
-            if pq.offers[..i].iter().any(|p| p.key() == o.key()) {
-                pq.offers.remove(i);
-            } else {
-                i += 1;
-            }
-        }
+        pq.offers.merge(offers);
         let finish_now = match &pq.purpose {
             QueryPurpose::Collect { first_wins, .. } => *first_wins && !pq.offers.is_empty(),
             QueryPurpose::Resolve(_) => !pq.offers.is_empty(),
@@ -397,14 +374,10 @@ impl NodeCtx<'_, '_> {
         if finish_now {
             self.finish_query(qid.seq);
         } else if let QueryPurpose::Collect { sink, .. } = &pq.purpose {
-            // Keep collecting; sync collect sinks for observers. An answer
-            // is sized exactly, so the observers get the set as it stands
-            // and the query keeps a copy with room for the next answers
-            // to merge into (one copy either way).
-            let mut roomy = Vec::with_capacity(pq.offers.len().max(MERGE_ROOM));
-            roomy.extend_from_slice(&pq.offers);
+            // Keep collecting; sync collect sinks for observers, which
+            // share the set as it stands.
             let mut s = sink.borrow_mut();
-            s.offers = std::mem::replace(&mut pq.offers, roomy);
+            s.offers = pq.offers.clone();
             s.first_offer_at = pq.first_offer_at;
         }
     }
@@ -421,8 +394,8 @@ impl NodeCtx<'_, '_> {
     /// the cache when the search is served before its deadline (partial,
     /// timed-out results are never cached), tag and end the query's span,
     /// then complete the leader and, in join order, its followers, still
-    /// inside the span's context. Every caller gets a copy of the offer
-    /// set but the last, which gets the set itself.
+    /// inside the span's context. The cache and every caller share the
+    /// one offer set.
     fn end_query(&mut self, mut pq: PendingQuery, ending: Ending) {
         let now = self.sim.now();
         if let Ending::Served { timed_out: false, .. } = ending {
@@ -442,18 +415,17 @@ impl NodeCtx<'_, '_> {
             }
         }
         let followers = std::mem::take(&mut pq.followers);
-        let (last, mut offers) = (followers.len(), pq.offers);
-        let mut share = |i| if i == last { std::mem::take(&mut offers) } else { offers.clone() };
+        let offers = pq.offers;
         // Follow-up work (resolve actions) still parents under the query.
         self.in_span(span, |ctx| {
-            ctx.complete(pq.purpose, share(0), &pq.query, ending);
-            for (i, f) in (1..).zip(followers) {
+            ctx.complete(pq.purpose, offers.clone(), &pq.query, ending);
+            for f in followers {
                 match ending {
                     Ending::Served { timed_out, .. } => {
-                        let (purpose, offers) = (f.purpose, share(i));
+                        let (purpose, offers) = (f.purpose, offers.clone());
                         ctx.resolve_follower(purpose, f.started, offers, &pq.query, timed_out, None)
                     }
-                    Ending::Shed => ctx.complete(f.purpose, share(i), &pq.query, ending),
+                    Ending::Shed => ctx.complete(f.purpose, offers.clone(), &pq.query, ending),
                 }
             }
             if let Some(s) = span {
@@ -471,7 +443,7 @@ impl NodeCtx<'_, '_> {
         &mut self,
         purpose: QueryPurpose,
         started: lc_des::SimTime,
-        offers: Vec<Offer>,
+        offers: OfferSet,
         query: &ComponentQuery,
         timed_out: bool,
         cached_age: Option<lc_des::SimTime>,
@@ -503,7 +475,7 @@ impl NodeCtx<'_, '_> {
     fn complete(
         &mut self,
         purpose: QueryPurpose,
-        offers: Vec<Offer>,
+        offers: OfferSet,
         query: &ComponentQuery,
         ending: Ending,
     ) {

@@ -11,7 +11,7 @@
 //! sibling's behaviour *within the same event* (e.g. the registry
 //! finishing a query and wiring a port through the container) calls the
 //! shared [`NodeCtx`] plumbing directly; a control message addressed to
-//! this host goes through the same [`handle_ctrl`], without a network
+//! this host goes through the same `handle_ctrl`, without a network
 //! hop or message accounting.
 
 use crate::proto::CtrlMsg;

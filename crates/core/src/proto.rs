@@ -1,19 +1,19 @@
 //! The node-to-node control protocol of the Distributed Registry.
 //!
 //! Everything the paper's §2.4.3 requires of "the protocol" travels as
-//! [`CtrlMsg`] values inside [`lc_net::NetMsg`] payloads: soft-consistency
+//! `CtrlMsg` values inside [`lc_net::NetMsg`] payloads: soft-consistency
 //! keep-alive reports, hierarchical summaries, distributed component
 //! queries (up the MRM hierarchy, or one hop to the owning registry
 //! shard, whose replicas publish and gossip among themselves) and their
-//! answers — one [`CtrlMsg::Offers`] carrying the offers and whether the
+//! answers — one `CtrlMsg::Offers` carrying the offers and whether the
 //! search is over — package fetches (the network as a component
-//! repository; one [`CtrlMsg::Package`] answers, bytes or refusal),
+//! repository; one `CtrlMsg::Package` answers, bytes or refusal),
 //! remote instantiation (a migration is one that carries state), and
 //! event subscription. Each message knows its approximate wire size so
 //! the network model is charged honestly.
 
 use crate::registry::backend::ShardDigest;
-use crate::registry::{ComponentQuery, Offer};
+use crate::registry::{ComponentQuery, Offer, OfferSet};
 use crate::resource::ResourceReport;
 use lc_orb::{Name, ObjectKey, ObjectRef, Value};
 use lc_pkg::Version;
@@ -101,8 +101,9 @@ pub(crate) enum CtrlMsg {
     Offers {
         /// Query id.
         qid: QueryId,
-        /// Matching offers (possibly empty).
-        offers: Vec<Offer>,
+        /// Matching offers (possibly empty), shared with whoever else
+        /// holds the set.
+        offers: OfferSet,
         /// The search is exhausted: finalize on receipt.
         done: bool,
     },
@@ -237,7 +238,7 @@ pub(crate) enum CtrlMsg {
         /// The publisher's complete current offers for the component
         /// (empty = deregistered): computed once per publish and shared
         /// by the whole replica set and the stores that keep it.
-        offers: Rc<[Offer]>,
+        offers: OfferSet,
     },
     /// Anti-entropy digest: one replica's `(component, publisher,
     /// generation)` view of a shard, sent to a peer replica on the
@@ -322,7 +323,7 @@ fn replica_size(replica: &Option<(String, Version)>) -> u64 {
 }
 
 /// One repaired `(component, publisher)` inventory entry inside a
-/// [`CtrlMsg::GossipDelta`]. Carries the *sender's stored* freshness
+/// `CtrlMsg::GossipDelta`. Carries the *sender's stored* freshness
 /// stamp — not the send time — so an entry the receiver already expired
 /// is re-adopted with its original deadline and both replicas retire it
 /// on the same virtual-time schedule (no resurrection ping-pong for dead
@@ -339,7 +340,7 @@ pub struct DeltaEntry {
     pub at: lc_des::SimTime,
     /// The publisher's offers for the component (the sender's stored
     /// offer set, shared).
-    pub offers: Rc<[Offer]>,
+    pub offers: OfferSet,
 }
 
 impl DeltaEntry {
@@ -399,7 +400,7 @@ mod tests {
     fn answer_wire_sizes_match_the_kinds_they_replaced() {
         const HDR: u64 = 24;
         let qid = QueryId { origin: HostId(1), seq: 2 };
-        let done = CtrlMsg::Offers { qid, offers: Vec::new(), done: true };
+        let done = CtrlMsg::Offers { qid, offers: OfferSet::default(), done: true };
         assert_eq!(done.wire_size(), HDR + 8);
         let offer = Offer {
             node: HostId(3),
@@ -409,10 +410,10 @@ mod tests {
             cost_per_hour: 0,
             package_size: 1000,
             load: 0.0,
-            running_instance: None,
+            running: None,
         };
         for done in [false, true] {
-            let offers = vec![offer.clone(); 3];
+            let offers = OfferSet::from([offer.clone(), offer.clone(), offer.clone()]);
             let answer = CtrlMsg::Offers { qid, offers, done };
             assert_eq!(answer.wire_size(), HDR + 8 + 3 * (48 + 7));
         }
@@ -465,6 +466,15 @@ mod tests {
     #[test]
     fn ctrl_msg_is_120_bytes() {
         assert_eq!(std::mem::size_of::<CtrlMsg>(), 120);
+    }
+
+    /// An answer of one offer is one 88-byte allocation, as the answer
+    /// vector it replaced was: the shared set's counts (16 B) and one
+    /// 72-byte offer, whose running instance is kept without its host
+    /// (the offering node) and whose package size is a `u32`.
+    #[test]
+    fn offer_is_72_bytes() {
+        assert_eq!(std::mem::size_of::<Offer>(), 72);
     }
 
     #[test]

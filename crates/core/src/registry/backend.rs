@@ -23,7 +23,7 @@
 
 use crate::proto::DeltaEntry;
 use crate::registry::shard::{ShardRing, ShardRingConfig};
-use crate::registry::{ComponentQuery, Offer};
+use crate::registry::{ComponentQuery, Offer, OfferSet};
 use crate::resource::DynamicInfo;
 use lc_cache::QueryCache;
 use lc_des::SimTime;
@@ -75,8 +75,8 @@ impl ShardConfig {
 pub enum ResolveStep {
     /// Serve synchronously from the result cache.
     Hit {
-        /// The cached offer set.
-        offers: Vec<Offer>,
+        /// The cached offer set, shared.
+        offers: OfferSet,
         /// The entry's age (surfaced as result staleness).
         age: SimTime,
     },
@@ -161,12 +161,12 @@ impl PublishInputs {
 struct Published {
     gen: u64,
     inputs: PublishInputs,
-    offers: Rc<[Offer]>,
+    offers: OfferSet,
 }
 
 /// A publication as it goes on the wire: the component's name (the
 /// store's key, shared), its generation and its offer set.
-pub(crate) type Publication = (Name, u64, Rc<[Offer]>);
+pub(crate) type Publication = (Name, u64, OfferSet);
 
 /// One shard this host replicates: its publisher entries, their
 /// anti-entropy digest and a bound on their freshness stamps.
@@ -199,7 +199,7 @@ impl ShardSlice {
         publisher: HostId,
         gen: u64,
         at: SimTime,
-        offers: Rc<[Offer]>,
+        offers: OfferSet,
     ) -> bool {
         let by_name = self.entries.entry(component);
         // The store's own key, whichever name this publish arrived with.
@@ -276,8 +276,9 @@ struct PubEntry {
     /// observed along the publish/gossip path).
     at: SimTime,
     /// The publisher's offer set as published: shared with the other
-    /// replicas' entries and with any repair delta that carries it on.
-    offers: Rc<[Offer]>,
+    /// replicas' entries, with any repair delta that carries it on and
+    /// with every lookup it answers whole.
+    offers: OfferSet,
 }
 
 /// This host's slice of the sharded inventory: the world's shared ring,
@@ -340,30 +341,43 @@ impl ShardStore {
     /// host does not replicate the shard. Interface (`provides`) queries
     /// never reach the store — the router sends them down the hierarchy
     /// — so an offer is checked against the query's other predicates.
-    pub fn lookup(&self, shard: u32, query: &ComponentQuery) -> Option<Vec<Offer>> {
+    /// The answer is every admitted offer, in store order, the first of
+    /// equal keys winning. When that is one publisher entry's whole set
+    /// (a component with one holder), the answer is that set, shared;
+    /// otherwise it is one allocation of exactly its offers.
+    pub fn lookup(&self, shard: u32, query: &ComponentQuery) -> Option<OfferSet> {
         let by_comp = &self.store.get(&shard)?.entries;
-        let mut out: Vec<Offer> = Vec::new();
         let comps = match query.name.as_deref() {
             Some(name) => {
                 by_comp.range::<str, _>((Bound::Included(name), Bound::Included(name)))
             }
             None => by_comp.range::<str, _>(..),
         };
-        // Sized once, for every offer held: the answer is one vector.
-        let held = comps.clone().flat_map(|(_, by_pub)| by_pub.values());
-        out.reserve_exact(held.map(|e| e.offers.len()).sum());
-        for (_, by_pub) in comps {
-            for e in by_pub.values() {
-                for o in e.offers.iter() {
-                    if query.admits(&o.component, o.version, o.cost_per_hour, o.mobility)
-                        && !out.iter().any(|x| x.key() == o.key())
-                    {
-                        out.push(o.clone());
-                    }
-                }
+        let entries = || comps.clone().flat_map(|(_, by_pub)| by_pub.values());
+        let held = || entries().flat_map(|e| e.offers.iter());
+        let admitted =
+            |o: &Offer| query.admits(&o.component, o.version, o.cost_per_hour, o.mobility);
+        // The `i`-th offer held is in the answer.
+        let kept = |i: usize, o: &Offer| {
+            admitted(o) && !held().take(i).any(|p| admitted(p) && p.key() == o.key())
+        };
+        let (mut i, mut n, mut whole) = (0, 0, None);
+        for e in entries() {
+            let mut k = 0;
+            for o in e.offers.iter() {
+                k += usize::from(kept(i, o));
+                i += 1;
+            }
+            if k > 0 {
+                whole = (n == 0 && k == e.offers.len()).then_some(&e.offers);
+                n += k;
             }
         }
-        Some(out)
+        if let Some(offers) = whole {
+            return Some(offers.clone());
+        }
+        let answer = held().enumerate().filter(|&(i, o)| kept(i, o)).map(|(_, o)| o.clone());
+        Some(OfferSet::exact(n, answer))
     }
 
     /// This host's last publication of `component`, for a refresh: the
@@ -373,7 +387,7 @@ impl ShardStore {
         let (name, last) = self.published.get_key_value(component)?;
         inputs
             .unchanged(&last.inputs)
-            .then(|| (name.clone(), last.gen, Rc::clone(&last.offers)))
+            .then(|| (name.clone(), last.gen, last.offers.clone()))
     }
 
     /// Record a freshly computed publication of `component`. `bump`
@@ -385,7 +399,7 @@ impl ShardStore {
         component: &str,
         bump: bool,
         inputs: PublishInputs,
-        offers: Rc<[Offer]>,
+        offers: OfferSet,
     ) -> Publication {
         let last = self.published.get_key_value(component);
         let name = last.map_or_else(|| Name::from(component), |(name, _)| name.clone());
@@ -396,7 +410,7 @@ impl ShardStore {
                 self.next_gen
             }
         };
-        let published = Published { gen, inputs, offers: Rc::clone(&offers) };
+        let published = Published { gen, inputs, offers: offers.clone() };
         self.published.insert(name.clone(), published);
         (name, gen, offers)
     }
@@ -410,7 +424,7 @@ impl ShardStore {
         publisher: HostId,
         gen: u64,
         at: SimTime,
-        offers: Rc<[Offer]>,
+        offers: OfferSet,
     ) -> bool {
         let shard = self.ring.shard_of_component(&component);
         let Some(slice) = self.store.get_mut(&shard) else {
@@ -477,7 +491,7 @@ impl ShardStore {
                         publisher: p,
                         gen: e.gen,
                         at: e.at,
-                        offers: Rc::clone(&e.offers),
+                        offers: e.offers.clone(),
                     });
                 }
             }
@@ -520,7 +534,7 @@ impl ShardStore {
 pub struct Registry {
     /// Boxed: a cache holds a query it found stale beside its tree, and
     /// inline that would widen every node, cached or not.
-    cache: Option<Box<QueryCache<ComponentQuery, Vec<Offer>>>>,
+    cache: Option<Box<QueryCache<ComponentQuery, OfferSet>>>,
     shard: Option<ShardStore>,
 }
 
@@ -555,13 +569,13 @@ impl Registry {
 
     /// The search for `query` was served `offers` before its deadline:
     /// when they are non-empty, fill the result cache under the search's
-    /// own query with a copy of them.
-    pub fn complete(&mut self, query: &ComponentQuery, offers: &[Offer], now: SimTime) {
+    /// own query with the set, shared.
+    pub fn complete(&mut self, query: &ComponentQuery, offers: &OfferSet, now: SimTime) {
         if offers.is_empty() {
             return;
         }
         if let Some(cache) = self.cache.as_mut() {
-            cache.insert(query.clone(), offers.to_vec(), now);
+            cache.insert(query.clone(), offers.clone(), now);
         }
     }
 
@@ -623,7 +637,7 @@ mod tests {
             cost_per_hour: 0,
             package_size: 1000,
             load: 0.0,
-            running_instance: None,
+            running: None,
         }
     }
 
@@ -801,7 +815,7 @@ mod tests {
         let q = ComponentQuery::by_name("X", Version::new(1, 0));
         // miss → search; completion fills the cache; next query hits
         assert!(matches!(b.resolve(&q, MS(0)), ResolveStep::Miss { cache_missed: true }));
-        b.complete(&q, &[offer(2, "X")], MS(2));
+        b.complete(&q, &[offer(2, "X")].into(), MS(2));
         match b.resolve(&q, MS(3)) {
             ResolveStep::Hit { offers, age } => {
                 assert_eq!(offers.len(), 1);
@@ -817,8 +831,8 @@ mod tests {
         // any component's invalidation drops it; a name query for
         // another component survives
         let iq = ComponentQuery::by_interface("IDL:Display:1.0");
-        b.complete(&iq, &[offer(2, "Gui")], MS(5));
-        b.complete(&q, &[offer(2, "X")], MS(5));
+        b.complete(&iq, &[offer(2, "Gui")].into(), MS(5));
+        b.complete(&q, &[offer(2, "X")].into(), MS(5));
         assert_eq!(b.invalidate("Unrelated"), Some(1));
         assert!(matches!(b.resolve(&iq, MS(6)), ResolveStep::Miss { .. }));
         assert!(matches!(b.resolve(&q, MS(6)), ResolveStep::Hit { .. }));
@@ -842,12 +856,12 @@ mod tests {
         let (filled, probe) = (counter(), counter());
         let (Some(x), Some(y)) = (&filled.name, &probe.name) else { panic!("name queries") };
         assert!(!Name::ptr_eq(x, y), "each query holds its own name");
-        front.complete(&filled, &[offer(2, "Counter")], MS(0));
+        front.complete(&filled, &[offer(2, "Counter")].into(), MS(0));
         match front.resolve(&probe, MS(1)) {
-            ResolveStep::Hit { offers, .. } => assert_eq!(offers, [offer(2, "Counter")]),
+            ResolveStep::Hit { offers, .. } => assert_eq!(*offers, [offer(2, "Counter")]),
             ResolveStep::Miss { .. } => panic!("an equal query must hit the entry"),
         }
-        front.complete(&probe, &[offer(3, "Counter")], MS(2));
+        front.complete(&probe, &[offer(3, "Counter")].into(), MS(2));
         assert_eq!(front.invalidate("Counter"), Some(1), "both completions filled one entry");
     }
 
@@ -867,7 +881,7 @@ mod tests {
         let (name, gen, offers) = a.publish("X", false, inputs.clone(), [offer(0, "X")].into());
         assert_eq!(gen, 1);
         let (again, same_gen, same) = a.republish("X", &inputs).expect("inputs unchanged");
-        assert!(Name::ptr_eq(&again, &name) && Rc::ptr_eq(&same, &offers));
+        assert!(Name::ptr_eq(&again, &name) && same.as_ptr() == offers.as_ptr());
         assert_eq!(same_gen, gen);
 
         let busier = DynamicInfo { cpu_used: 0.1, ..inputs.dynamic };
@@ -884,6 +898,91 @@ mod tests {
         }
         assert_eq!(a.publish("X", true, inputs.clone(), [].into()).1, 2, "a bump advances it");
         assert_eq!(a.publish("Y", false, inputs, [].into()).1, 3, "so does a first publish");
+    }
+
+    /// The lookup rule before answers were shared: a copy of every offer
+    /// held for the queried names, in store order, that the query admits
+    /// and that no offer already copied shares a key with.
+    fn filtered_copy(store: &ShardStore, shard: u32, query: &ComponentQuery) -> Option<Vec<Offer>> {
+        let by_comp = &store.store.get(&shard)?.entries;
+        let mut out: Vec<Offer> = Vec::new();
+        let comps =
+            by_comp.iter().filter(|(c, _)| query.name.as_deref().is_none_or(|n| n == &***c));
+        for o in comps.flat_map(|(_, by_pub)| by_pub.values()).flat_map(|e| e.offers.iter()) {
+            if query.admits(&o.component, o.version, o.cost_per_hour, o.mobility)
+                && !out.iter().any(|x| x.key() == o.key())
+            {
+                out.push(o.clone());
+            }
+        }
+        Some(out)
+    }
+
+    /// A lookup answers what the filtered copy answered, in order, over
+    /// random publications — several publishers per component, several
+    /// versions, costs and mobilities, repeated `(node, component,
+    /// version)` keys within and across publishers' sets — and random
+    /// name, version, cost and mobility filters. An answer that is one
+    /// publisher entry's whole set is that set, shared.
+    #[test]
+    fn a_shared_lookup_answers_what_the_filtered_copy_answered() {
+        const NAMES: [&str; 3] = ["A", "Counter", "X"];
+        lc_prop::check("shared lookup = filtered copy", |g| {
+            let (mut a, _) = replica_pair();
+            for _ in 0..g.gen_range(0..12usize) {
+                let component = *g.pick(&NAMES);
+                let publisher = HostId(g.gen_range(0..3u32));
+                let n = g.gen_range(0..4usize);
+                let offers: Vec<Offer> = (0..n)
+                    .map(|_| Offer {
+                        // Mostly the publisher's own offers; sometimes a
+                        // key another publisher's set holds too.
+                        node: if g.gen_range(0..4u32) == 0 {
+                            HostId(g.gen_range(0..3u32))
+                        } else {
+                            publisher
+                        },
+                        version: Version::new(1, g.gen_range(0..3u32)),
+                        mobility: if g.gen_bool() { Mobility::Mobile } else { Mobility::Fixed },
+                        cost_per_hour: g.gen_range(0..3u32) * 50,
+                        ..offer(0, component)
+                    })
+                    .collect();
+                let set = OfferSet::exact(n, offers.into_iter());
+                let (gen, at) = (g.gen_range(1..4u64), MS(g.gen_range(0..50u64)));
+                a.on_publish(component.into(), publisher, gen, at, set);
+            }
+            for _ in 0..8 {
+                let query = ComponentQuery {
+                    name: g.gen_bool().then(|| Name::from(*g.pick(&NAMES))),
+                    min_version: g.gen_bool().then(|| Version::new(1, g.gen_range(0..3u32))),
+                    max_cost: g.gen_bool().then(|| g.gen_range(0..120u32)),
+                    require_mobile: g.gen_bool(),
+                    ..Default::default()
+                };
+                for shard in 0..4 {
+                    let shared = a.lookup(shard, &query);
+                    let copied = filtered_copy(&a, shard, &query);
+                    assert_eq!(shared.as_deref(), copied.as_deref(), "{query:?} on shard {shard}");
+                    let Some(shared) = shared else { continue };
+                    let admits = |o: &Offer| {
+                        query.admits(&o.component, o.version, o.cost_per_hour, o.mobility)
+                    };
+                    let by_comp = a.store[&shard].entries.iter();
+                    let named =
+                        by_comp.filter(|(c, _)| query.name.as_ref().is_none_or(|n| n == *c));
+                    let mut answering = named
+                        .flat_map(|(_, by_pub)| by_pub.values())
+                        .filter(|e| e.offers.iter().any(admits));
+                    if let (Some(e), None) = (answering.next(), answering.next()) {
+                        if e.offers.len() == shared.len() {
+                            let whole = e.offers.as_ptr();
+                            assert_eq!(whole, shared.as_ptr(), "a whole entry is shared");
+                        }
+                    }
+                }
+            }
+        });
     }
 
     /// The merge walk answers a digest exactly as a reference fold does —

@@ -16,9 +16,10 @@ pub mod shard;
 use crate::repository::ComponentRepository;
 use lc_idl::Repository;
 use lc_net::HostId;
-use lc_orb::{Name, ObjectRef};
+use lc_orb::{Name, ObjectKey, ObjectRef};
 use lc_pkg::{ComponentDescriptor, Licensing, Mobility, Version};
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// Identifier of a component instance within one node: the object id
 /// of its servant in the node's adapter, so an instance and its servant
@@ -177,12 +178,16 @@ pub struct Offer {
     pub mobility: Mobility,
     /// Licensing cost (0 for free).
     pub cost_per_hour: u32,
-    /// Wire size of the package (fetch cost estimate).
-    pub package_size: u64,
+    /// Wire size of the package (fetch cost estimate), saturated at
+    /// `u32::MAX`.
+    pub package_size: u32,
     /// CPU utilisation of the offering node when the offer was made.
     pub load: f64,
-    /// A running instance already providing the service, if any.
-    pub running_instance: Option<ObjectRef>,
+    /// The object id and repository id of a running instance already
+    /// providing the service, if any. It runs on `node`, so its host is
+    /// not stored again: [`running_instance`](Self::running_instance)
+    /// rebuilds the reference.
+    pub running: Option<(u64, Name)>,
 }
 
 impl Offer {
@@ -195,6 +200,85 @@ impl Offer {
     /// Approximate wire size in bytes.
     pub fn wire_size(&self) -> u64 {
         48 + self.component.len() as u64
+    }
+
+    /// The reference of the running instance, if any (on `node`).
+    pub fn running_instance(&self) -> Option<ObjectRef> {
+        let (oid, type_id) = self.running.as_ref()?;
+        Some(ObjectRef { key: ObjectKey { host: self.node, oid: *oid }, type_id: type_id.clone() })
+    }
+}
+
+/// An answer: an immutable offer set, allocated once where it is made
+/// and then shared by everything that holds it — the shard entry it was
+/// published as, the reply, the pending query, the result cache, every
+/// coalesced or cache-served caller and the caller's sink. The empty set
+/// allocates nothing (an empty `Rc<[Offer]>` would still allocate its
+/// counts), and cloning any set allocates nothing.
+#[derive(Clone, Default, PartialEq, Debug)]
+pub struct OfferSet(Option<Rc<[Offer]>>);
+
+impl OfferSet {
+    /// The `n` offers `offers` yields, collected with one allocation of
+    /// exactly that many (none when `n` is 0): `(0..n).map(..)` is
+    /// `TrustedLen`, which a collected filter is not (that reserves four
+    /// offers for one and copies them into the `Rc`).
+    pub(crate) fn exact(n: usize, mut offers: impl Iterator<Item = Offer>) -> OfferSet {
+        if n == 0 {
+            return OfferSet(None);
+        }
+        OfferSet(Some(
+            (0..n)
+                .map(|_| {
+                    let Some(o) = offers.next() else { unreachable!("{n} offers were counted") };
+                    o
+                })
+                .collect(),
+        ))
+    }
+
+    /// Add `incoming`'s offers whose key neither this set nor an earlier
+    /// incoming offer holds: the first of equal keys wins. Into an empty
+    /// set without repeated keys `incoming` comes as it is, shared; an
+    /// answer that adds nothing leaves the set as it is; anything else
+    /// makes one new set, sized exactly.
+    pub(crate) fn merge(&mut self, incoming: OfferSet) {
+        let fresh =
+            |j: usize, o: &Offer| !self.iter().chain(&incoming[..j]).any(|p| p.key() == o.key());
+        let n = incoming.iter().enumerate().filter(|&(j, o)| fresh(j, o)).count();
+        if n == 0 {
+            return;
+        }
+        if self.is_empty() && n == incoming.len() {
+            *self = incoming;
+            return;
+        }
+        let added = incoming.iter().enumerate().filter(|&(j, o)| fresh(j, o));
+        let all = self.iter().chain(added.map(|(_, o)| o)).cloned();
+        *self = OfferSet::exact(self.len() + n, all);
+    }
+}
+
+impl std::ops::Deref for OfferSet {
+    type Target = [Offer];
+
+    fn deref(&self) -> &[Offer] {
+        self.0.as_deref().unwrap_or_default()
+    }
+}
+
+impl<'a> IntoIterator for &'a OfferSet {
+    type Item = &'a Offer;
+    type IntoIter = std::slice::Iter<'a, Offer>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl<const N: usize> From<[Offer; N]> for OfferSet {
+    fn from(offers: [Offer; N]) -> Self {
+        OfferSet::exact(N, offers.into_iter())
     }
 }
 
@@ -285,9 +369,8 @@ impl ComponentRegistry {
     /// Answer a query against this node's repository + instances.
     ///
     /// Produces at most one offer per installed matching (name, version),
-    /// annotated with a running instance when one exists. The answer
-    /// travels by value to the asker and waits there until harvested, so
-    /// it is sized exactly (see `offers`).
+    /// annotated with a running instance when one exists. The matches are
+    /// counted first, so the set is one allocation of exactly that many.
     pub fn local_offers(
         &self,
         node: HostId,
@@ -295,43 +378,25 @@ impl ComponentRegistry {
         query: &ComponentQuery,
         idl: &Repository,
         load: f64,
-    ) -> Vec<Offer> {
-        self.offers(node, repo, query, idl, load).collect()
-    }
-
-    /// The offers of [`local_offers`](Self::local_offers), one per match.
-    /// The matches are counted first and `(0..n).map(..)` is `TrustedLen`,
-    /// so a `Vec` or an `Rc<[Offer]>` collects them with one allocation of
-    /// exactly that many. (A collected filter reserves four offers for
-    /// one, and a `Vec` turned into an `Rc<[Offer]>` is copied.)
-    pub(crate) fn offers<'s>(
-        &'s self,
-        node: HostId,
-        repo: &'s ComponentRepository,
-        query: &'s ComponentQuery,
-        idl: &'s Repository,
-        load: f64,
-    ) -> impl Iterator<Item = Offer> + 's {
-        let matching = move || repo.iter().filter(move |inst| query.matches(&inst.descriptor, idl));
-        let n = matching().count();
-        let mut matches = matching();
-        (0..n).map(move |_| {
-            let Some(inst) = matches.next() else { unreachable!("{n} matches were counted") };
+    ) -> OfferSet {
+        let matching = || repo.iter().filter(|inst| query.matches(&inst.descriptor, idl));
+        let offers = matching().map(|inst| {
             let running = self
                 .instances_of(&inst.descriptor.name)
                 .find(|i| i.version == inst.descriptor.version)
-                .map(|i| i.objref.clone());
+                .map(|i| (i.objref.key.oid, i.objref.type_id.clone()));
             Offer {
                 node,
                 component: inst.name.clone(),
                 version: inst.descriptor.version,
                 mobility: inst.descriptor.mobility,
                 cost_per_hour: cost_per_hour(inst.descriptor.licensing),
-                package_size: inst.wire_size(),
+                package_size: u32::try_from(inst.wire_size()).unwrap_or(u32::MAX),
                 load,
-                running_instance: running,
+                running,
             }
-        })
+        });
+        OfferSet::exact(matching().count(), offers)
     }
 
     /// Forget everything (node restart).
@@ -345,7 +410,6 @@ impl ComponentRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lc_orb::ObjectKey;
 
     fn objref(host: u32, oid: u64) -> ObjectRef {
         ObjectRef {
@@ -404,6 +468,53 @@ mod tests {
         assert!(reg.instance_mut(a).unwrap().remove_provides("extra"));
         assert!(!extra(&reg));
         assert!(!reg.instance_mut(a).unwrap().remove_provides("extra"));
+    }
+
+    /// Merging answers keeps what the collecting query's vector kept —
+    /// every answer appended, then every offer after the first dropped
+    /// when an earlier one has its key — in order, over random answers
+    /// with keys repeated within and across them. The first answer
+    /// without a repeated key is kept as it came, shared.
+    #[test]
+    fn merged_answers_keep_what_extend_and_dedup_kept() {
+        lc_prop::check("merge = extend and dedup", |g| {
+            let mut merged = OfferSet::default();
+            let mut vector: Vec<Offer> = Vec::new();
+            for _ in 0..g.gen_range(0..6usize) {
+                let n = g.gen_range(0..4usize);
+                let answer: Vec<Offer> = (0..n)
+                    .map(|_| Offer {
+                        node: HostId(g.gen_range(0..3u32)),
+                        component: (*g.pick(&["A", "B"])).into(),
+                        version: Version::new(1, g.gen_range(0..2u32)),
+                        mobility: Mobility::Mobile,
+                        cost_per_hour: 0,
+                        package_size: 0,
+                        // Tells apart offers of one key.
+                        load: f64::from(g.gen_range(0..100u32)),
+                        running: None,
+                    })
+                    .collect();
+                let kept = vector.len();
+                vector.extend(answer.iter().cloned());
+                let mut i = kept.max(1);
+                while let Some(o) = vector.get(i) {
+                    if vector[..i].iter().any(|p| p.key() == o.key()) {
+                        vector.remove(i);
+                    } else {
+                        i += 1;
+                    }
+                }
+                let answer = OfferSet::exact(n, answer.into_iter());
+                let first = merged.is_empty() && vector.len() == answer.len();
+                let shared = answer.as_ptr();
+                merged.merge(answer);
+                assert_eq!(*merged, *vector);
+                if first && !merged.is_empty() {
+                    assert_eq!(merged.as_ptr(), shared, "a first answer is kept as it came");
+                }
+            }
+        });
     }
 
     #[test]

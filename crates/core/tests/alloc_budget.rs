@@ -19,7 +19,7 @@ use lc_core::testkit::{display_campus, fast_cohesion, DISPLAY_FRONTS as FRONTS, 
 use lc_core::cohesion::MemberRecord;
 use lc_core::{
     CacheConfig, CohesionConfig, ComponentQuery, Continuations, GroupSummary, NodeConfig, Offer,
-    QuerySink, Registry, ResolveStep, ServiceKind, ShardConfig, ShardStore,
+    OfferSet, QuerySink, Registry, ResolveStep, ServiceKind, ShardConfig, ShardStore,
 };
 use lc_des::{Lane, ProfilerConfig, SimTime};
 use lc_load::{
@@ -63,7 +63,7 @@ const SINGLE_LEADER_BUDGET: f64 = 0.0;
 const SHARDED_BUDGET: f64 = if cfg!(debug_assertions) { 0.5 } else { 0.0 };
 
 /// What the exactness assertion of debug builds adds to re-sending the
-/// campus's one publication: recomputing it (the offer vector; its query
+/// campus's one publication: recomputing it (the offer set; its query
 /// shares the installed component's name and the offer its component
 /// name) to compare with what is re-sent. 2 while the query copied the
 /// name.
@@ -303,7 +303,7 @@ fn a_changed_shard_gossips_without_rebuilding() {
         let store = world.node(replica).expect("no crashes").backend().shard().expect("sharded");
         let query = ComponentQuery::by_name("Counter", Version::new(1, 0));
         let offers = store.lookup(shard, &query).expect("a replica answers");
-        offers.iter().any(|o| o.node == HOLDER && o.running_instance.is_some())
+        offers.iter().any(|o| o.node == HOLDER && o.running.is_some())
     };
     let rounds = |world: &World| {
         let node = world.node(replica).expect("no crashes");
@@ -399,14 +399,15 @@ fn step_until_counting(world: &mut World, done: impl Fn(&World) -> bool) -> u64 
     }
 }
 
-/// A query the result cache serves allocates its answer vector and
-/// nothing else: the offers in it share their component names and their
-/// instances' repository ids with the cached set. (Each offer copied its
-/// name when names were owned strings.) On the sharded registry, whose
+/// A query the result cache serves allocates nothing: its caller's sink
+/// shares the cached offer set. (1 while every hit handed out a copy of
+/// the cached vector, whose offers shared their component names and their
+/// instances' repository ids with it; more while each offer copied its
+/// name, when names were owned strings.) On the sharded registry, whose
 /// one-hop lookup completes a search — so its result is cached — with
 /// every holder's offer.
 #[test]
-fn a_cache_served_query_allocates_only_its_answer() {
+fn a_cache_served_query_allocates_nothing() {
     const ORIGIN: HostId = HostId(42);
     let registry = RegistryConfig::Sharded(ShardConfig::default());
     let mut world = campus(registry, Some(CacheConfig::default()));
@@ -424,18 +425,19 @@ fn a_cache_served_query_allocates_only_its_answer() {
     assert_eq!(hits(&world), hits_before + 1, "the second query was a cache hit");
     assert_eq!(sink.borrow().offers.len(), found);
     println!("a cache-served query of {found} offers: {allocs} allocation(s)");
-    assert_eq!(allocs, 1, "a cache hit allocates its answer vector only");
+    assert_eq!(allocs, 0, "a cache hit shares the cached offer set");
 }
 
 /// A name query on the sharded registry, hop by hop, from a host that
 /// neither holds `Counter` nor replicates its shard: the origin's start
 /// allocates nothing (the pending entry and the lookup each hold a clone
-/// of the query, which shares its name); the replica's lookup allocates
-/// the answer vector it sends (its offers share their names with the
-/// stored publication); the origin's receipt moves that vector into the
-/// caller's sink and allocates nothing. (Without a result cache, so no
-/// copy is kept.) The start allocated one box while the search shared
-/// its query through it.
+/// of the query, which shares its name); the replica's lookup, which
+/// merges eight holders' publications, allocates the one offer set it
+/// sends (its offers share their names with the stored publications);
+/// the origin's receipt hands that set to the caller's sink and
+/// allocates nothing. (Without a result cache, so nothing else holds
+/// it.) The start allocated one box while the search shared its query
+/// through it.
 #[test]
 fn a_shard_lookup_allocates_one_vector_per_hop() {
     let mut world = campus(RegistryConfig::Sharded(ShardConfig::default()), None);
@@ -640,12 +642,14 @@ const INVOKES: u64 = 2_000;
 /// before it (the segment's arrivals already scheduled): the calls in
 /// flight — commands, call-table entries, frames, admission queue and
 /// dedup state — at 4 000 invokes/s, in release and debug builds alike.
-/// The measured 22 856; 57 920 while each front's call table was a tree
+/// The measured 22 784; 22 856 while each driver's discovery query kept a
+/// copy of its offers with room to merge more and the offers themselves
+/// were 88 bytes; 57 920 while each front's call table was a tree
 /// of 1 512-byte leaves, one made on the right for every few calls while
 /// emptied ones were freed on the left. VmHWM (`invoke_open`'s
 /// `peak_rss_mb`) follows where the allocator places the heap; this is
 /// the figure a memory claim on the invoke path cites.
-const PEAK_INVOKE_SEGMENT_BYTES: i64 = 22_856;
+const PEAK_INVOKE_SEGMENT_BYTES: i64 = 22_784;
 
 /// One measured segment of the `invoke_open` world: allocator calls per
 /// invoke, and the peak heap bytes the segment held above its start.
@@ -809,15 +813,16 @@ fn scale_run_allocations_are_pinned() {
 }
 
 /// What one cached name query asks the allocator for across its whole
-/// life in the [`Registry`] front — miss, `complete` with one offer, then
-/// a hit: a tree node in the cache, which keys by a clone of the search's
-/// query (sharing its name), and the offer set stored and handed out (a vector each; the
-/// offer shares its component name). Nothing is formatted, parsed or
-/// copied on the way (4 while a singleflight table beside the cache also
-/// keyed a tree node by the query, 8 while both tables kept a copy of the
-/// query and every offer a copy of its name; a formatted string key made
-/// this 16).
-const REGISTRY_CYCLE_ALLOCS: u64 = 3;
+/// life in the [`Registry`] front — miss, `complete` with an offer set of
+/// one offer, then a hit: a tree node in the cache, which keys by a clone
+/// of the search's query (sharing its name); the cache and the hit share
+/// the offer set the search made. Nothing is formatted, parsed or copied
+/// on the way (3 while the cache stored a copy of the set and the hit
+/// handed out another, a vector each; 4 while a singleflight table beside
+/// the cache also keyed a tree node by the query, 8 while both tables
+/// kept a copy of the query and every offer a copy of its name; a
+/// formatted string key made this 16).
+const REGISTRY_CYCLE_ALLOCS: u64 = 1;
 
 #[test]
 fn registry_front_cycle_allocations_are_pinned() {
@@ -829,16 +834,17 @@ fn registry_front_cycle_allocations_are_pinned() {
         cost_per_hour: 0,
         package_size: 1000,
         load: 0.0,
-        running_instance: None,
+        running: None,
     };
+    let offers = OfferSet::from([offer]);
     let query = ComponentQuery::by_name("Counter", Version::new(1, 0));
     let mut front = Registry::new(Some(&CacheConfig::default()), None);
     let before = allocs();
     assert!(matches!(front.resolve(&query, SimTime::ZERO), ResolveStep::Miss { .. }));
-    front.complete(&query, std::slice::from_ref(&offer), SimTime::from_millis(1));
+    front.complete(&query, &offers, SimTime::from_millis(1));
     let hit = front.resolve(&query, SimTime::from_millis(2));
     let total = allocs() - before;
-    assert!(matches!(hit, ResolveStep::Hit { offers, .. } if offers == [offer]));
+    assert!(matches!(hit, ResolveStep::Hit { offers: hit, .. } if hit.as_ptr() == offers.as_ptr()));
     println!("{total} allocations for one registry miss/complete/hit cycle");
     assert!(
         total <= REGISTRY_CYCLE_ALLOCS,
@@ -919,27 +925,32 @@ fn retained_bytes_per_node_are_pinned() {
 /// handed to the kernel before the first is due, as the harness hands
 /// them. What a query holds until harvest is its command waiting in the
 /// kernel's mail lane, its sink and the offer set the sink ends with;
-/// the pending query and its frames come and go. The measured 411; 414
+/// the pending query and its frames come and go. The measured 399; 411
+/// while a sink's and a pending query's offer set was a vector (8 B
+/// wider than the shared set, in every sink and pending-query slot); 414
 /// while a pending entry's deadline was an `Option` (8 B more per slot
 /// of a pending-query ring); 550
 /// while every origin's pending-query table was a tree, whose first
 /// entry made a leaf of eleven pending queries; 863 while the owner's
 /// answer reserved four offers for its one and a `Resolve` command made
 /// every command 136 bytes.
-const PEAK_BYTES_PER_QUERY: i64 = 411;
+const PEAK_BYTES_PER_QUERY: i64 = 399;
 
 /// Heap bytes per host that the same segment leaves behind once every
 /// query has been answered and its sink dropped: mostly what the 384
 /// origins' emptied pending-query tables keep (a ring its few slots, a
 /// tree its root leaf of eleven), beside the run's own samples. The
-/// measured 793, in release and debug builds alike; 805 while a ring
-/// slot's deadline was an `Option`, 1 336 while the tables were trees.
-const DRAINED_BYTES_PER_NODE: i64 = 793;
+/// measured 781, in release and debug builds alike; 793 while a pending
+/// query's offer set was a vector (8 B more per ring slot), 805 while a
+/// ring slot's deadline was an `Option`, 1 336 while the tables were
+/// trees.
+const DRAINED_BYTES_PER_NODE: i64 = 781;
 
 /// Allocations the same segment's run makes, from the first query's
-/// arrival until every query has been answered: one answer vector per
-/// query (4 000), beside the soft-state plane's rounds over the run and
-/// what the origins' pending-query rings grow to. Each hop and retry
+/// arrival until every query has been answered: one answer per query
+/// (4 000, an offer set of its owner's one offer), beside the soft-state
+/// plane's rounds over the run and what the origins' pending-query rings
+/// grow to. Each hop and retry
 /// holds a clone of its query, which shares its name. The measured
 /// 4 761, in release and debug builds alike (5 949 in debug builds while
 /// their check of every re-sent subtree summary built its name set
@@ -1023,9 +1034,17 @@ fn query_segment() -> QuerySegment {
     let peak_bytes_per_query = (peak_live_bytes() - before) / QUERIES as i64;
 
     for sink in &sinks {
-        let r = sink.borrow();
-        assert!(r.done && r.offers.len() == 1, "every query finds its one owner");
-        assert_eq!(r.offers.capacity(), r.offers.len(), "an answer is sized exactly");
+        let answer = {
+            let mut r = sink.borrow_mut();
+            assert!(r.done && r.offers.len() == 1, "every query finds its one owner");
+            std::mem::take(&mut r.offers)
+        };
+        // The sink held the answer alone: dropping it frees one
+        // allocation of exactly its offer, behind the shared set's counts.
+        let held = live_bytes();
+        drop(answer);
+        let one_offer = (2 * std::mem::size_of::<usize>() + std::mem::size_of::<Offer>()) as i64;
+        assert_eq!(held - live_bytes(), one_offer, "an answer is one allocation, sized exactly");
     }
     drop(sinks);
     let drained_bytes_per_node = (live_bytes() - before) / i64::from(SITES * 8);
@@ -1051,4 +1070,49 @@ fn drained_query_bytes_are_pinned() {
     let per_node = query_segment().drained_bytes_per_node;
     println!("{per_node} bytes per host left behind once the segment's queries have drained");
     assert_eq!(per_node, DRAINED_BYTES_PER_NODE, "bytes a drained segment leaves moved");
+}
+
+/// A name query for a component with one holder, over its whole life on
+/// the sharded registry with a result cache: the origin's start, the
+/// replica's lookup, the reply, the origin's cache fill and its caller's
+/// sink, then a second query the cache serves. The measured 0 and 0:
+/// the lookup answers with the holder's published offer set, and the
+/// reply, the pending query, the cache and both callers share it. (2 and
+/// 1 while the lookup copied the set into an answer vector, the cache
+/// kept a copy of that and every hit handed out one more.)
+#[test]
+fn a_single_holder_query_allocates_nothing() {
+    const HOLDER: HostId = HostId(0);
+    let registry = RegistryConfig::Sharded(ShardConfig::default());
+    let cache = CacheConfig::default();
+    let mut world = campus_with_counter_on(registry, Some(cache.clone()), |h| h == HOLDER.0);
+    world.sim.run_until(SimTime::from_secs(7));
+    let ring = world.record.ring.clone().expect("a sharded world carries its ring");
+    let shard = ring.shard_of_component("Counter");
+    let origin = (1..NODES as u32)
+        .map(HostId)
+        .find(|&h| !ring.is_replica(shard, h))
+        .expect("some host is neither the holder nor a replica");
+    let query = || ComponentQuery::by_name("Counter", Version::new(1, 0));
+    let life = |world: &mut World| {
+        let sink = world.query(origin, query(), true);
+        let mut allocs = 0;
+        while !sink.borrow().done {
+            allocs += step_counting(world);
+        }
+        assert_eq!(sink.borrow().offers.len(), 1, "the one holder's offer");
+        allocs
+    };
+    // The first query grows the tables the others reuse; its cache entry
+    // goes stale, so the next one searches again.
+    life(&mut world);
+    world.run_for(cache.ttl);
+    let hits = |world: &World| world.sim.metrics_ref().counter("cache.hits");
+    let hits_before = hits(&world);
+    let search = life(&mut world);
+    assert_eq!(hits(&world), hits_before, "the second query searched");
+    let hit = life(&mut world);
+    assert_eq!(hits(&world), hits_before + 1, "the third query was a cache hit");
+    println!("a single-holder query: search {search}, cache hit {hit} allocation(s)");
+    assert_eq!((search, hit), (0, 0));
 }

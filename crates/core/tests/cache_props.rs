@@ -269,7 +269,7 @@ fn ring_rebalance_moves_only_departed_hosts_shards() {
                 cost_per_hour: 0,
                 package_size: 1000,
                 load: 0.0,
-                running_instance: None,
+                running: None,
             };
             let q = ComponentQuery::by_name(component, lc_pkg::Version::new(1, 0));
             let now = SimTime::from_millis(5);
@@ -277,7 +277,7 @@ fn ring_rebalance_moves_only_departed_hosts_shards() {
                 Registry::new(None, Some(ShardStore::new(replica, ring.clone())))
             };
             let (mut b, mut a) = (registry(&before), registry(&after));
-            let served = |r: &mut Registry, offers: Rc<[lc_core::Offer]>| {
+            let served = |r: &mut Registry, offers: lc_core::OfferSet| {
                 let store = r.shard_mut().expect("built with a shard store");
                 store.on_publish(component.as_str().into(), replica, 1, now, offers);
                 store.lookup(s, &q).map(|o| o.len())

@@ -1524,11 +1524,11 @@ fn a_refresh_recomputes_when_the_load_or_the_instances_move() {
     assert_eq!(held(&world).load, owner_load(&world), "the refresh carries the new load");
 
     world.spawn(owner, "Counter", None, SimTime::from_millis(250));
-    assert!(held(&world).running_instance.is_some());
+    assert!(held(&world).running.is_some());
     let owner_node = world.net.actor_of(owner);
     world.sim.actor_as_mut::<Node>(owner_node).expect("owner is up").registry.clear();
     world.run_for(SimTime::from_millis(250));
-    assert_eq!(held(&world).running_instance, None, "the refresh after a clear recomputes");
+    assert_eq!(held(&world).running, None, "the refresh after a clear recomputes");
 }
 
 /// A cached result is dropped by a peer's `CacheInvalidate`, long before
@@ -1543,7 +1543,7 @@ fn a_received_cache_invalidate_drops_the_cached_result_before_its_ttl() {
         let query = ComponentQuery::by_name("Counter", Version::new(1, 0));
         let sink = world.query(HostId(2), query, true);
         world.run_for(SimTime::from_millis(600));
-        let running = sink.borrow().offers.iter().filter(|o| o.running_instance.is_some()).count();
+        let running = sink.borrow().offers.iter().filter(|o| o.running.is_some()).count();
         // Host 2 is the only asker, so the world's counters are its own.
         let m = world.sim.metrics_ref();
         (m.counter("cache.hits"), m.counter("cache.misses"), running)

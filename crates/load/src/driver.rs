@@ -202,7 +202,7 @@ impl LoadDriver {
         let mut replicas: Vec<ObjectRef> = r
             .offers
             .iter()
-            .filter_map(|o| o.running_instance.clone())
+            .filter_map(|o| o.running_instance())
             .collect();
         replicas.sort_by_key(|a| (a.key.host, a.key.oid));
         replicas.dedup_by(|a, b| a.key.host == b.key.host && a.key.oid == b.key.oid);

@@ -58,7 +58,7 @@ impl Kept {
             self.first_offer_ms.push(t.saturating_sub(issued).as_secs_f64() * 1e3);
         }
         let mut replicas: Vec<ObjectRef> =
-            r.offers.iter().filter_map(|o| o.running_instance.clone()).collect();
+            r.offers.iter().filter_map(|o| o.running_instance()).collect();
         replicas.sort_by_key(|a| (a.key.host, a.key.oid));
         replicas.dedup_by(|a, b| a.key == b.key);
         if !replicas.is_empty() {

@@ -119,11 +119,20 @@ enum Planned {
 /// Fluent constructor for [`Net`]: topology, fault plan and churn config
 /// in one chain.
 ///
-/// ```ignore
+/// ```
+/// use lc_des::SimTime;
+/// use lc_net::{ChurnConfig, FaultPlan, HostId, LinkFaults, Net, Topology};
+///
 /// let net = Net::builder(Topology::lan(8))
 ///     .fault_plan(FaultPlan::seeded(7).default_link(LinkFaults::none().drop_p(0.01)))
-///     .churn(ChurnConfig { … })
+///     .churn(ChurnConfig {
+///         mean_uptime: SimTime::from_secs(30),
+///         mean_downtime: SimTime::from_secs(5),
+///         victims: vec![HostId(3)],
+///         until: SimTime::from_secs(120),
+///     })
 ///     .build();
+/// assert_eq!(net.host_ids().len(), 8);
 /// ```
 pub struct NetBuilder {
     topo: Topology,
