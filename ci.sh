@@ -40,6 +40,10 @@ cargo test --locked --release -q -p lc-core --test alloc_budget
 # edited in place, and the debug build also re-checks each one it hands
 # out against a fold of its entries.
 cargo test --locked --release -q -p lc-core --lib registry::backend
+# Publish, gossip repair and expiry together, optimised, under crash and
+# loss (~1 s on 2 vCPUs, its build included): every publication enters
+# a slice through `ShardStore::apply`, by push, self-publish or repair.
+cargo test --locked --release -q -p lc-core --test cache_props sharded_staleness
 # The servant record's properties, optimised and at 1 500 cases each
 # (~45 s on 2 vCPUs): shed requests never execute and admitted ones run
 # once under loss and retries, replies queued for the CPU answer every

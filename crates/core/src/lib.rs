@@ -49,9 +49,10 @@ pub use node::{
     QuerySink, RegistryConfig, ReplicateConfig, ResolveCmd, ServiceKind, ServiceMetrics,
     ServiceReflect, SpawnSink, Tick, WorldRecord,
 };
-pub use proto::{DeltaEntry, GroupSummary, QueryId};
+pub use proto::{GroupSummary, QueryId};
 pub use registry::backend::{
-    CoherenceRoute, Registry, ResolveStep, SearchRoute, ShardConfig, ShardDigest, ShardStore,
+    CoherenceRoute, Publication, Registry, ResolveStep, SearchRoute, ShardConfig, ShardDigest,
+    ShardStore,
 };
 pub use registry::shard::{ShardRing, ShardRingConfig};
 pub use registry::{ComponentQuery, ComponentRegistry, InstanceId, InstanceInfo, Offer, OfferSet};

@@ -472,15 +472,15 @@ impl NodeCtx<'_, '_> {
 
         // Forward requests to migrated instances (CORBA LOCATION_FORWARD:
         // the old node proxies to the new location, reply goes straight
-        // back to the caller).
+        // back to the caller). A forward names an oid whose servant is
+        // gone: `migrated` deactivates it first, and an adapter never
+        // reuses an oid.
         let container = self.state.container();
-        if let Some(new_ref) = container.forwards.get(&target.oid).cloned() {
-            if container.adapter.servant(target.oid).is_none() {
-                self.sim.metrics().incr(Counter::MigrateForwardedRequests);
-                let wire = OrbWire::Request { id, reply_to, target: new_ref.key, op, args };
-                let _ = self.send_orb(new_ref.key.host, wire);
-                return;
-            }
+        if let Some(new_key) = container.forwards.get(&target.oid).map(|r| r.key) {
+            self.sim.metrics().incr(Counter::MigrateForwardedRequests);
+            let wire = OrbWire::Request { id, reply_to, target: new_key, op, args };
+            let _ = self.send_orb(new_key.host, wire);
+            return;
         }
 
         // Admission control: refuse work the CPU FIFO cannot serve in

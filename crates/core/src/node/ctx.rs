@@ -192,8 +192,8 @@ fn wire_counter(msg: &CtrlMsg) -> Option<Counter> {
         }
         CtrlMsg::Report { .. } => Counter::CohesionReports,
         CtrlMsg::Summary { .. } => Counter::CohesionSummaries,
-        CtrlMsg::ShardPublish { .. } => Counter::RegistryPublishMsgs,
-        CtrlMsg::GossipDigest { .. } | CtrlMsg::GossipDelta { .. } => Counter::RegistryGossipMsgs,
+        CtrlMsg::ShardPublish(_) => Counter::RegistryPublishMsgs,
+        CtrlMsg::GossipDigest { .. } | CtrlMsg::GossipDelta(_) => Counter::RegistryGossipMsgs,
         CtrlMsg::Fetch { .. }
         | CtrlMsg::Package { .. }
         | CtrlMsg::Install { .. }
@@ -366,11 +366,11 @@ impl NodeCtx<'_, '_> {
             ComponentQuery { name: Some(name), ..Default::default() }
         };
         let Some(store) = self.state.backend.shard() else { return };
-        let last = if bump { None } else { store.republish(component, &inputs) };
-        let (component, gen, offers) = match last {
+        let last = if bump { None } else { store.republish(component, &inputs, now) };
+        let p = match last {
             Some(last) => {
                 debug_assert_eq!(
-                    *last.2,
+                    *last.offers,
                     *self.state.local_offers_for(&by_name()),
                     "a re-sent offer set must equal a recomputation"
                 );
@@ -379,15 +379,15 @@ impl NodeCtx<'_, '_> {
             None => {
                 let offers = self.state.local_offers_for(&by_name());
                 let Some(store) = self.state.backend.shard_mut() else { return };
-                store.publish(component, bump, inputs, offers)
+                store.publish(from, component, bump, inputs, offers, now)
             }
         };
         if replicas.contains(&from) {
             if let Some(store) = self.state.backend.shard_mut() {
-                store.on_publish(component.clone(), from, gen, now, offers.clone());
+                store.apply(p.clone());
             }
         }
-        let msg = CtrlMsg::ShardPublish { from, component, gen, at: now, offers };
+        let msg = CtrlMsg::ShardPublish(p);
         for &to in replicas {
             self.send_if_reachable(to, &msg);
         }

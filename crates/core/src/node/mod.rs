@@ -339,9 +339,6 @@ pub struct QueryResult {
     /// The query timed out before the search completed: `offers` is a
     /// partial view, served instead of hanging (graceful degradation).
     pub partial: bool,
-    /// For partial results, how old the collected offer view was at
-    /// finalization (finalize time − first offer arrival).
-    pub staleness: Option<SimTime>,
     /// The query was shed by admission control before the search
     /// completed (bounded query queue): `offers` holds whatever had
     /// been collected, and the caller should treat the result as an

@@ -6,8 +6,10 @@
 
 use crate::cohesion::{route_query, Route};
 use crate::deploy::{choose, ResolveAction};
-use crate::proto::{CtrlMsg, DeltaEntry, QueryId};
-use crate::registry::backend::{CoherenceRoute, PublishInputs, ResolveStep, SearchRoute};
+use crate::proto::{CtrlMsg, QueryId};
+use crate::registry::backend::{
+    CoherenceRoute, Publication, PublishInputs, ResolveStep, SearchRoute,
+};
 use crate::registry::{ComponentQuery, InstanceId, OfferSet};
 use lc_des::Counter;
 use lc_net::HostId;
@@ -29,30 +31,19 @@ use super::SpawnSink;
 enum Ending {
     /// With what the search found since the caller `started` waiting;
     /// `timed_out` marks a deadline cut (the offer set is then partial).
-    Served {
-        started: lc_des::SimTime,
-        timed_out: bool,
-        first_offer_at: Option<lc_des::SimTime>,
-        staleness: Option<lc_des::SimTime>,
-    },
+    Served { started: lc_des::SimTime, timed_out: bool, first_offer_at: Option<lc_des::SimTime> },
     /// Refused under admission control.
     Shed,
 }
 
 impl Ending {
-    /// How a search serves its own caller at `now`: with what it found
-    /// since it started. `timed_out` marks results collected when the
-    /// deadline fired before the search completed: the offer set is
-    /// then *partial* — served with a staleness tag instead of hanging
-    /// the caller (graceful degradation under loss and partitions).
-    fn search(pq: &PendingQuery, timed_out: bool, now: lc_des::SimTime) -> Ending {
-        let partial = timed_out && !pq.offers.is_empty();
-        Ending::Served {
-            started: pq.started,
-            timed_out,
-            first_offer_at: pq.first_offer_at,
-            staleness: pq.first_offer_at.filter(|_| partial).map(|t| now.saturating_sub(t)),
-        }
+    /// How a search serves its own caller: with what it found since it
+    /// started. `timed_out` marks results collected when the deadline
+    /// fired before the search completed: the offer set is then
+    /// *partial* — served instead of hanging the caller (graceful
+    /// degradation under loss and partitions).
+    fn search(pq: &PendingQuery, timed_out: bool) -> Ending {
+        Ending::Served { started: pq.started, timed_out, first_offer_at: pq.first_offer_at }
     }
 }
 
@@ -98,7 +89,7 @@ impl NodeCtx<'_, '_> {
                 let age_us = (age.as_secs_f64() * 1e6) as u64;
                 let attrs: &[(_, &dyn Display)] = &[("hit", &true), ("age_us", &age_us)];
                 self.state.world.tracer.event(self.state.host.0, "registry.cache", started, attrs);
-                self.resolve_follower(purpose, started, offers, &query, false, Some(age));
+                self.resolve_follower(purpose, started, offers, &query, false);
                 return;
             }
             ResolveStep::Miss { cache_missed } => cache_missed,
@@ -341,16 +332,17 @@ impl NodeCtx<'_, '_> {
         let Some(store) = self.state.backend.shard_mut() else { return };
         let entries = store.on_gossip_digest(shard, gens, now, ttl);
         if !entries.is_empty() {
-            self.send_ctrl(from, CtrlMsg::GossipDelta { shard, entries });
+            self.send_ctrl(from, CtrlMsg::GossipDelta(entries));
         }
     }
 
-    /// Anti-entropy repair delta from a peer replica.
-    pub(crate) fn on_gossip_delta(&mut self, shard: u32, entries: Vec<DeltaEntry>) {
+    /// Anti-entropy repair delta from a peer replica: each publication
+    /// enters the store as a push would.
+    pub(crate) fn on_repair(&mut self, entries: Vec<Publication>) {
         let Some(store) = self.state.backend.shard_mut() else { return };
-        let repaired = store.on_gossip_delta(shard, entries);
+        let repaired: u64 = entries.into_iter().map(|p| u64::from(store.apply(p))).sum();
         if repaired > 0 {
-            self.sim.metrics().add(Counter::RegistryGossipRepaired, repaired as u64);
+            self.sim.metrics().add(Counter::RegistryGossipRepaired, repaired);
         }
     }
 
@@ -385,7 +377,7 @@ impl NodeCtx<'_, '_> {
     /// The search `seq` is over: serve its callers what it found.
     pub(crate) fn finish_query(&mut self, seq: u64) {
         let Some(pq) = self.state.conts.queries.remove(&seq) else { return };
-        let served = Ending::search(&pq, false, self.sim.now());
+        let served = Ending::search(&pq, false);
         self.end_query(pq, served);
     }
 
@@ -423,7 +415,7 @@ impl NodeCtx<'_, '_> {
                 match ending {
                     Ending::Served { timed_out, .. } => {
                         let (purpose, offers) = (f.purpose, offers.clone());
-                        ctx.resolve_follower(purpose, f.started, offers, &pq.query, timed_out, None)
+                        ctx.resolve_follower(purpose, f.started, offers, &pq.query, timed_out)
                     }
                     Ending::Shed => ctx.complete(f.purpose, offers.clone(), &pq.query, ending),
                 }
@@ -437,8 +429,7 @@ impl NodeCtx<'_, '_> {
     /// Complete one coalesced (or cache-served) query, which its caller
     /// `started` for `purpose`, with an offer set obtained elsewhere: the
     /// leader's result at finalization, the current partial set at the
-    /// follower's own deadline, or a fresh cache entry (`cached_age` then
-    /// carries the entry's age, surfaced as the result's staleness).
+    /// follower's own deadline, or a fresh cache entry.
     pub(crate) fn resolve_follower(
         &mut self,
         purpose: QueryPurpose,
@@ -446,13 +437,11 @@ impl NodeCtx<'_, '_> {
         offers: OfferSet,
         query: &ComponentQuery,
         timed_out: bool,
-        cached_age: Option<lc_des::SimTime>,
     ) {
         let served = Ending::Served {
             started,
             timed_out,
             first_offer_at: (!offers.is_empty()).then(|| self.sim.now()),
-            staleness: cached_age,
         };
         self.complete(purpose, offers, query, served);
     }
@@ -499,10 +488,9 @@ impl NodeCtx<'_, '_> {
             QueryPurpose::Collect { sink, .. } => {
                 let mut s = sink.borrow_mut();
                 match ending {
-                    Ending::Served { first_offer_at, staleness, .. } => {
+                    Ending::Served { first_offer_at, .. } => {
                         s.first_offer_at = first_offer_at;
                         s.partial = partial;
-                        s.staleness = staleness;
                     }
                     Ending::Shed => s.shed = true,
                 }
@@ -550,7 +538,7 @@ impl NodeCtx<'_, '_> {
         }
         for (f, offers, query) in expired_followers {
             self.sim.metrics().incr(Counter::QueryTimeouts);
-            self.resolve_follower(f.purpose, f.started, offers, &query, true, None);
+            self.resolve_follower(f.purpose, f.started, offers, &query, true);
         }
         let expired = self.state.conts.queries.take_expired(now);
         for (seq, mut pq) in expired {
@@ -579,7 +567,7 @@ impl NodeCtx<'_, '_> {
                 continue;
             }
             self.sim.metrics().incr(Counter::QueryTimeouts);
-            let served = Ending::search(&pq, true, now);
+            let served = Ending::search(&pq, true);
             self.end_query(pq, served);
         }
     }

@@ -80,11 +80,9 @@ impl NodeCtx<'_, '_> {
 
     /// One `Tick::LoadBalance` (§2.4.3): when this node is overloaded,
     /// ask the group MRM for a lighter member to migrate the heaviest
-    /// *mobile* instance to; re-arm the cadence either way.
+    /// *mobile* instance to; re-arm the cadence either way. The tick is
+    /// armed only when [`NodeConfig::load_balance`](super::NodeConfig) is on.
     pub(crate) fn load_balance_check(&mut self) {
-        if !self.state.world.config.load_balance {
-            return;
-        }
         if self.state.resources.cpu_utilisation() >= OVERLOAD_THRESHOLD {
             if let Some((_, cpu_needed)) = self.state.heaviest_mobile_instance() {
                 self.ask_placement(cpu_needed, None);

@@ -145,9 +145,9 @@ pub(crate) fn ctrl_service(msg: &CtrlMsg) -> ServiceKind {
         | CtrlMsg::Offers { .. }
         | CtrlMsg::CacheInvalidate { .. }
         | CtrlMsg::ShardLookup { .. }
-        | CtrlMsg::ShardPublish { .. }
+        | CtrlMsg::ShardPublish(_)
         | CtrlMsg::GossipDigest { .. }
-        | CtrlMsg::GossipDelta { .. } => ServiceKind::Registry,
+        | CtrlMsg::GossipDelta(_) => ServiceKind::Registry,
         CtrlMsg::Fetch { .. } | CtrlMsg::Package { .. } | CtrlMsg::Install { .. } => {
             ServiceKind::Acceptor
         }
@@ -251,13 +251,13 @@ pub(crate) fn handle_ctrl(ctx: &mut NodeCtx<'_, '_>, msg: CtrlMsg) {
         // component.
         CtrlMsg::CacheInvalidate { component } => ctx.invalidate_cached(&component),
         CtrlMsg::ShardLookup { qid, query, shard } => ctx.serve_lookup(qid, &query, shard),
-        CtrlMsg::ShardPublish { from, component, gen, at, offers } => {
+        CtrlMsg::ShardPublish(p) => {
             if let Some(store) = ctx.state.backend.shard_mut() {
-                store.on_publish(component, from, gen, at, offers);
+                store.apply(p);
             }
         }
         CtrlMsg::GossipDigest { from, shard, gens } => ctx.on_gossip_digest(from, shard, &gens),
-        CtrlMsg::GossipDelta { shard, entries } => ctx.on_gossip_delta(shard, entries),
+        CtrlMsg::GossipDelta(entries) => ctx.on_repair(entries),
     }
 }
 

@@ -12,7 +12,7 @@
 //! event subscription. Each message knows its approximate wire size so
 //! the network model is charged honestly.
 
-use crate::registry::backend::ShardDigest;
+use crate::registry::backend::{Publication, ShardDigest};
 use crate::registry::{ComponentQuery, Offer, OfferSet};
 use crate::resource::ResourceReport;
 use lc_orb::{Name, ObjectKey, ObjectRef, Value};
@@ -223,23 +223,9 @@ pub(crate) enum CtrlMsg {
         shard: u32,
     },
     /// A publisher pushes its current offers for one component to the
-    /// owning shard's replicas.
-    ShardPublish {
-        /// Publishing node.
-        from: lc_net::HostId,
-        /// Component whose inventory changed (one name shared by the
-        /// whole replica set).
-        component: Name,
-        /// Publisher's generation for this component (monotone; newer
-        /// wins, so reordered publishes cannot resurrect stale offers).
-        gen: u64,
-        /// Publisher's freshness stamp (virtual time of the refresh).
-        at: lc_des::SimTime,
-        /// The publisher's complete current offers for the component
-        /// (empty = deregistered): computed once per publish and shared
-        /// by the whole replica set and the stores that keep it.
-        offers: OfferSet,
-    },
+    /// owning shard's replicas: one publication, its name and offer set
+    /// shared by the whole replica set and the stores that keep it.
+    ShardPublish(Publication),
     /// Anti-entropy digest: one replica's `(component, publisher,
     /// generation)` view of a shard, sent to a peer replica on the
     /// gossip cadence. Sent even when empty so a freshly (re)spawned
@@ -253,15 +239,10 @@ pub(crate) enum CtrlMsg {
         /// every peer replica's copy of the message.
         gens: ShardDigest,
     },
-    /// Anti-entropy repair: the entries the digest sender was missing or
-    /// held at an older generation.
-    GossipDelta {
-        /// Shard being repaired.
-        shard: u32,
-        /// Entries strictly ahead of the digest.
-        entries: Vec<DeltaEntry>,
-    },
-
+    /// Anti-entropy repair: the publications the digest sender was
+    /// missing or held at an older generation, each as the replying
+    /// replica stores it (stamp included), strictly ahead of the digest.
+    GossipDelta(Vec<Publication>),
 }
 
 impl CtrlMsg {
@@ -302,16 +283,12 @@ impl CtrlMsg {
             CtrlMsg::PlacementTarget { replica, .. } => 8 + replica_size(replica),
             CtrlMsg::CacheInvalidate { component, .. } => component.len() as u64 + 8,
             CtrlMsg::ShardLookup { query, .. } => query.wire_size() + 20,
-            CtrlMsg::ShardPublish { component, offers, .. } => {
-                component.len() as u64
-                    + 24
-                    + offers.iter().map(Offer::wire_size).sum::<u64>()
-            }
+            CtrlMsg::ShardPublish(p) => p.wire_size(),
             CtrlMsg::GossipDigest { gens, .. } => {
                 8 + gens.iter().map(|(c, _, _)| c.len() as u64 + 16).sum::<u64>()
             }
-            CtrlMsg::GossipDelta { entries, .. } => {
-                8 + entries.iter().map(DeltaEntry::wire_size).sum::<u64>()
+            CtrlMsg::GossipDelta(entries) => {
+                8 + entries.iter().map(Publication::wire_size).sum::<u64>()
             }
         }
     }
@@ -320,36 +297,6 @@ impl CtrlMsg {
 /// Bytes a placement message spends on the component it wants replicated.
 fn replica_size(replica: &Option<(String, Version)>) -> u64 {
     replica.as_ref().map_or(0, |(component, _)| component.len() as u64 + 8)
-}
-
-/// One repaired `(component, publisher)` inventory entry inside a
-/// `CtrlMsg::GossipDelta`. Carries the *sender's stored* freshness
-/// stamp — not the send time — so an entry the receiver already expired
-/// is re-adopted with its original deadline and both replicas retire it
-/// on the same virtual-time schedule (no resurrection ping-pong for dead
-/// publishers).
-#[derive(Clone, Debug)]
-pub struct DeltaEntry {
-    /// Component name (the sender's store key, shared).
-    pub component: Name,
-    /// Publishing node.
-    pub publisher: lc_net::HostId,
-    /// Publisher generation.
-    pub gen: u64,
-    /// Freshness stamp as stored at the sender.
-    pub at: lc_des::SimTime,
-    /// The publisher's offers for the component (the sender's stored
-    /// offer set, shared).
-    pub offers: OfferSet,
-}
-
-impl DeltaEntry {
-    /// Approximate wire size in bytes.
-    pub fn wire_size(&self) -> u64 {
-        self.component.len() as u64
-            + 24
-            + self.offers.iter().map(Offer::wire_size).sum::<u64>()
-    }
 }
 
 #[cfg(test)]
@@ -495,24 +442,31 @@ mod tests {
         };
         assert!(full.wire_size() > empty.wire_size() + 100);
 
-        let delta = CtrlMsg::GossipDelta {
-            shard: 0,
-            entries: vec![DeltaEntry {
+        // A push and a one-entry repair of one publication: "Counter"
+        // (7 B) + 24, plus each 55-byte offer, under the 24-byte header;
+        // the repair adds 8 for its count.
+        let offer = Offer {
+            node: HostId(2),
+            component: "Counter".into(),
+            version: Version::new(1, 0),
+            mobility: lc_pkg::Mobility::Mobile,
+            cost_per_hour: 0,
+            package_size: 1000,
+            load: 0.0,
+            running: None,
+        };
+        assert_eq!(offer.wire_size(), 55);
+        for (offers, publish, delta) in [([offer].into(), 110, 118), (OfferSet::default(), 55, 63)]
+        {
+            let p = Publication {
                 component: "Counter".into(),
                 publisher: HostId(2),
                 gen: 4,
                 at: lc_des::SimTime::from_millis(10),
-                offers: [].into(),
-            }],
-        };
-        assert!(delta.wire_size() > empty.wire_size());
-        let publish = CtrlMsg::ShardPublish {
-            from: HostId(2),
-            component: "Counter".into(),
-            gen: 4,
-            at: lc_des::SimTime::from_millis(10),
-            offers: [].into(),
-        };
-        assert!(publish.wire_size() < delta.wire_size() + 16);
+                offers,
+            };
+            assert_eq!(CtrlMsg::ShardPublish(p.clone()).wire_size(), publish);
+            assert_eq!(CtrlMsg::GossipDelta(vec![p]).wire_size(), delta);
+        }
     }
 }

@@ -21,7 +21,6 @@
 //! live on [`ShardStore`] and are reached from the arms that name a
 //! shard.
 
-use crate::proto::DeltaEntry;
 use crate::registry::shard::{ShardRing, ShardRingConfig};
 use crate::registry::{ComponentQuery, Offer, OfferSet};
 use crate::resource::DynamicInfo;
@@ -77,7 +76,7 @@ pub enum ResolveStep {
     Hit {
         /// The cached offer set, shared.
         offers: OfferSet,
-        /// The entry's age (surfaced as result staleness).
+        /// The entry's age (traced as the hit's `age_us`).
         age: SimTime,
     },
     /// No cached answer: join the identical pending search or run one
@@ -156,17 +155,44 @@ impl PublishInputs {
     }
 }
 
-/// One publication this host made: the generation it went out under,
-/// what its offer set was computed from, and the set itself.
+/// One publication this host made: what its offer set was computed
+/// from, and the publication itself.
 struct Published {
-    gen: u64,
     inputs: PublishInputs,
-    offers: OfferSet,
+    last: Publication,
 }
 
-/// A publication as it goes on the wire: the component's name (the
-/// store's key, shared), its generation and its offer set.
-pub(crate) type Publication = (Name, u64, OfferSet);
+/// One fact of the sharded inventory: `publisher`'s offers for
+/// `component` at generation `gen`, stamped `at`. The same record is the
+/// publisher's push (`CtrlMsg::ShardPublish`), an entry of a repair
+/// delta (`CtrlMsg::GossipDelta`) and the one argument of
+/// [`ShardStore::apply`]. A repair carries the *sender's stored* stamp,
+/// not the send time, so an entry the receiver already expired is
+/// re-adopted with its original deadline and both replicas retire it on
+/// the same virtual-time schedule. Its name and offer set are shared:
+/// cloning a publication allocates nothing.
+#[derive(Clone, Debug)]
+pub struct Publication {
+    /// The component (the publisher's or the sending store's key).
+    pub component: Name,
+    /// The publishing node.
+    pub publisher: HostId,
+    /// The publisher's generation for the component: monotone, newer
+    /// wins, so reordered publishes cannot resurrect stale offers.
+    pub gen: u64,
+    /// Freshness stamp: virtual time of the publisher's refresh.
+    pub at: SimTime,
+    /// The publisher's complete offers for the component (empty =
+    /// deregistered), one per installed version.
+    pub offers: OfferSet,
+}
+
+impl Publication {
+    /// Approximate wire size in bytes.
+    pub fn wire_size(&self) -> u64 {
+        self.component.len() as u64 + 24 + self.offers.iter().map(Offer::wire_size).sum::<u64>()
+    }
+}
 
 /// One shard this host replicates: its publisher entries, their
 /// anti-entropy digest and a bound on their freshness stamps.
@@ -189,20 +215,14 @@ impl Default for ShardSlice {
 }
 
 impl ShardSlice {
-    /// Apply one entry if it is news: a strictly newer generation wins,
-    /// and an equal generation with an equal-or-newer freshness stamp
-    /// refreshes (keeps a live publisher's entry from expiring). Returns
-    /// whether the generation advanced or the entry is new.
-    fn apply(
-        &mut self,
-        component: Name,
-        publisher: HostId,
-        gen: u64,
-        at: SimTime,
-        offers: OfferSet,
-    ) -> bool {
+    /// Apply one publication if it is news: a strictly newer generation
+    /// wins, and an equal generation with an equal-or-newer freshness
+    /// stamp refreshes (keeps a live publisher's entry from expiring).
+    /// Returns whether the generation advanced or the entry is new.
+    fn apply(&mut self, p: Publication) -> bool {
+        let Publication { component, publisher, gen, at, offers } = p;
         let by_name = self.entries.entry(component);
-        // The store's own key, whichever name this publish arrived with.
+        // The store's own key, whichever name this publication arrived with.
         let name = by_name.key().clone();
         let by_pub = by_name.or_default();
         let changed = match by_pub.get_mut(&publisher) {
@@ -341,10 +361,12 @@ impl ShardStore {
     /// host does not replicate the shard. Interface (`provides`) queries
     /// never reach the store — the router sends them down the hierarchy
     /// — so an offer is checked against the query's other predicates.
-    /// The answer is every admitted offer, in store order, the first of
-    /// equal keys winning. When that is one publisher entry's whole set
-    /// (a component with one holder), the answer is that set, shared;
-    /// otherwise it is one allocation of exactly its offers.
+    /// The answer is every admitted offer, in store order: no two held
+    /// offers share a key, since a publication's offers all name its
+    /// publisher and its component, one per version ([`apply`](Self::apply)).
+    /// When that is one publisher entry's whole set (a component with one
+    /// holder), the answer is that set, shared; otherwise it is one
+    /// allocation of exactly its offers.
     pub fn lookup(&self, shard: u32, query: &ComponentQuery) -> Option<OfferSet> {
         let by_comp = &self.store.get(&shard)?.entries;
         let comps = match query.name.as_deref() {
@@ -354,20 +376,11 @@ impl ShardStore {
             None => by_comp.range::<str, _>(..),
         };
         let entries = || comps.clone().flat_map(|(_, by_pub)| by_pub.values());
-        let held = || entries().flat_map(|e| e.offers.iter());
         let admitted =
-            |o: &Offer| query.admits(&o.component, o.version, o.cost_per_hour, o.mobility);
-        // The `i`-th offer held is in the answer.
-        let kept = |i: usize, o: &Offer| {
-            admitted(o) && !held().take(i).any(|p| admitted(p) && p.key() == o.key())
-        };
-        let (mut i, mut n, mut whole) = (0, 0, None);
+            |o: &&Offer| query.admits(&o.component, o.version, o.cost_per_hour, o.mobility);
+        let (mut n, mut whole) = (0, None);
         for e in entries() {
-            let mut k = 0;
-            for o in e.offers.iter() {
-                k += usize::from(kept(i, o));
-                i += 1;
-            }
+            let k = e.offers.iter().filter(admitted).count();
             if k > 0 {
                 whole = (n == 0 && k == e.offers.len()).then_some(&e.offers);
                 n += k;
@@ -376,61 +389,70 @@ impl ShardStore {
         if let Some(offers) = whole {
             return Some(offers.clone());
         }
-        let answer = held().enumerate().filter(|&(i, o)| kept(i, o)).map(|(_, o)| o.clone());
+        let answer = entries().flat_map(|e| e.offers.iter()).filter(admitted).cloned();
         Some(OfferSet::exact(n, answer))
     }
 
-    /// This host's last publication of `component`, for a refresh: the
-    /// name, generation and offer set it went out with, when nothing its
-    /// offer set was computed from has changed since (`inputs`).
-    pub(crate) fn republish(&self, component: &str, inputs: &PublishInputs) -> Option<Publication> {
-        let (name, last) = self.published.get_key_value(component)?;
-        inputs
-            .unchanged(&last.inputs)
-            .then(|| (name.clone(), last.gen, last.offers.clone()))
+    /// This host's last publication of `component`, stamped `now`, for a
+    /// refresh: when nothing its offer set was computed from has changed
+    /// since (`inputs`), it goes out again with its name, generation and
+    /// offer set.
+    pub(crate) fn republish(
+        &self,
+        component: &str,
+        inputs: &PublishInputs,
+        now: SimTime,
+    ) -> Option<Publication> {
+        let memo = self.published.get(component)?;
+        inputs.unchanged(&memo.inputs).then(|| Publication { at: now, ..memo.last.clone() })
     }
 
-    /// Record a freshly computed publication of `component`. `bump`
-    /// advances its generation (a real inventory change), as does a first
-    /// publish; a refresh keeps it, so reordered publishes cannot
-    /// resurrect stale offers.
+    /// Record `publisher`'s freshly computed `offers` for `component`,
+    /// stamped `now`. `bump` advances its generation (a real inventory
+    /// change), as does a first publish; a refresh keeps it, so reordered
+    /// publishes cannot resurrect stale offers.
     pub(crate) fn publish(
         &mut self,
+        publisher: HostId,
         component: &str,
         bump: bool,
         inputs: PublishInputs,
         offers: OfferSet,
+        now: SimTime,
     ) -> Publication {
-        let last = self.published.get_key_value(component);
-        let name = last.map_or_else(|| Name::from(component), |(name, _)| name.clone());
-        let gen = match last {
-            Some((_, last)) if !bump => last.gen,
+        let memo = self.published.get(component).map(|memo| &memo.last);
+        let component = memo.map_or_else(|| Name::from(component), |last| last.component.clone());
+        let gen = match memo {
+            Some(last) if !bump => last.gen,
             _ => {
                 self.next_gen += 1;
                 self.next_gen
             }
         };
-        let published = Published { gen, inputs, offers: offers.clone() };
-        self.published.insert(name.clone(), published);
-        (name, gen, offers)
+        let last = Publication { component, publisher, gen, at: now, offers };
+        self.published.insert(last.component.clone(), Published { inputs, last: last.clone() });
+        last
     }
 
-    /// Absorb a publisher's offers for `component` (direct publish).
-    /// `at` is the publisher's freshness stamp. Returns whether the
-    /// store changed.
-    pub fn on_publish(
-        &mut self,
-        component: Name,
-        publisher: HostId,
-        gen: u64,
-        at: SimTime,
-        offers: OfferSet,
-    ) -> bool {
-        let shard = self.ring.shard_of_component(&component);
+    /// Absorb a publication if it is news — a publisher's push, this
+    /// host's own or an entry of a peer replica's repair delta: the one
+    /// way into a shard slice. Returns whether the store changed
+    /// (`false` too when this host does not replicate the component's
+    /// shard).
+    pub fn apply(&mut self, p: Publication) -> bool {
+        debug_assert!(
+            p.offers.iter().enumerate().all(|(i, o)| {
+                o.node == p.publisher
+                    && o.component == p.component
+                    && p.offers[..i].iter().all(|earlier| earlier.version != o.version)
+            }),
+            "a publication's offers name its publisher and component, one per version: {p:?}"
+        );
+        let shard = self.ring.shard_of_component(&p.component);
         let Some(slice) = self.store.get_mut(&shard) else {
             return false; // stale addressing (e.g. ring drift across configs)
         };
-        slice.apply(component, publisher, gen, at, offers)
+        slice.apply(p)
     }
 
     /// Start an anti-entropy round: expiry-sweep the local shard stores
@@ -461,7 +483,7 @@ impl ShardStore {
         gens: &[(Name, HostId, u64)],
         now: SimTime,
         ttl: SimTime,
-    ) -> Vec<DeltaEntry> {
+    ) -> Vec<Publication> {
         if !self.store.contains_key(&shard) {
             return Vec::new();
         }
@@ -486,7 +508,7 @@ impl ShardStore {
                     theirs.next();
                 }
                 if e.gen > known {
-                    out.push(DeltaEntry {
+                    out.push(Publication {
                         component: c.clone(),
                         publisher: p,
                         gen: e.gen,
@@ -497,21 +519,6 @@ impl ShardStore {
             }
         }
         out
-    }
-
-    /// Apply a peer's repair delta. Returns how many entries advanced.
-    pub fn on_gossip_delta(&mut self, shard: u32, entries: Vec<DeltaEntry>) -> usize {
-        let Some(slice) = self.store.get_mut(&shard) else { return 0 };
-        let mut advanced = 0;
-        for e in entries {
-            if self.ring.shard_of_component(&e.component) != shard {
-                continue;
-            }
-            if slice.apply(e.component, e.publisher, e.gen, e.at, e.offers) {
-                advanced += 1;
-            }
-        }
-        advanced
     }
 
     /// Anti-entropy digest rounds this host has run.
@@ -641,6 +648,17 @@ mod tests {
         }
     }
 
+    /// `publisher`'s publication of `component`.
+    fn publication(
+        component: &str,
+        publisher: u32,
+        gen: u64,
+        at: SimTime,
+        offers: OfferSet,
+    ) -> Publication {
+        Publication { component: component.into(), publisher: HostId(publisher), gen, at, offers }
+    }
+
     /// `host`'s shard store over a ring of `n` hosts.
     fn store(cfg: &ShardConfig, host: u32, n: u32) -> ShardStore {
         ShardStore::new(HostId(host), Rc::new(ShardRing::build(&hosts(n), &cfg.ring())))
@@ -677,13 +695,15 @@ mod tests {
         let mut applied = 0;
         for (to, shard, gens) in digests(a, HostId(0), now) {
             assert_eq!(to, HostId(1));
-            let delta = b.on_gossip_digest(shard, &gens, now, TTL);
-            applied += a.on_gossip_delta(shard, delta);
+            for p in b.on_gossip_digest(shard, &gens, now, TTL) {
+                applied += usize::from(a.apply(p));
+            }
         }
         for (to, shard, gens) in digests(b, HostId(1), now) {
             assert_eq!(to, HostId(0));
-            let delta = a.on_gossip_digest(shard, &gens, now, TTL);
-            applied += b.on_gossip_delta(shard, delta);
+            for p in a.on_gossip_digest(shard, &gens, now, TTL) {
+                applied += usize::from(b.apply(p));
+            }
         }
         applied
     }
@@ -695,7 +715,7 @@ mod tests {
         let shard = a.ring().shard_of_component("X");
         // The publish reached replica A but the fabric lost B's copy
         // (the missed-broadcast case): only A can answer.
-        assert!(a.on_publish("X".into(), HostId(0), 1, MS(10), [offer(0, "X")].into()));
+        assert!(a.apply(publication("X", 0, 1, MS(10), [offer(0, "X")].into())));
         assert_eq!(a.lookup(shard, &q).map(|o| o.len()), Some(1));
         assert_eq!(b.lookup(shard, &q).map(|o| o.len()), Some(0));
         // One gossip round repairs B; a second round is quiescent.
@@ -710,11 +730,11 @@ mod tests {
         let q = ComponentQuery::by_name("X", Version::new(1, 0));
         let shard = a.ring().shard_of_component("X");
         // Both replicas hold generation 1 …
-        a.on_publish("X".into(), HostId(0), 1, MS(10), [offer(0, "X")].into());
-        b.on_publish("X".into(), HostId(0), 1, MS(10), [offer(0, "X")].into());
+        a.apply(publication("X", 0, 1, MS(10), [offer(0, "X")].into()));
+        b.apply(publication("X", 0, 1, MS(10), [offer(0, "X")].into()));
         // … then the publisher's inventory empties (deregister) and only
         // A hears about it — the lost-CacheInvalidate analogue.
-        a.on_publish("X".into(), HostId(0), 2, MS(20), [].into());
+        a.apply(publication("X", 0, 2, MS(20), [].into()));
         assert_eq!(a.lookup(shard, &q).map(|o| o.len()), Some(0));
         assert_eq!(b.lookup(shard, &q).map(|o| o.len()), Some(1), "B is stale");
         assert_eq!(gossip_round(&mut a, &mut b, MS(30)), 1);
@@ -726,9 +746,9 @@ mod tests {
         let (mut a, _) = replica_pair();
         let q = ComponentQuery::by_name("X", Version::new(1, 0));
         let shard = a.ring().shard_of_component("X");
-        a.on_publish("X".into(), HostId(0), 3, MS(30), [].into());
+        a.apply(publication("X", 0, 3, MS(30), [].into()));
         // A reordered older publish must not resurrect the offers.
-        assert!(!a.on_publish("X".into(), HostId(0), 2, MS(10), [offer(0, "X")].into()));
+        assert!(!a.apply(publication("X", 0, 2, MS(10), [offer(0, "X")].into())));
         assert_eq!(a.lookup(shard, &q).map(|o| o.len()), Some(0));
     }
 
@@ -744,9 +764,9 @@ mod tests {
         let mut a = store(&cfg, 0, 2);
         let q = ComponentQuery::by_name("X", Version::new(1, 0));
         let shard = a.ring().shard_of_component("X");
-        a.on_publish("X".into(), HostId(1), 1, MS(0), [offer(1, "X")].into());
+        a.apply(publication("X", 1, 1, MS(0), [offer(1, "X")].into()));
         // Refresh (same generation, newer stamp) keeps it alive …
-        a.on_publish("X".into(), HostId(1), 1, MS(80), [offer(1, "X")].into());
+        a.apply(publication("X", 1, 1, MS(80), [offer(1, "X")].into()));
         a.begin_gossip(MS(150), cfg.publish_ttl); // sweep at 150: age 70 < ttl
         assert_eq!(a.lookup(shard, &q).map(|o| o.len()), Some(1));
         // … but a crashed publisher's entry ages out.
@@ -763,7 +783,7 @@ mod tests {
         pay.cost_per_hour = 100;
         pay.version = Version::new(1, 5);
         pay.mobility = Mobility::Fixed;
-        a.on_publish("X".into(), HostId(0), 1, MS(0), [offer(1, "X"), pay].into());
+        a.apply(publication("X", 0, 1, MS(0), [offer(0, "X"), pay].into()));
         let all = ComponentQuery::by_name("X", Version::new(1, 0));
         assert_eq!(a.lookup(shard, &all).map(|o| o.len()), Some(2));
         let newer = ComponentQuery::by_name("X", Version::new(1, 5));
@@ -866,9 +886,9 @@ mod tests {
     }
 
     /// A refresh gets the last publication back — same name, generation
-    /// and offer set, by pointer — until one of its inputs moves; a bump
-    /// or a first publish advances the generation, a recomputed refresh
-    /// keeps it and keeps the name.
+    /// and offer set, by pointer, stamped anew — until one of its inputs
+    /// moves; a bump or a first publish advances the generation, a
+    /// recomputed refresh keeps it and keeps the name.
     #[test]
     fn a_refresh_reuses_the_last_publication_until_an_input_moves() {
         let (mut a, _) = replica_pair();
@@ -877,12 +897,14 @@ mod tests {
             instances: 0,
             dynamic: DynamicInfo::default(),
         };
-        assert!(a.republish("X", &inputs).is_none(), "nothing published yet");
-        let (name, gen, offers) = a.publish("X", false, inputs.clone(), [offer(0, "X")].into());
-        assert_eq!(gen, 1);
-        let (again, same_gen, same) = a.republish("X", &inputs).expect("inputs unchanged");
-        assert!(Name::ptr_eq(&again, &name) && same.as_ptr() == offers.as_ptr());
-        assert_eq!(same_gen, gen);
+        let me = HostId(0);
+        assert!(a.republish("X", &inputs, MS(0)).is_none(), "nothing published yet");
+        let first = a.publish(me, "X", false, inputs.clone(), [offer(0, "X")].into(), MS(0));
+        assert_eq!((first.publisher, first.gen, first.at), (me, 1, MS(0)));
+        let again = a.republish("X", &inputs, MS(5)).expect("inputs unchanged");
+        assert!(Name::ptr_eq(&again.component, &first.component));
+        assert_eq!(again.offers.as_ptr(), first.offers.as_ptr());
+        assert_eq!((again.publisher, again.gen, again.at), (me, first.gen, MS(5)));
 
         let busier = DynamicInfo { cpu_used: 0.1, ..inputs.dynamic };
         let moved = [
@@ -891,13 +913,14 @@ mod tests {
             PublishInputs { dynamic: busier, ..inputs.clone() },
         ];
         for changed in moved {
-            assert!(a.republish("X", &changed).is_none(), "{changed:?} must recompute");
-            let (renamed, regen, _) = a.publish("X", false, changed, [].into());
-            assert!(Name::ptr_eq(&renamed, &name), "the name is built once");
-            assert_eq!(regen, gen, "a refresh keeps its generation");
+            assert!(a.republish("X", &changed, MS(10)).is_none(), "{changed:?} must recompute");
+            let refresh = a.publish(me, "X", false, changed, [].into(), MS(10));
+            assert!(Name::ptr_eq(&refresh.component, &first.component), "the name is built once");
+            assert_eq!(refresh.gen, first.gen, "a refresh keeps its generation");
         }
-        assert_eq!(a.publish("X", true, inputs.clone(), [].into()).1, 2, "a bump advances it");
-        assert_eq!(a.publish("Y", false, inputs, [].into()).1, 3, "so does a first publish");
+        let bump = a.publish(me, "X", true, inputs.clone(), [].into(), MS(20));
+        assert_eq!(bump.gen, 2, "a bump advances it");
+        assert_eq!(a.publish(me, "Y", false, inputs, [].into(), MS(20)).gen, 3, "so does a first");
     }
 
     /// The lookup rule before answers were shared: a copy of every offer
@@ -919,11 +942,13 @@ mod tests {
     }
 
     /// A lookup answers what the filtered copy answered, in order, over
-    /// random publications — several publishers per component, several
-    /// versions, costs and mobilities, repeated `(node, component,
-    /// version)` keys within and across publishers' sets — and random
-    /// name, version, cost and mobility filters. An answer that is one
-    /// publisher entry's whole set is that set, shared.
+    /// random publications shaped as a node builds them — several
+    /// publishers per component, each offering a random subset of three
+    /// versions at random costs and mobilities — and random name,
+    /// version, cost and mobility filters. The copy still drops repeated
+    /// `(node, component, version)` keys, so equality also shows that
+    /// none arises. An answer that is one publisher entry's whole set is
+    /// that set, shared.
     #[test]
     fn a_shared_lookup_answers_what_the_filtered_copy_answered() {
         const NAMES: [&str; 3] = ["A", "Counter", "X"];
@@ -931,26 +956,18 @@ mod tests {
             let (mut a, _) = replica_pair();
             for _ in 0..g.gen_range(0..12usize) {
                 let component = *g.pick(&NAMES);
-                let publisher = HostId(g.gen_range(0..3u32));
-                let n = g.gen_range(0..4usize);
-                let offers: Vec<Offer> = (0..n)
-                    .map(|_| Offer {
-                        // Mostly the publisher's own offers; sometimes a
-                        // key another publisher's set holds too.
-                        node: if g.gen_range(0..4u32) == 0 {
-                            HostId(g.gen_range(0..3u32))
-                        } else {
-                            publisher
-                        },
-                        version: Version::new(1, g.gen_range(0..3u32)),
-                        mobility: if g.gen_bool() { Mobility::Mobile } else { Mobility::Fixed },
-                        cost_per_hour: g.gen_range(0..3u32) * 50,
-                        ..offer(0, component)
-                    })
-                    .collect();
-                let set = OfferSet::exact(n, offers.into_iter());
+                let publisher = g.gen_range(0..3u32);
+                // One offer per installed version, in version order.
+                let versions: Vec<u32> = (0..3).filter(|_| g.gen_bool()).collect();
+                let offers = versions.iter().map(|&minor| Offer {
+                    version: Version::new(1, minor),
+                    mobility: if g.gen_bool() { Mobility::Mobile } else { Mobility::Fixed },
+                    cost_per_hour: g.gen_range(0..3u32) * 50,
+                    ..offer(publisher, component)
+                });
+                let set = OfferSet::exact(versions.len(), offers);
                 let (gen, at) = (g.gen_range(1..4u64), MS(g.gen_range(0..50u64)));
-                a.on_publish(component.into(), publisher, gen, at, set);
+                a.apply(publication(component, publisher, gen, at, set));
             }
             for _ in 0..8 {
                 let query = ComponentQuery {
@@ -1001,7 +1018,7 @@ mod tests {
                     for p in 0..3 {
                         if g.gen_bool() {
                             let gen = g.gen_range(1..5u64);
-                            replica.on_publish(name.into(), HostId(p), gen, MS(10), [].into());
+                            replica.apply(publication(name, p, gen, MS(10), [].into()));
                         }
                     }
                 }
@@ -1081,7 +1098,7 @@ mod tests {
             let mut held = Vec::new();
             for _ in 0..g.gen_range(1..80usize) {
                 now += MS(g.gen_range(0..30u64));
-                let entry = |g: &mut lc_prop::Gen| DeltaEntry {
+                let entry = |g: &mut lc_prop::Gen| Publication {
                     // A fresh name each time: the store keeps its first.
                     component: Name::from(*g.pick(&NAMES)),
                     publisher: HostId(g.gen_range(0..4u32)),
@@ -1091,13 +1108,12 @@ mod tests {
                 };
                 match g.gen_range(0..5u32) {
                     0 => {
-                        let e = entry(g);
-                        a.on_publish(e.component, e.publisher, e.gen, e.at, e.offers);
+                        a.apply(entry(g));
                     }
                     1 => {
-                        let delta: Vec<_> = (0..g.gen_range(0..6usize)).map(|_| entry(g)).collect();
-                        let shard = g.gen_range(0..4u32);
-                        a.on_gossip_delta(shard, delta);
+                        for _ in 0..g.gen_range(0..6usize) {
+                            a.apply(entry(g));
+                        }
                     }
                     2 => a.begin_gossip(now, cfg.publish_ttl),
                     3 => {
@@ -1142,7 +1158,7 @@ mod tests {
                 if g.gen_range(0..3u32) > 0 {
                     let (c, p) = (*g.pick(&NAMES), HostId(g.gen_range(0..3u32)));
                     let (gen, at) = (g.gen_range(1..4u64), MS(g.gen_range(0..1_000u64)));
-                    a.on_publish(c.into(), p, gen, at, [].into());
+                    a.apply(publication(c, p.0, gen, at, [].into()));
                 } else {
                     let mut expected = held(&a);
                     expected.retain(|&(.., at)| now.saturating_sub(at) < ttl);

@@ -925,7 +925,8 @@ fn retained_bytes_per_node_are_pinned() {
 /// handed to the kernel before the first is due, as the harness hands
 /// them. What a query holds until harvest is its command waiting in the
 /// kernel's mail lane, its sink and the offer set the sink ends with;
-/// the pending query and its frames come and go. The measured 399; 411
+/// the pending query and its frames come and go. The measured 383; 399
+/// while a sink kept a partial result's staleness (16 B per sink); 411
 /// while a sink's and a pending query's offer set was a vector (8 B
 /// wider than the shared set, in every sink and pending-query slot); 414
 /// while a pending entry's deadline was an `Option` (8 B more per slot
@@ -934,7 +935,7 @@ fn retained_bytes_per_node_are_pinned() {
 /// entry made a leaf of eleven pending queries; 863 while the owner's
 /// answer reserved four offers for its one and a `Resolve` command made
 /// every command 136 bytes.
-const PEAK_BYTES_PER_QUERY: i64 = 399;
+const PEAK_BYTES_PER_QUERY: i64 = 383;
 
 /// Heap bytes per host that the same segment leaves behind once every
 /// query has been answered and its sink dropped: mostly what the 384

@@ -6,7 +6,7 @@
 use lc_core::node::{NodeCmd, NodeConfig, QueryResult, RegistryConfig};
 use lc_core::testkit::{fast_cohesion, World};
 use lc_core::{
-    CacheConfig, ComponentQuery, Registry, ShardConfig, ShardRing,
+    CacheConfig, ComponentQuery, Publication, Registry, ShardConfig, ShardRing,
     ShardRingConfig, ShardStore, SpawnSink,
 };
 use lc_des::SimTime;
@@ -255,14 +255,14 @@ fn ring_rebalance_moves_only_departed_hosts_shards() {
         // whether the ring was built before or after the departure.
         unmoved_shards.sort_unstable();
         unmoved_shards.dedup();
-        for (i, &s) in unmoved_shards.iter().take(4).enumerate() {
+        for &s in unmoved_shards.iter().take(4) {
             let replica = before.replicas(s)[0];
             let component = keys
                 .iter()
                 .find(|k| before.shard_of_component(k) == s)
                 .expect("unmoved shards came from the key set");
             let offer = lc_core::Offer {
-                node: HostId(i as u32),
+                node: replica,
                 component: component.as_str().into(),
                 version: lc_pkg::Version::new(1, 0),
                 mobility: lc_pkg::Mobility::Mobile,
@@ -279,7 +279,8 @@ fn ring_rebalance_moves_only_departed_hosts_shards() {
             let (mut b, mut a) = (registry(&before), registry(&after));
             let served = |r: &mut Registry, offers: lc_core::OfferSet| {
                 let store = r.shard_mut().expect("built with a shard store");
-                store.on_publish(component.as_str().into(), replica, 1, now, offers);
+                let component = component.as_str().into();
+                store.apply(Publication { component, publisher: replica, gen: 1, at: now, offers });
                 store.lookup(s, &q).map(|o| o.len())
             };
             let before_offers = served(&mut b, [offer.clone()].into());
