@@ -44,6 +44,10 @@ cargo test --locked --release -q -p lc-core --lib registry::backend
 # loss (~1 s on 2 vCPUs, its build included): every publication enters
 # a slice through `ShardStore::apply`, by push, self-publish or repair.
 cargo test --locked --release -q -p lc-core --test cache_props sharded_staleness
+# A publisher's cadence, optimised: an unchanged publication is renewed
+# at half its publish TTL, never lapses at a replica, and a spawn still
+# publishes at once.
+cargo test --locked --release -q -p lc-core --test cache_props a_publisher_renews
 # The servant record's properties, optimised and at 1 500 cases each
 # (~45 s on 2 vCPUs): shed requests never execute and admitted ones run
 # once under loss and retries, replies queued for the CPU answer every

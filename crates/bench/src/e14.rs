@@ -18,8 +18,8 @@
 //! is exactly the traffic that concentrates on the leader.
 //!
 //! Reported per variant: answered fraction, p50/p99 first-offer
-//! latency, query messages, gossip traffic, the busiest
-//! receiver over the query phase, and — the headline — bytes received
+//! latency, query messages, gossip traffic, the shard publishes and the
+//! busiest receiver over the query phase, and — the headline — bytes received
 //! by the *former leader* (the busiest host of the single-leader run)
 //! under each shard count. The committed `BENCH_e14.json` pins the
 //! acceptance floor: ≥ 3x former-leader reduction and p99 no worse at
@@ -41,7 +41,7 @@ use std::fmt::Write as _;
 use std::rc::Rc;
 
 /// JSON schema version (bump when keys change; ci.sh pins the diff).
-pub const SCHEMA_VERSION: u32 = 2;
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// The committed run's seed.
 const SEED: u64 = 14;
@@ -95,6 +95,9 @@ pub struct VariantResult {
     pub msgs_per_query: f64,
     /// Gossip digest/delta messages.
     pub gossip_msgs: u64,
+    /// `ShardPublish` messages over the query phase: spawns, installs
+    /// and lease renewals.
+    pub publish_msgs: u64,
     /// Busiest receiver over the query phase: host and byte delta.
     pub hotspot: HostId,
     pub hotspot_recv: u64,
@@ -222,6 +225,7 @@ pub fn run_point(point: Point, seed: u64, leader: Option<HostId>) -> VariantResu
     let recv_before: Vec<u64> =
         (0..point.nodes).map(|h| w.net.host_traffic(HostId(h)).1).collect();
     let msgs_before = w.sim.metrics_ref().counter("query.msgs");
+    let publish_before = w.sim.metrics_ref().counter("registry.publish_msgs");
 
     let mut sinks: Vec<QuerySink> = Vec::new();
     for q in 0..QUERIES {
@@ -257,6 +261,7 @@ pub fn run_point(point: Point, seed: u64, leader: Option<HostId>) -> VariantResu
         p99_ms: pctl(0.99),
         msgs_per_query: (m.counter("query.msgs") - msgs_before) as f64 / QUERIES as f64,
         gossip_msgs: m.counter("registry.gossip_msgs"),
+        publish_msgs: m.counter("registry.publish_msgs") - publish_before,
         hotspot,
         hotspot_recv,
         leader_recv,
@@ -291,6 +296,7 @@ fn render_json(points: &[VariantResult], seed: u64) -> String {
             ("nodes", r.point.nodes.into()),
             ("p50_ms", r.p50_ms.into()),
             ("p99_ms", r.p99_ms.into()),
+            ("publish_msgs", r.publish_msgs.into()),
             ("shards", r.point.shards.into()),
         ])
     };
@@ -341,6 +347,7 @@ fn render(points: &[VariantResult], seed: u64) -> Output {
                 f2(r.p99_ms),
                 f2(r.msgs_per_query),
                 r.gossip_msgs.to_string(),
+                r.publish_msgs.to_string(),
                 human_bytes(r.hotspot_recv),
                 human_bytes(r.leader_recv),
                 f2(reduction(points, r)),
@@ -364,6 +371,7 @@ fn render(points: &[VariantResult], seed: u64) -> Output {
             "p99 ms",
             "msgs/query",
             "gossip",
+            "publish",
             "hotspot recv",
             "ex-leader recv",
             "reduction",
@@ -430,7 +438,7 @@ mod tests {
         // >= 3x former-leader reduction and p99 no worse at 4+ shards.
         assert_eq!(a.failed, None);
         let json = &a.files[0].1;
-        assert!(json.contains("\"schema_version\": 2"));
+        assert!(json.contains("\"schema_version\": 3"));
 
         // Parse the per-variant fields back out of the JSON.
         let field = |block: &str, key: &str| -> f64 {

@@ -14,7 +14,7 @@
 
 use crate::cohesion::DutyState;
 use crate::proto::CtrlMsg;
-use crate::registry::backend::{CoherenceRoute, Registry, ShardStore};
+use crate::registry::backend::{CoherenceRoute, PublishInputs, Registry, Renewal, ShardStore};
 use crate::registry::{ComponentQuery, ComponentRegistry};
 use crate::repository::ComponentRepository;
 use crate::resource::ResourceManager;
@@ -327,7 +327,8 @@ impl NodeCtx<'_, '_> {
             }
             CoherenceRoute::Shard { replicas } => {
                 self.invalidate_cached(component);
-                self.publish_component(component, true, &replicas);
+                let inputs = self.state.publish_inputs();
+                self.publish_component(component, true, &inputs, &replicas);
                 self.send_invalidate(component, replicas.iter().copied());
                 self.sim.metrics().incr(Counter::CacheInvalidateTargeted);
             }
@@ -347,17 +348,24 @@ impl NodeCtx<'_, '_> {
     }
 
     /// Push this node's current offers for `component` to the owning
-    /// shard's replica set (self applies locally, no wire traffic).
-    /// `bump` advances the publication generation — a real inventory
-    /// change. A refresh keeps it, so reordered publishes cannot
-    /// resurrect stale offers, and when nothing the offer set is computed
-    /// from has changed it re-sends the last publication as it is. The
-    /// offer set and the name are built once; the local store, every
-    /// message and every receiving replica's entry share them.
-    pub(crate) fn publish_component(&mut self, component: &str, bump: bool, replicas: &[HostId]) {
+    /// shard's replica set (self applies locally, no wire traffic), as
+    /// computed from `inputs`. `bump` advances the publication generation
+    /// — a real inventory change — and publishes at once. A refresh keeps
+    /// the generation, so reordered publishes cannot resurrect stale
+    /// offers, and [`ShardStore::republish`] decides
+    /// whether it sends nothing, the last publication as it is, or a
+    /// recomputed one. The offer set and the name are built once; the
+    /// local store, every message and every receiving replica's entry
+    /// share them.
+    pub(crate) fn publish_component(
+        &mut self,
+        component: &str,
+        bump: bool,
+        inputs: &PublishInputs,
+        replicas: &[HostId],
+    ) {
         let now = self.sim.now();
         let from = self.state.host;
-        let inputs = self.state.publish_inputs();
         // The installed component's own name; a new one only for a
         // component no longer installed here.
         let by_name = || {
@@ -365,10 +373,13 @@ impl NodeCtx<'_, '_> {
             let name = name.unwrap_or_else(|| component.into());
             ComponentQuery { name: Some(name), ..Default::default() }
         };
-        let Some(store) = self.state.backend.shard() else { return };
-        let last = if bump { None } else { store.republish(component, &inputs, now) };
-        let p = match last {
-            Some(last) => {
+        let Some(ttl) = self.state.world.shard_config().map(|sc| sc.publish_ttl) else { return };
+        let Some(store) = self.state.backend.shard_mut() else { return };
+        let renewal =
+            if bump { Renewal::Recompute } else { store.republish(component, inputs, now, ttl) };
+        let p = match renewal {
+            Renewal::NotDue => return,
+            Renewal::Resend(last) => {
                 debug_assert_eq!(
                     *last.offers,
                     *self.state.local_offers_for(&by_name()),
@@ -376,10 +387,10 @@ impl NodeCtx<'_, '_> {
                 );
                 last
             }
-            None => {
+            Renewal::Recompute => {
                 let offers = self.state.local_offers_for(&by_name());
                 let Some(store) = self.state.backend.shard_mut() else { return };
-                store.publish(from, component, bump, inputs, offers, now)
+                store.publish(from, component, bump, inputs.clone(), offers, now)
             }
         };
         if replicas.contains(&from) {

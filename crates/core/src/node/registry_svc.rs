@@ -212,19 +212,22 @@ impl NodeCtx<'_, '_> {
         self.send_offers(qid, offers, true);
     }
 
-    /// One sharded-registry maintenance round: refresh-publish the local
-    /// inventory to its owning shards (covering pre-spawn installs that
-    /// had no runtime to publish through) and exchange gossip digests
-    /// with peer replicas, then re-arm the cadence.
+    /// One sharded-registry maintenance round: refresh the local
+    /// inventory's publications to their owning shards (a changed one
+    /// at once, an unchanged one when its lease is half spent, and
+    /// pre-spawn installs, which had no runtime to publish through) and
+    /// exchange gossip digests with peer replicas, then re-arm the
+    /// cadence.
     pub(crate) fn shard_maintain(&mut self) {
         let world = Rc::clone(&self.state.world);
         let Some(sc) = world.shard_config() else { return };
         // The repository's name snapshot is sorted, one entry per
         // installed version: a component is the head of each equal run.
         let names = Rc::clone(self.state.repository.names());
+        let inputs = self.state.publish_inputs();
         for c in names.chunk_by(|a, b| a == b).map(|same| &same[0]) {
             if let CoherenceRoute::Shard { replicas } = self.state.backend.coherence_route(c) {
-                self.publish_component(c, false, &replicas);
+                self.publish_component(c, false, &inputs, &replicas);
             }
         }
         let now = self.sim.now();

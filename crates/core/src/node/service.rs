@@ -48,8 +48,9 @@ pub enum Tick {
     CallRetry(RequestId),
     /// A reply's dedup window has passed: the servant forgets it.
     DedupSweep(RequestId),
-    /// Sharded-registry maintenance: republish the local inventory to
-    /// the owning shards and run one gossip anti-entropy round.
+    /// Sharded-registry maintenance: publish what changed in the local
+    /// inventory to the owning shards, renew what is half a TTL old, and
+    /// run one gossip anti-entropy round.
     ShardMaintain,
     /// Evaluate the SLO monitor over the window since the previous
     /// check; breaches dump the flight recorder.

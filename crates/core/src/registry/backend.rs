@@ -43,11 +43,14 @@ pub struct ShardConfig {
     pub replicas: u32,
     /// Consistent-hash ring points per host.
     pub vnodes: u32,
-    /// Anti-entropy cadence: how often a replica republishes its own
-    /// inventory and exchanges gossip digests with its peers.
+    /// Anti-entropy cadence: how often a replica exchanges gossip
+    /// digests with its peers and a publisher checks its publications
+    /// for change and for renewal.
     pub gossip_period: SimTime,
     /// How long a publisher's entry survives without a refresh — the
-    /// liveness backstop that retires a crashed publisher's offers.
+    /// liveness backstop that retires a crashed publisher's offers. A
+    /// publisher renews an unchanged publication once it is half of this
+    /// old.
     pub publish_ttl: SimTime,
 }
 
@@ -156,10 +159,21 @@ impl PublishInputs {
 }
 
 /// One publication this host made: what its offer set was computed
-/// from, and the publication itself.
+/// from, and the publication itself, stamped when it last went out.
 struct Published {
     inputs: PublishInputs,
     last: Publication,
+}
+
+/// What a publisher's refresh of one component does
+/// ([`ShardStore::republish`]).
+pub(crate) enum Renewal {
+    /// The last publication is less than half a TTL old: send nothing.
+    NotDue,
+    /// Send the last publication again, stamped now.
+    Resend(Publication),
+    /// Nothing published yet, or an input moved: recompute the offers.
+    Recompute,
 }
 
 /// One fact of the sharded inventory: `publisher`'s offers for
@@ -318,7 +332,7 @@ pub struct ShardStore {
     /// stamped per component on real changes.
     next_gen: u64,
     /// This host's last publication of each component, re-sent as is by
-    /// a refresh that finds its inputs unchanged.
+    /// a refresh that finds its inputs unchanged and its lease half spent.
     published: BTreeMap<Name, Published>,
     gossip_rounds: u64,
 }
@@ -393,18 +407,28 @@ impl ShardStore {
         Some(OfferSet::exact(n, answer))
     }
 
-    /// This host's last publication of `component`, stamped `now`, for a
-    /// refresh: when nothing its offer set was computed from has changed
-    /// since (`inputs`), it goes out again with its name, generation and
-    /// offer set.
+    /// What a refresh of `component` at `now` sends. A publication whose
+    /// inputs have not changed since (`inputs`) is a lease: it is renewed
+    /// once it is half of `ttl` old, going out again with its name,
+    /// generation and offer set, stamped `now`; younger, nothing goes
+    /// out. A component never published, or whose inputs moved, is
+    /// recomputed.
     pub(crate) fn republish(
-        &self,
+        &mut self,
         component: &str,
         inputs: &PublishInputs,
         now: SimTime,
-    ) -> Option<Publication> {
-        let memo = self.published.get(component)?;
-        inputs.unchanged(&memo.inputs).then(|| Publication { at: now, ..memo.last.clone() })
+        ttl: SimTime,
+    ) -> Renewal {
+        let Some(memo) = self.published.get_mut(component) else { return Renewal::Recompute };
+        if !inputs.unchanged(&memo.inputs) {
+            return Renewal::Recompute;
+        }
+        if now.saturating_sub(memo.last.at) < ttl / 2 {
+            return Renewal::NotDue;
+        }
+        memo.last.at = now;
+        Renewal::Resend(memo.last.clone())
     }
 
     /// Record `publisher`'s freshly computed `offers` for `component`,
@@ -885,26 +909,37 @@ mod tests {
         assert_eq!(front.invalidate("Counter"), Some(1), "both completions filled one entry");
     }
 
-    /// A refresh gets the last publication back — same name, generation
-    /// and offer set, by pointer, stamped anew — until one of its inputs
-    /// moves; a bump or a first publish advances the generation, a
-    /// recomputed refresh keeps it and keeps the name.
+    /// A refresh sends nothing while the last publication is younger than
+    /// half a TTL, then gets it back — same name, generation and offer
+    /// set, by pointer, stamped anew, which restarts the lease — until one
+    /// of its inputs moves, which recomputes at once; a bump or a first
+    /// publish advances the generation, a recomputed refresh keeps it and
+    /// keeps the name.
     #[test]
-    fn a_refresh_reuses_the_last_publication_until_an_input_moves() {
+    fn a_refresh_renews_the_last_publication_at_half_its_ttl_until_an_input_moves() {
         let (mut a, _) = replica_pair();
+        let ttl = MS(100);
         let inputs = PublishInputs {
             names: ["X".into()].into(),
             instances: 0,
             dynamic: DynamicInfo::default(),
         };
         let me = HostId(0);
-        assert!(a.republish("X", &inputs, MS(0)).is_none(), "nothing published yet");
+        let renew =
+            |a: &mut ShardStore, inputs: &PublishInputs, now| a.republish("X", inputs, now, ttl);
+        let nothing_yet = renew(&mut a, &inputs, MS(0));
+        assert!(matches!(nothing_yet, Renewal::Recompute), "nothing published yet");
         let first = a.publish(me, "X", false, inputs.clone(), [offer(0, "X")].into(), MS(0));
         assert_eq!((first.publisher, first.gen, first.at), (me, 1, MS(0)));
-        let again = a.republish("X", &inputs, MS(5)).expect("inputs unchanged");
+        assert!(matches!(renew(&mut a, &inputs, MS(49)), Renewal::NotDue), "the lease is fresh");
+        let Renewal::Resend(again) = renew(&mut a, &inputs, MS(50)) else {
+            panic!("half a TTL old and unchanged: re-sent")
+        };
         assert!(Name::ptr_eq(&again.component, &first.component));
         assert_eq!(again.offers.as_ptr(), first.offers.as_ptr());
-        assert_eq!((again.publisher, again.gen, again.at), (me, first.gen, MS(5)));
+        assert_eq!((again.publisher, again.gen, again.at), (me, first.gen, MS(50)));
+        assert!(matches!(renew(&mut a, &inputs, MS(99)), Renewal::NotDue), "renewed at 50");
+        assert!(matches!(renew(&mut a, &inputs, MS(100)), Renewal::Resend(p) if p.at == MS(100)));
 
         let busier = DynamicInfo { cpu_used: 0.1, ..inputs.dynamic };
         let moved = [
@@ -913,14 +948,15 @@ mod tests {
             PublishInputs { dynamic: busier, ..inputs.clone() },
         ];
         for changed in moved {
-            assert!(a.republish("X", &changed, MS(10)).is_none(), "{changed:?} must recompute");
-            let refresh = a.publish(me, "X", false, changed, [].into(), MS(10));
+            let renewal = renew(&mut a, &changed, MS(101));
+            assert!(matches!(renewal, Renewal::Recompute), "{changed:?} must recompute at once");
+            let refresh = a.publish(me, "X", false, changed, [].into(), MS(101));
             assert!(Name::ptr_eq(&refresh.component, &first.component), "the name is built once");
             assert_eq!(refresh.gen, first.gen, "a refresh keeps its generation");
         }
-        let bump = a.publish(me, "X", true, inputs.clone(), [].into(), MS(20));
+        let bump = a.publish(me, "X", true, inputs.clone(), [].into(), MS(102));
         assert_eq!(bump.gen, 2, "a bump advances it");
-        assert_eq!(a.publish(me, "Y", false, inputs, [].into(), MS(20)).gen, 3, "so does a first");
+        assert_eq!(a.publish(me, "Y", false, inputs, [].into(), MS(102)).gen, 3, "so does a first");
     }
 
     /// The lookup rule before answers were shared: a copy of every offer

@@ -204,6 +204,95 @@ fn sharded_staleness_bounded_by_publish_ttl_and_gossip() {
     });
 }
 
+/// A publisher renews an unchanged publication once it is half a
+/// publish TTL old, not every gossip round. On an idle, lossless sharded
+/// campus, over 4 TTLs each holder of `Counter` sends 8 `ShardPublish`es
+/// to each other replica of its shard (16 while every round re-sent),
+/// and the lease never lapses: after every maintenance tick, a lookup at
+/// each replica answers every holder. A spawn is a change, so it still
+/// publishes in the event it lands in.
+#[test]
+fn a_publisher_renews_an_unchanged_publication_at_half_its_ttl() {
+    const HOSTS: u32 = 32;
+    let holds = |h: u32| h.is_multiple_of(4);
+    let shards = ShardConfig::default();
+    let ttl = shards.publish_ttl;
+    let mut w = World::on(
+        Net::builder(Topology::campus(4, 8)).build(),
+        61,
+        NodeConfig {
+            registry: RegistryConfig::Sharded(shards),
+            cache: Some(CacheConfig::default()),
+            ..Default::default()
+        },
+        lc_core::demo::catalog(),
+        |HostId(h)| if holds(h) { vec![lc_core::demo::counter_package()] } else { Vec::new() },
+    );
+    w.sim.run_until(SimTime::from_secs(5));
+    let holders: Vec<HostId> = (0..HOSTS).filter(|&h| holds(h)).map(HostId).collect();
+    let ring = w.record.ring.clone().expect("a sharded world carries its ring");
+    let shard = ring.shard_of_component("Counter");
+    let replicas = Rc::clone(ring.replicas(shard));
+    let others = |h: HostId| replicas.iter().filter(|&&r| r != h).count() as u64;
+    assert!(holders.iter().any(|&h| others(h) < 2), "a holder that replicates the shard");
+    let query = ComponentQuery::by_name("Counter", lc_pkg::Version::new(1, 0));
+    fn store(w: &World, h: HostId) -> &ShardStore {
+        w.node(h).expect("no crashes").backend().shard().expect("a sharded node")
+    }
+    let rounds = |w: &World| -> u64 {
+        (0..HOSTS).map(|h| store(w, HostId(h)).gossip_rounds()).sum()
+    };
+    let published = |w: &World| w.sim.metrics_ref().counter("registry.publish_msgs");
+
+    // Every event in (now, now + 4 TTL], each tick checked once it fired.
+    let (end, first) = (w.sim.now() + ttl * 4, published(&w));
+    let mut ticks = 0;
+    let sent = loop {
+        let (rounds_before, sent) = (rounds(&w), published(&w));
+        assert!(w.sim.step(), "the idle plane never drains");
+        if w.sim.now() > end {
+            break sent - first;
+        }
+        if rounds(&w) == rounds_before {
+            continue;
+        }
+        ticks += 1;
+        for &r in replicas.iter() {
+            let offers = store(&w, r).lookup(shard, &query);
+            let offers = offers.unwrap_or_else(|| panic!("{r} replicates the shard"));
+            for &h in &holders {
+                assert!(
+                    offers.iter().any(|o| o.node == h),
+                    "{r} lost {h}'s publication at {}",
+                    w.sim.now()
+                );
+            }
+        }
+    };
+    let expected: u64 = holders.iter().map(|&h| others(h) * 8).sum();
+    assert_eq!(sent, expected, "one renewal per half TTL per holder and other replica");
+    assert!(ticks > 0, "the window holds maintenance ticks");
+
+    let holder = holders[0];
+    let sink: SpawnSink = Rc::default();
+    let spawn = NodeCmd::SpawnLocal {
+        component: "Counter".into(),
+        min_version: lc_pkg::Version::new(1, 0),
+        instance_name: None,
+        sink: sink.clone(),
+    };
+    w.cmd(holder, spawn);
+    loop {
+        let before = published(&w);
+        assert!(w.sim.step(), "the spawn lands");
+        if sink.borrow().is_some() {
+            assert!(matches!(*sink.borrow(), Some(Ok(_))), "the spawn succeeds");
+            assert_eq!(published(&w) - before, others(holder), "a spawn publishes at once");
+            break;
+        }
+    }
+}
+
 /// Ring rebalance: when a host departs, only the shards it served move,
 /// so only ~K·R/H of K keys change replica sets — and a key in an
 /// unmoved shard resolves identically from the identical replica.
